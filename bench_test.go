@@ -349,10 +349,13 @@ func benchDecodeToken(b *testing.B, prec cptgpt.Precision) {
 // paper scale (the bit-exactness baseline).
 func BenchmarkCPTGPTDecodeTokenF64(b *testing.B) { benchDecodeToken(b, cptgpt.F64) }
 
-// BenchmarkCPTGPTDecodeTokenF32 is the fused float32 fast path over the
-// same shapes; the acceptance bar for the fast path is ≥ 1.8× fewer
-// ns/token than ...F64 (internal/cptgpt's fidelity tests bound what the
-// speed costs: ~1e-6 logit drift, indistinguishable trace marginals).
+// BenchmarkCPTGPTDecodeTokenF32 is the float32 fast path over the same
+// shapes: all 16 slots' rows packed through one tensor.GemmF32 per layer.
+// Expected ≈ 60–75 µs/token with the AVX2 kernel (≈ 7–8× fewer ns/token
+// than ...F64; ≈ 230–270 µs with the portable kernel, which is what this
+// benchmark measured before plain decode was routed through the GEMM).
+// internal/cptgpt's fidelity tests bound what the speed costs: ~1e-6 logit
+// drift, indistinguishable trace statistics.
 func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F32) }
 
 // benchGenerateSkewed times end-to-end generation of a population whose
@@ -363,13 +366,13 @@ func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F3
 // machine's default width, which is how the scheduling difference
 // manifests: lockstep drains each batch down to its longest stream, so its
 // tail steps occupy one pool worker with one slot while the rest idle, and
-// what work remains loses the group weight-sweep amortization; continuous
-// batching reseats retired slots immediately, keeping the fan-out full and
-// the per-group weight sweep amortized over a full batch. On a single-core
-// machine the two converge (per-token cost dominates); on a multi-worker
-// pool (CI's 4 vCPUs) the occupancy gap is the headline ~1.2–1.4×.
-// Decode runs the f32 fast path, whose group kernels are where the
-// amortization lives; both schedulers emit bit-identical streams.
+// what work remains loses the amortization of each weight panel over a
+// shard's packed rows; continuous batching reseats retired slots
+// immediately, keeping the fan-out full and every GEMM many rows tall. On
+// a single-core machine the two converge (per-token cost dominates); on a
+// multi-worker pool (CI's 4 vCPUs) the occupancy gap is the headline
+// ~1.2–1.4×. Decode runs the f32 fast path, whose row-packed GEMMs are
+// where the amortization lives; both schedulers emit bit-identical streams.
 func benchGenerateSkewed(b *testing.B, lockstep bool) {
 	b.Helper()
 	m := paperScaleModel(b)
@@ -448,13 +451,14 @@ func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
 	}
 }
 
-// BenchmarkCPTGPTDecodeSpeculativeF32 is the speculative-decoding headline:
+// BenchmarkCPTGPTDecodeSpeculativeF32 is speculative decoding end to end:
 // compare its ns/token against BenchmarkCPTGPTGenerateSkewedContinuous
-// (the PR 4 continuous-batching f32 path over the identical population
-// shape) — the acceptance bar is ≥ 1.5× tokens/s at k = 4. The win is the
-// multi-token verify kernel: prefill-shaped k-row GEMMs run ~5× the
-// scalar matvec throughput on AVX2, and the acceptance rate converts most
-// verified positions into emitted tokens.
+// (plain continuous-batching f32 over the identical population shape).
+// Both run the same row-packed GEMM body, so a verified position costs
+// about what a plain token does and speculation wins only when more than
+// one position per verified row is emitted: at this untrained model's ~40%
+// acceptance it runs ≈ 1.7× SLOWER per emitted token than plain (it was
+// ≈ 1.7× faster while plain decode still ran scalar matvecs).
 func BenchmarkCPTGPTDecodeSpeculativeF32(b *testing.B) { benchDecodeSpeculative(b, cptgpt.F32) }
 
 // BenchmarkCPTGPTDecodeSpeculativeF64 is the float64 companion: the same
@@ -467,8 +471,8 @@ func BenchmarkCPTGPTDecodeSpeculativeF64(b *testing.B) { benchDecodeSpeculative(
 // BenchmarkCPTGPTVerifyKTokens measures the raw multi-token verify kernel:
 // ns per verified position when every slot consumes k=4-token chains
 // through StepK, against BenchmarkCPTGPTDecodeTokenF32's single-token
-// stepping over the same model shape — the kernel-level speedup that
-// speculative decoding's acceptance rate then discounts.
+// stepping over the same model shape. The two run one row body, so the
+// numbers agree to within what taller GEMMs (64 rows against 16) save.
 func BenchmarkCPTGPTVerifyKTokens(b *testing.B) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)

@@ -86,15 +86,16 @@ func ParsePrecision(s string) (Precision, error) { return cptgpt.ParsePrecision(
 
 // Speculative decoding. Setting CPTGPTGenOpts.Speculative has a cheap
 // draft model propose CPTGPTGenOpts.DraftTokens tokens per UE slot and the
-// transformer verify the whole chain in ONE multi-token pass (a
-// prefill-shaped kernel whose k-row GEMMs run on AVX2 where available);
+// transformer verify the whole chain in ONE multi-token pass (the same
+// row-packed GEMM body plain decoding runs, k rows per slot);
 // acceptance–rejection sampling then keeps a prefix and resamples the
 // first rejected position from the residual distribution, so the output
 // law is exactly plain sampling's — the draft moves only the acceptance
 // rate. Output stays deterministic per Seed at every Parallelism ×
-// BatchSize. On skewed million-UE populations this is the decode
-// throughput headline (≥1.5× tokens/s at paper-scale dims, k=4); see the
-// README's "Speculative decoding" section for the knobs and intuition.
+// BatchSize. A verified row costs what a plain token costs, so it beats
+// plain f32 decoding only with a draft that gets most of its chain
+// accepted; see the README's "Speculative decoding" section for the
+// knobs, the measured numbers and the intuition.
 type (
 	// CPTGPTDraftModel proposes speculative draft chains (see NewNGramDraft,
 	// NewSMMDraft; nil in the options means the model's self-fitted draft).

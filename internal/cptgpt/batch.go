@@ -29,9 +29,12 @@ const DefaultBatchSize = 32
 // slice of the shared buffers, and slots never read each other's state.
 // Output is therefore bit-identical to decoding every stream alone,
 // regardless of how many worker goroutines the step fans out over — the
-// property the determinism tests pin down. The F32 path runs the fused
-// float32 kernels of infer32.go over the frozen InferModel snapshot; it is
-// deterministic per seed but not bit-compatible with F64.
+// property the determinism tests pin down. The F32 path packs the rows of
+// every slot a worker steps and runs them through the float32 kernels of
+// infer32.go (one GEMM per layer) over the frozen InferModel snapshot; a
+// row's result does not depend on the rows packed around it, so it is just
+// as invariant to batching and fan-out — deterministic per seed and GEMM
+// kernel, but not bit-compatible with F64.
 //
 // Slot-reset contract (continuous batching): a slot's KV-cache rows and
 // score/accumulator scratch are meaningful only for positions < Pos(slot).
@@ -58,16 +61,19 @@ type BatchDecoder struct {
 	// workers may share one histogram.
 	stepHist *telemetry.Histogram
 
-	// Multi-token (StepK) state: kMax is the per-slot row capacity the K
-	// buffers are sized for, grown on demand by ensureK.
-	kMax  int
-	outsK [][]StepOut
-	// Per-(slot, row) widened head outputs: capacity × kMax × width.
-	evOutK, iaOutK, stopOutK []float64
-	// F32 multi-token scratch: capacity × kMax × width.
-	tokK32, xK32, qK32, kK32, vK32, attK32, tmpK32 []float32
-	ffK32, hidK32, hidK232                         []float32
-	evOutK32, iaOutK32, stopOutK32                 []float32
+	// Row-packed pass state, shared by Step (one row per slot) and StepK.
+	// A pass lists slots[i] with ks[i] rows each; row r of slots[i] is packed
+	// row rowOff[i]+r, so a ParallelFor shard [lo, hi) owns the contiguous
+	// packed rows [rowOff[lo], rowOff[hi]). Every row buffer below holds
+	// capacity × kMax rows, grown on demand by ensureRows.
+	kMax   int
+	rowOff []int       // capacity+1: prefix sum of the pass's ks
+	ones   []int       // capacity ones: Step's ks
+	outs   []StepOut   // one per packed row
+	outsK  [][]StepOut // StepK's per-listed-slot windows into outs
+	// Head outputs by packed row (both precisions; the f32 path widens into
+	// these so StepOut and the sampling loop are precision-agnostic).
+	evOut, iaOut, stopOut []float64 // rows × V, × (1 or 2), × 2
 
 	// F64 state. kc/vc hold, per block, the shared KV cache: slot-major,
 	// each slot owning MaxLen × DModel values.
@@ -81,26 +87,20 @@ type BatchDecoder struct {
 
 	// F32 state. kv32 is the contiguous KV arena: block-major, each
 	// (block, slot) pair owning MaxLen rows of 2×DModel interleaved [K|V]
-	// values (half the bytes of the f64 cache).
+	// values (half the bytes of the f64 cache). The rest is packed-row
+	// scratch.
 	kv32                        []float32
-	tok32                       []float32 // capacity × Dim
-	x32, q32, k32, v32          []float32 // capacity × DModel
-	att32, tmp32                []float32 // capacity × DModel
-	ff32                        []float32 // capacity × MLPHidden
 	mAcc32, lAcc32              []float32 // capacity × Heads (online softmax)
-	hid32, hid232               []float32 // capacity × widest head layer
-	evOut32, iaOut32, stopOut32 []float32 // capacity × head widths
-
-	// Head outputs (both precisions; the f32 path widens into these so
-	// StepOut and the sampling loop are precision-agnostic).
-	evOut   []float64 // capacity × V
-	iaOut   []float64 // capacity × (1 or 2)
-	stopOut []float64 // capacity × 2
-	outs    []StepOut // capacity
+	tok32                       []float32 // rows × Dim
+	x32, q32, k32, v32          []float32 // rows × DModel
+	att32, tmp32                []float32 // rows × DModel
+	ff32                        []float32 // rows × MLPHidden
+	hid32, hid232               []float32 // rows × widest head layer
+	evOut32, iaOut32, stopOut32 []float32 // rows × head widths
 }
 
 // NewBatchDecoder creates a decoder that can step up to capacity streams at
-// the given precision (F64: bit-exact reference; F32: fused float32 fast
+// the given precision (F64: bit-exact reference; F32: row-packed float32 fast
 // path over the model's frozen Infer snapshot). The decoder is reusable
 // across batches via Reset/ResetSlot.
 func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
@@ -110,28 +110,20 @@ func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
 	dm := m.Cfg.DModel
 	d := &BatchDecoder{m: m, prec: prec, capacity: capacity}
 	d.pos = make([]int, capacity)
-	hw := headHiddenMax(m)
-	iaW := m.IAHd.Layers[len(m.IAHd.Layers)-1].W.Cols
+	d.rowOff = make([]int, capacity+1)
+	d.ones = make([]int, capacity)
+	for i := range d.ones {
+		d.ones[i] = 1
+	}
+	d.outsK = make([][]StepOut, capacity)
 	switch prec {
 	case F32:
 		d.inf = m.Infer()
 		d.kv32 = make([]float32, len(m.BlocksNN)*capacity*m.Cfg.MaxLen*2*dm)
-		d.tok32 = make([]float32, capacity*m.Tok.Dim())
-		d.x32 = make([]float32, capacity*dm)
-		d.q32 = make([]float32, capacity*dm)
-		d.k32 = make([]float32, capacity*dm)
-		d.v32 = make([]float32, capacity*dm)
-		d.att32 = make([]float32, capacity*dm)
-		d.tmp32 = make([]float32, capacity*dm)
-		d.ff32 = make([]float32, capacity*m.Cfg.MLPHidden)
 		d.mAcc32 = make([]float32, capacity*m.Cfg.Heads)
 		d.lAcc32 = make([]float32, capacity*m.Cfg.Heads)
-		d.hid32 = make([]float32, capacity*hw)
-		d.hid232 = make([]float32, capacity*hw)
-		d.evOut32 = make([]float32, capacity*m.Tok.V())
-		d.iaOut32 = make([]float32, capacity*iaW)
-		d.stopOut32 = make([]float32, capacity*2)
 	default:
+		hw := headHiddenMax(m)
 		d.kc = make([][]float64, len(m.BlocksNN))
 		d.vc = make([][]float64, len(m.BlocksNN))
 		for i := range d.kc {
@@ -149,11 +141,48 @@ func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
 		d.hid = make([]float64, capacity*hw)
 		d.hid2 = make([]float64, capacity*hw)
 	}
-	d.evOut = make([]float64, capacity*m.Tok.V())
-	d.iaOut = make([]float64, capacity*iaW)
-	d.stopOut = make([]float64, capacity*2)
-	d.outs = make([]StepOut, capacity)
+	d.ensureRows(1)
 	return d
+}
+
+// ensureRows sizes the packed-row buffers for up to kMax rows per slot. Grow-
+// only: the first StepK of a Generate run allocates, steady state reuses.
+func (d *BatchDecoder) ensureRows(kMax int) {
+	if kMax <= d.kMax {
+		return
+	}
+	m := d.m
+	rows := d.capacity * kMax
+	v := m.Tok.V()
+	iaW := d.iaWidth()
+	d.kMax = kMax
+	d.outs = make([]StepOut, rows)
+	d.evOut = make([]float64, rows*v)
+	d.iaOut = make([]float64, rows*iaW)
+	d.stopOut = make([]float64, rows*2)
+	if d.prec == F32 {
+		dm := m.Cfg.DModel
+		hw := headHiddenMax(m)
+		d.tok32 = make([]float32, rows*m.Tok.Dim())
+		d.x32 = make([]float32, rows*dm)
+		d.q32 = make([]float32, rows*dm)
+		d.k32 = make([]float32, rows*dm)
+		d.v32 = make([]float32, rows*dm)
+		d.att32 = make([]float32, rows*dm)
+		d.tmp32 = make([]float32, rows*dm)
+		d.ff32 = make([]float32, rows*m.Cfg.MLPHidden)
+		d.hid32 = make([]float32, rows*hw)
+		d.hid232 = make([]float32, rows*hw)
+		d.evOut32 = make([]float32, rows*v)
+		d.iaOut32 = make([]float32, rows*iaW)
+		d.stopOut32 = make([]float32, rows*2)
+	}
+}
+
+// iaWidth is the interarrival head's output width (2 with a distribution
+// head, else 1).
+func (d *BatchDecoder) iaWidth() int {
+	return d.m.IAHd.Layers[len(d.m.IAHd.Layers)-1].W.Cols
 }
 
 // Capacity returns the number of decode slots.
@@ -257,54 +286,104 @@ func (d *BatchDecoder) stepCost() int {
 // one StepOut per slot in slots order. tokens is the slot-major token
 // buffer: slot s reads tokens[s*Dim() : (s+1)*Dim()]. The returned slice
 // and the EventLogits inside it alias decoder-owned scratch, valid only
-// until the next Step.
+// until the next Step/StepK.
 //
+// Step is StepK with one row per slot: the same row body, the same kernels,
+// so a token's head outputs do not depend on which of the two consumed it.
 // Slots are processed independently (fanned out over the tensor worker
 // pool), each at its own position — continuous batching mixes fresh and
 // deep slots freely — and a slot panics past MaxLen exactly like the serial
 // decoder.
 func (d *BatchDecoder) Step(slots []int, tokens []float64) []StepOut {
-	sp := tracez.Begin(tracez.StageDecodeStep, "")
+	d.stepRows(tracez.StageDecodeStep, slots, d.ones[:len(slots)], 1, tokens)
+	return d.outs[:len(slots)]
+}
+
+// StepK is the multi-token verify / batched prefill kernel: it advances each
+// listed slot by ks[i] tokens in one pass, appending every token's keys and
+// values to the slot's cache and returning the head outputs after each
+// position — outsK[i][r] is the model's conditional after slot slots[i]
+// consumed its rows 0..r. tokens is slot-major with kMax rows per slot: slot
+// s's row r is tokens[(s*kMax+r)*Dim() : ...+Dim()].
+//
+// Causality is preserved position by position: row r's attention sees
+// exactly the cache up to row r, and every other kernel is per-row, so the
+// outputs are bit-identical to stepping the same tokens one Step at a time,
+// at either precision and under either float32 GEMM kernel.
+//
+// Per-slot results are independent of which slots share the pass and of the
+// worker fan-out, so speculative decoding inherits the determinism contract.
+// The returned slices alias decoder-owned scratch, valid until the next
+// Step/StepK. Speculative rejection rewinds a slot's suffix via
+// TruncateSlot; the same kernel prefills prompted generation by feeding the
+// prompt's tokens as one chain.
+func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) [][]StepOut {
+	if len(ks) != len(slots) {
+		panic(fmt.Sprintf("cptgpt: StepK with %d slots but %d row counts", len(slots), len(ks)))
+	}
+	for i, k := range ks {
+		if k < 1 || k > kMax {
+			panic(fmt.Sprintf("cptgpt: StepK slot %d rows %d outside [1, %d]", slots[i], k, kMax))
+		}
+	}
+	d.stepRows(tracez.StageDecodeStepK, slots, ks, kMax, tokens)
+	for i, k := range ks {
+		d.outsK[i] = d.outs[d.rowOff[i] : d.rowOff[i]+k]
+	}
+	return d.outsK[:len(slots)]
+}
+
+// stepRows is the one pass driver behind Step and StepK: it packs the pass's
+// (slot, row) pairs into consecutive rows (rowOff), fans the listed slots out
+// over the worker pool, and accounts the pass under the given trace stage.
+// On the F32 path a shard runs its packed rows through every linear layer as
+// one GEMM (stepRowsF32); on the F64 path each row runs the reference row
+// body on its own.
+func (d *BatchDecoder) stepRows(stage string, slots, ks []int, kMax int, tokens []float64) {
+	d.ensureRows(kMax)
+	total := 0
+	for i, k := range ks {
+		d.rowOff[i] = total
+		total += k
+	}
+	d.rowOff[len(ks)] = total
+	sp := tracez.Begin(stage, "")
 	var t0 time.Time
 	if d.stepHist != nil {
 		t0 = time.Now()
 	}
 	d.steps.Add(1)
-	d.slotSteps.Add(int64(len(slots)))
+	d.slotSteps.Add(int64(total))
 	f32 := d.prec == F32
-	tensor.ParallelFor(len(slots), d.stepCost(), func(lo, hi int) {
+	tensor.ParallelFor(len(slots), d.stepCost()*kMax, func(lo, hi int) {
 		if f32 {
-			// The f32 fast path advances its shard of slots as one group
-			// through weight-block-outer kernels: every weight panel is
-			// streamed from memory once per group instead of once per slot,
-			// which is the economy of scale that makes a full (continuously
-			// refilled) batch cheaper per token than a drained one.
-			d.stepGroupF32(slots, lo, hi, tokens)
+			d.stepRowsF32(slots, ks, lo, hi, kMax, tokens)
 			return
 		}
 		for i := lo; i < hi; i++ {
-			d.stepSlotF64(i, slots[i], tokens)
+			d.stepSlotF64(slots[i], ks[i], d.rowOff[i], kMax, tokens)
 		}
 	})
 	if d.stepHist != nil {
 		d.stepHist.Observe(time.Since(t0).Seconds())
 	}
-	sp.End(int64(len(slots)), "")
-	return d.outs[:len(slots)]
+	sp.End(int64(total), "")
 }
 
-// stepSlotF64 advances one slot through the float64 reference kernels,
-// writing d.outs[i]. It is the exact per-slot body the lockstep decoder has
-// always run (bit-identical to the serial decoder in infer.go).
-func (d *BatchDecoder) stepSlotF64(i, slot int, tokens []float64) {
+// stepSlotF64 runs one slot's k rows through the float64 reference row body,
+// one row after the other, writing packed rows row0.. of the head outputs.
+func (d *BatchDecoder) stepSlotF64(slot, k, row0, kMax int, tokens []float64) {
 	dim := d.m.Tok.Dim()
 	v := d.m.Tok.V()
-	iaW := len(d.iaOut) / d.capacity
-	evOut := d.evOut[slot*v : (slot+1)*v]
-	iaOut := d.iaOut[slot*iaW : (slot+1)*iaW]
-	stopOut := d.stopOut[slot*2 : (slot+1)*2]
-	d.decodeRowF64(slot, tokens[slot*dim:(slot+1)*dim], evOut, iaOut, stopOut)
-	d.fillOut(i, slot, evOut, iaOut, stopOut)
+	iaW := d.iaWidth()
+	for r := 0; r < k; r++ {
+		row := row0 + r
+		evOut := d.evOut[row*v : (row+1)*v]
+		iaOut := d.iaOut[row*iaW : (row+1)*iaW]
+		stopOut := d.stopOut[row*2 : (row+1)*2]
+		d.decodeRowF64(slot, tokens[(slot*kMax+r)*dim:(slot*kMax+r+1)*dim], evOut, iaOut, stopOut)
+		fillStepOut(&d.outs[row], d.m.Cfg.DistHead, evOut, iaOut, stopOut)
+	}
 }
 
 // decodeRowF64 consumes one token for a slot through the float64 reference
@@ -380,128 +459,6 @@ func (d *BatchDecoder) decodeRowF64(slot int, token, evOut, iaOut, stopOut []flo
 	d.pos[slot] = pos + 1
 }
 
-// stepGroupF32 advances slots[lo:hi] as one group through the fused float32
-// kernels over the frozen InferModel snapshot, widening the head outputs
-// into the shared float64 StepOut buffers (widening is exact, so sampling
-// sees precisely the float32 results).
-//
-// The group runs phase-lockstep: every linear layer executes as a group
-// matvec with the weight block as the outer loop, so the full weight set is
-// streamed from memory once per group and shard instead of once per slot;
-// per-row operations (layer norm, the online-softmax attention over each
-// slot's own KV region, residual adds) run slot by slot. Per-slot results
-// are bit-identical no matter how slots are grouped — each row's reduction
-// order is fixed — which keeps F32 decoding deterministic at every
-// parallelism and batch composition.
-func (d *BatchDecoder) stepGroupF32(slots []int, lo, hi int, tokens []float64) {
-	m := d.m
-	inf := d.inf
-	dm := m.Cfg.DModel
-	dim := m.Tok.Dim()
-	maxLen := m.Cfg.MaxLen
-	heads := m.Cfg.Heads
-	v := m.Tok.V()
-	mlpH := m.Cfg.MLPHidden
-	hw := len(d.hid32) / d.capacity
-	iaW := len(d.iaOut) / d.capacity
-	group := slots[lo:hi]
-
-	// Token intake + positional embedding (per slot; panics before any
-	// group work if a slot was stepped past MaxLen without a reset).
-	for _, slot := range group {
-		if d.pos[slot] >= maxLen {
-			panic("cptgpt: BatchDecoder stepped past MaxLen")
-		}
-		tensor.F32From(d.tok32[slot*dim:(slot+1)*dim], tokens[slot*dim:(slot+1)*dim])
-	}
-	tensor.MatVecGroupF32(d.x32, dm, inf.inProj.WT, inf.inProj.B, d.tok32, dim, dim, dm, group)
-	for _, slot := range group {
-		x := d.x32[slot*dm : (slot+1)*dm]
-		pe := inf.posEmb[d.pos[slot]*dm : (d.pos[slot]+1)*dm]
-		for j := range x {
-			x[j] += pe[j]
-		}
-	}
-
-	stride := 2 * dm
-	slotKV := maxLen * stride
-	for bi := range inf.blocks {
-		b := &inf.blocks[bi]
-		// Attention sub-layer (pre-norm, residual): project Q/K/V for the
-		// whole group, land K/V in each slot's interleaved arena row, then
-		// one fused online-softmax pass per slot over its own cache.
-		for _, slot := range group {
-			layerNormRowF32(d.tmp32[slot*dm:(slot+1)*dm], d.x32[slot*dm:(slot+1)*dm], &b.ln1)
-		}
-		tensor.MatVecGroupF32(d.q32, dm, b.wq.WT, b.wq.B, d.tmp32, dm, dm, dm, group)
-		tensor.MatVecGroupF32(d.k32, dm, b.wk.WT, b.wk.B, d.tmp32, dm, dm, dm, group)
-		tensor.MatVecGroupF32(d.v32, dm, b.wv.WT, b.wv.B, d.tmp32, dm, dm, dm, group)
-		for _, slot := range group {
-			pos := d.pos[slot]
-			kv := d.kv32[(bi*d.capacity+slot)*slotKV : (bi*d.capacity+slot+1)*slotKV]
-			kvRow := kv[pos*stride : (pos+1)*stride]
-			copy(kvRow[:dm], d.k32[slot*dm:(slot+1)*dm])
-			copy(kvRow[dm:], d.v32[slot*dm:(slot+1)*dm])
-			attendRowF32(d.att32[slot*dm:(slot+1)*dm], d.q32[slot*dm:(slot+1)*dm], kv,
-				pos+1, b.heads, dm, d.mAcc32[slot*heads:(slot+1)*heads], d.lAcc32[slot*heads:(slot+1)*heads])
-		}
-		tensor.MatVecGroupF32(d.tmp32, dm, b.wo.WT, b.wo.B, d.att32, dm, dm, dm, group)
-		for _, slot := range group {
-			x := d.x32[slot*dm : (slot+1)*dm]
-			tmp := d.tmp32[slot*dm : (slot+1)*dm]
-			for j := range x {
-				x[j] += tmp[j]
-			}
-		}
-
-		// Feed-forward sub-layer (pre-norm, residual): up-projection and
-		// GELU fused, both projections amortizing weights over the group.
-		for _, slot := range group {
-			layerNormRowF32(d.tmp32[slot*dm:(slot+1)*dm], d.x32[slot*dm:(slot+1)*dm], &b.ln2)
-		}
-		ffGeluGroupF32(d.ff32, mlpH, &b.ffIn, d.tmp32, dm, group)
-		tensor.MatVecGroupF32(d.tmp32, dm, b.ffOut.WT, b.ffOut.B, d.ff32, mlpH, mlpH, dm, group)
-		for _, slot := range group {
-			x := d.x32[slot*dm : (slot+1)*dm]
-			tmp := d.tmp32[slot*dm : (slot+1)*dm]
-			for j := range x {
-				x[j] += tmp[j]
-			}
-		}
-	}
-
-	for _, slot := range group {
-		layerNormRowF32(d.tmp32[slot*dm:(slot+1)*dm], d.x32[slot*dm:(slot+1)*dm], &inf.final)
-	}
-	mlpGroupF32(d.evOut32, v, d.hid32, d.hid232, hw, d.tmp32, dm, &inf.eventHd, group)
-	mlpGroupF32(d.iaOut32, iaW, d.hid32, d.hid232, hw, d.tmp32, dm, &inf.iaHd, group)
-	mlpGroupF32(d.stopOut32, 2, d.hid32, d.hid232, hw, d.tmp32, dm, &inf.stopHd, group)
-
-	for i := lo; i < hi; i++ {
-		slot := slots[i]
-		evOut := d.evOut[slot*v : (slot+1)*v]
-		iaOut := d.iaOut[slot*iaW : (slot+1)*iaW]
-		stopOut := d.stopOut[slot*2 : (slot+1)*2]
-		for j, val := range d.evOut32[slot*v : (slot+1)*v] {
-			evOut[j] = float64(val)
-		}
-		for j, val := range d.iaOut32[slot*iaW : (slot+1)*iaW] {
-			iaOut[j] = float64(val)
-		}
-		for j, val := range d.stopOut32[slot*2 : (slot+1)*2] {
-			stopOut[j] = float64(val)
-		}
-		d.fillOut(i, slot, evOut, iaOut, stopOut)
-		d.pos[slot]++
-	}
-}
-
-// fillOut assembles d.outs[i] from a slot's head-output regions (shared tail
-// of both precision paths).
-func (d *BatchDecoder) fillOut(i, slot int, evOut, iaOut, stopOut []float64) {
-	fillStepOut(&d.outs[i], d.m.Cfg.DistHead, evOut, iaOut, stopOut)
-}
-
 // fillStepOut assembles one StepOut from head-output regions.
 func fillStepOut(out *StepOut, distHead bool, evOut, iaOut, stopOut []float64) {
 	out.EventLogits = evOut
@@ -512,121 +469,4 @@ func fillStepOut(out *StepOut, distHead bool, evOut, iaOut, stopOut []float64) {
 		out.IALogStd = math.NaN()
 	}
 	out.StopLogits = [2]float64{stopOut[0], stopOut[1]}
-}
-
-// ensureK sizes the multi-token buffers for up to kMax rows per slot. Grow-
-// only: the first StepK of a Generate run allocates, steady state reuses.
-func (d *BatchDecoder) ensureK(kMax int) {
-	if kMax <= d.kMax {
-		return
-	}
-	m := d.m
-	c := d.capacity
-	v := m.Tok.V()
-	iaW := m.IAHd.Layers[len(m.IAHd.Layers)-1].W.Cols
-	d.kMax = kMax
-	d.outsK = make([][]StepOut, c)
-	flat := make([]StepOut, c*kMax)
-	for s := range d.outsK {
-		d.outsK[s] = flat[s*kMax : (s+1)*kMax]
-	}
-	d.evOutK = make([]float64, c*kMax*v)
-	d.iaOutK = make([]float64, c*kMax*iaW)
-	d.stopOutK = make([]float64, c*kMax*2)
-	if d.prec == F32 {
-		dm := m.Cfg.DModel
-		hw := len(d.hid32) / c
-		d.tokK32 = make([]float32, c*kMax*m.Tok.Dim())
-		d.xK32 = make([]float32, c*kMax*dm)
-		d.qK32 = make([]float32, c*kMax*dm)
-		d.kK32 = make([]float32, c*kMax*dm)
-		d.vK32 = make([]float32, c*kMax*dm)
-		d.attK32 = make([]float32, c*kMax*dm)
-		d.tmpK32 = make([]float32, c*kMax*dm)
-		d.ffK32 = make([]float32, c*kMax*m.Cfg.MLPHidden)
-		d.hidK32 = make([]float32, c*kMax*hw)
-		d.hidK232 = make([]float32, c*kMax*hw)
-		d.evOutK32 = make([]float32, c*kMax*v)
-		d.iaOutK32 = make([]float32, c*kMax*iaW)
-		d.stopOutK32 = make([]float32, c*kMax*2)
-	}
-}
-
-// StepK is the multi-token verify / batched prefill kernel: it advances each
-// listed slot by ks[i] tokens in one pass, appending every token's keys and
-// values to the slot's cache and returning the head outputs after each
-// position — outsK[i][r] is the model's conditional after slot slots[i]
-// consumed its rows 0..r. tokens is slot-major with kMax rows per slot: slot
-// s's row r is tokens[(s*kMax+r)*Dim() : ...+Dim()].
-//
-// Because every consumed token is given up front, the pass is prefill-shaped
-// rather than decode-shaped: on the F32 path each layer runs as a k-row GEMM
-// per slot (tensor.GemmF32 — the AVX2 kernel where available), streaming
-// each weight panel once per slot group instead of once per token, which is
-// the speculative-decoding throughput headline. Causality is preserved
-// position by position: row r's attention sees exactly the cache up to row
-// r, so outputs equal stepping the same tokens one Step at a time — bit-
-// identical on the F64 path and on the F32 path with the scalar GEMM
-// fallback; within float32 rounding with the assembly GEMM (whose wider
-// reduction order trades bit-compatibility for ~5× the matvec throughput).
-//
-// Per-slot results are independent of which slots share the pass and of the
-// worker fan-out, so speculative decoding inherits the determinism contract.
-// The returned slices alias decoder-owned scratch, valid until the next
-// Step/StepK. Speculative rejection rewinds a slot's suffix via
-// TruncateSlot; the same kernel prefills prompted generation by feeding the
-// prompt's tokens as one chain.
-func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) [][]StepOut {
-	if len(ks) != len(slots) {
-		panic(fmt.Sprintf("cptgpt: StepK with %d slots but %d row counts", len(slots), len(ks)))
-	}
-	var total int64
-	for i, k := range ks {
-		if k < 1 || k > kMax {
-			panic(fmt.Sprintf("cptgpt: StepK slot %d rows %d outside [1, %d]", slots[i], k, kMax))
-		}
-		total += int64(k)
-	}
-	d.ensureK(kMax)
-	sp := tracez.Begin(tracez.StageDecodeStepK, "")
-	var t0 time.Time
-	if d.stepHist != nil {
-		t0 = time.Now()
-	}
-	d.steps.Add(1)
-	d.slotSteps.Add(total)
-	f32 := d.prec == F32
-	tensor.ParallelFor(len(slots), d.stepCost()*kMax, func(lo, hi int) {
-		if f32 {
-			d.stepGroupF32K(slots, ks, lo, hi, kMax, tokens)
-			return
-		}
-		for i := lo; i < hi; i++ {
-			d.stepSlotF64K(i, slots[i], ks[i], kMax, tokens)
-		}
-	})
-	if d.stepHist != nil {
-		d.stepHist.Observe(time.Since(t0).Seconds())
-	}
-	sp.End(total, "")
-	return d.outsK[:len(slots)]
-}
-
-// stepSlotF64K runs one slot's k rows through the float64 reference row body
-// — the same kernels, in the same order, as k successive Steps, so the
-// outputs are bit-identical to single-token stepping.
-func (d *BatchDecoder) stepSlotF64K(i, slot, k, kMax int, tokens []float64) {
-	m := d.m
-	dim := m.Tok.Dim()
-	v := m.Tok.V()
-	iaW := len(d.iaOut) / d.capacity
-	outs := d.outsK[i][:k]
-	for r := 0; r < k; r++ {
-		row := slot*kMax + r
-		evOut := d.evOutK[row*v : (row+1)*v]
-		iaOut := d.iaOutK[row*iaW : (row+1)*iaW]
-		stopOut := d.stopOutK[row*2 : (row+1)*2]
-		d.decodeRowF64(slot, tokens[row*dim:(row+1)*dim], evOut, iaOut, stopOut)
-		fillStepOut(&outs[r], m.Cfg.DistHead, evOut, iaOut, stopOut)
-	}
 }

@@ -12,10 +12,14 @@
 //     Parallelism × BatchSize × scheduling mode: each stream consumes only
 //     its own index-seeded RNG and slot state, so who decodes it when
 //     cannot matter.
-//   - f32 decoding fixes every per-row reduction order, so it is
-//     deterministic per (Seed, Precision) at every Parallelism × BatchSize
-//     × slot grouping — but differs numerically from f64 within the
-//     fidelity gates pinned by the package tests.
+//   - f32 decoding runs every decode pass — plain Step and speculative
+//     StepK alike — through one row body whose per-row reduction orders are
+//     fixed, so it is deterministic per (Seed, Precision, GEMM kernel) at
+//     every Parallelism × BatchSize × slot grouping, and StepK over k rows
+//     is bit-identical to k Steps. The kernel is the machine's: AVX2+FMA
+//     where present, portable scalar elsewhere; the two differ in reduction
+//     order, hence in output bits. f32 differs numerically from f64 within
+//     the fidelity gates pinned by the package tests.
 //   - Speculative decoding is deterministic per (Seed, DraftTokens) and
 //     distributionally exact (acceptance–rejection preserves plain
 //     sampling's per-position conditionals), but consumes RNG draws

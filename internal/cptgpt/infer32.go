@@ -7,20 +7,20 @@ import (
 	"cptgpt/internal/tensor"
 )
 
-// Fused float32 row kernels of the decode fast path. They mirror the float64
-// kernels in infer.go but trade bit-compatibility for throughput:
+// Float32 kernels of the decode fast path. They mirror the float64 kernels
+// in infer.go but trade bit-compatibility for throughput:
 //
 //   - attendRowF32 computes attention scores, the softmax and the weighted
 //     value sum in ONE pass over the interleaved KV cache (online softmax
 //     with running max/sum per head), instead of the three passes the
 //     float64 kernel makes. Every cached row is touched exactly once.
-//   - ffGeluRowF32 fuses the MLP up-projection matvec with the GELU, so the
-//     hidden activation is finished the moment its dot product is.
-//   - Linear layers run through tensor.MatVecF32 over transposed panels
-//     (unit-stride weight reads, 4-way unrolled accumulation).
+//   - Linear layers run through tensor.GemmF32 over transposed panels, every
+//     (slot, row) of a worker's shard packed into one multi-row call
+//     (stepRowsF32) — AVX2+FMA where the machine has it.
 //
-// All loops are sequential with a fixed order, so F32 decoding is
-// deterministic — the per-precision half of the determinism contract.
+// Every reduction has a fixed order that does not depend on the rows packed
+// around it, so F32 decoding is deterministic — the per-precision half of
+// the determinism contract.
 
 // negInf32 seeds the online-softmax running max.
 var negInf32 = float32(math.Inf(-1))
@@ -143,56 +143,41 @@ func layerNormRowF32(dst, row []float32, l *nn.LayerNormF32) {
 	}
 }
 
-// ffGeluGroupF32 fuses the feed-forward up-projection with the GELU
-// activation for a whole slot group: dst row s gets gelu(bias + x_s·wT),
-// with the weight 4-row block as the outer loop (loaded once, L1-hot across
-// the group — the same cross-slot amortization as tensor.MatVecGroupF32)
-// and each hidden activation finished the moment its dot product is.
-// Per-row results are independent of the grouping.
-func ffGeluGroupF32(dst []float32, dstStride int, l *nn.LinearF32, x []float32, xStride int, group []int) {
-	in := l.In
-	j := 0
-	for ; j+4 <= l.Out; j += 4 {
-		w0 := l.WT[j*in : (j+1)*in]
-		w1 := l.WT[(j+1)*in : (j+2)*in]
-		w2 := l.WT[(j+2)*in : (j+3)*in]
-		w3 := l.WT[(j+3)*in : (j+4)*in]
-		b0, b1, b2, b3 := l.B[j], l.B[j+1], l.B[j+2], l.B[j+3]
-		for _, s := range group {
-			r0, r1, r2, r3 := tensor.Dot4F32(x[s*xStride:s*xStride+in], w0, w1, w2, w3)
-			d := dst[s*dstStride+j : s*dstStride+j+4]
-			d[0] = gelu32(b0 + r0)
-			d[1] = gelu32(b1 + r1)
-			d[2] = gelu32(b2 + r2)
-			d[3] = gelu32(b3 + r3)
-		}
-	}
-	for ; j < l.Out; j++ {
-		w0 := l.WT[j*in : (j+1)*in]
-		for _, s := range group {
-			dst[s*dstStride+j] = gelu32(l.B[j] + tensor.Dot1F32(x[s*xStride:s*xStride+in], w0))
-		}
+// layerNormRowsF32 applies layerNormRowF32 to every width-wide row of src.
+func layerNormRowsF32(dst, src []float32, width int, l *nn.LayerNormF32) {
+	for o := 0; o < len(src); o += width {
+		layerNormRowF32(dst[o:o+width], src[o:o+width], l)
 	}
 }
 
-// stepGroupF32K is the float32 multi-token verify / prefill kernel: it
-// advances each slot of slots[lo:hi] by its ks count of tokens in one pass.
-// Where stepGroupF32 amortizes weight traffic across slots (one row each),
-// this kernel amortizes across a slot's k known rows as well: every linear
-// layer runs as a k-row GEMM per slot (tensor.GemmF32 — AVX2+FMA where the
-// machine has it), with the layer loop outer and the slot loop inner so a
-// weight panel fetched for one slot stays cache-hot for the rest of the
-// shard. Attention stays per-row — row r's fused online-softmax pass sees
-// exactly the slot's cache up to position pos+r, which is what keeps the
-// pass causally identical to single-token stepping.
+// widenF32 copies src into dst as float64 (exact).
+func widenF32(dst []float64, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
+}
+
+// stepRowsF32 is the float32 row body of Step and StepK: it advances each
+// slot of slots[lo:hi] by its ks count of tokens (all 1 for Step) in one
+// pass over the frozen InferModel snapshot. The shard's (slot, row) pairs sit
+// in consecutive packed rows of the decoder's scratch (BatchDecoder.rowOff),
+// so every linear layer — input projection, Wq/Wk/Wv/Wo, feed-forward in and
+// out, the three heads — is ONE tensor.GemmF32 over all of the shard's rows:
+// a weight panel is streamed once per shard, not once per slot or token.
+// Layer norm, residuals and attention stay per row; row r of a slot attends
+// to exactly the slot's own cache through position pos+r, which keeps a
+// multi-row pass causally identical to single-token stepping.
 //
-// Per-(slot, row) results are independent of the shard composition and the
-// worker fan-out: GEMM row results don't depend on the rows batched with
-// them, and every other kernel is per-row with a fixed order. With the
-// scalar GEMM fallback the outputs are bit-identical to k successive Step
-// calls; with the assembly GEMM they agree within float32 rounding (wider
-// reduction order) and remain deterministic per machine.
-func (d *BatchDecoder) stepGroupF32K(slots, ks []int, lo, hi, kMax int, tokens []float64) {
+// Per-(slot, row) results do not depend on the shard composition or the
+// worker fan-out: a GEMM row's reduction order is fixed whatever rows are
+// packed around it, and every other kernel is per-row with a fixed order. So
+// k rows through one pass equal k successive one-row passes bit for bit, and
+// F32 decoding is deterministic at every parallelism and batch composition
+// (per GEMM kernel: the AVX2 and portable reductions differ in order). Head
+// outputs are widened into the shared float64 StepOut buffers; widening is
+// exact, so sampling sees precisely the float32 results.
+func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []float64) {
 	m := d.m
 	inf := d.inf
 	dm := m.Cfg.DModel
@@ -201,140 +186,98 @@ func (d *BatchDecoder) stepGroupF32K(slots, ks []int, lo, hi, kMax int, tokens [
 	heads := m.Cfg.Heads
 	v := m.Tok.V()
 	mlpH := m.Cfg.MLPHidden
-	iaW := len(d.iaOut) / d.capacity
-	kst := d.kMax // row stride of the K scratch buffers (≥ kMax)
+	iaW := d.iaWidth()
+	hw := len(d.hid32) / (d.capacity * d.kMax) // per-row width of the head scratch
+	base := d.rowOff[lo]
+	rows := d.rowOff[hi] - base
 
-	// Token intake (and the past-MaxLen panic, before any work).
+	// Token intake (and the past-MaxLen panic, before any work). A slot's
+	// rows are contiguous both in tokens and in the packed scratch.
 	for i := lo; i < hi; i++ {
-		slot, k := slots[i], ks[i]
+		slot, k, row := slots[i], ks[i], d.rowOff[i]
 		if d.pos[slot]+k > maxLen {
 			panic("cptgpt: BatchDecoder stepped past MaxLen")
 		}
-		for r := 0; r < k; r++ {
-			tensor.F32From(d.tokK32[(slot*kst+r)*dim:(slot*kst+r+1)*dim],
-				tokens[(slot*kMax+r)*dim:(slot*kMax+r+1)*dim])
-		}
+		tensor.F32From(d.tok32[row*dim:(row+k)*dim], tokens[slot*kMax*dim:(slot*kMax+k)*dim])
 	}
 
+	x := d.x32[base*dm : (base+rows)*dm]
+	q := d.q32[base*dm : (base+rows)*dm]
+	kk := d.k32[base*dm : (base+rows)*dm]
+	vv := d.v32[base*dm : (base+rows)*dm]
+	att := d.att32[base*dm : (base+rows)*dm]
+	tmp := d.tmp32[base*dm : (base+rows)*dm]
+	ff := d.ff32[base*mlpH : (base+rows)*mlpH]
+
 	// Input projection + positional embeddings.
+	tensor.GemmF32(x, inf.inProj.WT, inf.inProj.B, d.tok32[base*dim:(base+rows)*dim], rows, dim, dm)
 	for i := lo; i < hi; i++ {
-		slot, k := slots[i], ks[i]
-		base := slot * kst
-		tensor.GemmF32(d.xK32[base*dm:(base+k)*dm], inf.inProj.WT, inf.inProj.B,
-			d.tokK32[base*dim:(base+k)*dim], k, dim, dm)
-		for r := 0; r < k; r++ {
-			x := d.xK32[(base+r)*dm : (base+r+1)*dm]
-			pe := inf.posEmb[(d.pos[slot]+r)*dm : (d.pos[slot]+r+1)*dm]
-			for j := range x {
-				x[j] += pe[j]
-			}
-		}
+		slot, k, o := slots[i], ks[i], (d.rowOff[i]-base)*dm
+		tensor.AxpyF32(x[o:o+k*dm], 1, inf.posEmb[d.pos[slot]*dm:(d.pos[slot]+k)*dm])
 	}
 
 	stride := 2 * dm
 	slotKV := maxLen * stride
 	for bi := range inf.blocks {
 		b := &inf.blocks[bi]
-		// Attention sub-layer (pre-norm, residual).
+		// Attention sub-layer (pre-norm, residual): project Q/K/V for the
+		// whole shard, then per slot land K/V in its interleaved arena rows
+		// and run one fused online-softmax pass per row over its own cache.
+		layerNormRowsF32(tmp, x, dm, &b.ln1)
+		tensor.GemmF32(q, b.wq.WT, b.wq.B, tmp, rows, dm, dm)
+		tensor.GemmF32(kk, b.wk.WT, b.wk.B, tmp, rows, dm, dm)
+		tensor.GemmF32(vv, b.wv.WT, b.wv.B, tmp, rows, dm, dm)
 		for i := lo; i < hi; i++ {
-			slot, k := slots[i], ks[i]
-			base := slot * kst
-			for r := 0; r < k; r++ {
-				layerNormRowF32(d.tmpK32[(base+r)*dm:(base+r+1)*dm], d.xK32[(base+r)*dm:(base+r+1)*dm], &b.ln1)
-			}
-			tensor.GemmF32(d.qK32[base*dm:(base+k)*dm], b.wq.WT, b.wq.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, dm)
-			tensor.GemmF32(d.kK32[base*dm:(base+k)*dm], b.wk.WT, b.wk.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, dm)
-			tensor.GemmF32(d.vK32[base*dm:(base+k)*dm], b.wv.WT, b.wv.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, dm)
-			pos := d.pos[slot]
+			slot, k, pos := slots[i], ks[i], d.pos[slots[i]]
 			kv := d.kv32[(bi*d.capacity+slot)*slotKV : (bi*d.capacity+slot+1)*slotKV]
+			mAcc := d.mAcc32[slot*heads : (slot+1)*heads]
+			lAcc := d.lAcc32[slot*heads : (slot+1)*heads]
 			for r := 0; r < k; r++ {
+				o := (d.rowOff[i] - base + r) * dm
 				kvRow := kv[(pos+r)*stride : (pos+r+1)*stride]
-				copy(kvRow[:dm], d.kK32[(base+r)*dm:(base+r+1)*dm])
-				copy(kvRow[dm:], d.vK32[(base+r)*dm:(base+r+1)*dm])
-			}
-			// Causal: row r attends to exactly the cache through pos+r.
-			for r := 0; r < k; r++ {
-				attendRowF32(d.attK32[(base+r)*dm:(base+r+1)*dm], d.qK32[(base+r)*dm:(base+r+1)*dm], kv,
-					pos+r+1, b.heads, dm, d.mAcc32[slot*heads:(slot+1)*heads], d.lAcc32[slot*heads:(slot+1)*heads])
-			}
-			tensor.GemmF32(d.tmpK32[base*dm:(base+k)*dm], b.wo.WT, b.wo.B, d.attK32[base*dm:(base+k)*dm], k, dm, dm)
-			for r := 0; r < k; r++ {
-				x := d.xK32[(base+r)*dm : (base+r+1)*dm]
-				tmp := d.tmpK32[(base+r)*dm : (base+r+1)*dm]
-				for j := range x {
-					x[j] += tmp[j]
-				}
+				copy(kvRow[:dm], kk[o:o+dm])
+				copy(kvRow[dm:], vv[o:o+dm])
+				// Causal: row r attends to exactly the cache through pos+r.
+				attendRowF32(att[o:o+dm], q[o:o+dm], kv, pos+r+1, b.heads, dm, mAcc, lAcc)
 			}
 		}
+		tensor.GemmF32(tmp, b.wo.WT, b.wo.B, att, rows, dm, dm)
+		tensor.AxpyF32(x, 1, tmp) // residual: x += tmp
 
 		// Feed-forward sub-layer (pre-norm, residual).
-		for i := lo; i < hi; i++ {
-			slot, k := slots[i], ks[i]
-			base := slot * kst
-			for r := 0; r < k; r++ {
-				layerNormRowF32(d.tmpK32[(base+r)*dm:(base+r+1)*dm], d.xK32[(base+r)*dm:(base+r+1)*dm], &b.ln2)
-			}
-			ff := d.ffK32[base*mlpH : (base+k)*mlpH]
-			tensor.GemmF32(ff, b.ffIn.WT, b.ffIn.B, d.tmpK32[base*dm:(base+k)*dm], k, dm, mlpH)
-			for j := range ff {
-				ff[j] = gelu32(ff[j])
-			}
-			tensor.GemmF32(d.tmpK32[base*dm:(base+k)*dm], b.ffOut.WT, b.ffOut.B, ff, k, mlpH, dm)
-			for r := 0; r < k; r++ {
-				x := d.xK32[(base+r)*dm : (base+r+1)*dm]
-				tmp := d.tmpK32[(base+r)*dm : (base+r+1)*dm]
-				for j := range x {
-					x[j] += tmp[j]
-				}
-			}
+		layerNormRowsF32(tmp, x, dm, &b.ln2)
+		tensor.GemmF32(ff, b.ffIn.WT, b.ffIn.B, tmp, rows, dm, mlpH)
+		for j := range ff {
+			ff[j] = gelu32(ff[j])
 		}
+		tensor.GemmF32(tmp, b.ffOut.WT, b.ffOut.B, ff, rows, mlpH, dm)
+		tensor.AxpyF32(x, 1, tmp) // residual: x += tmp
 	}
 
 	// Final norm, output heads, widening.
+	layerNormRowsF32(tmp, x, dm, &inf.final)
+	hid := d.hid32[base*hw : (base+rows)*hw]
+	hid2 := d.hid232[base*hw : (base+rows)*hw]
+	mlpRowsF32(d.evOut32[base*v:(base+rows)*v], hid, hid2, tmp, &inf.eventHd, rows)
+	mlpRowsF32(d.iaOut32[base*iaW:(base+rows)*iaW], hid, hid2, tmp, &inf.iaHd, rows)
+	mlpRowsF32(d.stopOut32[base*2:(base+rows)*2], hid, hid2, tmp, &inf.stopHd, rows)
+	widenF32(d.evOut[base*v:], d.evOut32[base*v:(base+rows)*v])
+	widenF32(d.iaOut[base*iaW:], d.iaOut32[base*iaW:(base+rows)*iaW])
+	widenF32(d.stopOut[base*2:], d.stopOut32[base*2:(base+rows)*2])
+	for row := base; row < base+rows; row++ {
+		fillStepOut(&d.outs[row], m.Cfg.DistHead,
+			d.evOut[row*v:(row+1)*v], d.iaOut[row*iaW:(row+1)*iaW], d.stopOut[row*2:(row+1)*2])
+	}
 	for i := lo; i < hi; i++ {
-		slot, k := slots[i], ks[i]
-		base := slot * kst
-		for r := 0; r < k; r++ {
-			layerNormRowF32(d.tmpK32[(base+r)*dm:(base+r+1)*dm], d.xK32[(base+r)*dm:(base+r+1)*dm], &inf.final)
-		}
-		x := d.tmpK32[base*dm : (base+k)*dm]
-		hw := d.hkw()
-		hid := d.hidK32[base*hw:]
-		hid2 := d.hidK232[base*hw:]
-		mlpGemmF32K(d.evOutK32[base*v:(base+k)*v], hid, hid2, x, &inf.eventHd, k)
-		mlpGemmF32K(d.iaOutK32[base*iaW:(base+k)*iaW], hid, hid2, x, &inf.iaHd, k)
-		mlpGemmF32K(d.stopOutK32[base*2:(base+k)*2], hid, hid2, x, &inf.stopHd, k)
-
-		outs := d.outsK[i][:k]
-		for r := 0; r < k; r++ {
-			row := base + r
-			evOut := d.evOutK[row*v : (row+1)*v]
-			iaOut := d.iaOutK[row*iaW : (row+1)*iaW]
-			stopOut := d.stopOutK[row*2 : (row+1)*2]
-			for j, val := range d.evOutK32[row*v : (row+1)*v] {
-				evOut[j] = float64(val)
-			}
-			for j, val := range d.iaOutK32[row*iaW : (row+1)*iaW] {
-				iaOut[j] = float64(val)
-			}
-			for j, val := range d.stopOutK32[row*2 : (row+1)*2] {
-				stopOut[j] = float64(val)
-			}
-			fillStepOut(&outs[r], m.Cfg.DistHead, evOut, iaOut, stopOut)
-		}
-		d.pos[slot] += k
+		d.pos[slots[i]] += ks[i]
 	}
 }
 
-// hkw returns the per-row width of the multi-token hidden scratch.
-func (d *BatchDecoder) hkw() int { return len(d.hidK32) / (d.capacity * d.kMax) }
-
-// mlpGemmF32K applies an exported MLP (ReLU between layers) to k packed
-// rows: every layer is one k-row GEMM, intermediate activations ping-pong
-// through hid/hid2 (each with room for k × widest-layer values, packed at
-// the layer's own width). Per-row arithmetic matches mlpGroupF32's exactly
-// under the scalar GEMM.
-func mlpGemmF32K(dst, hid, hid2 []float32, x []float32, m *nn.MLPF32, k int) {
+// mlpRowsF32 applies an exported MLP (ReLU between layers) to rows packed
+// rows: every layer is one multi-row GEMM, intermediate activations ping-pong
+// through hid/hid2 (each with room for rows × widest-layer values, packed at
+// the layer's own width).
+func mlpRowsF32(dst, hid, hid2 []float32, x []float32, m *nn.MLPF32, rows int) {
 	cur := x
 	last := len(m.Layers) - 1
 	for i := range m.Layers {
@@ -342,13 +285,13 @@ func mlpGemmF32K(dst, hid, hid2 []float32, x []float32, m *nn.MLPF32, k int) {
 		var next []float32
 		switch {
 		case i == last:
-			next = dst[:k*l.Out]
+			next = dst[:rows*l.Out]
 		case i%2 == 0:
-			next = hid[:k*l.Out]
+			next = hid[:rows*l.Out]
 		default:
-			next = hid2[:k*l.Out]
+			next = hid2[:rows*l.Out]
 		}
-		tensor.GemmF32(next, l.WT, l.B, cur, k, l.In, l.Out)
+		tensor.GemmF32(next, l.WT, l.B, cur, rows, l.In, l.Out)
 		if i != last {
 			for j := range next {
 				if next[j] < 0 {
@@ -357,40 +300,5 @@ func mlpGemmF32K(dst, hid, hid2 []float32, x []float32, m *nn.MLPF32, k int) {
 			}
 		}
 		cur = next
-	}
-}
-
-// mlpGroupF32 applies an exported MLP (ReLU between layers) to a group of
-// slot-major rows, writing the final layer into dst. hid and hid2 (stride
-// hw) are ping-pong scratch wide enough for every intermediate layer; the
-// input rows are never modified. Every layer runs as a group matvec so
-// weight panels are read once per group.
-func mlpGroupF32(dst []float32, dstStride int, hid, hid2 []float32, hw int, x []float32, xStride int, m *nn.MLPF32, group []int) {
-	cur, curStride := x, xStride
-	last := len(m.Layers) - 1
-	for i := range m.Layers {
-		l := &m.Layers[i]
-		var next []float32
-		var nextStride int
-		switch {
-		case i == last:
-			next, nextStride = dst, dstStride
-		case i%2 == 0:
-			next, nextStride = hid, hw
-		default:
-			next, nextStride = hid2, hw
-		}
-		tensor.MatVecGroupF32(next, nextStride, l.WT, l.B, cur, curStride, l.In, l.Out, group)
-		if i != last {
-			for _, s := range group {
-				row := next[s*nextStride : s*nextStride+l.Out]
-				for j := range row {
-					if row[j] < 0 {
-						row[j] = 0
-					}
-				}
-			}
-		}
-		cur, curStride = next, nextStride
 	}
 }

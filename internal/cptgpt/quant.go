@@ -53,7 +53,7 @@ func ParsePrecision(s string) (Precision, error) {
 
 // InferModel is a frozen float32 inference snapshot of a Model: every weight
 // matrix converted once into a contiguous float32 row-major panel (linears
-// transposed so the decode matvec reads each output's weights with unit
+// transposed so the decode GEMM reads each output's weights with unit
 // stride). The snapshot is immutable and shares no storage with the live
 // float64 parameters, so any number of BatchDecoders — across goroutines —
 // can read it concurrently.

@@ -16,8 +16,8 @@ import (
 // Plain decoding pays one full forward per emitted token. Speculative
 // decoding has a cheap draft model (an SMM or n-gram proposer, draft.go)
 // guess a chain of k tokens, runs all k through the transformer in ONE
-// prefill-shaped pass (BatchDecoder.StepK, whose k-row GEMMs run ~5× the
-// per-token matvec throughput on AVX2 machines), and then plays the
+// prefill-shaped pass (BatchDecoder.StepK: the row-packed GEMM body plain
+// Step also runs, with k rows per slot instead of one), and then plays the
 // standard speculative acceptance–rejection game position by position:
 //
 //   - a drafted value x, proposed with probability/density q(x), is

@@ -7,7 +7,7 @@ package nn
 // contiguous float32 panels roughly halves the traffic of every step.
 //
 // Linear weights are exported *transposed* (out×in, row-major) so the
-// inference matvec (tensor.MatVecF32) walks each output's weights with unit
+// inference GEMM (tensor.GemmF32) walks each output's weights with unit
 // stride. The snapshots share no storage with the live parameters: they are
 // value copies, safe to read from any number of goroutines while the source
 // model stays untouched.

@@ -563,11 +563,6 @@ func (r *run) execute(ctx context.Context, mcnCfg mcn.Config) {
 	r.setState(StateStreaming)
 
 	streamSp := tracez.Begin(tracez.StageRunStream, r.id)
-	defer func() {
-		if streamSp.Live() {
-			streamSp.End(r.events(), r.sink)
-		}
-	}()
 
 	// With a journal attached, a checkpoint tap between the pacer and the
 	// sink records recovery points at the configured cadence.
@@ -660,6 +655,9 @@ func (r *run) execute(ctx context.Context, mcnCfg mcn.Config) {
 		err = fmt.Errorf("served: unknown sink %q", r.sink)
 	}
 
+	// The span ends before finish publishes the terminal state, so whoever
+	// observes the run finished also finds its run.stream span recorded.
+	streamSp.End(r.events(), r.sink)
 	switch {
 	case err != nil:
 		r.finish(StateFailed, err, nil)

@@ -20,6 +20,7 @@ import (
 	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/events"
 	"cptgpt/internal/scenario"
+	"cptgpt/internal/tracez"
 )
 
 // newTestServer builds a daemon and an httptest front end. The caller gets
@@ -673,6 +674,64 @@ func TestDaemonObservability(t *testing.T) {
 	// Two runs, two streaming transitions + two terminal states minimum.
 	if have["run.state"] < 4 {
 		t.Fatalf("run.state count = %d, want >= 4", have["run.state"])
+	}
+}
+
+// TestStreamSpanRecordedBeforeDone pins the ordering between a run's
+// terminal state and its run.stream span: the span ends before finish
+// publishes the state, so a /debug/trace read made the instant a run is
+// observed done already holds that run's span (a harness that computes stage
+// deltas around a run relies on it). The observer spins in-process on the
+// run record and reads the span ring the moment the state flips, so a span
+// recorded even microseconds late is missed; /debug/trace, served without a
+// network hop right after, must show the same span.
+func TestStreamSpanRecordedBeforeDone(t *testing.T) {
+	s, ts := newTestServer(t)
+	h := s.Handler()
+	for i := 0; i < 8; i++ {
+		var info RunInfo
+		do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 60, Sink: "count"}, &info, http.StatusCreated)
+		r, ok := s.lookup(info.ID)
+		if !ok {
+			t.Fatalf("run %s not registered", info.ID)
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		for !terminal(r.info().State) {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s stuck in state %s", info.ID, r.info().State)
+			}
+			runtime.Gosched()
+		}
+		// The ring first (what /debug/trace serves, read with no handler
+		// set-up in between), then the endpoint itself.
+		ringHas := false
+		for _, sp := range tracez.Snapshot(0) {
+			ringHas = ringHas || (sp.Stage == tracez.StageRunStream && sp.Run == info.ID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?n=8192", nil))
+		if st := r.info().State; st != StateDone {
+			t.Fatalf("run %s ended %s", info.ID, st)
+		}
+		if !ringHas {
+			t.Fatalf("run %s observed done before its run.stream span was recorded", info.ID)
+		}
+		var trace struct {
+			Spans []struct {
+				Stage string `json:"stage"`
+				Run   string `json:"run"`
+			} `json:"spans"`
+		}
+		if err := json.NewDecoder(rec.Body).Decode(&trace); err != nil {
+			t.Fatalf("decode /debug/trace: %v", err)
+		}
+		found := false
+		for _, sp := range trace.Spans {
+			found = found || (sp.Stage == "run.stream" && sp.Run == info.ID)
+		}
+		if !found {
+			t.Fatalf("run %s observed done, but /debug/trace has no run.stream span for it (%d spans)", info.ID, len(trace.Spans))
+		}
 	}
 }
 

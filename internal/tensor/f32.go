@@ -1,13 +1,11 @@
 package tensor
 
-// Float32 row kernels backing the CPT-GPT decode fast path. Generation at
-// scale is memory-bandwidth bound: every decode step streams the full weight
-// set and the KV cache through the core once per stream, so halving the
-// element width roughly halves the traffic. These kernels are scalar Go but
-// written for instruction-level parallelism (independent partial
-// accumulators, contiguous panel access); their accumulation order is fixed,
-// so results are deterministic for a given input regardless of the worker
-// pool's degree — the same contract the float64 kernels keep.
+// Float32 row kernels backing the CPT-GPT decode fast path: the attention
+// dot/axpy, and the dot-product blocks of the portable GEMM (gemm32.go).
+// They are scalar Go written for instruction-level parallelism (independent
+// partial accumulators, contiguous panel access); their accumulation order
+// is fixed, so results are deterministic for a given input regardless of the
+// worker pool's degree — the same contract the float64 kernels keep.
 
 // DotF32 returns the dot product of a and b over len(a) elements, b must be
 // at least as long. Accumulation runs in eight independent partial sums
@@ -37,7 +35,7 @@ func DotF32(a, b []float32) float32 {
 }
 
 // Dot4F32 computes the dot products of x against four weight rows in one
-// sweep — the 4-row register block of MatVecF32. Each x element is loaded
+// sweep — the 4-row register block of gemmF32Scalar. Each x element is loaded
 // once for all four rows, and each row accumulates in two chains of paired
 // multiply-adds (eight independent chains total), which is where the scalar
 // FP ports saturate on this loop shape. The accumulation order is fixed, so
@@ -71,7 +69,7 @@ func Dot4F32(x, w0, w1, w2, w3 []float32) (r0, r1, r2, r3 float32) {
 }
 
 // Dot2F32 computes the dot products of x against two weight rows in one
-// sweep — the 2-row tail block of MatVecF32. Each x element is loaded
+// sweep — the 2-row tail block of gemmF32Scalar. Each x element is loaded
 // once for both rows, with four accumulator chains per row.
 func Dot2F32(x, w0, w1 []float32) (r0, r1 float32) {
 	n := len(x)
@@ -98,7 +96,7 @@ func Dot2F32(x, w0, w1 []float32) (r0, r1 float32) {
 	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
 }
 
-// Dot1F32 is the odd-row tail of MatVecF32, matching Dot2F32's per-row
+// Dot1F32 is the odd-row tail of gemmF32Scalar, matching Dot2F32's per-row
 // reduction order (4-wide).
 func Dot1F32(x, w []float32) float32 {
 	n := len(x)
@@ -117,84 +115,22 @@ func Dot1F32(x, w []float32) float32 {
 	return (a0 + a1) + (a2 + a3)
 }
 
-// MatVecF32 computes dst[j] = bias[j] + x·wT[j] for j in [0, out), where wT
-// is a transposed (out×in, row-major) weight panel: output j's weights are
-// the contiguous row wT[j*in : (j+1)*in]. The dot-product form reads each
-// weight exactly once with unit stride, and outputs are produced in 4-row
-// register blocks so every x load feeds four rows' accumulation chains —
-// the matvec shape the decode fast path is built from.
-func MatVecF32(dst, wT, bias, x []float32, in, out int) {
-	dst = dst[:out]
-	x = x[:in]
-	j := 0
-	for ; j+4 <= out; j += 4 {
-		r0, r1, r2, r3 := Dot4F32(x,
-			wT[j*in:(j+1)*in], wT[(j+1)*in:(j+2)*in],
-			wT[(j+2)*in:(j+3)*in], wT[(j+3)*in:(j+4)*in])
-		dst[j] = bias[j] + r0
-		dst[j+1] = bias[j+1] + r1
-		dst[j+2] = bias[j+2] + r2
-		dst[j+3] = bias[j+3] + r3
-	}
-	if j+2 <= out {
-		r0, r1 := Dot2F32(x, wT[j*in:(j+1)*in], wT[(j+1)*in:(j+2)*in])
-		dst[j] = bias[j] + r0
-		dst[j+1] = bias[j+1] + r1
-		j += 2
-	}
-	if j < out {
-		dst[j] = bias[j] + Dot1F32(x, wT[j*in:(j+1)*in])
-	}
-}
-
-// MatVecGroupF32 runs MatVecF32 for a whole group of slot-major rows with
-// the loop order inverted: weight 4-row blocks are the OUTER loop and group
-// rows the inner one, so each weight block is loaded from memory once and
-// stays L1-hot while every row in the group consumes it. For a group of G
-// rows this divides the weight traffic per row by G — the cross-slot
-// economy of scale batched decoding exists for, and the reason a decoder
-// slot kept hot (continuous batching) is cheaper than one decoding alone in
-// a drained batch. Per-row arithmetic and reduction order are exactly
-// MatVecF32's, so results are independent of how rows are grouped — the
-// determinism contract across parallel sharding.
-//
-// Row s reads x[s*xStride : s*xStride+in] and writes
-// dst[s*dstStride : s*dstStride+out].
+// MatVecGroupF32 computes dst row s = bias + x row s · wT for every s in
+// group, where row s reads x[s*xStride : s*xStride+in] and writes
+// dst[s*dstStride : s*dstStride+out]. It is the strided-rows front of
+// GemmF32: each maximal run of consecutive group entries over compact rows
+// (xStride == in, dstStride == out) is one multi-row GemmF32 call, anything
+// else goes row by row. Row results are GemmF32's, so they do not depend on
+// how rows are grouped.
 func MatVecGroupF32(dst []float32, dstStride int, wT, bias []float32, x []float32, xStride, in, out int, group []int) {
-	j := 0
-	for ; j+4 <= out; j += 4 {
-		w0 := wT[j*in : (j+1)*in]
-		w1 := wT[(j+1)*in : (j+2)*in]
-		w2 := wT[(j+2)*in : (j+3)*in]
-		w3 := wT[(j+3)*in : (j+4)*in]
-		b0, b1, b2, b3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-		for _, s := range group {
-			xr := x[s*xStride : s*xStride+in]
-			r0, r1, r2, r3 := Dot4F32(xr, w0, w1, w2, w3)
-			d := dst[s*dstStride+j : s*dstStride+j+4]
-			d[0] = b0 + r0
-			d[1] = b1 + r1
-			d[2] = b2 + r2
-			d[3] = b3 + r3
+	compact := xStride == in && dstStride == out
+	for i := 0; i < len(group); {
+		s, n := group[i], 1
+		for compact && i+n < len(group) && group[i+n] == s+n {
+			n++
 		}
-	}
-	if j+2 <= out {
-		w0 := wT[j*in : (j+1)*in]
-		w1 := wT[(j+1)*in : (j+2)*in]
-		for _, s := range group {
-			xr := x[s*xStride : s*xStride+in]
-			r0, r1 := Dot2F32(xr, w0, w1)
-			d := dst[s*dstStride+j : s*dstStride+j+2]
-			d[0] = bias[j] + r0
-			d[1] = bias[j+1] + r1
-		}
-		j += 2
-	}
-	if j < out {
-		w0 := wT[j*in : (j+1)*in]
-		for _, s := range group {
-			dst[s*dstStride+j] = bias[j] + Dot1F32(x[s*xStride:s*xStride+in], w0)
-		}
+		GemmF32(dst[s*dstStride:], wT, bias, x[s*xStride:], n, in, out)
+		i += n
 	}
 }
 

@@ -42,34 +42,6 @@ func TestDotF32Deterministic(t *testing.T) {
 	}
 }
 
-func TestMatVecF32(t *testing.T) {
-	rng := stats.NewRand(7)
-	const in, out = 13, 9
-	wT := make([]float32, in*out)
-	bias := make([]float32, out)
-	x := make([]float32, in)
-	for i := range wT {
-		wT[i] = float32(rng.NormFloat64())
-	}
-	for i := range bias {
-		bias[i] = float32(rng.NormFloat64())
-	}
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	dst := make([]float32, out)
-	MatVecF32(dst, wT, bias, x, in, out)
-	for j := 0; j < out; j++ {
-		want := float64(bias[j])
-		for k := 0; k < in; k++ {
-			want += float64(x[k]) * float64(wT[j*in+k])
-		}
-		if math.Abs(float64(dst[j])-want) > 1e-4*(1+math.Abs(want)) {
-			t.Fatalf("output %d: got %v, want ≈ %v", j, dst[j], want)
-		}
-	}
-}
-
 func TestAxpyAndF32From(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	AxpyF32(dst, 2, []float32{10, 20, 30})

@@ -2,31 +2,28 @@ package tensor
 
 import "sync/atomic"
 
-// Multi-row float32 GEMM backing the speculative-decoding verify kernel.
+// Multi-row float32 GEMM: the one linear-layer kernel of the F32 decoder.
 //
-// Plain decoding is one matvec per slot per layer: every weight element is
-// loaded for exactly one multiply, so the scalar kernels in f32.go sit at the
-// scalar FP port limit (~1 MAC/cycle) and nothing short of wider arithmetic
-// moves them. The verify pass of speculative decoding is different work: a
-// slot arrives with k *known* token rows (the draft chain), so each layer is
-// a k-row × panel GEMM — prefill-shaped, not decode-shaped — and the kernel
-// may amortize every weight load over k rows and use SIMD lanes.
+// Every decode pass — a plain Step (one row per slot) as much as a
+// speculative verify chain (k known rows per slot) — packs the rows of a
+// worker's shard together and runs each layer as a rows × panel GEMM, so a
+// weight row is fetched once and reused for every row of the shard.
 //
-// GemmF32 therefore has two implementations:
+// GemmF32 has two implementations:
 //
 //   - an AVX2+FMA assembly kernel (amd64, runtime-detected) that processes
-//     the reduction 8 lanes at a time with 4 independent accumulators —
-//     the source of the speculative-decode throughput headline;
-//   - a portable scalar fallback whose per-row arithmetic and reduction
-//     order are exactly MatVecF32's, so on machines without AVX2 (or with
-//     the kill switch thrown) a k-row GEMM is bit-identical to k matvecs.
+//     the reduction 8 lanes at a time with 4 independent accumulators;
+//   - a portable scalar kernel (4/2/1-output register blocks over Dot4F32 /
+//     Dot2F32 / Dot1F32), used on machines without AVX2 or with the kill
+//     switch thrown. Its per-row arithmetic is that of the scalar matvec the
+//     decoder ran before it had a GEMM, so output there has not changed.
 //
-// Both implementations are deterministic: each has a fixed reduction order,
-// so a given machine and kill-switch setting always reproduces the same
-// bits. The two orders differ (8-lane tree vs 4-chain pairwise), which is
-// why the assembly kernel is only ever used on the speculative path — the
-// non-speculative F32 decode contract ("bit-identical to PR 4 at every
-// parallelism and batch size") never routes through GemmF32.
+// Both are deterministic and row-independent: the reduction order of one
+// (row, output) pair is fixed and does not depend on the rows batched with
+// it, so a given machine and kill-switch setting always reproduces the same
+// bits however rows are grouped or sharded. The two orders differ (8-lane
+// tree vs 4-chain pairwise), so F32 decode output is a function of the
+// kernel in use as well as of the seed.
 
 // gemmAsmAvailable reports whether the platform provides the assembly
 // kernel (set by gemm32_amd64.go / gemm32_noasm.go at init).
@@ -41,15 +38,19 @@ func init() {
 	gemmAsmEnabled.Store(gemmAsmAvailable)
 }
 
+// gemmTileFloats is the x-tile size (32 KB of float32) of the assembly
+// kernel's row tiling.
+const gemmTileFloats = 8192
+
 // GemmF32Asm reports whether GemmF32 currently dispatches to the AVX2
 // assembly kernel.
 func GemmF32Asm() bool { return gemmAsmEnabled.Load() }
 
 // SetGemmF32Asm enables or disables the assembly GEMM kernel, returning the
 // previous setting. Enabling is a no-op on machines without AVX2+FMA. The
-// scalar fallback makes speculative verification bit-identical to the plain
-// step kernels, at scalar speed — useful for cross-checking and for pinning
-// tests to one arithmetic.
+// scalar kernel reproduces, at scalar speed, what every machine without AVX2
+// computes — useful for cross-checking and for pinning tests to one
+// arithmetic.
 func SetGemmF32Asm(on bool) (prev bool) {
 	prev = gemmAsmEnabled.Load()
 	gemmAsmEnabled.Store(on && gemmAsmAvailable)
@@ -58,8 +59,8 @@ func SetGemmF32Asm(on bool) (prev bool) {
 
 // GemmF32 computes dst[r*out+j] = bias[j] + x[r*in:]·wT[j*in:] for
 // r in [0, rows) and j in [0, out): rows row-major input rows against a
-// transposed (out×in) weight panel, the layer shape of the multi-token
-// verify pass. Row results are independent of rows batched together.
+// transposed (out×in) weight panel. Row results are independent of the rows
+// batched together.
 func GemmF32(dst, wT, bias, x []float32, rows, in, out int) {
 	if rows <= 0 || out <= 0 {
 		return
@@ -78,16 +79,23 @@ func GemmF32(dst, wT, bias, x []float32, rows, in, out int) {
 		return
 	}
 	if gemmAsmEnabled.Load() {
-		gemmF32Asm(&dst[0], &wT[0], &bias[0], &x[0], rows, in, out)
+		// The kernel sweeps all of its input rows once per weight row, so
+		// hand it row tiles whose x data stays L1-resident across the sweep
+		// (it matters for the wide reduction of FF-out: in = 1024 → 8-row
+		// tiles). Row results do not depend on the tiling.
+		tile := max(1, gemmTileFloats/in)
+		for r := 0; r < rows; r += tile {
+			gemmF32Asm(&dst[r*out], &wT[0], &bias[0], &x[r*in], min(tile, rows-r), in, out)
+		}
 		return
 	}
 	gemmF32Scalar(dst, wT, bias, x, rows, in, out)
 }
 
-// gemmF32Scalar is the portable kernel: output rows in the same 4/2/1
-// register blocks as MatVecF32, input rows inner so each weight block stays
-// hot across the row group. Per-row reduction order is exactly MatVecF32's,
-// so a k-row GEMM equals k independent matvecs bit-for-bit.
+// gemmF32Scalar is the portable kernel: outputs in 4/2/1 register blocks,
+// input rows inner so each weight block stays hot across the row group. A
+// row's reduction order does not depend on the other rows, so a k-row GEMM
+// equals k one-row GEMMs bit-for-bit.
 func gemmF32Scalar(dst, wT, bias, x []float32, rows, in, out int) {
 	j := 0
 	for ; j+4 <= out; j += 4 {

@@ -1,8 +1,8 @@
-// AVX2+FMA kernel for the multi-row float32 GEMM of the speculative-decode
-// verify pass (see gemm32.go for the dispatch contract). The reduction runs
-// 8 lanes wide with four independent accumulator registers — fixed order,
-// so results are deterministic — and each transposed weight row is loaded
-// once per input-row group iteration, staying L1-hot across the k rows.
+// AVX2+FMA kernel for the multi-row float32 GEMM of the F32 decoder (see
+// gemm32.go for the dispatch contract). The reduction runs 8 lanes wide with
+// four independent accumulator registers — fixed order, so results are
+// deterministic — and each transposed weight row is loaded once per
+// input-row group iteration, staying L1-hot across the group's rows.
 
 #include "textflag.h"
 
@@ -55,7 +55,7 @@ no:
 //
 // Loop nest: weight rows (j) outer, input rows (r) inner — a weight row is
 // fetched once from cache/memory and reused for every input row of the
-// group, which is the cross-token amortization the verify pass exists for.
+// group, which is the cross-row amortization row packing exists for.
 // The reduction per (r, j) uses four 8-lane FMA accumulators over 32-element
 // chunks, an 8-element cleanup loop, a pairwise + horizontal tree combine,
 // then a scalar tail — all in a fixed order.

@@ -3,7 +3,7 @@
 package tensor
 
 // hasGemmAsm: no assembly kernel on this architecture; GemmF32 always runs
-// the portable scalar fallback (bit-identical to MatVecF32 per row).
+// the portable scalar kernel.
 func hasGemmAsm() bool { return false }
 
 // gemmF32Asm is never called when hasGemmAsm reports false; the stub keeps

@@ -31,14 +31,14 @@ func randF32(n int, seed uint64) []float32 {
 }
 
 // TestGemmF32Shapes exercises both kernels over awkward shapes (reduction
-// tails shorter than every unroll width, 1-row and odd-output panels),
-// comparing against the float64 reference within a float32 reduction-error
+// tails shorter than every unroll width, 1-row and odd-output panels, row
+// counts that span several of the assembly path's row tiles), comparing against the float64 reference within a float32 reduction-error
 // tolerance.
 func TestGemmF32Shapes(t *testing.T) {
 	shapes := []struct{ rows, in, out int }{
 		{1, 1, 1}, {1, 7, 3}, {2, 8, 2}, {3, 10, 5}, {4, 128, 128},
 		{5, 128, 1024}, {4, 1024, 128}, {2, 33, 7}, {3, 40, 6}, {6, 64, 2},
-		{1, 130, 1}, {7, 9, 9},
+		{1, 130, 1}, {7, 9, 9}, {19, 1024, 5}, {3, 9000, 2},
 	}
 	for _, asm := range []bool{false, true} {
 		if asm && !gemmAsmAvailable {
@@ -67,25 +67,60 @@ func TestGemmF32Shapes(t *testing.T) {
 	}
 }
 
-// TestGemmF32ScalarMatchesMatVec pins the fallback's bit-compatibility
-// contract: a k-row scalar GEMM equals k independent MatVecF32 calls exactly,
-// which is what makes speculative verification bit-identical to plain
-// stepping on machines without the assembly kernel.
-func TestGemmF32ScalarMatchesMatVec(t *testing.T) {
-	const rows, in, out = 5, 128, 67
+// TestGemmF32RowIndependent pins the contract the decoder's determinism
+// rests on, for both kernels: a row's outputs do not depend on the rows
+// batched with it, so a k-row GEMM equals k one-row GEMMs exactly — and
+// MatVecGroupF32, the strided front, returns the same rows for any grouping
+// (a consecutive run over compact rows, gaps, reordering, padded strides).
+func TestGemmF32RowIndependent(t *testing.T) {
+	const rows, in, out = 7, 2051, 19 // 3-row tiles on the assembly path
 	wT := randF32(out*in, 4)
 	bias := randF32(out, 5)
 	x := randF32(rows*in, 6)
-	got := make([]float32, rows*out)
-	gemmF32Scalar(got, wT, bias, x, rows, in, out)
-	want := make([]float32, out)
-	for r := 0; r < rows; r++ {
-		MatVecF32(want, wT, bias, x[r*in:(r+1)*in], in, out)
-		for j := range want {
-			if got[r*out+j] != want[j] {
-				t.Fatalf("row %d out %d: gemm %v != matvec %v", r, j, got[r*out+j], want[j])
+	for _, asm := range []bool{false, true} {
+		if asm && !gemmAsmAvailable {
+			continue
+		}
+		prev := SetGemmF32Asm(asm)
+		want := make([]float32, rows*out)
+		for r := 0; r < rows; r++ {
+			GemmF32(want[r*out:(r+1)*out], wT, bias, x[r*in:(r+1)*in], 1, in, out)
+		}
+		got := make([]float32, rows*out)
+		GemmF32(got, wT, bias, x, rows, in, out)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("asm=%v: %d-row gemm[%d] = %v, one-row %v", asm, rows, i, got[i], want[i])
 			}
 		}
+
+		for _, group := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {5, 0, 1, 2, 6}, {3}, {6, 4, 2}} {
+			clear(got)
+			MatVecGroupF32(got, out, wT, bias, x, in, in, out, group)
+			for _, s := range group {
+				for j := 0; j < out; j++ {
+					if got[s*out+j] != want[s*out+j] {
+						t.Fatalf("asm=%v group %v: row %d out %d = %v, want %v", asm, group, s, j, got[s*out+j], want[s*out+j])
+					}
+				}
+			}
+		}
+		// Padded strides: rows 2 wider than the data on both sides.
+		xs, ds := in+2, out+2
+		xp := make([]float32, rows*xs)
+		for r := 0; r < rows; r++ {
+			copy(xp[r*xs:], x[r*in:(r+1)*in])
+		}
+		dp := make([]float32, rows*ds)
+		MatVecGroupF32(dp, ds, wT, bias, xp, xs, in, out, []int{0, 1, 2, 4})
+		for _, s := range []int{0, 1, 2, 4} {
+			for j := 0; j < out; j++ {
+				if dp[s*ds+j] != want[s*out+j] {
+					t.Fatalf("asm=%v padded: row %d out %d = %v, want %v", asm, s, j, dp[s*ds+j], want[s*out+j])
+				}
+			}
+		}
+		SetGemmF32Asm(prev)
 	}
 }
 
@@ -131,13 +166,17 @@ func TestGemmF32KillSwitch(t *testing.T) {
 	}
 }
 
-// BenchmarkGemmF32 times the kernels at the verify pass's dominant shape
-// (k=5 rows against the paper-scale FF panels).
+// BenchmarkGemmF32 times the kernels against the paper-scale panels at the
+// row counts the decoder packs: a full plain batch (32 rows), one verify
+// chain (5) and a drained batch (1).
 func BenchmarkGemmF32(b *testing.B) {
 	for _, c := range []struct {
 		name          string
 		rows, in, out int
 	}{
+		{"32x128x1024", 32, 128, 1024},
+		{"32x1024x128", 32, 1024, 128},
+		{"32x128x128", 32, 128, 128},
 		{"5x128x1024", 5, 128, 1024},
 		{"5x1024x128", 5, 1024, 128},
 		{"5x128x128", 5, 128, 128},
