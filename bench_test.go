@@ -13,6 +13,7 @@ package cptgen
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -288,6 +289,86 @@ func BenchmarkCPTGPTGeneratePerStreamF32(b *testing.B) {
 	benchGenerate(b, cptgpt.GenOpts{NumStreams: 64, Device: events.Phone, Precision: cptgpt.F32})
 }
 
+// BenchmarkTensorGemmF32Step times the linear layers of ONE F32 decode step
+// at the paper-scale architecture — per block Wq/Wk/Wv/Wo (128→128 each),
+// feed-forward in (128→1024) and out (1024→128), two blocks, twelve panels
+// with their own weights (2.6 MB, what a step streams) — as the tensor.GemmF32
+// calls the decoder's row body makes, at the row counts it packs: a drained
+// batch (1), one verify chain (5), half a batch (16) and a full one (32).
+// µs/row is the GEMM share of a token's cost; GFLOP/s counts 2 per
+// multiply-add. Whatever kernel the machine dispatches (AVX2 here).
+func BenchmarkTensorGemmF32Step(b *testing.B) {
+	const dm, mlpH, blocks = 128, 1024, 2
+	type panel struct {
+		in, out int
+		wT, b   []float32
+	}
+	rng := stats.NewRand(3)
+	randF32 := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = float32(rng.NormFloat64())
+		}
+		return s
+	}
+	var panels []panel
+	macs := 0
+	for blk := 0; blk < blocks; blk++ {
+		for _, sh := range [][2]int{{dm, dm}, {dm, dm}, {dm, dm}, {dm, dm}, {dm, mlpH}, {mlpH, dm}} {
+			panels = append(panels, panel{sh[0], sh[1], randF32(sh[0] * sh[1]), randF32(sh[1])})
+			macs += sh[0] * sh[1]
+		}
+	}
+	for _, rows := range []int{1, 5, 16, 32} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			narrow, wide := randF32(rows*dm), randF32(rows*mlpH)
+			dstNarrow, dstWide := make([]float32, rows*dm), make([]float32, rows*mlpH)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for pi := range panels {
+					p := &panels[pi]
+					x, dst := narrow, dstNarrow
+					if p.in == mlpH {
+						x = wide
+					}
+					if p.out == mlpH {
+						dst = dstWide
+					}
+					tensor.GemmF32(dst, p.wT, p.b, x, rows, p.in, p.out)
+				}
+			}
+			sec := b.Elapsed().Seconds()
+			b.ReportMetric(2*float64(macs)*float64(rows)*float64(b.N)/sec/1e9, "GFLOP/s")
+			b.ReportMetric(sec*1e6/float64(b.N*rows), "µs/row")
+		})
+	}
+}
+
+// BenchmarkTensorGeluF32 times the feed-forward activation over one decode
+// step's worth of hidden rows (32 × 1024): tensor.GeluF32 as the machine
+// dispatches it (the AVX2 8-lane kernel here) and with the assembly switch
+// off — the scalar code that is its tail, its test reference and every
+// non-AVX2 machine's path. Both compute the same bits. Each iteration works
+// on a fresh copy (GELU applied to its own output decays into subnormals).
+func BenchmarkTensorGeluF32(b *testing.B) {
+	rng := stats.NewRand(4)
+	src := make([]float32, 32*1024)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64())
+	}
+	x := make([]float32, len(src))
+	for _, asm := range []bool{true, false} {
+		b.Run(fmt.Sprintf("asm=%v", asm), func(b *testing.B) {
+			defer tensor.SetGemmF32Asm(tensor.SetGemmF32Asm(asm))
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				tensor.GeluF32(x)
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*len(x)), "ns/element")
+		})
+	}
+}
+
 // paperScaleModel builds an untrained CPT-GPT at the paper's tuned
 // architecture (2 blocks, d_model 128, MLP hidden 1024 — 725K parameters,
 // ~5.2 MB of float64 weights), the regime where decode is memory-bandwidth
@@ -351,9 +432,9 @@ func BenchmarkCPTGPTDecodeTokenF64(b *testing.B) { benchDecodeToken(b, cptgpt.F6
 
 // BenchmarkCPTGPTDecodeTokenF32 is the float32 fast path over the same
 // shapes: all 16 slots' rows packed through one tensor.GemmF32 per layer.
-// Expected ≈ 60–75 µs/token with the AVX2 kernel (≈ 7–8× fewer ns/token
-// than ...F64; ≈ 230–270 µs with the portable kernel, which is what this
-// benchmark measured before plain decode was routed through the GEMM).
+// Expected ≈ 43–47 µs/token with the AVX2 kernels (≈ 11× fewer ns/token
+// than ...F64; ≈ 64–71 µs before the two-row GEMM body and the vector GELU,
+// ≈ 230–270 µs with the portable kernel).
 // internal/cptgpt's fidelity tests bound what the speed costs: ~1e-6 logit
 // drift, indistinguishable trace statistics.
 func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F32) }
@@ -361,18 +442,16 @@ func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F3
 // benchGenerateSkewed times end-to-end generation of a population whose
 // stream lengths are heavily skewed (an untrained model's stop head fires
 // geometrically, so most streams are short and a tail runs long — the shape
-// real scenarios produce; here: mean ≈ 12 tokens, p99 ≈ 65). One decoder
-// (Parallelism: 1) fans its active slots over the tensor pool at the
-// machine's default width, which is how the scheduling difference
-// manifests: lockstep drains each batch down to its longest stream, so its
-// tail steps occupy one pool worker with one slot while the rest idle, and
-// what work remains loses the amortization of each weight panel over a
-// shard's packed rows; continuous batching reseats retired slots
-// immediately, keeping the fan-out full and every GEMM many rows tall. On
-// a single-core machine the two converge (per-token cost dominates); on a
-// multi-worker pool (CI's 4 vCPUs) the occupancy gap is the headline
-// ~1.2–1.4×. Decode runs the f32 fast path, whose row-packed GEMMs are
-// where the amortization lives; both schedulers emit bit-identical streams.
+// real scenarios produce; here: mean ≈ 12 tokens, p99 ≈ 65). The call's
+// whole budget is one core (Parallelism: 1: one decoder, every step inline
+// on its goroutine), so the number is per core and the scheduling
+// difference is all there is: lockstep drains each batch down to its
+// longest stream, so its tail steps run one- and two-row GEMMs that stream
+// every weight panel for almost nothing (and the odd row out misses the
+// kernel's two-row body); continuous batching reseats retired slots
+// immediately, keeping every GEMM many rows tall. Decode runs the f32 fast
+// path, whose row-packed GEMMs are where the amortization lives; both
+// schedulers emit bit-identical streams.
 func benchGenerateSkewed(b *testing.B, lockstep bool) {
 	b.Helper()
 	m := paperScaleModel(b)
@@ -416,7 +495,9 @@ func BenchmarkCPTGPTGenerateSkewedLockstep(b *testing.B) { benchGenerateSkewed(b
 // exact acceptance–rejection. Reported ns/token counts EMITTED tokens, the
 // apples-to-apples throughput currency against the plain decode
 // benchmarks; accept% is the fraction of drafted tokens that survived
-// verification (from BatchDecoder.Stats via GenOpts.Stats).
+// verification (from BatchDecoder.Stats via GenOpts.Stats). Like
+// benchGenerateSkewed the call's budget is one core (Parallelism: 1, every
+// verify pass inline), so the two compare per core.
 func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
 	b.Helper()
 	m := paperScaleModel(b)
@@ -457,7 +538,7 @@ func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
 // Both run the same row-packed GEMM body, so a verified position costs
 // about what a plain token does and speculation wins only when more than
 // one position per verified row is emitted: at this untrained model's ~40%
-// acceptance it runs ≈ 1.7× SLOWER per emitted token than plain (it was
+// acceptance it runs ≈ 2× SLOWER per emitted token than plain (it was
 // ≈ 1.7× faster while plain decode still ran scalar matvecs).
 func BenchmarkCPTGPTDecodeSpeculativeF32(b *testing.B) { benchDecodeSpeculative(b, cptgpt.F32) }
 
@@ -601,6 +682,11 @@ func benchScenario(b *testing.B, name string, ues int, opts scenario.RunOpts) {
 		b.Fatal(err)
 	}
 	opts.UEs = ues
+	benchScenarioSpec(b, spec, opts)
+}
+
+func benchScenarioSpec(b *testing.B, spec *scenario.Spec, opts scenario.RunOpts) {
+	b.Helper()
 	// One warm-up run sizes the event count for the per-event metric.
 	st, err := spec.Open(opts)
 	if err != nil {
@@ -641,6 +727,26 @@ func BenchmarkScenarioMergePerEvent(b *testing.B) {
 // bound.
 func BenchmarkScenarioMergePerEventNarrow(b *testing.B) {
 	benchScenario(b, "flash-crowd", 2000, scenario.RunOpts{BatchSize: 64, MaxFanIn: 4})
+}
+
+// BenchmarkScenarioModelSource drains a scenario whose only source is a
+// paper-scale model on the F32 path, 512 UEs per op, cut into one chunk
+// (fewer chunks than cores: the chunk's decoder fans each step over the whole
+// core budget) and into sixteen (a chunk worker per core, every step inline).
+// The two shapes of the generation phase's one core budget; the repo's
+// benchmark covers only the second (gpt-plain: two chunks on two cores).
+func BenchmarkScenarioModelSource(b *testing.B) {
+	m := paperScaleModel(b)
+	spec := &scenario.Spec{
+		Name: "bench-model", Generation: "4G", Seed: 7, HorizonSec: 3600, Population: 512,
+		Sources: []scenario.SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: "in-memory", Share: 1, Precision: "f32"}},
+	}
+	load := func(string) (*cptgpt.Model, error) { return m, nil }
+	for _, chunks := range []int{1, 16} {
+		b.Run(fmt.Sprintf("chunks=%d", chunks), func(b *testing.B) {
+			benchScenarioSpec(b, spec, scenario.RunOpts{BatchSize: 512 / chunks, LoadModel: load})
+		})
+	}
 }
 
 // BenchmarkScenarioFlashCrowd runs a 10k-UE flash crowd into the MCN sink

@@ -42,7 +42,9 @@ import (
 // Parallel execution. Every generator fans stream synthesis out across a
 // worker pool, and the tensor kernels shard across the same pool; output is
 // bit-identical at every parallelism degree because each stream draws only
-// from its own index-seeded RNG. Training is batched too: CPT-GPT packs
+// from its own index-seeded RNG. A CPT-GPT decode call treats its Parallelism
+// as one core budget: decoder goroutines × the shards each splits a decode
+// step into never exceed it. Training is batched too: CPT-GPT packs
 // CPTGPTTrainOpts.MicrobatchStreams streams into each forward pass (block-
 // diagonal causal attention over one concatenated matrix) and runs the tape
 // out of a per-step bump arena — trained weights are bit-identical at every

@@ -49,6 +49,12 @@ type BatchDecoder struct {
 	capacity int
 	pos      []int // per-slot position
 
+	// fanout is the most shards a Step/StepK pass is split into. 0 (a
+	// decoder used directly) means the tensor layer's global degree;
+	// Generate and GenerateRange set each of their decoders' share of the
+	// call's GenOpts.Parallelism budget, and 1 runs the pass inline.
+	fanout int
+
 	// Lifetime counters (see Stats). Atomics: Step/StepK run on the
 	// decoder's owning goroutine, but Stats may be read concurrently by a
 	// monitor (and Generate aggregates worker decoders' counters while the
@@ -290,10 +296,12 @@ func (d *BatchDecoder) stepCost() int {
 //
 // Step is StepK with one row per slot: the same row body, the same kernels,
 // so a token's head outputs do not depend on which of the two consumed it.
-// Slots are processed independently (fanned out over the tensor worker
-// pool), each at its own position — continuous batching mixes fresh and
-// deep slots freely — and a slot panics past MaxLen exactly like the serial
-// decoder.
+// Slots are processed independently, each at its own position — continuous
+// batching mixes fresh and deep slots freely — and a slot panics past MaxLen
+// exactly like the serial decoder. A decoder used directly shards a pass
+// over the tensor worker pool at the global degree; one made by Generate or
+// GenerateRange over its share of the call's GenOpts.Parallelism, inline on
+// the calling goroutine when that share is one core.
 func (d *BatchDecoder) Step(slots []int, tokens []float64) []StepOut {
 	d.stepRows(tracez.StageDecodeStep, slots, d.ones[:len(slots)], 1, tokens)
 	return d.outs[:len(slots)]
@@ -334,8 +342,9 @@ func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) 
 }
 
 // stepRows is the one pass driver behind Step and StepK: it packs the pass's
-// (slot, row) pairs into consecutive rows (rowOff), fans the listed slots out
-// over the worker pool, and accounts the pass under the given trace stage.
+// (slot, row) pairs into consecutive rows (rowOff), splits the listed slots
+// into at most fanout shards, and accounts the pass under the given trace
+// stage.
 // On the F32 path a shard runs its packed rows through every linear layer as
 // one GEMM (stepRowsF32); on the F64 path each row runs the reference row
 // body on its own.
@@ -355,7 +364,11 @@ func (d *BatchDecoder) stepRows(stage string, slots, ks []int, kMax int, tokens 
 	d.steps.Add(1)
 	d.slotSteps.Add(int64(total))
 	f32 := d.prec == F32
-	tensor.ParallelFor(len(slots), d.stepCost()*kMax, func(lo, hi int) {
+	fanout := d.fanout
+	if fanout == 0 {
+		fanout = tensor.Parallelism()
+	}
+	tensor.ParallelForN(fanout, len(slots), d.stepCost()*kMax, func(lo, hi int) {
 		if f32 {
 			d.stepRowsF32(slots, ks, lo, hi, kMax, tokens)
 			return

@@ -3,6 +3,7 @@ package cptgpt
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"cptgpt/internal/events"
@@ -317,4 +318,60 @@ func TestGenerateRangeMatchesGenerate(t *testing.T) {
 	if _, err := m.GenerateRange(3, 1, opts); err == nil {
 		t.Fatal("inverted range must error")
 	}
+}
+
+// TestDecodeParallelismBudget pins the one-budget rule: a decode call fans
+// its steps over the share of GenOpts.Parallelism each of its decoders owns,
+// not over the tensor layer's global degree. With that degree at 4,
+// GenerateRange at Parallelism 1 runs every step inline (the worker pool
+// executes nothing); Generate at Parallelism 4 over two batches runs two
+// decoders that each split a step in two (the pool works); and a decoder made
+// directly keeps the global degree (the pool works). All three emit the same
+// streams.
+func TestDecodeParallelismBudget(t *testing.T) {
+	d := testTrainingData(t, 60)
+	m, err := NewModel(smallConfig(), FitTokenizer(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tensor.SetParallelism(tensor.SetParallelism(4))
+	opts := GenOpts{NumStreams: 64, Device: events.Phone, Seed: 9, Temperature: 1, StartWindow: 10, Precision: F32, BatchSize: 32}
+
+	// poolShards runs f and returns how many shards the tensor worker pool
+	// executed meanwhile.
+	poolShards := func(f func()) int64 {
+		before := tensor.PoolLoad().ValidPolls
+		f()
+		return tensor.PoolLoad().ValidPolls - before
+	}
+
+	var inline, direct []trace.Stream
+	var budgeted *trace.Dataset
+	if n := poolShards(func() {
+		o := opts
+		o.Parallelism = 1
+		inline, err = m.GenerateRange(0, opts.NumStreams, o)
+	}); err != nil || n != 0 {
+		t.Fatalf("GenerateRange at Parallelism 1: %d pool shards (want 0: steps run inline), err %v", n, err)
+	}
+	if n := poolShards(func() {
+		o := opts
+		o.Parallelism = 4
+		budgeted, err = m.Generate(o)
+	}); err != nil || n == 0 {
+		t.Fatalf("Generate at Parallelism 4 over two batches: %d pool shards (want > 0: fan-out 2 per decoder), err %v", n, err)
+	}
+	if n := poolShards(func() {
+		init, err := stats.NewCategorical(m.InitialDist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct = make([]trace.Stream, opts.NumStreams)
+		var next atomic.Int64
+		m.sampleContinuous(m.NewBatchDecoder(opts.BatchSize, F32), direct, 0, &next, opts, init)
+	}); n == 0 {
+		t.Fatal("a directly made decoder ran no pool shards (want the global degree, 4)")
+	}
+	sameStreams(t, "Generate P=4 vs GenerateRange P=1", inline, budgeted.Streams)
+	sameStreams(t, "direct decoder vs GenerateRange P=1", inline, direct)
 }

@@ -28,7 +28,9 @@
 // Concurrency contract: a Model is safe for concurrent Generate /
 // GenerateRange calls once trained (the frozen inference snapshot is built
 // under a mutex and shared read-only); each BatchDecoder belongs to one
-// goroutine. DecodeStats counters are atomics — GenOpts.Stats sinks are
+// goroutine, and a call's decoder goroutines times the shards each splits a
+// step into stay within GenOpts.Parallelism (one core budget per call, steps
+// inline at a share of one). DecodeStats counters are atomics — GenOpts.Stats sinks are
 // accumulated atomically as workers finish, and a snapshot may be read
 // (atomically, field by field) from any goroutine while generation runs,
 // which is what the scenario engine's SourceStats hook and the cptserved

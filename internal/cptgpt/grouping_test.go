@@ -163,33 +163,38 @@ func streamsDigest(streams []trace.Stream) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
-// TestPlainF32PortableKernelPinned pins the claim that routing plain decode
-// through GemmF32 changed nothing where the portable kernel runs: with the
-// assembly kernel off, plain F32 Generate reproduces the population of the
-// commit before the change (PRs 4–11: scalar group matvecs, GELU fused into
-// the up-projection), digest recorded there. The arithmetic also depends on
-// the float64 math library (softmax, sampling), so the pin is checked only
-// on the platform class it was recorded on: amd64 with FMA.
-func TestPlainF32PortableKernelPinned(t *testing.T) {
-	const want = "b10b7490257275e0bcd0d632"
+// TestPlainF32KernelsPinned pins plain F32 Generate's exact output under
+// each GEMM kernel to digests recorded at earlier commits, so kernel work
+// that claims to move no bits is held to it. Portable: the population of
+// PRs 4–11 (scalar group matvecs, GELU fused into the up-projection), which
+// routing plain decode through GemmF32 did not change. AVX2: the population
+// of PR 12 (one-row-at-a-time assembly kernel, scalar GELU), recorded before
+// the two-row kernel and the vector GELU replaced them. The arithmetic also
+// depends on the float64 math library (softmax, sampling), so the pins are
+// checked only on the platform class they were recorded on: amd64 with FMA.
+func TestPlainF32KernelsPinned(t *testing.T) {
+	want := map[bool]string{false: "b10b7490257275e0bcd0d632", true: "5703afb8c7d76696f3e118a3"}
 	if runtime.GOARCH != "amd64" || len(gemmKernels()) < 2 {
-		t.Skip("digest recorded on amd64 with AVX2+FMA")
+		t.Skip("digests recorded on amd64 with AVX2+FMA")
 	}
-	defer tensor.SetGemmF32Asm(tensor.SetGemmF32Asm(false))
+	defer tensor.SetGemmF32Asm(tensor.GemmF32Asm())
 	m, err := trainedTestModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
-		Precision: F32, Parallelism: 2, BatchSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	for i := range gen.Streams {
-		events += len(gen.Streams[i].Events)
-	}
-	if got := streamsDigest(gen.Streams); got != want {
-		t.Fatalf("plain F32 output under the portable kernel (%d events) has digest %s, want %s (the parent commit's)", events, got, want)
+	for _, asm := range gemmKernels() {
+		tensor.SetGemmF32Asm(asm)
+		gen, err := m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
+			Precision: F32, Parallelism: 2, BatchSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events := 0
+		for i := range gen.Streams {
+			events += len(gen.Streams[i].Events)
+		}
+		if got := streamsDigest(gen.Streams); got != want[asm] {
+			t.Errorf("plain F32 output with asm=%v (%d events) has digest %s, want %s (recorded before the kernel changed)", asm, events, got, want[asm])
+		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 //     float64 kernel makes. Every cached row is touched exactly once.
 //   - Linear layers run through tensor.GemmF32 over transposed panels, every
 //     (slot, row) of a worker's shard packed into one multi-row call
-//     (stepRowsF32) — AVX2+FMA where the machine has it.
+//     (stepRowsF32), and the feed-forward GELU through tensor.GeluF32 over
+//     the same packed rows — AVX2 where the machine has it.
 //
 // Every reduction has a fixed order that does not depend on the rows packed
 // around it, so F32 decoding is deterministic — the per-precision half of
@@ -29,44 +30,6 @@ var negInf32 = float32(math.Inf(-1))
 // argument is ≤ 0 by construction in the online softmax).
 func exp32(x float32) float32 {
 	return float32(math.Exp(float64(x)))
-}
-
-// tanh32 is a float32 tanh via the classic 13/6-degree rational minimax
-// approximation (the Eigen/XNNPACK fast-tanh polynomial), accurate to a few
-// float32 ULP over the clamped range — indistinguishable from math.Tanh at
-// float32 precision, at a fraction of its cost (no float64 round trip, no
-// table lookups; ~10 multiplies and one divide).
-func tanh32(x float32) float32 {
-	const clamp = 7.90531110763549805 // tanh(±clamp) rounds to ±1 in float32
-	if x > clamp {
-		x = clamp
-	} else if x < -clamp {
-		x = -clamp
-	}
-	const (
-		a1  = 4.89352455891786e-03
-		a3  = 6.37261928875436e-04
-		a5  = 1.48572235717979e-05
-		a7  = 5.12229709037114e-08
-		a9  = -8.60467152213735e-11
-		a11 = 2.00018790482477e-13
-		a13 = -2.76076847742355e-16
-		b0  = 4.89352518554385e-03
-		b2  = 2.26843463243900e-03
-		b4  = 1.18534705686654e-04
-		b6  = 1.19825839466702e-06
-	)
-	x2 := x * x
-	p := x * (a1 + x2*(a3+x2*(a5+x2*(a7+x2*(a9+x2*(a11+x2*a13))))))
-	q := b0 + x2*(b2+x2*(b4+x2*b6))
-	return p / q
-}
-
-// gelu32 is the tanh-form GELU at float32 precision (same formula as the
-// float64 gelu in infer.go, computed through tanh32).
-func gelu32(x float32) float32 {
-	const c = 0.7978845608028654
-	return 0.5 * x * (1 + tanh32(c*(x+0.044715*x*x*x)))
 }
 
 // attendRowF32 computes one stream's multi-head attention output for query q
@@ -247,9 +210,7 @@ func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []f
 		// Feed-forward sub-layer (pre-norm, residual).
 		layerNormRowsF32(tmp, x, dm, &b.ln2)
 		tensor.GemmF32(ff, b.ffIn.WT, b.ffIn.B, tmp, rows, dm, mlpH)
-		for j := range ff {
-			ff[j] = gelu32(ff[j])
-		}
+		tensor.GeluF32(ff)
 		tensor.GemmF32(tmp, b.ffOut.WT, b.ffOut.B, ff, rows, mlpH, dm)
 		tensor.AxpyF32(x, 1, tmp) // residual: x += tmp
 	}

@@ -32,10 +32,18 @@ type GenOpts struct {
 	// traffic of F64 — under its own per-seed determinism contract. For a
 	// fixed precision, output is identical at every Parallelism × BatchSize.
 	Precision Precision
-	// Parallelism bounds cross-stream decoding concurrency; 0 means the
+	// Parallelism is the call's whole core budget P; 0 means the
 	// tensor-layer default (GOMAXPROCS, or tensor.SetParallelism's value).
-	// Output is identical at every setting: each stream's randomness comes
-	// from its own index-seeded RNG.
+	// Generate runs W = min(P, batches) decoder goroutines and each decoder
+	// splits a decode step over at most max(1, P/W) shards, so
+	// W × fan-out ≤ P: the call never has more shards in flight than cores
+	// it was given. GenerateRange runs one decoder (W = 1) with the whole
+	// budget as its fan-out; at 1 every step runs inline on the calling
+	// goroutine. A caller that parallelizes across chunks itself passes
+	// each call its worker's share of the cores (the scenario engine: 1
+	// with a chunk per core, more when chunks are fewer). Output is
+	// identical at every setting: each stream's randomness comes from its
+	// own index-seeded RNG.
 	Parallelism int
 	// Workers is a deprecated alias for Parallelism, honored when
 	// Parallelism is 0.
@@ -88,7 +96,7 @@ type GenOpts struct {
 	StepHist *telemetry.Histogram
 }
 
-// parallelism resolves the effective worker count.
+// parallelism resolves the call's core budget.
 func (o GenOpts) parallelism() int {
 	switch {
 	case o.Parallelism > 0:
@@ -98,6 +106,15 @@ func (o GenOpts) parallelism() int {
 	default:
 		return tensor.Parallelism()
 	}
+}
+
+// newCallDecoder makes one of a decode call's BatchDecoders: fanout is the
+// decoder's share of the call's core budget (see GenOpts.Parallelism).
+func (m *Model) newCallDecoder(batch, fanout int, opts GenOpts) *BatchDecoder {
+	dec := m.NewBatchDecoder(batch, opts.Precision)
+	dec.fanout = fanout
+	dec.SetStepHist(opts.StepHist)
+	return dec
 }
 
 // streamSeed derives stream i's RNG seed; the per-stream RNG is the only
@@ -133,15 +150,17 @@ func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Catego
 // distribution, with interarrival and stop flag zero (§4.5), and decoding
 // runs until the model emits a token with stop flag 1 or MaxLen is reached.
 //
-// Scheduling is continuous batching: every worker owns a BatchDecoder of
-// BatchSize slots and claims stream indices from a shared counter; the
-// moment a slot's stream emits STOP, the slot is reset and reseated with the
-// next pending stream, so all slots stay hot even under heavily skewed
-// stream-length distributions (GenOpts.Lockstep restores the retire-whole-
-// batch scheduler for comparison). For a fixed Seed and Precision the output
-// is bit-identical at every Parallelism, BatchSize and scheduling mode —
-// every stream consumes only its own index-seeded RNG and its own slot
-// state, so who decodes it when cannot matter.
+// Scheduling is continuous batching: each of the call's workers (their
+// number and per-step fan-out come from one core budget, see
+// GenOpts.Parallelism) owns a BatchDecoder of BatchSize slots and claims
+// stream indices from a shared counter; the moment a slot's stream emits
+// STOP, the slot is reset and reseated with the next pending stream, so all
+// slots stay hot even under heavily skewed stream-length distributions
+// (GenOpts.Lockstep restores the retire-whole-batch scheduler for
+// comparison). For a fixed Seed and Precision the output is bit-identical at
+// every Parallelism, BatchSize and scheduling mode — every stream consumes
+// only its own index-seeded RNG and its own slot state, so who decodes it
+// when cannot matter.
 func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 	if opts.NumStreams <= 0 {
 		return nil, fmt.Errorf("cptgpt: NumStreams must be positive, got %d", opts.NumStreams)
@@ -157,10 +176,9 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 		batch = opts.NumStreams
 	}
 	numBatches := (opts.NumStreams + batch - 1) / batch
-	workers := opts.parallelism()
-	if workers > numBatches {
-		workers = numBatches
-	}
+	budget := opts.parallelism()
+	workers := min(budget, numBatches)
+	fanout := max(1, budget/workers)
 
 	init, err := stats.NewCategorical(m.InitialDist)
 	if err != nil {
@@ -186,8 +204,7 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 			go func() {
 				defer wg.Done()
 				// One decoder per worker, reused (Reset) across its batches.
-				dec := m.NewBatchDecoder(batch, opts.Precision)
-				dec.SetStepHist(opts.StepHist)
+				dec := m.newCallDecoder(batch, fanout, opts)
 				defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
 				for bi := range jobs {
 					lo := bi * batch
@@ -206,8 +223,7 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				dec := m.NewBatchDecoder(batch, opts.Precision)
-				dec.SetStepHist(opts.StepHist)
+				dec := m.newCallDecoder(batch, fanout, opts)
 				defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
 				if opts.Speculative {
 					m.sampleSpeculative(dec, streams, 0, &next, opts, init, draft)
@@ -229,7 +245,10 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 // its own index-seeded RNG, so chunked emission over any partition of the
 // index space reproduces one full run — the streaming scenario engine pulls
 // million-UE populations through this in O(chunk) memory, decoding each
-// chunk through a continuously refilled BatchDecoder.
+// chunk through a continuously refilled BatchDecoder. It honours
+// opts.Parallelism as that one decoder's per-step fan-out: a caller that
+// runs chunks on goroutines of its own passes each call its goroutine's
+// share of the cores, and at 1 every step runs inline.
 func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) {
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("cptgpt: invalid stream range [%d,%d)", lo, hi)
@@ -253,8 +272,7 @@ func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) 
 		return nil, fmt.Errorf("cptgpt: invalid initial-event distribution: %w", err)
 	}
 	streams := make([]trace.Stream, n)
-	dec := m.NewBatchDecoder(batch, opts.Precision)
-	dec.SetStepHist(opts.StepHist)
+	dec := m.newCallDecoder(batch, opts.parallelism(), opts)
 	defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
 	switch {
 	case opts.Speculative:

@@ -12,6 +12,7 @@ import (
 	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/events"
 	"cptgpt/internal/mcn"
+	"cptgpt/internal/tensor"
 	"cptgpt/internal/trace"
 )
 
@@ -384,6 +385,50 @@ func TestCPTGPTSourcePrecision(t *testing.T) {
 	}
 	if _, err := spec.Open(RunOpts{Precision: "f16"}); err == nil {
 		t.Fatal("bad RunOpts.Precision must error")
+	}
+}
+
+// TestCPTGPTSourceStepFanout pins the generation phase's one core budget:
+// chunk workers × per-step fan-out ≤ RunOpts.Parallelism. With 4 cores, a
+// population cut into four chunks decodes every step inline (the tensor
+// worker pool executes nothing), while one or two chunks leave their
+// decoders 4 or 2 cores each and the pool works — a run of fewer chunks than
+// cores must not fall back to one core. Same events in all three.
+func TestCPTGPTSourceStepFanout(t *testing.T) {
+	cfg := cptgpt.DefaultConfig() // paper-scale layers: a step clears the pool's work threshold
+	cfg.MaxLen = 24
+	tk := cptgpt.Tokenizer{Gen: events.Gen4G, MinLog: 0, MaxLog: 5, LogScale: true}
+	m, err := cptgpt.NewModel(cfg, tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "m.bin")
+	if err := m.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{
+		Name: "fanout-test", Generation: "4G", Seed: 5, HorizonSec: 600, Population: 64,
+		Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: path, Share: 1, Precision: "f32"}},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	defer tensor.SetParallelism(tensor.SetParallelism(4))
+	var want []Event
+	for _, c := range []struct {
+		chunk  int
+		pooled bool
+	}{{64, true}, {32, true}, {16, false}} {
+		before := tensor.PoolLoad().ValidPolls
+		got := drainAll(t, spec, RunOpts{Parallelism: 4, BatchSize: c.chunk})
+		if n := tensor.PoolLoad().ValidPolls - before; (n > 0) != c.pooled {
+			t.Fatalf("chunk=%d (%d chunks on 4 cores): %d pool shards, want pooled=%v", c.chunk, 64/c.chunk, n, c.pooled)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk=%d diverged (%d vs %d events)", c.chunk, len(got), len(want))
+		}
 	}
 }
 

@@ -83,6 +83,17 @@ func resolveSources(spec *Spec, opts RunOpts, total int) ([]boundSource, error) 
 		return nil, err
 	}
 	counts := sourceShares(spec, total)
+	// One core budget for the generation phase (the rule of
+	// cptgpt.GenOpts.Parallelism, one level up): spillChunks runs
+	// min(workers, jobs) chunk workers and a model chunk's decoder fans each
+	// step over the cores that leaves per worker. Many chunks → every step
+	// inline; fewer chunks than cores (a default-sized run is one chunk per
+	// source) → the decode still uses the whole budget.
+	jobs := 0
+	for _, n := range counts {
+		jobs += (n + opts.chunkStreams() - 1) / opts.chunkStreams()
+	}
+	stepFanout := max(1, opts.workers()/max(1, min(opts.workers(), jobs)))
 	bound := make([]boundSource, len(spec.Sources))
 	for i := range spec.Sources {
 		src := &spec.Sources[i]
@@ -182,7 +193,9 @@ func resolveSources(spec *Spec, opts RunOpts, total int) ([]boundSource, error) 
 				// Spread stream starts over the horizon; ramp ops can
 				// re-stage populations on top of this.
 				StartWindow: spec.HorizonSec,
-				Parallelism: 1, // the scenario engine parallelizes across chunks
+				// The scenario engine parallelizes across chunks; a chunk's
+				// decode gets its worker's share of the cores.
+				Parallelism: stepFanout,
 			}
 			b.chunk = func(lo, hi int) ([]trace.Stream, error) {
 				return m.GenerateRange(lo, hi, genOpts)

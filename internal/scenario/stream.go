@@ -61,9 +61,11 @@ type RunOpts struct {
 	// UEs overrides the spec's population (0 keeps Spec.Population; if
 	// that is also 0, DefaultPopulation applies).
 	UEs int
-	// Parallelism bounds the worker count generating and spilling chunks;
-	// 0 means the tensor-layer default. Output is identical at every
-	// setting.
+	// Parallelism is the generation phase's core budget: it bounds the
+	// worker count generating and spilling chunks, and when there are fewer
+	// chunks than that, a model source's decode steps fan out over the
+	// cores left per worker. 0 means the tensor-layer default. Output is
+	// identical at every setting.
 	Parallelism int
 	// BatchSize is the number of UE streams generated, transformed and
 	// spilled per chunk — the unit the pipeline's peak memory scales with;

@@ -15,7 +15,6 @@ import (
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
 	"cptgpt/internal/telemetry"
-	"cptgpt/internal/tensor"
 )
 
 // Recover scans the journal directory and disposes of every run journal a
@@ -155,7 +154,6 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 		decode:       make(map[string]*cptgpt.DecodeStats),
 		state:        StateRecovering,
 		startedAt:    b.StartedAt,
-		poolBase:     tensor.PoolLoad(),
 		sessionID:    b.SessionID,
 		ckptEvery:    int64(s.opts.CheckpointEvents),
 		ckptInterval: s.opts.CheckpointInterval,

@@ -19,7 +19,6 @@ import (
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
 	"cptgpt/internal/telemetry"
-	"cptgpt/internal/tensor"
 	"cptgpt/internal/tracez"
 )
 
@@ -148,17 +147,6 @@ type ReplayStats struct {
 	Reconnects  int64   `json:"reconnects"`
 }
 
-// PoolStats is the run-window tensor worker-pool load telemetry in
-// /runs/{id}/stats: deltas of the process-wide pool counters across the
-// run's lifetime (the pool is shared, so overlapping runs both observe it).
-type PoolStats struct {
-	Workers      int     `json:"workers"`
-	ValidPolls   int64   `json:"valid_polls"`
-	EmptyPolls   int64   `json:"empty_polls"`
-	Items        int64   `json:"items"`
-	ItemsPerPoll float64 `json:"items_per_poll"`
-}
-
 // RunStats is the GET /runs/{id}/stats body: a point-in-time snapshot of a
 // run's live counters, safe to take while the run is in flight.
 type RunStats struct {
@@ -183,7 +171,6 @@ type RunStats struct {
 	Sources     map[string]SourceStats `json:"sources,omitempty"`
 	MCN         *MCNStats              `json:"mcn,omitempty"`
 	Replay      *ReplayStats           `json:"replay,omitempty"`
-	Pool        *PoolStats             `json:"pool,omitempty"`
 }
 
 // run is one scenario execution owned by the daemon.
@@ -233,9 +220,6 @@ type run struct {
 	mcnLive *mcn.LiveStats
 	// replayLive is set for the closed-loop replay sink.
 	replayLive *replaynet.LiveStats
-	// poolBase is the process-wide tensor pool counter baseline captured at
-	// run start; stats() reports deltas against it.
-	poolBase tensor.PoolLoadStats
 
 	// Durable-run plumbing, nil/zero when journaling is off. journal is the
 	// run's write-ahead log and jpath its file ("" = memory-only or none);
@@ -474,21 +458,6 @@ func (r *run) stats() RunStats {
 			Retransmits: live.Retransmits.Load(),
 			Reconnects:  live.Reconnects.Load(),
 		}
-	}
-	if len(r.decode) > 0 {
-		// Pool load only accompanies runs that exercise the tensor pool
-		// (cptgpt sources); the deltas are against the run-start baseline.
-		cur := tensor.PoolLoad()
-		p := &PoolStats{
-			Workers:    cur.Workers,
-			ValidPolls: cur.ValidPolls - r.poolBase.ValidPolls,
-			EmptyPolls: cur.EmptyPolls - r.poolBase.EmptyPolls,
-			Items:      cur.Items - r.poolBase.Items,
-		}
-		if p.ValidPolls > 0 {
-			p.ItemsPerPoll = float64(p.Items) / float64(p.ValidPolls)
-		}
-		st.Pool = p
 	}
 	return st
 }

@@ -53,7 +53,6 @@ import (
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
 	"cptgpt/internal/telemetry"
-	"cptgpt/internal/tensor"
 	"cptgpt/internal/tracez"
 )
 
@@ -551,7 +550,6 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		decode:       make(map[string]*cptgpt.DecodeStats),
 		state:        StateGenerating,
 		startedAt:    time.Now(),
-		poolBase:     tensor.PoolLoad(),
 		ckptEvery:    int64(s.opts.CheckpointEvents),
 		ckptInterval: s.opts.CheckpointInterval,
 		degrade:      body.Degrade,

@@ -11,8 +11,10 @@ import "sync/atomic"
 //
 // GemmF32 has two implementations:
 //
-//   - an AVX2+FMA assembly kernel (amd64, runtime-detected) that processes
-//     the reduction 8 lanes at a time with 4 independent accumulators;
+//   - an AVX2+FMA assembly kernel (amd64, runtime-detected) that takes the
+//     input rows two at a time against each weight row: the weight row's
+//     8-lane chunks are loaded once and multiplied into both rows' own four
+//     accumulators, eight independent FMA chains in flight;
 //   - a portable scalar kernel (4/2/1-output register blocks over Dot4F32 /
 //     Dot2F32 / Dot1F32), used on machines without AVX2 or with the kill
 //     switch thrown. Its per-row arithmetic is that of the scalar matvec the
@@ -20,18 +22,20 @@ import "sync/atomic"
 //
 // Both are deterministic and row-independent: the reduction order of one
 // (row, output) pair is fixed and does not depend on the rows batched with
-// it, so a given machine and kill-switch setting always reproduces the same
-// bits however rows are grouped or sharded. The two orders differ (8-lane
-// tree vs 4-chain pairwise), so F32 decode output is a function of the
-// kernel in use as well as of the seed.
+// it — in the assembly kernel a row's four accumulators, their combine and
+// its scalar tail are the same whether it is first or second of a pair or
+// an odd last row on its own — so a given machine and kill-switch setting
+// always reproduces the same bits however rows are grouped or sharded. The
+// two orders differ (8-lane tree vs 4-chain pairwise), so F32 decode output
+// is a function of the kernel in use as well as of the seed.
 
 // gemmAsmAvailable reports whether the platform provides the assembly
 // kernel (set by gemm32_amd64.go / gemm32_noasm.go at init).
 var gemmAsmAvailable = hasGemmAsm()
 
-// gemmAsmEnabled gates dispatch to the assembly kernel; it starts at the
-// platform's capability and can be lowered (never raised past capability)
-// via SetGemmF32Asm.
+// gemmAsmEnabled gates dispatch to the assembly kernels (GemmF32's and
+// GeluF32's); it starts at the platform's capability and can be lowered
+// (never raised past capability) via SetGemmF32Asm.
 var gemmAsmEnabled atomic.Bool
 
 func init() {
@@ -46,7 +50,8 @@ const gemmTileFloats = 8192
 // assembly kernel.
 func GemmF32Asm() bool { return gemmAsmEnabled.Load() }
 
-// SetGemmF32Asm enables or disables the assembly GEMM kernel, returning the
+// SetGemmF32Asm enables or disables the assembly kernels (this GEMM and the
+// GELU of gelu32.go, which computes the same bits either way), returning the
 // previous setting. Enabling is a no-op on machines without AVX2+FMA. The
 // scalar kernel reproduces, at scalar speed, what every machine without AVX2
 // computes — useful for cross-checking and for pinning tests to one

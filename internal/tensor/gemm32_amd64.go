@@ -13,9 +13,16 @@ func cpuHasAVX2FMA() bool
 
 // gemmF32Asm computes dst[r*out+j] = bias[j] + x[r*in:]·wT[j*in:] with the
 // AVX2+FMA kernel. All slices must be fully in bounds (the GemmF32 wrapper
-// hoists the checks); rows, in, out must be positive. The reduction order —
-// four 8-lane accumulators combined pairwise, then an 8-lane horizontal tree
-// sum, scalar tail last — is fixed, so results are deterministic.
+// hoists the checks); rows, in, out must be positive. The reduction order of
+// a (row, output) pair — four 8-lane accumulators combined pairwise, then an
+// 8-lane horizontal tree sum, scalar tail last — is fixed and the same for
+// every row, paired or not, so results are deterministic.
 //
 //go:noescape
 func gemmF32Asm(dst, wT, bias, x *float32, rows, in, out int)
+
+// geluF32Asm applies gelu32 in place to x[0:n], eight lanes at a time; n must
+// be a positive multiple of 8. Implemented in gelu32_amd64.s.
+//
+//go:noescape
+func geluF32Asm(x *float32, n int)

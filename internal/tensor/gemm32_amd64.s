@@ -1,8 +1,11 @@
 // AVX2+FMA kernel for the multi-row float32 GEMM of the F32 decoder (see
-// gemm32.go for the dispatch contract). The reduction runs 8 lanes wide with
-// four independent accumulator registers — fixed order, so results are
-// deterministic — and each transposed weight row is loaded once per
-// input-row group iteration, staying L1-hot across the group's rows.
+// gemm32.go for the dispatch contract). Input rows go through two at a time:
+// a transposed weight row's 8-lane chunks are loaded into registers once and
+// multiplied into both rows' accumulators — eight independent FMA chains in
+// flight instead of four, half the weight loads. Each (row, output) pair
+// keeps its own four accumulator registers and its own fixed combine order,
+// so results are deterministic and do not depend on which row shares the
+// pair; an odd last row runs the same reduction on its own.
 
 #include "textflag.h"
 
@@ -53,17 +56,19 @@ no:
 //
 // dst[r*out+j] = bias[j] + sum_i x[r*in+i] * wT[j*in+i]
 //
-// Loop nest: weight rows (j) outer, input rows (r) inner — a weight row is
-// fetched once from cache/memory and reused for every input row of the
-// group, which is the cross-row amortization row packing exists for.
+// Loop nest: weight rows (j) outer, input rows (r) inner in pairs — a weight
+// row is fetched once from cache/memory and reused for every input row of
+// the group, which is the cross-row amortization row packing exists for.
 // The reduction per (r, j) uses four 8-lane FMA accumulators over 32-element
-// chunks, an 8-element cleanup loop, a pairwise + horizontal tree combine,
-// then a scalar tail — all in a fixed order.
+// chunks (Y0–Y3 for the pair's first row, Y4–Y7 for its second, against the
+// weight chunks in Y8–Y11), an 8-element cleanup loop into the first
+// accumulator, a pairwise + horizontal tree combine, then a scalar tail —
+// all in a fixed order that is the same in the pair body and the single-row
+// body the last row of an odd count falls through to.
 TEXT ·gemmF32Asm(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ wT+8(FP), SI
 	MOVQ bias+16(FP), R8
-	MOVQ x+24(FP), R9
 	MOVQ rows+32(FP), R10
 	MOVQ in+40(FP), R11
 	MOVQ out+48(FP), R12
@@ -75,10 +80,98 @@ TEXT ·gemmF32Asm(SB), NOSPLIT, $0-56
 jloop:
 	CMPQ R14, R12
 	JGE  done
-	VMOVSS (R8)(R14*4), X8  // bias[j]
-	MOVQ R9, DX             // x row cursor = &x[0]
+	VMOVSS (R8)(R14*4), X12 // bias[j]
+	MOVQ x+24(FP), DX       // x row cursor = &x[0]
 	XORQ R15, R15           // r = 0
 rloop:
+	LEAQ 2(R15), AX
+	CMPQ AX, R10
+	JGT  rlast             // fewer than two rows left
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ DX, AX             // x cursor, first row of the pair
+	LEAQ (DX)(R13*1), R9    // x cursor, second row
+	MOVQ SI, BX             // wT row cursor
+	MOVQ R11, CX            // remaining reduction length
+p32:
+	CMPQ CX, $32
+	JLT  p8
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	VMOVUPS 64(BX), Y10
+	VMOVUPS 96(BX), Y11
+	VFMADD231PS (AX), Y8, Y0
+	VFMADD231PS 32(AX), Y9, Y1
+	VFMADD231PS 64(AX), Y10, Y2
+	VFMADD231PS 96(AX), Y11, Y3
+	VFMADD231PS (R9), Y8, Y4
+	VFMADD231PS 32(R9), Y9, Y5
+	VFMADD231PS 64(R9), Y10, Y6
+	VFMADD231PS 96(R9), Y11, Y7
+	ADDQ $128, AX
+	ADDQ $128, R9
+	ADDQ $128, BX
+	SUBQ $32, CX
+	JMP  p32
+p8:
+	CMPQ CX, $8
+	JLT  preduce
+	VMOVUPS (BX), Y8
+	VFMADD231PS (AX), Y8, Y0
+	VFMADD231PS (R9), Y8, Y4
+	ADDQ $32, AX
+	ADDQ $32, R9
+	ADDQ $32, BX
+	SUBQ $8, CX
+	JMP  p8
+preduce:
+	// Per row: pairwise accumulator combine, then an 8-lane horizontal
+	// tree sum.
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VHADDPS X0, X0, X0
+	VHADDPS X0, X0, X0
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VADDPS Y6, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPS X5, X4, X4
+	VHADDPS X4, X4, X4
+	VHADDPS X4, X4, X4
+ptail:
+	CMPQ CX, $0
+	JEQ  pstore
+	VMOVSS (BX), X8
+	VFMADD231SS (AX), X8, X0
+	VFMADD231SS (R9), X8, X4
+	ADDQ $4, AX
+	ADDQ $4, R9
+	ADDQ $4, BX
+	DECQ CX
+	JMP  ptail
+pstore:
+	VADDSS X12, X0, X0
+	VADDSS X12, X4, X4
+	MOVQ R15, AX            // dst index r*out + j
+	IMULQ R12, AX
+	ADDQ R14, AX
+	VMOVSS X0, (DI)(AX*4)
+	ADDQ R12, AX            // (r+1)*out + j
+	VMOVSS X4, (DI)(AX*4)
+	LEAQ (DX)(R13*2), DX    // next pair of x rows
+	ADDQ $2, R15
+	JMP  rloop
+rlast:
 	CMPQ R15, R10
 	JGE  rdone
 
@@ -92,14 +185,14 @@ rloop:
 i32:
 	CMPQ CX, $32
 	JLT  i8
-	VMOVUPS (AX), Y4
-	VMOVUPS 32(AX), Y5
-	VMOVUPS 64(AX), Y6
-	VMOVUPS 96(AX), Y7
-	VFMADD231PS (BX), Y4, Y0
-	VFMADD231PS 32(BX), Y5, Y1
-	VFMADD231PS 64(BX), Y6, Y2
-	VFMADD231PS 96(BX), Y7, Y3
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	VMOVUPS 64(BX), Y10
+	VMOVUPS 96(BX), Y11
+	VFMADD231PS (AX), Y8, Y0
+	VFMADD231PS 32(AX), Y9, Y1
+	VFMADD231PS 64(AX), Y10, Y2
+	VFMADD231PS 96(AX), Y11, Y3
 	ADDQ $128, AX
 	ADDQ $128, BX
 	SUBQ $32, CX
@@ -107,14 +200,13 @@ i32:
 i8:
 	CMPQ CX, $8
 	JLT  reduce
-	VMOVUPS (AX), Y4
-	VFMADD231PS (BX), Y4, Y0
+	VMOVUPS (BX), Y8
+	VFMADD231PS (AX), Y8, Y0
 	ADDQ $32, AX
 	ADDQ $32, BX
 	SUBQ $8, CX
 	JMP  i8
 reduce:
-	// Pairwise accumulator combine, then an 8-lane horizontal tree sum.
 	VADDPS Y1, Y0, Y0
 	VADDPS Y3, Y2, Y2
 	VADDPS Y2, Y0, Y0
@@ -125,21 +217,18 @@ reduce:
 tail:
 	CMPQ CX, $0
 	JEQ  store
-	VMOVSS (AX), X4
-	VFMADD231SS (BX), X4, X0
+	VMOVSS (BX), X8
+	VFMADD231SS (AX), X8, X0
 	ADDQ $4, AX
 	ADDQ $4, BX
 	DECQ CX
 	JMP  tail
 store:
-	VADDSS X8, X0, X0
+	VADDSS X12, X0, X0
 	MOVQ R15, AX            // dst index r*out + j
 	IMULQ R12, AX
 	ADDQ R14, AX
 	VMOVSS X0, (DI)(AX*4)
-	ADDQ R13, DX            // next x row
-	INCQ R15
-	JMP  rloop
 rdone:
 	ADDQ R13, SI            // next wT row
 	INCQ R14

@@ -120,6 +120,34 @@ func TestGemmF32RowIndependent(t *testing.T) {
 				}
 			}
 		}
+
+		// Generated shapes: every row count 1–9 (pairs, a lone row, pairs
+		// plus an odd last row) against reductions that end in each of the
+		// kernel's 32-, 8- and 1-element stages and that make the assembly
+		// path's row tiles 7, 5, 3 and 1 rows — a row may land first or
+		// second in a pair, or alone, and its bits may not care.
+		for _, gin := range []int{1, 7, 8, 9, 31, 32, 33, 39, 40, 41, 63, 64, 65, 71, 100, 1170, 1638, 2730, 8192, 9000} {
+			for _, gout := range []int{1, 3, 5} {
+				gw := randF32(gout*gin, uint64(gin))
+				gb := randF32(gout, uint64(gout))
+				gx := randF32(9*gin, uint64(gin+gout))
+				one := make([]float32, 9*gout)
+				for r := 0; r < 9; r++ {
+					GemmF32(one[r*gout:(r+1)*gout], gw, gb, gx[r*gin:(r+1)*gin], 1, gin, gout)
+				}
+				for grows := 1; grows <= 9; grows++ {
+					// Rows [9-grows, 9): every row takes every pair position.
+					off := 9 - grows
+					many := make([]float32, grows*gout)
+					GemmF32(many, gw, gb, gx[off*gin:], grows, gin, gout)
+					for i := range many {
+						if math.Float32bits(many[i]) != math.Float32bits(one[off*gout+i]) {
+							t.Fatalf("asm=%v %d×%d→%d: multi-row dst[%d] = %v, one-row call %v", asm, grows, gin, gout, i, many[i], one[off*gout+i])
+						}
+					}
+				}
+			}
+		}
 		SetGemmF32Asm(prev)
 	}
 }

@@ -156,7 +156,18 @@ const parallelThreshold = 1 << 15
 // Results must therefore be bit-identical for every degree, which is what
 // keeps batched generation deterministic.
 func ParallelFor(n, workPerItem int, fn func(lo, hi int)) {
-	p := Parallelism()
+	ParallelForN(Parallelism(), n, workPerItem, fn)
+}
+
+// ParallelForN is ParallelFor at the caller's own degree p instead of the
+// process-global one: at most p shards, and p ≤ 1 runs fn inline on the
+// calling goroutine without touching the pool. A caller that already runs
+// several goroutines of its own (a decode call's workers) passes each its
+// share of the cores, so the shards in flight never outnumber them. The
+// global degree still caps p, so no caller can grow the never-exiting pool
+// past what SetParallelism allows.
+func ParallelForN(p, n, workPerItem int, fn func(lo, hi int)) {
+	p = min(p, Parallelism())
 	if p <= 1 || n < 2 || n*workPerItem < parallelThreshold {
 		fn(0, n)
 		return
