@@ -1,0 +1,80 @@
+package scenario
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// benchChunk is a chunk shaped like the flash-crowd preset's: n events in
+// (UE, Seq) order, ~33 per UE, times uniform over an hour.
+func benchChunk(n int, seed int64) []Event {
+	rng := rand.New(rand.NewSource(seed))
+	return randomChunk(rng, n, 65, func() float64 { return rng.Float64() * 3600 })
+}
+
+// BenchmarkScenarioChunkSort measures the chunk sort alone at the two chunk
+// sizes that matter: ~8k events (cptbench's synth-count, 256 streams) and
+// ~35k (the default 1024-stream chunk).
+func BenchmarkScenarioChunkSort(b *testing.B) {
+	for _, n := range []int{8_000, 35_000} {
+		b.Run(fmt.Sprintf("events=%d", n), func(b *testing.B) {
+			evs := benchChunk(n, 1)
+			var sorter chunkSorter
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sorter.order(evs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+		})
+	}
+}
+
+// BenchmarkScenarioRunCodec measures the run-file path alone: 64 sorted
+// 8k-event chunks written as run files, then read back through one
+// 64-way merge (DefaultMaxFanIn) — per event, one encode + block write and
+// one block read + decode + heap step.
+func BenchmarkScenarioRunCodec(b *testing.B) {
+	const fanIn, perRun = DefaultMaxFanIn, 8_000
+	dir := b.TempDir()
+	var sorter chunkSorter
+	chunks := make([][]Event, fanIn)
+	orders := make([][]sortKey, fanIn)
+	for i := range chunks {
+		chunks[i] = benchChunk(perRun, int64(i))
+		orders[i] = append([]sortKey(nil), sorter.order(chunks[i])...)
+	}
+	runs := make([]run, fanIn)
+	var writing time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		for j := range chunks {
+			var err error
+			if runs[j], err = writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.bin", j)), chunks[j], orders[j], nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		writing += time.Since(start)
+		m, err := openMerger(runs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			if _, ok := m.next(); !ok {
+				break
+			}
+			n++
+		}
+		if m.err != nil || n != fanIn*perRun {
+			b.Fatalf("merged %d of %d events, err %v", n, fanIn*perRun, m.err)
+		}
+	}
+	total := float64(b.N * fanIn * perRun)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
+	b.ReportMetric(float64(writing.Nanoseconds())/total, "write-ns/event")
+	b.ReportMetric(float64((b.Elapsed()-writing).Nanoseconds())/total, "merge-ns/event")
+}

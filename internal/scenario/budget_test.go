@@ -39,6 +39,48 @@ func TestSpillBudgetExceeded(t *testing.T) {
 	}
 }
 
+// TestSpillBudgetExceededByReduction pins the charge a fan-in reduction pass
+// makes for its own output: a quota that exactly fits the spilled chunks
+// passes a run that needs no reduction, and fails — typed, by the size of
+// the first pass's inputs, ledger drained — the same run at a fan-in that
+// does.
+func TestSpillBudgetExceededByReduction(t *testing.T) {
+	spec, err := Builtin("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared atomic.Int64
+	open := func(maxSpill int64, fanIn int) (*Stream, error) {
+		return spec.Open(RunOpts{
+			UEs: 400, BatchSize: 50, MaxFanIn: fanIn, TempDir: t.TempDir(),
+			Budget: Budget{MaxSpillBytes: maxSpill, SpillUsed: &shared},
+		})
+	}
+	st, err := open(0, DefaultMaxFanIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled := shared.Load()
+	st.Close()
+
+	if st, err = open(spilled, DefaultMaxFanIn); err != nil {
+		t.Fatalf("a quota of exactly the spilled %d bytes failed without a reduction pass: %v", spilled, err)
+	}
+	st.Close()
+
+	_, err = open(spilled, 2)
+	be, ok := AsBudgetExceeded(err)
+	if !ok || be.Kind != BudgetSpillBytes {
+		t.Fatalf("open at fan-in 2 under a %d-byte quota: err = %v, want BudgetExceeded/spill_bytes", spilled, err)
+	}
+	if be.Limit != spilled || be.Used <= spilled || be.Used >= 2*spilled {
+		t.Fatalf("limit/used = %d/%d, want the %d spilled bytes plus one pass's inputs", be.Limit, be.Used, spilled)
+	}
+	if got := shared.Load(); got != 0 {
+		t.Fatalf("shared spill gauge holds %d bytes after the failed reduction, want 0", got)
+	}
+}
+
 // TestSpillAccountingLifecycle pins that the shared gauge tracks live
 // spill bytes during a successful run and drains to zero on Close.
 func TestSpillAccountingLifecycle(t *testing.T) {

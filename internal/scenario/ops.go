@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"sort"
+	"slices"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/trace"
@@ -61,6 +61,10 @@ func compileOps(spec *Spec, srcID string) ([]compiledOp, error) {
 // key; scratch (reused across calls) receives the rewritten events and the
 // stream's Events slice is repointed at it, so callers must copy events out
 // before the next applyOps call on the same scratch.
+//
+// Contract (the chunk sort rests on it, see chunkSorter.order): on return
+// every event time t satisfies 0 <= t < horizon — so no NaN, no negative
+// number, at most a -0 — and times never decrease along the stream.
 func applyOps(ops []compiledOp, s *trace.Stream, ue uint64, horizon float64, scratch []trace.Event) []trace.Event {
 	evs := append(scratch[:0], s.Events...)
 	for i := range ops {
@@ -74,9 +78,24 @@ func applyOps(ops []compiledOp, s *trace.Stream, ue uint64, horizon float64, scr
 		}
 	}
 	evs = kept
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time < evs[j].Time })
+	// Only amplify's jitter and custom sources hand over a stream that is
+	// not already in time order.
+	if !slices.IsSortedFunc(evs, byTime) {
+		slices.SortStableFunc(evs, byTime)
+	}
 	s.Events = evs
 	return evs
+}
+
+// byTime compares two events' times (never NaN after the clamp).
+func byTime(a, b trace.Event) int {
+	switch {
+	case a.Time < b.Time:
+		return -1
+	case a.Time > b.Time:
+		return 1
+	}
+	return 0
 }
 
 // apply rewrites evs in place (growing it only for amplify) and returns the

@@ -1,13 +1,8 @@
 package scenario
 
 import (
-	"bufio"
-	"container/heap"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -172,99 +167,6 @@ func (o RunOpts) workers() int {
 	return tensor.Parallelism()
 }
 
-// recordSize is the on-disk size of one spilled event: time(8) ue(8)
-// seq(4) type(1) device(1), little-endian.
-const recordSize = 22
-
-func encodeRecord(buf []byte, e Event) {
-	binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(e.Time))
-	binary.LittleEndian.PutUint64(buf[8:16], e.UE)
-	binary.LittleEndian.PutUint32(buf[16:20], e.Seq)
-	buf[20] = byte(e.Type)
-	buf[21] = byte(e.Device)
-}
-
-func decodeRecord(buf []byte) Event {
-	return Event{
-		Time:   math.Float64frombits(binary.LittleEndian.Uint64(buf[0:8])),
-		UE:     binary.LittleEndian.Uint64(buf[8:16]),
-		Seq:    binary.LittleEndian.Uint32(buf[16:20]),
-		Type:   events.Type(buf[20]),
-		Device: events.DeviceType(buf[21]),
-	}
-}
-
-// writeRun spills a sorted event slice to path, charging the spill
-// account first so a quota breach aborts before the disk fills further.
-func writeRun(path string, evs []Event, acct *spillAccount) error {
-	if err := acct.add(int64(len(evs)) * recordSize); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("scenario: creating run %s: %w", path, err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var rec [recordSize]byte
-	for _, e := range evs {
-		encodeRecord(rec[:], e)
-		if _, err := bw.Write(rec[:]); err != nil {
-			f.Close()
-			return fmt.Errorf("scenario: writing run %s: %w", path, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("scenario: flushing run %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// runReader reads one spilled run sequentially.
-type runReader struct {
-	f   *os.File
-	br  *bufio.Reader
-	cur Event
-}
-
-func openRun(path string) (*runReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: opening run %s: %w", path, err)
-	}
-	return &runReader{f: f, br: bufio.NewReaderSize(f, 1<<16)}, nil
-}
-
-// next loads the run's next event into cur; ok=false at EOF.
-func (r *runReader) next() (ok bool, err error) {
-	var rec [recordSize]byte
-	if _, err := io.ReadFull(r.br, rec[:]); err != nil {
-		if err == io.EOF {
-			return false, nil
-		}
-		return false, fmt.Errorf("scenario: reading run: %w", err)
-	}
-	r.cur = decodeRecord(rec[:])
-	return true, nil
-}
-
-func (r *runReader) close() error { return r.f.Close() }
-
-// mergeHeap is a min-heap of run readers keyed by their current event.
-type mergeHeap []*runReader
-
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].cur.less(h[j].cur) }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(*runReader)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Stream is a scenario's merged event iterator: a bounded-memory, globally
 // time-ordered sequence of control-plane events pulled incrementally by a
 // sink. Close releases the spill directory.
@@ -272,10 +174,9 @@ type Stream struct {
 	gen     events.Generation
 	srcIDs  []string
 	total   int // UEs across sources
-	h       mergeHeap
+	m       *merger
 	dir     string
 	acct    *spillAccount // spill-byte accounting released on Close (nil = untracked)
-	err     error
 	closed  bool
 	skipped int64 // events pruned by RunOpts.ResumeAfter
 
@@ -319,35 +220,16 @@ func (st *Stream) UEID(e Event) string {
 // Next returns the next event in global time order; ok=false ends the
 // stream (check Err, then Close).
 func (st *Stream) Next() (e Event, ok bool) {
-	if st.err != nil || len(st.h) == 0 {
+	if e, ok = st.m.next(); !ok {
+		st.endMergeSpan()
 		return Event{}, false
-	}
-	r := st.h[0]
-	e = r.cur
-	more, err := r.next()
-	switch {
-	case err != nil:
-		st.err = err
-		return Event{}, false
-	case more:
-		heap.Fix(&st.h, 0)
-	default:
-		heap.Pop(&st.h)
-		if cerr := r.close(); cerr != nil && st.err == nil {
-			st.err = cerr
-		}
-		if len(st.h) == 0 && st.err == nil {
-			st.merged++
-			st.endMergeSpan()
-			return e, true
-		}
 	}
 	st.merged++
 	return e, true
 }
 
 // Err reports the first error the pipeline hit (nil on clean exhaustion).
-func (st *Stream) Err() error { return st.err }
+func (st *Stream) Err() error { return st.m.err }
 
 // Close releases every open run and deletes the spill directory. It is
 // safe to call after partial consumption and more than once.
@@ -357,10 +239,7 @@ func (st *Stream) Close() error {
 	}
 	st.closed = true
 	st.endMergeSpan()
-	for _, r := range st.h {
-		r.close()
-	}
-	st.h = nil
+	st.m.close()
 	st.acct.release()
 	if st.dir != "" {
 		if err := os.RemoveAll(st.dir); err != nil {
@@ -469,57 +348,24 @@ func (spec *Spec) OpenContext(ctx context.Context, opts RunOpts) (st *Stream, er
 		return nil, err
 	}
 
-	st = &Stream{gen: gen, dir: dir, acct: acct, total: total, skipped: skipped}
+	m, err := openMerger(runs)
+	if err != nil {
+		return nil, err
+	}
+	st = &Stream{gen: gen, m: m, dir: dir, acct: acct, total: total, skipped: skipped}
 	for i := range sources {
 		st.srcIDs = append(st.srcIDs, sources[i].id)
-	}
-	if st.h, err = openRunHeap(runs); err != nil {
-		st.Close()
-		return nil, err
 	}
 	st.mergeSp = tracez.Begin(tracez.StageScenarioMerge, "")
 	st.mergeK = len(runs)
 	return st, nil
 }
 
-// openRunHeap opens every run, primes each reader with its first event
-// (dropping empty runs) and returns an initialized merge heap. On error
-// every run opened so far is closed.
-func openRunHeap(paths []string) (mergeHeap, error) {
-	var h mergeHeap
-	fail := func(r *runReader, err error) (mergeHeap, error) {
-		if r != nil {
-			r.close()
-		}
-		for _, o := range h {
-			o.close()
-		}
-		return nil, err
-	}
-	for _, path := range paths {
-		r, err := openRun(path)
-		if err != nil {
-			return fail(nil, err)
-		}
-		ok, err := r.next()
-		if err != nil {
-			return fail(r, err)
-		}
-		if !ok {
-			r.close()
-			continue
-		}
-		h = append(h, r)
-	}
-	heap.Init(&h)
-	return h, nil
-}
-
-// spillChunks runs the generation phase and returns the produced run paths
+// spillChunks runs the generation phase and returns the produced runs
 // in deterministic job order (empty chunks are skipped) plus the number of
 // events pruned by RunOpts.ResumeAfter. A context cancellation stops
 // dispatching jobs and surfaces as ctx's error.
-func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []chunkJob, opts RunOpts, acct *spillAccount) ([]string, int64, error) {
+func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []chunkJob, opts RunOpts, acct *spillAccount) ([]run, int64, error) {
 	horizon := spec.HorizonSec
 	workers := opts.workers()
 	if workers > len(jobs) {
@@ -528,7 +374,7 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 	if workers < 1 {
 		workers = 1
 	}
-	nonEmpty := make([]bool, len(jobs))
+	spilled := make([]run, len(jobs))
 	errs := make([]error, workers)
 	var skipped atomic.Int64
 	jobCh := make(chan int)
@@ -539,6 +385,7 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 			defer wg.Done()
 			var evs []Event
 			var scratch []trace.Event
+			var sorter chunkSorter
 			// One job, isolated: a panicking source or operator must not
 			// take down the process (a daemon runs many scenarios) — it
 			// fails this run, and the worker keeps draining the job channel
@@ -583,28 +430,26 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 					return
 				}
 				spillSp := tracez.Begin(tracez.StageScenarioSpill, "")
-				sortEvents(evs)
-				out := evs
+				order := sorter.order(evs)
 				if resume := opts.ResumeAfter; resume != nil {
 					// Fast-forward: prune the regenerated prefix ≤ the
 					// checkpointed key. The chunk is sorted in the merge's
 					// total order, so the prefix is a binary search away.
-					cut := sort.Search(len(out), func(i int) bool { return resume.less(out[i]) })
+					cut := sort.Search(len(order), func(i int) bool { return resume.less(evs[order[i].idx]) })
 					if cut > 0 {
 						skipped.Add(int64(cut))
-						out = out[cut:]
+						order = order[cut:]
 					}
-					if len(out) == 0 {
+					if len(order) == 0 {
 						spillSp.End(0, src.id)
 						return
 					}
 				}
-				if err := writeRun(job.out, out, acct); err != nil {
+				if spilled[ji], err = writeRun(job.out, evs, order, acct); err != nil {
 					errs[w] = err
 					return
 				}
-				spillSp.End(int64(len(out)), src.id)
-				nonEmpty[ji] = true
+				spillSp.End(int64(len(order)), src.id)
 			}
 			for ji := range jobCh {
 				if errs[w] != nil || ctx.Err() != nil {
@@ -630,109 +475,11 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 			return nil, 0, err
 		}
 	}
-	var runs []string
-	for ji, ok := range nonEmpty {
-		if ok {
-			runs = append(runs, jobs[ji].out)
+	var runs []run
+	for _, r := range spilled {
+		if r.bytes > 0 {
+			runs = append(runs, r)
 		}
 	}
 	return runs, skipped.Load(), nil
-}
-
-// sortEvents sorts by the merge's total order.
-func sortEvents(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i].less(evs[j]) })
-}
-
-// reduceRuns merges run files until at most fanIn remain. Each pass merges
-// only the minimal prefix — min(fanIn, excess+1) runs — into one run
-// appended at the queue's tail, so a trace just over the fan-in boundary
-// rewrites a couple of runs, not the whole spill, and deep reductions
-// re-merge each byte O(1) times on average. Merging never reorders the
-// (Time, UE, Seq) total order, so the final stream is independent of how
-// many passes happened.
-func reduceRuns(ctx context.Context, runs []string, fanIn int, dir string, acct *spillAccount) ([]string, error) {
-	for seq := 0; len(runs) > fanIn; seq++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k := min(fanIn, len(runs)-fanIn+1)
-		out := filepath.Join(dir, fmt.Sprintf("merge-%06d.bin", seq))
-		// The merge output is as large as its inputs combined; charge it
-		// up front so the quota covers the pass's 2× peak, not just the
-		// steady state.
-		var inBytes int64
-		for _, path := range runs[:k] {
-			if fi, err := os.Stat(path); err == nil {
-				inBytes += fi.Size()
-			}
-		}
-		if err := acct.add(inBytes); err != nil {
-			return nil, err
-		}
-		if err := mergeRunFiles(runs[:k], out); err != nil {
-			return nil, err
-		}
-		// The merged inputs are dead weight; delete them eagerly so disk
-		// usage stays ~2× the trace instead of growing per pass.
-		for _, path := range runs[:k] {
-			os.Remove(path)
-		}
-		acct.sub(inBytes)
-		runs = append(runs[k:], out)
-	}
-	return runs, nil
-}
-
-// mergeRunFiles k-way merges sorted run files into one sorted run.
-func mergeRunFiles(paths []string, out string) error {
-	sp := tracez.Begin(tracez.StageScenarioMerge, "")
-	var merged int64
-	h, err := openRunHeap(paths)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		for _, r := range h {
-			r.close()
-		}
-		if sp.Live() {
-			sp.End(merged, fmt.Sprintf("k=%d", len(paths)))
-		}
-	}()
-
-	f, err := os.Create(out)
-	if err != nil {
-		return fmt.Errorf("scenario: creating merge run %s: %w", out, err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var rec [recordSize]byte
-	for len(h) > 0 {
-		r := h[0]
-		merged++
-		encodeRecord(rec[:], r.cur)
-		if _, err := bw.Write(rec[:]); err != nil {
-			f.Close()
-			return fmt.Errorf("scenario: writing merge run %s: %w", out, err)
-		}
-		ok, err := r.next()
-		switch {
-		case err != nil:
-			f.Close()
-			return err
-		case ok:
-			heap.Fix(&h, 0)
-		default:
-			heap.Pop(&h)
-			if err := r.close(); err != nil {
-				f.Close()
-				return err
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("scenario: flushing merge run %s: %w", out, err)
-	}
-	return f.Close()
 }
