@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -77,4 +78,51 @@ func BenchmarkScenarioRunCodec(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
 	b.ReportMetric(float64(writing.Nanoseconds())/total, "write-ns/event")
 	b.ReportMetric(float64((b.Elapsed()-writing).Nanoseconds())/total, "merge-ns/event")
+}
+
+// BenchmarkScenarioLineWriter measures the file sinks' encoder alone, into
+// io.Discard: one op is 65 536 events (2 sources × 5000 UEs), one line
+// each, UE id rendering and block writes included. TestLineWriterZeroAllocs
+// asserts the 0 allocs/event.
+func BenchmarkScenarioLineWriter(b *testing.B) {
+	st, evs := benchEvents(1 << 16)
+	for _, format := range []string{"jsonl", "csv"} {
+		b.Run(format, func(b *testing.B) {
+			lw, err := NewLineWriter(io.Discard, format, st, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, e := range evs {
+					if err := lw.Write(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := lw.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+		})
+	}
+}
+
+// BenchmarkScenarioUEID measures rendering the same events' UE ids by
+// appending, as the encoder does.
+func BenchmarkScenarioUEID(b *testing.B) {
+	st, evs := benchEvents(1 << 16)
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range evs {
+			buf = st.AppendUEID(buf[:0], e)
+		}
+	}
+	if len(buf) == 0 {
+		b.Fatal("empty id")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }

@@ -26,6 +26,21 @@ type EventSource interface {
 	UEID(Event) string
 }
 
+// UEIDAppender returns src's identifier renderer in append form: its
+// AppendUEID method where it has one (*Stream does; *Pacer and the
+// daemon's checkpoint tap forward theirs), else UEID's string appended.
+// The line sinks render one identifier per event through it; EventSource
+// itself stays four methods wide for implementers outside this module's
+// packages.
+func UEIDAppender(src EventSource) func(dst []byte, e Event) []byte {
+	if a, ok := src.(interface {
+		AppendUEID(dst []byte, e Event) []byte
+	}); ok {
+		return a.AppendUEID
+	}
+	return func(dst []byte, e Event) []byte { return append(dst, src.UEID(e)...) }
+}
+
 // Pacer re-times an event source to the wall clock: an event carrying
 // trace timestamp t is released no earlier than start + (t-t0)/Compression
 // wall time, where t0 is the first event's timestamp and start the wall
@@ -46,6 +61,7 @@ type EventSource interface {
 // live telemetry).
 type Pacer struct {
 	src         EventSource
+	appendID    func([]byte, Event) []byte
 	ctx         context.Context
 	compression float64
 
@@ -84,6 +100,7 @@ type Pacer struct {
 	rateHist *telemetry.Histogram
 	winStart time.Time
 	winN     int64
+	winSkip  int64 // unpaced releases since the clock was last read
 }
 
 // NewPacer wraps src with wall-clock pacing under ctx. A nil ctx means
@@ -95,7 +112,7 @@ func NewPacer(ctx context.Context, src EventSource, compression float64) *Pacer 
 	if compression < 0 {
 		compression = 0
 	}
-	return &Pacer{src: src, ctx: ctx, compression: compression}
+	return &Pacer{src: src, appendID: UEIDAppender(src), ctx: ctx, compression: compression}
 }
 
 // ResumeAt anchors the pacer's trace-time origin at t0 instead of the
@@ -157,6 +174,8 @@ func (p *Pacer) windowTick(now time.Time) {
 // flushWindow emits the final partial achieved-rate window at end of
 // stream, so even a sub-second run records one window observation.
 func (p *Pacer) flushWindow() {
+	p.winN += p.winSkip
+	p.winSkip = 0
 	if p.winStart.IsZero() || p.winN == 0 {
 		return
 	}
@@ -222,8 +241,8 @@ func (p *Pacer) Next() (Event, bool) {
 		p.endStream()
 		return Event{}, false
 	}
-	// Achieved-rate windows need a wall clock per event; skip entirely
-	// unless something is listening (one atomic load when tracing is off).
+	// Achieved-rate windows need the wall clock; skip entirely unless
+	// something is listening (one atomic load when tracing is off).
 	trackWin := p.rateHist != nil || tracez.Enabled()
 	if p.compression > 0 {
 		if p.shedding {
@@ -315,7 +334,16 @@ func (p *Pacer) Next() (Event, bool) {
 			}
 		}
 	} else if trackWin {
-		p.windowTick(time.Now())
+		// Nothing paces an unpaced release, so only the rate window wants
+		// the clock: read it on the first release and every 64th after,
+		// and let a window close up to 63 releases late. flushWindow folds
+		// in what is still uncounted at end of stream.
+		p.winSkip++
+		if p.winStart.IsZero() || p.winSkip == 64 {
+			p.winN += p.winSkip - 1
+			p.winSkip = 0
+			p.windowTick(time.Now())
+		}
 	}
 	p.events.Add(1)
 	return e, true
@@ -336,6 +364,9 @@ func (p *Pacer) Generation() events.Generation { return p.src.Generation() }
 
 // UEID delegates to the underlying source.
 func (p *Pacer) UEID(e Event) string { return p.src.UEID(e) }
+
+// AppendUEID delegates to the underlying source (see UEIDAppender).
+func (p *Pacer) AppendUEID(dst []byte, e Event) []byte { return p.appendID(dst, e) }
 
 // Compression returns the configured time-compression factor (0 = unpaced).
 func (p *Pacer) Compression() float64 { return p.compression }

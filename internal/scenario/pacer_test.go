@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"cptgpt/internal/events"
+	"cptgpt/internal/telemetry"
+	"cptgpt/internal/tracez"
 )
 
 // sliceSource is a fixed in-memory EventSource for pacer tests.
@@ -82,6 +84,76 @@ func TestPacerTiming(t *testing.T) {
 	}
 	if p0.Events() != 1000 {
 		t.Fatalf("unpaced counter = %d, want 1000", p0.Events())
+	}
+}
+
+// TestPacerUnpacedWindows pins the achieved-rate accounting of an unpaced
+// run, which reads the clock on the first and then every 64th release
+// only: the pacer.window spans still add up to exactly the events
+// released, one histogram observation per span — over several windows,
+// on a run shorter than one clock interval, and on a cancelled run.
+func TestPacerUnpacedWindows(t *testing.T) {
+	tracez.Reset()
+	tracez.Enable()
+	defer func() {
+		tracez.Disable()
+		tracez.Reset()
+	}()
+	for _, tc := range []struct {
+		name        string
+		events      int
+		cancelAfter int   // 0 = run to exhaustion
+		ageAt       []int // releases after which a second of wall time "passes"
+		wantWindows int
+	}{
+		{"several windows", 1000, 0, []int{1, 300, 640}, 4}, // the last one folded in at end of stream
+		{"shorter than one clock interval", 10, 0, nil, 1},
+		{"one event", 1, 0, nil, 1},
+		{"ends on a clock read", 65, 0, nil, 1},
+		{"cancelled", 1000, 100, []int{50}, 2},
+	} {
+		before := len(tracez.Snapshot(0))
+		ctx, cancel := context.WithCancel(context.Background())
+		p := NewPacer(ctx, evenlySpaced(tc.events, 1), 0)
+		rate := telemetry.NewHistogram(telemetry.RateBuckets)
+		p.SetHistograms(nil, rate)
+		released := 0
+		for {
+			if _, ok := p.Next(); !ok {
+				break
+			}
+			released++
+			if len(tc.ageAt) > 0 && released == tc.ageAt[0] {
+				// Stand in for a slow sink: the open window began a second ago.
+				p.winStart = p.winStart.Add(-time.Second)
+				tc.ageAt = tc.ageAt[1:]
+			}
+			if released == tc.cancelAfter {
+				cancel()
+			}
+		}
+		cancel()
+		want := tc.events
+		if tc.cancelAfter > 0 {
+			want = tc.cancelAfter
+		}
+		if released != want || p.Events() != int64(want) {
+			t.Fatalf("%s: released %d (counter %d), want %d", tc.name, released, p.Events(), want)
+		}
+		var windows int
+		var items int64
+		for _, sp := range tracez.Snapshot(0)[before:] {
+			if sp.Stage == tracez.StagePacerWindow {
+				windows++
+				items += sp.N
+			}
+		}
+		if items != int64(want) {
+			t.Fatalf("%s: pacer.window spans hold %d events, %d were released", tc.name, items, want)
+		}
+		if windows != tc.wantWindows || rate.Count() != int64(windows) {
+			t.Fatalf("%s: %d window spans and %d rate observations, want %d of each", tc.name, windows, rate.Count(), tc.wantWindows)
+		}
 	}
 }
 

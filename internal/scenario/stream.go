@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -207,14 +208,23 @@ func (st *Stream) UEs() int { return st.total }
 func (st *Stream) Skipped() int64 { return st.skipped }
 
 // UEID renders an event's UE key as a readable identifier,
-// "<source-id>-<stream-index>".
-func (st *Stream) UEID(e Event) string {
+// "<source-id>-<stream-index>" with the index zero-padded to seven digits
+// ("ue-<key>" for a key no source of this stream owns).
+func (st *Stream) UEID(e Event) string { return string(st.AppendUEID(nil, e)) }
+
+// AppendUEID appends UEID(e) to dst — the per-event form the line sinks
+// use (see UEIDAppender).
+func (st *Stream) AppendUEID(dst []byte, e Event) []byte {
 	src := int(e.UE >> ueKeyBits)
-	idx := e.UE & (1<<ueKeyBits - 1)
-	if src < len(st.srcIDs) {
-		return fmt.Sprintf("%s-%07d", st.srcIDs[src], idx)
+	if src >= len(st.srcIDs) {
+		return strconv.AppendUint(append(dst, "ue-"...), e.UE, 10)
 	}
-	return fmt.Sprintf("ue-%d", e.UE)
+	idx := e.UE & (1<<ueKeyBits - 1)
+	dst = append(append(dst, st.srcIDs[src]...), '-')
+	for p := uint64(1e6); p > idx && p > 1; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, idx, 10)
 }
 
 // Next returns the next event in global time order; ok=false ends the

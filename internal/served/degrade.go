@@ -1,6 +1,7 @@
 package served
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"sync/atomic"
@@ -45,10 +46,11 @@ const (
 // doubled cooldown, a success closes the breaker and resets it.
 //
 // What happens to writes while the breaker is open is the run's degrade
-// policy: "drop" discards them (counted — the output file is lossy by
-// design, and its byte cursors stay accurate because dropped writes never
-// reach the counting layer), "pause" blocks the drain until the probe
-// succeeds or the run is cancelled (lossless, at the cost of pacer lag).
+// policy: "drop" discards them (counted line by line — the output file is
+// lossy by design, whole events at a time, and its byte cursors stay
+// accurate because dropped writes never reach the counting layer),
+// "pause" blocks the drain until the probe succeeds or the run is
+// cancelled (lossless, at the cost of pacer lag).
 //
 // Concurrency: Write runs on the single sink-drain goroutine; only the
 // state/dropped/trips atomics are read concurrently (metrics, healthz).
@@ -63,7 +65,7 @@ type breakerWriter struct {
 	until    time.Time
 
 	state   atomic.Int32
-	dropped atomic.Int64 // writes discarded under the drop policy
+	dropped atomic.Int64 // lines discarded under the drop policy
 	trips   atomic.Int64
 
 	sp    tracez.Active // open-interval span, live while the breaker is open
@@ -105,8 +107,7 @@ func (b *breakerWriter) Write(p []byte) (int, error) {
 			wait := time.Until(b.until)
 			if wait > 0 {
 				if b.policy == DegradeDrop {
-					b.dropped.Add(1)
-					return len(p), nil
+					return b.drop(p), nil
 				}
 				// pause: block out the cooldown, or bail on cancellation so
 				// a DELETE still drains promptly.
@@ -134,13 +135,21 @@ func (b *breakerWriter) Write(p []byte) (int, error) {
 		// drop discards this write, pause re-attempts immediately (the
 		// loop reaches the threshold and trips within two more writes).
 		if b.policy == DegradeDrop {
-			b.dropped.Add(1)
-			return len(p), nil
+			return b.drop(p), nil
 		}
 		if b.ctx.Err() != nil {
 			return n, b.ctx.Err()
 		}
 	}
+}
+
+// drop discards one write under the drop policy and counts what it held.
+// The line encoder hands down whole lines only, so the count is events
+// (plus the header line, should a csv file lose its first block) and the
+// file never holds a line spliced from two.
+func (b *breakerWriter) drop(p []byte) int {
+	b.dropped.Add(int64(bytes.Count(p, []byte{'\n'})))
+	return len(p)
 }
 
 // finishSpan closes a still-open breaker interval span at end of stream.

@@ -707,7 +707,7 @@ func (r *run) writeFile(ctx context.Context, src scenario.EventSource, tap *ckpt
 		defer bw.finishSpan()
 		w = bw
 	}
-	lw, lerr := scenario.NewLineWriter(w, r.sink, src.UEID, !resumed)
+	lw, lerr := scenario.NewLineWriter(w, r.sink, src, !resumed)
 	if lerr != nil {
 		f.Close()
 		return 0, lerr

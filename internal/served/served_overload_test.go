@@ -3,6 +3,7 @@ package served
 import (
 	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -323,8 +324,83 @@ func TestBreakerDrop(t *testing.T) {
 	if len(got) >= len(ref) {
 		t.Fatalf("drop-degrade output not lossy: %d bytes vs %d reference", len(got), len(ref))
 	}
+	checkLossyFile(t, "jsonl", got, ref, int64(dropped))
 	if !strings.Contains(scrapeMetrics(t, ts.URL), "cptserved_breaker_state") {
 		t.Fatal("metrics missing cptserved_breaker_state for a degrade-enabled run")
+	}
+
+	// A sink that fails every other write never trips the breaker, so kept
+	// and discarded writes alternate through the whole file: what is lost
+	// is whole events, in both formats, and dropped counts them.
+	for _, format := range []string{"jsonl", "csv"} {
+		injectSinkFaults(t, func(_ string, w io.Writer) io.Writer { return &flipWriter{w: w} })
+		out := filepath.Join(t.TempDir(), "out."+format)
+		do(t, "POST", ts.URL+"/runs", StartRequest{
+			Scenario: "flash-crowd", UEs: 150, Sink: format, Out: out, Degrade: "drop",
+		}, &info, http.StatusCreated)
+		if final = waitState(t, ts.URL, info.ID); final.State != StateDone {
+			t.Fatalf("%s drop-degrade run ended %s (err %q), want done", format, final.State, final.Error)
+		}
+		ref, _ := renderReference(t, "flash-crowd", 150, format)
+		if got, err = os.ReadFile(out); err != nil {
+			t.Fatal(err)
+		}
+		dropped, _ := final.Result["dropped"].(float64)
+		if dropped == 0 || len(got) == 0 {
+			t.Fatalf("%s: dropped %v, kept %d bytes: want some of each", format, dropped, len(got))
+		}
+		checkLossyFile(t, format, got, ref, int64(dropped))
+	}
+}
+
+// flipWriter hard-fails every other write, beginning with the first.
+type flipWriter struct {
+	w     io.Writer
+	calls int
+}
+
+func (f *flipWriter) Write(p []byte) (int, error) {
+	if f.calls++; f.calls%2 == 1 {
+		return 0, syscall.ENOSPC
+	}
+	return f.w.Write(p)
+}
+
+// checkLossyFile holds a drop-degraded file to its contract: every line is
+// a whole line of the lossless reference, in order — each jsonl line
+// parses as JSON and each csv row has four fields — and dropped is exactly
+// the number of lines missing.
+func checkLossyFile(t *testing.T, format string, got, ref []byte, dropped int64) {
+	t.Helper()
+	if len(got) > 0 && got[len(got)-1] != '\n' {
+		t.Fatalf("%s: lossy file ends mid-line: %q", format, got[max(0, len(got)-80):])
+	}
+	if format == "csv" {
+		cr := csv.NewReader(bytes.NewReader(got))
+		cr.FieldsPerRecord = 4
+		if _, err := cr.ReadAll(); err != nil {
+			t.Fatalf("csv: lossy file has a broken row: %v", err)
+		}
+	}
+	refLines := bytes.SplitAfter(ref, []byte{'\n'})
+	at := 0
+	for i, line := range bytes.SplitAfter(got, []byte{'\n'}) {
+		if len(line) == 0 {
+			continue // after the final newline
+		}
+		if format == "jsonl" && !json.Valid(line) {
+			t.Fatalf("jsonl: line %d of the lossy file is not JSON: %q", i, line)
+		}
+		for at < len(refLines) && !bytes.Equal(refLines[at], line) {
+			at++
+		}
+		if at == len(refLines) {
+			t.Fatalf("%s: line %d of the lossy file is not a line of the reference (or out of order): %q", format, i, line)
+		}
+		at++
+	}
+	if missing := int64(bytes.Count(ref, []byte{'\n'}) - bytes.Count(got, []byte{'\n'})); missing != dropped {
+		t.Fatalf("%s: %d lines missing from the lossy file, run reports %d dropped", format, missing, dropped)
 	}
 }
 

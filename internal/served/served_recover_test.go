@@ -58,7 +58,7 @@ func renderReference(t *testing.T, builtin string, ues int, format string) ([]by
 	}
 	defer st.Close()
 	var buf bytes.Buffer
-	lw, err := scenario.NewLineWriter(&buf, format, st.UEID, true)
+	lw, err := scenario.NewLineWriter(&buf, format, st, true)
 	if err != nil {
 		t.Fatal(err)
 	}
