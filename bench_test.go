@@ -129,23 +129,12 @@ func BenchmarkTensorMatMul128Serial(b *testing.B) {
 }
 
 // BenchmarkTensorMatMulBlocked256 times the cache-blocked, transpose-packed
-// MatMul kernel at 256³, pinned to one worker so the kernel effect is
-// isolated from pool sharding. Compare against ...Naive; both produce
-// bit-identical results (internal/tensor TestMatMulBlockedMatchesNaive).
+// MatMul kernel at 256³ (the shape rule picks it at this size), pinned to one
+// worker so the kernel effect is isolated from pool sharding. The naive
+// row-loop body it is bit-identical to
+// (internal/tensor TestMatMulBlockedMatchesNaive) last measured 8.4–10.5 ms
+// here against 5.8–6.8 ms blocked (bench/baseline.txt).
 func BenchmarkTensorMatMulBlocked256(b *testing.B) {
-	benchMatMul256(b, true)
-}
-
-// BenchmarkTensorMatMulBlocked256Naive pins the pre-blocking triple-loop
-// kernel over the same operands — the baseline for the blocked speedup.
-func BenchmarkTensorMatMulBlocked256Naive(b *testing.B) {
-	benchMatMul256(b, false)
-}
-
-func benchMatMul256(b *testing.B, blocked bool) {
-	b.Helper()
-	prevB := tensor.SetBlockedMatMul(blocked)
-	defer tensor.SetBlockedMatMul(prevB)
 	prevP := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prevP)
 	rng := stats.NewRand(1)
@@ -191,21 +180,20 @@ func benchTrainEpoch(b *testing.B, opts CPTGPTTrainOpts) {
 }
 
 // BenchmarkCPTGPTTrainEpoch measures the packed-minibatch trainer at default
-// settings (MicrobatchStreams = 4, Parallelism = GOMAXPROCS, arena on,
-// blocked MatMul). Compare against ...Serial for the overall training
-// speedup; the equivalence tests in internal/cptgpt prove both paths train
-// bit-identical weights.
+// settings (MicrobatchStreams = 4, Parallelism = GOMAXPROCS). Compare against
+// ...Serial for what packing and parallelism buy; the equivalence tests in
+// internal/cptgpt prove both paths train bit-identical weights.
 func BenchmarkCPTGPTTrainEpoch(b *testing.B) {
 	benchTrainEpoch(b, CPTGPTTrainOpts{})
 }
 
-// BenchmarkCPTGPTTrainEpochSerial is the pre-PR training path: one stream
-// per forward pass, one tensor worker, heap-allocated tape (arena off) and
-// the naive MatMul kernels.
+// BenchmarkCPTGPTTrainEpochSerial is the one-stream-per-forward-pass,
+// one-tensor-worker training path. (Up to bench/baseline.txt it also pinned a
+// heap-allocated tape and the naive MatMul kernels — 78–83 µs/token there;
+// those switches are gone, so later rows of this name run the arena and the
+// shape-chosen kernels like every other trainer.)
 func BenchmarkCPTGPTTrainEpochSerial(b *testing.B) {
-	prev := tensor.SetBlockedMatMul(false)
-	defer tensor.SetBlockedMatMul(prev)
-	benchTrainEpoch(b, CPTGPTTrainOpts{MicrobatchStreams: 1, Parallelism: 1, NoArena: true})
+	benchTrainEpoch(b, CPTGPTTrainOpts{MicrobatchStreams: 1, Parallelism: 1})
 }
 
 func BenchmarkTensorTrainStep(b *testing.B) {
@@ -267,7 +255,7 @@ func benchGenerate(b *testing.B, opts cptgpt.GenOpts) {
 }
 
 // BenchmarkCPTGPTGeneratePerStream measures the parallel batched engine at
-// the default settings (Parallelism = GOMAXPROCS, lockstep batches): a
+// the default settings (Parallelism = GOMAXPROCS, DefaultBatchSize slots): a
 // UE population decoded per op, with amortized ns/stream reported. Compare
 // against ...PerStreamSerial for the parallel speedup; both paths emit
 // bit-identical streams (see internal/cptgpt batch tests).
@@ -439,25 +427,24 @@ func BenchmarkCPTGPTDecodeTokenF64(b *testing.B) { benchDecodeToken(b, cptgpt.F6
 // drift, indistinguishable trace statistics.
 func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F32) }
 
-// benchGenerateSkewed times end-to-end generation of a population whose
-// stream lengths are heavily skewed (an untrained model's stop head fires
-// geometrically, so most streams are short and a tail runs long — the shape
-// real scenarios produce; here: mean ≈ 12 tokens, p99 ≈ 65). The call's
-// whole budget is one core (Parallelism: 1: one decoder, every step inline
-// on its goroutine), so the number is per core and the scheduling
-// difference is all there is: lockstep drains each batch down to its
-// longest stream, so its tail steps run one- and two-row GEMMs that stream
-// every weight panel for almost nothing (and the odd row out misses the
-// kernel's two-row body); continuous batching reseats retired slots
-// immediately, keeping every GEMM many rows tall. Decode runs the f32 fast
-// path, whose row-packed GEMMs are where the amortization lives; both
-// schedulers emit bit-identical streams.
-func benchGenerateSkewed(b *testing.B, lockstep bool) {
-	b.Helper()
+// BenchmarkCPTGPTGenerateSkewedContinuous times end-to-end plain generation
+// of a population whose stream lengths are heavily skewed (an untrained
+// model's stop head fires geometrically, so most streams are short and a tail
+// runs long — the shape real scenarios produce; here: mean ≈ 12 tokens,
+// p99 ≈ 65). The call's whole budget is one core (Parallelism: 1: one decoder,
+// every pass inline on its goroutine), so the number is per core. The
+// scheduler reseats a retired slot immediately, keeping every GEMM many rows
+// tall; a scheduler that retired each batch whole drained it down to its
+// longest stream, so its tail passes ran one- and two-row GEMMs that stream
+// every weight panel for almost nothing — 37.0–41.1 µs/token against
+// 34.2–34.9 here in the last comparison (bench/baseline.txt), with
+// bit-identical streams. Decode runs the f32 fast path, whose row-packed
+// GEMMs are where the amortization lives.
+func BenchmarkCPTGPTGenerateSkewedContinuous(b *testing.B) {
 	m := paperScaleModel(b)
 	opts := cptgpt.GenOpts{
 		NumStreams: 256, Device: events.Phone, Seed: 42, Precision: cptgpt.F32,
-		Parallelism: 1, BatchSize: 32, Lockstep: lockstep,
+		Parallelism: 1, BatchSize: 32,
 	}
 	// One warm-up run counts the emitted tokens for the ns/token metric
 	// (fixed seed, so every iteration emits the same population).
@@ -479,25 +466,15 @@ func benchGenerateSkewed(b *testing.B, lockstep bool) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens), "ns/token")
 }
 
-// BenchmarkCPTGPTGenerateSkewedContinuous measures the continuous-batching
-// scheduler on the skewed-length population.
-func BenchmarkCPTGPTGenerateSkewedContinuous(b *testing.B) { benchGenerateSkewed(b, false) }
-
-// BenchmarkCPTGPTGenerateSkewedLockstep is the retire-whole-batch companion
-// (the pre-continuous scheduler) over the identical population — the
-// baseline for the ≥ 1.2× per-stream continuous-batching win. Both paths
-// emit bit-identical streams (GenOpts.Lockstep changes scheduling only).
-func BenchmarkCPTGPTGenerateSkewedLockstep(b *testing.B) { benchGenerateSkewed(b, true) }
-
 // benchDecodeSpeculative measures speculative decoding end-to-end on the
-// same skewed population as benchGenerateSkewed: draft chains of k=4 from
-// the model's self-fitted n-gram, one multi-token verify pass per chain,
+// same skewed population as ...GenerateSkewedContinuous: draft chains of k=4
+// from the model's self-fitted n-gram, one multi-token verify pass per chain,
 // exact acceptance–rejection. Reported ns/token counts EMITTED tokens, the
 // apples-to-apples throughput currency against the plain decode
 // benchmarks; accept% is the fraction of drafted tokens that survived
 // verification (from BatchDecoder.Stats via GenOpts.Stats). Like
-// benchGenerateSkewed the call's budget is one core (Parallelism: 1, every
-// verify pass inline), so the two compare per core.
+// ...GenerateSkewedContinuous the call's budget is one core (Parallelism: 1,
+// every verify pass inline), so the two compare per core.
 func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
 	b.Helper()
 	m := paperScaleModel(b)

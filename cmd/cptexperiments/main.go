@@ -34,7 +34,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "lab seed")
 		quiet     = flag.Bool("q", false, "suppress progress logging")
 		par       = flag.Int("parallelism", 0, "worker count for training and generation (0 = all cores); results are identical at any value")
-		batch     = flag.Int("batch", 0, "CPT-GPT lockstep decode batch size (0 = default)")
+		batch     = flag.Int("batch", 0, "CPT-GPT decode batch size (0 = default)")
 		micro     = flag.Int("microbatch", 0, "CPT-GPT streams packed per training forward pass (0 = default, 1 = serial); results are identical at any value")
 	)
 	flag.Parse()

@@ -274,13 +274,6 @@ func (d *BatchDecoder) Stats() DecodeStats {
 // caller's one instrument. When unset, Step/StepK take no timestamps.
 func (d *BatchDecoder) SetStepHist(h *telemetry.Histogram) { d.stepHist = h }
 
-// countDraft accumulates speculative proposal/acceptance counts (called by
-// the speculative sampler after each verify pass).
-func (d *BatchDecoder) countDraft(proposed, accepted int64) {
-	d.draftProposed.Add(proposed)
-	d.draftAccepted.Add(accepted)
-}
-
 // stepCost estimates the multiply-adds of one stream's decode step, used to
 // decide whether a batch is worth fanning out across the worker pool.
 func (d *BatchDecoder) stepCost() int {
@@ -303,7 +296,7 @@ func (d *BatchDecoder) stepCost() int {
 // GenerateRange over its share of the call's GenOpts.Parallelism, inline on
 // the calling goroutine when that share is one core.
 func (d *BatchDecoder) Step(slots []int, tokens []float64) []StepOut {
-	d.stepRows(tracez.StageDecodeStep, slots, d.ones[:len(slots)], 1, tokens)
+	d.stepRows(slots, d.ones[:len(slots)], 1, tokens)
 	return d.outs[:len(slots)]
 }
 
@@ -334,7 +327,7 @@ func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) 
 			panic(fmt.Sprintf("cptgpt: StepK slot %d rows %d outside [1, %d]", slots[i], k, kMax))
 		}
 	}
-	d.stepRows(tracez.StageDecodeStepK, slots, ks, kMax, tokens)
+	d.stepRows(slots, ks, kMax, tokens)
 	for i, k := range ks {
 		d.outsK[i] = d.outs[d.rowOff[i] : d.rowOff[i]+k]
 	}
@@ -343,13 +336,19 @@ func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) 
 
 // stepRows is the one pass driver behind Step and StepK: it packs the pass's
 // (slot, row) pairs into consecutive rows (rowOff), splits the listed slots
-// into at most fanout shards, and accounts the pass under the given trace
-// stage.
+// into at most fanout shards, and accounts the pass under its trace stage:
+// decode.step for a pass of one row per slot (a plain decode pass, whether it
+// came through Step or through the scheduler's StepK at draft length 0),
+// decode.stepk for a multi-row pass.
 // On the F32 path a shard runs its packed rows through every linear layer as
 // one GEMM (stepRowsF32); on the F64 path each row runs the reference row
 // body on its own.
-func (d *BatchDecoder) stepRows(stage string, slots, ks []int, kMax int, tokens []float64) {
+func (d *BatchDecoder) stepRows(slots, ks []int, kMax int, tokens []float64) {
 	d.ensureRows(kMax)
+	stage := tracez.StageDecodeStep
+	if kMax > 1 {
+		stage = tracez.StageDecodeStepK
+	}
 	total := 0
 	for i, k := range ks {
 		d.rowOff[i] = total

@@ -283,7 +283,8 @@ func TestSlotRefillMidBatch(t *testing.T) {
 
 // TestGenerateRangeMatchesGenerate pins the chunked-emission contract: any
 // partition of the stream index space concatenates to exactly the streams
-// Generate produces, at any BatchSize.
+// Generate produces, at any BatchSize — and whatever NumStreams the range
+// calls carry: the range alone sizes them (the scenario engine passes 0).
 func TestGenerateRangeMatchesGenerate(t *testing.T) {
 	d := testTrainingData(t, 60)
 	tk := FitTokenizer(d)
@@ -298,21 +299,20 @@ func TestGenerateRangeMatchesGenerate(t *testing.T) {
 	}
 	for _, chunk := range []int{1, 4, 19} {
 		for _, batch := range []int{1, 3, 8} {
-			var got []trace.Stream
-			for lo := 0; lo < opts.NumStreams; lo += chunk {
-				hi := lo + chunk
-				if hi > opts.NumStreams {
-					hi = opts.NumStreams
+			for _, numStreams := range []int{opts.NumStreams, 0} {
+				var got []trace.Stream
+				for lo := 0; lo < opts.NumStreams; lo += chunk {
+					o := opts
+					o.BatchSize = batch
+					o.NumStreams = numStreams
+					part, err := m.GenerateRange(lo, min(lo+chunk, opts.NumStreams), o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, part...)
 				}
-				o := opts
-				o.BatchSize = batch
-				part, err := m.GenerateRange(lo, hi, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, part...)
+				sameStreams(t, fmt.Sprintf("chunk=%d batch=%d NumStreams=%d", chunk, batch, numStreams), full.Streams, got)
 			}
-			sameStreams(t, fmt.Sprintf("chunk=%d batch=%d", chunk, batch), full.Streams, got)
 		}
 	}
 	if _, err := m.GenerateRange(3, 1, opts); err == nil {
@@ -368,7 +368,7 @@ func TestDecodeParallelismBudget(t *testing.T) {
 		}
 		direct = make([]trace.Stream, opts.NumStreams)
 		var next atomic.Int64
-		m.sampleContinuous(m.NewBatchDecoder(opts.BatchSize, F32), direct, 0, &next, opts, init)
+		m.sampleSlots(m.NewBatchDecoder(opts.BatchSize, F32), direct, 0, &next, opts, init, nil)
 	}); n == 0 {
 		t.Fatal("a directly made decoder ran no pool shards (want the global degree, 4)")
 	}

@@ -3,17 +3,18 @@
 // (event type, interarrival, stop flag), next-token training with packed
 // multi-stream minibatches, and autoregressive decoding of arbitrarily many
 // UE streams through a KV-cached BatchDecoder — with a float32 inference
-// fast path, continuous slot batching and speculative (draft + multi-token
-// verify) decoding layered on top.
+// fast path and one continuous slot scheduler (sampleSlots) whose draft
+// length is 0 for plain decoding and DraftTokens for speculative (draft +
+// multi-token verify) decoding.
 //
-// Determinism contract, per decoding path:
+// Determinism contract, per precision and draft length:
 //
-//   - Plain f64 decoding (the default) is bit-identical at every
-//     Parallelism × BatchSize × scheduling mode: each stream consumes only
-//     its own index-seeded RNG and slot state, so who decodes it when
-//     cannot matter.
-//   - f32 decoding runs every decode pass — plain Step and speculative
-//     StepK alike — through one row body whose per-row reduction orders are
+//   - Plain f64 decoding (the default) is bit-identical to the serial
+//     one-stream reference (sampleStream) at every Parallelism × BatchSize:
+//     each stream consumes only its own index-seeded RNG and slot state, so
+//     who decodes it when cannot matter.
+//   - f32 decoding runs every decode pass — one row per slot or a draft
+//     chain's several — through one row body whose per-row reduction orders are
 //     fixed, so it is deterministic per (Seed, Precision, GEMM kernel) at
 //     every Parallelism × BatchSize × slot grouping, and StepK over k rows
 //     is bit-identical to k Steps. The kernel is the machine's: AVX2+FMA
@@ -29,9 +30,9 @@
 // GenerateRange calls once trained (the frozen inference snapshot is built
 // under a mutex and shared read-only); each BatchDecoder belongs to one
 // goroutine, and a call's decoder goroutines times the shards each splits a
-// step into stay within GenOpts.Parallelism (one core budget per call, steps
-// inline at a share of one). DecodeStats counters are atomics — GenOpts.Stats sinks are
-// accumulated atomically as workers finish, and a snapshot may be read
+// pass into stay within GenOpts.Parallelism (one core budget per call, passes
+// inline at a share of one). DecodeStats counters are atomics —
+// GenOpts.Stats sinks are accumulated atomically as workers finish, and a snapshot may be read
 // (atomically, field by field) from any goroutine while generation runs,
 // which is what the scenario engine's SourceStats hook and the cptserved
 // daemon's live decode telemetry rely on.

@@ -163,29 +163,70 @@ func streamsDigest(streams []trace.Stream) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
-// TestPlainF32KernelsPinned pins plain F32 Generate's exact output under
-// each GEMM kernel to digests recorded at earlier commits, so kernel work
-// that claims to move no bits is held to it. Portable: the population of
-// PRs 4–11 (scalar group matvecs, GELU fused into the up-projection), which
-// routing plain decode through GemmF32 did not change. AVX2: the population
-// of PR 12 (one-row-at-a-time assembly kernel, scalar GELU), recorded before
-// the two-row kernel and the vector GELU replaced them. The arithmetic also
-// depends on the float64 math library (softmax, sampling), so the pins are
-// checked only on the platform class they were recorded on: amd64 with FMA.
+// TestPlainF32KernelsPinned pins Generate's exact output to digests recorded
+// at earlier commits, so work that claims to move no bits is held to it.
+//
+// Plain F32 under each GEMM kernel — portable: the population of PRs 4–11
+// (scalar group matvecs, GELU fused into the up-projection), which routing
+// plain decode through GemmF32 did not change; AVX2: the population of PR 12
+// (one-row-at-a-time assembly kernel, scalar GELU), recorded before the
+// two-row kernel and the vector GELU replaced them.
+//
+// Speculative rows (draft > 0) — recorded at PR 15, when speculative decoding
+// was a scheduler of its own, before plain and speculative decoding became
+// one loop: the merged loop must draw every stream's randomness in the order
+// the separate one did (draft draws, verify draws, free-token draw).
+//
+// The arithmetic also depends on the float64 math library (softmax,
+// sampling), so the pins are checked only on the platform class they were
+// recorded on: amd64 with FMA.
 func TestPlainF32KernelsPinned(t *testing.T) {
-	want := map[bool]string{false: "b10b7490257275e0bcd0d632", true: "5703afb8c7d76696f3e118a3"}
 	if runtime.GOARCH != "amd64" || len(gemmKernels()) < 2 {
 		t.Skip("digests recorded on amd64 with AVX2+FMA")
 	}
 	defer tensor.SetGemmF32Asm(tensor.GemmF32Asm())
-	m, err := trainedTestModel()
+	trained, err := trainedTestModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, asm := range gemmKernels() {
-		tensor.SetGemmF32Asm(asm)
-		gen, err := m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
-			Precision: F32, Parallelism: 2, BatchSize: 8})
+	// Table 8 ablation (deterministic interarrival head), random weights.
+	cfg := smallConfig()
+	cfg.DistHead = false
+	noDist, err := NewModel(cfg, FitTokenizer(testTrainingData(t, 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The draft is fitted here, on a plain F64 population, rather than left
+	// to Model.SelfDraft: that one decodes in F32 under whichever GEMM kernel
+	// is selected when a test first asks for it, and is then cached on the
+	// shared model — its bits would depend on test order.
+	drafts := map[*Model]DraftModel{}
+	for _, m := range []*Model{trained, noDist} {
+		ds, err := m.Generate(GenOpts{NumStreams: 160, Device: events.Phone, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drafts[m] = NewNGramDraft(ds, m.Tok)
+	}
+	for _, c := range []struct {
+		name  string
+		m     *Model
+		prec  Precision
+		asm   bool
+		draft int // DraftTokens; 0 decodes plainly
+		want  string
+	}{
+		{"plain F32 portable", trained, F32, false, 0, "b10b7490257275e0bcd0d632"},
+		{"plain F32 avx2", trained, F32, true, 0, "5703afb8c7d76696f3e118a3"},
+		{"speculative F64 k=2", trained, F64, false, 2, "0ea597e9c17565ed3d8b5c32"},
+		{"speculative F64 k=4", trained, F64, false, 4, "2a4746032f9b33e905f1e428"},
+		{"speculative F32 k=4 portable", trained, F32, false, 4, "976fe938f30574c447d34258"},
+		{"speculative F32 k=4 avx2", trained, F32, true, 4, "1543b2f3f6e1ab57862f8100"},
+		{"speculative F64 k=4 no dist head", noDist, F64, false, 4, "c434dcf1cbe926b7d6c46ffc"},
+	} {
+		tensor.SetGemmF32Asm(c.asm)
+		gen, err := c.m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
+			Precision: c.prec, Parallelism: 2, BatchSize: 8, Speculative: c.draft > 0, DraftTokens: c.draft, DraftModel: drafts[c.m]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +234,8 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 		for i := range gen.Streams {
 			events += len(gen.Streams[i].Events)
 		}
-		if got := streamsDigest(gen.Streams); got != want[asm] {
-			t.Errorf("plain F32 output with asm=%v (%d events) has digest %s, want %s (recorded before the kernel changed)", asm, events, got, want[asm])
+		if got := streamsDigest(gen.Streams); got != c.want {
+			t.Errorf("%s: output (%d events) has digest %s, want %s (recorded before the change)", c.name, events, got, c.want)
 		}
 	}
 }

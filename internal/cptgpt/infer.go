@@ -14,8 +14,8 @@ import (
 // verified against Model.Forward in the package tests.
 //
 // The decoder owns all of its scratch, so a step performs no allocations in
-// steady state; BatchDecoder in batch.go runs many of these row kernels in
-// lockstep over a shared cache layout.
+// steady state; BatchDecoder in batch.go runs many of these row kernels per
+// pass over a shared cache layout.
 type decoder struct {
 	m   *Model
 	pos int

@@ -99,7 +99,7 @@ func TestTrainMicrobatchEquivalence(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Epochs = 2
 
-	refW, refLoss := trainWeights(t, d, cfg, TrainOpts{MicrobatchStreams: 1, Parallelism: 1, NoArena: true})
+	refW, refLoss := trainWeights(t, d, cfg, TrainOpts{MicrobatchStreams: 1, Parallelism: 1, noArena: true})
 
 	for _, micro := range []int{1, 2, 4} {
 		for _, par := range []int{1, 4} {

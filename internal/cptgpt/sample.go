@@ -12,6 +12,7 @@ import (
 	"cptgpt/internal/telemetry"
 	"cptgpt/internal/tensor"
 	"cptgpt/internal/trace"
+	"cptgpt/internal/tracez"
 )
 
 // GenOpts parameterizes synthetic dataset generation.
@@ -35,44 +36,34 @@ type GenOpts struct {
 	// Parallelism is the call's whole core budget P; 0 means the
 	// tensor-layer default (GOMAXPROCS, or tensor.SetParallelism's value).
 	// Generate runs W = min(P, batches) decoder goroutines and each decoder
-	// splits a decode step over at most max(1, P/W) shards, so
+	// splits a decode pass over at most max(1, P/W) shards, so
 	// W × fan-out ≤ P: the call never has more shards in flight than cores
 	// it was given. GenerateRange runs one decoder (W = 1) with the whole
-	// budget as its fan-out; at 1 every step runs inline on the calling
+	// budget as its fan-out; at 1 every pass runs inline on the calling
 	// goroutine. A caller that parallelizes across chunks itself passes
 	// each call its worker's share of the cores (the scenario engine: 1
 	// with a chunk per core, more when chunks are fewer). Output is
 	// identical at every setting: each stream's randomness comes from its
 	// own index-seeded RNG.
 	Parallelism int
-	// Workers is a deprecated alias for Parallelism, honored when
-	// Parallelism is 0.
-	Workers int
 	// BatchSize is the number of decode slots per BatchDecoder; 0 means
 	// DefaultBatchSize. Output is identical at every batch size.
 	BatchSize int
-	// Lockstep disables continuous slot refill: each batch of BatchSize
-	// streams is retired in full before the next batch starts, idling slots
-	// whose streams stopped early. This is the pre-continuous scheduler,
-	// kept as a benchmarking companion (see BenchmarkCPTGPTGenerateSkewed*);
-	// output is identical either way.
-	Lockstep bool
 	// StartWindow, when positive, offsets each stream's start uniformly in
 	// [0, StartWindow) seconds so downstream consumers (e.g. an MCN) do
 	// not see a synchronized t=0 attach storm. Interarrivals, sojourns and
 	// flow lengths are unaffected.
 	StartWindow float64
-	// Speculative enables speculative decoding: a cheap draft model
-	// proposes DraftTokens tokens per slot and the transformer verifies
-	// the whole chain in one multi-token pass, with acceptance–rejection
-	// sampling preserving the output distribution exactly (see
-	// speculate.go). Output remains deterministic per Seed at every
-	// Parallelism × BatchSize, but differs stream-by-stream from the
-	// non-speculative paths (different RNG consumption); workload
-	// statistics match within the fidelity gates. Implies continuous
-	// batching (Lockstep is ignored). The throughput win needs the
-	// distribution head (the default); under the Table 8 ablation chains
-	// cannot extend and speculation degrades to plain decoding speed.
+	// Speculative gives the scheduler a draft length above 0: a cheap draft
+	// model proposes DraftTokens tokens behind each slot's pending token and
+	// the transformer verifies the whole chain in the same pass, with
+	// acceptance–rejection sampling preserving the output distribution
+	// exactly (see speculate.go). Output remains deterministic per Seed at
+	// every Parallelism × BatchSize, but differs stream-by-stream from
+	// plain decoding (different RNG consumption); workload statistics match
+	// within the fidelity gates. Chains extend only under the distribution
+	// head (the default); under the Table 8 ablation almost every drafted
+	// interarrival is rejected and a pass emits about one token.
 	Speculative bool
 	// DraftTokens is the number of draft tokens proposed per verify pass
 	// (the speculation depth k); 0 means DefaultDraftTokens. Output is
@@ -86,7 +77,7 @@ type GenOpts struct {
 	DraftModel DraftModel
 	// Stats, when non-nil, accumulates the decode counters of every
 	// BatchDecoder the call used (added atomically as workers finish):
-	// scheduling steps plus, under Speculative, proposed/accepted draft
+	// decode passes plus, under Speculative, proposed/accepted draft
 	// tokens — the acceptance-rate telemetry.
 	Stats *DecodeStats
 	// StepHist, when non-nil, observes every BatchDecoder.Step/StepK wall
@@ -98,23 +89,22 @@ type GenOpts struct {
 
 // parallelism resolves the call's core budget.
 func (o GenOpts) parallelism() int {
-	switch {
-	case o.Parallelism > 0:
+	if o.Parallelism > 0 {
 		return o.Parallelism
-	case o.Workers > 0:
-		return o.Workers
-	default:
-		return tensor.Parallelism()
 	}
+	return tensor.Parallelism()
 }
 
-// newCallDecoder makes one of a decode call's BatchDecoders: fanout is the
-// decoder's share of the call's core budget (see GenOpts.Parallelism).
-func (m *Model) newCallDecoder(batch, fanout int, opts GenOpts) *BatchDecoder {
-	dec := m.NewBatchDecoder(batch, opts.Precision)
-	dec.fanout = fanout
-	dec.SetStepHist(opts.StepHist)
-	return dec
+// draftTokens resolves the draft length: how many tokens the draft model
+// proposes behind a slot's pending token per pass. Plain decoding is 0.
+func (o GenOpts) draftTokens() int {
+	if !o.Speculative {
+		return 0
+	}
+	if o.DraftTokens > 0 {
+		return o.DraftTokens
+	}
+	return DefaultDraftTokens
 }
 
 // streamSeed derives stream i's RNG seed; the per-stream RNG is the only
@@ -128,11 +118,10 @@ func streamSeed(seed uint64, i int) uint64 {
 // draw from the released distribution, optional start-window offset, and
 // the first emitted event, consuming the stream's own RNG. Like sampleStep
 // for the per-token draws, this is the single copy of the bootstrap draw
-// order (init.Sample, then the StartWindow uniform) that the serial,
-// lockstep, continuous and speculative schedulers all share — the
-// bit-identical-output and per-seed determinism contracts are exactly
-// "same draws in the same order", so this helper is the only place that
-// order may be defined.
+// order (init.Sample, then the StartWindow uniform) that the serial
+// reference and the slot scheduler share — the bit-identical-output and
+// per-seed determinism contracts are exactly "same draws in the same
+// order", so this helper is the only place that order may be defined.
 func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Categorical, vocab []events.Type, rng *rand.Rand) (evIdx int, start float64) {
 	s.UEID = fmt.Sprintf("gen-%s-%06d", opts.Device, globalIdx)
 	s.Device = opts.Device
@@ -150,157 +139,109 @@ func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Catego
 // distribution, with interarrival and stop flag zero (§4.5), and decoding
 // runs until the model emits a token with stop flag 1 or MaxLen is reached.
 //
-// Scheduling is continuous batching: each of the call's workers (their
-// number and per-step fan-out come from one core budget, see
-// GenOpts.Parallelism) owns a BatchDecoder of BatchSize slots and claims
-// stream indices from a shared counter; the moment a slot's stream emits
-// STOP, the slot is reset and reseated with the next pending stream, so all
-// slots stay hot even under heavily skewed stream-length distributions
-// (GenOpts.Lockstep restores the retire-whole-batch scheduler for
-// comparison). For a fixed Seed and Precision the output is bit-identical at
-// every Parallelism, BatchSize and scheduling mode — every stream consumes
+// There is one scheduler (sampleSlots): each of the call's workers (their
+// number and per-pass fan-out come from one core budget, see
+// GenOpts.Parallelism) owns a BatchDecoder of BatchSize slots, claims stream
+// indices from a shared counter and reseats a slot the moment its stream
+// stops, so all slots stay hot even under heavily skewed stream-length
+// distributions. Its draft length is 0 for plain decoding and DraftTokens
+// under Speculative. For a fixed Seed, Precision and draft length the output
+// is bit-identical at every Parallelism and BatchSize — every stream consumes
 // only its own index-seeded RNG and its own slot state, so who decodes it
 // when cannot matter.
 func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 	if opts.NumStreams <= 0 {
 		return nil, fmt.Errorf("cptgpt: NumStreams must be positive, got %d", opts.NumStreams)
 	}
+	streams, err := m.generateRange(0, opts.NumStreams, opts.parallelism(), opts)
+	if err != nil {
+		return nil, err
+	}
+	return &trace.Dataset{Generation: m.Cfg.Generation, Streams: streams}, nil
+}
+
+// GenerateRange synthesizes the UE streams with global indices [lo, hi):
+// the returned slice equals Generate(opts).Streams[lo:hi] bit-for-bit for
+// any NumStreams ≥ hi (batch_test pins this). The range alone sizes the
+// call; opts.NumStreams is ignored. Each stream consumes only its own
+// index-seeded RNG, so chunked emission over any partition of the index
+// space reproduces one full run — the streaming scenario engine pulls
+// million-UE populations through this in O(chunk) memory. It decodes the
+// chunk through one BatchDecoder on the calling goroutine, with
+// opts.Parallelism as that decoder's per-pass fan-out: a caller that runs
+// chunks on goroutines of its own passes each call its goroutine's share of
+// the cores, and at 1 every pass runs inline.
+func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) {
+	if lo < 0 || hi < lo {
+		return nil, fmt.Errorf("cptgpt: invalid stream range [%d,%d)", lo, hi)
+	}
+	if lo == hi {
+		return nil, nil
+	}
+	return m.generateRange(lo, hi, 1, opts)
+}
+
+// generateRange is the body of Generate and GenerateRange: it decodes the
+// streams with global indices [lo, hi), hi > lo, on at most maxDecoders
+// decoders that claim indices from one counter. The calling goroutine is
+// the first decoder — with maxDecoders 1 nothing leaves it, so a caller's
+// recover() covers the decode — and every decoder gets an equal share of the
+// call's core budget as its per-pass fan-out.
+func (m *Model) generateRange(lo, hi, maxDecoders int, opts GenOpts) ([]trace.Stream, error) {
 	if opts.Temperature <= 0 {
 		opts.Temperature = 1
 	}
+	n := hi - lo
 	batch := opts.BatchSize
 	if batch <= 0 {
 		batch = DefaultBatchSize
 	}
-	if batch > opts.NumStreams {
-		batch = opts.NumStreams
-	}
-	numBatches := (opts.NumStreams + batch - 1) / batch
-	budget := opts.parallelism()
-	workers := min(budget, numBatches)
-	fanout := max(1, budget/workers)
+	batch = min(batch, n)
+	workers := min(maxDecoders, (n+batch-1)/batch)
+	fanout := max(1, opts.parallelism()/workers)
 
 	init, err := stats.NewCategorical(m.InitialDist)
 	if err != nil {
 		return nil, fmt.Errorf("cptgpt: invalid initial-event distribution: %w", err)
 	}
-
-	// Speculative decoding resolves its draft model once, up front, so all
+	// A draft length above 0 needs a draft model, resolved once so all
 	// workers share it (the self-draft fit itself decodes plainly).
 	var draft DraftModel
-	if opts.Speculative {
+	if opts.draftTokens() > 0 {
 		if draft = opts.DraftModel; draft == nil {
 			draft = m.SelfDraft()
 		}
 	}
 
-	streams := make([]trace.Stream, opts.NumStreams)
-	var wg sync.WaitGroup
-	if opts.Lockstep && !opts.Speculative {
-		// Legacy scheduler: fixed index ranges, each batch retired in full.
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// One decoder per worker, reused (Reset) across its batches.
-				dec := m.newCallDecoder(batch, fanout, opts)
-				defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
-				for bi := range jobs {
-					lo := bi * batch
-					hi := min(lo+batch, opts.NumStreams)
-					m.sampleBatch(dec, streams[lo:hi], lo, opts, init)
-				}
-			}()
-		}
-		for bi := 0; bi < numBatches; bi++ {
-			jobs <- bi
-		}
-		close(jobs)
-	} else {
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				dec := m.newCallDecoder(batch, fanout, opts)
-				defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
-				if opts.Speculative {
-					m.sampleSpeculative(dec, streams, 0, &next, opts, init, draft)
-				} else {
-					m.sampleContinuous(dec, streams, 0, &next, opts, init)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-
-	return &trace.Dataset{Generation: m.Cfg.Generation, Streams: streams}, nil
-}
-
-// GenerateRange synthesizes the UE streams with global indices [lo, hi) of
-// the population Generate would produce for the same opts: the returned
-// slice equals Generate(opts).Streams[lo:hi] bit-for-bit whenever
-// opts.NumStreams ≥ hi (batch_test pins this). Each stream consumes only
-// its own index-seeded RNG, so chunked emission over any partition of the
-// index space reproduces one full run — the streaming scenario engine pulls
-// million-UE populations through this in O(chunk) memory, decoding each
-// chunk through a continuously refilled BatchDecoder. It honours
-// opts.Parallelism as that one decoder's per-step fan-out: a caller that
-// runs chunks on goroutines of its own passes each call its goroutine's
-// share of the cores, and at 1 every step runs inline.
-func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) {
-	if lo < 0 || hi < lo {
-		return nil, fmt.Errorf("cptgpt: invalid stream range [%d,%d)", lo, hi)
-	}
-	if opts.Temperature <= 0 {
-		opts.Temperature = 1
-	}
-	n := hi - lo
-	if n == 0 {
-		return nil, nil
-	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = DefaultBatchSize
-	}
-	if batch > n {
-		batch = n
-	}
-	init, err := stats.NewCategorical(m.InitialDist)
-	if err != nil {
-		return nil, fmt.Errorf("cptgpt: invalid initial-event distribution: %w", err)
-	}
 	streams := make([]trace.Stream, n)
-	dec := m.newCallDecoder(batch, opts.parallelism(), opts)
-	defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
-	switch {
-	case opts.Speculative:
-		draft := opts.DraftModel
-		if draft == nil {
-			draft = m.SelfDraft()
-		}
-		var next atomic.Int64
-		m.sampleSpeculative(dec, streams, lo, &next, opts, init, draft)
-	case opts.Lockstep:
-		for blo := 0; blo < n; blo += batch {
-			bhi := min(blo+batch, n)
-			m.sampleBatch(dec, streams[blo:bhi], lo+blo, opts, init)
-		}
-	default:
-		var next atomic.Int64
-		m.sampleContinuous(dec, streams, lo, &next, opts, init)
+	var next atomic.Int64
+	work := func() {
+		dec := m.NewBatchDecoder(batch, opts.Precision)
+		dec.fanout = fanout
+		dec.SetStepHist(opts.StepHist)
+		defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
+		m.sampleSlots(dec, streams, lo, &next, opts, init, draft)
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	return streams, nil
 }
 
 // sampleStep draws one decode step's fields from the head outputs: the next
 // event index, the scaled interarrival (Gaussian-sampled under DistHead,
 // deterministic scalar in the Table 8 ablation) and the stop flag. It is
-// the single copy of the per-token RNG draw order that the serial,
-// lockstep and continuous schedulers all share — the bit-identical-output
-// contract between them is exactly "same draws in the same order", so this
-// helper is the only place that order may be defined.
+// the single copy of the per-token RNG draw order that the serial reference
+// and the slot scheduler share — the bit-identical-output contract between
+// them is exactly "same draws in the same order", so this helper is the
+// only place that order may be defined.
 func (m *Model) sampleStep(so StepOut, temp float64, rng *rand.Rand, probs []float64) (nextEv int, scaled float64, stopIdx int) {
 	nextEv = sampleLogitsInto(so.EventLogits, temp, rng, probs)
 	if m.Cfg.DistHead {
@@ -315,148 +256,208 @@ func (m *Model) sampleStep(so StepOut, temp float64, rng *rand.Rand, probs []flo
 	return nextEv, scaled, stopIdx
 }
 
-// sampleContinuous decodes the streams of out (global indices baseIdx+i)
-// through dec with continuous batching: slots are seated by claiming the
-// next unclaimed index from next (shared across all workers of a Generate
-// call), and the moment a slot's stream stops — STOP token or MaxLen — the
-// slot is reset and reseated with a fresh claim instead of idling until the
-// rest of the batch drains. Per-stream output is invariant to seating: a
-// stream's events depend only on its own index-seeded RNG and its own slot
-// region, which is why continuous and lockstep scheduling emit bit-identical
-// datasets.
-func (m *Model) sampleContinuous(dec *BatchDecoder, out []trace.Stream, baseIdx int, next *atomic.Int64, opts GenOpts, init *stats.Categorical) {
+// seat is one decode slot's scheduling state: the stream seated in it, that
+// stream's RNG and clock, and its pending token — emitted into the stream but
+// not yet consumed by the transformer (the bootstrap token right after
+// seating, then always the last token emitted).
+type seat struct {
+	s      *trace.Stream
+	rng    *rand.Rand
+	time   float64
+	pendEv int
+	pendIA float64
+	// Draft-model state, nil at draft length 0: committed has observed the
+	// stream's emitted tokens, scratch runs ahead of it along a draft chain.
+	committed, scratch DraftState
+}
+
+// sampleSlots is the one batched sampling loop: it decodes the streams of out
+// (global indices baseIdx+i) through dec with continuous batching. Slots are
+// seated by claiming the next unclaimed index from next (shared across all
+// workers of a call), and the moment a slot's stream stops — STOP token or
+// MaxLen — the slot is reset and reseated with a fresh claim instead of idling
+// until the rest of the batch drains.
+//
+// A pass does the same four things per seated slot: put the pending token in
+// row 0 and draft c ≥ 0 tokens behind it, run all c+1 rows through the
+// transformer (StepK), play acceptance–rejection over the c drafted positions
+// (speculate.go), and — if all of them survived — sample one more token from
+// the pass's last heads. Plain decoding is draft length 0: no draft model
+// (draft may be nil), one row per slot, and that last token is the only one
+// a pass emits — sampleStep's draws, once per token, exactly as the serial
+// reference makes them.
+//
+// Per-stream output is invariant to seating and to batch composition: a
+// stream's events depend only on its own slot region and its own
+// index-seeded RNG, drawn in a fixed order (draft, verify, free token).
+func (m *Model) sampleSlots(dec *BatchDecoder, out []trace.Stream, baseIdx int, next *atomic.Int64, opts GenOpts, init *stats.Categorical, draft DraftModel) {
 	capacity := dec.Capacity()
 	dim := m.Tok.Dim()
 	vocab := m.Tok.Vocab()
-	total := int64(len(out))
+	v := m.Tok.V()
+	maxLen := m.Cfg.MaxLen
+	temp := opts.Temperature
+	k := opts.draftTokens()
+	kMax := k + 1
 
-	rngs := make([]*rand.Rand, capacity)
-	times := make([]float64, capacity)
-	cur := make([]int, capacity) // stream index (into out) seated in each slot
-	toks := make([]float64, capacity*dim)
-	probs := make([]float64, m.Tok.V())
-
-	// claim returns the next unclaimed stream index, or -1 when the
-	// population is exhausted.
-	claim := func() int {
-		if i := next.Add(1) - 1; i < total {
-			return int(i)
+	seats := make([]seat, capacity)
+	if k > 0 {
+		for i := range seats {
+			seats[i].committed = draft.NewDraftState()
+			seats[i].scratch = draft.NewDraftState()
 		}
-		return -1
 	}
-
-	// seat boots stream li into slot via the shared bootStream helper (same
-	// RNG draws in the same order as every other scheduler) and reports
-	// whether the stream still needs decode steps.
-	seat := func(slot, li int) bool {
-		dec.ResetSlot(slot)
-		rng := stats.NewRand(streamSeed(opts.Seed, baseIdx+li))
-		rngs[slot] = rng
-		cur[slot] = li
-		s := &out[li]
-		evIdx, start := bootStream(s, baseIdx+li, opts, init, vocab, rng)
-		m.Tok.writeToken(toks[slot*dim:(slot+1)*dim], evIdx, 0, 0)
-		times[slot] = start
-		return len(s.Events) < m.Cfg.MaxLen
+	toks := make([]float64, capacity*kMax*dim) // slot-major, kMax rows per slot
+	probs := make([]float64, v)
+	// Drafted positions 1..k of every slot (row 0, the pending token, needs
+	// no entry): the proposed token, the interarrival proposal it was drawn
+	// from and, in chainQ, the event proposal pmf.
+	type draftEnt struct {
+		ev       int
+		ia       float64
+		qMu, qSd float64
 	}
+	chain := make([]draftEnt, capacity*k)
+	chainQ := make([]float64, capacity*k*v)
 
-	// refill claims streams into slot until one needs decoding; it returns
-	// false when the population is exhausted.
+	// refill seats the next unclaimed stream that needs decode passes in slot,
+	// booting each claimed stream through the shared bootStream helper; it
+	// returns false when the population is exhausted.
 	refill := func(slot int) bool {
+		st := &seats[slot]
 		for {
-			li := claim()
-			if li < 0 {
+			i := next.Add(1) - 1
+			if i >= int64(len(out)) {
 				return false
 			}
-			if seat(slot, li) {
-				return true
+			gi := baseIdx + int(i)
+			dec.ResetSlot(slot)
+			st.s = &out[i]
+			st.rng = stats.NewRand(streamSeed(opts.Seed, gi))
+			evIdx, start := bootStream(st.s, gi, opts, init, vocab, st.rng)
+			st.time = start
+			if len(st.s.Events) >= maxLen {
+				continue
 			}
+			st.pendEv, st.pendIA = evIdx, 0
+			if k > 0 {
+				st.committed.Reset(evIdx)
+			}
+			return true
 		}
+	}
+
+	// emit appends a sampled token to the slot's stream and reports whether
+	// the stream goes on; if so the token becomes the slot's pending token.
+	emit := func(st *seat, ev int, ia float64, stopIdx int) bool {
+		st.time += m.Tok.UnscaleIA(ia)
+		st.s.Events = append(st.s.Events, trace.Event{Time: st.time, Type: vocab[ev]})
+		if stopIdx == 1 || len(st.s.Events) >= maxLen {
+			return false
+		}
+		st.pendEv, st.pendIA = ev, ia
+		if k > 0 {
+			st.committed.Observe(ev, ia)
+		}
+		return true
 	}
 
 	active := make([]int, 0, capacity)
-	for slot := 0; slot < capacity; slot++ {
-		if !refill(slot) {
-			break
-		}
+	for slot := 0; slot < capacity && refill(slot); slot++ {
 		active = append(active, slot)
 	}
 
+	ks := make([]int, 0, capacity)
 	keep := make([]int, 0, capacity)
 	for len(active) > 0 {
-		outs := dec.Step(active, toks)
+		// Phase 1: draft a chain behind every slot's pending token. A plain
+		// pass has no draft or verify phase to account.
+		var draftSp, verifySp tracez.Active
+		if k > 0 {
+			draftSp = tracez.Begin(tracez.StageDecodeDraft, "")
+		}
+		ks = ks[:0]
+		for _, slot := range active {
+			st := &seats[slot]
+			c := min(k, maxLen-len(st.s.Events))
+			rows := toks[slot*kMax*dim : (slot+1)*kMax*dim]
+			m.Tok.writeToken(rows[:dim], st.pendEv, st.pendIA, 0)
+			if c > 0 {
+				st.scratch.CopyFrom(st.committed)
+			}
+			for r := 1; r <= c; r++ {
+				ce := &chain[slot*k+r-1]
+				q := chainQ[(slot*k+r-1)*v : (slot*k+r)*v]
+				st.scratch.Propose(q)
+				ce.ev = drawProbs(q, st.rng)
+				ce.qMu, ce.qSd = st.scratch.ProposeIA(ce.ev)
+				if m.Cfg.DistHead {
+					ce.ia = clamp01(ce.qMu + ce.qSd*st.rng.NormFloat64())
+				} else {
+					ce.ia = clamp01(ce.qMu)
+				}
+				st.scratch.Observe(ce.ev, ce.ia)
+				m.Tok.writeToken(rows[r*dim:(r+1)*dim], ce.ev, ce.ia, 0)
+			}
+			ks = append(ks, c+1)
+		}
+		draftSp.End(int64(len(active)), "")
+
+		// Phase 2: one pass for the whole batch (it records its own span).
+		outs := dec.StepK(active, ks, kMax, toks)
+
+		// Phase 3: acceptance–rejection over each slot's chain, then the free
+		// token.
+		if k > 0 {
+			verifySp = tracez.Begin(tracez.StageDecodeVerify, "")
+		}
 		keep = keep[:0]
+		var propTotal, accTotal int64
 		for j, slot := range active {
-			rng := rngs[slot]
-			s := &out[cur[slot]]
+			st := &seats[slot]
+			c := ks[j] - 1
+			pos0 := dec.Pos(slot) - (c + 1) // slot position before the pass
+			propTotal += int64(c)
+			live, i := true, 1
+			for ; live && i <= c; i++ {
+				h := outs[j][i-1] // target conditional for chain position i
+				ce := chain[slot*k+i-1]
 
-			nextEv, scaled, stopIdx := m.sampleStep(outs[j], opts.Temperature, rng, probs)
-			times[slot] += m.Tok.UnscaleIA(scaled)
-			s.Events = append(s.Events, trace.Event{Time: times[slot], Type: vocab[nextEv]})
-			if stopIdx != 1 && len(s.Events) < m.Cfg.MaxLen {
-				m.Tok.writeToken(toks[slot*dim:(slot+1)*dim], nextEv, scaled, stopIdx)
-				keep = append(keep, slot)
-				continue
+				softmaxInto(probs, h.EventLogits, temp)
+				ev, okEv := verifyEvent(ce.ev, chainQ[(slot*k+i-1)*v:(slot*k+i)*v], probs, st.rng)
+				pSd := math.Exp(h.IALogStd) // unused when !DistHead
+				ia, okIA := verifyIA(ce.ia, ce.qMu, ce.qSd, h.IAMean, pSd, m.Cfg.DistHead, st.rng)
+				stopIdx := 0
+				if st.rng.Float64() >= stopContinueProb(h.StopLogits, temp) {
+					stopIdx = 1
+				}
+
+				live = emit(st, ev, ia, stopIdx)
+				if !(okEv && okIA) {
+					// Rejection: the emitted replacement is the pending token;
+					// drop the chain's unverified suffix.
+					dec.TruncateSlot(slot, pos0+i)
+					break
+				}
+				accTotal++
 			}
-			// Stream finished: reseat the slot immediately so it decodes a
-			// pending stream on the very next Step.
-			if refill(slot) {
+			if live && i > c {
+				// The whole chain was consumed as emitted (always, at draft
+				// length 0): the pass's last heads condition on exactly the
+				// stream so far, so the next token is sampled from them.
+				ev, scaled, stopIdx := m.sampleStep(outs[j][c], temp, st.rng, probs)
+				live = emit(st, ev, scaled, stopIdx)
+			}
+			// A finished stream's slot is reseated at once, so it decodes a
+			// pending stream on the very next pass.
+			if live || refill(slot) {
 				keep = append(keep, slot)
 			}
 		}
+		dec.draftProposed.Add(propTotal)
+		dec.draftAccepted.Add(accTotal)
+		verifySp.End(accTotal, "")
 		active, keep = keep, active
-	}
-}
-
-// sampleBatch decodes len(out) UE streams (global indices baseIdx+i) in
-// lockstep through dec. Streams leave the active set as they emit stop
-// flags; the batch finishes when every stream has stopped or hit MaxLen —
-// retired slots idle until then, which is what GenOpts.Lockstep exists to
-// measure against continuous batching.
-func (m *Model) sampleBatch(dec *BatchDecoder, out []trace.Stream, baseIdx int, opts GenOpts, init *stats.Categorical) {
-	n := len(out)
-	dec.Reset()
-	dim := m.Tok.Dim()
-	vocab := m.Tok.Vocab()
-
-	rngs := make([]*rand.Rand, n)
-	times := make([]float64, n)
-	toks := make([]float64, n*dim)
-	probs := make([]float64, m.Tok.V())
-	active := make([]int, 0, n)
-
-	// Bootstrap every stream through the shared helper, consuming the same
-	// RNG draws in the same order as the serial reference path.
-	for i := range out {
-		rng := stats.NewRand(streamSeed(opts.Seed, baseIdx+i))
-		rngs[i] = rng
-		s := &out[i]
-		evIdx, start := bootStream(s, baseIdx+i, opts, init, vocab, rng)
-		m.Tok.writeToken(toks[i*dim:(i+1)*dim], evIdx, 0, 0)
-		times[i] = start
-		if len(s.Events) < m.Cfg.MaxLen {
-			active = append(active, i)
-		}
-	}
-
-	next := make([]int, 0, n)
-	for len(active) > 0 {
-		outs := dec.Step(active, toks)
-		next = next[:0]
-		for j, slot := range active {
-			rng := rngs[slot]
-			s := &out[slot]
-
-			nextEv, scaled, stopIdx := m.sampleStep(outs[j], opts.Temperature, rng, probs)
-			times[slot] += m.Tok.UnscaleIA(scaled)
-			s.Events = append(s.Events, trace.Event{Time: times[slot], Type: vocab[nextEv]})
-			if stopIdx == 1 || len(s.Events) >= m.Cfg.MaxLen {
-				continue
-			}
-			m.Tok.writeToken(toks[slot*dim:(slot+1)*dim], nextEv, scaled, stopIdx)
-			next = append(next, slot)
-		}
-		active, next = next, active
 	}
 }
 

@@ -11,17 +11,18 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// Scheduling benchmarks with the slot-utilization metric the public
-// (root-package) benchmarks cannot see: they drive sampleContinuous /
-// sampleBatch directly over one decoder and report
-// slotSteps / (steps × capacity) from BatchDecoder.Stats — the fraction of
-// the decoder's lockstep bandwidth doing useful work. On skewed
-// stream-length populations lockstep drains each batch down to its longest
-// stream (utilization falls with every retirement); continuous batching
-// reseats retired slots immediately.
+// Scheduling benchmark with the slot-utilization metric the public
+// (root-package) benchmarks cannot see: it drives sampleSlots directly over
+// one decoder and reports slotSteps / (steps × capacity) from
+// BatchDecoder.Stats — the fraction of the decoder's batch bandwidth doing
+// useful work. On skewed stream-length populations a scheduler that retired
+// each batch whole would drain it down to its longest stream (29.9 % on this
+// population when that was last measured); continuous batching reseats
+// retired slots immediately.
 
-func benchScheduling(b *testing.B, lockstep bool) {
-	b.Helper()
+// BenchmarkSchedulingContinuous reports the scheduler's utilization and
+// per-stream cost on the skewed population, decoding plainly.
+func BenchmarkSchedulingContinuous(b *testing.B) {
 	prevPar := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prevPar)
 
@@ -51,25 +52,11 @@ func benchScheduling(b *testing.B, lockstep bool) {
 		for j := range streams {
 			streams[j] = trace.Stream{}
 		}
-		if lockstep {
-			for lo := 0; lo < len(streams); lo += slots {
-				m.sampleBatch(dec, streams[lo:min(lo+slots, len(streams))], lo, opts, init)
-			}
-		} else {
-			var next atomic.Int64
-			m.sampleContinuous(dec, streams, 0, &next, opts, init)
-		}
+		var next atomic.Int64
+		m.sampleSlots(dec, streams, 0, &next, opts, init, nil)
 	}
 	b.StopTimer()
 	st := dec.Stats()
 	b.ReportMetric(100*float64(st.SlotSteps)/(float64(st.Steps)*slots), "util%")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*opts.NumStreams), "ns/stream")
 }
-
-// BenchmarkSchedulingContinuous reports continuous batching's utilization
-// and per-stream cost on the skewed population.
-func BenchmarkSchedulingContinuous(b *testing.B) { benchScheduling(b, false) }
-
-// BenchmarkSchedulingLockstep is the retire-whole-batch companion over the
-// identical (bit-identical output) population.
-func BenchmarkSchedulingLockstep(b *testing.B) { benchScheduling(b, true) }

@@ -49,10 +49,10 @@ type TrainOpts struct {
 	// trained weights are bit-identical at every setting (see
 	// Config.MicrobatchStreams); set 1 to force the serial per-stream path.
 	MicrobatchStreams int
-	// NoArena disables the per-step tensor arena, restoring heap allocation
-	// for the tape. Training results are identical either way; the knob
-	// exists for benchmarking the arena's effect and as a kill switch.
-	NoArena bool
+	// noArena is a test seam: it allocates the tape from the heap instead of
+	// the per-step tensor arena, giving TestTrainMicrobatchEquivalence a
+	// reference the arena must match bit for bit.
+	noArena bool
 }
 
 // TrainResult reports what a training run did.
@@ -178,7 +178,7 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	// loser runs off the heap); other concurrent tape work while an arena
 	// is held remains unsupported — see tensor.InstallArena.
 	var arena *tensor.Arena
-	if !opts.NoArena {
+	if !opts.noArena {
 		arena = tensor.NewArena()
 		if tensor.InstallArena(arena) {
 			defer tensor.UninstallArena(arena)

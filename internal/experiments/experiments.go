@@ -143,7 +143,7 @@ type Lab struct {
 	// tensor-layer default (GOMAXPROCS, or tensor.SetParallelism's value).
 	// Generated datasets are identical at every setting.
 	Parallelism int
-	// BatchSize is the CPT-GPT lockstep decode batch; 0 means the
+	// BatchSize is the CPT-GPT decode batch (slots per decoder); 0 means the
 	// generator default.
 	BatchSize int
 	// Microbatch is the CPT-GPT packed-minibatch size for training (streams

@@ -24,9 +24,6 @@ type GenOpts struct {
 	// draws from its own index-seeded RNG, so output is identical at every
 	// setting.
 	Parallelism int
-	// Workers is a deprecated alias for Parallelism, honored when
-	// Parallelism is 0.
-	Workers int
 	// StartWindow, when positive, offsets each stream's start uniformly in
 	// [0, StartWindow) seconds (see cptgpt.GenOpts.StartWindow).
 	StartWindow float64
@@ -45,9 +42,6 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 		return nil, fmt.Errorf("netshare: NumStreams must be positive, got %d", opts.NumStreams)
 	}
 	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = opts.Workers
-	}
 	if workers <= 0 {
 		workers = tensor.Parallelism()
 	}

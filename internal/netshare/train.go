@@ -34,9 +34,6 @@ type TrainOpts struct {
 	// any setting). The GAN already trains a Config.BatchSize-packed
 	// minibatch per step, so it needs no separate microbatch knob.
 	Parallelism int
-	// NoArena disables the per-step tensor arena (heap tape allocation);
-	// results are identical either way. Benchmarking/kill-switch knob.
-	NoArena bool
 }
 
 // TrainResult reports a GAN training run.
@@ -197,14 +194,11 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	// ownership-gated; if another trainer holds the ambient slot this run
 	// trains off the heap. Other concurrent tape work while an arena is
 	// held remains unsupported — see tensor.InstallArena.
-	var arena *tensor.Arena
-	if !opts.NoArena {
-		arena = tensor.NewArena()
-		if tensor.InstallArena(arena) {
-			defer tensor.UninstallArena(arena)
-		} else {
-			arena = nil
-		}
+	arena := tensor.NewArena()
+	if tensor.InstallArena(arena) {
+		defer tensor.UninstallArena(arena)
+	} else {
+		arena = nil
 	}
 
 	order := make([]int, len(real))

@@ -11,7 +11,7 @@
 // scenario once; the engine reproduces it at any population size.
 //
 // Execution is streaming end-to-end. Sources emit per-UE streams in chunks
-// (CPT-GPT chunks decode in lockstep through the shared-cache BatchDecoder;
+// (CPT-GPT chunks decode batched through the shared-cache BatchDecoder;
 // the synthetic ground-truth generator simulates index ranges); operators
 // rewrite each stream in isolation; each chunk's events are sorted and
 // spilled to a compact binary run file; and a bounded fan-in k-way merge

@@ -272,8 +272,8 @@ type chunkJob struct {
 //
 //  1. every source's UE index space is cut into chunks of
 //     RunOpts.BatchSize streams;
-//  2. RunOpts.Parallelism workers generate chunks (model sources decode in
-//     lockstep through a BatchDecoder), rewrite each stream through the
+//  2. RunOpts.Parallelism workers generate chunks (model sources decode
+//     batched through a BatchDecoder), rewrite each stream through the
 //     source's operator chain, assign the per-UE event sequence numbers,
 //     sort the chunk and spill it as a sorted binary run;
 //  3. runs are merged hierarchically down to RunOpts.MaxFanIn, and the

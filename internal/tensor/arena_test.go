@@ -214,7 +214,8 @@ func bytesPerRun(runs int, fn func()) uint64 {
 // that do not divide the tile dimensions. The input gradient's blocked path
 // re-associates its reduction (terms fold directly into the destination
 // instead of a local dot accumulator), so it is checked to a 1-ulp-scale
-// relative tolerance instead.
+// relative tolerance instead. Both bodies of each kernel are called directly,
+// so every shape exercises both whichever one MatMul's shape rule would pick.
 func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	shapes := [][3]int{
 		{16, 16, 16},
@@ -226,20 +227,27 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
-		run := func(blocked bool) (y, ga, gb []float64) {
-			prev := SetBlockedMatMul(blocked)
-			defer SetBlockedMatMul(prev)
-			rng := rand.New(rand.NewPCG(11, uint64(m*k*n)))
-			a := Randn(m, k, 1, rng).Param()
-			b := Randn(k, n, 1, rng).Param()
-			out := MatMul(a, b)
-			Mean(out).Backward()
-			return append([]float64(nil), out.Data...),
-				append([]float64(nil), a.Grad...),
-				append([]float64(nil), b.Grad...)
+		rng := rand.New(rand.NewPCG(11, uint64(m*k*n)))
+		a := Randn(m, k, 1, rng).Data
+		b := Randn(k, n, 1, rng).Data
+		gOut := Randn(m, n, 1, rng).Data // upstream gradient of the product
+		// The gradient kernels accumulate, so both bodies start from the same
+		// non-zero destinations.
+		gaInit := Randn(m, k, 1, rng).Data
+		gbInit := Randn(k, n, 1, rng).Data
+		run := func(into func(dst, a, b []float64, rA, cA, cB int),
+			accBT func(dst, a, b []float64, rA, cA, rB int),
+			accT func(dst, a, b []float64, rA, cA, cB int)) (y, ga, gb []float64) {
+			y = make([]float64, m*n)
+			into(y, a, b, m, k, n)
+			ga = append([]float64(nil), gaInit...)
+			accBT(ga, gOut, b, m, n, k)
+			gb = append([]float64(nil), gbInit...)
+			accT(gb, a, gOut, m, k, n)
+			return y, ga, gb
 		}
-		ny, nga, ngb := run(false)
-		by, bga, bgb := run(true)
+		ny, nga, ngb := run(matmulIntoNaive, matmulAccBTNaive, matmulAccTNaive)
+		by, bga, bgb := run(matmulIntoBlocked, matmulAccBTBlocked, matmulAccTBlocked)
 		cmp := func(name string, naive, blocked []float64, tol float64) {
 			t.Helper()
 			for i := range naive {

@@ -1,13 +1,12 @@
 package tensor
 
-import "sync/atomic"
-
 // Matrix-multiply kernels. Three variants back the MatMul op: the forward
 // product and the two gradient accumulations. Each has a naive row-loop path
 // (cheapest for small or very sparse operands, e.g. one-hot token rows) and
 // a cache-blocked path that packs the strided operand once per call and
 // tiles the j/k loops so a panel block stays in cache across many output
-// rows. All inner loops are kept in axpy form (independent adds across j)
+// rows; which one runs is a function of the operand shape alone. All inner
+// loops are kept in axpy form (independent adds across j)
 // rather than dot form: a dot product's single accumulator is a loop-carried
 // dependency chain that stalls the FPU pipeline, which measurably dominates
 // these kernels on scalar Go.
@@ -102,27 +101,18 @@ func axpyPair(di0, di1, bk []float64, a0, a1 float64) {
 	}
 }
 
-// blockedMatMul gates the blocked kernels; on by default. SetBlockedMatMul
-// exists so benchmarks can pin the naive kernels for comparison.
-var blockedMatMul atomic.Bool
-
-func init() { blockedMatMul.Store(true) }
-
-// SetBlockedMatMul enables or disables the cache-blocked MatMul kernels and
-// returns the previous setting. The forward product and the weight-gradient
-// accumulation are bit-identical either way; the input-gradient
-// accumulation may differ in the last ulp (re-associated reduction). The
-// toggle exists for benchmarking and as a kill switch.
-func SetBlockedMatMul(on bool) (prev bool) {
-	return blockedMatMul.Swap(on)
-}
-
 // matmulInto computes dst = a(rA×cA) · b(cA×cB) with dst pre-sized.
 func matmulInto(dst, a, b []float64, rA, cA, cB int) {
-	if blockedMatMul.Load() && cA >= mmPackMinK && cB >= 4 && rA*cA*cB >= mmPackMinWork {
+	if cA >= mmPackMinK && cB >= 4 && rA*cA*cB >= mmPackMinWork {
 		matmulIntoBlocked(dst, a, b, rA, cA, cB)
 		return
 	}
+	matmulIntoNaive(dst, a, b, rA, cA, cB)
+}
+
+// matmulIntoNaive is the row-loop path of matmulInto: it skips zero entries
+// of a, which is what makes one-hot token rows cheap.
+func matmulIntoNaive(dst, a, b []float64, rA, cA, cB int) {
 	parallelRows(rA, cA*cB, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a[i*cA : (i+1)*cA]
@@ -211,10 +201,15 @@ func matmulIntoBlocked(dst, a, b []float64, rA, cA, cB int) {
 // matmulAccT computes dst += aᵀ(cA×rA)·b(rA×cB) where a is rA×cA — used for
 // weight gradients (dW = Xᵀ·dY).
 func matmulAccT(dst, a, b []float64, rA, cA, cB int) {
-	if blockedMatMul.Load() && rA >= mmPackMinK && rA*cA*cB >= mmPackMinWork {
+	if rA >= mmPackMinK && rA*cA*cB >= mmPackMinWork {
 		matmulAccTBlocked(dst, a, b, rA, cA, cB)
 		return
 	}
+	matmulAccTNaive(dst, a, b, rA, cA, cB)
+}
+
+// matmulAccTNaive is the row-loop path of matmulAccT, reading a by column.
+func matmulAccTNaive(dst, a, b []float64, rA, cA, cB int) {
 	parallelRows(cA, rA*cB, func(lo, hi int) {
 		for i := lo; i < hi; i++ { // row of aᵀ = column i of a
 			di := dst[i*cB : (i+1)*cB]
@@ -283,10 +278,16 @@ func matmulAccTBlocked(dst, a, b []float64, rA, cA, cB int) {
 // (dX = dY·Wᵀ). The packing condition depends only on b's (weight) shape so
 // that every sequence length of a given layer takes the same path.
 func matmulAccBT(dst, a, b []float64, rA, cA, rB int) {
-	if blockedMatMul.Load() && cA >= 4 && cA*rB >= mmPackMinPanel {
+	if cA >= 4 && cA*rB >= mmPackMinPanel {
 		matmulAccBTBlocked(dst, a, b, rA, cA, rB)
 		return
 	}
+	matmulAccBTNaive(dst, a, b, rA, cA, rB)
+}
+
+// matmulAccBTNaive is the dot-product path of matmulAccBT: one local
+// accumulator per output element.
+func matmulAccBTNaive(dst, a, b []float64, rA, cA, rB int) {
 	parallelRows(rA, cA*rB, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a[i*cA : (i+1)*cA]

@@ -47,8 +47,8 @@ const (
 	StagePacerWait       = "pacer.wait"       // one pacer release wait
 	StagePacerWindow     = "pacer.window"     // one achieved-rate window
 	StagePacerShed       = "pacer.shed"       // one load-shedding burst (n = shed releases)
-	StageDecodeStep      = "decode.step"      // one BatchDecoder.Step
-	StageDecodeStepK     = "decode.stepk"     // one BatchDecoder.StepK
+	StageDecodeStep      = "decode.step"      // one decoder pass, one row per slot
+	StageDecodeStepK     = "decode.stepk"     // one decoder pass, several rows per slot
 	StageDecodeDraft     = "decode.draft"     // speculative draft proposal phase
 	StageDecodeVerify    = "decode.verify"    // speculative acceptance phase
 	StageReplayAck       = "replay.ack"       // one ACK fold (dur = RTT sample)
