@@ -13,15 +13,16 @@
 // -spec accepts a built-in name or a JSON spec path. Sinks: "count" (drain
 // and summarize), "mcn" (the simulated mobile-core NF), "jsonl"/"csv"
 // (event-interleaved trace files, ".gz"-transparent) and "replay" (pace
-// onto a replaynet TCP server). Peak memory is O(-batch), independent of
-// -ues, and output is bit-identical at every -parallelism and -batch.
+// onto a replaynet TCP server) — built and validated by the sink registry
+// in internal/scenario, which refuses a flag the chosen sink cannot use.
+// Peak memory is O(-batch), independent of -ues, and output is
+// bit-identical at every -parallelism and -batch.
 package main
 
 import (
-	"compress/gzip"
+	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
@@ -41,9 +42,9 @@ func main() {
 		list     = flag.Bool("list", false, "list built-in scenarios and exit")
 		saveSpec = flag.String("save-spec", "", "write the resolved spec as JSON and exit")
 		ues      = flag.Int("ues", 0, "total UE population (0 = the spec's default)")
-		sink     = flag.String("sink", "count", "sink: count, mcn, jsonl, csv or replay")
-		out      = flag.String("out", "", "output path for jsonl/csv sinks (default stdout; .gz compresses)")
-		addr     = flag.String("addr", "127.0.0.1:9000", "replaynet server address (replay sink)")
+		sink     = flag.String("sink", scenario.DefaultSink, "sink: "+scenario.SinkList())
+		out      = flag.String("out", "", "output path for the file sinks (default stdout; .gz compresses)")
+		addr     = flag.String("addr", "", "replaynet server address (replay sink; required there unless -replay-self)")
 		speedup  = flag.Float64("speedup", 0, "trace-time speedup for the replay sink (0 = full speed)")
 
 		closedLoop = flag.Bool("closed-loop", false, "replay sink: acknowledged closed-loop driver (CUBIC window, RTT/RTO, reconnect-resume) instead of open-loop pacing")
@@ -121,142 +122,93 @@ func main() {
 		Speculative: *specDec, DraftTokens: *draftK,
 	}
 
+	// Every flag that belongs to one sink lands in the sink's configuration,
+	// so the registry's validation refuses it on a sink that cannot use it.
+	cfg := scenario.SinkConfig{
+		Name: *sink, Out: *out, Stdout: os.Stdout,
+		Addr: *addr, ClosedLoop: *closedLoop || *sloP99 > 0, Speedup: *speedup,
+	}
+	fcfg := cptgen.FaultConfig{
+		Seed: *faultSeed, DropProb: *faultDrop, ResetProb: *faultReset,
+		PartialProb: *faultPartial, StallProb: *faultStall,
+	}
+	if err := fcfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	faultsOn := *faultDrop > 0 || *faultReset > 0 || *faultPartial > 0 || *faultStall > 0
+	switch *faultSide {
+	case "client", "server", "both":
+	default:
+		log.Fatalf("unknown -fault-side %q (want client, server or both)", *faultSide)
+	}
+	if faultsOn && *faultSide != "client" && !*replaySelf {
+		log.Fatal("server-side fault injection requires -replay-self")
+	}
+	if faultsOn && *faultSide != "server" {
+		cfg.Dial = cptgen.FaultDialer(fcfg)
+	}
+	if *replaySelf {
+		cfg.Addr = "127.0.0.1:0" // where the in-process server will listen
+	}
+	if err := cfg.Validate(); err != nil {
+		log.Fatal(err)
+	}
+
+	// log.Fatal skips deferred cleanup, so the stream (and its spill
+	// directory) is closed explicitly before any fatal exit.
 	start := time.Now()
-	switch *sink {
-	case "count":
-		sum, err := cptgen.RunScenario(spec, opts)
-		if err != nil {
-			log.Fatal(err)
+	st, err := cptgen.OpenScenario(spec, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *replaySelf {
+		sopts := cptgen.ReplayServerOpts{ServiceTime: *selfService}
+		if faultsOn && *faultSide != "client" {
+			sopts.Fault = &fcfg
 		}
-		printSummary(spec, sum, time.Since(start))
-
-	case "mcn":
-		rep, err := cptgen.RunScenarioMCN(spec, opts, cptgen.DefaultMCNConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("scenario %s: %d events from %d UEs in %v\n", spec.Name, rep.Events, rep.UEs, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("mcn: rejected=%d (%.4f%%) peak_rate=%.1f/s peak_connected=%d\n",
-			rep.Rejected, 100*float64(rep.Rejected)/float64(max(rep.Events, 1)), rep.PeakRate, rep.PeakConnectedUEs)
-		fmt.Printf("mcn: latency mean=%.2fms p95=%.2fms p99=%.2fms instances[final=%d max=%d]\n",
-			1e3*rep.MeanLatencySec, 1e3*rep.P95LatencySec, 1e3*rep.P99LatencySec, rep.FinalInstances, rep.MaxInstancesUsed)
-
-	case "jsonl", "csv":
-		// log.Fatal skips deferred cleanup, so the stream (and its spill
-		// directory) is closed explicitly before any fatal exit.
-		st, err := cptgen.OpenScenario(spec, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		w, closeW, err := openOut(*out)
+		srv, err := cptgen.ListenMCNOpts(cfg.Addr, st.Generation(), sopts)
 		if err != nil {
 			st.Close()
 			log.Fatal(err)
 		}
-		var n int
-		if *sink == "jsonl" {
-			n, err = scenario.WriteJSONL(w, st)
-		} else {
-			n, err = scenario.WriteCSV(w, st)
-		}
-		if cerr := closeW(); err == nil {
-			err = cerr
-		}
+		defer srv.Close()
+		cfg.Addr = srv.Addr().String()
+	}
+
+	if *sloP99 > 0 {
+		// The SLO search is a controller over the closed-loop transport,
+		// not a sink: it re-offers the stream at rates of its own choosing.
+		res, err := scenario.ReplaySLOSearch(cfg.Addr, st,
+			cptgen.ReplayClosedOpts{Speedup: cfg.Speedup, Dial: cfg.Dial},
+			cptgen.ReplaySearchOpts{SLOP99: *sloP99, InitialRate: *sloRate, WindowEvents: *sloWindow})
 		st.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "scenario %s: wrote %d events in %v\n", spec.Name, n, time.Since(start).Round(time.Millisecond))
-
-	case "replay":
-		fcfg := cptgen.FaultConfig{
-			Seed: *faultSeed, DropProb: *faultDrop, ResetProb: *faultReset,
-			PartialProb: *faultPartial, StallProb: *faultStall,
+		for i, r := range res.Rounds {
+			fmt.Printf("round %2d: offered %8.1f/s achieved %8.1f/s p99 %8s  %s\n",
+				i+1, r.Rate, r.Achieved, r.P99.Round(time.Microsecond),
+				map[bool]string{true: "met", false: "VIOLATED"}[r.Met])
 		}
-		if err := fcfg.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		faultsOn := *faultDrop > 0 || *faultReset > 0 || *faultPartial > 0 || *faultStall > 0
-		switch *faultSide {
-		case "client", "server", "both":
-		default:
-			log.Fatalf("unknown -fault-side %q (want client, server or both)", *faultSide)
-		}
-		if faultsOn && *faultSide != "client" && !*replaySelf {
-			log.Fatal("server-side fault injection requires -replay-self")
-		}
-
-		st, err := cptgen.OpenScenario(spec, opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		target := *addr
-		if *replaySelf {
-			sopts := cptgen.ReplayServerOpts{ServiceTime: *selfService}
-			if faultsOn && *faultSide != "client" {
-				cfg := fcfg
-				sopts.Fault = &cfg
-			}
-			srv, err := cptgen.ListenMCNOpts("127.0.0.1:0", st.Generation(), sopts)
-			if err != nil {
-				st.Close()
-				log.Fatal(err)
-			}
-			defer srv.Close()
-			target = srv.Addr().String()
-		}
-		copts := cptgen.ReplayClosedOpts{Speedup: *speedup}
-		if faultsOn && *faultSide != "server" {
-			copts.Dial = cptgen.FaultDialer(fcfg)
-		}
-
-		switch {
-		case *sloP99 > 0:
-			res, err := scenario.ReplaySLOSearch(target, st, copts, cptgen.ReplaySearchOpts{
-				SLOP99: *sloP99, InitialRate: *sloRate, WindowEvents: *sloWindow,
-			})
-			st.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			for i, r := range res.Rounds {
-				fmt.Printf("round %2d: offered %8.1f/s achieved %8.1f/s p99 %8s  %s\n",
-					i+1, r.Rate, r.Achieved, r.P99.Round(time.Microsecond),
-					map[bool]string{true: "met", false: "VIOLATED"}[r.Met])
-			}
-			fmt.Printf("scenario %s slo-search in %v: max sustained rate %.1f events/s at p99 ≤ %v (converged=%v, %d rounds)\n",
-				spec.Name, time.Since(start).Round(time.Millisecond), res.MaxRate, *sloP99, res.Converged, len(res.Rounds))
-			fmt.Printf("transport: sent=%d acked=%d retx=%d reconnects=%d srtt=%v final_cwnd=%.1f\n",
-				res.Transport.Sent, res.Transport.Acked, res.Transport.Retransmits,
-				res.Transport.Reconnects, res.Transport.SRTT.Round(time.Microsecond), res.Transport.FinalCwnd)
-
-		case *closedLoop:
-			cst, err := scenario.ReplayClosed(target, st, copts)
-			st.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("scenario %s closed-loop replayed in %v: server applied %d events (%d rejected, %d duplicates suppressed), peak %d connected UEs\n",
-				spec.Name, time.Since(start).Round(time.Millisecond), cst.Server.Events,
-				cst.Server.Rejected, cst.Server.Duplicates, cst.Server.PeakConnectedUEs)
-			fmt.Printf("transport: sent=%d acked=%d retx=%d reconnects=%d rate=%.1f/s latency mean=%v p99=%v srtt=%v cwnd=%.1f\n",
-				cst.Sent, cst.Acked, cst.Retransmits, cst.Reconnects, cst.AchievedRate,
-				cst.MeanLatency.Round(time.Microsecond), cst.P99Latency.Round(time.Microsecond),
-				cst.SRTT.Round(time.Microsecond), cst.FinalCwnd)
-
-		default:
-			stats, err := scenario.ReplayTCP(target, st, cptgen.ReplayOpts{Speedup: *speedup})
-			st.Close()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("scenario %s replayed in %v: server saw %d events, %d rejected, peak %d connected UEs\n",
-				spec.Name, time.Since(start).Round(time.Millisecond), stats.Events, stats.Rejected, stats.PeakConnectedUEs)
-		}
-
-	default:
-		log.Fatalf("unknown sink %q (want count, mcn, jsonl, csv or replay)", *sink)
+		fmt.Printf("scenario %s slo-search in %v: max sustained rate %.1f events/s at p99 ≤ %v (converged=%v, %d rounds)\n",
+			spec.Name, time.Since(start).Round(time.Millisecond), res.MaxRate, *sloP99, res.Converged, len(res.Rounds))
+		fmt.Printf("transport: sent=%d acked=%d retx=%d reconnects=%d srtt=%v final_cwnd=%.1f\n",
+			res.Transport.Sent, res.Transport.Acked, res.Transport.Retransmits,
+			res.Transport.Reconnects, res.Transport.SRTT.Round(time.Microsecond), res.Transport.FinalCwnd)
+		return
 	}
+
+	snk, err := scenario.NewSink(cfg)
+	if err != nil {
+		st.Close()
+		log.Fatal(err)
+	}
+	res, err := snk.Consume(context.Background(), st)
+	st.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res.Report(os.Stdout, os.Stderr, spec.Name, time.Since(start))
 }
 
 // loadSpec resolves a built-in name or a spec file path.
@@ -268,38 +220,4 @@ func loadSpec(arg string) (*cptgen.ScenarioSpec, error) {
 		return spec, nil
 	}
 	return cptgen.LoadScenario(arg)
-}
-
-// openOut opens the sink output (stdout when path is empty), transparently
-// gzip-compressing a ".gz" path.
-func openOut(path string) (io.Writer, func() error, error) {
-	if path == "" {
-		return os.Stdout, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		return gz, func() error {
-			if err := gz.Close(); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}, nil
-	}
-	return f, f.Close, nil
-}
-
-func printSummary(spec *cptgen.ScenarioSpec, sum cptgen.ScenarioSummary, dur time.Duration) {
-	fmt.Printf("scenario %s: %d events in [%.1fs, %.1fs], generated in %v\n",
-		spec.Name, sum.Events, sum.FirstTime, sum.LastTime, dur.Round(time.Millisecond))
-	fmt.Printf("peak rate %.1f events/s in window starting at %.0fs\n", sum.PeakRate, sum.PeakWindowStart)
-	for t, n := range sum.ByType {
-		if n > 0 {
-			fmt.Printf("  %-12s %d\n", cptgen.EventType(t), n)
-		}
-	}
 }

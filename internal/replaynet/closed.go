@@ -116,10 +116,15 @@ type ClosedOpts struct {
 	RTTSink *telemetry.Histogram
 }
 
+// NewSessionID derives a fresh session key from the wall clock — what a
+// zero ClosedOpts.SessionID resolves to, for a caller that must know the
+// key before the replay starts (to journal it).
+func NewSessionID() uint64 { return uint64(time.Now().UnixNano())*2654435761 + 1 }
+
 // withDefaults resolves zero fields to their defaults.
 func (o ClosedOpts) withDefaults() ClosedOpts {
 	if o.SessionID == 0 {
-		o.SessionID = uint64(time.Now().UnixNano())*2654435761 + 1
+		o.SessionID = NewSessionID()
 	}
 	if o.InitialCwnd <= 0 {
 		o.InitialCwnd = 4

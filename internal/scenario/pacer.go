@@ -15,8 +15,8 @@ import (
 // Next yields events in the merge's (Time, UE, Seq) total order until
 // ok=false, after which Err distinguishes clean exhaustion (nil) from a
 // pipeline failure. Both *Stream and *Pacer implement it, and every sink
-// (Drain, WriteJSONL, WriteCSV, RunMCN, ReplayTCP) consumes it, so pacing
-// and other stages compose between the merge and any sink.
+// (Sink.Consume; the registry in sinks.go has the list) consumes it, so
+// pacing and other stages compose between the merge and any sink.
 //
 // Next is single-consumer: one goroutine pulls at a time.
 type EventSource interface {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -617,34 +618,33 @@ func TestEventWriterSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := spec.Open(RunOpts{UEs: 60})
-	if err != nil {
-		t.Fatal(err)
+	write := func(format string) (string, int64) {
+		t.Helper()
+		st, err := spec.Open(RunOpts{UEs: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var buf bytes.Buffer
+		sink, err := NewSink(SinkConfig{Name: format, Stdout: &buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sink.Consume(context.Background(), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), res.(fileResult).Events
 	}
-	var jb bytes.Buffer
-	nj, err := WriteJSONL(&jb, st)
-	st.Close()
-	if err != nil {
-		t.Fatal(err)
+	jsonl, nj := write("jsonl")
+	if nj == 0 || int64(strings.Count(jsonl, "\n")) != nj {
+		t.Fatalf("JSONL sink wrote %d events, %d lines", nj, strings.Count(jsonl, "\n"))
 	}
-	if nj == 0 || strings.Count(jb.String(), "\n") != nj {
-		t.Fatalf("JSONL sink wrote %d events, %d lines", nj, strings.Count(jb.String(), "\n"))
-	}
-
-	st, err = spec.Open(RunOpts{UEs: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cb bytes.Buffer
-	nc, err := WriteCSV(&cb, st)
-	st.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	csv, nc := write("csv")
 	if nc != nj {
 		t.Fatalf("CSV sink wrote %d events, JSONL wrote %d", nc, nj)
 	}
-	if !strings.HasPrefix(cb.String(), "ue_id,device_type,timestamp,event_type\n") {
+	if !strings.HasPrefix(csv, "ue_id,device_type,timestamp,event_type\n") {
 		t.Fatal("CSV sink missing header")
 	}
 }

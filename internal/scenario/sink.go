@@ -37,7 +37,7 @@ const summaryWindow = 60.0
 func Drain(st EventSource) (Summary, error) {
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
 	var sum Summary
-	defer func() { sp.End(int64(sum.Events), "count") }()
+	defer func() { sp.End(int64(sum.Events), sinkCount) }()
 	var winStart float64
 	winCount := 0
 	first := true
@@ -147,9 +147,9 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 // LineWriter encodes scenario events one at a time in the jsonl or csv
 // interchange format, exposing the encoder's flush boundary: after Flush,
 // every event passed to Write has fully reached the underlying writer.
-// WriteJSONL and WriteCSV are built on it; so is the daemon's journaled
-// file sink, which must align durable checkpoints (sink byte cursor ↔
-// event count) with event boundaries.
+// The jsonl and csv sinks are built on it (fileSink), whose journaled runs
+// must align durable checkpoints (sink byte cursor ↔ event count) with
+// event boundaries.
 //
 // The bytes are those of json.Encoder.Encode on {"t", "ue_id",
 // "device_type", "event_type"} and of csv.Writer.Write on (ue_id,
@@ -181,10 +181,10 @@ type LineWriter struct {
 // see UEIDAppender). For CSV, header selects whether the column header is
 // emitted first — a resumed sink already has one on disk; jsonl ignores it.
 func NewLineWriter(w io.Writer, format string, src EventSource, header bool) (*LineWriter, error) {
-	if format != "jsonl" && format != "csv" {
+	if format != sinkJSONL && format != sinkCSV {
 		return nil, fmt.Errorf("scenario: unknown line format %q (want jsonl or csv)", format)
 	}
-	lw := &LineWriter{w: w, csv: format == "csv", appendID: UEIDAppender(src), buf: make([]byte, 0, lineBlock+512)}
+	lw := &LineWriter{w: w, csv: format == sinkCSV, appendID: UEIDAppender(src), buf: make([]byte, 0, lineBlock+512)}
 	if lw.csv && header {
 		lw.buf = append(lw.buf, "ue_id,device_type,timestamp,event_type\n"...)
 	}
@@ -289,44 +289,6 @@ func (lw *LineWriter) Flush() error {
 // Count returns the number of events written.
 func (lw *LineWriter) Count() int { return lw.n }
 
-// WriteJSONL drains the stream to w as one JSON object per event (the
-// event-interleaved counterpart of the per-stream trace format: scenario
-// output arrives in time order across UEs, so per-UE grouping would require
-// unbounded buffering). Returns the event count.
-func WriteJSONL(w io.Writer, st EventSource) (int, error) {
-	return writeLines(w, st, "jsonl")
-}
-
-// WriteCSV drains the stream to w as CSV rows with the trace interchange
-// columns (ue_id,device_type,timestamp,event_type), one event per row in
-// time order. Returns the event count.
-func WriteCSV(w io.Writer, st EventSource) (int, error) {
-	return writeLines(w, st, "csv")
-}
-
-func writeLines(w io.Writer, st EventSource, format string) (int, error) {
-	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	lw, err := NewLineWriter(w, format, st, true)
-	if err != nil {
-		sp.End(0, format)
-		return 0, err
-	}
-	defer func() { sp.End(int64(lw.n), format) }()
-	for {
-		e, ok := st.Next()
-		if !ok {
-			break
-		}
-		if err := lw.Write(e); err != nil {
-			return lw.n, err
-		}
-	}
-	if err := st.Err(); err != nil {
-		return lw.n, err
-	}
-	return lw.n, lw.Flush()
-}
-
 // mcnAdapter presents an EventSource as an mcn.ArrivalSource.
 type mcnAdapter struct{ st EventSource }
 
@@ -345,9 +307,9 @@ func RunMCN(st EventSource, cfg mcn.Config) (*mcn.Report, error) {
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
 	rep, err := mcn.RunStream(st.Generation(), mcnAdapter{st}, cfg)
 	if rep != nil {
-		sp.End(int64(rep.Events), "mcn")
+		sp.End(int64(rep.Events), sinkMCN)
 	} else {
-		sp.End(0, "mcn")
+		sp.End(0, sinkMCN)
 	}
 	return rep, err
 }
@@ -361,26 +323,6 @@ func (a replayAdapter) NextReplayEvent() (replaynet.ReplayEvent, bool, error) {
 		return replaynet.ReplayEvent{}, false, a.st.Err()
 	}
 	return replaynet.ReplayEvent{Time: e.Time, UE: e.UE, Type: e.Type}, true, nil
-}
-
-// ReplayTCP drains the stream onto a replaynet server — the networked MCN
-// load-test sink.
-func ReplayTCP(addr string, st EventSource, opts replaynet.ReplayOpts) (replaynet.Stats, error) {
-	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	stats, err := replaynet.ReplayStream(addr, st.Generation(), replayAdapter{st}, opts)
-	sp.End(int64(stats.Events), "replay")
-	return stats, err
-}
-
-// ReplayClosed drains the stream onto a replaynet server in closed loop:
-// every event is an acknowledged signaling transaction, in-flight count is
-// governed by a CUBIC-style window and delivery is exactly-once across
-// connection failures. The congestion-controlled counterpart of ReplayTCP.
-func ReplayClosed(addr string, st EventSource, opts replaynet.ClosedOpts) (replaynet.ClosedStats, error) {
-	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	stats, err := replaynet.ReplayClosed(addr, st.Generation(), replayAdapter{st}, opts)
-	sp.End(stats.Acked, "replay-closed")
-	return stats, err
 }
 
 // ReplaySLOSearch drives the stream against a replaynet server with the

@@ -154,16 +154,16 @@ func (s *Server) pumpQueue() {
 		if s.opts.JournalDir != "" {
 			s.openJournal(r)
 		}
-		s.log.Infow("queued run admitted", "run", r.id,
-			"queued_for", time.Since(r.startedAt))
-		s.launch(r, r.runCtx, r.cancel)
+		s.log.Infow("queued run admitted", "run", r.begin.RunID,
+			"queued_for", time.Since(r.begin.StartedAt))
+		s.launch(r)
 	}
 }
 
 // enqueueLocked parks an over-budget submission in the admission queue.
 // Caller holds s.mu and has verified there is queue space.
 func (s *Server) enqueueLocked(r *run) {
-	r.queueSp = tracez.Begin(tracez.StageRunQueued, r.id)
+	r.queueSp = tracez.Begin(tracez.StageRunQueued, r.begin.RunID)
 	s.queue = append(s.queue, r)
 }
 

@@ -7,17 +7,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cptgpt/internal/scenario"
 	"cptgpt/internal/tracez"
 )
 
-// Degrade policies for file-sink write failures. The default ("fail")
-// keeps today's behavior: a hard sink error fails the run. "drop" and
-// "pause" interpose a per-run circuit breaker between the line encoder
-// and the sink file.
+// Degrade policies for file-sink write failures (the sink registry checks
+// them against the sink). The default ("fail") keeps a hard sink error
+// failing the run; "drop" and "pause" interpose a per-run circuit breaker
+// between the line encoder and the sink file.
 const (
-	DegradeFail  = "fail"
-	DegradePause = "pause"
-	DegradeDrop  = "drop"
+	DegradeFail  = scenario.DegradeFail
+	DegradePause = scenario.DegradePause
+	DegradeDrop  = scenario.DegradeDrop
 )
 
 // Breaker tuning: trip after breakerThreshold consecutive write failures;

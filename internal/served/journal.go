@@ -28,36 +28,26 @@ const (
 // rather than failing the start — durability degrades, traffic
 // generation does not.
 func (s *Server) openJournal(r *run) {
+	id := r.begin.RunID
 	if err := os.MkdirAll(s.opts.JournalDir, 0o755); err != nil {
-		s.log.Warnw("run journal unavailable", "run", r.id, "err", err)
+		s.log.Warnw("run journal unavailable", "run", id, "err", err)
 		return
 	}
 	spec, err := json.Marshal(r.spec)
 	if err != nil {
-		s.log.Warnw("run journal unavailable", "run", r.id, "err", err)
+		s.log.Warnw("run journal unavailable", "run", id, "err", err)
 		return
 	}
-	path := filepath.Join(s.opts.JournalDir, r.id+runlog.Ext)
-	j, err := runlog.Create(path, s.journalOpts(r.id))
+	path := filepath.Join(s.opts.JournalDir, id+runlog.Ext)
+	j, err := runlog.Create(path, s.journalOpts(id))
 	if err != nil {
-		s.log.Warnw("run journal unavailable", "run", r.id, "err", err)
+		s.log.Warnw("run journal unavailable", "run", id, "err", err)
 		return
 	}
-	j.AppendBegin(runlog.Begin{
-		RunID: r.id, Scenario: r.scenarioName, Spec: spec,
-		Sink: r.sink, Out: r.out, Addr: r.addr, ClosedLoop: r.closedLoop,
-		UEs: r.ues, Compression: r.compression,
-		Precision: r.opts.Precision, Speculative: r.opts.Speculative,
-		DraftTokens: r.opts.DraftTokens,
-		Parallelism: r.opts.Parallelism, BatchSize: r.opts.BatchSize,
-		SessionID:     r.sessionID,
-		MaxSpillBytes: r.budget.MaxSpillBytes, MaxEvents: r.budget.MaxEvents,
-		MaxWallNanos: int64(r.budget.MaxWall), Degrade: r.degrade,
-		ShedAfterNanos: int64(r.shedAfter),
-		StartedAt:      r.startedAt,
-	})
-	// The write-ahead contract: the run's identity record is durable
-	// before the run does any work.
+	// The write-ahead contract: the run's identity record — the very value
+	// the run was built from — is durable before the run does any work.
+	r.begin.Spec = spec
+	j.AppendBegin(r.begin)
 	j.Sync()
 	// The run may already be published (healthz reads journals of live
 	// runs under r.mu), so the assignment takes the run lock.
@@ -102,23 +92,23 @@ type ckptTap struct {
 	every    int64
 	interval time.Duration
 
-	// syncSink, when set (file sinks), makes the sink's durable cursor
-	// part of each checkpoint: it must flush the sink to stable storage
-	// and fill the cursor fields, returning false to skip this checkpoint
-	// (the invariant "a checkpoint implies a durable sink prefix" beats
-	// checkpoint freshness).
-	syncSink func(*runlog.Checkpoint) bool
+	// cursor, when the sink has one (file sinks, closed-loop replay),
+	// makes the sink's durable position part of each checkpoint: a file
+	// sink flushes to stable storage first, and a cursor that cannot be
+	// vouched for skips the checkpoint (the invariant "a checkpoint
+	// implies a durable sink prefix" beats checkpoint freshness).
+	cursor scenario.Checkpointer
 
-	// shed, when set, reads the pacer's cumulative load-shed counter so
-	// checkpoints carry it and a resumed pacer continues the count.
+	// shed reads the pacer's cumulative load-shed counter so checkpoints
+	// carry it and a resumed pacer continues the count.
 	shed func() int64
 
-	// acked, when set (closed-loop replay), is the driver's contiguously
-	// applied absolute sequence: checkpoints cover the newest
-	// server-acknowledged event rather than the newest released one, and
-	// pending queues released-but-unacknowledged events until a
-	// checkpoint can cover them.
-	acked   *atomic.Uint64
+	// trails marks a cursor that names a session (closed-loop replay):
+	// its Applied is the driver's contiguously applied absolute sequence,
+	// checkpoints cover the newest server-acknowledged event rather than
+	// the newest released one, and pending queues
+	// released-but-unacknowledged events until a checkpoint can cover them.
+	trails  bool
 	seqBase uint64 // absolute sequence already applied before this incarnation
 	pending []scenario.Event
 	pendSeq uint64 // absolute sequence of pending[0]
@@ -129,24 +119,25 @@ type ckptTap struct {
 	prev  scenario.Event
 }
 
-// newCkptTap wires a tap for the run. For sync sinks the caller must set
-// syncSink before the first Next.
-func newCkptTap(src scenario.EventSource, r *run) *ckptTap {
+// newCkptTap wires a tap for the run.
+func newCkptTap(src *scenario.Pacer, r *run) *ckptTap {
 	t := &ckptTap{
 		EventSource: src,
 		appendID:    scenario.UEIDAppender(src),
 		j:           r.journal,
-		base:        r.baseEvents,
+		base:        r.baseEvents(),
 		every:       r.ckptEvery,
 		interval:    r.ckptInterval,
+		shed:        src.Shed,
 		lastT:       time.Now(),
 	}
-	if r.sink == "replay" && r.closedLoop {
-		t.acked = &r.replayLive.AckedSeq
-		t.seqBase = r.replayResumeFrom
-	}
-	if p := r.pacer.Load(); p != nil {
-		t.shed = p.Shed
+	if cp, ok := r.sink.(scenario.Checkpointer); ok {
+		t.cursor = cp
+		// Asked before the first event, a sink that tracks a session
+		// already has a position: the sequence a resumed run starts past.
+		if cur, ok := cp.Cursor(); ok && cur.Session != 0 {
+			t.trails, t.seqBase = true, uint64(cur.Applied)
+		}
 	}
 	return t
 }
@@ -168,7 +159,7 @@ func (t *ckptTap) Next() (scenario.Event, bool) {
 	}
 	t.n++
 	t.prev = e
-	if t.acked != nil {
+	if t.trails {
 		if len(t.pending) == 0 {
 			t.pendSeq = t.seqBase + uint64(t.n)
 		}
@@ -189,37 +180,38 @@ func (t *ckptTap) due() bool {
 }
 
 func (t *ckptTap) checkpoint() {
-	var c runlog.Checkpoint
-	if t.acked != nil {
-		a := t.acked.Load()
-		if len(t.pending) == 0 || a < t.pendSeq {
-			return // nothing newly acknowledged since the last cover
-		}
-		drop := a - t.pendSeq + 1
-		if drop > uint64(len(t.pending)) {
-			drop = uint64(len(t.pending))
-		}
-		key := t.pending[drop-1]
-		t.pending = t.pending[drop:]
-		t.pendSeq += drop
-		applied := int64(t.pendSeq - 1)
-		c = runlog.Checkpoint{
-			Time: key.Time, UE: key.UE, Seq: key.Seq,
-			Events: applied, TraceOffset: key.Time,
-			ReplayApplied: applied,
-		}
-	} else {
-		c = runlog.Checkpoint{
-			Time: t.prev.Time, UE: t.prev.UE, Seq: t.prev.Seq,
-			Events: t.base + t.n, TraceOffset: t.prev.Time,
-		}
-		if t.syncSink != nil && !t.syncSink(&c) {
+	c := runlog.Checkpoint{
+		Time: t.prev.Time, UE: t.prev.UE, Seq: t.prev.Seq,
+		Events: t.base + t.n, TraceOffset: t.prev.Time,
+	}
+	if t.cursor != nil {
+		cur, ok := t.cursor.Cursor()
+		if !ok {
 			return
 		}
+		if !t.trails {
+			c.SinkBytes, c.SinkLines = cur.Bytes, cur.Lines
+		} else {
+			a := uint64(cur.Applied)
+			if len(t.pending) == 0 || a < t.pendSeq {
+				return // nothing newly acknowledged since the last cover
+			}
+			drop := a - t.pendSeq + 1
+			if drop > uint64(len(t.pending)) {
+				drop = uint64(len(t.pending))
+			}
+			key := t.pending[drop-1]
+			t.pending = t.pending[drop:]
+			t.pendSeq += drop
+			applied := int64(t.pendSeq - 1)
+			c = runlog.Checkpoint{
+				Time: key.Time, UE: key.UE, Seq: key.Seq,
+				Events: applied, TraceOffset: key.Time,
+				ReplayApplied: applied,
+			}
+		}
 	}
-	if t.shed != nil {
-		c.Shed = t.shed()
-	}
+	c.Shed = t.shed()
 	t.j.AppendCheckpoint(c)
 	t.lastN = t.n
 	t.lastT = time.Now()

@@ -1,21 +1,15 @@
 package served
 
 import (
-	"compress/gzip"
 	"context"
 	"errors"
-	"fmt"
 	"io"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/logz"
-	"cptgpt/internal/mcn"
-	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
 	"cptgpt/internal/telemetry"
@@ -60,18 +54,17 @@ type StartRequest struct {
 	// time). 0 disables pacing — events pour out as fast as the sink
 	// accepts them.
 	Compression float64 `json:"compression,omitempty"`
-	// Sink is "count" (default), "mcn", "jsonl", "csv" or "replay".
-	Sink string `json:"sink,omitempty"`
-	// Out is the server-side output path for the jsonl/csv sinks
-	// (".gz" compresses).
-	Out string `json:"out,omitempty"`
-	// Addr is the replaynet server address for the replay sink (required
-	// there, reachability-probed at request time).
-	Addr string `json:"addr,omitempty"`
-	// ClosedLoop switches the replay sink to the acknowledged closed-loop
-	// driver (CUBIC window, RTT/RTO estimation, reconnect-resume); its
+	// Sink names one of the registered sinks — scenario.SinkList is the one
+	// list, "" selects scenario.DefaultSink — and Out, Addr and ClosedLoop
+	// are its target with scenario.SinkConfig's meaning and validation:
+	// the file sinks' server-side output path (".gz" compresses), the
+	// replay sink's server address (required there, reachability-probed at
+	// request time) and its acknowledged closed-loop driver, whose
 	// transport state feeds the cptserved_replay_* series.
-	ClosedLoop bool `json:"closed_loop,omitempty"`
+	Sink       string `json:"sink,omitempty"`
+	Out        string `json:"out,omitempty"`
+	Addr       string `json:"addr,omitempty"`
+	ClosedLoop bool   `json:"closed_loop,omitempty"`
 	// Precision / Speculative / DraftTokens are the run-wide cptgpt
 	// overrides, with RunOpts semantics.
 	Precision   string `json:"precision,omitempty"`
@@ -122,30 +115,12 @@ type SourceStats struct {
 	DraftAcceptance float64 `json:"draft_acceptance"`
 }
 
-// MCNStats is the live MCN-sink telemetry in /runs/{id}/stats.
-type MCNStats struct {
-	Events       int64   `json:"events"`
-	Rejected     int64   `json:"rejected"`
-	UEs          int64   `json:"ues"`
-	ConnectedUEs int64   `json:"connected_ues"`
-	Instances    int64   `json:"instances"`
-	MeanMs       float64 `json:"latency_mean_ms"`
-	P95Ms        float64 `json:"latency_p95_ms"`
-	P99Ms        float64 `json:"latency_p99_ms"`
-}
-
-// ReplayStats is the live closed-loop replay transport telemetry in
-// /runs/{id}/stats.
-type ReplayStats struct {
-	Cwnd        int64   `json:"cwnd"`
-	Inflight    int64   `json:"inflight"`
-	SRTTMs      float64 `json:"srtt_ms"`
-	RTOMs       float64 `json:"rto_ms"`
-	Sent        int64   `json:"sent"`
-	Acked       int64   `json:"acked"`
-	Retransmits int64   `json:"retransmits"`
-	Reconnects  int64   `json:"reconnects"`
-}
+// MCNStats and ReplayStats are the live mcn-sink and closed-loop replay
+// transport blocks of /runs/{id}/stats; the sinks that fill them define them.
+type (
+	MCNStats    = scenario.MCNStats
+	ReplayStats = scenario.ReplayStats
+)
 
 // RunStats is the GET /runs/{id}/stats body: a point-in-time snapshot of a
 // run's live counters, safe to take while the run is in flight.
@@ -173,98 +148,166 @@ type RunStats struct {
 	Replay      *ReplayStats           `json:"replay,omitempty"`
 }
 
-// run is one scenario execution owned by the daemon.
+// run is one scenario execution owned by the daemon. newRun sets every
+// field but the ones under mu and the atomics; the registering handler
+// adds the id and the journal before the run goroutine launches, and
+// nothing else is mutated after.
 type run struct {
-	id           string
-	scenarioName string
-	spec         *scenario.Spec
-	sink         string
-	out          string
-	addr         string
-	closedLoop   bool
-	ues          int
-	compression  float64
-	opts         scenario.RunOpts
-
-	cancel context.CancelFunc
-	done   chan struct{}
-	// runCtx is the run's root context, carried from submission so a
-	// queued run can launch (or be cancelled) later.
-	runCtx context.Context
-
-	// Overload-protection plumbing, all set before the run is published.
-	// budget is the run's resource envelope (also in opts.Budget);
-	// degrade the file-sink failure policy; shedAfter the pacer
-	// load-shedding bound; admitUEs the run's admission cost in UE slots;
-	// recovered marks a crash-recovery incarnation (its wall budget
-	// counts from the journaled start); overBudget counts budget breaches
-	// into the daemon's kind-labeled series.
-	budget     scenario.Budget
-	degrade    string
-	shedAfter  time.Duration
-	admitUEs   int64
-	recovered  bool
-	overBudget func(kind string)
-	// queueSp spans the admission-queue wait; breaker is the live sink
-	// circuit breaker (nil until the sink opens, and for fail policy).
-	queueSp tracez.Active
-	breaker atomic.Pointer[breakerWriter]
-
-	// pacer is published by the lifecycle goroutine when streaming begins;
-	// its counters are the run's live event telemetry.
-	pacer atomic.Pointer[scenario.Pacer]
-	// decode holds the per-cptgpt-source stats sinks, created before the
-	// pipeline opens so generation-phase telemetry is live from the start.
-	decode map[string]*cptgpt.DecodeStats
-	// mcnLive is set for the mcn sink.
-	mcnLive *mcn.LiveStats
-	// replayLive is set for the closed-loop replay sink.
-	replayLive *replaynet.LiveStats
-
-	// Durable-run plumbing, nil/zero when journaling is off. journal is the
-	// run's write-ahead log and jpath its file ("" = memory-only or none);
-	// resume/resumeKey carry the checkpoint a recovered run restarts from,
-	// baseEvents the events prior incarnations released, sessionID the
-	// fixed closed-loop replay session, and replayResumeFrom the absolute
-	// sequence the replay server had applied at the checkpoint. All are set
-	// before the run goroutine launches and never mutated after.
-	journal          *runlog.Journal
-	jpath            string
-	resume           *runlog.Checkpoint
-	resumeKey        *scenario.Event
-	baseEvents       int64
-	sessionID        uint64
-	replayResumeFrom uint64
-	ckptEvery        int64
-	ckptInterval     time.Duration
-	// resumeSkips is the daemon-wide resume fast-forward counter (nil
-	// outside recovery); sinkRetries counts absorbed transient sink errors.
-	resumeSkips *telemetry.Counter
-	sinkRetries atomic.Int64
-
-	// log receives lifecycle events (nil = silent). Set before the run
-	// goroutine launches, never mutated after.
+	// begin is the run's journaled identity — id, scenario, sink and its
+	// target, overrides, budgets, degrade policy, start time: what
+	// openJournal writes verbatim and recovery reads back. spec is the
+	// scenario it resolved to and opts the pipeline configuration derived
+	// from the two (opts.Budget is the run's resource envelope).
+	begin runlog.Begin
+	spec  *scenario.Spec
+	opts  scenario.RunOpts
+	// log receives lifecycle events (nil = silent).
 	log *logz.Logger
-	// Per-run distribution series, created by registerRunMetrics before the
-	// run goroutine launches (the go statement orders the writes) and fed by
-	// execute's pipeline wiring. stepHists is keyed by cptgpt source id.
-	pacerLagHist  *telemetry.Histogram
-	pacerRateHist *telemetry.Histogram
-	mcnLatHist    *telemetry.Histogram
-	replayRTTHist *telemetry.Histogram
-	stepHists     map[string]*telemetry.Histogram
+
+	// Lifecycle. runCtx is the run's root context, carried from
+	// construction so a queued run can launch (or be cancelled) later;
+	// queueSp spans the admission-queue wait.
+	cancel  context.CancelFunc
+	done    chan struct{}
+	runCtx  context.Context
+	queueSp tracez.Active
 
 	mu         sync.Mutex
 	state      string
-	startedAt  time.Time
 	streamAt   time.Time // when streaming began (zero until then)
 	finishedAt time.Time
 	err        error
 	result     map[string]any
-
 	// last stats-scrape sample, for the recent-rate estimate.
 	scrapeAt     time.Time
 	scrapeEvents int64
+
+	// Envelope. admitUEs is the run's admission cost in UE slots;
+	// recovered marks a crash-recovery incarnation (its wall budget counts
+	// from the journaled start); overBudget counts budget breaches into
+	// the daemon's kind-labeled series.
+	admitUEs   int64
+	recovered  bool
+	overBudget func(kind string)
+
+	// Sink state. breaker is the live file-sink circuit breaker (nil until
+	// the sink opens, and for the fail policy); sinkRetries counts absorbed
+	// transient write errors. journal is the run's write-ahead log (nil
+	// when journaling is off or unavailable) and jpath its file; resume is
+	// the checkpoint a recovered run restarts from (nil = from scratch) and
+	// resumeSkips the daemon-wide fast-forward counter.
+	sink         scenario.Sink
+	breaker      atomic.Pointer[breakerWriter]
+	sinkRetries  atomic.Int64
+	journal      *runlog.Journal
+	jpath        string
+	resume       *runlog.Checkpoint
+	resumeSkips  *telemetry.Counter
+	ckptEvery    int64
+	ckptInterval time.Duration
+
+	// Live telemetry. pacer is published by the lifecycle goroutine when
+	// streaming begins; decode holds the per-cptgpt-source stats sinks,
+	// created with the run so generation-phase telemetry is live from the
+	// start. The histograms are created by registerRunMetrics before the
+	// run goroutine launches (the go statement orders the writes).
+	pacer         atomic.Pointer[scenario.Pacer]
+	decode        map[string]*cptgpt.DecodeStats
+	stepHists     map[string]*telemetry.Histogram
+	pacerLagHist  *telemetry.Histogram
+	pacerRateHist *telemetry.Histogram
+}
+
+// newRun builds a run from its journaled identity: a fresh submission's
+// (st nil), or one a journal scan read back — to resume it from its
+// checkpoint or, given no spec, only to list the casualty it is. The
+// caller registers, journals and launches it.
+func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState) (*run, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &run{
+		begin: b, spec: spec, log: s.log,
+		cancel: cancel, runCtx: ctx, done: make(chan struct{}), state: StateGenerating,
+		admitUEs: admissionUEs(b.UEs, spec), overBudget: s.overBudgetInc,
+		ckptEvery: int64(s.opts.CheckpointEvents), ckptInterval: s.opts.CheckpointInterval,
+		decode: make(map[string]*cptgpt.DecodeStats),
+	}
+	if st != nil {
+		r.state, r.recovered, r.jpath = StateRecovering, true, st.Path
+		r.resumeSkips = s.resumeSkips
+	}
+	if spec == nil {
+		return r, nil
+	}
+	if r.begin.Parallelism == 0 {
+		r.begin.Parallelism = s.opts.Parallelism
+	}
+	for _, src := range spec.Sources {
+		if src.Kind == "cptgpt" {
+			r.decode[src.ID] = &cptgpt.DecodeStats{}
+		}
+	}
+	r.opts = scenario.RunOpts{
+		UEs:         b.UEs,
+		Parallelism: r.begin.Parallelism,
+		BatchSize:   b.BatchSize,
+		TempDir:     s.opts.TempDir,
+		Precision:   b.Precision,
+		Speculative: b.Speculative,
+		DraftTokens: b.DraftTokens,
+		// The journaled resource envelope survives a crash: a resumed
+		// incarnation runs under the budgets it was admitted with.
+		Budget: scenario.Budget{
+			MaxSpillBytes: b.MaxSpillBytes,
+			MaxEvents:     b.MaxEvents,
+			MaxWall:       time.Duration(b.MaxWallNanos),
+			SpillUsed:     &s.admission.spill,
+		},
+		LoadModel:   s.loadModel,
+		SourceStats: func(id string) *cptgpt.DecodeStats { return r.decode[id] },
+		// r.stepHists is populated by registerRunMetrics before the run
+		// goroutine launches, so the closure reads a settled map.
+		SourceStepHist: func(id string) *telemetry.Histogram { return r.stepHists[id] },
+	}
+	// The pacer already paces against wall clock, so a replay driver runs
+	// unpaced (no Speedup) on top of it. A DELETE cancels the pacer, which
+	// drains cleanly: the sink sees end-of-source, finishes what is in
+	// flight and completes its closing handshake or flush.
+	cfg := sinkConfig(&b)
+	cfg.MCN, cfg.Below, cfg.Above = s.opts.MCN, r.below, r.above
+	var err error
+	if r.sink, err = scenario.NewSink(cfg); err != nil {
+		cancel()
+		return nil, err
+	}
+	if st != nil {
+		r.resume = st.Checkpoint
+	}
+	if cp, ok := r.sink.(scenario.Checkpointer); ok && st != nil {
+		// Hand the sink its journaled position; one it cannot continue from
+		// (a lost or compressed file) restarts the run from scratch — still
+		// exactly-once: the work is redone, never double-counted.
+		cur := scenario.Cursor{Session: b.SessionID}
+		if c := r.resume; c != nil {
+			cur.Bytes, cur.Lines, cur.Applied = c.SinkBytes, c.SinkLines, c.ReplayApplied
+		}
+		if err := cp.Resume(cur); err != nil {
+			if r.resume != nil {
+				s.log.Warnw("checkpoint unusable; restarting run from scratch", "run", b.RunID, "why", err)
+			}
+			r.resume = nil
+		}
+	} else if ok && s.opts.JournalDir != "" {
+		// A journaled run records the position it starts from — for
+		// closed-loop replay, the session a resumed incarnation rejoins.
+		cur, _ := cp.Cursor()
+		r.begin.SessionID = cur.Session
+	}
+	return r, nil
+}
+
+// sinkConfig is the sink half of a run's identity, as the registry takes it.
+func sinkConfig(b *runlog.Begin) scenario.SinkConfig {
+	return scenario.SinkConfig{Name: b.Sink, Out: b.Out, Addr: b.Addr, ClosedLoop: b.ClosedLoop, Degrade: b.Degrade}
 }
 
 // setState transitions the run's lifecycle state.
@@ -276,17 +319,18 @@ func (r *run) setState(state string) {
 		r.streamAt = now
 	}
 	r.mu.Unlock()
-	tracez.Record(tracez.StageRunState, r.id, now, 0, 0, state)
+	tracez.Record(tracez.StageRunState, r.begin.RunID, now, 0, 0, state)
 	if r.journal != nil {
 		r.journal.AppendState(state, "")
 	}
-	r.log.Infow("run state", "run", r.id, "state", state)
+	r.log.Infow("run state", "run", r.begin.RunID, "state", state)
 }
 
-// finish records the terminal state, error and sink result. Idempotent:
-// once a run is terminal the recorded outcome sticks — a panic unwinding
-// through sink cleanup after a normal finish must not overwrite it.
-func (r *run) finish(state string, err error, result map[string]any) {
+// finish records the terminal state, error and sink result — the one place
+// a sink's typed Result becomes the wire map. Idempotent: once a run is
+// terminal the recorded outcome sticks — a panic unwinding through sink
+// cleanup after a normal finish must not overwrite it.
+func (r *run) finish(state string, err error, res scenario.Result) {
 	now := time.Now()
 	r.mu.Lock()
 	if terminal(r.state) {
@@ -295,12 +339,17 @@ func (r *run) finish(state string, err error, result map[string]any) {
 	}
 	r.state = state
 	r.err = err
-	r.result = result
+	if res != nil {
+		r.result = res.Wire()
+		if b := r.breaker.Load(); b != nil && b.dropped.Load() > 0 {
+			r.result["dropped"] = b.dropped.Load()
+		}
+	}
 	r.finishedAt = now
-	wall := now.Sub(r.startedAt)
+	wall := now.Sub(r.begin.StartedAt)
 	events := r.events()
 	r.mu.Unlock()
-	tracez.Record(tracez.StageRunState, r.id, now, 0, events, state)
+	tracez.Record(tracez.StageRunState, r.begin.RunID, now, 0, events, state)
 	if r.journal != nil {
 		msg := ""
 		if err != nil {
@@ -315,10 +364,10 @@ func (r *run) finish(state string, err error, result map[string]any) {
 		if be, ok := scenario.AsBudgetExceeded(err); ok && r.overBudget != nil {
 			r.overBudget(be.Kind)
 		}
-		r.log.Errorw("run finished", "run", r.id, "state", state,
+		r.log.Errorw("run finished", "run", r.begin.RunID, "state", state,
 			"events", events, "wall", wall, "err", err)
 	} else {
-		r.log.Infow("run finished", "run", r.id, "state", state,
+		r.log.Infow("run finished", "run", r.begin.RunID, "state", state,
 			"events", events, "wall", wall)
 	}
 }
@@ -328,9 +377,9 @@ func (r *run) finish(state string, err error, result map[string]any) {
 // gets the remainder measured from its journaled start, with a small
 // grace so recovery can at least reach a clean terminal state.
 func (r *run) wallDeadline() time.Time {
-	d := r.budget.MaxWall
+	d := r.opts.Budget.MaxWall
 	if r.recovered {
-		if rem := d - time.Since(r.startedAt); rem < time.Second {
+		if rem := d - time.Since(r.begin.StartedAt); rem < time.Second {
 			d = time.Second
 		} else {
 			d = rem
@@ -344,9 +393,9 @@ func (r *run) info() RunInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	info := RunInfo{
-		ID: r.id, Scenario: r.scenarioName, Sink: r.sink,
-		UEs: r.ues, Compression: r.compression,
-		State: r.state, StartedAt: r.startedAt, Result: r.result,
+		ID: r.begin.RunID, Scenario: r.begin.Scenario, Sink: r.begin.Sink,
+		UEs: r.begin.UEs, Compression: r.begin.Compression,
+		State: r.state, StartedAt: r.begin.StartedAt, Result: r.result,
 	}
 	if !r.finishedAt.IsZero() {
 		t := r.finishedAt
@@ -364,9 +413,17 @@ func (r *run) info() RunInfo {
 // exactly once).
 func (r *run) events() int64 {
 	if p := r.pacer.Load(); p != nil {
-		return r.baseEvents + p.Events()
+		return r.baseEvents() + p.Events()
 	}
-	return r.baseEvents
+	return r.baseEvents()
+}
+
+// baseEvents is what previous incarnations released, per the checkpoint.
+func (r *run) baseEvents() int64 {
+	if r.resume != nil {
+		return r.resume.Events
+	}
+	return 0
 }
 
 // lagSeconds returns the pacer's current schedule deficit.
@@ -385,8 +442,8 @@ func (r *run) stats() RunStats {
 
 	r.mu.Lock()
 	st := RunStats{
-		ID: r.id, Scenario: r.scenarioName, State: r.state,
-		Events: events, Compression: r.compression,
+		ID: r.begin.RunID, Scenario: r.begin.Scenario, State: r.state,
+		Events: events, Compression: r.begin.Compression,
 		PacerLagSeconds: r.lagSeconds(),
 		SinkRetries:     r.sinkRetries.Load(),
 	}
@@ -435,206 +492,117 @@ func (r *run) stats() RunStats {
 			st.Sources[id] = s
 		}
 	}
-	if r.mcnLive != nil {
-		st.MCN = &MCNStats{
-			Events:       r.mcnLive.Events.Load(),
-			Rejected:     r.mcnLive.Rejected.Load(),
-			UEs:          r.mcnLive.UEs.Load(),
-			ConnectedUEs: r.mcnLive.ConnectedUEs.Load(),
-			Instances:    r.mcnLive.Instances.Load(),
-			MeanMs:       float64(r.mcnLive.MeanLatencyNanos.Load()) / 1e6,
-			P95Ms:        float64(r.mcnLive.P95LatencyNanos.Load()) / 1e6,
-			P99Ms:        float64(r.mcnLive.P99LatencyNanos.Load()) / 1e6,
-		}
-	}
-	if live := r.replayLive; live != nil {
-		st.Replay = &ReplayStats{
-			Cwnd:        live.CwndEvents.Load(),
-			Inflight:    live.Inflight.Load(),
-			SRTTMs:      float64(live.SRTTNanos.Load()) / 1e6,
-			RTOMs:       float64(live.RTONanos.Load()) / 1e6,
-			Sent:        live.Sent.Load(),
-			Acked:       live.Acked.Load(),
-			Retransmits: live.Retransmits.Load(),
-			Reconnects:  live.Reconnects.Load(),
-		}
+	if live, ok := r.sink.(scenario.LiveSink); ok {
+		st.MCN, st.Replay = live.Stats()
 	}
 	return st
 }
 
 // execute runs the scenario to its sink under ctx. It is the run's
-// lifecycle goroutine body: generating → streaming → terminal state, with
-// a context cancellation draining cleanly at either phase.
-func (r *run) execute(ctx context.Context, mcnCfg mcn.Config) {
+// lifecycle goroutine body — open → pacer → [checkpoint tap] → sink →
+// finish: generating → streaming → terminal state, with a context
+// cancellation draining cleanly at either phase.
+func (r *run) execute(ctx context.Context) {
+	st := r.open(ctx)
+	if st == nil {
+		return
+	}
+	defer st.Close()
+	pacer := r.pace(ctx, st)
+	r.setState(StateStreaming)
+	streamSp := tracez.Begin(tracez.StageRunStream, r.begin.RunID)
+
+	// With a journal attached, a checkpoint tap between the pacer and the
+	// sink records recovery points at the configured cadence.
+	var src scenario.EventSource = pacer
+	if r.journal != nil {
+		src = newCkptTap(pacer, r)
+	}
+	res, err := r.sink.Consume(ctx, src)
+	if b := r.breaker.Load(); b != nil {
+		b.finishSpan()
+	}
+
+	// The span ends before finish publishes the terminal state, so whoever
+	// observes the run finished also finds its run.stream span recorded.
+	streamSp.End(r.events(), r.begin.Sink)
+	switch {
+	case err != nil:
+		r.finish(StateFailed, err, nil)
+	case pacer.Stopped():
+		r.finish(StateStopped, nil, res)
+	default:
+		r.finish(StateDone, nil, res)
+	}
+}
+
+// open runs the generation phase and returns the merged stream, or nil
+// with the run already finished (stopped by its operator, or failed).
+func (r *run) open(ctx context.Context) *scenario.Stream {
 	opts := r.opts
 	var recSp tracez.Active
 	if r.resume != nil {
 		// Recovery: regenerate deterministically and prune everything at or
 		// before the checkpointed merge key; the stream yields exactly the
 		// suffix the uninterrupted run would have produced.
-		opts.ResumeAfter = r.resumeKey
-		recSp = tracez.Begin(tracez.StageRunRecover, r.id)
+		c := r.resume
+		opts.ResumeAfter = &scenario.Event{Time: c.Time, UE: c.UE, Seq: c.Seq}
+		recSp = tracez.Begin(tracez.StageRunRecover, r.begin.RunID)
 	}
-	genSp := tracez.Begin(tracez.StageRunGenerate, r.id)
+	genSp := tracez.Begin(tracez.StageRunGenerate, r.begin.RunID)
 	st, err := r.spec.OpenContext(ctx, opts)
-	genSp.End(0, r.scenarioName)
-	if err != nil {
+	genSp.End(0, r.begin.Scenario)
+	if err == nil {
 		if recSp.Live() {
-			recSp.End(0, "failed")
-		}
-		switch {
-		case errors.Is(err, context.Canceled):
-			r.finish(StateStopped, nil, nil)
-		case r.budget.MaxWall > 0 && errors.Is(err, context.DeadlineExceeded):
-			// The wall-clock budget expired during generation: the only
-			// deadline on a run's context is its own budget, so classify
-			// the expiry as the typed breach.
-			if _, typed := scenario.AsBudgetExceeded(err); !typed {
-				err = scenario.WrapWallClock(r.budget.MaxWall, time.Since(r.startedAt), err)
+			skipped := st.Skipped()
+			if r.resumeSkips != nil {
+				r.resumeSkips.Add(skipped)
 			}
-			r.finish(StateFailed, err, nil)
-		default:
-			r.finish(StateFailed, err, nil)
+			recSp.End(skipped, "fast-forward")
 		}
-		return
+		return st
 	}
-	defer st.Close()
 	if recSp.Live() {
-		skipped := st.Skipped()
-		if r.resumeSkips != nil {
-			r.resumeSkips.Add(skipped)
-		}
-		recSp.End(skipped, "fast-forward")
+		recSp.End(0, "failed")
 	}
+	maxWall := r.opts.Budget.MaxWall
+	switch {
+	case errors.Is(err, context.Canceled):
+		r.finish(StateStopped, nil, nil)
+		return nil
+	case maxWall > 0 && errors.Is(err, context.DeadlineExceeded):
+		// The wall-clock budget expired during generation: the only
+		// deadline on a run's context is its own budget, so classify
+		// the expiry as the typed breach.
+		if _, typed := scenario.AsBudgetExceeded(err); !typed {
+			err = scenario.WrapWallClock(maxWall, time.Since(r.begin.StartedAt), err)
+		}
+	}
+	r.finish(StateFailed, err, nil)
+	return nil
+}
 
-	pacer := scenario.NewPacer(ctx, st, r.compression)
+// pace wraps the stream in the run's pacer and publishes it.
+func (r *run) pace(ctx context.Context, st *scenario.Stream) *scenario.Pacer {
+	pacer := scenario.NewPacer(ctx, st, r.begin.Compression)
 	pacer.SetHistograms(r.pacerLagHist, r.pacerRateHist)
 	// The pacer enforces the event-count ceiling (less what previous
 	// incarnations already released) and classifies the wall deadline; a
 	// resumed run also continues its cumulative shed counter.
-	pb := r.budget
+	pb := r.opts.Budget
 	if pb.MaxEvents > 0 {
-		if rem := pb.MaxEvents - r.baseEvents; rem >= 1 {
-			pb.MaxEvents = rem
-		} else {
-			pb.MaxEvents = 1
-		}
+		pb.MaxEvents = max(pb.MaxEvents-r.baseEvents(), 1)
 	}
 	pacer.SetBudget(pb)
-	if r.shedAfter > 0 {
-		pacer.SetShedAfterLag(r.shedAfter)
+	if r.begin.ShedAfterNanos > 0 {
+		pacer.SetShedAfterLag(time.Duration(r.begin.ShedAfterNanos))
 	}
 	if r.resume != nil {
 		pacer.ResumeAt(r.resume.TraceOffset)
 		pacer.ResumeShed(r.resume.Shed)
 	}
 	r.pacer.Store(pacer)
-	r.setState(StateStreaming)
-
-	streamSp := tracez.Begin(tracez.StageRunStream, r.id)
-
-	// With a journal attached, a checkpoint tap between the pacer and the
-	// sink records recovery points at the configured cadence.
-	var src scenario.EventSource = pacer
-	var tap *ckptTap
-	if r.journal != nil {
-		tap = newCkptTap(pacer, r)
-		src = tap
-	}
-
-	var result map[string]any
-	switch r.sink {
-	case "count":
-		var sum scenario.Summary
-		if sum, err = scenario.Drain(src); err == nil {
-			result = map[string]any{
-				"events":            sum.Events,
-				"first_time":        sum.FirstTime,
-				"last_time":         sum.LastTime,
-				"peak_rate":         sum.PeakRate,
-				"peak_window_start": sum.PeakWindowStart,
-			}
-		}
-	case "mcn":
-		mcnCfg.Live = r.mcnLive
-		mcnCfg.LatencySink = r.mcnLatHist
-		var rep *mcn.Report
-		if rep, err = scenario.RunMCN(src, mcnCfg); err == nil {
-			result = map[string]any{
-				"events":          rep.Events,
-				"rejected":        rep.Rejected,
-				"ues":             rep.UEs,
-				"latency_mean_ms": 1e3 * rep.MeanLatencySec,
-				"latency_p95_ms":  1e3 * rep.P95LatencySec,
-				"latency_p99_ms":  1e3 * rep.P99LatencySec,
-				"peak_rate":       rep.PeakRate,
-				"max_instances":   rep.MaxInstancesUsed,
-			}
-		}
-	case "jsonl", "csv":
-		var n int64
-		if n, err = r.writeFile(ctx, src, tap); err == nil {
-			result = map[string]any{"events": n, "out": r.out}
-			if b := r.breaker.Load(); b != nil && b.dropped.Load() > 0 {
-				result["dropped"] = b.dropped.Load()
-			}
-		}
-	case "replay":
-		// The pacer already paces against wall clock, so the replay drivers
-		// run unpaced (Speedup 0) on top of it. A DELETE cancels the pacer,
-		// which drains cleanly: the driver sees end-of-source, finishes the
-		// in-flight window and completes the STATS/BYE handshake, so the
-		// server-side session always ends on a frame boundary.
-		if r.closedLoop {
-			var cst replaynet.ClosedStats
-			copts := replaynet.ClosedOpts{
-				Live: r.replayLive, RTTSink: r.replayRTTHist,
-				// A journaled run fixes its session identity at submission so
-				// a resumed incarnation rejoins the server-side session and
-				// skips everything the server already applied — exactly-once
-				// end to end.
-				SessionID:  r.sessionID,
-				ResumeFrom: r.replayResumeFrom,
-			}
-			if cst, err = scenario.ReplayClosed(r.addr, src, copts); err == nil {
-				result = map[string]any{
-					"events":          cst.Server.Events,
-					"rejected":        cst.Server.Rejected,
-					"duplicates":      cst.Server.Duplicates,
-					"sent":            cst.Sent,
-					"acked":           cst.Acked,
-					"retransmits":     cst.Retransmits,
-					"reconnects":      cst.Reconnects,
-					"latency_mean_ms": float64(cst.MeanLatency) / 1e6,
-					"latency_p99_ms":  float64(cst.P99Latency) / 1e6,
-					"achieved_rate":   cst.AchievedRate,
-				}
-			}
-		} else {
-			var rst replaynet.Stats
-			if rst, err = scenario.ReplayTCP(r.addr, src, replaynet.ReplayOpts{}); err == nil {
-				result = map[string]any{
-					"events":             rst.Events,
-					"rejected":           rst.Rejected,
-					"peak_connected_ues": rst.PeakConnectedUEs,
-				}
-			}
-		}
-	default:
-		err = fmt.Errorf("served: unknown sink %q", r.sink)
-	}
-
-	// The span ends before finish publishes the terminal state, so whoever
-	// observes the run finished also finds its run.stream span recorded.
-	streamSp.End(r.events(), r.sink)
-	switch {
-	case err != nil:
-		r.finish(StateFailed, err, nil)
-	case pacer.Stopped():
-		r.finish(StateStopped, nil, result)
-	default:
-		r.finish(StateDone, nil, result)
-	}
+	return pacer
 }
 
 // sinkWriterTestHook, when non-nil, wraps the sink file below the retry
@@ -642,110 +610,26 @@ func (r *run) execute(ctx context.Context, mcnCfg mcn.Config) {
 // faults through.
 var sinkWriterTestHook atomic.Pointer[func(runID string, w io.Writer) io.Writer]
 
-// writeFile drains the source into the run's jsonl/csv output file,
-// gzip-compressing a ".gz" path. The writer chain is flushed and closed
-// before the event count is returned, so a stopped run's file is complete
-// up to its last released event — never truncated mid-line.
-//
-// On a resumed run the file is cut back to the checkpoint's durable byte
-// cursor and appended to; with the bit-identical regenerated suffix this
-// makes the final file byte-for-byte equal to an uninterrupted run's
-// (exactly-once). Gzip forecloses the cursor arithmetic, so ".gz" runs
-// restart from scratch instead (resumePlan never hands them a
-// checkpoint). With a checkpoint tap attached, the tap's sync hook
-// flushes the encoder and fsyncs the file before each checkpoint is
-// recorded — a checkpoint always implies a durable sink prefix covering
-// exactly the events at or before its key.
-func (r *run) writeFile(ctx context.Context, src scenario.EventSource, tap *ckptTap) (int64, error) {
-	gz := strings.HasSuffix(r.out, ".gz")
-	resumed := r.resume != nil && !gz
-	var (
-		f         *os.File
-		err       error
-		baseLines int64
-	)
-	if resumed {
-		c := r.resume
-		baseLines = c.SinkLines
-		f, err = os.OpenFile(r.out, os.O_WRONLY, 0o644)
-		if err == nil {
-			if terr := f.Truncate(c.SinkBytes); terr != nil {
-				err = terr
-			} else if _, serr := f.Seek(c.SinkBytes, io.SeekStart); serr != nil {
-				err = serr
-			}
-			if err != nil {
-				f.Close()
-			}
-		}
-	} else {
-		f, err = os.Create(r.out)
-	}
-	if err != nil {
-		return 0, err
-	}
-	var base io.Writer = f
+// below and above are the daemon's writer layers around a file sink's
+// output (scenario.SinkConfig has the contract). Under the gzip layer:
+// the fault-injection seam, the transient-error retry, and the byte count
+// a checkpoint's sink cursor is read from — seeded with a resumed file's
+// durable prefix, so cursors are always whole-file offsets.
+func (r *run) below(f io.Writer, offset int64) (io.Writer, func() int64) {
 	if hook := sinkWriterTestHook.Load(); hook != nil {
-		base = (*hook)(r.id, f)
+		f = (*hook)(r.begin.RunID, f)
 	}
-	cw := &countingWriter{w: &retryWriter{w: base, retries: &r.sinkRetries}}
-	if resumed {
-		cw.n = r.resume.SinkBytes
-	}
-	var w io.Writer = cw
-	var gzw *gzip.Writer
-	if gz {
-		gzw = gzip.NewWriter(cw)
-		w = gzw
-	}
-	if r.degrade == DegradeDrop || r.degrade == DegradePause {
-		// The breaker sits above the byte-counting layer, so dropped
-		// writes never reach the durable-cursor arithmetic and resumed
-		// checkpoints stay exact.
-		bw := newBreakerWriter(w, ctx, r.degrade, r.id)
+	cw := &countingWriter{w: &retryWriter{w: f, retries: &r.sinkRetries}, n: offset}
+	return cw, func() int64 { return cw.n }
+}
+
+// above puts the run's circuit breaker, when its degrade policy asks for
+// one, between the line encoder and everything below.
+func (r *run) above(ctx context.Context, w io.Writer) io.Writer {
+	if policy := r.begin.Degrade; policy == DegradeDrop || policy == DegradePause {
+		bw := newBreakerWriter(w, ctx, policy, r.begin.RunID)
 		r.breaker.Store(bw)
-		defer bw.finishSpan()
-		w = bw
+		return bw
 	}
-	lw, lerr := scenario.NewLineWriter(w, r.sink, src, !resumed)
-	if lerr != nil {
-		f.Close()
-		return 0, lerr
-	}
-	if tap != nil && !gz {
-		tap.syncSink = func(c *runlog.Checkpoint) bool {
-			if lw.Flush() != nil || f.Sync() != nil {
-				return false
-			}
-			c.SinkBytes = cw.n
-			c.SinkLines = baseLines + int64(lw.Count())
-			return true
-		}
-	}
-	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	defer func() { sp.End(int64(lw.Count()), r.sink) }()
-	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err = lw.Write(e); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = src.Err()
-	}
-	if ferr := lw.Flush(); err == nil {
-		err = ferr
-	}
-	if gzw != nil {
-		if cerr := gzw.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return baseLines + int64(lw.Count()), err
+	return w
 }

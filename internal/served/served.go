@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -49,7 +48,6 @@ import (
 	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/logz"
 	"cptgpt/internal/mcn"
-	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
 	"cptgpt/internal/telemetry"
@@ -113,7 +111,6 @@ type Options struct {
 // registry behind the cptserved HTTP API.
 type Server struct {
 	opts  Options
-	mcn   mcn.Config
 	reg   *telemetry.Registry
 	log   *logz.Logger
 	start time.Time
@@ -156,13 +153,8 @@ func New(opts Options) *Server {
 	if opts.CheckpointInterval <= 0 {
 		opts.CheckpointInterval = DefaultCheckpointInterval
 	}
-	cfg := opts.MCN
-	if cfg.BaseInstances == 0 && cfg.DefaultServiceCost == 0 {
-		cfg = mcn.DefaultConfig()
-	}
 	s := &Server{
 		opts:   opts,
-		mcn:    cfg,
 		reg:    telemetry.NewRegistry(),
 		log:    opts.Log,
 		start:  time.Now(),
@@ -441,8 +433,9 @@ func resolveSpec(req *StartRequest) (*scenario.Spec, string, error) {
 	}
 }
 
-// validateStart checks the knobs that can be rejected before any work
-// starts, so bad requests fail with 400 rather than a failed run.
+// validateStart checks the run knobs that can be rejected before any work
+// starts, so bad requests fail with 400 rather than a failed run. The sink
+// and its target are the registry's to check (newRun → scenario.NewSink).
 func validateStart(req *StartRequest) error {
 	if _, err := cptgpt.ParsePrecision(req.Precision); err != nil {
 		return err
@@ -458,56 +451,51 @@ func validateStart(req *StartRequest) error {
 	if req.UEs < 0 {
 		return errors.New("ues must be ≥ 0")
 	}
-	switch req.Sink {
-	case "", "count", "mcn":
-		if req.Out != "" {
-			return fmt.Errorf("sink %q takes no out path", req.Sink)
-		}
-	case "jsonl", "csv":
-		if req.Out == "" {
-			return fmt.Errorf("sink %q requires out (server-side output path)", req.Sink)
-		}
-	case "replay":
-		if req.Out != "" {
-			return fmt.Errorf("sink %q takes no out path", req.Sink)
-		}
-		if req.Addr == "" {
-			return errors.New(`sink "replay" requires addr (replaynet server address)`)
-		}
-		// Probe reachability now so a bad address is a 400, not a run that
-		// starts, spins up the pipeline and then fails.
-		conn, err := net.DialTimeout("tcp", req.Addr, 2*time.Second)
-		if err != nil {
-			return fmt.Errorf("replay addr %q unreachable: %w", req.Addr, err)
-		}
-		conn.Close()
-	default:
-		return fmt.Errorf("unknown sink %q (want count, mcn, jsonl, csv or replay)", req.Sink)
-	}
-	if req.Sink != "replay" {
-		if req.Addr != "" {
-			return fmt.Errorf("sink %q takes no addr", req.Sink)
-		}
-		if req.ClosedLoop {
-			return fmt.Errorf("closed_loop only applies to the replay sink")
-		}
-	}
 	if req.MaxSpillBytes < 0 || req.MaxEvents < 0 {
 		return errors.New("max_spill_bytes and max_events must be ≥ 0")
 	}
 	if req.MaxWallSeconds < 0 || req.ShedAfterLagSeconds < 0 {
 		return errors.New("max_wall_seconds and shed_after_lag_seconds must be ≥ 0")
 	}
-	switch req.Degrade {
-	case "", DegradeFail:
-	case DegradeDrop, DegradePause:
-		if req.Sink != "jsonl" && req.Sink != "csv" {
-			return fmt.Errorf("degrade %q only applies to the jsonl and csv sinks", req.Degrade)
-		}
-	default:
-		return fmt.Errorf("unknown degrade policy %q (want fail, drop or pause)", req.Degrade)
-	}
 	return nil
+}
+
+// runFromRequest turns a decoded POST /runs body into an unregistered run,
+// or the 400 that refuses it. The replay address is probed last, after every
+// check that needs no network, so a request that is wrong on its face
+// never waits out a dial timeout.
+func (s *Server) runFromRequest(body *StartRequest) (*run, error) {
+	if err := validateStart(body); err != nil {
+		return nil, err
+	}
+	spec, name, err := resolveSpec(body)
+	if err != nil {
+		return nil, err
+	}
+	b := runlog.Begin{
+		Scenario: name, Sink: body.Sink,
+		Out: body.Out, Addr: body.Addr, ClosedLoop: body.ClosedLoop,
+		UEs: body.UEs, Compression: body.Compression,
+		Precision: body.Precision, Speculative: body.Speculative, DraftTokens: body.DraftTokens,
+		Parallelism: body.Parallelism, BatchSize: body.BatchSize,
+		MaxSpillBytes: body.MaxSpillBytes, MaxEvents: body.MaxEvents,
+		MaxWallNanos:   int64(time.Duration(body.MaxWallSeconds * float64(time.Second))),
+		Degrade:        body.Degrade,
+		ShedAfterNanos: int64(time.Duration(body.ShedAfterLagSeconds * float64(time.Second))),
+		StartedAt:      time.Now(),
+	}
+	if b.Sink == "" {
+		b.Sink = scenario.DefaultSink
+	}
+	r, err := s.newRun(b, spec, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := sinkConfig(&b).Probe(); err != nil {
+		r.cancel()
+		return nil, err
+	}
+	return r, nil
 }
 
 func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
@@ -518,92 +506,16 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if err := validateStart(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	spec, name, err := resolveSpec(&body)
+	r, err := s.runFromRequest(&body)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 
-	sink := body.Sink
-	if sink == "" {
-		sink = "count"
-	}
-	parallelism := body.Parallelism
-	if parallelism == 0 {
-		parallelism = s.opts.Parallelism
-	}
-
-	r := &run{
-		scenarioName: name,
-		spec:         spec,
-		sink:         sink,
-		out:          body.Out,
-		addr:         body.Addr,
-		closedLoop:   body.ClosedLoop,
-		ues:          body.UEs,
-		compression:  body.Compression,
-		done:         make(chan struct{}),
-		decode:       make(map[string]*cptgpt.DecodeStats),
-		state:        StateGenerating,
-		startedAt:    time.Now(),
-		ckptEvery:    int64(s.opts.CheckpointEvents),
-		ckptInterval: s.opts.CheckpointInterval,
-		degrade:      body.Degrade,
-		shedAfter:    time.Duration(body.ShedAfterLagSeconds * float64(time.Second)),
-		admitUEs:     admissionUEs(body.UEs, spec),
-		overBudget:   s.overBudgetInc,
-		budget: scenario.Budget{
-			MaxSpillBytes: body.MaxSpillBytes,
-			MaxEvents:     body.MaxEvents,
-			MaxWall:       time.Duration(body.MaxWallSeconds * float64(time.Second)),
-			SpillUsed:     &s.admission.spill,
-		},
-	}
-	if s.opts.JournalDir != "" && sink == "replay" && body.ClosedLoop {
-		// Fix the replay session identity at submission (the same derivation
-		// the closed-loop driver defaults to) so a resumed incarnation can
-		// rejoin the server-side session.
-		r.sessionID = uint64(time.Now().UnixNano())*2654435761 + 1
-	}
-	for _, src := range spec.Sources {
-		if src.Kind == "cptgpt" {
-			r.decode[src.ID] = &cptgpt.DecodeStats{}
-		}
-	}
-	if sink == "mcn" {
-		r.mcnLive = &mcn.LiveStats{}
-	}
-	if sink == "replay" && body.ClosedLoop {
-		r.replayLive = &replaynet.LiveStats{}
-	}
-	r.opts = scenario.RunOpts{
-		UEs:         body.UEs,
-		Parallelism: parallelism,
-		BatchSize:   body.BatchSize,
-		TempDir:     s.opts.TempDir,
-		Precision:   body.Precision,
-		Speculative: body.Speculative,
-		DraftTokens: body.DraftTokens,
-		Budget:      r.budget,
-		LoadModel:   s.loadModel,
-		SourceStats: func(id string) *cptgpt.DecodeStats { return r.decode[id] },
-		// r.stepHists is populated by registerRunMetrics before the run
-		// goroutine launches, so the closure reads a settled map.
-		SourceStepHist: func(id string) *telemetry.Histogram { return r.stepHists[id] },
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	r.cancel = cancel
-	r.runCtx = ctx
-
 	s.mu.Lock()
 	if s.shuttingDown {
 		s.mu.Unlock()
-		cancel()
+		r.cancel()
 		writeErr(w, http.StatusServiceUnavailable, errors.New("daemon is shutting down"))
 		return
 	}
@@ -613,9 +525,9 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		// re-taken under s.mu, so the rejection is authoritative, not a
 		// stale read racing another admission.
 		s.mu.Unlock()
-		cancel()
+		r.cancel()
 		s.rejected.Inc()
-		s.log.Infow("run rejected by admission control", "scenario", name,
+		s.log.Infow("run rejected by admission control", "scenario", r.begin.Scenario,
 			"reason", admitErr.Reason, "used", admitErr.Used, "limit", admitErr.Limit)
 		w.Header().Set("Retry-After",
 			fmt.Sprintf("%d", int(admitErr.RetryAfter.Seconds())))
@@ -623,9 +535,9 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.seq++
-	r.id = fmt.Sprintf("run-%d", s.seq)
-	s.runs[r.id] = r
-	s.order = append(s.order, r.id)
+	r.begin.RunID = fmt.Sprintf("run-%d", s.seq)
+	s.runs[r.begin.RunID] = r
+	s.order = append(s.order, r.begin.RunID)
 	queued := admitErr != nil
 	if queued {
 		r.state = StateQueued
@@ -642,17 +554,16 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 	// Evicted journals go too — an evicted run must not resurrect at the
 	// next startup.
 	for _, er := range evicted {
-		s.reg.Drop("run", er.id)
+		s.reg.Drop("run", er.begin.RunID)
 		er.removeJournal()
 	}
 
 	s.runsStarted.Inc()
 	s.registerRunMetrics(r)
-	r.log = s.log
 	if queued {
 		s.queuedTotal.Inc()
-		s.log.Infow("run queued by admission control", "run", r.id,
-			"scenario", r.scenarioName, "reason", admitErr.Reason)
+		s.log.Infow("run queued by admission control", "run", r.begin.RunID,
+			"scenario", r.begin.Scenario, "reason", admitErr.Reason)
 		// Re-pump once: if the budget freed between the admission check
 		// and the enqueue, no release is coming to wake the queue.
 		s.pumpQueue()
@@ -663,10 +574,10 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 	if s.opts.JournalDir != "" {
 		s.openJournal(r)
 	}
-	s.log.Infow("run started", "run", r.id, "scenario", r.scenarioName,
-		"sink", r.sink, "ues", r.ues, "compression", r.compression)
+	s.log.Infow("run started", "run", r.begin.RunID, "scenario", r.begin.Scenario,
+		"sink", r.begin.Sink, "ues", r.begin.UEs, "compression", r.begin.Compression)
 
-	s.launch(r, ctx, cancel)
+	s.launch(r)
 
 	writeJSON(w, http.StatusCreated, r.info())
 }
@@ -681,16 +592,17 @@ var executeTestHook atomic.Pointer[func(*run)]
 // the terminal state and closes, and the daemon carries on serving. The
 // run's admission reservation is released (and the queue pumped) after
 // the run is terminal and its done channel closed.
-func (s *Server) launch(r *run, ctx context.Context, cancel context.CancelFunc) {
+func (s *Server) launch(r *run) {
+	ctx := r.runCtx
 	go func() {
 		defer s.wg.Done()
 		defer s.releaseAdmission(r)
 		defer close(r.done)
-		defer cancel()
+		defer r.cancel()
 		// A wall-clock budget becomes a real context deadline here — at
 		// launch, not submission, so time spent in the admission queue
 		// does not count against the run.
-		if r.budget.MaxWall > 0 {
+		if r.opts.Budget.MaxWall > 0 {
 			var cancelWall context.CancelFunc
 			ctx, cancelWall = context.WithDeadline(ctx, r.wallDeadline())
 			defer cancelWall()
@@ -709,7 +621,7 @@ func (s *Server) launch(r *run, ctx context.Context, cancel context.CancelFunc) 
 		if hook := executeTestHook.Load(); hook != nil {
 			(*hook)(r)
 		}
-		r.execute(ctx, s.mcn)
+		r.execute(ctx)
 	}()
 }
 
@@ -744,7 +656,7 @@ func (s *Server) evictLocked() []*run {
 // functions read atomics (or take the run's small state lock), never the
 // registry itself, per the telemetry callback contract.
 func (s *Server) registerRunMetrics(r *run) {
-	lbl := []telemetry.Label{telemetry.L("run", r.id), telemetry.L("scenario", r.scenarioName)}
+	lbl := []telemetry.Label{telemetry.L("run", r.begin.RunID), telemetry.L("scenario", r.begin.Scenario)}
 	s.reg.CounterFunc("cptserved_run_events_total",
 		"Events released downstream of the pacer, per run.",
 		r.events, lbl...)
@@ -761,7 +673,7 @@ func (s *Server) registerRunMetrics(r *run) {
 	r.pacerRateHist = s.reg.Histogram("cptserved_pacer_window_rate",
 		"Distribution of achieved events/s over 1-second pacer windows.",
 		telemetry.RateBuckets, lbl...)
-	if r.degrade == DegradeDrop || r.degrade == DegradePause {
+	if r.begin.Degrade == DegradeDrop || r.begin.Degrade == DegradePause {
 		s.reg.GaugeFunc("cptserved_breaker_state",
 			"Sink circuit breaker: 0 closed, 1 open, 2 half-open.",
 			r.breakerState, lbl...)
@@ -790,58 +702,9 @@ func (s *Server) registerRunMetrics(r *run) {
 			func() int64 { return ds.Load().DraftAccepted }, dl...)
 	}
 
-	if live := r.mcnLive; live != nil {
-		s.reg.CounterFunc("cptserved_mcn_events_total",
-			"Arrivals processed by the run's MCN simulation.",
-			live.Events.Load, lbl...)
-		s.reg.CounterFunc("cptserved_mcn_rejected_total",
-			"Arrivals rejected by the MCN's UE state machine.",
-			live.Rejected.Load, lbl...)
-		s.reg.GaugeFunc("cptserved_mcn_connected_ues",
-			"UEs currently in the CONNECTED state.",
-			func() float64 { return float64(live.ConnectedUEs.Load()) }, lbl...)
-		s.reg.GaugeFunc("cptserved_mcn_instances",
-			"NF instances currently provisioned by the autoscaler.",
-			func() float64 { return float64(live.Instances.Load()) }, lbl...)
-		s.reg.GaugeFunc("cptserved_mcn_latency_seconds",
-			"MCN event latency (mean refreshes per metering window).",
-			func() float64 { return float64(live.MeanLatencyNanos.Load()) / 1e9 },
-			append([]telemetry.Label{telemetry.L("stat", "mean")}, lbl...)...)
-		s.reg.GaugeFunc("cptserved_mcn_latency_seconds",
-			"MCN event latency (mean refreshes per metering window).",
-			func() float64 { return float64(live.P95LatencyNanos.Load()) / 1e9 },
-			append([]telemetry.Label{telemetry.L("stat", "p95")}, lbl...)...)
-		s.reg.GaugeFunc("cptserved_mcn_latency_seconds",
-			"MCN event latency (mean refreshes per metering window).",
-			func() float64 { return float64(live.P99LatencyNanos.Load()) / 1e9 },
-			append([]telemetry.Label{telemetry.L("stat", "p99")}, lbl...)...)
-		r.mcnLatHist = s.reg.Histogram("cptserved_mcn_arrival_latency_seconds",
-			"Distribution of per-event MCN serving latency.",
-			telemetry.LatencyBuckets, lbl...)
-	}
-
-	if live := r.replayLive; live != nil {
-		s.reg.GaugeFunc("cptserved_replay_cwnd",
-			"Closed-loop replay congestion window (in-flight event budget).",
-			func() float64 { return float64(live.CwndEvents.Load()) }, lbl...)
-		s.reg.GaugeFunc("cptserved_replay_srtt_seconds",
-			"Closed-loop replay smoothed transaction RTT.",
-			func() float64 { return float64(live.SRTTNanos.Load()) / 1e9 }, lbl...)
-		s.reg.GaugeFunc("cptserved_replay_rto_seconds",
-			"Closed-loop replay retransmission timeout.",
-			func() float64 { return float64(live.RTONanos.Load()) / 1e9 }, lbl...)
-		s.reg.CounterFunc("cptserved_replay_retx_total",
-			"Events retransmitted after a loss event.",
-			live.Retransmits.Load, lbl...)
-		s.reg.GaugeFunc("cptserved_replay_inflight",
-			"Sent-but-unacknowledged closed-loop events.",
-			func() float64 { return float64(live.Inflight.Load()) }, lbl...)
-		s.reg.CounterFunc("cptserved_replay_reconnects_total",
-			"Completed reconnect-and-resume handshakes.",
-			live.Reconnects.Load, lbl...)
-		r.replayRTTHist = s.reg.Histogram("cptserved_replay_rtt_seconds",
-			"Distribution of closed-loop replay send→ACK round-trip times.",
-			telemetry.LatencyBuckets, lbl...)
+	// A sink with live state (mcn, closed-loop replay) registers its own.
+	if live, ok := r.sink.(scenario.LiveSink); ok {
+		live.Publish(s.reg, lbl...)
 	}
 }
 
@@ -891,7 +754,7 @@ func (s *Server) handleStop(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("no such run"))
 		return
 	}
-	s.log.Infow("run stop requested", "run", r.id)
+	s.log.Infow("run stop requested", "run", r.begin.RunID)
 	if s.cancelQueued(r) {
 		// Still waiting for admission: removed from the queue and finished
 		// without ever launching.

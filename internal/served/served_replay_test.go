@@ -51,6 +51,20 @@ func TestDaemonReplaySinkValidation(t *testing.T) {
 		nil, http.StatusBadRequest)
 	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 100, Addr: "127.0.0.1:9"},
 		nil, http.StatusBadRequest)
+	// The reachability probe is the last check: a request also wrong for a
+	// reason that needs no network is refused for that reason, without the
+	// address being dialed (so in well under the dial timeout).
+	var refusal map[string]string
+	t0 := time.Now()
+	do(t, "POST", ts.URL+"/runs", StartRequest{
+		Scenario: "flash-crowd", UEs: 100, Sink: "replay", Addr: unreachableAddr(t), Degrade: "sometimes",
+	}, &refusal, http.StatusBadRequest)
+	if !strings.Contains(refusal["error"], "degrade") || strings.Contains(refusal["error"], "unreachable") {
+		t.Fatalf("bad degrade + unreachable addr refused with %q, want the degrade error", refusal["error"])
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("refusal took %v: validation waited on the network", d)
+	}
 }
 
 // TestDaemonReplaySinkClosedLoop runs a closed-loop replay through the

@@ -1,8 +1,13 @@
 package served
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"io"
+	"net/http"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -66,5 +71,46 @@ func TestSinkShortWrite(t *testing.T) {
 		if cw.n != int64(sink.took) || retries.Load() != 0 {
 			t.Fatalf("%s: cursor %d, sink took %d, %d retries", format, cw.n, sink.took, retries.Load())
 		}
+	}
+}
+
+// TestDaemonAndDirectSinkOneFormat: a jsonl run through the daemon (retry,
+// counting and pacer layers in place) and the same spec and population
+// drained straight into the registry's sink, as cptscenario does, write the
+// same bytes — the two binaries' file output is one format.
+func TestDaemonAndDirectSinkOneFormat(t *testing.T) {
+	_, ts := newTestServer(t)
+	dir := t.TempDir()
+	served, direct := filepath.Join(dir, "served.jsonl"), filepath.Join(dir, "direct.jsonl")
+
+	var info RunInfo
+	do(t, "POST", ts.URL+"/runs", StartRequest{
+		Scenario: "flash-crowd", UEs: 150, Sink: "jsonl", Out: served,
+	}, &info, http.StatusCreated)
+	if final := waitState(t, ts.URL, info.ID); final.State != StateDone {
+		t.Fatalf("daemon run ended %s (err %q)", final.State, final.Error)
+	}
+
+	spec, err := scenario.Builtin("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := spec.Open(scenario.RunOpts{UEs: 150, TempDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sink, err := scenario.NewSink(scenario.SinkConfig{Name: "jsonl", Out: direct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sink.Consume(context.Background(), st); err != nil {
+		t.Fatal(err)
+	}
+
+	got, _ := os.ReadFile(served)
+	want, _ := os.ReadFile(direct)
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("daemon wrote %d bytes, the direct sink %d: not one format", len(got), len(want))
 	}
 }
