@@ -576,11 +576,11 @@ func BenchmarkSMMGenerate1000(b *testing.B) {
 // closedBenchSource feeds n attach/detach events with 10ms trace spacing.
 type closedBenchSource struct{ i, n int }
 
-func (s *closedBenchSource) NextReplayEvent() (replaynet.ReplayEvent, bool, error) {
+func (s *closedBenchSource) NextArrival() (trace.Arrival, bool, error) {
 	if s.i >= s.n {
-		return replaynet.ReplayEvent{}, false, nil
+		return trace.Arrival{}, false, nil
 	}
-	ev := replaynet.ReplayEvent{Time: float64(s.i) * 0.01, UE: uint64((s.i / 2) % 32), Type: events.Attach}
+	ev := trace.Arrival{Time: float64(s.i) * 0.01, UE: uint64((s.i / 2) % 32), Type: events.Attach}
 	if s.i%2 == 1 {
 		ev.Type = events.Detach
 	}

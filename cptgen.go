@@ -299,20 +299,22 @@ type (
 	ReplayServer = replaynet.Server
 	// ReplayStatsReport is the TCP server's accounting.
 	ReplayStatsReport = replaynet.Stats
-	// ReplayOpts tunes a TCP replay run.
+	// ReplayOpts tunes a TCP replay run (its pacing speedup).
 	ReplayOpts = replaynet.ReplayOpts
-	// ReplayServerOpts tunes a TCP MCN frontend (service time, ack batching,
-	// fault injection).
+	// ReplayServerOpts tunes a TCP MCN frontend (service time, fault
+	// injection).
 	ReplayServerOpts = replaynet.ServerOpts
 	// ReplayClosedOpts tunes a closed-loop (acknowledged, congestion-
-	// controlled) replay run.
+	// controlled) replay run: pacing, the session to open or resume, the
+	// dialer, and where live state and RTT samples go.
 	ReplayClosedOpts = replaynet.ClosedOpts
 	// ReplayClosedStats summarizes a closed-loop replay run.
 	ReplayClosedStats = replaynet.ClosedStats
 	// ReplayLiveStats publishes a running closed-loop replay's transport
 	// state (cwnd, sRTT, RTO, in-flight, retransmits) as atomics.
 	ReplayLiveStats = replaynet.LiveStats
-	// ReplaySearchOpts tunes the SLO-search controller.
+	// ReplaySearchOpts tunes the SLO-search controller (objective, first
+	// rate, window size).
 	ReplaySearchOpts = replaynet.SearchOpts
 	// ReplaySearchResult is the SLO search outcome.
 	ReplaySearchResult = replaynet.SearchResult
@@ -325,7 +327,7 @@ type (
 func DefaultMCNConfig() MCNConfig { return mcn.DefaultConfig() }
 
 // SimulateMCN runs the simulated mobile-core control-plane function over
-// the dataset in virtual time.
+// the dataset's merged arrival sequence (Dataset.Arrivals) in virtual time.
 func SimulateMCN(d *Dataset, cfg MCNConfig) (*MCNReport, error) { return mcn.Run(d, cfg) }
 
 // ListenMCN starts a TCP MCN frontend (see internal/replaynet's protocol).
@@ -334,8 +336,8 @@ func ListenMCN(addr string, gen Generation) (*ReplayServer, error) {
 }
 
 // ListenMCNOpts is ListenMCN with explicit server options: a per-event
-// service time (rate limit), ack batching and deterministic fault injection
-// on accepted connections.
+// service time (rate limit) and deterministic fault injection on accepted
+// connections.
 func ListenMCNOpts(addr string, gen Generation, opts ReplayServerOpts) (*ReplayServer, error) {
 	return replaynet.ListenAndServeOpts(addr, gen, opts)
 }
@@ -347,8 +349,9 @@ func FaultDialer(cfg FaultConfig) func(addr string) (net.Conn, error) {
 	return faultnet.Dialer(cfg)
 }
 
-// ReplayOverTCP paces a dataset's events onto a replaynet server and
-// returns the server's final stats.
+// ReplayOverTCP paces a dataset's merged arrival sequence
+// (Dataset.Arrivals) onto a replaynet server and returns the server's final
+// stats.
 func ReplayOverTCP(addr string, d *Dataset, opts ReplayOpts) (ReplayStatsReport, error) {
 	return replaynet.Replay(addr, d, opts)
 }

@@ -1,16 +1,15 @@
 // Package faultnet wraps net.Conn with deterministic, seeded fault
-// injection: latency jitter, silent drops, connection resets, partial
-// writes and stalls. It exists so every robustness path of the replaynet
-// closed-loop driver — retransmission, reconnect-and-resume, RTO backoff,
-// malformed-stream handling — is exercisable in-process by ordinary unit
-// tests, with the fault schedule a pure function of the configured seed
-// rather than of a flaky network.
+// injection: silent drops, connection resets, partial writes and stalls.
+// It exists so every robustness path of the replaynet closed-loop driver —
+// retransmission, reconnect-and-resume, RTO backoff, malformed-stream
+// handling — is exercisable in-process by ordinary unit tests, with the
+// fault schedule a pure function of the configured seed rather than of a
+// flaky network.
 //
 // A faulty Conn is usable on either side of a connection: a driver wraps
 // its dialed conns (Dialer), a server wraps its accepted conns (Listener).
 // Faults fire per Write/Read call:
 //
-//   - Latency/Jitter sleep before the operation (one-way delay).
 //   - Drop reports a successful write without sending the bytes — the
 //     stream desynchronizes, exactly like a lost segment tail, and the
 //     peer sees either a stall or a malformed frame.
@@ -39,11 +38,6 @@ type Config struct {
 	// Seed keys the deterministic fault schedule.
 	Seed uint64
 
-	// Latency is a fixed sleep before every Write; Jitter adds a uniform
-	// random extra in [0, Jitter).
-	Latency time.Duration
-	Jitter  time.Duration
-
 	// DropProb silently discards a Write (reported as fully written).
 	DropProb float64
 	// ResetProb severs the connection instead of a Write.
@@ -59,8 +53,7 @@ type Config struct {
 
 // active reports whether the config injects any fault at all.
 func (c Config) active() bool {
-	return c.Latency > 0 || c.Jitter > 0 || c.DropProb > 0 ||
-		c.ResetProb > 0 || c.PartialProb > 0 || c.StallProb > 0
+	return c.DropProb > 0 || c.ResetProb > 0 || c.PartialProb > 0 || c.StallProb > 0
 }
 
 // Validate checks probability ranges.
@@ -157,12 +150,6 @@ func (f *Conn) Write(b []byte) (int, error) {
 	defer f.wmu.Unlock()
 	if f.severed.Load() {
 		return 0, resetError{}
-	}
-	if d := f.cfg.Latency; d > 0 || f.cfg.Jitter > 0 {
-		if f.cfg.Jitter > 0 {
-			d += time.Duration(f.wrng.float() * float64(f.cfg.Jitter))
-		}
-		time.Sleep(d)
 	}
 	if f.cfg.StallProb > 0 && f.wrng.float() < f.cfg.StallProb {
 		f.Stalls.Add(1)

@@ -6,7 +6,7 @@
 // examples and the scenario engine drive with synthesized traffic.
 //
 // The simulation is event-driven in virtual time: a time-ordered arrival
-// sequence — pulled incrementally from an ArrivalSource, so a million-UE
+// sequence — pulled incrementally from a trace.ArrivalSource, so a million-UE
 // scenario never materializes in memory — is served by a pool of NF
 // instances with per-event-type service costs; an optional autoscaler
 // resizes the pool per window against a target utilization. Per-UE state is
@@ -15,9 +15,9 @@
 // insists only semantically correct traces are usable downstream.
 //
 // Latency percentiles are computed from a fixed-size log-spaced histogram
-// (exact mean, percentile values rounded up to a bucket edge ≤ 16%/decade
-// apart), so the simulator's memory footprint is O(per-UE state), never
-// O(events).
+// (telemetry.Histogram over telemetry.LatencyBuckets: exact mean, percentile
+// values rounded up to a bucket edge ≤ 16%/decade apart), so the simulator's
+// memory footprint is O(per-UE state), never O(events).
 //
 // Concurrency contract: Run/RunStream are synchronous and single-threaded —
 // the simulation loop owns all of its state and two concurrent calls never
@@ -35,7 +35,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"cptgpt/internal/events"
@@ -65,10 +64,11 @@ type Config struct {
 	// counters while RunStream is still running (see LiveStats). It does
 	// not change the simulation.
 	Live *LiveStats
-	// LatencySink, when non-nil, mirrors every served event's latency
-	// sample (seconds) into a lock-free telemetry histogram — the
-	// distribution-level counterpart of Live's point quantiles, rendered
-	// natively on /metrics. It does not change the simulation.
+	// LatencySink, when non-nil, is the histogram the run records every
+	// served event's latency (seconds) into and reads its report from, in
+	// place of a private one — the distribution-level counterpart of Live's
+	// point quantiles, rendered natively on /metrics. It must be empty and
+	// the run its only writer. It does not change the simulation.
 	LatencySink *telemetry.Histogram
 }
 
@@ -174,92 +174,6 @@ type Report struct {
 	Windows []WindowStat
 }
 
-// Arrival is one merged control-plane event: a timestamp, the UE it belongs
-// to (any stable 64-bit key) and the event type.
-type Arrival struct {
-	Time float64
-	UE   uint64
-	Type events.Type
-}
-
-// ArrivalSource feeds the simulator a time-ordered arrival sequence, one
-// event per call. It returns ok=false when the sequence is exhausted. The
-// simulator never buffers the sequence, so sources may be arbitrarily long.
-type ArrivalSource interface {
-	NextArrival() (a Arrival, ok bool, err error)
-}
-
-// LatencyHist is a log-spaced latency histogram over the shared
-// telemetry.LatencyBuckets scheme: bucket 0 holds latencies below the
-// scheme's Min (10µs), then 16 buckets per decade up to 10ks, then one
-// overflow bucket. Percentile queries return the upper edge of the bucket
-// holding the requested rank (≤ 16%/decade apart), and the mean is exact —
-// O(1) memory regardless of the sample count. It backs the MCN simulator's
-// latency report and the closed-loop replay driver's per-transaction SLO
-// accounting; the bucket math lives in telemetry.Buckets so mcn, replaynet
-// and the Prometheus histograms agree on one edge set. Not safe for
-// concurrent use (the single-writer simulator loop); the lock-free
-// equivalent is telemetry.Histogram.
-type LatencyHist struct {
-	counts []int
-	n      int
-	sum    float64
-}
-
-// latencyBuckets is the shared log-bucket scheme (1e-5..1e4 s, 16/decade).
-var latencyBuckets = telemetry.LatencyBuckets
-
-// NewLatencyHist returns an empty histogram.
-func NewLatencyHist() *LatencyHist {
-	return &LatencyHist{counts: make([]int, latencyBuckets.NumBuckets())}
-}
-
-// Add records one latency sample in seconds.
-func (h *LatencyHist) Add(l float64) {
-	h.n++
-	h.sum += l
-	h.counts[latencyBuckets.Index(l)]++
-}
-
-// Count returns the number of recorded samples.
-func (h *LatencyHist) Count() int { return h.n }
-
-// Reset clears the histogram for reuse (a controller's per-probe-window
-// measurements reuse one allocation).
-func (h *LatencyHist) Reset() {
-	clear(h.counts)
-	h.n = 0
-	h.sum = 0
-}
-
-// Mean returns the exact mean of the recorded samples.
-func (h *LatencyHist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Quantile returns the upper edge of the bucket containing the q-quantile,
-// clamped to the scheme's [Min, Max].
-func (h *LatencyHist) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	rank := int(q * float64(h.n-1))
-	var cum int
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			if i == len(h.counts)-1 {
-				return latencyBuckets.Max
-			}
-			return latencyBuckets.UpperEdge(i)
-		}
-	}
-	return latencyBuckets.Max
-}
-
 // serverHeap is a min-heap of per-instance next-free times.
 type serverHeap []float64
 
@@ -275,44 +189,10 @@ func (h *serverHeap) Pop() interface{} {
 	return x
 }
 
-// ueRec is the per-UE admission state.
-type ueRec struct {
-	state statemachine.State
-	boot  bool
-}
-
-// datasetSource adapts an in-memory Dataset to an ArrivalSource by merging
-// all streams into one time-ordered sequence up front (the compatibility
-// path for callers that already hold the whole dataset).
-type datasetSource struct {
-	arr []Arrival
-	i   int
-}
-
-func newDatasetSource(d *trace.Dataset) *datasetSource {
-	src := &datasetSource{}
-	for ue := range d.Streams {
-		for _, e := range d.Streams[ue].Events {
-			src.arr = append(src.arr, Arrival{Time: e.Time, UE: uint64(ue), Type: e.Type})
-		}
-	}
-	sort.SliceStable(src.arr, func(i, j int) bool { return src.arr[i].Time < src.arr[j].Time })
-	return src
-}
-
-func (s *datasetSource) NextArrival() (Arrival, bool, error) {
-	if s.i >= len(s.arr) {
-		return Arrival{}, false, nil
-	}
-	a := s.arr[s.i]
-	s.i++
-	return a, true, nil
-}
-
 // Run simulates the MCN over the dataset and returns the report. It is
 // RunStream over the dataset's merged arrival sequence.
 func Run(d *trace.Dataset, cfg Config) (*Report, error) {
-	return RunStream(d.Generation, newDatasetSource(d), cfg)
+	return RunStream(d.Generation, d.Arrivals(), cfg)
 }
 
 // RunStream simulates the MCN over a time-ordered arrival sequence pulled
@@ -321,13 +201,13 @@ func Run(d *trace.Dataset, cfg Config) (*Report, error) {
 // the scenario engine drive million-UE workloads through it. Arrivals must
 // be non-decreasing in time; a time regression is reported as an error
 // (merged scenario streams guarantee order by construction).
-func RunStream(gen events.Generation, src ArrivalSource, cfg Config) (*Report, error) {
+func RunStream(gen events.Generation, src trace.ArrivalSource, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 
 	machine := statemachine.New(gen)
-	ues := make(map[uint64]ueRec)
+	ues := make(map[uint64]statemachine.UE)
 
 	servers := make(serverHeap, cfg.BaseInstances)
 	heap.Init(&servers)
@@ -335,7 +215,10 @@ func RunStream(gen events.Generation, src ArrivalSource, cfg Config) (*Report, e
 	maxInstances := instances
 
 	rep := &Report{}
-	hist := NewLatencyHist()
+	hist := cfg.LatencySink
+	if hist == nil {
+		hist = telemetry.NewHistogram(telemetry.LatencyBuckets)
+	}
 	connected := 0
 	var winStart float64
 	winArrivals := 0
@@ -421,7 +304,8 @@ func RunStream(gen events.Generation, src ArrivalSource, cfg Config) (*Report, e
 			}
 		}
 
-		// Stateful admission: replay semantics with bootstrap heuristic.
+		// Stateful admission under the replay rule (statemachine.Apply):
+		// pre-bootstrap events are admitted without a state check.
 		rec, seen := ues[a.UE]
 		if !seen {
 			rep.UEs++
@@ -429,29 +313,16 @@ func RunStream(gen events.Generation, src ArrivalSource, cfg Config) (*Report, e
 				cfg.Live.UEs.Add(1)
 			}
 		}
-		prevTop := statemachine.Top(rec.state)
-		if !rec.boot {
-			if st, ok := machine.Bootstrap(a.Type); ok {
-				rec.state = st
-				rec.boot = true
-				ues[a.UE] = rec
-			} else if !seen {
-				ues[a.UE] = rec // remember the UE even pre-bootstrap
+		prevTop := statemachine.Top(rec.State)
+		if !machine.Apply(&rec, a.Type) {
+			rep.Rejected++
+			if cfg.Live != nil {
+				cfg.Live.Rejected.Add(1)
 			}
-			// Pre-bootstrap events are admitted without state checks.
-		} else {
-			next, ok := machine.Step(rec.state, a.Type)
-			if !ok {
-				rep.Rejected++
-				if cfg.Live != nil {
-					cfg.Live.Rejected.Add(1)
-				}
-				continue
-			}
-			rec.state = next
-			ues[a.UE] = rec
+			continue
 		}
-		if top := statemachine.Top(rec.state); top != prevTop {
+		ues[a.UE] = rec
+		if top := statemachine.Top(rec.State); top != prevTop {
 			switch {
 			case top == statemachine.TopConnected:
 				connected++
@@ -475,10 +346,7 @@ func RunStream(gen events.Generation, src ArrivalSource, cfg Config) (*Report, e
 		start := math.Max(free, a.Time)
 		finish := start + cost
 		heap.Push(&servers, finish)
-		hist.Add(finish - a.Time)
-		if cfg.LatencySink != nil {
-			cfg.LatencySink.Observe(finish - a.Time)
-		}
+		hist.Observe(finish - a.Time)
 		winBusy += cost
 	}
 	if !started {

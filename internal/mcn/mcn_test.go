@@ -1,12 +1,15 @@
 package mcn
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/synthetic"
+	"cptgpt/internal/telemetry"
 	"cptgpt/internal/trace"
 )
 
@@ -65,6 +68,27 @@ func TestRunCleanWorkload(t *testing.T) {
 	}
 	if len(rep.Windows) == 0 {
 		t.Fatal("window history missing")
+	}
+
+	// The whole report, bit for bit, as the commit before the simulator
+	// moved onto telemetry.Histogram printed it (recorded there) — from the
+	// private histogram and from the caller's LatencySink alike.
+	const want = "11eac3810cc502cb"
+	cfg := DefaultConfig()
+	cfg.LatencySink = telemetry.NewHistogram(telemetry.LatencyBuckets)
+	viaSink, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Report{rep, viaSink} {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%+v", *r)
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Fatalf("report digest %s, want %s: %+v", got, want, *r)
+		}
+	}
+	if got := cfg.LatencySink.Count(); got != int64(rep.Events) {
+		t.Fatalf("LatencySink holds %d samples, want one per served event (%d)", got, rep.Events)
 	}
 }
 
@@ -156,15 +180,15 @@ func TestMoreInstancesReduceLatency(t *testing.T) {
 	}
 }
 
-// sliceSource feeds a fixed arrival slice as an ArrivalSource.
+// sliceSource feeds a fixed arrival slice as a trace.ArrivalSource.
 type sliceSource struct {
-	arr []Arrival
+	arr []trace.Arrival
 	i   int
 }
 
-func (s *sliceSource) NextArrival() (Arrival, bool, error) {
+func (s *sliceSource) NextArrival() (trace.Arrival, bool, error) {
 	if s.i >= len(s.arr) {
-		return Arrival{}, false, nil
+		return trace.Arrival{}, false, nil
 	}
 	a := s.arr[s.i]
 	s.i++
@@ -172,18 +196,18 @@ func (s *sliceSource) NextArrival() (Arrival, bool, error) {
 }
 
 // TestRunStreamMatchesRun feeds RunStream an arrival sequence merged
-// independently of datasetSource (time-keyed stable sort built by hand), so
-// a bug in the dataset adapter's merge cannot cancel out.
+// independently of Dataset.Arrivals (time-keyed stable sort built by hand),
+// so a bug in the dataset merge cannot cancel out.
 func TestRunStreamMatchesRun(t *testing.T) {
 	d := workload(t, 120)
 	want, err := Run(d, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var arr []Arrival
+	var arr []trace.Arrival
 	for ue := range d.Streams {
 		for _, e := range d.Streams[ue].Events {
-			arr = append(arr, Arrival{Time: e.Time, UE: uint64(ue), Type: e.Type})
+			arr = append(arr, trace.Arrival{Time: e.Time, UE: uint64(ue), Type: e.Type})
 		}
 	}
 	sort.SliceStable(arr, func(i, j int) bool { return arr[i].Time < arr[j].Time })
@@ -204,12 +228,12 @@ func TestRunStreamMatchesRun(t *testing.T) {
 func TestLatencyAccountingExact(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AutoScale = false
-	var arr []Arrival
+	var arr []trace.Arrival
 	for i := 0; i < 100; i++ {
 		base := float64(i) * 10
 		arr = append(arr,
-			Arrival{Time: base, UE: uint64(i), Type: events.Attach},
-			Arrival{Time: base + 5, UE: uint64(i), Type: events.S1ConnRel})
+			trace.Arrival{Time: base, UE: uint64(i), Type: events.Attach},
+			trace.Arrival{Time: base + 5, UE: uint64(i), Type: events.S1ConnRel})
 	}
 	sort.SliceStable(arr, func(i, j int) bool { return arr[i].Time < arr[j].Time })
 	rep, err := RunStream(events.Gen4G, src(arr), cfg)
@@ -231,7 +255,7 @@ func TestLatencyAccountingExact(t *testing.T) {
 }
 
 func TestRunStreamRejectsOutOfOrder(t *testing.T) {
-	src := &sliceSource{arr: []Arrival{
+	src := &sliceSource{arr: []trace.Arrival{
 		{Time: 10, UE: 0, Type: events.Attach},
 		{Time: 5, UE: 1, Type: events.Attach},
 	}}
@@ -244,17 +268,17 @@ func TestRunStreamRejectsOutOfOrder(t *testing.T) {
 // scale the pool up at the boundary and back down across the empty windows,
 // with every resize recorded at a window edge.
 func TestAutoscalerWindowBoundaryResizing(t *testing.T) {
-	var arr []Arrival
+	var arr []trace.Arrival
 	// 2000 attach/rel pairs in [0, 10): far above one instance's capacity.
 	for i := 0; i < 2000; i++ {
 		tt := float64(i) * 0.005
 		arr = append(arr,
-			Arrival{Time: tt, UE: uint64(i), Type: events.Attach},
-			Arrival{Time: tt + 0.002, UE: uint64(i), Type: events.S1ConnRel})
+			trace.Arrival{Time: tt, UE: uint64(i), Type: events.Attach},
+			trace.Arrival{Time: tt + 0.002, UE: uint64(i), Type: events.S1ConnRel})
 	}
 	sort.SliceStable(arr, func(i, j int) bool { return arr[i].Time < arr[j].Time })
 	// One straggler far later forces several idle windows to close.
-	arr = append(arr, Arrival{Time: 100, UE: 999999, Type: events.Attach})
+	arr = append(arr, trace.Arrival{Time: 100, UE: 999999, Type: events.Attach})
 
 	cfg := DefaultConfig()
 	cfg.BaseInstances = 1
@@ -284,12 +308,12 @@ func TestAutoscalerWindowBoundaryResizing(t *testing.T) {
 // overshoots the target and the pool slams to MaxInstances; a near-one
 // set-point tolerates the same load with (almost) no scaling.
 func TestAutoscalerTargetUtilEdges(t *testing.T) {
-	var arr []Arrival
+	var arr []trace.Arrival
 	for i := 0; i < 500; i++ {
 		tt := float64(i) * 0.05
 		arr = append(arr,
-			Arrival{Time: tt, UE: uint64(i), Type: events.Attach},
-			Arrival{Time: tt + 0.01, UE: uint64(i), Type: events.S1ConnRel})
+			trace.Arrival{Time: tt, UE: uint64(i), Type: events.Attach},
+			trace.Arrival{Time: tt + 0.01, UE: uint64(i), Type: events.S1ConnRel})
 	}
 	sort.SliceStable(arr, func(i, j int) bool { return arr[i].Time < arr[j].Time })
 
@@ -332,7 +356,7 @@ func TestAutoscalerTargetUtilEdges(t *testing.T) {
 func TestRejectionAccountingMergedInput(t *testing.T) {
 	// UE 1 is valid throughout; UE 2 double-sends SRV_REQ while connected
 	// (1 rejection) and detaches from idle (valid).
-	arr := []Arrival{
+	arr := []trace.Arrival{
 		{Time: 0, UE: 1, Type: events.Attach},
 		{Time: 0.5, UE: 2, Type: events.Attach},
 		{Time: 1, UE: 1, Type: events.S1ConnRel},
@@ -362,7 +386,7 @@ func TestRejectionAccountingMergedInput(t *testing.T) {
 	}
 }
 
-func src(arr []Arrival) *sliceSource { return &sliceSource{arr: arr} }
+func src(arr []trace.Arrival) *sliceSource { return &sliceSource{arr: arr} }
 
 // TestLiveStatsMatchFinalReport runs the simulator with live publication
 // enabled and checks (a) that the live counters end exactly on the report's
@@ -375,7 +399,7 @@ func TestLiveStatsMatchFinalReport(t *testing.T) {
 	cfg.Live = live
 
 	progress := make(chan int64, 1)
-	src := newDatasetSource(d)
+	src := d.Arrivals()
 	// Wrap the source so the reader goroutine gets a window to observe a
 	// mid-run value: sample the live counter from inside the stream.
 	probe := &probeSource{src: src, at: int64(d.NumEvents() / 2), live: live, out: progress}
@@ -422,14 +446,14 @@ func TestLiveStatsMatchFinalReport(t *testing.T) {
 // probeSource passes arrivals through and snapshots a live counter once,
 // mid-stream — proof the stats are readable while the run is in flight.
 type probeSource struct {
-	src  ArrivalSource
+	src  trace.ArrivalSource
 	n    int64
 	at   int64
 	live *LiveStats
 	out  chan int64
 }
 
-func (p *probeSource) NextArrival() (Arrival, bool, error) {
+func (p *probeSource) NextArrival() (trace.Arrival, bool, error) {
 	p.n++
 	if p.n == p.at {
 		p.out <- p.live.Events.Load()

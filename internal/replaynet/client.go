@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sort"
 	"time"
 
 	"cptgpt/internal/events"
@@ -17,60 +16,59 @@ type ReplayOpts struct {
 	// Speedup divides trace time: 60 replays an hour of trace in a minute.
 	// A Speedup ≤ 0 replays as fast as the connection allows (no pacing).
 	Speedup float64
-	// Deadline bounds the total wall-clock replay duration; 0 means none.
-	Deadline time.Duration
 }
 
-// ReplayEvent is one wire-bound control-plane event: a virtual timestamp,
-// the UE it belongs to (any stable 64-bit key) and the event type.
-type ReplayEvent struct {
-	Time float64
-	UE   uint64
-	Type events.Type
+// ueIndex maps the sources' 64-bit UE keys to the protocol's 32-bit UE
+// indices, in first-seen order.
+type ueIndex map[uint64]uint32
+
+func (m ueIndex) of(ue uint64) uint32 {
+	idx, seen := m[ue]
+	if !seen {
+		idx = uint32(len(m))
+		m[ue] = idx
+	}
+	return idx
 }
 
-// EventSource feeds ReplayStream a time-ordered event sequence, one event
-// per call; ok=false ends the replay. Sources may be arbitrarily long — the
-// client never buffers them.
-type EventSource interface {
-	NextReplayEvent() (ev ReplayEvent, ok bool, err error)
+// schedule maps trace time to the wall clock at a speedup: the first event
+// asked about is due now, and anchors both clocks.
+type schedule struct {
+	speedup float64
+	started bool
+	start   time.Time
+	t0      float64
+}
+
+func (s *schedule) due(t float64) time.Time {
+	if !s.started {
+		s.started, s.start, s.t0 = true, time.Now(), t
+	}
+	return s.start.Add(time.Duration((t - s.t0) / s.speedup * float64(time.Second)))
+}
+
+// onIdle registers flush with a source that paces itself (see
+// trace.ArrivalSource): the drivers' "flush before every wait" contract has
+// to hold for a wait hidden inside NextArrival too.
+func onIdle(src trace.ArrivalSource, flush func()) {
+	if p, ok := src.(interface{ OnIdle(func()) }); ok {
+		p.OnIdle(flush)
+	}
 }
 
 // Replay connects to a replaynet server at addr, paces the dataset's merged
-// event sequence onto the wire and returns the server's final stats. Events
-// across all streams are interleaved in timestamp order, exactly the load a
-// real core would see from the UE population.
+// event sequence (Dataset.Arrivals) onto the wire and returns the server's
+// final stats.
 func Replay(addr string, d *trace.Dataset, opts ReplayOpts) (Stats, error) {
-	var all []ReplayEvent
-	for ue := range d.Streams {
-		for _, e := range d.Streams[ue].Events {
-			all = append(all, ReplayEvent{Time: e.Time, UE: uint64(ue), Type: e.Type})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Time < all[j].Time })
-	i := 0
-	next := func() (ReplayEvent, bool, error) {
-		if i >= len(all) {
-			return ReplayEvent{}, false, nil
-		}
-		ev := all[i]
-		i++
-		return ev, true, nil
-	}
-	return ReplayStream(addr, d.Generation, sourceFunc(next), opts)
+	return ReplayStream(addr, d.Generation, d.Arrivals(), opts)
 }
-
-// sourceFunc adapts a closure to an EventSource.
-type sourceFunc func() (ReplayEvent, bool, error)
-
-func (f sourceFunc) NextReplayEvent() (ReplayEvent, bool, error) { return f() }
 
 // ReplayStream connects to a replaynet server at addr and paces a
 // time-ordered event sequence pulled incrementally from src onto the wire —
 // the streaming counterpart of Replay that the scenario engine uses to
 // drive a server with million-UE workloads in bounded memory. 64-bit UE
 // keys are mapped to the protocol's 32-bit UE indices in first-seen order.
-func ReplayStream(addr string, gen events.Generation, src EventSource, opts ReplayOpts) (Stats, error) {
+func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource, opts ReplayOpts) (Stats, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return Stats{}, fmt.Errorf("replaynet: dial %s: %w", addr, err)
@@ -83,17 +81,16 @@ func ReplayStream(addr string, gen events.Generation, src EventSource, opts Repl
 		return Stats{}, err
 	}
 
-	start := time.Now()
-	ueIdx := make(map[uint64]uint32)
-	var t0 float64
-	first := true
+	ues := make(ueIndex)
+	sched := schedule{speedup: opts.Speedup}
 	// The writer is buffered for throughput, but a paced replay must not let
 	// events sit in the buffer while the pacer sleeps — the server would see
 	// them in bursts a flush interval late instead of on their schedule. So
-	// the buffer is flushed before every pacing sleep and, on unpaced or
-	// densely-paced stretches, at least every flushEvery of wall time.
+	// the buffer is flushed before every pacing sleep, the source's own
+	// included (onIdle), and, on unpaced or densely-paced stretches, at least
+	// every flushEvery of wall time.
 	const flushEvery = 50 * time.Millisecond
-	lastFlush := start
+	lastFlush := time.Now()
 	flush := func() error {
 		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("replaynet: flushing: %w", err)
@@ -101,24 +98,18 @@ func ReplayStream(addr string, gen events.Generation, src EventSource, opts Repl
 		lastFlush = time.Now()
 		return nil
 	}
+	// A failed flush sticks in bw: the loop's next one reports it.
+	onIdle(src, func() { _ = flush() })
 	for {
-		ev, ok, err := src.NextReplayEvent()
+		ev, ok, err := src.NextArrival()
 		if err != nil {
 			return Stats{}, fmt.Errorf("replaynet: event source: %w", err)
 		}
 		if !ok {
 			break
 		}
-		if first {
-			t0 = ev.Time
-			first = false
-		}
-		if opts.Deadline > 0 && time.Since(start) > opts.Deadline {
-			break
-		}
 		if opts.Speedup > 0 {
-			due := time.Duration((ev.Time - t0) / opts.Speedup * float64(time.Second))
-			if wait := due - time.Since(start); wait > 0 {
+			if wait := time.Until(sched.due(ev.Time)); wait > 0 {
 				if err := flush(); err != nil {
 					return Stats{}, err
 				}
@@ -130,12 +121,7 @@ func ReplayStream(addr string, gen events.Generation, src EventSource, opts Repl
 				return Stats{}, err
 			}
 		}
-		idx, seen := ueIdx[ev.UE]
-		if !seen {
-			idx = uint32(len(ueIdx))
-			ueIdx[ev.UE] = idx
-		}
-		if err := writeFrame(bw, frameEvent, eventPayload(idx, int64(ev.Time*1e6), byte(ev.Type))); err != nil {
+		if err := writeFrame(bw, frameEvent, eventPayload(ues.of(ev.UE), int64(ev.Time*1e6), byte(ev.Type))); err != nil {
 			return Stats{}, err
 		}
 	}

@@ -29,8 +29,8 @@ import (
 	"time"
 
 	"cptgpt/internal/events"
-	"cptgpt/internal/mcn"
 	"cptgpt/internal/telemetry"
+	"cptgpt/internal/trace"
 	"cptgpt/internal/tracez"
 )
 
@@ -63,14 +63,11 @@ type LiveStats struct {
 }
 
 // ClosedOpts tunes a closed-loop replay run. The zero value is usable:
-// no trace pacing (the window is the only throttle), default congestion
-// parameters, net.Dial connectivity.
+// no trace pacing (the window is the only throttle), net.Dial connectivity.
 type ClosedOpts struct {
 	// Speedup divides trace time exactly like ReplayOpts.Speedup; 0 sends
 	// as fast as the congestion window allows.
 	Speedup float64
-	// Deadline bounds the total wall-clock replay duration; 0 means none.
-	Deadline time.Duration
 	// SessionID keys the server-side resume state. 0 derives a fresh ID
 	// from the wall clock; pass an explicit ID for reproducible tests.
 	SessionID uint64
@@ -84,37 +81,36 @@ type ClosedOpts struct {
 	// server reports A < ResumeFrom its session state is gone (server
 	// restart) and the replay fails fast rather than double-applying.
 	ResumeFrom uint64
-	// InitialCwnd is the slow-start entry window (events); default 4.
-	InitialCwnd float64
-	// MaxCwnd caps the window; default 4096.
-	MaxCwnd float64
-	// MinRTO/MaxRTO clamp the retransmission timeout; defaults 100ms / 10s.
-	MinRTO time.Duration
-	MaxRTO time.Duration
-	// InitialRTO seeds the timeout before the first RTT sample; default 1s.
-	InitialRTO time.Duration
-	// ReconnectBackoff is the first reconnect delay, doubled per
-	// consecutive failure up to MaxReconnectBackoff; defaults 20ms / 2s.
-	ReconnectBackoff    time.Duration
-	MaxReconnectBackoff time.Duration
-	// MaxReconnects bounds consecutive failed reconnect attempts before
-	// the replay errors out; default 10.
-	MaxReconnects int
-	// FlushInterval bounds how long a written event may sit in the client's
-	// write buffer; default 20ms. The buffer is also flushed whenever the
-	// driver is about to wait.
-	FlushInterval time.Duration
 	// Dial overrides connection establishment (the fault-injection seam:
 	// pass faultnet.Dialer(cfg)); nil means plain net.Dial("tcp", addr).
 	Dial func(addr string) (net.Conn, error)
 	// Live, when non-nil, receives the run's transport state as atomics.
 	Live *LiveStats
-	// RTTSink, when non-nil, mirrors every sampled send→ACK latency
-	// (seconds) into a lock-free telemetry histogram — the native
-	// Prometheus distribution behind a daemon's
-	// cptserved_replay_rtt_seconds series. Never changes the replay.
+	// RTTSink, when non-nil, is the histogram the run records every sampled
+	// send→ACK latency (seconds) into and reads its ClosedStats latencies
+	// from, in place of a private one — the native Prometheus distribution
+	// behind a daemon's cptserved_replay_rtt_seconds series. It must be
+	// empty and the run its only writer. Never changes the replay.
 	RTTSink *telemetry.Histogram
+
+	// Test seams, zero = the default: the retransmission-timeout clamp
+	// (100ms / 10s) and its seed before the first RTT sample (1s); the first
+	// reconnect delay (20ms), doubled per consecutive failure up to its cap
+	// (2s); the consecutive failed reconnect attempts that end the replay
+	// (10).
+	minRTO, maxRTO, initialRTO            time.Duration
+	reconnectBackoff, maxReconnectBackoff time.Duration
+	maxReconnects                         int
 }
+
+// The slow-start entry window and the window cap, in events; and how long a
+// written event may sit in the client's write buffer (it is also flushed
+// whenever the driver is about to wait).
+const (
+	initialCwnd   = 4.0
+	maxCwnd       = 4096.0
+	flushInterval = 20 * time.Millisecond
+)
 
 // NewSessionID derives a fresh session key from the wall clock — what a
 // zero ClosedOpts.SessionID resolves to, for a caller that must know the
@@ -126,32 +122,23 @@ func (o ClosedOpts) withDefaults() ClosedOpts {
 	if o.SessionID == 0 {
 		o.SessionID = NewSessionID()
 	}
-	if o.InitialCwnd <= 0 {
-		o.InitialCwnd = 4
+	if o.minRTO <= 0 {
+		o.minRTO = 100 * time.Millisecond
 	}
-	if o.MaxCwnd <= 0 {
-		o.MaxCwnd = 4096
+	if o.maxRTO <= 0 {
+		o.maxRTO = 10 * time.Second
 	}
-	if o.MinRTO <= 0 {
-		o.MinRTO = 100 * time.Millisecond
+	if o.initialRTO <= 0 {
+		o.initialRTO = time.Second
 	}
-	if o.MaxRTO <= 0 {
-		o.MaxRTO = 10 * time.Second
+	if o.reconnectBackoff <= 0 {
+		o.reconnectBackoff = 20 * time.Millisecond
 	}
-	if o.InitialRTO <= 0 {
-		o.InitialRTO = time.Second
+	if o.maxReconnectBackoff <= 0 {
+		o.maxReconnectBackoff = 2 * time.Second
 	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 20 * time.Millisecond
-	}
-	if o.MaxReconnectBackoff <= 0 {
-		o.MaxReconnectBackoff = 2 * time.Second
-	}
-	if o.MaxReconnects <= 0 {
-		o.MaxReconnects = 10
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 20 * time.Millisecond
+	if o.maxReconnects <= 0 {
+		o.maxReconnects = 10
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -201,16 +188,17 @@ type pendingEv struct {
 // onAck observes acked batches — returning false stops pulling the source
 // (in-flight events still drain).
 type closedHooks struct {
-	due    func(ev ReplayEvent) time.Time
+	due    func(ev trace.Arrival) time.Time
 	onSend func()
 	onAck  func(n int, now time.Time) bool
 }
 
 // closedSession is the driver state machine.
 type closedSession struct {
-	addr string
-	gen  events.Generation
-	o    ClosedOpts
+	addr  string
+	gen   events.Generation
+	o     ClosedOpts
+	hooks closedHooks
 
 	conn     net.Conn
 	bw       *bufio.Writer
@@ -224,8 +212,9 @@ type closedSession struct {
 	pending   []pendingEv
 	ackedSeq  uint64 // highest sequence processed out of lastAck
 	nextSeq   uint64
-	ueIdx     map[uint64]uint32
+	ues       ueIndex
 	flushedAt time.Time
+	srcDone   bool // the source is exhausted, or the controller said stop
 
 	// Congestion state.
 	cwnd, wMax, cubicK float64
@@ -235,11 +224,11 @@ type closedSession struct {
 	// RFC-6298 estimator state.
 	srtt, rttvar, rto time.Duration
 
-	// Latency accounting: hist is the whole-run histogram; winHist, when
-	// non-nil, additionally receives samples for the controller's current
-	// probe window.
-	hist    *mcn.LatencyHist
-	winHist *mcn.LatencyHist
+	// Latency accounting: hist is the whole-run histogram (o.RTTSink when
+	// given); winHist, when non-nil, additionally receives samples for the
+	// controller's current probe window.
+	hist    *telemetry.Histogram
+	winHist *telemetry.Histogram
 
 	sent, retx, acked, reconnects int64
 	start                         time.Time
@@ -267,24 +256,24 @@ func (s *closedSession) publishLive() {
 // on the session: ACK state folds into atomics with a non-blocking notify,
 // so TCP backpressure on the event stream can never deadlock the ack path.
 func (s *closedSession) startReader(br *bufio.Reader, notify chan struct{}, errCh chan error, reportCh chan Stats) {
+	fail := func(err error) {
+		select {
+		case errCh <- err:
+		default:
+		}
+	}
 	go func() {
 		for {
 			t, payload, err := readFrame(br)
 			if err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
+				fail(err)
 				return
 			}
 			switch t {
 			case frameAck:
 				seq, err := decodeAck(payload)
 				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
+					fail(err)
 					return
 				}
 				for {
@@ -310,10 +299,7 @@ func (s *closedSession) startReader(br *bufio.Reader, notify chan struct{}, errC
 					}
 				}
 			default:
-				select {
-				case errCh <- fmt.Errorf("replaynet: unexpected frame %q from server", byte(t)):
-				default:
-				}
+				fail(fmt.Errorf("replaynet: unexpected frame %q from server", byte(t)))
 				return
 			}
 		}
@@ -357,7 +343,7 @@ func (s *closedSession) connect() (uint64, error) {
 	_ = conn.SetReadDeadline(time.Time{})
 
 	s.conn = conn
-	s.bw = bufio.NewWriter(conn)
+	s.bw = bw
 	s.notify = make(chan struct{}, 1)
 	s.readErr = make(chan error, 1)
 	s.reportCh = make(chan Stats, 1)
@@ -376,14 +362,14 @@ func (s *closedSession) reconnect() error {
 		s.conn.Close()
 		s.conn = nil
 	}
-	backoff := s.o.ReconnectBackoff
+	backoff := s.o.reconnectBackoff
 	for attempt := 0; ; attempt++ {
-		if attempt >= s.o.MaxReconnects {
+		if attempt >= s.o.maxReconnects {
 			return fmt.Errorf("replaynet: gave up after %d reconnect attempts", attempt)
 		}
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > s.o.MaxReconnectBackoff {
-			backoff = s.o.MaxReconnectBackoff
+		if backoff *= 2; backoff > s.o.maxReconnectBackoff {
+			backoff = s.o.maxReconnectBackoff
 		}
 		applied, err := s.connect()
 		if err != nil {
@@ -453,8 +439,8 @@ func (s *closedSession) onAckCwnd(n int, now time.Time) {
 			}
 		}
 	}
-	if s.cwnd > s.o.MaxCwnd {
-		s.cwnd = s.o.MaxCwnd
+	if s.cwnd > maxCwnd {
+		s.cwnd = maxCwnd
 	}
 	if s.cwnd < minCwnd {
 		s.cwnd = minCwnd
@@ -478,11 +464,11 @@ func (s *closedSession) updateRTT(r time.Duration) {
 		s.srtt = (7*s.srtt + r) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.o.MinRTO {
-		s.rto = s.o.MinRTO
+	if s.rto < s.o.minRTO {
+		s.rto = s.o.minRTO
 	}
-	if s.rto > s.o.MaxRTO {
-		s.rto = s.o.MaxRTO
+	if s.rto > s.o.maxRTO {
+		s.rto = s.o.maxRTO
 	}
 }
 
@@ -503,12 +489,9 @@ func (s *closedSession) popAcked(upTo uint64, at time.Time, sample bool) int {
 			if lat < 0 {
 				lat = 0
 			}
-			s.hist.Add(lat.Seconds())
+			s.hist.Observe(lat.Seconds())
 			if s.winHist != nil {
-				s.winHist.Add(lat.Seconds())
-			}
-			if s.o.RTTSink != nil {
-				s.o.RTTSink.Observe(lat.Seconds())
+				s.winHist.Observe(lat.Seconds())
 			}
 			if !p.retx {
 				rttSample = lat
@@ -537,22 +520,49 @@ func (s *closedSession) flush() error {
 	return s.bw.Flush()
 }
 
-// send transmits one event as the next sequenced transaction.
-func (s *closedSession) send(ev ReplayEvent, now time.Time) error {
-	idx, seen := s.ueIdx[ev.UE]
-	if !seen {
-		idx = uint32(len(s.ueIdx))
-		s.ueIdx[ev.UE] = idx
+// retire folds whatever the reader has acknowledged into the session.
+func (s *closedSession) retire() {
+	upTo := s.lastAck.Load()
+	if upTo <= s.ackedSeq {
+		return
 	}
+	at := time.Unix(0, s.lastAckAt.Load())
+	if n := s.popAcked(upTo, at, true); n > 0 && s.hooks.onAck != nil && !s.hooks.onAck(n, at) {
+		s.srcDone = true // controller says stop: drain and finish
+	}
+}
+
+// idle is what a source that paces itself runs before it blocks (onIdle):
+// the part of the driver's wait that cannot be left until the source
+// returns. Everything buffered goes onto the wire, and the ACKs answering
+// it within a flush interval — the shortest wait such a source announces —
+// are retired, so neither the window nor LiveStats sit stale through the
+// source's sleep. A failed flush sticks in bw, and a dead connection or an
+// expired RTO keep: the loop finds them when the source returns.
+func (s *closedSession) idle() {
+	_ = s.flush()
+	timeout := time.After(flushInterval)
+	for len(s.pending) > 0 {
+		select {
+		case <-s.notify:
+			s.retire()
+		case <-timeout:
+			return
+		}
+	}
+}
+
+// send transmits one event as the next sequenced transaction.
+func (s *closedSession) send(ev trace.Arrival, now time.Time) error {
 	s.nextSeq++
-	p := pendingEv{seq: s.nextSeq, ue: idx, tMicros: int64(ev.Time * 1e6), ev: byte(ev.Type), sentAt: now}
+	p := pendingEv{seq: s.nextSeq, ue: s.ues.of(ev.UE), tMicros: int64(ev.Time * 1e6), ev: byte(ev.Type), sentAt: now}
 	s.pending = append(s.pending, p)
 	s.sent++
 	var buf [21]byte
 	if err := writeFrame(s.bw, frameSeqEvent, seqEventPayload(buf[:], p.seq, p.ue, p.tMicros, p.ev)); err != nil {
 		return err
 	}
-	if time.Since(s.flushedAt) >= s.o.FlushInterval {
+	if time.Since(s.flushedAt) >= flushInterval {
 		return s.flush()
 	}
 	return nil
@@ -561,21 +571,24 @@ func (s *closedSession) send(ev ReplayEvent, now time.Time) error {
 // runClosed is the core closed-loop driver loop shared by ReplayClosed and
 // SLOSearch. winHist, when non-nil, additionally receives every acked
 // transaction's latency (the controller's probe-window accounting).
-func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts, hooks closedHooks, winHist *mcn.LatencyHist) (ClosedStats, error) {
+func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o ClosedOpts, hooks closedHooks, winHist *telemetry.Histogram) (ClosedStats, error) {
 	o = o.withDefaults()
 	s := &closedSession{
-		addr: addr, gen: gen, o: o,
-		ueIdx:     make(map[uint64]uint32),
-		cwnd:      o.InitialCwnd,
+		addr: addr, gen: gen, o: o, hooks: hooks,
+		ues:       make(ueIndex),
+		cwnd:      initialCwnd,
 		slowStart: true,
-		rto:       o.InitialRTO,
-		hist:      mcn.NewLatencyHist(),
+		rto:       o.initialRTO,
+		hist:      o.RTTSink,
 		winHist:   winHist,
 		start:     time.Now(),
 		// A resumed incarnation continues the session's absolute sequence
 		// space: the next send is ResumeFrom+1 (0 for a fresh session).
 		nextSeq:  o.ResumeFrom,
 		ackedSeq: o.ResumeFrom,
+	}
+	if s.hist == nil {
+		s.hist = telemetry.NewHistogram(telemetry.LatencyBuckets)
 	}
 	s.lastAck.Store(o.ResumeFrom)
 	applied, err := s.connect()
@@ -587,6 +600,7 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 			s.conn.Close()
 		}
 	}()
+	onIdle(src, s.idle)
 	if o.ResumeFrom > 0 {
 		if applied < o.ResumeFrom {
 			return ClosedStats{}, fmt.Errorf(
@@ -598,16 +612,14 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 		// them from the source without sending (no pacing, no stats), so
 		// the wire resumes exactly at applied+1.
 		for skip := applied - o.ResumeFrom; skip > 0; skip-- {
-			ev, ok, err := src.NextReplayEvent()
+			ev, ok, err := src.NextArrival()
 			if err != nil {
 				return ClosedStats{}, fmt.Errorf("replaynet: event source during resume skip: %w", err)
 			}
 			if !ok {
 				break
 			}
-			if _, seen := s.ueIdx[ev.UE]; !seen {
-				s.ueIdx[ev.UE] = uint32(len(s.ueIdx))
-			}
+			s.ues.of(ev.UE)
 			s.nextSeq++
 		}
 		s.ackedSeq = s.nextSeq
@@ -616,9 +628,8 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 	s.publishLive()
 
 	var (
-		peek     ReplayEvent
+		peek     trace.Arrival
 		havePeek bool
-		srcDone  bool
 	)
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
@@ -628,34 +639,21 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 
 	for {
 		// Retire whatever the reader has acknowledged.
-		if upTo := s.lastAck.Load(); upTo > s.ackedSeq {
-			at := time.Unix(0, s.lastAckAt.Load())
-			if n := s.popAcked(upTo, at, true); n > 0 && hooks.onAck != nil {
-				if !hooks.onAck(n, at) {
-					srcDone = true // controller says stop: drain and finish
-					havePeek = false
-				}
-			}
-		}
+		s.retire()
 
 		// Fill the window.
 		paceWait := time.Duration(-1)
-		for !srcDone && len(s.pending) < int(s.cwnd) {
+		for !s.srcDone && len(s.pending) < int(s.cwnd) {
 			if !havePeek {
-				ev, ok, err := src.NextReplayEvent()
+				ev, ok, err := src.NextArrival()
 				if err != nil {
 					return ClosedStats{}, fmt.Errorf("replaynet: event source: %w", err)
 				}
 				if !ok {
-					srcDone = true
+					s.srcDone = true
 					break
 				}
 				peek, havePeek = ev, true
-			}
-			if o.Deadline > 0 && time.Since(s.start) > o.Deadline {
-				srcDone = true
-				havePeek = false
-				break
 			}
 			if hooks.due != nil {
 				if d := hooks.due(peek); !d.IsZero() {
@@ -677,7 +675,7 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 		}
 		s.publishLive()
 
-		if srcDone && len(s.pending) == 0 {
+		if s.srcDone && len(s.pending) == 0 {
 			break
 		}
 
@@ -711,11 +709,10 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 			if !timer.Stop() {
 				<-timer.C
 			}
-		case err := <-s.readErr:
+		case <-s.readErr:
 			if !timer.Stop() {
 				<-timer.C
 			}
-			_ = err
 			s.onLoss()
 			if rerr := s.reconnect(); rerr != nil {
 				return ClosedStats{}, rerr
@@ -726,8 +723,8 @@ func runClosed(addr string, gen events.Generation, src EventSource, o ClosedOpts
 				// its RTO — a loss event. Back off the timeout (Karn) and
 				// resume through a fresh connection.
 				s.rto *= 2
-				if s.rto > o.MaxRTO {
-					s.rto = o.MaxRTO
+				if s.rto > o.maxRTO {
+					s.rto = o.maxRTO
 				}
 				s.onLoss()
 				if rerr := s.reconnect(); rerr != nil {
@@ -772,12 +769,10 @@ func (s *closedSession) finalStats() (Stats, error) {
 				return Stats{}, err
 			}
 		}
-		err := func() error {
-			if err := writeFrame(s.bw, frameStats, nil); err != nil {
-				return err
-			}
-			return s.flush()
-		}()
+		err := writeFrame(s.bw, frameStats, nil)
+		if err == nil {
+			err = s.flush()
+		}
 		if err == nil {
 			select {
 			case st := <-s.reportCh:
@@ -802,21 +797,11 @@ func (s *closedSession) finalStats() (Stats, error) {
 // transactions — the closed-loop counterpart of ReplayStream. Events are
 // paced by opts.Speedup (0 = window-limited only); delivery is exactly-once
 // across connection failures.
-func ReplayClosed(addr string, gen events.Generation, src EventSource, opts ClosedOpts) (ClosedStats, error) {
-	var start time.Time
-	var t0 float64
-	first := true
+func ReplayClosed(addr string, gen events.Generation, src trace.ArrivalSource, opts ClosedOpts) (ClosedStats, error) {
 	hooks := closedHooks{}
 	if opts.Speedup > 0 {
-		speed := opts.Speedup
-		hooks.due = func(ev ReplayEvent) time.Time {
-			if first {
-				first = false
-				start = time.Now()
-				t0 = ev.Time
-			}
-			return start.Add(time.Duration((ev.Time - t0) / speed * float64(time.Second)))
-		}
+		sched := schedule{speedup: opts.Speedup}
+		hooks.due = func(ev trace.Arrival) time.Time { return sched.due(ev.Time) }
 	}
 	return runClosed(addr, gen, src, opts, hooks, nil)
 }

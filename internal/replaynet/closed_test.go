@@ -1,76 +1,128 @@
 package replaynet
 
 import (
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"time"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/faultnet"
+	"cptgpt/internal/telemetry"
+	"cptgpt/internal/trace"
 )
 
 // seqSource yields n events with 10ms trace spacing, cycling UEs through
 // attach/detach pairs.
-func seqSource(n int) EventSource {
-	i := 0
-	return sourceFunc(func() (ReplayEvent, bool, error) {
-		if i >= n {
-			return ReplayEvent{}, false, nil
-		}
-		ev := ReplayEvent{
-			Time: float64(i) * 0.01,
-			UE:   uint64((i / 2) % 16),
-			Type: events.Attach,
-		}
-		if i%2 == 1 {
-			ev.Type = events.Detach
-		}
-		i++
-		return ev, true, nil
-	})
+func seqSource(n int) trace.ArrivalSource { return seqSourceFrom(0, n) }
+
+// seqSourceFrom yields seqSource(n)'s events starting at 0-based index lo —
+// the suffix a fast-forwarded scenario stream would deliver to a resumed
+// incarnation whose checkpoint covered the first lo events.
+func seqSourceFrom(lo, n int) trace.ArrivalSource { return &seqArrivals{i: lo, n: n} }
+
+type seqArrivals struct{ i, n int }
+
+func (s *seqArrivals) NextArrival() (trace.Arrival, bool, error) {
+	if s.i >= s.n {
+		return trace.Arrival{}, false, nil
+	}
+	ev := trace.Arrival{
+		Time: float64(s.i) * 0.01,
+		UE:   uint64((s.i / 2) % 16),
+		Type: events.Attach,
+	}
+	if s.i%2 == 1 {
+		ev.Type = events.Detach
+	}
+	s.i++
+	return ev, true, nil
 }
 
 // fastOpts returns ClosedOpts tuned for quick, deterministic tests.
 func fastOpts(session uint64) ClosedOpts {
 	return ClosedOpts{
 		SessionID:           session,
-		MinRTO:              30 * time.Millisecond,
-		MaxRTO:              500 * time.Millisecond,
-		InitialRTO:          100 * time.Millisecond,
-		ReconnectBackoff:    2 * time.Millisecond,
-		MaxReconnectBackoff: 50 * time.Millisecond,
+		minRTO:              30 * time.Millisecond,
+		maxRTO:              500 * time.Millisecond,
+		initialRTO:          100 * time.Millisecond,
+		reconnectBackoff:    2 * time.Millisecond,
+		maxReconnectBackoff: 50 * time.Millisecond,
 	}
 }
 
-func TestClosedLoopCleanDelivery(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", events.Gen4G)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+// ruleArrivals cycles 7 UEs through a pattern that exercises every branch of
+// the per-UE replay rule: a pre-bootstrap event, the bootstrap, a violation,
+// legal steps, and a violation from DEREGISTERED on the next cycle.
+type ruleArrivals struct{ i, n int }
 
-	const n = 500
-	st, err := ReplayClosed(srv.Addr().String(), events.Gen4G, seqSource(n), fastOpts(101))
-	if err != nil {
-		t.Fatal(err)
+func (s *ruleArrivals) NextArrival() (trace.Arrival, bool, error) {
+	pattern := []events.Type{events.TAU, events.Attach, events.Attach, events.S1ConnRel, events.ServiceRequest, events.Detach}
+	if s.i >= s.n {
+		return trace.Arrival{}, false, nil
 	}
-	if st.Server.Events != n {
-		t.Fatalf("server applied %d events, want %d", st.Server.Events, n)
-	}
-	if st.Acked != n || st.Sent != n {
-		t.Fatalf("sent=%d acked=%d, want %d/%d", st.Sent, st.Acked, n, n)
-	}
-	if st.Retransmits != 0 || st.Reconnects != 0 {
-		t.Fatalf("clean network saw retx=%d reconnects=%d", st.Retransmits, st.Reconnects)
-	}
-	if st.Server.Duplicates != 0 {
-		t.Fatalf("clean network saw %d duplicates", st.Server.Duplicates)
-	}
-	if st.P99Latency <= 0 || st.MeanLatency <= 0 {
-		t.Fatalf("latency accounting empty: mean=%v p99=%v", st.MeanLatency, st.P99Latency)
-	}
-	if st.FinalCwnd < 2 {
-		t.Fatalf("cwnd collapsed to %v", st.FinalCwnd)
+	ev := trace.Arrival{Time: float64(s.i) * 0.01, UE: uint64(s.i % 7), Type: pattern[(s.i/7)%len(pattern)]}
+	s.i++
+	return ev, true, nil
+}
+
+// TestClosedLoopCleanDelivery replays over a clean network, once into the
+// driver's private histogram and once into a caller's RTTSink.
+func TestClosedLoopCleanDelivery(t *testing.T) {
+	for _, sink := range []*telemetry.Histogram{nil, telemetry.NewHistogram(telemetry.LatencyBuckets)} {
+		srv, err := ListenAndServe("127.0.0.1:0", events.Gen4G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+
+		const n = 500
+		opts := fastOpts(101)
+		opts.RTTSink = sink
+		st, err := ReplayClosed(srv.Addr().String(), events.Gen4G, &ruleArrivals{n: n}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Server.Events != n {
+			t.Fatalf("server applied %d events, want %d", st.Server.Events, n)
+		}
+		if st.Acked != n || st.Sent != n {
+			t.Fatalf("sent=%d acked=%d, want %d/%d", st.Sent, st.Acked, n, n)
+		}
+		if st.Retransmits != 0 || st.Reconnects != 0 {
+			t.Fatalf("clean network saw retx=%d reconnects=%d", st.Retransmits, st.Reconnects)
+		}
+		if st.Server.Duplicates != 0 {
+			t.Fatalf("clean network saw %d duplicates", st.Server.Duplicates)
+		}
+		if st.P99Latency <= 0 || st.MeanLatency <= 0 {
+			t.Fatalf("latency accounting empty: mean=%v p99=%v", st.MeanLatency, st.P99Latency)
+		}
+		if st.FinalCwnd < 2 {
+			t.Fatalf("cwnd collapsed to %v", st.FinalCwnd)
+		}
+
+		// The deterministic half of ClosedStats — what the server's per-UE
+		// rule made of the stream, and the transport counters — as the
+		// commit before Machine.Apply and the one histogram reported it
+		// (recorded there).
+		body, _ := json.Marshal(st.Server)
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s %d %d %d %d", body, st.Sent, st.Acked, st.Retransmits, st.Reconnects)
+		if got, want := fmt.Sprintf("%016x", h.Sum64()), "2efbfed84f9a6a5f"; got != want {
+			t.Fatalf("ClosedStats digest %s, want %s (server %s)", got, want, body)
+		}
+		// The wall-clock half is read from the one histogram the run
+		// recorded into: the caller's, when given.
+		if sink != nil && (sink.Count() != st.Acked ||
+			st.MeanLatency != time.Duration(sink.Mean()*1e9) ||
+			st.P95Latency != time.Duration(sink.Quantile(0.95)*1e9) ||
+			st.P99Latency != time.Duration(sink.Quantile(0.99)*1e9)) {
+			t.Fatalf("ClosedStats latencies %v/%v/%v over %d acks differ from the RTTSink's (%d samples)",
+				st.MeanLatency, st.P95Latency, st.P99Latency, st.Acked, sink.Count())
+		}
 	}
 }
 
@@ -204,7 +256,7 @@ func TestClosedLoopExactlyOnceUnderFaults(t *testing.T) {
 			defer srv.Close()
 
 			opts := fastOpts(sess)
-			opts.MaxReconnects = 50
+			opts.maxReconnects = 50
 			if tc.client.Seed != 0 {
 				opts.Dial = faultnet.Dialer(tc.client)
 			}
@@ -231,7 +283,7 @@ func TestSLOSearchStateDeterministic(t *testing.T) {
 		const capacity = 1000.0
 		st = newSLOSearchState(SearchOpts{
 			SLOP99: 50 * time.Millisecond, InitialRate: 100,
-			RampFactor: 2, Tolerance: 0.25, MaxRounds: 20, WindowEvents: 100, MinAchievedFrac: 0.85,
+			rampFactor: 2, tolerance: 0.25, maxRounds: 20, WindowEvents: 100, minAchievedFrac: 0.85,
 		}.withDefaults())
 		for !st.done {
 			rates = append(rates, st.rate)
@@ -288,8 +340,8 @@ func TestSLOSearchEndToEnd(t *testing.T) {
 		SLOP99:       80 * time.Millisecond,
 		InitialRate:  250,
 		WindowEvents: 150,
-		Tolerance:    0.5,
-		MaxRounds:    10,
+		tolerance:    0.5,
+		maxRounds:    10,
 	})
 	if err != nil {
 		t.Fatal(err)

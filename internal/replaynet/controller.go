@@ -16,7 +16,8 @@ import (
 	"time"
 
 	"cptgpt/internal/events"
-	"cptgpt/internal/mcn"
+	"cptgpt/internal/telemetry"
+	"cptgpt/internal/trace"
 )
 
 // SearchOpts tunes the SLO search.
@@ -28,17 +29,19 @@ type SearchOpts struct {
 	// WindowEvents is the number of acknowledged transactions per probe
 	// window; default 400.
 	WindowEvents int
-	// RampFactor multiplies the rate while no upper bound is known (and
-	// divides it while no lower bound is known); default 2.
-	RampFactor float64
-	// Tolerance stops the bisection once hi/lo ≤ 1+Tolerance; default 0.25.
-	Tolerance float64
-	// MaxRounds bounds the number of probe windows; default 16.
-	MaxRounds int
-	// MinAchievedFrac: a window only passes if the achieved ack rate is at
+
+	// Test seams, zero = the default. rampFactor multiplies the rate while
+	// no upper bound is known (and divides it while no lower bound is
+	// known); default 2.
+	rampFactor float64
+	// tolerance stops the bisection once hi/lo ≤ 1+tolerance; default 0.25.
+	tolerance float64
+	// maxRounds bounds the number of probe windows; default 16.
+	maxRounds int
+	// minAchievedFrac: a window only passes if the achieved ack rate is at
 	// least this fraction of the offered rate (otherwise the server is
 	// saturated even if queues hide it from p99); default 0.85.
-	MinAchievedFrac float64
+	minAchievedFrac float64
 }
 
 func (o SearchOpts) withDefaults() SearchOpts {
@@ -48,17 +51,17 @@ func (o SearchOpts) withDefaults() SearchOpts {
 	if o.WindowEvents <= 0 {
 		o.WindowEvents = 400
 	}
-	if o.RampFactor <= 1 {
-		o.RampFactor = 2
+	if o.rampFactor <= 1 {
+		o.rampFactor = 2
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.25
+	if o.tolerance <= 0 {
+		o.tolerance = 0.25
 	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 16
+	if o.maxRounds <= 0 {
+		o.maxRounds = 16
 	}
-	if o.MinAchievedFrac <= 0 || o.MinAchievedFrac > 1 {
-		o.MinAchievedFrac = 0.85
+	if o.minAchievedFrac <= 0 || o.minAchievedFrac > 1 {
+		o.minAchievedFrac = 0.85
 	}
 	return o
 }
@@ -79,7 +82,7 @@ type SearchResult struct {
 	// MaxRate is the highest offered rate that met the SLO (the converged
 	// lower bound), 0 if no probed rate ever met it.
 	MaxRate float64 `json:"max_rate"`
-	// Converged reports whether the bracket tightened to within Tolerance
+	// Converged reports whether the bracket tightened to within tolerance
 	// before the round budget or the event source ran out.
 	Converged bool `json:"converged"`
 	// Rounds are the probe windows in order.
@@ -108,7 +111,7 @@ func newSLOSearchState(o SearchOpts) *sloSearchState {
 
 // observe folds one window verdict and steers the next probe rate:
 // multiplicative ramp while the capacity is unbracketed, then geometric
-// bisection (sqrt(lo·hi)) until hi/lo ≤ 1+Tolerance.
+// bisection (sqrt(lo·hi)) until hi/lo ≤ 1+tolerance.
 func (st *sloSearchState) observe(met bool) {
 	if st.done {
 		return
@@ -121,19 +124,19 @@ func (st *sloSearchState) observe(met bool) {
 	} else if st.hi == 0 || st.rate < st.hi {
 		st.hi = st.rate
 	}
-	if st.lo > 0 && st.hi > 0 && st.hi/st.lo <= 1+st.o.Tolerance {
+	if st.lo > 0 && st.hi > 0 && st.hi/st.lo <= 1+st.o.tolerance {
 		st.done, st.converged = true, true
 		return
 	}
-	if st.rounds >= st.o.MaxRounds {
+	if st.rounds >= st.o.maxRounds {
 		st.done = true
 		return
 	}
 	switch {
 	case st.hi == 0:
-		st.rate = st.lo * st.o.RampFactor
+		st.rate = st.lo * st.o.rampFactor
 	case st.lo == 0:
-		st.rate = st.hi / st.o.RampFactor
+		st.rate = st.hi / st.o.rampFactor
 	default:
 		st.rate = math.Sqrt(st.lo * st.hi)
 	}
@@ -142,9 +145,9 @@ func (st *sloSearchState) observe(met bool) {
 // SLOSearch drives src against a replaynet server in closed loop, ramping
 // the offered event rate to find the maximum sustained load whose p99
 // transaction latency stays within search.SLOP99. The source must be long
-// enough to feed MaxRounds probe windows; if it runs dry first the result
-// carries Converged=false and the best bracket found so far.
-func SLOSearch(addr string, gen events.Generation, src EventSource, opts ClosedOpts, search SearchOpts) (SearchResult, error) {
+// enough to feed the round budget (16 probe windows); if it runs dry first
+// the result carries Converged=false and the best bracket found so far.
+func SLOSearch(addr string, gen events.Generation, src trace.ArrivalSource, opts ClosedOpts, search SearchOpts) (SearchResult, error) {
 	if search.SLOP99 <= 0 {
 		return SearchResult{}, errors.New("replaynet: SLOSearch requires a positive SLOP99")
 	}
@@ -155,24 +158,25 @@ func SLOSearch(addr string, gen events.Generation, src EventSource, opts ClosedO
 	result := SearchResult{}
 	slo := search.SLOP99.Seconds()
 
-	winHist := mcn.NewLatencyHist()
+	winHist := telemetry.NewHistogram(telemetry.LatencyBuckets)
 	var winStart time.Time  // wall start of the current window's ack count
 	var winSendBase float64 // send index at window start
 	var sendIdx float64
 
 	// due paces sends uniformly at the current probe rate.
-	due := func(ReplayEvent) time.Time {
+	due := func(trace.Arrival) time.Time {
 		if winStart.IsZero() {
 			winStart = time.Now()
 		}
 		return winStart.Add(time.Duration((sendIdx - winSendBase) / st.rate * float64(time.Second)))
 	}
 	onSend := func() { sendIdx++ }
-	onAck := func(n int, now time.Time) bool {
+	onAck := func(_ int, now time.Time) bool {
 		if st.done {
 			return false // already decided; in-flight acks are just drained
 		}
-		if winHist.Count() < search.WindowEvents {
+		n := int(winHist.Count())
+		if n < search.WindowEvents {
 			return true
 		}
 		p99 := winHist.Quantile(0.99)
@@ -180,15 +184,15 @@ func SLOSearch(addr string, gen events.Generation, src EventSource, opts ClosedO
 		elapsed := now.Sub(winStart).Seconds()
 		achieved := 0.0
 		if elapsed > 0 {
-			achieved = float64(winHist.Count()) / elapsed
+			achieved = float64(n) / elapsed
 		}
-		met := p99 <= slo && achieved >= search.MinAchievedFrac*st.rate
+		met := p99 <= slo && achieved >= search.minAchievedFrac*st.rate
 		result.Rounds = append(result.Rounds, ProbeRound{
 			Rate:     st.rate,
 			Achieved: achieved,
 			P99:      time.Duration(p99 * 1e9),
 			Mean:     time.Duration(mean * 1e9),
-			Events:   winHist.Count(),
+			Events:   n,
 			Met:      met,
 		})
 		st.observe(met)

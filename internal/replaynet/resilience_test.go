@@ -256,7 +256,7 @@ func TestOpenLoopWireBytesUnchanged(t *testing.T) {
 	src := seqSource(n)
 	ueIdx := map[uint64]uint32{}
 	for {
-		ev, ok, _ := src.NextReplayEvent()
+		ev, ok, _ := src.NextArrival()
 		if !ok {
 			break
 		}

@@ -9,28 +9,6 @@ import (
 	"cptgpt/internal/faultnet"
 )
 
-// seqSourceFrom yields seqSource(n)'s events starting at 0-based index lo —
-// the suffix a fast-forwarded scenario stream would deliver to a resumed
-// incarnation whose checkpoint covered the first lo events.
-func seqSourceFrom(lo, n int) EventSource {
-	i := lo
-	return sourceFunc(func() (ReplayEvent, bool, error) {
-		if i >= n {
-			return ReplayEvent{}, false, nil
-		}
-		ev := ReplayEvent{
-			Time: float64(i) * 0.01,
-			UE:   uint64((i / 2) % 16),
-			Type: events.Attach,
-		}
-		if i%2 == 1 {
-			ev.Type = events.Detach
-		}
-		i++
-		return ev, true, nil
-	})
-}
-
 // TestClosedLoopCrashResume pins the crash-recovery contract end to end: an
 // incarnation that dies dirty (no BYE, checkpoint older than the server's
 // applied state) is resumed by a second incarnation with the same session
@@ -110,14 +88,14 @@ func TestClosedLoopCrashResumeUnderFaults(t *testing.T) {
 		session = 7002
 	)
 	opts1 := fastOpts(session)
-	opts1.MaxReconnects = 50
+	opts1.maxReconnects = 50
 	opts1.Dial = faultnet.Dialer(cfg)
 	if _, err := ReplayClosed(srv.Addr().String(), events.Gen4G, seqSource(90), opts1); err != nil {
 		t.Fatal(err)
 	}
 
 	opts2 := fastOpts(session)
-	opts2.MaxReconnects = 50
+	opts2.maxReconnects = 50
 	opts2.Dial = faultnet.Dialer(faultnet.Config{Seed: 23, DropProb: 0.02, PartialProb: 0.01})
 	opts2.ResumeFrom = 70 // stale checkpoint: 20 events already applied
 	st, err := ReplayClosed(srv.Addr().String(), events.Gen4G, seqSourceFrom(70, n), opts2)

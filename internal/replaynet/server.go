@@ -3,9 +3,7 @@ package replaynet
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -43,18 +41,16 @@ type ServerOpts struct {
 	// knob that turns the server into a rate-limited NF stand-in for
 	// closed-loop controller tests and benchmarks.
 	ServiceTime time.Duration
-	// AckEvery bounds how many applied closed-loop events may pass between
-	// ACK frames; an ACK is also emitted whenever the read buffer drains
-	// (the natural batch boundary). 0 means DefaultAckEvery.
-	AckEvery int
 	// Fault, when non-nil, wraps every accepted connection in a
 	// deterministic fault-injection schedule (per-connection seeds derived
 	// from Fault.Seed and the accept ordinal).
 	Fault *faultnet.Config
 }
 
-// DefaultAckEvery is the default ServerOpts.AckEvery.
-const DefaultAckEvery = 32
+// ackEvery bounds how many applied closed-loop events may pass between ACK
+// frames; an ACK is also emitted whenever the read buffer drains (the
+// natural batch boundary).
+const ackEvery = 32
 
 // session is the per-driver closed-loop delivery state, keyed by the
 // client-chosen session ID and persistent across that driver's reconnects.
@@ -74,8 +70,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	stats    Stats
-	ueState  map[uint32]statemachine.State
-	ueBoot   map[uint32]bool
+	ues      map[uint32]statemachine.UE
 	sessions map[uint64]*session
 	closed   bool
 	wg       sync.WaitGroup
@@ -95,9 +90,6 @@ func ListenAndServeOpts(addr string, gen events.Generation, opts ServerOpts) (*S
 			return nil, err
 		}
 	}
-	if opts.AckEvery <= 0 {
-		opts.AckEvery = DefaultAckEvery
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("replaynet: listen %s: %w", addr, err)
@@ -109,8 +101,7 @@ func ListenAndServeOpts(addr string, gen events.Generation, opts ServerOpts) (*S
 		ln:       ln,
 		gen:      gen,
 		opts:     opts,
-		ueState:  make(map[uint32]statemachine.State),
-		ueBoot:   make(map[uint32]bool),
+		ues:      make(map[uint32]statemachine.UE),
 		sessions: make(map[uint64]*session),
 	}
 	s.stats.ByType = make(map[string]int)
@@ -201,11 +192,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		t, payload, err := readFrame(br)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				// A malformed frame; nothing useful to answer.
-				_ = err
-			}
-			return
+			return // end of stream, or a malformed frame: nothing useful to answer
 		}
 		switch t {
 		case frameHello:
@@ -233,9 +220,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			if !ev.Valid() {
 				return
 			}
-			if s.opts.ServiceTime > 0 {
-				time.Sleep(s.opts.ServiceTime)
-			}
 			s.consume(machine, ue, ev)
 		case frameSeqEvent:
 			if sess == nil {
@@ -260,9 +244,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			case seq == applied+1:
 				sess.applied = seq
 				s.mu.Unlock()
-				if s.opts.ServiceTime > 0 {
-					time.Sleep(s.opts.ServiceTime)
-				}
 				s.consume(machine, ue, ev)
 				sinceAck++
 			default:
@@ -274,8 +255,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			// Ack per batch: when the read buffer drains (no more frames
-			// immediately pending) or every AckEvery applied events.
-			if sinceAck >= s.opts.AckEvery || br.Buffered() == 0 {
+			// immediately pending) or every ackEvery applied events.
+			if sinceAck >= ackEvery || br.Buffered() == 0 {
 				if !flushAck() {
 					return
 				}
@@ -300,28 +281,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// consume applies one event to the stateful UE table.
+// consume applies one event to the stateful UE table, after the configured
+// per-event service time.
 func (s *Server) consume(machine statemachine.Machine, ue uint32, ev events.Type) {
+	if s.opts.ServiceTime > 0 {
+		time.Sleep(s.opts.ServiceTime)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Events++
 	s.stats.ByType[ev.String()]++
 
-	prevTop := statemachine.Top(s.ueState[ue])
-	if !s.ueBoot[ue] {
-		if st, ok := machine.Bootstrap(ev); ok {
-			s.ueState[ue] = st
-			s.ueBoot[ue] = true
-		}
-	} else {
-		next, ok := machine.Step(s.ueState[ue], ev)
-		if !ok {
-			s.stats.Rejected++
-			return
-		}
-		s.ueState[ue] = next
+	u := s.ues[ue]
+	prevTop := statemachine.Top(u.State)
+	if !machine.Apply(&u, ev) {
+		s.stats.Rejected++
+		return
 	}
-	top := statemachine.Top(s.ueState[ue])
+	s.ues[ue] = u
+	top := statemachine.Top(u.State)
 	if top != prevTop {
 		switch {
 		case top == statemachine.TopConnected:

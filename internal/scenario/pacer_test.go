@@ -2,11 +2,15 @@ package scenario
 
 import (
 	"context"
+	"encoding/binary"
+	"io"
+	"net"
 	"os"
 	"testing"
 	"time"
 
 	"cptgpt/internal/events"
+	"cptgpt/internal/replaynet"
 	"cptgpt/internal/telemetry"
 	"cptgpt/internal/tracez"
 )
@@ -240,4 +244,104 @@ func TestOpenContextCancelled(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("cancelled OpenContext left spill state: %v", ents)
 	}
+}
+
+// TestPacedReplayKeepsScheduleOnTheWire is the regression test for the wait
+// hidden inside Next: a Pacer upstream of a replay driver sleeps where the
+// driver cannot see it, so whatever the driver has buffered must go out
+// before the sleep (OnIdle), not after it. Events at trace 0, 1 ms and 2 s
+// at compression 1: the first two must be on the wire (open loop) or
+// acknowledged (closed loop) long before the third is due.
+func TestPacedReplayKeepsScheduleOnTheWire(t *testing.T) {
+	source := func() *sliceSource {
+		return &sliceSource{evs: []Event{
+			{Time: 0, UE: 1, Type: events.Attach},
+			{Time: 0.001, UE: 2, Type: events.Attach, Seq: 1},
+			{Time: 2, UE: 1, Type: events.Detach, Seq: 2},
+		}}
+	}
+
+	t.Run("open-loop", func(t *testing.T) {
+		t.Parallel()
+		// A bare listener that timestamps EVENT frames as they arrive.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		start := time.Now()
+		arrived := make(chan []time.Duration, 1)
+		go func() {
+			var at []time.Duration
+			defer func() { arrived <- at }()
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			for {
+				var hdr [5]byte
+				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+					return
+				}
+				if _, err := io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[1:]))); err != nil {
+					return
+				}
+				switch hdr[0] {
+				case 'E':
+					at = append(at, time.Since(start))
+				case 'S':
+					conn.Write([]byte{'R', 0, 0, 0, 2, '{', '}'})
+				case 'B':
+					return
+				}
+			}
+		}()
+		sink, err := NewSink(SinkConfig{Name: "replay", Addr: ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sink.Consume(context.Background(), NewPacer(context.Background(), source(), 1)); err != nil {
+			t.Fatal(err)
+		}
+		at := <-arrived
+		if len(at) != 3 || at[0] > 200*time.Millisecond || at[1] > 200*time.Millisecond || at[2] < 1900*time.Millisecond {
+			t.Fatalf("EVENT frames reached the wire at %v, want two within 200ms and the third at ≈ 2s", at)
+		}
+	})
+
+	t.Run("closed-loop", func(t *testing.T) {
+		t.Parallel()
+		srv, err := replaynet.ListenAndServe("127.0.0.1:0", events.Gen4G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		sink, err := NewSink(SinkConfig{Name: "replay", Addr: srv.Addr().String(), ClosedLoop: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			_, err := sink.Consume(context.Background(), NewPacer(context.Background(), source(), 1))
+			done <- err
+		}()
+		acked := func() int64 {
+			_, st := sink.(LiveSink).Stats()
+			return st.Acked
+		}
+		for acked() < 2 {
+			if time.Since(start) > time.Second {
+				t.Fatalf("%d transactions acknowledged 1s in, want the two due by then", acked())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if wall := time.Since(start); acked() != 3 || wall < 1900*time.Millisecond {
+			t.Fatalf("finished after %v with %d acknowledged, want all 3 at ≈ 2s", wall, acked())
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"cptgpt/internal/events"
 	"cptgpt/internal/mcn"
 	"cptgpt/internal/replaynet"
+	"cptgpt/internal/trace"
 	"cptgpt/internal/tracez"
 )
 
@@ -289,15 +290,22 @@ func (lw *LineWriter) Flush() error {
 // Count returns the number of events written.
 func (lw *LineWriter) Count() int { return lw.n }
 
-// mcnAdapter presents an EventSource as an mcn.ArrivalSource.
-type mcnAdapter struct{ st EventSource }
+// arrivals presents an EventSource as the consumers' trace.ArrivalSource.
+type arrivals struct{ st EventSource }
 
-func (a mcnAdapter) NextArrival() (mcn.Arrival, bool, error) {
+func (a arrivals) NextArrival() (trace.Arrival, bool, error) {
 	e, ok := a.st.Next()
 	if !ok {
-		return mcn.Arrival{}, false, a.st.Err()
+		return trace.Arrival{}, false, a.st.Err()
 	}
-	return mcn.Arrival{Time: e.Time, UE: e.UE, Type: e.Type}, true, nil
+	return trace.Arrival{Time: e.Time, UE: e.UE, Type: e.Type}, true, nil
+}
+
+// OnIdle forwards a paced source's idle hook (Pacer.OnIdle) to the consumer.
+func (a arrivals) OnIdle(fn func()) {
+	if p, ok := a.st.(interface{ OnIdle(func()) }); ok {
+		p.OnIdle(fn)
+	}
 }
 
 // RunMCN drains the source through the simulated mobile-core control-plane
@@ -305,7 +313,7 @@ func (a mcnAdapter) NextArrival() (mcn.Arrival, bool, error) {
 // the MCN's per-UE state, never by the event count.
 func RunMCN(st EventSource, cfg mcn.Config) (*mcn.Report, error) {
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	rep, err := mcn.RunStream(st.Generation(), mcnAdapter{st}, cfg)
+	rep, err := mcn.RunStream(st.Generation(), arrivals{st}, cfg)
 	if rep != nil {
 		sp.End(int64(rep.Events), sinkMCN)
 	} else {
@@ -314,20 +322,9 @@ func RunMCN(st EventSource, cfg mcn.Config) (*mcn.Report, error) {
 	return rep, err
 }
 
-// replayAdapter presents an EventSource as a replaynet.EventSource.
-type replayAdapter struct{ st EventSource }
-
-func (a replayAdapter) NextReplayEvent() (replaynet.ReplayEvent, bool, error) {
-	e, ok := a.st.Next()
-	if !ok {
-		return replaynet.ReplayEvent{}, false, a.st.Err()
-	}
-	return replaynet.ReplayEvent{Time: e.Time, UE: e.UE, Type: e.Type}, true, nil
-}
-
 // ReplaySLOSearch drives the stream against a replaynet server with the
 // closed-loop SLO-search controller, ramping the offered event rate to find
 // the maximum sustained load whose p99 transaction latency meets the SLO.
 func ReplaySLOSearch(addr string, st EventSource, opts replaynet.ClosedOpts, search replaynet.SearchOpts) (replaynet.SearchResult, error) {
-	return replaynet.SLOSearch(addr, st.Generation(), replayAdapter{st}, opts, search)
+	return replaynet.SLOSearch(addr, st.Generation(), arrivals{st}, opts, search)
 }

@@ -403,7 +403,7 @@ type replaySink struct {
 
 func (s *replaySink) Consume(_ context.Context, src EventSource) (Result, error) {
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	stats, err := replaynet.ReplayStream(s.addr, src.Generation(), replayAdapter{src}, s.opts)
+	stats, err := replaynet.ReplayStream(s.addr, src.Generation(), arrivals{src}, s.opts)
 	sp.End(int64(stats.Events), sinkReplay)
 	if err != nil {
 		return nil, err
@@ -436,7 +436,7 @@ type closedSink struct {
 
 func (s *closedSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	stats, err := replaynet.ReplayClosed(s.addr, src.Generation(), replayAdapter{src}, s.opts)
+	stats, err := replaynet.ReplayClosed(s.addr, src.Generation(), arrivals{src}, s.opts)
 	sp.End(stats.Acked, "replay-closed")
 	if err != nil {
 		return nil, err

@@ -83,10 +83,11 @@ func (r *run) removeJournal() {
 // ckptTap interposes between the pacer and the sink, appending a journal
 // checkpoint at the run's cadence. A checkpoint names the merge key of
 // the newest event the sink durably holds, so recovery can fast-forward
-// the regenerated stream past it and replay only the lost tail.
+// the regenerated stream past it and replay only the lost tail. Everything
+// but Next is the pacer's own — the sinks find its optional methods
+// (AppendUEID, OnIdle) on the tap as they would on the pacer.
 type ckptTap struct {
-	scenario.EventSource
-	appendID func([]byte, scenario.Event) []byte
+	*scenario.Pacer
 	j        *runlog.Journal
 	base     int64 // events released by previous incarnations
 	every    int64
@@ -98,10 +99,6 @@ type ckptTap struct {
 	// vouched for skips the checkpoint (the invariant "a checkpoint
 	// implies a durable sink prefix" beats checkpoint freshness).
 	cursor scenario.Checkpointer
-
-	// shed reads the pacer's cumulative load-shed counter so checkpoints
-	// carry it and a resumed pacer continues the count.
-	shed func() int64
 
 	// trails marks a cursor that names a session (closed-loop replay):
 	// its Applied is the driver's contiguously applied absolute sequence,
@@ -122,14 +119,12 @@ type ckptTap struct {
 // newCkptTap wires a tap for the run.
 func newCkptTap(src *scenario.Pacer, r *run) *ckptTap {
 	t := &ckptTap{
-		EventSource: src,
-		appendID:    scenario.UEIDAppender(src),
-		j:           r.journal,
-		base:        r.baseEvents(),
-		every:       r.ckptEvery,
-		interval:    r.ckptInterval,
-		shed:        src.Shed,
-		lastT:       time.Now(),
+		Pacer:    src,
+		j:        r.journal,
+		base:     r.baseEvents(),
+		every:    r.ckptEvery,
+		interval: r.ckptInterval,
+		lastT:    time.Now(),
 	}
 	if cp, ok := r.sink.(scenario.Checkpointer); ok {
 		t.cursor = cp
@@ -147,7 +142,7 @@ func newCkptTap(src *scenario.Pacer, r *run) *ckptTap {
 // fully consumed (the sink finished writing event k before the single
 // consumer pulls event k+1).
 func (t *ckptTap) Next() (scenario.Event, bool) {
-	e, ok := t.EventSource.Next()
+	e, ok := t.Pacer.Next()
 	if !ok {
 		if t.n > 0 {
 			t.checkpoint()
@@ -167,10 +162,6 @@ func (t *ckptTap) Next() (scenario.Event, bool) {
 	}
 	return e, true
 }
-
-// AppendUEID forwards the source's append renderer, which embedding the
-// four-method interface alone would hide from the line sink.
-func (t *ckptTap) AppendUEID(dst []byte, e scenario.Event) []byte { return t.appendID(dst, e) }
 
 func (t *ckptTap) due() bool {
 	if t.n-t.lastN >= t.every {
@@ -211,7 +202,7 @@ func (t *ckptTap) checkpoint() {
 			}
 		}
 	}
-	c.Shed = t.shed()
+	c.Shed = t.Shed() // carried so a resumed pacer continues the count
 	t.j.AppendCheckpoint(c)
 	t.lastN = t.n
 	t.lastT = time.Now()

@@ -561,7 +561,7 @@ func TestChaosSoak(t *testing.T) {
 		dur = 2 * time.Second
 	}
 
-	before := runtime.NumGoroutine()
+	before := goroutineBaseline()
 	func() {
 		var writes atomic.Int64
 		injectSinkFaults(t, func(_ string, w io.Writer) io.Writer {

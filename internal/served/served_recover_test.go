@@ -21,6 +21,7 @@ import (
 	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
+	"cptgpt/internal/trace"
 )
 
 // newDurableServer is newTestServer with caller-controlled Options —
@@ -312,20 +313,20 @@ func TestDaemonRecoverModes(t *testing.T) {
 	})
 }
 
-// replayEvSource adapts a scenario event slice to replaynet's source
-// contract, for seeding a backend session outside the daemon.
+// replayEvSource adapts a scenario event slice to the consumers' arrival
+// cursor, for seeding a backend session outside the daemon.
 type replayEvSource struct {
 	evs []scenario.Event
 	i   int
 }
 
-func (s *replayEvSource) NextReplayEvent() (replaynet.ReplayEvent, bool, error) {
+func (s *replayEvSource) NextArrival() (trace.Arrival, bool, error) {
 	if s.i >= len(s.evs) {
-		return replaynet.ReplayEvent{}, false, nil
+		return trace.Arrival{}, false, nil
 	}
 	e := s.evs[s.i]
 	s.i++
-	return replaynet.ReplayEvent{Time: e.Time, UE: e.UE, Type: e.Type}, true, nil
+	return trace.Arrival{Time: e.Time, UE: e.UE, Type: e.Type}, true, nil
 }
 
 // TestDaemonClosedLoopCrashRecovery pins exactly-once delivery through a
@@ -617,3 +618,10 @@ func TestDaemonDurableConcurrentChurn(t *testing.T) {
 		}
 	}
 }
+
+// The sinks find the pacer's optional source methods on the checkpoint tap
+// that stands between them and it in a journaled run.
+var _ interface {
+	AppendUEID([]byte, scenario.Event) []byte
+	OnIdle(func())
+} = (*ckptTap)(nil)

@@ -20,6 +20,7 @@ import (
 	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/events"
 	"cptgpt/internal/scenario"
+	"cptgpt/internal/tensor"
 	"cptgpt/internal/tracez"
 )
 
@@ -116,11 +117,21 @@ func waitState(t *testing.T, url, id string) RunInfo {
 	}
 }
 
+// goroutineBaseline is the goroutine count a leak check compares against.
+// It first starts the one set of goroutines a run leaves behind by design —
+// tensor's never-exiting kernel workers, spawned on the first parallel call
+// (a synthetic source's) — so that a test run on its own, with no earlier
+// run to have started them, does not count them against the daemon.
+func goroutineBaseline() int {
+	tensor.ParallelFor(tensor.Parallelism(), 1<<20, func(lo, hi int) {})
+	return runtime.NumGoroutine()
+}
+
 // TestDaemonLifecycle walks the full story on a builtin scenario: start
 // (unpaced, count sink) → completes → list/inspect/stats agree → metrics
 // carry the run's series — and the daemon leaks no goroutines.
 func TestDaemonLifecycle(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutineBaseline()
 	func() {
 		s := New(Options{TempDir: t.TempDir()})
 		ts := httptest.NewServer(s.Handler())

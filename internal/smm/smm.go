@@ -427,40 +427,10 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 	if opts.NumStreams <= 0 {
 		return nil, fmt.Errorf("smm: NumStreams must be positive, got %d", opts.NumStreams)
 	}
-	weights := make([]float64, len(m.clusters))
-	for i := range m.clusters {
-		weights[i] = m.clusters[i].weight
-	}
-	pick, err := stats.NewCategorical(weights)
+	streams, err := m.GenerateRange(0, opts.NumStreams, opts)
 	if err != nil {
-		return nil, fmt.Errorf("smm: cluster weights: %w", err)
+		return nil, err
 	}
-
-	streams := make([]trace.Stream, opts.NumStreams)
-	machine := statemachine.New(m.Gen)
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = tensor.Parallelism()
-	}
-	if workers > opts.NumStreams {
-		workers = opts.NumStreams
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				streams[i] = m.sampleStream(i, opts, pick, machine)
-			}
-		}()
-	}
-	for i := 0; i < opts.NumStreams; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 	return &trace.Dataset{Generation: m.Gen, Streams: streams}, nil
 }
 

@@ -46,13 +46,37 @@ type ReplayResult struct {
 // event, the per-stream criterion used in Tables 3 and 5.
 func (r *ReplayResult) Violated() bool { return len(r.Violations) > 0 }
 
-// Replay feeds a stream of events with absolute timestamps (seconds) through
-// the state machine of m, implementing the paper's replay methodology:
+// UE is one UE's replay state: the machine state, and whether an event has
+// fixed it yet. The zero value is a UE nothing is known about.
+type UE struct {
+	State State
+	Boot  bool
+}
+
+// Apply feeds u one event under the paper's replay rule (§5.2.1), the one
+// every per-UE consumer in this repository follows:
 //
-//   - the initial state is fixed by the first deterministic-destination
-//     event (Bootstrap); earlier events are skipped and not counted;
-//   - a violating event increments the violation count and leaves the state
-//     unchanged;
+//   - until the first deterministic-destination event (Bootstrap) fixes the
+//     state, events are admitted without a check and leave u untouched;
+//   - after it, a legal event advances u.State, and a violating one returns
+//     ok=false and leaves the state unchanged.
+func (m Machine) Apply(u *UE, e events.Type) (ok bool) {
+	if !u.Boot {
+		if s, boot := m.Bootstrap(e); boot {
+			u.State, u.Boot = s, true
+		}
+		return true
+	}
+	u.State, ok = m.Step(u.State, e)
+	return ok
+}
+
+// Replay feeds a stream of events with absolute timestamps (seconds) through
+// the state machine of m, applying each with Apply and accounting for it as
+// the paper's methodology does:
+//
+//   - events preceding the bootstrap event are skipped and not counted;
+//   - a violating event increments the violation count;
 //   - the duration spent in each top-level CONNECTED or IDLE visit is
 //     recorded as a sojourn sample when the visit completes.
 //
@@ -63,53 +87,32 @@ func Replay(m Machine, evs []events.Type, ts []float64) ReplayResult {
 	if len(evs) != len(ts) {
 		panic("statemachine: Replay called with mismatched event/timestamp lengths")
 	}
-
-	// Bootstrap: find the first deterministic-destination event.
-	start := -1
-	var state State
+	var u UE
+	top := Top(u.State) // DEREGISTERED: a visit that records no sojourn
+	var topSince float64
 	for i, e := range evs {
-		if s, ok := m.Bootstrap(e); ok {
-			state = s
-			start = i
-			break
-		}
-		res.Skipped++
-	}
-	if start < 0 {
-		res.Final = m.Initial()
-		return res
-	}
-	res.Bootstrapped = true
-	res.Counted = 1 // the bootstrap event itself is semantically valid
-
-	top := Top(state)
-	topSince := ts[start]
-
-	record := func(from TopState, dur float64) {
-		switch from {
-		case TopConnected:
-			res.SojournConnected = append(res.SojournConnected, dur)
-		case TopIdle:
-			res.SojournIdle = append(res.SojournIdle, dur)
-		}
-	}
-
-	for i := start + 1; i < len(evs); i++ {
-		e := evs[i]
-		res.Counted++
-		next, ok := m.Step(state, e)
-		if !ok {
-			res.Violations = append(res.Violations, Violation{Index: i, State: state, Event: e})
+		ok := m.Apply(&u, e)
+		if !u.Boot {
+			res.Skipped++
 			continue
 		}
-		if nt := Top(next); nt != top {
-			record(top, ts[i]-topSince)
-			top = nt
-			topSince = ts[i]
+		res.Counted++
+		if !ok {
+			res.Violations = append(res.Violations, Violation{Index: i, State: u.State, Event: e})
+			continue
 		}
-		state = next
+		if nt := Top(u.State); nt != top {
+			switch top {
+			case TopConnected:
+				res.SojournConnected = append(res.SojournConnected, ts[i]-topSince)
+			case TopIdle:
+				res.SojournIdle = append(res.SojournIdle, ts[i]-topSince)
+			}
+			top, topSince = nt, ts[i]
+		}
 	}
-	res.Final = state
+	res.Bootstrapped = u.Boot
+	res.Final = u.State
 	return res
 }
 

@@ -164,6 +164,46 @@ func TestBootstrapDeterministicDestinations(t *testing.T) {
 	}
 }
 
+// checkApply feeds evs to Machine.Apply one at a time — the way the MCN
+// simulator and the replay server consume a UE's events — and holds it to
+// Replay's account r of the same stream: the same events admitted unchecked
+// before the bootstrap, the same ones refused after it, a refusal leaving
+// the UE as it was, and the same final state.
+func checkApply(t *testing.T, m Machine, evs []events.Type, r ReplayResult) {
+	t.Helper()
+	var u UE
+	var unchecked, refused []int
+	for i, e := range evs {
+		before := u
+		ok := m.Apply(&u, e)
+		switch {
+		case !ok && u != before:
+			t.Fatalf("event %d (%v) refused but moved the UE %+v → %+v", i, e, before, u)
+		case !ok:
+			refused = append(refused, i)
+		case !u.Boot:
+			unchecked = append(unchecked, i)
+			if u != (UE{}) {
+				t.Fatalf("event %d (%v) precedes the bootstrap but left %+v", i, e, u)
+			}
+		}
+	}
+	if len(unchecked) != r.Skipped || (r.Skipped > 0 && unchecked[r.Skipped-1] != r.Skipped-1) {
+		t.Fatalf("Apply admitted %v unchecked, Replay skipped the first %d", unchecked, r.Skipped)
+	}
+	if len(refused) != len(r.Violations) {
+		t.Fatalf("Apply refused %v, Replay found %+v", refused, r.Violations)
+	}
+	for k, v := range r.Violations {
+		if refused[k] != v.Index {
+			t.Fatalf("Apply refused %v, Replay found %+v", refused, r.Violations)
+		}
+	}
+	if u.Boot != r.Bootstrapped || u.State != r.Final {
+		t.Fatalf("Apply ended at %+v, Replay at state %v bootstrapped=%v", u, r.Final, r.Bootstrapped)
+	}
+}
+
 func TestReplayCleanStream(t *testing.T) {
 	m := New(events.Gen4G)
 	evs := []events.Type{
@@ -177,6 +217,7 @@ func TestReplayCleanStream(t *testing.T) {
 	}
 	ts := []float64{0, 5, 6, 10, 100, 200, 230}
 	r := Replay(m, evs, ts)
+	checkApply(t, m, evs, r)
 	if r.Violated() {
 		t.Fatalf("clean stream reported violations: %+v", r.Violations)
 	}
@@ -203,6 +244,7 @@ func TestReplayViolationHoldsState(t *testing.T) {
 	}
 	ts := []float64{0, 1, 2}
 	r := Replay(m, evs, ts)
+	checkApply(t, m, evs, r)
 	if len(r.Violations) != 1 {
 		t.Fatalf("violations %v, want exactly 1", r.Violations)
 	}
@@ -220,6 +262,7 @@ func TestReplaySkipsPreBootstrapEvents(t *testing.T) {
 	evs := []events.Type{events.TAU, events.TAU, events.ServiceRequest, events.S1ConnRel}
 	ts := []float64{0, 10, 20, 30}
 	r := Replay(m, evs, ts)
+	checkApply(t, m, evs, r)
 	if r.Skipped != 2 {
 		t.Fatalf("skipped %d, want 2 (TAU is not deterministic)", r.Skipped)
 	}
@@ -235,6 +278,7 @@ func TestReplayUnbootstrappableStream(t *testing.T) {
 	m := New(events.Gen4G)
 	evs := []events.Type{events.TAU, events.TAU}
 	r := Replay(m, evs, []float64{0, 1})
+	checkApply(t, m, evs, r)
 	if r.Bootstrapped || r.Counted != 0 || r.Skipped != 2 {
 		t.Fatalf("unexpected result %+v", r)
 	}
@@ -325,6 +369,7 @@ func TestValidWalksReplayCleanProperty(t *testing.T) {
 			s, _ = m.Step(s, e)
 		}
 		r := Replay(m, evs, ts)
+		checkApply(t, m, evs, r)
 		return !r.Violated()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

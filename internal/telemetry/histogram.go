@@ -9,17 +9,17 @@ import (
 
 // Buckets describes a log-spaced histogram bucket scheme: bucket 0 holds
 // values below Min, then PerDecade buckets per decade up to Max, then one
-// overflow bucket. This is the scheme mcn.LatencyHist introduced for O(1)
-// latency distributions; it lives here so mcn, replaynet and the telemetry
-// registry agree on one bucketing (and one set of Prometheus `le` edges).
+// overflow bucket. It gives O(1)-memory distributions; it lives here so
+// mcn, replaynet and the telemetry registry agree on one bucketing (and one
+// set of Prometheus `le` edges).
 type Buckets struct {
 	Min       float64 // lower edge of the first log bucket
 	Max       float64 // values >= Max land in the overflow bucket
 	PerDecade int     // buckets per factor-of-10
 }
 
-// LatencyBuckets spans 10µs..10ks at 16 buckets/decade — the exact edges of
-// mcn.LatencyHist, used for every duration-valued histogram in the repo.
+// LatencyBuckets spans 10µs..10ks at 16 buckets/decade, used for every
+// duration-valued histogram in the repo.
 var LatencyBuckets = Buckets{Min: 1e-5, Max: 1e4, PerDecade: 16}
 
 // RateBuckets spans 0.01..10M events/s at 16 buckets/decade, for
@@ -33,9 +33,7 @@ func (b Buckets) NumBuckets() int {
 	return 2 + b.PerDecade*decades
 }
 
-// Index returns the bucket index for value v. The formula is identical to
-// mcn.LatencyHist.Add so the two histograms fill the same buckets for the
-// same samples.
+// Index returns the bucket index for value v.
 func (b Buckets) Index(v float64) int {
 	n := b.NumBuckets()
 	switch {
@@ -70,9 +68,11 @@ func (b Buckets) UpperEdge(i int) float64 {
 // per bucket plus an exact atomic sum, so hot loops (pacer releases, decode
 // steps, replay ACK folds) can Observe from any goroutine without locks.
 // It renders as a native Prometheus histogram (cumulative `_bucket{le=...}`
-// series, `_sum`, `_count`). The quantile semantics match mcn.LatencyHist:
-// the upper edge of the bucket holding the requested rank, clamped to
-// [Min, Max].
+// series, `_sum`, `_count`). A quantile is the upper edge of the bucket
+// holding the requested rank (≤ 16%/decade apart on LatencyBuckets), clamped
+// to [Min, Max]; the mean is exact. It is also the histogram the MCN
+// simulator's report and the closed-loop replay driver's per-transaction
+// accounting read from.
 type Histogram struct {
 	b       Buckets
 	counts  []atomic.Int64
@@ -130,6 +130,16 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
+// Reset clears the histogram for reuse (the SLO-search controller's
+// per-probe-window measurements reuse one allocation). Single-writer: an
+// Observe racing it may survive or be lost in part.
+func (h *Histogram) Reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.sumBits.Store(0)
+}
+
 // Sum returns the exact sum of recorded samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
@@ -142,9 +152,8 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Quantile returns the upper edge of the bucket containing the q-quantile,
-// with mcn.LatencyHist's rank and clamp semantics (underflow reads Min,
-// overflow reads Max, 0 when empty).
+// Quantile returns the upper edge of the bucket containing the q-quantile
+// (rank ⌊q·(n−1)⌋; underflow reads Min, overflow reads Max, 0 when empty).
 func (h *Histogram) Quantile(q float64) float64 {
 	n := h.Count()
 	if n == 0 {

@@ -79,6 +79,17 @@ func TestHistogramObserve(t *testing.T) {
 	if q := h2.Quantile(1); q != LatencyBuckets.Max {
 		t.Fatalf("overflow quantile = %v, want %v", q, LatencyBuckets.Max)
 	}
+	// Reset leaves an empty histogram that fills as a new one does.
+	h.Reset()
+	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.99) != 0 {
+		t.Fatalf("after Reset: count %d sum %v", h.Count(), h.Sum())
+	}
+	h.Observe(0.25)
+	fresh := NewHistogram(LatencyBuckets)
+	fresh.Observe(0.25)
+	if h.Count() != 1 || h.Sum() != 0.25 || h.Quantile(0.5) != fresh.Quantile(0.5) {
+		t.Fatalf("reused after Reset: count %d sum %v p50 %v, want 1, 0.25, %v", h.Count(), h.Sum(), h.Quantile(0.5), fresh.Quantile(0.5))
+	}
 }
 
 // parsePromHistogram pulls the rendered bucket counts, sum and count for one

@@ -280,3 +280,38 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("Clone must not share event storage")
 	}
 }
+
+// TestArrivalsOrder pins the merged order the MCN simulator and the replay
+// client consume a dataset in: by time, and on equal timestamps in dataset
+// order — stream by stream, a stream's own events in the order it holds
+// them — with the stream's index as the UE key.
+func TestArrivalsOrder(t *testing.T) {
+	d := &Dataset{Generation: events.Gen4G, Streams: []Stream{
+		{UEID: "a", Events: []Event{{Time: 5, Type: events.Attach}, {Time: 5, Type: events.TAU}, {Time: 9, Type: events.Detach}}},
+		{UEID: "b"},
+		{UEID: "c", Events: []Event{{Time: 0, Type: events.Attach}, {Time: 5, Type: events.Handover}, {Time: 7, Type: events.S1ConnRel}}},
+		{UEID: "d", Events: []Event{{Time: 5, Type: events.ServiceRequest}, {Time: 3, Type: events.Attach}}}, // not time-sorted
+	}}
+	want := []Arrival{
+		{0, 2, events.Attach},
+		{3, 3, events.Attach},
+		{5, 0, events.Attach}, {5, 0, events.TAU}, {5, 2, events.Handover}, {5, 3, events.ServiceRequest},
+		{7, 2, events.S1ConnRel},
+		{9, 0, events.Detach},
+	}
+	src := d.Arrivals()
+	for i, w := range want {
+		a, ok, err := src.NextArrival()
+		if err != nil || !ok || a != w {
+			t.Fatalf("arrival %d = %+v ok=%v err=%v, want %+v", i, a, ok, err, w)
+		}
+	}
+	for i := 0; i < 2; i++ { // exhaustion is sticky
+		if a, ok, err := src.NextArrival(); ok || err != nil {
+			t.Fatalf("after the last arrival: %+v ok=%v err=%v", a, ok, err)
+		}
+	}
+	if _, ok, _ := (&Dataset{}).Arrivals().NextArrival(); ok {
+		t.Fatal("an empty dataset yielded an arrival")
+	}
+}
