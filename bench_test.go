@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -640,11 +641,29 @@ func BenchmarkTraceJSONLRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, d); err != nil {
+		w := trace.NewStreamWriter(&buf, d.Generation)
+		for j := range d.Streams {
+			if err := w.WriteStream(&d.Streams[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := trace.ReadJSONL(&buf); err != nil {
+		r, err := trace.NewStreamReader(&buf)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for n := 0; ; n++ {
+			var s trace.Stream
+			if err := r.Next(&s); err == io.EOF {
+				if n != len(d.Streams) {
+					b.Fatalf("read %d streams, wrote %d", n, len(d.Streams))
+				}
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -78,16 +78,15 @@ func main() {
 		defer func() { fmt.Fprint(os.Stderr, tracez.Summary()) }()
 	}
 
-	// Validate up front: the overrides only reach the parser when the spec
-	// has a cptgpt source, and a typo must not be silently dropped on the
-	// all-synthetic built-ins.
-	if _, err := cptgen.ParsePrecision(*prec); err != nil {
-		log.Fatal(err)
+	// Validate up front: a typo in a decode override fails before -list,
+	// -save-spec or any generation.
+	opts := cptgen.ScenarioRunOpts{
+		UEs: *ues, Parallelism: *par, BatchSize: *batch,
+		MaxFanIn: *fanIn, TempDir: *tmp, Precision: *prec,
+		Speculative: *specDec, DraftTokens: *draftK,
 	}
-	switch *specDec {
-	case "", "on", "off":
-	default:
-		log.Fatalf("unknown -speculative %q (want on, off or empty)", *specDec)
+	if err := opts.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
 	if *list {
@@ -114,12 +113,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *saveSpec)
 		return
-	}
-
-	opts := cptgen.ScenarioRunOpts{
-		UEs: *ues, Parallelism: *par, BatchSize: *batch,
-		MaxFanIn: *fanIn, TempDir: *tmp, Precision: *prec,
-		Speculative: *specDec, DraftTokens: *draftK,
 	}
 
 	// Every flag that belongs to one sink lands in the sink's configuration,

@@ -4,8 +4,10 @@
 //
 //	cpttrain -model cptgpt  -in trace.jsonl -out model.bin -epochs 20
 //	cpttrain -model netshare -in trace.jsonl -out model.bin
-//	cpttrain -model smm -k 16 -in trace.jsonl -out model.bin   (SMM is
-//	  re-fit at generation time; -out stores the trace reference)
+//
+// The SMM baseline has no training step and no model file: cptsynth fits it
+// from the reference trace when it generates (cptsynth -model smm -fit
+// trace.jsonl -k 16).
 package main
 
 import (
@@ -22,7 +24,7 @@ func main() {
 	log.SetPrefix("cpttrain: ")
 
 	var (
-		model  = flag.String("model", "cptgpt", "generator to train: cptgpt or netshare")
+		model  = flag.String("model", "cptgpt", "generator to train: cptgpt or netshare (the SMM baseline is fitted by cptsynth -model smm -fit)")
 		in     = flag.String("in", "trace.jsonl", "training trace path")
 		out    = flag.String("out", "model.bin", "output model path")
 		gen    = flag.String("gen", "4G", "generation for CSV inputs")

@@ -2,6 +2,9 @@ package cptgpt
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -318,6 +321,37 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatal("loaded model generates differently")
 			}
 		}
+	}
+}
+
+// TestParentModelFile pins the model wire form (cptgpt-model/1):
+// testdata/parent-model.bin was written by Model.SaveFile at the commit
+// before the parameter blob type moved into internal/nn (DModel 8, one
+// block, one epoch). It must load with every parameter bit-equal and
+// generate what it generated there. (A re-saved file differs from it in the
+// gob type descriptor only, which names the blob type's package.)
+func TestParentModelFile(t *testing.T) {
+	m, err := LoadFile("testdata/parent-model.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, p := range m.Params() {
+		binary.Write(h, binary.LittleEndian, p.Data)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); len(m.Params()) != 33 || got != "6737447186f8b127686c078bb158bc03290d2cd321a4ec91f483590c6a127d5c" {
+		t.Fatalf("%d parameters, digest %s", len(m.Params()), got)
+	}
+	g, err := m.Generate(GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := trace.WriteCSV(&csv, g); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes())); got != "931614663dded2673bdcb1fa67c8d00ff22b818f0460eeeefeec511e6a4207c5" {
+		t.Fatalf("generate digest %s (%d events, want 90)", got, g.NumEvents())
 	}
 }
 

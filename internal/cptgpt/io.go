@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"cptgpt/internal/nn"
 )
@@ -18,12 +17,7 @@ type modelFile struct {
 	Cfg         Config
 	Tok         Tokenizer
 	InitialDist []float64
-	Params      []paramBlob
-}
-
-type paramBlob struct {
-	Rows, Cols int
-	Data       []float64
+	Params      []nn.Blob
 }
 
 const modelMagic = "cptgpt-model/1"
@@ -35,9 +29,7 @@ func (m *Model) Save(w io.Writer) error {
 		Cfg:         m.Cfg,
 		Tok:         m.Tok,
 		InitialDist: m.InitialDist,
-	}
-	for _, p := range m.Params() {
-		mf.Params = append(mf.Params, paramBlob{Rows: p.Rows, Cols: p.Cols, Data: p.Data})
+		Params:      nn.Blobs(m.Params()),
 	}
 	if err := gob.NewEncoder(w).Encode(&mf); err != nil {
 		return fmt.Errorf("cptgpt: encoding model: %w", err)
@@ -58,44 +50,18 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cptgpt: rebuilding model: %w", err)
 	}
-	params := m.Params()
-	if len(params) != len(mf.Params) {
-		return nil, fmt.Errorf("cptgpt: model file has %d parameters, architecture has %d", len(mf.Params), len(params))
-	}
-	for i, b := range mf.Params {
-		p := params[i]
-		if b.Rows != p.Rows || b.Cols != p.Cols {
-			return nil, fmt.Errorf("cptgpt: parameter %d shape mismatch: file %d×%d, model %d×%d", i, b.Rows, b.Cols, p.Rows, p.Cols)
-		}
-		copy(p.Data, b.Data)
+	if err := nn.LoadBlobs(m.Params(), mf.Params); err != nil {
+		return nil, fmt.Errorf("cptgpt: model file: %w", err)
 	}
 	m.InitialDist = mf.InitialDist
 	return m, nil
 }
 
 // SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("cptgpt: creating %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return m.Save(f)
-}
+func (m *Model) SaveFile(path string) error { return nn.SaveFile(path, m.Save) }
 
 // LoadFile reads a model from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cptgpt: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f)
-}
+func LoadFile(path string) (*Model, error) { return nn.LoadFile(path, Load) }
 
 // WeightBytes reports the serialized parameter size in bytes (the paper
 // quotes 2.9 MB for its 725K-parameter model at float32; ours is float64).

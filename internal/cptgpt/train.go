@@ -11,11 +11,6 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// cos and pi keep the LR-decay expression readable.
-var cos = math.Cos
-
-const pi = math.Pi
-
 // TrainOpts tunes a training run without mutating the model config.
 type TrainOpts struct {
 	// Epochs overrides Config.Epochs when > 0 (used by fine-tuning).
@@ -201,7 +196,7 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 		// epochs, which matters for near-zero semantic-violation rates.
 		if epochs > 1 {
 			frac := float64(epoch) / float64(epochs-1)
-			opt.LR = lr * (0.1 + 0.9*0.5*(1+cos(pi*frac)))
+			opt.LR = lr * (0.1 + 0.9*0.5*(1+math.Cos(math.Pi*frac)))
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var lossSum float64

@@ -154,17 +154,16 @@ type Lab struct {
 
 	sz sizes
 
-	mu       sync.Mutex
-	train    map[events.DeviceType]*trace.Dataset
-	test     map[events.DeviceType]*trace.Dataset
-	cpt      map[events.DeviceType]*cptgpt.Model
-	ns       map[events.DeviceType]*netshare.Model
-	smm1     map[events.DeviceType]*smm.Model
-	smmK     map[events.DeviceType]*smm.Model
-	gen      map[string]*trace.Dataset // cached synthesized datasets
-	hourly   []*trace.Dataset          // train trace sliced per hour
-	hourlyTe []*trace.Dataset          // test trace sliced per hour
-	timing   *timingResults
+	mu     sync.Mutex
+	train  map[events.DeviceType]*trace.Dataset
+	test   map[events.DeviceType]*trace.Dataset
+	cpt    map[events.DeviceType]*cptgpt.Model
+	ns     map[events.DeviceType]*netshare.Model
+	smm1   map[events.DeviceType]*smm.Model
+	smmK   map[events.DeviceType]*smm.Model
+	gen    map[string]*trace.Dataset   // cached synthesized datasets
+	hourly map[uint64][]*trace.Dataset // multi-hour traces sliced per hour, by seed
+	timing *timingResults
 }
 
 // NewLab creates a lab at the given scale. Seed 0 selects the default seed.
@@ -173,17 +172,40 @@ func NewLab(scale Scale, seed uint64) *Lab {
 		seed = 1
 	}
 	return &Lab{
-		Scale: scale,
-		Seed:  seed,
-		sz:    scale.sizes(),
-		train: make(map[events.DeviceType]*trace.Dataset),
-		test:  make(map[events.DeviceType]*trace.Dataset),
-		cpt:   make(map[events.DeviceType]*cptgpt.Model),
-		ns:    make(map[events.DeviceType]*netshare.Model),
-		smm1:  make(map[events.DeviceType]*smm.Model),
-		smmK:  make(map[events.DeviceType]*smm.Model),
-		gen:   make(map[string]*trace.Dataset),
+		Scale:  scale,
+		Seed:   seed,
+		sz:     scale.sizes(),
+		train:  make(map[events.DeviceType]*trace.Dataset),
+		test:   make(map[events.DeviceType]*trace.Dataset),
+		cpt:    make(map[events.DeviceType]*cptgpt.Model),
+		ns:     make(map[events.DeviceType]*netshare.Model),
+		smm1:   make(map[events.DeviceType]*smm.Model),
+		smmK:   make(map[events.DeviceType]*smm.Model),
+		gen:    make(map[string]*trace.Dataset),
+		hourly: make(map[uint64][]*trace.Dataset),
 	}
+}
+
+// cached returns cache[key], building and storing it on a miss. The build
+// runs outside the lock — builders reach back into the Lab (CPT(dev) needs
+// CPT(Phone), every model needs Train) — so two concurrent first callers
+// may both build; builds are deterministic and the Lab is used
+// sequentially, so that costs time at worst. A failed build caches nothing.
+func cached[K comparable, V any](l *Lab, cache map[K]V, key K, build func() (V, error)) (V, error) {
+	l.mu.Lock()
+	v, ok := cache[key]
+	l.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return v, err
+	}
+	l.mu.Lock()
+	cache[key] = v
+	l.mu.Unlock()
+	return v, nil
 }
 
 func (l *Lab) logf(format string, args ...any) {
@@ -206,34 +228,14 @@ func (l *Lab) groundTruth(dev events.DeviceType, seed uint64) (*trace.Dataset, e
 
 // Train returns the training ("June") trace for a device type.
 func (l *Lab) Train(dev events.DeviceType) (*trace.Dataset, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if d, ok := l.train[dev]; ok {
-		return d, nil
-	}
-	d, err := l.groundTruth(dev, l.Seed)
-	if err != nil {
-		return nil, err
-	}
-	l.train[dev] = d
-	return d, nil
+	return cached(l, l.train, dev, func() (*trace.Dataset, error) { return l.groundTruth(dev, l.Seed) })
 }
 
 // Test returns the held-out ("August") trace for a device type — same
 // generating process, disjoint seed, as the paper trains on one collection
 // period and tests on another.
 func (l *Lab) Test(dev events.DeviceType) (*trace.Dataset, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if d, ok := l.test[dev]; ok {
-		return d, nil
-	}
-	d, err := l.groundTruth(dev, l.Seed^0xA0605)
-	if err != nil {
-		return nil, err
-	}
-	l.test[dev] = d
-	return d, nil
+	return cached(l, l.test, dev, func() (*trace.Dataset, error) { return l.groundTruth(dev, l.Seed^0xA0605) })
 }
 
 // probeFor returns the fidelity score function (lower = better) used for
@@ -270,13 +272,10 @@ func (l *Lab) cptConfig() cptgpt.Config {
 // is trained from scratch; connected-car and tablet models are adapted from
 // it by transfer learning, exactly as §5.1 describes.
 func (l *Lab) CPT(dev events.DeviceType) (*cptgpt.Model, error) {
-	l.mu.Lock()
-	if m, ok := l.cpt[dev]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
+	return cached(l, l.cpt, dev, func() (*cptgpt.Model, error) { return l.trainCPT(dev) })
+}
 
+func (l *Lab) trainCPT(dev events.DeviceType) (*cptgpt.Model, error) {
 	if dev != events.Phone {
 		base, err := l.CPT(events.Phone)
 		if err != nil {
@@ -294,9 +293,6 @@ func (l *Lab) CPT(dev events.DeviceType) (*cptgpt.Model, error) {
 		if _, err := cptgpt.FineTune(m, d, cptgpt.TrainOpts{Epochs: l.sz.cptFTEps, EarlyStopPatience: 0, Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
 			return nil, err
 		}
-		l.mu.Lock()
-		l.cpt[dev] = m
-		l.mu.Unlock()
 		return m, nil
 	}
 
@@ -318,9 +314,6 @@ func (l *Lab) CPT(dev events.DeviceType) (*cptgpt.Model, error) {
 	if _, err := cptgpt.Train(m, d, cptgpt.TrainOpts{Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	l.cpt[events.Phone] = m
-	l.mu.Unlock()
 	return m, nil
 }
 
@@ -336,13 +329,10 @@ func (l *Lab) nsConfig() netshare.Config {
 // the same scratch-then-transfer scheme as CPT-GPT and checkpoint-ranked
 // with the fidelity probe (§5.5).
 func (l *Lab) NetShare(dev events.DeviceType) (*netshare.Model, error) {
-	l.mu.Lock()
-	if m, ok := l.ns[dev]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
+	return cached(l, l.ns, dev, func() (*netshare.Model, error) { return l.trainNetShare(dev) })
+}
 
+func (l *Lab) trainNetShare(dev events.DeviceType) (*netshare.Model, error) {
 	d, err := l.Train(dev)
 	if err != nil {
 		return nil, err
@@ -373,43 +363,28 @@ func (l *Lab) NetShare(dev events.DeviceType) (*netshare.Model, error) {
 	if _, err := netshare.Train(m, d, netshare.TrainOpts{Epochs: epochs, Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism}); err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	l.ns[dev] = m
-	l.mu.Unlock()
 	return m, nil
 }
 
 // SMM returns the fitted SMM baseline for a device type: clustered=false
 // gives SMM-1, clustered=true gives SMM-K.
 func (l *Lab) SMM(dev events.DeviceType, clustered bool) (*smm.Model, error) {
-	l.mu.Lock()
 	cache := l.smm1
 	if clustered {
 		cache = l.smmK
 	}
-	if m, ok := cache[dev]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
-
-	d, err := l.Train(dev)
-	if err != nil {
-		return nil, err
-	}
-	cfg := smm.DefaultConfig()
-	cfg.Seed = l.Seed ^ 0x5111
-	if clustered {
-		cfg.K = l.sz.smmK
-	}
-	m, err := smm.Fit(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	cache[dev] = m
-	l.mu.Unlock()
-	return m, nil
+	return cached(l, cache, dev, func() (*smm.Model, error) {
+		d, err := l.Train(dev)
+		if err != nil {
+			return nil, err
+		}
+		cfg := smm.DefaultConfig()
+		cfg.Seed = l.Seed ^ 0x5111
+		if clustered {
+			cfg.K = l.sz.smmK
+		}
+		return smm.Fit(d, cfg)
+	})
 }
 
 // GeneratorID names the four generators of the evaluation.
@@ -438,81 +413,60 @@ func (l *Lab) Generated(id GeneratorID, dev events.DeviceType) (*trace.Dataset, 
 // GeneratedN is Generated with an explicit stream count (used by the
 // scalability study, Figure 6).
 func (l *Lab) GeneratedN(id GeneratorID, dev events.DeviceType, n int) (*trace.Dataset, error) {
-	key := fmt.Sprintf("%s/%s/%d", id, dev, n)
-	l.mu.Lock()
-	if d, ok := l.gen[key]; ok {
-		l.mu.Unlock()
-		return d, nil
-	}
-	l.mu.Unlock()
-
-	var d *trace.Dataset
-	var err error
-	seed := l.Seed ^ 0xEE<<8 ^ uint64(dev)
-	switch id {
-	case GenSMM1, GenSMMK:
-		m, ferr := l.SMM(dev, id == GenSMMK)
-		if ferr != nil {
-			return nil, ferr
+	return cached(l, l.gen, fmt.Sprintf("%s/%s/%d", id, dev, n), func() (*trace.Dataset, error) {
+		seed := l.Seed ^ 0xEE<<8 ^ uint64(dev)
+		switch id {
+		case GenSMM1, GenSMMK:
+			m, err := l.SMM(dev, id == GenSMMK)
+			if err != nil {
+				return nil, err
+			}
+			return m.Generate(smm.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism})
+		case GenNetShare:
+			m, err := l.NetShare(dev)
+			if err != nil {
+				return nil, err
+			}
+			return m.Generate(netshare.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism})
+		case GenCPTGPT:
+			m, err := l.CPT(dev)
+			if err != nil {
+				return nil, err
+			}
+			return m.Generate(cptgpt.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism, BatchSize: l.BatchSize})
+		default:
+			return nil, fmt.Errorf("experiments: unknown generator %q", id)
 		}
-		d, err = m.Generate(smm.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism})
-	case GenNetShare:
-		m, ferr := l.NetShare(dev)
-		if ferr != nil {
-			return nil, ferr
-		}
-		d, err = m.Generate(netshare.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism})
-	case GenCPTGPT:
-		m, ferr := l.CPT(dev)
-		if ferr != nil {
-			return nil, ferr
-		}
-		d, err = m.Generate(cptgpt.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism, BatchSize: l.BatchSize})
-	default:
-		return nil, fmt.Errorf("experiments: unknown generator %q", id)
-	}
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.gen[key] = d
-	l.mu.Unlock()
-	return d, nil
+	})
 }
 
 // Hourly returns the multi-hour train and test traces sliced per hour,
 // building them on first use (drift experiments: Tables 4, 9, 10).
 func (l *Lab) Hourly() (train, test []*trace.Dataset, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.hourly != nil {
-		return l.hourly, l.hourlyTe, nil
-	}
 	mk := func(seed uint64) ([]*trace.Dataset, error) {
-		cfg := synthetic.Config{
-			Generation: events.Gen4G,
-			Seed:       seed,
-			UEs:        map[events.DeviceType]int{events.Phone: l.sz.trainUEs[events.Phone]},
-			Hours:      l.sz.hours,
-			StartHour:  6, // crosses the morning diurnal ramp → real drift
-		}
-		d, err := synthetic.Generate(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]*trace.Dataset, l.sz.hours)
-		for h := 0; h < l.sz.hours; h++ {
-			out[h] = d.SliceHour(h)
-		}
-		return out, nil
+		return cached(l, l.hourly, seed, func() ([]*trace.Dataset, error) {
+			d, err := synthetic.Generate(synthetic.Config{
+				Generation: events.Gen4G,
+				Seed:       seed,
+				UEs:        map[events.DeviceType]int{events.Phone: l.sz.trainUEs[events.Phone]},
+				Hours:      l.sz.hours,
+				StartHour:  6, // crosses the morning diurnal ramp → real drift
+			})
+			if err != nil {
+				return nil, err
+			}
+			out := make([]*trace.Dataset, l.sz.hours)
+			for h := range out {
+				out[h] = d.SliceHour(h)
+			}
+			return out, nil
+		})
 	}
-	if l.hourly, err = mk(l.Seed ^ 0x40); err != nil {
-		l.hourly = nil
+	if train, err = mk(l.Seed ^ 0x40); err != nil {
 		return nil, nil, err
 	}
-	if l.hourlyTe, err = mk(l.Seed ^ 0x41); err != nil {
-		l.hourly, l.hourlyTe = nil, nil
+	if test, err = mk(l.Seed ^ 0x41); err != nil {
 		return nil, nil, err
 	}
-	return l.hourly, l.hourlyTe, nil
+	return train, test, nil
 }

@@ -3,7 +3,6 @@ package netshare
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"cptgpt/internal/nn"
 )
@@ -34,25 +33,9 @@ func Load(r io.Reader, cfg Config) (*Model, error) {
 }
 
 // SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("netshare: creating %s: %w", path, err)
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return m.Save(f)
-}
+func (m *Model) SaveFile(path string) error { return nn.SaveFile(path, m.Save) }
 
 // LoadFile reads a model from path.
 func LoadFile(path string, cfg Config) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("netshare: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	return Load(f, cfg)
+	return nn.LoadFile(path, func(r io.Reader) (*Model, error) { return Load(r, cfg) })
 }

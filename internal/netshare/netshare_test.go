@@ -2,11 +2,16 @@ package netshare
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/synthetic"
+	"cptgpt/internal/tensor"
 	"cptgpt/internal/trace"
 )
 
@@ -225,6 +230,64 @@ func TestGenerateDeterministicForSeed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGenerateParallelismInvariant is the NetShare determinism guarantee:
+// streams are index-seeded, so the dataset is the same at every fan-out.
+func TestGenerateParallelismInvariant(t *testing.T) {
+	defer tensor.SetParallelism(tensor.SetParallelism(8))
+	m, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := GenOpts{NumStreams: 23, Device: events.Phone, Seed: 5, StartWindow: 60, Parallelism: 1}
+	want, err := m.Generate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, 7} {
+		opts := base
+		opts.Parallelism = p
+		got, err := m.Generate(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallelism %d: dataset differs from parallelism 1", p)
+		}
+	}
+}
+
+// TestParentParameterFile pins the parameter wire form (cptgpt-nn/1):
+// testdata/parent-params.bin was written by Model.SaveFile at the commit
+// before the blob codec moved into one place in internal/nn. It must load
+// with every parameter bit-equal and generate what it generated there.
+func TestParentParameterFile(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchGen, cfg.Steps, cfg.NoiseDim, cfg.Hidden, cfg.DiscHidden, cfg.Epochs = 2, 4, 4, 8, 8, 1
+	m, err := LoadFile("testdata/parent-params.bin", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, p := range append(m.GenParams(), m.DiscParams()...) {
+		binary.Write(h, binary.LittleEndian, p.Data)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != "39152a821fff4a0d78e192cb1dd32a96c22bb457a5e3e601ff079722013eb4e5" {
+		t.Fatalf("parameter digest %s", got)
+	}
+	g, err := m.Generate(GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteCSV(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != "298935f56c1bdb133ae69f536d36ff923eafb242f92029f67353e5a6f942bd89" {
+		t.Fatalf("generate digest %s", got)
+	}
+
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

@@ -3,7 +3,6 @@ package netshare
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/stats"
@@ -41,33 +40,25 @@ func (m *Model) Generate(opts GenOpts) (*trace.Dataset, error) {
 	if opts.NumStreams <= 0 {
 		return nil, fmt.Errorf("netshare: NumStreams must be positive, got %d", opts.NumStreams)
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = tensor.Parallelism()
+	p := opts.Parallelism
+	if p <= 0 {
+		p = tensor.Parallelism()
 	}
-	if workers > opts.NumStreams {
-		workers = opts.NumStreams
-	}
-
 	streams := make([]trace.Stream, opts.NumStreams)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				streams[i] = m.sampleStream(i, opts)
-			}
-		}()
-	}
-	for i := 0; i < opts.NumStreams; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	// One stream is a full generator pass over single-row tensors, which
+	// the kernels never shard, so the fan-out is over streams only.
+	tensor.ParallelForN(p, len(streams), sampleWorkPerStream, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			streams[i] = m.sampleStream(i, opts)
+		}
+	})
 	return &trace.Dataset{Generation: m.Cfg.Generation, Streams: streams}, nil
 }
+
+// sampleWorkPerStream is the rough cost of one generator pass in the worker
+// pool's work units (Steps LSTM steps plus the heads): any two streams are
+// worth sharding.
+const sampleWorkPerStream = 1 << 18
 
 // sampleStream decodes one stream from fresh noise.
 func (m *Model) sampleStream(idx int, opts GenOpts) trace.Stream {

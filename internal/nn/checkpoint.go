@@ -9,10 +9,40 @@ import (
 	"cptgpt/internal/tensor"
 )
 
-// paramBlob is the gob wire form of one parameter tensor.
-type paramBlob struct {
+// Blob is the gob wire form of one parameter tensor. It is the only such
+// type in the tree: a parameter checkpoint ("cptgpt-nn/1", below) and a
+// CPT-GPT model file ("cptgpt-model/1", internal/cptgpt) both store a
+// []Blob. gob matches the fields by name and ignores the type's own name,
+// so files written when each package declared its own copy still load.
+type Blob struct {
 	Rows, Cols int
 	Data       []float64
+}
+
+// Blobs returns the wire form of params, in order, sharing their storage.
+func Blobs(params []*tensor.Tensor) []Blob {
+	blobs := make([]Blob, len(params))
+	for i, p := range params {
+		blobs[i] = Blob{Rows: p.Rows, Cols: p.Cols, Data: p.Data}
+	}
+	return blobs
+}
+
+// LoadBlobs copies the stored values into params, which must match the
+// blobs in count and, one by one, in shape.
+func LoadBlobs(params []*tensor.Tensor, blobs []Blob) error {
+	if len(blobs) != len(params) {
+		return fmt.Errorf("nn: %d parameters stored, model has %d", len(blobs), len(params))
+	}
+	for i, b := range blobs {
+		p := params[i]
+		if b.Rows != p.Rows || b.Cols != p.Cols {
+			return fmt.Errorf("nn: parameter %d shape mismatch: stored %d×%d, model %d×%d",
+				i, b.Rows, b.Cols, p.Rows, p.Cols)
+		}
+		copy(p.Data, b.Data)
+	}
+	return nil
 }
 
 // checkpoint is the gob wire form of a full parameter set plus arbitrary
@@ -20,17 +50,14 @@ type paramBlob struct {
 type checkpoint struct {
 	Magic  string
 	Meta   map[string]string
-	Params []paramBlob
+	Params []Blob
 }
 
 const checkpointMagic = "cptgpt-nn/1"
 
 // SaveParams serializes params (in order) and meta to w.
 func SaveParams(w io.Writer, params []*tensor.Tensor, meta map[string]string) error {
-	ck := checkpoint{Magic: checkpointMagic, Meta: meta}
-	for _, p := range params {
-		ck.Params = append(ck.Params, paramBlob{Rows: p.Rows, Cols: p.Cols, Data: p.Data})
-	}
+	ck := checkpoint{Magic: checkpointMagic, Meta: meta, Params: Blobs(params)}
 	if err := gob.NewEncoder(w).Encode(&ck); err != nil {
 		return fmt.Errorf("nn: encoding checkpoint: %w", err)
 	}
@@ -48,22 +75,12 @@ func LoadParams(r io.Reader, params []*tensor.Tensor) (map[string]string, error)
 	if ck.Magic != checkpointMagic {
 		return nil, fmt.Errorf("nn: bad checkpoint magic %q", ck.Magic)
 	}
-	if len(ck.Params) != len(params) {
-		return nil, fmt.Errorf("nn: checkpoint has %d parameters, model has %d", len(ck.Params), len(params))
-	}
-	for i, b := range ck.Params {
-		p := params[i]
-		if b.Rows != p.Rows || b.Cols != p.Cols {
-			return nil, fmt.Errorf("nn: parameter %d shape mismatch: checkpoint %d×%d, model %d×%d",
-				i, b.Rows, b.Cols, p.Rows, p.Cols)
-		}
-		copy(p.Data, b.Data)
-	}
-	return ck.Meta, nil
+	return ck.Meta, LoadBlobs(params, ck.Params)
 }
 
-// SaveParamsFile writes a checkpoint to path.
-func SaveParamsFile(path string, params []*tensor.Tensor, meta map[string]string) (err error) {
+// SaveFile creates path and hands it to write — the file half of every
+// model's SaveFile. A failed close is reported unless write already failed.
+func SaveFile(path string, write func(io.Writer) error) (err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("nn: creating %s: %w", path, err)
@@ -73,33 +90,25 @@ func SaveParamsFile(path string, params []*tensor.Tensor, meta map[string]string
 			err = cerr
 		}
 	}()
-	return SaveParams(f, params, meta)
+	return write(f)
 }
 
-// LoadParamsFile reads a checkpoint from path into params.
-func LoadParamsFile(path string, params []*tensor.Tensor) (map[string]string, error) {
+// LoadFile opens path and returns what read makes of it — the file half of
+// every model's LoadFile.
+func LoadFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("nn: opening %s: %w", path, err)
+		var zero T
+		return zero, fmt.Errorf("nn: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	return LoadParams(f, params)
+	return read(f)
 }
 
 // CopyParams copies values from src parameters into dst (shape-checked) —
 // the warm-start primitive behind transfer learning (Design 3).
 func CopyParams(dst, src []*tensor.Tensor) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: CopyParams count mismatch %d vs %d", len(dst), len(src))
-	}
-	for i := range dst {
-		if dst[i].Rows != src[i].Rows || dst[i].Cols != src[i].Cols {
-			return fmt.Errorf("nn: CopyParams shape mismatch at %d: %d×%d vs %d×%d",
-				i, dst[i].Rows, dst[i].Cols, src[i].Rows, src[i].Cols)
-		}
-		copy(dst[i].Data, src[i].Data)
-	}
-	return nil
+	return LoadBlobs(dst, Blobs(src))
 }
 
 // NumParams returns the total scalar parameter count of params.

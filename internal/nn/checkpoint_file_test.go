@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -11,12 +12,17 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	rng := newRNG()
 	m1 := NewMLP(rng, 4, 8, 2)
 	path := filepath.Join(t.TempDir(), "ckpt.bin")
-	if err := SaveParamsFile(path, m1.Params(), map[string]string{"epoch": "3"}); err != nil {
+	err := SaveFile(path, func(w io.Writer) error {
+		return SaveParams(w, m1.Params(), map[string]string{"epoch": "3"})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewMLP(newRNG(), 4, 8, 2)
 	m2.Layers[0].W.Data[0] = 99
-	meta, err := LoadParamsFile(path, m2.Params())
+	meta, err := LoadFile(path, func(r io.Reader) (map[string]string, error) {
+		return LoadParams(r, m2.Params())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +36,15 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 func TestLoadParamsFileMissing(t *testing.T) {
 	m := NewMLP(newRNG(), 2, 2)
-	if _, err := LoadParamsFile(filepath.Join(t.TempDir(), "nope.bin"), m.Params()); err == nil {
+	_, err := LoadFile(filepath.Join(t.TempDir(), "nope.bin"), func(r io.Reader) (map[string]string, error) {
+		return LoadParams(r, m.Params())
+	})
+	if err == nil {
 		t.Fatal("missing file must error")
+	}
+	err = SaveFile(filepath.Join(t.TempDir(), "no", "such", "dir.bin"), func(io.Writer) error { return nil })
+	if err == nil {
+		t.Fatal("an uncreatable file must error")
 	}
 }
 

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -108,6 +109,122 @@ func TestSpecValidation(t *testing.T) {
 	if err := base().Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// badSourceFields are source-field values a run cannot open with. Before
+// Validate and resolveSources shared SourceSpec.parse, Validate passed every
+// one and Open failed — after the daemon had answered 201.
+var badSourceFields = []struct {
+	name, field string
+	mut         func(*SourceSpec)
+}{
+	{"start hour out of range", "StartHour", func(s *SourceSpec) { s.StartHour = 99 }},
+	{"negative device weight", "device_mix", func(s *SourceSpec) { s.DeviceMix = map[string]float64{"phone": -1} }},
+	{"all-zero device mix", "device_mix", func(s *SourceSpec) { s.DeviceMix = map[string]float64{"phone": 0, "tablet": 0} }},
+	{"unknown model device", "device", func(s *SourceSpec) { s.Kind, s.ModelFile, s.Device = "cptgpt", "no-such-model.bin", "toaster" }},
+}
+
+// TestLoadRefusesBadSourceFields: Validate, Load and Open agree on source
+// field values, and the refusal names the source and the field.
+func TestLoadRefusesBadSourceFields(t *testing.T) {
+	for _, tc := range badSourceFields {
+		spec, _ := Builtin("flash-crowd")
+		tc.mut(&spec.Sources[0])
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := spec.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := Load(path)
+		_, openErr := spec.Open(RunOpts{UEs: 8, TempDir: t.TempDir()})
+		for what, err := range map[string]error{"Validate": spec.Validate(), "Load": loadErr, "Open": openErr} {
+			if err == nil {
+				t.Errorf("%s: %s accepted the spec", tc.name, what)
+			} else if msg := err.Error(); !strings.Contains(msg, tc.field) || !strings.Contains(msg, spec.Sources[0].ID) {
+				t.Errorf("%s: %s error %q does not name source and field %q", tc.name, what, msg, tc.field)
+			}
+		}
+	}
+}
+
+// TestRunOptsValidate pins the one check of the run-wide decode overrides
+// that OpenContext, cptscenario and the daemon share.
+func TestRunOptsValidate(t *testing.T) {
+	for _, o := range []RunOpts{{}, {Precision: "f32", Speculative: "on", DraftTokens: 4}, {Precision: "F64", Speculative: "off"}} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
+	}
+	spec, _ := Builtin("flash-crowd")
+	for _, o := range []RunOpts{{Precision: "f16"}, {Speculative: "maybe"}, {Speculative: "ON"}, {DraftTokens: -1}} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%+v: accepted", o)
+		}
+		// Refused even when no cptgpt source would consult the override.
+		o.TempDir = t.TempDir()
+		if st, err := spec.Open(o); err == nil {
+			st.Close()
+			t.Errorf("%+v: an all-synthetic spec opened", o)
+		}
+	}
+}
+
+// FuzzSpecJSON feeds arbitrary bytes to the spec parser: Unmarshal and
+// Validate never panic, a spec that validates still validates (and is the
+// same spec) after Save → Load, and a validated all-synthetic spec of a
+// sane length opens — Validate has already refused every spec-field value
+// Open would.
+func FuzzSpecJSON(f *testing.F) {
+	for _, name := range Builtins() {
+		spec, _ := Builtin(name)
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, tc := range badSourceFields {
+		spec, _ := Builtin("flash-crowd")
+		tc.mut(&spec.Sources[0])
+		b, _ := json.Marshal(spec)
+		f.Add(b)
+	}
+	f.Add([]byte(`{"name":"x","generation":"5G","horizon_sec":1e308,"sources":[{"id":"a","share":1e308},{"id":"b","share":1e308}]}`))
+	f.Add([]byte(`{"name":"x","generation":"4G","horizon_sec":5,"sources":[{"id":"a","share":1,"device_mix":{"tablet":1e-300}}],"ops":[{"op":"thin","window":[0,1e9],"prob":1}]}`))
+	f.Add([]byte(`{"name":"c","generation":"4G","horizon_sec":5,"sources":[{"id":"a","kind":"custom","share":1}]}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"sources":[null]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Spec
+		if json.Unmarshal(data, &spec) != nil || spec.Validate() != nil {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := spec.Save(path); err != nil {
+			t.Fatalf("valid spec does not save: %v", err)
+		}
+		again, err := Load(path)
+		if err != nil {
+			t.Fatalf("valid spec does not load back: %v", err)
+		}
+		// Compared as JSON: Save → Load may turn an empty container into nil.
+		want, _ := json.Marshal(&spec)
+		if got, _ := json.Marshal(again); !bytes.Equal(got, want) {
+			t.Fatalf("Save → Load changed the spec:\n got %s\nwant %s", got, want)
+		}
+		for i := range spec.Sources {
+			if k := spec.Sources[i].Kind; k != "" && k != "synthetic" {
+				return
+			}
+		}
+		if spec.HorizonSec > 7200 {
+			return // opens, but simulates every hour of it
+		}
+		st, err := spec.Open(RunOpts{UEs: 4, TempDir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("validated all-synthetic spec does not open: %v", err)
+		}
+		st.Close()
+	})
 }
 
 func TestBuiltinRegistry(t *testing.T) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/events"
 	"cptgpt/internal/synthetic"
-	"cptgpt/internal/telemetry"
 	"cptgpt/internal/trace"
 )
 
@@ -77,11 +77,7 @@ func sourceSeed(spec *Spec, idx int) uint64 {
 
 // resolveSources binds every spec source to a generator and its share of
 // the population.
-func resolveSources(spec *Spec, opts RunOpts, total int) ([]boundSource, error) {
-	gen, err := spec.gen()
-	if err != nil {
-		return nil, err
-	}
+func resolveSources(spec *Spec, gen events.Generation, opts RunOpts, total int) ([]boundSource, error) {
 	counts := sourceShares(spec, total)
 	// One core budget for the generation phase (the rule of
 	// cptgpt.GenOpts.Parallelism, one level up): spillChunks runs
@@ -100,6 +96,7 @@ func resolveSources(spec *Spec, opts RunOpts, total int) ([]boundSource, error) 
 		b := &bound[i]
 		b.id = src.ID
 		b.n = counts[i]
+		var err error
 		if b.ops, err = compileOps(spec, src.ID); err != nil {
 			return nil, fmt.Errorf("scenario: source %q: %w", src.ID, err)
 		}
@@ -113,100 +110,147 @@ func resolveSources(spec *Spec, opts RunOpts, total int) ([]boundSource, error) 
 			// A zero share of the population: never pulled from.
 			continue
 		}
-		switch src.Kind {
-		case "", "synthetic":
-			cfg, err := syntheticConfig(spec, src, gen, sourceSeed(spec, i), b.n)
-			if err != nil {
+		bind, err := src.parse(spec, gen, sourceSeed(spec, i), b.n)
+		if err == nil {
+			b.chunk, err = bind(opts, stepFanout)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("scenario: source %q: %w", src.ID, err)
+		}
+	}
+	return bound, nil
+}
+
+// parse checks one source's fields and returns their parsed form: a binder
+// that builds the source's generator for a run (seed and n are the source's
+// seed and UE count there). It holds every rule about a source field's value
+// and is the only place that branches on Kind, so whatever would keep a run
+// from opening for such a value fails Spec.Validate — which parses every
+// source for a nominal population and drops the binder — first.
+func (src *SourceSpec) parse(spec *Spec, gen events.Generation, seed uint64, n int) (func(opts RunOpts, stepFanout int) (ChunkFunc, error), error) {
+	switch src.Kind {
+	case "", "synthetic":
+		cfg, err := syntheticConfig(spec, src, gen, seed, n)
+		if err != nil {
+			return nil, err
+		}
+		return func(RunOpts, int) (ChunkFunc, error) {
+			return func(lo, hi int) ([]trace.Stream, error) {
+				return synthetic.GenerateRange(cfg, lo, hi)
+			}, nil
+		}, nil
+	case "cptgpt":
+		if src.ModelFile == "" {
+			return nil, errors.New("cptgpt kind needs model_file")
+		}
+		if src.DraftTokens < 0 {
+			return nil, fmt.Errorf("draft_tokens must be ≥ 0, got %d", src.DraftTokens)
+		}
+		declared := cptgpt.GenOpts{
+			Device:      events.Phone,
+			Seed:        seed,
+			Temperature: src.Temperature,
+			Speculative: src.Speculative,
+			DraftTokens: src.DraftTokens,
+			// Spread stream starts over the horizon; ramp ops can re-stage
+			// populations on top of this.
+			StartWindow: spec.HorizonSec,
+		}
+		var err error
+		if src.Device != "" {
+			if declared.Device, err = events.ParseDeviceType(src.Device); err != nil {
+				return nil, fmt.Errorf("device: %w", err)
+			}
+		}
+		if declared.Precision, err = cptgpt.ParsePrecision(src.Precision); err != nil {
+			return nil, err
+		}
+		return func(opts RunOpts, stepFanout int) (ChunkFunc, error) {
+			// The run-wide overrides go on top of the declared settings: how
+			// a spec written for the bit-exact path scales up through the
+			// f32 fast path without editing the file.
+			genOpts := declared
+			if err := opts.override(&genOpts); err != nil {
 				return nil, err
 			}
-			b.chunk = func(lo, hi int) ([]trace.Stream, error) {
-				return synthetic.GenerateRange(cfg, lo, hi)
+			genOpts.BatchSize = opts.decodeBatch()
+			// The scenario engine parallelizes across chunks; a chunk's
+			// decode gets its worker's share of the cores.
+			genOpts.Parallelism = stepFanout
+			// Live decode telemetry: counters accumulate into the caller's
+			// per-source sinks as each chunk finishes.
+			if opts.SourceStats != nil {
+				genOpts.Stats = opts.SourceStats(src.ID)
 			}
-		case "cptgpt":
+			if opts.SourceStepHist != nil {
+				genOpts.StepHist = opts.SourceStepHist(src.ID)
+			}
 			// RunOpts.LoadModel lets a daemon inject a caching loader so
 			// the model file is read (and its inference snapshot frozen)
-			// once across runs.
+			// once across runs. A speculative draft is the loaded model's
+			// self-fitted n-gram, fitted on the first chunk and cached on
+			// the model.
 			load := opts.LoadModel
 			if load == nil {
 				load = cptgpt.LoadFile
 			}
 			m, err := load(src.ModelFile)
 			if err != nil {
-				return nil, fmt.Errorf("scenario: source %q: %w", src.ID, err)
+				return nil, err
 			}
-			dev := events.Phone
-			if src.Device != "" {
-				if dev, err = events.ParseDeviceType(src.Device); err != nil {
-					return nil, fmt.Errorf("scenario: source %q: %w", src.ID, err)
-				}
-			}
-			// Decode precision: the source's declared setting, overridden
-			// run-wide by RunOpts.Precision (how a spec written for the
-			// bit-exact path scales up through the f32 fast path without
-			// editing the file).
-			precSpec := src.Precision
-			if opts.Precision != "" {
-				precSpec = opts.Precision
-			}
-			prec, err := cptgpt.ParsePrecision(precSpec)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: source %q: %w", src.ID, err)
-			}
-			// Speculative decoding: the source's declared setting, with the
-			// run-wide override on top (same pattern as precision). The
-			// draft is the loaded model's self-fitted n-gram — fitted once
-			// on the first chunk, cached on the model for the rest.
-			speculative := src.Speculative
-			switch opts.Speculative {
-			case "":
-			case "on":
-				speculative = true
-			case "off":
-				speculative = false
-			default:
-				return nil, fmt.Errorf("scenario: source %q: unknown speculative override %q (want on, off or empty)", src.ID, opts.Speculative)
-			}
-			draftK := src.DraftTokens
-			if opts.DraftTokens > 0 {
-				draftK = opts.DraftTokens
-			}
-			// Live decode telemetry: counters accumulate into the caller's
-			// per-source DecodeStats as each chunk finishes.
-			var stats *cptgpt.DecodeStats
-			if opts.SourceStats != nil {
-				stats = opts.SourceStats(src.ID)
-			}
-			var stepHist *telemetry.Histogram
-			if opts.SourceStepHist != nil {
-				stepHist = opts.SourceStepHist(src.ID)
-			}
-			genOpts := cptgpt.GenOpts{
-				Device:      dev,
-				Seed:        sourceSeed(spec, i),
-				Temperature: src.Temperature,
-				Precision:   prec,
-				BatchSize:   opts.decodeBatch(),
-				Speculative: speculative,
-				DraftTokens: draftK,
-				Stats:       stats,
-				StepHist:    stepHist,
-				// Spread stream starts over the horizon; ramp ops can
-				// re-stage populations on top of this.
-				StartWindow: spec.HorizonSec,
-				// The scenario engine parallelizes across chunks; a chunk's
-				// decode gets its worker's share of the cores.
-				Parallelism: stepFanout,
-			}
-			b.chunk = func(lo, hi int) ([]trace.Stream, error) {
+			return func(lo, hi int) ([]trace.Stream, error) {
 				return m.GenerateRange(lo, hi, genOpts)
-			}
-		case "custom":
-			return nil, fmt.Errorf("scenario: source %q has kind custom but no RunOpts.Sources binding", src.ID)
-		default:
-			return nil, fmt.Errorf("scenario: source %q: unknown kind %q", src.ID, src.Kind)
-		}
+			}, nil
+		}, nil
+	case "custom":
+		// Bound through RunOpts.Sources; a run that reaches the binder
+		// brought no binding.
+		return func(RunOpts, int) (ChunkFunc, error) {
+			return nil, errors.New("kind custom but no RunOpts.Sources binding")
+		}, nil
+	default:
+		return nil, fmt.Errorf("unknown kind %q", src.Kind)
 	}
-	return bound, nil
+}
+
+// override applies the run-wide decode overrides (Precision, Speculative,
+// DraftTokens) to a cptgpt source's declared settings. It is the one place
+// the overrides are parsed; Validate is override with the result dropped.
+func (o RunOpts) override(g *cptgpt.GenOpts) error {
+	if o.Precision != "" {
+		prec, err := cptgpt.ParsePrecision(o.Precision)
+		if err != nil {
+			return err
+		}
+		g.Precision = prec
+	}
+	switch o.Speculative {
+	case "":
+	case "on":
+		g.Speculative = true
+	case "off":
+		g.Speculative = false
+	default:
+		return fmt.Errorf("unknown speculative override %q (want on, off or empty)", o.Speculative)
+	}
+	if o.DraftTokens < 0 {
+		return fmt.Errorf("draft-tokens override must be ≥ 0, got %d", o.DraftTokens)
+	}
+	if o.DraftTokens > 0 {
+		g.DraftTokens = o.DraftTokens
+	}
+	return nil
+}
+
+// Validate checks the run-wide decode overrides, the only RunOpts fields
+// with values a run refuses rather than clamps. OpenContext calls it;
+// cptscenario and the daemon call it before any other work, so a typo fails
+// even where no cptgpt source would consult it.
+func (o RunOpts) Validate() error {
+	if err := o.override(new(cptgpt.GenOpts)); err != nil {
+		return fmt.Errorf("scenario: run options: %w", err)
+	}
+	return nil
 }
 
 // syntheticConfig builds the ground-truth generator configuration for a
@@ -217,6 +261,19 @@ func syntheticConfig(spec *Spec, src *SourceSpec, gen events.Generation, seed ui
 	mix := src.DeviceMix
 	if len(mix) == 0 {
 		mix = defaultDeviceMix
+	}
+	var sum float64
+	for name, w := range mix {
+		if _, err := events.ParseDeviceType(name); err != nil {
+			return synthetic.Config{}, fmt.Errorf("device_mix: %w", err)
+		}
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return synthetic.Config{}, fmt.Errorf("device_mix[%q] must be a finite weight ≥ 0, got %v", name, w)
+		}
+		sum += w
+	}
+	if sum <= 0 {
+		return synthetic.Config{}, errors.New("device_mix weights sum to zero")
 	}
 	devs := events.DeviceTypes()
 	weights := make([]float64, len(devs))
@@ -239,7 +296,7 @@ func syntheticConfig(spec *Spec, src *SourceSpec, gen events.Generation, seed ui
 		cfg.Hours = 1
 	}
 	if err := cfg.Validate(); err != nil {
-		return synthetic.Config{}, fmt.Errorf("scenario: source %q: %w", src.ID, err)
+		return synthetic.Config{}, err
 	}
 	return cfg, nil
 }

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 
-	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/events"
 )
 
@@ -150,7 +149,8 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
 	}
-	if _, err := s.gen(); err != nil {
+	gen, err := s.gen()
+	if err != nil {
 		return fmt.Errorf("scenario: %s: %w", s.Name, err)
 	}
 	if s.HorizonSec <= 0 {
@@ -173,27 +173,10 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: %s: duplicate source id %q", s.Name, src.ID)
 		}
 		seen[src.ID] = true
-		switch src.Kind {
-		case "", "synthetic":
-			for dev := range src.DeviceMix {
-				if _, err := events.ParseDeviceType(dev); err != nil {
-					return fmt.Errorf("scenario: %s: source %q: %w", s.Name, src.ID, err)
-				}
-			}
-		case "cptgpt":
-			if src.ModelFile == "" {
-				return fmt.Errorf("scenario: %s: source %q: cptgpt kind needs model_file", s.Name, src.ID)
-			}
-			if _, err := cptgpt.ParsePrecision(src.Precision); err != nil {
-				return fmt.Errorf("scenario: %s: source %q: %w", s.Name, src.ID, err)
-			}
-			if src.DraftTokens < 0 {
-				return fmt.Errorf("scenario: %s: source %q: draft_tokens must be ≥ 0, got %d", s.Name, src.ID, src.DraftTokens)
-			}
-		case "custom":
-			// Bound at run time via RunOpts.Sources.
-		default:
-			return fmt.Errorf("scenario: %s: source %q: unknown kind %q", s.Name, src.ID, src.Kind)
+		// Every source parses for a nominal population of one UE; the
+		// parsed form is for runs (resolveSources) and dropped here.
+		if _, err := src.parse(s, gen, 0, 1); err != nil {
+			return fmt.Errorf("scenario: %s: source %q: %w", s.Name, src.ID, err)
 		}
 		if src.Share < 0 {
 			return fmt.Errorf("scenario: %s: source %q: negative share", s.Name, src.ID)

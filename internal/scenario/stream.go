@@ -303,6 +303,9 @@ func (spec *Spec) OpenContext(ctx context.Context, opts RunOpts) (st *Stream, er
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	gen, err := spec.gen()
 	if err != nil {
 		return nil, err
@@ -314,7 +317,7 @@ func (spec *Spec) OpenContext(ctx context.Context, opts RunOpts) (st *Stream, er
 	if total <= 0 {
 		total = DefaultPopulation
 	}
-	sources, err := resolveSources(spec, opts, total)
+	sources, err := resolveSources(spec, gen, opts, total)
 	if err != nil {
 		return nil, err
 	}

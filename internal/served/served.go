@@ -437,13 +437,9 @@ func resolveSpec(req *StartRequest) (*scenario.Spec, string, error) {
 // starts, so bad requests fail with 400 rather than a failed run. The sink
 // and its target are the registry's to check (newRun → scenario.NewSink).
 func validateStart(req *StartRequest) error {
-	if _, err := cptgpt.ParsePrecision(req.Precision); err != nil {
+	opts := scenario.RunOpts{Precision: req.Precision, Speculative: req.Speculative, DraftTokens: req.DraftTokens}
+	if err := opts.Validate(); err != nil {
 		return err
-	}
-	switch req.Speculative {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("speculative must be \"on\", \"off\" or empty, got %q", req.Speculative)
 	}
 	if req.Compression < 0 {
 		return errors.New("compression must be ≥ 0")

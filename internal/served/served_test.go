@@ -408,6 +408,7 @@ func TestDaemonValidation(t *testing.T) {
 		{Scenario: "flash-crowd", Out: "x.jsonl"},         // out without file sink
 		{Scenario: "flash-crowd", Precision: "f16"},       // bad precision
 		{Scenario: "flash-crowd", Speculative: "maybe"},   // bad speculative
+		{Scenario: "flash-crowd", DraftTokens: -1},        // negative draft length
 		{Scenario: "flash-crowd", Compression: -1},        // negative compression
 		{Scenario: "flash-crowd", UEs: -5},                // negative population
 	}
@@ -432,6 +433,47 @@ func TestDaemonValidation(t *testing.T) {
 	do(t, "GET", ts.URL+"/runs", nil, &list, http.StatusOK)
 	if len(list.Runs) != 0 {
 		t.Fatalf("rejected requests created runs: %+v", list.Runs)
+	}
+}
+
+// TestDaemonRefusesBadSourceFields: a source field whose value would stop
+// the run from opening is a 400 that names the field — not a 201 and a run
+// that ends "failed". Spec.Validate parses every source with the code that
+// binds it for a run (SourceSpec.parse), so the two cannot disagree; the
+// same rows go through scenario.Load in TestLoadRefusesBadSourceFields.
+func TestDaemonRefusesBadSourceFields(t *testing.T) {
+	_, ts := newTestServer(t)
+	spec := func(src scenario.SourceSpec) *scenario.Spec {
+		src.ID, src.Share = "s", 1
+		return &scenario.Spec{Name: "inline", Generation: "4G", Seed: 1, HorizonSec: 60, Population: 8,
+			Sources: []scenario.SourceSpec{src}}
+	}
+	for _, c := range []struct {
+		src   scenario.SourceSpec
+		field string
+	}{
+		{scenario.SourceSpec{StartHour: 99}, "StartHour"},
+		{scenario.SourceSpec{DeviceMix: map[string]float64{"phone": -1}}, "device_mix"},
+		{scenario.SourceSpec{DeviceMix: map[string]float64{"phone": 0, "tablet": 0}}, "device_mix"},
+		{scenario.SourceSpec{Kind: "cptgpt", ModelFile: "no-such-model.bin", Device: "toaster"}, "device"},
+	} {
+		var resp struct {
+			Error string `json:"error"`
+		}
+		do(t, "POST", ts.URL+"/runs", StartRequest{Spec: spec(c.src)}, &resp, http.StatusBadRequest)
+		if !strings.Contains(resp.Error, c.field) || !strings.Contains(resp.Error, `source "s"`) {
+			t.Errorf("%+v: error %q does not name source and field %q", c.src, resp.Error, c.field)
+		}
+	}
+	var list struct {
+		Runs []RunInfo `json:"runs"`
+	}
+	do(t, "GET", ts.URL+"/runs", nil, &list, http.StatusOK)
+	if len(list.Runs) != 0 {
+		t.Fatalf("refused specs registered runs: %+v", list.Runs)
+	}
+	if body := scrapeMetrics(t, ts.URL); !strings.Contains(body, "cptserved_runs_started_total 0\n") {
+		t.Fatal("refused specs counted as started runs")
 	}
 }
 

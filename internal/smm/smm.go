@@ -454,39 +454,23 @@ func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) 
 		return nil, fmt.Errorf("smm: cluster weights: %w", err)
 	}
 	machine := statemachine.New(m.Gen)
+	p := opts.Parallelism
+	if p <= 0 {
+		p = tensor.Parallelism()
+	}
 	streams := make([]trace.Stream, hi-lo)
-	n := hi - lo
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = tensor.Parallelism()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for j := 0; j < n; j++ {
+	tensor.ParallelForN(p, hi-lo, sampleWorkPerStream, func(jlo, jhi int) {
+		for j := jlo; j < jhi; j++ {
 			streams[j] = m.sampleStream(lo+j, opts, pick, machine)
 		}
-		return streams, nil
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				streams[j] = m.sampleStream(lo+j, opts, pick, machine)
-			}
-		}()
-	}
-	for j := 0; j < n; j++ {
-		jobs <- j
-	}
-	close(jobs)
-	wg.Wait()
+	})
 	return streams, nil
 }
+
+// sampleWorkPerStream is the rough cost of sampling one stream in the
+// worker pool's work units (a few dozen categorical and sojourn draws), so
+// ranges of a handful of streams already shard.
+const sampleWorkPerStream = 1 << 13
 
 // sampleStream draws one semi-Markov stream with its own index-seeded RNG.
 func (m *Model) sampleStream(i int, opts GenOpts, pick *stats.Categorical, machine statemachine.Machine) trace.Stream {

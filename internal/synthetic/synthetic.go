@@ -285,9 +285,6 @@ const simWorkPerUE = 1 << 20
 // consumes only its own index-seeded RNG, the output is bit-identical to
 // the serial loop at any parallelism degree.
 func Generate(cfg Config) (*trace.Dataset, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	streams, err := GenerateRange(cfg, 0, TotalUEs(cfg))
 	if err != nil {
 		return nil, err

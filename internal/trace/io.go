@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"cptgpt/internal/events"
 )
@@ -85,67 +85,12 @@ func ReadCSV(r io.Reader, gen events.Generation) (*Dataset, error) {
 	return d, nil
 }
 
-// jsonlHeader is the first line of a JSONL trace file.
-type jsonlHeader struct {
-	Format     string `json:"format"`
-	Generation string `json:"generation"`
-	Streams    int    `json:"streams"`
-}
-
-// WriteJSONL emits the dataset as JSON Lines: a header object followed by
-// one Stream object per line. JSONL is the preferred on-disk format because
-// it streams and keeps per-UE grouping explicit.
-func WriteJSONL(w io.Writer, d *Dataset) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	hdr := jsonlHeader{Format: "cptgpt-trace/1", Generation: d.Generation.String(), Streams: len(d.Streams)}
-	if err := enc.Encode(hdr); err != nil {
-		return fmt.Errorf("trace: writing JSONL header: %w", err)
-	}
-	for i := range d.Streams {
-		if err := enc.Encode(&d.Streams[i]); err != nil {
-			return fmt.Errorf("trace: writing stream %d: %w", i, err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL parses the format produced by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Dataset, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var hdr jsonlHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("trace: reading JSONL header: %w", err)
-	}
-	if hdr.Format != "cptgpt-trace/1" {
-		return nil, fmt.Errorf("trace: unsupported trace format %q", hdr.Format)
-	}
-	gen, err := events.ParseGeneration(hdr.Generation)
-	if err != nil {
-		return nil, fmt.Errorf("trace: JSONL header: %w", err)
-	}
-	d := &Dataset{Generation: gen}
-	if hdr.Streams > 0 {
-		d.Streams = make([]Stream, 0, hdr.Streams)
-	}
-	for i := 0; ; i++ {
-		var s Stream
-		if err := dec.Decode(&s); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: reading stream %d: %w", i, err)
-		}
-		d.Streams = append(d.Streams, s)
-	}
-	return d, nil
-}
-
 // SaveFile writes the dataset to path, choosing the format by extension:
 // ".csv" for CSV, anything else for JSONL; a ".gz" suffix transparently
 // gzip-compresses either format. JSONL goes through the incremental
 // StreamWriter, so no second copy of the dataset is buffered.
-func SaveFile(path string, d *Dataset) (err error) {
-	if !isCSV(formatPath(path)) {
+func SaveFile(path string, d *Dataset) error {
+	if !isCSV(path) {
 		sw, err := CreateStream(path, d.Generation)
 		if err != nil {
 			return err
@@ -158,26 +103,15 @@ func SaveFile(path string, d *Dataset) (err error) {
 		}
 		return sw.Close()
 	}
-	f, err := os.Create(path)
+	w, err := createFile(path)
 	if err != nil {
-		return fmt.Errorf("trace: creating %s: %w", path, err)
+		return err
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	var w io.Writer = f
-	if isGzip(path) {
-		gz := gzip.NewWriter(f)
-		defer func() {
-			if cerr := gz.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		w = gz
+	if err := WriteCSV(w, d); err != nil {
+		w.Close()
+		return err
 	}
-	return WriteCSV(w, d)
+	return w.Close()
 }
 
 // LoadFile reads a dataset from path, choosing the format by extension and
@@ -185,7 +119,7 @@ func SaveFile(path string, d *Dataset) (err error) {
 // only consulted for CSV files (JSONL embeds it). JSONL goes through the
 // incremental StreamReader.
 func LoadFile(path string, gen events.Generation) (*Dataset, error) {
-	if !isCSV(formatPath(path)) {
+	if !isCSV(path) {
 		sr, err := OpenStream(path)
 		if err != nil {
 			return nil, err
@@ -203,23 +137,67 @@ func LoadFile(path string, gen events.Generation) (*Dataset, error) {
 		}
 		return d, nil
 	}
+	r, err := openFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return ReadCSV(r, gen)
+}
+
+// isCSV reports whether path names a CSV trace; the format is the extension
+// under any ".gz" ("trace.csv.gz" is CSV, gzipped).
+func isCSV(path string) bool {
+	return strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".csv")
+}
+
+// layered closes a stack of closers outermost first (the compressor, then
+// the file under it) and reports the first error.
+type layered []io.Closer
+
+func (l layered) Close() (err error) {
+	for _, c := range l {
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// createFile creates path for writing, gzip-compressing under a ".gz"
+// suffix. Closing the result finishes the compressed stream and closes the
+// file.
+func createFile(path string) (io.WriteCloser, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("trace: creating %s: %w", path, err)
+	}
+	if !strings.HasSuffix(path, ".gz") {
+		return f, nil
+	}
+	gz := gzip.NewWriter(f)
+	return struct {
+		io.Writer
+		io.Closer
+	}{gz, layered{gz, f}}, nil
+}
+
+// openFile opens path for reading, decompressing under a ".gz" suffix.
+func openFile(path string) (io.ReadCloser, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: opening %s: %w", path, err)
 	}
-	defer f.Close()
-	var r io.Reader = f
-	if isGzip(path) {
-		gz, err := gzip.NewReader(bufio.NewReader(f))
-		if err != nil {
-			return nil, fmt.Errorf("trace: opening gzip %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
+	if !strings.HasSuffix(path, ".gz") {
+		return f, nil
 	}
-	return ReadCSV(r, gen)
-}
-
-func isCSV(path string) bool {
-	return len(path) >= 4 && path[len(path)-4:] == ".csv"
+	gz, err := gzip.NewReader(bufio.NewReader(f))
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("trace: opening gzip %s: %w", path, err)
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{gz, layered{gz, f}}, nil
 }

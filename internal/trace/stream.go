@@ -2,27 +2,31 @@ package trace
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"strings"
 
 	"cptgpt/internal/events"
 )
 
-// StreamWriter writes a trace incrementally, one UE stream at a time, in
-// the JSONL trace format. It is the streaming counterpart of WriteJSONL:
-// callers that synthesize millions of streams hand each batch to the writer
-// as it is produced instead of materializing a whole Dataset first. The
-// stream count in the header is written as -1 (unknown); ReadJSONL and
-// StreamReader treat that as "until EOF".
+// jsonlHeader is the first line of a JSONL trace file. Streams is written
+// as -1 (the writer is incremental and does not know the count); the reader
+// ignores it and reads until EOF, so files with a counted header load too.
+type jsonlHeader struct {
+	Format     string `json:"format"`
+	Generation string `json:"generation"`
+	Streams    int    `json:"streams"`
+}
+
+// StreamWriter writes a trace in the JSONL trace format — a header object,
+// then one Stream object per line — incrementally, one UE stream at a
+// time: callers that synthesize millions of streams hand each batch to the
+// writer as it is produced instead of materializing a whole Dataset first.
+// It is the only JSONL writer; SaveFile goes through it.
 type StreamWriter struct {
 	bw      *bufio.Writer
 	enc     *json.Encoder
-	gz      *gzip.Writer
-	f       *os.File
+	file    io.Closer // the file (and compressor) CreateStream opened; nil otherwise
 	wrote   int
 	started bool
 	gen     events.Generation
@@ -40,19 +44,12 @@ func NewStreamWriter(w io.Writer, gen events.Generation) *StreamWriter {
 // chosen from the extension under the ".gz" (only JSONL is supported for
 // streaming writes). Close flushes and closes the file.
 func CreateStream(path string, gen events.Generation) (*StreamWriter, error) {
-	f, err := os.Create(path)
+	f, err := createFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("trace: creating %s: %w", path, err)
+		return nil, err
 	}
-	var w io.Writer = f
-	var gz *gzip.Writer
-	if isGzip(path) {
-		gz = gzip.NewWriter(f)
-		w = gz
-	}
-	sw := NewStreamWriter(w, gen)
-	sw.gz = gz
-	sw.f = f
+	sw := NewStreamWriter(f, gen)
+	sw.file = f
 	return sw, nil
 }
 
@@ -93,27 +90,22 @@ func (w *StreamWriter) Close() error {
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("trace: flushing: %w", err)
 	}
-	if w.gz != nil {
-		if err := w.gz.Close(); err != nil {
-			return fmt.Errorf("trace: closing gzip stream: %w", err)
-		}
-	}
-	if w.f != nil {
-		if err := w.f.Close(); err != nil {
-			return fmt.Errorf("trace: closing file: %w", err)
+	if w.file != nil {
+		if err := w.file.Close(); err != nil {
+			return fmt.Errorf("trace: closing: %w", err)
 		}
 	}
 	return nil
 }
 
 // StreamReader reads a JSONL trace incrementally, one UE stream per Next
-// call, without materializing the whole Dataset.
+// call, without materializing the whole Dataset. It is the only JSONL
+// reader; LoadFile goes through it.
 type StreamReader struct {
-	dec *json.Decoder
-	gz  *gzip.Reader
-	f   *os.File
-	gen events.Generation
-	n   int
+	dec  *json.Decoder
+	file io.Closer // the file (and decompressor) OpenStream opened; nil otherwise
+	gen  events.Generation
+	n    int
 }
 
 // NewStreamReader reads the JSONL header from r and positions the reader at
@@ -137,29 +129,16 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 // OpenStream opens a JSONL trace at path, transparently decompressing a
 // ".gz" suffix. Close releases the file.
 func OpenStream(path string) (*StreamReader, error) {
-	f, err := os.Open(path)
+	f, err := openFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("trace: opening %s: %w", path, err)
+		return nil, err
 	}
-	var r io.Reader = f
-	var gz *gzip.Reader
-	if isGzip(path) {
-		if gz, err = gzip.NewReader(bufio.NewReader(f)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("trace: opening gzip %s: %w", path, err)
-		}
-		r = gz
-	}
-	sr, err := NewStreamReader(r)
+	sr, err := NewStreamReader(f)
 	if err != nil {
-		if gz != nil {
-			gz.Close()
-		}
 		f.Close()
 		return nil, err
 	}
-	sr.gz = gz
-	sr.f = f
+	sr.file = f
 	return sr, nil
 }
 
@@ -181,21 +160,10 @@ func (r *StreamReader) Next(s *Stream) error {
 
 // Close releases any file/compressor owned by the reader.
 func (r *StreamReader) Close() error {
-	if r.gz != nil {
-		if err := r.gz.Close(); err != nil {
-			return fmt.Errorf("trace: closing gzip stream: %w", err)
-		}
-	}
-	if r.f != nil {
-		if err := r.f.Close(); err != nil {
-			return fmt.Errorf("trace: closing file: %w", err)
+	if r.file != nil {
+		if err := r.file.Close(); err != nil {
+			return fmt.Errorf("trace: closing: %w", err)
 		}
 	}
 	return nil
 }
-
-func isGzip(path string) bool { return strings.HasSuffix(path, ".gz") }
-
-// formatPath strips a trailing ".gz" so format detection sees the real
-// extension ("trace.csv.gz" → CSV, gzipped).
-func formatPath(path string) string { return strings.TrimSuffix(path, ".gz") }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -48,42 +49,71 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// A streamed trace must be readable by the whole-dataset JSONL reader and
-// vice versa (the header's unknown stream count is -1).
+// A JSONL file whose header counts its streams (what the whole-dataset
+// writer this package once had wrote) must load through the one reader, and
+// equal the streamed form of the same dataset (header count -1).
 func TestStreamWriterReadableByReadJSONL(t *testing.T) {
 	d := sampleDataset()
-	var buf bytes.Buffer
-	w := NewStreamWriter(&buf, d.Generation)
-	for i := range d.Streams {
-		if err := w.WriteStream(&d.Streams[i]); err != nil {
-			t.Fatal(err)
+	var streamed bytes.Buffer
+	if err := writeJSONL(&streamed, d); err != nil {
+		t.Fatal(err)
+	}
+	counted := bytes.Replace(streamed.Bytes(), []byte(`"streams":-1`), []byte(`"streams":2`), 1)
+	if bytes.Equal(counted, streamed.Bytes()) {
+		t.Fatal("header count not rewritten")
+	}
+	for name, b := range map[string][]byte{"streamed": streamed.Bytes(), "counted": counted} {
+		got, err := readJSONL(bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Generation != d.Generation || !reflect.DeepEqual(got.Streams, d.Streams) {
+			t.Fatalf("%s header: read back %+v", name, got)
 		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Streams, d.Streams) {
-		t.Fatal("ReadJSONL cannot read a streamed trace")
-	}
+}
 
-	buf.Reset()
-	if err := WriteJSONL(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewStreamReader(&buf)
+// TestTraceFixtures pins the on-disk trace formats: the files under
+// testdata were written by the commit before the JSONL twins were folded
+// into the stream pair (counted.* by the deleted whole-dataset writer,
+// streamed.* and flat.csv.gz by SaveFile). Each must load to the same
+// dataset and survive a SaveFile → LoadFile round trip, and SaveFile must
+// still write the streamed bytes.
+func TestTraceFixtures(t *testing.T) {
+	want, err := LoadFile("testdata/streamed.jsonl", events.Gen4G)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s Stream
-	if err := r.Next(&s); err != nil {
+	if want.Generation != events.Gen4G || want.NumStreams() != 3 || want.NumEvents() != 32 {
+		t.Fatalf("streamed.jsonl: %d streams, %d events", want.NumStreams(), want.NumEvents())
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"counted.jsonl", "counted.jsonl.gz", "streamed.jsonl", "streamed.jsonl.gz", "flat.csv.gz"} {
+		got, err := LoadFile(filepath.Join("testdata", name), events.Gen4G)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: loaded dataset differs from streamed.jsonl", name)
+		}
+		out := filepath.Join(dir, name)
+		if err := SaveFile(out, got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if again, err := LoadFile(out, events.Gen4G); err != nil || !reflect.DeepEqual(again, want) {
+			t.Fatalf("%s: SaveFile → LoadFile changed the dataset (err %v)", name, err)
+		}
+	}
+	wrote, err := os.ReadFile(filepath.Join(dir, "streamed.jsonl"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s, d.Streams[0]) {
-		t.Fatal("StreamReader cannot read a WriteJSONL trace")
+	pinned, err := os.ReadFile("testdata/streamed.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wrote, pinned) {
+		t.Fatal("SaveFile no longer writes the pinned JSONL bytes")
 	}
 }
 
@@ -93,7 +123,7 @@ func TestEmptyStreamWriterStillValid(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadJSONL(&buf)
+	d, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

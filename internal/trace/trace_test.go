@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"testing"
@@ -164,13 +165,42 @@ func TestCSVRoundTrip(t *testing.T) {
 	assertEqualDatasets(t, d, got)
 }
 
+// writeJSONL and readJSONL drive the one JSONL writer and reader over a
+// whole dataset, as SaveFile and LoadFile do.
+func writeJSONL(w io.Writer, d *Dataset) error {
+	sw := NewStreamWriter(w, d.Generation)
+	for i := range d.Streams {
+		if err := sw.WriteStream(&d.Streams[i]); err != nil {
+			return err
+		}
+	}
+	return sw.Close()
+}
+
+func readJSONL(r io.Reader) (*Dataset, error) {
+	sr, err := NewStreamReader(r)
+	if err != nil {
+		return nil, err
+	}
+	d := &Dataset{Generation: sr.Generation()}
+	for {
+		var s Stream
+		if err := sr.Next(&s); err == io.EOF {
+			return d, nil
+		} else if err != nil {
+			return nil, err
+		}
+		d.Streams = append(d.Streams, s)
+	}
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, d); err != nil {
+	if err := writeJSONL(&buf, d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +227,15 @@ func TestFileRoundTripBothFormats(t *testing.T) {
 }
 
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(bytes.NewBufferString(`{"format":"other/9"}`)); err == nil {
+	if _, err := readJSONL(bytes.NewBufferString(`{"format":"other/9"}`)); err == nil {
 		t.Fatal("wrong format header must error")
 	}
-	if _, err := ReadJSONL(bytes.NewBufferString(`not json`)); err == nil {
+	if _, err := readJSONL(bytes.NewBufferString(`not json`)); err == nil {
 		t.Fatal("garbage must error")
+	}
+	hdr := `{"format":"cptgpt-trace/1","generation":"4G","streams":-1}` + "\n"
+	if _, err := readJSONL(bytes.NewBufferString(hdr + `{"ue_id":"u","events":[{"t":"x"}]}`)); err == nil {
+		t.Fatal("a malformed stream line must error")
 	}
 }
 
