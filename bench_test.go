@@ -281,16 +281,17 @@ func BenchmarkCPTGPTGeneratePerStreamF32(b *testing.B) {
 // BenchmarkTensorGemmF32Step times the linear layers of ONE F32 decode step
 // at the paper-scale architecture — per block Wq/Wk/Wv/Wo (128→128 each),
 // feed-forward in (128→1024) and out (1024→128), two blocks, twelve panels
-// with their own weights (2.6 MB, what a step streams) — as the tensor.GemmF32
-// calls the decoder's row body makes, at the row counts it packs: a drained
-// batch (1), one verify chain (5), half a batch (16) and a full one (32).
-// µs/row is the GEMM share of a token's cost; GFLOP/s counts 2 per
-// multiply-add. Whatever kernel the machine dispatches (AVX2 here).
+// with their own weights (2.6 MB, what a step streams), packed by
+// tensor.PackF32 as nn's export packs them — as the tensor.GemmF32 calls the
+// decoder's row body makes, at the row counts it packs: a drained batch (1),
+// one verify chain (5), half a batch (16) and a full one (32). µs/row is the
+// GEMM share of a token's cost; GFLOP/s counts 2 per multiply-add. Whatever
+// kernel the machine dispatches (AVX2 here).
 func BenchmarkTensorGemmF32Step(b *testing.B) {
 	const dm, mlpH, blocks = 128, 1024, 2
 	type panel struct {
 		in, out int
-		wT, b   []float32
+		w, b    []float32
 	}
 	rng := stats.NewRand(3)
 	randF32 := func(n int) []float32 {
@@ -304,7 +305,9 @@ func BenchmarkTensorGemmF32Step(b *testing.B) {
 	macs := 0
 	for blk := 0; blk < blocks; blk++ {
 		for _, sh := range [][2]int{{dm, dm}, {dm, dm}, {dm, dm}, {dm, dm}, {dm, mlpH}, {mlpH, dm}} {
-			panels = append(panels, panel{sh[0], sh[1], randF32(sh[0] * sh[1]), randF32(sh[1])})
+			w := make([]float32, sh[0]*sh[1])
+			tensor.PackF32(w, randF32(sh[0]*sh[1]), sh[0], sh[1])
+			panels = append(panels, panel{sh[0], sh[1], w, randF32(sh[1])})
 			macs += sh[0] * sh[1]
 		}
 	}
@@ -323,7 +326,7 @@ func BenchmarkTensorGemmF32Step(b *testing.B) {
 					if p.out == mlpH {
 						dst = dstWide
 					}
-					tensor.GemmF32(dst, p.wT, p.b, x, rows, p.in, p.out)
+					tensor.GemmF32(dst, p.w, p.b, x, rows, p.in, p.out)
 				}
 			}
 			sec := b.Elapsed().Seconds()

@@ -168,14 +168,17 @@ func streamsDigest(streams []trace.Stream) string {
 //
 // Plain F32 under each GEMM kernel — portable: the population of PRs 4–11
 // (scalar group matvecs, GELU fused into the up-projection), which routing
-// plain decode through GemmF32 did not change; AVX2: the population of PR 12
-// (one-row-at-a-time assembly kernel, scalar GELU), recorded before the
-// two-row kernel and the vector GELU replaced them.
+// plain decode through GemmF32 and reading packed weight panels did not
+// change; AVX2: recorded when the outer-product GEMM over packed panels (one
+// FMA chain per output) replaced the dot-product kernel. Its digest before
+// was 5703afb8c7d76696f3e118a3 (1525 events; now 1525).
 //
 // Speculative rows (draft > 0) — recorded at PR 15, when speculative decoding
 // was a scheduler of its own, before plain and speculative decoding became
 // one loop: the merged loop must draw every stream's randomness in the order
-// the separate one did (draft draws, verify draws, free-token draw).
+// the separate one did (draft draws, verify draws, free-token draw). The
+// AVX2 row is re-recorded with the plain one (before:
+// 1543b2f3f6e1ab57862f8100, 1495 events; now 1495).
 //
 // The arithmetic also depends on the float64 math library (softmax,
 // sampling), so the pins are checked only on the platform class they were
@@ -217,11 +220,11 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 		want  string
 	}{
 		{"plain F32 portable", trained, F32, false, 0, "b10b7490257275e0bcd0d632"},
-		{"plain F32 avx2", trained, F32, true, 0, "5703afb8c7d76696f3e118a3"},
+		{"plain F32 avx2", trained, F32, true, 0, "a44fbe92d1ece0f4560e342c"},
 		{"speculative F64 k=2", trained, F64, false, 2, "0ea597e9c17565ed3d8b5c32"},
 		{"speculative F64 k=4", trained, F64, false, 4, "2a4746032f9b33e905f1e428"},
 		{"speculative F32 k=4 portable", trained, F32, false, 4, "976fe938f30574c447d34258"},
-		{"speculative F32 k=4 avx2", trained, F32, true, 4, "1543b2f3f6e1ab57862f8100"},
+		{"speculative F32 k=4 avx2", trained, F32, true, 4, "bd9ae5e57e0f9143bd3a574c"},
 		{"speculative F64 k=4 no dist head", noDist, F64, false, 4, "c434dcf1cbe926b7d6c46ffc"},
 	} {
 		tensor.SetGemmF32Asm(c.asm)

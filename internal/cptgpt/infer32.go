@@ -173,7 +173,7 @@ func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []f
 	ff := d.ff32[base*mlpH : (base+rows)*mlpH]
 
 	// Input projection + positional embeddings.
-	tensor.GemmF32(x, inf.inProj.WT, inf.inProj.B, d.tok32[base*dim:(base+rows)*dim], rows, dim, dm)
+	tensor.GemmF32(x, inf.inProj.W, inf.inProj.B, d.tok32[base*dim:(base+rows)*dim], rows, dim, dm)
 	for i := lo; i < hi; i++ {
 		slot, k, o := slots[i], ks[i], (d.rowOff[i]-base)*dm
 		tensor.AxpyF32(x[o:o+k*dm], 1, inf.posEmb[d.pos[slot]*dm:(d.pos[slot]+k)*dm])
@@ -187,9 +187,9 @@ func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []f
 		// whole shard, then per slot land K/V in its interleaved arena rows
 		// and run one fused online-softmax pass per row over its own cache.
 		layerNormRowsF32(tmp, x, dm, &b.ln1)
-		tensor.GemmF32(q, b.wq.WT, b.wq.B, tmp, rows, dm, dm)
-		tensor.GemmF32(kk, b.wk.WT, b.wk.B, tmp, rows, dm, dm)
-		tensor.GemmF32(vv, b.wv.WT, b.wv.B, tmp, rows, dm, dm)
+		tensor.GemmF32(q, b.wq.W, b.wq.B, tmp, rows, dm, dm)
+		tensor.GemmF32(kk, b.wk.W, b.wk.B, tmp, rows, dm, dm)
+		tensor.GemmF32(vv, b.wv.W, b.wv.B, tmp, rows, dm, dm)
 		for i := lo; i < hi; i++ {
 			slot, k, pos := slots[i], ks[i], d.pos[slots[i]]
 			kv := d.kv32[(bi*d.capacity+slot)*slotKV : (bi*d.capacity+slot+1)*slotKV]
@@ -204,14 +204,14 @@ func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []f
 				attendRowF32(att[o:o+dm], q[o:o+dm], kv, pos+r+1, b.heads, dm, mAcc, lAcc)
 			}
 		}
-		tensor.GemmF32(tmp, b.wo.WT, b.wo.B, att, rows, dm, dm)
+		tensor.GemmF32(tmp, b.wo.W, b.wo.B, att, rows, dm, dm)
 		tensor.AxpyF32(x, 1, tmp) // residual: x += tmp
 
 		// Feed-forward sub-layer (pre-norm, residual).
 		layerNormRowsF32(tmp, x, dm, &b.ln2)
-		tensor.GemmF32(ff, b.ffIn.WT, b.ffIn.B, tmp, rows, dm, mlpH)
+		tensor.GemmF32(ff, b.ffIn.W, b.ffIn.B, tmp, rows, dm, mlpH)
 		tensor.GeluF32(ff)
-		tensor.GemmF32(tmp, b.ffOut.WT, b.ffOut.B, ff, rows, mlpH, dm)
+		tensor.GemmF32(tmp, b.ffOut.W, b.ffOut.B, ff, rows, mlpH, dm)
 		tensor.AxpyF32(x, 1, tmp) // residual: x += tmp
 	}
 
@@ -252,7 +252,7 @@ func mlpRowsF32(dst, hid, hid2 []float32, x []float32, m *nn.MLPF32, rows int) {
 		default:
 			next = hid2[:rows*l.Out]
 		}
-		tensor.GemmF32(next, l.WT, l.B, cur, rows, l.In, l.Out)
+		tensor.GemmF32(next, l.W, l.B, cur, rows, l.In, l.Out)
 		if i != last {
 			for j := range next {
 				if next[j] < 0 {

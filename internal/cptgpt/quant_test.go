@@ -46,9 +46,9 @@ func TestInferSnapshotInvalidation(t *testing.T) {
 	if m.Infer() != a {
 		t.Fatal("Infer must cache the snapshot")
 	}
-	w0 := a.inProj.WT[0]
+	w0 := a.inProj.W[0]
 	m.InProj.W.Data[0] += 100
-	if a.inProj.WT[0] != w0 {
+	if a.inProj.W[0] != w0 {
 		t.Fatal("snapshot aliases live weights")
 	}
 	m.InvalidateInfer()
@@ -56,7 +56,7 @@ func TestInferSnapshotInvalidation(t *testing.T) {
 	if b == a {
 		t.Fatal("InvalidateInfer must drop the cached snapshot")
 	}
-	if float64(b.inProj.WT[0]) == float64(w0) {
+	if float64(b.inProj.W[0]) == float64(w0) {
 		t.Fatal("re-frozen snapshot must see the updated weight")
 	}
 }

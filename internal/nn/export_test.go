@@ -4,27 +4,28 @@ import (
 	"testing"
 
 	"cptgpt/internal/stats"
+	"cptgpt/internal/tensor"
 )
 
-func TestLinearExportF32Transposes(t *testing.T) {
+func TestLinearExportF32Packs(t *testing.T) {
 	rng := stats.NewRand(5)
-	l := NewLinear(7, 4, rng)
+	l := NewLinear(7, 29, rng) // a 16-, an 8- and a 5-wide panel
 	e := l.ExportF32()
-	if e.In != 7 || e.Out != 4 || len(e.WT) != 28 || len(e.B) != 4 {
+	if e.In != 7 || e.Out != 29 || len(e.W) != 7*29 || len(e.B) != 29 {
 		t.Fatalf("bad export shape: %+v", e)
 	}
 	for k := 0; k < e.In; k++ {
 		for j := 0; j < e.Out; j++ {
-			if e.WT[j*e.In+k] != float32(l.W.Data[k*e.Out+j]) {
-				t.Fatalf("WT[%d,%d] = %v, want float32(W[%d,%d]) = %v",
-					j, k, e.WT[j*e.In+k], k, j, float32(l.W.Data[k*e.Out+j]))
+			if got := e.W[tensor.PackedIndexF32(k, j, e.In, e.Out)]; got != float32(l.W.Data[k*e.Out+j]) {
+				t.Fatalf("packed W[%d,%d] = %v, want float32(W[%d,%d]) = %v",
+					k, j, got, k, j, float32(l.W.Data[k*e.Out+j]))
 			}
 		}
 	}
 	// Snapshot must not alias the live parameters.
-	before := e.WT[0]
+	before := e.W[0]
 	l.W.Data[0] += 1
-	if e.WT[0] != before {
+	if e.W[0] != before {
 		t.Fatal("export aliases live weights")
 	}
 }

@@ -7,30 +7,39 @@ import "sync/atomic"
 // Every decode pass — a plain Step (one row per slot) as much as a
 // speculative verify chain (k known rows per slot) — packs the rows of a
 // worker's shard together and runs each layer as a rows × panel GEMM, so a
-// weight row is fetched once and reused for every row of the shard.
+// weight panel is fetched once and reused for every row of the shard.
 //
-// GemmF32 has two implementations:
+// Weights are packed once (PackF32) into output panels: the outputs are cut
+// into consecutive groups of 16, then one group of 8 if at least 8 remain,
+// then one group of the last out%8, and a group of width w starting at output
+// j0 stores weight (i, j0+l) at j0*in + i*w + l. A panel row — one input's
+// weights for w consecutive outputs — is one contiguous load, which is what
+// an outer-product kernel wants; every output still owns exactly in values,
+// so the packed matrix is as large as the plain one.
 //
-//   - an AVX2+FMA assembly kernel (amd64, runtime-detected) that takes the
-//     input rows two at a time against each weight row: the weight row's
-//     8-lane chunks are loaded once and multiplied into both rows' own four
-//     accumulators, eight independent FMA chains in flight;
-//   - a portable scalar kernel (4/2/1-output register blocks over Dot4F32 /
-//     Dot2F32 / Dot1F32), used on machines without AVX2 or with the kill
-//     switch thrown. Its per-row arithmetic is that of the scalar matvec the
-//     decoder ran before it had a GEMM, so output there has not changed.
+// GemmF32 has two implementations over that one layout:
 //
-// Both are deterministic and row-independent: the reduction order of one
-// (row, output) pair is fixed and does not depend on the rows batched with
-// it — in the assembly kernel a row's four accumulators, their combine and
-// its scalar tail are the same whether it is first or second of a pair or
-// an odd last row on its own — so a given machine and kill-switch setting
-// always reproduces the same bits however rows are grouped or sharded. The
-// two orders differ (8-lane tree vs 4-chain pairwise), so F32 decode output
-// is a function of the kernel in use as well as of the seed.
+//   - an AVX2+FMA assembly kernel (amd64, runtime-detected): a 4-row × 16-
+//     output register tile (eight YMM accumulators) over each 16-wide panel,
+//     a 1-row × 64-output tile (four panels, again eight accumulators) for
+//     the rows left over by the 4-row tiles, and masked 8-lane tiles for the
+//     8-wide and narrower panels. Output (r, j) is one chain in every path:
+//     acc = 0; acc = fma(x[r,i], w[i,j], acc) for i = 0 … in-1, each step
+//     rounded once; dst = acc + bias[j]. So the result is independent of the
+//     tile it ran in, of the rows packed with it and of out, in, rows.
+//   - a portable scalar kernel (4/2/1-output register blocks over dot4F32 /
+//     dot2F32 / dot1F32, which read a block's weights at the panel stride),
+//     used on machines without AVX2 or with the switch off. Its per-output
+//     arithmetic is that of the scalar matvec the decoder ran before it had
+//     a GEMM, so output there has not changed.
+//
+// Both are deterministic and row-independent, so a given machine and switch
+// setting always reproduces the same bits however rows are grouped or
+// sharded. The two orders differ (one FMA chain vs paired partial sums), so
+// F32 decode output is a function of the kernel in use as well as the seed.
 
 // gemmAsmAvailable reports whether the platform provides the assembly
-// kernel (set by gemm32_amd64.go / gemm32_noasm.go at init).
+// kernels (set by gemm32_amd64.go / gemm32_noasm.go at init).
 var gemmAsmAvailable = hasGemmAsm()
 
 // gemmAsmEnabled gates dispatch to the assembly kernels (GemmF32's and
@@ -46,27 +55,72 @@ func init() {
 // kernel's row tiling.
 const gemmTileFloats = 8192
 
+// laneMask holds eight all-ones then eight zero lanes: the 8 lanes starting
+// at laneMask[8-n] select the first n of a YMM register. The assembly
+// kernels load their masks from it.
+var laneMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
+
 // GemmF32Asm reports whether GemmF32 currently dispatches to the AVX2
 // assembly kernel.
 func GemmF32Asm() bool { return gemmAsmEnabled.Load() }
 
-// SetGemmF32Asm enables or disables the assembly kernels (this GEMM and the
-// GELU of gelu32.go, which computes the same bits either way), returning the
-// previous setting. Enabling is a no-op on machines without AVX2+FMA. The
-// scalar kernel reproduces, at scalar speed, what every machine without AVX2
-// computes — useful for cross-checking and for pinning tests to one
-// arithmetic.
+// SetGemmF32Asm enables or disables the assembly kernels — this GEMM and the
+// GELU of gelu32.go (which computes the same bits either way) — returning the
+// previous setting. Enabling is a
+// no-op on machines without AVX2+FMA. The portable kernels reproduce, at
+// scalar speed, what every machine without AVX2 computes — useful for
+// cross-checking and for pinning tests to one arithmetic.
 func SetGemmF32Asm(on bool) (prev bool) {
 	prev = gemmAsmEnabled.Load()
 	gemmAsmEnabled.Store(on && gemmAsmAvailable)
 	return prev
 }
 
-// GemmF32 computes dst[r*out+j] = bias[j] + x[r*in:]·wT[j*in:] for
-// r in [0, rows) and j in [0, out): rows row-major input rows against a
-// transposed (out×in) weight panel. Row results are independent of the rows
-// batched together.
-func GemmF32(dst, wT, bias, x []float32, rows, in, out int) {
+// panelWidth returns the width of the packed panel that starts at output j0
+// of an out-wide matrix: 16, then 8, then whatever is left.
+func panelWidth(j0, out int) int {
+	switch rem := out - j0; {
+	case rem >= 16:
+		return 16
+	case rem >= 8:
+		return 8
+	default:
+		return rem
+	}
+}
+
+// PackedIndexF32 returns where PackF32 stores weight (i, j) — input i,
+// output j — of an in×out matrix.
+func PackedIndexF32(i, j, in, out int) int {
+	j0 := j &^ 15
+	if out-j0 < 16 {
+		j0 = j &^ 7
+	}
+	return j0*in + i*panelWidth(j0, out) + j - j0
+}
+
+// PackF32 packs the row-major in×out weight matrix w (weight (i, j) at
+// w[i*out+j], the x·W layout of a linear layer) into dst (len in*out) in
+// GemmF32's panel layout, converting to float32.
+func PackF32[T float32 | float64](dst []float32, w []T, in, out int) {
+	for j0 := 0; j0 < out; {
+		pw := panelWidth(j0, out)
+		p := dst[j0*in : (j0+pw)*in]
+		for i := 0; i < in; i++ {
+			for l, v := range w[i*out+j0 : i*out+j0+pw] {
+				p[i*pw+l] = float32(v)
+			}
+		}
+		j0 += pw
+	}
+}
+
+// GemmF32 computes dst[r*out+j] = bias[j] + Σ_i x[r*in+i]·W[i,j] for r in
+// [0, rows) and j in [0, out): rows row-major input rows against a weight
+// matrix w packed by PackF32. Row results are independent of the rows
+// batched together. Any packed-size slice is a valid w: callers timing the
+// kernel may pass random values.
+func GemmF32(dst, w, bias, x []float32, rows, in, out int) {
 	if rows <= 0 || out <= 0 {
 		return
 	}
@@ -74,7 +128,7 @@ func GemmF32(dst, wT, bias, x []float32, rows, in, out int) {
 	_ = dst[rows*out-1]
 	_ = bias[out-1]
 	if in > 0 {
-		_ = wT[out*in-1]
+		_ = w[out*in-1]
 		_ = x[rows*in-1]
 	} else {
 		// Degenerate reduction: every output is its bias.
@@ -84,56 +138,74 @@ func GemmF32(dst, wT, bias, x []float32, rows, in, out int) {
 		return
 	}
 	if gemmAsmEnabled.Load() {
-		// The kernel sweeps all of its input rows once per weight row, so
-		// hand it row tiles whose x data stays L1-resident across the sweep
-		// (it matters for the wide reduction of FF-out: in = 1024 → 8-row
-		// tiles). Row results do not depend on the tiling.
-		tile := max(1, gemmTileFloats/in)
+		// The kernel sweeps a tile's rows once per panel, so hand it row
+		// tiles whose x data stays L1-resident across the sweep (it matters
+		// for the wide reduction of FF-out: in = 1024 → 8-row tiles). Whole
+		// 4-row tiles, so the tiling adds no leftover rows of its own; row
+		// results do not depend on it.
+		tile := max(4, gemmTileFloats/in&^3)
 		for r := 0; r < rows; r += tile {
-			gemmF32Asm(&dst[r*out], &wT[0], &bias[0], &x[r*in], min(tile, rows-r), in, out)
+			gemmF32Avx2(dst[r*out:], w, bias, x[r*in:], min(tile, rows-r), in, out)
 		}
 		return
 	}
-	gemmF32Scalar(dst, wT, bias, x, rows, in, out)
+	gemmF32Scalar(dst, w, bias, x, rows, in, out)
 }
 
-// gemmF32Scalar is the portable kernel: outputs in 4/2/1 register blocks,
-// input rows inner so each weight block stays hot across the row group. A
-// row's reduction order does not depend on the other rows, so a k-row GEMM
-// equals k one-row GEMMs bit-for-bit.
-func gemmF32Scalar(dst, wT, bias, x []float32, rows, in, out int) {
-	j := 0
-	for ; j+4 <= out; j += 4 {
-		w0 := wT[j*in : (j+1)*in]
-		w1 := wT[(j+1)*in : (j+2)*in]
-		w2 := wT[(j+2)*in : (j+3)*in]
-		w3 := wT[(j+3)*in : (j+4)*in]
-		b0, b1, b2, b3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-		for r := 0; r < rows; r++ {
-			xr := x[r*in : r*in+in]
-			r0, r1, r2, r3 := Dot4F32(xr, w0, w1, w2, w3)
-			d := dst[r*out+j : r*out+j+4]
-			d[0] = b0 + r0
-			d[1] = b1 + r1
-			d[2] = b2 + r2
-			d[3] = b3 + r3
+// gemmF32Avx2 runs one row tile through the assembly tiles: 4×16 over the
+// 16-wide panels, 1×64 (then 1×16) for each row the 4-row tiles leave, and
+// the masked tile over the 8-wide and narrower panels.
+func gemmF32Avx2(dst, w, bias, x []float32, rows, in, out int) {
+	full := out &^ 15
+	quads := rows / 4
+	if full > 0 {
+		if quads > 0 {
+			gemm4x16F32(&dst[0], &w[0], &bias[0], &x[0], quads, in, out, full/16)
+		}
+		for r := 4 * quads; r < rows; r++ {
+			gemm1x64F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
 		}
 	}
-	if j+2 <= out {
-		w0 := wT[j*in : (j+1)*in]
-		w1 := wT[(j+1)*in : (j+2)*in]
-		for r := 0; r < rows; r++ {
-			xr := x[r*in : r*in+in]
-			r0, r1 := Dot2F32(xr, w0, w1)
-			dst[r*out+j] = bias[j] + r0
-			dst[r*out+j+1] = bias[j+1] + r1
-		}
-		j += 2
+	for j0 := full; j0 < out; j0 += 8 {
+		gemmMaskedF32(&dst[j0], &w[j0*in], &bias[j0], &x[0], rows, in, out, panelWidth(j0, out))
 	}
-	if j < out {
-		w0 := wT[j*in : (j+1)*in]
-		for r := 0; r < rows; r++ {
-			dst[r*out+j] = bias[j] + Dot1F32(x[r*in:r*in+in], w0)
+}
+
+// gemmF32Scalar is the portable kernel: each panel's outputs in 4/2/1
+// register blocks, input rows inner so a block's weights stay hot across the
+// row group. A row's reduction order does not depend on the other rows, so a
+// k-row GEMM equals k one-row GEMMs bit-for-bit; and since panel widths are
+// multiples of 4 but for the last, output j gets the same block kind (and so
+// the same arithmetic) as in the unpacked out×in kernel this replaced.
+func gemmF32Scalar(dst, w, bias, x []float32, rows, in, out int) {
+	for j0 := 0; j0 < out; {
+		pw := panelWidth(j0, out)
+		p := w[j0*in : (j0+pw)*in]
+		j := 0
+		for ; j+4 <= pw; j += 4 {
+			b0, b1, b2, b3 := bias[j0+j], bias[j0+j+1], bias[j0+j+2], bias[j0+j+3]
+			for r := 0; r < rows; r++ {
+				r0, r1, r2, r3 := dot4F32(x[r*in:r*in+in], p[j:], pw)
+				d := dst[r*out+j0+j : r*out+j0+j+4]
+				d[0] = b0 + r0
+				d[1] = b1 + r1
+				d[2] = b2 + r2
+				d[3] = b3 + r3
+			}
 		}
+		if j+2 <= pw {
+			for r := 0; r < rows; r++ {
+				r0, r1 := dot2F32(x[r*in:r*in+in], p[j:], pw)
+				dst[r*out+j0+j] = bias[j0+j] + r0
+				dst[r*out+j0+j+1] = bias[j0+j+1] + r1
+			}
+			j += 2
+		}
+		if j < pw {
+			for r := 0; r < rows; r++ {
+				dst[r*out+j0+j] = bias[j0+j] + dot1F32(x[r*in:r*in+in], p[j:], pw)
+			}
+		}
+		j0 += pw
 	}
 }

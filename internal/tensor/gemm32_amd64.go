@@ -2,24 +2,35 @@
 
 package tensor
 
-// hasGemmAsm reports whether this CPU can run the AVX2+FMA GEMM kernel.
+// hasGemmAsm reports whether this CPU can run the AVX2+FMA kernels.
 // Detection is a one-shot CPUID/XGETBV probe (see gemm32_amd64.s): FMA, AVX
 // and OSXSAVE from leaf 1, OS-enabled XMM+YMM state from XCR0, and AVX2 from
-// leaf 7 — the exact feature set the kernel's VFMADD231PS/VMOVUPS mix needs.
+// leaf 7 — the feature set the kernels' FMA, masked-move and integer-lane
+// instructions need.
 func hasGemmAsm() bool { return cpuHasAVX2FMA() }
 
 // cpuHasAVX2FMA is implemented in gemm32_amd64.s.
 func cpuHasAVX2FMA() bool
 
-// gemmF32Asm computes dst[r*out+j] = bias[j] + x[r*in:]·wT[j*in:] with the
-// AVX2+FMA kernel. All slices must be fully in bounds (the GemmF32 wrapper
-// hoists the checks); rows, in, out must be positive. The reduction order of
-// a (row, output) pair — four 8-lane accumulators combined pairwise, then an
-// 8-lane horizontal tree sum, scalar tail last — is fixed and the same for
-// every row, paired or not, so results are deterministic.
+// The GEMM tiles of gemm32_amd64.s (see gemmF32Avx2 for how they cover a
+// GEMM, gemm32.go for the chain every output runs). Pointers address the
+// tile's first dst, weight, bias and x element; every count is positive and
+// every access in bounds (GemmF32 hoists the checks).
+//
+// gemm4x16F32: rows 0 … 4*quads-1 × the first panels 16-wide panels.
 //
 //go:noescape
-func gemmF32Asm(dst, wT, bias, x *float32, rows, in, out int)
+func gemm4x16F32(dst, w, bias, x *float32, quads, in, out, panels int)
+
+// gemm1x64F32: one row × the first panels 16-wide panels.
+//
+//go:noescape
+func gemm1x64F32(dst, w, bias, x *float32, in, panels int)
+
+// gemmMaskedF32: rows rows × one panel of width 1 … 8.
+//
+//go:noescape
+func gemmMaskedF32(dst, w, bias, x *float32, rows, in, out, width int)
 
 // geluF32Asm applies gelu32 in place to x[0:n], eight lanes at a time; n must
 // be a positive multiple of 8. Implemented in gelu32_amd64.s.

@@ -1,11 +1,10 @@
-// AVX2+FMA kernel for the multi-row float32 GEMM of the F32 decoder (see
-// gemm32.go for the dispatch contract). Input rows go through two at a time:
-// a transposed weight row's 8-lane chunks are loaded into registers once and
-// multiplied into both rows' accumulators — eight independent FMA chains in
-// flight instead of four, half the weight loads. Each (row, output) pair
-// keeps its own four accumulator registers and its own fixed combine order,
-// so results are deterministic and do not depend on which row shares the
-// pair; an odd last row runs the same reduction on its own.
+// AVX2+FMA tiles of the multi-row float32 GEMM of the F32 decoder (see
+// gemm32.go for the packed-panel layout and the dispatch). Each tile is an
+// outer product: per input i it loads one panel row of weights and
+// broadcasts one x value per row, and every output lane runs the same chain,
+// acc = 0, acc = fma(x_i, w_i, acc) for i = 0 … in-1, then acc + bias. There
+// are no horizontal reductions, so the chain — and the result — is the same
+// whichever tile computes an output.
 
 #include "textflag.h"
 
@@ -52,42 +51,32 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemmF32Asm(dst, wT, bias, x *float32, rows, in, out int)
+// func gemm4x16F32(dst, w, bias, x *float32, quads, in, out, panels int)
 //
-// dst[r*out+j] = bias[j] + sum_i x[r*in+i] * wT[j*in+i]
-//
-// Loop nest: weight rows (j) outer, input rows (r) inner in pairs — a weight
-// row is fetched once from cache/memory and reused for every input row of
-// the group, which is the cross-row amortization row packing exists for.
-// The reduction per (r, j) uses four 8-lane FMA accumulators over 32-element
-// chunks (Y0–Y3 for the pair's first row, Y4–Y7 for its second, against the
-// weight chunks in Y8–Y11), an 8-element cleanup loop into the first
-// accumulator, a pairwise + horizontal tree combine, then a scalar tail —
-// all in a fixed order that is the same in the pair body and the single-row
-// body the last row of an odd count falls through to.
-TEXT ·gemmF32Asm(SB), NOSPLIT, $0-56
+// Rows 0 … 4*quads-1 against the first panels 16-wide panels. Panels outer,
+// 4-row tiles inner: a panel is fetched once and reused by every tile. The
+// tile's accumulators are Y0–Y7 (row r, outputs 0–7 / 8–15 in Y2r / Y2r+1);
+// per input the panel row is two loads (Y8, Y9) and the four x values four
+// broadcasts — 6 loads per 8 FMAs.
+TEXT ·gemm4x16F32(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
-	MOVQ wT+8(FP), SI
+	MOVQ w+8(FP), SI
 	MOVQ bias+16(FP), R8
-	MOVQ rows+32(FP), R10
-	MOVQ in+40(FP), R11
+	MOVQ in+40(FP), R13
+	SHLQ $2, R13            // R13 = in*4: x row stride, bytes
 	MOVQ out+48(FP), R12
+	SHLQ $2, R12            // R12 = out*4: dst row stride, bytes
+	MOVQ panels+56(FP), R15
 
-	MOVQ R11, R13
-	SHLQ $2, R13            // R13 = in*4, the byte stride of wT and x rows
+panel:
+	MOVQ x+24(FP), AX       // x row 0 of the tile
+	MOVQ DI, R9             // dst row 0 of the tile, at this panel's column
+	MOVQ quads+32(FP), R14
 
-	XORQ R14, R14           // j = 0
-jloop:
-	CMPQ R14, R12
-	JGE  done
-	VMOVSS (R8)(R14*4), X12 // bias[j]
-	MOVQ x+24(FP), DX       // x row cursor = &x[0]
-	XORQ R15, R15           // r = 0
-rloop:
-	LEAQ 2(R15), AX
-	CMPQ AX, R10
-	JGT  rlast             // fewer than two rows left
-
+tile:
+	LEAQ (AX)(R13*1), BX    // x rows 1, 2, 3
+	LEAQ (AX)(R13*2), CX
+	LEAQ (BX)(R13*2), DX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -96,143 +85,261 @@ rloop:
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	MOVQ DX, AX             // x cursor, first row of the pair
-	LEAQ (DX)(R13*1), R9    // x cursor, second row
-	MOVQ SI, BX             // wT row cursor
-	MOVQ R11, CX            // remaining reduction length
-p32:
-	CMPQ CX, $32
-	JLT  p8
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-	VMOVUPS 64(BX), Y10
-	VMOVUPS 96(BX), Y11
-	VFMADD231PS (AX), Y8, Y0
-	VFMADD231PS 32(AX), Y9, Y1
-	VFMADD231PS 64(AX), Y10, Y2
-	VFMADD231PS 96(AX), Y11, Y3
-	VFMADD231PS (R9), Y8, Y4
-	VFMADD231PS 32(R9), Y9, Y5
-	VFMADD231PS 64(R9), Y10, Y6
-	VFMADD231PS 96(R9), Y11, Y7
-	ADDQ $128, AX
-	ADDQ $128, R9
-	ADDQ $128, BX
-	SUBQ $32, CX
-	JMP  p32
-p8:
-	CMPQ CX, $8
-	JLT  preduce
-	VMOVUPS (BX), Y8
-	VFMADD231PS (AX), Y8, Y0
-	VFMADD231PS (R9), Y8, Y4
-	ADDQ $32, AX
-	ADDQ $32, R9
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JMP  p8
-preduce:
-	// Per row: pairwise accumulator combine, then an 8-lane horizontal
-	// tree sum.
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VADDPS Y5, Y4, Y4
-	VADDPS Y7, Y6, Y6
-	VADDPS Y6, Y4, Y4
-	VEXTRACTF128 $1, Y4, X5
-	VADDPS X5, X4, X4
-	VHADDPS X4, X4, X4
-	VHADDPS X4, X4, X4
-ptail:
-	CMPQ CX, $0
-	JEQ  pstore
-	VMOVSS (BX), X8
-	VFMADD231SS (AX), X8, X0
-	VFMADD231SS (R9), X8, X4
-	ADDQ $4, AX
-	ADDQ $4, R9
-	ADDQ $4, BX
-	DECQ CX
-	JMP  ptail
-pstore:
-	VADDSS X12, X0, X0
-	VADDSS X12, X4, X4
-	MOVQ R15, AX            // dst index r*out + j
-	IMULQ R12, AX
-	ADDQ R14, AX
-	VMOVSS X0, (DI)(AX*4)
-	ADDQ R12, AX            // (r+1)*out + j
-	VMOVSS X4, (DI)(AX*4)
-	LEAQ (DX)(R13*2), DX    // next pair of x rows
-	ADDQ $2, R15
-	JMP  rloop
-rlast:
-	CMPQ R15, R10
-	JGE  rdone
+	MOVQ SI, R10            // panel row cursor
+	XORQ R11, R11           // x byte offset, i*4
 
+k4:
+	VMOVUPS (R10), Y8
+	VMOVUPS 32(R10), Y9
+	VBROADCASTSS (AX)(R11*1), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (BX)(R11*1), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VFMADD231PS Y9, Y11, Y3
+	VBROADCASTSS (CX)(R11*1), Y12
+	VFMADD231PS Y8, Y12, Y4
+	VFMADD231PS Y9, Y12, Y5
+	VBROADCASTSS (DX)(R11*1), Y13
+	VFMADD231PS Y8, Y13, Y6
+	VFMADD231PS Y9, Y13, Y7
+	ADDQ $64, R10
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k4
+
+	VMOVUPS (R8), Y8
+	VMOVUPS 32(R8), Y9
+	VADDPS Y8, Y0, Y0
+	VADDPS Y9, Y1, Y1
+	VADDPS Y8, Y2, Y2
+	VADDPS Y9, Y3, Y3
+	VADDPS Y8, Y4, Y4
+	VADDPS Y9, Y5, Y5
+	VADDPS Y8, Y6, Y6
+	VADDPS Y9, Y7, Y7
+	MOVQ R9, R10
+	VMOVUPS Y0, (R10)
+	VMOVUPS Y1, 32(R10)
+	ADDQ R12, R10
+	VMOVUPS Y2, (R10)
+	VMOVUPS Y3, 32(R10)
+	ADDQ R12, R10
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y5, 32(R10)
+	ADDQ R12, R10
+	VMOVUPS Y6, (R10)
+	VMOVUPS Y7, 32(R10)
+
+	LEAQ (R9)(R12*4), R9    // next tile: four rows down
+	LEAQ (AX)(R13*4), AX
+	DECQ R14
+	JNZ  tile
+
+	ADDQ $64, DI            // next panel: 16 outputs right
+	ADDQ $64, R8
+	MOVQ R13, R10
+	SHLQ $4, R10
+	ADDQ R10, SI            // a panel is in*16 floats
+	DECQ R15
+	JNZ  panel
+
+	VZEROUPPER
+	RET
+
+// func gemm1x64F32(dst, w, bias, x *float32, in, panels int)
+//
+// One row against the first panels 16-wide panels: four panels at a time
+// (a 1×64 tile, Y0–Y7, 8 loads + 1 broadcast per 8 FMAs), then the rest one
+// panel at a time (Y0–Y1).
+TEXT ·gemm1x64F32(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ bias+16(FP), R8
+	MOVQ x+24(FP), AX
+	MOVQ in+32(FP), R13
+	SHLQ $2, R13            // R13 = in*4
+	MOVQ R13, R12
+	SHLQ $4, R12            // R12 = in*64: panel size, bytes
+	MOVQ panels+40(FP), R15
+
+group:
+	CMPQ R15, $4
+	JLT  single
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	MOVQ DX, AX             // x cursor
-	MOVQ SI, BX             // wT row cursor
-	MOVQ R11, CX            // remaining reduction length
-i32:
-	CMPQ CX, $32
-	JLT  i8
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
-	VMOVUPS 64(BX), Y10
-	VMOVUPS 96(BX), Y11
-	VFMADD231PS (AX), Y8, Y0
-	VFMADD231PS 32(AX), Y9, Y1
-	VFMADD231PS 64(AX), Y10, Y2
-	VFMADD231PS 96(AX), Y11, Y3
-	ADDQ $128, AX
-	ADDQ $128, BX
-	SUBQ $32, CX
-	JMP  i32
-i8:
-	CMPQ CX, $8
-	JLT  reduce
-	VMOVUPS (BX), Y8
-	VFMADD231PS (AX), Y8, Y0
-	ADDQ $32, AX
-	ADDQ $32, BX
-	SUBQ $8, CX
-	JMP  i8
-reduce:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-tail:
-	CMPQ CX, $0
-	JEQ  store
-	VMOVSS (BX), X8
-	VFMADD231SS (AX), X8, X0
-	ADDQ $4, AX
-	ADDQ $4, BX
-	DECQ CX
-	JMP  tail
-store:
-	VADDSS X12, X0, X0
-	MOVQ R15, AX            // dst index r*out + j
-	IMULQ R12, AX
-	ADDQ R14, AX
-	VMOVSS X0, (DI)(AX*4)
-rdone:
-	ADDQ R13, SI            // next wT row
-	INCQ R14
-	JMP  jloop
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	MOVQ SI, R10            // panel 0 row cursor (panels 1, 2 at +R12, +2*R12)
+	LEAQ (SI)(R12*2), R9
+	ADDQ R12, R9            // panel 3 row cursor
+	XORQ R11, R11
+
+k64:
+	VBROADCASTSS (AX)(R11*1), Y8
+	VFMADD231PS (R10), Y8, Y0
+	VFMADD231PS 32(R10), Y8, Y1
+	VFMADD231PS (R10)(R12*1), Y8, Y2
+	VFMADD231PS 32(R10)(R12*1), Y8, Y3
+	VFMADD231PS (R10)(R12*2), Y8, Y4
+	VFMADD231PS 32(R10)(R12*2), Y8, Y5
+	VFMADD231PS (R9), Y8, Y6
+	VFMADD231PS 32(R9), Y8, Y7
+	ADDQ $64, R10
+	ADDQ $64, R9
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k64
+
+	VADDPS (R8), Y0, Y0
+	VADDPS 32(R8), Y1, Y1
+	VADDPS 64(R8), Y2, Y2
+	VADDPS 96(R8), Y3, Y3
+	VADDPS 128(R8), Y4, Y4
+	VADDPS 160(R8), Y5, Y5
+	VADDPS 192(R8), Y6, Y6
+	VADDPS 224(R8), Y7, Y7
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, R8
+	LEAQ (SI)(R12*4), SI
+	SUBQ $4, R15
+	JMP  group
+
+single:
+	TESTQ R15, R15
+	JEQ   done
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	MOVQ SI, R10
+	XORQ R11, R11
+
+k16:
+	VBROADCASTSS (AX)(R11*1), Y8
+	VFMADD231PS (R10), Y8, Y0
+	VFMADD231PS 32(R10), Y8, Y1
+	ADDQ $64, R10
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k16
+
+	VADDPS (R8), Y0, Y0
+	VADDPS 32(R8), Y1, Y1
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, R8
+	ADDQ R12, SI
+	DECQ R15
+	JMP  single
+
 done:
+	VZEROUPPER
+	RET
+
+// func gemmMaskedF32(dst, w, bias, x *float32, rows, in, out, width int)
+//
+// All rows against one panel of width ≤ 8 (dst, w and bias already point at
+// the panel's first output): masked loads of each width-float panel row and
+// of the bias, four rows per pass (Y0–Y3) while four are left, then one
+// (Y0), and masked stores.
+TEXT ·gemmMaskedF32(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ x+24(FP), AX
+	MOVQ rows+32(FP), R14
+	MOVQ in+40(FP), R13
+	SHLQ $2, R13            // R13 = in*4
+	MOVQ out+48(FP), R12
+	SHLQ $2, R12            // R12 = out*4
+	MOVQ width+56(FP), R15
+	LEAQ ·laneMask(SB), R9
+	MOVQ $8, DX
+	SUBQ R15, DX
+	VMOVUPS (R9)(DX*4), Y15 // the first width lanes
+	SHLQ $2, R15            // R15 = width*4: panel row stride, bytes
+	MOVQ bias+16(FP), R8
+	VMASKMOVPS (R8), Y15, Y14
+
+quad:
+	CMPQ R14, $4
+	JLT  one
+	LEAQ (AX)(R13*1), BX
+	LEAQ (AX)(R13*2), CX
+	LEAQ (BX)(R13*2), DX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ SI, R10
+	XORQ R11, R11
+
+kq:
+	VMASKMOVPS (R10), Y15, Y8
+	VBROADCASTSS (AX)(R11*1), Y9
+	VFMADD231PS Y8, Y9, Y0
+	VBROADCASTSS (BX)(R11*1), Y10
+	VFMADD231PS Y8, Y10, Y1
+	VBROADCASTSS (CX)(R11*1), Y11
+	VFMADD231PS Y8, Y11, Y2
+	VBROADCASTSS (DX)(R11*1), Y12
+	VFMADD231PS Y8, Y12, Y3
+	ADDQ R15, R10
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  kq
+
+	VADDPS Y14, Y0, Y0
+	VADDPS Y14, Y1, Y1
+	VADDPS Y14, Y2, Y2
+	VADDPS Y14, Y3, Y3
+	MOVQ DI, R10
+	VMASKMOVPS Y0, Y15, (R10)
+	ADDQ R12, R10
+	VMASKMOVPS Y1, Y15, (R10)
+	ADDQ R12, R10
+	VMASKMOVPS Y2, Y15, (R10)
+	ADDQ R12, R10
+	VMASKMOVPS Y3, Y15, (R10)
+	LEAQ (DI)(R12*4), DI
+	LEAQ (AX)(R13*4), AX
+	SUBQ $4, R14
+	JMP  quad
+
+one:
+	TESTQ R14, R14
+	JEQ   mdone
+	VXORPS Y0, Y0, Y0
+	MOVQ SI, R10
+	XORQ R11, R11
+
+k1:
+	VMASKMOVPS (R10), Y15, Y8
+	VBROADCASTSS (AX)(R11*1), Y9
+	VFMADD231PS Y8, Y9, Y0
+	ADDQ R15, R10
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k1
+
+	VADDPS Y14, Y0, Y0
+	VMASKMOVPS Y0, Y15, (DI)
+	ADDQ R12, DI
+	ADDQ R13, AX
+	DECQ R14
+	JMP  one
+
+mdone:
 	VZEROUPPER
 	RET

@@ -3,16 +3,24 @@
 package tensor
 
 // hasGemmAsm: no assembly kernels on this architecture; GemmF32 and GeluF32
-// always run their portable scalar code.
+// always run their portable code.
 func hasGemmAsm() bool { return false }
 
-// gemmF32Asm is never called when hasGemmAsm reports false; the stub keeps
-// the dispatch site portable.
-func gemmF32Asm(dst, wT, bias, x *float32, rows, in, out int) {
-	panic("tensor: gemmF32Asm called without assembly support")
+// The assembly entry points are never called when hasGemmAsm reports false;
+// the stubs keep the dispatch sites portable.
+
+func gemm4x16F32(dst, w, bias, x *float32, quads, in, out, panels int) {
+	panic("tensor: assembly kernel called without assembly support")
 }
 
-// geluF32Asm: as gemmF32Asm, never called.
+func gemm1x64F32(dst, w, bias, x *float32, in, panels int) {
+	panic("tensor: assembly kernel called without assembly support")
+}
+
+func gemmMaskedF32(dst, w, bias, x *float32, rows, in, out, width int) {
+	panic("tensor: assembly kernel called without assembly support")
+}
+
 func geluF32Asm(x *float32, n int) {
-	panic("tensor: geluF32Asm called without assembly support")
+	panic("tensor: assembly kernel called without assembly support")
 }

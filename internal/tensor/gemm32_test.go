@@ -3,22 +3,58 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 
 	"cptgpt/internal/stats"
 )
 
-// gemmF32Ref is a straightforward float64-accumulated reference.
-func gemmF32Ref(dst, wT, bias, x []float32, rows, in, out int) {
+// gemmF32Ref is a straightforward float64-accumulated reference over the
+// row-major in×out weights w.
+func gemmF32Ref(dst, w, bias, x []float32, rows, in, out int) {
 	for r := 0; r < rows; r++ {
 		for j := 0; j < out; j++ {
 			acc := float64(bias[j])
 			for i := 0; i < in; i++ {
-				acc += float64(x[r*in+i]) * float64(wT[j*in+i])
+				acc += float64(x[r*in+i]) * float64(w[i*out+j])
 			}
 			dst[r*out+j] = float32(acc)
 		}
 	}
+}
+
+// fmaChainRef computes GemmF32's documented AVX2 arithmetic from first
+// principles: output (r, j) is acc = 0, acc = fma(x[r,i], w[i,j], acc) for
+// i = 0 … in-1 — every fused multiply-add evaluated exactly in math/big and
+// rounded once to float32 — then the float32 sum acc + bias[j]. w is
+// row-major in×out.
+func fmaChainRef(w, bias, x []float32, rows, in, out int) []float32 {
+	dst := make([]float32, rows*out)
+	bigs := func(v []float32) []big.Float {
+		b := make([]big.Float, len(v))
+		for i := range v {
+			b[i].SetFloat64(float64(v[i]))
+		}
+		return b
+	}
+	xb, wb := bigs(x), bigs(w)
+	// The exact sum of a float32 product and a float32 spans at most ~600
+	// bits (exponents −298 … 254); 53 bits hold any float32 product exactly.
+	var p, s big.Float
+	s.SetPrec(1024)
+	for r := 0; r < rows; r++ {
+		for j := 0; j < out; j++ {
+			var acc float32
+			for i := 0; i < in; i++ {
+				p.Mul(&xb[r*in+i], &wb[i*out+j])
+				s.SetFloat64(float64(acc))
+				s.Add(&s, &p)
+				acc, _ = s.Float32()
+			}
+			dst[r*out+j] = acc + bias[j]
+		}
+	}
+	return dst
 }
 
 func randF32(n int, seed uint64) []float32 {
@@ -30,29 +66,79 @@ func randF32(n int, seed uint64) []float32 {
 	return s
 }
 
+// packed returns the row-major in×out matrix w in GemmF32's layout.
+func packed(w []float32, in, out int) []float32 {
+	p := make([]float32, in*out)
+	PackF32(p, w, in, out)
+	return p
+}
+
+// kernels lists the GemmF32 kernels this machine runs, as SetGemmF32Asm
+// arguments.
+func kernels() []bool {
+	if gemmAsmAvailable {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// TestPackF32Layout pins the panel layout against its definition — 16-wide
+// panels, then an 8-wide one if 8 outputs remain, then the rest — and
+// PackedIndexF32 against PackF32, for widths that end on every kind of
+// panel.
+func TestPackF32Layout(t *testing.T) {
+	for _, out := range []int{1, 5, 8, 13, 16, 17, 24, 29, 32, 40, 1024} {
+		for _, in := range []int{1, 3, 8} {
+			w := make([]float64, in*out)
+			for k := range w {
+				w[k] = float64(k)
+			}
+			p := make([]float32, in*out)
+			PackF32(p, w, in, out)
+			seen := make([]bool, in*out)
+			for i := 0; i < in; i++ {
+				for j := 0; j < out; j++ {
+					j0, width := j&^15, 16
+					if out-j0 < 16 {
+						j0 = j &^ 7
+						width = min(8, out-j0)
+					}
+					at := PackedIndexF32(i, j, in, out)
+					if want := j0*in + i*width + j - j0; at != want {
+						t.Fatalf("out %d in %d: PackedIndexF32(%d, %d) = %d, want %d", out, in, i, j, at, want)
+					}
+					if p[at] != float32(w[i*out+j]) || seen[at] {
+						t.Fatalf("out %d in %d: weight (%d, %d) not at %d exactly once", out, in, i, j, at)
+					}
+					seen[at] = true
+				}
+			}
+		}
+	}
+}
+
 // TestGemmF32Shapes exercises both kernels over awkward shapes (reduction
-// tails shorter than every unroll width, 1-row and odd-output panels, row
-// counts that span several of the assembly path's row tiles), comparing against the float64 reference within a float32 reduction-error
-// tolerance.
+// lengths of 1, panel remainders of every width, 1-row and odd-row counts,
+// row counts that span several of the assembly path's row tiles), comparing
+// against the float64 reference within a float32 reduction-error tolerance.
 func TestGemmF32Shapes(t *testing.T) {
 	shapes := []struct{ rows, in, out int }{
 		{1, 1, 1}, {1, 7, 3}, {2, 8, 2}, {3, 10, 5}, {4, 128, 128},
 		{5, 128, 1024}, {4, 1024, 128}, {2, 33, 7}, {3, 40, 6}, {6, 64, 2},
-		{1, 130, 1}, {7, 9, 9}, {19, 1024, 5}, {3, 9000, 2},
+		{1, 130, 1}, {7, 9, 9}, {19, 1024, 5}, {3, 9000, 2}, {9, 24, 29},
+		{5, 17, 40}, {13, 100, 200},
 	}
-	for _, asm := range []bool{false, true} {
-		if asm && !gemmAsmAvailable {
-			continue
-		}
-		prev := SetGemmF32Asm(asm)
+	defer SetGemmF32Asm(GemmF32Asm())
+	for _, asm := range kernels() {
+		SetGemmF32Asm(asm)
 		for _, s := range shapes {
-			wT := randF32(s.out*s.in, 1)
+			w := randF32(s.out*s.in, 1)
 			bias := randF32(s.out, 2)
 			x := randF32(s.rows*s.in, 3)
 			got := make([]float32, s.rows*s.out)
 			want := make([]float32, s.rows*s.out)
-			GemmF32(got, wT, bias, x, s.rows, s.in, s.out)
-			gemmF32Ref(want, wT, bias, x, s.rows, s.in, s.out)
+			GemmF32(got, packed(w, s.in, s.out), bias, x, s.rows, s.in, s.out)
+			gemmF32Ref(want, w, bias, x, s.rows, s.in, s.out)
 			for i := range want {
 				diff := math.Abs(float64(got[i] - want[i]))
 				// Allow float32 reduction error growing with the length.
@@ -63,8 +149,127 @@ func TestGemmF32Shapes(t *testing.T) {
 				}
 			}
 		}
-		SetGemmF32Asm(prev)
 	}
+}
+
+// Shapes that reach every path of the assembly kernel: rows through the
+// 4-row tiles, one to three leftover rows (1×64 tile) and both at once;
+// reductions of one element up to a whole FF-out row; outputs that are only
+// a masked remainder (1, 2), only an 8-wide panel, a 16-wide panel plus a
+// one-lane remainder (17), plus an 8-wide one (24), whole 64-output groups
+// with a 1×16 leftover (48) and without (64, 128, 1024).
+var (
+	tileRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33}
+	tileIns  = []int{1, 7, 24, 128, 1024}
+	tileOuts = []int{1, 2, 8, 17, 24, 48, 64, 128, 1024}
+)
+
+// TestGemmF32Bitwise holds the AVX2 kernel to its documented arithmetic bit
+// for bit: for every shape of tileRows × tileIns × tileOuts, every output is
+// fmaChainRef's — whichever tile (4×16, 1×64, 1×16, masked 8-lane) computed
+// it. The reference is exact big-float arithmetic, so the test also pins
+// that the kernel does fuse (one rounding per step) and adds the bias last.
+func TestGemmF32Bitwise(t *testing.T) {
+	if !gemmAsmAvailable {
+		t.Skip("no AVX2+FMA")
+	}
+	defer SetGemmF32Asm(SetGemmF32Asm(true))
+	for _, in := range tileIns {
+		for _, out := range tileOuts {
+			if in*out > 128*1024 {
+				continue // the reference costs ~0.1 µs per multiply-add
+			}
+			// The reference covers 9 rows — 33 only while it is cheap — and
+			// each GEMM below reads its first rows of them.
+			refRows := 33
+			if in*out > 24*1024 {
+				refRows = 9
+			}
+			w := randF32(in*out, uint64(in*out))
+			bias := randF32(out, uint64(out))
+			x := randF32(refRows*in, uint64(in+out))
+			want := fmaChainRef(w, bias, x, refRows, in, out)
+			pw := packed(w, in, out)
+			for _, rows := range tileRows {
+				if rows > refRows {
+					continue
+				}
+				got := make([]float32, rows*out)
+				GemmF32(got, pw, bias, x, rows, in, out)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%d×%d→%d: dst[%d] (row %d, out %d) = %v, FMA-chain reference %v",
+							rows, in, out, i, i/out, i%out, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzGemmF32 generalises TestGemmF32Bitwise to drawn shapes (rows 1–40,
+// in and out 1–300) and drawn values — normals of every size the chain
+// cannot overflow at, ±0 and subnormals — against the same math/big
+// reference; with the assembly switch off it checks the portable kernel
+// against the float64 reference. The seed corpus runs under plain go test.
+func FuzzGemmF32(f *testing.F) {
+	f.Add(uint8(5), uint16(7), uint16(17), uint64(1), false)
+	f.Add(uint8(1), uint16(300), uint16(24), uint64(2), true)
+	f.Add(uint8(40), uint16(3), uint16(300), uint64(3), false)
+	f.Add(uint8(3), uint16(64), uint16(48), uint64(4), true)
+	f.Fuzz(func(t *testing.T, rows8 uint8, in16, out16 uint16, seed uint64, portable bool) {
+		rows, in, out := 1+int(rows8)%40, 1+int(in16)%300, 1+int(out16)%300
+		rng := stats.NewRand(seed)
+		value := func() float32 {
+			switch rng.IntN(8) {
+			case 0:
+				return float32(math.Copysign(0, rng.NormFloat64()))
+			case 1: // subnormal
+				v := math.Float32frombits(uint32(1 + rng.IntN(1<<23-1)))
+				return float32(math.Copysign(float64(v), rng.NormFloat64()))
+			case 2: // any exponent the chain cannot overflow at
+				return float32(rng.NormFloat64() * math.Exp2(float64(rng.IntN(60)-40)))
+			default:
+				return float32(rng.NormFloat64())
+			}
+		}
+		fill := func(n int) []float32 {
+			s := make([]float32, n)
+			for i := range s {
+				s[i] = value()
+			}
+			return s
+		}
+		w, bias, x := fill(in*out), fill(out), fill(rows*in)
+		got := make([]float32, rows*out)
+		defer SetGemmF32Asm(SetGemmF32Asm(!portable))
+		GemmF32(got, packed(w, in, out), bias, x, rows, in, out)
+		if GemmF32Asm() {
+			want := fmaChainRef(w, bias, x, rows, in, out)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%d×%d→%d: dst[%d] = %v (%#08x), FMA-chain reference %v (%#08x)",
+						rows, in, out, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+			return
+		}
+		want := make([]float32, rows*out)
+		gemmF32Ref(want, w, bias, x, rows, in, out)
+		for r := 0; r < rows; r++ {
+			for j := 0; j < out; j++ {
+				var mag float64 // Σ|x·w| + |b|: the error scale of the sum
+				for i := 0; i < in; i++ {
+					mag += math.Abs(float64(x[r*in+i]) * float64(w[i*out+j]))
+				}
+				mag += math.Abs(float64(bias[j]))
+				k := r*out + j
+				if diff := math.Abs(float64(got[k]) - float64(want[k])); diff > 1e-6*float64(in)*mag+1e-37 {
+					t.Fatalf("portable %d×%d→%d: dst[%d] = %v, float64 reference %v", rows, in, out, k, got[k], want[k])
+				}
+			}
+		}
+	})
 }
 
 // TestGemmF32RowIndependent pins the contract the decoder's determinism
@@ -73,21 +278,19 @@ func TestGemmF32Shapes(t *testing.T) {
 // MatVecGroupF32, the strided front, returns the same rows for any grouping
 // (a consecutive run over compact rows, gaps, reordering, padded strides).
 func TestGemmF32RowIndependent(t *testing.T) {
-	const rows, in, out = 7, 2051, 19 // 3-row tiles on the assembly path
-	wT := randF32(out*in, 4)
+	const rows, in, out = 7, 2051, 19 // 4-row tiles on the assembly path
+	w := packed(randF32(out*in, 4), in, out)
 	bias := randF32(out, 5)
 	x := randF32(rows*in, 6)
-	for _, asm := range []bool{false, true} {
-		if asm && !gemmAsmAvailable {
-			continue
-		}
-		prev := SetGemmF32Asm(asm)
+	defer SetGemmF32Asm(GemmF32Asm())
+	for _, asm := range kernels() {
+		SetGemmF32Asm(asm)
 		want := make([]float32, rows*out)
 		for r := 0; r < rows; r++ {
-			GemmF32(want[r*out:(r+1)*out], wT, bias, x[r*in:(r+1)*in], 1, in, out)
+			GemmF32(want[r*out:(r+1)*out], w, bias, x[r*in:(r+1)*in], 1, in, out)
 		}
 		got := make([]float32, rows*out)
-		GemmF32(got, wT, bias, x, rows, in, out)
+		GemmF32(got, w, bias, x, rows, in, out)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("asm=%v: %d-row gemm[%d] = %v, one-row %v", asm, rows, i, got[i], want[i])
@@ -96,7 +299,7 @@ func TestGemmF32RowIndependent(t *testing.T) {
 
 		for _, group := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {5, 0, 1, 2, 6}, {3}, {6, 4, 2}} {
 			clear(got)
-			MatVecGroupF32(got, out, wT, bias, x, in, in, out, group)
+			MatVecGroupF32(got, out, w, bias, x, in, in, out, group)
 			for _, s := range group {
 				for j := 0; j < out; j++ {
 					if got[s*out+j] != want[s*out+j] {
@@ -112,7 +315,7 @@ func TestGemmF32RowIndependent(t *testing.T) {
 			copy(xp[r*xs:], x[r*in:(r+1)*in])
 		}
 		dp := make([]float32, rows*ds)
-		MatVecGroupF32(dp, ds, wT, bias, xp, xs, in, out, []int{0, 1, 2, 4})
+		MatVecGroupF32(dp, ds, w, bias, xp, xs, in, out, []int{0, 1, 2, 4})
 		for _, s := range []int{0, 1, 2, 4} {
 			for j := 0; j < out; j++ {
 				if dp[s*ds+j] != want[s*out+j] {
@@ -121,25 +324,30 @@ func TestGemmF32RowIndependent(t *testing.T) {
 			}
 		}
 
-		// Generated shapes: every row count 1–9 (pairs, a lone row, pairs
-		// plus an odd last row) against reductions that end in each of the
-		// kernel's 32-, 8- and 1-element stages and that make the assembly
-		// path's row tiles 7, 5, 3 and 1 rows — a row may land first or
-		// second in a pair, or alone, and its bits may not care.
-		for _, gin := range []int{1, 7, 8, 9, 31, 32, 33, 39, 40, 41, 63, 64, 65, 71, 100, 1170, 1638, 2730, 8192, 9000} {
-			for _, gout := range []int{1, 3, 5} {
+		// Generated shapes: every row count of tileRows against reductions
+		// that make the assembly path's row tiles 4 to 64 rows (and 1024-row
+		// ones for in = 1 and 7) and outputs that run every tile — a row may
+		// land in any position of a 4-row tile, in a 1×64 leftover or in a
+		// masked pass, and its bits may not care. Rows [33-grows, 33) are
+		// taken, so every row is tried at every position.
+		const maxRows = 33
+		for _, gin := range append([]int{9, 31, 33, 1170, 2730, 9000}, tileIns...) {
+			for _, gout := range append([]int{3, 5}, tileOuts...) {
+				if gin*gout > 1<<20 {
+					continue
+				}
 				gw := randF32(gout*gin, uint64(gin))
 				gb := randF32(gout, uint64(gout))
-				gx := randF32(9*gin, uint64(gin+gout))
-				one := make([]float32, 9*gout)
-				for r := 0; r < 9; r++ {
-					GemmF32(one[r*gout:(r+1)*gout], gw, gb, gx[r*gin:(r+1)*gin], 1, gin, gout)
+				gx := randF32(maxRows*gin, uint64(gin+gout))
+				gp := packed(gw, gin, gout)
+				one := make([]float32, maxRows*gout)
+				for r := 0; r < maxRows; r++ {
+					GemmF32(one[r*gout:(r+1)*gout], gp, gb, gx[r*gin:(r+1)*gin], 1, gin, gout)
 				}
-				for grows := 1; grows <= 9; grows++ {
-					// Rows [9-grows, 9): every row takes every pair position.
-					off := 9 - grows
+				for _, grows := range tileRows {
+					off := maxRows - grows
 					many := make([]float32, grows*gout)
-					GemmF32(many, gw, gb, gx[off*gin:], grows, gin, gout)
+					GemmF32(many, gp, gb, gx[off*gin:], grows, gin, gout)
 					for i := range many {
 						if math.Float32bits(many[i]) != math.Float32bits(one[off*gout+i]) {
 							t.Fatalf("asm=%v %d×%d→%d: multi-row dst[%d] = %v, one-row call %v", asm, grows, gin, gout, i, many[i], one[off*gout+i])
@@ -148,7 +356,6 @@ func TestGemmF32RowIndependent(t *testing.T) {
 				}
 			}
 		}
-		SetGemmF32Asm(prev)
 	}
 }
 
@@ -156,24 +363,21 @@ func TestGemmF32RowIndependent(t *testing.T) {
 // (each kernel has a fixed reduction order).
 func TestGemmF32Deterministic(t *testing.T) {
 	const rows, in, out = 4, 129, 33
-	wT := randF32(out*in, 7)
+	w := randF32(out*in, 7)
 	bias := randF32(out, 8)
 	x := randF32(rows*in, 9)
-	for _, asm := range []bool{false, true} {
-		if asm && !gemmAsmAvailable {
-			continue
-		}
-		prev := SetGemmF32Asm(asm)
+	defer SetGemmF32Asm(GemmF32Asm())
+	for _, asm := range kernels() {
+		SetGemmF32Asm(asm)
 		a := make([]float32, rows*out)
 		b := make([]float32, rows*out)
-		GemmF32(a, wT, bias, x, rows, in, out)
-		GemmF32(b, wT, bias, x, rows, in, out)
+		GemmF32(a, w, bias, x, rows, in, out)
+		GemmF32(b, w, bias, x, rows, in, out)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("asm=%v: nondeterministic at %d: %v vs %v", asm, i, a[i], b[i])
 			}
 		}
-		SetGemmF32Asm(prev)
 	}
 }
 
@@ -205,12 +409,14 @@ func BenchmarkGemmF32(b *testing.B) {
 		{"32x128x1024", 32, 128, 1024},
 		{"32x1024x128", 32, 1024, 128},
 		{"32x128x128", 32, 128, 128},
+		{"16x128x1024", 16, 128, 1024},
+		{"16x1024x128", 16, 1024, 128},
 		{"5x128x1024", 5, 128, 1024},
 		{"5x1024x128", 5, 1024, 128},
 		{"5x128x128", 5, 128, 128},
 		{"1x128x128", 1, 128, 128},
 	} {
-		wT := randF32(c.out*c.in, 1)
+		w := packed(randF32(c.out*c.in, 1), c.in, c.out)
 		bias := randF32(c.out, 2)
 		x := randF32(c.rows*c.in, 3)
 		dst := make([]float32, c.rows*c.out)
@@ -224,7 +430,7 @@ func BenchmarkGemmF32(b *testing.B) {
 				defer SetGemmF32Asm(prev)
 				b.SetBytes(int64(4 * c.in * c.out))
 				for i := 0; i < b.N; i++ {
-					GemmF32(dst, wT, bias, x, c.rows, c.in, c.out)
+					GemmF32(dst, w, bias, x, c.rows, c.in, c.out)
 				}
 				b.ReportMetric(float64(b.N)*float64(c.rows)*float64(c.in)*float64(c.out)/b.Elapsed().Seconds()/1e9, "GMAC/s")
 			})
