@@ -96,7 +96,7 @@ type BatchDecoder struct {
 	// values (half the bytes of the f64 cache). The rest is packed-row
 	// scratch.
 	kv32                        []float32
-	mAcc32, lAcc32              []float32 // capacity × Heads (online softmax)
+	attScratch32                []float32 // capacity × max(MaxLen, 2×Heads)
 	tok32                       []float32 // rows × Dim
 	x32, q32, k32, v32          []float32 // rows × DModel
 	att32, tmp32                []float32 // rows × DModel
@@ -126,8 +126,7 @@ func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
 	case F32:
 		d.inf = m.Infer()
 		d.kv32 = make([]float32, len(m.BlocksNN)*capacity*m.Cfg.MaxLen*2*dm)
-		d.mAcc32 = make([]float32, capacity*m.Cfg.Heads)
-		d.lAcc32 = make([]float32, capacity*m.Cfg.Heads)
+		d.attScratch32 = make([]float32, capacity*max(m.Cfg.MaxLen, 2*m.Cfg.Heads))
 	default:
 		hw := headHiddenMax(m)
 		d.kc = make([][]float64, len(m.BlocksNN))

@@ -170,15 +170,18 @@ func streamsDigest(streams []trace.Stream) string {
 // (scalar group matvecs, GELU fused into the up-projection), which routing
 // plain decode through GemmF32 and reading packed weight panels did not
 // change; AVX2: recorded when the outer-product GEMM over packed panels (one
-// FMA chain per output) replaced the dot-product kernel. Its digest before
-// was 5703afb8c7d76696f3e118a3 (1525 events; now 1525).
+// FMA chain per output) and then the three-pass attention kernel (float32
+// polynomial exp) replaced the dot-product GEMM and the scalar online
+// softmax. Its digest was 5703afb8c7d76696f3e118a3 before both,
+// a44fbe92d1ece0f4560e342c after the GEMM alone (1525 events throughout).
 //
 // Speculative rows (draft > 0) — recorded at PR 15, when speculative decoding
 // was a scheduler of its own, before plain and speculative decoding became
 // one loop: the merged loop must draw every stream's randomness in the order
 // the separate one did (draft draws, verify draws, free-token draw). The
-// AVX2 row is re-recorded with the plain one (before:
-// 1543b2f3f6e1ab57862f8100, 1495 events; now 1495).
+// AVX2 row is re-recorded with the plain one (1543b2f3f6e1ab57862f8100
+// before, bd9ae5e57e0f9143bd3a574c after the GEMM alone; 1495 events
+// throughout).
 //
 // The arithmetic also depends on the float64 math library (softmax,
 // sampling), so the pins are checked only on the platform class they were
@@ -220,11 +223,11 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 		want  string
 	}{
 		{"plain F32 portable", trained, F32, false, 0, "b10b7490257275e0bcd0d632"},
-		{"plain F32 avx2", trained, F32, true, 0, "a44fbe92d1ece0f4560e342c"},
+		{"plain F32 avx2", trained, F32, true, 0, "0834b336f31be2ebe691a1ff"},
 		{"speculative F64 k=2", trained, F64, false, 2, "0ea597e9c17565ed3d8b5c32"},
 		{"speculative F64 k=4", trained, F64, false, 4, "2a4746032f9b33e905f1e428"},
 		{"speculative F32 k=4 portable", trained, F32, false, 4, "976fe938f30574c447d34258"},
-		{"speculative F32 k=4 avx2", trained, F32, true, 4, "bd9ae5e57e0f9143bd3a574c"},
+		{"speculative F32 k=4 avx2", trained, F32, true, 4, "3ac9cb5e4c25fa635939dbd3"},
 		{"speculative F64 k=4 no dist head", noDist, F64, false, 4, "c434dcf1cbe926b7d6c46ffc"},
 	} {
 		tensor.SetGemmF32Asm(c.asm)

@@ -10,78 +10,19 @@ import (
 // Float32 kernels of the decode fast path. They mirror the float64 kernels
 // in infer.go but trade bit-compatibility for throughput:
 //
-//   - attendRowF32 computes attention scores, the softmax and the weighted
-//     value sum in ONE pass over the interleaved KV cache (online softmax
-//     with running max/sum per head), instead of the three passes the
-//     float64 kernel makes. Every cached row is touched exactly once.
-//   - Linear layers run through tensor.GemmF32 over transposed panels, every
-//     (slot, row) of a worker's shard packed into one multi-row call
-//     (stepRowsF32), and the feed-forward GELU through tensor.GeluF32 over
-//     the same packed rows — AVX2 where the machine has it.
+//   - Linear layers run through tensor.GemmF32 over the InferModel's packed
+//     weight panels, every (slot, row) of a worker's shard packed into one
+//     multi-row call (stepRowsF32), and the feed-forward GELU through
+//     tensor.GeluF32 over the same packed rows.
+//   - Attention runs per row through tensor.AttendF32 over the slot's
+//     interleaved [K|V] cache rows, with the slot's own score scratch.
+//
+// Each of the three has an AVX2 kernel, used where the machine has it, and
+// a portable one (tensor.SetGemmF32Asm switches all three together).
 //
 // Every reduction has a fixed order that does not depend on the rows packed
 // around it, so F32 decoding is deterministic — the per-precision half of
 // the determinism contract.
-
-// negInf32 seeds the online-softmax running max.
-var negInf32 = float32(math.Inf(-1))
-
-// exp32 is the float32 exponential (computed via the float64 routine; the
-// argument is ≤ 0 by construction in the online softmax).
-func exp32(x float32) float32 {
-	return float32(math.Exp(float64(x)))
-}
-
-// attendRowF32 computes one stream's multi-head attention output for query q
-// against nPos cached positions, writing into att (len dm). kv is the slot's
-// interleaved cache: row t is kv[t*2*dm : (t+1)*2*dm], keys in the first dm
-// values, values in the second. mAcc and lAcc (len ≥ heads) carry the
-// per-head running max and normalizer of the online softmax.
-//
-// The kernel makes a single pass over the cache: for each position it reads
-// the KV row once, scores every head against the key half, and folds the
-// value half into the output with flash-attention-style rescaling when a new
-// max appears. One sweep of sequential memory per step is what makes long
-// contexts cheap.
-func attendRowF32(att, q, kv []float32, nPos, heads, dm int, mAcc, lAcc []float32) {
-	dh := dm / heads
-	scale := float32(1 / math.Sqrt(float64(dh)))
-	for h := 0; h < heads; h++ {
-		mAcc[h] = negInf32
-		lAcc[h] = 0
-	}
-	att = att[:dm]
-	for i := range att {
-		att[i] = 0
-	}
-	stride := 2 * dm
-	for t := 0; t < nPos; t++ {
-		row := kv[t*stride : (t+1)*stride]
-		k, v := row[:dm], row[dm:]
-		for h := 0; h < heads; h++ {
-			lo := h * dh
-			s := tensor.DotF32(q[lo:lo+dh], k[lo:lo+dh]) * scale
-			if s > mAcc[h] {
-				// New running max: rescale the accumulated sum and output.
-				c := exp32(mAcc[h] - s)
-				lAcc[h] *= c
-				for j := lo; j < lo+dh; j++ {
-					att[j] *= c
-				}
-				mAcc[h] = s
-			}
-			w := exp32(s - mAcc[h])
-			lAcc[h] += w
-			tensor.AxpyF32(att[lo:lo+dh], w, v[lo:lo+dh])
-		}
-	}
-	for h := 0; h < heads; h++ {
-		inv := 1 / lAcc[h]
-		for j := h * dh; j < (h+1)*dh; j++ {
-			att[j] *= inv
-		}
-	}
-}
 
 // layerNormRowF32 computes dst = LN(row) with l's gain and bias. The mean
 // and variance accumulate in float64 (scalar registers, effectively free)
@@ -137,7 +78,7 @@ func widenF32(dst []float64, src []float32) {
 // packed around it, and every other kernel is per-row with a fixed order. So
 // k rows through one pass equal k successive one-row passes bit for bit, and
 // F32 decoding is deterministic at every parallelism and batch composition
-// (per GEMM kernel: the AVX2 and portable reductions differ in order). Head
+// (per kernel set: the AVX2 and portable kernels differ in order). Head
 // outputs are widened into the shared float64 StepOut buffers; widening is
 // exact, so sampling sees precisely the float32 results.
 func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []float64) {
@@ -146,7 +87,7 @@ func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []f
 	dm := m.Cfg.DModel
 	dim := m.Tok.Dim()
 	maxLen := m.Cfg.MaxLen
-	heads := m.Cfg.Heads
+	attW := len(d.attScratch32) / d.capacity
 	v := m.Tok.V()
 	mlpH := m.Cfg.MLPHidden
 	iaW := d.iaWidth()
@@ -193,15 +134,14 @@ func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []f
 		for i := lo; i < hi; i++ {
 			slot, k, pos := slots[i], ks[i], d.pos[slots[i]]
 			kv := d.kv32[(bi*d.capacity+slot)*slotKV : (bi*d.capacity+slot+1)*slotKV]
-			mAcc := d.mAcc32[slot*heads : (slot+1)*heads]
-			lAcc := d.lAcc32[slot*heads : (slot+1)*heads]
+			scratch := d.attScratch32[slot*attW : (slot+1)*attW]
 			for r := 0; r < k; r++ {
 				o := (d.rowOff[i] - base + r) * dm
 				kvRow := kv[(pos+r)*stride : (pos+r+1)*stride]
 				copy(kvRow[:dm], kk[o:o+dm])
 				copy(kvRow[dm:], vv[o:o+dm])
 				// Causal: row r attends to exactly the cache through pos+r.
-				attendRowF32(att[o:o+dm], q[o:o+dm], kv, pos+r+1, b.heads, dm, mAcc, lAcc)
+				tensor.AttendF32(att[o:o+dm], q[o:o+dm], kv, pos+r+1, b.heads, dm, scratch)
 			}
 		}
 		tensor.GemmF32(tmp, b.wo.W, b.wo.B, att, rows, dm, dm)

@@ -64,16 +64,31 @@ func TestInferSnapshotInvalidation(t *testing.T) {
 // TestF32LogitTolerance steps the same token sequences through the serial
 // float64 decoder and the float32 BatchDecoder, requiring every head output
 // to stay within a small absolute tolerance of the reference at every
-// position — the per-token fidelity gate of the fast path.
+// position — the per-token fidelity gate of the fast path. Two shapes: the
+// test model (d_model 24, 4 heads of 6: every kernel's masked tail) and the
+// paper's (d_model 128, 4 heads of 32, MLP 1024: the shape cptbench decodes),
+// both untrained; under whichever kernels the machine dispatches.
 func TestF32LogitTolerance(t *testing.T) {
 	d := testTrainingData(t, 40)
 	tk := FitTokenizer(d)
-	m, err := NewModel(smallConfig(), tk)
-	if err != nil {
-		t.Fatal(err)
+	paper := smallConfig()
+	paper.DModel, paper.MLPHidden, paper.HeadHidden = 128, 1024, 64
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"test shape", smallConfig()}, {"paper shape", paper}} {
+		m, err := NewModel(c.cfg, tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: max |f32 - f64| head output difference: %.3e", c.name, f32LogitDiff(t, m, d))
 	}
-	dim := tk.Dim()
+}
 
+// f32LogitDiff is TestF32LogitTolerance on one model.
+func f32LogitDiff(t *testing.T, m *Model, d *trace.Dataset) float64 {
+	tk := m.Tok
+	dim := tk.Dim()
 	var encs []*tensor.Tensor
 	for i := range d.Streams {
 		if len(d.Streams[i].Events) >= 4 && len(d.Streams[i].Events) <= m.Cfg.MaxLen {
@@ -120,7 +135,7 @@ func TestF32LogitTolerance(t *testing.T) {
 					maxDiff = diff
 				}
 				if diff > tol || math.IsNaN(g) != math.IsNaN(w) {
-					t.Fatalf("slot %d step %d %s: f32 %v vs f64 %v (|Δ| %.2e > %g)", slot, step, name, g, w, diff, tol)
+					t.Fatalf("d_model %d slot %d step %d %s: f32 %v vs f64 %v (|Δ| %.2e > %g)", m.Cfg.DModel, slot, step, name, g, w, diff, tol)
 				}
 			}
 			for k := range want.EventLogits {
@@ -134,7 +149,7 @@ func TestF32LogitTolerance(t *testing.T) {
 			check("stop1", got.StopLogits[1], want.StopLogits[1])
 		}
 	}
-	t.Logf("max |f32 - f64| head output difference: %.3e", maxDiff)
+	return maxDiff
 }
 
 // TestF32GenerateDeterministic pins the F32 determinism contract: for a

@@ -1,11 +1,11 @@
 package tensor
 
-// Float32 row kernels backing the CPT-GPT decode fast path: the attention
-// dot/axpy and the residual adds, and the
+// Float32 row kernels backing the CPT-GPT decode fast path: the dot/axpy of
+// the portable attention (attend32.go) and the residual adds, and the
 // dot-product blocks of the portable GEMM (gemm32.go). They are scalar Go
 // written for instruction-level parallelism (independent partial
-// accumulators, one panel row per input); their accumulation order
-// is fixed, so results are deterministic for a given input regardless of the
+// accumulators, one panel row per input); their accumulation order is
+// fixed, so results are deterministic for a given input regardless of the
 // worker pool's degree — the same contract the float64 kernels keep.
 
 // DotF32 returns the dot product of a and b over len(a) elements, b must be

@@ -42,8 +42,8 @@ import "sync/atomic"
 // kernels (set by gemm32_amd64.go / gemm32_noasm.go at init).
 var gemmAsmAvailable = hasGemmAsm()
 
-// gemmAsmEnabled gates dispatch to the assembly kernels (GemmF32's and
-// GeluF32's); it starts at the platform's capability and can be lowered
+// gemmAsmEnabled gates dispatch to the assembly kernels (GemmF32's, GeluF32's
+// and AttendF32's); it starts at the platform's capability and can be lowered
 // (never raised past capability) via SetGemmF32Asm.
 var gemmAsmEnabled atomic.Bool
 
@@ -64,9 +64,9 @@ var laneMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 // assembly kernel.
 func GemmF32Asm() bool { return gemmAsmEnabled.Load() }
 
-// SetGemmF32Asm enables or disables the assembly kernels — this GEMM and the
-// GELU of gelu32.go (which computes the same bits either way) — returning the
-// previous setting. Enabling is a
+// SetGemmF32Asm enables or disables the assembly kernels — this GEMM, the
+// GELU of gelu32.go (which computes the same bits either way) and the
+// attention of attend32.go — returning the previous setting. Enabling is a
 // no-op on machines without AVX2+FMA. The portable kernels reproduce, at
 // scalar speed, what every machine without AVX2 computes — useful for
 // cross-checking and for pinning tests to one arithmetic.

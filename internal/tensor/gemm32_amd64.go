@@ -37,3 +37,11 @@ func gemmMaskedF32(dst, w, bias, x *float32, rows, in, out, width int)
 //
 //go:noescape
 func geluF32Asm(x *float32, n int)
+
+// attendHeadF32Asm is one head of AttendF32 (attend32_amd64.s): out[0:dh] =
+// Σ_t p_t·v_t / Σ_t p_t with p_t = exp(s_t − max s), s_t = scale·(q·k_t),
+// over nPos positions whose keys and values start at k and v and repeat
+// every stride floats; scores holds nPos floats of scratch.
+//
+//go:noescape
+func attendHeadF32Asm(out, q, k, v *float32, stride, nPos, dh int, scale float32, scores *float32)

@@ -2,8 +2,8 @@
 
 package tensor
 
-// hasGemmAsm: no assembly kernels on this architecture; GemmF32 and GeluF32
-// always run their portable code.
+// hasGemmAsm: no assembly kernels on this architecture; GemmF32, GeluF32 and
+// AttendF32 always run their portable code.
 func hasGemmAsm() bool { return false }
 
 // The assembly entry points are never called when hasGemmAsm reports false;
@@ -22,5 +22,9 @@ func gemmMaskedF32(dst, w, bias, x *float32, rows, in, out, width int) {
 }
 
 func geluF32Asm(x *float32, n int) {
+	panic("tensor: assembly kernel called without assembly support")
+}
+
+func attendHeadF32Asm(out, q, k, v *float32, stride, nPos, dh int, scale float32, scores *float32) {
 	panic("tensor: assembly kernel called without assembly support")
 }
