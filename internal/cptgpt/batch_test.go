@@ -320,6 +320,62 @@ func TestGenerateRangeMatchesGenerate(t *testing.T) {
 	}
 }
 
+// TestGenerateRangeReusesDecoders pins decoder reuse across calls: a
+// GenerateRange call on a model whose earlier calls left decoders in its
+// pool — slots at stale positions, counters already run up — emits the
+// streams and reports the DecodeStats of the same call on a model that has
+// never decoded, at both precisions, plain and speculative.
+func TestGenerateRangeReusesDecoders(t *testing.T) {
+	d := testTrainingData(t, 60)
+	tk := FitTokenizer(d)
+	for _, prec := range []Precision{F64, F32} {
+		for _, spec := range []bool{false, true} {
+			name := fmt.Sprintf("%s speculative=%v", prec, spec)
+			opts := GenOpts{Device: events.Phone, Seed: 8, Precision: prec, Parallelism: 1, BatchSize: 5,
+				Speculative: spec, DraftTokens: 2}
+			call := func(m *Model, lo, hi int) ([]trace.Stream, DecodeStats) {
+				var st DecodeStats
+				o := opts
+				o.Stats = &st
+				streams, err := m.GenerateRange(lo, hi, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return streams, st
+			}
+			fresh, err := NewModel(smallConfig(), tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantStats := call(fresh, 9, 23)
+
+			used, err := NewModel(smallConfig(), tk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			call(used, 0, 9)
+			// Also leave a decoder whose every slot sits deep in a foreign
+			// stream, so at least one pooled decoder is certainly stale.
+			dirty := used.NewBatchDecoder(opts.BatchSize, prec)
+			slots := []int{0, 1, 2, 3, 4}
+			toks := make([]float64, len(slots)*tk.Dim())
+			for i := range slots {
+				tk.writeToken(toks[i*tk.Dim():(i+1)*tk.Dim()], i%tk.V(), 0.3, 0)
+			}
+			for p := 0; p < 7; p++ {
+				dirty.Step(slots, toks)
+			}
+			used.decoderPool(opts.BatchSize, prec).Put(dirty)
+
+			got, gotStats := call(used, 9, 23)
+			sameStreams(t, name, want, got)
+			if gotStats != wantStats {
+				t.Fatalf("%s: reused decoders report %+v, a fresh model %+v", name, gotStats, wantStats)
+			}
+		}
+	}
+}
+
 // TestDecodeParallelismBudget pins the one-budget rule: a decode call fans
 // its steps over the share of GenOpts.Parallelism each of its decoders owns,
 // not over the tensor layer's global degree. With that degree at 4,

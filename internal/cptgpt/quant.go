@@ -105,11 +105,39 @@ func newInferModel(m *Model) *InferModel {
 }
 
 // inferCache is the lazily built, invalidatable InferModel cache hanging off
-// a Model. A plain mutex (not sync.Once) so Train can drop a stale snapshot
-// after updating weights.
+// a Model, and the pools of finished decoders that Generate and
+// GenerateRange reuse instead of allocating a KV arena per call. A plain
+// mutex (not sync.Once) so Train can drop a stale snapshot — and the F32
+// decoders bound to it — after updating weights.
 type inferCache struct {
-	mu  sync.Mutex
-	inf *InferModel
+	mu       sync.Mutex
+	inf      *InferModel
+	decoders map[decoderKey]*sync.Pool
+}
+
+// decoderKey identifies interchangeable BatchDecoders of one model.
+type decoderKey struct {
+	capacity int
+	prec     Precision
+}
+
+// decoderPool returns the pool of m's finished decoders of one capacity and
+// precision. A pooled decoder's slots hold stale cache rows, which the
+// slot-reset contract makes unreachable, so reusing one decodes exactly what
+// a fresh one would.
+func (m *Model) decoderPool(capacity int, prec Precision) *sync.Pool {
+	m.infer.mu.Lock()
+	defer m.infer.mu.Unlock()
+	key := decoderKey{capacity, prec}
+	p := m.infer.decoders[key]
+	if p == nil {
+		if m.infer.decoders == nil {
+			m.infer.decoders = make(map[decoderKey]*sync.Pool)
+		}
+		p = new(sync.Pool)
+		m.infer.decoders[key] = p
+	}
+	return p
 }
 
 // Infer returns the model's float32 inference snapshot, freezing the current
@@ -127,11 +155,12 @@ func (m *Model) Infer() *InferModel {
 }
 
 // InvalidateInfer drops the derived inference state — the cached float32
-// snapshot and the self-fitted speculative draft — so the next use
-// re-derives both from the (presumably updated) weights.
+// snapshot, the pooled decoders and the self-fitted speculative draft — so
+// the next use re-derives them from the (presumably updated) weights.
 func (m *Model) InvalidateInfer() {
 	m.infer.mu.Lock()
 	m.infer.inf = nil
+	m.infer.decoders = nil
 	m.infer.mu.Unlock()
 	m.invalidateDraft()
 }

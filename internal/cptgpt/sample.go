@@ -215,12 +215,30 @@ func (m *Model) generateRange(lo, hi, maxDecoders int, opts GenOpts) ([]trace.St
 
 	streams := make([]trace.Stream, n)
 	var next atomic.Int64
+	// Decoders come from, and go back to, the model's pool: a call reuses the
+	// KV arena a finished call allocated. Taken once per call, so a pool
+	// dropped by InvalidateInfer meanwhile only loses the decoders.
+	pool := m.decoderPool(batch, opts.Precision)
 	work := func() {
-		dec := m.NewBatchDecoder(batch, opts.Precision)
+		dec, _ := pool.Get().(*BatchDecoder)
+		if dec == nil {
+			dec = m.NewBatchDecoder(batch, opts.Precision)
+		}
 		dec.fanout = fanout
 		dec.SetStepHist(opts.StepHist)
-		defer func() { addDecodeStats(opts.Stats, dec.Stats()) }()
+		// The call reports its own passes, not the decoder's earlier ones.
+		before := dec.Stats()
+		defer func() {
+			after := dec.Stats()
+			addDecodeStats(opts.Stats, DecodeStats{
+				Steps:         after.Steps - before.Steps,
+				SlotSteps:     after.SlotSteps - before.SlotSteps,
+				DraftProposed: after.DraftProposed - before.DraftProposed,
+				DraftAccepted: after.DraftAccepted - before.DraftAccepted,
+			})
+		}()
 		m.sampleSlots(dec, streams, lo, &next, opts, init, draft)
+		pool.Put(dec)
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
