@@ -126,7 +126,7 @@ func (d *BatchDecoder) stepRowsF32(slots, ks []int, lo, hi, kMax int, tokens []f
 		b := &inf.blocks[bi]
 		// Attention sub-layer (pre-norm, residual): project Q/K/V for the
 		// whole shard, then per slot land K/V in its interleaved arena rows
-		// and run one fused online-softmax pass per row over its own cache.
+		// and run the attention kernel per row over its own cache.
 		layerNormRowsF32(tmp, x, dm, &b.ln1)
 		tensor.GemmF32(q, b.wq.W, b.wq.B, tmp, rows, dm, dm)
 		tensor.GemmF32(kk, b.wk.W, b.wk.B, tmp, rows, dm, dm)

@@ -17,8 +17,8 @@ import "cptgpt/internal/tensor"
 // the source model stays untouched.
 
 // LinearF32 is a frozen float32 snapshot of a Linear layer. W is the in×out
-// weight matrix packed by tensor.PackF32 (weight (i, j) at
-// tensor.PackedIndexF32(i, j, In, Out)); B is the bias.
+// weight matrix in tensor.GemmF32's panel layout (see tensor.PackF32); B is
+// the bias.
 type LinearF32 struct {
 	In, Out int
 	W       []float32

@@ -14,12 +14,16 @@ func TestLinearExportF32Packs(t *testing.T) {
 	if e.In != 7 || e.Out != 29 || len(e.W) != 7*29 || len(e.B) != 29 {
 		t.Fatalf("bad export shape: %+v", e)
 	}
-	for k := 0; k < e.In; k++ {
-		for j := 0; j < e.Out; j++ {
-			if got := e.W[tensor.PackedIndexF32(k, j, e.In, e.Out)]; got != float32(l.W.Data[k*e.Out+j]) {
-				t.Fatalf("packed W[%d,%d] = %v, want float32(W[%d,%d]) = %v",
-					k, j, got, k, j, float32(l.W.Data[k*e.Out+j]))
-			}
+	want := make([]float32, 7*29)
+	tensor.PackF32(want, l.W.Data, 7, 29)
+	for k := range want {
+		if e.W[k] != want[k] {
+			t.Fatalf("W[%d] = %v, want %v: the export is not the GEMM's packed layout", k, e.W[k], want[k])
+		}
+	}
+	for j, b := range l.B.Data {
+		if e.B[j] != float32(b) {
+			t.Fatalf("B[%d] = %v, want %v", j, e.B[j], float32(b))
 		}
 	}
 	// Snapshot must not alias the live parameters.

@@ -89,16 +89,6 @@ func panelWidth(j0, out int) int {
 	}
 }
 
-// PackedIndexF32 returns where PackF32 stores weight (i, j) — input i,
-// output j — of an in×out matrix.
-func PackedIndexF32(i, j, in, out int) int {
-	j0 := j &^ 15
-	if out-j0 < 16 {
-		j0 = j &^ 7
-	}
-	return j0*in + i*panelWidth(j0, out) + j - j0
-}
-
 // PackF32 packs the row-major in×out weight matrix w (weight (i, j) at
 // w[i*out+j], the x·W layout of a linear layer) into dst (len in*out) in
 // GemmF32's panel layout, converting to float32.
