@@ -424,9 +424,9 @@ func BenchmarkCPTGPTDecodeTokenF64(b *testing.B) { benchDecodeToken(b, cptgpt.F6
 
 // BenchmarkCPTGPTDecodeTokenF32 is the float32 fast path over the same
 // shapes: all 16 slots' rows packed through one tensor.GemmF32 per layer.
-// Expected ≈ 43–47 µs/token with the AVX2 kernels (≈ 11× fewer ns/token
-// than ...F64; ≈ 64–71 µs before the two-row GEMM body and the vector GELU,
-// ≈ 230–270 µs with the portable kernel).
+// Expected ≈ 30 µs/token with the AVX2 kernels on a 2.0 GHz Xeon (≈ 17×
+// fewer ns/token than ...F64; 51–55 µs before the panel GEMM and the
+// attention kernel, ≈ 260–330 µs with the portable kernels).
 // internal/cptgpt's fidelity tests bound what the speed costs: ~1e-6 logit
 // drift, indistinguishable trace statistics.
 func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F32) }

@@ -15,12 +15,13 @@
 //     who decodes it when cannot matter.
 //   - f32 decoding runs every decode pass — one row per slot or a draft
 //     chain's several — through one row body whose per-row reduction orders are
-//     fixed, so it is deterministic per (Seed, Precision, GEMM kernel) at
+//     fixed, so it is deterministic per (Seed, Precision, kernel set) at
 //     every Parallelism × BatchSize × slot grouping, and StepK over k rows
-//     is bit-identical to k Steps. The kernel is the machine's: AVX2+FMA
-//     where present, portable scalar elsewhere; the two differ in reduction
-//     order, hence in output bits. f32 differs numerically from f64 within
-//     the fidelity gates pinned by the package tests.
+//     is bit-identical to k Steps. The kernel set (GEMM, GELU, attention) is
+//     the machine's: AVX2+FMA where present, portable elsewhere; the two
+//     differ in reduction order, hence in output bits. f32 differs
+//     numerically from f64 within the fidelity gates pinned by the package
+//     tests.
 //   - Speculative decoding is deterministic per (Seed, DraftTokens) and
 //     distributionally exact (acceptance–rejection preserves plain
 //     sampling's per-position conditionals), but consumes RNG draws
@@ -29,9 +30,10 @@
 // Concurrency contract: a Model is safe for concurrent Generate /
 // GenerateRange calls once trained (the frozen inference snapshot is built
 // under a mutex and shared read-only); each BatchDecoder belongs to one
-// goroutine, and a call's decoder goroutines times the shards each splits a
-// pass into stay within GenOpts.Parallelism (one core budget per call, passes
-// inline at a share of one). DecodeStats counters are atomics —
+// goroutine at a time — a call's finished decoders go back to a pool on the
+// Model for the next call — and a call's decoder goroutines times the shards
+// each splits a pass into stay within GenOpts.Parallelism (one core budget
+// per call, passes inline at a share of one). DecodeStats counters are atomics —
 // GenOpts.Stats sinks are accumulated atomically as workers finish, and a snapshot may be read
 // (atomically, field by field) from any goroutine while generation runs,
 // which is what the scenario engine's SourceStats hook and the cptserved
