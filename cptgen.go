@@ -86,45 +86,29 @@ const (
 // "f32", "float32"); the empty string means PrecisionF64.
 func ParsePrecision(s string) (Precision, error) { return cptgpt.ParsePrecision(s) }
 
-// Speculative decoding. Setting CPTGPTGenOpts.Speculative has a cheap
-// draft model propose CPTGPTGenOpts.DraftTokens tokens per UE slot and the
-// transformer verify the whole chain in ONE multi-token pass (the same
-// row-packed GEMM body plain decoding runs, k rows per slot);
-// acceptance–rejection sampling then keeps a prefix and resamples the
-// first rejected position from the residual distribution, so the output
-// law is exactly plain sampling's — the draft moves only the acceptance
-// rate. Output stays deterministic per Seed at every Parallelism ×
-// BatchSize. A verified row costs what a plain token costs, so it beats
-// plain f32 decoding only with a draft that gets most of its chain
-// accepted; see the README's "Speculative decoding" section for the
-// knobs, the measured numbers and the intuition.
-type (
-	// CPTGPTDraftModel proposes speculative draft chains (see NewNGramDraft,
-	// NewSMMDraft; nil in the options means the model's self-fitted draft).
-	CPTGPTDraftModel = cptgpt.DraftModel
-	// CPTGPTDecodeStats carries decode telemetry (scheduling steps and
-	// speculative proposed/accepted counters) when CPTGPTGenOpts.Stats is
-	// set.
-	CPTGPTDecodeStats = cptgpt.DecodeStats
-)
+// Speculative decoding. Setting CPTGPTGenOpts.Speculative has the model's
+// self-fitted draft — a smoothed bigram fitted once on the model's own
+// output (CPTGPTModel.SelfDraft) and cached — propose
+// CPTGPTGenOpts.DraftTokens tokens per UE slot and the transformer verify
+// the whole chain in ONE multi-token pass (the same row-packed GEMM body
+// plain decoding runs, k rows per slot); acceptance–rejection sampling then
+// keeps a prefix and resamples the first rejected position from the
+// residual distribution, so the output law is exactly plain sampling's —
+// the draft moves only the acceptance rate. Output stays deterministic per
+// Seed at every Parallelism × BatchSize on one machine (the draft is fitted
+// by f32 decoding, so its bits follow the machine's kernel set). A verified
+// row costs what a plain token costs, so it beats plain f32 decoding only
+// with a draft that gets most of its chain accepted; see the README's
+// "Speculative decoding" section for the knobs, the measured numbers and
+// the intuition.
+
+// CPTGPTDecodeStats carries decode telemetry (scheduling steps and
+// speculative proposed/accepted counters) when CPTGPTGenOpts.Stats is set.
+type CPTGPTDecodeStats = cptgpt.DecodeStats
 
 // DefaultDraftTokens is the speculation depth when
 // CPTGPTGenOpts.DraftTokens is unset.
 const DefaultDraftTokens = cptgpt.DefaultDraftTokens
-
-// NewNGramDraft fits the no-domain-knowledge fallback draft — a smoothed
-// bigram with per-transition clamped-Gaussian interarrival summaries —
-// from a dataset, for speculative decoding with model m.
-func NewNGramDraft(d *Dataset, m *CPTGPTModel) CPTGPTDraftModel {
-	return cptgpt.NewNGramDraft(d, m.Tok)
-}
-
-// NewSMMDraft adapts a fitted semi-Markov baseline (FitSMM) into a
-// speculative draft proposer for model m — the paper trains the SMM anyway,
-// so the draft comes free.
-func NewSMMDraft(sm *SMMModel, m *CPTGPTModel) (CPTGPTDraftModel, error) {
-	return cptgpt.NewSMMDraft(sm, m.Tok)
-}
 
 // Core data model.
 type (

@@ -22,9 +22,11 @@
 //     differ in reduction order, hence in output bits. f32 differs
 //     numerically from f64 within the fidelity gates pinned by the package
 //     tests.
-//   - Speculative decoding is deterministic per (Seed, DraftTokens) and
-//     distributionally exact (acceptance–rejection preserves plain
-//     sampling's per-position conditionals), but consumes RNG draws
+//   - Speculative decoding is deterministic per (Seed, DraftTokens, kernel
+//     set) — at f64 too, because its draft (Model.SelfDraft) is an n-gram
+//     fitted by f32 decoding under the machine's kernels and cached on the
+//     model — and distributionally exact (acceptance–rejection preserves
+//     plain sampling's per-position conditionals), but consumes RNG draws
 //     differently from plain decoding, so streams differ event-by-event.
 //
 // Concurrency contract: a Model is safe for concurrent Generate /

@@ -9,15 +9,16 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// Draft proposers for speculative decoding. A draft model is a cheap
-// stand-in for the transformer that guesses the next few tokens of a
-// stream; the verify pass (BatchDecoder.StepK) then runs all guesses
-// through the real model in one prefill-shaped pass and the
-// acceptance–rejection sampler in speculate.go keeps a prefix. The draft
-// influences only HOW OFTEN guesses are accepted — never the output
-// distribution, which the sampler preserves exactly — so a draft needs no
-// correctness properties beyond well-formed proposals: event probabilities
-// that sum to 1 and a positive interarrival proposal spread.
+// The draft proposer for speculative decoding. A draft is a cheap stand-in
+// for the transformer that guesses the next few tokens of a stream; the
+// verify pass (BatchDecoder.StepK) then runs all guesses through the real
+// model in one prefill-shaped pass and the acceptance–rejection sampler in
+// speculate.go keeps a prefix. The draft influences only HOW OFTEN guesses
+// are accepted — never the output distribution, which the sampler preserves
+// exactly — so a draft needs no correctness properties beyond well-formed
+// proposals: event probabilities that sum to 1 and a positive interarrival
+// proposal spread. Decoding always drafts from the model's own n-gram
+// (Model.SelfDraft).
 
 // DefaultDraftTokens is the draft chain length (tokens proposed per verify
 // pass) when GenOpts.DraftTokens is unset.
@@ -34,22 +35,23 @@ const draftSigmaFloor = 0.05
 // event the model likes means every such proposal rejects.
 const draftUniformMix = 0.1
 
-// DraftModel proposes speculative draft chains. Implementations must be
-// safe for concurrent use: every decode worker holds its own DraftStates
-// but shares the model.
-type DraftModel interface {
+// draftModel proposes speculative draft chains. *NGramDraft is the one
+// implementation decoding uses; the interface is a test seam (GenOpts.draft)
+// for drafts tests substitute. Implementations must be safe for concurrent
+// use: every decode worker holds its own draftStates but shares the model.
+type draftModel interface {
 	// NewDraftState returns fresh per-stream proposal state. States are
 	// slot-local and reused across the streams a slot decodes (Reset per
 	// stream).
-	NewDraftState() DraftState
+	NewDraftState() draftState
 }
 
-// DraftState is one stream's draft-side decoding state. The speculative
+// draftState is one stream's draft-side decoding state. The speculative
 // sampler drives it in lockstep with the emitted token sequence: Reset at
 // the bootstrap event, Observe for every emitted token, and Propose for
 // each drafted position (the sampler itself draws the proposal from the
 // returned distributions, so states never need randomness).
-type DraftState interface {
+type draftState interface {
 	// Reset reinitializes the state for a new stream whose bootstrap event
 	// is eventIdx (a tokenizer vocabulary index).
 	Reset(eventIdx int)
@@ -67,15 +69,16 @@ type DraftState interface {
 	// CopyFrom makes this state a copy of src (same concrete type): the
 	// sampler forks a scratch state down the draft chain each round and
 	// re-syncs it from the committed state afterwards.
-	CopyFrom(src DraftState)
+	CopyFrom(src draftState)
 }
 
-// NGramDraft is the fallback draft proposer fitted from training data: a
-// smoothed bigram over event types plus per-transition clamped-Gaussian
-// summaries of the scaled interarrival. It knows nothing about 3GPP
-// semantics — which is exactly the paper's no-domain-knowledge stance —
-// yet tracks a trained CPT-GPT closely enough for useful acceptance rates,
-// because both learned the same training marginals.
+// NGramDraft is the speculative draft proposer: a smoothed bigram over event
+// types plus per-transition clamped-Gaussian summaries of the scaled
+// interarrival, fitted on a population the model itself generated
+// (Model.SelfDraft). It knows nothing about 3GPP semantics — which is
+// exactly the paper's no-domain-knowledge stance — yet tracks the model
+// closely enough for useful acceptance rates, because it is fitted on the
+// model's own output.
 //
 // The interarrival proposal is fitted atom-first: the model's own IA law
 // is clamp(N(mean, std), 0, 1), whose clamp atoms at 0 and 1 often carry
@@ -116,10 +119,10 @@ func (a *iaAcc) merge(b iaAcc) {
 	a.sum2 += b.sum2
 }
 
-// NewNGramDraft fits the bigram draft from a dataset tokenized by tok.
+// newNGramDraft fits the bigram draft from a dataset tokenized by tok.
 // Streams with events outside the vocabulary are skipped, not an error; an
 // empty or fully skipped dataset yields uniform proposals.
-func NewNGramDraft(d *trace.Dataset, tok Tokenizer) *NGramDraft {
+func newNGramDraft(d *trace.Dataset, tok Tokenizer) *NGramDraft {
 	v := tok.V()
 	g := &NGramDraft{
 		v:     v,
@@ -253,7 +256,7 @@ func invPhi(p float64) float64 {
 }
 
 // NewDraftState returns a fresh bigram state.
-func (g *NGramDraft) NewDraftState() DraftState { return &ngramState{g: g, prev: -1} }
+func (g *NGramDraft) NewDraftState() draftState { return &ngramState{g: g, prev: -1} }
 
 // ngramState tracks only the last emitted event.
 type ngramState struct {
@@ -281,7 +284,7 @@ func (s *ngramState) ProposeIA(eventIdx int) (float64, float64) {
 	return g.iaMu[s.prev*g.v+eventIdx], g.iaSd[s.prev*g.v+eventIdx]
 }
 
-func (s *ngramState) CopyFrom(src DraftState) {
+func (s *ngramState) CopyFrom(src draftState) {
 	o, ok := src.(*ngramState)
 	if !ok {
 		panic(fmt.Sprintf("cptgpt: ngramState.CopyFrom(%T)", src))
@@ -290,8 +293,10 @@ func (s *ngramState) CopyFrom(src DraftState) {
 }
 
 // selfDraftStreams is the calibration population SelfDraft decodes (plainly)
-// to fit its n-gram; selfDraftSeed fixes its randomness so the draft — and
-// therefore speculative output — is deterministic per model.
+// to fit its n-gram; selfDraftSeed fixes its randomness. The population is
+// decoded in F32 under the machine's kernel set, so the draft — and
+// therefore speculative output, at either precision — is deterministic per
+// model and kernel set.
 const (
 	selfDraftStreams = 160
 	selfDraftSeed    = 0x5eed0d12af7
@@ -300,17 +305,17 @@ const (
 // draftCache lazily holds the model's self-fitted draft (see SelfDraft).
 type draftCache struct {
 	mu sync.Mutex
-	d  DraftModel
+	d  *NGramDraft
 }
 
-// SelfDraft returns the model's self-distilled draft proposer: an n-gram
-// fitted on a small population the model itself generates (plain decoding,
-// fixed internal seed). It needs no training data or baseline model at
-// hand, which is what lets a cptgpt model loaded from disk — a scenario
-// source, say — decode speculatively out of the box. The draft is cached on
-// the model and shared by all decoders; Train/FineTune invalidate it along
-// with the float32 inference snapshot.
-func (m *Model) SelfDraft() DraftModel {
+// SelfDraft returns the model's self-distilled draft proposer, the one
+// speculative decoding uses: an n-gram fitted on a small population the
+// model itself generates (plain F32 decoding, fixed internal seed). It needs
+// no training data at hand, which is what lets a cptgpt model loaded from
+// disk — a scenario source, say — decode speculatively out of the box. The
+// draft is cached on the model and shared by all decoders; Train/FineTune
+// invalidate it along with the float32 inference snapshot.
+func (m *Model) SelfDraft() *NGramDraft {
 	m.draft.mu.Lock()
 	defer m.draft.mu.Unlock()
 	if m.draft.d != nil {
@@ -328,7 +333,7 @@ func (m *Model) SelfDraft() DraftModel {
 		// uninformative draft rather than plumbing an error.
 		ds = &trace.Dataset{Generation: m.Cfg.Generation}
 	}
-	m.draft.d = NewNGramDraft(ds, m.Tok)
+	m.draft.d = newNGramDraft(ds, m.Tok)
 	return m.draft.d
 }
 

@@ -206,13 +206,13 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 	// to Model.SelfDraft: that one decodes in F32 under whichever GEMM kernel
 	// is selected when a test first asks for it, and is then cached on the
 	// shared model — its bits would depend on test order.
-	drafts := map[*Model]DraftModel{}
+	drafts := map[*Model]draftModel{}
 	for _, m := range []*Model{trained, noDist} {
 		ds, err := m.Generate(GenOpts{NumStreams: 160, Device: events.Phone, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		drafts[m] = NewNGramDraft(ds, m.Tok)
+		drafts[m] = newNGramDraft(ds, m.Tok)
 	}
 	for _, c := range []struct {
 		name  string
@@ -232,7 +232,7 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 	} {
 		tensor.SetGemmF32Asm(c.asm)
 		gen, err := c.m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
-			Precision: c.prec, Parallelism: 2, BatchSize: 8, Speculative: c.draft > 0, DraftTokens: c.draft, DraftModel: drafts[c.m]})
+			Precision: c.prec, Parallelism: 2, BatchSize: 8, Speculative: c.draft > 0, DraftTokens: c.draft, draft: drafts[c.m]})
 		if err != nil {
 			t.Fatal(err)
 		}

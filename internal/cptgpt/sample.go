@@ -54,9 +54,10 @@ type GenOpts struct {
 	// not see a synchronized t=0 attach storm. Interarrivals, sojourns and
 	// flow lengths are unaffected.
 	StartWindow float64
-	// Speculative gives the scheduler a draft length above 0: a cheap draft
-	// model proposes DraftTokens tokens behind each slot's pending token and
-	// the transformer verifies the whole chain in the same pass, with
+	// Speculative gives the scheduler a draft length above 0: the model's
+	// self-fitted n-gram (Model.SelfDraft, fitted once and cached) proposes
+	// DraftTokens tokens behind each slot's pending token and the
+	// transformer verifies the whole chain in the same pass, with
 	// acceptance–rejection sampling preserving the output distribution
 	// exactly (see speculate.go). Output remains deterministic per Seed at
 	// every Parallelism × BatchSize, but differs stream-by-stream from
@@ -67,14 +68,14 @@ type GenOpts struct {
 	Speculative bool
 	// DraftTokens is the number of draft tokens proposed per verify pass
 	// (the speculation depth k); 0 means DefaultDraftTokens. Output is
-	// deterministic per (Seed, DraftTokens) but differs across k — k
-	// changes RNG consumption, not the output law.
+	// deterministic per (Seed, DraftTokens, kernel set) — the self-draft is
+	// fitted by F32 decoding — but differs across k: k changes RNG
+	// consumption, not the output law.
 	DraftTokens int
-	// DraftModel proposes the draft chains. nil uses the model's
-	// self-distilled n-gram (Model.SelfDraft, fitted once and cached);
-	// NewSMMDraft adapts the paper's semi-Markov baseline. The draft only
-	// moves the acceptance rate, never the output distribution.
-	DraftModel DraftModel
+	// draft is a test seam: a non-nil draft replaces Model.SelfDraft, so
+	// tests can substitute an adversarial or a kernel-independent proposer.
+	// The draft only moves the acceptance rate, never the output law.
+	draft draftModel
 	// Stats, when non-nil, accumulates the decode counters of every
 	// BatchDecoder the call used (added atomically as workers finish):
 	// decode passes plus, under Speculative, proposed/accepted draft
@@ -206,9 +207,9 @@ func (m *Model) generateRange(lo, hi, maxDecoders int, opts GenOpts) ([]trace.St
 	}
 	// A draft length above 0 needs a draft model, resolved once so all
 	// workers share it (the self-draft fit itself decodes plainly).
-	var draft DraftModel
+	var draft draftModel
 	if opts.draftTokens() > 0 {
-		if draft = opts.DraftModel; draft == nil {
+		if draft = opts.draft; draft == nil {
 			draft = m.SelfDraft()
 		}
 	}
@@ -286,7 +287,7 @@ type seat struct {
 	pendIA float64
 	// Draft-model state, nil at draft length 0: committed has observed the
 	// stream's emitted tokens, scratch runs ahead of it along a draft chain.
-	committed, scratch DraftState
+	committed, scratch draftState
 }
 
 // sampleSlots is the one batched sampling loop: it decodes the streams of out
@@ -308,7 +309,7 @@ type seat struct {
 // Per-stream output is invariant to seating and to batch composition: a
 // stream's events depend only on its own slot region and its own
 // index-seeded RNG, drawn in a fixed order (draft, verify, free token).
-func (m *Model) sampleSlots(dec *BatchDecoder, out []trace.Stream, baseIdx int, next *atomic.Int64, opts GenOpts, init *stats.Categorical, draft DraftModel) {
+func (m *Model) sampleSlots(dec *BatchDecoder, out []trace.Stream, baseIdx int, next *atomic.Int64, opts GenOpts, init *stats.Categorical, draft draftModel) {
 	capacity := dec.Capacity()
 	dim := m.Tok.Dim()
 	vocab := m.Tok.Vocab()

@@ -12,7 +12,7 @@ import (
 // scheduler, sampleSlots (sample.go), run at a draft length above 0.
 //
 // Plain decoding — draft length 0 — pays one full forward per emitted token.
-// At draft length k a cheap draft model (an SMM or n-gram proposer,
+// At draft length k a cheap draft (the model's self-fitted n-gram,
 // draft.go) guesses a chain of k tokens behind the slot's pending token, the
 // pass runs all k+1 rows through the transformer at once
 // (BatchDecoder.StepK: the row-packed GEMM body with k+1 rows per slot
@@ -62,8 +62,8 @@ import (
 // from plain decoding's (different RNG consumption), which remain
 // bit-identical to the serial reference.
 
-// addDecodeStats accumulates src into dst atomically (workers report their
-// decoders' lifetime counters into a shared GenOpts.Stats).
+// addDecodeStats accumulates src into dst atomically (workers report the
+// counter deltas of their own calls into a shared GenOpts.Stats).
 func addDecodeStats(dst *DecodeStats, src DecodeStats) {
 	if dst == nil {
 		return
@@ -148,6 +148,17 @@ const sqrt2Pi = 2.5066282746310005024157652848110452530069867406099
 
 // stdPhi is the standard normal CDF.
 func stdPhi(z float64) float64 { return 0.5 * math.Erfc(-z/math.Sqrt2) }
+
+// clamp01 clamps into [0, 1].
+func clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
+}
 
 // clampedGaussRN is the Radon–Nikodym derivative of clamp(N(mu, sigma), 0, 1)
 // at x, w.r.t. the dominating measure Lebesgue-on-(0,1) + δ₀ + δ₁: the atom

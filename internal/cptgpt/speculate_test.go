@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cptgpt/internal/events"
-	"cptgpt/internal/smm"
 	"cptgpt/internal/stats"
 	"cptgpt/internal/trace"
 )
@@ -107,13 +106,13 @@ func TestSpeculativeFidelityMarginals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, draft := range map[string]DraftModel{
+		for name, draft := range map[string]draftModel{
 			"self-draft": nil,
 			"bad-draft":  badDraft{},
 		} {
 			opts := opts
 			opts.Speculative = true
-			opts.DraftModel = draft
+			opts.draft = draft
 			spec, err := m.Generate(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -143,13 +142,13 @@ func TestSpeculativeFidelityMarginals(t *testing.T) {
 // crater; the output law must not move.
 type badDraft struct{}
 
-func (badDraft) NewDraftState() DraftState { return &badDraftState{} }
+func (badDraft) NewDraftState() draftState { return &badDraftState{} }
 
 type badDraftState struct{}
 
 func (*badDraftState) Reset(int)            {}
 func (*badDraftState) Observe(int, float64) {}
-func (*badDraftState) CopyFrom(DraftState)  {}
+func (*badDraftState) CopyFrom(draftState)  {}
 func (*badDraftState) Propose(evProbs []float64) {
 	for i := range evProbs {
 		evProbs[i] = 0.01 / float64(len(evProbs)-1)
@@ -177,7 +176,7 @@ func TestSpeculativeExactnessChiSquare(t *testing.T) {
 		m.Tok.writeToken(tok, (step+1)%m.Tok.V(), 0.2, 0)
 	}
 	// Real draft proposal: the n-gram fitted on the training data.
-	draft := NewNGramDraft(d, m.Tok)
+	draft := newNGramDraft(d, m.Tok)
 	ds := draft.NewDraftState()
 	ds.Reset(1)
 	qProbs := make([]float64, m.Tok.V())
@@ -305,55 +304,6 @@ func TestSpeculativeStatsCounters(t *testing.T) {
 	}
 }
 
-// TestSpeculativeWithSMMDraft runs the end-to-end SMM-drafted path: fit the
-// paper's semi-Markov baseline on the training data, adapt it as the draft,
-// and require determinism plus marginal fidelity against plain decoding.
-func TestSpeculativeWithSMMDraft(t *testing.T) {
-	m, d := specTestModel(t)
-	sm, err := smm.Fit(d, smm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	draft, err := NewSMMDraft(sm, m.Tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st DecodeStats
-	opts := GenOpts{NumStreams: 300, Device: events.Phone, Seed: 11,
-		Speculative: true, DraftModel: draft, Stats: &st}
-	a, err := m.Generate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Stats = nil
-	b, err := m.Generate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameStreams(t, "smm-draft repeat", a.Streams, b.Streams)
-	if st.DraftProposed == 0 {
-		t.Fatal("SMM draft proposed nothing")
-	}
-	t.Logf("SMM draft acceptance: %.1f%%", 100*float64(st.DraftAccepted)/float64(st.DraftProposed))
-
-	plain, err := m.Generate(GenOpts{NumStreams: 300, Device: events.Phone, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tPlain, _, lenPlain := specMarginals(plain)
-	tSpec, _, lenSpec := specMarginals(a)
-	var tv float64
-	for _, typ := range m.Tok.Vocab() {
-		tv += math.Abs(tPlain[typ] - tSpec[typ])
-	}
-	if tv /= 2; tv > 0.03 {
-		t.Fatalf("SMM-draft event marginal TV %v > 0.03", tv)
-	}
-	if ks := stats.MaxYDistance(lenPlain, lenSpec); ks > 0.04 {
-		t.Fatalf("SMM-draft stream-length KS %v > 0.04", ks)
-	}
-}
-
 // TestSpeculativeNoDistHead covers the Table 8 ablation: with a
 // deterministic interarrival head, chains cannot usefully extend (the
 // point-mass target rejects almost every proposal) but output must stay
@@ -384,11 +334,11 @@ func TestSpeculativeNoDistHead(t *testing.T) {
 	}
 }
 
-// TestNGramDraftProposals sanity-checks the fallback draft: proposals are
+// TestNGramDraftProposals sanity-checks the n-gram draft: proposals are
 // normalized with full support (smoothing) and a positive IA spread.
 func TestNGramDraftProposals(t *testing.T) {
 	m, d := specTestModel(t)
-	g := NewNGramDraft(d, m.Tok)
+	g := newNGramDraft(d, m.Tok)
 	st := g.NewDraftState()
 	probs := make([]float64, m.Tok.V())
 	st.Reset(0)

@@ -86,6 +86,3 @@ func (a *Adam) ZeroGrads() {
 		p.ZeroGrad()
 	}
 }
-
-// StepCount returns the number of optimizer steps taken so far.
-func (a *Adam) StepCount() int { return a.t }

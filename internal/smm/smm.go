@@ -17,7 +17,6 @@ package smm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/statemachine"
@@ -67,17 +66,9 @@ type clusterModel struct {
 	trans map[statemachine.State]*stats.Categorical
 	// transChoices[state] aligns with trans[state]'s categories.
 	transChoices map[statemachine.State][]events.Type
-	// transProbs[state] aligns with transChoices: the normalized transition
-	// probabilities, kept alongside the sampler so the conditional proposer
-	// (ProposeNext) can report them without re-deriving weights.
-	transProbs map[statemachine.State][]float64
 	// sojourn[state→event] is the empirical CDF of the time spent in state
 	// before leaving via event (the paper's "one CDF model per transition").
 	sojourn map[statemachine.StateEvent]*stats.EmpiricalSampler
-	// sojournLog[state→event] holds the mean and standard deviation of
-	// log1p(sojourn seconds) for the transition — the Gaussian summary a
-	// speculative draft proposes interarrivals from.
-	sojournLog map[statemachine.StateEvent][2]float64
 }
 
 // Model is a fitted SMM generator (one or many clusters).
@@ -85,13 +76,6 @@ type Model struct {
 	Gen      events.Generation
 	Cfg      Config
 	clusters []clusterModel
-
-	// proposals lazily caches the mixture conditionals ProposeNext serves
-	// (derived state, rebuilt per state on first request).
-	proposals struct {
-		mu      sync.Mutex
-		byState map[statemachine.State]*NextProposal
-	}
 }
 
 // K returns the number of non-empty fitted clusters.
@@ -236,9 +220,7 @@ func fitCluster(d *trace.Dataset, g []int, machine statemachine.Machine) (*clust
 	cm := &clusterModel{
 		trans:        make(map[statemachine.State]*stats.Categorical),
 		transChoices: make(map[statemachine.State][]events.Type),
-		transProbs:   make(map[statemachine.State][]float64),
 		sojourn:      make(map[seKey]*stats.EmpiricalSampler),
-		sojournLog:   make(map[seKey][2]float64),
 	}
 	// Initial distribution, in deterministic order.
 	vocab := events.Vocabulary(d.Generation)
@@ -261,142 +243,23 @@ func fitCluster(d *trace.Dataset, g []int, machine statemachine.Machine) (*clust
 	for state, counts := range transCount {
 		var choices []events.Type
 		var ws []float64
-		var total float64
 		for _, e := range vocab { // vocabulary order for determinism
 			if w := counts[e]; w > 0 {
 				choices = append(choices, e)
 				ws = append(ws, w)
-				total += w
 			}
 		}
 		cat, err := stats.NewCategorical(ws)
 		if err != nil {
 			return nil, fmt.Errorf("smm: transition distribution for %s: %w", state, err)
 		}
-		probs := make([]float64, len(ws))
-		for i, w := range ws {
-			probs[i] = w / total
-		}
 		cm.trans[state] = cat
 		cm.transChoices[state] = choices
-		cm.transProbs[state] = probs
 	}
 	for key, obs := range sojournObs {
 		cm.sojourn[key] = stats.NewEmpiricalSampler(obs)
-		cm.sojournLog[key] = logMoments(obs)
 	}
 	return cm, nil
-}
-
-// logMoments returns the mean and standard deviation of log1p(x) over the
-// observations (negatives clamped to zero, matching how sojourns are used).
-func logMoments(obs []float64) [2]float64 {
-	var sum, sum2 float64
-	for _, x := range obs {
-		l := math.Log1p(math.Max(x, 0))
-		sum += l
-		sum2 += l * l
-	}
-	n := float64(len(obs))
-	mean := sum / n
-	va := sum2/n - mean*mean
-	if va < 0 {
-		va = 0
-	}
-	return [2]float64{mean, math.Sqrt(va)}
-}
-
-// NextProposal is the fitted SMM's conditional next-event distribution at a
-// machine state, mixture-weighted across clusters: the token-by-token face
-// of a model whose sampler is otherwise generate-only. Speculative decoding
-// drives it as a draft proposer — Events/Probs propose the next event type,
-// and SojournLogMean/Std give per-transition Gaussian summaries of
-// log1p(sojourn seconds) to propose interarrivals from.
-type NextProposal struct {
-	// Events are the candidate next events, in vocabulary order.
-	Events []events.Type
-	// Probs are the corresponding probabilities (they sum to 1).
-	Probs []float64
-	// SojournLogMean and SojournLogStd are, per candidate event, the mixture
-	// mean and standard deviation of log1p(sojourn seconds) spent in the
-	// state before leaving via that event.
-	SojournLogMean, SojournLogStd []float64
-}
-
-// ProposeNext returns the mixture conditional at state st, or ok = false
-// when no fitted cluster ever left st (absorbing in the training data).
-// Cluster conditionals are weighted by cluster weight; sojourn moments mix
-// with weights proportional to weight × per-cluster transition probability.
-// Results are cached per state; the method is safe for concurrent use and
-// costs a map lookup in steady state.
-func (m *Model) ProposeNext(st statemachine.State) (*NextProposal, bool) {
-	m.proposals.mu.Lock()
-	defer m.proposals.mu.Unlock()
-	if m.proposals.byState == nil {
-		m.proposals.byState = make(map[statemachine.State]*NextProposal)
-	}
-	if p, ok := m.proposals.byState[st]; ok {
-		return p, p != nil
-	}
-	p := m.buildProposal(st)
-	m.proposals.byState[st] = p
-	return p, p != nil
-}
-
-// buildProposal computes the mixture conditional at st (nil when no cluster
-// has transitions there).
-func (m *Model) buildProposal(st statemachine.State) *NextProposal {
-	var wsum float64
-	for i := range m.clusters {
-		if m.clusters[i].trans[st] != nil {
-			wsum += m.clusters[i].weight
-		}
-	}
-	if wsum <= 0 {
-		return nil
-	}
-	p := &NextProposal{}
-	for _, e := range events.Vocabulary(m.Gen) { // vocabulary order
-		var prob, mom0, mom1, mw float64
-		for ci := range m.clusters {
-			c := &m.clusters[ci]
-			probs, choices := c.transProbs[st], c.transChoices[st]
-			if probs == nil {
-				continue
-			}
-			for j, ce := range choices {
-				if ce != e {
-					continue
-				}
-				pc := c.weight / wsum * probs[j]
-				prob += pc
-				if lm, ok := c.sojournLog[statemachine.StateEvent{State: st, Event: e}]; ok {
-					mom0 += pc * lm[0]
-					mom1 += pc * (lm[1]*lm[1] + lm[0]*lm[0])
-					mw += pc
-				}
-				break
-			}
-		}
-		if prob <= 0 {
-			continue
-		}
-		var mean, sd float64
-		if mw > 0 {
-			mean = mom0 / mw
-			if va := mom1/mw - mean*mean; va > 0 {
-				sd = math.Sqrt(va)
-			}
-		}
-		p.Events = append(p.Events, e)
-		p.Probs = append(p.Probs, prob)
-		p.SojournLogMean = append(p.SojournLogMean, mean)
-		p.SojournLogStd = append(p.SojournLogStd, sd)
-	}
-	if len(p.Events) == 0 {
-		return nil
-	}
-	return p
 }
 
 // GenOpts parameterizes SMM trace synthesis.

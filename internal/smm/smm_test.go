@@ -1,13 +1,16 @@
 package smm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/metrics"
-	"cptgpt/internal/statemachine"
 	"cptgpt/internal/synthetic"
 	"cptgpt/internal/trace"
 )
@@ -209,115 +212,60 @@ func TestGenerateParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestProposeNext pins the conditional proposer API speculative decoding
-// drafts from: at every state a fitted model can leave, the proposal lists
-// machine-valid events in vocabulary order with probabilities summing to 1
-// and finite log-sojourn moments; states the training data never leaves
-// report ok = false.
-func TestProposeNext(t *testing.T) {
-	d := groundTruth(t, 5, 200)
-	m, err := Fit(d, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	machine := statemachine.New(events.Gen4G)
-	found := 0
-	for _, st := range machine.States() {
-		p, ok := m.ProposeNext(st)
-		if !ok {
-			if p != nil {
-				t.Fatalf("state %s: ok=false with non-nil proposal", st)
-			}
-			continue
-		}
-		found++
-		if len(p.Events) == 0 || len(p.Events) != len(p.Probs) ||
-			len(p.Events) != len(p.SojournLogMean) || len(p.Events) != len(p.SojournLogStd) {
-			t.Fatalf("state %s: ragged proposal %+v", st, p)
-		}
-		var sum float64
-		prevIdx := -1
-		for i, e := range p.Events {
-			if _, ok := machine.Step(st, e); !ok {
-				t.Fatalf("state %s proposes machine-invalid event %s", st, e)
-			}
-			if idx := events.VocabIndex(events.Gen4G, e); idx <= prevIdx {
-				t.Fatalf("state %s: events not in vocabulary order", st)
-			} else {
-				prevIdx = idx
-			}
-			if p.Probs[i] <= 0 {
-				t.Fatalf("state %s event %s: non-positive probability %v", st, e, p.Probs[i])
-			}
-			if math.IsNaN(p.SojournLogMean[i]) || math.IsNaN(p.SojournLogStd[i]) || p.SojournLogStd[i] < 0 {
-				t.Fatalf("state %s event %s: bad sojourn moments (%v, %v)", st, e, p.SojournLogMean[i], p.SojournLogStd[i])
-			}
-			sum += p.Probs[i]
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("state %s: probabilities sum to %v", st, sum)
-		}
-		// Cached: same pointer on repeat.
-		if p2, _ := m.ProposeNext(st); p2 != p {
-			t.Fatalf("state %s: proposal not cached", st)
+// streamsDigest hashes a generated population: identities, event types and
+// the exact bits of every timestamp (the shape cptgpt's pinned tests use).
+func streamsDigest(streams []trace.Stream) string {
+	h := sha256.New()
+	var b [8]byte
+	for i := range streams {
+		s := &streams[i]
+		fmt.Fprintf(h, "%s/%s/%d;", s.UEID, s.Device, len(s.Events))
+		for _, e := range s.Events {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(e.Time))
+			h.Write(b[:])
+			fmt.Fprintf(h, "%s;", e.Type)
 		}
 	}
-	if found == 0 {
-		t.Fatal("no state produced a proposal")
-	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
-// TestProposeNextMatchesCounts checks the single-cluster case against direct
-// transition counting on a hand-built dataset: two streams whose CONNECTED
-// state leaves via SRV_REQ-path transitions with known frequencies.
-func TestProposeNextMatchesCounts(t *testing.T) {
-	d := groundTruth(t, 6, 300)
-	m, err := Fit(d, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestSMMGeneratePinned pins Generate's exact output for SMM-1 and SMM-K at
+// two seeds and two parallelism degrees to digests recorded before the
+// fit-time tables only the removed speculative-draft proposer read were
+// dropped from fitCluster, so fitting and sampling are held to moving no bit.
+// The k-means fit and the ground truth are float arithmetic the compiler may
+// fuse into FMAs on other architectures, so the pins are checked on amd64,
+// where they were recorded.
+func TestSMMGeneratePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64")
 	}
-	machine := statemachine.New(events.Gen4G)
-
-	// Recount transitions exactly as fitCluster walks streams.
-	counts := make(map[statemachine.State]map[events.Type]float64)
-	for i := range d.Streams {
-		evs := d.Streams[i].Types()
-		start := -1
-		var st statemachine.State
-		for j, e := range evs {
-			if s, ok := machine.Bootstrap(e); ok {
-				st, start = s, j
-				break
+	d := groundTruth(t, 13, 150)
+	for _, c := range []struct {
+		k    int
+		seed uint64
+		want string
+	}{
+		{1, 31, "bf474732eacf19ff2fbba8bc"}, // 3212 events
+		{1, 32, "85f625cbb63870df344d2044"}, // 3032 events
+		{4, 31, "f70e11d45dab28c95c565eb2"}, // 2723 events
+		{4, 32, "677d575bf833d9ae7097a801"}, // 3004 events
+	} {
+		cfg := DefaultConfig()
+		cfg.K = c.k
+		m, err := Fit(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2} {
+			gen, err := m.Generate(GenOpts{NumStreams: 120, Device: events.Phone, Seed: c.seed,
+				StartWindow: 60, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if start < 0 {
-			continue
-		}
-		for j := start + 1; j < len(evs); j++ {
-			next, ok := machine.Step(st, evs[j])
-			if !ok {
-				continue
-			}
-			if counts[st] == nil {
-				counts[st] = make(map[events.Type]float64)
-			}
-			counts[st][evs[j]]++
-			st = next
-		}
-	}
-	for st, byEv := range counts {
-		var total float64
-		for _, c := range byEv {
-			total += c
-		}
-		p, ok := m.ProposeNext(st)
-		if !ok {
-			t.Fatalf("state %s has %v observed transitions but no proposal", st, total)
-		}
-		for i, e := range p.Events {
-			want := byEv[e] / total
-			if math.Abs(p.Probs[i]-want) > 1e-9 {
-				t.Fatalf("state %s event %s: prob %v, want %v", st, e, p.Probs[i], want)
+			if got := streamsDigest(gen.Streams); got != c.want {
+				t.Errorf("K=%d seed=%d parallelism=%d: output (%d events) has digest %s, want %s",
+					c.k, c.seed, par, gen.NumEvents(), got, c.want)
 			}
 		}
 	}
