@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
-	"time"
 )
 
 // enospcFile wraps a real journal file and starts failing writes with
@@ -115,7 +114,7 @@ func TestJournalENOSPCTornTail(t *testing.T) {
 	if j2.Degraded() {
 		t.Fatal("journal degraded before the disk filled")
 	}
-	j2.AppendCheckpoint(Checkpoint{Events: 7, Shed: 3})
+	j2.AppendCheckpoint(Checkpoint{Events: 7})
 	if !j2.Degraded() {
 		t.Fatal("journal not degraded by the mid-record ENOSPC")
 	}
@@ -177,37 +176,4 @@ func TestJournalENOSPCOnSync(t *testing.T) {
 		t.Fatalf("Metrics.Errors = %d, want 1", got)
 	}
 	j.Close()
-}
-
-// TestCheckpointShedRoundTrip pins the new shed counter through the wire
-// format: append → load returns the same value, and zero stays omitted.
-func TestCheckpointShedRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.runlog")
-	j, err := Create(path, Options{Policy: PolicyAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.AppendBegin(Begin{
-		RunID: "run-1", Scenario: "flash-crowd", Sink: "count",
-		MaxSpillBytes: 1 << 20, MaxEvents: 500, MaxWallNanos: int64(3 * time.Second),
-		Degrade: "drop", ShedAfterNanos: int64(50 * time.Millisecond),
-		StartedAt: time.Unix(0, 0),
-	})
-	j.AppendCheckpoint(Checkpoint{Time: 1.5, Events: 100, Shed: 42})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Checkpoint == nil || st.Checkpoint.Shed != 42 {
-		t.Fatalf("checkpoint = %+v, want Shed 42", st.Checkpoint)
-	}
-	b := st.Begin
-	if b == nil || b.MaxSpillBytes != 1<<20 || b.MaxEvents != 500 ||
-		b.MaxWallNanos != int64(3*time.Second) || b.Degrade != "drop" ||
-		b.ShedAfterNanos != int64(50*time.Millisecond) {
-		t.Fatalf("begin budgets did not round-trip: %+v", b)
-	}
 }

@@ -36,7 +36,7 @@ func fuzzJournal(t testing.TB) (data []byte, ends []int64, states []RunState) {
 			ck := Checkpoint{
 				Time: 1.5 * float64(i), UE: uint64(40 + i), Seq: uint32(i),
 				Events: int64(1000 * i), TraceOffset: 1.5 * float64(i),
-				SinkBytes: int64(81920 * i), SinkLines: int64(1000 * i), Shed: int64(i - 2),
+				SinkBytes: int64(81920 * i), SinkLines: int64(1000 * i),
 			}
 			j.AppendCheckpoint(ck)
 			st.Checkpoint = &ck

@@ -155,12 +155,11 @@ type Begin struct {
 	// Resource budgets and degrade policy, journaled so a resumed run keeps
 	// the envelope it was admitted under. MaxWallNanos is the total
 	// wall-clock budget; recovery re-arms the remainder.
-	MaxSpillBytes  int64     `json:"max_spill_bytes,omitempty"`
-	MaxEvents      int64     `json:"max_events,omitempty"`
-	MaxWallNanos   int64     `json:"max_wall_nanos,omitempty"`
-	Degrade        string    `json:"degrade,omitempty"`
-	ShedAfterNanos int64     `json:"shed_after_nanos,omitempty"`
-	StartedAt      time.Time `json:"started_at"`
+	MaxSpillBytes int64     `json:"max_spill_bytes,omitempty"`
+	MaxEvents     int64     `json:"max_events,omitempty"`
+	MaxWallNanos  int64     `json:"max_wall_nanos,omitempty"`
+	Degrade       string    `json:"degrade,omitempty"`
+	StartedAt     time.Time `json:"started_at"`
 }
 
 // Checkpoint is a progress record: the durable high-water mark recovery
@@ -184,9 +183,6 @@ type Checkpoint struct {
 	// ReplayApplied is the closed-loop replay sequence number the server
 	// has contiguously applied (equals Events for that sink).
 	ReplayApplied int64
-	// Shed is the cumulative count of releases the pacer load-shed (pacing
-	// dropped, events delivered) up to the key, across resumed incarnations.
-	Shed int64
 }
 
 // wireRecord is the JSON payload shape shared by every record type;
@@ -210,7 +206,6 @@ type wireRecord struct {
 	Bytes   int64   `json:"bytes,omitempty"`
 	Lines   int64   `json:"lines,omitempty"`
 	Applied int64   `json:"applied,omitempty"`
-	Shed    int64   `json:"shed,omitempty"`
 }
 
 // journalFile is the slice of *os.File the journal needs — the seam the
@@ -491,10 +486,6 @@ func (j *Journal) AppendCheckpoint(c Checkpoint) {
 	if c.ReplayApplied != 0 {
 		buf = append(buf, `,"applied":`...)
 		buf = strconv.AppendInt(buf, c.ReplayApplied, 10)
-	}
-	if c.Shed != 0 {
-		buf = append(buf, `,"shed":`...)
-		buf = strconv.AppendInt(buf, c.Shed, 10)
 	}
 	buf = append(buf, '}')
 	j.append(buf, true)

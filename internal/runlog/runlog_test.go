@@ -21,7 +21,10 @@ func testBegin() Begin {
 		// catch field drops in the round trip.
 		Compression: 2.0,
 		SessionID:   0xdeadbeef,
-		StartedAt:   time.Unix(1700000000, 0).UTC(),
+		// The resource envelope too: FuzzRunlogLoad's seeds compare the
+		// loaded Begin field for field.
+		MaxSpillBytes: 1 << 20, MaxEvents: 500, MaxWallNanos: int64(3 * time.Second), Degrade: "drop",
+		StartedAt: time.Unix(1700000000, 0).UTC(),
 	}
 }
 

@@ -117,7 +117,6 @@ func (st *RunState) apply(rec *wireRecord) {
 			TraceOffset: rec.Off,
 			SinkBytes:   rec.Bytes, SinkLines: rec.Lines,
 			ReplayApplied: rec.Applied,
-			Shed:          rec.Shed,
 		}
 	case "state":
 		st.State, st.Error = rec.State, rec.Error

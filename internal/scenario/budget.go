@@ -14,21 +14,21 @@ const (
 	BudgetSpillBytes = "spill_bytes"
 	// BudgetEvents: the pacer released MaxEvents events.
 	BudgetEvents = "events"
-	// BudgetWallClock: the run's context deadline (MaxWall) expired.
+	// BudgetWallClock: a wall-clock deadline the caller armed on the run's
+	// context expired (see WrapWallClock).
 	BudgetWallClock = "wall_clock"
 )
 
 // Budget bounds one run's resource consumption. The zero value is
 // unlimited. Budgets make an over-consuming run fail itself — with a
 // typed *BudgetExceededError naming what ran out — instead of exhausting
-// the disk or wall clock the whole process shares.
+// the disk the whole process shares.
 //
 // Enforcement points: MaxSpillBytes is checked before every spill and
 // merge write inside OpenContext (generation phase); MaxEvents is checked
-// by the Pacer before each release; MaxWall is enforced by the caller
-// attaching a context deadline of MaxWall to the run's context — the
-// pipeline and Pacer then classify that deadline's expiry as a wall-clock
-// budget breach rather than an operator stop.
+// by the Pacer before each release. A wall-clock bound is a context
+// deadline, owned by whoever arms it: to the pipeline and the Pacer its
+// expiry is a plain stop, and the owner types it with WrapWallClock.
 type Budget struct {
 	// MaxSpillBytes caps the run's live spill-disk footprint in bytes
 	// (0 = unlimited). The cap covers the peak: a merge pass's output is
@@ -36,10 +36,6 @@ type Budget struct {
 	MaxSpillBytes int64
 	// MaxEvents caps how many events the Pacer releases (0 = unlimited).
 	MaxEvents int64
-	// MaxWall is the run's wall-clock deadline (0 = unlimited). The caller
-	// must derive the run context with this deadline; the field here only
-	// tells the pipeline to classify the expiry as a budget breach.
-	MaxWall time.Duration
 	// SpillUsed, when non-nil, also receives the run's spill accounting —
 	// a shared gauge of live spill bytes across runs (the daemon's
 	// admission controller reads it for its -max-spill-bytes budget).
@@ -71,8 +67,8 @@ func (e *BudgetExceededError) Error() string {
 func (e *BudgetExceededError) Unwrap() error { return e.cause }
 
 // WrapWallClock types a context-deadline expiry as a wall-clock budget
-// breach — for callers (the daemon) that armed the deadline themselves
-// and see the raw context error from the generation phase.
+// breach — for the caller (the daemon) that armed the deadline and sees
+// the raw context error, or a stopped Pacer, when it expires.
 func WrapWallClock(limit, elapsed time.Duration, cause error) *BudgetExceededError {
 	return &BudgetExceededError{Kind: BudgetWallClock, Limit: int64(limit), Used: int64(elapsed), cause: cause}
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -145,108 +144,25 @@ func TestPacerEventBudget(t *testing.T) {
 	}
 }
 
-// TestPacerWallBudget pins deadline classification: with MaxWall set, a
-// context-deadline expiry surfaces as a wall-clock budget breach that
-// still unwraps to context.DeadlineExceeded; without MaxWall the same
-// expiry stays a clean stop.
+// TestPacerWallBudget pins that a context deadline is a clean stop to the
+// pacer, whatever the budget: typing the expiry as a wall-clock breach is
+// the job of whoever armed the deadline (the daemon).
 func TestPacerWallBudget(t *testing.T) {
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(30*time.Millisecond))
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(20*time.Millisecond))
 	defer cancel()
 	// Slow source: each release waits 5ms of wall, so the deadline lands
 	// mid-stream.
 	p := NewPacer(ctx, evenlySpaced(1000, 0.005), 1)
-	p.SetBudget(Budget{MaxWall: 30 * time.Millisecond})
+	p.SetBudget(Budget{MaxEvents: 900})
 	for {
 		if _, ok := p.Next(); !ok {
 			break
 		}
-	}
-	be, ok := AsBudgetExceeded(p.Err())
-	if !ok || be.Kind != BudgetWallClock {
-		t.Fatalf("Err() = %v, want BudgetExceeded/wall_clock", p.Err())
-	}
-	if !errors.Is(p.Err(), context.DeadlineExceeded) {
-		t.Fatalf("wall-clock breach %v must unwrap to context.DeadlineExceeded", p.Err())
-	}
-	if p.Stopped() {
-		t.Fatal("a wall-clock breach must not report Stopped")
-	}
-
-	// Same expiry without a wall budget: clean operator-style stop.
-	ctx2, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(20*time.Millisecond))
-	defer cancel2()
-	p2 := NewPacer(ctx2, evenlySpaced(1000, 0.005), 1)
-	for {
-		if _, ok := p2.Next(); !ok {
-			break
-		}
-	}
-	if err := p2.Err(); err != nil {
-		t.Fatalf("unbudgeted deadline expiry must stay a clean stop, got %v", err)
-	}
-	if !p2.Stopped() {
-		t.Fatal("unbudgeted deadline expiry must report Stopped")
-	}
-}
-
-// laggingSource delays each Next so the pacer falls behind its schedule.
-type laggingSource struct {
-	sliceSource
-	delay time.Duration
-	slowN int // events that carry the delay; the rest are immediate
-}
-
-func (s *laggingSource) Next() (Event, bool) {
-	if s.i < s.slowN {
-		time.Sleep(s.delay)
-	}
-	return s.sliceSource.Next()
-}
-
-// TestPacerShedAfterLag pins load shedding: a source that outruns its lag
-// bound flips the pacer into shed mode (counted releases, no waits), no
-// events are dropped, and the stream still ends cleanly.
-func TestPacerShedAfterLag(t *testing.T) {
-	// 400 events at the same trace instant: the schedule is "all at t0",
-	// so every wall-millisecond of source delay is pure lag.
-	src := &laggingSource{delay: time.Millisecond, slowN: 40}
-	for i := 0; i < 400; i++ {
-		src.evs = append(src.evs, Event{Time: 0, UE: 1, Seq: uint32(i)})
-	}
-	p := NewPacer(context.Background(), src, 1)
-	p.SetShedAfterLag(10 * time.Millisecond)
-	n := 0
-	for {
-		if _, ok := p.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 400 {
-		t.Fatalf("released %d events, want 400 (shedding must never drop events)", n)
 	}
 	if err := p.Err(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("deadline expiry must stay a clean stop, got %v", err)
 	}
-	if p.Shed() == 0 {
-		t.Fatal("pacer never shed despite lag far past the bound")
-	}
-	if p.Shed() >= 400 {
-		t.Fatalf("shed %d of 400 releases; the pre-lag prefix must be paced", p.Shed())
-	}
-}
-
-// TestPacerResumeShed pins that a resumed pacer's shed counter continues
-// from the journaled base instead of restarting at zero.
-func TestPacerResumeShed(t *testing.T) {
-	p := NewPacer(context.Background(), evenlySpaced(3, 0), 0)
-	p.ResumeShed(17)
-	for {
-		if _, ok := p.Next(); !ok {
-			break
-		}
-	}
-	if got := p.Shed(); got != 17 {
-		t.Fatalf("Shed() = %d after resume seed with no new shedding, want 17", got)
+	if !p.Stopped() {
+		t.Fatal("deadline expiry must report Stopped")
 	}
 }

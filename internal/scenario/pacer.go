@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -49,12 +48,14 @@ func UEIDAppender(src EventSource) func(dst []byte, e Event) []byte {
 // disables pacing and the Pacer degrades to a pure cancellation/counting
 // stage.
 //
-// Cancelling the context ends the stream cleanly between events: an event
-// already pulled from the source is still released (never severed
-// mid-flight), the next Next returns ok=false with Err()==nil, and Stopped
-// reports true so callers can tell an operator stop from exhaustion.
-// Downstream sinks observe an ordinary end-of-stream and flush normally —
-// this is the graceful-drain seam the daemon's DELETE /runs/{id} uses.
+// The end of the context — a cancellation or a deadline alike — ends the
+// stream cleanly between events: an event already pulled from the source
+// is still released (never severed mid-flight), the next Next returns
+// ok=false with Err()==nil, and Stopped reports true so callers can tell a
+// stop from exhaustion. Downstream sinks observe an ordinary end-of-stream
+// and flush normally — this is the graceful-drain seam the daemon's
+// DELETE /runs/{id} uses. Whoever armed a deadline decides what its expiry
+// means (the daemon types it as a wall-clock budget breach).
 //
 // Concurrency: Next is single-consumer; Events, Lag and Stopped are atomic
 // reads safe from any goroutine while Next runs (they back the daemon's
@@ -74,22 +75,10 @@ type Pacer struct {
 	done     bool
 	onIdle   func()
 
-	// Budget enforcement (SetBudget): event-count and wall-clock bounds.
-	// budgetErr, once set, is the stream's terminal error.
-	budget    Budget
+	// Event-count ceiling (SetBudget); budgetErr, once set, is the
+	// stream's terminal error.
+	maxEvents int64
 	budgetErr error
-
-	// Load shedding (SetShedAfterLag): once lag crosses shedAfter the
-	// pacer stops issuing pacing waits and releases events immediately —
-	// dropping pacing, never events — until lag falls under shedAfter/2.
-	// shedding/shedCheck belong to the single consumer goroutine; shed is
-	// the cumulative shed-release counter, readable concurrently.
-	shedAfter time.Duration
-	shedding  bool
-	shedCheck int64
-	shedSp    tracez.Active
-	shedSp0   int64
-	shed      atomic.Int64
 
 	events  atomic.Int64
 	lag     atomic.Int64 // nanoseconds behind schedule at the last release
@@ -127,23 +116,10 @@ func (p *Pacer) ResumeAt(t0 float64) {
 	p.resumed = true
 }
 
-// SetBudget bounds the stream: after MaxEvents releases the pacer ends
-// the stream with a typed *BudgetExceededError, and a context deadline
-// expiry is classified as a wall-clock budget breach (instead of a clean
-// operator stop) when MaxWall is set. Call before the first Next.
-func (p *Pacer) SetBudget(b Budget) { p.budget = b }
-
-// SetShedAfterLag arms load shedding: when the release lag exceeds d the
-// pacer enters shed mode — pacing waits and per-release schedule
-// bookkeeping are dropped (events are not) so the backlog drains at full
-// speed — and leaves it once lag falls under d/2. Shed releases are
-// counted (Shed) so the degraded interval is observable and journalable.
-// d <= 0 disables shedding. Call before the first Next.
-func (p *Pacer) SetShedAfterLag(d time.Duration) {
-	if d > 0 {
-		p.shedAfter = d
-	}
-}
+// SetBudget bounds the stream: after b.MaxEvents releases the pacer ends
+// the stream with a typed *BudgetExceededError. The other bounds are not
+// the pacer's. Call before the first Next.
+func (p *Pacer) SetBudget(b Budget) { p.maxEvents = b.MaxEvents }
 
 // SetHistograms attaches distribution sinks: lag receives the release lag
 // in seconds for every paced release (0 when on schedule), rate receives
@@ -202,23 +178,10 @@ func (p *Pacer) flushWindow() {
 	p.winN = 0
 }
 
-// endShed leaves shed mode, closing the trace span over the shed burst.
-func (p *Pacer) endShed() {
-	if !p.shedding {
-		return
-	}
-	p.shedding = false
-	if p.shedSp.Live() {
-		p.shedSp.End(p.shed.Load()-p.shedSp0, "")
-		p.shedSp = tracez.Active{}
-	}
-}
-
 // endStream finalizes the iterator state shared by every end-of-stream
-// path (cancellation, budget exhaustion, source exhaustion).
+// path (context end, budget exhaustion, source exhaustion).
 func (p *Pacer) endStream() {
 	p.done = true
-	p.endShed()
 	p.flushWindow()
 }
 
@@ -227,24 +190,12 @@ func (p *Pacer) Next() (Event, bool) {
 	if p.done {
 		return Event{}, false
 	}
-	if err := p.ctx.Err(); err != nil {
+	if p.ctx.Err() != nil {
 		p.endStream()
-		if p.budget.MaxWall > 0 && errors.Is(err, context.DeadlineExceeded) {
-			// The deadline came from the run's wall-clock budget: this is a
-			// budget breach, not an operator stop.
-			used := int64(p.budget.MaxWall)
-			if p.started {
-				used = int64(time.Since(p.start))
-			}
-			p.budgetErr = &BudgetExceededError{
-				Kind: BudgetWallClock, Limit: int64(p.budget.MaxWall), Used: used, cause: err,
-			}
-		} else {
-			p.stopped.Store(true)
-		}
+		p.stopped.Store(true)
 		return Event{}, false
 	}
-	if limit := p.budget.MaxEvents; limit > 0 && p.events.Load() >= limit {
+	if limit := p.maxEvents; limit > 0 && p.events.Load() >= limit {
 		p.endStream()
 		p.budgetErr = &BudgetExceededError{Kind: BudgetEvents, Limit: limit, Used: p.events.Load()}
 		return Event{}, false
@@ -258,32 +209,6 @@ func (p *Pacer) Next() (Event, bool) {
 	// something is listening (one atomic load when tracing is off).
 	trackWin := p.rateHist != nil || tracez.Enabled()
 	if p.compression > 0 {
-		if p.shedding {
-			// Shed fast path: no waits, no per-release schedule math. Every
-			// 32nd release re-measures the lag to decide whether to rejoin
-			// the schedule (hysteresis: exit under shedAfter/2).
-			p.shed.Add(1)
-			p.shedCheck++
-			if p.shedCheck&31 == 0 {
-				now := time.Now()
-				target := p.start.Add(time.Duration((e.Time - p.t0) / p.compression * float64(time.Second)))
-				lag := now.Sub(target)
-				p.lag.Store(int64(max(lag, 0)))
-				if p.lagHist != nil {
-					p.lagHist.Observe(max(lag, 0).Seconds())
-				}
-				if trackWin {
-					// The 31 skipped releases still belong to this window.
-					p.winN += 31
-					p.windowTick(now)
-				}
-				if lag < p.shedAfter/2 {
-					p.endShed()
-				}
-			}
-			p.events.Add(1)
-			return e, true
-		}
 		now := time.Now()
 		if !p.started {
 			p.started = true
@@ -296,23 +221,7 @@ func (p *Pacer) Next() (Event, bool) {
 		}
 		target := p.start.Add(time.Duration((e.Time - p.t0) / p.compression * float64(time.Second)))
 		wait := target.Sub(now)
-		if p.shedAfter > 0 && -wait > p.shedAfter {
-			// Lag crossed the shed bound: give up on pacing until the
-			// backlog drains. Events keep flowing — only the waits and the
-			// per-release bookkeeping are dropped.
-			p.shedding = true
-			p.shedCheck = 0
-			p.shedSp0 = p.shed.Load()
-			p.shedSp = tracez.Begin(tracez.StagePacerShed, "")
-			p.shed.Add(1)
-			p.lag.Store(int64(-wait))
-			if p.lagHist != nil {
-				p.lagHist.Observe((-wait).Seconds())
-			}
-			if trackWin {
-				p.windowTick(now)
-			}
-		} else if wait > 0 {
+		if wait > 0 {
 			p.lag.Store(0)
 			if p.lagHist != nil {
 				p.lagHist.Observe(0)
@@ -341,7 +250,9 @@ func (p *Pacer) Next() (Event, bool) {
 				p.windowTick(time.Now())
 			}
 		} else {
-			// Behind schedule: release immediately and record the deficit.
+			// Behind schedule: release immediately and record the deficit —
+			// a backlog drains with no waits, each event still at or after
+			// its target.
 			p.lag.Store(int64(-wait))
 			if p.lagHist != nil {
 				p.lagHist.Observe((-wait).Seconds())
@@ -396,20 +307,6 @@ func (p *Pacer) Events() int64 { return p.events.Load() }
 // pacer is keeping up or pacing is disabled). Safe concurrently with Next.
 func (p *Pacer) Lag() time.Duration { return time.Duration(p.lag.Load()) }
 
-// Shed returns how many events were released in shed mode — paced past
-// the shed-after-lag bound without a pacing wait. Safe concurrently with
-// Next.
-func (p *Pacer) Shed() int64 { return p.shed.Load() }
-
-// ResumeShed seeds the shed counter with what previous incarnations
-// journaled, so the cumulative count survives crash recovery exactly.
-// Call before the first Next.
-func (p *Pacer) ResumeShed(n int64) {
-	if n > 0 {
-		p.shed.Store(n)
-	}
-}
-
-// Stopped reports whether the stream ended because the context was
-// cancelled rather than by source exhaustion. Safe concurrently with Next.
+// Stopped reports whether the stream ended because the context ended
+// rather than by source exhaustion. Safe concurrently with Next.
 func (p *Pacer) Stopped() bool { return p.stopped.Load() }

@@ -3,9 +3,12 @@ package scenario
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -88,6 +91,72 @@ func TestPacerTiming(t *testing.T) {
 	}
 	if p0.Events() != 1000 {
 		t.Fatalf("unpaced counter = %d, want 1000", p0.Events())
+	}
+}
+
+// TestPacerNeverEarly pins the pacer's one timing promise over randomized
+// schedules — bursts of simultaneous events, millisecond gaps, long gaps
+// (1–3 trace-seconds at compression 100) — with a consumer that stalls at
+// random: every event is released exactly once, in order, and never before
+// start + (t-t0)/compression, start being the first release's wall instant.
+// A stall only makes the events behind it late. The fixed case is the
+// schedule load shedding used to break: a 100 ms stall behind the first of
+// eight events at trace 0, then 24 due at +0.5 s.
+func TestPacerNeverEarly(t *testing.T) {
+	type trial struct {
+		c      float64
+		evs    []Event
+		stalls map[int]time.Duration // release index → consumer stall after it
+	}
+	fixed := trial{c: 1, stalls: map[int]time.Duration{0: 100 * time.Millisecond}}
+	for i := 0; i < 32; i++ {
+		fixed.evs = append(fixed.evs, Event{Time: 0.5 * float64(min(i/8, 1)), UE: 1, Seq: uint32(i)})
+	}
+	trials := map[string]trial{"stall before a burst": fixed}
+	for _, c := range []float64{1, 3, 10, 100} {
+		rng := rand.New(rand.NewSource(int64(c)))
+		tr := trial{c: c, stalls: map[int]time.Duration{}}
+		at := 100 * rng.Float64()
+		for i := 0; i < 80; i++ {
+			switch r := rng.Float64(); {
+			case r < 0.4: // a burst: the previous event's instant
+			case r < 0.9:
+				at += 0.004 * c * rng.Float64() // up to 4 ms of wall
+			default:
+				at += (1 + 2*rng.Float64()) * c / 100 // 10–30 ms of wall
+			}
+			tr.evs = append(tr.evs, Event{Time: at, UE: uint64(rng.Intn(7)), Seq: uint32(i)})
+			if rng.Float64() < 0.1 {
+				tr.stalls[i] = time.Duration(rng.Int63n(int64(30 * time.Millisecond)))
+			}
+		}
+		trials[fmt.Sprint("compression ", c)] = tr
+	}
+	for name, tr := range trials {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p := NewPacer(context.Background(), &sliceSource{evs: tr.evs}, tr.c)
+			var got []Event
+			for {
+				e, ok := p.Next()
+				if !ok {
+					break
+				}
+				now := time.Now()
+				target := p.start.Add(time.Duration((e.Time - tr.evs[0].Time) / tr.c * float64(time.Second)))
+				if now.Before(target) {
+					t.Fatalf("event %d released %v before its scheduled instant", len(got), target.Sub(now))
+				}
+				got = append(got, e)
+				time.Sleep(tr.stalls[len(got)-1])
+			}
+			if err := p.Err(); err != nil || p.Stopped() {
+				t.Fatalf("Err() = %v, Stopped() = %v after exhaustion", err, p.Stopped())
+			}
+			if !reflect.DeepEqual(got, tr.evs) || p.Events() != int64(len(tr.evs)) {
+				t.Fatalf("released %d events (counter %d), want the %d scheduled, once each and in order", len(got), p.Events(), len(tr.evs))
+			}
+		})
 	}
 }
 

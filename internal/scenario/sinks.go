@@ -111,8 +111,8 @@ type SinkConfig struct {
 	// Degrade is the file sinks' write-failure policy ("" = DegradeFail).
 	Degrade string
 	// Below and Above are the caller's writer layers around a file sink's
-	// output — the daemon's retry, byte-counting and circuit-breaker
-	// writers; cptscenario has none. Below wraps the opened file, under
+	// output — the daemon's byte-counting and circuit-breaker writers;
+	// cptscenario has none. Below wraps the opened file, under
 	// the gzip layer of a ".gz" path, and returns with it a count of the
 	// bytes that reached the file, offset (a resumed file's kept prefix)
 	// included: the byte half of the sink's Cursor, which stays zero

@@ -39,9 +39,8 @@ const (
 )
 
 // breakerWriter is a per-run sink circuit breaker. It sits between the
-// line encoder and the (counting, retrying) file writer, so a sink that
-// starts hard-failing — disk full, device error, anything the transient
-// retry layer below could not absorb — stops being hammered: after
+// line encoder and the (counting) file writer, so a sink that starts
+// hard-failing — disk full, device error — stops being hammered: after
 // breakerThreshold consecutive failures the breaker opens for a cooldown,
 // then lets one half-open probe through; a probe failure re-opens with a
 // doubled cooldown, a success closes the breaker and resets it.

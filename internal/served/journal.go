@@ -2,12 +2,9 @@ package served
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"cptgpt/internal/runlog"
@@ -202,46 +199,9 @@ func (t *ckptTap) checkpoint() {
 			}
 		}
 	}
-	c.Shed = t.Shed() // carried so a resumed pacer continues the count
 	t.j.AppendCheckpoint(c)
 	t.lastN = t.n
 	t.lastT = time.Now()
-}
-
-// Sink write-retry policy (satellite of the durability story): a
-// transient filesystem hiccup costs a counted retry with doubling
-// backoff, not a failed run. Permanent errors surface unchanged.
-const (
-	sinkRetryAttempts = 5
-	sinkRetryBackoff  = time.Millisecond
-)
-
-// transientWriteErr reports whether a sink write error is worth retrying:
-// an interrupted or would-block syscall, or a short write.
-func transientWriteErr(err error) bool {
-	return errors.Is(err, syscall.EINTR) || errors.Is(err, syscall.EAGAIN) || errors.Is(err, io.ErrShortWrite)
-}
-
-// retryWriter absorbs transient write errors with bounded exponential
-// backoff, resuming partial writes at the delivered offset and counting
-// each retry into the run's stats.
-type retryWriter struct {
-	w       io.Writer
-	retries *atomic.Int64
-}
-
-func (rw *retryWriter) Write(p []byte) (int, error) {
-	n, err := rw.w.Write(p)
-	backoff := sinkRetryBackoff
-	for attempt := 0; err != nil && transientWriteErr(err) && attempt < sinkRetryAttempts; attempt++ {
-		rw.retries.Add(1)
-		time.Sleep(backoff)
-		backoff *= 2
-		var m int
-		m, err = rw.w.Write(p[n:])
-		n += m
-	}
-	return n, err
 }
 
 // countingWriter tracks the absolute sink byte offset — seeded with the

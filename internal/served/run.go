@@ -75,8 +75,9 @@ type StartRequest struct {
 	BatchSize   int `json:"batch_size,omitempty"`
 	// Per-run resource budgets (0 = unlimited). MaxSpillBytes caps the
 	// run's live spill-disk footprint, MaxEvents the events released, and
-	// MaxWallSeconds the wall clock from launch; an over-budget run fails
-	// with a typed budget_exceeded error naming what ran out.
+	// MaxWallSeconds the wall clock from launch, generation included; an
+	// over-budget run fails with a typed budget_exceeded error naming what
+	// ran out.
 	MaxSpillBytes  int64   `json:"max_spill_bytes,omitempty"`
 	MaxEvents      int64   `json:"max_events,omitempty"`
 	MaxWallSeconds float64 `json:"max_wall_seconds,omitempty"`
@@ -85,10 +86,6 @@ type StartRequest struct {
 	// writes while the sink is broken; lossy output), or "pause" (breaker
 	// blocks the drain until the sink recovers; lossless, adds lag).
 	Degrade string `json:"degrade,omitempty"`
-	// ShedAfterLagSeconds arms pacer load shedding: when emission lags
-	// the paced schedule by more than this, the pacer stops sleeping and
-	// free-runs (dropping pacing, never events) until lag halves.
-	ShedAfterLagSeconds float64 `json:"shed_after_lag_seconds,omitempty"`
 }
 
 // RunInfo is the wire form of a run's identity and lifecycle.
@@ -136,16 +133,19 @@ type RunStats struct {
 	RecentPerSec    float64 `json:"recent_events_per_sec"`
 	Compression     float64 `json:"compression"`
 	PacerLagSeconds float64 `json:"pacer_lag_seconds"`
-	// SinkRetries counts transient sink write errors absorbed by the
-	// bounded-backoff retry layer; SinkDropped the writes the circuit
-	// breaker discarded under the drop policy; ShedEvents the releases
-	// the pacer load-shed (events delivered, pacing skipped).
-	SinkRetries int64                  `json:"sink_retries,omitempty"`
+	// SinkDropped counts the writes the circuit breaker discarded under
+	// the drop policy.
 	SinkDropped int64                  `json:"sink_dropped,omitempty"`
-	ShedEvents  int64                  `json:"shed_events,omitempty"`
 	Sources     map[string]SourceStats `json:"sources,omitempty"`
 	MCN         *MCNStats              `json:"mcn,omitempty"`
 	Replay      *ReplayStats           `json:"replay,omitempty"`
+
+	// Deprecated: always 0, so never serialised: the sink retry layer is
+	// gone. Kept because the benchmark harness reads it.
+	SinkRetries int64 `json:"sink_retries,omitempty"`
+	// Deprecated: always 0, so never serialised: pacer load shedding is
+	// gone. Kept because the benchmark harness reads it.
+	ShedEvents int64 `json:"shed_events,omitempty"`
 }
 
 // run is one scenario execution owned by the daemon. newRun sets every
@@ -182,23 +182,24 @@ type run struct {
 	scrapeAt     time.Time
 	scrapeEvents int64
 
-	// Envelope. admitUEs is the run's admission cost in UE slots;
-	// recovered marks a crash-recovery incarnation (its wall budget counts
-	// from the journaled start); overBudget counts budget breaches into
-	// the daemon's kind-labeled series.
+	// Envelope. admitUEs is the run's admission cost in UE slots; wallFrom
+	// is the origin of its wall-clock budget — the journaled start for a
+	// crash-recovery incarnation (set by newRun), else the launch instant
+	// (set by wallDeadline on the run goroutine, the only one to read it);
+	// overBudget counts budget breaches into the daemon's kind-labeled
+	// series.
 	admitUEs   int64
-	recovered  bool
+	wallFrom   time.Time
 	overBudget func(kind string)
 
 	// Sink state. breaker is the live file-sink circuit breaker (nil until
-	// the sink opens, and for the fail policy); sinkRetries counts absorbed
-	// transient write errors. journal is the run's write-ahead log (nil
-	// when journaling is off or unavailable) and jpath its file; resume is
-	// the checkpoint a recovered run restarts from (nil = from scratch) and
-	// resumeSkips the daemon-wide fast-forward counter.
+	// the sink opens, and for the fail policy). journal is the run's
+	// write-ahead log (nil when journaling is off or unavailable) and jpath
+	// its file; resume is the checkpoint a recovered run restarts from
+	// (nil = from scratch) and resumeSkips the daemon-wide fast-forward
+	// counter.
 	sink         scenario.Sink
 	breaker      atomic.Pointer[breakerWriter]
-	sinkRetries  atomic.Int64
 	journal      *runlog.Journal
 	jpath        string
 	resume       *runlog.Checkpoint
@@ -232,7 +233,7 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 		decode: make(map[string]*cptgpt.DecodeStats),
 	}
 	if st != nil {
-		r.state, r.recovered, r.jpath = StateRecovering, true, st.Path
+		r.state, r.wallFrom, r.jpath = StateRecovering, b.StartedAt, st.Path
 		r.resumeSkips = s.resumeSkips
 	}
 	if spec == nil {
@@ -259,7 +260,6 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 		Budget: scenario.Budget{
 			MaxSpillBytes: b.MaxSpillBytes,
 			MaxEvents:     b.MaxEvents,
-			MaxWall:       time.Duration(b.MaxWallNanos),
 			SpillUsed:     &s.admission.spill,
 		},
 		LoadModel:   s.loadModel,
@@ -372,20 +372,33 @@ func (r *run) finish(state string, err error, res scenario.Result) {
 	}
 }
 
-// wallDeadline is when the run's wall-clock budget expires. A fresh run
-// gets the full budget from launch (queue wait excluded); a recovered run
-// gets the remainder measured from its journaled start, with a small
-// grace so recovery can at least reach a clean terminal state.
+// wallDeadline is when the run's wall-clock budget expires, counted from
+// wallFrom. A fresh run gets the full budget from launch (queue wait
+// excluded); a recovered run gets the remainder measured from its
+// journaled start, with a small grace so recovery can at least reach a
+// clean terminal state. Called once, at launch.
 func (r *run) wallDeadline() time.Time {
-	d := r.opts.Budget.MaxWall
-	if r.recovered {
-		if rem := d - time.Since(r.begin.StartedAt); rem < time.Second {
-			d = time.Second
-		} else {
-			d = rem
-		}
+	d, now := time.Duration(r.begin.MaxWallNanos), time.Now()
+	if r.wallFrom.IsZero() {
+		r.wallFrom = now
+		return now.Add(d)
 	}
-	return time.Now().Add(d)
+	if dl := r.wallFrom.Add(d); dl.Sub(now) >= time.Second {
+		return dl
+	}
+	return now.Add(time.Second)
+}
+
+// wallBreach types err as the run's wall-clock budget breach when it is the
+// expiry of the deadline launch armed — the only deadline on a run's
+// context — and returns nil for anything else. The one owner of that
+// decision: the generation phase (open) and the streaming phase (execute,
+// on a stopped pacer) both ask it, and Used counts from wallFrom.
+func (r *run) wallBreach(err error) error {
+	if r.begin.MaxWallNanos <= 0 || !errors.Is(err, context.DeadlineExceeded) {
+		return nil
+	}
+	return scenario.WrapWallClock(time.Duration(r.begin.MaxWallNanos), time.Since(r.wallFrom), err)
 }
 
 // info snapshots the run as wire-form RunInfo.
@@ -445,10 +458,6 @@ func (r *run) stats() RunStats {
 		ID: r.begin.RunID, Scenario: r.begin.Scenario, State: r.state,
 		Events: events, Compression: r.begin.Compression,
 		PacerLagSeconds: r.lagSeconds(),
-		SinkRetries:     r.sinkRetries.Load(),
-	}
-	if p := r.pacer.Load(); p != nil {
-		st.ShedEvents = p.Shed()
 	}
 	if b := r.breaker.Load(); b != nil {
 		st.SinkDropped = b.dropped.Load()
@@ -526,6 +535,10 @@ func (r *run) execute(ctx context.Context) {
 	// The span ends before finish publishes the terminal state, so whoever
 	// observes the run finished also finds its run.stream span recorded.
 	streamSp.End(r.events(), r.begin.Sink)
+	if err == nil && pacer.Stopped() {
+		// A stop is an operator's unless the wall-clock budget ran out.
+		err = r.wallBreach(ctx.Err())
+	}
 	switch {
 	case err != nil:
 		r.finish(StateFailed, err, nil)
@@ -565,18 +578,12 @@ func (r *run) open(ctx context.Context) *scenario.Stream {
 	if recSp.Live() {
 		recSp.End(0, "failed")
 	}
-	maxWall := r.opts.Budget.MaxWall
-	switch {
-	case errors.Is(err, context.Canceled):
+	if errors.Is(err, context.Canceled) {
 		r.finish(StateStopped, nil, nil)
 		return nil
-	case maxWall > 0 && errors.Is(err, context.DeadlineExceeded):
-		// The wall-clock budget expired during generation: the only
-		// deadline on a run's context is its own budget, so classify
-		// the expiry as the typed breach.
-		if _, typed := scenario.AsBudgetExceeded(err); !typed {
-			err = scenario.WrapWallClock(maxWall, time.Since(r.begin.StartedAt), err)
-		}
+	}
+	if breach := r.wallBreach(err); breach != nil {
+		err = breach
 	}
 	r.finish(StateFailed, err, nil)
 	return nil
@@ -586,40 +593,36 @@ func (r *run) open(ctx context.Context) *scenario.Stream {
 func (r *run) pace(ctx context.Context, st *scenario.Stream) *scenario.Pacer {
 	pacer := scenario.NewPacer(ctx, st, r.begin.Compression)
 	pacer.SetHistograms(r.pacerLagHist, r.pacerRateHist)
-	// The pacer enforces the event-count ceiling (less what previous
-	// incarnations already released) and classifies the wall deadline; a
-	// resumed run also continues its cumulative shed counter.
+	// The pacer enforces the event-count ceiling, less what previous
+	// incarnations already released.
 	pb := r.opts.Budget
 	if pb.MaxEvents > 0 {
 		pb.MaxEvents = max(pb.MaxEvents-r.baseEvents(), 1)
 	}
 	pacer.SetBudget(pb)
-	if r.begin.ShedAfterNanos > 0 {
-		pacer.SetShedAfterLag(time.Duration(r.begin.ShedAfterNanos))
-	}
 	if r.resume != nil {
 		pacer.ResumeAt(r.resume.TraceOffset)
-		pacer.ResumeShed(r.resume.Shed)
 	}
 	r.pacer.Store(pacer)
 	return pacer
 }
 
-// sinkWriterTestHook, when non-nil, wraps the sink file below the retry
-// layer — the seam the degrade and soak tests inject ENOSPC and slow-sink
+// sinkWriterTestHook, when non-nil, wraps the sink file below the byte
+// count — the seam the degrade and soak tests inject ENOSPC and slow-sink
 // faults through.
 var sinkWriterTestHook atomic.Pointer[func(runID string, w io.Writer) io.Writer]
 
 // below and above are the daemon's writer layers around a file sink's
 // output (scenario.SinkConfig has the contract). Under the gzip layer:
-// the fault-injection seam, the transient-error retry, and the byte count
-// a checkpoint's sink cursor is read from — seeded with a resumed file's
-// durable prefix, so cursors are always whole-file offsets.
+// the fault-injection seam and the byte count a checkpoint's sink cursor
+// is read from — seeded with a resumed file's durable prefix, so cursors
+// are always whole-file offsets. Nothing retries a write: (*os.File).Write
+// already retries EINTR, finishes partial writes and waits out EAGAIN.
 func (r *run) below(f io.Writer, offset int64) (io.Writer, func() int64) {
 	if hook := sinkWriterTestHook.Load(); hook != nil {
 		f = (*hook)(r.begin.RunID, f)
 	}
-	cw := &countingWriter{w: &retryWriter{w: f, retries: &r.sinkRetries}, n: offset}
+	cw := &countingWriter{w: f, n: offset}
 	return cw, func() int64 { return cw.n }
 }
 

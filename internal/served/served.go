@@ -450,8 +450,8 @@ func validateStart(req *StartRequest) error {
 	if req.MaxSpillBytes < 0 || req.MaxEvents < 0 {
 		return errors.New("max_spill_bytes and max_events must be ≥ 0")
 	}
-	if req.MaxWallSeconds < 0 || req.ShedAfterLagSeconds < 0 {
-		return errors.New("max_wall_seconds and shed_after_lag_seconds must be ≥ 0")
+	if req.MaxWallSeconds < 0 {
+		return errors.New("max_wall_seconds must be ≥ 0")
 	}
 	return nil
 }
@@ -475,10 +475,9 @@ func (s *Server) runFromRequest(body *StartRequest) (*run, error) {
 		Precision: body.Precision, Speculative: body.Speculative, DraftTokens: body.DraftTokens,
 		Parallelism: body.Parallelism, BatchSize: body.BatchSize,
 		MaxSpillBytes: body.MaxSpillBytes, MaxEvents: body.MaxEvents,
-		MaxWallNanos:   int64(time.Duration(body.MaxWallSeconds * float64(time.Second))),
-		Degrade:        body.Degrade,
-		ShedAfterNanos: int64(time.Duration(body.ShedAfterLagSeconds * float64(time.Second))),
-		StartedAt:      time.Now(),
+		MaxWallNanos: int64(time.Duration(body.MaxWallSeconds * float64(time.Second))),
+		Degrade:      body.Degrade,
+		StartedAt:    time.Now(),
 	}
 	if b.Sink == "" {
 		b.Sink = scenario.DefaultSink
@@ -597,8 +596,9 @@ func (s *Server) launch(r *run) {
 		defer r.cancel()
 		// A wall-clock budget becomes a real context deadline here — at
 		// launch, not submission, so time spent in the admission queue
-		// does not count against the run.
-		if r.opts.Budget.MaxWall > 0 {
+		// does not count against the run. Its expiry is typed by
+		// run.wallBreach.
+		if r.begin.MaxWallNanos > 0 {
 			var cancelWall context.CancelFunc
 			ctx, cancelWall = context.WithDeadline(ctx, r.wallDeadline())
 			defer cancelWall()
@@ -755,6 +755,7 @@ func (s *Server) handleStop(w http.ResponseWriter, req *http.Request) {
 		// Still waiting for admission: removed from the queue and finished
 		// without ever launching.
 		r.removeJournal()
+		s.reg.Drop("run", r.begin.RunID)
 		writeJSON(w, http.StatusOK, r.info())
 		return
 	}
@@ -768,8 +769,10 @@ func (s *Server) handleStop(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// The operator discarded the run and the drain completed; its journal
-	// must not resurrect it at the next startup.
+	// must not resurrect it at the next startup, and its metric series
+	// would only grow /metrics until eviction (GET /runs/{id} still answers).
 	r.removeJournal()
+	s.reg.Drop("run", r.begin.RunID)
 	writeJSON(w, http.StatusOK, r.info())
 }
 

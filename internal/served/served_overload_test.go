@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,6 +24,7 @@ import (
 	"cptgpt/internal/faultnet"
 	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
+	"cptgpt/internal/scenario"
 )
 
 // soakFor stretches TestChaosSoak to a full chaos soak; the default is a
@@ -174,6 +176,9 @@ func TestDeleteQueuedRun(t *testing.T) {
 	if del.State != StateStopped {
 		t.Fatalf("deleted queued run state %q, want %q", del.State, StateStopped)
 	}
+	if m := scrapeMetrics(t, ts.URL); strings.Contains(m, `run="`+b.ID+`"`) {
+		t.Fatalf("deleted queued run %s kept its metric series", b.ID)
+	}
 
 	close(gate)
 	if fa := waitState(t, ts.URL, a.ID); fa.State != StateDone {
@@ -264,8 +269,7 @@ func TestDeleteRecoveringRun(t *testing.T) {
 	}
 }
 
-// enospcWriter fails its first failN writes with ENOSPC (a hard error the
-// transient retry layer below the breaker will not absorb), then writes
+// enospcWriter fails its first failN writes with ENOSPC, then writes
 // through. The Write-call granularity matches the breaker's failure
 // counting, so tests can script exact trip sequences.
 type enospcWriter struct {
@@ -487,6 +491,39 @@ func TestBudgetExceededRuns(t *testing.T) {
 	}
 }
 
+// TestWallBudgetDuringGeneration pins the generation-phase half of the
+// wall-clock budget (TestBudgetExceededRuns breaches while streaming): a
+// run held past its deadline before its stream opens fails with the same
+// typed breach, still unwrapping to context.DeadlineExceeded, its Used
+// counted from launch, and the kind-labeled counter rises by one.
+func TestWallBudgetDuringGeneration(t *testing.T) {
+	hold := func(*run) { time.Sleep(150 * time.Millisecond) }
+	executeTestHook.Store(&hold)
+	t.Cleanup(func() { executeTestHook.Store(nil) })
+	s, ts := newDurableServer(t, Options{})
+	var info RunInfo
+	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 100, MaxWallSeconds: 0.05}, &info, http.StatusCreated)
+	final := waitState(t, ts.URL, info.ID)
+	if final.State != StateFailed || !strings.Contains(final.Error, "budget exceeded: wall clock") {
+		t.Fatalf("run ended %s (err %q), want failed with a wall-clock breach", final.State, final.Error)
+	}
+	r, _ := s.lookup(info.ID)
+	r.mu.Lock()
+	err, streamed := r.err, !r.streamAt.IsZero()
+	r.mu.Unlock()
+	be, ok := scenario.AsBudgetExceeded(err)
+	if !ok || be.Kind != scenario.BudgetWallClock || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want a wall_clock BudgetExceededError wrapping context.DeadlineExceeded", err)
+	}
+	if streamed || be.Used < int64(150*time.Millisecond) || be.Limit != int64(50*time.Millisecond) {
+		t.Fatalf("streamed=%v used %v of %v; want a generation-phase breach counted from launch",
+			streamed, time.Duration(be.Used), time.Duration(be.Limit))
+	}
+	if m := scrapeMetrics(t, ts.URL); !strings.Contains(m, `cptserved_budget_exceeded_total{kind="wall_clock"} 1`) {
+		t.Fatal("wall-clock breach not counted")
+	}
+}
+
 // TestHealthzDegraded pins the readiness contract: a full admission queue
 // flips GET /healthz to 503 with the reason, and back to 200 once the
 // pressure clears.
@@ -612,9 +649,8 @@ func TestChaosSoak(t *testing.T) {
 			case 4: // closed-loop replay across the faulty network
 				return StartRequest{Scenario: "flash-crowd", UEs: 100, Sink: "replay",
 					Addr: backend.Addr().String(), ClosedLoop: true}
-			default: // paced with load-shedding armed
-				return StartRequest{Scenario: "flash-crowd", UEs: 150, Compression: 3600,
-					ShedAfterLagSeconds: 0.05}
+			default: // a second paced run, larger
+				return StartRequest{Scenario: "flash-crowd", UEs: 150, Compression: 3600}
 			}
 		}
 

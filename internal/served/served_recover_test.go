@@ -5,15 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
-	"sync/atomic"
-	"syscall"
+	"strings"
 	"testing"
 	"time"
 
@@ -239,6 +237,70 @@ func TestDaemonCrashRecoveryFileSinks(t *testing.T) {
 				t.Fatalf("journal final state %q, want done", st.State)
 			}
 		})
+	}
+}
+
+// TestParentJournalResumes pins journal compatibility across the removal
+// of pacer load shedding: testdata/parent-journal.runlog was written by
+// runlog at the commit before Begin.ShedAfterNanos and Checkpoint.Shed were
+// deleted — a jsonl flash-crowd run of 120 UEs, crashed after a checkpoint
+// at half its events — so its begin record carries "shed_after_nanos" and
+// its checkpoint "shed". Loading ignores both keys, and the run resumes to
+// a file byte-identical to an uninterrupted run's. The journal names its
+// output by the relative path "out.jsonl", so the daemon runs from a
+// temporary working directory.
+func TestParentJournalResumes(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent-journal.runlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"shed_after_nanos":`, `"shed":`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("fixture lacks the %s key it exists to carry", key)
+		}
+	}
+	jdir := t.TempDir()
+	jpath := filepath.Join(jdir, "run-4"+runlog.Ext)
+	if err := os.WriteFile(jpath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := runlog.Load(jpath)
+	if err != nil || st.TornTail || st.Begin == nil || st.Checkpoint == nil || st.Begin.Out != "out.jsonl" {
+		t.Fatalf("fixture loads as %+v, err %v", st, err)
+	}
+	ref, evs := renderReference(t, "flash-crowd", st.Begin.UEs, "jsonl")
+	work := t.TempDir()
+	if err := os.WriteFile(filepath.Join(work, "out.jsonl"), ref[:st.Checkpoint.SinkBytes], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(work); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	s, ts := newDurableServer(t, Options{JournalDir: jdir})
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	final := waitState(t, ts.URL, "run-4")
+	if got, _ := final.Result["events"].(float64); final.State != StateDone || got != float64(len(evs)) {
+		t.Fatalf("resumed parent run ended %s (err %q) with %v events, want done with %d", final.State, final.Error, got, len(evs))
+	}
+	got, err := os.ReadFile(filepath.Join(work, "out.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, ref) {
+		t.Fatalf("resumed file differs from the uninterrupted run's: %d bytes vs %d", len(got), len(ref))
+	}
+	// Resumed from the checkpoint, not restarted from scratch.
+	skips := fmt.Sprintf("cptserved_journal_resume_skip_events_total %d\n", st.Checkpoint.Events)
+	if !strings.Contains(scrapeMetrics(t, ts.URL), skips) {
+		t.Fatalf("metrics lack %q", skips)
 	}
 }
 
@@ -504,76 +566,6 @@ func TestDaemonRunPanicContained(t *testing.T) {
 	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 60}, &info, http.StatusCreated)
 	if final := waitState(t, ts.URL, info.ID); final.State != StateDone {
 		t.Fatalf("post-panic run ended %s, want done", final.State)
-	}
-}
-
-// Transient-error writers for the retry tests.
-type flakyWriter struct {
-	fails int
-	buf   bytes.Buffer
-}
-
-func (f *flakyWriter) Write(p []byte) (int, error) {
-	if f.fails > 0 {
-		f.fails--
-		return 0, syscall.EINTR
-	}
-	return f.buf.Write(p)
-}
-
-type shortWriter struct {
-	buf     bytes.Buffer
-	tripped bool
-}
-
-func (s *shortWriter) Write(p []byte) (int, error) {
-	if !s.tripped && len(p) > 2 {
-		s.tripped = true
-		n, _ := s.buf.Write(p[:2])
-		return n, io.ErrShortWrite
-	}
-	return s.buf.Write(p)
-}
-
-type brokenWriter struct{}
-
-func (brokenWriter) Write([]byte) (int, error) { return 0, os.ErrPermission }
-
-// TestRetryWriter pins satellite 2's semantics: transient errors are
-// retried with counted attempts, partial writes resume at the delivered
-// offset, and permanent errors surface unchanged without retries.
-func TestRetryWriter(t *testing.T) {
-	var retries atomic.Int64
-
-	fw := &flakyWriter{fails: 2}
-	rw := &retryWriter{w: fw, retries: &retries}
-	if n, err := rw.Write([]byte("hello")); err != nil || n != 5 {
-		t.Fatalf("Write = (%d, %v), want (5, nil)", n, err)
-	}
-	if fw.buf.String() != "hello" || retries.Load() != 2 {
-		t.Fatalf("content %q retries %d, want %q/2", fw.buf.String(), retries.Load(), "hello")
-	}
-
-	retries.Store(0)
-	sw := &shortWriter{}
-	rw = &retryWriter{w: sw, retries: &retries}
-	if n, err := rw.Write([]byte("abcdef")); err != nil || n != 6 {
-		t.Fatalf("short Write = (%d, %v), want (6, nil)", n, err)
-	}
-	if sw.buf.String() != "abcdef" {
-		t.Fatalf("short-write content %q, want %q (no duplicated prefix)", sw.buf.String(), "abcdef")
-	}
-	if retries.Load() != 1 {
-		t.Fatalf("short-write retries %d, want 1", retries.Load())
-	}
-
-	retries.Store(0)
-	rw = &retryWriter{w: brokenWriter{}, retries: &retries}
-	if _, err := rw.Write([]byte("x")); err == nil {
-		t.Fatal("permanent error was swallowed")
-	}
-	if retries.Load() != 0 {
-		t.Fatalf("permanent error consumed %d retries", retries.Load())
 	}
 }
 

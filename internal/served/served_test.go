@@ -272,6 +272,10 @@ func TestDaemonStopPacedRun(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
+	label := `run="` + info.ID + `"`
+	if !strings.Contains(scrapeMetrics(t, ts.URL), label) {
+		t.Fatalf("streaming run has no %s series", label)
+	}
 	var stopped RunInfo
 	do(t, "DELETE", ts.URL+"/runs/"+info.ID, nil, &stopped, http.StatusOK)
 	if stopped.State != StateStopped || stopped.Error != "" {
@@ -281,6 +285,11 @@ func TestDaemonStopPacedRun(t *testing.T) {
 	if !ok || evs <= 0 {
 		t.Fatalf("stopped run lost its partial result: %+v", stopped.Result)
 	}
+	// A completed DELETE discards the run's series; its record still answers.
+	if m := scrapeMetrics(t, ts.URL); strings.Contains(m, label) {
+		t.Fatalf("series carrying %s survive the DELETE", label)
+	}
+	do(t, "GET", ts.URL+"/runs/"+info.ID+"/stats", nil, nil, http.StatusOK)
 
 	// Clean drain: every line of the sink file is complete, valid JSON,
 	// and the count matches the run's released-event count.
@@ -416,15 +425,20 @@ func TestDaemonValidation(t *testing.T) {
 		do(t, "POST", ts.URL+"/runs", req, nil, http.StatusBadRequest)
 		_ = i
 	}
-	// Unknown JSON fields are rejected too (catches client typos).
-	resp, err := http.Post(ts.URL+"/runs", "application/json",
-		strings.NewReader(`{"scenario":"flash-crowd","compresion":10}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("typoed field accepted: %d", resp.StatusCode)
+	// Unknown JSON fields are rejected too (catches client typos), and so
+	// is the retired load-shedding knob.
+	for _, body := range []string{
+		`{"scenario":"flash-crowd","compresion":10}`,
+		`{"scenario":"flash-crowd","shed_after_lag_seconds":0.05}`,
+	} {
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown field accepted (%d): %s", resp.StatusCode, body)
+		}
 	}
 
 	var list struct {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"cptgpt/internal/scenario"
@@ -30,10 +29,10 @@ func (h *halfWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestSinkShortWrite: below the line encoder sit the counting and retry
-// layers; a write that comes back short without an error is no transient
-// fault to them, so it must surface from the encoder as io.ErrShortWrite,
-// stick, and leave the byte cursor at what the sink really took.
+// TestSinkShortWrite: below the line encoder sits the counting layer; a
+// write that comes back short without an error must surface from the
+// encoder as io.ErrShortWrite, stick, and leave the byte cursor at what the
+// sink really took.
 func TestSinkShortWrite(t *testing.T) {
 	spec, err := scenario.Builtin("flash-crowd")
 	if err != nil {
@@ -45,9 +44,8 @@ func TestSinkShortWrite(t *testing.T) {
 	}
 	defer st.Close()
 	for _, format := range []string{"jsonl", "csv"} {
-		var retries atomic.Int64
 		sink := &halfWriter{}
-		cw := &countingWriter{w: &retryWriter{w: sink, retries: &retries}}
+		cw := &countingWriter{w: sink}
 		lw, err := scenario.NewLineWriter(cw, format, st, true)
 		if err != nil {
 			t.Fatal(err)
@@ -68,14 +66,14 @@ func TestSinkShortWrite(t *testing.T) {
 		if err := lw.Flush(); !errors.Is(err, io.ErrShortWrite) || sink.calls != 1 {
 			t.Fatalf("%s: second Flush returned %v after %d sink writes, want the same error and no new write", format, err, sink.calls)
 		}
-		if cw.n != int64(sink.took) || retries.Load() != 0 {
-			t.Fatalf("%s: cursor %d, sink took %d, %d retries", format, cw.n, sink.took, retries.Load())
+		if cw.n != int64(sink.took) {
+			t.Fatalf("%s: cursor %d, sink took %d", format, cw.n, sink.took)
 		}
 	}
 }
 
-// TestDaemonAndDirectSinkOneFormat: a jsonl run through the daemon (retry,
-// counting and pacer layers in place) and the same spec and population
+// TestDaemonAndDirectSinkOneFormat: a jsonl run through the daemon
+// (counting and pacer layers in place) and the same spec and population
 // drained straight into the registry's sink, as cptscenario does, write the
 // same bytes — the two binaries' file output is one format.
 func TestDaemonAndDirectSinkOneFormat(t *testing.T) {

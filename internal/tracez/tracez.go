@@ -46,7 +46,6 @@ const (
 	StageScenarioSink    = "scenario.sink"    // one sink drain, end to end
 	StagePacerWait       = "pacer.wait"       // one pacer release wait
 	StagePacerWindow     = "pacer.window"     // one achieved-rate window
-	StagePacerShed       = "pacer.shed"       // one load-shedding burst (n = shed releases)
 	StageDecodeStep      = "decode.step"      // one decoder pass, one row per slot
 	StageDecodeStepK     = "decode.stepk"     // one decoder pass, several rows per slot
 	StageDecodeDraft     = "decode.draft"     // speculative draft proposal phase
