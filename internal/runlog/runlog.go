@@ -152,13 +152,12 @@ type Begin struct {
 	// SessionID is the closed-loop replay session key, fixed at submission
 	// so a resumed run can rejoin the server-side session.
 	SessionID uint64 `json:"session_id,omitempty"`
-	// Resource budgets and degrade policy, journaled so a resumed run keeps
-	// the envelope it was admitted under. MaxWallNanos is the total
-	// wall-clock budget; recovery re-arms the remainder.
+	// Resource budgets, journaled so a resumed run keeps the envelope it
+	// was admitted under. MaxWallNanos is the total wall-clock budget;
+	// recovery re-arms the remainder.
 	MaxSpillBytes int64     `json:"max_spill_bytes,omitempty"`
 	MaxEvents     int64     `json:"max_events,omitempty"`
 	MaxWallNanos  int64     `json:"max_wall_nanos,omitempty"`
-	Degrade       string    `json:"degrade,omitempty"`
 	StartedAt     time.Time `json:"started_at"`
 }
 

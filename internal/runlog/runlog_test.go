@@ -23,7 +23,7 @@ func testBegin() Begin {
 		SessionID:   0xdeadbeef,
 		// The resource envelope too: FuzzRunlogLoad's seeds compare the
 		// loaded Begin field for field.
-		MaxSpillBytes: 1 << 20, MaxEvents: 500, MaxWallNanos: int64(3 * time.Second), Degrade: "drop",
+		MaxSpillBytes: 1 << 20, MaxEvents: 500, MaxWallNanos: int64(3 * time.Second),
 		StartedAt: time.Unix(1700000000, 0).UTC(),
 	}
 }

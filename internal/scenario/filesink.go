@@ -90,7 +90,7 @@ func (s *fileSink) Cursor() (Cursor, bool) {
 	return Cursor{Bytes: s.written(), Lines: s.from.Lines + int64(s.lw.Count())}, true
 }
 
-func (s *fileSink) Consume(ctx context.Context, src EventSource) (Result, error) {
+func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	w := s.cfg.Stdout
 	if s.cfg.Out != "" {
 		f, err := s.open()
@@ -108,11 +108,6 @@ func (s *fileSink) Consume(ctx context.Context, src EventSource) (Result, error)
 	if s.gz() {
 		gzw = gzip.NewWriter(w)
 		w = gzw
-	}
-	if s.cfg.Above != nil {
-		// Above the byte-counting layer, so what a breaker drops never
-		// reaches the cursor arithmetic and resumed checkpoints stay exact.
-		w = s.cfg.Above(ctx, w)
 	}
 	// A resumed csv file already has its header on disk.
 	lw, err := NewLineWriter(w, s.cfg.Name, src, s.from.Bytes == 0)

@@ -33,16 +33,6 @@ const (
 	DefaultSink = sinkCount
 )
 
-// Degrade policies for file-sink write failures: "fail" (default — a hard
-// write error fails the run), "drop" and "pause" (a circuit breaker, which
-// the caller supplies as SinkConfig.Above, discards or holds writes while
-// the file is broken). The registry only checks a policy against the sink.
-const (
-	DegradeFail  = "fail"
-	DegradePause = "pause"
-	DegradeDrop  = "drop"
-)
-
 // sinkEntry registers one sink: what it is called, which of the target
 // fields it takes, and how it is built.
 type sinkEntry struct {
@@ -108,18 +98,13 @@ type SinkConfig struct {
 	Dial       func(addr string) (net.Conn, error)
 	// MCN configures the mcn sink; the zero value means mcn.DefaultConfig().
 	MCN mcn.Config
-	// Degrade is the file sinks' write-failure policy ("" = DegradeFail).
-	Degrade string
-	// Below and Above are the caller's writer layers around a file sink's
-	// output — the daemon's byte-counting and circuit-breaker writers;
-	// cptscenario has none. Below wraps the opened file, under
-	// the gzip layer of a ".gz" path, and returns with it a count of the
-	// bytes that reached the file, offset (a resumed file's kept prefix)
-	// included: the byte half of the sink's Cursor, which stays zero
-	// without it. Above wraps what the line encoder writes to, under
-	// Consume's context.
+	// Below is the caller's writer layer around a file sink's output — the
+	// daemon's byte-counting writer; cptscenario has none. It wraps the
+	// opened file, under the gzip layer of a ".gz" path, and returns with
+	// it a count of the bytes that reached the file, offset (a resumed
+	// file's kept prefix) included: the byte half of the sink's Cursor,
+	// which stays zero without it. A write error from it fails Consume.
 	Below func(f io.Writer, offset int64) (w io.Writer, written func() int64)
-	Above func(ctx context.Context, w io.Writer) io.Writer
 }
 
 // Validate checks the name and every name × field combination — all that
@@ -154,15 +139,6 @@ func (c SinkConfig) check() (sinkEntry, error) {
 		return s, errors.New("closed_loop only applies to the replay sink")
 	case !replay && c.Dial != nil:
 		return s, errors.New("fault injection only applies to the replay sink")
-	}
-	switch c.Degrade {
-	case "", DegradeFail:
-	case DegradeDrop, DegradePause:
-		if !file {
-			return s, fmt.Errorf("degrade %q only applies to the jsonl and csv sinks", c.Degrade)
-		}
-	default:
-		return s, fmt.Errorf("unknown degrade policy %q (want fail, drop or pause)", c.Degrade)
 	}
 	return s, nil
 }

@@ -17,14 +17,13 @@ import (
 	"testing"
 )
 
-// startRequest, the Degrade constants and referenceValidate are the parent
-// commit's served.validateStart sink/degrade checks, kept verbatim (less the
-// reachability dial, which needed a network) as the reference the registry's
-// validation is compared against.
+// startRequest and referenceValidate are the pre-registry
+// served.validateStart sink checks, kept verbatim (less the reachability
+// dial, which needed a network, and the degrade policy, deleted since) as
+// the reference the registry's validation is compared against.
 type startRequest struct {
 	Sink, Out, Addr string
 	ClosedLoop      bool
-	Degrade         string
 }
 
 func referenceValidate(req *startRequest) error {
@@ -55,42 +54,31 @@ func referenceValidate(req *startRequest) error {
 			return fmt.Errorf("closed_loop only applies to the replay sink")
 		}
 	}
-	switch req.Degrade {
-	case "", DegradeFail:
-	case DegradeDrop, DegradePause:
-		if req.Sink != "jsonl" && req.Sink != "csv" {
-			return fmt.Errorf("degrade %q only applies to the jsonl and csv sinks", req.Degrade)
-		}
-	default:
-		return fmt.Errorf("unknown degrade policy %q (want fail, drop or pause)", req.Degrade)
-	}
 	return nil
 }
 
 // TestSinkConfigMatrix holds SinkConfig.Validate to the reference over the
-// full product of sink × out × addr × closed-loop × degrade, verdict and
-// message both.
+// full product of sink × out × addr × closed-loop, verdict and message
+// both.
 func TestSinkConfigMatrix(t *testing.T) {
 	rows := 0
 	for _, sink := range []string{"", "count", "mcn", "jsonl", "csv", "replay", "unknown"} {
 		for _, out := range []string{"", "/tmp/out"} {
 			for _, addr := range []string{"", "127.0.0.1:9"} {
 				for _, closed := range []bool{false, true} {
-					for _, degrade := range []string{"", "fail", "drop", "pause", "bogus"} {
-						rows++
-						want := referenceValidate(&startRequest{sink, out, addr, closed, degrade})
-						got := SinkConfig{Name: sink, Out: out, Addr: addr, ClosedLoop: closed, Degrade: degrade}.Validate()
-						if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-							t.Errorf("sink=%q out=%q addr=%q closed=%v degrade=%q: got %v, reference %v",
-								sink, out, addr, closed, degrade, got, want)
-						}
+					rows++
+					want := referenceValidate(&startRequest{sink, out, addr, closed})
+					got := SinkConfig{Name: sink, Out: out, Addr: addr, ClosedLoop: closed}.Validate()
+					if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+						t.Errorf("sink=%q out=%q addr=%q closed=%v: got %v, reference %v",
+							sink, out, addr, closed, got, want)
 					}
 				}
 			}
 		}
 	}
-	if rows != 280 {
-		t.Fatalf("matrix has %d rows, want 280", rows)
+	if rows != 56 {
+		t.Fatalf("matrix has %d rows, want 56", rows)
 	}
 	// What only cptscenario sets: a stdout default stands in for a file
 	// sink's out, and a dial seam is a replay-only field like the others.

@@ -112,9 +112,10 @@ type RunOpts struct {
 	// a daemon's cptserved_decode_step_seconds series.
 	SourceStepHist func(sourceID string) *telemetry.Histogram
 	// Budget bounds the run's resource consumption (zero = unlimited):
-	// spill-disk bytes are enforced at every spill and merge write, event
-	// and wall-clock bounds by the Pacer. An over-budget run fails with a
-	// typed *BudgetExceededError.
+	// spill-disk bytes are enforced at every spill and merge write, the
+	// event count by the Pacer. An over-budget run fails with a typed
+	// *BudgetExceededError. A wall-clock bound is not a Budget field but a
+	// context deadline its owner arms and types (see WrapWallClock).
 	Budget Budget
 	// ResumeAfter fast-forwards the run past a checkpointed merge key:
 	// every event ≤ (Time, UE, Seq) is regenerated (the pipeline is

@@ -17,11 +17,13 @@ import (
 
 // TestOperationsDocMatchesCode holds docs/OPERATIONS.md to the daemon it
 // documents, both ways: the POST /runs field table names exactly
-// StartRequest's JSON fields, and the metric tables name exactly the
-// cptserved_* series the non-test code under internal/ and cmd/ spells
-// (found as string literals with go/ast, as TestSinkNamedOnce finds sink
-// names). A field or series added, renamed or removed on one side fails
-// here until the other follows.
+// StartRequest's JSON fields, the GET /healthz reason list names exactly
+// the string literals in healthReasons (the reasons it appends), and the
+// metric tables name exactly the cptserved_* series the non-test code
+// under internal/ and cmd/ spells (found as string literals with go/ast,
+// as TestSinkNamedOnce finds sink names). A field, reason or series
+// added, renamed or removed on one side fails here until the other
+// follows.
 func TestOperationsDocMatchesCode(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
@@ -55,6 +57,27 @@ func TestOperationsDocMatchesCode(t *testing.T) {
 	}
 	sameNames(t, "POST /runs fields", docFields, codeFields)
 
+	// The bullets of the GET /healthz section each open with one reason.
+	docReasons := map[string]bool{}
+	_, sec, _ = strings.Cut(doc, "### `GET /healthz`")
+	sec, _, _ = strings.Cut(sec, "\n### ")
+	for _, m := range regexp.MustCompile("(?m)^- `([a-z_]+)`").FindAllStringSubmatch(sec, -1) {
+		docReasons[m[1]] = true
+	}
+	codeReasons := map[string]bool{}
+	served, err := parser.ParseFile(token.NewFileSet(), "served.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range served.Decls {
+		if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "healthReasons" {
+			for _, s := range stringLits(fn) {
+				codeReasons[s] = true
+			}
+		}
+	}
+	sameNames(t, "GET /healthz reasons", docReasons, codeReasons)
+
 	docMetrics := map[string]bool{}
 	row := regexp.MustCompile("(?m)^\\| `(cptserved_[a-z0-9_]+)`")
 	for _, m := range row.FindAllStringSubmatch(doc, -1) {
@@ -71,14 +94,11 @@ func TestOperationsDocMatchesCode(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					if s, err := strconv.Unquote(lit.Value); err == nil && series.MatchString(s) {
-						codeMetrics[s] = true
-					}
+			for _, s := range stringLits(file) {
+				if series.MatchString(s) {
+					codeMetrics[s] = true
 				}
-				return true
-			})
+			}
 			return nil
 		})
 		if err != nil {
@@ -86,6 +106,20 @@ func TestOperationsDocMatchesCode(t *testing.T) {
 		}
 	}
 	sameNames(t, "cptserved_* series", docMetrics, codeMetrics)
+}
+
+// stringLits returns the string literals spelled under n.
+func stringLits(n ast.Node) []string {
+	var lits []string
+	ast.Inspect(n, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil {
+				lits = append(lits, s)
+			}
+		}
+		return true
+	})
+	return lits
 }
 
 // sameNames reports the names only the doc or only the code has.

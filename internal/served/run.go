@@ -81,11 +81,6 @@ type StartRequest struct {
 	MaxSpillBytes  int64   `json:"max_spill_bytes,omitempty"`
 	MaxEvents      int64   `json:"max_events,omitempty"`
 	MaxWallSeconds float64 `json:"max_wall_seconds,omitempty"`
-	// Degrade selects the file-sink failure policy: "fail" (default —
-	// a hard sink error fails the run), "drop" (circuit breaker discards
-	// writes while the sink is broken; lossy output), or "pause" (breaker
-	// blocks the drain until the sink recovers; lossless, adds lag).
-	Degrade string `json:"degrade,omitempty"`
 }
 
 // RunInfo is the wire form of a run's identity and lifecycle.
@@ -129,16 +124,13 @@ type RunStats struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	// EventsPerSec is the cumulative streaming-phase rate; RecentPerSec is
 	// the rate since the previous stats scrape (0 on the first scrape).
-	EventsPerSec    float64 `json:"events_per_sec"`
-	RecentPerSec    float64 `json:"recent_events_per_sec"`
-	Compression     float64 `json:"compression"`
-	PacerLagSeconds float64 `json:"pacer_lag_seconds"`
-	// SinkDropped counts the writes the circuit breaker discarded under
-	// the drop policy.
-	SinkDropped int64                  `json:"sink_dropped,omitempty"`
-	Sources     map[string]SourceStats `json:"sources,omitempty"`
-	MCN         *MCNStats              `json:"mcn,omitempty"`
-	Replay      *ReplayStats           `json:"replay,omitempty"`
+	EventsPerSec    float64                `json:"events_per_sec"`
+	RecentPerSec    float64                `json:"recent_events_per_sec"`
+	Compression     float64                `json:"compression"`
+	PacerLagSeconds float64                `json:"pacer_lag_seconds"`
+	Sources         map[string]SourceStats `json:"sources,omitempty"`
+	MCN             *MCNStats              `json:"mcn,omitempty"`
+	Replay          *ReplayStats           `json:"replay,omitempty"`
 
 	// Deprecated: always 0, so never serialised: the sink retry layer is
 	// gone. Kept because the benchmark harness reads it.
@@ -154,10 +146,10 @@ type RunStats struct {
 // nothing else is mutated after.
 type run struct {
 	// begin is the run's journaled identity — id, scenario, sink and its
-	// target, overrides, budgets, degrade policy, start time: what
-	// openJournal writes verbatim and recovery reads back. spec is the
-	// scenario it resolved to and opts the pipeline configuration derived
-	// from the two (opts.Budget is the run's resource envelope).
+	// target, overrides, budgets, start time: what openJournal writes
+	// verbatim and recovery reads back. spec is the scenario it resolved to
+	// and opts the pipeline configuration derived from the two (opts.Budget
+	// is the run's resource envelope).
 	begin runlog.Begin
 	spec  *scenario.Spec
 	opts  scenario.RunOpts
@@ -192,14 +184,11 @@ type run struct {
 	wallFrom   time.Time
 	overBudget func(kind string)
 
-	// Sink state. breaker is the live file-sink circuit breaker (nil until
-	// the sink opens, and for the fail policy). journal is the run's
-	// write-ahead log (nil when journaling is off or unavailable) and jpath
-	// its file; resume is the checkpoint a recovered run restarts from
-	// (nil = from scratch) and resumeSkips the daemon-wide fast-forward
-	// counter.
+	// Sink state. journal is the run's write-ahead log (nil when journaling
+	// is off or unavailable) and jpath its file; resume is the checkpoint a
+	// recovered run restarts from (nil = from scratch) and resumeSkips the
+	// daemon-wide fast-forward counter.
 	sink         scenario.Sink
-	breaker      atomic.Pointer[breakerWriter]
 	journal      *runlog.Journal
 	jpath        string
 	resume       *runlog.Checkpoint
@@ -273,7 +262,7 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 	// drains cleanly: the sink sees end-of-source, finishes what is in
 	// flight and completes its closing handshake or flush.
 	cfg := sinkConfig(&b)
-	cfg.MCN, cfg.Below, cfg.Above = s.opts.MCN, r.below, r.above
+	cfg.MCN, cfg.Below = s.opts.MCN, r.below
 	var err error
 	if r.sink, err = scenario.NewSink(cfg); err != nil {
 		cancel()
@@ -307,7 +296,7 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 
 // sinkConfig is the sink half of a run's identity, as the registry takes it.
 func sinkConfig(b *runlog.Begin) scenario.SinkConfig {
-	return scenario.SinkConfig{Name: b.Sink, Out: b.Out, Addr: b.Addr, ClosedLoop: b.ClosedLoop, Degrade: b.Degrade}
+	return scenario.SinkConfig{Name: b.Sink, Out: b.Out, Addr: b.Addr, ClosedLoop: b.ClosedLoop}
 }
 
 // setState transitions the run's lifecycle state.
@@ -341,9 +330,6 @@ func (r *run) finish(state string, err error, res scenario.Result) {
 	r.err = err
 	if res != nil {
 		r.result = res.Wire()
-		if b := r.breaker.Load(); b != nil && b.dropped.Load() > 0 {
-			r.result["dropped"] = b.dropped.Load()
-		}
 	}
 	r.finishedAt = now
 	wall := now.Sub(r.begin.StartedAt)
@@ -459,9 +445,6 @@ func (r *run) stats() RunStats {
 		Events: events, Compression: r.begin.Compression,
 		PacerLagSeconds: r.lagSeconds(),
 	}
-	if b := r.breaker.Load(); b != nil {
-		st.SinkDropped = b.dropped.Load()
-	}
 	if !r.streamAt.IsZero() {
 		end := now
 		if !r.finishedAt.IsZero() {
@@ -528,9 +511,6 @@ func (r *run) execute(ctx context.Context) {
 		src = newCkptTap(pacer, r)
 	}
 	res, err := r.sink.Consume(ctx, src)
-	if b := r.breaker.Load(); b != nil {
-		b.finishSpan()
-	}
 
 	// The span ends before finish publishes the terminal state, so whoever
 	// observes the run finished also finds its run.stream span recorded.
@@ -608,31 +588,21 @@ func (r *run) pace(ctx context.Context, st *scenario.Stream) *scenario.Pacer {
 }
 
 // sinkWriterTestHook, when non-nil, wraps the sink file below the byte
-// count — the seam the degrade and soak tests inject ENOSPC and slow-sink
-// faults through.
+// count — the seam the sink write-error and soak tests inject ENOSPC and
+// slow-sink faults through.
 var sinkWriterTestHook atomic.Pointer[func(runID string, w io.Writer) io.Writer]
 
-// below and above are the daemon's writer layers around a file sink's
-// output (scenario.SinkConfig has the contract). Under the gzip layer:
-// the fault-injection seam and the byte count a checkpoint's sink cursor
-// is read from — seeded with a resumed file's durable prefix, so cursors
-// are always whole-file offsets. Nothing retries a write: (*os.File).Write
-// already retries EINTR, finishes partial writes and waits out EAGAIN.
+// below is the daemon's writer layer under a file sink's gzip layer
+// (scenario.SinkConfig.Below has the contract): the fault-injection seam
+// and the byte count a checkpoint's sink cursor is read from — seeded with
+// a resumed file's durable prefix, so cursors are always whole-file
+// offsets. Nothing retries a write: (*os.File).Write already retries
+// EINTR, finishes partial writes and waits out EAGAIN; any other error
+// fails the run.
 func (r *run) below(f io.Writer, offset int64) (io.Writer, func() int64) {
 	if hook := sinkWriterTestHook.Load(); hook != nil {
 		f = (*hook)(r.begin.RunID, f)
 	}
 	cw := &countingWriter{w: f, n: offset}
 	return cw, func() int64 { return cw.n }
-}
-
-// above puts the run's circuit breaker, when its degrade policy asks for
-// one, between the line encoder and everything below.
-func (r *run) above(ctx context.Context, w io.Writer) io.Writer {
-	if policy := r.begin.Degrade; policy == DegradeDrop || policy == DegradePause {
-		bw := newBreakerWriter(w, ctx, policy, r.begin.RunID)
-		r.breaker.Store(bw)
-		return bw
-	}
-	return w
 }

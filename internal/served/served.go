@@ -311,10 +311,9 @@ func (s *Server) overBudgetInc(kind string) {
 
 // healthReasons computes why the daemon is degraded — empty when it is
 // healthy. Degraded means still serving, but with reduced guarantees an
-// operator should know about before pointing more load here: an active
-// run's journal fell back to memory-only (crash recovery lost), a sink
-// circuit breaker is open (output degraded), or the admission queue is
-// full (new submissions bounce).
+// operator should know about before pointing more load here: the
+// admission queue is full (new submissions bounce), or an active run's
+// journal fell back to memory-only (crash recovery lost).
 func (s *Server) healthReasons() []string {
 	var reasons []string
 	s.mu.Lock()
@@ -326,26 +325,13 @@ func (s *Server) healthReasons() []string {
 		runs = append(runs, r)
 	}
 	s.mu.Unlock()
-	journalDegraded, breakerOpenSeen := false, false
 	for _, r := range runs {
 		r.mu.Lock()
 		j, term := r.journal, terminal(r.state)
 		r.mu.Unlock()
-		if term {
-			continue
+		if !term && j != nil && j.Degraded() {
+			return append(reasons, "journal_degraded")
 		}
-		if j != nil && j.Degraded() {
-			journalDegraded = true
-		}
-		if r.breakerState() == float64(breakerOpen) {
-			breakerOpenSeen = true
-		}
-	}
-	if journalDegraded {
-		reasons = append(reasons, "journal_degraded")
-	}
-	if breakerOpenSeen {
-		reasons = append(reasons, "sink_breaker_open")
 	}
 	return reasons
 }
@@ -476,7 +462,6 @@ func (s *Server) runFromRequest(body *StartRequest) (*run, error) {
 		Parallelism: body.Parallelism, BatchSize: body.BatchSize,
 		MaxSpillBytes: body.MaxSpillBytes, MaxEvents: body.MaxEvents,
 		MaxWallNanos: int64(time.Duration(body.MaxWallSeconds * float64(time.Second))),
-		Degrade:      body.Degrade,
 		StartedAt:    time.Now(),
 	}
 	if b.Sink == "" {
@@ -669,11 +654,6 @@ func (s *Server) registerRunMetrics(r *run) {
 	r.pacerRateHist = s.reg.Histogram("cptserved_pacer_window_rate",
 		"Distribution of achieved events/s over 1-second pacer windows.",
 		telemetry.RateBuckets, lbl...)
-	if r.begin.Degrade == DegradeDrop || r.begin.Degrade == DegradePause {
-		s.reg.GaugeFunc("cptserved_breaker_state",
-			"Sink circuit breaker: 0 closed, 1 open, 2 half-open.",
-			r.breakerState, lbl...)
-	}
 
 	for id, ds := range r.decode {
 		ds := ds

@@ -3,7 +3,6 @@ package served
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -28,8 +27,10 @@ import (
 )
 
 // soakFor stretches TestChaosSoak to a full chaos soak; the default is a
-// quick smoke pass so ordinary `go test` still walks the harness. CI runs
-// `go test -race -run TestChaosSoak -soak 30s ./internal/served`.
+// quick smoke pass so ordinary `go test` still walks the harness. A full
+// soak is `go test -race -run TestChaosSoak ./internal/served -soak 30s`:
+// the package goes before -soak, or go test stops reading packages there
+// and runs the root package, which has no such flag.
 var soakFor = flag.Duration("soak", 0, "chaos soak duration (0 = 2s smoke pass)")
 
 // blockRuns installs an executeTestHook that parks every run goroutine on
@@ -269,173 +270,12 @@ func TestDeleteRecoveringRun(t *testing.T) {
 	}
 }
 
-// enospcWriter fails its first failN writes with ENOSPC, then writes
-// through. The Write-call granularity matches the breaker's failure
-// counting, so tests can script exact trip sequences.
-type enospcWriter struct {
-	w     io.Writer
-	failN int64
-	fails atomic.Int64
-}
-
-func (e *enospcWriter) Write(p []byte) (int, error) {
-	if e.fails.Add(1) <= e.failN {
-		return 0, syscall.ENOSPC
-	}
-	return e.w.Write(p)
-}
-
 // injectSinkFaults wires sinkWriterTestHook to wrap every sink file in
 // wrap for the duration of the test.
 func injectSinkFaults(t *testing.T, wrap func(runID string, w io.Writer) io.Writer) {
 	t.Helper()
 	sinkWriterTestHook.Store(&wrap)
 	t.Cleanup(func() { sinkWriterTestHook.Store(nil) })
-}
-
-// TestBreakerDrop drives a jsonl run with degrade "drop" into a sink that
-// hard-fails its first writes: the breaker trips, the run keeps draining
-// with counted lossy output, and still finishes done.
-func TestBreakerDrop(t *testing.T) {
-	injectSinkFaults(t, func(_ string, w io.Writer) io.Writer {
-		return &enospcWriter{w: w, failN: 3}
-	})
-	_, ts := newDurableServer(t, Options{})
-	out := filepath.Join(t.TempDir(), "out.jsonl")
-	var info RunInfo
-	do(t, "POST", ts.URL+"/runs", StartRequest{
-		Scenario: "flash-crowd", UEs: 150, Sink: "jsonl", Out: out, Degrade: "drop",
-	}, &info, http.StatusCreated)
-	final := waitState(t, ts.URL, info.ID)
-	if final.State != StateDone {
-		t.Fatalf("drop-degrade run ended %s (err %q), want done", final.State, final.Error)
-	}
-	dropped, _ := final.Result["dropped"].(float64)
-	if dropped < 3 {
-		t.Fatalf("drop-degrade run reports %v dropped writes, want ≥ 3", final.Result["dropped"])
-	}
-	var stats RunStats
-	do(t, "GET", ts.URL+"/runs/"+info.ID+"/stats", nil, &stats, http.StatusOK)
-	if stats.SinkDropped != int64(dropped) {
-		t.Fatalf("stats sink_dropped %d != result dropped %v", stats.SinkDropped, dropped)
-	}
-	// Lossy by design: the file lost the dropped writes.
-	ref, _ := renderReference(t, "flash-crowd", 150, "jsonl")
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) >= len(ref) {
-		t.Fatalf("drop-degrade output not lossy: %d bytes vs %d reference", len(got), len(ref))
-	}
-	checkLossyFile(t, "jsonl", got, ref, int64(dropped))
-	if !strings.Contains(scrapeMetrics(t, ts.URL), "cptserved_breaker_state") {
-		t.Fatal("metrics missing cptserved_breaker_state for a degrade-enabled run")
-	}
-
-	// A sink that fails every other write never trips the breaker, so kept
-	// and discarded writes alternate through the whole file: what is lost
-	// is whole events, in both formats, and dropped counts them.
-	for _, format := range []string{"jsonl", "csv"} {
-		injectSinkFaults(t, func(_ string, w io.Writer) io.Writer { return &flipWriter{w: w} })
-		out := filepath.Join(t.TempDir(), "out."+format)
-		do(t, "POST", ts.URL+"/runs", StartRequest{
-			Scenario: "flash-crowd", UEs: 150, Sink: format, Out: out, Degrade: "drop",
-		}, &info, http.StatusCreated)
-		if final = waitState(t, ts.URL, info.ID); final.State != StateDone {
-			t.Fatalf("%s drop-degrade run ended %s (err %q), want done", format, final.State, final.Error)
-		}
-		ref, _ := renderReference(t, "flash-crowd", 150, format)
-		if got, err = os.ReadFile(out); err != nil {
-			t.Fatal(err)
-		}
-		dropped, _ := final.Result["dropped"].(float64)
-		if dropped == 0 || len(got) == 0 {
-			t.Fatalf("%s: dropped %v, kept %d bytes: want some of each", format, dropped, len(got))
-		}
-		checkLossyFile(t, format, got, ref, int64(dropped))
-	}
-}
-
-// flipWriter hard-fails every other write, beginning with the first.
-type flipWriter struct {
-	w     io.Writer
-	calls int
-}
-
-func (f *flipWriter) Write(p []byte) (int, error) {
-	if f.calls++; f.calls%2 == 1 {
-		return 0, syscall.ENOSPC
-	}
-	return f.w.Write(p)
-}
-
-// checkLossyFile holds a drop-degraded file to its contract: every line is
-// a whole line of the lossless reference, in order — each jsonl line
-// parses as JSON and each csv row has four fields — and dropped is exactly
-// the number of lines missing.
-func checkLossyFile(t *testing.T, format string, got, ref []byte, dropped int64) {
-	t.Helper()
-	if len(got) > 0 && got[len(got)-1] != '\n' {
-		t.Fatalf("%s: lossy file ends mid-line: %q", format, got[max(0, len(got)-80):])
-	}
-	if format == "csv" {
-		cr := csv.NewReader(bytes.NewReader(got))
-		cr.FieldsPerRecord = 4
-		if _, err := cr.ReadAll(); err != nil {
-			t.Fatalf("csv: lossy file has a broken row: %v", err)
-		}
-	}
-	refLines := bytes.SplitAfter(ref, []byte{'\n'})
-	at := 0
-	for i, line := range bytes.SplitAfter(got, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue // after the final newline
-		}
-		if format == "jsonl" && !json.Valid(line) {
-			t.Fatalf("jsonl: line %d of the lossy file is not JSON: %q", i, line)
-		}
-		for at < len(refLines) && !bytes.Equal(refLines[at], line) {
-			at++
-		}
-		if at == len(refLines) {
-			t.Fatalf("%s: line %d of the lossy file is not a line of the reference (or out of order): %q", format, i, line)
-		}
-		at++
-	}
-	if missing := int64(bytes.Count(ref, []byte{'\n'}) - bytes.Count(got, []byte{'\n'})); missing != dropped {
-		t.Fatalf("%s: %d lines missing from the lossy file, run reports %d dropped", format, missing, dropped)
-	}
-}
-
-// TestBreakerPause drives the same faulty sink under degrade "pause": the
-// breaker blocks the drain through the cooldown instead of shedding data,
-// so the finished file is byte-identical to an unfaulted run's.
-func TestBreakerPause(t *testing.T) {
-	injectSinkFaults(t, func(_ string, w io.Writer) io.Writer {
-		return &enospcWriter{w: w, failN: 3}
-	})
-	_, ts := newDurableServer(t, Options{})
-	out := filepath.Join(t.TempDir(), "out.jsonl")
-	var info RunInfo
-	do(t, "POST", ts.URL+"/runs", StartRequest{
-		Scenario: "flash-crowd", UEs: 150, Sink: "jsonl", Out: out, Degrade: "pause",
-	}, &info, http.StatusCreated)
-	final := waitState(t, ts.URL, info.ID)
-	if final.State != StateDone {
-		t.Fatalf("pause-degrade run ended %s (err %q), want done", final.State, final.Error)
-	}
-	if _, lossy := final.Result["dropped"]; lossy {
-		t.Fatalf("pause-degrade run dropped data: %+v", final.Result)
-	}
-	ref, _ := renderReference(t, "flash-crowd", 150, "jsonl")
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Fatalf("pause-degrade output differs from reference: %d bytes vs %d", len(got), len(ref))
-	}
 }
 
 // TestBudgetExceededRuns pins the per-run budget axes end to end: each
@@ -638,12 +478,9 @@ func TestChaosSoak(t *testing.T) {
 			switch i % 6 {
 			case 0: // paced count run
 				return StartRequest{Scenario: "flash-crowd", UEs: 200, Compression: 3600}
-			case 1: // lossy file sink under the chaos writer
+			case 1, 2: // file sink under the chaos writer: an ENOSPC fails the run
 				return StartRequest{Scenario: "flash-crowd", UEs: 150, Sink: "jsonl",
-					Out: filepath.Join(outDir, fmt.Sprintf("soak-%d.jsonl", i)), Degrade: "drop"}
-			case 2: // lossless file sink: the breaker pauses through the faults
-				return StartRequest{Scenario: "flash-crowd", UEs: 100, Sink: "jsonl",
-					Out: filepath.Join(outDir, fmt.Sprintf("soak-%d.jsonl", i)), Degrade: "pause"}
+					Out: filepath.Join(outDir, fmt.Sprintf("soak-%d.jsonl", i))}
 			case 3: // over-budget: fails with a typed breach mid-soak
 				return StartRequest{Scenario: "flash-crowd", UEs: 100, MaxEvents: 50}
 			case 4: // closed-loop replay across the faulty network

@@ -240,67 +240,78 @@ func TestDaemonCrashRecoveryFileSinks(t *testing.T) {
 	}
 }
 
-// TestParentJournalResumes pins journal compatibility across the removal
-// of pacer load shedding: testdata/parent-journal.runlog was written by
-// runlog at the commit before Begin.ShedAfterNanos and Checkpoint.Shed were
-// deleted — a jsonl flash-crowd run of 120 UEs, crashed after a checkpoint
-// at half its events — so its begin record carries "shed_after_nanos" and
-// its checkpoint "shed". Loading ignores both keys, and the run resumes to
-// a file byte-identical to an uninterrupted run's. The journal names its
-// output by the relative path "out.jsonl", so the daemon runs from a
-// temporary working directory.
+// TestParentJournalResumes pins journal compatibility across deleted
+// journal fields. Each fixture was written by runlog at the commit before a
+// deletion — a jsonl flash-crowd run of 120 UEs, crashed after a checkpoint
+// at half its events — and carries the keys that commit still wrote:
+// parent-journal.runlog the pacer's "shed_after_nanos" and "shed", and
+// parent-journal-degrade.runlog the sink breaker's "degrade":"pause".
+// Loading ignores the keys, and the run resumes, under the one sink-failure
+// policy left, to a file byte-identical to an uninterrupted run's. A
+// journal names its output by the relative path "out.jsonl", so the daemon
+// runs from a temporary working directory.
 func TestParentJournalResumes(t *testing.T) {
-	raw, err := os.ReadFile("testdata/parent-journal.runlog")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"shed_after_nanos":`, `"shed":`} {
-		if !bytes.Contains(raw, []byte(key)) {
-			t.Fatalf("fixture lacks the %s key it exists to carry", key)
-		}
-	}
-	jdir := t.TempDir()
-	jpath := filepath.Join(jdir, "run-4"+runlog.Ext)
-	if err := os.WriteFile(jpath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := runlog.Load(jpath)
-	if err != nil || st.TornTail || st.Begin == nil || st.Checkpoint == nil || st.Begin.Out != "out.jsonl" {
-		t.Fatalf("fixture loads as %+v, err %v", st, err)
-	}
-	ref, evs := renderReference(t, "flash-crowd", st.Begin.UEs, "jsonl")
-	work := t.TempDir()
-	if err := os.WriteFile(filepath.Join(work, "out.jsonl"), ref[:st.Checkpoint.SinkBytes], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(work); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.Chdir(wd) })
+	for _, fx := range []struct {
+		file, runID string
+		keys        []string
+	}{
+		{"parent-journal.runlog", "run-4", []string{`"shed_after_nanos":`, `"shed":`}},
+		{"parent-journal-degrade.runlog", "run-5", []string{`"degrade":"pause"`}},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range fx.keys {
+				if !bytes.Contains(raw, []byte(key)) {
+					t.Fatalf("fixture lacks the %s key it exists to carry", key)
+				}
+			}
+			jdir := t.TempDir()
+			jpath := filepath.Join(jdir, fx.runID+runlog.Ext)
+			if err := os.WriteFile(jpath, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := runlog.Load(jpath)
+			if err != nil || st.TornTail || st.Begin == nil || st.Checkpoint == nil || st.Begin.Out != "out.jsonl" {
+				t.Fatalf("fixture loads as %+v, err %v", st, err)
+			}
+			ref, evs := renderReference(t, "flash-crowd", st.Begin.UEs, "jsonl")
+			work := t.TempDir()
+			if err := os.WriteFile(filepath.Join(work, "out.jsonl"), ref[:st.Checkpoint.SinkBytes], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wd, err := os.Getwd()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Chdir(work); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { os.Chdir(wd) })
 
-	s, ts := newDurableServer(t, Options{JournalDir: jdir})
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	final := waitState(t, ts.URL, "run-4")
-	if got, _ := final.Result["events"].(float64); final.State != StateDone || got != float64(len(evs)) {
-		t.Fatalf("resumed parent run ended %s (err %q) with %v events, want done with %d", final.State, final.Error, got, len(evs))
-	}
-	got, err := os.ReadFile(filepath.Join(work, "out.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, ref) {
-		t.Fatalf("resumed file differs from the uninterrupted run's: %d bytes vs %d", len(got), len(ref))
-	}
-	// Resumed from the checkpoint, not restarted from scratch.
-	skips := fmt.Sprintf("cptserved_journal_resume_skip_events_total %d\n", st.Checkpoint.Events)
-	if !strings.Contains(scrapeMetrics(t, ts.URL), skips) {
-		t.Fatalf("metrics lack %q", skips)
+			s, ts := newDurableServer(t, Options{JournalDir: jdir})
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			final := waitState(t, ts.URL, fx.runID)
+			if got, _ := final.Result["events"].(float64); final.State != StateDone || got != float64(len(evs)) {
+				t.Fatalf("resumed parent run ended %s (err %q) with %v events, want done with %d", final.State, final.Error, got, len(evs))
+			}
+			got, err := os.ReadFile(filepath.Join(work, "out.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("resumed file differs from the uninterrupted run's: %d bytes vs %d", len(got), len(ref))
+			}
+			// Resumed from the checkpoint, not restarted from scratch.
+			skips := fmt.Sprintf("cptserved_journal_resume_skip_events_total %d\n", st.Checkpoint.Events)
+			if !strings.Contains(scrapeMetrics(t, ts.URL), skips) {
+				t.Fatalf("metrics lack %q", skips)
+			}
+		})
 	}
 }
 

@@ -57,10 +57,10 @@ func TestDaemonReplaySinkValidation(t *testing.T) {
 	var refusal map[string]string
 	t0 := time.Now()
 	do(t, "POST", ts.URL+"/runs", StartRequest{
-		Scenario: "flash-crowd", UEs: 100, Sink: "replay", Addr: unreachableAddr(t), Degrade: "sometimes",
+		Scenario: "flash-crowd", UEs: 100, Sink: "replay", Addr: unreachableAddr(t), Out: "/tmp/replay.jsonl",
 	}, &refusal, http.StatusBadRequest)
-	if !strings.Contains(refusal["error"], "degrade") || strings.Contains(refusal["error"], "unreachable") {
-		t.Fatalf("bad degrade + unreachable addr refused with %q, want the degrade error", refusal["error"])
+	if !strings.Contains(refusal["error"], "takes no out path") || strings.Contains(refusal["error"], "unreachable") {
+		t.Fatalf("out on replay + unreachable addr refused with %q, want the out-path error", refusal["error"])
 	}
 	if d := time.Since(t0); d > time.Second {
 		t.Fatalf("refusal took %v: validation waited on the network", d)

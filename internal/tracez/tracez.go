@@ -58,7 +58,6 @@ const (
 	StageRunlogAppend    = "runlog.append"    // one write-ahead journal append
 	StageRunRecover      = "run.recover"      // served run: crash-recovery resume
 	StageRunQueued       = "run.queued"       // served run: admission-queue wait
-	StageSinkBreaker     = "sink.breaker"     // one sink circuit-breaker open interval
 )
 
 // Span is one recorded event: a stage, an optional run id, wall-clock start
