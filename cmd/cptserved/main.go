@@ -11,7 +11,7 @@
 //	          [-journal-dir DIR] [-fsync interval] [-recover resume] \
 //	          [-ckpt-events N] [-ckpt-interval D] \
 //	          [-max-active-runs N] [-max-total-ues N] [-max-spill-bytes N] \
-//	          [-queue-depth N] [-log-level info] [-pprof]
+//	          [-log-level info] [-pprof]
 //
 // SIGINT/SIGTERM stop every run with a clean drain (sinks flush their
 // last released event) before the process exits. With -journal-dir set,
@@ -53,7 +53,6 @@ func main() {
 	maxActiveRuns := flag.Int("max-active-runs", 0, "admission: concurrent active runs (0 = unlimited)")
 	maxTotalUEs := flag.Int64("max-total-ues", 0, "admission: summed UE population across active runs (0 = unlimited)")
 	maxSpillBytes := flag.Int64("max-spill-bytes", 0, "admission: daemon-wide live spill-disk bytes (0 = unlimited)")
-	queueDepth := flag.Int("queue-depth", 0, "admission queue slots for over-budget submissions (0 = reject immediately)")
 	var preload []string
 	flag.Func("preload", "model file to load at startup (repeatable)", func(p string) error {
 		preload = append(preload, p)
@@ -92,7 +91,6 @@ func main() {
 		MaxActiveRuns:      *maxActiveRuns,
 		MaxTotalUEs:        *maxTotalUEs,
 		MaxSpillBytes:      *maxSpillBytes,
-		QueueDepth:         *queueDepth,
 	})
 	for _, p := range preload {
 		if err := s.PreloadModel(p); err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cptgpt/internal/scenario"
-	"cptgpt/internal/tracez"
 )
 
 // Admission rejection reasons — which daemon-wide budget a submission ran
@@ -15,7 +14,6 @@ const (
 	AdmitActiveRuns = "active_runs"
 	AdmitTotalUEs   = "total_ues"
 	AdmitSpillBytes = "spill_bytes"
-	AdmitQueueFull  = "queue_full"
 )
 
 // AdmissionError is the typed 429 a submission gets when the daemon is at
@@ -47,11 +45,6 @@ type admitter struct {
 	// scenario budget shares this gauge, so generation-phase disk usage is
 	// visible to admission the moment it is charged.
 	spill atomic.Int64
-}
-
-// enabled reports whether any admission limit is configured.
-func (a *admitter) enabled() bool {
-	return a.maxRuns > 0 || a.maxUEs > 0 || a.maxSpill > 0
 }
 
 // check is the lock-free admission test for a submission costing ues UE
@@ -109,86 +102,4 @@ func admissionUEs(ues int, spec *scenario.Spec) int64 {
 		return int64(spec.Population)
 	}
 	return int64(scenario.DefaultPopulation)
-}
-
-// releaseAdmission returns a launched run's reservation and wakes the
-// admission queue. Runs on the run's lifecycle goroutine after the run is
-// terminal (its done channel is closed), exactly once per launch.
-func (s *Server) releaseAdmission(r *run) {
-	s.admission.release(r.admitUEs)
-	s.pumpQueue()
-}
-
-// pumpQueue admits queued runs in FIFO order while the freed budget
-// allows. Runs cancelled while queued were already finished and removed
-// by their DELETE; a head-of-line run that no longer fits stays queued —
-// no reordering, so a small run never starves behind the budget a big one
-// is waiting for.
-func (s *Server) pumpQueue() {
-	for {
-		s.mu.Lock()
-		if s.shuttingDown || len(s.queue) == 0 {
-			s.mu.Unlock()
-			return
-		}
-		r := s.queue[0]
-		if r.runCtx.Err() != nil {
-			// Cancelled while queued (daemon Close mid-pump); its DELETE or
-			// Close finished it — just drop the queue slot.
-			s.queue = s.queue[1:]
-			s.mu.Unlock()
-			continue
-		}
-		if err := s.admission.check(r.admitUEs); err != nil {
-			s.mu.Unlock()
-			return
-		}
-		s.queue = s.queue[1:]
-		s.admission.reserve(r.admitUEs)
-		s.wg.Add(1)
-		s.mu.Unlock()
-
-		r.queueSp.End(0, "admitted")
-		s.admitted.Inc()
-		r.setState(StateGenerating)
-		if s.opts.JournalDir != "" {
-			s.openJournal(r)
-		}
-		s.log.Infow("queued run admitted", "run", r.begin.RunID,
-			"queued_for", time.Since(r.begin.StartedAt))
-		s.launch(r)
-	}
-}
-
-// enqueueLocked parks an over-budget submission in the admission queue.
-// Caller holds s.mu and has verified there is queue space.
-func (s *Server) enqueueLocked(r *run) {
-	r.queueSp = tracez.Begin(tracez.StageRunQueued, r.begin.RunID)
-	s.queue = append(s.queue, r)
-}
-
-// cancelQueued removes a still-queued run and finishes it as stopped.
-// Returns false when the run is not in the queue (it was already admitted
-// — the caller falls through to the normal cancel-and-drain path).
-func (s *Server) cancelQueued(r *run) bool {
-	s.mu.Lock()
-	found := false
-	for i, q := range s.queue {
-		if q == r {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			found = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !found {
-		return false
-	}
-	// Never launched: nothing will close done or release a reservation
-	// (it never made one), so finish the run here.
-	r.queueSp.End(0, "cancelled")
-	r.cancel()
-	r.finish(StateStopped, nil, nil)
-	close(r.done)
-	return true
 }

@@ -22,11 +22,8 @@ import (
 // (source exhausted), stopped (operator cancellation drained cleanly) or
 // failed (pipeline or sink error). A run resumed from its journal after a
 // daemon crash is born recovering instead — the regeneration phase that
-// fast-forwards to the checkpoint — and then moves to streaming. A run
-// the admission controller could not fit is born queued and moves to
-// generating when budget frees (or to stopped if deleted while waiting).
+// fast-forwards to the checkpoint — and then moves to streaming.
 const (
-	StateQueued     = "queued"
 	StateGenerating = "generating"
 	StateRecovering = "recovering"
 	StateStreaming  = "streaming"
@@ -156,13 +153,12 @@ type run struct {
 	// log receives lifecycle events (nil = silent).
 	log *logz.Logger
 
-	// Lifecycle. runCtx is the run's root context, carried from
-	// construction so a queued run can launch (or be cancelled) later;
-	// queueSp spans the admission-queue wait.
-	cancel  context.CancelFunc
-	done    chan struct{}
-	runCtx  context.Context
-	queueSp tracez.Active
+	// Lifecycle. runCtx is the run's root context, made with cancel at
+	// construction so a DELETE or daemon Close that lands between
+	// registration and launch still stops the run.
+	cancel context.CancelFunc
+	done   chan struct{}
+	runCtx context.Context
 
 	mu         sync.Mutex
 	state      string
@@ -359,10 +355,10 @@ func (r *run) finish(state string, err error, res scenario.Result) {
 }
 
 // wallDeadline is when the run's wall-clock budget expires, counted from
-// wallFrom. A fresh run gets the full budget from launch (queue wait
-// excluded); a recovered run gets the remainder measured from its
-// journaled start, with a small grace so recovery can at least reach a
-// clean terminal state. Called once, at launch.
+// wallFrom. A fresh run gets the full budget from launch; a recovered run
+// gets the remainder measured from its journaled start, with a small grace
+// so recovery can at least reach a clean terminal state. Called once, at
+// launch.
 func (r *run) wallDeadline() time.Time {
 	d, now := time.Duration(r.begin.MaxWallNanos), time.Now()
 	if r.wallFrom.IsZero() {

@@ -97,14 +97,12 @@ type Options struct {
 	// Admission control — daemon-wide budgets checked at POST /runs, all
 	// 0 = unlimited. MaxActiveRuns bounds concurrently active runs,
 	// MaxTotalUEs the summed UE population across them, MaxSpillBytes the
-	// daemon-wide live spill-disk footprint. An over-budget submission
-	// waits in a bounded FIFO queue of QueueDepth (0 = no queue) and is
-	// admitted as budget frees; past the queue it is rejected with 429
-	// and a Retry-After.
+	// daemon-wide live spill-disk footprint. An over-budget submission is
+	// rejected with 429 and a Retry-After; one whose own UE population
+	// exceeds MaxTotalUEs, with 400.
 	MaxActiveRuns int
 	MaxTotalUEs   int64
 	MaxSpillBytes int64
-	QueueDepth    int
 }
 
 // Server owns the model cache, the run registry and the telemetry
@@ -129,14 +127,12 @@ type Server struct {
 	admission      admitter
 	admitted       *telemetry.Counter
 	rejected       *telemetry.Counter
-	queuedTotal    *telemetry.Counter
 	budgetExceeded map[string]*telemetry.Counter
 
 	mu           sync.Mutex
 	models       map[string]*cptgpt.Model
 	runs         map[string]*run
 	order        []string // insertion order, for listing and eviction
-	queue        []*run   // FIFO admission queue, subset of runs
 	seq          int
 	shuttingDown bool
 	wg           sync.WaitGroup
@@ -198,18 +194,9 @@ func New(opts Options) *Server {
 	s.runPanics = s.reg.Counter("cptserved_run_panics_total",
 		"Run goroutines that panicked and were contained as failed runs.")
 	s.admitted = s.reg.Counter("cptserved_admission_admitted_total",
-		"Submissions admitted (immediately or from the queue).")
+		"Submissions admitted.")
 	s.rejected = s.reg.Counter("cptserved_admission_rejected_total",
-		"Submissions rejected with 429 (budget exhausted, queue full).")
-	s.queuedTotal = s.reg.Counter("cptserved_admission_queued_total",
-		"Submissions parked in the admission queue.")
-	s.reg.GaugeFunc("cptserved_admission_queue_depth",
-		"Runs currently waiting in the admission queue.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.queue))
-		})
+		"Submissions rejected with 429 (a daemon-wide budget exhausted).")
 	s.reg.GaugeFunc("cptserved_spill_bytes",
 		"Live spill-disk footprint summed across runs.",
 		func() float64 { return float64(s.admission.spill.Load()) })
@@ -311,15 +298,10 @@ func (s *Server) overBudgetInc(kind string) {
 
 // healthReasons computes why the daemon is degraded — empty when it is
 // healthy. Degraded means still serving, but with reduced guarantees an
-// operator should know about before pointing more load here: the
-// admission queue is full (new submissions bounce), or an active run's
-// journal fell back to memory-only (crash recovery lost).
+// operator should know about before pointing more load here: an active
+// run's journal fell back to memory-only (crash recovery lost).
 func (s *Server) healthReasons() []string {
-	var reasons []string
 	s.mu.Lock()
-	if s.opts.QueueDepth > 0 && len(s.queue) >= s.opts.QueueDepth {
-		reasons = append(reasons, "admission_queue_full")
-	}
 	runs := make([]*run, 0, len(s.runs))
 	for _, r := range s.runs {
 		runs = append(runs, r)
@@ -330,10 +312,10 @@ func (s *Server) healthReasons() []string {
 		j, term := r.journal, terminal(r.state)
 		r.mu.Unlock()
 		if !term && j != nil && j.Degraded() {
-			return append(reasons, "journal_degraded")
+			return []string{"journal_degraded"}
 		}
 	}
-	return reasons
+	return nil
 }
 
 // handleHealthz is readiness-aware liveness: 200 while healthy, 503 with
@@ -369,16 +351,7 @@ func (s *Server) Close(ctx context.Context) error {
 		r.mu.Unlock()
 		r.cancel()
 	}
-	queued := s.queue
-	s.queue = nil
 	s.mu.Unlock()
-	// Queued runs never launched: no goroutine will close their done
-	// channel, so finish them here as stopped.
-	for _, r := range queued {
-		r.queueSp.End(0, "shutdown")
-		r.finish(StateStopped, nil, nil)
-		close(r.done)
-	}
 	s.log.Infow("daemon closing", "active_runs", active)
 
 	done := make(chan struct{})
@@ -454,6 +427,11 @@ func (s *Server) runFromRequest(body *StartRequest) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A run bigger than the whole UE budget can never be admitted: a 400,
+	// not a 429 inviting retries that cannot succeed.
+	if ues := admissionUEs(body.UEs, spec); s.admission.maxUEs > 0 && ues > s.admission.maxUEs {
+		return nil, fmt.Errorf("ues %d exceeds the daemon's %s limit of %d", ues, AdmitTotalUEs, s.admission.maxUEs)
+	}
 	b := runlog.Begin{
 		Scenario: name, Sink: body.Sink,
 		Out: body.Out, Addr: body.Addr, ClosedLoop: body.ClosedLoop,
@@ -499,11 +477,9 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("daemon is shutting down"))
 		return
 	}
-	admitErr := s.admission.check(r.admitUEs)
-	if admitErr != nil && len(s.queue) >= s.opts.QueueDepth {
-		// Over budget and no queue space: bounce now. The check is
-		// re-taken under s.mu, so the rejection is authoritative, not a
-		// stale read racing another admission.
+	if admitErr := s.admission.check(r.admitUEs); admitErr != nil {
+		// The check is taken under s.mu, so the rejection is
+		// authoritative, not a stale read racing another admission.
 		s.mu.Unlock()
 		r.cancel()
 		s.rejected.Inc()
@@ -518,14 +494,8 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 	r.begin.RunID = fmt.Sprintf("run-%d", s.seq)
 	s.runs[r.begin.RunID] = r
 	s.order = append(s.order, r.begin.RunID)
-	queued := admitErr != nil
-	if queued {
-		r.state = StateQueued
-		s.enqueueLocked(r)
-	} else {
-		s.admission.reserve(r.admitUEs)
-		s.wg.Add(1)
-	}
+	s.admission.reserve(r.admitUEs)
+	s.wg.Add(1)
 	evicted := s.evictLocked()
 	s.mu.Unlock()
 
@@ -540,16 +510,6 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 
 	s.runsStarted.Inc()
 	s.registerRunMetrics(r)
-	if queued {
-		s.queuedTotal.Inc()
-		s.log.Infow("run queued by admission control", "run", r.begin.RunID,
-			"scenario", r.begin.Scenario, "reason", admitErr.Reason)
-		// Re-pump once: if the budget freed between the admission check
-		// and the enqueue, no release is coming to wake the queue.
-		s.pumpQueue()
-		writeJSON(w, http.StatusAccepted, r.info())
-		return
-	}
 	s.admitted.Inc()
 	if s.opts.JournalDir != "" {
 		s.openJournal(r)
@@ -570,19 +530,17 @@ var executeTestHook atomic.Pointer[func(*run)]
 // innermost defer, so a panic anywhere in the pipeline is contained: the
 // run finishes failed with the stack in its error, the journal records
 // the terminal state and closes, and the daemon carries on serving. The
-// run's admission reservation is released (and the queue pumped) after
-// the run is terminal and its done channel closed.
+// run's admission reservation is released after the run is terminal and
+// its done channel closed.
 func (s *Server) launch(r *run) {
 	ctx := r.runCtx
 	go func() {
 		defer s.wg.Done()
-		defer s.releaseAdmission(r)
+		defer s.admission.release(r.admitUEs)
 		defer close(r.done)
 		defer r.cancel()
-		// A wall-clock budget becomes a real context deadline here — at
-		// launch, not submission, so time spent in the admission queue
-		// does not count against the run. Its expiry is typed by
-		// run.wallBreach.
+		// A wall-clock budget becomes a real context deadline here, at
+		// launch. Its expiry is typed by run.wallBreach.
 		if r.begin.MaxWallNanos > 0 {
 			var cancelWall context.CancelFunc
 			ctx, cancelWall = context.WithDeadline(ctx, r.wallDeadline())
@@ -731,14 +689,6 @@ func (s *Server) handleStop(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	s.log.Infow("run stop requested", "run", r.begin.RunID)
-	if s.cancelQueued(r) {
-		// Still waiting for admission: removed from the queue and finished
-		// without ever launching.
-		r.removeJournal()
-		s.reg.Drop("run", r.begin.RunID)
-		writeJSON(w, http.StatusOK, r.info())
-		return
-	}
 	r.cancel()
 	select {
 	case <-r.done:

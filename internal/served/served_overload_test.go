@@ -72,54 +72,39 @@ func postRaw(t *testing.T, url string, req StartRequest) (*http.Response, []byte
 	return resp, body
 }
 
-// TestAdmissionQueueAndReject walks the overload front door: with one run
-// slot and a one-deep queue, the first submission is admitted, the second
-// parks in the queue (202, state "queued"), the third bounces with 429 and
-// a Retry-After — and once the active run finishes, the queue pumps the
-// parked run to completion.
-func TestAdmissionQueueAndReject(t *testing.T) {
+// TestAdmissionReject walks the overload front door: with one run slot,
+// the first submission is admitted and the second bounces with 429, a
+// Retry-After and the exhausted budget named — and is never registered.
+func TestAdmissionReject(t *testing.T) {
 	gate := blockRuns(t)
-	s, ts := newDurableServer(t, Options{MaxActiveRuns: 1, QueueDepth: 1})
+	s, ts := newDurableServer(t, Options{MaxActiveRuns: 1})
 
 	var a RunInfo
 	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50}, &a, http.StatusCreated)
 
 	resp, body := postRaw(t, ts.URL, StartRequest{Scenario: "flash-crowd", UEs: 50})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("second submission = %d, want 202; body: %s", resp.StatusCode, body)
-	}
-	var b RunInfo
-	if err := json.Unmarshal(body, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.State != StateQueued {
-		t.Fatalf("second submission state %q, want %q", b.State, StateQueued)
-	}
-
-	resp, body = postRaw(t, ts.URL, StartRequest{Scenario: "flash-crowd", UEs: 50})
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third submission = %d, want 429; body: %s", resp.StatusCode, body)
+		t.Fatalf("second submission = %d, want 429; body: %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 response missing Retry-After header")
+	if resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("429 Retry-After = %q, want 1", resp.Header.Get("Retry-After"))
 	}
 	if !strings.Contains(string(body), AdmitActiveRuns) {
 		t.Fatalf("429 body does not name the exhausted budget: %s", body)
 	}
-
-	// The queued run is inspectable like any other registered run.
-	var qi RunInfo
-	do(t, "GET", ts.URL+"/runs/"+b.ID, nil, &qi, http.StatusOK)
-	if qi.State != StateQueued {
-		t.Fatalf("queued run state %q, want %q", qi.State, StateQueued)
+	var list struct {
+		Runs []RunInfo `json:"runs"`
+	}
+	do(t, "GET", ts.URL+"/runs", nil, &list, http.StatusOK)
+	if len(list.Runs) != 1 || list.Runs[0].ID != a.ID {
+		t.Fatalf("a rejected submission was registered: %+v", list.Runs)
 	}
 
 	metrics := scrapeMetrics(t, ts.URL)
 	for _, want := range []string{
 		"cptserved_admission_admitted_total 1",
-		"cptserved_admission_queued_total 1",
 		"cptserved_admission_rejected_total 1",
-		"cptserved_admission_queue_depth 1",
+		"cptserved_runs_started_total 1",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
@@ -130,70 +115,45 @@ func TestAdmissionQueueAndReject(t *testing.T) {
 	if fa := waitState(t, ts.URL, a.ID); fa.State != StateDone {
 		t.Fatalf("active run ended %s (err %q), want done", fa.State, fa.Error)
 	}
-	if fb := waitState(t, ts.URL, b.ID); fb.State != StateDone {
-		t.Fatalf("queued run ended %s (err %q), want done", fb.State, fb.Error)
-	}
 	if got := s.admission.runs.Load(); got != 0 {
-		t.Fatalf("admission ledger holds %d runs after both finished", got)
-	}
-	metrics = scrapeMetrics(t, ts.URL)
-	if !strings.Contains(metrics, "cptserved_admission_admitted_total 2") {
-		t.Fatalf("queued run was never counted admitted:\n%s", metrics)
+		t.Fatalf("admission ledger holds %d runs after the run finished", got)
 	}
 }
 
-// TestAdmissionUEBudget pins the -max-total-ues axis: a submission whose
-// UE population would overrun the daemon budget bounces even though run
-// slots are free.
+// TestAdmissionUEBudget pins the -max-total-ues axis: a submission that
+// fits alone but not beside an active run bounces with 429 even though run
+// slots are free, while one bigger than the whole budget — which no wait
+// could ever admit — is a 400 naming the limit, and leaves the daemon
+// healthy.
 func TestAdmissionUEBudget(t *testing.T) {
+	gate := blockRuns(t)
 	_, ts := newDurableServer(t, Options{MaxTotalUEs: 100})
+
 	resp, body := postRaw(t, ts.URL, StartRequest{Scenario: "flash-crowd", UEs: 300})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("oversized submission = %d, want 429; body: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submission over the whole budget = %d, want 400; body: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), AdmitTotalUEs) || !strings.Contains(string(body), "100") {
+		t.Fatalf("400 body does not name the UE limit: %s", body)
+	}
+	do(t, "GET", ts.URL+"/healthz", nil, nil, http.StatusOK)
+
+	var active RunInfo
+	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 80}, &active, http.StatusCreated)
+	resp, body = postRaw(t, ts.URL, StartRequest{Scenario: "flash-crowd", UEs: 50})
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submission over the remaining budget = %d (Retry-After %q), want 429 with one; body: %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
 	if !strings.Contains(string(body), AdmitTotalUEs) {
 		t.Fatalf("429 body does not name the UE budget: %s", body)
 	}
-	// Within budget still flows.
-	var ok RunInfo
-	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 80}, &ok, http.StatusCreated)
-	waitState(t, ts.URL, ok.ID)
-}
-
-// TestDeleteQueuedRun pins DELETE on a still-queued run: it leaves the
-// queue immediately, finishes as stopped without ever launching, and the
-// freed slot does not wedge the queue.
-func TestDeleteQueuedRun(t *testing.T) {
-	gate := blockRuns(t)
-	_, ts := newDurableServer(t, Options{MaxActiveRuns: 1, QueueDepth: 2})
-
-	var a, b, c RunInfo
-	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50}, &a, http.StatusCreated)
-	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50}, &b, http.StatusAccepted)
-	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50}, &c, http.StatusAccepted)
-
-	var del RunInfo
-	do(t, "DELETE", ts.URL+"/runs/"+b.ID, nil, &del, http.StatusOK)
-	if del.State != StateStopped {
-		t.Fatalf("deleted queued run state %q, want %q", del.State, StateStopped)
-	}
-	if m := scrapeMetrics(t, ts.URL); strings.Contains(m, `run="`+b.ID+`"`) {
-		t.Fatalf("deleted queued run %s kept its metric series", b.ID)
-	}
-
 	close(gate)
-	if fa := waitState(t, ts.URL, a.ID); fa.State != StateDone {
-		t.Fatalf("active run ended %s, want done", fa.State)
-	}
-	// c sat behind the cancelled b and must still be admitted.
-	if fc := waitState(t, ts.URL, c.ID); fc.State != StateDone {
-		t.Fatalf("run queued behind the cancelled one ended %s (err %q), want done", fc.State, fc.Error)
-	}
-	var again RunInfo
-	do(t, "GET", ts.URL+"/runs/"+b.ID, nil, &again, http.StatusOK)
-	if again.State != StateStopped {
-		t.Fatalf("cancelled queued run resurrected as %q", again.State)
-	}
+	waitState(t, ts.URL, active.ID)
+	// The budget freed with the run: the same submission now flows.
+	var ok RunInfo
+	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50}, &ok, http.StatusCreated)
+	waitState(t, ts.URL, ok.ID)
 }
 
 // TestDeleteRecoveringRun pins the recovery/DELETE race: cancelling a run
@@ -364,17 +324,25 @@ func TestWallBudgetDuringGeneration(t *testing.T) {
 	}
 }
 
-// TestHealthzDegraded pins the readiness contract: a full admission queue
-// flips GET /healthz to 503 with the reason, and back to 200 once the
-// pressure clears.
+// TestHealthzDegraded pins the readiness contract: an active run whose
+// journal fell back to memory-only flips GET /healthz to 503 with the
+// reason, and it flips back to 200 once that run is terminal. The journal
+// file is pre-placed as a symlink to /dev/full (runlog.Create opens
+// without O_EXCL), so its first write fails with ENOSPC.
 func TestHealthzDegraded(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "run-1"+runlog.Ext)); err != nil {
+		t.Fatal(err)
+	}
 	gate := blockRuns(t)
-	_, ts := newDurableServer(t, Options{MaxActiveRuns: 1, QueueDepth: 1})
+	_, ts := newDurableServer(t, Options{JournalDir: dir})
 	do(t, "GET", ts.URL+"/healthz", nil, nil, http.StatusOK)
 
-	var a, b RunInfo
+	var a RunInfo
 	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50}, &a, http.StatusCreated)
-	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50}, &b, http.StatusAccepted)
 
 	var health struct {
 		OK      bool     `json:"ok"`
@@ -382,26 +350,23 @@ func TestHealthzDegraded(t *testing.T) {
 		Reasons []string `json:"reasons"`
 	}
 	do(t, "GET", ts.URL+"/healthz", nil, &health, http.StatusServiceUnavailable)
-	if health.OK || health.State != "degraded" {
+	if health.OK || health.State != "degraded" || len(health.Reasons) != 1 || health.Reasons[0] != "journal_degraded" {
 		t.Fatalf("degraded healthz body: %+v", health)
-	}
-	found := false
-	for _, r := range health.Reasons {
-		found = found || r == "admission_queue_full"
-	}
-	if !found {
-		t.Fatalf("healthz reasons %v missing admission_queue_full", health.Reasons)
 	}
 	if !strings.Contains(scrapeMetrics(t, ts.URL), "cptserved_healthz_state 0") {
 		t.Fatal("cptserved_healthz_state gauge not 0 while degraded")
 	}
 
 	close(gate)
-	waitState(t, ts.URL, a.ID)
-	waitState(t, ts.URL, b.ID)
+	if fa := waitState(t, ts.URL, a.ID); fa.State != StateDone {
+		t.Fatalf("run with a degraded journal ended %s (err %q), want done", fa.State, fa.Error)
+	}
 	do(t, "GET", ts.URL+"/healthz", nil, &health, http.StatusOK)
 	if !health.OK || health.State != "serving" {
 		t.Fatalf("recovered healthz body: %+v", health)
+	}
+	if !strings.Contains(scrapeMetrics(t, ts.URL), "cptserved_healthz_state 1") {
+		t.Fatal("cptserved_healthz_state gauge not 1 once the run is terminal")
 	}
 }
 
@@ -461,7 +426,6 @@ func TestChaosSoak(t *testing.T) {
 			MaxActiveRuns:    4,
 			MaxTotalUEs:      5000,
 			MaxSpillBytes:    256 << 20,
-			QueueDepth:       8,
 			CheckpointEvents: 256,
 		})
 		ts := httptest.NewServer(s.Handler())
@@ -496,7 +460,7 @@ func TestChaosSoak(t *testing.T) {
 		for i := 0; time.Now().Before(deadline); i++ {
 			resp, body := postRaw(t, ts.URL, variants(i))
 			switch resp.StatusCode {
-			case http.StatusCreated, http.StatusAccepted:
+			case http.StatusCreated:
 				var info RunInfo
 				if err := json.Unmarshal(body, &info); err != nil {
 					t.Fatalf("decode submit response: %v; body: %s", err, body)
@@ -509,7 +473,7 @@ func TestChaosSoak(t *testing.T) {
 				t.Fatalf("submission %d = %d; body: %s", i, resp.StatusCode, body)
 			}
 			// Mid-flight churn: cancel an occasional run, wherever it is in
-			// its lifecycle (queued, generating, streaming, done).
+			// its lifecycle (generating, streaming, done).
 			if i%7 == 3 && len(ids) > 0 {
 				req, _ := http.NewRequest("DELETE", ts.URL+"/runs/"+ids[len(ids)/2], nil)
 				if resp, err := http.DefaultClient.Do(req); err == nil {
@@ -530,7 +494,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 
 		// Storm over: every submitted run must reach a terminal state — no
-		// deadlocked drains, no runs stranded in the queue.
+		// deadlocked drains.
 		settle := time.Now().Add(120 * time.Second)
 		for {
 			var list struct {

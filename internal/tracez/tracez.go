@@ -57,7 +57,6 @@ const (
 	StageRunState        = "run.state"        // served run state transition (dur 0)
 	StageRunlogAppend    = "runlog.append"    // one write-ahead journal append
 	StageRunRecover      = "run.recover"      // served run: crash-recovery resume
-	StageRunQueued       = "run.queued"       // served run: admission-queue wait
 )
 
 // Span is one recorded event: a stage, an optional run id, wall-clock start
