@@ -284,9 +284,10 @@ func BenchmarkCPTGPTGeneratePerStreamF32(b *testing.B) {
 // with their own weights (2.6 MB, what a step streams), packed by
 // tensor.PackF32 as nn's export packs them — as the tensor.GemmF32 calls the
 // decoder's row body makes, at the row counts it packs: a drained batch (1),
-// one verify chain (5), half a batch (16) and a full one (32). µs/row is the
-// GEMM share of a token's cost; GFLOP/s counts 2 per multiply-add. Whatever
-// kernel the machine dispatches (AVX2 here).
+// one 4-row tile (4), one verify chain (5), half a batch (16) and a full one
+// (32). µs/row is the GEMM share of a token's cost; GFLOP/s counts 2 per
+// multiply-add. Whatever tile set the machine dispatches (AVX-512 where the
+// CPU has it, else AVX2, else portable).
 func BenchmarkTensorGemmF32Step(b *testing.B) {
 	const dm, mlpH, blocks = 128, 1024, 2
 	type panel struct {
@@ -311,7 +312,7 @@ func BenchmarkTensorGemmF32Step(b *testing.B) {
 			macs += sh[0] * sh[1]
 		}
 	}
-	for _, rows := range []int{1, 5, 16, 32} {
+	for _, rows := range []int{1, 4, 5, 16, 32} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			narrow, wide := randF32(rows*dm), randF32(rows*mlpH)
 			dstNarrow, dstWide := make([]float32, rows*dm), make([]float32, rows*mlpH)
@@ -424,9 +425,10 @@ func BenchmarkCPTGPTDecodeTokenF64(b *testing.B) { benchDecodeToken(b, cptgpt.F6
 
 // BenchmarkCPTGPTDecodeTokenF32 is the float32 fast path over the same
 // shapes: all 16 slots' rows packed through one tensor.GemmF32 per layer.
-// Expected ≈ 30 µs/token with the AVX2 kernels on a 2.0 GHz Xeon (≈ 17×
-// fewer ns/token than ...F64; 51–55 µs before the panel GEMM and the
-// attention kernel, ≈ 260–330 µs with the portable kernels).
+// Expected ≈ 23–25 µs/token with the AVX-512 GEMM tiles and ≈ 30 with the
+// AVX2 ones on a 2-vCPU Xeon VM (≈ 17× fewer ns/token than ...F64 with the
+// AVX2 ones; 51–55 µs before the panel GEMM and the attention kernel,
+// ≈ 260–330 µs with the portable kernels).
 // internal/cptgpt's fidelity tests bound what the speed costs: ~1e-6 logit
 // drift, indistinguishable trace statistics.
 func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F32) }

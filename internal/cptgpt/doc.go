@@ -18,8 +18,9 @@
 //     fixed, so it is deterministic per (Seed, Precision, kernel set) at
 //     every Parallelism × BatchSize × slot grouping, and StepK over k rows
 //     is bit-identical to k Steps. The kernel set (GEMM, GELU, attention) is
-//     the machine's: AVX2+FMA where present, portable elsewhere; the two
-//     differ in reduction order, hence in output bits. f32 differs
+//     the machine's: AVX2+FMA where present (the GEMM's AVX-512 tiles,
+//     where the CPU has them, compute the same bits), portable elsewhere;
+//     the two differ in reduction order, hence in output bits. f32 differs
 //     numerically from f64 within the fidelity gates pinned by the package
 //     tests.
 //   - Speculative decoding is deterministic per (Seed, DraftTokens, kernel

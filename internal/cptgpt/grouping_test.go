@@ -8,11 +8,20 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/tensor"
 	"cptgpt/internal/trace"
 )
+
+// setGemmF32Zmm is tensor's unexported test seam: it makes the assembly GEMM
+// use the AVX-512 tiles (where the CPU has them) or the AVX2 ones, and
+// returns the previous choice. It is reached by linkname so that
+// SetGemmF32Asm stays the one exported switch.
+//
+//go:linkname setGemmF32Zmm cptgpt/internal/tensor.setGemmF32Zmm
+func setGemmF32Zmm(on bool) (prev bool)
 
 // gemmKernels lists the float32 GEMM kernels this machine can run, as
 // SetGemmF32Asm arguments: the portable one always, the AVX2 one if present.
@@ -183,6 +192,9 @@ func streamsDigest(streams []trace.Stream) string {
 // before, bd9ae5e57e0f9143bd3a574c after the GEMM alone; 1495 events
 // throughout).
 //
+// The AVX-512 GEMM tiles compute the AVX2 tiles' bits, so on a machine with
+// both every "avx2" row runs under each and holds the one digest.
+//
 // The arithmetic also depends on the float64 math library (softmax,
 // sampling), so the pins are checked only on the platform class they were
 // recorded on: amd64 with FMA.
@@ -191,6 +203,11 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 		t.Skip("digests recorded on amd64 with AVX2+FMA")
 	}
 	defer tensor.SetGemmF32Asm(tensor.GemmF32Asm())
+	defer setGemmF32Zmm(setGemmF32Zmm(true))
+	zmmSettings := []bool{setGemmF32Zmm(true)} // true exactly where the CPU has the AVX-512 tiles
+	if zmmSettings[0] {
+		zmmSettings = append(zmmSettings, false)
+	}
 	trained, err := trainedTestModel()
 	if err != nil {
 		t.Fatal(err)
@@ -231,17 +248,25 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 		{"speculative F64 k=4 no dist head", noDist, F64, false, 4, "c434dcf1cbe926b7d6c46ffc"},
 	} {
 		tensor.SetGemmF32Asm(c.asm)
-		gen, err := c.m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
-			Precision: c.prec, Parallelism: 2, BatchSize: 8, Speculative: c.draft > 0, DraftTokens: c.draft, draft: drafts[c.m]})
-		if err != nil {
-			t.Fatal(err)
+		zmms := []bool{false}
+		if c.asm {
+			zmms = zmmSettings
 		}
-		events := 0
-		for i := range gen.Streams {
-			events += len(gen.Streams[i].Events)
-		}
-		if got := streamsDigest(gen.Streams); got != c.want {
-			t.Errorf("%s: output (%d events) has digest %s, want %s (recorded before the change)", c.name, events, got, c.want)
+		for _, zmm := range zmms {
+			setGemmF32Zmm(zmm)
+			gen, err := c.m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
+				Precision: c.prec, Parallelism: 2, BatchSize: 8, Speculative: c.draft > 0, DraftTokens: c.draft, draft: drafts[c.m]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := 0
+			for i := range gen.Streams {
+				events += len(gen.Streams[i].Events)
+			}
+			if got := streamsDigest(gen.Streams); got != c.want {
+				t.Errorf("%s (AVX-512 tiles %v): output (%d events) has digest %s, want %s (recorded before the change)",
+					c.name, zmm, events, got, c.want)
+			}
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 //   - Attention runs per row through tensor.AttendF32 over the slot's
 //     interleaved [K|V] cache rows, with the slot's own score scratch.
 //
-// Each of the three has an AVX2 kernel, used where the machine has it, and
-// a portable one (tensor.SetGemmF32Asm switches all three together).
+// Each of the three has an AVX2 kernel, used where the machine has it (the
+// GEMM also has AVX-512 tiles with the AVX2 tiles' bits), and a portable one
+// (tensor.SetGemmF32Asm switches all three together).
 //
 // Every reduction has a fixed order that does not depend on the rows packed
 // around it, so F32 decoding is deterministic — the per-precision half of

@@ -66,17 +66,17 @@ func (a *admitter) check(ues int64) *AdmissionError {
 	return nil
 }
 
-// reserve charges a run's admission cost. Caller holds Server.mu (or is a
-// recovery path that deliberately reserves past the limits).
-func (a *admitter) reserve(ues int64) {
+// reserve charges a run's admission cost and returns the release that gives
+// it back, for the run to call once, as it turns terminal. Caller holds
+// Server.mu (or is a recovery path that deliberately reserves past the
+// limits).
+func (a *admitter) reserve(ues int64) (release func()) {
 	a.runs.Add(1)
 	a.ues.Add(ues)
-}
-
-// release returns a terminal run's admission cost to the ledger.
-func (a *admitter) release(ues int64) {
-	a.runs.Add(-1)
-	a.ues.Add(-ues)
+	return func() {
+		a.runs.Add(-1)
+		a.ues.Add(-ues)
+	}
 }
 
 // CheckAdmission reports whether a run costing ues UE slots would be

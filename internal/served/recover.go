@@ -159,7 +159,7 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 	// before the crash, and recovery must not strand them behind budget
 	// freshly admitted runs now hold. A transient overshoot of the limits
 	// is the accepted cost.
-	s.admission.reserve(r.admitUEs)
+	r.release = s.admission.reserve(r.admitUEs)
 	s.wg.Add(1)
 	s.mu.Unlock()
 

@@ -170,13 +170,16 @@ type run struct {
 	scrapeAt     time.Time
 	scrapeEvents int64
 
-	// Envelope. admitUEs is the run's admission cost in UE slots; wallFrom
-	// is the origin of its wall-clock budget — the journaled start for a
-	// crash-recovery incarnation (set by newRun), else the launch instant
-	// (set by wallDeadline on the run goroutine, the only one to read it);
-	// overBudget counts budget breaches into the daemon's kind-labeled
-	// series.
+	// Envelope. admitUEs is the run's admission cost in UE slots and release
+	// gives it back (set with the reservation before launch; called and
+	// cleared by finish on the run goroutine; nil for a casualty, which
+	// holds none); wallFrom is the origin of its wall-clock budget — the
+	// journaled start for a crash-recovery incarnation (set by newRun), else
+	// the launch instant (set by wallDeadline on the run goroutine, the only
+	// one to read it); overBudget counts budget breaches into the daemon's
+	// kind-labeled series.
 	admitUEs   int64
+	release    func()
 	wallFrom   time.Time
 	overBudget func(kind string)
 
@@ -312,25 +315,24 @@ func (r *run) setState(state string) {
 }
 
 // finish records the terminal state, error and sink result — the one place
-// a sink's typed Result becomes the wire map. Idempotent: once a run is
+// a sink's typed Result becomes the wire map. Publishing the state is the
+// last thing it does: whoever observes the run terminal also finds its
+// durable terminal journal record, its budget breach counted and its
+// admission reservation released, so a client that sees done and submits at
+// once is not refused for this run's budget. Idempotent: once a run is
 // terminal the recorded outcome sticks — a panic unwinding through sink
-// cleanup after a normal finish must not overwrite it.
+// cleanup after a normal finish must not overwrite it. Only the run
+// goroutine calls it.
 func (r *run) finish(state string, err error, res scenario.Result) {
-	now := time.Now()
 	r.mu.Lock()
-	if terminal(r.state) {
-		r.mu.Unlock()
+	already := terminal(r.state)
+	r.mu.Unlock()
+	if already {
 		return
 	}
-	r.state = state
-	r.err = err
-	if res != nil {
-		r.result = res.Wire()
-	}
-	r.finishedAt = now
+	now := time.Now()
 	wall := now.Sub(r.begin.StartedAt)
 	events := r.events()
-	r.mu.Unlock()
 	tracez.Record(tracez.StageRunState, r.begin.RunID, now, 0, events, state)
 	if r.journal != nil {
 		msg := ""
@@ -352,6 +354,19 @@ func (r *run) finish(state string, err error, res scenario.Result) {
 		r.log.Infow("run finished", "run", r.begin.RunID, "state", state,
 			"events", events, "wall", wall)
 	}
+	if r.release != nil {
+		r.release()
+		r.release = nil
+	}
+
+	r.mu.Lock()
+	r.state = state
+	r.err = err
+	if res != nil {
+		r.result = res.Wire()
+	}
+	r.finishedAt = now
+	r.mu.Unlock()
 }
 
 // wallDeadline is when the run's wall-clock budget expires, counted from

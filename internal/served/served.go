@@ -494,7 +494,7 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 	r.begin.RunID = fmt.Sprintf("run-%d", s.seq)
 	s.runs[r.begin.RunID] = r
 	s.order = append(s.order, r.begin.RunID)
-	s.admission.reserve(r.admitUEs)
+	r.release = s.admission.reserve(r.admitUEs)
 	s.wg.Add(1)
 	evicted := s.evictLocked()
 	s.mu.Unlock()
@@ -529,14 +529,13 @@ var executeTestHook atomic.Pointer[func(*run)]
 // launch starts the run's lifecycle goroutine. The panic recovery is the
 // innermost defer, so a panic anywhere in the pipeline is contained: the
 // run finishes failed with the stack in its error, the journal records
-// the terminal state and closes, and the daemon carries on serving. The
-// run's admission reservation is released after the run is terminal and
-// its done channel closed.
+// the terminal state and closes, and the daemon carries on serving. Every
+// path ends in run.finish, which releases the run's admission reservation
+// before the terminal state becomes observable.
 func (s *Server) launch(r *run) {
 	ctx := r.runCtx
 	go func() {
 		defer s.wg.Done()
-		defer s.admission.release(r.admitUEs)
 		defer close(r.done)
 		defer r.cancel()
 		// A wall-clock budget becomes a real context deadline here, at

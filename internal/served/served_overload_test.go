@@ -120,6 +120,46 @@ func TestAdmissionReject(t *testing.T) {
 	}
 }
 
+// TestTerminalStateIsLast pins the order a client relies on: by the time a
+// run can be seen terminal, its admission budget is back in the ledger and
+// its journal holds the terminal record. With one run slot, a client that
+// polls each run to done and at once reads its journal and submits the next
+// finds the record every time and is never refused.
+func TestTerminalStateIsLast(t *testing.T) {
+	jdir := t.TempDir()
+	_, ts := newDurableServer(t, Options{MaxActiveRuns: 1, JournalDir: jdir})
+	for i := 0; i < 4; i++ {
+		resp, body := postRaw(t, ts.URL, StartRequest{Scenario: "flash-crowd", UEs: 30})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submission %d, right after the previous run was seen done = %d; body: %s", i, resp.StatusCode, body)
+		}
+		var info RunInfo
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		// Poll with next to no pause, so the first terminal answer is acted on
+		// at once.
+		deadline := time.Now().Add(60 * time.Second)
+		for !terminal(info.State) {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s stuck in state %s", info.ID, info.State)
+			}
+			time.Sleep(100 * time.Microsecond)
+			do(t, "GET", ts.URL+"/runs/"+info.ID, nil, &info, http.StatusOK)
+		}
+		if info.State != StateDone {
+			t.Fatalf("run %s ended %s (err %q), want done", info.ID, info.State, info.Error)
+		}
+		st, err := runlog.Load(filepath.Join(jdir, info.ID+runlog.Ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != runlog.StateDone {
+			t.Fatalf("run %s seen done, but its journal reads state %q", info.ID, st.State)
+		}
+	}
+}
+
 // TestAdmissionUEBudget pins the -max-total-ues axis: a submission that
 // fits alone but not beside an active run bounces with 429 even though run
 // slots are free, while one bigger than the whole budget — which no wait

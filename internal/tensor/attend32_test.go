@@ -8,6 +8,16 @@ import (
 	"cptgpt/internal/stats"
 )
 
+// asmSettings lists the attention kernels this machine runs, as
+// SetGemmF32Asm arguments: attention has one assembly kernel (AVX2), whatever
+// tile set the GEMM uses.
+func asmSettings() []bool {
+	if gemmAsmAvailable {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
 // attendCase builds one query and an nPos-row interleaved [K|V] cache for
 // heads heads of dh lanes. qScale multiplies the query (a large one
 // saturates the softmax); peak, if in [0, nPos), makes that position's keys
@@ -89,7 +99,7 @@ func TestAttendF32Saturated(t *testing.T) {
 	dm := heads * dh
 	q, kv := attendCase(heads, dh, nPos, 1e4, 17, 3)
 	scratch := make([]float32, nPos)
-	for _, asm := range kernels() {
+	for _, asm := range asmSettings() {
 		SetGemmF32Asm(asm)
 		att := make([]float32, dm)
 		AttendF32(att, q, kv, nPos, heads, dm, scratch)
@@ -109,7 +119,7 @@ func BenchmarkAttendF32(b *testing.B) {
 		q, kv := attendCase(heads, dh, nPos, 1, -1, 1)
 		att := make([]float32, heads*dh)
 		scratch := make([]float32, nPos)
-		for _, asm := range kernels() {
+		for _, asm := range asmSettings() {
 			b.Run(fmt.Sprintf("pos=%d/asm=%v", nPos, asm), func(b *testing.B) {
 				defer SetGemmF32Asm(SetGemmF32Asm(asm))
 				for i := 0; i < b.N; i++ {

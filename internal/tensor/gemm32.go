@@ -17,26 +17,36 @@ import "sync/atomic"
 // an outer-product kernel wants; every output still owns exactly in values,
 // so the packed matrix is as large as the plain one.
 //
-// GemmF32 has two implementations over that one layout:
+// GemmF32 has three tile sets over that one layout, picked at run time:
 //
-//   - an AVX2+FMA assembly kernel (amd64, runtime-detected): a 4-row × 16-
-//     output register tile (eight YMM accumulators) over each 16-wide panel,
-//     a 1-row × 64-output tile (four panels, again eight accumulators) for
-//     the rows left over by the 4-row tiles, and masked 8-lane tiles for the
-//     8-wide and narrower panels. Output (r, j) is one chain in every path:
-//     acc = 0; acc = fma(x[r,i], w[i,j], acc) for i = 0 … in-1, each step
-//     rounded once; dst = acc + bias[j]. So the result is independent of the
-//     tile it ran in, of the rows packed with it and of out, in, rows.
+//   - AVX2+FMA assembly tiles (amd64 with AVX2): a 4-row × 16-output
+//     register tile (eight YMM accumulators) over each 16-wide panel, a
+//     1-row × 64-output tile (four panels, again eight accumulators) for the
+//     rows left over by the 4-row tiles, and masked 8-lane tiles for the
+//     8-wide and narrower panels.
+//   - AVX-512F assembly tiles (amd64 with AVX-512F and an OS that saves ZMM
+//     state), in place of the two AVX2 tiles the decoder spends its time in:
+//     a 4-row × 32-output tile over pairs of 16-wide panels and a 1-row ×
+//     128-output tile (eight panels, then one at a time) for leftover rows.
+//     A 16-wide panel row is one ZMM. An odd last 16-wide panel and the
+//     masked tiles stay AVX2.
 //   - a portable scalar kernel (4/2/1-output register blocks over dot4F32 /
 //     dot2F32 / dot1F32, which read a block's weights at the panel stride),
 //     used on machines without AVX2 or with the switch off. Its per-output
 //     arithmetic is that of the scalar matvec the decoder ran before it had
 //     a GEMM, so output there has not changed.
 //
-// Both are deterministic and row-independent, so a given machine and switch
-// setting always reproduces the same bits however rows are grouped or
-// sharded. The two orders differ (one FMA chain vs paired partial sums), so
-// F32 decode output is a function of the kernel in use as well as the seed.
+// In both assembly sets output (r, j) is one chain in every tile: acc = 0;
+// acc = fma(x[r,i], w[i,j], acc) for i = 0 … in-1, each step rounded once;
+// dst = acc + bias[j]. So the result is independent of the tile it ran in,
+// of the vector width, of the rows packed with it and of out, in, rows: the
+// AVX-512 tiles compute the AVX2 tiles' bits.
+//
+// Every set is deterministic and row-independent, so a given machine and
+// switch setting always reproduces the same bits however rows are grouped or
+// sharded. The assembly and portable orders differ (one FMA chain vs paired
+// partial sums), so F32 decode output is a function of whether the assembly
+// runs as well as of the seed.
 
 // gemmAsmAvailable reports whether the platform provides the assembly
 // kernels (set by gemm32_amd64.go / gemm32_noasm.go at init).
@@ -47,8 +57,25 @@ var gemmAsmAvailable = hasGemmAsm()
 // (never raised past capability) via SetGemmF32Asm.
 var gemmAsmEnabled atomic.Bool
 
+// gemmZmmAvailable reports whether the CPU also runs the AVX-512 tiles, and
+// gemmZmm whether the assembly GEMM uses them. It starts at the capability;
+// only tests lower it (setGemmF32Zmm), to run the AVX2 tiles on a machine
+// that has both.
+var (
+	gemmZmmAvailable = hasGemmZmm()
+	gemmZmm          atomic.Bool
+)
+
 func init() {
 	gemmAsmEnabled.Store(gemmAsmAvailable)
+	gemmZmm.Store(gemmZmmAvailable)
+}
+
+// setGemmF32Zmm selects the AVX-512 tiles (when the CPU has them) or the AVX2
+// ones for the assembly GEMM and returns the previous setting. It is a test
+// seam: SetGemmF32Asm stays the one switch callers see.
+func setGemmF32Zmm(on bool) (prev bool) {
+	return gemmZmm.Swap(on && gemmZmmAvailable)
 }
 
 // gemmTileFloats is the x-tile size (32 KB of float32) of the assembly
@@ -60,8 +87,8 @@ const gemmTileFloats = 8192
 // kernels load their masks from it.
 var laneMask = [16]int32{-1, -1, -1, -1, -1, -1, -1, -1}
 
-// GemmF32Asm reports whether GemmF32 currently dispatches to the AVX2
-// assembly kernel.
+// GemmF32Asm reports whether GemmF32 currently dispatches to the assembly
+// tiles (AVX2, and AVX-512 where the CPU has it).
 func GemmF32Asm() bool { return gemmAsmEnabled.Load() }
 
 // SetGemmF32Asm enables or disables the assembly kernels — this GEMM, the
@@ -134,26 +161,41 @@ func GemmF32(dst, w, bias, x []float32, rows, in, out int) {
 		// 4-row tiles, so the tiling adds no leftover rows of its own; row
 		// results do not depend on it.
 		tile := max(4, gemmTileFloats/in&^3)
+		zmm := gemmZmm.Load()
 		for r := 0; r < rows; r += tile {
-			gemmF32Avx2(dst[r*out:], w, bias, x[r*in:], min(tile, rows-r), in, out)
+			gemmF32Tiles(dst[r*out:], w, bias, x[r*in:], min(tile, rows-r), in, out, zmm)
 		}
 		return
 	}
 	gemmF32Scalar(dst, w, bias, x, rows, in, out)
 }
 
-// gemmF32Avx2 runs one row tile through the assembly tiles: 4×16 over the
-// 16-wide panels, 1×64 (then 1×16) for each row the 4-row tiles leave, and
-// the masked tile over the 8-wide and narrower panels.
-func gemmF32Avx2(dst, w, bias, x []float32, rows, in, out int) {
+// gemmF32Tiles runs one row tile through the assembly tiles. The 4-row tiles
+// cover the 16-wide panels — 4×32 over pairs of them and 4×16 over an odd
+// last one with zmm, 4×16 over each without — and the rows they leave run
+// 1×128 (then 1×16 in ZMM) with zmm, 1×64 (then 1×16 in YMM) without. The
+// masked tile covers the 8-wide and narrower panels.
+func gemmF32Tiles(dst, w, bias, x []float32, rows, in, out int, zmm bool) {
 	full := out &^ 15
 	quads := rows / 4
 	if full > 0 {
 		if quads > 0 {
-			gemm4x16F32(&dst[0], &w[0], &bias[0], &x[0], quads, in, out, full/16)
+			j0 := 0 // first output the 4×16 tile covers
+			if zmm {
+				if j0 = out &^ 31; j0 > 0 {
+					gemm4x32F32(&dst[0], &w[0], &bias[0], &x[0], quads, in, out, j0/32)
+				}
+			}
+			if j0 < full {
+				gemm4x16F32(&dst[j0], &w[j0*in], &bias[j0], &x[0], quads, in, out, (full-j0)/16)
+			}
 		}
 		for r := 4 * quads; r < rows; r++ {
-			gemm1x64F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
+			if zmm {
+				gemm1x128F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
+			} else {
+				gemm1x64F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
+			}
 		}
 	}
 	for j0 := full; j0 < out; j0 += 8 {

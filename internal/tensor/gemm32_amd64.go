@@ -9,10 +9,16 @@ package tensor
 // instructions need.
 func hasGemmAsm() bool { return cpuHasAVX2FMA() }
 
-// cpuHasAVX2FMA is implemented in gemm32_amd64.s.
-func cpuHasAVX2FMA() bool
+// hasGemmZmm reports whether this CPU can also run the AVX-512F tiles: the
+// AVX2 set (they share a GEMM with its odd-panel and masked tiles) plus
+// AVX-512 Foundation with OS-enabled opmask and ZMM state.
+func hasGemmZmm() bool { return cpuHasAVX2FMA() && cpuHasAVX512F() }
 
-// The GEMM tiles of gemm32_amd64.s (see gemmF32Avx2 for how they cover a
+// cpuHasAVX2FMA and cpuHasAVX512F are implemented in gemm32_amd64.s.
+func cpuHasAVX2FMA() bool
+func cpuHasAVX512F() bool
+
+// The GEMM tiles of gemm32_amd64.s (see gemmF32Tiles for how they cover a
 // GEMM, gemm32.go for the chain every output runs). Pointers address the
 // tile's first dst, weight, bias and x element; every count is positive and
 // every access in bounds (GemmF32 hoists the checks).
@@ -22,10 +28,21 @@ func cpuHasAVX2FMA() bool
 //go:noescape
 func gemm4x16F32(dst, w, bias, x *float32, quads, in, out, panels int)
 
+// gemm4x32F32 (AVX-512F): rows 0 … 4*quads-1 × the first 2*pairs 16-wide
+// panels.
+//
+//go:noescape
+func gemm4x32F32(dst, w, bias, x *float32, quads, in, out, pairs int)
+
 // gemm1x64F32: one row × the first panels 16-wide panels.
 //
 //go:noescape
 func gemm1x64F32(dst, w, bias, x *float32, in, panels int)
+
+// gemm1x128F32 (AVX-512F): one row × the first panels 16-wide panels.
+//
+//go:noescape
+func gemm1x128F32(dst, w, bias, x *float32, in, panels int)
 
 // gemmMaskedF32: rows rows × one panel of width 1 … 8.
 //

@@ -1,10 +1,11 @@
-// AVX2+FMA tiles of the multi-row float32 GEMM of the F32 decoder (see
-// gemm32.go for the packed-panel layout and the dispatch). Each tile is an
-// outer product: per input i it loads one panel row of weights and
+// AVX2+FMA and AVX-512F tiles of the multi-row float32 GEMM of the F32
+// decoder (see gemm32.go for the packed-panel layout and the dispatch). Each
+// tile is an outer product: per input i it loads one panel row of weights and
 // broadcasts one x value per row, and every output lane runs the same chain,
 // acc = 0, acc = fma(x_i, w_i, acc) for i = 0 … in-1, then acc + bias. There
 // are no horizontal reductions, so the chain — and the result — is the same
-// whichever tile computes an output.
+// whichever tile computes an output, at either vector width: the ZMM tiles
+// keep the YMM tiles' operand order, lane for lane.
 
 #include "textflag.h"
 
@@ -48,6 +49,44 @@ TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
 	RET
 
 no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX512F() bool
+//
+// One-shot probe for the ZMM tiles: AVX-512 Foundation (CPUID leaf 7 EBX
+// bit 16) with the OS context-switching every register it touches — XCR0
+// bits 1, 2 (XMM, YMM), 5 (opmask), 6 (ZMM_Hi256) and 7 (Hi16_ZMM).
+// OSXSAVE (leaf 1 ECX bit 27) is checked first: XGETBV faults without it.
+TEXT ·cpuHasAVX512F(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JLT  no512
+
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x08000000, CX
+	JEQ  no512
+
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  no512
+
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x10000, BX
+	JEQ  no512
+
+	MOVB $1, ret+0(FP)
+	RET
+
+no512:
 	MOVB $0, ret+0(FP)
 	RET
 
@@ -245,6 +284,202 @@ k16:
 	JMP  single
 
 done:
+	VZEROUPPER
+	RET
+
+// func gemm4x32F32(dst, w, bias, x *float32, quads, in, out, pairs int)
+//
+// AVX-512F. Rows 0 … 4*quads-1 against the first 2*pairs 16-wide panels, two
+// panels at a time: gemm4x16F32's loops with a 16-wide panel row in one ZMM.
+// The tile's accumulators are Z0–Z7 (row r, panels 0 / 1 in Z2r / Z2r+1);
+// per input the two panel rows are two loads (Z8, Z9) and the four x values
+// four broadcasts — 6 loads per 8 FMAs, each FMA 16 lanes wide.
+TEXT ·gemm4x32F32(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ bias+16(FP), R8
+	MOVQ in+40(FP), R13
+	SHLQ $2, R13            // R13 = in*4: x row stride, bytes
+	MOVQ R13, R12
+	SHLQ $4, R12            // R12 = in*64: panel size, bytes
+	MOVQ pairs+56(FP), R15
+
+pair:
+	MOVQ x+24(FP), AX       // x row 0 of the tile
+	MOVQ DI, R9             // dst row 0 of the tile, at this pair's column
+	MOVQ quads+32(FP), R14
+
+tile32:
+	LEAQ (AX)(R13*1), BX    // x rows 1, 2, 3
+	LEAQ (AX)(R13*2), CX
+	LEAQ (BX)(R13*2), DX
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ SI, R10            // panel row cursor (the second panel at +R12)
+	XORQ R11, R11           // x byte offset, i*4
+
+k4x32:
+	VMOVUPS (R10), Z8
+	VMOVUPS (R10)(R12*1), Z9
+	VBROADCASTSS (AX)(R11*1), Z10
+	VFMADD231PS Z8, Z10, Z0
+	VFMADD231PS Z9, Z10, Z1
+	VBROADCASTSS (BX)(R11*1), Z11
+	VFMADD231PS Z8, Z11, Z2
+	VFMADD231PS Z9, Z11, Z3
+	VBROADCASTSS (CX)(R11*1), Z12
+	VFMADD231PS Z8, Z12, Z4
+	VFMADD231PS Z9, Z12, Z5
+	VBROADCASTSS (DX)(R11*1), Z13
+	VFMADD231PS Z8, Z13, Z6
+	VFMADD231PS Z9, Z13, Z7
+	ADDQ $64, R10
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k4x32
+
+	VMOVUPS (R8), Z8
+	VMOVUPS 64(R8), Z9
+	VADDPS Z8, Z0, Z0
+	VADDPS Z9, Z1, Z1
+	VADDPS Z8, Z2, Z2
+	VADDPS Z9, Z3, Z3
+	VADDPS Z8, Z4, Z4
+	VADDPS Z9, Z5, Z5
+	VADDPS Z8, Z6, Z6
+	VADDPS Z9, Z7, Z7
+	MOVQ out+48(FP), R11
+	SHLQ $2, R11            // R11 = out*4: dst row stride, bytes
+	MOVQ R9, R10
+	VMOVUPS Z0, (R10)
+	VMOVUPS Z1, 64(R10)
+	ADDQ R11, R10
+	VMOVUPS Z2, (R10)
+	VMOVUPS Z3, 64(R10)
+	ADDQ R11, R10
+	VMOVUPS Z4, (R10)
+	VMOVUPS Z5, 64(R10)
+	ADDQ R11, R10
+	VMOVUPS Z6, (R10)
+	VMOVUPS Z7, 64(R10)
+
+	LEAQ (R9)(R11*4), R9    // next tile: four rows down
+	LEAQ (AX)(R13*4), AX
+	DECQ R14
+	JNZ  tile32
+
+	ADDQ $128, DI           // next pair: 32 outputs right
+	ADDQ $128, R8
+	LEAQ (SI)(R12*2), SI
+	DECQ R15
+	JNZ  pair
+
+	VZEROUPPER
+	RET
+
+// func gemm1x128F32(dst, w, bias, x *float32, in, panels int)
+//
+// AVX-512F. One row against the first panels 16-wide panels: eight panels at
+// a time (a 1×128 tile, Z0–Z7, 8 loads + 1 broadcast per 8 FMAs), then the
+// rest one panel at a time (Z0).
+TEXT ·gemm1x128F32(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ bias+16(FP), R8
+	MOVQ x+24(FP), AX
+	MOVQ in+32(FP), R13
+	SHLQ $2, R13            // R13 = in*4
+	MOVQ R13, R12
+	SHLQ $4, R12            // R12 = in*64: panel size, bytes
+	MOVQ panels+40(FP), R15
+
+group8:
+	CMPQ R15, $8
+	JLT  single16
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ SI, R10            // panels 0, 1, 2, 4 at +0, +R12, +2*R12, +4*R12
+	LEAQ (SI)(R12*2), R9
+	ADDQ R12, R9            // panels 3, 5, 7 at +0, +2*R12, +4*R12
+	LEAQ (R9)(R12*2), BX
+	ADDQ R12, BX            // panel 6
+	XORQ R11, R11
+
+k128:
+	VBROADCASTSS (AX)(R11*1), Z8
+	VFMADD231PS (R10), Z8, Z0
+	VFMADD231PS (R10)(R12*1), Z8, Z1
+	VFMADD231PS (R10)(R12*2), Z8, Z2
+	VFMADD231PS (R9), Z8, Z3
+	VFMADD231PS (R10)(R12*4), Z8, Z4
+	VFMADD231PS (R9)(R12*2), Z8, Z5
+	VFMADD231PS (BX), Z8, Z6
+	VFMADD231PS (R9)(R12*4), Z8, Z7
+	ADDQ $64, R10
+	ADDQ $64, R9
+	ADDQ $64, BX
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k128
+
+	VADDPS (R8), Z0, Z0
+	VADDPS 64(R8), Z1, Z1
+	VADDPS 128(R8), Z2, Z2
+	VADDPS 192(R8), Z3, Z3
+	VADDPS 256(R8), Z4, Z4
+	VADDPS 320(R8), Z5, Z5
+	VADDPS 384(R8), Z6, Z6
+	VADDPS 448(R8), Z7, Z7
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, 256(DI)
+	VMOVUPS Z5, 320(DI)
+	VMOVUPS Z6, 384(DI)
+	VMOVUPS Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, R8
+	LEAQ (SI)(R12*8), SI
+	SUBQ $8, R15
+	JMP  group8
+
+single16:
+	TESTQ R15, R15
+	JEQ   done128
+	VPXORD Z0, Z0, Z0
+	MOVQ SI, R10
+	XORQ R11, R11
+
+k16x1:
+	VBROADCASTSS (AX)(R11*1), Z8
+	VFMADD231PS (R10), Z8, Z0
+	ADDQ $64, R10
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k16x1
+
+	VADDPS (R8), Z0, Z0
+	VMOVUPS Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $64, R8
+	ADDQ R12, SI
+	DECQ R15
+	JMP  single16
+
+done128:
 	VZEROUPPER
 	RET
 

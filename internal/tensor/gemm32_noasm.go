@@ -6,6 +6,8 @@ package tensor
 // AttendF32 always run their portable code.
 func hasGemmAsm() bool { return false }
 
+func hasGemmZmm() bool { return false }
+
 // The assembly entry points are never called when hasGemmAsm reports false;
 // the stubs keep the dispatch sites portable.
 
@@ -13,7 +15,15 @@ func gemm4x16F32(dst, w, bias, x *float32, quads, in, out, panels int) {
 	panic("tensor: assembly kernel called without assembly support")
 }
 
+func gemm4x32F32(dst, w, bias, x *float32, quads, in, out, pairs int) {
+	panic("tensor: assembly kernel called without assembly support")
+}
+
 func gemm1x64F32(dst, w, bias, x *float32, in, panels int) {
+	panic("tensor: assembly kernel called without assembly support")
+}
+
+func gemm1x128F32(dst, w, bias, x *float32, in, panels int) {
 	panic("tensor: assembly kernel called without assembly support")
 }
 

@@ -1,9 +1,11 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"math/big"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"cptgpt/internal/stats"
@@ -23,7 +25,7 @@ func gemmF32Ref(dst, w, bias, x []float32, rows, in, out int) {
 	}
 }
 
-// fmaChainRef computes GemmF32's documented AVX2 arithmetic from first
+// fmaChainRef computes GemmF32's documented assembly arithmetic from first
 // principles: output (r, j) is acc = 0, acc = fma(x[r,i], w[i,j], acc) for
 // i = 0 … in-1 — every fused multiply-add evaluated exactly in math/big and
 // rounded once to float32 — then the float32 sum acc + bias[j]. w is
@@ -73,13 +75,119 @@ func packed(w []float32, in, out int) []float32 {
 	return p
 }
 
-// kernels lists the GemmF32 kernels this machine runs, as SetGemmF32Asm
-// arguments.
-func kernels() []bool {
-	if gemmAsmAvailable {
-		return []bool{false, true}
+// GemmF32's tile sets, by the name TestGemmKernelSet logs.
+const (
+	setAVX512   = "avx512"
+	setAVX2     = "avx2"
+	setPortable = "portable"
+)
+
+// kernelSets lists the GemmF32 tile sets this machine runs, fastest first.
+func kernelSets() []string {
+	var sets []string
+	if gemmZmmAvailable {
+		sets = append(sets, setAVX512)
 	}
-	return []bool{false}
+	if gemmAsmAvailable {
+		sets = append(sets, setAVX2)
+	}
+	return append(sets, setPortable)
+}
+
+// useKernelSet makes GemmF32 dispatch to set and returns the restore.
+func useKernelSet(set string) (restore func()) {
+	asm := SetGemmF32Asm(set != setPortable)
+	zmm := setGemmF32Zmm(set == setAVX512)
+	return func() {
+		SetGemmF32Asm(asm)
+		setGemmF32Zmm(zmm)
+	}
+}
+
+// kernelSet names the tile set GemmF32 dispatches to now.
+func kernelSet() string {
+	switch {
+	case !GemmF32Asm():
+		return setPortable
+	case gemmZmm.Load():
+		return setAVX512
+	default:
+		return setAVX2
+	}
+}
+
+// TestGemmKernelSet logs which tile set GemmF32 runs on this machine, so a
+// CI log shows whether the AVX-512 tiles were exercised at all, and checks
+// that the default is the fastest set the CPU has.
+func TestGemmKernelSet(t *testing.T) {
+	got := kernelSet()
+	t.Logf("GemmF32 kernel set: %s (available: %v)", got, kernelSets())
+	if got != setAVX512 {
+		t.Log("AVX-512 tiles not exercised on this machine")
+	}
+	if want := kernelSets()[0]; got != want {
+		t.Fatalf("default kernel set %s, want the fastest available, %s", got, want)
+	}
+}
+
+// TestGemmCPUProbe holds the CPUID/XGETBV probes to the kernel's view of the
+// CPU: on Linux, the AVX2 tiles are available exactly when /proc/cpuinfo
+// lists avx2 and fma, and the AVX-512 tiles exactly when it also lists
+// avx512f (which the kernel shows only when it saves ZMM state). A wrong bit
+// would otherwise pick AVX2 forever, or ZMM on an OS that does not save it.
+func TestGemmCPUProbe(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("probe checked against /proc/cpuinfo on linux/amd64")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(list) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	if len(flags) == 0 {
+		t.Skip("no flags line in /proc/cpuinfo")
+	}
+	avx2 := flags["avx2"] && flags["fma"]
+	if gemmAsmAvailable != avx2 {
+		t.Errorf("AVX2+FMA probe %v, /proc/cpuinfo avx2 && fma %v", gemmAsmAvailable, avx2)
+	}
+	if want := avx2 && flags["avx512f"]; gemmZmmAvailable != want {
+		t.Errorf("AVX-512F probe %v, /proc/cpuinfo avx2 && fma && avx512f %v", gemmZmmAvailable, want)
+	}
+}
+
+// portableRef computes the portable kernel's documented arithmetic from the
+// unpacked row-major in×out matrix w: the dot4F32 / dot2F32 / dot1F32 blocks
+// of the matvec it replaced, reading a block's weights at stride out. Panel
+// widths are multiples of 4 but for the last, so each output gets the same
+// block kind — and bits — packed or not.
+func portableRef(w, bias, x []float32, rows, in, out int) []float32 {
+	dst := make([]float32, rows*out)
+	for r := 0; r < rows; r++ {
+		xr, d := x[r*in:(r+1)*in], dst[r*out:(r+1)*out]
+		j := 0
+		for ; j+4 <= out; j += 4 {
+			r0, r1, r2, r3 := dot4F32(xr, w[j:], out)
+			d[j], d[j+1], d[j+2], d[j+3] = bias[j]+r0, bias[j+1]+r1, bias[j+2]+r2, bias[j+3]+r3
+		}
+		if j+2 <= out {
+			r0, r1 := dot2F32(xr, w[j:], out)
+			d[j], d[j+1] = bias[j]+r0, bias[j+1]+r1
+			j += 2
+		}
+		if j < out {
+			d[j] = bias[j] + dot1F32(xr, w[j:], out)
+		}
+	}
+	return dst
 }
 
 // TestPackF32Layout pins PackF32 to the panel layout's definition — 16-wide
@@ -114,7 +222,7 @@ func TestPackF32Layout(t *testing.T) {
 	}
 }
 
-// TestGemmF32Shapes exercises both kernels over awkward shapes (reduction
+// TestGemmF32Shapes exercises every kernel set over awkward shapes (reduction
 // lengths of 1, panel remainders of every width, 1-row and odd-row counts,
 // row counts that span several of the assembly path's row tiles), comparing
 // against the float64 reference within a float32 reduction-error tolerance.
@@ -125,9 +233,9 @@ func TestGemmF32Shapes(t *testing.T) {
 		{1, 130, 1}, {7, 9, 9}, {19, 1024, 5}, {3, 9000, 2}, {9, 24, 29},
 		{5, 17, 40}, {13, 100, 200},
 	}
-	defer SetGemmF32Asm(GemmF32Asm())
-	for _, asm := range kernels() {
-		SetGemmF32Asm(asm)
+	defer useKernelSet(kernelSet())()
+	for _, set := range kernelSets() {
+		useKernelSet(set)
 		for _, s := range shapes {
 			w := randF32(s.out*s.in, 1)
 			bias := randF32(s.out, 2)
@@ -141,36 +249,37 @@ func TestGemmF32Shapes(t *testing.T) {
 				// Allow float32 reduction error growing with the length.
 				tol := 1e-5 * (1 + math.Abs(float64(want[i]))) * math.Sqrt(float64(s.in))
 				if diff > tol || math.IsNaN(float64(got[i])) {
-					t.Fatalf("asm=%v shape %v: dst[%d] = %v, want %v (|Δ| %.2e > %.2e)",
-						asm, s, i, got[i], want[i], diff, tol)
+					t.Fatalf("%s shape %v: dst[%d] = %v, want %v (|Δ| %.2e > %.2e)",
+						set, s, i, got[i], want[i], diff, tol)
 				}
 			}
 		}
 	}
 }
 
-// Shapes that reach every path of the assembly kernel: rows through the
-// 4-row tiles, one to three leftover rows (1×64 tile) and both at once;
-// reductions of one element up to a whole FF-out row; outputs that are only
-// a masked remainder (1, 2), only an 8-wide panel, a 16-wide panel plus a
-// one-lane remainder (17), plus an 8-wide one (24), whole 64-output groups
-// with a 1×16 leftover (48) and without (64, 128, 1024).
+// Shapes that reach every path of the assembly tiles: rows through the
+// 4-row tiles, one to three leftover rows (1×64 / 1×128 tile) and both at
+// once; reductions of one element up to a whole FF-out row; outputs that are
+// only a masked remainder (1, 2), only an 8-wide panel, a 16-wide panel plus
+// a one-lane remainder (17), plus an 8-wide one (24), an even number of
+// 16-wide panels (32, 64, 128, 1024), an odd one (48, 80, 144: the 4×32
+// pairs plus the AVX2 4×16 on the last), and leftover single panels after
+// the 1×64 groups (48, 80, 144) and the 1×128 ones (144).
 var (
 	tileRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33}
 	tileIns  = []int{1, 7, 24, 128, 1024}
-	tileOuts = []int{1, 2, 8, 17, 24, 48, 64, 128, 1024}
+	tileOuts = []int{1, 2, 8, 17, 24, 32, 48, 64, 80, 128, 144, 1024}
 )
 
-// TestGemmF32Bitwise holds the AVX2 kernel to its documented arithmetic bit
-// for bit: for every shape of tileRows × tileIns × tileOuts, every output is
-// fmaChainRef's — whichever tile (4×16, 1×64, 1×16, masked 8-lane) computed
-// it. The reference is exact big-float arithmetic, so the test also pins
-// that the kernel does fuse (one rounding per step) and adds the bias last.
+// TestGemmF32Bitwise holds every kernel set to its documented arithmetic bit
+// for bit, for every shape of tileRows × tileIns × tileOuts. Under both
+// assembly sets every output is fmaChainRef's — whichever tile (4×32,
+// 4×16, 1×128, 1×64, 1×16, masked 8-lane) computed it. That reference is
+// exact big-float arithmetic, so the test also pins that the tiles do fuse
+// (one rounding per step) and add the bias last. The portable set is held to
+// portableRef, its dot blocks over the unpacked matrix.
 func TestGemmF32Bitwise(t *testing.T) {
-	if !gemmAsmAvailable {
-		t.Skip("no AVX2+FMA")
-	}
-	defer SetGemmF32Asm(SetGemmF32Asm(true))
+	defer useKernelSet(kernelSet())()
 	for _, in := range tileIns {
 		for _, out := range tileOuts {
 			if in*out > 128*1024 {
@@ -185,18 +294,25 @@ func TestGemmF32Bitwise(t *testing.T) {
 			w := randF32(in*out, uint64(in*out))
 			bias := randF32(out, uint64(out))
 			x := randF32(refRows*in, uint64(in+out))
-			want := fmaChainRef(w, bias, x, refRows, in, out)
+			chain, scalar := fmaChainRef(w, bias, x, refRows, in, out), portableRef(w, bias, x, refRows, in, out)
 			pw := packed(w, in, out)
-			for _, rows := range tileRows {
-				if rows > refRows {
-					continue
+			for _, set := range kernelSets() {
+				useKernelSet(set)
+				want := chain
+				if set == setPortable {
+					want = scalar
 				}
-				got := make([]float32, rows*out)
-				GemmF32(got, pw, bias, x, rows, in, out)
-				for i := range got {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%d×%d→%d: dst[%d] (row %d, out %d) = %v, FMA-chain reference %v",
-							rows, in, out, i, i/out, i%out, got[i], want[i])
+				for _, rows := range tileRows {
+					if rows > refRows {
+						continue
+					}
+					got := make([]float32, rows*out)
+					GemmF32(got, pw, bias, x, rows, in, out)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s %d×%d→%d: dst[%d] (row %d, out %d) = %v, reference %v",
+								set, rows, in, out, i, i/out, i%out, got[i], want[i])
+						}
 					}
 				}
 			}
@@ -206,15 +322,16 @@ func TestGemmF32Bitwise(t *testing.T) {
 
 // FuzzGemmF32 generalises TestGemmF32Bitwise to drawn shapes (rows 1–40,
 // in and out 1–300) and drawn values — normals of every size the chain
-// cannot overflow at, ±0 and subnormals — against the same math/big
-// reference; with the assembly switch off it checks the portable kernel
+// cannot overflow at, ±0 and subnormals — under every kernel set: the
+// assembly sets against the same math/big reference, the portable one
 // against the float64 reference. The seed corpus runs under plain go test.
 func FuzzGemmF32(f *testing.F) {
-	f.Add(uint8(5), uint16(7), uint16(17), uint64(1), false)
-	f.Add(uint8(1), uint16(300), uint16(24), uint64(2), true)
-	f.Add(uint8(40), uint16(3), uint16(300), uint64(3), false)
-	f.Add(uint8(3), uint16(64), uint16(48), uint64(4), true)
-	f.Fuzz(func(t *testing.T, rows8 uint8, in16, out16 uint16, seed uint64, portable bool) {
+	f.Add(uint8(5), uint16(7), uint16(17), uint64(1))
+	f.Add(uint8(1), uint16(300), uint16(24), uint64(2))
+	f.Add(uint8(40), uint16(3), uint16(300), uint64(3))
+	f.Add(uint8(3), uint16(64), uint16(48), uint64(4))
+	f.Add(uint8(9), uint16(20), uint16(80), uint64(5))
+	f.Fuzz(func(t *testing.T, rows8 uint8, in16, out16 uint16, seed uint64) {
 		rows, in, out := 1+int(rows8)%40, 1+int(in16)%300, 1+int(out16)%300
 		rng := stats.NewRand(seed)
 		value := func() float32 {
@@ -238,31 +355,38 @@ func FuzzGemmF32(f *testing.F) {
 			return s
 		}
 		w, bias, x := fill(in*out), fill(out), fill(rows*in)
-		got := make([]float32, rows*out)
-		defer SetGemmF32Asm(SetGemmF32Asm(!portable))
-		GemmF32(got, packed(w, in, out), bias, x, rows, in, out)
-		if GemmF32Asm() {
-			want := fmaChainRef(w, bias, x, rows, in, out)
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%d×%d→%d: dst[%d] = %v (%#08x), FMA-chain reference %v (%#08x)",
-						rows, in, out, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		pw := packed(w, in, out)
+		var chain []float32 // the FMA-chain reference, computed once
+		defer useKernelSet(kernelSet())()
+		for _, set := range kernelSets() {
+			useKernelSet(set)
+			got := make([]float32, rows*out)
+			GemmF32(got, pw, bias, x, rows, in, out)
+			if set != setPortable {
+				if chain == nil {
+					chain = fmaChainRef(w, bias, x, rows, in, out)
 				}
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(chain[i]) {
+						t.Fatalf("%s %d×%d→%d: dst[%d] = %v (%#08x), FMA-chain reference %v (%#08x)",
+							set, rows, in, out, i, got[i], math.Float32bits(got[i]), chain[i], math.Float32bits(chain[i]))
+					}
+				}
+				continue
 			}
-			return
-		}
-		want := make([]float32, rows*out)
-		gemmF32Ref(want, w, bias, x, rows, in, out)
-		for r := 0; r < rows; r++ {
-			for j := 0; j < out; j++ {
-				var mag float64 // Σ|x·w| + |b|: the error scale of the sum
-				for i := 0; i < in; i++ {
-					mag += math.Abs(float64(x[r*in+i]) * float64(w[i*out+j]))
-				}
-				mag += math.Abs(float64(bias[j]))
-				k := r*out + j
-				if diff := math.Abs(float64(got[k]) - float64(want[k])); diff > 1e-6*float64(in)*mag+1e-37 {
-					t.Fatalf("portable %d×%d→%d: dst[%d] = %v, float64 reference %v", rows, in, out, k, got[k], want[k])
+			want := make([]float32, rows*out)
+			gemmF32Ref(want, w, bias, x, rows, in, out)
+			for r := 0; r < rows; r++ {
+				for j := 0; j < out; j++ {
+					var mag float64 // Σ|x·w| + |b|: the error scale of the sum
+					for i := 0; i < in; i++ {
+						mag += math.Abs(float64(x[r*in+i]) * float64(w[i*out+j]))
+					}
+					mag += math.Abs(float64(bias[j]))
+					k := r*out + j
+					if diff := math.Abs(float64(got[k]) - float64(want[k])); diff > 1e-6*float64(in)*mag+1e-37 {
+						t.Fatalf("portable %d×%d→%d: dst[%d] = %v, float64 reference %v", rows, in, out, k, got[k], want[k])
+					}
 				}
 			}
 		}
@@ -270,7 +394,7 @@ func FuzzGemmF32(f *testing.F) {
 }
 
 // TestGemmF32RowIndependent pins the contract the decoder's determinism
-// rests on, for both kernels: a row's outputs do not depend on the rows
+// rests on, for every kernel set: a row's outputs do not depend on the rows
 // batched with it, so a k-row GEMM equals k one-row GEMMs exactly — and
 // MatVecGroupF32, the strided front, returns the same rows for any grouping
 // (a consecutive run over compact rows, gaps, reordering, padded strides).
@@ -279,9 +403,9 @@ func TestGemmF32RowIndependent(t *testing.T) {
 	w := packed(randF32(out*in, 4), in, out)
 	bias := randF32(out, 5)
 	x := randF32(rows*in, 6)
-	defer SetGemmF32Asm(GemmF32Asm())
-	for _, asm := range kernels() {
-		SetGemmF32Asm(asm)
+	defer useKernelSet(kernelSet())()
+	for _, set := range kernelSets() {
+		useKernelSet(set)
 		want := make([]float32, rows*out)
 		for r := 0; r < rows; r++ {
 			GemmF32(want[r*out:(r+1)*out], w, bias, x[r*in:(r+1)*in], 1, in, out)
@@ -290,7 +414,7 @@ func TestGemmF32RowIndependent(t *testing.T) {
 		GemmF32(got, w, bias, x, rows, in, out)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("asm=%v: %d-row gemm[%d] = %v, one-row %v", asm, rows, i, got[i], want[i])
+				t.Fatalf("%s: %d-row gemm[%d] = %v, one-row %v", set, rows, i, got[i], want[i])
 			}
 		}
 
@@ -300,7 +424,7 @@ func TestGemmF32RowIndependent(t *testing.T) {
 			for _, s := range group {
 				for j := 0; j < out; j++ {
 					if got[s*out+j] != want[s*out+j] {
-						t.Fatalf("asm=%v group %v: row %d out %d = %v, want %v", asm, group, s, j, got[s*out+j], want[s*out+j])
+						t.Fatalf("%s group %v: row %d out %d = %v, want %v", set, group, s, j, got[s*out+j], want[s*out+j])
 					}
 				}
 			}
@@ -316,7 +440,7 @@ func TestGemmF32RowIndependent(t *testing.T) {
 		for _, s := range []int{0, 1, 2, 4} {
 			for j := 0; j < out; j++ {
 				if dp[s*ds+j] != want[s*out+j] {
-					t.Fatalf("asm=%v padded: row %d out %d = %v, want %v", asm, s, j, dp[s*ds+j], want[s*out+j])
+					t.Fatalf("%s padded: row %d out %d = %v, want %v", set, s, j, dp[s*ds+j], want[s*out+j])
 				}
 			}
 		}
@@ -347,7 +471,7 @@ func TestGemmF32RowIndependent(t *testing.T) {
 					GemmF32(many, gp, gb, gx[off*gin:], grows, gin, gout)
 					for i := range many {
 						if math.Float32bits(many[i]) != math.Float32bits(one[off*gout+i]) {
-							t.Fatalf("asm=%v %d×%d→%d: multi-row dst[%d] = %v, one-row call %v", asm, grows, gin, gout, i, many[i], one[off*gout+i])
+							t.Fatalf("%s %d×%d→%d: multi-row dst[%d] = %v, one-row call %v", set, grows, gin, gout, i, many[i], one[off*gout+i])
 						}
 					}
 				}
@@ -357,22 +481,22 @@ func TestGemmF32RowIndependent(t *testing.T) {
 }
 
 // TestGemmF32Deterministic requires repeated calls to produce identical bits
-// (each kernel has a fixed reduction order).
+// (each kernel set has a fixed reduction order).
 func TestGemmF32Deterministic(t *testing.T) {
 	const rows, in, out = 4, 129, 33
 	w := randF32(out*in, 7)
 	bias := randF32(out, 8)
 	x := randF32(rows*in, 9)
-	defer SetGemmF32Asm(GemmF32Asm())
-	for _, asm := range kernels() {
-		SetGemmF32Asm(asm)
+	defer useKernelSet(kernelSet())()
+	for _, set := range kernelSets() {
+		useKernelSet(set)
 		a := make([]float32, rows*out)
 		b := make([]float32, rows*out)
 		GemmF32(a, w, bias, x, rows, in, out)
 		GemmF32(b, w, bias, x, rows, in, out)
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("asm=%v: nondeterministic at %d: %v vs %v", asm, i, a[i], b[i])
+				t.Fatalf("%s: nondeterministic at %d: %v vs %v", set, i, a[i], b[i])
 			}
 		}
 	}
@@ -395,9 +519,9 @@ func TestGemmF32KillSwitch(t *testing.T) {
 	}
 }
 
-// BenchmarkGemmF32 times the kernels against the paper-scale panels at the
-// row counts the decoder packs: a full plain batch (32 rows), one verify
-// chain (5) and a drained batch (1).
+// BenchmarkGemmF32 times every kernel set the machine runs against the
+// paper-scale panels at the row counts the decoder packs: a full plain batch
+// (32 rows), one verify chain (5) and a drained batch (1).
 func BenchmarkGemmF32(b *testing.B) {
 	for _, c := range []struct {
 		name          string
@@ -417,14 +541,9 @@ func BenchmarkGemmF32(b *testing.B) {
 		bias := randF32(c.out, 2)
 		x := randF32(c.rows*c.in, 3)
 		dst := make([]float32, c.rows*c.out)
-		for _, asm := range []bool{true, false} {
-			if asm && !gemmAsmAvailable {
-				continue
-			}
-			name := fmt.Sprintf("%s/asm=%v", c.name, asm)
-			b.Run(name, func(b *testing.B) {
-				prev := SetGemmF32Asm(asm)
-				defer SetGemmF32Asm(prev)
+		for _, set := range kernelSets() {
+			b.Run(c.name+"/set="+set, func(b *testing.B) {
+				defer useKernelSet(set)()
 				b.SetBytes(int64(4 * c.in * c.out))
 				for i := 0; i < b.N; i++ {
 					GemmF32(dst, w, bias, x, c.rows, c.in, c.out)
