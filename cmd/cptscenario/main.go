@@ -7,14 +7,16 @@
 //	cptscenario -spec flash-crowd -ues 1000000 -sink mcn
 //	cptscenario -spec my-scenario.json -ues 100000 -sink jsonl -out events.jsonl.gz
 //	cptscenario -spec handover-storm -save-spec storm.json
-//	cptscenario -spec paging-storm -sink replay -addr 127.0.0.1:9000 -speedup 600
+//	cptscenario -spec paging-storm -sink replay -addr 127.0.0.1:9000 -compression 600
 //	cptscenario -spec my-model-mix.json -ues 1000000 -precision f32 -speculative on -draft-k 4 -sink mcn
 //
 // -spec accepts a built-in name or a JSON spec path. Sinks: "count" (drain
 // and summarize), "mcn" (the simulated mobile-core NF), "jsonl"/"csv"
-// (event-interleaved trace files, ".gz"-transparent) and "replay" (pace
+// (event-interleaved trace files, ".gz"-transparent) and "replay" (write
 // onto a replaynet TCP server) — built and validated by the sink registry
 // in internal/scenario, which refuses a flag the chosen sink cannot use.
+// -compression c plays c trace-seconds per wall second into any sink (the
+// daemon's POST /runs "compression"); 0, the default, runs unpaced.
 // Peak memory is O(-batch), independent of -ues, and output is
 // bit-identical at every -parallelism and -batch.
 package main
@@ -45,9 +47,9 @@ func main() {
 		sink     = flag.String("sink", scenario.DefaultSink, "sink: "+scenario.SinkList())
 		out      = flag.String("out", "", "output path for the file sinks (default stdout; .gz compresses)")
 		addr     = flag.String("addr", "", "replaynet server address (replay sink; required there unless -replay-self)")
-		speedup  = flag.Float64("speedup", 0, "trace-time speedup for the replay sink (0 = full speed)")
+		compress = flag.Float64("compression", 0, "time compression for any sink: trace-seconds played per wall second (1 = real time; 0 = unpaced)")
 
-		closedLoop = flag.Bool("closed-loop", false, "replay sink: acknowledged closed-loop driver (CUBIC window, RTT/RTO, reconnect-resume) instead of open-loop pacing")
+		closedLoop = flag.Bool("closed-loop", false, "replay sink: acknowledged closed-loop driver (CUBIC window, RTT/RTO, reconnect-resume) instead of the open-loop driver")
 		sloP99     = flag.Duration("slo-p99", 0, "replay sink: run the SLO-search controller, ramping offered load to the max sustained rate whose p99 transaction latency meets this SLO (implies -closed-loop)")
 		sloRate    = flag.Float64("slo-rate", 0, "SLO search: initial probe rate in events/s (0 = default)")
 		sloWindow  = flag.Int("slo-window", 0, "SLO search: acked events per probe window (0 = default)")
@@ -88,6 +90,12 @@ func main() {
 	if err := opts.Validate(); err != nil {
 		log.Fatal(err)
 	}
+	switch {
+	case *compress < 0:
+		log.Fatalf("-compression must be ≥ 0, got %v", *compress)
+	case *compress > 0 && *sloP99 > 0:
+		log.Fatal("-compression conflicts with -slo-p99: the SLO search sets the offered rate itself")
+	}
 
 	if *list {
 		for _, name := range cptgen.BuiltinScenarios() {
@@ -119,7 +127,7 @@ func main() {
 	// so the registry's validation refuses it on a sink that cannot use it.
 	cfg := scenario.SinkConfig{
 		Name: *sink, Out: *out, Stdout: os.Stdout,
-		Addr: *addr, ClosedLoop: *closedLoop || *sloP99 > 0, Speedup: *speedup,
+		Addr: *addr, ClosedLoop: *closedLoop || *sloP99 > 0,
 	}
 	fcfg := cptgen.FaultConfig{
 		Seed: *faultSeed, DropProb: *faultDrop, ResetProb: *faultReset,
@@ -172,7 +180,7 @@ func main() {
 		// The SLO search is a controller over the closed-loop transport,
 		// not a sink: it re-offers the stream at rates of its own choosing.
 		res, err := scenario.ReplaySLOSearch(cfg.Addr, st,
-			cptgen.ReplayClosedOpts{Speedup: cfg.Speedup, Dial: cfg.Dial},
+			cptgen.ReplayClosedOpts{Dial: cfg.Dial},
 			cptgen.ReplaySearchOpts{SLOP99: *sloP99, InitialRate: *sloRate, WindowEvents: *sloWindow})
 		st.Close()
 		if err != nil {
@@ -196,7 +204,12 @@ func main() {
 		st.Close()
 		log.Fatal(err)
 	}
-	res, err := snk.Consume(context.Background(), st)
+	// The pacer is the one clock of a paced run, whatever the sink.
+	var src scenario.EventSource = st
+	if *compress > 0 {
+		src = scenario.NewPacer(context.Background(), st, *compress)
+	}
+	res, err := snk.Consume(context.Background(), src)
 	st.Close()
 	if err != nil {
 		log.Fatal(err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -14,14 +15,7 @@ import (
 // override, must exit 1 naming the field before anything is generated — no
 // output file, no spill directory.
 func TestRefusesBeforeGeneration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and spawns the binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "cptscenario")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, bin := build(t)
 	specs := 0
 	spec := func(source string) string {
 		specs++
@@ -44,6 +38,8 @@ func TestRefusesBeforeGeneration(t *testing.T) {
 		{[]string{"-spec", "flash-crowd", "-precision", "f16"}, "precision"},
 		{[]string{"-spec", "flash-crowd", "-draft-k", "-1"}, "draft-tokens"},
 		{[]string{"-list", "-speculative", "maybe"}, "speculative"},
+		{[]string{"-spec", "flash-crowd", "-compression", "-1"}, "-compression"},
+		{[]string{"-spec", "flash-crowd", "-compression", "60", "-slo-p99", "50ms"}, "-compression conflicts with -slo-p99"},
 	} {
 		out := filepath.Join(dir, "out.jsonl")
 		tmp := filepath.Join(dir, "spill")
@@ -66,5 +62,46 @@ func TestRefusesBeforeGeneration(t *testing.T) {
 		}
 		os.RemoveAll(tmp)
 		os.Remove(out)
+	}
+}
+
+// build compiles the tool into a fresh directory and returns both.
+func build(t *testing.T) (dir, bin string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and spawns the binary")
+	}
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "cptscenario")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, bin
+}
+
+// TestCompression: -compression paces any sink without moving an output
+// byte (a file run at 36000× equals the unpaced one), and the flag it
+// replaced is gone — -speedup is a usage error, exit 2.
+func TestCompression(t *testing.T) {
+	dir, bin := build(t)
+	run := func(args ...string) ([]byte, error) {
+		return exec.Command(bin, args...).CombinedOutput()
+	}
+	msg, err := run("-spec", "flash-crowd", "-ues", "40", "-sink", "replay", "-replay-self", "-speedup", "600")
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(msg), "speedup") {
+		t.Errorf("-speedup: err %v, want exit status 2 naming the flag\n%s", err, msg)
+	}
+	var outs [2][]byte
+	for i, extra := range [][]string{nil, {"-compression", "36000"}} {
+		out := filepath.Join(dir, fmt.Sprintf("out-%d.jsonl", i))
+		if msg, err := run(append([]string{"-spec", "flash-crowd", "-ues", "40", "-sink", "jsonl", "-out", out}, extra...)...); err != nil {
+			t.Fatalf("%v: %v\n%s", extra, err, msg)
+		}
+		if outs[i], err = os.ReadFile(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(outs[0]) == 0 || !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("paced output (%d bytes) differs from unpaced (%d bytes)", len(outs[1]), len(outs[0]))
 	}
 }

@@ -283,14 +283,12 @@ type (
 	ReplayServer = replaynet.Server
 	// ReplayStatsReport is the TCP server's accounting.
 	ReplayStatsReport = replaynet.Stats
-	// ReplayOpts tunes a TCP replay run (its pacing speedup).
-	ReplayOpts = replaynet.ReplayOpts
 	// ReplayServerOpts tunes a TCP MCN frontend (service time, fault
 	// injection).
 	ReplayServerOpts = replaynet.ServerOpts
 	// ReplayClosedOpts tunes a closed-loop (acknowledged, congestion-
-	// controlled) replay run: pacing, the session to open or resume, the
-	// dialer, and where live state and RTT samples go.
+	// controlled) replay run: the session to open or resume, the dialer,
+	// and where live state and RTT samples go.
 	ReplayClosedOpts = replaynet.ClosedOpts
 	// ReplayClosedStats summarizes a closed-loop replay run.
 	ReplayClosedStats = replaynet.ClosedStats
@@ -333,11 +331,13 @@ func FaultDialer(cfg FaultConfig) func(addr string) (net.Conn, error) {
 	return faultnet.Dialer(cfg)
 }
 
-// ReplayOverTCP paces a dataset's merged arrival sequence
-// (Dataset.Arrivals) onto a replaynet server and returns the server's final
-// stats.
-func ReplayOverTCP(addr string, d *Dataset, opts ReplayOpts) (ReplayStatsReport, error) {
-	return replaynet.Replay(addr, d, opts)
+// ReplayOverTCP writes a dataset's merged arrival sequence
+// (Dataset.Arrivals) onto a replaynet server as fast as the connection
+// allows — unpaced — and returns the server's final stats. The paced
+// networked path is a scenario run with compression: cptscenario
+// -compression, or POST /runs "compression" on cptserved.
+func ReplayOverTCP(addr string, d *Dataset) (ReplayStatsReport, error) {
+	return replaynet.Replay(addr, d)
 }
 
 // Scenario engine: declarative workload composition over a streaming

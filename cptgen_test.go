@@ -78,7 +78,7 @@ func TestFacadePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	stats, err := ReplayOverTCP(srv.Addr().String(), synth, ReplayOpts{})
+	stats, err := ReplayOverTCP(srv.Addr().String(), synth)
 	if err != nil {
 		t.Fatal(err)
 	}

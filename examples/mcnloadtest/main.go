@@ -6,8 +6,11 @@
 //
 //  1. in-process, against the virtual-time MCN simulator (deterministic
 //     latency/autoscaling numbers), and
-//  2. over TCP, against the replaynet MCN frontend, with the trace paced at
-//     a wall-clock speedup — i.e. a real networked load test.
+//  2. over TCP, against the replaynet MCN frontend — a real networked
+//     load test. ReplayOverTCP writes the workload unpaced, as fast as the
+//     connection allows; to keep each event at its trace time on the wire,
+//     run the workload as a scenario with compression (cptscenario
+//     -compression, or POST /runs "compression" on cptserved).
 package main
 
 import (
@@ -66,9 +69,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	fmt.Printf("\nreplaying over TCP to %s (3600x speedup)...\n", srv.Addr())
+	fmt.Printf("\nreplaying over TCP to %s (unpaced)...\n", srv.Addr())
 
-	stats, err := cptgen.ReplayOverTCP(srv.Addr().String(), workload, cptgen.ReplayOpts{Speedup: 3600})
+	stats, err := cptgen.ReplayOverTCP(srv.Addr().String(), workload)
 	if err != nil {
 		log.Fatal(err)
 	}

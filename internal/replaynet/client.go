@@ -11,13 +11,6 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// ReplayOpts tunes a driver run.
-type ReplayOpts struct {
-	// Speedup divides trace time: 60 replays an hour of trace in a minute.
-	// A Speedup ≤ 0 replays as fast as the connection allows (no pacing).
-	Speedup float64
-}
-
 // ueIndex maps the sources' 64-bit UE keys to the protocol's 32-bit UE
 // indices, in first-seen order.
 type ueIndex map[uint64]uint32
@@ -31,44 +24,37 @@ func (m ueIndex) of(ue uint64) uint32 {
 	return idx
 }
 
-// schedule maps trace time to the wall clock at a speedup: the first event
-// asked about is due now, and anchors both clocks.
-type schedule struct {
-	speedup float64
-	started bool
-	start   time.Time
-	t0      float64
-}
+// flushInterval bounds how long a written event may sit in a driver's write
+// buffer while events flow. Both drivers also flush before every wait of a
+// source that paces itself (onIdle), the closed-loop one before its own
+// waits too.
+const flushInterval = 20 * time.Millisecond
 
-func (s *schedule) due(t float64) time.Time {
-	if !s.started {
-		s.started, s.start, s.t0 = true, time.Now(), t
-	}
-	return s.start.Add(time.Duration((t - s.t0) / s.speedup * float64(time.Second)))
-}
-
-// onIdle registers flush with a source that paces itself (see
+// onIdle registers idle with a source that paces itself (see
 // trace.ArrivalSource): the drivers' "flush before every wait" contract has
-// to hold for a wait hidden inside NextArrival too.
-func onIdle(src trace.ArrivalSource, flush func()) {
-	if p, ok := src.(interface{ OnIdle(func()) }); ok {
-		p.OnIdle(flush)
+// to hold for a wait hidden inside NextArrival too. idle runs on the
+// driver's goroutine before every such wait and must return by until.
+func onIdle(src trace.ArrivalSource, idle func(until time.Time)) {
+	if p, ok := src.(interface{ OnIdle(func(time.Time)) }); ok {
+		p.OnIdle(idle)
 	}
 }
 
-// Replay connects to a replaynet server at addr, paces the dataset's merged
-// event sequence (Dataset.Arrivals) onto the wire and returns the server's
-// final stats.
-func Replay(addr string, d *trace.Dataset, opts ReplayOpts) (Stats, error) {
-	return ReplayStream(addr, d.Generation, d.Arrivals(), opts)
+// Replay connects to a replaynet server at addr, writes the dataset's merged
+// event sequence (Dataset.Arrivals) onto the wire as fast as the connection
+// allows and returns the server's final stats.
+func Replay(addr string, d *trace.Dataset) (Stats, error) {
+	return ReplayStream(addr, d.Generation, d.Arrivals())
 }
 
-// ReplayStream connects to a replaynet server at addr and paces a
+// ReplayStream connects to a replaynet server at addr and writes a
 // time-ordered event sequence pulled incrementally from src onto the wire —
 // the streaming counterpart of Replay that the scenario engine uses to
-// drive a server with million-UE workloads in bounded memory. 64-bit UE
-// keys are mapped to the protocol's 32-bit UE indices in first-seen order.
-func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource, opts ReplayOpts) (Stats, error) {
+// drive a server with million-UE workloads in bounded memory. The driver
+// does not pace: a source that paces itself (scenario.Pacer) sets the
+// schedule. 64-bit UE keys are mapped to the protocol's 32-bit UE indices
+// in first-seen order.
+func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource) (Stats, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return Stats{}, fmt.Errorf("replaynet: dial %s: %w", addr, err)
@@ -82,14 +68,11 @@ func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource, o
 	}
 
 	ues := make(ueIndex)
-	sched := schedule{speedup: opts.Speedup}
 	// The writer is buffered for throughput, but a paced replay must not let
-	// events sit in the buffer while the pacer sleeps — the server would see
-	// them in bursts a flush interval late instead of on their schedule. So
-	// the buffer is flushed before every pacing sleep, the source's own
-	// included (onIdle), and, on unpaced or densely-paced stretches, at least
-	// every flushEvery of wall time.
-	const flushEvery = 50 * time.Millisecond
+	// events sit in the buffer while the source sleeps — the server would
+	// see them in bursts a flush interval late instead of on their schedule.
+	// So the buffer is flushed before every wait of the source (onIdle) and,
+	// while events flow, at least every flushInterval of wall time.
 	lastFlush := time.Now()
 	flush := func() error {
 		if err := bw.Flush(); err != nil {
@@ -99,7 +82,7 @@ func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource, o
 		return nil
 	}
 	// A failed flush sticks in bw: the loop's next one reports it.
-	onIdle(src, func() { _ = flush() })
+	onIdle(src, func(time.Time) { _ = flush() })
 	for {
 		ev, ok, err := src.NextArrival()
 		if err != nil {
@@ -108,15 +91,7 @@ func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource, o
 		if !ok {
 			break
 		}
-		if opts.Speedup > 0 {
-			if wait := time.Until(sched.due(ev.Time)); wait > 0 {
-				if err := flush(); err != nil {
-					return Stats{}, err
-				}
-				time.Sleep(wait)
-			}
-		}
-		if time.Since(lastFlush) >= flushEvery {
+		if time.Since(lastFlush) >= flushInterval {
 			if err := flush(); err != nil {
 				return Stats{}, err
 			}

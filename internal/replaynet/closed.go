@@ -63,11 +63,10 @@ type LiveStats struct {
 }
 
 // ClosedOpts tunes a closed-loop replay run. The zero value is usable:
-// no trace pacing (the window is the only throttle), net.Dial connectivity.
+// a fresh session over net.Dial. The driver does not pace: it sends as fast
+// as the congestion window allows, and a source that paces itself
+// (scenario.Pacer) sets the schedule.
 type ClosedOpts struct {
-	// Speedup divides trace time exactly like ReplayOpts.Speedup; 0 sends
-	// as fast as the congestion window allows.
-	Speedup float64
 	// SessionID keys the server-side resume state. 0 derives a fresh ID
 	// from the wall clock; pass an explicit ID for reproducible tests.
 	SessionID uint64
@@ -103,13 +102,10 @@ type ClosedOpts struct {
 	maxReconnects                         int
 }
 
-// The slow-start entry window and the window cap, in events; and how long a
-// written event may sit in the client's write buffer (it is also flushed
-// whenever the driver is about to wait).
+// The slow-start entry window and the window cap, in events.
 const (
-	initialCwnd   = 4.0
-	maxCwnd       = 4096.0
-	flushInterval = 20 * time.Millisecond
+	initialCwnd = 4.0
+	maxCwnd     = 4096.0
 )
 
 // NewSessionID derives a fresh session key from the wall clock — what a
@@ -183,10 +179,10 @@ type pendingEv struct {
 	retx    bool
 }
 
-// closedHooks are the controller seams of the core loop: due paces sends
-// (zero time = immediately), onSend observes each first transmission, and
-// onAck observes acked batches — returning false stops pulling the source
-// (in-flight events still drain).
+// closedHooks are the SLO controller's seams in the core loop: due paces
+// sends at the probe rate (zero time = immediately), onSend observes each
+// first transmission, and onAck observes acked batches — returning false
+// stops pulling the source (in-flight events still drain).
 type closedHooks struct {
 	due    func(ev trace.Arrival) time.Time
 	onSend func()
@@ -205,6 +201,7 @@ type closedSession struct {
 	notify   chan struct{}
 	readErr  chan error
 	reportCh chan Stats
+	timer    *time.Timer // stopped and drained between waits
 
 	lastAck   atomic.Uint64
 	lastAckAt atomic.Int64 // wall nanos of the newest ACK arrival
@@ -532,23 +529,35 @@ func (s *closedSession) retire() {
 	}
 }
 
-// idle is what a source that paces itself runs before it blocks (onIdle):
+// idle is what a source that paces itself runs before every wait (onIdle):
 // the part of the driver's wait that cannot be left until the source
 // returns. Everything buffered goes onto the wire, and the ACKs answering
-// it within a flush interval — the shortest wait such a source announces —
-// are retired, so neither the window nor LiveStats sit stale through the
-// source's sleep. A failed flush sticks in bw, and a dead connection or an
-// expired RTO keep: the loop finds them when the source returns.
-func (s *closedSession) idle() {
+// it are retired as they arrive, up to until — so each is stamped with its
+// own arrival, and neither the window, LiveStats nor a checkpoint's applied
+// cursor sit stale through the source's sleep. It returns once nothing is
+// in flight, at until, or when the oldest transaction's RTO expires — a
+// dead connection or a stalled server must not hold the source past it.
+// A failed flush sticks in bw, and a dead connection or an expired RTO
+// keep: the loop finds them when the source returns.
+func (s *closedSession) idle(until time.Time) {
 	_ = s.flush()
-	timeout := time.After(flushInterval)
+	if len(s.pending) == 0 {
+		return
+	}
+	if rto := s.pending[0].sentAt.Add(s.rto); rto.Before(until) {
+		until = rto
+	}
+	s.timer.Reset(time.Until(until))
 	for len(s.pending) > 0 {
 		select {
 		case <-s.notify:
 			s.retire()
-		case <-timeout:
+		case <-s.timer.C:
 			return
 		}
+	}
+	if !s.timer.Stop() {
+		<-s.timer.C
 	}
 }
 
@@ -590,6 +599,8 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 	if s.hist == nil {
 		s.hist = telemetry.NewHistogram(telemetry.LatencyBuckets)
 	}
+	s.timer = time.NewTimer(time.Hour)
+	s.timer.Stop()
 	s.lastAck.Store(o.ResumeFrom)
 	applied, err := s.connect()
 	if err != nil {
@@ -631,11 +642,6 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 		peek     trace.Arrival
 		havePeek bool
 	)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
 
 	for {
 		// Retire whatever the reader has acknowledged.
@@ -703,21 +709,21 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 		if wait < 0 {
 			wait = 0
 		}
-		timer.Reset(wait)
+		s.timer.Reset(wait)
 		select {
 		case <-s.notify:
-			if !timer.Stop() {
-				<-timer.C
+			if !s.timer.Stop() {
+				<-s.timer.C
 			}
 		case <-s.readErr:
-			if !timer.Stop() {
-				<-timer.C
+			if !s.timer.Stop() {
+				<-s.timer.C
 			}
 			s.onLoss()
 			if rerr := s.reconnect(); rerr != nil {
 				return ClosedStats{}, rerr
 			}
-		case <-timer.C:
+		case <-s.timer.C:
 			if rtoWait && len(s.pending) > 0 && time.Since(s.pending[0].sentAt) >= s.rto {
 				// Per-event timeout: the oldest in-flight transaction blew
 				// its RTO — a loss event. Back off the timeout (Karn) and
@@ -794,14 +800,9 @@ func (s *closedSession) finalStats() (Stats, error) {
 
 // ReplayClosed connects to a replaynet server and replays a time-ordered
 // event sequence as acknowledged, congestion-controlled signaling
-// transactions — the closed-loop counterpart of ReplayStream. Events are
-// paced by opts.Speedup (0 = window-limited only); delivery is exactly-once
-// across connection failures.
+// transactions — the closed-loop counterpart of ReplayStream. The window is
+// the driver's only throttle (a source that paces itself sets the
+// schedule); delivery is exactly-once across connection failures.
 func ReplayClosed(addr string, gen events.Generation, src trace.ArrivalSource, opts ClosedOpts) (ClosedStats, error) {
-	hooks := closedHooks{}
-	if opts.Speedup > 0 {
-		sched := schedule{speedup: opts.Speedup}
-		hooks.due = func(ev trace.Arrival) time.Time { return sched.due(ev.Time) }
-	}
-	return runClosed(addr, gen, src, opts, hooks, nil)
+	return runClosed(addr, gen, src, opts, closedHooks{}, nil)
 }

@@ -152,7 +152,6 @@ func SLOSearch(addr string, gen events.Generation, src trace.ArrivalSource, opts
 		return SearchResult{}, errors.New("replaynet: SLOSearch requires a positive SLOP99")
 	}
 	search = search.withDefaults()
-	opts.Speedup = 0 // the controller owns pacing
 
 	st := newSLOSearchState(search)
 	result := SearchResult{}

@@ -1,6 +1,7 @@
 // Package replaynet replays control-plane traffic over TCP: a driver client
-// paces a dataset's events onto the wire and an MCN-frontend server
-// consumes them, tracking per-UE state and load. It gives the repository a
+// writes a time-ordered event sequence onto the wire — at the pace of its
+// source, which may be a wall-clock pacer — and an MCN-frontend server
+// consumes it, tracking per-UE state and load. It gives the repository a
 // real networked downstream consumer (the paper's motivating use case of
 // driving MCN implementations with synthesized traffic) built only on the
 // standard library's net package.

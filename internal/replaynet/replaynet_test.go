@@ -65,7 +65,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	stats, err := Replay(srv.Addr().String(), d, ReplayOpts{Speedup: 0}) // as fast as possible
+	stats, err := Replay(srv.Addr().String(), d) // as fast as possible
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestServerRejectsInvalidSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	stats, err := Replay(srv.Addr().String(), d, ReplayOpts{})
+	stats, err := Replay(srv.Addr().String(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestConcurrentDrivers(t *testing.T) {
 
 	done := make(chan error, 2)
 	go func() {
-		_, err := Replay(srv.Addr().String(), d1, ReplayOpts{})
+		_, err := Replay(srv.Addr().String(), d1)
 		done <- err
 	}()
 	go func() {
-		_, err := Replay(srv.Addr().String(), d2, ReplayOpts{})
+		_, err := Replay(srv.Addr().String(), d2)
 		done <- err
 	}()
 	for i := 0; i < 2; i++ {

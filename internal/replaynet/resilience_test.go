@@ -183,7 +183,7 @@ func TestServerSlowReaderBackpressure(t *testing.T) {
 		Fault:       &faultnet.Config{Seed: 21, StallProb: 0.05, StallDur: 2 * time.Millisecond},
 	})
 	const n = 2000
-	st, err := ReplayStream(srv.Addr().String(), events.Gen4G, seqSource(n), ReplayOpts{})
+	st, err := ReplayStream(srv.Addr().String(), events.Gen4G, seqSource(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestOpenLoopWireBytesUnchanged(t *testing.T) {
 	}()
 
 	const n = 10
-	if _, err := ReplayStream(ln.Addr().String(), events.Gen4G, seqSource(n), ReplayOpts{}); err != nil {
+	if _, err := ReplayStream(ln.Addr().String(), events.Gen4G, seqSource(n)); err != nil {
 		t.Fatal(err)
 	}
 	var got []byte

@@ -73,7 +73,7 @@ type Pacer struct {
 	resumed  bool
 	timer    *time.Timer
 	done     bool
-	onIdle   func()
+	onIdle   func(until time.Time)
 
 	// Event-count ceiling (SetBudget); budgetErr, once set, is the
 	// stream's terminal error.
@@ -131,17 +131,14 @@ func (p *Pacer) SetHistograms(lag, rate *telemetry.Histogram) {
 	p.rateHist = rate
 }
 
-// idleAfter is the shortest pacing wait announced through OnIdle: the replay
-// drivers' write-buffer flush interval. A consumer flushes that often while
-// events flow, so only a longer wait can strand what it has buffered.
-const idleAfter = 20 * time.Millisecond
-
-// OnIdle registers fn to run on the consumer's goroutine, inside Next, just
-// before a pacing wait of at least idleAfter. A consumer that buffers its
-// output registers its flush here — to it the wait is hidden inside Next —
-// so paced events reach the wire on their schedule, not a wait late. Dense
-// schedules never call it. Call before the first Next.
-func (p *Pacer) OnIdle(fn func()) { p.onIdle = fn }
+// OnIdle registers fn to run on the consumer's goroutine, inside Next,
+// before every pacing wait, with the instant the wait ends. A consumer that
+// buffers its output registers its flush here — to it the wait is hidden
+// inside Next — so paced events reach the wire on their schedule, not a
+// wait late; one that awaits replies may spend the wait on them. fn must
+// return by until: the pacer waits out only what fn left. Call before the
+// first Next.
+func (p *Pacer) OnIdle(fn func(until time.Time)) { p.onIdle = fn }
 
 // windowTick advances the achieved-rate window accounting by one released
 // event and flushes the window once it spans ≥ 1s of wall time.
@@ -227,8 +224,8 @@ func (p *Pacer) Next() (Event, bool) {
 				p.lagHist.Observe(0)
 			}
 			waitSp := tracez.Begin(tracez.StagePacerWait, "")
-			if p.onIdle != nil && wait >= idleAfter {
-				p.onIdle()
+			if p.onIdle != nil {
+				p.onIdle(target)
 				wait = time.Until(target) // less what the hook took
 			}
 			if p.timer == nil {

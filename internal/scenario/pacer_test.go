@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -315,6 +316,58 @@ func TestOpenContextCancelled(t *testing.T) {
 	}
 }
 
+// wireListener is a bare replay server that timestamps event frames as they
+// arrive: EVENT frames (open loop) or SEVENT frames (closed loop, each
+// acknowledged at once). The arrival times come out on the channel when the
+// client says BYE or hangs up.
+func wireListener(t *testing.T) (addr string, arrived <-chan []time.Time) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	out := make(chan []time.Time, 1)
+	go func() {
+		var at []time.Time
+		defer func() { out <- at }()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		ack := func(seq uint64) {
+			frame := []byte{'A', 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0}
+			binary.BigEndian.PutUint64(frame[5:], seq)
+			conn.Write(frame)
+		}
+		for {
+			var hdr [5]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return
+			}
+			payload := make([]byte, binary.BigEndian.Uint32(hdr[1:]))
+			if _, err := io.ReadFull(conn, payload); err != nil {
+				return
+			}
+			switch hdr[0] {
+			case 'E':
+				at = append(at, time.Now())
+			case 'Q':
+				at = append(at, time.Now())
+				ack(binary.BigEndian.Uint64(payload))
+			case 'C':
+				ack(0) // a fresh session: nothing applied yet
+			case 'S':
+				conn.Write([]byte{'R', 0, 0, 0, 2, '{', '}'})
+			case 'B':
+				return
+			}
+		}
+	}()
+	return ln.Addr().String(), out
+}
+
 // TestPacedReplayKeepsScheduleOnTheWire is the regression test for the wait
 // hidden inside Next: a Pacer upstream of a replay driver sleeps where the
 // driver cannot see it, so whatever the driver has buffered must go out
@@ -332,48 +385,19 @@ func TestPacedReplayKeepsScheduleOnTheWire(t *testing.T) {
 
 	t.Run("open-loop", func(t *testing.T) {
 		t.Parallel()
-		// A bare listener that timestamps EVENT frames as they arrive.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
+		addr, arrived := wireListener(t)
 		start := time.Now()
-		arrived := make(chan []time.Duration, 1)
-		go func() {
-			var at []time.Duration
-			defer func() { arrived <- at }()
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			for {
-				var hdr [5]byte
-				if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-					return
-				}
-				if _, err := io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(hdr[1:]))); err != nil {
-					return
-				}
-				switch hdr[0] {
-				case 'E':
-					at = append(at, time.Since(start))
-				case 'S':
-					conn.Write([]byte{'R', 0, 0, 0, 2, '{', '}'})
-				case 'B':
-					return
-				}
-			}
-		}()
-		sink, err := NewSink(SinkConfig{Name: "replay", Addr: ln.Addr().String()})
+		sink, err := NewSink(SinkConfig{Name: "replay", Addr: addr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sink.Consume(context.Background(), NewPacer(context.Background(), source(), 1)); err != nil {
 			t.Fatal(err)
 		}
-		at := <-arrived
+		var at []time.Duration
+		for _, a := range <-arrived {
+			at = append(at, a.Sub(start))
+		}
 		if len(at) != 3 || at[0] > 200*time.Millisecond || at[1] > 200*time.Millisecond || at[2] < 1900*time.Millisecond {
 			t.Fatalf("EVENT frames reached the wire at %v, want two within 200ms and the third at ≈ 2s", at)
 		}
@@ -413,4 +437,95 @@ func TestPacedReplayKeepsScheduleOnTheWire(t *testing.T) {
 			t.Fatalf("finished after %v with %d acknowledged, want all 3 at ≈ 2s", wall, acked())
 		}
 	})
+}
+
+// TestPacedReplayWireTiming checks the schedule where a load test's target
+// sees it: a bare listener timestamps the event frames each replay driver
+// writes behind a Pacer at compression 1, on a dense (5 ms) and a sparse
+// (50 ms) schedule. The median inter-arrival must be within ±50 % of the
+// gap, and at most 10 % of frames may arrive more than 10 ms from their due
+// instant — the first frame's arrival plus the trace offset.
+func TestPacedReplayWireTiming(t *testing.T) {
+	for _, closed := range []bool{false, true} {
+		for _, sched := range []struct {
+			name string
+			gap  float64 // trace (= wall) seconds between events
+			n    int
+		}{{"dense", 0.005, 100}, {"sparse", 0.05, 20}} {
+			t.Run(fmt.Sprintf("closed=%v/%s", closed, sched.name), func(t *testing.T) {
+				t.Parallel()
+				src := &sliceSource{}
+				for i := 0; i < sched.n; i++ {
+					src.evs = append(src.evs, Event{Time: float64(i) * sched.gap, UE: uint64(i % 8), Type: events.Attach, Seq: uint32(i)})
+				}
+				addr, arrived := wireListener(t)
+				sink, err := NewSink(SinkConfig{Name: "replay", Addr: addr, ClosedLoop: closed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := sink.Consume(context.Background(), NewPacer(context.Background(), src, 1)); err != nil {
+					t.Fatal(err)
+				}
+				at := <-arrived
+				if len(at) != sched.n {
+					t.Fatalf("%d event frames arrived, want %d", len(at), sched.n)
+				}
+				gaps := make([]float64, 0, len(at)-1)
+				late := 0
+				for i, a := range at {
+					if i > 0 {
+						gaps = append(gaps, a.Sub(at[i-1]).Seconds())
+					}
+					due := at[0].Add(time.Duration(src.evs[i].Time * float64(time.Second)))
+					if d := a.Sub(due); d > 10*time.Millisecond || d < -10*time.Millisecond {
+						late++
+					}
+				}
+				sort.Float64s(gaps)
+				if med := gaps[len(gaps)/2]; med < 0.5*sched.gap || med > 1.5*sched.gap {
+					t.Errorf("median inter-arrival %.2f ms, want %.0f ms ± 50 %%", 1e3*med, 1e3*sched.gap)
+				}
+				if late > len(at)/10 {
+					t.Errorf("%d of %d frames arrived more than 10 ms from their due instant, want ≤ 10 %%", late, len(at))
+				}
+			})
+		}
+	}
+}
+
+// TestPacedClosedLoopLatency pins the closed-loop driver's ACK accounting
+// behind a Pacer: every wait retires the ACKs that arrive during it, so a
+// transaction's latency is its own send→ACK time on loopback, not the time
+// until the window next fills. Compression 1, gaps of 1, 5 and 20 ms, half
+// a second each: the mean must stay within 5 ms.
+func TestPacedClosedLoopLatency(t *testing.T) {
+	for _, gapMs := range []int{1, 5, 20} {
+		t.Run(fmt.Sprintf("gap=%dms", gapMs), func(t *testing.T) {
+			t.Parallel()
+			srv, err := replaynet.ListenAndServe("127.0.0.1:0", events.Gen4G)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			src := &sliceSource{}
+			for i := 0; i < 500/gapMs; i++ {
+				src.evs = append(src.evs, Event{Time: float64(i*gapMs) / 1e3, UE: uint64(i % 8), Type: events.Attach, Seq: uint32(i)})
+			}
+			sink, err := NewSink(SinkConfig{Name: "replay", Addr: srv.Addr().String(), ClosedLoop: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sink.Consume(context.Background(), NewPacer(context.Background(), src, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := replaynet.ClosedStats(res.(closedResult))
+			if st.Acked != int64(len(src.evs)) {
+				t.Fatalf("acked %d of %d", st.Acked, len(src.evs))
+			}
+			if st.MeanLatency > 5*time.Millisecond {
+				t.Fatalf("mean ACK latency %v (p99 %v), want ≤ 5ms", st.MeanLatency, st.P99Latency)
+			}
+		})
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"time"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/mcn"
@@ -302,8 +303,8 @@ func (a arrivals) NextArrival() (trace.Arrival, bool, error) {
 }
 
 // OnIdle forwards a paced source's idle hook (Pacer.OnIdle) to the consumer.
-func (a arrivals) OnIdle(fn func()) {
-	if p, ok := a.st.(interface{ OnIdle(func()) }); ok {
+func (a arrivals) OnIdle(fn func(until time.Time)) {
+	if p, ok := a.st.(interface{ OnIdle(func(time.Time)) }); ok {
 		p.OnIdle(fn)
 	}
 }

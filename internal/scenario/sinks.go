@@ -88,13 +88,11 @@ type SinkConfig struct {
 	Stdout io.Writer
 	// Addr is the replay sink's server address. ClosedLoop selects the
 	// acknowledged driver (CUBIC window, RTT/RTO estimation,
-	// reconnect-resume) over open-loop pacing; Speedup divides trace time
-	// for either (0 = unpaced: a Pacer upstream already keeps the
-	// schedule); Dial replaces net.Dial for the closed-loop driver (the
-	// fault-injection seam).
+	// reconnect-resume) over the open-loop one; neither paces — a Pacer
+	// upstream keeps the schedule. Dial replaces net.Dial for the
+	// closed-loop driver (the fault-injection seam).
 	Addr       string
 	ClosedLoop bool
-	Speedup    float64
 	Dial       func(addr string) (net.Conn, error)
 	// MCN configures the mcn sink; the zero value means mcn.DefaultConfig().
 	MCN mcn.Config
@@ -361,25 +359,21 @@ func (r mcnResult) Report(out, _ io.Writer, scenario string, wall time.Duration)
 // drivers.
 func newReplaySink(c SinkConfig) Sink {
 	if !c.ClosedLoop {
-		return &replaySink{addr: c.Addr, opts: replaynet.ReplayOpts{Speedup: c.Speedup}}
+		return &replaySink{addr: c.Addr}
 	}
 	// The session is fixed here, not inside the driver, so that a journal
 	// can record it (Cursor) and a resumed run rejoin it (Resume).
 	return &closedSink{addr: c.Addr, opts: replaynet.ClosedOpts{
-		Speedup: c.Speedup, Dial: c.Dial,
-		SessionID: replaynet.NewSessionID(), Live: &replaynet.LiveStats{},
+		Dial: c.Dial, SessionID: replaynet.NewSessionID(), Live: &replaynet.LiveStats{},
 	}}
 }
 
-// replaySink paces the stream onto a replaynet server, open loop.
-type replaySink struct {
-	addr string
-	opts replaynet.ReplayOpts
-}
+// replaySink writes the stream onto a replaynet server, open loop.
+type replaySink struct{ addr string }
 
 func (s *replaySink) Consume(_ context.Context, src EventSource) (Result, error) {
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	stats, err := replaynet.ReplayStream(s.addr, src.Generation(), arrivals{src}, s.opts)
+	stats, err := replaynet.ReplayStream(s.addr, src.Generation(), arrivals{src})
 	sp.End(int64(stats.Events), sinkReplay)
 	if err != nil {
 		return nil, err

@@ -256,8 +256,8 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 		// goroutine launches, so the closure reads a settled map.
 		SourceStepHist: func(id string) *telemetry.Histogram { return r.stepHists[id] },
 	}
-	// The pacer already paces against wall clock, so a replay driver runs
-	// unpaced (no Speedup) on top of it. A DELETE cancels the pacer, which
+	// The pacer is the run's only clock: a replay driver sends what it
+	// releases, when it releases it. A DELETE cancels the pacer, which
 	// drains cleanly: the sink sees end-of-source, finishes what is in
 	// flight and completes its closing handshake or flush.
 	cfg := sinkConfig(&b)

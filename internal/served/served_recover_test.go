@@ -626,5 +626,5 @@ func TestDaemonDurableConcurrentChurn(t *testing.T) {
 // that stands between them and it in a journaled run.
 var _ interface {
 	AppendUEID([]byte, scenario.Event) []byte
-	OnIdle(func())
+	OnIdle(func(time.Time))
 } = (*ckptTap)(nil)

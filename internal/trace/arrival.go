@@ -21,9 +21,12 @@ type Arrival struct {
 //
 // A source that paces itself to the wall clock blocks inside NextArrival. A
 // consumer that holds written-but-unflushed output must not let it sit
-// through such a wait: the source offers OnIdle(func()) (scenario.Pacer
-// does, and the stages between it and the consumer forward it), and calls
-// the registered function on the consumer's goroutine before a long wait.
+// through such a wait: the source offers OnIdle(func(until time.Time))
+// (scenario.Pacer does, and the stages between it and the consumer forward
+// it), and calls the registered function on the consumer's goroutine before
+// every wait, until being the instant the wait ends. The function flushes,
+// may spend the wait on the consumer's own business (the closed-loop driver
+// retires ACKs), and returns by until.
 type ArrivalSource interface {
 	NextArrival() (a Arrival, ok bool, err error)
 }
