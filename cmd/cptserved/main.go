@@ -8,7 +8,7 @@
 //
 //	cptserved [-addr 127.0.0.1:8080] [-preload model.cptgpt]... \
 //	          [-tmp DIR] [-parallelism N] [-keep N] \
-//	          [-journal-dir DIR] [-fsync interval] [-recover resume] \
+//	          [-journal-dir DIR] [-recover resume] \
 //	          [-ckpt-events N] [-ckpt-interval D] \
 //	          [-max-active-runs N] [-max-total-ues N] [-max-spill-bytes N] \
 //	          [-log-level info] [-pprof]
@@ -17,7 +17,8 @@
 // last released event) before the process exits. With -journal-dir set,
 // runs are durable: a crashed daemon restarted with -recover=resume picks
 // interrupted runs back up from their last checkpoint (see
-// docs/OPERATIONS.md, "Crash recovery").
+// docs/OPERATIONS.md, "Crash recovery"). Journal records are written
+// through as they are appended and fsynced within 100 ms.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 
 	"cptgpt/internal/logz"
 	"cptgpt/internal/mcn"
-	"cptgpt/internal/runlog"
 	"cptgpt/internal/served"
 )
 
@@ -45,8 +45,6 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log verbosity: debug|info|warn|error|off")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	journalDir := flag.String("journal-dir", "", "write-ahead run journal directory (empty = durable runs off)")
-	fsyncPolicy := flag.String("fsync", "interval", "journal durability policy: always|interval|off")
-	fsyncInterval := flag.Duration("fsync-interval", 0, "journal flush/fsync cadence for -fsync interval|off (0 = default)")
 	recoverMode := flag.String("recover", "resume", "disposition of interrupted journals at startup: resume|fail|ignore")
 	ckptEvents := flag.Int("ckpt-events", 0, "events between journal checkpoints (0 = default)")
 	ckptInterval := flag.Duration("ckpt-interval", 0, "wall-time bound between journal checkpoints (0 = default)")
@@ -69,11 +67,6 @@ func main() {
 		os.Exit(2)
 	}
 	logger := logz.New(os.Stderr, lvl)
-	policy, err := runlog.ParsePolicy(*fsyncPolicy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cptserved: %v\n", err)
-		os.Exit(2)
-	}
 
 	s := served.New(served.Options{
 		TempDir:            *tmp,
@@ -83,8 +76,6 @@ func main() {
 		Log:                logger,
 		EnablePprof:        *enablePprof,
 		JournalDir:         *journalDir,
-		Fsync:              policy,
-		FsyncInterval:      *fsyncInterval,
 		Recover:            *recoverMode,
 		CheckpointEvents:   *ckptEvents,
 		CheckpointInterval: *ckptInterval,

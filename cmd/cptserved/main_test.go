@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,21 +230,27 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonFlagValidation pins the CLI-level knobs: a bad -fsync policy
-// and a bad -recover mode must fail fast at startup, not at crash time.
+// TestDaemonFlagValidation pins the CLI-level knobs: the removed journal
+// durability flags are unknown flags (exit 2), and a bad -recover mode
+// fails fast at startup, not at crash time.
 func TestDaemonFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns daemon processes")
 	}
 	bin := buildDaemon(t)
 	for _, args := range [][]string{
-		{"-fsync", "sometimes"},
-		{"-journal-dir", t.TempDir(), "-recover", "maybe"},
+		{"-fsync", "always"},
+		{"-fsync-interval", "1s"},
 	} {
 		cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("daemon accepted %v:\n%s", args, out)
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 ||
+			!strings.Contains(string(out), "flag provided but not defined") {
+			t.Fatalf("daemon given %v: %v, want exit 2 for an unknown flag:\n%s", args, err, out)
 		}
+	}
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-journal-dir", t.TempDir(), "-recover", "maybe")
+	if out, err := cmd.CombinedOutput(); err == nil {
+		t.Fatalf("daemon accepted -recover maybe:\n%s", out)
 	}
 }

@@ -64,7 +64,7 @@ func TestJournalENOSPCDegrades(t *testing.T) {
 	var m Metrics
 	calls := 0
 	j, _ := newENOSPCJournal(t, 0, Options{
-		Policy: PolicyAlways, Metrics: &m,
+		Metrics: &m,
 		OnError: func(err error) {
 			calls++
 			if err == nil {
@@ -74,7 +74,7 @@ func TestJournalENOSPCDegrades(t *testing.T) {
 	})
 	j.AppendState("generating", "")
 	if !j.Degraded() {
-		t.Fatal("journal not degraded after ENOSPC on a PolicyAlways append")
+		t.Fatal("journal not degraded after ENOSPC on an append")
 	}
 	// Post-degrade appends and syncs must be silent no-ops, not repeat
 	// errors.
@@ -101,7 +101,7 @@ func TestJournalENOSPCTornTail(t *testing.T) {
 	// Measure one state record's framed size on an unconstrained journal,
 	// then give the journal under test room for that frame plus a sliver
 	// of the next, so the second append tears mid-frame.
-	j, path := newENOSPCJournal(t, 1<<20, Options{Policy: PolicyAlways, Metrics: &m})
+	j, path := newENOSPCJournal(t, 1<<20, Options{Metrics: &m})
 	j.AppendState("generating", "")
 	full, err := os.Stat(path)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestJournalENOSPCTornTail(t *testing.T) {
 	}
 	j.Close()
 
-	j2, path2 := newENOSPCJournal(t, int(full.Size())+5, Options{Policy: PolicyAlways, Metrics: &m})
+	j2, path2 := newENOSPCJournal(t, int(full.Size())+5, Options{Metrics: &m})
 	j2.AppendState("generating", "")
 	if j2.Degraded() {
 		t.Fatal("journal degraded before the disk filled")
@@ -167,8 +167,9 @@ func TestJournalENOSPCOnSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := newJournal(&enospcFile{f: f, failAfter: 1 << 20, syncFail: true},
-		path, Options{Policy: PolicyAlways, Metrics: &m})
+		path, Options{Metrics: &m})
 	j.AppendState("generating", "")
+	j.Sync() // the fsync runs here (or on the deferred fsync), not in the append
 	if !j.Degraded() {
 		t.Fatal("journal not degraded by failing fsync")
 	}

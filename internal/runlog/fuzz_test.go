@@ -17,7 +17,7 @@ import (
 func fuzzJournal(t testing.TB) (data []byte, ends []int64, states []RunState) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run-1"+Ext)
-	j, err := Create(path, Options{Policy: PolicyAlways})
+	j, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,15 +14,16 @@
 // OpenResume truncates the torn tail before appending, keeping the file a
 // clean record sequence across any number of crashes.
 //
-// Durability is a policy knob: PolicyAlways fsyncs every append,
-// PolicyInterval (the default) flushes and fsyncs at most once per
-// interval, PolicyOff flushes to the OS on the interval but never fsyncs —
-// so even "off" loses at most one interval of records to a process crash
-// (only a machine crash can lose more).
+// Durability has one rule. Every record is written to the file as it is
+// appended, with one write(2), so a process crash loses nothing that was
+// appended. Sync fsyncs — the barrier the caller puts after the begin
+// record and after the terminal state; Close fsyncs too. Any other record
+// is fsynced within 100 ms of its append, so a machine crash loses at most
+// the last 100 ms of records. An idle journal issues no fsyncs.
 //
-// A journal never fails its run: any write, flush or sync error degrades
-// the journal to memory-only (appends become no-ops), invokes the OnError
-// hook once and counts into Metrics.Errors. The run carries on; only its
+// A journal never fails its run: any write or sync error degrades the
+// journal to memory-only (appends become no-ops), invokes the OnError hook
+// once and counts into Metrics.Errors. The run carries on; only its
 // crash-recoverability is lost.
 //
 // Concurrency: a Journal is safe for concurrent appends, though runs
@@ -45,61 +46,16 @@ import (
 	"cptgpt/internal/tracez"
 )
 
-// Policy selects the journal's durability level.
-type Policy int
-
-const (
-	// PolicyInterval flushes and fsyncs at most once per interval (the
-	// default): a crash loses at most one interval of checkpoints, which
-	// recovery regenerates deterministically.
-	PolicyInterval Policy = iota
-	// PolicyAlways fsyncs every append — maximum durability, one fsync per
-	// record.
-	PolicyAlways
-	// PolicyOff never fsyncs; records are still flushed to the OS on the
-	// interval, so only a machine (not process) crash can lose them.
-	PolicyOff
-)
-
-// ParsePolicy parses "always", "interval" or "off" ("" means interval).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "interval":
-		return PolicyInterval, nil
-	case "always":
-		return PolicyAlways, nil
-	case "off":
-		return PolicyOff, nil
-	}
-	return 0, fmt.Errorf("runlog: unknown fsync policy %q (want always, interval or off)", s)
-}
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyAlways:
-		return "always"
-	case PolicyOff:
-		return "off"
-	default:
-		return "interval"
-	}
-}
-
-// DefaultInterval is the PolicyInterval/PolicyOff flush cadence.
-const DefaultInterval = 100 * time.Millisecond
-
 // maxRecord bounds a frame's payload length; anything larger in a header
 // is treated as tail corruption.
 const maxRecord = 1 << 20
 
-// highWater and hardCap bound the in-memory frame buffer. Past highWater
-// an append kicks the background flusher without waiting on it; past
-// hardCap (disk persistently slower than the producer) the append writes
-// through inline — real backpressure, but only in that extreme.
-const (
-	highWater = 1 << 20
-	hardCap   = 64 << 20
-)
+// frameHdr is the length of a frame header: payload length, then CRC.
+const frameHdr = 8
+
+// syncDelay bounds how long a written record waits for its fsync. It is a
+// variable only so a test can make the deferred fsync race Close.
+var syncDelay = 100 * time.Millisecond
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -110,7 +66,8 @@ type Metrics struct {
 	// Appends counts records appended; Bytes the framed bytes they carried.
 	Appends atomic.Int64
 	Bytes   atomic.Int64
-	// Fsyncs counts file syncs issued by the durability policy.
+	// Fsyncs counts file syncs: the barriers plus at most one per 100 ms
+	// of appends, none while idle.
 	Fsyncs atomic.Int64
 	// Errors counts journals degraded to memory-only by a disk error.
 	Errors atomic.Int64
@@ -118,11 +75,6 @@ type Metrics struct {
 
 // Options configures a Journal.
 type Options struct {
-	// Policy is the durability policy (zero value: PolicyInterval).
-	Policy Policy
-	// Interval is the flush/fsync cadence for PolicyInterval and the flush
-	// cadence for PolicyOff (0 = DefaultInterval).
-	Interval time.Duration
 	// Metrics, when non-nil, receives the journal's activity counters.
 	Metrics *Metrics
 	// OnError, when non-nil, is invoked once with the disk error that
@@ -215,27 +167,19 @@ type journalFile interface {
 	Close() error
 }
 
-// Journal is one run's append-side write-ahead log. Appends only frame and
-// buffer under the mutex; file writes and fsyncs happen on a background
-// flusher ticking at the policy interval (or inline for PolicyAlways), so
-// the hot path never waits on the disk.
+// Journal is one run's append-side write-ahead log. One mutex covers
+// everything, each record's write(2) and each fsync included, so the
+// deferred fsync can never land on a file Close has already closed.
 type Journal struct {
-	mu       sync.Mutex // guards buffered/spare/scratch/degraded/f-identity
-	wmu      sync.Mutex // serializes file writes+syncs in steal order
-	f        journalFile
-	buffered []byte   // pending frames not yet written to f
-	ckptOff  int      // offset of a coalescable trailing ckpt frame, -1 none
-	spares   [][]byte // recycled steal-cycle buffers (flushes overlap)
-	scratch  []byte
-	policy   Policy
-	interval time.Duration
+	mu       sync.Mutex
+	f        journalFile // nil once closed
+	frame    []byte      // the record being framed, reused across appends
+	dirty    bool        // records written since the last fsync
+	timer    *time.Timer // the deferred fsync, pending only while dirty
 	degraded bool
 	m        *Metrics
 	onError  func(error)
 	path     string
-	stop     chan struct{}
-	kick     chan struct{}
-	flusher  sync.WaitGroup
 }
 
 // Create opens a fresh journal at path (truncating any existing file).
@@ -248,40 +192,7 @@ func Create(path string, o Options) (*Journal, error) {
 }
 
 func newJournal(f journalFile, path string, o Options) *Journal {
-	if o.Interval <= 0 {
-		o.Interval = DefaultInterval
-	}
-	j := &Journal{
-		f: f, path: path,
-		ckptOff: -1,
-		policy:  o.Policy, interval: o.Interval,
-		m: o.Metrics, onError: o.OnError,
-		stop: make(chan struct{}),
-		kick: make(chan struct{}, 1),
-	}
-	if j.policy != PolicyAlways {
-		j.flusher.Add(1)
-		go j.flushLoop(j.stop)
-	}
-	return j
-}
-
-// flushLoop is the background flusher for the interval policies: it writes
-// buffered frames to the OS every interval, fsyncing under PolicyInterval.
-func (j *Journal) flushLoop(stop <-chan struct{}) {
-	defer j.flusher.Done()
-	t := time.NewTicker(j.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			j.flush(j.policy == PolicyInterval)
-		case <-j.kick:
-			j.flush(false)
-		case <-stop:
-			return
-		}
-	}
+	return &Journal{f: f, path: path, m: o.Metrics, onError: o.OnError}
 }
 
 // Path returns the journal's file path.
@@ -295,15 +206,14 @@ func (j *Journal) Degraded() bool {
 	return j.degraded
 }
 
-// degrade demotes the journal to memory-only after a disk error. The file
-// itself is left for Close (it may be mid-write on the flusher); appends
-// and flushes become no-ops immediately. Caller holds j.mu.
+// degrade demotes the journal to memory-only after a disk error: appends
+// and syncs become no-ops, and the file is left for Close. Caller holds
+// j.mu.
 func (j *Journal) degrade(err error) {
 	if j.degraded {
 		return
 	}
 	j.degraded = true
-	j.buffered = nil
 	if j.m != nil {
 		j.m.Errors.Add(1)
 	}
@@ -312,122 +222,79 @@ func (j *Journal) degrade(err error) {
 	}
 }
 
-// append frames payload and buffers it; PolicyAlways additionally flushes
-// and fsyncs inline. A checkpoint (ckpt) that lands while the previous
-// checkpoint is still unflushed replaces it in place — only the newest
-// progress marker matters for recovery, so coalescing loses nothing and
-// keeps a fast producer from outrunning the disk.
-func (j *Journal) append(payload []byte, ckpt bool) {
-	sp := tracez.Begin(tracez.StageRunlogAppend, "")
-	j.mu.Lock()
-	if j.degraded {
-		j.mu.Unlock()
+// startFrame returns the reusable frame buffer holding an empty header,
+// ready for the payload to be appended. Caller holds j.mu.
+func (j *Journal) startFrame() []byte {
+	return append(j.frame[:0], make([]byte, frameHdr)...)
+}
+
+// write fills in the header of frame (built by startFrame plus a payload)
+// and writes the record to the file, arming the deferred fsync unless one
+// is pending. It ends sp, which the caller began before taking j.mu.
+// Caller holds j.mu.
+func (j *Journal) write(frame []byte, sp tracez.Active) {
+	j.frame = frame
+	if j.degraded || j.f == nil {
 		sp.End(0, "degraded")
 		return
 	}
-	if ckpt && j.ckptOff >= 0 {
-		j.buffered = j.buffered[:j.ckptOff]
+	payload := frame[frameHdr:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	if _, err := j.f.Write(frame); err != nil {
+		j.degrade(err)
+		sp.End(0, "degraded")
+		return
 	}
-	if ckpt {
-		j.ckptOff = len(j.buffered)
-	} else {
-		j.ckptOff = -1
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	j.buffered = append(j.buffered, hdr[:]...)
-	j.buffered = append(j.buffered, payload...)
 	if j.m != nil {
 		j.m.Appends.Add(1)
-		j.m.Bytes.Add(int64(len(payload) + len(hdr)))
+		j.m.Bytes.Add(int64(len(frame)))
 	}
-	buffered := len(j.buffered)
-	j.mu.Unlock()
-	switch {
-	case j.policy == PolicyAlways:
-		j.flush(true)
-	case buffered >= hardCap:
-		j.flush(false)
-	case buffered >= highWater:
-		select {
-		case j.kick <- struct{}{}:
-		default:
+	if !j.dirty {
+		j.dirty = true
+		if j.timer == nil {
+			j.timer = time.AfterFunc(syncDelay, j.Sync)
+		} else {
+			j.timer.Reset(syncDelay)
 		}
 	}
 	sp.End(int64(len(payload)), "")
 }
 
-// flush steals the buffered frames and writes them to the file, fsyncing
-// when sync is set. wmu keeps concurrent flushes in steal order, so the
-// file always holds a prefix of the append sequence.
-func (j *Journal) flush(sync bool) {
-	j.wmu.Lock()
-	defer j.wmu.Unlock()
-	j.mu.Lock()
-	buf := j.buffered
-	j.buffered = nil
-	j.ckptOff = -1 // the trailing ckpt is leaving the buffer
-	if n := len(j.spares); n > 0 {
-		j.buffered = j.spares[n-1][:0]
-		j.spares = j.spares[:n-1]
-	}
-	f := j.f
-	if j.degraded || f == nil {
-		j.mu.Unlock()
+// sync fsyncs the file if records were written since the last fsync.
+// Caller holds j.mu.
+func (j *Journal) sync() {
+	if !j.dirty || j.degraded {
 		return
 	}
-	j.mu.Unlock()
-
-	ok := true
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			j.mu.Lock()
-			j.degrade(err)
-			j.mu.Unlock()
-			ok = false
-		}
+	j.dirty = false
+	j.timer.Stop()
+	if err := j.f.Sync(); err != nil {
+		j.degrade(err)
+		return
 	}
-	if ok && sync {
-		if err := f.Sync(); err != nil {
-			j.mu.Lock()
-			j.degrade(err)
-			j.mu.Unlock()
-			ok = false
-		}
-		if ok && j.m != nil {
-			j.m.Fsyncs.Add(1)
-		}
+	if j.m != nil {
+		j.m.Fsyncs.Add(1)
 	}
-	j.mu.Lock()
-	if buf != nil && len(j.spares) < 4 {
-		j.spares = append(j.spares, buf[:0])
-	}
-	j.mu.Unlock()
 }
 
-// Sync flushes buffered records and fsyncs (unless PolicyOff) — the
-// barrier a checkpoint uses before declaring its cursor durable.
+// Sync fsyncs every record appended so far — the barrier after the begin
+// record and after the terminal state. It is also the deferred fsync.
 func (j *Journal) Sync() {
-	j.flush(j.policy != PolicyOff)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.sync()
 }
 
-// Close stops the flusher, flushes remaining records and closes the
-// journal file (fsyncing unless PolicyOff). Safe to call more than once.
+// Close fsyncs the remaining records and closes the journal file. Safe to
+// call more than once.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	if j.stop != nil {
-		close(j.stop)
-		j.stop = nil
-	}
-	j.mu.Unlock()
-	j.flusher.Wait()
-	j.flush(j.policy != PolicyOff)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
+	j.sync()
 	err := j.f.Close()
 	j.f = nil
 	return err
@@ -442,7 +309,7 @@ func (j *Journal) AppendBegin(b Begin) {
 		j.mu.Unlock()
 		return
 	}
-	j.append(payload, false)
+	j.appendPayload(payload)
 }
 
 // AppendState writes a run state transition ("" error for clean states).
@@ -453,14 +320,24 @@ func (j *Journal) AppendState(state, errMsg string) {
 	if err != nil {
 		return
 	}
-	j.append(payload, false)
+	j.appendPayload(payload)
+}
+
+func (j *Journal) appendPayload(payload []byte) {
+	sp := tracez.Begin(tracez.StageRunlogAppend, "")
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.write(append(j.startFrame(), payload...), sp)
 }
 
 // AppendCheckpoint writes a progress checkpoint. This is the journal's hot
-// path: the payload is built with strconv appends, no reflection.
+// path: the payload is built with strconv appends straight into the
+// reusable frame, no reflection.
 func (j *Journal) AppendCheckpoint(c Checkpoint) {
-	buf := j.takeScratch()
-	buf = append(buf, `{"rec":"ckpt","t":`...)
+	sp := tracez.Begin(tracez.StageRunlogAppend, "")
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	buf := append(j.startFrame(), `{"rec":"ckpt","t":`...)
 	buf = strconv.AppendFloat(buf, c.Time, 'g', -1, 64)
 	if c.UE != 0 {
 		buf = append(buf, `,"ue":`...)
@@ -487,24 +364,5 @@ func (j *Journal) AppendCheckpoint(c Checkpoint) {
 		buf = strconv.AppendInt(buf, c.ReplayApplied, 10)
 	}
 	buf = append(buf, '}')
-	j.append(buf, true)
-	j.putScratch(buf)
-}
-
-// takeScratch/putScratch reuse one payload buffer across checkpoints (the
-// mutex makes contention rare; a miss just allocates).
-func (j *Journal) takeScratch() []byte {
-	j.mu.Lock()
-	b := j.scratch
-	j.scratch = nil
-	j.mu.Unlock()
-	return b[:0]
-}
-
-func (j *Journal) putScratch(b []byte) {
-	j.mu.Lock()
-	if j.scratch == nil {
-		j.scratch = b
-	}
-	j.mu.Unlock()
+	j.write(buf, sp)
 }

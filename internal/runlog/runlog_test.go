@@ -3,6 +3,7 @@ package runlog
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,7 +31,7 @@ func testBegin() Begin {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run-1"+Ext)
-	j, err := Create(path, Options{Policy: PolicyAlways})
+	j, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestCheckpointMarshalMatchesWire(t *testing.T) {
 		// Build the payload exactly as AppendCheckpoint does, by writing
 		// through a journal whose file captures the frame.
 		var cap captureFile
-		jw := newJournal(&cap, "mem", Options{Policy: PolicyAlways})
+		jw := newJournal(&cap, "mem", Options{})
 		jw.AppendCheckpoint(c)
 		jw.Close()
 		if len(cap.frames) != 1 {
@@ -130,15 +131,14 @@ func TestCheckpointMarshalMatchesWire(t *testing.T) {
 	}
 }
 
-// captureFile collects appended frame payloads (strips the 8-byte header
-// of each record as it arrives via a single buffered write).
+// captureFile collects appended frame payloads, stripping the 8-byte
+// header of each record (the journal writes one whole frame per Write).
 type captureFile struct {
 	frames [][]byte
 }
 
 func (c *captureFile) Write(p []byte) (int, error) {
 	total := len(p)
-	// The journal flushes whole frames; split them back apart.
 	for len(p) >= 8 {
 		n := int(uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24)
 		if 8+n > len(p) {
@@ -154,7 +154,7 @@ func (c *captureFile) Close() error { return nil }
 
 func TestTornTailTruncatedOnResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run-2"+Ext)
-	j, err := Create(path, Options{Policy: PolicyAlways})
+	j, err := Create(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTornTailTruncatedOnResume(t *testing.T) {
 			}
 
 			// Resume must truncate the tail and keep appending cleanly.
-			j2, st2, err := OpenResume(p, Options{Policy: PolicyAlways})
+			j2, st2, err := OpenResume(p, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestCorruptBeforeBegin(t *testing.T) {
 func TestScanDir(t *testing.T) {
 	dir := t.TempDir()
 	for _, id := range []string{"run-3", "run-1"} {
-		j, err := Create(filepath.Join(dir, id+Ext), Options{Policy: PolicyAlways})
+		j, err := Create(filepath.Join(dir, id+Ext), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,6 +270,108 @@ func TestScanDir(t *testing.T) {
 	none, err := ScanDir(filepath.Join(dir, "missing"))
 	if err != nil || none != nil {
 		t.Errorf("missing dir: %v, %v", none, err)
+	}
+}
+
+// TestJournalWriteThrough pins the process-crash budget: every appended
+// record is in the file the moment its append returns. The file is read
+// before Close, as a SIGKILL would leave it, after the begin barrier and
+// then a state and 44 back-to-back checkpoints (one served-jsonl round)
+// with no Sync.
+func TestJournalWriteThrough(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run-1"+Ext)
+	j, err := Create(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.AppendBegin(testBegin())
+	j.Sync()
+	j.AppendState("streaming", "")
+	for i := 1; i <= 44; i++ {
+		j.AppendCheckpoint(Checkpoint{Time: float64(i), Events: int64(i), TraceOffset: float64(i)})
+	}
+	st, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 46 || st.TornTail || st.State != "streaming" {
+		t.Fatalf("file before Close: %d records (torn=%v, state %q), want all 46 appended", st.Records, st.TornTail, st.State)
+	}
+	if st.Checkpoint == nil || st.Checkpoint.Events != 44 {
+		t.Fatalf("newest checkpoint on disk = %+v, want events=44", st.Checkpoint)
+	}
+}
+
+// TestJournalNoIdleFsync pins the fsync accounting: an idle journal issues
+// no fsyncs, and a lone append is fsynced by the deferred fsync alone,
+// without any Sync.
+func TestJournalNoIdleFsync(t *testing.T) {
+	var m Metrics
+	j, err := Create(filepath.Join(t.TempDir(), "run-1"+Ext), Options{Metrics: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.AppendBegin(testBegin())
+	j.Sync()
+	base := m.Fsyncs.Load()
+	if base != 1 {
+		t.Fatalf("Fsyncs after the begin barrier = %d, want 1", base)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if got := m.Fsyncs.Load(); got != base {
+		t.Fatalf("idle journal issued %d fsyncs in 300 ms, want 0", got-base)
+	}
+	j.AppendState("streaming", "")
+	for deadline := time.Now().Add(2 * time.Second); m.Fsyncs.Load() == base; {
+		if time.Now().After(deadline) {
+			t.Fatal("a lone append was not fsynced within 2 s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := m.Fsyncs.Load(); got != base+1 {
+		t.Fatalf("one append cost %d fsyncs, want 1", got-base)
+	}
+}
+
+// slowSyncFile is a real journal file whose fsync takes a moment to start,
+// as on a busy disk, which widens any window in which Close could close
+// the file under a pending fsync.
+type slowSyncFile struct{ *os.File }
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(50 * time.Microsecond)
+	return f.File.Sync()
+}
+
+// TestJournalCloseRacesTimer runs the deferred fsync into Close: with the
+// delay cut to 20 µs and Close 0–180 µs after the append, the timer fires
+// just before, during or after Close. An fsync on the closed file would
+// fail, degrade the journal and count an error that no disk caused.
+func TestJournalCloseRacesTimer(t *testing.T) {
+	defer func(d time.Duration) { syncDelay = d }(syncDelay)
+	syncDelay = 20 * time.Microsecond
+	var m Metrics
+	dir := t.TempDir()
+	for i := 0; i < 50; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("run-%d%s", i, Ext))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := newJournal(slowSyncFile{f}, path, Options{
+			Metrics: &m,
+			OnError: func(err error) { t.Errorf("journal %d degraded: %v", i, err) },
+		})
+		j.AppendCheckpoint(Checkpoint{Time: float64(i), Events: int64(i)})
+		time.Sleep(time.Duration(i%10) * 20 * time.Microsecond)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Errors.Load(); got != 0 {
+		t.Fatalf("Metrics.Errors = %d, want 0", got)
 	}
 }
 
@@ -309,13 +411,15 @@ func TestDegradeOnDiskError(t *testing.T) {
 			var m Metrics
 			var gotErr error
 			j := newJournal(tc.file, "mem", Options{
-				Policy:  PolicyAlways,
 				Metrics: &m,
 				OnError: func(err error) { gotErr = err },
 			})
 			j.AppendBegin(testBegin())
 			j.AppendCheckpoint(Checkpoint{Time: 1, Events: 1})
 			j.AppendCheckpoint(Checkpoint{Time: 2, Events: 2})
+			// A write error degrades inside the append; an fsync runs at
+			// Sync (or the deferred fsync), not inside the append.
+			j.Sync()
 			if !j.Degraded() {
 				t.Fatal("journal did not degrade on disk error")
 			}
@@ -335,74 +439,10 @@ func TestDegradeOnDiskError(t *testing.T) {
 	}
 }
 
-func TestPolicyParse(t *testing.T) {
-	for s, want := range map[string]Policy{
-		"": PolicyInterval, "interval": PolicyInterval,
-		"always": PolicyAlways, "off": PolicyOff,
-	} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", s, got, err, want)
-		}
-		if s != "" && got.String() != s {
-			t.Errorf("Policy(%q).String() = %q", s, got.String())
-		}
-	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
-		t.Error("ParsePolicy accepted junk")
-	}
-}
-
-func TestIntervalPolicyBuffersBetweenSyncs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "buf"+Ext)
-	j, err := Create(path, Options{Policy: PolicyInterval, Interval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.AppendBegin(testBegin())
-	for i := 0; i < 100; i++ {
-		j.AppendCheckpoint(Checkpoint{Time: float64(i), Events: int64(i)})
-	}
-	// Nothing flushed yet (the interval is an hour); Sync is the explicit
-	// barrier. The 100 buffered checkpoints coalesce into the newest one —
-	// only the latest progress marker matters for recovery.
-	j.Sync()
-	st, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 2 {
-		t.Errorf("after Sync: %d records durable, want 2 (begin + coalesced ckpt)", st.Records)
-	}
-	if st.Checkpoint == nil || st.Checkpoint.Events != 99 {
-		t.Errorf("coalesced checkpoint = %+v, want the newest (events=99)", st.Checkpoint)
-	}
-
-	// A non-checkpoint record pins the checkpoint before it: no coalescing
-	// across record types, order is preserved.
-	j.AppendCheckpoint(Checkpoint{Time: 100, Events: 100})
-	j.AppendState("streaming", "")
-	j.AppendCheckpoint(Checkpoint{Time: 101, Events: 101})
-	j.AppendCheckpoint(Checkpoint{Time: 102, Events: 102})
-	j.Sync()
-	st, err = Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// begin, ckpt(99), ckpt(100), state, ckpt(102).
-	if st.Records != 5 || st.State != "streaming" {
-		t.Errorf("after mixed appends: records=%d state=%q, want 5/streaming", st.Records, st.State)
-	}
-	if st.Checkpoint == nil || st.Checkpoint.Events != 102 {
-		t.Errorf("latest checkpoint = %+v, want events=102", st.Checkpoint)
-	}
-	j.Close()
-}
-
 func BenchmarkRunlogAppend(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench"+Ext)
 	var m Metrics
-	j, err := Create(path, Options{Policy: PolicyInterval, Metrics: &m})
+	j, err := Create(path, Options{Metrics: &m})
 	if err != nil {
 		b.Fatal(err)
 	}

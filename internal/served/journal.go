@@ -59,9 +59,7 @@ func (s *Server) openJournal(r *run) {
 // own degradation.
 func (s *Server) journalOpts(runID string) runlog.Options {
 	return runlog.Options{
-		Policy:   s.opts.Fsync,
-		Interval: s.opts.FsyncInterval,
-		Metrics:  &s.journalM,
+		Metrics: &s.journalM,
 		OnError: func(err error) {
 			s.log.Warnw("run journal degraded to memory-only", "run", runID, "err", err)
 		},

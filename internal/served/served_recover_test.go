@@ -104,7 +104,7 @@ func craftCrashedJournal(t *testing.T, dir string, b runlog.Begin, c *runlog.Che
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, b.RunID+runlog.Ext)
-	j, err := runlog.Create(path, runlog.Options{Policy: runlog.PolicyAlways})
+	j, err := runlog.Create(path, runlog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
