@@ -11,19 +11,6 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// ueIndex maps the sources' 64-bit UE keys to the protocol's 32-bit UE
-// indices, in first-seen order.
-type ueIndex map[uint64]uint32
-
-func (m ueIndex) of(ue uint64) uint32 {
-	idx, seen := m[ue]
-	if !seen {
-		idx = uint32(len(m))
-		m[ue] = idx
-	}
-	return idx
-}
-
 // flushInterval bounds how long a written event may sit in a driver's write
 // buffer while events flow. Both drivers also flush before every wait of a
 // source that paces itself (onIdle), the closed-loop one before its own
@@ -52,8 +39,7 @@ func Replay(addr string, d *trace.Dataset) (Stats, error) {
 // the streaming counterpart of Replay that the scenario engine uses to
 // drive a server with million-UE workloads in bounded memory. The driver
 // does not pace: a source that paces itself (scenario.Pacer) sets the
-// schedule. 64-bit UE keys are mapped to the protocol's 32-bit UE indices
-// in first-seen order.
+// schedule.
 func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource) (Stats, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -67,7 +53,6 @@ func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource) (
 		return Stats{}, err
 	}
 
-	ues := make(ueIndex)
 	// The writer is buffered for throughput, but a paced replay must not let
 	// events sit in the buffer while the source sleeps — the server would
 	// see them in bursts a flush interval late instead of on their schedule.
@@ -96,7 +81,7 @@ func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource) (
 				return Stats{}, err
 			}
 		}
-		if err := writeFrame(bw, frameEvent, eventPayload(ues.of(ev.UE), int64(ev.Time*1e6), byte(ev.Type))); err != nil {
+		if err := writeFrame(bw, frameEvent, eventPayload(ev.UE, int64(ev.Time*1e6), byte(ev.Type))); err != nil {
 			return Stats{}, err
 		}
 	}

@@ -172,7 +172,7 @@ const (
 // pendingEv is one sent-but-unacknowledged transaction.
 type pendingEv struct {
 	seq     uint64
-	ue      uint32
+	ue      uint64
 	tMicros int64
 	ev      byte
 	sentAt  time.Time
@@ -209,7 +209,6 @@ type closedSession struct {
 	pending   []pendingEv
 	ackedSeq  uint64 // highest sequence processed out of lastAck
 	nextSeq   uint64
-	ues       ueIndex
 	flushedAt time.Time
 	srcDone   bool // the source is exhausted, or the controller said stop
 
@@ -378,7 +377,7 @@ func (s *closedSession) reconnect() error {
 		// acked without contributing latency samples.
 		s.popAcked(applied, now, false)
 		// Everything else in flight is retransmitted in order.
-		var buf [21]byte
+		var buf [25]byte
 		for i := range s.pending {
 			p := &s.pending[i]
 			p.retx = true
@@ -564,10 +563,10 @@ func (s *closedSession) idle(until time.Time) {
 // send transmits one event as the next sequenced transaction.
 func (s *closedSession) send(ev trace.Arrival, now time.Time) error {
 	s.nextSeq++
-	p := pendingEv{seq: s.nextSeq, ue: s.ues.of(ev.UE), tMicros: int64(ev.Time * 1e6), ev: byte(ev.Type), sentAt: now}
+	p := pendingEv{seq: s.nextSeq, ue: ev.UE, tMicros: int64(ev.Time * 1e6), ev: byte(ev.Type), sentAt: now}
 	s.pending = append(s.pending, p)
 	s.sent++
-	var buf [21]byte
+	var buf [25]byte
 	if err := writeFrame(s.bw, frameSeqEvent, seqEventPayload(buf[:], p.seq, p.ue, p.tMicros, p.ev)); err != nil {
 		return err
 	}
@@ -584,7 +583,6 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 	o = o.withDefaults()
 	s := &closedSession{
 		addr: addr, gen: gen, o: o, hooks: hooks,
-		ues:       make(ueIndex),
 		cwnd:      initialCwnd,
 		slowStart: true,
 		rto:       o.initialRTO,
@@ -623,14 +621,13 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 		// them from the source without sending (no pacing, no stats), so
 		// the wire resumes exactly at applied+1.
 		for skip := applied - o.ResumeFrom; skip > 0; skip-- {
-			ev, ok, err := src.NextArrival()
+			_, ok, err := src.NextArrival()
 			if err != nil {
 				return ClosedStats{}, fmt.Errorf("replaynet: event source during resume skip: %w", err)
 			}
 			if !ok {
 				break
 			}
-			s.ues.of(ev.UE)
 			s.nextSeq++
 		}
 		s.ackedSeq = s.nextSeq

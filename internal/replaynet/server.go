@@ -70,7 +70,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	stats    Stats
-	ues      map[uint32]statemachine.UE
+	ues      map[uint64]statemachine.UE
 	sessions map[uint64]*session
 	closed   bool
 	wg       sync.WaitGroup
@@ -101,7 +101,7 @@ func ListenAndServeOpts(addr string, gen events.Generation, opts ServerOpts) (*S
 		ln:       ln,
 		gen:      gen,
 		opts:     opts,
-		ues:      make(map[uint32]statemachine.UE),
+		ues:      make(map[uint64]statemachine.UE),
 		sessions: make(map[uint64]*session),
 	}
 	s.stats.ByType = make(map[string]int)
@@ -283,7 +283,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // consume applies one event to the stateful UE table, after the configured
 // per-event service time.
-func (s *Server) consume(machine statemachine.Machine, ue uint32, ev events.Type) {
+func (s *Server) consume(machine statemachine.Machine, ue uint64, ev events.Type) {
 	if s.opts.ServiceTime > 0 {
 		time.Sleep(s.opts.ServiceTime)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -406,7 +407,8 @@ func (s *replayEvSource) NextArrival() (trace.Arrival, bool, error) {
 // daemon crash: a session seeded with a prefix of the stream, a journal
 // checkpoint *older* than what the server applied (the crash always loses
 // the checkpoint→truth tail), and a resumed daemon run — the backend must
-// end with every event applied exactly once.
+// end with every event applied exactly once, to the same UEs, so its
+// per-UE verdicts equal those of a backend fed the whole stream at once.
 func TestDaemonClosedLoopCrashRecovery(t *testing.T) {
 	backend := replayBackend(t, replaynet.ServerOpts{})
 
@@ -477,8 +479,18 @@ func TestDaemonClosedLoopCrashRecovery(t *testing.T) {
 	if dups, _ := final.Result["duplicates"].(float64); dups != 0 {
 		t.Fatalf("recovery double-applied %v events", dups)
 	}
-	if got := backend.Snapshot().Events; got != len(evs) {
-		t.Fatalf("backend holds %d events, want %d", got, len(evs))
+	got := backend.Snapshot()
+	if got.Events != len(evs) {
+		t.Fatalf("backend holds %d events, want %d", got.Events, len(evs))
+	}
+	ref := replayBackend(t, replaynet.ServerOpts{})
+	if _, err := replaynet.ReplayClosed(ref.Addr().String(), events.Gen4G,
+		&replayEvSource{evs: evs}, replaynet.ClosedOpts{SessionID: session}); err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.Snapshot(); got.Rejected != want.Rejected || !reflect.DeepEqual(got.ByType, want.ByType) {
+		t.Fatalf("resumed backend: rejected %d, by type %v; uninterrupted: rejected %d, by type %v",
+			got.Rejected, got.ByType, want.Rejected, want.ByType)
 	}
 }
 
