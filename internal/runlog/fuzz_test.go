@@ -3,6 +3,7 @@ package runlog
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,8 +36,8 @@ func fuzzJournal(t testing.TB) (data []byte, ends []int64, states []RunState) {
 		} else {
 			ck := Checkpoint{
 				Time: 1.5 * float64(i), UE: uint64(40 + i), Seq: uint32(i),
-				Events: int64(1000 * i), TraceOffset: 1.5 * float64(i),
-				SinkBytes: int64(81920 * i), SinkLines: int64(1000 * i),
+				Events:    int64(1000 * i),
+				SinkBytes: int64(81920 * i),
 			}
 			j.AppendCheckpoint(ck)
 			st.Checkpoint = &ck
@@ -59,6 +60,13 @@ func fuzzJournal(t testing.TB) (data []byte, ends []int64, states []RunState) {
 		t.Fatalf("journal has %d frames over %d bytes, appended %d records", len(ends)-1, len(data), len(states)-1)
 	}
 	return data, ends, states
+}
+
+// frame frames a raw record payload as the journal does.
+func frame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
 }
 
 // sameState compares what a journal says about its run, ignoring the
@@ -89,7 +97,9 @@ func FuzzRunlogLoad(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, uint16(ends[2]), n, byte(0)) // oversized length after a valid prefix
 	f.Add([]byte("{\"rec\":\"state\"}"), uint16(0), n, byte(0))
 	f.Add(clean[ends[1]:ends[2]], uint16(ends[1]), n, byte(0)) // the tail is the journal's own next record
-	dir := f.TempDir()                                         // one per worker process; its executions are sequential
+	// An older checkpoint, whose "off" and "applied" keys repeat "t" and "events".
+	f.Add(frame([]byte(`{"rec":"ckpt","t":2.5,"ue":7,"seq":3,"events":90,"off":2.5,"applied":90}`)), n, n, byte(0))
+	dir := f.TempDir() // one per worker process; its executions are sequential
 	f.Fuzz(func(t *testing.T, tail []byte, cut, flip uint16, xor byte) {
 		load := func(name string, b []byte) *RunState {
 			path := filepath.Join(dir, name+Ext)

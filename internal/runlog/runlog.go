@@ -115,25 +115,19 @@ type Begin struct {
 
 // Checkpoint is a progress record: the durable high-water mark recovery
 // resumes from. Key (Time, UE, Seq) is the merge key of the last event the
-// checkpoint covers; the sink cursor fields say how much sink output is
-// durable for events up to and including that key.
+// checkpoint covers; the pacer's schedule resumes at its Time.
 type Checkpoint struct {
 	// Time/UE/Seq are the merge key of the last covered event.
 	Time float64
 	UE   uint64
 	Seq  uint32
-	// Events is the total released-event count up to the key (cumulative
-	// across resumed incarnations).
+	// Events is the number of events up to the key that the sink durably
+	// holds, cumulative across resumed incarnations: a file sink's data
+	// lines, the sequence closed-loop replay's server has contiguously
+	// applied, the released events of a sink without a cursor.
 	Events int64
-	// TraceOffset re-anchors the pacer: trace time resumes from here.
-	TraceOffset float64
-	// SinkBytes/SinkLines locate the jsonl/csv sink cursor: the file's
-	// durable byte length and data-line count for events ≤ the key.
+	// SinkBytes is a file sink's durable byte length.
 	SinkBytes int64
-	SinkLines int64
-	// ReplayApplied is the closed-loop replay sequence number the server
-	// has contiguously applied (equals Events for that sink).
-	ReplayApplied int64
 }
 
 // wireRecord is the JSON payload shape shared by every record type;
@@ -149,14 +143,11 @@ type wireRecord struct {
 	At    int64  `json:"at,omitempty"`
 
 	// ckpt (flat)
-	T       float64 `json:"t,omitempty"`
-	UE      uint64  `json:"ue,omitempty"`
-	Seq     uint32  `json:"seq,omitempty"`
-	Events  int64   `json:"events,omitempty"`
-	Off     float64 `json:"off,omitempty"`
-	Bytes   int64   `json:"bytes,omitempty"`
-	Lines   int64   `json:"lines,omitempty"`
-	Applied int64   `json:"applied,omitempty"`
+	T      float64 `json:"t,omitempty"`
+	UE     uint64  `json:"ue,omitempty"`
+	Seq    uint32  `json:"seq,omitempty"`
+	Events int64   `json:"events,omitempty"`
+	Bytes  int64   `json:"bytes,omitempty"`
 }
 
 // journalFile is the slice of *os.File the journal needs — the seam the
@@ -349,19 +340,9 @@ func (j *Journal) AppendCheckpoint(c Checkpoint) {
 	}
 	buf = append(buf, `,"events":`...)
 	buf = strconv.AppendInt(buf, c.Events, 10)
-	buf = append(buf, `,"off":`...)
-	buf = strconv.AppendFloat(buf, c.TraceOffset, 'g', -1, 64)
 	if c.SinkBytes != 0 {
 		buf = append(buf, `,"bytes":`...)
 		buf = strconv.AppendInt(buf, c.SinkBytes, 10)
-	}
-	if c.SinkLines != 0 {
-		buf = append(buf, `,"lines":`...)
-		buf = strconv.AppendInt(buf, c.SinkLines, 10)
-	}
-	if c.ReplayApplied != 0 {
-		buf = append(buf, `,"applied":`...)
-		buf = strconv.AppendInt(buf, c.ReplayApplied, 10)
 	}
 	buf = append(buf, '}')
 	j.write(buf, sp)

@@ -40,13 +40,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.AppendState("generating", "")
 	j.AppendCheckpoint(Checkpoint{
 		Time: 12.5, UE: 42, Seq: 7,
-		Events: 1000, TraceOffset: 12.5,
-		SinkBytes: 81920, SinkLines: 1000,
+		Events:    1000,
+		SinkBytes: 81920,
 	})
 	j.AppendCheckpoint(Checkpoint{
 		Time: 99.25, UE: 41, Seq: 9,
-		Events: 5000, TraceOffset: 99.25,
-		SinkBytes: 409600, SinkLines: 5000, ReplayApplied: 5000,
+		Events:    5000,
+		SinkBytes: 409600,
 	})
 	j.AppendState("done", "")
 	if err := j.Close(); err != nil {
@@ -76,8 +76,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	want := Checkpoint{
 		Time: 99.25, UE: 41, Seq: 9,
-		Events: 5000, TraceOffset: 99.25,
-		SinkBytes: 409600, SinkLines: 5000, ReplayApplied: 5000,
+		Events:    5000,
+		SinkBytes: 409600,
 	}
 	if st.Checkpoint == nil || *st.Checkpoint != want {
 		t.Errorf("Checkpoint = %+v, want %+v", st.Checkpoint, want)
@@ -100,10 +100,10 @@ func TestJournalRoundTrip(t *testing.T) {
 func TestCheckpointMarshalMatchesWire(t *testing.T) {
 	cases := []Checkpoint{
 		{},
-		{Time: 1e6, UE: 1, Seq: 1, Events: 1, TraceOffset: 1e6},
+		{Time: 1e6, UE: 1, Seq: 1, Events: 1},
 		{Time: 0.015625, UE: 1<<63 + 5, Seq: 4294967295,
-			Events: 1 << 40, TraceOffset: 3.14159,
-			SinkBytes: 1 << 50, SinkLines: 123456789, ReplayApplied: 99},
+			Events:    1 << 40,
+			SinkBytes: 1 << 50},
 	}
 	for _, c := range cases {
 		// Build the payload exactly as AppendCheckpoint does, by writing
@@ -159,7 +159,7 @@ func TestTornTailTruncatedOnResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.AppendBegin(testBegin())
-	j.AppendCheckpoint(Checkpoint{Time: 5, UE: 3, Seq: 1, Events: 10, TraceOffset: 5})
+	j.AppendCheckpoint(Checkpoint{Time: 5, UE: 3, Seq: 1, Events: 10})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestJournalWriteThrough(t *testing.T) {
 	j.Sync()
 	j.AppendState("streaming", "")
 	for i := 1; i <= 44; i++ {
-		j.AppendCheckpoint(Checkpoint{Time: float64(i), Events: int64(i), TraceOffset: float64(i)})
+		j.AppendCheckpoint(Checkpoint{Time: float64(i), Events: int64(i)})
 	}
 	st, err := Load(path)
 	if err != nil {
@@ -450,8 +450,8 @@ func BenchmarkRunlogAppend(b *testing.B) {
 	j.AppendBegin(testBegin())
 	c := Checkpoint{
 		Time: 123.456789, UE: 982451653, Seq: 31,
-		Events: 1 << 20, TraceOffset: 123.456789,
-		SinkBytes: 1 << 27, SinkLines: 1 << 20,
+		Events:    1 << 20,
+		SinkBytes: 1 << 27,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -113,10 +113,7 @@ func (st *RunState) apply(rec *wireRecord) {
 	case "ckpt":
 		st.Checkpoint = &Checkpoint{
 			Time: rec.T, UE: rec.UE, Seq: rec.Seq,
-			Events:      rec.Events,
-			TraceOffset: rec.Off,
-			SinkBytes:   rec.Bytes, SinkLines: rec.Lines,
-			ReplayApplied: rec.Applied,
+			Events: rec.Events, SinkBytes: rec.Bytes,
 		}
 	case "state":
 		st.State, st.Error = rec.State, rec.Error

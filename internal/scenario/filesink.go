@@ -87,7 +87,7 @@ func (s *fileSink) Cursor() (Cursor, bool) {
 	if s.lw.Flush() != nil || s.f.Sync() != nil {
 		return Cursor{}, false
 	}
-	return Cursor{Bytes: s.written(), Lines: s.from.Lines + int64(s.lw.Count())}, true
+	return Cursor{Events: s.from.Events + int64(s.lw.Count()), Bytes: s.written()}, true
 }
 
 func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
@@ -145,7 +145,7 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fileResult{Events: s.from.Lines + int64(lw.Count()), Out: s.cfg.Out}, nil
+	return fileResult{Events: s.from.Events + int64(lw.Count()), Out: s.cfg.Out}, nil
 }
 
 type fileResult struct {

@@ -170,15 +170,16 @@ func NewSink(c SinkConfig) (Sink, error) {
 // Cursor is a sink's durable position: what a journal checkpoint records
 // of the sink and a resumed run hands back to it.
 type Cursor struct {
-	// Bytes and Lines (file sinks) are the output file's durable length
-	// and data-line count.
-	Bytes, Lines int64
-	// Session and Applied (closed-loop replay) are the server-side session
-	// and the absolute sequence it has contiguously applied. A cursor that
-	// names a session trails the events pulled — the server confirms them
-	// later — where a file's covers every one.
+	// Events is how many events the sink durably holds: a file's data
+	// lines, or the absolute sequence closed-loop replay's server has
+	// contiguously applied.
+	Events int64
+	// Bytes (file sinks) is the output file's durable length.
+	Bytes int64
+	// Session (closed-loop replay) is the server-side session. A cursor
+	// that names a session trails the events pulled — the server confirms
+	// them later — where a file's covers every one.
 	Session uint64
-	Applied int64
 }
 
 // Checkpointer is the capability of a sink whose output survives a crash
@@ -415,14 +416,14 @@ func (s *closedSink) Consume(_ context.Context, src EventSource) (Result, error)
 }
 
 func (s *closedSink) Cursor() (Cursor, bool) {
-	return Cursor{Session: s.opts.SessionID, Applied: int64(s.opts.Live.AckedSeq.Load())}, true
+	return Cursor{Session: s.opts.SessionID, Events: int64(s.opts.Live.AckedSeq.Load())}, true
 }
 
 // Resume rejoins the journaled session: the driver skips whatever the
-// server applied past c.Applied, so delivery stays exactly-once end to end.
+// server applied past c.Events, so delivery stays exactly-once end to end.
 func (s *closedSink) Resume(c Cursor) error {
 	s.opts.SessionID = c.Session
-	s.opts.ResumeFrom = uint64(c.Applied)
+	s.opts.ResumeFrom = uint64(c.Events)
 	s.opts.Live.AckedSeq.Store(s.opts.ResumeFrom)
 	return nil
 }

@@ -96,7 +96,7 @@ type ckptTap struct {
 	cursor scenario.Checkpointer
 
 	// trails marks a cursor that names a session (closed-loop replay):
-	// its Applied is the driver's contiguously applied absolute sequence,
+	// its Events is the driver's contiguously applied absolute sequence,
 	// checkpoints cover the newest server-acknowledged event rather than
 	// the newest released one, and pending queues
 	// released-but-unacknowledged events until a checkpoint can cover them.
@@ -126,7 +126,7 @@ func newCkptTap(src *scenario.Pacer, r *run) *ckptTap {
 		// Asked before the first event, a sink that tracks a session
 		// already has a position: the sequence a resumed run starts past.
 		if cur, ok := cp.Cursor(); ok && cur.Session != 0 {
-			t.trails, t.seqBase = true, uint64(cur.Applied)
+			t.trails, t.seqBase = true, uint64(cur.Events)
 		}
 	}
 	return t
@@ -166,38 +166,27 @@ func (t *ckptTap) due() bool {
 }
 
 func (t *ckptTap) checkpoint() {
-	c := runlog.Checkpoint{
-		Time: t.prev.Time, UE: t.prev.UE, Seq: t.prev.Seq,
-		Events: t.base + t.n, TraceOffset: t.prev.Time,
-	}
+	key, n := t.prev, t.base+t.n
+	var bytes int64
 	if t.cursor != nil {
 		cur, ok := t.cursor.Cursor()
 		if !ok {
 			return
 		}
-		if !t.trails {
-			c.SinkBytes, c.SinkLines = cur.Bytes, cur.Lines
-		} else {
-			a := uint64(cur.Applied)
+		bytes = cur.Bytes
+		if t.trails {
+			a := uint64(cur.Events)
 			if len(t.pending) == 0 || a < t.pendSeq {
 				return // nothing newly acknowledged since the last cover
 			}
-			drop := a - t.pendSeq + 1
-			if drop > uint64(len(t.pending)) {
-				drop = uint64(len(t.pending))
-			}
-			key := t.pending[drop-1]
+			drop := min(a-t.pendSeq+1, uint64(len(t.pending)))
+			key = t.pending[drop-1]
 			t.pending = t.pending[drop:]
 			t.pendSeq += drop
-			applied := int64(t.pendSeq - 1)
-			c = runlog.Checkpoint{
-				Time: key.Time, UE: key.UE, Seq: key.Seq,
-				Events: applied, TraceOffset: key.Time,
-				ReplayApplied: applied,
-			}
+			n = int64(t.pendSeq - 1)
 		}
 	}
-	t.j.AppendCheckpoint(c)
+	t.j.AppendCheckpoint(runlog.Checkpoint{Time: key.Time, UE: key.UE, Seq: key.Seq, Events: n, SinkBytes: bytes})
 	t.lastN = t.n
 	t.lastT = time.Now()
 }

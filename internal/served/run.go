@@ -276,7 +276,7 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 		// exactly-once: the work is redone, never double-counted.
 		cur := scenario.Cursor{Session: b.SessionID}
 		if c := r.resume; c != nil {
-			cur.Bytes, cur.Lines, cur.Applied = c.SinkBytes, c.SinkLines, c.ReplayApplied
+			cur.Events, cur.Bytes = c.Events, c.SinkBytes
 		}
 		if err := cp.Resume(cur); err != nil {
 			if r.resume != nil {
@@ -592,7 +592,7 @@ func (r *run) pace(ctx context.Context, st *scenario.Stream) *scenario.Pacer {
 	}
 	pacer.SetBudget(pb)
 	if r.resume != nil {
-		pacer.ResumeAt(r.resume.TraceOffset)
+		pacer.ResumeAt(r.resume.Time)
 	}
 	r.pacer.Store(pacer)
 	return pacer

@@ -3,8 +3,10 @@ package served
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -98,8 +100,9 @@ func lineOffset(t *testing.T, data []byte, n int) int64 {
 
 // craftCrashedJournal writes the journal a crashed daemon would leave
 // behind for a mid-flight run: identity, streaming state, the given
-// checkpoint, and (optionally) a torn record tail.
-func craftCrashedJournal(t *testing.T, dir string, b runlog.Begin, c *runlog.Checkpoint, tornTail []byte) string {
+// checkpoint, and (optionally) raw tail bytes — a torn record, or a whole
+// frame as an earlier format wrote it.
+func craftCrashedJournal(t *testing.T, dir string, b runlog.Begin, c *runlog.Checkpoint, tail []byte) string {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -117,12 +120,12 @@ func craftCrashedJournal(t *testing.T, dir string, b runlog.Begin, c *runlog.Che
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tornTail) > 0 {
+	if len(tail) > 0 {
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Write(tornTail); err != nil {
+		if _, err := f.Write(tail); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -178,8 +181,8 @@ func TestDaemonCrashRecoveryFileSinks(t *testing.T) {
 				Sink: format, Out: out, UEs: ues, StartedAt: time.Now(),
 			}, &runlog.Checkpoint{
 				Time: key.Time, UE: key.UE, Seq: key.Seq,
-				Events: int64(cut), TraceOffset: key.Time,
-				SinkBytes: off, SinkLines: int64(cut),
+				Events:    int64(cut),
+				SinkBytes: off,
 			}, []byte("torn-journal-tail-garbage"))
 
 			s, ts := newDurableServer(t, Options{JournalDir: jdir})
@@ -409,9 +412,10 @@ func (s *replayEvSource) NextArrival() (trace.Arrival, bool, error) {
 // the checkpoint→truth tail), and a resumed daemon run — the backend must
 // end with every event applied exactly once, to the same UEs, so its
 // per-UE verdicts equal those of a backend fed the whole stream at once.
+// The checkpoint comes in both encodings a journal may hold: the current
+// one, and the older one whose "off" and "applied" keys repeat "t" and
+// "events".
 func TestDaemonClosedLoopCrashRecovery(t *testing.T) {
-	backend := replayBackend(t, replaynet.ServerOpts{})
-
 	const ues = 150
 	spec, err := scenario.Builtin("flash-crowd")
 	if err != nil {
@@ -437,61 +441,85 @@ func TestDaemonClosedLoopCrashRecovery(t *testing.T) {
 		t.Fatalf("scenario too small: %d events", len(evs))
 	}
 
-	// Incarnation 1 (the one that "crashed"): the first half of the stream
-	// reached the server under session 424242.
+	// The reference: one uninterrupted replay of the whole stream.
 	const session = 424242
-	applied := len(evs) / 2
-	st1, err := replaynet.ReplayClosed(backend.Addr().String(), events.Gen4G,
-		&replayEvSource{evs: evs[:applied]}, replaynet.ClosedOpts{SessionID: session})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Server.Events != applied {
-		t.Fatalf("seed incarnation applied %d, want %d", st1.Server.Events, applied)
-	}
-
-	// The journal checkpoint is staler than the server: it covers only the
-	// first quarter. Resume must skip the gap unsent, not re-apply it.
-	cut := applied / 2
-	key := evs[cut-1]
-	jdir := t.TempDir()
-	craftCrashedJournal(t, jdir, runlog.Begin{
-		RunID: "run-2", Scenario: "flash-crowd", Spec: builtinJSON(t, "flash-crowd"),
-		Sink: "replay", Addr: backend.Addr().String(), ClosedLoop: true,
-		UEs: ues, SessionID: session, StartedAt: time.Now(),
-	}, &runlog.Checkpoint{
-		Time: key.Time, UE: key.UE, Seq: key.Seq,
-		Events: int64(cut), TraceOffset: key.Time,
-		ReplayApplied: int64(cut),
-	}, nil)
-
-	s, ts := newDurableServer(t, Options{JournalDir: jdir})
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	final := waitState(t, ts.URL, "run-2")
-	if final.State != StateDone {
-		t.Fatalf("recovered replay run ended %s (err %q), want done", final.State, final.Error)
-	}
-	if got, _ := final.Result["events"].(float64); got != float64(len(evs)) {
-		t.Fatalf("session applied %v events, want exactly %d (loss or duplication)", got, len(evs))
-	}
-	if dups, _ := final.Result["duplicates"].(float64); dups != 0 {
-		t.Fatalf("recovery double-applied %v events", dups)
-	}
-	got := backend.Snapshot()
-	if got.Events != len(evs) {
-		t.Fatalf("backend holds %d events, want %d", got.Events, len(evs))
-	}
 	ref := replayBackend(t, replaynet.ServerOpts{})
 	if _, err := replaynet.ReplayClosed(ref.Addr().String(), events.Gen4G,
 		&replayEvSource{evs: evs}, replaynet.ClosedOpts{SessionID: session}); err != nil {
 		t.Fatal(err)
 	}
-	if want := ref.Snapshot(); got.Rejected != want.Rejected || !reflect.DeepEqual(got.ByType, want.ByType) {
-		t.Fatalf("resumed backend: rejected %d, by type %v; uninterrupted: rejected %d, by type %v",
-			got.Rejected, got.ByType, want.Rejected, want.ByType)
+	want := ref.Snapshot()
+
+	// The journal checkpoint is staler than the server: it covers only the
+	// first quarter. Resume must skip the gap unsent, not re-apply it.
+	applied := len(evs) / 2
+	cut := applied / 2
+	key := evs[cut-1]
+	ckpt := runlog.Checkpoint{Time: key.Time, UE: key.UE, Seq: key.Seq, Events: int64(cut)}
+	t0 := strconv.FormatFloat(key.Time, 'g', -1, 64)
+	older := journalFrame(fmt.Sprintf(`{"rec":"ckpt","t":%s,"ue":%d,"seq":%d,"events":%d,"off":%s,"applied":%d}`,
+		t0, key.UE, key.Seq, cut, t0, cut))
+	for _, tc := range []struct {
+		name string
+		ckpt *runlog.Checkpoint
+		tail []byte
+	}{
+		{"checkpoint", &ckpt, nil},
+		{"older-checkpoint", nil, older},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backend := replayBackend(t, replaynet.ServerOpts{})
+			// Incarnation 1 (the one that "crashed"): the first half of the
+			// stream reached the server under the session.
+			st1, err := replaynet.ReplayClosed(backend.Addr().String(), events.Gen4G,
+				&replayEvSource{evs: evs[:applied]}, replaynet.ClosedOpts{SessionID: session})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st1.Server.Events != applied {
+				t.Fatalf("seed incarnation applied %d, want %d", st1.Server.Events, applied)
+			}
+
+			jdir := t.TempDir()
+			craftCrashedJournal(t, jdir, runlog.Begin{
+				RunID: "run-2", Scenario: "flash-crowd", Spec: builtinJSON(t, "flash-crowd"),
+				Sink: "replay", Addr: backend.Addr().String(), ClosedLoop: true,
+				UEs: ues, SessionID: session, StartedAt: time.Now(),
+			}, tc.ckpt, tc.tail)
+			loaded, err := runlog.Load(filepath.Join(jdir, "run-2"+runlog.Ext))
+			if err != nil || loaded.TornTail || loaded.Checkpoint == nil || *loaded.Checkpoint != ckpt {
+				t.Fatalf("journal loads as %+v (err %v), want checkpoint %+v", loaded, err, ckpt)
+			}
+
+			s, ts := newDurableServer(t, Options{JournalDir: jdir})
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			final := waitState(t, ts.URL, "run-2")
+			if final.State != StateDone {
+				t.Fatalf("recovered replay run ended %s (err %q), want done", final.State, final.Error)
+			}
+			if got, _ := final.Result["events"].(float64); got != float64(len(evs)) {
+				t.Fatalf("session applied %v events, want exactly %d (loss or duplication)", got, len(evs))
+			}
+			if dups, _ := final.Result["duplicates"].(float64); dups != 0 {
+				t.Fatalf("recovery double-applied %v events", dups)
+			}
+			got := backend.Snapshot()
+			if got.Events != want.Events || got.Rejected != want.Rejected ||
+				got.PeakConnectedUEs != want.PeakConnectedUEs || !reflect.DeepEqual(got.ByType, want.ByType) {
+				t.Fatalf("resumed backend holds %+v, the uninterrupted one %+v", got, want)
+			}
+		})
 	}
+}
+
+// journalFrame frames a raw record payload as the journal does: its
+// little-endian length and CRC-32C, then the payload.
+func journalFrame(payload string) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum([]byte(payload), crc32.MakeTable(crc32.Castagnoli)))
+	return append(b, payload...)
 }
 
 // TestDaemonJournalLifecycle pins journal file hygiene: created with the

@@ -102,7 +102,7 @@ func (d *diskFull) Write(p []byte) (int, error) {
 // file holds exactly the bytes the disk took — nothing discarded, nothing
 // written twice — while a sibling run finishes byte-identical. The run's
 // last journaled checkpoint covers a reference prefix that ends on a line
-// boundary and holds its SinkLines, so the cursor stays exact.
+// boundary and holds its Events, so the cursor stays exact.
 func TestSinkWriteErrorFailsRun(t *testing.T) {
 	const ues = 150
 	formats := []string{"jsonl", "csv", "jsonl"} // the last is the sibling
@@ -165,9 +165,9 @@ func TestSinkWriteErrorFailsRun(t *testing.T) {
 		if format == "csv" {
 			lines-- // the header line precedes the data
 		}
-		if !bytes.HasPrefix(ref, prefix) || prefix[len(prefix)-1] != '\n' || lines != c.SinkLines {
+		if !bytes.HasPrefix(ref, prefix) || prefix[len(prefix)-1] != '\n' || lines != c.Events {
 			t.Fatalf("%s: checkpoint prefix of %d bytes holds %d lines, cursor says %d (or is no line-aligned reference prefix)",
-				format, c.SinkBytes, lines, c.SinkLines)
+				format, c.SinkBytes, lines, c.Events)
 		}
 	}
 }
