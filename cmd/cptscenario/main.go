@@ -55,7 +55,7 @@ func main() {
 		sloWindow  = flag.Int("slo-window", 0, "SLO search: acked events per probe window (0 = default)")
 
 		replaySelf  = flag.Bool("replay-self", false, "replay sink: serve an in-process replaynet server instead of connecting to -addr (self-contained load tests)")
-		selfService = flag.Duration("self-service-time", 0, "replay-self: per-event service time (rate-limits the in-process server at 1/value events/s per connection)")
+		selfService = flag.Duration("self-service-time", 0, "replay-self: per-event service time (the in-process server serves each connection at 1/value events/s, a timer oversleep repaid by the events after it)")
 
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault injection: deterministic schedule seed")
 		faultDrop    = flag.Float64("fault-drop", 0, "fault injection: per-write silent drop probability [0,1]")

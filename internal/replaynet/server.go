@@ -35,17 +35,24 @@ type Stats struct {
 // ServerOpts tunes a server beyond the open-loop defaults. The zero value
 // reproduces the pre-closed-loop behavior exactly.
 type ServerOpts struct {
-	// ServiceTime, when positive, is the per-event processing time: the
-	// connection's read loop sleeps this long for every accepted event,
-	// bounding the per-connection consumption rate at 1/ServiceTime — the
-	// knob that turns the server into a rate-limited NF stand-in for
-	// closed-loop controller tests and benchmarks.
+	// ServiceTime, when positive, is the per-event processing time: each
+	// connection applies events on a schedule that advances by ServiceTime
+	// per event, so its consumption rate is 1/ServiceTime however coarsely
+	// the OS timer sleeps — the knob that turns the server into a
+	// rate-limited NF stand-in for closed-loop controller tests and
+	// benchmarks.
 	ServiceTime time.Duration
 	// Fault, when non-nil, wraps every accepted connection in a
 	// deterministic fault-injection schedule (per-connection seeds derived
 	// from Fault.Seed and the accept ordinal).
 	Fault *faultnet.Config
 }
+
+// serviceCredit bounds how far a connection's service schedule may trail
+// the wall clock: enough to repay a sleep that overshot, so the rate holds
+// at 1/ServiceTime, and little enough that an idle connection does not bank
+// a burst.
+const serviceCredit = 5 * time.Millisecond
 
 // ackEvery bounds how many applied closed-loop events may pass between ACK
 // frames; an ACK is also emitted whenever the read buffer drains (the
@@ -168,7 +175,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw := bufio.NewWriter(conn)
 	machine := statemachine.New(s.gen)
 
-	var sess *session // non-nil once a CHELLO arrives
+	var sess *session    // non-nil once a CHELLO arrives
+	var served time.Time // when the connection's previous event was due
 	var ackBuf [8]byte
 	sinceAck := 0
 	// flushAck emits a cumulative ACK for the session's applied seq.
@@ -220,7 +228,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if !ev.Valid() {
 				return
 			}
-			s.consume(machine, ue, ev)
+			s.consume(machine, &served, ue, ev)
 		case frameSeqEvent:
 			if sess == nil {
 				return // sequenced events require a closed-loop hello
@@ -244,7 +252,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			case seq == applied+1:
 				sess.applied = seq
 				s.mu.Unlock()
-				s.consume(machine, ue, ev)
+				s.consume(machine, &served, ue, ev)
 				sinceAck++
 			default:
 				// A gap: the driver always sends contiguously within one
@@ -281,11 +289,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// consume applies one event to the stateful UE table, after the configured
-// per-event service time.
-func (s *Server) consume(machine statemachine.Machine, ue uint64, ev events.Type) {
+// consume applies one event to the stateful UE table once the connection's
+// service schedule reaches it: ServiceTime after the previous event was
+// due, *served, which it advances.
+func (s *Server) consume(machine statemachine.Machine, served *time.Time, ue uint64, ev events.Type) {
 	if s.opts.ServiceTime > 0 {
-		time.Sleep(s.opts.ServiceTime)
+		now := time.Now()
+		if floor := now.Add(-serviceCredit); served.Before(floor) {
+			*served = floor
+		}
+		*served = served.Add(s.opts.ServiceTime)
+		time.Sleep(served.Sub(now))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
