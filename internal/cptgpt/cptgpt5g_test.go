@@ -143,6 +143,24 @@ func TestFineTuneDefaults(t *testing.T) {
 	}
 }
 
+// TestFineTunePatienceZeroRunsEveryEpoch: EarlyStopPatience 0 disables early
+// stopping for FineTune as for Train, so the whole epoch budget runs.
+func TestFineTunePatienceZeroRunsEveryEpoch(t *testing.T) {
+	d := testTrainingData(t, 40)
+	m, err := NewModel(smallConfig(), FitTokenizer(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 12
+	res, err := FineTune(m, d, TrainOpts{Epochs: epochs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Epochs != epochs || res.EarlyStopped {
+		t.Fatalf("fine-tune ran %d of %d epochs (early stopped: %v) with patience 0", res.Epochs, epochs, res.EarlyStopped)
+	}
+}
+
 // TestProbeCheckpointRestored: the checkpoint-ranking probe restores the
 // best-scoring weights.
 func TestProbeCheckpointRestored(t *testing.T) {

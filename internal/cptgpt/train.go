@@ -18,12 +18,10 @@ type TrainOpts struct {
 	// LR overrides Config.LR when > 0 (used by fine-tuning).
 	LR float64
 	// EarlyStopPatience stops training after this many consecutive epochs
-	// whose mean loss improves by less than EarlyStopDelta; 0 disables.
+	// whose mean loss improves by less than earlyStopDelta; 0 disables.
 	// This is the "training stops when fidelity metrics show diminishing
 	// returns" device used for the paper's time measurements (§5.5).
 	EarlyStopPatience int
-	// EarlyStopDelta is the minimum per-epoch improvement (default 1e-3).
-	EarlyStopDelta float64
 	// OnEpoch, when non-nil, observes each epoch's mean loss.
 	OnEpoch func(epoch int, meanLoss float64)
 	// Probe, when non-nil, is called every ProbeEvery epochs and must
@@ -49,6 +47,10 @@ type TrainOpts struct {
 	// reference the arena must match bit for bit.
 	noArena bool
 }
+
+// earlyStopDelta is the least per-epoch improvement of the mean loss that
+// resets EarlyStopPatience.
+const earlyStopDelta = 1e-3
 
 // TrainResult reports what a training run did.
 type TrainResult struct {
@@ -98,9 +100,6 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	lr := m.Cfg.LR
 	if opts.LR > 0 {
 		lr = opts.LR
-	}
-	if opts.EarlyStopDelta == 0 {
-		opts.EarlyStopDelta = 1e-3
 	}
 	if opts.Parallelism > 0 {
 		prev := tensor.SetParallelism(opts.Parallelism)
@@ -278,7 +277,7 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 			}
 		}
 		if opts.EarlyStopPatience > 0 {
-			if epoch == 0 || best-meanLoss > opts.EarlyStopDelta {
+			if epoch == 0 || best-meanLoss > earlyStopDelta {
 				best = meanLoss
 				stale = 0
 			} else {
@@ -324,9 +323,6 @@ func FineTune(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) 
 	}
 	if opts.Epochs <= 0 {
 		opts.Epochs = max(1, m.Cfg.Epochs/3)
-	}
-	if opts.EarlyStopPatience == 0 {
-		opts.EarlyStopPatience = 1
 	}
 	return Train(m, d, opts)
 }

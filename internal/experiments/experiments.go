@@ -290,7 +290,7 @@ func (l *Lab) trainCPT(dev events.DeviceType) (*cptgpt.Model, error) {
 			return nil, err
 		}
 		l.logf("fine-tuning CPT-GPT %s model from phone base (%d streams)", dev, d.NumStreams())
-		if _, err := cptgpt.FineTune(m, d, cptgpt.TrainOpts{Epochs: l.sz.cptFTEps, EarlyStopPatience: 0, Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
+		if _, err := cptgpt.FineTune(m, d, cptgpt.TrainOpts{Epochs: l.sz.cptFTEps, Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
 			return nil, err
 		}
 		return m, nil

@@ -121,7 +121,7 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 			return next.Generate(cptgpt.GenOpts{NumStreams: 100, Device: events.Phone, Seed: l.Seed ^ uint64(h)})
 		})
 		res, err = cptgpt.FineTune(next, hourlyTrain[h], cptgpt.TrainOpts{
-			Epochs: max(2, l.sz.hourEpochs/3), Probe: probe, ProbeEvery: 1, EarlyStopPatience: 0,
+			Epochs: max(2, l.sz.hourEpochs/3), Probe: probe, ProbeEvery: 1,
 			Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch,
 		})
 		if err != nil {
