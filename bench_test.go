@@ -834,8 +834,7 @@ func BenchmarkRunlogAppend(b *testing.B) {
 	j.AppendBegin(runlog.Begin{RunID: "run-1", Scenario: "flash-crowd", Sink: "jsonl", UEs: 1000})
 	c := runlog.Checkpoint{
 		Time: 123.456789, UE: 982451653, Seq: 31,
-		Events:    1 << 20,
-		SinkBytes: 1 << 27,
+		Events: 1 << 20, SinkBytes: 1 << 27,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

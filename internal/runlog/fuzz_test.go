@@ -36,8 +36,7 @@ func fuzzJournal(t testing.TB) (data []byte, ends []int64, states []RunState) {
 		} else {
 			ck := Checkpoint{
 				Time: 1.5 * float64(i), UE: uint64(40 + i), Seq: uint32(i),
-				Events:    int64(1000 * i),
-				SinkBytes: int64(81920 * i),
+				Events: int64(1000 * i), SinkBytes: int64(81920 * i),
 			}
 			j.AppendCheckpoint(ck)
 			st.Checkpoint = &ck

@@ -40,13 +40,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	j.AppendState("generating", "")
 	j.AppendCheckpoint(Checkpoint{
 		Time: 12.5, UE: 42, Seq: 7,
-		Events:    1000,
-		SinkBytes: 81920,
+		Events: 1000, SinkBytes: 81920,
 	})
 	j.AppendCheckpoint(Checkpoint{
 		Time: 99.25, UE: 41, Seq: 9,
-		Events:    5000,
-		SinkBytes: 409600,
+		Events: 5000, SinkBytes: 409600,
 	})
 	j.AppendState("done", "")
 	if err := j.Close(); err != nil {
@@ -76,8 +74,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	want := Checkpoint{
 		Time: 99.25, UE: 41, Seq: 9,
-		Events:    5000,
-		SinkBytes: 409600,
+		Events: 5000, SinkBytes: 409600,
 	}
 	if st.Checkpoint == nil || *st.Checkpoint != want {
 		t.Errorf("Checkpoint = %+v, want %+v", st.Checkpoint, want)
@@ -102,8 +99,7 @@ func TestCheckpointMarshalMatchesWire(t *testing.T) {
 		{},
 		{Time: 1e6, UE: 1, Seq: 1, Events: 1},
 		{Time: 0.015625, UE: 1<<63 + 5, Seq: 4294967295,
-			Events:    1 << 40,
-			SinkBytes: 1 << 50},
+			Events: 1 << 40, SinkBytes: 1 << 50},
 	}
 	for _, c := range cases {
 		// Build the payload exactly as AppendCheckpoint does, by writing
@@ -450,8 +446,7 @@ func BenchmarkRunlogAppend(b *testing.B) {
 	j.AppendBegin(testBegin())
 	c := Checkpoint{
 		Time: 123.456789, UE: 982451653, Seq: 31,
-		Events:    1 << 20,
-		SinkBytes: 1 << 27,
+		Events: 1 << 20, SinkBytes: 1 << 27,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

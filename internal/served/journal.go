@@ -167,13 +167,13 @@ func (t *ckptTap) due() bool {
 
 func (t *ckptTap) checkpoint() {
 	key, n := t.prev, t.base+t.n
-	var bytes int64
+	var sinkBytes int64
 	if t.cursor != nil {
 		cur, ok := t.cursor.Cursor()
 		if !ok {
 			return
 		}
-		bytes = cur.Bytes
+		sinkBytes = cur.Bytes
 		if t.trails {
 			a := uint64(cur.Events)
 			if len(t.pending) == 0 || a < t.pendSeq {
@@ -186,7 +186,7 @@ func (t *ckptTap) checkpoint() {
 			n = int64(t.pendSeq - 1)
 		}
 	}
-	t.j.AppendCheckpoint(runlog.Checkpoint{Time: key.Time, UE: key.UE, Seq: key.Seq, Events: n, SinkBytes: bytes})
+	t.j.AppendCheckpoint(runlog.Checkpoint{Time: key.Time, UE: key.UE, Seq: key.Seq, Events: n, SinkBytes: sinkBytes})
 	t.lastN = t.n
 	t.lastT = time.Now()
 }

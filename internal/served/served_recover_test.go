@@ -181,8 +181,7 @@ func TestDaemonCrashRecoveryFileSinks(t *testing.T) {
 				Sink: format, Out: out, UEs: ues, StartedAt: time.Now(),
 			}, &runlog.Checkpoint{
 				Time: key.Time, UE: key.UE, Seq: key.Seq,
-				Events:    int64(cut),
-				SinkBytes: off,
+				Events: int64(cut), SinkBytes: off,
 			}, []byte("torn-journal-tail-garbage"))
 
 			s, ts := newDurableServer(t, Options{JournalDir: jdir})
