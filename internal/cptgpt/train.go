@@ -17,11 +17,6 @@ type TrainOpts struct {
 	Epochs int
 	// LR overrides Config.LR when > 0 (used by fine-tuning).
 	LR float64
-	// EarlyStopPatience stops training after this many consecutive epochs
-	// whose mean loss improves by less than earlyStopDelta; 0 disables.
-	// This is the "training stops when fidelity metrics show diminishing
-	// returns" device used for the paper's time measurements (§5.5).
-	EarlyStopPatience int
 	// OnEpoch, when non-nil, observes each epoch's mean loss.
 	OnEpoch func(epoch int, meanLoss float64)
 	// Probe, when non-nil, is called every ProbeEvery epochs and must
@@ -48,10 +43,6 @@ type TrainOpts struct {
 	noArena bool
 }
 
-// earlyStopDelta is the least per-epoch improvement of the mean loss that
-// resets EarlyStopPatience.
-const earlyStopDelta = 1e-3
-
 // TrainResult reports what a training run did.
 type TrainResult struct {
 	// Streams is the number of eligible training streams.
@@ -64,8 +55,6 @@ type TrainResult struct {
 	EpochLoss []float64
 	// Duration is the wall-clock training time.
 	Duration time.Duration
-	// EarlyStopped reports whether the early-stop rule fired.
-	EarlyStopped bool
 	// BestEpoch is the 1-based epoch whose checkpoint was kept (0 when no
 	// Probe was supplied); BestScore is its probe score.
 	BestEpoch int
@@ -188,8 +177,6 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	ins := make([]*tensor.Tensor, 0, micro)
 	tgs := make([]*Targets, 0, micro)
 
-	best := 0.0
-	stale := 0
 	for epoch := 0; epoch < epochs; epoch++ {
 		// Cosine learning-rate decay to a 10% floor sharpens the late
 		// epochs, which matters for near-zero semantic-violation rates.
@@ -274,18 +261,6 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 				bestScore = score
 				res.BestEpoch = epoch + 1
 				bestSnap = snapshotParams(m.Params())
-			}
-		}
-		if opts.EarlyStopPatience > 0 {
-			if epoch == 0 || best-meanLoss > earlyStopDelta {
-				best = meanLoss
-				stale = 0
-			} else {
-				stale++
-				if stale >= opts.EarlyStopPatience {
-					res.EarlyStopped = true
-					break
-				}
 			}
 		}
 	}
