@@ -73,10 +73,11 @@ func (s *fileSink) open() (*os.File, error) {
 }
 
 // Cursor flushes the encoder and fsyncs the file before it reports the
-// position, so a recorded cursor always implies a durable prefix holding
-// exactly the events consumed so far. Where there is no byte position to
-// vouch for (".gz", stdout, no counting layer) the cursor is zero and a
-// resume starts the file over.
+// file's length, so a recorded cursor always implies a durable prefix
+// holding exactly the events consumed so far; the caller, which fed them,
+// counts them. Where there is no byte position to vouch for (".gz",
+// stdout, no counting layer) the cursor is zero and a resume starts the
+// file over.
 func (s *fileSink) Cursor() (Cursor, bool) {
 	if s.lw == nil {
 		return Cursor{}, false
@@ -87,7 +88,7 @@ func (s *fileSink) Cursor() (Cursor, bool) {
 	if s.lw.Flush() != nil || s.f.Sync() != nil {
 		return Cursor{}, false
 	}
-	return Cursor{Events: s.from.Events + int64(s.lw.Count()), Bytes: s.written()}, true
+	return Cursor{Bytes: s.written()}, true
 }
 
 func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {

@@ -170,9 +170,10 @@ func NewSink(c SinkConfig) (Sink, error) {
 // Cursor is a sink's durable position: what a journal checkpoint records
 // of the sink and a resumed run hands back to it.
 type Cursor struct {
-	// Events is how many events the sink durably holds: a file's data
-	// lines, or the absolute sequence closed-loop replay's server has
-	// contiguously applied.
+	// Events is how many events the sink durably holds. A file sink only
+	// takes it back on Resume (its cursor covers every event pulled, which
+	// the caller counts); closed-loop replay reports the absolute sequence
+	// its server has contiguously applied.
 	Events int64
 	// Bytes (file sinks) is the output file's durable length.
 	Bytes int64
