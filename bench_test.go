@@ -1,5 +1,5 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index), plus
+// evaluation (experiments.All is the experiment index), plus
 // micro-benchmarks of the substrates (autograd matmul, transformer step,
 // generators, state-machine replay).
 //

@@ -1,7 +1,7 @@
 // Command cptexperiments regenerates the paper's tables and figures
 // end-to-end: it builds ground-truth traces, trains all four generators,
-// synthesizes evaluation datasets and prints every table in DESIGN.md §4's
-// per-experiment index.
+// synthesizes evaluation datasets and prints every table of the
+// per-experiment index, experiments.All.
 //
 // Usage:
 //

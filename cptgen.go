@@ -68,8 +68,9 @@ const DefaultBatchSize = cptgpt.DefaultBatchSize
 // Precision selects CPT-GPT's decode arithmetic. PrecisionF64 (the zero
 // value) is the bit-exact float64 reference path; PrecisionF32 decodes
 // through a frozen float32 snapshot of the trained weights with fused row
-// kernels and a contiguous float32 KV arena — about half the memory traffic,
-// roughly 2× the tokens/s — under its own per-seed determinism contract
+// kernels and a contiguous float32 KV arena — about half the memory traffic
+// and, at the paper's model shape with the AVX2 kernels, ~17× the tokens/s
+// (README.md) — under its own per-seed determinism contract
 // (same Seed × Precision always reproduces the same output, at every
 // Parallelism and BatchSize). Decoding uses continuous batching either way:
 // the moment a stream emits STOP, its decoder slot is refilled with the next
@@ -145,7 +146,8 @@ type (
 // GenerateGroundTruth synthesizes a carrier-style control-plane workload:
 // per-UE behavioural simulation over the 3GPP state machine with latent
 // heterogeneity and diurnal drift. This substitutes for the paper's
-// proprietary trace (DESIGN.md §2).
+// proprietary trace (docs/ARCHITECTURE.md, "What stands in for the paper's
+// substrate").
 func GenerateGroundTruth(cfg GroundTruthConfig) (*Dataset, error) {
 	return synthetic.Generate(cfg)
 }

@@ -17,24 +17,20 @@ import (
 const DefaultBatchSize = 32
 
 // BatchDecoder steps up to capacity independent UE streams through the
-// transformer. All per-stream state lives in shared contiguous buffers:
-// in the F64 reference path the key/value cache of block b is one slot-major
-// slice of capacity × MaxLen × DModel values; in the F32 fast path the whole
-// cache is a single contiguous float32 arena (blocks × slots × MaxLen rows
-// of interleaved [K|V]), so stepping N streams touches N adjacent cache
-// regions instead of N scattered per-stream decoders.
+// transformer.
 //
-// In the F64 path each slot runs exactly the same row kernels as the serial
-// decoder (linearRowInto, layerNormRow, attendRow, mlpRowInto) over its own
-// slice of the shared buffers, and slots never read each other's state.
-// Output is therefore bit-identical to decoding every stream alone,
-// regardless of how many worker goroutines the step fans out over — the
-// property the determinism tests pin down. The F32 path packs the rows of
-// every slot a worker steps and runs them through the float32 kernels of
-// infer32.go (one GEMM per layer) over the frozen InferModel snapshot; a
-// row's result does not depend on the rows packed around it, so it is just
-// as invariant to batching and fan-out — deterministic per seed and GEMM
-// kernel, but not bit-compatible with F64.
+// In the F64 reference path a slot is the serial decoder: slot i owns one
+// decoder (its KV cache and scratch) and steps it row by row, and slots
+// never read each other's state. Output is therefore bit-identical to
+// decoding every stream alone, regardless of how many worker goroutines the
+// step fans out over — the property the determinism tests pin down. In the
+// F32 fast path the whole cache is one contiguous float32 arena (blocks ×
+// slots × MaxLen rows of interleaved [K|V]), and a pass packs the rows of
+// every slot a worker steps through the float32 kernels of infer32.go (one
+// GEMM per layer) over the frozen InferModel snapshot; a row's result does
+// not depend on the rows packed around it, so it is just as invariant to
+// batching and fan-out — deterministic per seed and GEMM kernel, but not
+// bit-compatible with F64.
 //
 // Slot-reset contract (continuous batching): a slot's KV-cache rows and
 // score/accumulator scratch are meaningful only for positions < Pos(slot).
@@ -77,19 +73,16 @@ type BatchDecoder struct {
 	ones   []int       // capacity ones: Step's ks
 	outs   []StepOut   // one per packed row
 	outsK  [][]StepOut // StepK's per-listed-slot windows into outs
-	// Head outputs by packed row (both precisions; the f32 path widens into
-	// these so StepOut and the sampling loop are precision-agnostic).
-	evOut, iaOut, stopOut []float64 // rows × V, × (1 or 2), × 2
+	// Event logits by packed row (both precisions, so StepOut and the
+	// sampling loop are precision-agnostic); the f32 path also widens its
+	// other two heads into iaOut and stopOut.
+	evOut          []float64 // rows × V
+	iaOut, stopOut []float64 // rows × (1 or 2), rows × 2; F32 only
 
-	// F64 state. kc/vc hold, per block, the shared KV cache: slot-major,
-	// each slot owning MaxLen × DModel values.
-	kc, vc [][]float64
-
-	// Slot-major f64 scratch; slot i uses rows [i*width, (i+1)*width).
-	x, q, k, v, att, tmp []float64 // capacity × DModel
-	ff                   []float64 // capacity × MLPHidden
-	scores               []float64 // capacity × MaxLen
-	hid, hid2            []float64 // capacity × widest head layer
+	// F64 state: slot i is the serial decoder dec64[i], its cache and
+	// scratch included. d.pos stays the slot's position; stepSlotF64
+	// rewinds the decoder to it.
+	dec64 []*decoder
 
 	// F32 state. kv32 is the contiguous KV arena: block-major, each
 	// (block, slot) pair owning MaxLen rows of 2×DModel interleaved [K|V]
@@ -128,23 +121,10 @@ func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
 		d.kv32 = make([]float32, len(m.BlocksNN)*capacity*m.Cfg.MaxLen*2*dm)
 		d.attScratch32 = make([]float32, capacity*max(m.Cfg.MaxLen, 2*m.Cfg.Heads))
 	default:
-		hw := headHiddenMax(m)
-		d.kc = make([][]float64, len(m.BlocksNN))
-		d.vc = make([][]float64, len(m.BlocksNN))
-		for i := range d.kc {
-			d.kc[i] = make([]float64, capacity*m.Cfg.MaxLen*dm)
-			d.vc[i] = make([]float64, capacity*m.Cfg.MaxLen*dm)
+		d.dec64 = make([]*decoder, capacity)
+		for i := range d.dec64 {
+			d.dec64[i] = newDecoder(m)
 		}
-		d.x = make([]float64, capacity*dm)
-		d.q = make([]float64, capacity*dm)
-		d.k = make([]float64, capacity*dm)
-		d.v = make([]float64, capacity*dm)
-		d.att = make([]float64, capacity*dm)
-		d.tmp = make([]float64, capacity*dm)
-		d.ff = make([]float64, capacity*m.Cfg.MLPHidden)
-		d.scores = make([]float64, capacity*m.Cfg.MaxLen)
-		d.hid = make([]float64, capacity*hw)
-		d.hid2 = make([]float64, capacity*hw)
 	}
 	d.ensureRows(1)
 	return d
@@ -163,11 +143,11 @@ func (d *BatchDecoder) ensureRows(kMax int) {
 	d.kMax = kMax
 	d.outs = make([]StepOut, rows)
 	d.evOut = make([]float64, rows*v)
-	d.iaOut = make([]float64, rows*iaW)
-	d.stopOut = make([]float64, rows*2)
 	if d.prec == F32 {
 		dm := m.Cfg.DModel
 		hw := headHiddenMax(m)
+		d.iaOut = make([]float64, rows*iaW)
+		d.stopOut = make([]float64, rows*2)
 		d.tok32 = make([]float32, rows*m.Tok.Dim())
 		d.x32 = make([]float32, rows*dm)
 		d.q32 = make([]float32, rows*dm)
@@ -192,9 +172,6 @@ func (d *BatchDecoder) iaWidth() int {
 
 // Capacity returns the number of decode slots.
 func (d *BatchDecoder) Capacity() int { return d.capacity }
-
-// Precision returns the decoder's arithmetic mode.
-func (d *BatchDecoder) Precision() Precision { return d.prec }
 
 // Pos returns slot's current position (tokens consumed).
 func (d *BatchDecoder) Pos(slot int) int { return d.pos[slot] }
@@ -381,93 +358,24 @@ func (d *BatchDecoder) stepRows(slots, ks []int, kMax int, tokens []float64) {
 	sp.End(int64(total), "")
 }
 
-// stepSlotF64 runs one slot's k rows through the float64 reference row body,
-// one row after the other, writing packed rows row0.. of the head outputs.
+// stepSlotF64 runs one slot's k rows through the slot's serial decoder, one
+// row after the other, writing packed rows row0.. of the head outputs. The
+// decoder is first rewound to the slot's position (ResetSlot and TruncateSlot
+// move only d.pos). Its event logits are copied into the packed row, because
+// a StepK chain's rows all come out of the one decoder.
 func (d *BatchDecoder) stepSlotF64(slot, k, row0, kMax int, tokens []float64) {
 	dim := d.m.Tok.Dim()
 	v := d.m.Tok.V()
-	iaW := d.iaWidth()
+	dec := d.dec64[slot]
+	dec.rewind(d.pos[slot])
 	for r := 0; r < k; r++ {
 		row := row0 + r
-		evOut := d.evOut[row*v : (row+1)*v]
-		iaOut := d.iaOut[row*iaW : (row+1)*iaW]
-		stopOut := d.stopOut[row*2 : (row+1)*2]
-		d.decodeRowF64(slot, tokens[(slot*kMax+r)*dim:(slot*kMax+r+1)*dim], evOut, iaOut, stopOut)
-		fillStepOut(&d.outs[row], d.m.Cfg.DistHead, evOut, iaOut, stopOut)
+		out := dec.step(tokens[(slot*kMax+r)*dim : (slot*kMax+r+1)*dim])
+		out.EventLogits = d.evOut[row*v : (row+1)*v]
+		copy(out.EventLogits, dec.evOut)
+		d.outs[row] = out
+		d.pos[slot]++
 	}
-}
-
-// decodeRowF64 consumes one token for a slot through the float64 reference
-// kernels — the shared row body of Step and the multi-token StepK — writing
-// the three head outputs into the caller's buffers and advancing the slot's
-// position. Identical calls produce identical bits regardless of which slots
-// share the batch: every kernel touches only this slot's cache and scratch
-// regions.
-func (d *BatchDecoder) decodeRowF64(slot int, token, evOut, iaOut, stopOut []float64) {
-	m := d.m
-	dm := m.Cfg.DModel
-	maxLen := m.Cfg.MaxLen
-	hw := len(d.hid) / d.capacity
-
-	pos := d.pos[slot]
-	if pos >= maxLen {
-		panic("cptgpt: BatchDecoder stepped past MaxLen")
-	}
-	x := d.x[slot*dm : (slot+1)*dm]
-	q := d.q[slot*dm : (slot+1)*dm]
-	k := d.k[slot*dm : (slot+1)*dm]
-	vv := d.v[slot*dm : (slot+1)*dm]
-	att := d.att[slot*dm : (slot+1)*dm]
-	tmp := d.tmp[slot*dm : (slot+1)*dm]
-	ff := d.ff[slot*m.Cfg.MLPHidden : (slot+1)*m.Cfg.MLPHidden]
-	scores := d.scores[slot*maxLen : (slot+1)*maxLen]
-	hid := d.hid[slot*hw : (slot+1)*hw]
-	hid2 := d.hid2[slot*hw : (slot+1)*hw]
-
-	// Token projection + positional embedding.
-	linearRowInto(x, token, m.InProj)
-	pe := m.PosEmb.Data[pos*dm : (pos+1)*dm]
-	for j := range x {
-		x[j] += pe[j]
-	}
-
-	for bi, b := range m.BlocksNN {
-		// Attention sub-layer (pre-norm, residual) over this slot's
-		// contiguous region of the shared cache.
-		cacheLo := slot * maxLen * dm
-		kc := d.kc[bi][cacheLo : cacheLo+(pos+1)*dm]
-		vc := d.vc[bi][cacheLo : cacheLo+(pos+1)*dm]
-		layerNormRow(tmp, x, b.LN1)
-		linearRowInto(q, tmp, b.Attn.Wq)
-		linearRowInto(k, tmp, b.Attn.Wk)
-		linearRowInto(vv, tmp, b.Attn.Wv)
-		copy(kc[pos*dm:], k)
-		copy(vc[pos*dm:], vv)
-		attendRow(att, q, kc, vc, pos+1, b.Attn.Heads, dm, scores)
-		linearRowInto(tmp, att, b.Attn.Wo)
-		for j := range x {
-			x[j] += tmp[j]
-		}
-
-		// Feed-forward sub-layer (pre-norm, residual).
-		layerNormRow(tmp, x, b.LN2)
-		linearRowInto(ff, tmp, b.FF.In)
-		for j := range ff {
-			ff[j] = gelu(ff[j])
-		}
-		linearRowInto(tmp, ff, b.FF.Out)
-		for j := range x {
-			x[j] += tmp[j]
-		}
-	}
-
-	layerNormRow(tmp, x, m.Final)
-
-	mlpRowInto(evOut, hid, hid2, tmp, m.EventHd)
-	mlpRowInto(iaOut, hid, hid2, tmp, m.IAHd)
-	mlpRowInto(stopOut, hid, hid2, tmp, m.StopHd)
-
-	d.pos[slot] = pos + 1
 }
 
 // fillStepOut assembles one StepOut from head-output regions.

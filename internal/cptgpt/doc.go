@@ -11,8 +11,9 @@
 //
 //   - Plain f64 decoding (the default) is bit-identical to the serial
 //     one-stream reference (sampleStream) at every Parallelism × BatchSize:
-//     each stream consumes only its own index-seeded RNG and slot state, so
-//     who decodes it when cannot matter.
+//     an f64 BatchDecoder slot is the serial decoder, and each stream
+//     consumes only its own index-seeded RNG and slot state, so who decodes
+//     it when cannot matter.
 //   - f32 decoding runs every decode pass — one row per slot or a draft
 //     chain's several — through one row body whose per-row reduction orders are
 //     fixed, so it is deterministic per (Seed, Precision, kernel set) at

@@ -1,7 +1,6 @@
 package cptgpt
 
 import (
-	"fmt"
 	"math"
 
 	"cptgpt/internal/nn"
@@ -14,8 +13,8 @@ import (
 // verified against Model.Forward in the package tests.
 //
 // The decoder owns all of its scratch, so a step performs no allocations in
-// steady state; BatchDecoder in batch.go runs many of these row kernels per
-// pass over a shared cache layout.
+// steady state. It is also the F64 BatchDecoder's row body: each F64 slot
+// is one decoder (batch.go).
 type decoder struct {
 	m   *Model
 	pos int
@@ -128,36 +127,32 @@ func (d *decoder) step(token []float64) StepOut {
 
 	layerNormRow(tmp, d.x, m.Final)
 
-	var out StepOut
 	mlpRowInto(d.evOut, d.hid, d.hid2, tmp, m.EventHd)
-	out.EventLogits = d.evOut
 	mlpRowInto(d.iaOut, d.hid, d.hid2, tmp, m.IAHd)
-	out.IAMean = d.iaOut[0]
-	if m.Cfg.DistHead {
-		out.IALogStd = math.Min(math.Max(d.iaOut[1], -6), 2)
-	} else {
-		out.IALogStd = math.NaN()
-	}
 	mlpRowInto(d.stopOut, d.hid, d.hid2, tmp, m.StopHd)
-	out.StopLogits = [2]float64{d.stopOut[0], d.stopOut[1]}
+	var out StepOut
+	fillStepOut(&out, m.Cfg.DistHead, d.evOut, d.iaOut, d.stopOut)
 
 	d.pos++
 	return out
 }
 
-// attendRow computes one stream's multi-head attention output for the newest
-// query row q against nPos cached key/value rows, writing into att (len dm).
-// scores must have length ≥ nPos: the serial decoder and each BatchDecoder
-// slot own a MaxLen-sized scores region, and every caller bounds nPos by the
-// slot's own position (≤ MaxLen), so the check only fires if a slot is
-// stepped past MaxLen without ResetSlot — the invariant continuous batching
-// relies on when it seats a new stream in a retired slot. This is the shared
-// row kernel of the serial decoder and the F64 BatchDecoder path, so both
-// are bit-identical.
-func attendRow(att, q, kc, vc []float64, nPos, heads, dm int, scores []float64) {
-	if len(scores) < nPos {
-		panic(fmt.Sprintf("cptgpt: attendRow scores buffer has %d rows for %d cached positions (slot stepped past MaxLen without reset?)", len(scores), nPos))
+// rewind moves the decoder back to position pos ≤ its own, dropping the
+// cached keys/values above it (they are overwritten, never cleared).
+func (d *decoder) rewind(pos int) {
+	dm := d.m.Cfg.DModel
+	for i := range d.kc {
+		d.kc[i], d.vc[i] = d.kc[i][:pos*dm], d.vc[i][:pos*dm]
 	}
+	d.pos = pos
+}
+
+// attendRow computes one stream's multi-head attention output for the newest
+// query row q against nPos cached key/value rows, writing into att (len dm),
+// with scores (len ≥ nPos) as scratch. Its one caller is decoder.step, which
+// bounds nPos by MaxLen; an F64 BatchDecoder slot is a serial decoder, so
+// this is the F64 attention of both.
+func attendRow(att, q, kc, vc []float64, nPos, heads, dm int, scores []float64) {
 	dh := dm / heads
 	scale := 1 / math.Sqrt(float64(dh))
 	scores = scores[:nPos]
@@ -196,17 +191,30 @@ func attendRow(att, q, kc, vc []float64, nPos, heads, dm int, scores []float64) 
 }
 
 // linearRowInto computes dst = row·W + b for a single row; dst must have
-// length = l.W.Cols and may not alias row.
+// length = l.W.Cols and may not alias row. The inner loop updates four
+// outputs per bounds check; each output still takes one multiply and one
+// add per input, in input order, so unrolling moves no bits. It also keeps
+// the function too large to inline, so the serial decoder and every caller
+// run the one compiled loop.
 func linearRowInto(dst, row []float64, l *nn.Linear) {
 	cols := l.W.Cols
+	dst = dst[:cols]
 	copy(dst, l.B.Data)
 	for k, x := range row {
 		if x == 0 {
 			continue
 		}
-		wRow := l.W.Data[k*cols : (k+1)*cols]
-		for j, w := range wRow {
-			dst[j] += x * w
+		wRow := l.W.Data[k*cols:][:cols]
+		j := 0
+		for ; j+4 <= cols; j += 4 {
+			d, w := dst[j:j+4:j+4], wRow[j:j+4:j+4]
+			d[0] += x * w[0]
+			d[1] += x * w[1]
+			d[2] += x * w[2]
+			d[3] += x * w[3]
+		}
+		for ; j < cols; j++ {
+			dst[j] += x * wRow[j]
 		}
 	}
 }

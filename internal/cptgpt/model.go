@@ -13,7 +13,8 @@ import (
 // Config holds the model and training hyperparameters. The paper's tuned
 // model uses 2 attention blocks, embedding dimension 128 and MLP hidden
 // size 1024 (725K parameters); the defaults here are scaled for CPU
-// training while preserving the architecture (see DESIGN.md §2).
+// training while preserving the architecture (see docs/ARCHITECTURE.md,
+// "What stands in for the paper's substrate").
 type Config struct {
 	// Generation selects the event vocabulary (and so the token dimension).
 	Generation events.Generation

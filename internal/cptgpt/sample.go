@@ -67,7 +67,8 @@ type GenOpts struct {
 	// interarrival is rejected and a pass emits about one token.
 	Speculative bool
 	// DraftTokens is the number of draft tokens proposed per verify pass
-	// (the speculation depth k); 0 means DefaultDraftTokens. Output is
+	// (the speculation depth k); 0 means DefaultDraftTokens and a negative
+	// value is an error, with or without Speculative. Output is
 	// deterministic per (Seed, DraftTokens, kernel set) — the self-draft is
 	// fitted by F32 decoding — but differs across k: k changes RNG
 	// consumption, not the output law.
@@ -176,19 +177,22 @@ func (m *Model) GenerateRange(lo, hi int, opts GenOpts) ([]trace.Stream, error) 
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("cptgpt: invalid stream range [%d,%d)", lo, hi)
 	}
-	if lo == hi {
-		return nil, nil
-	}
 	return m.generateRange(lo, hi, 1, opts)
 }
 
 // generateRange is the body of Generate and GenerateRange: it decodes the
-// streams with global indices [lo, hi), hi > lo, on at most maxDecoders
+// streams with global indices [lo, hi), hi ≥ lo, on at most maxDecoders
 // decoders that claim indices from one counter. The calling goroutine is
 // the first decoder — with maxDecoders 1 nothing leaves it, so a caller's
 // recover() covers the decode — and every decoder gets an equal share of the
 // call's core budget as its per-pass fan-out.
 func (m *Model) generateRange(lo, hi, maxDecoders int, opts GenOpts) ([]trace.Stream, error) {
+	if opts.DraftTokens < 0 {
+		return nil, fmt.Errorf("cptgpt: DraftTokens must be ≥ 0, got %d", opts.DraftTokens)
+	}
+	if lo == hi {
+		return nil, nil
+	}
 	if opts.Temperature <= 0 {
 		opts.Temperature = 1
 	}

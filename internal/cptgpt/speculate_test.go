@@ -3,6 +3,7 @@ package cptgpt
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cptgpt/internal/events"
@@ -301,6 +302,21 @@ func TestSpeculativeStatsCounters(t *testing.T) {
 	}
 	if plain.DraftProposed != 0 || plain.DraftAccepted != 0 {
 		t.Fatalf("plain decode recorded draft counters: %+v", plain)
+	}
+}
+
+// TestNegativeDraftTokensRejected: a negative speculation depth is an error
+// from both entry points, not a silent fall back to DefaultDraftTokens.
+func TestNegativeDraftTokensRejected(t *testing.T) {
+	m, _ := specTestModel(t)
+	for _, spec := range []bool{true, false} {
+		opts := GenOpts{NumStreams: 4, Device: events.Phone, Seed: 3, Speculative: spec, DraftTokens: -1}
+		if _, err := m.Generate(opts); err == nil || !strings.Contains(err.Error(), "DraftTokens") {
+			t.Fatalf("Generate(Speculative: %v, DraftTokens: -1) err = %v, want a DraftTokens error", spec, err)
+		}
+		if _, err := m.GenerateRange(0, 4, opts); err == nil || !strings.Contains(err.Error(), "DraftTokens") {
+			t.Fatalf("GenerateRange(Speculative: %v, DraftTokens: -1) err = %v, want a DraftTokens error", spec, err)
+		}
 	}
 }
 

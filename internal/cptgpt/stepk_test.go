@@ -182,6 +182,31 @@ func TestTruncateSlot(t *testing.T) {
 			kd.TruncateSlot(0, bad)
 		}()
 	}
+
+	// Stepping a slot past MaxLen must panic at either precision, and after
+	// ResetSlot the slot must decode exactly like a fresh decoder.
+	for _, prec := range []Precision{F64, F32} {
+		pd := m.NewBatchDecoder(1, prec)
+		for i := 0; i < m.Cfg.MaxLen; i++ {
+			pd.Step([]int{0}, chain[:dim])
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: step %d with MaxLen %d did not panic", prec, m.Cfg.MaxLen+1, m.Cfg.MaxLen)
+				}
+			}()
+			pd.Step([]int{0}, chain[:dim])
+		}()
+		pd.ResetSlot(0)
+		fresh := m.NewBatchDecoder(1, prec)
+		for r := 0; r < len(chain)/dim; r++ {
+			tok := chain[r*dim : (r+1)*dim]
+			if !sameStepOut(pd.Step([]int{0}, tok)[0], fresh.Step([]int{0}, tok)[0]) {
+				t.Fatalf("%s: reset slot row %d differs from a fresh decoder", prec, r)
+			}
+		}
+	}
 }
 
 // TestBatchDecoderStatsRace reads Stats concurrently with stepping — the

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment is a function from a Lab — a cache of
 // ground-truth traces and trained generators — to a Report carrying one or
-// more rendered tables. The per-experiment index lives in DESIGN.md §4;
-// EXPERIMENTS.md records paper-vs-measured values.
+// more rendered tables. All is the per-experiment index. No committed file
+// records paper-vs-measured values yet; that is an open ROADMAP.md item.
 //
 // Experiments are deterministic for a fixed Scale and seed, and all heavy
 // artifacts (datasets, trained models, timing runs) are built lazily and

@@ -19,7 +19,7 @@ func (t *Table) AddRow(cells ...string) {
 }
 
 // String renders the table in aligned monospace, suitable for terminals and
-// EXPERIMENTS.md code blocks.
+// Markdown code blocks.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {

@@ -1,6 +1,7 @@
 // Package synthetic generates the ground-truth control-plane workload that
 // stands in for the paper's proprietary carrier trace (73M events from 430K
-// UEs). See DESIGN.md §2 for the substitution rationale.
+// UEs). See docs/ARCHITECTURE.md, "What stands in for the paper's
+// substrate", for the rationale.
 //
 // The generator is a behavioural simulator, not a Markov model: each UE
 // draws latent per-UE factors (activity level, mobility, session-length

@@ -1,8 +1,9 @@
 // Package tensor implements a compact reverse-mode automatic
 // differentiation engine over dense row-major float64 matrices. It is the
-// substitute for the paper's PyTorch substrate (see DESIGN.md §2): the
-// transformer, the GAN/LSTM baseline and every training loop in this
-// repository are built on the primitives here.
+// substitute for the paper's PyTorch substrate (see docs/ARCHITECTURE.md,
+// "What stands in for the paper's substrate"): the transformer, the
+// GAN/LSTM baseline and every training loop in this repository are built on
+// the primitives here.
 //
 // The engine follows the familiar tape design: each operation returns a new
 // Tensor holding its value, links to its parents, and a closure that folds
