@@ -1,8 +1,12 @@
 package synthetic
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cptgpt/internal/events"
@@ -276,5 +280,94 @@ func TestGenerateRangeMatchesFull(t *testing.T) {
 	}
 	if _, err := GenerateRange(cfg, 0, total+1); err == nil {
 		t.Fatal("out-of-bounds range must error")
+	}
+}
+
+// streamsDigest hashes a generated population: identities, devices, event
+// types and the exact bits of every timestamp (smm's pinned-test shape).
+func streamsDigest(streams []trace.Stream) string {
+	h := sha256.New()
+	var b [8]byte
+	for i := range streams {
+		s := &streams[i]
+		fmt.Fprintf(h, "%s/%s/%d;", s.UEID, s.Device, len(s.Events))
+		for _, e := range s.Events {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(e.Time))
+			h.Write(b[:])
+			fmt.Fprintf(h, "%s;", e.Type)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+}
+
+func countEvents(streams []trace.Stream) int {
+	n := 0
+	for i := range streams {
+		n += len(streams[i].Events)
+	}
+	return n
+}
+
+// TestGeneratePinned pins GenerateRange's exact output — 4G and 5G, two
+// seeds, all three devices, a horizon that crosses midnight — at worker
+// degrees 1 and 2, plus one range whose per-device indices pass 999,999 so
+// the UE id's zero padding runs out. The sampler's math (exp, log, the
+// diurnal cosines) may be fused into FMAs on other architectures, so the
+// pins are checked on amd64, where they were recorded.
+func TestGeneratePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64")
+	}
+	for _, c := range []struct {
+		gen  events.Generation
+		seed uint64
+		want string
+	}{
+		{events.Gen4G, 3, "7e88c94955a42014e2f86cd7"}, // 2456 events
+		{events.Gen4G, 4, "78eb69d44056de0dd8100dc4"}, // 3008 events
+		{events.Gen5G, 3, "2671e44009d4ec4b8970e0a1"}, // 1961 events
+		{events.Gen5G, 4, "4568e40ab317d517ce224207"}, // 2415 events
+	} {
+		cfg := Config{
+			Generation: c.gen,
+			Seed:       c.seed,
+			UEs: map[events.DeviceType]int{
+				events.Phone:        40,
+				events.ConnectedCar: 30,
+				events.Tablet:       25,
+			},
+			Hours:     3,
+			StartHour: 22,
+		}
+		for _, par := range []int{1, 2} {
+			prev := tensor.SetParallelism(par)
+			streams, err := GenerateRange(cfg, 0, TotalUEs(cfg))
+			tensor.SetParallelism(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := streamsDigest(streams); got != c.want {
+				t.Errorf("%s seed=%d degree=%d: output (%d events) has digest %s, want %s",
+					c.gen, c.seed, par, countEvents(streams), got, c.want)
+			}
+		}
+	}
+
+	cfg := Config{
+		Generation: events.Gen4G,
+		Seed:       5,
+		UEs:        map[events.DeviceType]int{events.Phone: 1_000_003},
+		Hours:      1,
+		StartHour:  8,
+	}
+	streams, err := GenerateRange(cfg, 999_997, 1_000_003)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, last := streams[0].UEID, streams[len(streams)-1].UEID; first != "phone-999997" || last != "phone-1000002" {
+		t.Errorf("UE ids %s … %s, want phone-999997 … phone-1000002", first, last)
+	}
+	if got, want := streamsDigest(streams), "fcad1b8abc4ae848c95ee8e3"; got != want { // 72 events
+		t.Errorf("indices past 999,999: output (%d events) has digest %s, want %s", countEvents(streams), got, want)
 	}
 }
