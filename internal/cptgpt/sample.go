@@ -125,7 +125,7 @@ func streamSeed(seed uint64, i int) uint64 {
 // per-seed determinism contracts are exactly "same draws in the same
 // order", so this helper is the only place that order may be defined.
 func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Categorical, vocab []events.Type, rng *rand.Rand) (evIdx int, start float64) {
-	s.UEID = fmt.Sprintf("gen-%s-%06d", opts.Device, globalIdx)
+	s.UEID = trace.UEID("gen-", opts.Device, globalIdx)
 	s.Device = opts.Device
 	evIdx = init.Sample(rng)
 	if opts.StartWindow > 0 {

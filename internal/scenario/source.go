@@ -134,9 +134,9 @@ func (src *SourceSpec) parse(spec *Spec, gen events.Generation, seed uint64, n i
 		if err != nil {
 			return nil, err
 		}
-		return func(RunOpts, int) (ChunkFunc, error) {
+		return func(_ RunOpts, stepFanout int) (ChunkFunc, error) {
 			return func(lo, hi int) ([]trace.Stream, error) {
-				return synthetic.GenerateRange(cfg, lo, hi)
+				return synthetic.GenerateRange(cfg, lo, hi, stepFanout)
 			}, nil
 		}, nil
 	case "cptgpt":

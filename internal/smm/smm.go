@@ -340,7 +340,7 @@ func (m *Model) sampleStream(i int, opts GenOpts, pick *stats.Categorical, machi
 	rng := stats.NewRand(m.Cfg.Seed ^ opts.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 	c := &m.clusters[pick.Sample(rng)]
 	s := trace.Stream{
-		UEID:   fmt.Sprintf("smm-%s-%06d", opts.Device, i),
+		UEID:   trace.UEID("smm-", opts.Device, i),
 		Device: opts.Device,
 	}
 	ic := c.initChoices[c.init.Sample(rng)]

@@ -246,5 +246,13 @@ func (c *Categorical) K() int { return len(c.cum) }
 // NewRand returns a deterministic *rand.Rand seeded from two words, the
 // project-wide convention for reproducible experiments.
 func NewRand(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
+	return rand.New(rand.NewPCG(seed, seed^pcgSeedMask))
 }
+
+// Reseed puts p in the state NewRand(seed)'s generator starts from, so a
+// loop that seeds one RNG per item can reuse one generator instead of
+// allocating one per item.
+func Reseed(p *rand.PCG, seed uint64) { p.Seed(seed, seed^pcgSeedMask) }
+
+// pcgSeedMask derives a PCG's second seed word from its first.
+const pcgSeedMask = 0x9e3779b97f4a7c15

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -281,6 +282,21 @@ func TestNewRandDeterministic(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Float64() != b.Float64() {
 			t.Fatal("same seed must give same sequence")
+		}
+	}
+}
+
+// A reseeded generator draws exactly what a fresh NewRand does.
+func TestReseedMatchesNewRand(t *testing.T) {
+	var pcg rand.PCG
+	rng := rand.New(&pcg)
+	for _, seed := range []uint64{0, 1, 0x9e3779b97f4a7c15, 1<<64 - 1} {
+		Reseed(&pcg, seed)
+		fresh := NewRand(seed)
+		for i := 0; i < 8; i++ {
+			if a, b := rng.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("seed %#x draw %d: reseeded %#x, NewRand %#x", seed, i, a, b)
+			}
 		}
 	}
 }

@@ -13,13 +13,18 @@
 // which is exactly why the paper's SMM-1 baseline underfits while the
 // clustered SMM and the transformer do not — the same ordering the paper
 // reports on the real trace.
+//
+// GenerateRange runs one chunk of the population at the degree its caller
+// passes: a caller that already runs chunks in parallel (the scenario
+// engine's chunk workers) passes each chunk its share of the cores, so the
+// sampler never fans out under a fan-out.
 package synthetic
 
 import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/stats"
@@ -107,6 +112,10 @@ type profile struct {
 	boutDormantFactor float64
 	boutLen           float64
 	dormantLen        float64
+	// boutExp / dormantExp are exp(−(boutLen−1)) and exp(−(dormantLen−1)),
+	// the Knuth bounds of phaseLen's two Poisson draws.
+	boutExp    float64
+	dormantExp float64
 	// diurnal is the activity multiplier per hour-of-day (larger = more
 	// active = shorter idle gaps).
 	diurnal [24]float64
@@ -120,16 +129,20 @@ func mustMixture(weights []float64, comps []stats.Sampler) stats.Mixture {
 	return m
 }
 
-// profiles returns the per-device behaviour table. Numbers are chosen so
+// profileTable is the per-device behaviour table, indexed by device, built
+// once per process.
+var profileTable = profiles()
+
+// profiles builds the per-device behaviour table. Numbers are chosen so
 // the emergent statistics track the paper's real-trace shape: SRV_REQ and
 // S1_CONN_REL each ≈44–48% of events, connected cars with ~3× the HO/TAU
 // share of phones, connected sojourns mostly 5–50 s, idle gaps 10–1000 s
 // heavy-tailed, and tablets sparser than phones.
-func profiles() map[events.DeviceType]profile {
+func profiles() [events.NumDeviceTypes]profile {
 	phoneDiurnal := diurnalCurve(0.35, 9, 21, 1.0)
 	carDiurnal := diurnalCurve(0.15, 8, 18, 1.1)
 	tabletDiurnal := diurnalCurve(0.25, 17, 23, 0.9)
-	return map[events.DeviceType]profile{
+	table := [events.NumDeviceTypes]profile{
 		events.Phone: {
 			connMix: mustMixture(
 				[]float64{0.65, 0.30, 0.05},
@@ -213,6 +226,19 @@ func profiles() map[events.DeviceType]profile {
 			diurnal:           tabletDiurnal,
 		},
 	}
+	for i := range table {
+		p := &table[i]
+		// phaseLen draws straight from the Knuth loop, which is poisson's
+		// branch only for means in (0, 30].
+		for _, n := range []float64{p.boutLen, p.dormantLen} {
+			if !(n > 1 && n <= 31) {
+				panic(fmt.Sprintf("synthetic: phase length %v outside (1, 31]", n))
+			}
+		}
+		p.boutExp = math.Exp(-(p.boutLen - 1))
+		p.dormantExp = math.Exp(-(p.dormantLen - 1))
+	}
+	return table
 }
 
 // diurnalCurve builds a 24-hour activity multiplier: a raised-cosine bump
@@ -263,13 +289,14 @@ func TotalUEs(cfg Config) int {
 }
 
 // deviceOfIndex maps a global UE index (device-major canonical order) to
-// its device type and per-device index.
-func deviceOfIndex(cfg Config, idx int) (events.DeviceType, int) {
-	for _, dev := range events.DeviceTypes() {
-		if idx < cfg.UEs[dev] {
-			return dev, idx
+// its device type and per-device index; counts holds the population per
+// device.
+func deviceOfIndex(counts *[events.NumDeviceTypes]int, idx int) (events.DeviceType, int) {
+	for dev, n := range counts {
+		if idx < n {
+			return events.DeviceType(dev), idx
 		}
-		idx -= cfg.UEs[dev]
+		idx -= n
 	}
 	panic("synthetic: UE index out of range")
 }
@@ -282,11 +309,11 @@ const simWorkPerUE = 1 << 20
 // time-ordered and semantically valid with respect to the generation's
 // hierarchical state machine.
 //
-// UE simulation fans out across the tensor worker pool; because every UE
-// consumes only its own index-seeded RNG, the output is bit-identical to
-// the serial loop at any parallelism degree.
+// UE simulation fans out across the tensor worker pool at the global
+// degree; because every UE consumes only its own index-seeded RNG, the
+// output is bit-identical to the serial loop at any parallelism degree.
 func Generate(cfg Config) (*trace.Dataset, error) {
-	streams, err := GenerateRange(cfg, 0, TotalUEs(cfg))
+	streams, err := GenerateRange(cfg, 0, TotalUEs(cfg), tensor.Parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -306,65 +333,83 @@ func Generate(cfg Config) (*trace.Dataset, error) {
 // its own index-seeded RNG, so the concatenation of arbitrary chunk
 // emissions is bit-identical to one full run: the streaming scenario engine
 // leans on exactly this to synthesize million-UE populations in
-// O(chunk)-memory.
-func GenerateRange(cfg Config, lo, hi int) ([]trace.Stream, error) {
+// O(chunk)-memory. The UEs are split over at most p workers of the tensor
+// pool (p ≤ 1 runs them on the calling goroutine); p never changes a bit.
+func GenerateRange(cfg Config, lo, hi, p int) ([]trace.Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if total := TotalUEs(cfg); lo < 0 || hi < lo || hi > total {
 		return nil, fmt.Errorf("synthetic: UE range [%d,%d) outside [0,%d)", lo, hi, total)
 	}
-	profs := profiles()
-	horizon := 3600 * float64(cfg.Hours)
+	var counts [events.NumDeviceTypes]int
+	for dev := range counts {
+		counts[dev] = cfg.UEs[events.DeviceType(dev)]
+	}
 	streams := make([]trace.Stream, hi-lo)
-	tensor.ParallelFor(hi-lo, simWorkPerUE, func(jlo, jhi int) {
+	tensor.ParallelForN(p, hi-lo, simWorkPerUE, func(jlo, jhi int) {
+		var sim ueSim
+		sim.rng = rand.New(&sim.pcg)
 		for j := jlo; j < jhi; j++ {
-			dev, i := deviceOfIndex(cfg, lo+j)
-			p := profs[dev]
-			// Derive a per-UE seed so UE streams are independent of
-			// population sizes of other device types.
-			rng := stats.NewRand(cfg.Seed ^ (uint64(dev)+1)<<32 ^ uint64(i)*0x9e3779b97f4a7c15)
-			lat := ueLatent{
-				activity: math.Exp(p.activitySigma * rng.NormFloat64()),
-				mobility: math.Exp(p.mobilitySigma * rng.NormFloat64()),
-				connScal: math.Exp(0.4 * rng.NormFloat64()),
-			}
-			streams[j] = simulateUE(cfg, p, lat, dev, i, horizon, rng)
+			dev, i := deviceOfIndex(&counts, lo+j)
+			streams[j] = sim.run(cfg, dev, i)
 		}
 	})
 	return streams, nil
 }
 
-// simulateUE walks one UE through the state machine over [0, horizon).
-func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx int, horizon float64, rng *rand.Rand) trace.Stream {
-	s := trace.Stream{
-		UEID:   fmt.Sprintf("%s-%06d", dev, idx),
-		Device: dev,
+// ueSim is one worker's simulation state, reused from UE to UE: the RNG is
+// reseeded per UE, and a UE's events and handover times are drawn into
+// scratch that only its exact-size output copy leaves.
+type ueSim struct {
+	pcg    rand.PCG
+	rng    *rand.Rand
+	events []trace.Event
+	hoTime []float64
+}
+
+// run simulates UE idx of device dev over the horizon.
+func (sim *ueSim) run(cfg Config, dev events.DeviceType, idx int) trace.Stream {
+	p := &profileTable[dev]
+	// Derive a per-UE seed so UE streams are independent of population
+	// sizes of other device types.
+	stats.Reseed(&sim.pcg, cfg.Seed^(uint64(dev)+1)<<32^uint64(idx)*0x9e3779b97f4a7c15)
+	rng := sim.rng
+	lat := ueLatent{
+		activity: math.Exp(p.activitySigma * rng.NormFloat64()),
+		mobility: math.Exp(p.mobilitySigma * rng.NormFloat64()),
+		connScal: math.Exp(0.4 * rng.NormFloat64()),
 	}
+	s := trace.Stream{UEID: trace.UEID("", dev, idx), Device: dev}
+	sim.events = sim.simulate(cfg, p, lat, 3600*float64(cfg.Hours), sim.events[:0])
+	if len(sim.events) > 0 {
+		s.Events = make([]trace.Event, len(sim.events))
+		copy(s.Events, sim.events)
+		s.SortByTime()
+	}
+	return s
+}
+
+// simulate walks one UE through the state machine over [0, horizon),
+// appending its events to evs in emission order.
+func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64, evs []trace.Event) []trace.Event {
+	rng := sim.rng
 	is5G := cfg.Generation == events.Gen5G
-	emit := func(t float64, e events.Type) {
-		s.Events = append(s.Events, trace.Event{Time: t, Type: e})
-	}
 
 	// Bout/dormant modulation: a session-count-driven phase process.
 	inBout := rng.Float64() < p.boutLen/(p.boutLen+p.dormantLen)
 	sessionsLeft := phaseLen(rng, p, inBout)
 
-	diurnalAt := func(t float64) float64 {
-		h := (cfg.StartHour + int(t/3600)) % 24
-		return p.diurnal[h]
-	}
-
 	// UEs start detached and attach after a short initial stagger so the
 	// trace does not begin with a synchronized attach storm.
 	t := rng.Float64() * 120 * (1 / math.Max(lat.activity, 0.05))
 	if t >= horizon {
-		return s
+		return evs
 	}
 	if is5G {
-		emit(t, events.Register)
+		evs = append(evs, trace.Event{Time: t, Type: events.Register})
 	} else {
-		emit(t, events.Attach)
+		evs = append(evs, trace.Event{Time: t, Type: events.Attach})
 	}
 
 	connected := true // attach established a signaling connection
@@ -378,20 +423,21 @@ func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx 
 			end := t + dur
 			// Handovers within the visit: Poisson thinning over the visit.
 			nHO := poisson(rng, p.hoRate*lat.mobility*dur)
-			hoTimes := make([]float64, 0, nHO)
+			hoTimes := sim.hoTime[:0]
 			for k := 0; k < nHO; k++ {
 				hoTimes = append(hoTimes, t+rng.Float64()*dur)
 			}
-			sort.Float64s(hoTimes)
+			slices.Sort(hoTimes)
+			sim.hoTime = hoTimes
 			for _, ht := range hoTimes {
 				if ht >= horizon {
 					break
 				}
-				emit(ht, events.Handover)
+				evs = append(evs, trace.Event{Time: ht, Type: events.Handover})
 				if !is5G && rng.Float64() < p.tauAfterHo {
 					tt := ht + 0.3 + rng.Float64()*1.5
 					if tt < end && tt < horizon {
-						emit(tt, events.TAU)
+						evs = append(evs, trace.Event{Time: tt, Type: events.TAU})
 					}
 				}
 			}
@@ -400,9 +446,9 @@ func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx 
 			}
 			t = end
 			if is5G {
-				emit(t, events.ANRel)
+				evs = append(evs, trace.Event{Time: t, Type: events.ANRel})
 			} else {
-				emit(t, events.S1ConnRel)
+				evs = append(evs, trace.Event{Time: t, Type: events.S1ConnRel})
 			}
 			connected = false
 			sessionsLeft--
@@ -415,7 +461,8 @@ func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx 
 
 		// Idle gap: base mixture over activity and diurnal modulation;
 		// dormant phases stretch the gap.
-		gap := p.idleMix.Sample(rng) / math.Max(lat.activity*diurnalAt(t), 0.02)
+		diurnal := p.diurnal[(cfg.StartHour+int(t/3600))%24]
+		gap := p.idleMix.Sample(rng) / math.Max(lat.activity*diurnal, 0.02)
 		if !inBout {
 			gap *= p.boutDormantFactor
 		}
@@ -430,9 +477,9 @@ func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx 
 				break
 			}
 			if is5G {
-				emit(dt, events.Deregister)
+				evs = append(evs, trace.Event{Time: dt, Type: events.Deregister})
 			} else {
-				emit(dt, events.Detach)
+				evs = append(evs, trace.Event{Time: dt, Type: events.Detach})
 			}
 			off := p.offMean * (0.3 + rng.ExpFloat64())
 			rt := dt + off
@@ -440,9 +487,9 @@ func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx 
 				break
 			}
 			if is5G {
-				emit(rt, events.Register)
+				evs = append(evs, trace.Event{Time: rt, Type: events.Register})
 			} else {
-				emit(rt, events.Attach)
+				evs = append(evs, trace.Event{Time: rt, Type: events.Attach})
 			}
 			t = rt
 			connected = true
@@ -453,7 +500,7 @@ func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx 
 		if !is5G {
 			next := t + p.idleTauPeriod*(0.8+0.4*rng.Float64())
 			for next < t+gap && next < horizon {
-				emit(next, events.TAU)
+				evs = append(evs, trace.Event{Time: next, Type: events.TAU})
 				next += p.idleTauPeriod * (0.8 + 0.4*rng.Float64())
 			}
 		}
@@ -461,23 +508,27 @@ func simulateUE(cfg Config, p profile, lat ueLatent, dev events.DeviceType, idx 
 		if t >= horizon {
 			break
 		}
-		emit(t, events.ServiceRequest)
+		evs = append(evs, trace.Event{Time: t, Type: events.ServiceRequest})
 		connected = true
 	}
-
-	s.SortByTime()
-	return s
+	return evs
 }
 
-// phaseLen draws the number of sessions in the next bout/dormant phase.
-func phaseLen(rng *rand.Rand, p profile, inBout bool) int {
-	mean := p.dormantLen
+// phaseLen draws the number of sessions in the next bout/dormant phase:
+// 1 + Poisson(mean−1) for the phase's mean session count, with the Knuth
+// bound precomputed in the profile.
+func phaseLen(rng *rand.Rand, p *profile, inBout bool) int {
+	l := p.dormantExp
 	if inBout {
-		mean = p.boutLen
+		l = p.boutExp
 	}
-	n := 1 + poisson(rng, mean-1)
-	return n
+	return 1 + knuth(rng, rng.Float64(), l)
 }
+
+// poissonEps is the margin poisson's zero shortcut keeps below 1 − mean.
+// It dwarfs both the rounding of 1 − mean and math.Exp's last-ulp error,
+// so a uniform below 1 − mean − poissonEps is below math.Exp(−mean) too.
+const poissonEps = 0x1p-40
 
 // poisson draws a Poisson variate with the given mean (Knuth's method for
 // small means, normal approximation above 30).
@@ -492,14 +543,22 @@ func poisson(rng *rand.Rand, mean float64) int {
 		}
 		return v
 	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
+	u := rng.Float64()
+	if u < 1-mean-poissonEps {
+		// exp(−mean) ≥ 1 − mean, so Knuth's first test returns 0; small
+		// means (the handover draws') skip math.Exp almost every time.
+		return 0
 	}
+	return knuth(rng, u, math.Exp(-mean))
+}
+
+// knuth finishes Knuth's Poisson draw with bound l = exp(−mean) from the
+// first uniform u: it counts further uniforms multiplied into the running
+// product until the product falls to l or below.
+func knuth(rng *rand.Rand, u, l float64) int {
+	k := 0
+	for p := u; p > l; k++ {
+		p *= rng.Float64()
+	}
+	return k
 }

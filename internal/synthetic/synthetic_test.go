@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"testing"
@@ -254,7 +255,7 @@ func TestGenerateRangeMatchesFull(t *testing.T) {
 	if total != 130 {
 		t.Fatalf("TotalUEs = %d, want 130", total)
 	}
-	full, err := GenerateRange(cfg, 0, total)
+	full, err := GenerateRange(cfg, 0, total, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestGenerateRangeMatchesFull(t *testing.T) {
 			if hi > total {
 				hi = total
 			}
-			part, err := GenerateRange(cfg, lo, hi)
+			part, err := GenerateRange(cfg, lo, hi, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,10 +276,10 @@ func TestGenerateRangeMatchesFull(t *testing.T) {
 			t.Fatalf("chunk size %d diverged from full run", chunk)
 		}
 	}
-	if _, err := GenerateRange(cfg, 5, 3); err == nil {
+	if _, err := GenerateRange(cfg, 5, 3, 1); err == nil {
 		t.Fatal("inverted range must error")
 	}
-	if _, err := GenerateRange(cfg, 0, total+1); err == nil {
+	if _, err := GenerateRange(cfg, 0, total+1, 1); err == nil {
 		t.Fatal("out-of-bounds range must error")
 	}
 }
@@ -340,9 +341,7 @@ func TestGeneratePinned(t *testing.T) {
 			StartHour: 22,
 		}
 		for _, par := range []int{1, 2} {
-			prev := tensor.SetParallelism(par)
-			streams, err := GenerateRange(cfg, 0, TotalUEs(cfg))
-			tensor.SetParallelism(prev)
+			streams, err := GenerateRange(cfg, 0, TotalUEs(cfg), par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +359,7 @@ func TestGeneratePinned(t *testing.T) {
 		Hours:      1,
 		StartHour:  8,
 	}
-	streams, err := GenerateRange(cfg, 999_997, 1_000_003)
+	streams, err := GenerateRange(cfg, 999_997, 1_000_003, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,4 +369,80 @@ func TestGeneratePinned(t *testing.T) {
 	if got, want := streamsDigest(streams), "fcad1b8abc4ae848c95ee8e3"; got != want { // 72 events
 		t.Errorf("indices past 999,999: output (%d events) has digest %s, want %s", countEvents(streams), got, want)
 	}
+}
+
+// firstDraw is a rand.Source whose first draw makes Float64 return the
+// uniform whose 53 bits it holds, and whose every later draw makes it
+// return 0.
+type firstDraw struct {
+	bits uint64
+	used bool
+}
+
+func (s *firstDraw) Uint64() uint64 {
+	if s.used {
+		return 0
+	}
+	s.used = true
+	return s.bits
+}
+
+// FuzzPoissonZeroShortcut checks poisson's zero shortcut for any mean in
+// (0, 30] and first uniform u in [0, 1): whenever it fires, u ≤
+// math.Exp(−mean), and poisson returns 0 exactly when u ≤ math.Exp(−mean)
+// — Knuth's first test, which the unshortened draw makes.
+func FuzzPoissonZeroShortcut(f *testing.F) {
+	for _, mean := range []float64{0.07, 0.5, 1e-3, 1e-9, 2.5, 30} {
+		for _, u := range []float64{1 - mean, 1 - mean - poissonEps} {
+			f.Add(mean, math.Nextafter(u, 0))
+			f.Add(mean, u)
+			f.Add(mean, math.Nextafter(u, 1))
+		}
+	}
+	for _, mean := range []float64{1e-300, 1e-17} {
+		for _, u := range []float64{0, 0.5, 1 - 0x1p-40, 1 - 0x1p-41, 1 - 0x1p-53} {
+			f.Add(mean, u)
+		}
+	}
+	for _, mean := range []float64{1, math.Nextafter(1, 0), math.Nextafter(1, 2), 0.999999} {
+		for _, u := range []float64{0, 0x1p-53, math.Exp(-mean), math.Nextafter(math.Exp(-mean), 1)} {
+			f.Add(mean, u)
+		}
+	}
+	f.Fuzz(func(t *testing.T, mean, u float64) {
+		if !(mean > 0 && mean <= 30) || !(u >= 0 && u < 1) {
+			t.Skip()
+		}
+		// Float64 yields multiples of 2⁻⁵³: take u down to that grid.
+		bits := uint64(u * (1 << 53))
+		u = float64(bits) / (1 << 53)
+		l := math.Exp(-mean)
+		if u < 1-mean-poissonEps && !(u <= l) {
+			t.Fatalf("mean %v: shortcut fired at u %v above exp(-mean) %v", mean, u, l)
+		}
+		got := poisson(rand.New(&firstDraw{bits: bits}), mean)
+		if (got == 0) != (u <= l) {
+			t.Fatalf("mean %v, u %v, exp(-mean) %v: poisson drew %d", mean, u, l, got)
+		}
+	})
+}
+
+// BenchmarkGenerateRange times the sampler alone on one core: 2,650 UEs
+// of all three devices over two hours, reported per UE.
+func BenchmarkGenerateRange(b *testing.B) {
+	cfg := Config{
+		Generation: events.Gen4G,
+		Seed:       1,
+		UEs:        map[events.DeviceType]int{events.Phone: 1500, events.ConnectedCar: 650, events.Tablet: 500},
+		Hours:      2,
+		StartHour:  10,
+	}
+	n := TotalUEs(cfg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateRange(cfg, 0, n, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/ue")
 }

@@ -224,12 +224,13 @@ func (h *Histogram) writePrometheus(w io.Writer, name, sig string) error {
 // creating it on first use. Re-registering the same series returns the same
 // *Histogram (the scheme argument is ignored on the second call).
 func (r *Registry) Histogram(name, help string, b Buckets, labels ...Label) *Histogram {
-	s := r.register(name, help, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s.hist == nil {
-		s.hist = NewHistogram(b)
-		s.fn = nil
-	}
-	return s.hist
+	var h *Histogram
+	r.register(name, help, kindHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			s.hist = NewHistogram(b)
+			s.fn = nil
+		}
+		h = s.hist
+	})
+	return h
 }

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"io"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -157,4 +159,32 @@ func TestInvalidNamesPanic(t *testing.T) {
 	mustPanic("bad label name", func() { r.Counter("ok_total", "h", L("bad key", "v")) })
 	r.Counter("kind_clash", "h")
 	mustPanic("kind clash", func() { r.Gauge("kind_clash", "h") })
+}
+
+// A render racing registrations sees each new series either not yet or
+// with its value source set, never in between.
+func TestRenderDuringRegistration(t *testing.T) {
+	r := NewRegistry()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3000; i++ {
+			lbl := L("run", strconv.Itoa(i))
+			r.CounterFunc("race_events_total", "h", func() int64 { return 1 }, lbl)
+			r.GaugeFunc("race_lag_seconds", "h", func() float64 { return 1 }, lbl)
+			r.Counter("race_plain_total", "h", lbl)
+			r.Drop("run", strconv.Itoa(i-8))
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		r.Snapshot()
+	}
 }

@@ -8,7 +8,8 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"cptgpt/internal/events"
 )
@@ -25,6 +26,20 @@ type Stream struct {
 	UEID   string            `json:"ue_id"`
 	Device events.DeviceType `json:"device_type"`
 	Events []Event           `json:"events"`
+}
+
+// UEID returns the id the generators give stream idx (≥ 0) of device dev:
+// prefix, the device name, '-', and idx zero-padded to six digits — the
+// bytes of fmt.Sprintf("%s%s-%06d", prefix, dev, idx), built by appends.
+func UEID(prefix string, dev events.DeviceType, idx int) string {
+	var b [48]byte
+	id := append(b[:0], prefix...)
+	id = append(id, dev.String()...)
+	id = append(id, '-')
+	for w := 100000; w > 1 && idx < w; w /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendInt(id, int64(idx), 10))
 }
 
 // Len returns the number of events (the stream's flow length).
@@ -71,9 +86,17 @@ func (s *Stream) CountType(t events.Type) int {
 }
 
 // SortByTime orders the stream's events by ascending timestamp (stable).
+// The comparator is Time's < made three-way, so times that compare
+// neither way (NaN) stay where the stable sort leaves them.
 func (s *Stream) SortByTime() {
-	sort.SliceStable(s.Events, func(i, j int) bool {
-		return s.Events[i].Time < s.Events[j].Time
+	slices.SortStableFunc(s.Events, func(a, b Event) int {
+		switch {
+		case a.Time < b.Time:
+			return -1
+		case b.Time < a.Time:
+			return 1
+		}
+		return 0
 	})
 }
 

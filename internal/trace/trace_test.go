@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -303,6 +305,45 @@ func TestSortByTimeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Events with equal timestamps keep their relative order.
+func TestSortByTimeStable(t *testing.T) {
+	s := Stream{Events: []Event{
+		{Time: 2, Type: events.ServiceRequest},
+		{Time: 1, Type: events.Attach},
+		{Time: 2, Type: events.Handover},
+		{Time: 1, Type: events.TAU},
+		{Time: 2, Type: events.S1ConnRel},
+		{Time: 0, Type: events.Detach},
+	}}
+	s.SortByTime()
+	want := []Event{
+		{Time: 0, Type: events.Detach},
+		{Time: 1, Type: events.Attach},
+		{Time: 1, Type: events.TAU},
+		{Time: 2, Type: events.ServiceRequest},
+		{Time: 2, Type: events.Handover},
+		{Time: 2, Type: events.S1ConnRel},
+	}
+	if !slices.Equal(s.Events, want) {
+		t.Fatalf("sorted %v, want %v", s.Events, want)
+	}
+}
+
+// UEID builds the bytes of the fmt verb the generators used to format ids
+// with, for every device, with and without a prefix, on both sides of the
+// six-digit padding.
+func TestUEIDMatchesSprintf(t *testing.T) {
+	for _, dev := range append(events.DeviceTypes(), events.DeviceType(events.NumDeviceTypes)) {
+		for _, prefix := range []string{"", "gen-", "smm-"} {
+			for _, idx := range []int{0, 7, 99_999, 999_999, 1_000_000, 12_345_678} {
+				if got, want := UEID(prefix, dev, idx), fmt.Sprintf("%s%s-%06d", prefix, dev, idx); got != want {
+					t.Errorf("UEID(%q, %v, %d) = %q, want %q", prefix, dev, idx, got, want)
+				}
+			}
+		}
 	}
 }
 
