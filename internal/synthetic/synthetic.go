@@ -395,6 +395,9 @@ func (sim *ueSim) run(cfg Config, dev events.DeviceType, idx int) trace.Stream {
 func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64, evs []trace.Event) []trace.Event {
 	rng := sim.rng
 	is5G := cfg.Generation == events.Gen5G
+	emit := func(t float64, e events.Type) {
+		evs = append(evs, trace.Event{Time: t, Type: e})
+	}
 
 	// Bout/dormant modulation: a session-count-driven phase process.
 	inBout := rng.Float64() < p.boutLen/(p.boutLen+p.dormantLen)
@@ -407,9 +410,9 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 		return evs
 	}
 	if is5G {
-		evs = append(evs, trace.Event{Time: t, Type: events.Register})
+		emit(t, events.Register)
 	} else {
-		evs = append(evs, trace.Event{Time: t, Type: events.Attach})
+		emit(t, events.Attach)
 	}
 
 	connected := true // attach established a signaling connection
@@ -433,11 +436,11 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 				if ht >= horizon {
 					break
 				}
-				evs = append(evs, trace.Event{Time: ht, Type: events.Handover})
+				emit(ht, events.Handover)
 				if !is5G && rng.Float64() < p.tauAfterHo {
 					tt := ht + 0.3 + rng.Float64()*1.5
 					if tt < end && tt < horizon {
-						evs = append(evs, trace.Event{Time: tt, Type: events.TAU})
+						emit(tt, events.TAU)
 					}
 				}
 			}
@@ -446,9 +449,9 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 			}
 			t = end
 			if is5G {
-				evs = append(evs, trace.Event{Time: t, Type: events.ANRel})
+				emit(t, events.ANRel)
 			} else {
-				evs = append(evs, trace.Event{Time: t, Type: events.S1ConnRel})
+				emit(t, events.S1ConnRel)
 			}
 			connected = false
 			sessionsLeft--
@@ -477,9 +480,9 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 				break
 			}
 			if is5G {
-				evs = append(evs, trace.Event{Time: dt, Type: events.Deregister})
+				emit(dt, events.Deregister)
 			} else {
-				evs = append(evs, trace.Event{Time: dt, Type: events.Detach})
+				emit(dt, events.Detach)
 			}
 			off := p.offMean * (0.3 + rng.ExpFloat64())
 			rt := dt + off
@@ -487,9 +490,9 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 				break
 			}
 			if is5G {
-				evs = append(evs, trace.Event{Time: rt, Type: events.Register})
+				emit(rt, events.Register)
 			} else {
-				evs = append(evs, trace.Event{Time: rt, Type: events.Attach})
+				emit(rt, events.Attach)
 			}
 			t = rt
 			connected = true
@@ -500,7 +503,7 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 		if !is5G {
 			next := t + p.idleTauPeriod*(0.8+0.4*rng.Float64())
 			for next < t+gap && next < horizon {
-				evs = append(evs, trace.Event{Time: next, Type: events.TAU})
+				emit(next, events.TAU)
 				next += p.idleTauPeriod * (0.8 + 0.4*rng.Float64())
 			}
 		}
@@ -508,7 +511,7 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 		if t >= horizon {
 			break
 		}
-		evs = append(evs, trace.Event{Time: t, Type: events.ServiceRequest})
+		emit(t, events.ServiceRequest)
 		connected = true
 	}
 	return evs

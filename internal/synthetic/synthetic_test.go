@@ -440,9 +440,14 @@ func BenchmarkGenerateRange(b *testing.B) {
 	n := TotalUEs(cfg)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := GenerateRange(cfg, 0, n, 1); err != nil {
+		streams, err := GenerateRange(cfg, 0, n, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		benchStreams = streams
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/ue")
 }
+
+// benchStreams keeps the benchmarked output live.
+var benchStreams []trace.Stream

@@ -224,13 +224,12 @@ func (h *Histogram) writePrometheus(w io.Writer, name, sig string) error {
 // creating it on first use. Re-registering the same series returns the same
 // *Histogram (the scheme argument is ignored on the second call).
 func (r *Registry) Histogram(name, help string, b Buckets, labels ...Label) *Histogram {
-	var h *Histogram
-	r.register(name, help, kindHistogram, labels, func(s *series) {
-		if s.hist == nil {
-			s.hist = NewHistogram(b)
-			s.fn = nil
-		}
-		h = s.hist
-	})
-	return h
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.register(name, help, kindHistogram, labels)
+	if s.hist == nil {
+		s.hist = NewHistogram(b)
+		s.fn = nil
+	}
+	return s.hist
 }

@@ -158,11 +158,11 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// register finds (creating if needed) the series for (name, labels) and
-// runs set on it under the same lock, so no render sees a new series
-// before set gives it a value source. It panics on malformed names or a
-// kind clash — both programmer errors.
-func (r *Registry) register(name, help string, k kind, labels []Label, set func(*series)) {
+// register returns (creating if needed) the series for (name, labels),
+// panicking on malformed names or a kind clash — both programmer errors.
+// The caller holds r.mu and gives a new series its value source before
+// releasing it, so no render sees a series without one.
+func (r *Registry) register(name, help string, k kind, labels []Label) *series {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("telemetry: invalid metric name %q", name))
 	}
@@ -172,8 +172,6 @@ func (r *Registry) register(name, help string, k kind, labels []Label, set func(
 		}
 	}
 	sig := labelSig(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	m := r.metrics[name]
 	if m == nil {
 		m = &metric{name: name, help: help, kind: k, series: make(map[string]*series)}
@@ -186,53 +184,53 @@ func (r *Registry) register(name, help string, k kind, labels []Label, set func(
 		s = &series{labelSig: sig}
 		m.series[sig] = s
 	}
-	set(s)
+	return s
 }
 
 // Counter returns the counter for (name, labels), creating it on first use.
 // Re-registering the same series returns the same *Counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	var c *Counter
-	r.register(name, help, kindCounter, labels, func(s *series) {
-		if s.counter == nil {
-			s.counter = &Counter{}
-			s.fn = nil
-		}
-		c = s.counter
-	})
-	return c
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.register(name, help, kindCounter, labels)
+	if s.counter == nil {
+		s.counter = &Counter{}
+		s.fn = nil
+	}
+	return s.counter
 }
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	var g *Gauge
-	r.register(name, help, kindGauge, labels, func(s *series) {
-		if s.gauge == nil {
-			s.gauge = &Gauge{}
-			s.fn = nil
-		}
-		g = s.gauge
-	})
-	return g
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.register(name, help, kindGauge, labels)
+	if s.gauge == nil {
+		s.gauge = &Gauge{}
+		s.fn = nil
+	}
+	return s.gauge
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
 // render time — the bridge for subsystems that already keep their own
 // atomic counters (DecodeStats, mcn.LiveStats). fn must be concurrency-safe.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
-	r.register(name, help, kindCounter, labels, func(s *series) {
-		s.counter, s.gauge = nil, nil
-		s.fn = func() float64 { return float64(fn()) }
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.register(name, help, kindCounter, labels)
+	s.counter, s.gauge = nil, nil
+	s.fn = func() float64 { return float64(fn()) }
 }
 
 // GaugeFunc registers a gauge series whose value is read from fn at render
 // time. fn must be concurrency-safe.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, kindGauge, labels, func(s *series) {
-		s.counter, s.gauge = nil, nil
-		s.fn = fn
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.register(name, help, kindGauge, labels)
+	s.counter, s.gauge = nil, nil
+	s.fn = fn
 }
 
 // Drop removes every series carrying label key=value (and any metric left

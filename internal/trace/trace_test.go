@@ -308,25 +308,22 @@ func TestSortByTimeProperty(t *testing.T) {
 	}
 }
 
-// Events with equal timestamps keep their relative order.
+// Events with equal timestamps keep their relative order: past the
+// insertion-sort cutoff of Go's sorts, so an unstable sort would show.
 func TestSortByTimeStable(t *testing.T) {
-	s := Stream{Events: []Event{
-		{Time: 2, Type: events.ServiceRequest},
-		{Time: 1, Type: events.Attach},
-		{Time: 2, Type: events.Handover},
-		{Time: 1, Type: events.TAU},
-		{Time: 2, Type: events.S1ConnRel},
-		{Time: 0, Type: events.Detach},
-	}}
-	s.SortByTime()
-	want := []Event{
-		{Time: 0, Type: events.Detach},
-		{Time: 1, Type: events.Attach},
-		{Time: 1, Type: events.TAU},
-		{Time: 2, Type: events.ServiceRequest},
-		{Time: 2, Type: events.Handover},
-		{Time: 2, Type: events.S1ConnRel},
+	types := []events.Type{events.Attach, events.ServiceRequest, events.Handover, events.TAU, events.S1ConnRel, events.Detach}
+	var s Stream
+	var want []Event
+	buckets := make([][]Event, 4)
+	for i := 0; i < 96; i++ {
+		e := Event{Time: float64((i * 7) % 4), Type: types[(i/4)%len(types)]}
+		s.Events = append(s.Events, e)
+		buckets[int(e.Time)] = append(buckets[int(e.Time)], e)
 	}
+	for _, b := range buckets {
+		want = append(want, b...)
+	}
+	s.SortByTime()
 	if !slices.Equal(s.Events, want) {
 		t.Fatalf("sorted %v, want %v", s.Events, want)
 	}
