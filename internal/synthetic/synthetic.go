@@ -228,13 +228,6 @@ func profiles() [events.NumDeviceTypes]profile {
 	}
 	for i := range table {
 		p := &table[i]
-		// phaseLen draws straight from the Knuth loop, which is poisson's
-		// branch only for means in (0, 30].
-		for _, n := range []float64{p.boutLen, p.dormantLen} {
-			if !(n > 1 && n <= 31) {
-				panic(fmt.Sprintf("synthetic: phase length %v outside (1, 31]", n))
-			}
-		}
 		p.boutExp = math.Exp(-(p.boutLen - 1))
 		p.dormantExp = math.Exp(-(p.dormantLen - 1))
 	}
@@ -518,8 +511,9 @@ func (sim *ueSim) simulate(cfg Config, p *profile, lat ueLatent, horizon float64
 }
 
 // phaseLen draws the number of sessions in the next bout/dormant phase:
-// 1 + Poisson(mean−1) for the phase's mean session count, with the Knuth
-// bound precomputed in the profile.
+// 1 + Poisson(mean−1) for the phase's mean session count by Knuth's loop,
+// with its bound precomputed in the profile. Every profile's phase means
+// lie in (1, 31], where poisson(mean−1) runs that same loop.
 func phaseLen(rng *rand.Rand, p *profile, inBout bool) int {
 	l := p.dormantExp
 	if inBout {

@@ -301,14 +301,6 @@ func streamsDigest(streams []trace.Stream) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
-func countEvents(streams []trace.Stream) int {
-	n := 0
-	for i := range streams {
-		n += len(streams[i].Events)
-	}
-	return n
-}
-
 // TestGeneratePinned pins GenerateRange's exact output — 4G and 5G, two
 // seeds, all three devices, a horizon that crosses midnight — at worker
 // degrees 1 and 2, plus one range whose per-device indices pass 999,999 so
@@ -347,7 +339,7 @@ func TestGeneratePinned(t *testing.T) {
 			}
 			if got := streamsDigest(streams); got != c.want {
 				t.Errorf("%s seed=%d degree=%d: output (%d events) has digest %s, want %s",
-					c.gen, c.seed, par, countEvents(streams), got, c.want)
+					c.gen, c.seed, par, (&trace.Dataset{Streams: streams}).NumEvents(), got, c.want)
 			}
 		}
 	}
@@ -367,7 +359,7 @@ func TestGeneratePinned(t *testing.T) {
 		t.Errorf("UE ids %s … %s, want phone-999997 … phone-1000002", first, last)
 	}
 	if got, want := streamsDigest(streams), "fcad1b8abc4ae848c95ee8e3"; got != want { // 72 events
-		t.Errorf("indices past 999,999: output (%d events) has digest %s, want %s", countEvents(streams), got, want)
+		t.Errorf("indices past 999,999: output (%d events) has digest %s, want %s", (&trace.Dataset{Streams: streams}).NumEvents(), got, want)
 	}
 }
 
