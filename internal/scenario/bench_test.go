@@ -34,12 +34,13 @@ func BenchmarkScenarioChunkSort(b *testing.B) {
 }
 
 // BenchmarkScenarioRunCodec measures the run-file path alone: 64 sorted
-// 8k-event chunks written as run files, then read back through one
-// 64-way merge (DefaultMaxFanIn) — per event, one encode + block write and
-// one block read + decode + heap step.
+// 8k-event chunks written as run files, then read back through one 64-way
+// merge (DefaultMaxFanIn) — per event, one encode + block write and one
+// block read + decode + heap step. The sub-benchmarks run the merge at
+// degree 1 (one heap) and 2 (two sub-merges under a root heap), so the
+// merge layer's use of a second core shows on its own.
 func BenchmarkScenarioRunCodec(b *testing.B) {
 	const fanIn, perRun = DefaultMaxFanIn, 8_000
-	dir := b.TempDir()
 	var sorter chunkSorter
 	chunks := make([][]Event, fanIn)
 	orders := make([][]sortKey, fanIn)
@@ -47,37 +48,43 @@ func BenchmarkScenarioRunCodec(b *testing.B) {
 		chunks[i] = benchChunk(perRun, int64(i))
 		orders[i] = append([]sortKey(nil), sorter.order(chunks[i])...)
 	}
-	runs := make([]run, fanIn)
-	var writing time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		for j := range chunks {
-			var err error
-			if runs[j], err = writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.bin", j)), chunks[j], orders[j], nil); err != nil {
-				b.Fatal(err)
+	for _, degree := range []int{1, 2} {
+		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
+			dir := b.TempDir()
+			runs := make([]run, fanIn)
+			var writing time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				for j := range chunks {
+					var err error
+					if runs[j], err = writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.bin", j)), chunks[j], orders[j], nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				writing += time.Since(start)
+				m, err := openMerger(runs, degree)
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					if _, ok := m.next(); !ok {
+						break
+					}
+					n++
+				}
+				m.close()
+				if m.err != nil || n != fanIn*perRun {
+					b.Fatalf("merged %d of %d events, err %v", n, fanIn*perRun, m.err)
+				}
 			}
-		}
-		writing += time.Since(start)
-		m, err := openMerger(runs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n := 0
-		for {
-			if _, ok := m.next(); !ok {
-				break
-			}
-			n++
-		}
-		if m.err != nil || n != fanIn*perRun {
-			b.Fatalf("merged %d of %d events, err %v", n, fanIn*perRun, m.err)
-		}
+			total := float64(b.N * fanIn * perRun)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
+			b.ReportMetric(float64(writing.Nanoseconds())/total, "write-ns/event")
+			b.ReportMetric(float64((b.Elapsed()-writing).Nanoseconds())/total, "merge-ns/event")
+		})
 	}
-	total := float64(b.N * fanIn * perRun)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
-	b.ReportMetric(float64(writing.Nanoseconds())/total, "write-ns/event")
-	b.ReportMetric(float64((b.Elapsed()-writing).Nanoseconds())/total, "merge-ns/event")
 }
 
 // BenchmarkScenarioLineWriter measures the file sinks' encoder alone, into

@@ -8,9 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/trace"
@@ -18,7 +20,7 @@ import (
 
 // TestRunFileBlockBoundaries round-trips runs whose lengths sit on and around
 // the block size: every record comes back exactly, the carried size is the
-// file's size, and the end of the run is a clean ok=false.
+// file's size, and the end of the run is a clean empty block.
 func TestRunFileBlockBoundaries(t *testing.T) {
 	const block = blockSize / recordSize
 	dir := t.TempDir()
@@ -45,14 +47,16 @@ func TestRunFileBlockBoundaries(t *testing.T) {
 		}
 		var got []Event
 		for {
-			ok, err := rd.next()
+			blk, err := rd.nextBlock()
 			if err != nil {
 				t.Fatalf("n=%d: %v", n, err)
 			}
-			if !ok {
+			if len(blk) == 0 {
 				break
 			}
-			got = append(got, rd.cur)
+			for ; len(blk) > 0; blk = blk[recordSize:] {
+				got = append(got, decodeRecord(blk))
+			}
 		}
 		rd.close()
 		if !sameEvents(got, want) {
@@ -75,18 +79,36 @@ func spillDirOf(t testing.TB, tmp string) string {
 // mid-record, and on a record boundary — and requires the stream to end with
 // an io.ErrUnexpectedEOF from Err, never as a clean, shorter stream.
 func TestTruncatedRunFailsStream(t *testing.T) {
+	// A chunk per source, so each run file is several blocks long and the
+	// open stream has read only its first.
+	truncateUnderStream(t, RunOpts{UEs: 2000, BatchSize: 2000}, false)
+}
+
+// TestTruncatedRunFailsSplitMerge is TestTruncatedRunFailsStream with the
+// truncated run read by a sub-merge: the error must cross the feed to Err,
+// and draining and closing the stream must not hang.
+func TestTruncatedRunFailsSplitMerge(t *testing.T) {
+	truncateUnderStream(t, RunOpts{UEs: 2000, BatchSize: 250, Parallelism: 2}, true)
+}
+
+// truncateUnderStream opens flash-crowd under opts, cuts the first run file
+// short and drains the stream; split says whether opts must give a split
+// final merge.
+func truncateUnderStream(t *testing.T, opts RunOpts, split bool) {
 	spec, err := Builtin("flash-crowd")
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := len(drainAll(t, spec, RunOpts{UEs: 2000}))
+	whole := len(drainAll(t, spec, RunOpts{UEs: opts.UEs}))
 	for _, cut := range []int64{recordSize / 2, 3 * recordSize} {
 		tmp := t.TempDir()
-		// A chunk per source, so each run file is several blocks long and the
-		// open stream has read only its first.
-		st, err := spec.Open(RunOpts{UEs: 2000, BatchSize: 2000, TempDir: tmp})
+		opts.TempDir = tmp
+		st, err := spec.Open(opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if isSplit(st) != split {
+			t.Fatalf("%+v: split final merge %v, want %v", opts, isSplit(st), split)
 		}
 		runs, _ := filepath.Glob(filepath.Join(spillDirOf(t, tmp), "run-*.bin"))
 		if len(runs) == 0 {
@@ -96,8 +118,11 @@ func TestTruncatedRunFailsStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fi.Size() < 2*blockSize {
-			t.Fatalf("run file holds %d bytes; the test needs a multi-block run", fi.Size())
+		// The run's last block is read only when the merge nears the
+		// stream's end, well past what a sub-merge reads ahead of a
+		// consumer that has taken nothing yet.
+		if fi.Size() < 3*blockSize {
+			t.Fatalf("run file holds %d bytes; the test needs a run of several blocks", fi.Size())
 		}
 		if err := os.Truncate(runs[0], fi.Size()-cut); err != nil {
 			t.Fatal(err)
@@ -119,9 +144,137 @@ func TestTruncatedRunFailsStream(t *testing.T) {
 	}
 }
 
+// isSplit reports whether a stream's final merge runs on sub-merges.
+func isSplit(st *Stream) bool {
+	for _, e := range st.m.h {
+		if _, ok := e.c.src.(*subMerge); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// memRun is a sorted run held in memory and fed to a merger through the
+// runSource seam, in blocks of a random number of records.
+type memRun struct {
+	recs   []byte
+	rng    *rand.Rand
+	closed int
+}
+
+func (r *memRun) nextBlock() ([]byte, error) {
+	n := min(len(r.recs), (1+r.rng.Intn(300))*recordSize)
+	blk := r.recs[:n]
+	r.recs = r.recs[n:]
+	return blk, nil
+}
+
+func (r *memRun) close() error {
+	r.closed++
+	return nil
+}
+
+// mergeMem merges runs from memory, cut into groups for degree as
+// openMerger cuts file runs, and requires every source closed exactly once.
+func mergeMem(t *testing.T, runs [][]Event, degree int, rng *rand.Rand) []Event {
+	t.Helper()
+	srcs := make([]*memRun, len(runs))
+	weights := make([]int64, len(runs))
+	for i, evs := range runs {
+		recs := make([]byte, len(evs)*recordSize)
+		for j, e := range evs {
+			encodeRecord(recs[j*recordSize:], e)
+		}
+		srcs[i] = &memRun{recs: recs, rng: rand.New(rand.NewSource(rng.Int63()))}
+		weights[i] = int64(len(recs))
+	}
+	ends := cutGroups(weights, degree)
+	if len(ends) != min(degree, len(runs)) || len(ends) > 0 && ends[len(ends)-1] != len(runs) {
+		t.Fatalf("cutGroups(%d runs, degree %d) = %v", len(runs), degree, ends)
+	}
+	var groups [][]runSource
+	lo := 0
+	for _, hi := range ends {
+		if hi <= lo {
+			t.Fatalf("cutGroups(%d runs, degree %d) = %v: an empty group", len(runs), degree, ends)
+		}
+		var g []runSource
+		for _, src := range srcs[lo:hi] {
+			g = append(g, src)
+		}
+		groups = append(groups, g)
+		lo = hi
+	}
+	m, err := mergeGroups(groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Event
+	for {
+		e, ok := m.next()
+		if !ok {
+			break
+		}
+		out = append(out, e)
+	}
+	m.close()
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	for i, src := range srcs {
+		if src.closed != 1 {
+			t.Fatalf("%d runs at degree %d: run %d closed %d times, want once", len(runs), degree, i, src.closed)
+		}
+	}
+	return out
+}
+
+// TestSplitMergeMatchesSerial feeds random sorted runs from memory — 1 to
+// 130 runs, heavy time ties, empty runs, runs longer than a feed block — and
+// requires the merge cut into sub-merges at every degree 1–4 to emit, event
+// for event, the serial one-heap merge, which must be the sorted union of
+// the runs.
+func TestSplitMergeMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 65, 100, 130} {
+		runs := make([][]Event, k)
+		times := 1 + rng.Intn(40) // few distinct times: ties everywhere
+		n := rng.Intn(3*blockSize/recordSize) + 40*k
+		for i := 0; i < n; i++ {
+			r := rng.Intn(k)
+			runs[r] = append(runs[r], Event{
+				Time: float64(rng.Intn(times)) / 4, UE: uint64(rng.Intn(16)), Seq: uint32(i),
+				Device: events.DeviceType(rng.Intn(3)), Type: events.Type(rng.Intn(5)),
+			})
+		}
+		for r := range runs {
+			if rng.Intn(6) == 0 {
+				runs[r] = nil
+			}
+		}
+		var all []Event
+		for _, run := range runs {
+			sort.Slice(run, func(a, b int) bool { return run[a].less(run[b]) })
+			all = append(all, run...)
+		}
+		sort.Slice(all, func(a, b int) bool { return all[a].less(all[b]) })
+		serial := mergeMem(t, runs, 1, rng)
+		if !sameEvents(serial, all) {
+			t.Fatalf("%d runs: the serial merge's %d events are not the sorted %d", k, len(serial), len(all))
+		}
+		for degree := 1; degree <= 4; degree++ {
+			if got := mergeMem(t, runs, degree, rng); !sameEvents(got, serial) {
+				t.Fatalf("%d runs at degree %d: %d events differ from the serial merge's %d", k, degree, len(got), len(serial))
+			}
+		}
+	}
+}
+
 // faultSpec is a four-chunk custom scenario (10 UEs a chunk, 20 events a UE)
 // whose source runs hook before generating each chunk — the test's window
-// into the spill directory while the generation phase is running.
+// into the spill directory while the generation phase is running. At
+// MaxFanIn 2 the first two chunks' runs are the reduction prefix, merged as
+// soon as both are spilled; the last two are reduced after generation.
 func faultSpec(hook func(lo int)) (*Spec, RunOpts) {
 	spec := &Spec{
 		Name: "fault", Generation: "4G", Seed: 1, HorizonSec: 100, Population: 40,
@@ -144,41 +297,73 @@ func faultSpec(hook func(lo int)) (*Spec, RunOpts) {
 }
 
 // TestSpillFaultsSurface injects faults into the spill files from inside a
-// run — a full disk under a chunk's run file, a full disk under the
-// reduction pass's merge output, an input that vanished before its pass —
-// and requires each to fail Open with the underlying error and to leave the
-// shared spill ledger at zero.
+// run — a full disk under a chunk's run file, under the prefix merge's
+// output and under a later reduction pass's output; an input that vanished
+// before the prefix merge (on one worker, and on two with the merge running
+// beside generation) or before the final merge — and requires each to fail
+// Open with the underlying error and to leave the shared spill ledger at
+// zero.
 func TestSpillFaultsSurface(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to stand in for a full disk")
 	}
+	full := func(name string) func(string) error {
+		return func(dir string) error { return os.Symlink("/dev/full", filepath.Join(dir, name)) }
+	}
+	remove := func(name string) func(string) error {
+		return func(dir string) error { return os.Remove(filepath.Join(dir, name)) }
+	}
 	cases := []struct {
-		name string
-		// sabotage runs in the spill directory before the last chunk is
-		// generated; the three earlier chunks are on disk by then.
+		name     string
+		par, fan int // Parallelism and MaxFanIn, when not faultSpec's
+		// sabotage runs in the spill directory before chunk at is
+		// generated; at 10 only chunk 0 is on disk, at 30 chunks 0–2 are
+		// and the prefix merge of chunks 0–1 has run.
+		at       int
 		sabotage func(dir string) error
 		want     error
 	}{
-		{"chunk-write", func(dir string) error {
-			return os.Symlink("/dev/full", filepath.Join(dir, "run-0000-0000030.bin"))
-		}, syscall.ENOSPC},
-		{"merge-write", func(dir string) error {
-			return os.Symlink("/dev/full", filepath.Join(dir, "merge-000000.bin"))
-		}, syscall.ENOSPC},
-		{"missing-input", func(dir string) error {
-			return os.Remove(filepath.Join(dir, "run-0000-0000000.bin"))
-		}, fs.ErrNotExist},
+		{"chunk-write", 0, 0, 30, full("run-0000-0000030.bin"), syscall.ENOSPC},
+		{"prefix-merge-write", 0, 0, 10, full("merge-prefix.bin"), syscall.ENOSPC},
+		{"reduce-merge-write", 0, 0, 30, full("merge-000000.bin"), syscall.ENOSPC},
+		{"prefix-missing-input", 0, 0, 10, remove("run-0000-0000000.bin"), fs.ErrNotExist},
+		// Two workers: chunk 1's hook waits until chunk 2 starts, which it
+		// can only do on the worker that has spilled chunk 0, then deletes
+		// that run; spilling chunk 1 completes the prefix, whose merge then
+		// runs beside chunk 2's generation and finds its input gone.
+		{"prefix-missing-input-concurrent", 2, 0, 10, remove("run-0000-0000000.bin"), fs.ErrNotExist},
+		// At fan-in 3 only the prefix is reduced; chunks 2 and 3 go to the
+		// final merge as they are.
+		{"final-missing-input", 0, 3, 30, remove("run-0000-0000020.bin"), fs.ErrNotExist},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tmp := t.TempDir()
+			chunk2 := make(chan struct{})
 			spec, opts := faultSpec(func(lo int) {
-				if lo == 30 {
-					if err := tc.sabotage(spillDirOf(t, tmp)); err != nil {
-						t.Error(err)
+				if tc.par > 1 && lo == 20 {
+					close(chunk2)
+				}
+				if lo != tc.at {
+					return
+				}
+				if tc.par > 1 {
+					select {
+					case <-chunk2:
+					case <-time.After(time.Minute):
+						t.Error("chunk 2 never started")
 					}
 				}
+				if err := tc.sabotage(spillDirOf(t, tmp)); err != nil {
+					t.Error(err)
+				}
 			})
+			if tc.par > 0 {
+				opts.Parallelism = tc.par
+			}
+			if tc.fan > 0 {
+				opts.MaxFanIn = tc.fan
+			}
 			var ledger atomic.Int64
 			opts.TempDir = tmp
 			opts.Budget.SpillUsed = &ledger

@@ -57,11 +57,12 @@ type RunOpts struct {
 	// UEs overrides the spec's population (0 keeps Spec.Population; if
 	// that is also 0, DefaultPopulation applies).
 	UEs int
-	// Parallelism is the generation phase's core budget: it bounds the
-	// worker count generating and spilling chunks, and when there are fewer
-	// chunks than that, a model source's decode steps fan out over the
-	// cores left per worker. 0 means the tensor-layer default. Output is
-	// identical at every setting.
+	// Parallelism is the run's core budget: it bounds the worker count
+	// generating and spilling chunks, and when there are fewer chunks than
+	// that, a model source's decode steps fan out over the cores left per
+	// worker; a merge of many runs is split over at most as many
+	// goroutines. 0 means the tensor-layer default. Output is identical at
+	// every setting.
 	Parallelism int
 	// BatchSize is the number of UE streams generated, transformed and
 	// spilled per chunk — the unit the pipeline's peak memory scales with;
@@ -242,8 +243,9 @@ func (st *Stream) Next() (e Event, ok bool) {
 // Err reports the first error the pipeline hit (nil on clean exhaustion).
 func (st *Stream) Err() error { return st.m.err }
 
-// Close releases every open run and deletes the spill directory. It is
-// safe to call after partial consumption and more than once.
+// Close stops and joins the merge's goroutines, releases every open run and
+// deletes the spill directory. It is safe to call after partial
+// consumption and more than once.
 func (st *Stream) Close() error {
 	if st.closed {
 		return nil
@@ -277,11 +279,15 @@ type chunkJob struct {
 //     batched through a BatchDecoder), rewrite each stream through the
 //     source's operator chain, assign the per-UE event sequence numbers,
 //     sort the chunk and spill it as a sorted binary run;
-//  3. runs are merged hierarchically down to RunOpts.MaxFanIn, and the
-//     returned Stream k-way-merges the survivors lazily.
+//  3. runs are merged hierarchically down to RunOpts.MaxFanIn — the first
+//     reduction pass while phase 2 still generates, once its runs are
+//     spilled — and the returned Stream k-way-merges the survivors lazily.
+//     A merge of many runs is cut into at most Parallelism groups, each
+//     merged on its own goroutine.
 //
 // Peak memory is O(Parallelism × BatchSize × stream length) for phase 2
-// plus O(MaxFanIn) buffers for phase 3 — independent of the UE count. The
+// plus O(MaxFanIn + Parallelism) block buffers for phase 3 — independent
+// of the UE count. The
 // emitted sequence is bit-identical at every Parallelism × BatchSize
 // because chunk boundaries only move events between runs, never change the
 // (Time, UE, Seq) total order the merge restores.
@@ -352,17 +358,17 @@ func (spec *Spec) OpenContext(ctx context.Context, opts RunOpts) (st *Stream, er
 	}
 
 	// Phase 2: generate, transform, sort, spill — fanned over workers.
-	runs, skipped, err := spillChunks(ctx, spec, sources, jobs, opts, acct)
+	runs, skipped, err := spillChunks(ctx, spec, sources, jobs, opts, dir, acct)
 	if err != nil {
 		return nil, err
 	}
 
 	// Phase 3: bound the merge fan-in.
-	if runs, err = reduceRuns(ctx, runs, opts.fanIn(), dir, acct); err != nil {
+	if runs, err = reduceRuns(ctx, runs, opts.fanIn(), opts.workers(), dir, acct); err != nil {
 		return nil, err
 	}
 
-	m, err := openMerger(runs)
+	m, err := openMerger(runs, opts.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -377,9 +383,12 @@ func (spec *Spec) OpenContext(ctx context.Context, opts RunOpts) (st *Stream, er
 
 // spillChunks runs the generation phase and returns the produced runs
 // in deterministic job order (empty chunks are skipped) plus the number of
-// events pruned by RunOpts.ResumeAfter. A context cancellation stops
-// dispatching jobs and surfaces as ctx's error.
-func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []chunkJob, opts RunOpts, acct *spillAccount) ([]run, int64, error) {
+// events pruned by RunOpts.ResumeAfter. When there are more jobs than the
+// fan-in, the worker that spills the last of the first reduction pass's
+// chunks (prefixLen) merges them into one run, listed last, while the
+// other workers generate on. A context cancellation stops dispatching jobs
+// and surfaces as ctx's error.
+func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []chunkJob, opts RunOpts, dir string, acct *spillAccount) ([]run, int64, error) {
 	horizon := spec.HorizonSec
 	workers := opts.workers()
 	if workers > len(jobs) {
@@ -391,6 +400,10 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 	spilled := make([]run, len(jobs))
 	errs := make([]error, workers)
 	var skipped atomic.Int64
+	k := prefixLen(len(jobs), opts.fanIn())
+	var prefixLeft atomic.Int64
+	prefixLeft.Store(int64(k))
+	var prefix run
 	jobCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -470,6 +483,9 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 					continue // drain after failure or cancellation
 				}
 				runJob(ji)
+				if ji < k && errs[w] == nil && prefixLeft.Add(-1) == 0 {
+					prefix, errs[w] = mergePrefix(ctx, spilled[:k], dir, acct)
+				}
 			}
 		}(w)
 	}
@@ -489,11 +505,34 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 			return nil, 0, err
 		}
 	}
+	if prefix.bytes > 0 {
+		spilled = spilled[k:]
+	}
 	var runs []run
 	for _, r := range spilled {
 		if r.bytes > 0 {
 			runs = append(runs, r)
 		}
 	}
+	if prefix.bytes > 0 {
+		runs = append(runs, prefix)
+	}
 	return runs, skipped.Load(), nil
+}
+
+// mergePrefix merges the non-empty runs of the first reduction pass's
+// chunks into one run, on the calling worker alone: the other workers are
+// still generating. Fewer than two runs are left as they are (an empty
+// run back).
+func mergePrefix(ctx context.Context, spilled []run, dir string, acct *spillAccount) (run, error) {
+	var in []run
+	for _, r := range spilled {
+		if r.bytes > 0 {
+			in = append(in, r)
+		}
+	}
+	if len(in) < 2 {
+		return run{}, nil
+	}
+	return mergePass(ctx, in, filepath.Join(dir, "merge-prefix.bin"), 1, acct)
 }

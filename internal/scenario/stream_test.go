@@ -1,9 +1,17 @@
 package scenario
 
 import (
+	"context"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"cptgpt/internal/events"
 	"cptgpt/internal/trace"
 )
 
@@ -97,5 +105,121 @@ func TestEmptyScenarioStream(t *testing.T) {
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamCloseStopsMerge closes streams after 0 events, 1 event and half
+// the stream, and requires Close to return promptly, to leave no goroutine
+// behind and to remove the spill directory. At Parallelism 2 the final merge
+// of these ~20 runs is split over sub-merges whose feeds are full when Close
+// comes; at Parallelism 1 it is one heap, with no goroutine at all.
+func TestStreamCloseStopsMerge(t *testing.T) {
+	spec, err := Builtin("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ues, batch = 2000, 100
+	whole := len(drainAll(t, spec, RunOpts{UEs: ues, BatchSize: batch}))
+	for _, par := range []int{1, 2} {
+		for _, n := range []int{0, 1, whole / 2} {
+			tmp := t.TempDir()
+			base := runtime.NumGoroutine()
+			st, err := spec.Open(RunOpts{UEs: ues, BatchSize: batch, Parallelism: par, TempDir: tmp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := spillDirOf(t, tmp)
+			if isSplit(st) != (par > 1) {
+				t.Fatalf("Parallelism %d: split final merge %v", par, isSplit(st))
+			}
+			for i := 0; i < n; i++ {
+				if _, ok := st.Next(); !ok {
+					t.Fatalf("stream ended after %d of %d events: %v", i, whole, st.Err())
+				}
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- st.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("Parallelism %d: Close after %d events did not return", par, n)
+			}
+			waitGoroutines(t, base)
+			if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("Parallelism %d: spill directory after Close: %v", par, err)
+			}
+		}
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall back to base: a
+// goroutine whose exit another has waited on may still be unwinding.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCancelDuringPrefixMerge cancels OpenContext once the prefix merge has
+// started beside generation (its output file exists) and requires the
+// context's error, a spill ledger at zero and no spill directory left.
+func TestCancelDuringPrefixMerge(t *testing.T) {
+	const chunk, perUE = 50, 400
+	tmp := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := &Spec{
+		Name: "cancel", Generation: "4G", Seed: 1, HorizonSec: 1000, Population: 8 * chunk,
+		Sources: []SourceSpec{{ID: "src", Kind: "custom", Share: 1}},
+	}
+	var ledger atomic.Int64
+	// Eight chunks at fan-in 4: the first four are the reduction prefix,
+	// merged while chunks 4–7 generate.
+	opts := RunOpts{
+		BatchSize: chunk, Parallelism: 2, MaxFanIn: 4, TempDir: tmp,
+		Budget: Budget{SpillUsed: &ledger},
+		Sources: map[string]ChunkFunc{"src": func(lo, hi int) ([]trace.Stream, error) {
+			if lo == 4*chunk {
+				prefix := filepath.Join(spillDirOf(t, tmp), "merge-prefix.bin")
+				deadline := time.Now().Add(time.Minute)
+				for _, err := os.Stat(prefix); err != nil; _, err = os.Stat(prefix) {
+					if time.Now().After(deadline) {
+						t.Error("the prefix merge never started")
+						break
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+				cancel()
+			}
+			out := make([]trace.Stream, hi-lo)
+			for i := range out {
+				for j := 0; j < perUE; j++ {
+					out[i].Events = append(out[i].Events, trace.Event{Time: float64(j*chunk+i) * 1000 / (perUE * chunk), Type: events.Type(j % 3)})
+				}
+			}
+			return out, nil
+		}},
+	}
+	st, err := spec.OpenContext(ctx, opts)
+	if err == nil {
+		st.Close()
+		t.Fatal("OpenContext succeeded after its context was cancelled")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("OpenContext failed with %v, want context.Canceled", err)
+	}
+	if got := ledger.Load(); got != 0 {
+		t.Fatalf("spill ledger holds %d bytes after the cancelled run, want 0", got)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "cptscenario-*")); len(left) != 0 {
+		t.Fatalf("cancelled run left its spill directory behind: %v", left)
 	}
 }
