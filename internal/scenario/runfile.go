@@ -255,19 +255,16 @@ func (m *merger) next() (e Event, ok bool) {
 			return Event{}, false
 		}
 		c.blk, c.pos = blk, 0
-		if len(blk) == 0 {
-			last := len(m.h) - 1
-			m.h[0], m.h[last] = m.h[last], mergeEntry{}
-			m.h = m.h[:last]
-			m.err = c.src.close()
-			if len(m.h) > 1 {
-				m.siftDown(0)
-			}
-			return e, true
-		}
 	}
-	c.cur = decodeRecord(c.blk[c.pos : c.pos+recordSize])
-	m.h[0].t = c.cur.Time
+	if c.pos < len(c.blk) {
+		c.cur = decodeRecord(c.blk[c.pos : c.pos+recordSize])
+		m.h[0].t = c.cur.Time
+	} else {
+		last := len(m.h) - 1
+		m.h[0], m.h[last] = m.h[last], mergeEntry{}
+		m.h = m.h[:last]
+		m.err = c.src.close()
+	}
 	if len(m.h) > 1 {
 		m.siftDown(0)
 	}
@@ -285,10 +282,10 @@ func (m *merger) close() {
 
 // minSplitRuns is the smallest merge openMerger splits into sub-merges. A
 // split pays an encode and a decode per event and a second heap on the
-// consumer's goroutine. Timed on two 2.1 GHz cores over 512k events, the
-// two-way split loses at 5 runs (median 53 against 41 ns/event in one heap)
-// and wins from 8 (48 against 52; 54 against 59 at 10; 70 against 105 at
-// 64).
+// consumer's goroutine. Merging 512k events on two 2.1 GHz cores, the
+// two-way split lost at 5 runs (median 53 against 41 ns/event in one heap)
+// and won from 8 (48 against 52; 54 against 59 at 10);
+// BenchmarkScenarioRunCodec's 64 runs merge at about 70 against 105.
 const minSplitRuns = 8
 
 // openMerger opens the non-empty runs and merges them at up to degree
@@ -389,7 +386,9 @@ func mergeGroups(groups [][]runSource) (*merger, error) {
 
 // feedBlocks is how many blocks circulate between a sub-merge and its
 // consumer: the sub-merge fills one while the consumer drains another and
-// the rest absorb scheduling jitter between the two goroutines.
+// the rest absorb scheduling jitter between the two goroutines. In
+// BenchmarkScenarioRunCodec at degree 2 on two cores, two blocks merge
+// ~15 % slower than four; eight or sixteen are no faster.
 const feedBlocks = 4
 
 // subMerge merges one group of runs on its own goroutine into a ring of
