@@ -325,13 +325,15 @@ func TestSpillFaultsSurface(t *testing.T) {
 	}{
 		{"chunk-write", 0, 0, 30, full("run-0000-0000030.bin"), syscall.ENOSPC},
 		{"prefix-merge-write", 0, 0, 10, full("merge-prefix.bin"), syscall.ENOSPC},
-		{"reduce-merge-write", 0, 0, 30, full("merge-000000.bin"), syscall.ENOSPC},
-		{"prefix-missing-input", 0, 0, 10, remove("run-0000-0000000.bin"), fs.ErrNotExist},
+		// The reduction pass after generation, over chunks 2 and 3.
+		{"merge-write", 0, 0, 30, full("merge-000000.bin"), syscall.ENOSPC},
+		// An input of the prefix merge, deleted before that merge runs.
+		{"missing-input", 0, 0, 10, remove("run-0000-0000000.bin"), fs.ErrNotExist},
 		// Two workers: chunk 1's hook waits until chunk 2 starts, which it
 		// can only do on the worker that has spilled chunk 0, then deletes
 		// that run; spilling chunk 1 completes the prefix, whose merge then
 		// runs beside chunk 2's generation and finds its input gone.
-		{"prefix-missing-input-concurrent", 2, 0, 10, remove("run-0000-0000000.bin"), fs.ErrNotExist},
+		{"missing-input-concurrent", 2, 0, 10, remove("run-0000-0000000.bin"), fs.ErrNotExist},
 		// At fan-in 3 only the prefix is reduced; chunks 2 and 3 go to the
 		// final merge as they are.
 		{"final-missing-input", 0, 3, 30, remove("run-0000-0000020.bin"), fs.ErrNotExist},

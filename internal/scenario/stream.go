@@ -287,10 +287,9 @@ type chunkJob struct {
 //
 // Peak memory is O(Parallelism × BatchSize × stream length) for phase 2
 // plus O(MaxFanIn + Parallelism) block buffers for phase 3 — independent
-// of the UE count. The
-// emitted sequence is bit-identical at every Parallelism × BatchSize
-// because chunk boundaries only move events between runs, never change the
-// (Time, UE, Seq) total order the merge restores.
+// of the UE count. The emitted sequence is bit-identical at every
+// Parallelism × BatchSize because chunk boundaries only move events between
+// runs, never change the (Time, UE, Seq) total order the merge restores.
 //
 // Open is OpenContext under context.Background().
 func (spec *Spec) Open(opts RunOpts) (st *Stream, err error) {
