@@ -289,50 +289,64 @@ func (m *merger) close() {
 const minSplitRuns = 8
 
 // openMerger opens the non-empty runs and merges them at up to degree
-// goroutines. A merge of minSplitRuns runs or more is cut into at most
-// degree contiguous groups of about equal bytes (cutGroups), each merged by
-// a sub-merge of its own, and the returned merger merges their feeds;
-// smaller merges, and every merge at degree 1, are one heap on the
-// caller's goroutine. On error every run opened so far is closed.
+// goroutines (splitMerge). Merges of fewer than minSplitRuns runs are one
+// heap on the caller's goroutine. On error every run opened so far is
+// closed.
 func openMerger(runs []run, degree int) (*merger, error) {
-	var live []run
+	var srcs []runSource
 	var weights []int64
 	for _, r := range runs {
-		if r.bytes > 0 {
-			live = append(live, r)
-			weights = append(weights, r.bytes)
+		if r.bytes == 0 {
+			continue
 		}
+		rd, err := openRun(r)
+		if err != nil {
+			closeAll(srcs)
+			return nil, err
+		}
+		srcs = append(srcs, rd)
+		weights = append(weights, r.bytes)
 	}
-	if len(live) < minSplitRuns {
+	if len(srcs) < minSplitRuns {
 		degree = 1
 	}
-	var groups [][]runSource
-	lo := 0
-	for _, hi := range cutGroups(weights, degree) {
-		g := make([]runSource, 0, hi-lo)
-		for _, r := range live[lo:hi] {
-			rd, err := openRun(r)
-			if err != nil {
-				closeAll(g)
-				for _, g := range groups {
-					closeAll(g)
-				}
-				return nil, err
-			}
-			g = append(g, rd)
-		}
-		groups = append(groups, g)
-		lo = hi
-	}
-	return mergeGroups(groups)
+	return splitMerge(srcs, weights, degree)
 }
 
-// cutGroups cuts runs of the given weights into min(degree, len(weights))
-// contiguous, non-empty groups of about equal total weight and returns each
-// group's end index.
+// splitMerge merges sorted sources at up to degree goroutines. The sources
+// are cut into contiguous groups of about equal weight (cutGroups); each
+// group is merged by a subMerge and one heap merges their feeds. At degree
+// 1, or with one source, it is one heap on the caller's goroutine. It owns
+// srcs: on error each is closed.
+func splitMerge(srcs []runSource, weights []int64, degree int) (*merger, error) {
+	ends := cutGroups(weights, degree)
+	if ends == nil {
+		return newMerger(srcs)
+	}
+	feeds := make([]runSource, 0, len(ends))
+	lo := 0
+	for _, hi := range ends {
+		m, err := newMerger(srcs[lo:hi])
+		if err != nil {
+			closeAll(feeds)
+			closeAll(srcs[hi:])
+			return nil, err
+		}
+		feeds = append(feeds, startSubMerge(m))
+		lo = hi
+	}
+	return newMerger(feeds)
+}
+
+// cutGroups cuts sources of the given weights into g = min(degree,
+// len(weights)) contiguous, non-empty groups of about equal total weight
+// and returns each group's end index; nil when g < 2.
 func cutGroups(weights []int64, degree int) []int {
 	n := len(weights)
-	g := min(max(degree, 1), n)
+	g := min(degree, n)
+	if g < 2 {
+		return nil
+	}
 	var total int64
 	for _, w := range weights {
 		total += w
@@ -342,8 +356,9 @@ func cutGroups(weights []int64, degree int) []int {
 	j := 0
 	for i := 0; i < g-1; i++ {
 		target := total * int64(i+1) / int64(g)
-		// A group takes its first run unconditionally and stops at the
-		// boundary nearest its share, leaving a run for each group after it.
+		// A group takes its first source unconditionally and stops at the
+		// boundary nearest its share, leaving a source for each group
+		// after it.
 		acc += weights[j]
 		j++
 		for j < n-(g-1-i) && acc+weights[j]/2 <= target {
@@ -352,36 +367,8 @@ func cutGroups(weights []int64, degree int) []int {
 		}
 		ends[i] = j
 	}
-	if g > 0 {
-		ends[g-1] = n
-	}
+	ends[g-1] = n
 	return ends
-}
-
-// mergeGroups merges groups of sorted sources. One group is one heap on the
-// caller's goroutine; several are each merged by a subMerge under one heap
-// over their feeds. It owns every source: on error each is closed.
-func mergeGroups(groups [][]runSource) (*merger, error) {
-	if len(groups) <= 1 {
-		var srcs []runSource
-		if len(groups) == 1 {
-			srcs = groups[0]
-		}
-		return newMerger(srcs)
-	}
-	feeds := make([]runSource, 0, len(groups))
-	for i, g := range groups {
-		m, err := newMerger(g)
-		if err != nil {
-			closeAll(feeds)
-			for _, g := range groups[i+1:] {
-				closeAll(g)
-			}
-			return nil, err
-		}
-		feeds = append(feeds, startSubMerge(m))
-	}
-	return newMerger(feeds)
 }
 
 // feedBlocks is how many blocks circulate between a sub-merge and its

@@ -155,14 +155,21 @@ func isSplit(st *Stream) bool {
 }
 
 // memRun is a sorted run held in memory and fed to a merger through the
-// runSource seam, in blocks of a random number of records.
+// runSource seam, in blocks of a random number of records. With fail > 0,
+// its fail-th nextBlock call returns errBrokenRun instead.
 type memRun struct {
-	recs   []byte
-	rng    *rand.Rand
-	closed int
+	recs        []byte
+	rng         *rand.Rand
+	calls, fail int
+	closed      int
 }
 
+var errBrokenRun = errors.New("broken run")
+
 func (r *memRun) nextBlock() ([]byte, error) {
+	if r.calls++; r.calls == r.fail {
+		return nil, errBrokenRun
+	}
 	n := min(len(r.recs), (1+r.rng.Intn(300))*recordSize)
 	blk := r.recs[:n]
 	r.recs = r.recs[n:]
@@ -174,38 +181,51 @@ func (r *memRun) close() error {
 	return nil
 }
 
-// mergeMem merges runs from memory, cut into groups for degree as
-// openMerger cuts file runs, and requires every source closed exactly once.
-func mergeMem(t *testing.T, runs [][]Event, degree int, rng *rand.Rand) []Event {
-	t.Helper()
-	srcs := make([]*memRun, len(runs))
+// memRuns encodes runs as memRuns and returns them, the same as
+// runSources, and their weights.
+func memRuns(runs [][]Event, rng *rand.Rand) ([]*memRun, []runSource, []int64) {
+	mems := make([]*memRun, len(runs))
+	srcs := make([]runSource, len(runs))
 	weights := make([]int64, len(runs))
 	for i, evs := range runs {
 		recs := make([]byte, len(evs)*recordSize)
 		for j, e := range evs {
 			encodeRecord(recs[j*recordSize:], e)
 		}
-		srcs[i] = &memRun{recs: recs, rng: rand.New(rand.NewSource(rng.Int63()))}
+		mems[i] = &memRun{recs: recs, rng: rand.New(rand.NewSource(rng.Int63()))}
+		srcs[i] = mems[i]
 		weights[i] = int64(len(recs))
 	}
+	return mems, srcs, weights
+}
+
+// closedOnce requires every source closed exactly once.
+func closedOnce(t *testing.T, mems []*memRun, what string) {
+	t.Helper()
+	for i, src := range mems {
+		if src.closed != 1 {
+			t.Fatalf("%s: run %d closed %d times, want once", what, i, src.closed)
+		}
+	}
+}
+
+// mergeMem merges runs from memory through splitMerge at the given degree
+// and requires every source closed exactly once.
+func mergeMem(t *testing.T, runs [][]Event, degree int, rng *rand.Rand) []Event {
+	t.Helper()
+	mems, srcs, weights := memRuns(runs, rng)
+	// Groups are contiguous and non-empty, cover every run and number
+	// min(degree, runs), or there are none below two.
 	ends := cutGroups(weights, degree)
-	if len(ends) != min(degree, len(runs)) || len(ends) > 0 && ends[len(ends)-1] != len(runs) {
+	g := min(degree, len(runs))
+	bad := g < 2 && ends != nil || g >= 2 && (len(ends) != g || ends[0] < 1 || ends[g-1] != len(runs))
+	for i := 1; i < len(ends); i++ {
+		bad = bad || ends[i] <= ends[i-1]
+	}
+	if bad {
 		t.Fatalf("cutGroups(%d runs, degree %d) = %v", len(runs), degree, ends)
 	}
-	var groups [][]runSource
-	lo := 0
-	for _, hi := range ends {
-		if hi <= lo {
-			t.Fatalf("cutGroups(%d runs, degree %d) = %v: an empty group", len(runs), degree, ends)
-		}
-		var g []runSource
-		for _, src := range srcs[lo:hi] {
-			g = append(g, src)
-		}
-		groups = append(groups, g)
-		lo = hi
-	}
-	m, err := mergeGroups(groups)
+	m, err := splitMerge(srcs, weights, degree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +241,44 @@ func mergeMem(t *testing.T, runs [][]Event, degree int, rng *rand.Rand) []Event 
 	if m.err != nil {
 		t.Fatal(m.err)
 	}
-	for i, src := range srcs {
-		if src.closed != 1 {
-			t.Fatalf("%d runs at degree %d: run %d closed %d times, want once", len(runs), degree, i, src.closed)
+	closedOnce(t, mems, fmt.Sprintf("%d runs at degree %d", len(runs), degree))
+	return out
+}
+
+// TestSplitMergeFailureClosesSources breaks each of nine in-memory runs in
+// turn — on its first block, while the merge is built, and on its third,
+// mid-stream — at degrees 1 and 3, and requires the run's error back and,
+// once the merge is closed, every run closed exactly once.
+func TestSplitMergeFailureClosesSources(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	runs := make([][]Event, 9)
+	for i := range runs {
+		runs[i] = randomChunk(rng, 2000, 30, func() float64 { return rng.Float64() * 100 })
+		sort.Slice(runs[i], func(a, b int) bool { return runs[i][a].less(runs[i][b]) })
+	}
+	for _, degree := range []int{1, 3} {
+		for bad := range runs {
+			for _, at := range []int{1, 3} {
+				mems, srcs, weights := memRuns(runs, rng)
+				mems[bad].fail = at
+				m, err := splitMerge(srcs, weights, degree)
+				if err == nil {
+					for {
+						if _, ok := m.next(); !ok {
+							break
+						}
+					}
+					err = m.err
+					m.close()
+				}
+				what := fmt.Sprintf("degree %d, run %d broken at block %d", degree, bad, at)
+				if !errors.Is(err, errBrokenRun) {
+					t.Fatalf("%s: merge ended with %v", what, err)
+				}
+				closedOnce(t, mems, what)
+			}
 		}
 	}
-	return out
 }
 
 // TestSplitMergeMatchesSerial feeds random sorted runs from memory — 1 to
