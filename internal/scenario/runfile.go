@@ -285,7 +285,7 @@ func (m *merger) close() {
 // consumer's goroutine. Merging 512k events on two 2.1 GHz cores, the
 // two-way split lost at 5 runs (median 53 against 41 ns/event in one heap)
 // and won from 8 (48 against 52; 54 against 59 at 10);
-// BenchmarkScenarioRunCodec's 64 runs merge at about 70 against 105.
+// BenchmarkScenarioRunCodec's 64 runs merge at about 68 against 98.
 const minSplitRuns = 8
 
 // openMerger opens the non-empty runs and merges them at up to degree
