@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -130,6 +131,33 @@ func BenchmarkScenarioUEID(b *testing.B) {
 	}
 	if len(buf) == 0 {
 		b.Fatal("empty id")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+}
+
+// BenchmarkFileSink measures the file sink layer: one op drains the same
+// 65 536 events from memory into a temp-file jsonl sink under a counting
+// layer, taking a cursor (drain, flush, fsync) every 4096 events as a
+// journaled daemon run does. Against BenchmarkScenarioLineWriter it shows
+// what the sink's encoder goroutine and its checkpoints add or hide.
+func BenchmarkFileSink(b *testing.B) {
+	st, evs := benchEvents(1 << 16)
+	out := filepath.Join(b.TempDir(), "f.jsonl")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink, err := NewSink(SinkConfig{Name: "jsonl", Out: out, Below: countBelow})
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := &ckptSource{EventSource: &memSource{Stream: st, evs: evs}, sink: sink.(Checkpointer), every: 4096,
+			check: func(n int, _ Cursor, ok bool) {
+				if !ok {
+					b.Fatalf("no cursor after %d events", n)
+				}
+			}}
+		if _, err := sink.Consume(context.Background(), src); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"cptgpt/internal/tracez"
@@ -32,6 +34,7 @@ type fileSink struct {
 	// Set while Consume runs, for Cursor.
 	f       *os.File
 	lw      *LineWriter
+	enc     *sinkEncoder
 	written func() int64
 }
 
@@ -72,25 +75,28 @@ func (s *fileSink) open() (*os.File, error) {
 	return f, nil
 }
 
-// Cursor flushes the encoder and fsyncs the file before it reports the
-// file's length, so a recorded cursor always implies a durable prefix
-// holding exactly the events consumed so far; the caller, which fed them,
-// counts them. Where there is no byte position to vouch for (".gz",
-// stdout, no counting layer) the cursor is zero and a resume starts the
-// file over.
+// Cursor drains the encoder, then flushes it and fsyncs the file before
+// it reports the file's length, so a recorded cursor always implies a
+// durable prefix holding exactly the events consumed so far; the caller,
+// which fed them, counts them. Where there is no byte position to vouch
+// for (".gz", stdout, no counting layer) the cursor is zero and a resume
+// starts the file over.
 func (s *fileSink) Cursor() (Cursor, bool) {
-	if s.lw == nil {
+	if s.enc == nil {
 		return Cursor{}, false
 	}
 	if s.f == nil || s.written == nil || s.gz() {
 		return Cursor{}, true
 	}
-	if s.lw.Flush() != nil || s.f.Sync() != nil {
+	if s.enc.sync() != nil || s.lw.Flush() != nil || s.f.Sync() != nil {
 		return Cursor{}, false
 	}
 	return Cursor{Bytes: s.written()}, true
 }
 
+// Consume pulls the source on the caller's goroutine and encodes on one
+// other (sinkEncoder), which owns the LineWriter and every writer below it
+// except while Cursor or the close below holds it idle.
 func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	w := s.cfg.Stdout
 	if s.cfg.Out != "" {
@@ -118,16 +124,21 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	s.lw = lw
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
 	defer func() { sp.End(int64(lw.Count()), s.cfg.Name) }()
+	enc := startEncoder(lw)
+	s.enc = enc
+	defer func() {
+		enc.close() // joins the encoder on every path, a panicking src.Next's too
+		s.enc = nil
+	}()
 	for {
 		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err = lw.Write(e); err != nil {
+		if !ok || !enc.add(e) {
 			break
 		}
 	}
-	if err == nil {
+	// The encoder's first error is the one a serial loop would have
+	// stopped at, before the source could report its own.
+	if err = enc.close(); err == nil {
 		err = src.Err()
 	}
 	if ferr := lw.Flush(); err == nil {
@@ -147,6 +158,133 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 		return nil, err
 	}
 	return fileResult{Events: s.from.Events + int64(lw.Count()), Out: s.cfg.Out}, nil
+}
+
+// sinkBatch is how many events Consume hands the encoder at a time, and
+// sinkBuffers how many batches exist: one filling on the consumer's side,
+// the rest queued or encoding. On 2 cores, a 5000-UE flash-crowd stream
+// into jsonl with a cursor every 4096 events ran within noise of itself
+// from 256 to 2048 events per batch and 2 to 8 buffers, each 4–19 %
+// faster than one goroutine in paired runs (medians); 512 × 4 is the
+// middle of that range.
+const (
+	sinkBatch   = 512
+	sinkBuffers = 4
+)
+
+// sinkEncoder runs a LineWriter on its own goroutine, fed in order with
+// batches of events by the consumer, so a file run's source and its
+// encoding use two cores. Encoding stops at the first Write error — a
+// failed block write or an unencodable event — which close reports.
+type sinkEncoder struct {
+	cur  []Event      // the batch being filled (consumer side)
+	full chan []Event // batches to encode in order; nil asks for an ack on idle
+	free chan []Event // encoded batches, back for refilling
+	idle chan struct{}
+	done chan struct{}
+
+	failed atomic.Bool // set with err, for the consumer to stop early
+	// Written by the encoder goroutine; read by the consumer after an ack
+	// on idle or the join.
+	err      error
+	panicked string // the recovered panic, with the encoder's stack
+}
+
+// startEncoder starts the encoder goroutine; close stops and joins it.
+// Both batch channels hold every buffer there is, so neither side blocks
+// on a send; the encoder leaves its loop only when close closes full.
+func startEncoder(lw *LineWriter) *sinkEncoder {
+	enc := &sinkEncoder{
+		full: make(chan []Event, sinkBuffers),
+		free: make(chan []Event, sinkBuffers),
+		idle: make(chan struct{}, 1),
+		done: make(chan struct{}),
+	}
+	for range sinkBuffers - 1 {
+		enc.free <- make([]Event, 0, sinkBatch)
+	}
+	enc.cur = make([]Event, 0, sinkBatch)
+	go enc.run(lw)
+	return enc
+}
+
+func (enc *sinkEncoder) run(lw *LineWriter) {
+	defer close(enc.done)
+	for b := range enc.full {
+		if b == nil {
+			enc.idle <- struct{}{}
+			continue
+		}
+		if !enc.failed.Load() {
+			enc.encode(lw, b)
+		}
+		enc.free <- b[:0]
+	}
+}
+
+// encode writes one batch. A panic (in a source's UEID, say) stops the
+// encoding and is raised again on the consumer's goroutine by close, where
+// a serial sink would have raised it.
+func (enc *sinkEncoder) encode(lw *LineWriter, b []Event) {
+	defer func() {
+		if p := recover(); p != nil {
+			enc.panicked = fmt.Sprintf("scenario: panic in file sink encoder: %v\n%s", p, debug.Stack())
+			enc.failed.Store(true)
+		}
+	}()
+	for _, e := range b {
+		if err := lw.Write(e); err != nil {
+			enc.err = err
+			enc.failed.Store(true)
+			return
+		}
+	}
+}
+
+// add queues e and reports whether the consumer should carry on: false
+// once the encoder has failed, which it learns a batch at a time.
+func (enc *sinkEncoder) add(e Event) bool {
+	enc.cur = append(enc.cur, e)
+	if len(enc.cur) < sinkBatch {
+		return true
+	}
+	enc.full <- enc.cur
+	enc.cur = <-enc.free
+	return !enc.failed.Load()
+}
+
+// send hands over the partial batch.
+func (enc *sinkEncoder) send() {
+	if len(enc.cur) > 0 {
+		enc.full <- enc.cur
+		enc.cur = <-enc.free
+	}
+}
+
+// sync returns once every event added so far has gone through
+// LineWriter.Write, with the encoder's first error; the encoder then stays
+// idle until the next add, so the caller may use the LineWriter and the
+// writers below it.
+func (enc *sinkEncoder) sync() error {
+	enc.send()
+	enc.full <- nil
+	<-enc.idle
+	return enc.err
+}
+
+// close hands over what is left, joins the encoder and returns its first
+// error. Only the first call does the work.
+func (enc *sinkEncoder) close() error {
+	if enc.full != nil {
+		enc.send()
+		close(enc.full)
+		<-enc.done
+		enc.full = nil
+		if enc.panicked != "" {
+			panic(enc.panicked)
+		}
+	}
+	return enc.err
 }
 
 type fileResult struct {

@@ -17,7 +17,9 @@ import (
 // (Sink.Consume; the registry in sinks.go has the list) consumes it, so
 // pacing and other stages compose between the merge and any sink.
 //
-// Next is single-consumer: one goroutine pulls at a time.
+// Next is single-consumer: one goroutine pulls at a time. UEID must be a
+// function of the event alone, safe to call from another goroutine while
+// Next runs: a file sink renders ids on its encoder goroutine.
 type EventSource interface {
 	Next() (e Event, ok bool)
 	Err() error
@@ -28,9 +30,11 @@ type EventSource interface {
 // UEIDAppender returns src's identifier renderer in append form: its
 // AppendUEID method where it has one (*Stream does; *Pacer and the
 // daemon's checkpoint tap forward theirs), else UEID's string appended.
-// The line sinks render one identifier per event through it; EventSource
-// itself stays four methods wide for implementers outside this module's
-// packages.
+// The line sinks render one identifier per event through it, on the file
+// sink's encoder goroutine, so like UEID the renderer must depend on the
+// event alone (Stream.AppendUEID reads only the stream's fixed source ids).
+// EventSource itself stays four methods wide for implementers outside
+// this module's packages.
 func UEIDAppender(src EventSource) func(dst []byte, e Event) []byte {
 	if a, ok := src.(interface {
 		AppendUEID(dst []byte, e Event) []byte
@@ -63,7 +67,7 @@ func UEIDAppender(src EventSource) func(dst []byte, e Event) []byte {
 type Pacer struct {
 	src         EventSource
 	appendID    func([]byte, Event) []byte
-	ctx         context.Context
+	ctxDone     <-chan struct{} // ctx.Done(), nil when ctx cannot end
 	compression float64
 
 	started  bool
@@ -102,7 +106,7 @@ func NewPacer(ctx context.Context, src EventSource, compression float64) *Pacer 
 	if compression < 0 {
 		compression = 0
 	}
-	return &Pacer{src: src, appendID: UEIDAppender(src), ctx: ctx, compression: compression}
+	return &Pacer{src: src, appendID: UEIDAppender(src), ctxDone: ctx.Done(), compression: compression}
 }
 
 // ResumeAt anchors the pacer's trace-time origin at t0 instead of the
@@ -187,10 +191,13 @@ func (p *Pacer) Next() (Event, bool) {
 	if p.done {
 		return Event{}, false
 	}
-	if p.ctx.Err() != nil {
+	// A closed Done is an ended context, without the lock ctx.Err takes.
+	select {
+	case <-p.ctxDone:
 		p.endStream()
 		p.stopped.Store(true)
 		return Event{}, false
+	default:
 	}
 	if limit := p.maxEvents; limit > 0 && p.events.Load() >= limit {
 		p.endStream()
@@ -235,7 +242,7 @@ func (p *Pacer) Next() (Event, bool) {
 			}
 			select {
 			case <-p.timer.C:
-			case <-p.ctx.Done():
+			case <-p.ctxDone:
 				if !p.timer.Stop() {
 					<-p.timer.C
 				}

@@ -219,36 +219,39 @@ func TestFileSinkCursorResume(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cfg := SinkConfig{Name: format, Out: filepath.Join(dir, "out"), Below: countBelow}
-		crash := &crashingSource{at: 700, extra: 450}
-		write(cfg, opts, nil, crash)
-		if !crash.ok || crash.cur.Bytes <= 0 {
-			t.Fatalf("%s: cursor %+v ok=%v after 700 events", format, crash.cur, crash.ok)
-		}
-		torn, _ := os.ReadFile(cfg.Out)
-		if int64(len(torn)) <= crash.cur.Bytes || bytes.Equal(torn, want) {
-			t.Fatalf("%s: crashed file has %d bytes, cursor %d: no lost tail to drop", format, len(torn), crash.cur.Bytes)
-		}
+		// A resume at 700 events, and at the encoder's batch boundary ±1.
+		for _, at := range []int{700, sinkBatch - 1, sinkBatch, sinkBatch + 1} {
+			cfg := SinkConfig{Name: format, Out: filepath.Join(dir, fmt.Sprintf("out-%d", at)), Below: countBelow}
+			crash := &crashingSource{at: at, extra: 450}
+			write(cfg, opts, nil, crash)
+			if !crash.ok || crash.cur.Bytes <= 0 {
+				t.Fatalf("%s: cursor %+v ok=%v after %d events", format, crash.cur, crash.ok, at)
+			}
+			torn, _ := os.ReadFile(cfg.Out)
+			if int64(len(torn)) <= crash.cur.Bytes || bytes.Equal(torn, want) {
+				t.Fatalf("%s: crashed file has %d bytes, cursor %d: no lost tail to drop", format, len(torn), crash.cur.Bytes)
+			}
 
-		gz := cfg
-		gz.Out += ".gz"
-		gzSink, _ := NewSink(gz)
-		if err := gzSink.(Checkpointer).Resume(crash.cur); err == nil {
-			t.Errorf("%s: a .gz sink accepted a byte cursor", format)
-		}
-		short, _ := NewSink(cfg)
-		past := crash.cur
-		past.Bytes = int64(len(torn)) + 1
-		if err := short.(Checkpointer).Resume(past); err == nil {
-			t.Errorf("%s: a cursor past the end of the file was accepted", format)
-		}
+			gz := cfg
+			gz.Out += ".gz"
+			gzSink, _ := NewSink(gz)
+			if err := gzSink.(Checkpointer).Resume(crash.cur); err == nil {
+				t.Errorf("%s: a .gz sink accepted a byte cursor", format)
+			}
+			short, _ := NewSink(cfg)
+			past := crash.cur
+			past.Bytes = int64(len(torn)) + 1
+			if err := short.(Checkpointer).Resume(past); err == nil {
+				t.Errorf("%s: a cursor past the end of the file was accepted", format)
+			}
 
-		ropts := opts
-		ropts.ResumeAfter = &crash.key
-		write(cfg, ropts, &crash.cur, nil)
-		got, _ := os.ReadFile(cfg.Out)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: resumed file (%d bytes) differs from an uninterrupted write (%d bytes)", format, len(got), len(want))
+			ropts := opts
+			ropts.ResumeAfter = &crash.key
+			write(cfg, ropts, &crash.cur, nil)
+			got, _ := os.ReadFile(cfg.Out)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s at %d: resumed file (%d bytes) differs from an uninterrupted write (%d bytes)", format, at, len(got), len(want))
+			}
 		}
 	}
 }

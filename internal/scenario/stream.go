@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -439,7 +440,13 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 					return
 				}
 				opsSp := tracez.Begin(tracez.StageScenarioOps, "")
-				evs = evs[:0]
+				n := 0
+				for i := range streams {
+					n += len(streams[i].Events)
+				}
+				// Operators may add events; the pre-operator count
+				// is the usual size and one allocation.
+				evs = slices.Grow(evs[:0], n)
 				for i := range streams {
 					s := &streams[i]
 					ue := ueKey(job.src, job.lo+i)
