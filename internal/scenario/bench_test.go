@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -133,6 +134,36 @@ func BenchmarkScenarioUEID(b *testing.B) {
 		b.Fatal("empty id")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+}
+
+// BenchmarkAppendTime measures the line encoder's timestamp formatter alone
+// on benchChunk's times (uniform over an hour, 16–17 significant digits):
+// the kernel, and strconv.AppendFloat 'f' at shortest precision — the bytes
+// it is held to — as the reference.
+func BenchmarkAppendTime(b *testing.B) {
+	evs := benchChunk(1<<16, 1)
+	for _, bc := range []struct {
+		name string
+		fn   func([]byte, float64) []byte
+	}{
+		{"kernel", appendTime},
+		{"strconv", func(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'f', -1, 64) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := make([]byte, 0, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, e := range evs {
+					buf = bc.fn(buf[:0], e.Time)
+				}
+			}
+			if len(buf) == 0 {
+				b.Fatal("empty time")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/value")
+		})
+	}
 }
 
 // BenchmarkFileSink measures the file sink layer: one op drains the same

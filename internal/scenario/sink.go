@@ -126,20 +126,19 @@ func csvField(s string) []byte {
 }
 
 // appendJSONFloat appends f as encoding/json's floatEncoder writes a
-// float64: "like ES6 number to string conversion" — 'f', but 'e' when
-// "abs < 1e-6 || abs >= 1e21", then "clean up e-09 to e-9". NaN and ±Inf
-// are json's own *json.UnsupportedValueError.
+// float64: "like ES6 number to string conversion" — 'f' (appendTime), but
+// 'e' when "abs < 1e-6 || abs >= 1e21", then "clean up e-09 to e-9". NaN
+// and ±Inf are json's own *json.UnsupportedValueError.
 func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if abs := math.Abs(f); abs >= 1e-6 && abs < 1e21 || abs == 0 {
+		return appendTime(b, f), nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		_, err := json.Marshal(f)
 		return b, err
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
@@ -156,8 +155,8 @@ func appendJSONFloat(b []byte, f float64) ([]byte, error) {
 // The bytes are those of json.Encoder.Encode on {"t", "ue_id",
 // "device_type", "event_type"} and of csv.Writer.Write on (ue_id,
 // device_type, timestamp, event_type) — FuzzLineWriter holds them to it.
-// Lines are appended field by field to one block buffer: numbers by
-// strconv under the rules quoted at appendJSONFloat, the device and event
+// Lines are appended field by field to one block buffer: times by
+// appendTime under the rules quoted at appendJSONFloat, the device and event
 // type names escaped once per value by the standard encoders, and a UE id
 // that is not plainASCII re-encoded by them, so no escaping rule lives
 // here. The underlying writer receives whole lines only, in blocks of
@@ -227,7 +226,7 @@ func (lw *LineWriter) Write(e Event) error {
 			b = append(b[:at], csvField(string(b[at:]))...)
 		}
 		b = append(b, lw.deviceOf(e.Device)...)
-		b = strconv.AppendFloat(b, e.Time, 'f', -1, 64)
+		b = appendTime(b, e.Time)
 	} else {
 		var err error
 		if b, err = appendJSONFloat(append(b, `{"t":`...), e.Time); err != nil {

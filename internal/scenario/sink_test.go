@@ -214,8 +214,10 @@ func TestLineWriterHostileIDs(t *testing.T) {
 	checkAgainstReference(t, src, src.UEID, evs)
 }
 
-// TestJSONFloatRule walks every decimal exponent a float64 has, and random
-// bit patterns, through appendJSONFloat against encoding/json itself.
+// TestJSONFloatRule walks every decimal exponent a float64 has, every power
+// of two from 2^-30 to 2^70 (past both ends of json's 'f' range) with its
+// neighbours, and random bit patterns, through appendJSONFloat against
+// encoding/json itself.
 func TestJSONFloatRule(t *testing.T) {
 	check := func(f float64) {
 		t.Helper()
@@ -239,6 +241,12 @@ func TestJSONFloatRule(t *testing.T) {
 			}
 			check(f)
 		}
+	}
+	for e := -30; e <= 70; e++ {
+		p := math.Ldexp(1, e)
+		check(math.Nextafter(p, 0))
+		check(p)
+		check(math.Nextafter(p, math.Inf(1)))
 	}
 	rng := rand.New(rand.NewSource(15))
 	for i := 0; i < 50_000; i++ {

@@ -224,10 +224,12 @@ func (st *Stream) AppendUEID(dst []byte, e Event) []byte {
 	}
 	idx := e.UE & (1<<ueKeyBits - 1)
 	dst = append(append(dst, st.srcIDs[src]...), '-')
-	for p := uint64(1e6); p > idx && p > 1; p /= 10 {
-		dst = append(dst, '0')
+	if idx >= 1e7 {
+		return strconv.AppendUint(dst, idx, 10)
 	}
-	return strconv.AppendUint(dst, idx, 10)
+	hi, lo := idx/1e4, idx%1e4 // seven digits, zero-padded: three, then four
+	return append(dst, '0'+byte(hi/100), digitPairs[hi%100*2], digitPairs[hi%100*2+1],
+		digitPairs[lo/100*2], digitPairs[lo/100*2+1], digitPairs[lo%100*2], digitPairs[lo%100*2+1])
 }
 
 // Next returns the next event in global time order; ok=false ends the
