@@ -11,10 +11,8 @@
 package cptgen
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -635,6 +633,8 @@ func BenchmarkReplayValidation(b *testing.B) {
 	b.ReportMetric(float64(d.NumEvents()), "events/op")
 }
 
+// BenchmarkTraceJSONLRoundTrip writes a 100-UE hour as jsonl event lines
+// (trace.SaveFile) and reads it back grouped by UE (trace.LoadFile).
 func BenchmarkTraceJSONLRoundTrip(b *testing.B) {
 	d, err := synthetic.Generate(synthetic.Config{
 		Generation: events.Gen4G, Seed: 3,
@@ -643,32 +643,18 @@ func BenchmarkTraceJSONLRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	path := filepath.Join(b.TempDir(), "t.jsonl")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		w := trace.NewStreamWriter(&buf, d.Generation)
-		for j := range d.Streams {
-			if err := w.WriteStream(&d.Streams[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
+		if err := trace.SaveFile(path, d); err != nil {
 			b.Fatal(err)
 		}
-		r, err := trace.NewStreamReader(&buf)
+		back, err := trace.LoadFile(path, d.Generation)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for n := 0; ; n++ {
-			var s trace.Stream
-			if err := r.Next(&s); err == io.EOF {
-				if n != len(d.Streams) {
-					b.Fatalf("read %d streams, wrote %d", n, len(d.Streams))
-				}
-				break
-			} else if err != nil {
-				b.Fatal(err)
-			}
+		if back.NumStreams() != d.NumStreams() {
+			b.Fatalf("read %d streams, wrote %d", back.NumStreams(), d.NumStreams())
 		}
 	}
 }

@@ -22,7 +22,7 @@ func main() {
 	var (
 		realPath  = flag.String("real", "trace.jsonl", "reference trace path")
 		synthPath = flag.String("synth", "synth.jsonl", "synthesized trace path")
-		gen       = flag.String("gen", "4G", "generation for CSV inputs")
+		gen       = flag.String("gen", "4G", "generation of the trace files read")
 		memN      = flag.Int("mem-n", 0, "also run the n-gram memorization audit with this n (0 = skip)")
 		memEps    = flag.Float64("mem-eps", 0.1, "memorization interarrival tolerance")
 	)

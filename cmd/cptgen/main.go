@@ -20,7 +20,7 @@ func main() {
 	log.SetPrefix("cptgen: ")
 
 	var (
-		out       = flag.String("out", "trace.jsonl", "output path (.csv or JSONL)")
+		out       = flag.String("out", "trace.jsonl", "output path: event lines, csv under .csv and jsonl otherwise (.gz compresses)")
 		gen       = flag.String("gen", "4G", "cellular generation: 4G or 5G")
 		phones    = flag.Int("phones", 500, "number of phone UEs")
 		cars      = flag.Int("cars", 300, "number of connected-car UEs")

@@ -32,7 +32,7 @@ func main() {
 		k         = flag.Int("k", 1, "SMM cluster count (1 = SMM-1)")
 		n         = flag.Int("n", 1000, "number of UE streams to synthesize")
 		device    = flag.String("device", "phone", "device label: phone, connected_car, tablet")
-		gen       = flag.String("gen", "4G", "generation (CSV fit inputs and netshare models)")
+		gen       = flag.String("gen", "4G", "generation of the trace files read, and of netshare models")
 		out       = flag.String("out", "synth.jsonl", "output trace path")
 		seed      = flag.Uint64("seed", 3, "random seed")
 		par       = flag.Int("parallelism", 0, "worker count for generation (0 = all cores); output is identical at any value")

@@ -27,7 +27,7 @@ func main() {
 		model  = flag.String("model", "cptgpt", "generator to train: cptgpt or netshare (the SMM baseline is fitted by cptsynth -model smm -fit)")
 		in     = flag.String("in", "trace.jsonl", "training trace path")
 		out    = flag.String("out", "model.bin", "output model path")
-		gen    = flag.String("gen", "4G", "generation for CSV inputs")
+		gen    = flag.String("gen", "4G", "generation of the trace files read")
 		epochs = flag.Int("epochs", 0, "override epoch count (0 = config default)")
 		dmodel = flag.Int("dmodel", 32, "CPT-GPT attention width")
 		seed   = flag.Uint64("seed", 7, "random seed")

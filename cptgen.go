@@ -269,10 +269,13 @@ func Memorization(generated, training *Dataset, n int, eps float64) (Memorizatio
 
 // Trace IO.
 
-// SaveTrace writes a dataset to path (.csv for CSV, otherwise JSONL).
+// SaveTrace writes a dataset to path as event lines, the format the
+// scenario file sinks write: csv under ".csv", jsonl otherwise, gzipped
+// under a further ".gz".
 func SaveTrace(path string, d *Dataset) error { return trace.SaveFile(path, d) }
 
-// LoadTrace reads a dataset from path; gen is used only for CSV inputs.
+// LoadTrace reads a dataset from path, grouping event lines by UE; gen is
+// the trace's generation (a legacy cptgpt-trace/1 file names its own).
 func LoadTrace(path string, gen Generation) (*Dataset, error) { return trace.LoadFile(path, gen) }
 
 // Downstream consumers.

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cptgpt/internal/events"
@@ -346,11 +348,15 @@ func TestParentModelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv bytes.Buffer
-	if err := trace.WriteCSV(&csv, g); err != nil {
+	path := filepath.Join(t.TempDir(), "g.csv")
+	if err := trace.SaveFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(csv.Bytes())); got != "931614663dded2673bdcb1fa67c8d00ff22b818f0460eeeefeec511e6a4207c5" {
+	csv, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(csv)); got != "931614663dded2673bdcb1fa67c8d00ff22b818f0460eeeefeec511e6a4207c5" {
 		t.Fatalf("generate digest %s (%d events, want 90)", got, g.NumEvents())
 	}
 }

@@ -72,10 +72,8 @@ func (m *Model) sampleStream(idx int, opts GenOpts) trace.Stream {
 	data, rawMin, rawLogWidth := m.generateRaw(noise, rz)
 	minLog, width := rangeFromRaw(rawMin, rawLogWidth)
 
-	s := trace.Stream{
-		UEID:   fmt.Sprintf("ue-%08x", rng.Uint64()&0xffffffff),
-		Device: opts.Device,
-	}
+	rng.Uint64() // the draw that once named the stream, kept so the times and events stay put
+	s := trace.Stream{UEID: trace.UEID("netshare-", opts.Device, idx), Device: opts.Device}
 	t := 0.0
 	if opts.StartWindow > 0 {
 		t = rng.Float64() * opts.StartWindow

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -89,15 +88,15 @@ func BenchmarkScenarioRunCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioLineWriter measures the file sinks' encoder alone, into
-// io.Discard: one op is 65 536 events (2 sources × 5000 UEs), one line
-// each, UE id rendering and block writes included. TestLineWriterZeroAllocs
-// asserts the 0 allocs/event.
+// BenchmarkScenarioLineWriter measures the file sinks' encoder alone
+// (eventWriter over trace.LineWriter), into io.Discard: one op is 65 536
+// events (2 sources × 5000 UEs), one line each, UE id rendering and block
+// writes included. TestLineWriterZeroAllocs asserts the 0 allocs/event.
 func BenchmarkScenarioLineWriter(b *testing.B) {
 	st, evs := benchEvents(1 << 16)
 	for _, format := range []string{"jsonl", "csv"} {
 		b.Run(format, func(b *testing.B) {
-			lw, err := NewLineWriter(io.Discard, format, st, true)
+			ew, err := newEventWriter(io.Discard, format, st, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -105,12 +104,12 @@ func BenchmarkScenarioLineWriter(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, e := range evs {
-					if err := lw.Write(e); err != nil {
+					if err := ew.write(e); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
-			if err := lw.Flush(); err != nil {
+			if err := ew.lw.Flush(); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
@@ -134,36 +133,6 @@ func BenchmarkScenarioUEID(b *testing.B) {
 		b.Fatal("empty id")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
-}
-
-// BenchmarkAppendTime measures the line encoder's timestamp formatter alone
-// on benchChunk's times (uniform over an hour, 16–17 significant digits):
-// the kernel, and strconv.AppendFloat 'f' at shortest precision — the bytes
-// it is held to — as the reference.
-func BenchmarkAppendTime(b *testing.B) {
-	evs := benchChunk(1<<16, 1)
-	for _, bc := range []struct {
-		name string
-		fn   func([]byte, float64) []byte
-	}{
-		{"kernel", appendTime},
-		{"strconv", func(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'f', -1, 64) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			buf := make([]byte, 0, 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, e := range evs {
-					buf = bc.fn(buf[:0], e.Time)
-				}
-			}
-			if len(buf) == 0 {
-				b.Fatal("empty time")
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/value")
-		})
-	}
 }
 
 // BenchmarkFileSink measures the file sink layer: one op drains the same

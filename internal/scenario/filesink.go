@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cptgpt/internal/trace"
 	"cptgpt/internal/tracez"
 )
 
@@ -33,7 +34,7 @@ type fileSink struct {
 
 	// Set while Consume runs, for Cursor.
 	f       *os.File
-	lw      *LineWriter
+	lw      *trace.LineWriter
 	enc     *sinkEncoder
 	written func() int64
 }
@@ -95,8 +96,8 @@ func (s *fileSink) Cursor() (Cursor, bool) {
 }
 
 // Consume pulls the source on the caller's goroutine and encodes on one
-// other (sinkEncoder), which owns the LineWriter and every writer below it
-// except while Cursor or the close below holds it idle.
+// other (sinkEncoder), which owns the eventWriter and every writer below
+// it except while Cursor or the close below holds it idle.
 func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	w := s.cfg.Stdout
 	if s.cfg.Out != "" {
@@ -117,14 +118,15 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 		w = gzw
 	}
 	// A resumed csv file already has its header on disk.
-	lw, err := NewLineWriter(w, s.cfg.Name, src, s.from.Bytes == 0)
+	ew, err := newEventWriter(w, s.cfg.Name, src, s.from.Bytes == 0)
 	if err != nil {
 		return nil, err
 	}
+	lw := ew.lw
 	s.lw = lw
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
 	defer func() { sp.End(int64(lw.Count()), s.cfg.Name) }()
-	enc := startEncoder(lw)
+	enc := startEncoder(ew)
 	s.enc = enc
 	defer func() {
 		enc.close() // joins the encoder on every path, a panicking src.Next's too
@@ -172,7 +174,32 @@ const (
 	sinkBuffers = 4
 )
 
-// sinkEncoder runs a LineWriter on its own goroutine, fed in order with
+// eventWriter writes scenario events as trace event lines: it renders each
+// event's UE id through the source (UEIDAppender) into a buffer it reuses
+// and hands the line's fields to a trace.LineWriter, which does all the
+// encoding.
+type eventWriter struct {
+	lw       *trace.LineWriter
+	appendID func(dst []byte, e Event) []byte
+	id       []byte
+}
+
+// newEventWriter writes format "jsonl" or "csv" to w, with the csv column
+// header first when header is set (a resumed file already has it).
+func newEventWriter(w io.Writer, format string, src EventSource, header bool) (*eventWriter, error) {
+	lw, err := trace.NewLineWriter(w, format, header)
+	if err != nil {
+		return nil, err
+	}
+	return &eventWriter{lw: lw, appendID: UEIDAppender(src)}, nil
+}
+
+func (ew *eventWriter) write(e Event) error {
+	ew.id = ew.appendID(ew.id[:0], e)
+	return ew.lw.Write(e.Time, ew.id, e.Device, e.Type)
+}
+
+// sinkEncoder runs an eventWriter on its own goroutine, fed in order with
 // batches of events by the consumer, so a file run's source and its
 // encoding use two cores. Encoding stops at the first Write error — a
 // failed block write or an unencodable event — which close reports.
@@ -193,7 +220,7 @@ type sinkEncoder struct {
 // startEncoder starts the encoder goroutine; close stops and joins it.
 // Both batch channels hold every buffer there is, so neither side blocks
 // on a send; the encoder leaves its loop only when close closes full.
-func startEncoder(lw *LineWriter) *sinkEncoder {
+func startEncoder(ew *eventWriter) *sinkEncoder {
 	enc := &sinkEncoder{
 		full: make(chan []Event, sinkBuffers),
 		free: make(chan []Event, sinkBuffers),
@@ -204,11 +231,11 @@ func startEncoder(lw *LineWriter) *sinkEncoder {
 		enc.free <- make([]Event, 0, sinkBatch)
 	}
 	enc.cur = make([]Event, 0, sinkBatch)
-	go enc.run(lw)
+	go enc.run(ew)
 	return enc
 }
 
-func (enc *sinkEncoder) run(lw *LineWriter) {
+func (enc *sinkEncoder) run(ew *eventWriter) {
 	defer close(enc.done)
 	for b := range enc.full {
 		if b == nil {
@@ -216,7 +243,7 @@ func (enc *sinkEncoder) run(lw *LineWriter) {
 			continue
 		}
 		if !enc.failed.Load() {
-			enc.encode(lw, b)
+			enc.encode(ew, b)
 		}
 		enc.free <- b[:0]
 	}
@@ -225,7 +252,7 @@ func (enc *sinkEncoder) run(lw *LineWriter) {
 // encode writes one batch. A panic (in a source's UEID, say) stops the
 // encoding and is raised again on the consumer's goroutine by close, where
 // a serial sink would have raised it.
-func (enc *sinkEncoder) encode(lw *LineWriter, b []Event) {
+func (enc *sinkEncoder) encode(ew *eventWriter, b []Event) {
 	defer func() {
 		if p := recover(); p != nil {
 			enc.panicked = fmt.Sprintf("scenario: panic in file sink encoder: %v\n%s", p, debug.Stack())
@@ -233,7 +260,7 @@ func (enc *sinkEncoder) encode(lw *LineWriter, b []Event) {
 		}
 	}()
 	for _, e := range b {
-		if err := lw.Write(e); err != nil {
+		if err := ew.write(e); err != nil {
 			enc.err = err
 			enc.failed.Store(true)
 			return
@@ -262,7 +289,7 @@ func (enc *sinkEncoder) send() {
 }
 
 // sync returns once every event added so far has gone through
-// LineWriter.Write, with the encoder's first error; the encoder then stays
+// eventWriter.write, with the encoder's first error; the encoder then stays
 // idle until the next add, so the caller may use the LineWriter and the
 // writers below it.
 func (enc *sinkEncoder) sync() error {

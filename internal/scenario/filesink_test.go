@@ -61,20 +61,21 @@ func (c *ckptSource) Next() (Event, bool) {
 	return e, ok
 }
 
-// serialLines is the reference encoding of evs, one LineWriter.Write at a
+// serialLines is the reference encoding of evs, one eventWriter.write at a
 // time on the caller's goroutine, with the offset at which each line ends:
 // ends[m] is the encoding's length after m events (header included).
 func serialLines(t testing.TB, format string, src EventSource, evs []Event) (ref []byte, ends []int64) {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := NewLineWriter(&buf, format, src, true)
+	ew, err := newEventWriter(&buf, format, src, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lw := ew.lw
 	lw.Flush()
 	ends = append(ends, int64(buf.Len()))
 	for _, e := range evs {
-		if err := lw.Write(e); err != nil {
+		if err := ew.write(e); err != nil {
 			t.Fatal(err)
 		}
 		lw.Flush()
@@ -87,7 +88,7 @@ func serialLines(t testing.TB, format string, src EventSource, evs []Event) (ref
 // source ends or a Write fails, then flush. Its bytes and error are what
 // the pipelined sink must leave behind.
 func serialConsume(w io.Writer, format string, src EventSource) error {
-	lw, err := NewLineWriter(w, format, src, true)
+	ew, err := newEventWriter(w, format, src, true)
 	if err != nil {
 		return err
 	}
@@ -96,14 +97,14 @@ func serialConsume(w io.Writer, format string, src EventSource) error {
 		if !ok {
 			break
 		}
-		if err = lw.Write(e); err != nil {
+		if err = ew.write(e); err != nil {
 			break
 		}
 	}
 	if err == nil {
 		err = src.Err()
 	}
-	if ferr := lw.Flush(); err == nil {
+	if ferr := ew.lw.Flush(); err == nil {
 		err = ferr
 	}
 	return err
@@ -146,7 +147,7 @@ func readSinkFile(t *testing.T, path string) []byte {
 }
 
 // TestFileSinkMatchesSerialEncoder: whatever the checkpoint cadence against
-// the encoder's batches, the file equals the serial LineWriter's bytes, and
+// the encoder's batches, the file equals the serial eventWriter's bytes, and
 // each cursor names exactly the encoding of the events consumed before it,
 // already on disk — the encoder is drained before the fsync.
 func TestFileSinkMatchesSerialEncoder(t *testing.T) {

@@ -16,9 +16,9 @@ import (
 	"cptgpt/internal/events"
 )
 
-// The encoders LineWriter replaced, kept as the reference its bytes are
-// held to: encoding/json over a boxed line struct, encoding/csv over a
-// string row, and fmt for the UE id.
+// The encoders trace.LineWriter replaced, kept as the reference the file
+// sinks' bytes are held to: encoding/json over a boxed line struct,
+// encoding/csv over a string row, and fmt for the UE id.
 
 type eventLine struct {
 	Time   float64 `json:"t"`
@@ -64,7 +64,7 @@ func referenceLines(format string, header bool, ueid func(Event) string, evs []E
 }
 
 // idSource renders UE ids from a table (the key itself where the table
-// has none) and has no AppendUEID, so LineWriter takes them through the
+// has none) and has no AppendUEID, so eventWriter takes them through the
 // string fallback.
 type idSource struct {
 	sliceSource
@@ -81,20 +81,21 @@ func (s *idSource) UEID(e Event) string {
 // stringOnly hides a stream's AppendUEID.
 type stringOnly struct{ EventSource }
 
-// encodeAll writes evs through a LineWriter and returns what reached w,
+// encodeAll writes evs through an eventWriter and returns what reached w,
 // with the first Write error (encoding continues past it, as a caller
 // that skipped the event would).
 func encodeAll(t testing.TB, format string, header bool, src EventSource, evs []Event) ([]byte, error) {
 	t.Helper()
 	var buf bytes.Buffer
-	lw, err := NewLineWriter(&buf, format, src, header)
+	ew, err := newEventWriter(&buf, format, src, header)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lw := ew.lw
 	var first error
 	ok := 0
 	for _, e := range evs {
-		if err := lw.Write(e); err != nil {
+		if err := ew.write(e); err != nil {
 			if first == nil {
 				first = err
 			}
@@ -158,7 +159,7 @@ var edgeTimes = []float64{
 }
 
 // FuzzLineWriter: whatever the time, the source id, the UE key and the
-// device and type values, LineWriter's bytes equal the reference encoders'
+// device and type values, the file sinks' bytes equal the reference encoders'
 // — for both formats, with and without the csv header, by AppendUEID and
 // by the UEID string fallback — and a time json refuses is the same error
 // and leaves no bytes. pad filler events in front move the event across
@@ -216,23 +217,10 @@ func TestLineWriterHostileIDs(t *testing.T) {
 
 // TestJSONFloatRule walks every decimal exponent a float64 has, every power
 // of two from 2^-30 to 2^70 (past both ends of json's 'f' range) with its
-// neighbours, and random bit patterns, through appendJSONFloat against
-// encoding/json itself.
+// neighbours, and random bit patterns, through the jsonl sink's "t" field
+// against encoding/json itself.
 func TestJSONFloatRule(t *testing.T) {
-	check := func(f float64) {
-		t.Helper()
-		want, wantErr := json.Marshal(f)
-		got, gotErr := appendJSONFloat([]byte("x"), f)
-		if wantErr != nil {
-			if gotErr == nil || gotErr.Error() != wantErr.Error() || string(got) != "x" {
-				t.Fatalf("%v: got %q, %v; json says %v", f, got, gotErr, wantErr)
-			}
-			return
-		}
-		if gotErr != nil || string(got[1:]) != string(want) {
-			t.Fatalf("%v: got %q, %v; json writes %q", f, got[1:], gotErr, want)
-		}
-	}
+	check := newTimeLine(t, "jsonl").checkJSON
 	for exp := -324; exp <= 308; exp++ {
 		for _, mant := range []string{"1", "9.999999999999999", "1.0000000000000002", "-4.25"} {
 			f, err := strconv.ParseFloat(mant+"e"+strconv.Itoa(exp), 64)
@@ -291,6 +279,9 @@ func (w *writeLog) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// lineBlock is the block size trace.LineWriter hands its writer lines in.
+const lineBlock = 64 << 10
+
 // TestLineWriterBlocks pins the block rule on lines that end one byte
 // before, exactly at and one byte past the block limit: the underlying
 // writer only ever sees whole lines, a block goes out with the line that
@@ -314,12 +305,13 @@ func TestLineWriterBlocks(t *testing.T) {
 			evs = append(evs, Event{Time: 12.5, UE: 1, Device: events.Phone}, filler, filler, filler)
 
 			var log writeLog
-			lw, err := NewLineWriter(&log, format, src, true)
+			ew, err := newEventWriter(&log, format, src, true)
 			if err != nil {
 				t.Fatal(err)
 			}
+			lw := ew.lw
 			for _, e := range evs {
-				if err := lw.Write(e); err != nil {
+				if err := ew.write(e); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -372,14 +364,15 @@ func TestLineWriterWriteErrors(t *testing.T) {
 	} {
 		for _, format := range []string{"jsonl", "csv"} {
 			log := &writeLog{failAt: tc.failAt, accept: tc.accept, err: tc.err}
-			lw, err := NewLineWriter(log, format, st, true)
+			ew, err := newEventWriter(log, format, st, true)
 			if err != nil {
 				t.Fatal(err)
 			}
+			lw := ew.lw
 			var failed error
 			n := 0
 			for ; failed == nil && n < 10_000; n++ {
-				failed = lw.Write(Event{Time: float64(n), UE: uint64(n), Type: events.Type(n % 5)})
+				failed = ew.write(Event{Time: float64(n), UE: uint64(n), Type: events.Type(n % 5)})
 			}
 			if !errors.Is(failed, tc.want) || len(log.writes) != tc.failAt {
 				t.Fatalf("%s %s: Write error %v after %d block writes, want %v at block %d", tc.name, format, failed, len(log.writes), tc.want, tc.failAt)
@@ -389,7 +382,7 @@ func TestLineWriterWriteErrors(t *testing.T) {
 				t.Fatalf("%s %s: failed after %d events, too early for block %d", tc.name, format, n, tc.failAt)
 			}
 			for i := 0; i < 2*perBlock; i++ {
-				if err := lw.Write(Event{Time: 1}); !errors.Is(err, tc.want) {
+				if err := ew.write(Event{Time: 1}); !errors.Is(err, tc.want) {
 					t.Fatalf("%s %s: Write after the failure returned %v", tc.name, format, err)
 				}
 			}
@@ -403,7 +396,7 @@ func TestLineWriterWriteErrors(t *testing.T) {
 	}
 
 	// An unknown format is still refused at construction.
-	if _, err := NewLineWriter(io.Discard, "xml", st, true); err == nil {
+	if _, err := newEventWriter(io.Discard, "xml", st, true); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 }
@@ -426,13 +419,13 @@ func benchEvents(n int) (*Stream, []Event) {
 func TestLineWriterZeroAllocs(t *testing.T) {
 	st, evs := benchEvents(4096)
 	for _, format := range []string{"jsonl", "csv"} {
-		lw, err := NewLineWriter(io.Discard, format, st, true)
+		ew, err := newEventWriter(io.Discard, format, st, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(20_000, func() {
-			if err := lw.Write(evs[i%len(evs)]); err != nil {
+			if err := ew.write(evs[i%len(evs)]); err != nil {
 				t.Fatal(err)
 			}
 			i++

@@ -227,9 +227,10 @@ func (st *Stream) AppendUEID(dst []byte, e Event) []byte {
 	if idx >= 1e7 {
 		return strconv.AppendUint(dst, idx, 10)
 	}
+	const pairs = trace.DigitPairs
 	hi, lo := idx/1e4, idx%1e4 // seven digits, zero-padded: three, then four
-	return append(dst, '0'+byte(hi/100), digitPairs[hi%100*2], digitPairs[hi%100*2+1],
-		digitPairs[lo/100*2], digitPairs[lo/100*2+1], digitPairs[lo%100*2], digitPairs[lo%100*2+1])
+	return append(dst, '0'+byte(hi/100), pairs[hi%100*2], pairs[hi%100*2+1],
+		pairs[lo/100*2], pairs[lo/100*2+1], pairs[lo%100*2], pairs[lo%100*2+1])
 }
 
 // Next returns the next event in global time order; ok=false ends the

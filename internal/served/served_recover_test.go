@@ -60,17 +60,20 @@ func renderReference(t *testing.T, builtin string, ues int, format string) ([]by
 	}
 	defer st.Close()
 	var buf bytes.Buffer
-	lw, err := scenario.NewLineWriter(&buf, format, st, true)
+	lw, err := trace.NewLineWriter(&buf, format, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	appendID := scenario.UEIDAppender(st)
+	var id []byte
 	var evs []scenario.Event
 	for {
 		e, ok := st.Next()
 		if !ok {
 			break
 		}
-		if err := lw.Write(e); err != nil {
+		id = appendID(id[:0], e)
+		if err := lw.Write(e.Time, id, e.Device, e.Type); err != nil {
 			t.Fatal(err)
 		}
 		evs = append(evs, e)

@@ -15,6 +15,7 @@ import (
 
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
+	"cptgpt/internal/trace"
 )
 
 // halfWriter takes half of its first write and reports no error — the
@@ -50,7 +51,7 @@ func TestSinkShortWrite(t *testing.T) {
 	for _, format := range []string{"jsonl", "csv"} {
 		sink := &halfWriter{}
 		cw := &countingWriter{w: sink}
-		lw, err := scenario.NewLineWriter(cw, format, st, true)
+		lw, err := trace.NewLineWriter(cw, format, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,13 +59,14 @@ func TestSinkShortWrite(t *testing.T) {
 		if !ok {
 			t.Fatal(st.Err())
 		}
-		if err := lw.Write(e); err != nil {
+		id := []byte(st.UEID(e))
+		if err := lw.Write(e.Time, id, e.Device, e.Type); err != nil {
 			t.Fatal(err)
 		}
 		if err := lw.Flush(); !errors.Is(err, io.ErrShortWrite) {
 			t.Fatalf("%s: Flush over a short write returned %v, want io.ErrShortWrite", format, err)
 		}
-		if err := lw.Write(e); !errors.Is(err, io.ErrShortWrite) {
+		if err := lw.Write(e.Time, id, e.Device, e.Type); !errors.Is(err, io.ErrShortWrite) {
 			t.Fatalf("%s: Write after the short write returned %v", format, err)
 		}
 		if err := lw.Flush(); !errors.Is(err, io.ErrShortWrite) || sink.calls != 1 {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -13,101 +15,27 @@ import (
 	"cptgpt/internal/events"
 )
 
-// WriteCSV emits the dataset in the flat interchange format used by the
-// command-line tools: one event per row,
-//
-//	ue_id,device_type,timestamp,event_type
-//
-// with a header row. Rows are grouped by stream in dataset order.
-func WriteCSV(w io.Writer, d *Dataset) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"ue_id", "device_type", "timestamp", "event_type"}); err != nil {
-		return fmt.Errorf("trace: writing CSV header: %w", err)
-	}
-	row := make([]string, 4)
-	for i := range d.Streams {
-		s := &d.Streams[i]
-		row[0] = s.UEID
-		row[1] = s.Device.String()
-		for _, e := range s.Events {
-			row[2] = strconv.FormatFloat(e.Time, 'f', -1, 64)
-			row[3] = e.Type.String()
-			if err := cw.Write(row); err != nil {
-				return fmt.Errorf("trace: writing CSV row: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses the format produced by WriteCSV. Consecutive rows with the
-// same ue_id are grouped into one stream; the generation must be supplied by
-// the caller since the CSV carries only event names.
-func ReadCSV(r io.Reader, gen events.Generation) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 4
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading CSV header: %w", err)
-	}
-	if header[0] != "ue_id" {
-		return nil, fmt.Errorf("trace: unexpected CSV header %v", header)
-	}
-	d := &Dataset{Generation: gen}
-	var cur *Stream
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading CSV line %d: %w", line, err)
-		}
-		dev, err := events.ParseDeviceType(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV line %d: %w", line, err)
-		}
-		ts, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV line %d: bad timestamp: %w", line, err)
-		}
-		et, err := events.ParseType(rec[3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: CSV line %d: %w", line, err)
-		}
-		if cur == nil || cur.UEID != rec[0] {
-			d.Streams = append(d.Streams, Stream{UEID: rec[0], Device: dev})
-			cur = &d.Streams[len(d.Streams)-1]
-		}
-		cur.Events = append(cur.Events, Event{Time: ts, Type: et})
-	}
-	return d, nil
-}
-
-// SaveFile writes the dataset to path, choosing the format by extension:
-// ".csv" for CSV, anything else for JSONL; a ".gz" suffix transparently
-// gzip-compresses either format. JSONL goes through the incremental
-// StreamWriter, so no second copy of the dataset is buffered.
+// SaveFile writes the dataset to path as event lines (LineWriter), stream
+// by stream: csv under a ".csv" extension, jsonl under any other; a ".gz"
+// suffix gzip-compresses either. A stream with no events writes no line.
 func SaveFile(path string, d *Dataset) error {
-	if !isCSV(path) {
-		sw, err := CreateStream(path, d.Generation)
-		if err != nil {
-			return err
-		}
-		for i := range d.Streams {
-			if err := sw.WriteStream(&d.Streams[i]); err != nil {
-				sw.Close()
-				return err
-			}
-		}
-		return sw.Close()
-	}
 	w, err := createFile(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteCSV(w, d); err != nil {
+	lw, _ := NewLineWriter(w, fileFormat(path), true) // a known format
+	var id []byte
+	for i := range d.Streams {
+		s := &d.Streams[i]
+		id = append(id[:0], s.UEID...)
+		for _, e := range s.Events {
+			if err := lw.Write(e.Time, id, s.Device, e.Type); err != nil {
+				w.Close()
+				return err
+			}
+		}
+	}
+	if err := lw.Flush(); err != nil {
 		w.Close()
 		return err
 	}
@@ -115,40 +43,185 @@ func SaveFile(path string, d *Dataset) error {
 }
 
 // LoadFile reads a dataset from path, choosing the format by extension and
-// transparently decompressing a ".gz" suffix. The generation argument is
-// only consulted for CSV files (JSONL embeds it). JSONL goes through the
-// incremental StreamReader.
+// decompressing a ".gz" suffix. It reads the event lines LineWriter writes
+// (csv, or jsonl) and groups them by ue_id across the whole file: streams
+// in order of first appearance, each stream's events in file order. The
+// lines carry no generation, so gen is the dataset's, and an event type
+// outside events.Vocabulary(gen) is an error. A jsonl file that opens with
+// a cptgpt-trace/1 header (the per-stream format this package once wrote)
+// is read as that format, under the generation its header names.
 func LoadFile(path string, gen events.Generation) (*Dataset, error) {
-	if !isCSV(path) {
-		sr, err := OpenStream(path)
-		if err != nil {
-			return nil, err
-		}
-		defer sr.Close()
-		d := &Dataset{Generation: sr.Generation()}
-		for {
-			var s Stream
-			if err := sr.Next(&s); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			d.Streams = append(d.Streams, s)
-		}
-		return d, nil
-	}
 	r, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	return ReadCSV(r, gen)
+	g := grouper{d: &Dataset{Generation: gen}, idx: map[string]int{}}
+	if fileFormat(path) == formatCSV {
+		err = g.readCSV(r)
+	} else {
+		err = g.readJSONL(r)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	return g.d, nil
 }
 
-// isCSV reports whether path names a CSV trace; the format is the extension
-// under any ".gz" ("trace.csv.gz" is CSV, gzipped).
-func isCSV(path string) bool {
-	return strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".csv")
+// grouper builds a dataset from rows, one stream per distinct UE id.
+type grouper struct {
+	d   *Dataset
+	idx map[string]int // UE id → its stream's index in d.Streams
+}
+
+// add appends one event to the UE's stream, opening the stream on the UE's
+// first row. Every accepted row survives SaveFile unchanged.
+func (g *grouper) add(id string, dev events.DeviceType, t float64, typ events.Type) error {
+	if !dev.Valid() {
+		return fmt.Errorf("unknown device type %d", dev)
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("timestamp %v is not finite", t)
+	}
+	if events.VocabIndex(g.d.Generation, typ) < 0 {
+		return vocabError(g.d.Generation, typ)
+	}
+	i, ok := g.idx[id]
+	if !ok {
+		i = len(g.d.Streams)
+		g.idx[id] = i
+		g.d.Streams = append(g.d.Streams, Stream{UEID: id, Device: dev})
+	}
+	s := &g.d.Streams[i]
+	if s.Device != dev {
+		return fmt.Errorf("UE %q is both %v and %v", id, s.Device, dev)
+	}
+	s.Events = append(s.Events, Event{Time: t, Type: typ})
+	return nil
+}
+
+// vocabError names the generation whose vocabulary typ is in, if any.
+func vocabError(gen events.Generation, typ events.Type) error {
+	for _, other := range []events.Generation{events.Gen4G, events.Gen5G} {
+		if events.VocabIndex(other, typ) >= 0 {
+			return fmt.Errorf("event type %v is not a %v event; read a %v trace with -gen %v", typ, gen, other, other)
+		}
+	}
+	return fmt.Errorf("event type %v is not a %v event", typ, gen)
+}
+
+// readCSV reads csv rows under the column header.
+func (g *grouper) readCSV(r io.Reader) error {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = 4
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err != nil {
+		return fmt.Errorf("reading CSV header: %w", err)
+	}
+	if strings.Join(header, ",") != csvHeader {
+		return fmt.Errorf("CSV header %q, want %q", strings.Join(header, ","), csvHeader)
+	}
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err // a *csv.ParseError names its line
+		}
+		line, _ := cr.FieldPos(0)
+		if strings.ContainsRune(rec[0], '\r') {
+			// encoding/csv reads a "\r\n" inside a quoted field as "\n".
+			return fmt.Errorf("CSV line %d: a UE id with a carriage return does not survive csv", line)
+		}
+		t, err := strconv.ParseFloat(rec[2], 64)
+		if err != nil {
+			return fmt.Errorf("CSV line %d: bad timestamp: %w", line, err)
+		}
+		if err := g.addNamed(rec[0], rec[1], t, rec[3]); err != nil {
+			return fmt.Errorf("CSV line %d: %w", line, err)
+		}
+	}
+}
+
+// addNamed adds a row whose device and event type are given by name.
+func (g *grouper) addNamed(id, device string, t float64, typ string) error {
+	dev, err := events.ParseDeviceType(device)
+	if err != nil {
+		return err
+	}
+	et, err := events.ParseType(typ)
+	if err != nil {
+		return err
+	}
+	return g.add(id, dev, t, et)
+}
+
+// eventLine is one jsonl event line as LineWriter writes it, or the
+// header line of a legacy cptgpt-trace/1 file: {"format", "generation",
+// "streams"}, then one Stream object per line with event types and
+// devices as numeric codes (the stream count, or -1, is not needed).
+type eventLine struct {
+	Time   float64 `json:"t"`
+	UEID   string  `json:"ue_id"`
+	Device string  `json:"device_type"`
+	Type   string  `json:"event_type"`
+
+	Format     string `json:"format"`
+	Generation string `json:"generation"`
+}
+
+// readJSONL reads jsonl event lines, or a cptgpt-trace/1 file.
+func (g *grouper) readJSONL(r io.Reader) error {
+	dec := json.NewDecoder(bufio.NewReader(r))
+	for n := 1; ; n++ {
+		var l eventLine
+		if err := dec.Decode(&l); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("reading event %d: %w", n, err)
+		}
+		if n == 1 && l.Format != "" {
+			return g.readLegacy(dec, l.Format, l.Generation)
+		}
+		if err := g.addNamed(l.UEID, l.Device, l.Time, l.Type); err != nil {
+			return fmt.Errorf("event %d: %w", n, err)
+		}
+	}
+}
+
+// readLegacy reads the streams of a cptgpt-trace/1 file after its header.
+func (g *grouper) readLegacy(dec *json.Decoder, format, generation string) error {
+	if format != "cptgpt-trace/1" {
+		return fmt.Errorf("unsupported trace format %q", format)
+	}
+	gen, err := events.ParseGeneration(generation)
+	if err != nil {
+		return fmt.Errorf("header: %w", err)
+	}
+	g.d.Generation = gen
+	for n := 0; ; n++ {
+		var s Stream
+		if err := dec.Decode(&s); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("reading stream %d: %w", n, err)
+		}
+		for _, e := range s.Events {
+			if err := g.add(s.UEID, s.Device, e.Time, e.Type); err != nil {
+				return fmt.Errorf("stream %d: %w", n, err)
+			}
+		}
+	}
+}
+
+// fileFormat is the line format of path: csv under a ".csv" extension
+// beneath any ".gz" ("trace.csv.gz" is csv, gzipped), jsonl otherwise.
+func fileFormat(path string) string {
+	if strings.HasSuffix(strings.TrimSuffix(path, ".gz"), ".csv") {
+		return formatCSV
+	}
+	return formatJSONL
 }
 
 // layered closes a stack of closers outermost first (the compressor, then

@@ -1,4 +1,4 @@
-package scenario
+package trace
 
 import (
 	"math"
@@ -15,8 +15,9 @@ import (
 // JSON's whole 'f' range [1e-6, 1e21), go through an integer-only
 // Schubfach kernel (R. Giulietti, "The Schubfach way to render doubles",
 // 2020); zero, negatives, subnormals, NaN, ±Inf and larger or smaller
-// values go to strconv. TestAppendTimeMatchesStrconv and FuzzAppendTime
-// hold the bytes to strconv's.
+// values go to strconv. TestAppendTimeMatchesStrconv and FuzzAppendTime in
+// internal/scenario hold the file sinks' time fields, which this writes,
+// to strconv's bytes.
 func appendTime(b []byte, f float64) []byte {
 	fb := math.Float64bits(f)
 	q := int(fb>>52) - 1075 // f = c·2^q; the sign bit puts every negative out of range
@@ -114,8 +115,9 @@ func roundToOdd(g *[2]uint64, cp uint64) uint64 {
 	return y1 + z>>63 | (z&(1<<63-1)+(1<<63-1))>>63
 }
 
-// digitPairs holds "00" through "99", so digits go out two at a time.
-const digitPairs = "00010203040506070809" +
+// DigitPairs holds "00" through "99", so digits go out two at a time: the
+// timestamp kernel writes from it, and so do UE id renderers.
+const DigitPairs = "00010203040506070809" +
 	"10111213141516171819" + "20212223242526272829" + "30313233343536373839" +
 	"40414243444546474849" + "50515253545556575859" + "60616263646566676869" +
 	"70717273747576777879" + "80818283848586878889" + "90919293949596979899"
@@ -131,8 +133,8 @@ func putDigits16(d []byte, hi, lo uint64) {
 	x, y := hi*scale, lo*scale
 	for i := 0; i < 8; i += 2 {
 		p, q := x>>point*2, y>>point*2
-		d[i], d[i+1] = digitPairs[p], digitPairs[p+1]
-		d[i+8], d[i+9] = digitPairs[q], digitPairs[q+1]
+		d[i], d[i+1] = DigitPairs[p], DigitPairs[p+1]
+		d[i+8], d[i+9] = DigitPairs[q], DigitPairs[q+1]
 		x, y = x&mask*100, y&mask*100
 	}
 }

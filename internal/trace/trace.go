@@ -2,8 +2,10 @@
 // a dataset is a set of streams, one per UE, where each stream carries a UE
 // identifier, a device type and a time-ordered sequence of (timestamp,
 // event) samples — together with the dataset manipulations the evaluation
-// needs (hour slicing, device filtering, length capping) and CSV/JSONL
-// serialization for interchange with the command-line tools.
+// needs (hour slicing, device filtering, length capping) and the one trace
+// file format: event lines, csv or jsonl, written by LineWriter (for
+// SaveFile and the scenario engine's file sinks alike) and read back by
+// LoadFile, which groups them by UE.
 package trace
 
 import (
@@ -21,7 +23,9 @@ type Event struct {
 	Type events.Type `json:"e"`
 }
 
-// Stream is the sequence of control events generated by a single UE.
+// Stream is the sequence of control events generated by a single UE. Its
+// JSON form is a stream line of the legacy cptgpt-trace/1 format, which
+// LoadFile still reads.
 type Stream struct {
 	UEID   string            `json:"ue_id"`
 	Device events.DeviceType `json:"device_type"`

@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
-	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -154,55 +154,60 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	d := sampleDataset()
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, d); err != nil {
+// writeInterleaved writes d's events through a LineWriter into dir/name
+// in time order across UEs, as a scenario sink writes them, and returns
+// the path.
+func writeInterleaved(t *testing.T, dir, name string, d *Dataset) string {
+	t.Helper()
+	type row struct {
+		s *Stream
+		e Event
+	}
+	var rows []row
+	for i := range d.Streams {
+		for _, e := range d.Streams[i].Events {
+			rows = append(rows, row{&d.Streams[i], e})
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b row) int { return cmp.Compare(a.e.Time, b.e.Time) })
+	path := filepath.Join(dir, name)
+	w, err := createFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf, events.Gen4G)
+	lw, err := NewLineWriter(w, fileFormat(path), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := lw.Write(r.e.Time, []byte(r.s.UEID), r.s.Device, r.e.Type); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCSVRoundTrip: csv rows interleaved across UEs load back grouped by
+// ue_id, streams in order of first appearance.
+func TestCSVRoundTrip(t *testing.T) {
+	d := sampleDataset()
+	got, err := LoadFile(writeInterleaved(t, t.TempDir(), "t.csv", d), events.Gen4G)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertEqualDatasets(t, d, got)
 }
 
-// writeJSONL and readJSONL drive the one JSONL writer and reader over a
-// whole dataset, as SaveFile and LoadFile do.
-func writeJSONL(w io.Writer, d *Dataset) error {
-	sw := NewStreamWriter(w, d.Generation)
-	for i := range d.Streams {
-		if err := sw.WriteStream(&d.Streams[i]); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
-func readJSONL(r io.Reader) (*Dataset, error) {
-	sr, err := NewStreamReader(r)
-	if err != nil {
-		return nil, err
-	}
-	d := &Dataset{Generation: sr.Generation()}
-	for {
-		var s Stream
-		if err := sr.Next(&s); err == io.EOF {
-			return d, nil
-		} else if err != nil {
-			return nil, err
-		}
-		d.Streams = append(d.Streams, s)
-	}
-}
-
+// TestJSONLRoundTrip: the same for jsonl event lines.
 func TestJSONLRoundTrip(t *testing.T) {
 	d := sampleDataset()
-	var buf bytes.Buffer
-	if err := writeJSONL(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readJSONL(&buf)
+	got, err := LoadFile(writeInterleaved(t, t.TempDir(), "t.jsonl", d), events.Gen4G)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,31 +233,52 @@ func TestFileRoundTripBothFormats(t *testing.T) {
 	}
 }
 
+// loadString loads content as a file called name.
+func loadString(t *testing.T, name, content string, gen events.Generation) (*Dataset, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return LoadFile(path, gen)
+}
+
 func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := readJSONL(bytes.NewBufferString(`{"format":"other/9"}`)); err == nil {
-		t.Fatal("wrong format header must error")
-	}
-	if _, err := readJSONL(bytes.NewBufferString(`not json`)); err == nil {
-		t.Fatal("garbage must error")
-	}
 	hdr := `{"format":"cptgpt-trace/1","generation":"4G","streams":-1}` + "\n"
-	if _, err := readJSONL(bytes.NewBufferString(hdr + `{"ue_id":"u","events":[{"t":"x"}]}`)); err == nil {
-		t.Fatal("a malformed stream line must error")
+	for _, bad := range []string{
+		`{"format":"other/9"}`,
+		`not json`,
+		`[1, 2]`,
+		hdr + `{"ue_id":"u","events":[{"t":"x"}]}`,
+		hdr + `{"ue_id":"u","device_type":7,"events":[{"t":1,"e":0}]}`,
+		`{"t":1,"ue_id":"u","device_type":"phone","event_type":"NOPE"}`,
+		`{"t":1,"ue_id":"u","device_type":"fridge","event_type":"ATCH"}`,
+		`{"t":1,"ue_id":"u","device_type":"phone","event_type":"ATCH"}` + "\n" + `{"t":2,"ue_id":"u","device_type":"tablet","event_type":"TAU"}`,
+		`{"t":1,"ue_id":"u","device_type":"phone","event_type":"ATCH"}` + "\n" + `{"t":`,
+	} {
+		if _, err := loadString(t, "t.jsonl", bad, events.Gen4G); err == nil {
+			t.Errorf("%q loaded", bad)
+		}
 	}
 }
 
 func TestReadCSVRejectsBadRows(t *testing.T) {
-	bad := "ue_id,device_type,timestamp,event_type\nu1,phone,notanumber,ATCH\n"
-	if _, err := ReadCSV(bytes.NewBufferString(bad), events.Gen4G); err == nil {
-		t.Fatal("bad timestamp must error")
+	for _, bad := range []string{
+		"u1,phone,notanumber,ATCH\n",
+		"u1,phone,1.5,NOPE\n",
+		"u1,fridge,1.5,ATCH\n",
+		"u1,phone,NaN,ATCH\n",
+		"u1,phone,-Inf,ATCH\n",
+		"u1,phone,1.5\n",
+		"u1,phone,1,ATCH\nu1,tablet,2,TAU\n",
+		"\"u\r\",phone,1,ATCH\n",
+	} {
+		if _, err := loadString(t, "t.csv", csvHeader+"\n"+bad, events.Gen4G); err == nil {
+			t.Errorf("%q loaded", bad)
+		}
 	}
-	bad = "ue_id,device_type,timestamp,event_type\nu1,phone,1.5,NOPE\n"
-	if _, err := ReadCSV(bytes.NewBufferString(bad), events.Gen4G); err == nil {
-		t.Fatal("bad event must error")
-	}
-	bad = "ue_id,device_type,timestamp,event_type\nu1,fridge,1.5,ATCH\n"
-	if _, err := ReadCSV(bytes.NewBufferString(bad), events.Gen4G); err == nil {
-		t.Fatal("bad device must error")
+	if _, err := loadString(t, "t.csv", "ue,device,timestamp,event\nu1,phone,1,ATCH\n", events.Gen4G); err == nil {
+		t.Error("a foreign header loaded")
 	}
 }
 
