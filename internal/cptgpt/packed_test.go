@@ -1,7 +1,11 @@
 package cptgpt
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
 	"cptgpt/internal/tensor"
@@ -140,5 +144,58 @@ func TestTrainMicrobatchDropoutConverges(t *testing.T) {
 	}
 	if !(loss[len(loss)-1] < loss[0]) {
 		t.Fatalf("dropout training did not improve: first %v last %v", loss[0], loss[len(loss)-1])
+	}
+}
+
+// trainDigest is FNV-64a over the little-endian float64 bits of the trained
+// parameters, then of the per-epoch losses.
+func trainDigest(w [][]float64, loss []float64) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, p := range w {
+		for _, v := range p {
+			put(v)
+		}
+	}
+	for _, v := range loss {
+		put(v)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestTrainPinned pins the trained weights and epoch losses of two epochs on
+// 30 phones at several AccumStreams, with and without dropout, so a change
+// to the trainer's step structure cannot move them unnoticed. The kernels'
+// multiply-adds may be fused into FMAs on other architectures, so the pins
+// are checked on amd64, where they were recorded.
+func TestTrainPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64")
+	}
+	d := testTrainingData(t, 30)
+	for _, c := range []struct {
+		accum   int
+		dropout float64
+		want    string
+	}{
+		{1, 0, "5fb93f489b9e32cd"},
+		{3, 0, "1e07cb088f445353"},
+		{4, 0, "068340d1155e71cd"},
+		{7, 0, "0ee4888ca5078911"},
+		{1, 0.1, "fad56730b9943236"},
+		{3, 0.1, "29c4759e6a30f517"},
+		{4, 0.1, "827e55f8491413b3"},
+	} {
+		cfg := smallConfig()
+		cfg.Epochs = 2
+		cfg.AccumStreams = c.accum
+		cfg.Dropout = c.dropout
+		if got := trainDigest(trainWeights(t, d, cfg, TrainOpts{})); got != c.want {
+			t.Errorf("AccumStreams=%d Dropout=%v: digest %s, want %s", c.accum, c.dropout, got, c.want)
+		}
 	}
 }
