@@ -145,11 +145,12 @@ func BenchmarkTensorMatMulBlocked256(b *testing.B) {
 	}
 }
 
-// benchTrainEpoch times one full CPT-GPT training epoch over a fixed stream
-// population and reports amortized ns/token (the §5.5 time-to-fidelity
-// currency: tokens processed per unit wall-clock).
-func benchTrainEpoch(b *testing.B, opts CPTGPTTrainOpts) {
-	b.Helper()
+// BenchmarkCPTGPTTrainEpoch times one full CPT-GPT training epoch over a
+// fixed stream population — one packed forward per optimizer step of
+// AccumStreams streams, at the process-global parallelism — and reports
+// amortized ns/token (the §5.5 time-to-fidelity currency: tokens processed
+// per unit wall-clock).
+func BenchmarkCPTGPTTrainEpoch(b *testing.B) {
 	d, err := synthetic.Generate(synthetic.Config{
 		Generation: events.Gen4G, Seed: 4,
 		UEs: map[events.DeviceType]int{events.Phone: 80}, Hours: 1, StartHour: 10,
@@ -171,28 +172,11 @@ func benchTrainEpoch(b *testing.B, opts CPTGPTTrainOpts) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TrainCPTGPT(d, cfg, opts); err != nil {
+		if _, err := TrainCPTGPT(d, cfg, CPTGPTTrainOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens), "ns/token")
-}
-
-// BenchmarkCPTGPTTrainEpoch measures the packed-minibatch trainer at default
-// settings (MicrobatchStreams = 4, Parallelism = GOMAXPROCS). Compare against
-// ...Serial for what packing and parallelism buy; the equivalence tests in
-// internal/cptgpt prove both paths train bit-identical weights.
-func BenchmarkCPTGPTTrainEpoch(b *testing.B) {
-	benchTrainEpoch(b, CPTGPTTrainOpts{})
-}
-
-// BenchmarkCPTGPTTrainEpochSerial is the one-stream-per-forward-pass,
-// one-tensor-worker training path. (Up to bench/baseline.txt it also pinned a
-// heap-allocated tape and the naive MatMul kernels — 78–83 µs/token there;
-// those switches are gone, so later rows of this name run the arena and the
-// shape-chosen kernels like every other trainer.)
-func BenchmarkCPTGPTTrainEpochSerial(b *testing.B) {
-	benchTrainEpoch(b, CPTGPTTrainOpts{MicrobatchStreams: 1, Parallelism: 1})
 }
 
 func BenchmarkTensorTrainStep(b *testing.B) {

@@ -35,7 +35,6 @@ func main() {
 		quiet     = flag.Bool("q", false, "suppress progress logging")
 		par       = flag.Int("parallelism", 0, "worker count for training and generation (0 = all cores); results are identical at any value")
 		batch     = flag.Int("batch", 0, "CPT-GPT decode batch size (0 = default)")
-		micro     = flag.Int("microbatch", 0, "CPT-GPT streams packed per training forward pass (0 = default, 1 = serial); results are identical at any value")
 	)
 	flag.Parse()
 	if *par > 0 {
@@ -49,7 +48,6 @@ func main() {
 	lab := experiments.NewLab(scale, *seed)
 	lab.Parallelism = *par
 	lab.BatchSize = *batch
-	lab.Microbatch = *micro
 	if !*quiet {
 		lab.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[%s] "+format+"\n", append([]any{time.Now().Format("15:04:05")}, args...)...)

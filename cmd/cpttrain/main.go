@@ -32,7 +32,6 @@ func main() {
 		dmodel = flag.Int("dmodel", 32, "CPT-GPT attention width")
 		seed   = flag.Uint64("seed", 7, "random seed")
 		par    = flag.Int("parallelism", 0, "tensor-kernel worker count (0 = all cores); trained weights are identical at any value")
-		micro  = flag.Int("microbatch", 0, "CPT-GPT streams packed per training forward pass (0 = config default, 1 = serial); trained weights are identical at any value")
 	)
 	flag.Parse()
 	if *par > 0 {
@@ -61,8 +60,7 @@ func main() {
 			cfg.Epochs = *epochs
 		}
 		m, err := cptgen.TrainCPTGPT(d, cfg, cptgen.CPTGPTTrainOpts{
-			MicrobatchStreams: *micro,
-			OnEpoch:           func(e int, loss float64) { fmt.Printf("epoch %d: loss %.4f\n", e+1, loss) },
+			OnEpoch: func(e int, loss float64) { fmt.Printf("epoch %d: loss %.4f\n", e+1, loss) },
 		})
 		if err != nil {
 			log.Fatal(err)

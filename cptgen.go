@@ -44,14 +44,15 @@ import (
 // bit-identical at every parallelism degree because each stream draws only
 // from its own index-seeded RNG. A CPT-GPT decode call treats its Parallelism
 // as one core budget: decoder goroutines × the shards each splits a decode
-// step into never exceed it. Training is batched too: CPT-GPT packs
-// CPTGPTTrainOpts.MicrobatchStreams streams into each forward pass (block-
-// diagonal causal attention over one concatenated matrix) and runs the tape
-// out of a per-step bump arena — trained weights are bit-identical at every
-// microbatch and parallelism setting. Per-call knobs live on the option
-// structs (CPTGPTGenOpts/NetShareGenOpts/SMMGenOpts .Parallelism and
-// .BatchSize, CPTGPTTrainOpts.Parallelism and .MicrobatchStreams);
-// SetParallelism sets the process-global default used when those are zero.
+// step into never exceed it. Training is batched too: each CPT-GPT
+// optimizer step is one packed forward over CPTGPTConfig.AccumStreams
+// streams (block-diagonal causal attention over one concatenated matrix),
+// its tape run out of a per-step bump arena — trained weights are
+// bit-identical at every parallelism degree. Generation knobs live on the
+// option structs (CPTGPTGenOpts/NetShareGenOpts/SMMGenOpts .Parallelism and
+// .BatchSize); training has none, and runs its kernels at the
+// process-global degree SetParallelism sets, which is also the default the
+// generators use when theirs are zero.
 
 // SetParallelism sets the process-global parallelism degree for tensor
 // kernels and stream generation (0 restores the GOMAXPROCS default). It

@@ -386,6 +386,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.LR = 0 },
 		func(c *Config) { c.Epochs = 0 },
 		func(c *Config) { c.LossWeights[1] = -1 },
+		func(c *Config) { c.AccumStreams = -1 },
+		func(c *Config) { c.Dropout = -0.1 },
+		func(c *Config) { c.Dropout = 1 }, // tensor.Dropout panics at p ≥ 1
+		func(c *Config) { c.Dropout = math.NaN() },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()
@@ -396,6 +400,22 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+
+	// A model file carrying an invalid config fails at load, not at the
+	// first training step.
+	d := testTrainingData(t, 5)
+	m, err := NewModel(smallConfig(), FitTokenizer(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Cfg.Dropout = 1
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Fatal("Load accepted a model file with Dropout 1")
 	}
 }
 

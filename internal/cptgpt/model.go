@@ -35,16 +35,10 @@ type Config struct {
 	LR float64
 	// Epochs is the number of passes over the training streams.
 	Epochs int
-	// AccumStreams is the number of streams whose gradients accumulate into
-	// one optimizer step.
+	// AccumStreams is the number of streams in one optimizer step: Train
+	// packs them into one forward pass (a padding-free concatenated
+	// minibatch with a block-diagonal causal mask). 0 means 1.
 	AccumStreams int
-	// MicrobatchStreams is the number of streams packed into one forward
-	// pass (a padded-free concatenated minibatch with a block-diagonal
-	// causal mask). 0 or 1 trains one stream at a time. The trained weights
-	// are bit-identical at every setting when Dropout is 0 (the packed
-	// path preserves every reduction order); with dropout they are
-	// statistically equivalent (the mask draw order differs).
-	MicrobatchStreams int
 	// LossWeights weights the [event, interarrival, stop] losses in the
 	// total (the paper trains 1:1:1 and studies 3:1:1 / 1:3:1 / 1:1:3).
 	LossWeights [3]float64
@@ -71,11 +65,9 @@ func DefaultConfig() Config {
 		LR:           3e-3,
 		Epochs:       4,
 		AccumStreams: 4,
-		// One packed forward per optimizer step at the default AccumStreams.
-		MicrobatchStreams: 4,
-		LossWeights:       [3]float64{1, 1, 1},
-		DistHead:          true,
-		Seed:              7,
+		LossWeights:  [3]float64{1, 1, 1},
+		DistHead:     true,
+		Seed:         7,
 	}
 }
 
@@ -92,8 +84,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cptgpt: LR must be positive, got %v", c.LR)
 	case c.Epochs <= 0:
 		return fmt.Errorf("cptgpt: Epochs must be positive, got %d", c.Epochs)
-	case c.MicrobatchStreams < 0:
-		return fmt.Errorf("cptgpt: MicrobatchStreams must be non-negative, got %d", c.MicrobatchStreams)
+	case c.AccumStreams < 0:
+		return fmt.Errorf("cptgpt: AccumStreams must be non-negative, got %d", c.AccumStreams)
+	case !(c.Dropout >= 0 && c.Dropout < 1):
+		return fmt.Errorf("cptgpt: Dropout must be in [0, 1), got %v", c.Dropout)
 	}
 	for i, w := range c.LossWeights {
 		if w < 0 {

@@ -76,9 +76,9 @@ func (pb *PackedBatch) Rows() int { return pb.Bounds[len(pb.Bounds)-1] }
 // causal mask, and the positional embedding is gathered per row.
 //
 // When dropRng is non-nil dropout is active; the mask is drawn over the
-// packed matrix in row-major order, which differs from the per-stream draw
-// order — so with dropout the packed path is statistically, not bitwise,
-// equivalent to serial training.
+// packed matrix in row-major order, which for more than one stream differs
+// from the per-stream draw order — so with dropout a packed multi-stream
+// step is statistically, not bitwise, equivalent to per-stream Forwards.
 func (m *Model) ForwardPacked(pb *PackedBatch, dropRng *rand.Rand) (*Heads, error) {
 	for s := 0; s < pb.Streams(); s++ {
 		if t := pb.Bounds[s+1] - pb.Bounds[s]; t > m.Cfg.MaxLen {
@@ -112,8 +112,8 @@ func sliceHeads(h *Heads, lo, hi int) *Heads {
 
 // LossPacked computes the per-stream training losses of a packed forward
 // and combines them into one scalar, re-weighting stream s by
-// rows_s/meanTokens exactly as the serial trainer scales each stream's
-// backward pass. It returns the combined loss plus the raw (unweighted)
+// rows_s/meanTokens, as a per-stream pass would scale each stream's
+// backward pass (Scale by the same factor). It returns the combined loss plus the raw (unweighted)
 // per-stream loss values for epoch accounting.
 func (m *Model) LossPacked(h *Heads, pb *PackedBatch, meanTokens float64) (total *tensor.Tensor, perStream []float64) {
 	n := pb.Streams()

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 
+	"cptgpt/internal/nn"
+	"cptgpt/internal/stats"
 	"cptgpt/internal/tensor"
 	"cptgpt/internal/trace"
 )
@@ -92,36 +94,98 @@ func trainWeights(t *testing.T, d *trace.Dataset, cfg Config, opts TrainOpts) ([
 	return snapshotParams(m.Params()), res.EpochLoss
 }
 
-// TestTrainMicrobatchEquivalence is the trainer-level equivalence guarantee:
-// packed-minibatch training reaches bit-identical weights and loss
-// trajectories to the serial per-stream path, across microbatch sizes and
-// parallelism degrees (Dropout is 0, so every reduction order is preserved;
-// the arena and the blocked MatMul kernels are exercised on the packed runs
-// and must not perturb a single bit either).
-func TestTrainMicrobatchEquivalence(t *testing.T) {
-	d := testTrainingData(t, 30)
-	cfg := smallConfig()
-	cfg.Epochs = 2
+// trainPerStream is the reference trainer Train must match: Train's
+// schedule (shuffle, cosine LR, a step per AccumStreams streams) with one
+// heap-allocated tape per stream through Forward, Loss and Scale, whose
+// gradients accumulate into the step. Dropout must be 0.
+func trainPerStream(t *testing.T, d *trace.Dataset, cfg Config) ([][]float64, []float64) {
+	t.Helper()
+	m, err := NewModel(cfg, FitTokenizer(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ins []*tensor.Tensor
+	var tgs []*Targets
+	var totalTokens int
+	for i := range d.Streams {
+		if n := len(d.Streams[i].Events); n < 2 || n > cfg.MaxLen+1 {
+			continue
+		}
+		in, tg, err := m.Tok.EncodeStream(&d.Streams[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, tgs = append(ins, in), append(tgs, tg)
+		totalTokens += in.Rows
+	}
+	meanTokens := float64(totalTokens) / float64(len(ins))
+	opt := nn.NewAdam(m.Params(), cfg.LR)
+	rng := stats.NewRand(cfg.Seed ^ 0xDEAD)
+	order := make([]int, len(ins))
+	for i := range order {
+		order[i] = i
+	}
+	var losses []float64
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		frac := float64(epoch) / float64(cfg.Epochs-1)
+		opt.LR = cfg.LR * (0.1 + 0.9*0.5*(1+math.Cos(math.Pi*frac)))
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var lossSum float64
+		for k := 0; k < len(order); k += cfg.AccumStreams {
+			opt.ZeroGrads()
+			for _, idx := range order[k:min(k+cfg.AccumStreams, len(order))] {
+				h, err := m.Forward(ins[idx], nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loss := m.Loss(h, tgs[idx])
+				lossSum += loss.Data[0]
+				tensor.Scale(loss, float64(ins[idx].Rows)/meanTokens).Backward()
+			}
+			opt.Step()
+		}
+		losses = append(losses, lossSum/float64(len(order)))
+	}
+	return snapshotParams(m.Params()), losses
+}
 
-	refW, refLoss := trainWeights(t, d, cfg, TrainOpts{MicrobatchStreams: 1, Parallelism: 1, noArena: true})
-
-	for _, micro := range []int{1, 2, 4} {
+// TestTrainMatchesPerStream is the trainer's equivalence guarantee: one
+// packed forward per optimizer step, its tape in the arena, reaches weights
+// and epoch losses bit-identical to the per-stream heap reference, at
+// AccumStreams 1, 3 (whose last step holds one stream) and 4 and at kernel
+// parallelism 1 and 4 (Dropout is 0, so every reduction order is kept).
+func TestTrainMatchesPerStream(t *testing.T) {
+	d := testTrainingData(t, 31)
+	eligible := 0
+	for i := range d.Streams {
+		if n := len(d.Streams[i].Events); n >= 2 && n <= smallConfig().MaxLen+1 {
+			eligible++
+		}
+	}
+	if eligible%3 != 1 {
+		t.Fatalf("%d training streams leave AccumStreams 3 no one-stream step", eligible)
+	}
+	for _, accum := range []int{1, 3, 4} {
+		cfg := smallConfig()
+		cfg.Epochs = 2
+		cfg.AccumStreams = accum
+		refW, refLoss := trainPerStream(t, d, cfg)
 		for _, par := range []int{1, 4} {
-			name := fmt.Sprintf("micro=%d/par=%d", micro, par)
-			t.Run(name, func(t *testing.T) {
-				w, loss := trainWeights(t, d, cfg, TrainOpts{MicrobatchStreams: micro, Parallelism: par})
+			t.Run(fmt.Sprintf("accum=%d/par=%d", accum, par), func(t *testing.T) {
+				defer tensor.SetParallelism(tensor.SetParallelism(par))
+				w, loss := trainWeights(t, d, cfg, TrainOpts{})
 				if len(loss) != len(refLoss) {
 					t.Fatalf("epoch count %d != %d", len(loss), len(refLoss))
 				}
 				for e := range loss {
 					if loss[e] != refLoss[e] {
-						t.Fatalf("epoch %d loss %v != serial %v", e, loss[e], refLoss[e])
+						t.Fatalf("epoch %d loss %v != per-stream %v", e, loss[e], refLoss[e])
 					}
 				}
 				for p := range w {
 					for j := range w[p] {
 						if w[p][j] != refW[p][j] {
-							t.Fatalf("param %d[%d]: %v != serial %v", p, j, w[p][j], refW[p][j])
+							t.Fatalf("param %d[%d]: %v != per-stream %v", p, j, w[p][j], refW[p][j])
 						}
 					}
 				}
@@ -130,15 +194,15 @@ func TestTrainMicrobatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestTrainMicrobatchDropoutConverges covers the dropout path of the packed
-// trainer, which is statistically (not bitwise) equivalent to serial: it
-// must still train — losses finite and decreasing over the run.
+// TestTrainMicrobatchDropoutConverges covers the trainer's dropout path,
+// whose packed mask draw is statistically (not bitwise) equivalent to the
+// per-stream one: it must still train — losses decreasing over the run.
 func TestTrainMicrobatchDropoutConverges(t *testing.T) {
 	d := testTrainingData(t, 30)
 	cfg := smallConfig()
 	cfg.Epochs = 4
 	cfg.Dropout = 0.1
-	_, loss := trainWeights(t, d, cfg, TrainOpts{MicrobatchStreams: 4})
+	_, loss := trainWeights(t, d, cfg, TrainOpts{})
 	if len(loss) == 0 {
 		t.Fatal("no epochs ran")
 	}

@@ -11,7 +11,7 @@ import (
 // Precision selects the arithmetic of the decode fast path.
 //
 // Training is always float64 — its determinism contract (bit-identical
-// weights at every microbatch × parallelism) depends on exact accumulation —
+// weights at every parallelism degree) depends on exact accumulation —
 // but generation is read-only, and at million-UE populations decode is
 // memory-bandwidth bound: every step streams the full weight set plus the
 // stream's KV cache through the core. F32 decodes through a frozen float32

@@ -27,20 +27,6 @@ type TrainOpts struct {
 	Probe func() float64
 	// ProbeEvery defaults to 1.
 	ProbeEvery int
-	// Parallelism, when > 0, overrides the process-global tensor-kernel
-	// parallelism (tensor.SetParallelism) for the duration of the run. The
-	// sharded kernels are bit-identical to the serial path, so the trained
-	// weights do not depend on this setting.
-	Parallelism int
-	// MicrobatchStreams overrides Config.MicrobatchStreams when > 0: the
-	// number of streams packed into each forward pass. With Dropout 0 the
-	// trained weights are bit-identical at every setting (see
-	// Config.MicrobatchStreams); set 1 to force the serial per-stream path.
-	MicrobatchStreams int
-	// noArena is a test seam: it allocates the tape from the heap instead of
-	// the per-step tensor arena, giving TestTrainMicrobatchEquivalence a
-	// reference the arena must match bit for bit.
-	noArena bool
 }
 
 // TrainResult reports what a training run did.
@@ -89,17 +75,6 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	lr := m.Cfg.LR
 	if opts.LR > 0 {
 		lr = opts.LR
-	}
-	if opts.Parallelism > 0 {
-		prev := tensor.SetParallelism(opts.Parallelism)
-		defer tensor.SetParallelism(prev)
-	}
-	micro := opts.MicrobatchStreams
-	if micro <= 0 {
-		micro = m.Cfg.MicrobatchStreams
-	}
-	if micro < 1 {
-		micro = 1
 	}
 
 	// Encode eligible streams once.
@@ -153,29 +128,26 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	bestScore := math.Inf(1)
 
 	// The autograd tape has the same shape every step, so its buffers come
-	// from a bump arena that is rewound after each chunk's gradients have
+	// from a bump arena that is rewound after each step's gradients have
 	// been folded into the (heap-allocated) parameter grads. Callbacks run
 	// with the arena detached (tensor.ArenaDetached): anything they
 	// allocate must outlive Reset. The install is ownership-gated so two
 	// arena-using trainers cannot interleave installs and Resets (the
 	// loser runs off the heap); other concurrent tape work while an arena
 	// is held remains unsupported — see tensor.InstallArena.
-	var arena *tensor.Arena
-	if !opts.noArena {
-		arena = tensor.NewArena()
-		if tensor.InstallArena(arena) {
-			defer tensor.UninstallArena(arena)
-		} else {
-			arena = nil
-		}
+	arena := tensor.NewArena()
+	if tensor.InstallArena(arena) {
+		defer tensor.UninstallArena(arena)
+	} else {
+		arena = nil
 	}
 
 	var dropRng = rng
 	if m.Cfg.Dropout <= 0 {
 		dropRng = nil
 	}
-	ins := make([]*tensor.Tensor, 0, micro)
-	tgs := make([]*Targets, 0, micro)
+	ins := make([]*tensor.Tensor, 0, accum)
+	tgs := make([]*Targets, 0, accum)
 
 	for epoch := 0; epoch < epochs; epoch++ {
 		// Cosine learning-rate decay to a 10% floor sharpens the late
@@ -186,58 +158,28 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var lossSum float64
-		var sinceStep int
-		opt.ZeroGrads()
-		for k := 0; k < len(order); {
-			// Pack up to `micro` streams, never crossing an optimizer-step
-			// boundary, so step boundaries land on the same streams at every
-			// microbatch setting (an equivalence requirement).
-			chunk := micro
-			if rem := accum - sinceStep; chunk > rem {
-				chunk = rem
+		// Each optimizer step is one packed forward over its (up to)
+		// AccumStreams streams.
+		for k := 0; k < len(order); k += accum {
+			ins, tgs = ins[:0], tgs[:0]
+			for _, idx := range order[k:min(k+accum, len(order))] {
+				ins = append(ins, samples[idx].in)
+				tgs = append(tgs, samples[idx].tg)
 			}
-			if rem := len(order) - k; chunk > rem {
-				chunk = rem
+			pb := PackStreams(ins, tgs)
+			h, err := m.ForwardPacked(pb, dropRng)
+			if err != nil {
+				return nil, err
 			}
-			if chunk == 1 {
-				// Serial per-stream path (also the MicrobatchStreams=1 mode).
-				sm := samples[order[k]]
-				h, err := m.Forward(sm.in, dropRng)
-				if err != nil {
-					return nil, err
-				}
-				loss := m.Loss(h, sm.tg)
-				lossSum += loss.Data[0]
-				weighted := tensor.Scale(loss, float64(sm.in.Rows)/meanTokens)
-				weighted.Backward()
-			} else {
-				ins, tgs = ins[:0], tgs[:0]
-				for _, idx := range order[k : k+chunk] {
-					ins = append(ins, samples[idx].in)
-					tgs = append(tgs, samples[idx].tg)
-				}
-				pb := PackStreams(ins, tgs)
-				h, err := m.ForwardPacked(pb, dropRng)
-				if err != nil {
-					return nil, err
-				}
-				total, perStream := m.LossPacked(h, pb, meanTokens)
-				for _, lv := range perStream {
-					lossSum += lv
-				}
-				total.Backward()
+			total, perStream := m.LossPacked(h, pb, meanTokens)
+			for _, lv := range perStream {
+				lossSum += lv
 			}
-			k += chunk
-			sinceStep += chunk
-			if sinceStep >= accum || k == len(order) {
-				opt.Step()
-				opt.ZeroGrads()
-				res.Steps++
-				sinceStep = 0
-			}
-			// The chunk's tape is dead (its gradients live in the heap
-			// parameter grads), so the arena can be rewound even within an
-			// accumulation window.
+			opt.ZeroGrads()
+			total.Backward()
+			opt.Step()
+			res.Steps++
+			// The step's tape is dead, so the arena can be rewound.
 			if arena != nil {
 				arena.Reset()
 			}

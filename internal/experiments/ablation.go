@@ -57,7 +57,7 @@ func Table8(l *Lab) (*Report, error) {
 				return nil, err
 			}
 			l.logf("ablation: training CPT-GPT variant %q", v.name)
-			if _, err = cptgpt.Train(m, train, cptgpt.TrainOpts{Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
+			if _, err = cptgpt.Train(m, train, cptgpt.TrainOpts{}); err != nil {
 				return nil, err
 			}
 		}
@@ -118,7 +118,7 @@ func TableLogScale(l *Lab) (*Report, error) {
 				return nil, err
 			}
 			l.logf("ablation: training CPT-GPT without log scaling")
-			if _, err = cptgpt.Train(m, train, cptgpt.TrainOpts{Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
+			if _, err = cptgpt.Train(m, train, cptgpt.TrainOpts{}); err != nil {
 				return nil, err
 			}
 		}
@@ -193,7 +193,7 @@ func TableNetShareBatchGen(l *Lab) (*Report, error) {
 			return m.Generate(netshare.GenOpts{NumStreams: 120, Device: events.Phone, Seed: l.Seed ^ 0x888})
 		})
 		l.logf("ablation: training NetShare with batch-generation S=%d", s)
-		if _, err := netshare.Train(m, train, netshare.TrainOpts{Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism}); err != nil {
+		if _, err := netshare.Train(m, train, netshare.TrainOpts{Probe: probe, ProbeEvery: 2}); err != nil {
 			return nil, err
 		}
 		gen, err := m.Generate(netshare.GenOpts{NumStreams: l.sz.evalUEs, Device: events.Phone, Seed: l.Seed ^ 0x889})

@@ -146,11 +146,6 @@ type Lab struct {
 	// BatchSize is the CPT-GPT decode batch (slots per decoder); 0 means the
 	// generator default.
 	BatchSize int
-	// Microbatch is the CPT-GPT packed-minibatch size for training (streams
-	// per forward pass); 0 means the model-config default. Trained weights
-	// are bit-identical at every setting (Dropout is 0 here), so results do
-	// not depend on it.
-	Microbatch int
 
 	sz sizes
 
@@ -290,7 +285,7 @@ func (l *Lab) trainCPT(dev events.DeviceType) (*cptgpt.Model, error) {
 			return nil, err
 		}
 		l.logf("fine-tuning CPT-GPT %s model from phone base (%d streams)", dev, d.NumStreams())
-		if _, err := cptgpt.FineTune(m, d, cptgpt.TrainOpts{Epochs: l.sz.cptFTEps, Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
+		if _, err := cptgpt.FineTune(m, d, cptgpt.TrainOpts{Epochs: l.sz.cptFTEps}); err != nil {
 			return nil, err
 		}
 		return m, nil
@@ -311,7 +306,7 @@ func (l *Lab) trainCPT(dev events.DeviceType) (*cptgpt.Model, error) {
 	// The GAN baseline keeps the probe (NetShare in this lab) because its
 	// losses genuinely do not track sample quality (§5.5).
 	l.logf("training CPT-GPT phone model from scratch (%d streams, %d epochs)", d.NumStreams(), l.sz.cptEpochs)
-	if _, err := cptgpt.Train(m, d, cptgpt.TrainOpts{Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch}); err != nil {
+	if _, err := cptgpt.Train(m, d, cptgpt.TrainOpts{}); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -360,7 +355,7 @@ func (l *Lab) trainNetShare(dev events.DeviceType) (*netshare.Model, error) {
 	probe := l.probeFor(val, func() (*trace.Dataset, error) {
 		return m.Generate(netshare.GenOpts{NumStreams: 120, Device: dev, Seed: l.Seed ^ 0x9999})
 	})
-	if _, err := netshare.Train(m, d, netshare.TrainOpts{Epochs: epochs, Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism}); err != nil {
+	if _, err := netshare.Train(m, d, netshare.TrainOpts{Epochs: epochs, Probe: probe, ProbeEvery: 2}); err != nil {
 		return nil, err
 	}
 	return m, nil

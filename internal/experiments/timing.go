@@ -89,7 +89,7 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 	probe := mkProbe(all, func() (*trace.Dataset, error) {
 		return cgAll.Generate(cptgpt.GenOpts{NumStreams: 100, Device: events.Phone, Seed: l.Seed ^ 0xF00})
 	})
-	res, err := cptgpt.Train(cgAll, all, cptgpt.TrainOpts{Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch})
+	res, err := cptgpt.Train(cgAll, all, cptgpt.TrainOpts{Probe: probe, ProbeEvery: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 	probe = mkProbe(hourlyTrain[0], func() (*trace.Dataset, error) {
 		return cgHour.Generate(cptgpt.GenOpts{NumStreams: 100, Device: events.Phone, Seed: l.Seed ^ 0xF01})
 	})
-	res, err = cptgpt.Train(cgHour, hourlyTrain[0], cptgpt.TrainOpts{Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch})
+	res, err = cptgpt.Train(cgHour, hourlyTrain[0], cptgpt.TrainOpts{Probe: probe, ProbeEvery: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,6 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 		})
 		res, err = cptgpt.FineTune(next, hourlyTrain[h], cptgpt.TrainOpts{
 			Epochs: max(2, l.sz.hourEpochs/3), Probe: probe, ProbeEvery: 1,
-			Parallelism: l.Parallelism, MicrobatchStreams: l.Microbatch,
 		})
 		if err != nil {
 			return nil, err
@@ -151,7 +150,7 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 	probe = mkProbe(all, func() (*trace.Dataset, error) {
 		return nsAll.Generate(netshare.GenOpts{NumStreams: 100, Device: events.Phone, Seed: l.Seed ^ 0xF02})
 	})
-	nres, err := netshare.Train(nsAll, all, netshare.TrainOpts{Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism})
+	nres, err := netshare.Train(nsAll, all, netshare.TrainOpts{Probe: probe, ProbeEvery: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +165,7 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 	probe = mkProbe(hourlyTrain[0], func() (*trace.Dataset, error) {
 		return nsHour.Generate(netshare.GenOpts{NumStreams: 100, Device: events.Phone, Seed: l.Seed ^ 0xF03})
 	})
-	nres, err = netshare.Train(nsHour, hourlyTrain[0], netshare.TrainOpts{Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism})
+	nres, err = netshare.Train(nsHour, hourlyTrain[0], netshare.TrainOpts{Probe: probe, ProbeEvery: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +185,7 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 		// the supervised transformer, adversarial training does not
 		// reliably converge faster from a warm start (the paper's L3).
 		nres, err = netshare.Train(next, hourlyTrain[h], netshare.TrainOpts{
-			Epochs: l.sz.nsFTEps, Probe: probe, ProbeEvery: 2, Parallelism: l.Parallelism,
+			Epochs: l.sz.nsFTEps, Probe: probe, ProbeEvery: 2,
 		})
 		if err != nil {
 			return nil, err

@@ -29,11 +29,6 @@ type TrainOpts struct {
 	Probe func() float64
 	// ProbeEvery defaults to 1 (every epoch).
 	ProbeEvery int
-	// Parallelism, when > 0, overrides the process-global tensor-kernel
-	// parallelism for the duration of the run (results are bit-identical at
-	// any setting). The GAN already trains a Config.BatchSize-packed
-	// minibatch per step, so it needs no separate microbatch knob.
-	Parallelism int
 }
 
 // TrainResult reports a GAN training run.
@@ -123,10 +118,6 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	lr := m.Cfg.LR
 	if opts.LR > 0 {
 		lr = opts.LR
-	}
-	if opts.Parallelism > 0 {
-		prev := tensor.SetParallelism(opts.Parallelism)
-		defer tensor.SetParallelism(prev)
 	}
 
 	var real [][]float64
