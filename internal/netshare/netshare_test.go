@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cptgpt/internal/events"
@@ -371,5 +373,66 @@ func TestTrainRejectsWrongGeneration(t *testing.T) {
 	}
 	if _, err := Train(m, d, TrainOpts{}); err == nil {
 		t.Fatal("4G data into 5G model must error")
+	}
+}
+
+// TestTrainPinned pins the trained generator and discriminator weights, the
+// per-epoch losses, the step count and the kept epoch of short runs on 80
+// phones, with and without a checkpoint probe and with the discriminator's
+// regularizers off, so a change to the training loop cannot move them
+// unnoticed. The kernels' multiply-adds may be fused into FMAs on other
+// architectures, so the pins are checked on amd64, where they were recorded.
+func TestTrainPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64")
+	}
+	d := groundTruth(t, 1, 80)
+	for _, c := range []struct {
+		name   string
+		mut    func(*Config)
+		probed bool
+		want   string
+	}{
+		{"no probe", func(*Config) {}, false, "9b0e72762100844e"},
+		{"probe", func(*Config) {}, true, "885f68ce97b64bb2"},
+		{"no regularizers", func(c *Config) { c.InstanceNoise, c.LabelSmooth, c.Epochs = 0, 0, 3 }, true, "b7b8333d19991d28"},
+	} {
+		cfg := tinyConfig()
+		c.mut(&cfg)
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts TrainOpts
+		if c.probed {
+			// Scores 0.5, 0.5, 1.5, …: a tie does not displace the first
+			// epoch, so epoch 1 is kept.
+			calls := 0
+			opts.Probe = func() float64 { calls++; return math.Abs(float64(calls) - 1.5) }
+		}
+		res, err := Train(m, d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v float64) {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		for _, p := range append(m.GenParams(), m.DiscParams()...) {
+			for _, v := range p.Data {
+				put(v)
+			}
+		}
+		for e := range res.DLoss {
+			put(res.DLoss[e])
+			put(res.GLoss[e])
+		}
+		put(float64(res.Steps))
+		put(float64(res.BestEpoch))
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
 	}
 }
