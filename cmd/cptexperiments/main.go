@@ -34,7 +34,6 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "lab seed")
 		quiet     = flag.Bool("q", false, "suppress progress logging")
 		par       = flag.Int("parallelism", 0, "worker count for training and generation (0 = all cores); results are identical at any value")
-		batch     = flag.Int("batch", 0, "CPT-GPT decode batch size (0 = default)")
 	)
 	flag.Parse()
 	if *par > 0 {
@@ -46,8 +45,6 @@ func main() {
 		log.Fatal(err)
 	}
 	lab := experiments.NewLab(scale, *seed)
-	lab.Parallelism = *par
-	lab.BatchSize = *batch
 	if !*quiet {
 		lab.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "[%s] "+format+"\n", append([]any{time.Now().Format("15:04:05")}, args...)...)

@@ -384,8 +384,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DModel = 30; c.Heads = 4 }, // not divisible
 		func(c *Config) { c.MaxLen = 1 },
 		func(c *Config) { c.LR = 0 },
+		func(c *Config) { c.LR = math.NaN() },
+		func(c *Config) { c.LR = math.Inf(1) },
 		func(c *Config) { c.Epochs = 0 },
 		func(c *Config) { c.LossWeights[1] = -1 },
+		func(c *Config) { c.LossWeights[0] = math.NaN() },
+		func(c *Config) { c.LossWeights[2] = math.Inf(1) },
 		func(c *Config) { c.AccumStreams = -1 },
 		func(c *Config) { c.Dropout = -0.1 },
 		func(c *Config) { c.Dropout = 1 }, // tensor.Dropout panics at p ≥ 1

@@ -2,6 +2,7 @@ package cptgpt
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"cptgpt/internal/events"
@@ -80,8 +81,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cptgpt: DModel %d must be divisible by Heads %d", c.DModel, c.Heads)
 	case c.MaxLen < 2:
 		return fmt.Errorf("cptgpt: MaxLen must be ≥ 2, got %d", c.MaxLen)
-	case c.LR <= 0:
-		return fmt.Errorf("cptgpt: LR must be positive, got %v", c.LR)
+	case !(c.LR > 0) || math.IsInf(c.LR, 1):
+		return fmt.Errorf("cptgpt: LR must be positive and finite, got %v", c.LR)
 	case c.Epochs <= 0:
 		return fmt.Errorf("cptgpt: Epochs must be positive, got %d", c.Epochs)
 	case c.AccumStreams < 0:
@@ -90,8 +91,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cptgpt: Dropout must be in [0, 1), got %v", c.Dropout)
 	}
 	for i, w := range c.LossWeights {
-		if w < 0 {
-			return fmt.Errorf("cptgpt: LossWeights[%d] = %v must be non-negative", i, w)
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("cptgpt: LossWeights[%d] = %v must be non-negative and finite", i, w)
 		}
 	}
 	return nil

@@ -94,6 +94,15 @@ func trainWeights(t *testing.T, d *trace.Dataset, cfg Config, opts TrainOpts) ([
 	return snapshotParams(m.Params()), res.EpochLoss
 }
 
+// snapshotParams deep-copies parameter values.
+func snapshotParams(params []*tensor.Tensor) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = append([]float64(nil), p.Data...)
+	}
+	return out
+}
+
 // trainPerStream is the reference trainer Train must match: Train's
 // schedule (shuffle, cosine LR, a step per AccumStreams streams) with one
 // heap-allocated tape per stream through Forward, Loss and Scale, whose

@@ -3,7 +3,6 @@ package cptgpt
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"cptgpt/internal/nn"
 	"cptgpt/internal/stats"
@@ -19,32 +18,22 @@ type TrainOpts struct {
 	LR float64
 	// OnEpoch, when non-nil, observes each epoch's mean loss.
 	OnEpoch func(epoch int, meanLoss float64)
-	// Probe, when non-nil, is called every ProbeEvery epochs and must
-	// return a fidelity score (lower is better) for the current weights;
-	// training restores the best-scoring checkpoint at the end. This is
-	// the same checkpoint-ranking methodology applied to the GAN baseline,
-	// used where fair time-to-quality comparisons are needed (§5.5).
-	Probe func() float64
-	// ProbeEvery defaults to 1.
+	// Probe, when non-nil, scores the current weights (lower is better)
+	// every ProbeEvery epochs (default 1), and training restores the
+	// best-scoring checkpoint at the end: nn.Loop's checkpoint ranking,
+	// the GAN baseline's too, for fair time-to-quality comparisons (§5.5).
+	Probe      func() float64
 	ProbeEvery int
 }
 
-// TrainResult reports what a training run did.
+// TrainResult reports what a training run did: the loop's steps, epochs,
+// kept checkpoint and wall-clock time, plus the per-epoch losses.
 type TrainResult struct {
+	nn.LoopResult
 	// Streams is the number of eligible training streams.
 	Streams int
-	// Steps is the number of optimizer steps taken.
-	Steps int
-	// Epochs is the number of epochs completed.
-	Epochs int
 	// EpochLoss holds the mean training loss per epoch.
 	EpochLoss []float64
-	// Duration is the wall-clock training time.
-	Duration time.Duration
-	// BestEpoch is the 1-based epoch whose checkpoint was kept (0 when no
-	// Probe was supplied); BestScore is its probe score.
-	BestEpoch int
-	BestScore float64
 }
 
 // FinalLoss returns the last epoch's mean loss (NaN-free convenience).
@@ -107,69 +96,44 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	meanTokens := float64(totalTokens) / float64(len(samples))
 	m.InitialDist = d.InitialEventDist()
 
-	accum := m.Cfg.AccumStreams
-	if accum < 1 {
-		accum = 1
-	}
+	accum := max(m.Cfg.AccumStreams, 1)
 	opt := nn.NewAdam(m.Params(), lr)
 	rng := stats.NewRand(m.Cfg.Seed ^ 0xDEAD)
 	res := &TrainResult{Streams: len(samples)}
-	start := time.Now()
-
-	order := make([]int, len(samples))
-	for i := range order {
-		order[i] = i
-	}
-	probeEvery := opts.ProbeEvery
-	if probeEvery <= 0 {
-		probeEvery = 1
-	}
-	var bestSnap [][]float64
-	bestScore := math.Inf(1)
-
-	// The autograd tape has the same shape every step, so its buffers come
-	// from a bump arena that is rewound after each step's gradients have
-	// been folded into the (heap-allocated) parameter grads. Callbacks run
-	// with the arena detached (tensor.ArenaDetached): anything they
-	// allocate must outlive Reset. The install is ownership-gated so two
-	// arena-using trainers cannot interleave installs and Resets (the
-	// loser runs off the heap); other concurrent tape work while an arena
-	// is held remains unsupported — see tensor.InstallArena.
-	arena := tensor.NewArena()
-	if tensor.InstallArena(arena) {
-		defer tensor.UninstallArena(arena)
-	} else {
-		arena = nil
-	}
-
 	var dropRng = rng
 	if m.Cfg.Dropout <= 0 {
 		dropRng = nil
 	}
 	ins := make([]*tensor.Tensor, 0, accum)
 	tgs := make([]*Targets, 0, accum)
+	var lossSum float64
 
-	for epoch := 0; epoch < epochs; epoch++ {
-		// Cosine learning-rate decay to a 10% floor sharpens the late
-		// epochs, which matters for near-zero semantic-violation rates.
-		if epochs > 1 {
-			frac := float64(epoch) / float64(epochs-1)
-			opt.LR = lr * (0.1 + 0.9*0.5*(1+math.Cos(math.Pi*frac)))
-		}
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var lossSum float64
+	loop := nn.Loop{
+		Epochs:   epochs,
+		Rng:      rng,
+		Examples: len(samples),
+		Steps:    (len(samples) + accum - 1) / accum,
+		BeginEpoch: func(epoch int) {
+			// Cosine learning-rate decay to a 10% floor sharpens the late
+			// epochs, which matters for near-zero semantic-violation rates.
+			if epochs > 1 {
+				frac := float64(epoch) / float64(epochs-1)
+				opt.LR = lr * (0.1 + 0.9*0.5*(1+math.Cos(math.Pi*frac)))
+			}
+			lossSum = 0
+		},
 		// Each optimizer step is one packed forward over its (up to)
 		// AccumStreams streams.
-		for k := 0; k < len(order); k += accum {
+		Step: func(k int, order []int) error {
 			ins, tgs = ins[:0], tgs[:0]
-			for _, idx := range order[k:min(k+accum, len(order))] {
+			for _, idx := range order[k*accum : min((k+1)*accum, len(order))] {
 				ins = append(ins, samples[idx].in)
 				tgs = append(tgs, samples[idx].tg)
 			}
 			pb := PackStreams(ins, tgs)
 			h, err := m.ForwardPacked(pb, dropRng)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			total, perStream := m.LossPacked(h, pb, meanTokens)
 			for _, lv := range perStream {
@@ -178,56 +142,28 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 			opt.ZeroGrads()
 			total.Backward()
 			opt.Step()
-			res.Steps++
-			// The step's tape is dead, so the arena can be rewound.
-			if arena != nil {
-				arena.Reset()
-			}
-		}
-		meanLoss := lossSum / float64(len(order))
-		res.EpochLoss = append(res.EpochLoss, meanLoss)
-		res.Epochs = epoch + 1
-		// The epoch's optimizer steps rewrote the weights, so a float32
-		// snapshot a previous epoch's callback froze is stale — drop it
-		// before this epoch's callbacks can decode through it.
-		if opts.OnEpoch != nil || opts.Probe != nil {
+			return nil
+		},
+		OnEpoch: func(epoch int) {
+			meanLoss := lossSum / float64(len(samples))
+			res.EpochLoss = append(res.EpochLoss, meanLoss)
+			// The epoch's optimizer steps rewrote the weights, so a float32
+			// snapshot a previous epoch's callback froze is stale — drop it
+			// before this epoch's callbacks can decode through it.
 			m.InvalidateInfer()
-		}
-		if opts.OnEpoch != nil {
-			tensor.ArenaDetached(func() { opts.OnEpoch(epoch, meanLoss) })
-		}
-		if opts.Probe != nil && (epoch+1)%probeEvery == 0 {
-			var score float64
-			tensor.ArenaDetached(func() { score = opts.Probe() })
-			if score < bestScore {
-				bestScore = score
-				res.BestEpoch = epoch + 1
-				bestSnap = snapshotParams(m.Params())
+			if opts.OnEpoch != nil {
+				opts.OnEpoch(epoch, meanLoss)
 			}
-		}
+		},
+		Probe:      opts.Probe,
+		ProbeEvery: opts.ProbeEvery,
+		Keep:       m.Params(),
 	}
-	if bestSnap != nil {
-		restoreParams(m.Params(), bestSnap)
-		res.BestScore = bestScore
+	var err error
+	if res.LoopResult, err = loop.Run(); err != nil {
+		return nil, err
 	}
-	res.Duration = time.Since(start)
 	return res, nil
-}
-
-// snapshotParams deep-copies parameter values.
-func snapshotParams(params []*tensor.Tensor) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.Data...)
-	}
-	return out
-}
-
-// restoreParams writes snapshot values back into params.
-func restoreParams(params []*tensor.Tensor, snap [][]float64) {
-	for i, p := range params {
-		copy(p.Data, snap[i])
-	}
 }
 
 // FineTune continues training an already-trained model on a new dataset,

@@ -139,13 +139,6 @@ type Lab struct {
 	Seed  uint64
 	// Log, when non-nil, receives progress lines (training announcements).
 	Log func(format string, args ...any)
-	// Parallelism bounds per-generator sampling concurrency; 0 means the
-	// tensor-layer default (GOMAXPROCS, or tensor.SetParallelism's value).
-	// Generated datasets are identical at every setting.
-	Parallelism int
-	// BatchSize is the CPT-GPT decode batch (slots per decoder); 0 means the
-	// generator default.
-	BatchSize int
 
 	sz sizes
 
@@ -416,19 +409,19 @@ func (l *Lab) GeneratedN(id GeneratorID, dev events.DeviceType, n int) (*trace.D
 			if err != nil {
 				return nil, err
 			}
-			return m.Generate(smm.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism})
+			return m.Generate(smm.GenOpts{NumStreams: n, Device: dev, Seed: seed})
 		case GenNetShare:
 			m, err := l.NetShare(dev)
 			if err != nil {
 				return nil, err
 			}
-			return m.Generate(netshare.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism})
+			return m.Generate(netshare.GenOpts{NumStreams: n, Device: dev, Seed: seed})
 		case GenCPTGPT:
 			m, err := l.CPT(dev)
 			if err != nil {
 				return nil, err
 			}
-			return m.Generate(cptgpt.GenOpts{NumStreams: n, Device: dev, Seed: seed, Parallelism: l.Parallelism, BatchSize: l.BatchSize})
+			return m.Generate(cptgpt.GenOpts{NumStreams: n, Device: dev, Seed: seed})
 		default:
 			return nil, fmt.Errorf("experiments: unknown generator %q", id)
 		}

@@ -7,15 +7,10 @@ import (
 	"cptgpt/internal/nn"
 )
 
-// Save serializes the model (both players) to w.
+// Save serializes the model's weights (both players) to w; the
+// configuration is the caller's to keep, as Load takes it back.
 func (m *Model) Save(w io.Writer) error {
-	params := append(m.GenParams(), m.DiscParams()...)
-	meta := map[string]string{
-		"kind":       "netshare",
-		"generation": m.Cfg.Generation.String(),
-		"config":     fmt.Sprintf("%+v", m.Cfg),
-	}
-	return nn.SaveParams(w, params, meta)
+	return nn.SaveParams(w, append(m.GenParams(), m.DiscParams()...))
 }
 
 // Load reads weights from r into a model rebuilt from cfg; cfg must match
@@ -26,7 +21,7 @@ func Load(r io.Reader, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	params := append(m.GenParams(), m.DiscParams()...)
-	if _, err := nn.LoadParams(r, params); err != nil {
+	if err := nn.LoadParams(r, params); err != nil {
 		return nil, fmt.Errorf("netshare: %w", err)
 	}
 	return m, nil

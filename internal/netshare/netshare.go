@@ -94,8 +94,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("netshare: NoiseDim/Hidden/DiscHidden must be positive")
 	case c.BatchSize <= 0:
 		return fmt.Errorf("netshare: BatchSize must be positive")
-	case c.LR <= 0:
-		return fmt.Errorf("netshare: LR must be positive")
+	case !(c.LR > 0) || math.IsInf(c.LR, 1):
+		return fmt.Errorf("netshare: LR must be positive and finite, got %v", c.LR)
+	case !(c.DLR >= 0) || math.IsInf(c.DLR, 1):
+		return fmt.Errorf("netshare: DLR must be non-negative and finite, got %v", c.DLR)
+	case !(c.LabelSmooth >= 0 && c.LabelSmooth <= 1):
+		return fmt.Errorf("netshare: LabelSmooth must be in [0, 1], got %v", c.LabelSmooth)
+	case !(c.InstanceNoise >= 0) || math.IsInf(c.InstanceNoise, 1):
+		return fmt.Errorf("netshare: InstanceNoise must be non-negative and finite, got %v", c.InstanceNoise)
 	case c.Epochs <= 0:
 		return fmt.Errorf("netshare: Epochs must be positive")
 	}

@@ -50,6 +50,15 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.NoiseDim = 0 },
 		func(c *Config) { c.BatchSize = 0 },
 		func(c *Config) { c.LR = 0 },
+		func(c *Config) { c.LR = math.NaN() },
+		func(c *Config) { c.LR = math.Inf(1) },
+		func(c *Config) { c.DLR = -1e-3 },
+		func(c *Config) { c.DLR = math.NaN() },
+		func(c *Config) { c.LabelSmooth = -0.1 },
+		func(c *Config) { c.LabelSmooth = 1.5 },
+		func(c *Config) { c.LabelSmooth = math.NaN() },
+		func(c *Config) { c.InstanceNoise = -0.1 },
+		func(c *Config) { c.InstanceNoise = math.NaN() },
 		func(c *Config) { c.Epochs = 0 },
 	}
 	for i, mut := range bad {
@@ -58,6 +67,13 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
+	}
+	// DLR 0 (LR/4), LabelSmooth 0 (no smoothing) and InstanceNoise 0 (off)
+	// keep their documented meanings.
+	ok := DefaultConfig()
+	ok.DLR, ok.LabelSmooth, ok.InstanceNoise = 0, 0, 0
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("zero DLR/LabelSmooth/InstanceNoise rejected: %v", err)
 	}
 	if DefaultConfig().MaxLen() != 60 {
 		t.Fatalf("default MaxLen %d, want 60", DefaultConfig().MaxLen())
@@ -333,6 +349,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range g1.Streams {
 		if len(g1.Streams[i].Events) != len(g2.Streams[i].Events) {
 			t.Fatal("loaded model generates differently")
+		}
+	}
+}
+
+// TestSaveDeterministic: a model file's bytes depend only on the weights,
+// so repeated saves of one model are byte-equal.
+func TestSaveDeterministic(t *testing.T) {
+	m, err := New(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first bytes.Buffer
+	if err := m.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 100; i++ {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d differs from the first", i)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package netshare
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/nn"
@@ -20,29 +19,22 @@ type TrainOpts struct {
 	LR float64
 	// OnEpoch observes per-epoch mean discriminator and generator losses.
 	OnEpoch func(epoch int, dLoss, gLoss float64)
-	// Probe, when non-nil, is called every ProbeEvery epochs and must
-	// return a fidelity score (lower is better) for the model's *current*
-	// weights. Training keeps the generator checkpoint with the best score
-	// and restores it at the end — the paper's checkpoint-ranking device
-	// (§5.5), which it needs because GAN losses do not correlate with
+	// Probe, when non-nil, scores the current weights (lower is better)
+	// every ProbeEvery epochs (default 1), and training restores the
+	// best-scoring generator checkpoint at the end: nn.Loop's checkpoint
+	// ranking (§5.5), which a GAN needs because its losses do not track
 	// sample quality.
-	Probe func() float64
-	// ProbeEvery defaults to 1 (every epoch).
+	Probe      func() float64
 	ProbeEvery int
 }
 
-// TrainResult reports a GAN training run.
+// TrainResult reports a GAN training run: the loop's steps, epochs, kept
+// checkpoint and wall-clock time, plus the per-epoch mean losses.
 type TrainResult struct {
-	Streams  int
-	Steps    int
-	Epochs   int
-	DLoss    []float64
-	GLoss    []float64
-	Duration time.Duration
-	// BestEpoch is the 1-based epoch whose checkpoint was kept (0 when no
-	// Probe was supplied); BestScore is its probe score.
-	BestEpoch int
-	BestScore float64
+	nn.LoopResult
+	Streams int
+	DLoss   []float64
+	GLoss   []float64
 }
 
 // encodeStream flattens one real stream into the discriminator's input
@@ -144,12 +136,8 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	dOpt := nn.NewAdam(m.DiscParams(), dlr)
 	rng := stats.NewRand(m.Cfg.Seed ^ 0xBEEF)
 	res := &TrainResult{Streams: len(real)}
-	start := time.Now()
 
-	b := m.Cfg.BatchSize
-	if b > len(real) {
-		b = len(real)
-	}
+	b := min(m.Cfg.BatchSize, len(real))
 	itersPerEpoch := (len(real) + b - 1) / b
 	seqDim := m.Cfg.seqDim()
 	realTarget := 1.0
@@ -168,53 +156,35 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 		gOpt.ZeroGrads()
 		dOpt.ZeroGrads()
 	}
-
-	probeEvery := opts.ProbeEvery
-	if probeEvery <= 0 {
-		probeEvery = 1
-	}
-	var bestSnap [][]float64
-	bestScore := math.Inf(1)
-
-	// Both GAN steps rebuild the same tape shape every iteration, so tape
-	// buffers come from a bump arena rewound once per iteration (the real
-	// encodings above are heap-allocated and unaffected). The probe
-	// generates with the arena detached (tensor.ArenaDetached): its
-	// sampling runs tape ops on worker goroutines, and those tensors must
-	// not be tied to this trainer's Reset cycle. The install is
-	// ownership-gated; if another trainer holds the ambient slot this run
-	// trains off the heap. Other concurrent tape work while an arena is
-	// held remains unsupported — see tensor.InstallArena.
-	arena := tensor.NewArena()
-	if tensor.InstallArena(arena) {
-		defer tensor.UninstallArena(arena)
-	} else {
-		arena = nil
-	}
-
-	order := make([]int, len(real))
-	for i := range order {
-		order[i] = i
-	}
-	for epoch := 0; epoch < epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var dSum, gSum float64
-		// Instance noise decays linearly across epochs.
-		noiseStd := 0.0
-		if m.Cfg.InstanceNoise > 0 && epochs > 1 {
-			noiseStd = m.Cfg.InstanceNoise * (1 - float64(epoch)/float64(epochs))
+	var dSum, gSum, noiseStd float64
+	jitter := func(x *tensor.Tensor) *tensor.Tensor {
+		if noiseStd <= 0 {
+			return x
 		}
-		jitter := func(x *tensor.Tensor) *tensor.Tensor {
-			if noiseStd <= 0 {
-				return x
-			}
-			n := tensor.New(x.Rows, x.Cols)
-			for i := range n.Data {
-				n.Data[i] = noiseStd * rng.NormFloat64()
-			}
-			return tensor.Add(x, n)
+		n := tensor.New(x.Rows, x.Cols)
+		for i := range n.Data {
+			n.Data[i] = noiseStd * rng.NormFloat64()
 		}
-		for it := 0; it < itersPerEpoch; it++ {
+		return tensor.Add(x, n)
+	}
+
+	// Both GAN steps rebuild the same tape shape every iteration, so the
+	// loop's arena is rewound once per iteration (the real encodings above
+	// are heap-allocated and unaffected).
+	loop := nn.Loop{
+		Epochs:   epochs,
+		Rng:      rng,
+		Examples: len(real),
+		Steps:    itersPerEpoch,
+		BeginEpoch: func(epoch int) {
+			// Instance noise decays linearly across epochs.
+			noiseStd = 0
+			if m.Cfg.InstanceNoise > 0 && epochs > 1 {
+				noiseStd = m.Cfg.InstanceNoise * (1 - float64(epoch)/float64(epochs))
+			}
+			dSum, gSum = 0, 0
+		},
+		Step: func(it int, order []int) error {
 			// Real minibatch.
 			rb := tensor.New(b, seqDim)
 			for r := 0; r < b; r++ {
@@ -242,49 +212,27 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 
 			dSum += lossD.Data[0]
 			gSum += lossG.Data[0]
-			res.Steps++
-			if arena != nil {
-				arena.Reset()
+			return nil
+		},
+		OnEpoch: func(epoch int) {
+			res.DLoss = append(res.DLoss, dSum/float64(itersPerEpoch))
+			res.GLoss = append(res.GLoss, gSum/float64(itersPerEpoch))
+			if opts.OnEpoch != nil {
+				opts.OnEpoch(epoch, res.DLoss[epoch], res.GLoss[epoch])
 			}
-		}
-		res.Epochs = epoch + 1
-		res.DLoss = append(res.DLoss, dSum/float64(itersPerEpoch))
-		res.GLoss = append(res.GLoss, gSum/float64(itersPerEpoch))
-		if opts.OnEpoch != nil {
-			tensor.ArenaDetached(func() { opts.OnEpoch(epoch, res.DLoss[epoch], res.GLoss[epoch]) })
-		}
-		if opts.Probe != nil && (epoch+1)%probeEvery == 0 {
-			var score float64
-			tensor.ArenaDetached(func() { score = opts.Probe() })
-			if score < bestScore {
-				bestScore = score
-				res.BestEpoch = epoch + 1
-				bestSnap = snapshotParams(m.GenParams())
-			}
-		}
+		},
+		// The probe generates: its sampling runs tape ops on worker
+		// goroutines, which the loop keeps off the arena. Only the
+		// generator's checkpoint is ranked and restored.
+		Probe:      opts.Probe,
+		ProbeEvery: opts.ProbeEvery,
+		Keep:       m.GenParams(),
 	}
-	if bestSnap != nil {
-		restoreParams(m.GenParams(), bestSnap)
-		res.BestScore = bestScore
+	var err error
+	if res.LoopResult, err = loop.Run(); err != nil {
+		return nil, err
 	}
-	res.Duration = time.Since(start)
 	return res, nil
-}
-
-// snapshotParams deep-copies parameter values.
-func snapshotParams(params []*tensor.Tensor) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.Data...)
-	}
-	return out
-}
-
-// restoreParams writes snapshot values back into params.
-func restoreParams(params []*tensor.Tensor, snap [][]float64) {
-	for i, p := range params {
-		copy(p.Data, snap[i])
-	}
 }
 
 // sampleNoise draws the per-step LSTM inputs [z0 | z_t] plus the shared

@@ -45,19 +45,21 @@ func LoadBlobs(params []*tensor.Tensor, blobs []Blob) error {
 	return nil
 }
 
-// checkpoint is the gob wire form of a full parameter set plus arbitrary
-// model metadata supplied by the caller.
+// checkpoint is the gob wire form of a full parameter set. It holds no map:
+// gob writes a map in random order, and a file's bytes must depend on the
+// parameters alone. Older files also carry a Meta map of strings, which gob
+// skips on decode.
 type checkpoint struct {
 	Magic  string
-	Meta   map[string]string
 	Params []Blob
 }
 
 const checkpointMagic = "cptgpt-nn/1"
 
-// SaveParams serializes params (in order) and meta to w.
-func SaveParams(w io.Writer, params []*tensor.Tensor, meta map[string]string) error {
-	ck := checkpoint{Magic: checkpointMagic, Meta: meta, Params: Blobs(params)}
+// SaveParams serializes params (in order) to w. The bytes depend only on
+// the parameter shapes and values.
+func SaveParams(w io.Writer, params []*tensor.Tensor) error {
+	ck := checkpoint{Magic: checkpointMagic, Params: Blobs(params)}
 	if err := gob.NewEncoder(w).Encode(&ck); err != nil {
 		return fmt.Errorf("nn: encoding checkpoint: %w", err)
 	}
@@ -65,17 +67,16 @@ func SaveParams(w io.Writer, params []*tensor.Tensor, meta map[string]string) er
 }
 
 // LoadParams reads a checkpoint from r and copies the stored values into
-// params, which must match the stored shapes in order. It returns the
-// stored metadata.
-func LoadParams(r io.Reader, params []*tensor.Tensor) (map[string]string, error) {
+// params, which must match the stored shapes in order.
+func LoadParams(r io.Reader, params []*tensor.Tensor) error {
 	var ck checkpoint
 	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("nn: decoding checkpoint: %w", err)
+		return fmt.Errorf("nn: decoding checkpoint: %w", err)
 	}
 	if ck.Magic != checkpointMagic {
-		return nil, fmt.Errorf("nn: bad checkpoint magic %q", ck.Magic)
+		return fmt.Errorf("nn: bad checkpoint magic %q", ck.Magic)
 	}
-	return ck.Meta, LoadBlobs(params, ck.Params)
+	return LoadBlobs(params, ck.Params)
 }
 
 // SaveFile creates path and hands it to write — the file half of every

@@ -13,21 +13,18 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	m1 := NewMLP(rng, 4, 8, 2)
 	path := filepath.Join(t.TempDir(), "ckpt.bin")
 	err := SaveFile(path, func(w io.Writer) error {
-		return SaveParams(w, m1.Params(), map[string]string{"epoch": "3"})
+		return SaveParams(w, m1.Params())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewMLP(newRNG(), 4, 8, 2)
 	m2.Layers[0].W.Data[0] = 99
-	meta, err := LoadFile(path, func(r io.Reader) (map[string]string, error) {
-		return LoadParams(r, m2.Params())
+	_, err = LoadFile(path, func(r io.Reader) (struct{}, error) {
+		return struct{}{}, LoadParams(r, m2.Params())
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if meta["epoch"] != "3" {
-		t.Fatalf("meta %v", meta)
 	}
 	if m2.Layers[0].W.Data[0] == 99 {
 		t.Fatal("load did not restore values")
@@ -36,8 +33,8 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 
 func TestLoadParamsFileMissing(t *testing.T) {
 	m := NewMLP(newRNG(), 2, 2)
-	_, err := LoadFile(filepath.Join(t.TempDir(), "nope.bin"), func(r io.Reader) (map[string]string, error) {
-		return LoadParams(r, m.Params())
+	_, err := LoadFile(filepath.Join(t.TempDir(), "nope.bin"), func(r io.Reader) (struct{}, error) {
+		return struct{}{}, LoadParams(r, m.Params())
 	})
 	if err == nil {
 		t.Fatal("missing file must error")

@@ -182,18 +182,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	rng := newRNG()
 	m1 := NewMLP(rng, 3, 5, 2)
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, m1.Params(), map[string]string{"k": "v"}); err != nil {
+	if err := SaveParams(&buf, m1.Params()); err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewMLP(newRNG(), 3, 5, 2)
 	// Perturb m2 so the load visibly restores m1's values.
 	m2.Layers[0].W.Data[0] += 5
-	meta, err := LoadParams(&buf, m2.Params())
-	if err != nil {
+	if err := LoadParams(&buf, m2.Params()); err != nil {
 		t.Fatal(err)
-	}
-	if meta["k"] != "v" {
-		t.Fatalf("meta round-trip: %v", meta)
 	}
 	p1, p2 := m1.Params(), m2.Params()
 	for i := range p1 {
@@ -209,11 +205,11 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	rng := newRNG()
 	m1 := NewMLP(rng, 3, 5, 2)
 	var buf bytes.Buffer
-	if err := SaveParams(&buf, m1.Params(), nil); err != nil {
+	if err := SaveParams(&buf, m1.Params()); err != nil {
 		t.Fatal(err)
 	}
 	m2 := NewMLP(rng, 3, 6, 2) // different hidden size
-	if _, err := LoadParams(&buf, m2.Params()); err == nil {
+	if err := LoadParams(&buf, m2.Params()); err == nil {
 		t.Fatal("expected shape-mismatch error")
 	}
 }
