@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/metrics"
+	"cptgpt/internal/nn"
 	"cptgpt/internal/stats"
 	"cptgpt/internal/synthetic"
 	"cptgpt/internal/tensor"
@@ -322,6 +324,47 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if g1.Streams[i].Events[j] != g2.Streams[i].Events[j] {
 				t.Fatal("loaded model generates differently")
 			}
+		}
+	}
+}
+
+// TestLoadRejectsMalformedFile: a model file must fail Load, not a later
+// Generate, when a parameter blob does not fill its tensor or the
+// initial-event distribution is not one usable weight per event type.
+func TestLoadRejectsMalformedFile(t *testing.T) {
+	d := testTrainingData(t, 30)
+	m, err := NewModel(smallConfig(), FitTokenizer(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := m.Tok.V()
+	uniform := func() []float64 {
+		w := make([]float64, v)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	cases := map[string]func(mf *modelFile){
+		"short blob":     func(mf *modelFile) { mf.Params[0].Data = mf.Params[0].Data[:1] },
+		"V+3 weights":    func(mf *modelFile) { mf.InitialDist = append(uniform(), 1, 1, 1) },
+		"no weights":     func(mf *modelFile) { mf.InitialDist = nil },
+		"negative":       func(mf *modelFile) { mf.InitialDist[0] = -1 },
+		"NaN":            func(mf *modelFile) { mf.InitialDist[1] = math.NaN() },
+		"+Inf":           func(mf *modelFile) { mf.InitialDist[0] = math.Inf(1) },
+		"zero sum":       func(mf *modelFile) { clear(mf.InitialDist) },
+		"overflowed sum": func(mf *modelFile) { mf.InitialDist[0], mf.InitialDist[1] = math.MaxFloat64, math.MaxFloat64 },
+	}
+	for name, spoil := range cases {
+		mf := modelFile{Magic: modelMagic, Cfg: m.Cfg, Tok: m.Tok, InitialDist: uniform(), Params: nn.Blobs(m.Params())}
+		mf.Params[0].Data = append([]float64(nil), mf.Params[0].Data...)
+		spoil(&mf)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&mf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: the file loaded", name)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"cptgpt/internal/nn"
+	"cptgpt/internal/stats"
 )
 
 // modelFile is the gob wire form of a trained model: configuration,
@@ -37,7 +38,10 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reconstructs a model from r.
+// Load reconstructs a model from r. It rejects a file whose parameters do
+// not fill the model or whose initial-event distribution is not one finite,
+// non-negative weight per event type with a positive sum, so a bad file
+// fails here rather than in Generate.
 func Load(r io.Reader) (*Model, error) {
 	var mf modelFile
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
@@ -52,6 +56,12 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	if err := nn.LoadBlobs(m.Params(), mf.Params); err != nil {
 		return nil, fmt.Errorf("cptgpt: model file: %w", err)
+	}
+	if len(mf.InitialDist) != m.Tok.V() {
+		return nil, fmt.Errorf("cptgpt: model file: %d initial-event weights for %d event types", len(mf.InitialDist), m.Tok.V())
+	}
+	if _, err := stats.NewCategorical(mf.InitialDist); err != nil {
+		return nil, fmt.Errorf("cptgpt: model file: initial-event distribution: %w", err)
 	}
 	m.InitialDist = mf.InitialDist
 	return m, nil

@@ -15,9 +15,9 @@ import (
 // and feeds the pool ΣTₛ rows per op instead of Tₛ — the core of the packed
 // minibatch trainer.
 type PackedBatch struct {
-	// Tokens is the ΣTₛ×d_token input matrix (streams stacked in order).
-	// It is ephemeral: when a trainer has an arena installed, the buffer
-	// dies at the next arena Reset.
+	// Tokens is the ΣTₛ×d_token input matrix (streams stacked in order),
+	// built in the step's arena: it and the tape derived from it die at the
+	// arena's next Reset.
 	Tokens *tensor.Tensor
 	// Bounds holds the B+1 segment offsets; stream s spans rows
 	// Bounds[s]..Bounds[s+1].
@@ -28,12 +28,12 @@ type PackedBatch struct {
 	Targets []*Targets
 }
 
-// PackStreams builds a PackedBatch from encoded streams (EncodeStream
-// outputs). Streams are stacked in argument order; that order is load-
-// bearing for bit-exact equivalence with per-stream training, because every
-// row-serial reduction in the tape then adds the same terms in the same
-// order as the per-stream passes did.
-func PackStreams(ins []*tensor.Tensor, tgs []*Targets) *PackedBatch {
+// PackStreams builds a PackedBatch in arena a (the heap when a is nil) from
+// encoded streams (EncodeStream outputs). Streams are stacked in argument
+// order; that order is load-bearing for bit-exact equivalence with
+// per-stream training, because every row-serial reduction in the tape then
+// adds the same terms in the same order as the per-stream passes did.
+func PackStreams(a *tensor.Arena, ins []*tensor.Tensor, tgs []*Targets) *PackedBatch {
 	if len(ins) == 0 || len(ins) != len(tgs) {
 		panic(fmt.Sprintf("cptgpt: PackStreams got %d inputs and %d targets", len(ins), len(tgs)))
 	}
@@ -46,7 +46,7 @@ func PackStreams(ins []*tensor.Tensor, tgs []*Targets) *PackedBatch {
 		total += in.Rows
 	}
 	pb := &PackedBatch{
-		Tokens:  tensor.NewEphemeral(total, d),
+		Tokens:  a.New(total, d),
 		Bounds:  make([]int, 1, len(ins)+1),
 		PosIdx:  make([]int, 0, total),
 		Targets: tgs,
@@ -73,7 +73,7 @@ func (pb *PackedBatch) Rows() int { return pb.Bounds[len(pb.Bounds)-1] }
 // head outputs for every packed row. Per-stream rows are bit-identical to
 // Forward on each stream alone: the linear layers, layer norms and heads
 // are row-wise, attention is computed segment-wise under the block-diagonal
-// causal mask, and the positional embedding is gathered per row.
+// causal mask, and the positional embedding is added per row.
 //
 // When dropRng is non-nil dropout is active; the mask is drawn over the
 // packed matrix in row-major order, which for more than one stream differs
@@ -86,7 +86,7 @@ func (m *Model) ForwardPacked(pb *PackedBatch, dropRng *rand.Rand) (*Heads, erro
 		}
 	}
 	x := m.InProj.Forward(pb.Tokens)
-	x = tensor.Add(x, tensor.GatherRows(m.PosEmb, pb.PosIdx))
+	x = tensor.AddRows(x, m.PosEmb, pb.PosIdx)
 	for _, b := range m.BlocksNN {
 		x = b.ForwardPacked(x, pb.Bounds)
 		if m.Cfg.Dropout > 0 && dropRng != nil {

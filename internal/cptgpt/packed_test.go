@@ -50,7 +50,7 @@ func TestForwardPackedMatchesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins, tgs := encodeFirstN(t, tk, d, cfg.MaxLen, 5)
-	pb := PackStreams(ins, tgs)
+	pb := PackStreams(nil, ins, tgs)
 	hp, err := m.ForwardPacked(pb, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -124,13 +124,13 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 		},
 		// Each optimizer step is one packed forward over its (up to)
 		// AccumStreams streams.
-		Step: func(k int, order []int) error {
+		Step: func(k int, order []int, arena *tensor.Arena) error {
 			ins, tgs = ins[:0], tgs[:0]
 			for _, idx := range order[k*accum : min((k+1)*accum, len(order))] {
 				ins = append(ins, samples[idx].in)
 				tgs = append(tgs, samples[idx].tg)
 			}
-			pb := PackStreams(ins, tgs)
+			pb := PackStreams(arena, ins, tgs)
 			h, err := m.ForwardPacked(pb, dropRng)
 			if err != nil {
 				return err

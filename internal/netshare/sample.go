@@ -68,7 +68,7 @@ func (m *Model) sampleStream(idx int, opts GenOpts) trace.Stream {
 	v := len(vocab)
 	fps := cfg.fieldsPerSample()
 
-	noise, rz := m.sampleNoise(1, rng)
+	noise, rz := m.sampleNoise(nil, 1, rng)
 	data, rawMin, rawLogWidth := m.generateRaw(noise, rz)
 	minLog, width := rangeFromRaw(rawMin, rawLogWidth)
 

@@ -157,20 +157,21 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 		dOpt.ZeroGrads()
 	}
 	var dSum, gSum, noiseStd float64
-	jitter := func(x *tensor.Tensor) *tensor.Tensor {
+	jitter := func(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 		if noiseStd <= 0 {
 			return x
 		}
-		n := tensor.New(x.Rows, x.Cols)
+		n := a.New(x.Rows, x.Cols)
 		for i := range n.Data {
 			n.Data[i] = noiseStd * rng.NormFloat64()
 		}
 		return tensor.Add(x, n)
 	}
 
-	// Both GAN steps rebuild the same tape shape every iteration, so the
-	// loop's arena is rewound once per iteration (the real encodings above
-	// are heap-allocated and unaffected).
+	// Both GAN steps rebuild the same tape shape every iteration from inputs
+	// built in the step's arena (the real batch, the noise, the jitter), so
+	// the loop's rewind after each iteration recycles both tapes; the real
+	// encodings above are heap-allocated and unaffected.
 	loop := nn.Loop{
 		Epochs:   epochs,
 		Rng:      rng,
@@ -184,17 +185,17 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 			}
 			dSum, gSum = 0, 0
 		},
-		Step: func(it int, order []int) error {
+		Step: func(it int, order []int, arena *tensor.Arena) error {
 			// Real minibatch.
-			rb := tensor.New(b, seqDim)
+			rb := arena.New(b, seqDim)
 			for r := 0; r < b; r++ {
 				copy(rb.Data[r*seqDim:(r+1)*seqDim], real[order[(it*b+r)%len(real)]])
 			}
 
 			// ---- Discriminator step ----
-			fake := m.generateSoft(m.sampleNoise(b, rng))
-			dReal := m.Disc.Forward(m.discInput(jitter(rb)))
-			dFake := m.Disc.Forward(m.discInput(jitter(fake)))
+			fake := m.generateSoft(m.sampleNoise(arena, b, rng))
+			dReal := m.Disc.Forward(m.discInput(jitter(arena, rb)))
+			dFake := m.Disc.Forward(m.discInput(jitter(arena, fake)))
 			lossD := tensor.AddScalars([]float64{0.5, 0.5},
 				tensor.BCEWithLogits(dReal, smooth),
 				tensor.BCEWithLogits(dFake, zeros))
@@ -203,8 +204,8 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 			dOpt.Step()
 
 			// ---- Generator step ----
-			fake = m.generateSoft(m.sampleNoise(b, rng))
-			lossG := tensor.BCEWithLogits(m.Disc.Forward(m.discInput(jitter(fake))), ones)
+			fake = m.generateSoft(m.sampleNoise(arena, b, rng))
+			lossG := tensor.BCEWithLogits(m.Disc.Forward(m.discInput(jitter(arena, fake))), ones)
 			zeroAll()
 			lossG.Backward()
 			gOpt.Step()
@@ -221,9 +222,9 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 				opts.OnEpoch(epoch, res.DLoss[epoch], res.GLoss[epoch])
 			}
 		},
-		// The probe generates: its sampling runs tape ops on worker
-		// goroutines, which the loop keeps off the arena. Only the
-		// generator's checkpoint is ranked and restored.
+		// The probe generates from heap noise, so its tapes stay off the
+		// step arena. Only the generator's checkpoint is ranked and
+		// restored.
 		Probe:      opts.Probe,
 		ProbeEvery: opts.ProbeEvery,
 		Keep:       m.GenParams(),
@@ -235,17 +236,18 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	return res, nil
 }
 
-// sampleNoise draws the per-step LSTM inputs [z0 | z_t] plus the shared
-// stream-level noise z0 that also drives the range head.
-func (m *Model) sampleNoise(b int, rng interface{ NormFloat64() float64 }) ([]*tensor.Tensor, *tensor.Tensor) {
+// sampleNoise draws, in arena a (the heap when a is nil), the per-step LSTM
+// inputs [z0 | z_t] plus the shared stream-level noise z0 that also drives
+// the range head.
+func (m *Model) sampleNoise(a *tensor.Arena, b int, rng interface{ NormFloat64() float64 }) ([]*tensor.Tensor, *tensor.Tensor) {
 	nd := m.Cfg.NoiseDim
-	z0 := tensor.New(b, nd)
+	z0 := a.New(b, nd)
 	for j := range z0.Data {
 		z0.Data[j] = rng.NormFloat64()
 	}
 	noise := make([]*tensor.Tensor, m.Cfg.Steps)
 	for i := range noise {
-		z := tensor.New(b, 2*nd)
+		z := a.New(b, 2*nd)
 		for r := 0; r < b; r++ {
 			copy(z.Data[r*2*nd:r*2*nd+nd], z0.Data[r*nd:(r+1)*nd])
 			for j := nd; j < 2*nd; j++ {

@@ -29,7 +29,8 @@ func Blobs(params []*tensor.Tensor) []Blob {
 }
 
 // LoadBlobs copies the stored values into params, which must match the
-// blobs in count and, one by one, in shape.
+// blobs in count and, one by one, in shape; each blob must hold exactly
+// Rows×Cols values.
 func LoadBlobs(params []*tensor.Tensor, blobs []Blob) error {
 	if len(blobs) != len(params) {
 		return fmt.Errorf("nn: %d parameters stored, model has %d", len(blobs), len(params))
@@ -39,6 +40,9 @@ func LoadBlobs(params []*tensor.Tensor, blobs []Blob) error {
 		if b.Rows != p.Rows || b.Cols != p.Cols {
 			return fmt.Errorf("nn: parameter %d shape mismatch: stored %d×%d, model %d×%d",
 				i, b.Rows, b.Cols, p.Rows, p.Cols)
+		}
+		if len(b.Data) != len(p.Data) {
+			return fmt.Errorf("nn: parameter %d holds %d values, want %d×%d", i, len(b.Data), b.Rows, b.Cols)
 		}
 		copy(p.Data, b.Data)
 	}

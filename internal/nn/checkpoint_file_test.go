@@ -31,6 +31,19 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadBlobsRejectsWrongValueCount: a blob whose shape matches but whose
+// values do not fill it is an error, not a partial load.
+func TestLoadBlobsRejectsWrongValueCount(t *testing.T) {
+	m := NewMLP(newRNG(), 4, 8, 2)
+	for _, n := range []int{1, 33} {
+		blobs := Blobs(m.Params())
+		blobs[0].Data = make([]float64, n)
+		if err := LoadBlobs(NewMLP(newRNG(), 4, 8, 2).Params(), blobs); err == nil {
+			t.Fatalf("a 4×8 blob with %d values loaded", n)
+		}
+	}
+}
+
 func TestLoadParamsFileMissing(t *testing.T) {
 	m := NewMLP(newRNG(), 2, 2)
 	_, err := LoadFile(filepath.Join(t.TempDir(), "nope.bin"), func(r io.Reader) (struct{}, error) {

@@ -24,9 +24,11 @@ type Loop struct {
 	// BeginEpoch, when non-nil, starts each epoch (a learning-rate
 	// schedule, a noise decay).
 	BeginEpoch func(epoch int)
-	// Step runs optimizer step k of the epoch over the shuffled order. Its
-	// tape is dead when it returns.
-	Step func(k int, order []int) error
+	// Step runs optimizer step k of the epoch over the shuffled order. It
+	// builds its inputs in arena (arena.New), so its tape draws from arena,
+	// which the loop resets when Step returns: nothing derived from those
+	// inputs may outlive the step.
+	Step func(k int, order []int, arena *tensor.Arena) error
 	// OnEpoch, when non-nil, ends each epoch.
 	OnEpoch func(epoch int)
 	// Probe, when non-nil, scores the current weights (lower is better)
@@ -55,21 +57,13 @@ func (r LoopResult) TimeToBest() time.Duration {
 	return time.Duration(float64(r.Duration) * float64(r.BestEpoch) / float64(r.Epochs))
 }
 
-// Run trains. Every step's tape draws from one bump arena, rewound after
-// the step; OnEpoch and Probe run with it detached (tensor.ArenaDetached),
-// so what they allocate outlives the rewind. The install is
-// ownership-gated: while another trainer holds the ambient arena this one
-// runs off the heap (other concurrent tape work is unsupported, see
-// tensor.InstallArena).
+// Run trains. Every step gets the same bump arena, rewound after the step.
+// OnEpoch and Probe get none: their tapes start from heap tensors, so what
+// they compute outlives the rewind.
 func (l Loop) Run() (LoopResult, error) {
 	var res LoopResult
 	start := time.Now()
 	arena := tensor.NewArena()
-	if tensor.InstallArena(arena) {
-		defer tensor.UninstallArena(arena)
-	} else {
-		arena = nil
-	}
 	order := make([]int, l.Examples)
 	for i := range order {
 		order[i] = i
@@ -82,24 +76,20 @@ func (l Loop) Run() (LoopResult, error) {
 		}
 		l.Rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for k := 0; k < l.Steps; k++ {
-			if err := l.Step(k, order); err != nil {
+			if err := l.Step(k, order, arena); err != nil {
 				return res, err
 			}
 			res.Steps++
-			if arena != nil {
-				arena.Reset()
-			}
+			arena.Reset()
 		}
 		res.Epochs = epoch + 1
 		if l.OnEpoch != nil {
-			tensor.ArenaDetached(func() { l.OnEpoch(epoch) })
+			l.OnEpoch(epoch)
 		}
 		if l.Probe == nil || (epoch+1)%max(l.ProbeEvery, 1) != 0 {
 			continue
 		}
-		var score float64
-		tensor.ArenaDetached(func() { score = l.Probe() })
-		if score < bestScore {
+		if score := l.Probe(); score < bestScore {
 			bestScore, res.BestEpoch, res.BestScore = score, epoch+1, score
 			best = make([][]float64, len(l.Keep))
 			for i, p := range l.Keep {

@@ -21,7 +21,7 @@ func TestLoopKeepsFirstBestCheckpoint(t *testing.T) {
 		Examples:   5,
 		Steps:      3,
 		BeginEpoch: func(e int) { epoch, begun = e+1, begun+1 },
-		Step: func(k int, order []int) error {
+		Step: func(k int, order []int, _ *tensor.Arena) error {
 			seen := make([]bool, len(order))
 			for _, i := range order {
 				seen[i] = true
@@ -34,12 +34,7 @@ func TestLoopKeepsFirstBestCheckpoint(t *testing.T) {
 			p.Data[0] = float64(10*epoch + k)
 			return nil
 		},
-		OnEpoch: func(int) {
-			if tensor.ActiveArena() != nil {
-				t.Error("OnEpoch ran with the arena installed")
-			}
-			ended++
-		},
+		OnEpoch:    func(int) { ended++ },
 		Probe:      func() float64 { return scores[epoch] },
 		ProbeEvery: 2,
 		Keep:       []*tensor.Tensor{p},
@@ -57,7 +52,7 @@ func TestLoopKeepsFirstBestCheckpoint(t *testing.T) {
 
 func TestLoopStepError(t *testing.T) {
 	boom := errors.New("boom")
-	res, err := Loop{Epochs: 3, Rng: newRNG(), Examples: 1, Steps: 2, Step: func(k int, _ []int) error {
+	res, err := Loop{Epochs: 3, Rng: newRNG(), Examples: 1, Steps: 2, Step: func(k int, _ []int, _ *tensor.Arena) error {
 		if k == 1 {
 			return boom
 		}
@@ -65,6 +60,34 @@ func TestLoopStepError(t *testing.T) {
 	}}.Run()
 	if !errors.Is(err, boom) || res.Steps != 1 {
 		t.Fatalf("err %v after %d steps, want boom after 1", err, res.Steps)
+	}
+}
+
+// TestLoopStepKeepsHeapTensors: only what a step builds in its arena dies
+// with the step. A tensor the step computes from heap-only inputs and keeps
+// still holds its value after later steps have run; one derived from an
+// arena input is recycled by them.
+func TestLoopStepKeepsHeapTensors(t *testing.T) {
+	var heap, arena *tensor.Tensor
+	_, err := Loop{Epochs: 1, Rng: newRNG(), Examples: 1, Steps: 3, Step: func(k int, _ []int, a *tensor.Arena) error {
+		v := tensor.Scalar(float64(k + 1))
+		h := tensor.Add(v, tensor.Scalar(0))
+		x := a.New(1, 1)
+		x.Data[0] = v.Data[0]
+		y := tensor.Add(x, tensor.Scalar(0))
+		if k == 0 {
+			heap, arena = h, y
+		}
+		return nil
+	}}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heap.Data[0] != 1 {
+		t.Fatalf("a heap tensor kept from step 0 reads %v after later steps, want 1", heap.Data[0])
+	}
+	if arena.Data[0] == 1 {
+		t.Fatal("an arena tensor kept from step 0 was not recycled by later steps")
 	}
 }
 

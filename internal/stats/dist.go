@@ -200,8 +200,8 @@ type Categorical struct {
 	cum []float64
 }
 
-// NewCategorical builds a categorical sampler. Weights must be non-negative
-// with a positive sum.
+// NewCategorical builds a categorical sampler. Weights must be finite and
+// non-negative with a positive, finite sum.
 func NewCategorical(weights []float64) (*Categorical, error) {
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("stats: categorical needs at least one weight")
@@ -209,14 +209,14 @@ func NewCategorical(weights []float64) (*Categorical, error) {
 	cum := make([]float64, len(weights))
 	var total float64
 	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("stats: negative or NaN categorical weight %v at %d", w, i)
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("stats: categorical weight %v at %d", w, i)
 		}
 		total += w
 		cum[i] = total
 	}
-	if total <= 0 {
-		return nil, fmt.Errorf("stats: categorical weights sum to %v, want > 0", total)
+	if !(total > 0) || math.IsInf(total, 1) {
+		return nil, fmt.Errorf("stats: categorical weights sum to %v, want a positive finite sum", total)
 	}
 	for i := range cum {
 		cum[i] /= total

@@ -113,6 +113,11 @@ func TestCategoricalValidation(t *testing.T) {
 	if _, err := NewCategorical([]float64{1, -1}); err == nil {
 		t.Fatal("negative weight must error")
 	}
+	for _, w := range [][]float64{{1, math.NaN()}, {1, math.Inf(1)}, {math.MaxFloat64, math.MaxFloat64}} {
+		if _, err := NewCategorical(w); err == nil {
+			t.Fatalf("weights %v must error", w)
+		}
+	}
 }
 
 func TestECDF(t *testing.T) {

@@ -1,24 +1,31 @@
 package tensor
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
-// Arena is a bump allocator for the float64 buffers that back the autograd
+// Arena is a bump allocator for the float64 buffers that back one autograd
 // tape: child tensor values, their gradients and per-op scratch (LayerNorm's
 // row statistics, Dropout masks, CrossEntropy's probabilities). A training
-// step allocates the same tape shape over and over; routing those buffers
-// through an arena and calling Reset after each optimizer step reuses the
-// same slabs every step instead of re-making them, which removes the
-// allocation/GC cost from the training hot path.
+// step builds the same tape shape over and over; drawing those buffers from
+// an arena and calling Reset after each optimizer step reuses the same slabs
+// every step instead of re-making them, which removes the allocation/GC cost
+// from the training hot path.
 //
-// An arena hands out zeroed memory (New's contract) and never frees slabs;
-// Reset rewinds the bump pointer so the next step reuses them. The caller
-// owns the lifetime contract: memory obtained while an arena is active must
-// not be used after the next Reset. Trainable parameters are unaffected —
-// only tensors built by ops (and NewEphemeral) draw from the arena.
+// The arena belongs to the tape, not to the process. A tensor remembers the
+// arena its values came from, and every op result (and its scratch) takes
+// the arena of its first parent that has one (see child); a tape whose inputs are all heap
+// tensors — parameters, New, FromSlice — stays on the heap. So a trainer
+// puts a step's inputs in its arena with New, and whatever the step derives
+// from them dies at the next Reset, while work on any other goroutine is
+// untouched by it.
 //
-// Alloc and Reset are safe for concurrent use (generation probes may run
-// tape ops on worker goroutines while a trainer holds the arena), but Reset
-// must only be called when no live tensor still references arena memory.
+// An arena hands out zeroed memory (Alloc's contract) and never frees slabs;
+// Reset rewinds the bump pointer so the next step reuses them. Reset must
+// only be called when no live tensor still references the arena's memory.
+// Alloc and Reset are safe for concurrent use. A nil *Arena is the heap:
+// New, Alloc and AllocRaw on it return fresh heap memory.
 type Arena struct {
 	mu    sync.Mutex
 	slabs [][]float64
@@ -38,8 +45,21 @@ func NewArena() *Arena {
 	return &Arena{slabFloats: arenaSlabFloats}
 }
 
+// New returns a zero-valued rows×cols tensor whose buffer comes from a (the
+// heap when a is nil). Op results derived from it inherit a, so it and they
+// must not be used after a's next Reset.
+func (a *Arena) New(rows, cols int) *Tensor {
+	if rows <= 0 || cols <= 0 {
+		panic(fmt.Sprintf("tensor: invalid shape %d×%d", rows, cols))
+	}
+	return &Tensor{Data: a.Alloc(rows * cols), Rows: rows, Cols: cols, arena: a}
+}
+
 // Alloc returns a zeroed length-n slice carved from the arena.
 func (a *Arena) Alloc(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
 	out := a.AllocRaw(n)
 	clear(out)
 	return out
@@ -48,8 +68,12 @@ func (a *Arena) Alloc(n int) []float64 {
 // AllocRaw is Alloc without the zeroing pass: the returned slice holds
 // whatever the recycled slab last held. Callers must overwrite every
 // element (the op layer uses it for outputs that are fully written by the
-// forward pass; gradients always go through the zeroing Alloc).
+// forward pass; gradients always go through the zeroing Alloc). On a nil
+// arena it is a zeroed heap slice.
 func (a *Arena) AllocRaw(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
 	if n == 0 {
 		return nil
 	}
@@ -116,119 +140,4 @@ func (a *Arena) Peak() int {
 		return used
 	}
 	return a.peak
-}
-
-// activeArena is the ambient arena consulted by the op layer; nil means all
-// tape buffers come from the heap (the pre-arena behavior).
-var (
-	arenaMu     sync.Mutex
-	activeArena *Arena
-)
-
-// SetArena unconditionally installs a as the ambient arena for tape
-// allocations and returns the previous one so callers can scope the
-// override:
-//
-//	prev := tensor.SetArena(arena)
-//	defer tensor.SetArena(prev)
-//
-// Passing nil restores heap allocation. This is the low-level setter (used
-// by tests and benchmarks that own the whole process); trainers claim the
-// slot through InstallArena instead so concurrent runs cannot stomp each
-// other, and detach around callbacks with ArenaDetached. Whoever installs
-// an arena is responsible for calling Reset only when no live tensor still
-// references its memory.
-func SetArena(a *Arena) (prev *Arena) {
-	arenaMu.Lock()
-	prev, activeArena = activeArena, a
-	arenaMu.Unlock()
-	return prev
-}
-
-// ActiveArena returns the ambient arena, or nil when tape buffers come from
-// the heap.
-func ActiveArena() *Arena {
-	arenaMu.Lock()
-	defer arenaMu.Unlock()
-	return activeArena
-}
-
-// InstallArena atomically claims the ambient-arena slot for a: it installs
-// a only when no arena is currently installed and reports whether it did.
-// Trainers use this instead of SetArena so two arena-using training runs
-// cannot interleave installs/Resets/detaches against each other — the
-// loser of the race runs with heap tape allocation instead.
-//
-// The gate is NOT full concurrency isolation: the ambient arena is
-// process-global, so tape ops on any other goroutine while an arena is
-// installed will also draw from it and are then subject to the owner's
-// Reset cycle. Running other tape-building work (training, tape-based
-// generation) concurrently with an arena-owning trainer is unsupported;
-// the in-repo trainers are sequential, and they detach the arena
-// (ArenaDetached) around every callback that may run tape ops.
-func InstallArena(a *Arena) bool {
-	arenaMu.Lock()
-	defer arenaMu.Unlock()
-	if activeArena != nil {
-		return false
-	}
-	activeArena = a
-	return true
-}
-
-// UninstallArena clears the ambient-arena slot if a currently holds it.
-func UninstallArena(a *Arena) {
-	arenaMu.Lock()
-	if activeArena == a {
-		activeArena = nil
-	}
-	arenaMu.Unlock()
-}
-
-// ArenaDetached runs fn with the ambient arena detached, restoring it
-// afterwards even if fn panics. Trainers wrap user callbacks (probes,
-// epoch observers) in this so callback-allocated tensors are never tied to
-// the trainer's Reset cycle. The restore is conditional: if another arena
-// claimed the slot while fn ran, it is left in place.
-func ArenaDetached(fn func()) {
-	arenaMu.Lock()
-	prev := activeArena
-	activeArena = nil
-	arenaMu.Unlock()
-	defer func() {
-		arenaMu.Lock()
-		if activeArena == nil {
-			activeArena = prev
-		}
-		arenaMu.Unlock()
-	}()
-	fn()
-}
-
-// allocFloats returns a zeroed length-n buffer from the ambient arena when
-// one is installed, else from the heap. The bool reports arena ownership so
-// tensors can route their gradient buffers the same way.
-func allocFloats(n int) ([]float64, bool) {
-	arenaMu.Lock()
-	a := activeArena
-	arenaMu.Unlock()
-	if a == nil {
-		return make([]float64, n), false
-	}
-	return a.Alloc(n), true
-}
-
-// allocFloatsRaw is allocFloats without the zeroing guarantee when an arena
-// is active (heap allocations are always zeroed by the runtime). Used for
-// tensor values that every op fully overwrites; ops that rely on
-// zero-initialized output (CausalSoftmax's masked triangle, MeanRows'
-// accumulator) clear it explicitly.
-func allocFloatsRaw(n int) ([]float64, bool) {
-	arenaMu.Lock()
-	a := activeArena
-	arenaMu.Unlock()
-	if a == nil {
-		return make([]float64, n), false
-	}
-	return a.AllocRaw(n), true
 }

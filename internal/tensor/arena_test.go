@@ -5,21 +5,14 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
-// withArena runs fn with a fresh ambient arena installed and returns it.
-func withArena(fn func()) *Arena {
-	a := NewArena()
-	prev := SetArena(a)
-	defer SetArena(prev)
-	fn()
-	return a
-}
-
 // tapeStep runs a representative forward+backward over the ops whose scratch
-// is arena-routed (matmul, layernorm, dropout, cross-entropy) and returns
-// the loss value and the weight gradient.
-func tapeStep(rng *rand.Rand) (float64, []float64) {
+// is arena-routed (matmul, layernorm, dropout, cross-entropy), with its
+// input built in a (the heap when a is nil), and returns the loss value and
+// the weight gradient.
+func tapeStep(a *Arena, rng *rand.Rand) (float64, []float64) {
 	w := Randn(16, 8, 0.5, rng).Param()
 	gain := New(1, 8)
 	for i := range gain.Data {
@@ -27,7 +20,8 @@ func tapeStep(rng *rand.Rand) (float64, []float64) {
 	}
 	gain.Param()
 	bias := New(1, 8).Param()
-	x := Randn(12, 16, 1, rng)
+	x := a.New(12, 16)
+	copy(x.Data, Randn(12, 16, 1, rng).Data)
 	h := LayerNorm(MatMul(x, w), gain, bias, 1e-5)
 	h = Dropout(h, 0.25, rng)
 	targets := make([]int, 12)
@@ -42,12 +36,8 @@ func tapeStep(rng *rand.Rand) (float64, []float64) {
 // TestArenaValuesMatchHeap: routing the tape through an arena must not
 // change a single bit of any value or gradient.
 func TestArenaValuesMatchHeap(t *testing.T) {
-	heapLoss, heapGrad := tapeStep(rand.New(rand.NewPCG(7, 9)))
-	var arenaLoss float64
-	var arenaGrad []float64
-	withArena(func() {
-		arenaLoss, arenaGrad = tapeStep(rand.New(rand.NewPCG(7, 9)))
-	})
+	heapLoss, heapGrad := tapeStep(nil, rand.New(rand.NewPCG(7, 9)))
+	arenaLoss, arenaGrad := tapeStep(NewArena(), rand.New(rand.NewPCG(7, 9)))
 	if heapLoss != arenaLoss {
 		t.Fatalf("loss: heap %v != arena %v", heapLoss, arenaLoss)
 	}
@@ -63,14 +53,11 @@ func TestArenaValuesMatchHeap(t *testing.T) {
 // allocations come back zeroed despite the recycled memory.
 func TestArenaReuse(t *testing.T) {
 	a := NewArena()
-	prev := SetArena(a)
-	defer SetArena(prev)
-
-	tapeStep(rand.New(rand.NewPCG(1, 2)))
+	tapeStep(a, rand.New(rand.NewPCG(1, 2)))
 	a.Reset()
 	after1 := a.Footprint()
 	for i := 0; i < 5; i++ {
-		tapeStep(rand.New(rand.NewPCG(1, 2)))
+		tapeStep(a, rand.New(rand.NewPCG(1, 2)))
 		a.Reset()
 	}
 	if got := a.Footprint(); got != after1 {
@@ -87,40 +74,49 @@ func TestArenaReuse(t *testing.T) {
 	}
 }
 
-// TestInstallArenaGating: only one trainer can hold the ambient slot; the
-// loser falls back to heap allocation, and ArenaDetached restores the
-// owner's arena even when the callback panics.
-func TestInstallArenaGating(t *testing.T) {
-	a, b := NewArena(), NewArena()
-	if !InstallArena(a) {
-		t.Fatal("first install refused")
+// owns reports whether s is carved from one of a's slabs.
+func owns(a *Arena, s []float64) bool {
+	if len(s) == 0 {
+		return false
 	}
-	defer UninstallArena(a)
-	if InstallArena(b) {
-		t.Fatal("second install succeeded while slot held")
+	p := uintptr(unsafe.Pointer(&s[0]))
+	for _, slab := range a.slabs {
+		lo := uintptr(unsafe.Pointer(&slab[0]))
+		if p >= lo && p < lo+uintptr(len(slab))*8 {
+			return true
+		}
 	}
-	if ActiveArena() != a {
-		t.Fatal("ambient arena is not the first installer")
+	return false
+}
+
+// TestArenaInheritance pins the one rule of tape memory: an op result takes
+// the arena of its first parent that has one, heap-only parents give a heap
+// result, and a gradient lives beside its tensor's values — in the arena for
+// tape tensors, on the heap for parameters.
+func TestArenaInheritance(t *testing.T) {
+	rng := rand.New(rand.NewPCG(2, 3))
+	a := NewArena()
+	w := Randn(3, 3, 1, rng).Param()
+	x := a.New(2, 3)
+	copy(x.Data, Randn(2, 3, 1, rng).Data)
+	h := Tanh(MatMul(x, w))         // arena input first
+	y := Add(SliceRows(w, 0, 2), h) // parameter first, arena second
+	if h.arena != a || !owns(a, h.Data) || y.arena != a || !owns(a, y.Data) {
+		t.Fatal("a result with an arena parent is not in that arena")
 	}
-	func() {
-		defer func() { recover() }()
-		ArenaDetached(func() {
-			if ActiveArena() != nil {
-				t.Fatal("arena not detached inside callback")
-			}
-			panic("callback exploded")
-		})
-	}()
-	if ActiveArena() != a {
-		t.Fatal("arena not restored after panicking callback")
+	if p := Tanh(MatMul(Randn(2, 3, 1, rng), w)); p.arena != nil || owns(a, p.Data) {
+		t.Fatal("a result of heap-only parents is in an arena")
 	}
-	UninstallArena(b) // wrong owner: must be a no-op
-	if ActiveArena() != a {
-		t.Fatal("UninstallArena removed an arena it does not own")
+	Sum(y).Backward()
+	if !owns(a, h.Grad) || !owns(a, y.Grad) {
+		t.Fatal("an arena tensor's gradient is not in its arena")
 	}
-	UninstallArena(a)
-	if ActiveArena() != nil {
-		t.Fatal("slot not released")
+	if owns(a, w.Grad) {
+		t.Fatal("a parameter's gradient is in the arena")
+	}
+	var nilArena *Arena
+	if z := nilArena.New(2, 2); z.arena != nil || len(z.Data) != 4 {
+		t.Fatal("a nil arena's New is not a heap tensor")
 	}
 }
 
@@ -155,12 +151,17 @@ func TestArenaCutsTapeAllocations(t *testing.T) {
 	}
 	gain.Param()
 	bias := New(1, 8).Param()
-	x := Randn(12, 16, 1, rng)
+	xs := Randn(12, 16, 1, rng)
 	targets := make([]int, 12)
 	for i := range targets {
 		targets[i] = i % 8
 	}
+	// Each step builds its input in the arena (or on the heap, a == nil),
+	// as a trainer does.
+	var a *Arena
 	step := func() {
+		x := a.New(12, 16)
+		copy(x.Data, xs.Data)
 		h := LayerNorm(MatMul(x, w), gain, bias, 1e-5)
 		h = Dropout(h, 0.25, rng)
 		CrossEntropy(h, targets).Backward()
@@ -172,9 +173,7 @@ func TestArenaCutsTapeAllocations(t *testing.T) {
 	heapAllocs := testing.AllocsPerRun(50, step)
 	heapBytes := bytesPerRun(50, step)
 
-	a := NewArena()
-	prevA := SetArena(a)
-	defer SetArena(prevA)
+	a = NewArena()
 	arenaStep := func() {
 		step()
 		a.Reset()
@@ -264,17 +263,24 @@ func TestMatMulBlockedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGatherRows covers the packed-minibatch positional lookup: forward
-// selection and scatter-add gradients.
-func TestGatherRows(t *testing.T) {
+// TestAddRows covers the packed-minibatch positional lookup: forward
+// x + table[idx], x's gradient passed through, the table's scatter-added
+// into the selected rows, and the result in x's arena.
+func TestAddRows(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
-	a := Randn(6, 3, 1, rng).Param()
+	a := NewArena()
+	table := Randn(6, 3, 1, rng).Param()
 	idx := []int{0, 1, 2, 0, 1, 0}
-	out := GatherRows(a, idx)
+	x := a.New(len(idx), 3).Param()
+	copy(x.Data, Randn(len(idx), 3, 1, rng).Data)
+	out := AddRows(x, table, idx)
+	if out.arena != a {
+		t.Fatal("AddRows result is not in x's arena")
+	}
 	for r, src := range idx {
 		for c := 0; c < 3; c++ {
-			if out.At(r, c) != a.At(src, c) {
-				t.Fatalf("gather row %d", r)
+			if out.At(r, c) != x.At(r, c)+table.At(src, c) {
+				t.Fatalf("row %d col %d", r, c)
 			}
 		}
 	}
@@ -282,10 +288,18 @@ func TestGatherRows(t *testing.T) {
 	counts := []float64{3, 2, 1, 0, 0, 0} // row 0 picked 3×, row 1 2×, row 2 1×
 	for r, want := range counts {
 		for c := 0; c < 3; c++ {
-			if got := a.Grad[r*3+c]; got != want {
-				t.Fatalf("grad row %d col %d = %v, want %v", r, c, got, want)
+			if got := table.Grad[r*3+c]; got != want {
+				t.Fatalf("table grad row %d col %d = %v, want %v", r, c, got, want)
 			}
 		}
+	}
+	for i, g := range x.Grad {
+		if g != 1 {
+			t.Fatalf("x grad[%d] = %v, want 1", i, g)
+		}
+	}
+	if owns(a, table.Grad) || !owns(a, x.Grad) {
+		t.Fatal("gradients not beside their tensors' values")
 	}
 }
 

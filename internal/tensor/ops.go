@@ -109,9 +109,9 @@ func LayerNorm(a, gain, bias *Tensor, eps float64) *Tensor {
 	n := float64(a.Cols)
 	// Cache per-row inverse std and normalized values for the backward pass
 	// (the mean itself is not needed again). This scratch lives as long as
-	// the tape, so it draws from the arena — raw, since the forward pass
+	// the tape, so it draws from a's arena — raw, since the forward pass
 	// fully overwrites both views — instead of being re-made every forward.
-	scratch, _ := allocFloatsRaw(a.Rows + len(a.Data))
+	scratch := a.arena.AllocRaw(a.Rows + len(a.Data))
 	istd := scratch[:a.Rows]
 	xhat := scratch[a.Rows:]
 
@@ -198,8 +198,8 @@ func Dropout(a *Tensor, p float64, rng *rand.Rand) *Tensor {
 		panic("tensor: Dropout p must be < 1")
 	}
 	// The mask is consulted by the backward closure, so it is tape-lived
-	// scratch: arena-allocated when a trainer has one installed.
-	mask, _ := allocFloats(len(a.Data))
+	// scratch, drawn from a's arena.
+	mask := a.arena.Alloc(len(a.Data))
 	scale := 1 / (1 - p)
 	for i := range mask {
 		if rng.Float64() >= p {
@@ -320,8 +320,8 @@ func CrossEntropy(logits *Tensor, targets []int) *Tensor {
 	}
 	c := logits.Cols
 	// probs backs both the forward loss and the backward gradient, so it is
-	// tape-lived scratch (arena-allocated under a trainer).
-	probs, _ := allocFloats(len(logits.Data))
+	// tape-lived scratch, drawn from the logits' arena.
+	probs := logits.arena.Alloc(len(logits.Data))
 	active := 0
 	for _, t := range targets {
 		if t >= 0 {

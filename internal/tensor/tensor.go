@@ -10,7 +10,9 @@
 // the output gradient back into the parents' gradients. Calling Backward on
 // a scalar loss topologically sorts the tape and runs the closures in
 // reverse. Operations on tensors that do not require gradients skip tape
-// construction entirely, which makes inference allocation-light.
+// construction entirely, which makes inference allocation-light. A tape's
+// float buffers come from the heap, or from the Arena its inputs were built
+// in: op results inherit their parents' arena (see arena.go).
 package tensor
 
 import (
@@ -31,7 +33,7 @@ type Tensor struct {
 	Rows, Cols int
 
 	requiresGrad bool
-	ephemeral    bool // Data came from the ambient arena (see arena.go)
+	arena        *Arena // where Data (and Grad) came from; nil is the heap
 	parents      []*Tensor
 	backFn       func(out *Tensor)
 	visit        uint64 // topoSort generation mark (see Backward)
@@ -46,18 +48,6 @@ func New(rows, cols int) *Tensor {
 		panic(fmt.Sprintf("tensor: invalid shape %d×%d", rows, cols))
 	}
 	return &Tensor{Data: make([]float64, rows*cols), Rows: rows, Cols: cols}
-}
-
-// NewEphemeral returns a zero-valued rows×cols tensor whose buffer comes
-// from the ambient arena when one is installed (falling back to the heap).
-// It must not be used after the arena's next Reset; trainers use it for
-// per-step inputs like packed minibatch token matrices.
-func NewEphemeral(rows, cols int) *Tensor {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("tensor: invalid shape %d×%d", rows, cols))
-	}
-	data, eph := allocFloats(rows * cols)
-	return &Tensor{Data: data, Rows: rows, Cols: cols, ephemeral: eph}
 }
 
 // FromSlice wraps data (not copied) as a rows×cols tensor.
@@ -105,17 +95,13 @@ func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor(%d×%d, op=%s, grad=%v)", t.Rows, t.Cols, t.op, t.requiresGrad)
 }
 
-// ensureGrad allocates the gradient buffer on first use. Tape tensors whose
-// values live in the arena keep their gradients there too; persistent
-// tensors (parameters) always get heap gradients, which must survive until
-// the optimizer consumes them.
+// ensureGrad allocates the gradient buffer on first use, from t's own
+// arena: tape tensors keep their gradients beside their values, and
+// parameters (heap tensors) get heap gradients, which must survive until the
+// optimizer consumes them.
 func (t *Tensor) ensureGrad() []float64 {
 	if t.Grad == nil {
-		if t.ephemeral {
-			t.Grad, _ = allocFloats(len(t.Data))
-		} else {
-			t.Grad = make([]float64, len(t.Data))
-		}
+		t.Grad = t.arena.Alloc(len(t.Data))
 	}
 	return t.Grad
 }
@@ -128,22 +114,24 @@ func (t *Tensor) ZeroGrad() {
 }
 
 // child constructs a result tensor wired to its parents when any of them
-// requires grad; back is only retained in that case. Child values are
-// tape-lived, so they draw from the ambient arena when one is installed.
+// requires grad; back is only retained in that case. Its buffer comes from
+// the arena of its first parent that has one, else from the heap: the one
+// rule by which op results join a tape.
 func child(rows, cols int, op string, back func(out *Tensor), parents ...*Tensor) *Tensor {
+	var a *Arena
+	need := false
+	for _, p := range parents {
+		if p != nil {
+			if a == nil {
+				a = p.arena
+			}
+			need = need || p.requiresGrad
+		}
+	}
 	// Raw (non-zeroed) arena memory: every op overwrites its full output in
 	// the forward pass, except CausalSoftmax and MeanRows, which clear it
 	// explicitly.
-	data, eph := allocFloatsRaw(rows * cols)
-	out := &Tensor{Data: data, Rows: rows, Cols: cols, ephemeral: eph}
-	out.op = op
-	need := false
-	for _, p := range parents {
-		if p != nil && p.requiresGrad {
-			need = true
-			break
-		}
-	}
+	out := &Tensor{Data: a.AllocRaw(rows * cols), Rows: rows, Cols: cols, arena: a, op: op}
 	if need {
 		out.requiresGrad = true
 		out.parents = parents
@@ -434,26 +422,32 @@ func SliceRows(a *Tensor, lo, hi int) *Tensor {
 	return out
 }
 
-// GatherRows returns the row selection a[idx[0]], a[idx[1]], … as a new
-// len(idx)×cols tensor; gradients scatter-add back into the selected rows.
-// The scatter runs serially in ascending output-row order, so when segments
-// of idx are stacked stream-by-stream (the packed-minibatch positional
-// lookup) the accumulation order matches processing the streams one at a
-// time — a bit-exactness requirement of the packed trainer.
-func GatherRows(a *Tensor, idx []int) *Tensor {
-	if len(idx) == 0 {
-		panic("tensor: GatherRows of nothing")
+// AddRows returns x + table[idx]: row r of x plus row idx[r] of table, the
+// packed-minibatch positional-embedding lookup. The table gradient folds
+// back serially in ascending row order, so when segments of idx are stacked
+// stream-by-stream the accumulation order matches processing the streams
+// one at a time — a bit-exactness requirement of the packed trainer. Being
+// one op, the result takes x's arena even when table is a parameter.
+func AddRows(x, table *Tensor, idx []int) *Tensor {
+	if len(idx) != x.Rows || table.Cols != x.Cols {
+		panic(fmt.Sprintf("tensor: AddRows of %d×%d and %d rows of %d×%d", x.Rows, x.Cols, len(idx), table.Rows, table.Cols))
 	}
 	for _, r := range idx {
-		if r < 0 || r >= a.Rows {
-			panic(fmt.Sprintf("tensor: GatherRows index %d out of %d rows", r, a.Rows))
+		if r < 0 || r >= table.Rows {
+			panic(fmt.Sprintf("tensor: AddRows index %d out of %d rows", r, table.Rows))
 		}
 	}
 	rows := append([]int(nil), idx...)
-	c := a.Cols
-	out := child(len(rows), c, "gather_rows", func(out *Tensor) {
-		if a.requiresGrad {
-			g := a.ensureGrad()
+	c := x.Cols
+	out := child(x.Rows, c, "add_rows", func(out *Tensor) {
+		if x.requiresGrad {
+			g := x.ensureGrad()
+			for i, v := range out.Grad {
+				g[i] += v
+			}
+		}
+		if table.requiresGrad {
+			g := table.ensureGrad()
 			for r, src := range rows {
 				or := out.Grad[r*c : (r+1)*c]
 				gr := g[src*c : (src+1)*c]
@@ -462,9 +456,14 @@ func GatherRows(a *Tensor, idx []int) *Tensor {
 				}
 			}
 		}
-	}, a)
+	}, x, table)
 	for r, src := range rows {
-		copy(out.Data[r*c:(r+1)*c], a.Data[src*c:(src+1)*c])
+		xr := x.Data[r*c : (r+1)*c]
+		tr := table.Data[src*c : (src+1)*c]
+		or := out.Data[r*c : (r+1)*c]
+		for j := range or {
+			or[j] = xr[j] + tr[j]
+		}
 	}
 	return out
 }
