@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"cptgpt/internal/events"
@@ -401,6 +402,43 @@ func TestParentModelFile(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(csv)); got != "931614663dded2673bdcb1fa67c8d00ff22b818f0460eeeefeec511e6a4207c5" {
 		t.Fatalf("generate digest %s (%d events, want 90)", got, g.NumEvents())
+	}
+}
+
+// TestParentModelDecodePinned pins the float32 decode of
+// testdata/parent-model.bin under each GEMM kernel set: the trace file bytes
+// of Generate over 16 phone streams at seed 42, recorded while float32 was
+// still an opt-in precision, before it became the only decode arithmetic.
+func TestParentModelDecodePinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64")
+	}
+	m, err := LoadFile("testdata/parent-model.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tensor.SetGemmF32Asm(tensor.GemmF32Asm())
+	want := map[bool]string{
+		false: "2166956a64692e7cbee2fefb83ad708cba332e0e9ba8b5b5f98b8ebba96384fc",
+		true:  "6fe8b4b4f6b81444b90dd59125735ff7f6856300b46e149bfedc18ae1f485b7c",
+	}
+	for _, asm := range gemmKernels() {
+		tensor.SetGemmF32Asm(asm)
+		g, err := m.Generate(GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42, Precision: F32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "g.csv")
+		if err := trace.SaveFile(path, g); err != nil {
+			t.Fatal(err)
+		}
+		csv, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(csv)); got != want[asm] {
+			t.Errorf("asm=%v: generate digest %s (%d events), want %s", asm, got, g.NumEvents(), want[asm])
+		}
 	}
 }
 

@@ -3,11 +3,13 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -503,6 +505,51 @@ func TestCPTGPTSourcePrecision(t *testing.T) {
 	}
 	if _, err := spec.Open(RunOpts{Precision: "f16"}); err == nil {
 		t.Fatal("bad RunOpts.Precision must error")
+	}
+}
+
+// TestCPTGPTSpecPinned pins the JSONL bytes of a cptgpt-source spec over the
+// cptgpt package's parent-model.bin fixture, run through Spec.Open into the
+// jsonl sink under each float32 GEMM kernel set. The digests were recorded
+// while the spec had to ask for "precision": "f32", before float32 became
+// the only decode arithmetic.
+func TestCPTGPTSpecPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests recorded on amd64")
+	}
+	spec := &Spec{
+		Name: "parent-model", Generation: "4G", Seed: 42, HorizonSec: 600, Population: 24,
+		Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: "../cptgpt/testdata/parent-model.bin", Share: 1, Precision: "f32"}},
+	}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	defer tensor.SetGemmF32Asm(tensor.GemmF32Asm())
+	want := map[bool]string{
+		false: "e50c558be0a00aca71b63be299842b1a68457a696d33748e18f895c4d2a0b1b5",
+		true:  "6dfc35f1417bcd0f9bf88c3bd32effe257af91b18d3e258e16e2b1e710ec2c4c",
+	}
+	for _, asm := range []bool{false, true} {
+		if tensor.SetGemmF32Asm(asm); tensor.GemmF32Asm() != asm {
+			continue // no AVX2 on this machine
+		}
+		st, err := spec.Open(RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		sink, err := NewSink(SinkConfig{Name: "jsonl", Stdout: &buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sink.Consume(context.Background(), st)
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want[asm] {
+			t.Errorf("asm=%v: %d lines, digest %s, want %s", asm, bytes.Count(buf.Bytes(), []byte("\n")), got, want[asm])
+		}
 	}
 }
 
