@@ -252,14 +252,6 @@ func BenchmarkCPTGPTGeneratePerStreamSerial(b *testing.B) {
 	benchGenerate(b, cptgpt.GenOpts{NumStreams: 64, Device: events.Phone, Parallelism: 1, BatchSize: 1})
 }
 
-// BenchmarkCPTGPTGeneratePerStreamF32 is the same population through the
-// float32 decode fast path (frozen InferModel snapshot, fused kernels,
-// contiguous f32 KV arena). Compare against BenchmarkCPTGPTGeneratePerStream
-// for the end-to-end f32 speedup at the lab's CPU-sized model.
-func BenchmarkCPTGPTGeneratePerStreamF32(b *testing.B) {
-	benchGenerate(b, cptgpt.GenOpts{NumStreams: 64, Device: events.Phone, Precision: cptgpt.F32})
-}
-
 // BenchmarkTensorGemmF32Step times the linear layers of ONE F32 decode step
 // at the paper-scale architecture — per block Wq/Wk/Wv/Wo (128→128 each),
 // feed-forward in (128→1024) and out (1024→128), two blocks, twelve panels
@@ -371,18 +363,23 @@ func paperScaleModel(b *testing.B) *cptgpt.Model {
 	return m
 }
 
-// benchDecodeToken measures raw BatchDecoder throughput — ns per decoded
-// token — at the paper-scale architecture, pinned to one worker so the
-// number isolates kernel and memory-traffic effects from pool sharding.
-// Every step advances all slots, so this is the dense upper bound the
-// schedulers feed.
-func benchDecodeToken(b *testing.B, prec cptgpt.Precision) {
-	b.Helper()
+// BenchmarkCPTGPTDecodeTokenF32 measures raw BatchDecoder throughput — ns
+// per decoded token — at the paper-scale architecture, pinned to one worker
+// so the number isolates kernel and memory-traffic effects from pool
+// sharding. Every step advances all slots, so this is the dense upper bound
+// the schedulers feed: all 16 slots' rows packed through one
+// tensor.GemmF32 per layer. Expected ≈ 23–25 µs/token with the AVX-512 GEMM
+// tiles and ≈ 30 with the AVX2 ones on a 2-vCPU Xeon VM (≈ 17× fewer
+// ns/token than the float64 decode it replaced; 51–55 µs before the panel
+// GEMM and the attention kernel, ≈ 260–330 µs with the portable kernels).
+// internal/cptgpt's fidelity tests bound what the speed costs: ~1e-6 logit
+// drift, indistinguishable trace statistics.
+func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) {
 	prev := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prev)
 	m := paperScaleModel(b)
 	const slots, steps = 16, 64
-	dec := m.NewBatchDecoder(slots, prec)
+	dec := m.NewBatchDecoder(slots, cptgpt.F32)
 	dim := m.Tok.Dim()
 	toks := make([]float64, slots*dim)
 	all := make([]int, slots)
@@ -401,20 +398,6 @@ func benchDecodeToken(b *testing.B, prec cptgpt.Precision) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots*steps), "ns/token")
 }
 
-// BenchmarkCPTGPTDecodeTokenF64 is the float64 reference decode path at
-// paper scale (the bit-exactness baseline).
-func BenchmarkCPTGPTDecodeTokenF64(b *testing.B) { benchDecodeToken(b, cptgpt.F64) }
-
-// BenchmarkCPTGPTDecodeTokenF32 is the float32 fast path over the same
-// shapes: all 16 slots' rows packed through one tensor.GemmF32 per layer.
-// Expected ≈ 23–25 µs/token with the AVX-512 GEMM tiles and ≈ 30 with the
-// AVX2 ones on a 2-vCPU Xeon VM (≈ 17× fewer ns/token than ...F64 with the
-// AVX2 ones; 51–55 µs before the panel GEMM and the attention kernel,
-// ≈ 260–330 µs with the portable kernels).
-// internal/cptgpt's fidelity tests bound what the speed costs: ~1e-6 logit
-// drift, indistinguishable trace statistics.
-func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F32) }
-
 // BenchmarkCPTGPTGenerateSkewedContinuous times end-to-end plain generation
 // of a population whose stream lengths are heavily skewed (an untrained
 // model's stop head fires geometrically, so most streams are short and a tail
@@ -426,12 +409,12 @@ func BenchmarkCPTGPTDecodeTokenF32(b *testing.B) { benchDecodeToken(b, cptgpt.F3
 // longest stream, so its tail passes ran one- and two-row GEMMs that stream
 // every weight panel for almost nothing — 37.0–41.1 µs/token against
 // 34.2–34.9 here in the last comparison (bench/baseline.txt), with
-// bit-identical streams. Decode runs the f32 fast path, whose row-packed
-// GEMMs are where the amortization lives.
+// bit-identical streams. The decode's row-packed GEMMs are where the
+// amortization lives.
 func BenchmarkCPTGPTGenerateSkewedContinuous(b *testing.B) {
 	m := paperScaleModel(b)
 	opts := cptgpt.GenOpts{
-		NumStreams: 256, Device: events.Phone, Seed: 42, Precision: cptgpt.F32,
+		NumStreams: 256, Device: events.Phone, Seed: 42,
 		Parallelism: 1, BatchSize: 32,
 	}
 	// One warm-up run counts the emitted tokens for the ns/token metric
@@ -454,21 +437,26 @@ func BenchmarkCPTGPTGenerateSkewedContinuous(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tokens), "ns/token")
 }
 
-// benchDecodeSpeculative measures speculative decoding end-to-end on the
-// same skewed population as ...GenerateSkewedContinuous: draft chains of k=4
-// from the model's self-fitted n-gram, one multi-token verify pass per chain,
-// exact acceptance–rejection. Reported ns/token counts EMITTED tokens, the
+// BenchmarkCPTGPTDecodeSpeculativeF32 measures speculative decoding end to
+// end on the same skewed population as ...GenerateSkewedContinuous: draft
+// chains of k=4 from the model's self-fitted n-gram, one multi-token verify
+// pass per chain, exact acceptance–rejection. Reported ns/token counts EMITTED tokens, the
 // apples-to-apples throughput currency against the plain decode
 // benchmarks; accept% is the fraction of drafted tokens that survived
 // verification (from BatchDecoder.Stats via GenOpts.Stats). Like
 // ...GenerateSkewedContinuous the call's budget is one core (Parallelism: 1,
 // every verify pass inline), so the two compare per core.
-func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
-	b.Helper()
+//
+// Both run the same row-packed GEMM body, so a verified position costs
+// about what a plain token does and speculation wins only when more than
+// one position per verified row is emitted: at this untrained model's ~40%
+// acceptance it runs ≈ 2× SLOWER per emitted token than plain (it was
+// ≈ 1.7× faster while plain decode still ran scalar matvecs).
+func BenchmarkCPTGPTDecodeSpeculativeF32(b *testing.B) {
 	m := paperScaleModel(b)
 	var st cptgpt.DecodeStats
 	opts := cptgpt.GenOpts{
-		NumStreams: 256, Device: events.Phone, Seed: 42, Precision: prec,
+		NumStreams: 256, Device: events.Phone, Seed: 42,
 		Parallelism: 1, BatchSize: 32,
 		Speculative: true, DraftTokens: 4, Stats: &st,
 	}
@@ -496,23 +484,6 @@ func benchDecodeSpeculative(b *testing.B, prec cptgpt.Precision) {
 		b.ReportMetric(100*float64(st.DraftAccepted)/float64(st.DraftProposed), "accept%")
 	}
 }
-
-// BenchmarkCPTGPTDecodeSpeculativeF32 is speculative decoding end to end:
-// compare its ns/token against BenchmarkCPTGPTGenerateSkewedContinuous
-// (plain continuous-batching f32 over the identical population shape).
-// Both run the same row-packed GEMM body, so a verified position costs
-// about what a plain token does and speculation wins only when more than
-// one position per verified row is emitted: at this untrained model's ~40%
-// acceptance it runs ≈ 2× SLOWER per emitted token than plain (it was
-// ≈ 1.7× faster while plain decode still ran scalar matvecs).
-func BenchmarkCPTGPTDecodeSpeculativeF32(b *testing.B) { benchDecodeSpeculative(b, cptgpt.F32) }
-
-// BenchmarkCPTGPTDecodeSpeculativeF64 is the float64 companion: the same
-// draft/verify/accept pipeline over the bit-exact reference kernels. The
-// F64 verify pass has no GEMM fast path (its contract is bit-equality with
-// single-token stepping), so this isolates the scheduling cost of
-// speculation from the kernel win.
-func BenchmarkCPTGPTDecodeSpeculativeF64(b *testing.B) { benchDecodeSpeculative(b, cptgpt.F64) }
 
 // BenchmarkCPTGPTVerifyKTokens measures the raw multi-token verify kernel:
 // ns per verified position when every slot consumes k=4-token chains
@@ -710,7 +681,7 @@ func BenchmarkScenarioModelSource(b *testing.B) {
 	m := paperScaleModel(b)
 	spec := &scenario.Spec{
 		Name: "bench-model", Generation: "4G", Seed: 7, HorizonSec: 3600, Population: 512,
-		Sources: []scenario.SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: "in-memory", Share: 1, Precision: "f32"}},
+		Sources: []scenario.SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: "in-memory", Share: 1}},
 	}
 	load := func(string) (*cptgpt.Model, error) { return m, nil }
 	for _, chunks := range []int{1, 16} {

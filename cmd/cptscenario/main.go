@@ -8,7 +8,7 @@
 //	cptscenario -spec my-scenario.json -ues 100000 -sink jsonl -out events.jsonl.gz
 //	cptscenario -spec handover-storm -save-spec storm.json
 //	cptscenario -spec paging-storm -sink replay -addr 127.0.0.1:9000 -compression 600
-//	cptscenario -spec my-model-mix.json -ues 1000000 -precision f32 -speculative on -draft-k 4 -sink mcn
+//	cptscenario -spec my-model-mix.json -ues 1000000 -speculative on -draft-k 4 -sink mcn
 //
 // -spec accepts a built-in name or a JSON spec path. Sinks: "count" (drain
 // and summarize), "mcn" (the simulated mobile-core NF), "jsonl"/"csv"
@@ -68,7 +68,6 @@ func main() {
 		fanIn        = flag.Int("fanin", 0, "merge fan-in bound (0 = default)")
 		tmp          = flag.String("tmp", "", "spill directory (default system temp)")
 		trace        = flag.Bool("trace", false, "record flight-recorder spans and dump the per-stage timing summary to stderr on exit")
-		prec         = flag.String("precision", "", "override cptgpt sources' decode arithmetic: f64 (bit-exact) or f32 (fast float32 path); empty keeps each source's spec setting")
 		specDec      = flag.String("speculative", "", "override cptgpt sources' speculative decoding: on or off; empty keeps each source's spec setting")
 		draftK       = flag.Int("draft-k", 0, "override cptgpt sources' speculative draft chain length (0 keeps spec settings)")
 	)
@@ -84,7 +83,7 @@ func main() {
 	// -save-spec or any generation.
 	opts := cptgen.ScenarioRunOpts{
 		UEs: *ues, Parallelism: *par, BatchSize: *batch,
-		MaxFanIn: *fanIn, TempDir: *tmp, Precision: *prec,
+		MaxFanIn: *fanIn, TempDir: *tmp,
 		Speculative: *specDec, DraftTokens: *draftK,
 	}
 	if err := opts.Validate(); err != nil {

@@ -13,7 +13,8 @@ import (
 // TestRefusesBeforeGeneration runs the built binary: a spec file with a
 // source-field value no run can open with, and a bad run-wide decode
 // override, must exit 1 naming the field before anything is generated — no
-// output file, no spill directory.
+// output file, no spill directory. A removed flag (-precision: decoding is
+// float32 only) exits 2 as unknown.
 func TestRefusesBeforeGeneration(t *testing.T) {
 	dir, bin := build(t)
 	specs := 0
@@ -34,8 +35,9 @@ func TestRefusesBeforeGeneration(t *testing.T) {
 		{[]string{"-spec", spec(`{"id":"s","share":1,"device_mix":{"phone":-1}}`)}, "device_mix"},
 		{[]string{"-spec", spec(`{"id":"s","share":1,"device_mix":{"phone":0,"tablet":0}}`)}, "device_mix"},
 		{[]string{"-spec", spec(`{"id":"s","share":1,"kind":"cptgpt","model_file":"no-such-model.bin","device":"toaster"}`)}, "device"},
+		{[]string{"-spec", spec(`{"id":"s","share":1,"kind":"cptgpt","model_file":"no-such-model.bin","precision":"f64"}`)}, "float64 decode was removed"},
 		{[]string{"-spec", "flash-crowd", "-speculative", "maybe"}, "speculative"},
-		{[]string{"-spec", "flash-crowd", "-precision", "f16"}, "precision"},
+		{[]string{"-spec", "flash-crowd", "-precision", "f32"}, "flag provided but not defined: -precision"},
 		{[]string{"-spec", "flash-crowd", "-draft-k", "-1"}, "draft-tokens"},
 		{[]string{"-list", "-speculative", "maybe"}, "speculative"},
 		{[]string{"-spec", "flash-crowd", "-compression", "-1"}, "-compression"},
@@ -48,8 +50,12 @@ func TestRefusesBeforeGeneration(t *testing.T) {
 		}
 		cmd := exec.Command(bin, append(c.args, "-ues", "8", "-sink", "jsonl", "-out", out, "-tmp", tmp)...)
 		msg, err := cmd.CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-			t.Errorf("%v: err %v, want exit status 1\n%s", c.args, err, msg)
+		exit := 1 // the flag package exits 2 on a flag it does not know
+		if strings.HasPrefix(c.want, "flag provided but not defined") {
+			exit = 2
+		}
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exit {
+			t.Errorf("%v: err %v, want exit status %d\n%s", c.args, err, exit, msg)
 		}
 		if !strings.Contains(string(msg), c.want) {
 			t.Errorf("%v: output does not name %q:\n%s", c.args, c.want, msg)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	cptsynth -model cptgpt  -model-file model.bin -n 1000 -out synth.jsonl
-//	cptsynth -model cptgpt  -model-file model.bin -n 1000000 -precision f32 -speculative -draft-k 4 -out synth.jsonl.gz
+//	cptsynth -model cptgpt  -model-file model.bin -n 1000000 -speculative -draft-k 4 -out synth.jsonl.gz
 //	cptsynth -model netshare -model-file model.bin -n 1000 -out synth.jsonl
 //	cptsynth -model smm -k 16 -fit trace.jsonl -n 1000 -out synth.jsonl
 package main
@@ -37,7 +37,6 @@ func main() {
 		seed      = flag.Uint64("seed", 3, "random seed")
 		par       = flag.Int("parallelism", 0, "worker count for generation (0 = all cores); output is identical at any value")
 		batch     = flag.Int("batch", 0, "CPT-GPT decode batch size: slots per continuously refilled decoder (0 = default)")
-		precision = flag.String("precision", "", "CPT-GPT decode arithmetic: f64 (bit-exact, default) or f32 (fast float32 path)")
 		spec      = flag.Bool("speculative", false, "CPT-GPT speculative decoding: a self-fitted draft proposes -draft-k tokens per UE, one multi-token pass verifies them; output distribution is exact, deterministic per -seed")
 		draftK    = flag.Int("draft-k", 0, "speculative draft chain length (0 = default)")
 		trace     = flag.Bool("trace", false, "record flight-recorder spans and dump the per-stage timing summary to stderr on exit")
@@ -51,13 +50,6 @@ func main() {
 	if *par > 0 {
 		cptgen.SetParallelism(*par)
 	}
-	// Validate up front so a typo errors for every -model, not just cptgpt
-	// (the only generator the knob applies to).
-	prec, err := cptgen.ParsePrecision(*precision)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	dev, err := events.ParseDeviceType(*device)
 	if err != nil {
 		log.Fatal(err)
@@ -76,7 +68,7 @@ func main() {
 		}
 		var st cptgen.CPTGPTDecodeStats
 		opts := cptgen.CPTGPTGenOpts{
-			NumStreams: *n, Device: dev, Seed: *seed, Precision: prec,
+			NumStreams: *n, Device: dev, Seed: *seed,
 			Parallelism: *par, BatchSize: *batch,
 			Speculative: *spec, DraftTokens: *draftK, Stats: &st,
 		}

@@ -66,27 +66,13 @@ func Parallelism() int { return tensor.Parallelism() }
 // when CPTGPTGenOpts.BatchSize is unset.
 const DefaultBatchSize = cptgpt.DefaultBatchSize
 
-// Precision selects CPT-GPT's decode arithmetic. PrecisionF64 (the zero
-// value) is the bit-exact float64 reference path; PrecisionF32 decodes
-// through a frozen float32 snapshot of the trained weights with fused row
-// kernels and a contiguous float32 KV arena — about half the memory traffic
-// and, at the paper's model shape with the AVX2 kernels, ~17× the tokens/s
-// (README.md) — under its own per-seed determinism contract
-// (same Seed × Precision always reproduces the same output, at every
-// Parallelism and BatchSize). Decoding uses continuous batching either way:
-// the moment a stream emits STOP, its decoder slot is refilled with the next
-// pending UE, so slots stay hot under skewed stream-length distributions.
-type Precision = cptgpt.Precision
-
-// Precision values for CPTGPTGenOpts.Precision.
-const (
-	PrecisionF64 = cptgpt.F64
-	PrecisionF32 = cptgpt.F32
-)
-
-// ParsePrecision parses a precision flag value ("", "f64", "float64",
-// "f32", "float32"); the empty string means PrecisionF64.
-func ParsePrecision(s string) (Precision, error) { return cptgpt.ParsePrecision(s) }
+// Decode arithmetic. CPT-GPT trains in float64 and decodes in float32: a
+// frozen float32 snapshot of the trained weights with fused row kernels and
+// a contiguous float32 KV arena. Output is deterministic per Seed and kernel
+// set (AVX2 or portable) at every Parallelism and BatchSize. Decoding uses
+// continuous batching: the moment a stream emits STOP, its decoder slot is
+// refilled with the next pending UE, so slots stay hot under skewed
+// stream-length distributions.
 
 // Speculative decoding. Setting CPTGPTGenOpts.Speculative has the model's
 // self-fitted draft — a smoothed bigram fitted once on the model's own
@@ -98,8 +84,8 @@ func ParsePrecision(s string) (Precision, error) { return cptgpt.ParsePrecision(
 // residual distribution, so the output law is exactly plain sampling's —
 // the draft moves only the acceptance rate. Output stays deterministic per
 // Seed at every Parallelism × BatchSize on one machine (the draft is fitted
-// by f32 decoding, so its bits follow the machine's kernel set). A verified
-// row costs what a plain token costs, so it beats plain f32 decoding only
+// by decoding, so its bits follow the machine's kernel set). A verified
+// row costs what a plain token costs, so it beats plain decoding only
 // with a draft that gets most of its chain accepted; see the README's
 // "Speculative decoding" section for the knobs, the measured numbers and
 // the intuition.

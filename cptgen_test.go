@@ -109,7 +109,7 @@ func TestSpeculativeThroughFacade(t *testing.T) {
 
 	var st CPTGPTDecodeStats
 	synth, err := model.Generate(CPTGPTGenOpts{
-		NumStreams: 50, Device: Phone, Seed: 7, Precision: PrecisionF32,
+		NumStreams: 50, Device: Phone, Seed: 7,
 		Speculative: true, DraftTokens: DefaultDraftTokens, Stats: &st,
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cptgpt/internal/nn"
 	"cptgpt/internal/telemetry"
 	"cptgpt/internal/tensor"
 	"cptgpt/internal/tracez"
@@ -17,20 +18,12 @@ import (
 const DefaultBatchSize = 32
 
 // BatchDecoder steps up to capacity independent UE streams through the
-// transformer.
-//
-// In the F64 reference path a slot is the serial decoder: slot i owns one
-// decoder (its KV cache and scratch) and steps it row by row, and slots
-// never read each other's state. Output is therefore bit-identical to
-// decoding every stream alone, regardless of how many worker goroutines the
-// step fans out over — the property the determinism tests pin down. In the
-// F32 fast path the whole cache is one contiguous float32 arena (blocks ×
-// slots × MaxLen rows of interleaved [K|V]), and a pass packs the rows of
-// every slot a worker steps through the float32 kernels of infer32.go (one
-// GEMM per layer) over the frozen InferModel snapshot; a row's result does
-// not depend on the rows packed around it, so it is just as invariant to
-// batching and fan-out — deterministic per seed and GEMM kernel, but not
-// bit-compatible with F64.
+// transformer in float32. The whole KV cache is one contiguous float32
+// arena (blocks × slots × MaxLen rows of interleaved [K|V]), and a pass
+// packs the rows of every slot a worker steps through the float32 kernels
+// of infer32.go (one GEMM per layer) over the frozen InferModel snapshot. A
+// row's result does not depend on the rows packed around it, so output is
+// invariant to batching and fan-out: deterministic per seed and kernel set.
 //
 // Slot-reset contract (continuous batching): a slot's KV-cache rows and
 // score/accumulator scratch are meaningful only for positions < Pos(slot).
@@ -40,8 +33,7 @@ const DefaultBatchSize = 32
 // at their own positions. Reset is ResetSlot over every slot.
 type BatchDecoder struct {
 	m        *Model
-	prec     Precision
-	inf      *InferModel // frozen f32 snapshot; non-nil iff prec == F32
+	inf      *InferModel // frozen float32 snapshot
 	capacity int
 	pos      []int // per-slot position
 
@@ -73,21 +65,14 @@ type BatchDecoder struct {
 	ones   []int       // capacity ones: Step's ks
 	outs   []StepOut   // one per packed row
 	outsK  [][]StepOut // StepK's per-listed-slot windows into outs
-	// Event logits by packed row (both precisions, so StepOut and the
-	// sampling loop are precision-agnostic); the f32 path also widens its
-	// other two heads into iaOut and stopOut.
+	// The head outputs widened to float64 by packed row, which StepOut and
+	// the sampling loop read.
 	evOut          []float64 // rows × V
-	iaOut, stopOut []float64 // rows × (1 or 2), rows × 2; F32 only
+	iaOut, stopOut []float64 // rows × (1 or 2), rows × 2
 
-	// F64 state: slot i is the serial decoder dec64[i], its cache and
-	// scratch included. d.pos stays the slot's position; stepSlotF64
-	// rewinds the decoder to it.
-	dec64 []*decoder
-
-	// F32 state. kv32 is the contiguous KV arena: block-major, each
-	// (block, slot) pair owning MaxLen rows of 2×DModel interleaved [K|V]
-	// values (half the bytes of the f64 cache). The rest is packed-row
-	// scratch.
+	// kv32 is the contiguous KV arena: block-major, each (block, slot) pair
+	// owning MaxLen rows of 2×DModel interleaved [K|V] values. The rest is
+	// packed-row scratch.
 	kv32                        []float32
 	attScratch32                []float32 // capacity × max(MaxLen, 2×Heads)
 	tok32                       []float32 // rows × Dim
@@ -98,16 +83,18 @@ type BatchDecoder struct {
 	evOut32, iaOut32, stopOut32 []float32 // rows × head widths
 }
 
-// NewBatchDecoder creates a decoder that can step up to capacity streams at
-// the given precision (F64: bit-exact reference; F32: row-packed float32 fast
-// path over the model's frozen Infer snapshot). The decoder is reusable
-// across batches via Reset/ResetSlot.
-func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
+// NewBatchDecoder creates a decoder that can step up to capacity streams
+// over the model's frozen Infer snapshot. The decoder is reusable across
+// batches via Reset/ResetSlot. F32 is the only Precision; the parameter
+// remains only because the benchmark harness (cptbench) passes it.
+func (m *Model) NewBatchDecoder(capacity int, _ Precision) *BatchDecoder {
 	if capacity < 1 {
 		panic(fmt.Sprintf("cptgpt: BatchDecoder capacity must be ≥ 1, got %d", capacity))
 	}
 	dm := m.Cfg.DModel
-	d := &BatchDecoder{m: m, prec: prec, capacity: capacity}
+	d := &BatchDecoder{m: m, inf: m.Infer(), capacity: capacity}
+	d.kv32 = make([]float32, len(m.BlocksNN)*capacity*m.Cfg.MaxLen*2*dm)
+	d.attScratch32 = make([]float32, capacity*max(m.Cfg.MaxLen, 2*m.Cfg.Heads))
 	d.pos = make([]int, capacity)
 	d.rowOff = make([]int, capacity+1)
 	d.ones = make([]int, capacity)
@@ -115,17 +102,6 @@ func (m *Model) NewBatchDecoder(capacity int, prec Precision) *BatchDecoder {
 		d.ones[i] = 1
 	}
 	d.outsK = make([][]StepOut, capacity)
-	switch prec {
-	case F32:
-		d.inf = m.Infer()
-		d.kv32 = make([]float32, len(m.BlocksNN)*capacity*m.Cfg.MaxLen*2*dm)
-		d.attScratch32 = make([]float32, capacity*max(m.Cfg.MaxLen, 2*m.Cfg.Heads))
-	default:
-		d.dec64 = make([]*decoder, capacity)
-		for i := range d.dec64 {
-			d.dec64[i] = newDecoder(m)
-		}
-	}
 	d.ensureRows(1)
 	return d
 }
@@ -140,34 +116,46 @@ func (d *BatchDecoder) ensureRows(kMax int) {
 	rows := d.capacity * kMax
 	v := m.Tok.V()
 	iaW := d.iaWidth()
+	dm := m.Cfg.DModel
+	hw := headHiddenMax(m)
 	d.kMax = kMax
 	d.outs = make([]StepOut, rows)
 	d.evOut = make([]float64, rows*v)
-	if d.prec == F32 {
-		dm := m.Cfg.DModel
-		hw := headHiddenMax(m)
-		d.iaOut = make([]float64, rows*iaW)
-		d.stopOut = make([]float64, rows*2)
-		d.tok32 = make([]float32, rows*m.Tok.Dim())
-		d.x32 = make([]float32, rows*dm)
-		d.q32 = make([]float32, rows*dm)
-		d.k32 = make([]float32, rows*dm)
-		d.v32 = make([]float32, rows*dm)
-		d.att32 = make([]float32, rows*dm)
-		d.tmp32 = make([]float32, rows*dm)
-		d.ff32 = make([]float32, rows*m.Cfg.MLPHidden)
-		d.hid32 = make([]float32, rows*hw)
-		d.hid232 = make([]float32, rows*hw)
-		d.evOut32 = make([]float32, rows*v)
-		d.iaOut32 = make([]float32, rows*iaW)
-		d.stopOut32 = make([]float32, rows*2)
-	}
+	d.iaOut = make([]float64, rows*iaW)
+	d.stopOut = make([]float64, rows*2)
+	d.tok32 = make([]float32, rows*m.Tok.Dim())
+	d.x32 = make([]float32, rows*dm)
+	d.q32 = make([]float32, rows*dm)
+	d.k32 = make([]float32, rows*dm)
+	d.v32 = make([]float32, rows*dm)
+	d.att32 = make([]float32, rows*dm)
+	d.tmp32 = make([]float32, rows*dm)
+	d.ff32 = make([]float32, rows*m.Cfg.MLPHidden)
+	d.hid32 = make([]float32, rows*hw)
+	d.hid232 = make([]float32, rows*hw)
+	d.evOut32 = make([]float32, rows*v)
+	d.iaOut32 = make([]float32, rows*iaW)
+	d.stopOut32 = make([]float32, rows*2)
 }
 
 // iaWidth is the interarrival head's output width (2 with a distribution
 // head, else 1).
 func (d *BatchDecoder) iaWidth() int {
 	return d.m.IAHd.Layers[len(d.m.IAHd.Layers)-1].W.Cols
+}
+
+// headHiddenMax returns the widest intermediate layer across the three
+// output heads, sizing the shared hidden scratch.
+func headHiddenMax(m *Model) int {
+	w := 1
+	for _, h := range []*nn.MLP{m.EventHd, m.IAHd, m.StopHd} {
+		for _, l := range h.Layers {
+			if l.W.Cols > w {
+				w = l.W.Cols
+			}
+		}
+	}
+	return w
 }
 
 // Capacity returns the number of decode slots.
@@ -257,6 +245,16 @@ func (d *BatchDecoder) stepCost() int {
 	return len(d.m.BlocksNN) * (4*dm*dm + 2*dm*d.m.Cfg.MLPHidden)
 }
 
+// StepOut carries the raw head outputs of one decode step for one stream.
+// EventLogits aliases decoder-owned scratch and is valid only until the
+// next step of the same decoder (or decoder slot).
+type StepOut struct {
+	EventLogits []float64
+	IAMean      float64
+	IALogStd    float64 // NaN when the distribution head is disabled
+	StopLogits  [2]float64
+}
+
 // Step advances each listed slot by one token and returns the head outputs,
 // one StepOut per slot in slots order. tokens is the slot-major token
 // buffer: slot s reads tokens[s*Dim() : (s+1)*Dim()]. The returned slice
@@ -266,11 +264,11 @@ func (d *BatchDecoder) stepCost() int {
 // Step is StepK with one row per slot: the same row body, the same kernels,
 // so a token's head outputs do not depend on which of the two consumed it.
 // Slots are processed independently, each at its own position — continuous
-// batching mixes fresh and deep slots freely — and a slot panics past MaxLen
-// exactly like the serial decoder. A decoder used directly shards a pass
-// over the tensor worker pool at the global degree; one made by Generate or
-// GenerateRange over its share of the call's GenOpts.Parallelism, inline on
-// the calling goroutine when that share is one core.
+// batching mixes fresh and deep slots freely — and a slot panics past
+// MaxLen. A decoder used directly shards a pass over the tensor worker pool
+// at the global degree; one made by Generate or GenerateRange over its share
+// of the call's GenOpts.Parallelism, inline on the calling goroutine when
+// that share is one core.
 func (d *BatchDecoder) Step(slots []int, tokens []float64) []StepOut {
 	d.stepRows(slots, d.ones[:len(slots)], 1, tokens)
 	return d.outs[:len(slots)]
@@ -286,7 +284,7 @@ func (d *BatchDecoder) Step(slots []int, tokens []float64) []StepOut {
 // Causality is preserved position by position: row r's attention sees
 // exactly the cache up to row r, and every other kernel is per-row, so the
 // outputs are bit-identical to stepping the same tokens one Step at a time,
-// at either precision and under either float32 GEMM kernel.
+// under either float32 GEMM kernel.
 //
 // Per-slot results are independent of which slots share the pass and of the
 // worker fan-out, so speculative decoding inherits the determinism contract.
@@ -315,10 +313,8 @@ func (d *BatchDecoder) StepK(slots []int, ks []int, kMax int, tokens []float64) 
 // into at most fanout shards, and accounts the pass under its trace stage:
 // decode.step for a pass of one row per slot (a plain decode pass, whether it
 // came through Step or through the scheduler's StepK at draft length 0),
-// decode.stepk for a multi-row pass.
-// On the F32 path a shard runs its packed rows through every linear layer as
-// one GEMM (stepRowsF32); on the F64 path each row runs the reference row
-// body on its own.
+// decode.stepk for a multi-row pass. A shard runs its packed rows through
+// every linear layer as one GEMM (stepRowsF32).
 func (d *BatchDecoder) stepRows(slots, ks []int, kMax int, tokens []float64) {
 	d.ensureRows(kMax)
 	stage := tracez.StageDecodeStep
@@ -338,44 +334,17 @@ func (d *BatchDecoder) stepRows(slots, ks []int, kMax int, tokens []float64) {
 	}
 	d.steps.Add(1)
 	d.slotSteps.Add(int64(total))
-	f32 := d.prec == F32
 	fanout := d.fanout
 	if fanout == 0 {
 		fanout = tensor.Parallelism()
 	}
 	tensor.ParallelForN(fanout, len(slots), d.stepCost()*kMax, func(lo, hi int) {
-		if f32 {
-			d.stepRowsF32(slots, ks, lo, hi, kMax, tokens)
-			return
-		}
-		for i := lo; i < hi; i++ {
-			d.stepSlotF64(slots[i], ks[i], d.rowOff[i], kMax, tokens)
-		}
+		d.stepRowsF32(slots, ks, lo, hi, kMax, tokens)
 	})
 	if d.stepHist != nil {
 		d.stepHist.Observe(time.Since(t0).Seconds())
 	}
 	sp.End(int64(total), "")
-}
-
-// stepSlotF64 runs one slot's k rows through the slot's serial decoder, one
-// row after the other, writing packed rows row0.. of the head outputs. The
-// decoder is first rewound to the slot's position (ResetSlot and TruncateSlot
-// move only d.pos). Its event logits are copied into the packed row, because
-// a StepK chain's rows all come out of the one decoder.
-func (d *BatchDecoder) stepSlotF64(slot, k, row0, kMax int, tokens []float64) {
-	dim := d.m.Tok.Dim()
-	v := d.m.Tok.V()
-	dec := d.dec64[slot]
-	dec.rewind(d.pos[slot])
-	for r := 0; r < k; r++ {
-		row := row0 + r
-		out := dec.step(tokens[(slot*kMax+r)*dim : (slot*kMax+r+1)*dim])
-		out.EventLogits = d.evOut[row*v : (row+1)*v]
-		copy(out.EventLogits, dec.evOut)
-		d.outs[row] = out
-		d.pos[slot]++
-	}
 }
 
 // fillStepOut assembles one StepOut from head-output regions.

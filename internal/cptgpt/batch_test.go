@@ -12,22 +12,20 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// serialReference generates opts.NumStreams streams through the serial
-// one-stream-at-a-time decoder — the reference the batched engine must
-// reproduce bit-for-bit.
-func serialReference(t *testing.T, m *Model, opts GenOpts) []trace.Stream {
+// streamsAlone decodes each of opts.NumStreams streams on its own — one
+// GenerateRange call per stream through a one-slot decoder on one core: the
+// reference every batched and parallel decode of the population must
+// reproduce bit for bit.
+func streamsAlone(t *testing.T, m *Model, opts GenOpts) []trace.Stream {
 	t.Helper()
-	if opts.Temperature <= 0 {
-		opts.Temperature = 1 // Generate's own normalization
-	}
-	init, err := stats.NewCategorical(m.InitialDist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := make([]trace.Stream, opts.NumStreams)
-	for i := range streams {
-		rng := stats.NewRand(streamSeed(opts.Seed, i))
-		streams[i] = m.sampleStream(i, opts, init, rng)
+	opts.Parallelism, opts.BatchSize = 1, 1
+	var streams []trace.Stream
+	for i := 0; i < opts.NumStreams; i++ {
+		s, err := m.GenerateRange(i, i+1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, s...)
 	}
 	return streams
 }
@@ -58,8 +56,8 @@ func sameStreams(t *testing.T, label string, want, got []trace.Stream) {
 
 // TestBatchedGenerateMatchesSerial is the determinism guarantee of the
 // batched engine: for a fixed seed, Generate emits bit-identical streams at
-// every Parallelism × BatchSize combination, all equal to the serial
-// reference path.
+// every Parallelism × BatchSize combination, all equal to decoding each
+// stream alone.
 func TestBatchedGenerateMatchesSerial(t *testing.T) {
 	d := testTrainingData(t, 60)
 	tk := FitTokenizer(d)
@@ -69,7 +67,7 @@ func TestBatchedGenerateMatchesSerial(t *testing.T) {
 	}
 
 	base := GenOpts{NumStreams: 23, Device: events.Phone, Seed: 99, StartWindow: 30}
-	want := serialReference(t, m, base)
+	want := streamsAlone(t, m, base)
 
 	for _, c := range []struct{ par, batch int }{
 		{1, 1}, {1, 23}, {8, 1}, {8, 4}, {3, 7}, {8, 64},
@@ -97,7 +95,7 @@ func TestBatchedGenerateNoDistHead(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := GenOpts{NumStreams: 9, Device: events.Tablet, Seed: 5}
-	want := serialReference(t, m, base)
+	want := streamsAlone(t, m, base)
 	got, err := m.Generate(GenOpts{NumStreams: 9, Device: events.Tablet, Seed: 5, Parallelism: 4, BatchSize: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -105,77 +103,11 @@ func TestBatchedGenerateNoDistHead(t *testing.T) {
 	sameStreams(t, "no-dist-head", want, got.Streams)
 }
 
-// TestBatchDecoderMatchesDecoder steps the same token sequences through the
-// serial decoder and through interleaved BatchDecoder slots, requiring
-// bit-identical head outputs at every position.
-func TestBatchDecoderMatchesDecoder(t *testing.T) {
-	d := testTrainingData(t, 40)
-	tk := FitTokenizer(d)
-	m, err := NewModel(smallConfig(), tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dim := tk.Dim()
-
-	// Collect a few encodable streams' token matrices.
-	var encs []*tensor.Tensor
-	for i := range d.Streams {
-		if len(d.Streams[i].Events) >= 4 && len(d.Streams[i].Events) <= m.Cfg.MaxLen {
-			enc, _, err := tk.EncodeStream(&d.Streams[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			encs = append(encs, enc)
-			if len(encs) == 3 {
-				break
-			}
-		}
-	}
-	if len(encs) < 2 {
-		t.Skip("not enough suitable streams in tiny dataset")
-	}
-
-	bd := m.NewBatchDecoder(len(encs), F64)
-	serial := make([]*decoder, len(encs))
-	for i := range serial {
-		serial[i] = newDecoder(m)
-	}
-
-	toks := make([]float64, len(encs)*dim)
-	for step := 0; ; step++ {
-		var slots []int
-		for i, enc := range encs {
-			if step < enc.Rows {
-				slots = append(slots, i)
-				copy(toks[i*dim:(i+1)*dim], enc.Data[step*dim:(step+1)*dim])
-			}
-		}
-		if len(slots) == 0 {
-			break
-		}
-		outs := bd.Step(slots, toks)
-		for j, slot := range slots {
-			want := serial[slot].step(encs[slot].Data[step*dim : (step+1)*dim])
-			got := outs[j]
-			for k := range want.EventLogits {
-				if want.EventLogits[k] != got.EventLogits[k] {
-					t.Fatalf("slot %d step %d event logit %d: %v != %v", slot, step, k, got.EventLogits[k], want.EventLogits[k])
-				}
-			}
-			if want.IAMean != got.IAMean || want.IALogStd != got.IALogStd || want.StopLogits != got.StopLogits {
-				t.Fatalf("slot %d step %d heads differ: got (%v %v %v), want (%v %v %v)",
-					slot, step, got.IAMean, got.IALogStd, got.StopLogits, want.IAMean, want.IALogStd, want.StopLogits)
-			}
-		}
-	}
-}
-
 // TestSlotRefillMidBatch is the regression test for the slot-reset contract
 // continuous batching relies on: a slot that retires mid-batch (its stream
 // ended) is ResetSlot and reseated with a fresh stream while the other slot
 // keeps decoding at a deeper position, and every output — before and after
-// the refill, in both precisions — must equal decoding each stream in a
-// decoder of its own. A stale score row, KV row or position after the reset
+// the refill — must equal decoding each stream in a decoder of its own. A stale score row, KV row or position after the reset
 // would show up here immediately.
 func TestSlotRefillMidBatch(t *testing.T) {
 	d := testTrainingData(t, 40)
@@ -206,78 +138,76 @@ func TestSlotRefillMidBatch(t *testing.T) {
 	// Truncate A so it retires strictly before B, forcing a mid-batch refill.
 	aRows := min(3, bs.Rows-1)
 
-	for _, prec := range []Precision{F64, F32} {
-		// Reference: each stream decoded alone in a single-slot decoder of
-		// the same precision (bit-identical kernels, so exact equality).
-		ref := func(enc *tensor.Tensor, rows int) []StepOut {
-			rd := m.NewBatchDecoder(1, prec)
-			outs := make([]StepOut, rows)
-			for s := 0; s < rows; s++ {
-				o := rd.Step([]int{0}, enc.Data[s*dim:(s+1)*dim])[0]
-				o.EventLogits = append([]float64(nil), o.EventLogits...)
-				outs[s] = o
-			}
-			return outs
+	// Reference: each stream decoded alone in a single-slot decoder
+	// (bit-identical kernels, so exact equality).
+	ref := func(enc *tensor.Tensor, rows int) []StepOut {
+		rd := m.NewBatchDecoder(1, F32)
+		outs := make([]StepOut, rows)
+		for s := 0; s < rows; s++ {
+			o := rd.Step([]int{0}, enc.Data[s*dim:(s+1)*dim])[0]
+			o.EventLogits = append([]float64(nil), o.EventLogits...)
+			outs[s] = o
 		}
-		wantA := ref(a, aRows)
-		wantB := ref(bs, bs.Rows)
-		wantC := ref(c, c.Rows)
+		return outs
+	}
+	wantA := ref(a, aRows)
+	wantB := ref(bs, bs.Rows)
+	wantC := ref(c, c.Rows)
 
-		same := func(label string, got, want StepOut) {
-			t.Helper()
-			for k := range want.EventLogits {
-				if got.EventLogits[k] != want.EventLogits[k] {
-					t.Fatalf("%s %s: event logit %d = %v, want %v", prec, label, k, got.EventLogits[k], want.EventLogits[k])
-				}
-			}
-			sameNaN := math.IsNaN(got.IALogStd) && math.IsNaN(want.IALogStd)
-			if got.IAMean != want.IAMean || (got.IALogStd != want.IALogStd && !sameNaN) || got.StopLogits != want.StopLogits {
-				t.Fatalf("%s %s: heads differ: got (%v %v %v), want (%v %v %v)",
-					prec, label, got.IAMean, got.IALogStd, got.StopLogits, want.IAMean, want.IALogStd, want.StopLogits)
+	same := func(label string, got, want StepOut) {
+		t.Helper()
+		for k := range want.EventLogits {
+			if got.EventLogits[k] != want.EventLogits[k] {
+				t.Fatalf("%s: event logit %d = %v, want %v", label, k, got.EventLogits[k], want.EventLogits[k])
 			}
 		}
+		sameNaN := math.IsNaN(got.IALogStd) && math.IsNaN(want.IALogStd)
+		if got.IAMean != want.IAMean || (got.IALogStd != want.IALogStd && !sameNaN) || got.StopLogits != want.StopLogits {
+			t.Fatalf("%s: heads differ: got (%v %v %v), want (%v %v %v)",
+				label, got.IAMean, got.IALogStd, got.StopLogits, want.IAMean, want.IALogStd, want.StopLogits)
+		}
+	}
 
-		bd := m.NewBatchDecoder(2, prec)
-		toks := make([]float64, 2*dim)
-		// Phase 1: A in slot 0, B in slot 1, until A retires.
-		for s := 0; s < aRows; s++ {
-			copy(toks[0:dim], a.Data[s*dim:(s+1)*dim])
-			copy(toks[dim:2*dim], bs.Data[s*dim:(s+1)*dim])
-			outs := bd.Step([]int{0, 1}, toks)
-			same(fmt.Sprintf("A step %d", s), outs[0], wantA[s])
-			same(fmt.Sprintf("B step %d", s), outs[1], wantB[s])
+	bd := m.NewBatchDecoder(2, F32)
+	toks := make([]float64, 2*dim)
+	// Phase 1: A in slot 0, B in slot 1, until A retires.
+	for s := 0; s < aRows; s++ {
+		copy(toks[0:dim], a.Data[s*dim:(s+1)*dim])
+		copy(toks[dim:2*dim], bs.Data[s*dim:(s+1)*dim])
+		outs := bd.Step([]int{0, 1}, toks)
+		same(fmt.Sprintf("A step %d", s), outs[0], wantA[s])
+		same(fmt.Sprintf("B step %d", s), outs[1], wantB[s])
+	}
+	// Refill: seat C in slot 0 while B keeps decoding at position aRows.
+	bd.ResetSlot(0)
+	if bd.Pos(0) != 0 || bd.Pos(1) != aRows {
+		t.Fatalf("after ResetSlot(0): pos = (%d, %d), want (0, %d)", bd.Pos(0), bd.Pos(1), aRows)
+	}
+	for s := 0; ; s++ {
+		var slots []int
+		if s < c.Rows {
+			slots = append(slots, 0)
+			copy(toks[0:dim], c.Data[s*dim:(s+1)*dim])
 		}
-		// Refill: seat C in slot 0 while B keeps decoding at position aRows.
-		bd.ResetSlot(0)
-		if bd.Pos(0) != 0 || bd.Pos(1) != aRows {
-			t.Fatalf("%s: after ResetSlot(0): pos = (%d, %d), want (0, %d)", prec, bd.Pos(0), bd.Pos(1), aRows)
+		if aRows+s < bs.Rows {
+			slots = append(slots, 1)
+			copy(toks[dim:2*dim], bs.Data[(aRows+s)*dim:(aRows+s+1)*dim])
 		}
-		for s := 0; ; s++ {
-			var slots []int
-			if s < c.Rows {
-				slots = append(slots, 0)
-				copy(toks[0:dim], c.Data[s*dim:(s+1)*dim])
-			}
-			if aRows+s < bs.Rows {
-				slots = append(slots, 1)
-				copy(toks[dim:2*dim], bs.Data[(aRows+s)*dim:(aRows+s+1)*dim])
-			}
-			if len(slots) == 0 {
-				break
-			}
-			outs := bd.Step(slots, toks)
-			for j, slot := range slots {
-				if slot == 0 {
-					same(fmt.Sprintf("C step %d", s), outs[j], wantC[s])
-				} else {
-					same(fmt.Sprintf("B step %d", aRows+s), outs[j], wantB[aRows+s])
-				}
+		if len(slots) == 0 {
+			break
+		}
+		outs := bd.Step(slots, toks)
+		for j, slot := range slots {
+			if slot == 0 {
+				same(fmt.Sprintf("C step %d", s), outs[j], wantC[s])
+			} else {
+				same(fmt.Sprintf("B step %d", aRows+s), outs[j], wantB[aRows+s])
 			}
 		}
-		st := bd.Stats()
-		if st.Steps == 0 || st.SlotSteps == 0 {
-			t.Fatalf("%s: Stats() = %+v, want non-zero scheduling counters", prec, st)
-		}
+	}
+	st := bd.Stats()
+	if st.Steps == 0 || st.SlotSteps == 0 {
+		t.Fatalf("Stats() = %+v, want non-zero scheduling counters", st)
 	}
 }
 
@@ -324,54 +254,52 @@ func TestGenerateRangeMatchesGenerate(t *testing.T) {
 // GenerateRange call on a model whose earlier calls left decoders in its
 // pool — slots at stale positions, counters already run up — emits the
 // streams and reports the DecodeStats of the same call on a model that has
-// never decoded, at both precisions, plain and speculative.
+// never decoded, plain and speculative.
 func TestGenerateRangeReusesDecoders(t *testing.T) {
 	d := testTrainingData(t, 60)
 	tk := FitTokenizer(d)
-	for _, prec := range []Precision{F64, F32} {
-		for _, spec := range []bool{false, true} {
-			name := fmt.Sprintf("%s speculative=%v", prec, spec)
-			opts := GenOpts{Device: events.Phone, Seed: 8, Precision: prec, Parallelism: 1, BatchSize: 5,
-				Speculative: spec, DraftTokens: 2}
-			call := func(m *Model, lo, hi int) ([]trace.Stream, DecodeStats) {
-				var st DecodeStats
-				o := opts
-				o.Stats = &st
-				streams, err := m.GenerateRange(lo, hi, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return streams, st
-			}
-			fresh, err := NewModel(smallConfig(), tk)
+	for _, spec := range []bool{false, true} {
+		name := fmt.Sprintf("speculative=%v", spec)
+		opts := GenOpts{Device: events.Phone, Seed: 8, Parallelism: 1, BatchSize: 5,
+			Speculative: spec, DraftTokens: 2}
+		call := func(m *Model, lo, hi int) ([]trace.Stream, DecodeStats) {
+			var st DecodeStats
+			o := opts
+			o.Stats = &st
+			streams, err := m.GenerateRange(lo, hi, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantStats := call(fresh, 9, 23)
+			return streams, st
+		}
+		fresh, err := NewModel(smallConfig(), tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats := call(fresh, 9, 23)
 
-			used, err := NewModel(smallConfig(), tk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			call(used, 0, 9)
-			// Also leave a decoder whose every slot sits deep in a foreign
-			// stream, so at least one pooled decoder is certainly stale.
-			dirty := used.NewBatchDecoder(opts.BatchSize, prec)
-			slots := []int{0, 1, 2, 3, 4}
-			toks := make([]float64, len(slots)*tk.Dim())
-			for i := range slots {
-				tk.writeToken(toks[i*tk.Dim():(i+1)*tk.Dim()], i%tk.V(), 0.3, 0)
-			}
-			for p := 0; p < 7; p++ {
-				dirty.Step(slots, toks)
-			}
-			used.decoderPool(opts.BatchSize, prec).Put(dirty)
+		used, err := NewModel(smallConfig(), tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		call(used, 0, 9)
+		// Also leave a decoder whose every slot sits deep in a foreign
+		// stream, so at least one pooled decoder is certainly stale.
+		dirty := used.NewBatchDecoder(opts.BatchSize, F32)
+		slots := []int{0, 1, 2, 3, 4}
+		toks := make([]float64, len(slots)*tk.Dim())
+		for i := range slots {
+			tk.writeToken(toks[i*tk.Dim():(i+1)*tk.Dim()], i%tk.V(), 0.3, 0)
+		}
+		for p := 0; p < 7; p++ {
+			dirty.Step(slots, toks)
+		}
+		used.decoderPool(opts.BatchSize).Put(dirty)
 
-			got, gotStats := call(used, 9, 23)
-			sameStreams(t, name, want, got)
-			if gotStats != wantStats {
-				t.Fatalf("%s: reused decoders report %+v, a fresh model %+v", name, gotStats, wantStats)
-			}
+		got, gotStats := call(used, 9, 23)
+		sameStreams(t, name, want, got)
+		if gotStats != wantStats {
+			t.Fatalf("%s: reused decoders report %+v, a fresh model %+v", name, gotStats, wantStats)
 		}
 	}
 }
@@ -391,7 +319,7 @@ func TestDecodeParallelismBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tensor.SetParallelism(tensor.SetParallelism(4))
-	opts := GenOpts{NumStreams: 64, Device: events.Phone, Seed: 9, Temperature: 1, StartWindow: 10, Precision: F32, BatchSize: 32}
+	opts := GenOpts{NumStreams: 64, Device: events.Phone, Seed: 9, Temperature: 1, StartWindow: 10, BatchSize: 32}
 
 	// poolShards runs f and returns how many shards the tensor worker pool
 	// executed meanwhile.

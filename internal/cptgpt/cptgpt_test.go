@@ -373,9 +373,10 @@ func TestLoadRejectsMalformedFile(t *testing.T) {
 // TestParentModelFile pins the model wire form (cptgpt-model/1):
 // testdata/parent-model.bin was written by Model.SaveFile at the commit
 // before the parameter blob type moved into internal/nn (DModel 8, one
-// block, one epoch). It must load with every parameter bit-equal and
-// generate what it generated there. (A re-saved file differs from it in the
-// gob type descriptor only, which names the blob type's package.)
+// block, one epoch). It must load with every parameter bit-equal and, through
+// the float64 reference sampler, generate what Generate decoded in float64
+// there. (A re-saved file differs from it in the gob type descriptor only,
+// which names the blob type's package.)
 func TestParentModelFile(t *testing.T) {
 	m, err := LoadFile("testdata/parent-model.bin")
 	if err != nil {
@@ -388,27 +389,17 @@ func TestParentModelFile(t *testing.T) {
 	if got := fmt.Sprintf("%x", h.Sum(nil)); len(m.Params()) != 33 || got != "6737447186f8b127686c078bb158bc03290d2cd321a4ec91f483590c6a127d5c" {
 		t.Fatalf("%d parameters, digest %s", len(m.Params()), got)
 	}
-	g, err := m.Generate(GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "g.csv")
-	if err := trace.SaveFile(path, g); err != nil {
-		t.Fatal(err)
-	}
-	csv, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(csv)); got != "931614663dded2673bdcb1fa67c8d00ff22b818f0460eeeefeec511e6a4207c5" {
+	g := referenceGenerate(t, m, GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42})
+	if got := traceDigest(t, g); got != "931614663dded2673bdcb1fa67c8d00ff22b818f0460eeeefeec511e6a4207c5" {
 		t.Fatalf("generate digest %s (%d events, want 90)", got, g.NumEvents())
 	}
 }
 
-// TestParentModelDecodePinned pins the float32 decode of
-// testdata/parent-model.bin under each GEMM kernel set: the trace file bytes
-// of Generate over 16 phone streams at seed 42, recorded while float32 was
-// still an opt-in precision, before it became the only decode arithmetic.
+// TestParentModelDecodePinned pins the decode of testdata/parent-model.bin
+// under each GEMM kernel set: the trace file bytes of Generate over 16 phone
+// streams at seed 42. The digests were recorded while float32 was an opt-in
+// precision, before it became the only decode arithmetic: the default
+// decode must equal what asking for float32 gave then.
 func TestParentModelDecodePinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64")
@@ -424,19 +415,11 @@ func TestParentModelDecodePinned(t *testing.T) {
 	}
 	for _, asm := range gemmKernels() {
 		tensor.SetGemmF32Asm(asm)
-		g, err := m.Generate(GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42, Precision: F32})
+		g, err := m.Generate(GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "g.csv")
-		if err := trace.SaveFile(path, g); err != nil {
-			t.Fatal(err)
-		}
-		csv, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(csv)); got != want[asm] {
+		if got := traceDigest(t, g); got != want[asm] {
 			t.Errorf("asm=%v: generate digest %s (%d events), want %s", asm, got, g.NumEvents(), want[asm])
 		}
 	}
@@ -534,4 +517,18 @@ func TestInitialDistExtractedDuringTraining(t *testing.T) {
 		}
 	}
 	_ = stats.Mean // keep stats import if unused paths change
+}
+
+// traceDigest is the SHA-256 of the CSV trace file d saves to.
+func traceDigest(t *testing.T, d *trace.Dataset) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.csv")
+	if err := trace.SaveFile(path, d); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(csv))
 }

@@ -1,34 +1,33 @@
 // Package cptgpt implements CPT-GPT, the paper's decoder-only transformer
 // for control-plane traffic generation (§4): a multi-modal tokenizer over
 // (event type, interarrival, stop flag), next-token training with packed
-// multi-stream minibatches, and autoregressive decoding of arbitrarily many
-// UE streams through a KV-cached BatchDecoder — with a float32 inference
-// fast path and one continuous slot scheduler (sampleSlots) whose draft
-// length is 0 for plain decoding and DraftTokens for speculative (draft +
-// multi-token verify) decoding.
+// multi-stream minibatches in float64, and autoregressive decoding of
+// arbitrarily many UE streams in float32 through a KV-cached BatchDecoder —
+// one continuous slot scheduler (sampleSlots) whose draft length is 0 for
+// plain decoding and DraftTokens for speculative (draft + multi-token
+// verify) decoding.
 //
-// Determinism contract, per precision and draft length:
+// Determinism contract, per draft length:
 //
-//   - Plain f64 decoding (the default) is bit-identical to the serial
-//     one-stream reference (sampleStream) at every Parallelism × BatchSize:
-//     an f64 BatchDecoder slot is the serial decoder, and each stream
-//     consumes only its own index-seeded RNG and slot state, so who decodes
-//     it when cannot matter.
-//   - f32 decoding runs every decode pass — one row per slot or a draft
-//     chain's several — through one row body whose per-row reduction orders are
-//     fixed, so it is deterministic per (Seed, Precision, kernel set) at
-//     every Parallelism × BatchSize × slot grouping, and StepK over k rows
-//     is bit-identical to k Steps. The kernel set (GEMM, GELU, attention) is
-//     the machine's: AVX2+FMA where present (the GEMM's AVX-512 tiles,
-//     where the CPU has them, compute the same bits), portable elsewhere;
-//     the two differ in reduction order, hence in output bits. f32 differs
-//     numerically from f64 within the fidelity gates pinned by the package
-//     tests.
+//   - Plain decoding runs every decode pass — one row per slot or a draft
+//     chain's several — through one float32 row body whose per-row
+//     reduction orders are fixed, so it is deterministic per (Seed, kernel
+//     set) at every Parallelism × BatchSize × slot grouping, and StepK over
+//     k rows is bit-identical to k Steps. Each stream consumes only its own
+//     index-seeded RNG and slot state, so who decodes it when cannot matter.
+//     The kernel set (GEMM, GELU, attention) is the machine's: AVX2+FMA
+//     where present (the GEMM's AVX-512 tiles, where the CPU has them,
+//     compute the same bits), portable elsewhere; the two differ in
+//     reduction order, hence in output bits.
+//   - The decode has no float64 path. The package tests hold it to a serial
+//     float64 reference decoder (itself held to Model.Forward): per token
+//     within a logit tolerance, and per population within the fidelity
+//     gates on violation rate and the sojourn and interarrival CDFs.
 //   - Speculative decoding is deterministic per (Seed, DraftTokens, kernel
-//     set) — at f64 too, because its draft (Model.SelfDraft) is an n-gram
-//     fitted by f32 decoding under the machine's kernels and cached on the
-//     model — and distributionally exact (acceptance–rejection preserves
-//     plain sampling's per-position conditionals), but consumes RNG draws
+//     set) — its draft (Model.SelfDraft) is an n-gram fitted by decoding
+//     under the machine's kernels and cached on the model — and
+//     distributionally exact (acceptance–rejection preserves plain
+//     sampling's per-position conditionals), but consumes RNG draws
 //     differently from plain decoding, so streams differ event-by-event.
 //
 // Concurrency contract: a Model is safe for concurrent Generate /

@@ -294,9 +294,8 @@ func (s *ngramState) CopyFrom(src draftState) {
 
 // selfDraftStreams is the calibration population SelfDraft decodes (plainly)
 // to fit its n-gram; selfDraftSeed fixes its randomness. The population is
-// decoded in F32 under the machine's kernel set, so the draft — and
-// therefore speculative output, at either precision — is deterministic per
-// model and kernel set.
+// decoded under the machine's kernel set, so the draft — and therefore
+// speculative output — is deterministic per model and kernel set.
 const (
 	selfDraftStreams = 160
 	selfDraftSeed    = 0x5eed0d12af7
@@ -310,7 +309,7 @@ type draftCache struct {
 
 // SelfDraft returns the model's self-distilled draft proposer, the one
 // speculative decoding uses: an n-gram fitted on a small population the
-// model itself generates (plain F32 decoding, fixed internal seed). It needs
+// model itself generates (plain decoding, fixed internal seed). It needs
 // no training data at hand, which is what lets a cptgpt model loaded from
 // disk — a scenario source, say — decode speculatively out of the box. The
 // draft is cached on the model and shared by all decoders; Train/FineTune
@@ -325,7 +324,6 @@ func (m *Model) SelfDraft() *NGramDraft {
 		NumStreams: selfDraftStreams,
 		Device:     0,
 		Seed:       selfDraftSeed,
-		Precision:  F32, // calibration tolerates f32; ~2× cheaper
 	})
 	if err != nil {
 		// Generate can only fail on an invalid initial distribution, which

@@ -55,7 +55,7 @@ func sameStepOut(a, b StepOut) bool {
 // order, at whatever per-slot positions, with whatever row counts, split
 // over however many workers, every (slot, row) head output is bit-identical
 // to decoding that slot's tokens alone, one Step at a time, in a decoder of
-// its own. Checked for Step and StepK, both precisions, both GEMM kernels.
+// its own. Checked for Step and StepK, both GEMM kernels.
 func TestStepGroupingInvariance(t *testing.T) {
 	d := testTrainingData(t, 40)
 	tk := FitTokenizer(d)
@@ -78,23 +78,15 @@ func TestStepGroupingInvariance(t *testing.T) {
 		}
 	}
 
-	type mode struct {
-		prec Precision
-		asm  bool
-	}
-	modes := []mode{{F64, false}}
 	for _, asm := range gemmKernels() {
-		modes = append(modes, mode{F32, asm})
-	}
-	for _, md := range modes {
-		name := fmt.Sprintf("%s asm=%v", md.prec, md.asm)
-		tensor.SetGemmF32Asm(md.asm)
+		name := fmt.Sprintf("asm=%v", asm)
+		tensor.SetGemmF32Asm(asm)
 
 		// Reference: each slot alone, one token per Step, one worker.
 		tensor.SetParallelism(1)
 		ref := make([][]StepOut, slots)
 		for s := range ref {
-			solo := m.NewBatchDecoder(1, md.prec)
+			solo := m.NewBatchDecoder(1, F32)
 			for p := 0; p < seqLen; p++ {
 				o := solo.Step([]int{0}, seqs[s][p*dim:(p+1)*dim])[0]
 				o.EventLogits = append([]float64(nil), o.EventLogits...)
@@ -102,7 +94,7 @@ func TestStepGroupingInvariance(t *testing.T) {
 			}
 		}
 
-		dec := m.NewBatchDecoder(slots, md.prec)
+		dec := m.NewBatchDecoder(slots, F32)
 		toks1 := make([]float64, slots*dim)
 		toksK := make([]float64, slots*kMax*dim)
 		pos := make([]int, slots)
@@ -212,40 +204,21 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table 8 ablation (deterministic interarrival head), random weights.
-	cfg := smallConfig()
-	cfg.DistHead = false
-	noDist, err := NewModel(cfg, FitTokenizer(testTrainingData(t, 60)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The draft is fitted here, on a plain F64 population, rather than left
-	// to Model.SelfDraft: that one decodes in F32 under whichever GEMM kernel
-	// is selected when a test first asks for it, and is then cached on the
-	// shared model — its bits would depend on test order.
-	drafts := map[*Model]draftModel{}
-	for _, m := range []*Model{trained, noDist} {
-		ds, err := m.Generate(GenOpts{NumStreams: 160, Device: events.Phone, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		drafts[m] = newNGramDraft(ds, m.Tok)
-	}
+	// The draft is fitted here, on the float64 reference population, rather
+	// than left to Model.SelfDraft: that one decodes under whichever GEMM
+	// kernel is selected when a test first asks for it, and is then cached
+	// on the shared model — its bits would depend on test order.
+	draft := newNGramDraft(referenceGenerate(t, trained, GenOpts{NumStreams: 160, Device: events.Phone, Seed: 7}), trained.Tok)
 	for _, c := range []struct {
 		name  string
-		m     *Model
-		prec  Precision
 		asm   bool
 		draft int // DraftTokens; 0 decodes plainly
 		want  string
 	}{
-		{"plain F32 portable", trained, F32, false, 0, "b10b7490257275e0bcd0d632"},
-		{"plain F32 avx2", trained, F32, true, 0, "0834b336f31be2ebe691a1ff"},
-		{"speculative F64 k=2", trained, F64, false, 2, "0ea597e9c17565ed3d8b5c32"},
-		{"speculative F64 k=4", trained, F64, false, 4, "2a4746032f9b33e905f1e428"},
-		{"speculative F32 k=4 portable", trained, F32, false, 4, "976fe938f30574c447d34258"},
-		{"speculative F32 k=4 avx2", trained, F32, true, 4, "3ac9cb5e4c25fa635939dbd3"},
-		{"speculative F64 k=4 no dist head", noDist, F64, false, 4, "c434dcf1cbe926b7d6c46ffc"},
+		{"plain portable", false, 0, "b10b7490257275e0bcd0d632"},
+		{"plain avx2", true, 0, "0834b336f31be2ebe691a1ff"},
+		{"speculative k=4 portable", false, 4, "976fe938f30574c447d34258"},
+		{"speculative k=4 avx2", true, 4, "3ac9cb5e4c25fa635939dbd3"},
 	} {
 		tensor.SetGemmF32Asm(c.asm)
 		zmms := []bool{false}
@@ -254,8 +227,8 @@ func TestPlainF32KernelsPinned(t *testing.T) {
 		}
 		for _, zmm := range zmms {
 			setGemmF32Zmm(zmm)
-			gen, err := c.m.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
-				Precision: c.prec, Parallelism: 2, BatchSize: 8, Speculative: c.draft > 0, DraftTokens: c.draft, draft: drafts[c.m]})
+			gen, err := trained.Generate(GenOpts{NumStreams: 96, Device: events.Phone, Seed: 2024, StartWindow: 30,
+				Parallelism: 2, BatchSize: 8, Speculative: c.draft > 0, DraftTokens: c.draft, draft: draft})
 			if err != nil {
 				t.Fatal(err)
 			}

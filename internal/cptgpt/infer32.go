@@ -7,8 +7,8 @@ import (
 	"cptgpt/internal/tensor"
 )
 
-// Float32 kernels of the decode fast path. They mirror the float64 kernels
-// in infer.go but trade bit-compatibility for throughput:
+// Float32 kernels of the decode. They follow the model's float64 forward
+// (Model.Forward) but trade its bits for throughput:
 //
 //   - Linear layers run through tensor.GemmF32 over the InferModel's packed
 //     weight panels, every (slot, row) of a worker's shard packed into one
@@ -22,8 +22,7 @@ import (
 // (tensor.SetGemmF32Asm switches all three together).
 //
 // Every reduction has a fixed order that does not depend on the rows packed
-// around it, so F32 decoding is deterministic — the per-precision half of
-// the determinism contract.
+// around it, so decoding is deterministic per kernel set.
 
 // layerNormRowF32 computes dst = LN(row) with l's gain and bias. The mean
 // and variance accumulate in float64 (scalar registers, effectively free)
@@ -78,7 +77,7 @@ func widenF32(dst []float64, src []float32) {
 // worker fan-out: a GEMM row's reduction order is fixed whatever rows are
 // packed around it, and every other kernel is per-row with a fixed order. So
 // k rows through one pass equal k successive one-row passes bit for bit, and
-// F32 decoding is deterministic at every parallelism and batch composition
+// decoding is deterministic at every parallelism and batch composition
 // (per kernel set: the AVX2 and portable kernels differ in order). Head
 // outputs are widened into the shared float64 StepOut buffers; widening is
 // exact, so sampling sees precisely the float32 results.

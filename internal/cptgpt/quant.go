@@ -1,55 +1,24 @@
 package cptgpt
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 
 	"cptgpt/internal/nn"
 )
 
-// Precision selects the arithmetic of the decode fast path.
+// Precision names a decode arithmetic. F32 is its only value: generation
+// decodes through a frozen float32 snapshot of the weights (InferModel) with
+// fused row kernels and a contiguous float32 KV arena. Training stays
+// float64 — its determinism contract (bit-identical weights at every
+// parallelism degree) depends on exact accumulation — but decode is
+// read-only and, at million-UE populations, memory-bandwidth bound.
 //
-// Training is always float64 — its determinism contract (bit-identical
-// weights at every parallelism degree) depends on exact accumulation —
-// but generation is read-only, and at million-UE populations decode is
-// memory-bandwidth bound: every step streams the full weight set plus the
-// stream's KV cache through the core. F32 decodes through a frozen float32
-// snapshot of the weights (InferModel) with fused row kernels and a
-// contiguous float32 KV arena, roughly halving that traffic.
+// The type and F32 remain only because the benchmark harness (cptbench)
+// calls NewBatchDecoder(capacity, F32).
 type Precision uint8
 
-const (
-	// F64 is the bit-exact float64 reference path: output is bit-identical
-	// to the original serial decoder at every Parallelism × BatchSize.
-	F64 Precision = iota
-	// F32 is the fast float32 inference path. It has its own determinism
-	// contract — the same Seed × Parallelism × BatchSize always reproduces
-	// the same output, and output is identical across Parallelism and
-	// BatchSize settings — but its streams differ (within distributional
-	// tolerance, see the fidelity tests) from the F64 path's.
-	F32
-)
-
-// String renders the precision as its flag spelling.
-func (p Precision) String() string {
-	if p == F32 {
-		return "f32"
-	}
-	return "f64"
-}
-
-// ParsePrecision parses a precision flag value. The empty string means F64,
-// the bit-exact default.
-func ParsePrecision(s string) (Precision, error) {
-	switch strings.ToLower(s) {
-	case "", "f64", "float64":
-		return F64, nil
-	case "f32", "float32":
-		return F32, nil
-	}
-	return F64, fmt.Errorf("cptgpt: unknown precision %q (want f64 or f32)", s)
-}
+// F32 is the float32 decode arithmetic, the zero Precision.
+const F32 Precision = 0
 
 // InferModel is a frozen float32 inference snapshot of a Model: every weight
 // matrix converted once into a contiguous float32 row-major panel (linears
@@ -107,41 +76,34 @@ func newInferModel(m *Model) *InferModel {
 // inferCache is the lazily built, invalidatable InferModel cache hanging off
 // a Model, and the pools of finished decoders that Generate and
 // GenerateRange reuse instead of allocating a KV arena per call. A plain
-// mutex (not sync.Once) so Train can drop a stale snapshot — and the F32
+// mutex (not sync.Once) so Train can drop a stale snapshot — and the
 // decoders bound to it — after updating weights.
 type inferCache struct {
 	mu       sync.Mutex
 	inf      *InferModel
-	decoders map[decoderKey]*sync.Pool
+	decoders map[int]*sync.Pool // by capacity
 }
 
-// decoderKey identifies interchangeable BatchDecoders of one model.
-type decoderKey struct {
-	capacity int
-	prec     Precision
-}
-
-// decoderPool returns the pool of m's finished decoders of one capacity and
-// precision. A pooled decoder's slots hold stale cache rows, which the
-// slot-reset contract makes unreachable, so reusing one decodes exactly what
-// a fresh one would.
-func (m *Model) decoderPool(capacity int, prec Precision) *sync.Pool {
+// decoderPool returns the pool of m's finished decoders of one capacity. A
+// pooled decoder's slots hold stale cache rows, which the slot-reset
+// contract makes unreachable, so reusing one decodes exactly what a fresh
+// one would.
+func (m *Model) decoderPool(capacity int) *sync.Pool {
 	m.infer.mu.Lock()
 	defer m.infer.mu.Unlock()
-	key := decoderKey{capacity, prec}
-	p := m.infer.decoders[key]
+	p := m.infer.decoders[capacity]
 	if p == nil {
 		if m.infer.decoders == nil {
-			m.infer.decoders = make(map[decoderKey]*sync.Pool)
+			m.infer.decoders = make(map[int]*sync.Pool)
 		}
 		p = new(sync.Pool)
-		m.infer.decoders[key] = p
+		m.infer.decoders[capacity] = p
 	}
 	return p
 }
 
 // Infer returns the model's float32 inference snapshot, freezing the current
-// weights on first use. The snapshot is cached — every F32 BatchDecoder of
+// weights on first use. The snapshot is cached — every BatchDecoder of
 // this model shares it — and safe for concurrent use. Train and FineTune
 // invalidate the cache when they update weights; mutating parameters by hand
 // requires calling InvalidateInfer explicitly.

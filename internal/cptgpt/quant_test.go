@@ -12,26 +12,6 @@ import (
 	"cptgpt/internal/trace"
 )
 
-func TestParsePrecision(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Precision
-		ok   bool
-	}{
-		{"", F64, true}, {"f64", F64, true}, {"float64", F64, true},
-		{"f32", F32, true}, {"F32", F32, true}, {"float32", F32, true},
-		{"f16", F64, false}, {"fast", F64, false},
-	} {
-		got, err := ParsePrecision(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Fatalf("ParsePrecision(%q) = (%v, %v), want (%v, ok=%v)", c.in, got, err, c.want, c.ok)
-		}
-	}
-	if F64.String() != "f64" || F32.String() != "f32" {
-		t.Fatalf("Precision.String: %q %q", F64.String(), F32.String())
-	}
-}
-
 // TestInferSnapshotInvalidation pins the freeze/invalidate lifecycle: Infer
 // caches one snapshot, InvalidateInfer drops it, and the snapshot holds
 // value copies (mutating the live weights does not change it).
@@ -152,50 +132,10 @@ func f32LogitDiff(t *testing.T, m *Model, d *trace.Dataset) float64 {
 	return maxDiff
 }
 
-// TestF32GenerateDeterministic pins the F32 determinism contract: for a
-// fixed seed the float32 path emits identical output at every Parallelism ×
-// BatchSize combination, and repeated runs are bit-identical.
-func TestF32GenerateDeterministic(t *testing.T) {
-	d := testTrainingData(t, 60)
-	tk := FitTokenizer(d)
-	m, err := NewModel(smallConfig(), tk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := GenOpts{NumStreams: 23, Device: events.Phone, Seed: 99, StartWindow: 30, Precision: F32}
-	want, err := m.Generate(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct{ par, batch int }{
-		{1, 1}, {1, 23}, {8, 4}, {3, 7},
-	} {
-		opts := base
-		opts.Parallelism = c.par
-		opts.BatchSize = c.batch
-		got, err := m.Generate(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameStreams(t, fmt.Sprintf("f32 parallelism=%d batch=%d", c.par, c.batch), want.Streams, got.Streams)
-	}
-
-	// GenerateRange must reproduce the same population chunk-wise.
-	var chunked []trace.Stream
-	for lo := 0; lo < base.NumStreams; lo += 7 {
-		hi := min(lo+7, base.NumStreams)
-		part, err := m.GenerateRange(lo, hi, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunked = append(chunked, part...)
-	}
-	sameStreams(t, "f32 chunked range", want.Streams, chunked)
-}
-
-// TestF32FidelityMarginals is the distribution-level gate on the fast path:
-// over a population generated from the same seed, the F32 event-type
-// marginal must stay within a small total-variation distance of F64's, and
+// TestF32FidelityMarginals is the distribution-level gate on the decode:
+// over a population generated from the same seed, the float32 event-type
+// marginal must stay within a small total-variation distance of the float64
+// reference population's, and
 // the interarrival and stream-length marginals within a small KS distance.
 // Individual streams may diverge (a near-tie flipped by a 1e-7 logit
 // perturbation resteers that stream's RNG), but the workload statistics the
@@ -208,11 +148,7 @@ func TestF32FidelityMarginals(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := GenOpts{NumStreams: 500, Device: events.Phone, Seed: 17}
-	f64d, err := m.Generate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Precision = F32
+	f64d := referenceGenerate(t, m, opts)
 	f32d, err := m.Generate(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +192,11 @@ func TestF32FidelityMarginals(t *testing.T) {
 }
 
 // TestConcurrentGenerateSharedModel decodes from one Model in four
-// goroutines at once — two per precision, the F32 pair racing to build the
-// shared Infer snapshot — and requires every run to equal its single-
-// threaded reference. Run under -race (CI does), this pins the contract
-// that trained weights and the frozen snapshot are data-race-free shared
-// state across any number of concurrent decoders.
+// goroutines at once — racing to build the shared Infer snapshot — and
+// requires every run to equal its single-threaded reference. Run under
+// -race (CI does), this pins the contract that trained weights and the
+// frozen snapshot are data-race-free shared state across any number of
+// concurrent decoders.
 func TestConcurrentGenerateSharedModel(t *testing.T) {
 	d := testTrainingData(t, 40)
 	tk := FitTokenizer(d)
@@ -268,53 +204,50 @@ func TestConcurrentGenerateSharedModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsFor := func(prec Precision, seed uint64) GenOpts {
-		return GenOpts{NumStreams: 12, Device: events.Phone, Seed: seed, Precision: prec, Parallelism: 2, BatchSize: 4}
+	seeds := []uint64{5, 6, 7, 8}
+	optsFor := func(seed uint64) GenOpts {
+		return GenOpts{NumStreams: 12, Device: events.Phone, Seed: seed, Parallelism: 2, BatchSize: 4}
 	}
-	want := map[string]*trace.Dataset{}
-	for _, prec := range []Precision{F64, F32} {
-		for _, seed := range []uint64{5, 6} {
-			ds, err := m.Generate(optsFor(prec, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[fmt.Sprintf("%s-%d", prec, seed)] = ds
+	want := map[uint64]*trace.Dataset{}
+	for _, seed := range seeds {
+		ds, err := m.Generate(optsFor(seed))
+		if err != nil {
+			t.Fatal(err)
 		}
+		want[seed] = ds
 	}
 	m.InvalidateInfer() // force the concurrent runs to rebuild the snapshot
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for _, prec := range []Precision{F64, F32} {
-		for _, seed := range []uint64{5, 6} {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got, err := m.Generate(optsFor(prec, seed))
-				if err != nil {
-					errs <- err
+	errs := make(chan error, len(seeds))
+	for _, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := m.Generate(optsFor(seed))
+			if err != nil {
+				errs <- err
+				return
+			}
+			key := fmt.Sprintf("seed %d", seed)
+			w := want[seed]
+			if len(got.Streams) != len(w.Streams) {
+				errs <- fmt.Errorf("%s: %d streams, want %d", key, len(got.Streams), len(w.Streams))
+				return
+			}
+			for i := range w.Streams {
+				if len(got.Streams[i].Events) != len(w.Streams[i].Events) {
+					errs <- fmt.Errorf("%s stream %d: %d events, want %d", key, i, len(got.Streams[i].Events), len(w.Streams[i].Events))
 					return
 				}
-				key := fmt.Sprintf("%s-%d", prec, seed)
-				w := want[key]
-				if len(got.Streams) != len(w.Streams) {
-					errs <- fmt.Errorf("%s: %d streams, want %d", key, len(got.Streams), len(w.Streams))
-					return
-				}
-				for i := range w.Streams {
-					if len(got.Streams[i].Events) != len(w.Streams[i].Events) {
-						errs <- fmt.Errorf("%s stream %d: %d events, want %d", key, i, len(got.Streams[i].Events), len(w.Streams[i].Events))
+				for j := range w.Streams[i].Events {
+					if got.Streams[i].Events[j] != w.Streams[i].Events[j] {
+						errs <- fmt.Errorf("%s stream %d event %d differs", key, i, j)
 						return
 					}
-					for j := range w.Streams[i].Events {
-						if got.Streams[i].Events[j] != w.Streams[i].Events[j] {
-							errs <- fmt.Errorf("%s stream %d event %d differs", key, i, j)
-							return
-						}
-					}
 				}
-			}()
-		}
+			}
+		}()
 	}
 	wg.Wait()
 	close(errs)

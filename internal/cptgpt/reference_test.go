@@ -2,19 +2,27 @@ package cptgpt
 
 import (
 	"math"
+	"math/rand/v2"
+	"testing"
 
 	"cptgpt/internal/nn"
+	"cptgpt/internal/stats"
+	"cptgpt/internal/trace"
 )
 
-// decoder is a tape-free incremental forward pass over the model with
-// per-block key/value caching. Autoregressive sampling recomputes only one
-// token per step instead of the whole prefix, which is what makes the
-// scalability experiment (Figure 6) tractable on a CPU. Its output is
-// verified against Model.Forward in the package tests.
+// The float64 reference decode. Production decodes in float32 only
+// (BatchDecoder over the InferModel snapshot); the tests hold it to this
+// serial float64 decoder — itself held to Model.Forward within 1e-9 — by
+// per-token tolerance (TestF32LogitTolerance) and by population statistics
+// (TestDecodeFidelityGate, TestF32FidelityMarginals).
+
+// decoder is a tape-free incremental float64 forward pass over the model
+// with per-block key/value caching: a step computes one token instead of the
+// whole prefix. TestDecoderMatchesForward holds its output to
+// Model.Forward.
 //
 // The decoder owns all of its scratch, so a step performs no allocations in
-// steady state. It is also the F64 BatchDecoder's row body: each F64 slot
-// is one decoder (batch.go).
+// steady state.
 type decoder struct {
 	m   *Model
 	pos int
@@ -56,30 +64,6 @@ func newDecoder(m *Model) *decoder {
 	d.iaOut = make([]float64, m.IAHd.Layers[len(m.IAHd.Layers)-1].W.Cols)
 	d.stopOut = make([]float64, 2)
 	return d
-}
-
-// headHiddenMax returns the widest intermediate layer across the three
-// output heads, sizing the shared hidden scratch.
-func headHiddenMax(m *Model) int {
-	w := 1
-	for _, h := range []*nn.MLP{m.EventHd, m.IAHd, m.StopHd} {
-		for _, l := range h.Layers {
-			if l.W.Cols > w {
-				w = l.W.Cols
-			}
-		}
-	}
-	return w
-}
-
-// StepOut carries the raw head outputs of one decode step for one stream.
-// EventLogits aliases decoder-owned scratch and is valid only until the
-// next step of the same decoder (or decoder slot).
-type StepOut struct {
-	EventLogits []float64
-	IAMean      float64
-	IALogStd    float64 // NaN when the distribution head is disabled
-	StopLogits  [2]float64
 }
 
 // step consumes one token (d_token values) and returns the head outputs at
@@ -137,21 +121,10 @@ func (d *decoder) step(token []float64) StepOut {
 	return out
 }
 
-// rewind moves the decoder back to position pos ≤ its own, dropping the
-// cached keys/values above it (they are overwritten, never cleared).
-func (d *decoder) rewind(pos int) {
-	dm := d.m.Cfg.DModel
-	for i := range d.kc {
-		d.kc[i], d.vc[i] = d.kc[i][:pos*dm], d.vc[i][:pos*dm]
-	}
-	d.pos = pos
-}
-
 // attendRow computes one stream's multi-head attention output for the newest
 // query row q against nPos cached key/value rows, writing into att (len dm),
 // with scores (len ≥ nPos) as scratch. Its one caller is decoder.step, which
-// bounds nPos by MaxLen; an F64 BatchDecoder slot is a serial decoder, so
-// this is the F64 attention of both.
+// bounds nPos by MaxLen.
 func attendRow(att, q, kc, vc []float64, nPos, heads, dm int, scores []float64) {
 	dh := dm / heads
 	scale := 1 / math.Sqrt(float64(dh))
@@ -271,4 +244,51 @@ func mlpRowInto(dst, hid, hid2, row []float64, m *nn.MLP) {
 func gelu(x float64) float64 {
 	const c = 0.7978845608028654
 	return 0.5 * x * (1 + math.Tanh(c*(x+0.044715*x*x*x)))
+}
+
+// sampleStream decodes one UE stream through the serial float64 decoder,
+// drawing from rng in the order the production scheduler does (bootStream,
+// then sampleStep once per token).
+func (m *Model) sampleStream(idx int, opts GenOpts, init *stats.Categorical, rng *rand.Rand) trace.Stream {
+	vocab := m.Tok.Vocab()
+	dec := newDecoder(m)
+
+	// Bootstrap token: sampled initial event, interarrival 0, stop 0 (the
+	// shared helper defines the draw order).
+	var s trace.Stream
+	evIdx, t := bootStream(&s, idx, opts, init, vocab, rng)
+	tok := make([]float64, m.Tok.Dim())
+	probs := make([]float64, m.Tok.V())
+	m.Tok.writeToken(tok, evIdx, 0, 0)
+
+	for len(s.Events) < m.Cfg.MaxLen {
+		nextEv, scaled, stopIdx := m.sampleStep(dec.step(tok), opts.Temperature, rng, probs)
+		t += m.Tok.UnscaleIA(scaled)
+		s.Events = append(s.Events, trace.Event{Time: t, Type: vocab[nextEv]})
+		if stopIdx == 1 {
+			break
+		}
+		m.Tok.writeToken(tok, nextEv, scaled, stopIdx)
+	}
+	return s
+}
+
+// referenceGenerate is Generate through the serial float64 decoder, one
+// stream at a time with Generate's per-stream seeds: the reference
+// population the float32 decode's fidelity is measured against.
+func referenceGenerate(t *testing.T, m *Model, opts GenOpts) *trace.Dataset {
+	t.Helper()
+	if opts.Temperature <= 0 {
+		opts.Temperature = 1 // Generate's own normalization
+	}
+	init, err := stats.NewCategorical(m.InitialDist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([]trace.Stream, opts.NumStreams)
+	for i := range streams {
+		rng := stats.NewRand(streamSeed(opts.Seed, i))
+		streams[i] = m.sampleStream(i, opts, init, rng)
+	}
+	return &trace.Dataset{Generation: m.Cfg.Generation, Streams: streams}
 }

@@ -27,12 +27,6 @@ type GenOpts struct {
 	Seed uint64
 	// Temperature scales event/stop logits at sampling time (1 = faithful).
 	Temperature float64
-	// Precision selects the decode arithmetic. F64 (the default) is the
-	// bit-exact reference path; F32 decodes through the model's frozen
-	// float32 inference snapshot with fused kernels — about half the memory
-	// traffic of F64 — under its own per-seed determinism contract. For a
-	// fixed precision, output is identical at every Parallelism × BatchSize.
-	Precision Precision
 	// Parallelism is the call's whole core budget P; 0 means the
 	// tensor-layer default (GOMAXPROCS, or tensor.SetParallelism's value).
 	// Generate runs W = min(P, batches) decoder goroutines and each decoder
@@ -70,7 +64,7 @@ type GenOpts struct {
 	// (the speculation depth k); 0 means DefaultDraftTokens and a negative
 	// value is an error, with or without Speculative. Output is
 	// deterministic per (Seed, DraftTokens, kernel set) — the self-draft is
-	// fitted by F32 decoding — but differs across k: k changes RNG
+	// fitted by decoding — but differs across k: k changes RNG
 	// consumption, not the output law.
 	DraftTokens int
 	// draft is a test seam: a non-nil draft replaces Model.SelfDraft, so
@@ -120,10 +114,10 @@ func streamSeed(seed uint64, i int) uint64 {
 // draw from the released distribution, optional start-window offset, and
 // the first emitted event, consuming the stream's own RNG. Like sampleStep
 // for the per-token draws, this is the single copy of the bootstrap draw
-// order (init.Sample, then the StartWindow uniform) that the serial
-// reference and the slot scheduler share — the bit-identical-output and
-// per-seed determinism contracts are exactly "same draws in the same
-// order", so this helper is the only place that order may be defined.
+// order (init.Sample, then the StartWindow uniform) that the slot
+// scheduler and the tests' float64 reference sampler share — the per-seed
+// determinism contract is exactly "same draws in the same order", so this
+// helper is the only place that order may be defined.
 func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Categorical, vocab []events.Type, rng *rand.Rand) (evIdx int, start float64) {
 	s.UEID = trace.UEID("gen-", opts.Device, globalIdx)
 	s.Device = opts.Device
@@ -147,7 +141,7 @@ func bootStream(s *trace.Stream, globalIdx int, opts GenOpts, init *stats.Catego
 // indices from a shared counter and reseats a slot the moment its stream
 // stops, so all slots stay hot even under heavily skewed stream-length
 // distributions. Its draft length is 0 for plain decoding and DraftTokens
-// under Speculative. For a fixed Seed, Precision and draft length the output
+// under Speculative. For a fixed Seed, draft length and kernel set the output
 // is bit-identical at every Parallelism and BatchSize — every stream consumes
 // only its own index-seeded RNG and its own slot state, so who decodes it
 // when cannot matter.
@@ -223,11 +217,11 @@ func (m *Model) generateRange(lo, hi, maxDecoders int, opts GenOpts) ([]trace.St
 	// Decoders come from, and go back to, the model's pool: a call reuses the
 	// KV arena a finished call allocated. Taken once per call, so a pool
 	// dropped by InvalidateInfer meanwhile only loses the decoders.
-	pool := m.decoderPool(batch, opts.Precision)
+	pool := m.decoderPool(batch)
 	work := func() {
 		dec, _ := pool.Get().(*BatchDecoder)
 		if dec == nil {
-			dec = m.NewBatchDecoder(batch, opts.Precision)
+			dec = m.NewBatchDecoder(batch, F32)
 		}
 		dec.fanout = fanout
 		dec.SetStepHist(opts.StepHist)
@@ -261,9 +255,8 @@ func (m *Model) generateRange(lo, hi, maxDecoders int, opts GenOpts) ([]trace.St
 // sampleStep draws one decode step's fields from the head outputs: the next
 // event index, the scaled interarrival (Gaussian-sampled under DistHead,
 // deterministic scalar in the Table 8 ablation) and the stop flag. It is
-// the single copy of the per-token RNG draw order that the serial reference
-// and the slot scheduler share — the bit-identical-output contract between
-// them is exactly "same draws in the same order", so this helper is the
+// the single copy of the per-token RNG draw order that the slot scheduler
+// and the tests' float64 reference sampler share, so this helper is the
 // only place that order may be defined.
 func (m *Model) sampleStep(so StepOut, temp float64, rng *rand.Rand, probs []float64) (nextEv int, scaled float64, stopIdx int) {
 	nextEv = sampleLogitsInto(so.EventLogits, temp, rng, probs)
@@ -307,8 +300,7 @@ type seat struct {
 // (speculate.go), and — if all of them survived — sample one more token from
 // the pass's last heads. Plain decoding is draft length 0: no draft model
 // (draft may be nil), one row per slot, and that last token is the only one
-// a pass emits — sampleStep's draws, once per token, exactly as the serial
-// reference makes them.
+// a pass emits — sampleStep's draws, once per token.
 //
 // Per-stream output is invariant to seating and to batch composition: a
 // stream's events depend only on its own slot region and its own
@@ -482,33 +474,6 @@ func (m *Model) sampleSlots(dec *BatchDecoder, out []trace.Stream, baseIdx int, 
 		verifySp.End(accTotal, "")
 		active, keep = keep, active
 	}
-}
-
-// sampleStream decodes one UE stream through the serial decoder. It is the
-// reference implementation the batched path is tested against (identical
-// output for identical opts.Seed and stream index).
-func (m *Model) sampleStream(idx int, opts GenOpts, init *stats.Categorical, rng *rand.Rand) trace.Stream {
-	vocab := m.Tok.Vocab()
-	dec := newDecoder(m)
-
-	// Bootstrap token: sampled initial event, interarrival 0, stop 0 (the
-	// shared helper defines the draw order).
-	var s trace.Stream
-	evIdx, t := bootStream(&s, idx, opts, init, vocab, rng)
-	tok := make([]float64, m.Tok.Dim())
-	probs := make([]float64, m.Tok.V())
-	m.Tok.writeToken(tok, evIdx, 0, 0)
-
-	for len(s.Events) < m.Cfg.MaxLen {
-		nextEv, scaled, stopIdx := m.sampleStep(dec.step(tok), opts.Temperature, rng, probs)
-		t += m.Tok.UnscaleIA(scaled)
-		s.Events = append(s.Events, trace.Event{Time: t, Type: vocab[nextEv]})
-		if stopIdx == 1 {
-			break
-		}
-		m.Tok.writeToken(tok, nextEv, scaled, stopIdx)
-	}
-	return s
 }
 
 // expUnderflow is math.Exp's underflow threshold: for arguments strictly

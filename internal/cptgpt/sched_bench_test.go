@@ -45,7 +45,7 @@ func BenchmarkSchedulingContinuous(b *testing.B) {
 	}
 	const slots = 32
 	opts := GenOpts{NumStreams: 512, Device: events.Phone, Seed: 9, Temperature: 1}
-	dec := m.NewBatchDecoder(slots, F64)
+	dec := m.NewBatchDecoder(slots, F32)
 	streams := make([]trace.Stream, opts.NumStreams)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -24,42 +24,39 @@ func specTestModel(t *testing.T) (*Model, *trace.Dataset) {
 }
 
 // TestSpeculativeGenerateDeterministic pins the speculative determinism
-// contract: for a fixed (Seed, Precision, DraftTokens) the output is
-// bit-identical across repeated runs, every Parallelism × BatchSize, and
-// chunked GenerateRange emission.
+// contract: for a fixed (Seed, DraftTokens) the output is bit-identical
+// across repeated runs, every Parallelism × BatchSize, and chunked
+// GenerateRange emission.
 func TestSpeculativeGenerateDeterministic(t *testing.T) {
 	m, _ := specTestModel(t)
-	for _, prec := range []Precision{F64, F32} {
-		base := GenOpts{NumStreams: 23, Device: events.Phone, Seed: 99, StartWindow: 30,
-			Precision: prec, Speculative: true}
-		want, err := m.Generate(base)
+	base := GenOpts{NumStreams: 23, Device: events.Phone, Seed: 99, StartWindow: 30, Speculative: true}
+	want, err := m.Generate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ par, batch int }{
+		{1, 1}, {1, 23}, {8, 4}, {3, 7},
+	} {
+		opts := base
+		opts.Parallelism = c.par
+		opts.BatchSize = c.batch
+		got, err := m.Generate(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range []struct{ par, batch int }{
-			{1, 1}, {1, 23}, {8, 4}, {3, 7},
-		} {
-			opts := base
-			opts.Parallelism = c.par
-			opts.BatchSize = c.batch
-			got, err := m.Generate(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameStreams(t, fmt.Sprintf("spec %s parallelism=%d batch=%d", prec, c.par, c.batch), want.Streams, got.Streams)
-		}
-		// Chunked emission reproduces the full population.
-		var chunked []trace.Stream
-		for lo := 0; lo < base.NumStreams; lo += 7 {
-			hi := min(lo+7, base.NumStreams)
-			part, err := m.GenerateRange(lo, hi, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chunked = append(chunked, part...)
-		}
-		sameStreams(t, fmt.Sprintf("spec %s chunked range", prec), want.Streams, chunked)
+		sameStreams(t, fmt.Sprintf("spec parallelism=%d batch=%d", c.par, c.batch), want.Streams, got.Streams)
 	}
+	// Chunked emission reproduces the full population.
+	var chunked []trace.Stream
+	for lo := 0; lo < base.NumStreams; lo += 7 {
+		hi := min(lo+7, base.NumStreams)
+		part, err := m.GenerateRange(lo, hi, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunked = append(chunked, part...)
+	}
+	sameStreams(t, "spec chunked range", want.Streams, chunked)
 }
 
 // specMarginals collects the workload marginals the fidelity gates compare.
@@ -87,10 +84,9 @@ func specMarginals(ds *trace.Dataset) (types map[events.Type]float64, ias, lens 
 // over a population, speculative output's event-type marginal must stay
 // within a small total-variation distance of plain decoding's, and the
 // interarrival and stream-length marginals within a small KS distance —
-// in both precisions, with both the self-draft and an adversarially bad
-// draft (acceptance must never leak into the law, only the speed).
+// with both the self-draft and an adversarially bad draft (acceptance must never leak into the law, only the speed).
 func TestSpeculativeFidelityMarginals(t *testing.T) {
-	// Unlike the F32-vs-F64 gate (whose populations are near-identical
+	// Unlike the float32-vs-float64 gate (whose populations are near-identical
 	// stream-by-stream, so sampling noise cancels), speculative and plain
 	// populations are INDEPENDENT draws from the same law — different RNG
 	// consumption resteers every stream. The bounds below sit ~3× above
@@ -101,39 +97,37 @@ func TestSpeculativeFidelityMarginals(t *testing.T) {
 	// with n.
 	const streams = 2000
 	m, _ := specTestModel(t)
-	for _, prec := range []Precision{F64, F32} {
-		opts := GenOpts{NumStreams: streams, Device: events.Phone, Seed: 17, Precision: prec}
-		plain, err := m.Generate(opts)
+	opts := GenOpts{NumStreams: streams, Device: events.Phone, Seed: 17}
+	plain, err := m.Generate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, draft := range map[string]draftModel{
+		"self-draft": nil,
+		"bad-draft":  badDraft{},
+	} {
+		opts := opts
+		opts.Speculative = true
+		opts.draft = draft
+		spec, err := m.Generate(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, draft := range map[string]draftModel{
-			"self-draft": nil,
-			"bad-draft":  badDraft{},
-		} {
-			opts := opts
-			opts.Speculative = true
-			opts.draft = draft
-			spec, err := m.Generate(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tPlain, iaPlain, lenPlain := specMarginals(plain)
-			tSpec, iaSpec, lenSpec := specMarginals(spec)
-			var tv float64
-			for _, typ := range m.Tok.Vocab() {
-				tv += math.Abs(tPlain[typ] - tSpec[typ])
-			}
-			tv /= 2
-			if tv > 0.02 {
-				t.Fatalf("%s/%s: event-type marginal TV distance %v > 0.02", prec, name, tv)
-			}
-			if ks := stats.MaxYDistance(iaPlain, iaSpec); ks > 0.035 {
-				t.Fatalf("%s/%s: interarrival KS distance %v > 0.035", prec, name, ks)
-			}
-			if ks := stats.MaxYDistance(lenPlain, lenSpec); ks > 0.07 {
-				t.Fatalf("%s/%s: stream-length KS distance %v > 0.07", prec, name, ks)
-			}
+		tPlain, iaPlain, lenPlain := specMarginals(plain)
+		tSpec, iaSpec, lenSpec := specMarginals(spec)
+		var tv float64
+		for _, typ := range m.Tok.Vocab() {
+			tv += math.Abs(tPlain[typ] - tSpec[typ])
+		}
+		tv /= 2
+		if tv > 0.02 {
+			t.Fatalf("%s: event-type marginal TV distance %v > 0.02", name, tv)
+		}
+		if ks := stats.MaxYDistance(iaPlain, iaSpec); ks > 0.035 {
+			t.Fatalf("%s: interarrival KS distance %v > 0.035", name, ks)
+		}
+		if ks := stats.MaxYDistance(lenPlain, lenSpec); ks > 0.07 {
+			t.Fatalf("%s: stream-length KS distance %v > 0.07", name, ks)
 		}
 	}
 }
@@ -168,7 +162,7 @@ func (*badDraftState) ProposeIA(int) (float64, float64) { return 0.9, 0.06 }
 func TestSpeculativeExactnessChiSquare(t *testing.T) {
 	m, d := specTestModel(t)
 	// Real target conditionals: run a short prefix through the decoder.
-	dec := m.NewBatchDecoder(1, F64)
+	dec := m.NewBatchDecoder(1, F32)
 	tok := make([]float64, m.Tok.Dim())
 	m.Tok.writeToken(tok, 1, 0.3, 0)
 	var h StepOut

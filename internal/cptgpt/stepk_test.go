@@ -1,7 +1,6 @@
 package cptgpt
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -34,9 +33,8 @@ func stepKTestEncs(t *testing.T, m *Model, minRows, want int) [][]float64 {
 
 // TestStepKMatchesStep is the multi-token verify kernel's core contract:
 // consuming a token chain through StepK yields the same per-position head
-// outputs as stepping the chain one token at a time — bit-identical on the
-// F64 path and on the F32 path under either GEMM kernel (Step and StepK run
-// one row body). This is also the batched-prefill guarantee: prefilling a
+// outputs as stepping the chain one token at a time — bit-identical under
+// either GEMM kernel (Step and StepK run one row body). This is also the batched-prefill guarantee: prefilling a
 // prompt is one StepK call.
 func TestStepKMatchesStep(t *testing.T) {
 	d := testTrainingData(t, 60)
@@ -48,19 +46,11 @@ func TestStepKMatchesStep(t *testing.T) {
 	dim := tk.Dim()
 	encs := stepKTestEncs(t, m, 6, 3)
 
-	type mode struct {
-		name string
-		prec Precision
-		asm  bool
-	}
-	modes := []mode{{"f64", F64, false}}
+	defer tensor.SetGemmF32Asm(tensor.GemmF32Asm())
 	for _, asm := range gemmKernels() {
-		modes = append(modes, mode{fmt.Sprintf("f32 asm=%v", asm), F32, asm})
-	}
-	for _, md := range modes {
-		prevAsm := tensor.SetGemmF32Asm(md.asm)
+		tensor.SetGemmF32Asm(asm)
 		// Reference: one-token stepping through a separate decoder.
-		ref := m.NewBatchDecoder(len(encs), md.prec)
+		ref := m.NewBatchDecoder(len(encs), F32)
 		wants := make([][]StepOut, len(encs))
 		tok := make([]float64, len(encs)*dim)
 		for step := 0; ; step++ {
@@ -84,7 +74,7 @@ func TestStepKMatchesStep(t *testing.T) {
 
 		// Multi-token: chains of varying width per pass (1, 2, 3, ... rows).
 		const kMax = 3
-		kd := m.NewBatchDecoder(len(encs), md.prec)
+		kd := m.NewBatchDecoder(len(encs), F32)
 		toksK := make([]float64, len(encs)*kMax*dim)
 		pos := make([]int, len(encs))
 		for round := 0; ; round++ {
@@ -112,13 +102,12 @@ func TestStepKMatchesStep(t *testing.T) {
 			for j, slot := range slots {
 				for r := 0; r < ks[j]; r++ {
 					if !sameStepOut(outs[j][r], wants[slot][pos[slot]+r]) {
-						t.Fatalf("%s slot %d pos %d: StepK head outputs differ from Step's", md.name, slot, pos[slot]+r)
+						t.Fatalf("asm=%v slot %d pos %d: StepK head outputs differ from Step's", asm, slot, pos[slot]+r)
 					}
 				}
 				pos[slot] += ks[j]
 			}
 		}
-		tensor.SetGemmF32Asm(prevAsm)
 	}
 }
 
@@ -137,41 +126,39 @@ func TestTruncateSlot(t *testing.T) {
 	encs := stepKTestEncs(t, m, 6, 2)
 	chain, alt := encs[0], encs[1]
 
-	for _, prec := range []Precision{F64, F32} {
-		const kMax = 4
-		kd := m.NewBatchDecoder(1, prec)
-		toks := make([]float64, kMax*dim)
-		// Consume 4 rows of chain, then pretend rows 2..3 were rejected.
-		copy(toks, chain[:4*dim])
-		kd.StepK([]int{0}, []int{4}, kMax, toks)
-		kd.TruncateSlot(0, 2)
-		if kd.Pos(0) != 2 {
-			t.Fatalf("%s: pos after truncate = %d, want 2", prec, kd.Pos(0))
-		}
-		// Continue with two rows of alt.
-		copy(toks, alt[:2*dim])
-		got := kd.StepK([]int{0}, []int{2}, kMax, toks)[0]
+	const kMax = 4
+	kd := m.NewBatchDecoder(1, F32)
+	toks := make([]float64, kMax*dim)
+	// Consume 4 rows of chain, then pretend rows 2..3 were rejected.
+	copy(toks, chain[:4*dim])
+	kd.StepK([]int{0}, []int{4}, kMax, toks)
+	kd.TruncateSlot(0, 2)
+	if kd.Pos(0) != 2 {
+		t.Fatalf("pos after truncate = %d, want 2", kd.Pos(0))
+	}
+	// Continue with two rows of alt.
+	copy(toks, alt[:2*dim])
+	got := kd.StepK([]int{0}, []int{2}, kMax, toks)[0]
 
-		// Reference: chain[0:2] + alt[0:2] in a fresh decoder.
-		rd := m.NewBatchDecoder(1, prec)
-		copy(toks, chain[:2*dim])
-		rd.StepK([]int{0}, []int{2}, kMax, toks)
-		copy(toks, alt[:2*dim])
-		want := rd.StepK([]int{0}, []int{2}, kMax, toks)[0]
-		for r := 0; r < 2; r++ {
-			for x := range want[r].EventLogits {
-				if got[r].EventLogits[x] != want[r].EventLogits[x] {
-					t.Fatalf("%s row %d logit %d: %v != %v", prec, r, x, got[r].EventLogits[x], want[r].EventLogits[x])
-				}
+	// Reference: chain[0:2] + alt[0:2] in a fresh decoder.
+	rd := m.NewBatchDecoder(1, F32)
+	copy(toks, chain[:2*dim])
+	rd.StepK([]int{0}, []int{2}, kMax, toks)
+	copy(toks, alt[:2*dim])
+	want := rd.StepK([]int{0}, []int{2}, kMax, toks)[0]
+	for r := 0; r < 2; r++ {
+		for x := range want[r].EventLogits {
+			if got[r].EventLogits[x] != want[r].EventLogits[x] {
+				t.Fatalf("row %d logit %d: %v != %v", r, x, got[r].EventLogits[x], want[r].EventLogits[x])
 			}
-			if got[r].IAMean != want[r].IAMean || got[r].StopLogits != want[r].StopLogits {
-				t.Fatalf("%s row %d heads differ", prec, r)
-			}
+		}
+		if got[r].IAMean != want[r].IAMean || got[r].StopLogits != want[r].StopLogits {
+			t.Fatalf("row %d heads differ", r)
 		}
 	}
 
 	// Out-of-range truncations must panic.
-	kd := m.NewBatchDecoder(1, F64)
+	kd = m.NewBatchDecoder(1, F32)
 	for _, bad := range []int{-1, 1} {
 		func() {
 			defer func() {
@@ -183,28 +170,26 @@ func TestTruncateSlot(t *testing.T) {
 		}()
 	}
 
-	// Stepping a slot past MaxLen must panic at either precision, and after
-	// ResetSlot the slot must decode exactly like a fresh decoder.
-	for _, prec := range []Precision{F64, F32} {
-		pd := m.NewBatchDecoder(1, prec)
-		for i := 0; i < m.Cfg.MaxLen; i++ {
-			pd.Step([]int{0}, chain[:dim])
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: step %d with MaxLen %d did not panic", prec, m.Cfg.MaxLen+1, m.Cfg.MaxLen)
-				}
-			}()
-			pd.Step([]int{0}, chain[:dim])
-		}()
-		pd.ResetSlot(0)
-		fresh := m.NewBatchDecoder(1, prec)
-		for r := 0; r < len(chain)/dim; r++ {
-			tok := chain[r*dim : (r+1)*dim]
-			if !sameStepOut(pd.Step([]int{0}, tok)[0], fresh.Step([]int{0}, tok)[0]) {
-				t.Fatalf("%s: reset slot row %d differs from a fresh decoder", prec, r)
+	// Stepping a slot past MaxLen must panic, and after ResetSlot the slot
+	// must decode exactly like a fresh decoder.
+	pd := m.NewBatchDecoder(1, F32)
+	for i := 0; i < m.Cfg.MaxLen; i++ {
+		pd.Step([]int{0}, chain[:dim])
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("step %d with MaxLen %d did not panic", m.Cfg.MaxLen+1, m.Cfg.MaxLen)
 			}
+		}()
+		pd.Step([]int{0}, chain[:dim])
+	}()
+	pd.ResetSlot(0)
+	fresh := m.NewBatchDecoder(1, F32)
+	for r := 0; r < len(chain)/dim; r++ {
+		tok := chain[r*dim : (r+1)*dim]
+		if !sameStepOut(pd.Step([]int{0}, tok)[0], fresh.Step([]int{0}, tok)[0]) {
+			t.Fatalf("reset slot row %d differs from a fresh decoder", r)
 		}
 	}
 }
@@ -219,7 +204,7 @@ func TestBatchDecoderStatsRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	dim := tk.Dim()
-	dec := m.NewBatchDecoder(2, F64)
+	dec := m.NewBatchDecoder(2, F32)
 	toks := make([]float64, 2*dim)
 	for i := 0; i < 2; i++ {
 		m.Tok.writeToken(toks[i*dim:(i+1)*dim], 0, 0, 0)

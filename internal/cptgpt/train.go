@@ -54,7 +54,7 @@ func Train(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) {
 	}
 	// Training rewrites the weights, so any frozen float32 inference
 	// snapshot is stale from here on; drop it now and again on exit so the
-	// next F32 decode re-freezes the trained parameters.
+	// next decode re-freezes the trained parameters.
 	m.InvalidateInfer()
 	defer m.InvalidateInfer()
 	epochs := m.Cfg.Epochs

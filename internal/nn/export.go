@@ -3,7 +3,7 @@ package nn
 import "cptgpt/internal/tensor"
 
 // Inference weight export: frozen float32 snapshots of trained layers for
-// the decode fast path. Training keeps float64 (the optimizer's precision
+// the decode. Training keeps float64 (the optimizer's precision
 // contract is bit-exactness across batching), but autoregressive decoding is
 // read-only and memory-bandwidth bound, so a one-time conversion into
 // contiguous float32 panels roughly halves the traffic of every step.

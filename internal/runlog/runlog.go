@@ -96,7 +96,7 @@ type Begin struct {
 	ClosedLoop  bool            `json:"closed_loop,omitempty"`
 	UEs         int             `json:"ues,omitempty"`
 	Compression float64         `json:"compression,omitempty"`
-	Precision   string          `json:"precision,omitempty"`
+	Precision   string          `json:"precision,omitempty"` // "f32" for a run with a cptgpt source; older journals: "" or "f64"
 	Speculative string          `json:"speculative,omitempty"`
 	DraftTokens int             `json:"draft_tokens,omitempty"`
 	Parallelism int             `json:"parallelism,omitempty"`

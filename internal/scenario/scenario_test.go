@@ -151,13 +151,13 @@ func TestLoadRefusesBadSourceFields(t *testing.T) {
 // TestRunOptsValidate pins the one check of the run-wide decode overrides
 // that OpenContext, cptscenario and the daemon share.
 func TestRunOptsValidate(t *testing.T) {
-	for _, o := range []RunOpts{{}, {Precision: "f32", Speculative: "on", DraftTokens: 4}, {Precision: "F64", Speculative: "off"}} {
+	for _, o := range []RunOpts{{}, {Speculative: "on", DraftTokens: 4}, {Speculative: "off"}} {
 		if err := o.Validate(); err != nil {
 			t.Errorf("%+v: %v", o, err)
 		}
 	}
 	spec, _ := Builtin("flash-crowd")
-	for _, o := range []RunOpts{{Precision: "f16"}, {Speculative: "maybe"}, {Speculative: "ON"}, {DraftTokens: -1}} {
+	for _, o := range []RunOpts{{Speculative: "maybe"}, {Speculative: "ON"}, {DraftTokens: -1}} {
 		if err := o.Validate(); err == nil {
 			t.Errorf("%+v: accepted", o)
 		}
@@ -465,9 +465,10 @@ func TestDeterministicAcrossParallelismAndBatch(t *testing.T) {
 }
 
 // TestCPTGPTSourcePrecision runs a cptgpt-model source end-to-end through
-// the streaming pipeline at both decode precisions: the spec-declared "f32"
-// fast path must be deterministic across Parallelism × BatchSize, and
-// RunOpts.Precision must override the spec run-wide.
+// the streaming pipeline: the output is deterministic across Parallelism ×
+// BatchSize and the same whether the spec leaves precision unset or names
+// "f32", the one decode arithmetic; a spec asking for "f64" fails Validate
+// with an error naming the removal.
 func TestCPTGPTSourcePrecision(t *testing.T) {
 	cfg := cptgpt.DefaultConfig()
 	cfg.DModel = 16
@@ -484,27 +485,33 @@ func TestCPTGPTSourcePrecision(t *testing.T) {
 	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	spec := &Spec{
-		Name: "precision-test", Generation: "4G", Seed: 3, HorizonSec: 600, Population: 50,
-		Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: path, Share: 1, Precision: "f32"}},
+	withPrecision := func(p string) *Spec {
+		return &Spec{
+			Name: "precision-test", Generation: "4G", Seed: 3, HorizonSec: 600, Population: 50,
+			Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: path, Share: 1, Precision: p}},
+		}
 	}
+	spec := withPrecision("")
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	f32a := drainAll(t, spec, RunOpts{})
-	if len(f32a) == 0 {
-		t.Fatal("f32 scenario emitted no events")
+	want := drainAll(t, spec, RunOpts{})
+	if len(want) == 0 {
+		t.Fatal("scenario emitted no events")
 	}
-	f32b := drainAll(t, spec, RunOpts{Parallelism: 2, BatchSize: 8})
-	if !reflect.DeepEqual(f32a, f32b) {
-		t.Fatal("f32 scenario output differs across Parallelism × BatchSize")
+	if got := drainAll(t, spec, RunOpts{Parallelism: 2, BatchSize: 8}); !reflect.DeepEqual(got, want) {
+		t.Fatal("scenario output differs across Parallelism × BatchSize")
 	}
-	f64evs := drainAll(t, spec, RunOpts{Precision: "f64"})
-	if len(f64evs) == 0 {
-		t.Fatal("f64-override scenario emitted no events")
+	for _, p := range []string{"f32", "float32", "F32"} {
+		if got := drainAll(t, withPrecision(p), RunOpts{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("precision %q: output differs from the default's", p)
+		}
 	}
-	if _, err := spec.Open(RunOpts{Precision: "f16"}); err == nil {
-		t.Fatal("bad RunOpts.Precision must error")
+	for _, p := range []string{"f64", "float64", "F64"} {
+		err := withPrecision(p).Validate()
+		if err == nil || !strings.Contains(err.Error(), "float64 decode was removed") || !strings.Contains(err.Error(), `"gpt"`) {
+			t.Errorf("precision %q: Validate = %v, want an error naming the source and the removal", p, err)
+		}
 	}
 }
 
@@ -512,14 +519,14 @@ func TestCPTGPTSourcePrecision(t *testing.T) {
 // cptgpt package's parent-model.bin fixture, run through Spec.Open into the
 // jsonl sink under each float32 GEMM kernel set. The digests were recorded
 // while the spec had to ask for "precision": "f32", before float32 became
-// the only decode arithmetic.
+// the only decode arithmetic: a spec that leaves it unset must equal them.
 func TestCPTGPTSpecPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests recorded on amd64")
 	}
 	spec := &Spec{
 		Name: "parent-model", Generation: "4G", Seed: 42, HorizonSec: 600, Population: 24,
-		Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: "../cptgpt/testdata/parent-model.bin", Share: 1, Precision: "f32"}},
+		Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: "../cptgpt/testdata/parent-model.bin", Share: 1}},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -573,7 +580,7 @@ func TestCPTGPTSourceStepFanout(t *testing.T) {
 	}
 	spec := &Spec{
 		Name: "fanout-test", Generation: "4G", Seed: 5, HorizonSec: 600, Population: 64,
-		Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: path, Share: 1, Precision: "f32"}},
+		Sources: []SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: path, Share: 1}},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)

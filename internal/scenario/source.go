@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"cptgpt/internal/cptgpt"
 	"cptgpt/internal/events"
@@ -162,13 +163,11 @@ func (src *SourceSpec) parse(spec *Spec, gen events.Generation, seed uint64, n i
 				return nil, fmt.Errorf("device: %w", err)
 			}
 		}
-		if declared.Precision, err = cptgpt.ParsePrecision(src.Precision); err != nil {
+		if err := checkPrecision(src.Precision); err != nil {
 			return nil, err
 		}
 		return func(opts RunOpts, stepFanout int) (ChunkFunc, error) {
-			// The run-wide overrides go on top of the declared settings: how
-			// a spec written for the bit-exact path scales up through the
-			// f32 fast path without editing the file.
+			// The run-wide overrides go on top of the declared settings.
 			genOpts := declared
 			if err := opts.override(&genOpts); err != nil {
 				return nil, err
@@ -213,17 +212,24 @@ func (src *SourceSpec) parse(spec *Spec, gen events.Generation, seed uint64, n i
 	}
 }
 
-// override applies the run-wide decode overrides (Precision, Speculative,
-// DraftTokens) to a cptgpt source's declared settings. It is the one place
-// the overrides are parsed; Validate is override with the result dropped.
-func (o RunOpts) override(g *cptgpt.GenOpts) error {
-	if o.Precision != "" {
-		prec, err := cptgpt.ParsePrecision(o.Precision)
-		if err != nil {
-			return err
-		}
-		g.Precision = prec
+// checkPrecision checks a cptgpt source's precision field. Decoding is
+// float32 only, so the field accepts nothing else; it remains because
+// existing specs (the benchmark harness's among them) name "f32". A spec
+// asking for the removed float64 decode fails with that reason.
+func checkPrecision(p string) error {
+	switch strings.ToLower(p) {
+	case "", "f32", "float32":
+		return nil
+	case "f64", "float64":
+		return fmt.Errorf("precision %q: the float64 decode was removed; cptgpt sources decode in float32 (drop the field)", p)
 	}
+	return fmt.Errorf("unknown precision %q (the only one is f32)", p)
+}
+
+// override applies the run-wide decode overrides (Speculative, DraftTokens)
+// to a cptgpt source's declared settings. It is the one place the overrides
+// are parsed; Validate is override with the result dropped.
+func (o RunOpts) override(g *cptgpt.GenOpts) error {
 	switch o.Speculative {
 	case "":
 	case "on":

@@ -22,7 +22,7 @@
 // Determinism contract: every UE stream depends only on its own
 // index-seeded randomness (derived from the spec seed) and the merge key
 // (Time, UE, Seq) is a total order, so for a fixed spec, seed and decode
-// precision the emitted sequence is bit-identical at every Parallelism ×
+// kernel set the emitted sequence is bit-identical at every Parallelism ×
 // BatchSize × MaxFanIn and across cancellation-free reruns. Operators are
 // deterministic in the (seed, op index, UE) triple.
 //
@@ -92,9 +92,9 @@ type SourceSpec struct {
 	Device string `json:"device,omitempty"`
 	// Temperature scales model sampling logits (0 means 1: faithful).
 	Temperature float64 `json:"temperature,omitempty"`
-	// Precision selects the decode arithmetic for kind "cptgpt": "f64"
-	// (default, bit-exact reference) or "f32" (the fused float32 fast
-	// path). RunOpts.Precision overrides it for a whole run.
+	// Precision names the decode arithmetic of kind "cptgpt": empty, "f32"
+	// or "float32", the only one there is. It remains only because the
+	// benchmark harness (cptbench) writes "f32"; "f64" fails Validate.
 	Precision string `json:"precision,omitempty"`
 	// Speculative enables speculative decoding for kind "cptgpt": a draft
 	// model (the cptgpt model's self-fitted n-gram) proposes DraftTokens

@@ -79,12 +79,6 @@ type RunOpts struct {
 	// buffer memory); runs beyond it are merged hierarchically. 0 means
 	// DefaultMaxFanIn.
 	MaxFanIn int
-	// Precision overrides every cptgpt source's decode arithmetic for this
-	// run: "f64" (bit-exact reference) or "f32" (the fused float32 fast
-	// path, ~half the decode memory traffic). "" keeps each source's own
-	// spec setting. Output is deterministic per precision: for a fixed
-	// precision it is identical at every Parallelism × BatchSize.
-	Precision string
 	// Speculative overrides every cptgpt source's speculative-decoding
 	// setting for this run: "on" forces it, "off" disables it, "" keeps
 	// each source's spec setting. Speculative output is deterministic per

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cptgpt/internal/runlog"
@@ -125,6 +126,9 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 	if err := json.Unmarshal(st.Begin.Spec, spec); err != nil {
 		return fmt.Errorf("journaled spec: %w", err)
 	}
+	if err := float32Spec(spec, st.Begin.Precision); err != nil {
+		return err
+	}
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("journaled spec: %w", err)
 	}
@@ -175,5 +179,30 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 	s.log.Infow("resuming interrupted run", "run", id,
 		"scenario", r.begin.Scenario, "sink", r.begin.Sink, "from", from)
 	s.launch(r)
+	return nil
+}
+
+// float32Spec refuses a journaled run whose cptgpt sources decoded in
+// float64: the run-wide override (begin) or else the source's own field
+// said "f64", or neither was set, which meant float64 before float32 became
+// the only decode. Its output cannot be continued in float32. A source that
+// decoded in float32 has its field cleared, since the spec no longer
+// accepts "f64" there even where an override outranked it.
+func float32Spec(spec *scenario.Spec, begin string) error {
+	for i := range spec.Sources {
+		src := &spec.Sources[i]
+		if src.Kind != "cptgpt" {
+			continue
+		}
+		p := begin
+		if p == "" {
+			p = src.Precision
+		}
+		switch strings.ToLower(p) {
+		case "", "f64", "float64":
+			return fmt.Errorf("cptgpt source %q decoded in float64, which this daemon no longer has; its output cannot be continued", src.ID)
+		}
+		src.Precision = ""
+	}
 	return nil
 }

@@ -62,9 +62,8 @@ type StartRequest struct {
 	Out        string `json:"out,omitempty"`
 	Addr       string `json:"addr,omitempty"`
 	ClosedLoop bool   `json:"closed_loop,omitempty"`
-	// Precision / Speculative / DraftTokens are the run-wide cptgpt
-	// overrides, with RunOpts semantics.
-	Precision   string `json:"precision,omitempty"`
+	// Speculative / DraftTokens are the run-wide cptgpt overrides, with
+	// RunOpts semantics.
 	Speculative string `json:"speculative,omitempty"`
 	DraftTokens int    `json:"draft_tokens,omitempty"`
 	// Parallelism / BatchSize tune the generation phase (0 = defaults).
@@ -233,6 +232,9 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 	for _, src := range spec.Sources {
 		if src.Kind == "cptgpt" {
 			r.decode[src.ID] = &cptgpt.DecodeStats{}
+			// Journaled, so a later daemon tells this run from one that
+			// decoded in float64 (see float32Spec).
+			r.begin.Precision = "f32"
 		}
 	}
 	r.opts = scenario.RunOpts{
@@ -240,7 +242,6 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 		Parallelism: r.begin.Parallelism,
 		BatchSize:   b.BatchSize,
 		TempDir:     s.opts.TempDir,
-		Precision:   b.Precision,
 		Speculative: b.Speculative,
 		DraftTokens: b.DraftTokens,
 		// The journaled resource envelope survives a crash: a resumed

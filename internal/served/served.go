@@ -393,7 +393,7 @@ func resolveSpec(req *StartRequest) (*scenario.Spec, string, error) {
 // starts, so bad requests fail with 400 rather than a failed run. The sink
 // and its target are the registry's to check (newRun → scenario.NewSink).
 func validateStart(req *StartRequest) error {
-	opts := scenario.RunOpts{Precision: req.Precision, Speculative: req.Speculative, DraftTokens: req.DraftTokens}
+	opts := scenario.RunOpts{Speculative: req.Speculative, DraftTokens: req.DraftTokens}
 	if err := opts.Validate(); err != nil {
 		return err
 	}
@@ -433,7 +433,7 @@ func (s *Server) runFromRequest(body *StartRequest) (*run, error) {
 		Scenario: name, Sink: body.Sink,
 		Out: body.Out, Addr: body.Addr, ClosedLoop: body.ClosedLoop,
 		UEs: body.UEs, Compression: body.Compression,
-		Precision: body.Precision, Speculative: body.Speculative, DraftTokens: body.DraftTokens,
+		Speculative: body.Speculative, DraftTokens: body.DraftTokens,
 		Parallelism: body.Parallelism, BatchSize: body.BatchSize,
 		MaxSpillBytes: body.MaxSpillBytes, MaxEvents: body.MaxEvents,
 		MaxWallNanos: int64(time.Duration(body.MaxWallSeconds * float64(time.Second))),

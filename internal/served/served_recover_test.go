@@ -321,6 +321,112 @@ func TestParentJournalResumes(t *testing.T) {
 	}
 }
 
+// TestFloat64JournalNotResumed: a run whose cptgpt source decoded in float64
+// before the crash is not continued in float32, the only decode left. The
+// fixture parent-journal-cptgpt.runlog was written by the daemon while
+// float64 was the default — a paced jsonl run of a cptgpt source with no
+// precision set, killed after its first checkpoint. Crafted journals cover
+// the other float64 spellings (the run-wide override or the source's field
+// said "f64") and the float32 ones (the override said "f32", outranking a
+// source's "f64"; the source's own field; the "f32" every journal now
+// records). A float64 run ends failed with the reason and its output file
+// untouched; a float32 one resumes to done.
+func TestFloat64JournalNotResumed(t *testing.T) {
+	model, err := filepath.Abs("../cptgpt/testdata/parent-model.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent-journal-cptgpt.runlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jdir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(jdir, "run-1"+runlog.Ext), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fixture, err := runlog.Load(filepath.Join(jdir, "run-1"+runlog.Ext))
+	if err != nil || fixture.Begin == nil || fixture.Checkpoint == nil || fixture.Begin.Precision != "" || fixture.Begin.Out != "out.jsonl" {
+		t.Fatalf("fixture loads as %+v, err %v", fixture, err)
+	}
+	// The fixture names its output "out.jsonl", relative to the daemon's
+	// working directory; a crash leaves the checkpointed bytes and a torn
+	// line behind it.
+	work := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(work); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	out := append(bytes.Repeat([]byte("x"), int(fixture.Checkpoint.SinkBytes)), "torn"...)
+	if err := os.WriteFile("out.jsonl", out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	gptSpec := func(precision string) json.RawMessage {
+		raw, err := json.Marshal(scenario.Spec{Name: "gpt", Generation: "4G", Seed: 42, HorizonSec: 600, Population: 8,
+			Sources: []scenario.SourceSpec{{ID: "gpt", Kind: "cptgpt", ModelFile: model, Device: "phone", Share: 1, Precision: precision}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	crafted := []struct {
+		id, override, field string
+		resumes             bool
+	}{
+		{"run-2", "f64", "", false},
+		{"run-3", "", "f64", false},
+		{"run-4", "f32", "f64", true},
+		{"run-5", "", "f32", true},
+		{"run-6", "f32", "", true},
+	}
+	for _, c := range crafted {
+		craftCrashedJournal(t, jdir, runlog.Begin{RunID: c.id, Scenario: "gpt", Spec: gptSpec(c.field),
+			Sink: "count", Precision: c.override, StartedAt: time.Now()}, nil, nil)
+	}
+
+	s, ts := newDurableServer(t, Options{JournalDir: jdir})
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	refused := []string{"run-1"}
+	for _, c := range crafted {
+		if !c.resumes {
+			refused = append(refused, c.id)
+		} else if info := waitState(t, ts.URL, c.id); info.State != StateDone {
+			t.Errorf("%s (override %q, field %q): ended %s (%q), want done", c.id, c.override, c.field, info.State, info.Error)
+		}
+	}
+	for _, id := range refused {
+		info := waitState(t, ts.URL, id)
+		if info.State != StateFailed || !strings.Contains(info.Error, "decoded in float64") {
+			t.Errorf("%s: ended %s with error %q, want failed naming the float64 decode", id, info.State, info.Error)
+		}
+		st, err := runlog.Load(filepath.Join(jdir, id+runlog.Ext))
+		if err != nil || st.State != StateFailed || !strings.Contains(st.Error, "decoded in float64") {
+			t.Errorf("%s: journal ends %+v, err %v", id, st, err)
+		}
+	}
+	if got, err := os.ReadFile("out.jsonl"); err != nil || !bytes.Equal(got, out) {
+		t.Errorf("the refused run's output changed: %d bytes, want its %d untouched", len(got), len(out))
+	}
+
+	// A new run of a cptgpt source journals the arithmetic it decodes in.
+	var spec scenario.Spec
+	if err := json.Unmarshal(gptSpec(""), &spec); err != nil {
+		t.Fatal(err)
+	}
+	var info RunInfo
+	do(t, "POST", ts.URL+"/runs", StartRequest{Spec: &spec, Sink: "count"}, &info, http.StatusCreated)
+	waitState(t, ts.URL, info.ID)
+	if st, err := runlog.Load(filepath.Join(jdir, info.ID+runlog.Ext)); err != nil || st.Begin.Precision != "f32" {
+		t.Errorf("new cptgpt run journaled precision %q (err %v), want f32", st.Begin.Precision, err)
+	}
+}
+
 // TestDaemonRecoverModes pins the -recover=fail and -recover=ignore
 // dispositions, plus the reap of already-terminal journals.
 func TestDaemonRecoverModes(t *testing.T) {

@@ -415,7 +415,6 @@ func TestDaemonValidation(t *testing.T) {
 		{Scenario: "flash-crowd", Sink: "tape"},           // unknown sink
 		{Scenario: "flash-crowd", Sink: "jsonl"},          // file sink, no out
 		{Scenario: "flash-crowd", Out: "x.jsonl"},         // out without file sink
-		{Scenario: "flash-crowd", Precision: "f16"},       // bad precision
 		{Scenario: "flash-crowd", Speculative: "maybe"},   // bad speculative
 		{Scenario: "flash-crowd", DraftTokens: -1},        // negative draft length
 		{Scenario: "flash-crowd", Compression: -1},        // negative compression
@@ -426,10 +425,12 @@ func TestDaemonValidation(t *testing.T) {
 		_ = i
 	}
 	// Unknown JSON fields are rejected too (catches client typos), and so
-	// is the retired load-shedding knob.
+	// are the retired load-shedding knob and run-wide precision override.
 	for _, body := range []string{
 		`{"scenario":"flash-crowd","compresion":10}`,
 		`{"scenario":"flash-crowd","shed_after_lag_seconds":0.05}`,
+		`{"scenario":"flash-crowd","precision":"f32"}`,
+		`{"scenario":"flash-crowd","precision":"f64"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -470,6 +471,7 @@ func TestDaemonRefusesBadSourceFields(t *testing.T) {
 		{scenario.SourceSpec{DeviceMix: map[string]float64{"phone": -1}}, "device_mix"},
 		{scenario.SourceSpec{DeviceMix: map[string]float64{"phone": 0, "tablet": 0}}, "device_mix"},
 		{scenario.SourceSpec{Kind: "cptgpt", ModelFile: "no-such-model.bin", Device: "toaster"}, "device"},
+		{scenario.SourceSpec{Kind: "cptgpt", ModelFile: "no-such-model.bin", Precision: "f64"}, "float64 decode was removed"},
 	} {
 		var resp struct {
 			Error string `json:"error"`
