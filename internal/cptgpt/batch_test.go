@@ -103,6 +103,67 @@ func TestBatchedGenerateNoDistHead(t *testing.T) {
 	sameStreams(t, "no-dist-head", want, got.Streams)
 }
 
+// TestBatchDecoderMatchesDecoder steps the token sequences of real encoded
+// streams, of different lengths, through interleaved BatchDecoder slots and
+// through one one-slot decoder per stream, requiring bit-identical head
+// outputs at every position — including after the shorter streams drop out
+// of the step lists.
+func TestBatchDecoderMatchesDecoder(t *testing.T) {
+	d := testTrainingData(t, 40)
+	tk := FitTokenizer(d)
+	m, err := NewModel(smallConfig(), tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dim := tk.Dim()
+
+	// Collect a few encodable streams' token matrices.
+	var encs []*tensor.Tensor
+	for i := range d.Streams {
+		if len(d.Streams[i].Events) >= 4 && len(d.Streams[i].Events) <= m.Cfg.MaxLen {
+			enc, _, err := tk.EncodeStream(&d.Streams[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			encs = append(encs, enc)
+			if len(encs) == 3 {
+				break
+			}
+		}
+	}
+	if len(encs) < 2 {
+		t.Skip("not enough suitable streams in tiny dataset")
+	}
+
+	bd := m.NewBatchDecoder(len(encs), F32)
+	solo := make([]*BatchDecoder, len(encs))
+	for i := range solo {
+		solo[i] = m.NewBatchDecoder(1, F32)
+	}
+
+	toks := make([]float64, len(encs)*dim)
+	for step := 0; ; step++ {
+		var slots []int
+		for i, enc := range encs {
+			if step < enc.Rows {
+				slots = append(slots, i)
+				copy(toks[i*dim:(i+1)*dim], enc.Data[step*dim:(step+1)*dim])
+			}
+		}
+		if len(slots) == 0 {
+			break
+		}
+		outs := bd.Step(slots, toks)
+		for j, slot := range slots {
+			want := solo[slot].Step([]int{0}, encs[slot].Data[step*dim:(step+1)*dim])[0]
+			if !sameStepOut(outs[j], want) {
+				t.Fatalf("slot %d step %d: batched heads (%v %v %v) differ from one-slot decode (%v %v %v)",
+					slot, step, outs[j].IAMean, outs[j].IALogStd, outs[j].StopLogits, want.IAMean, want.IALogStd, want.StopLogits)
+			}
+		}
+	}
+}
+
 // TestSlotRefillMidBatch is the regression test for the slot-reset contract
 // continuous batching relies on: a slot that retires mid-batch (its stream
 // ended) is ResetSlot and reseated with a fresh stream while the other slot
