@@ -363,6 +363,26 @@ func paperScaleModel(b *testing.B) *cptgpt.Model {
 	return m
 }
 
+// BenchmarkCPTGPTModelLoad times what every cptsynth or cptscenario run,
+// and a daemon's first run of a cptgpt source, pays before its first
+// decode step: LoadFile of a paper-shape model file (6.5 MB) and the
+// float32 freeze (Infer). Setup saves the file once; each op reads it
+// back.
+func BenchmarkCPTGPTModelLoad(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "model.bin")
+	if err := paperScaleModel(b).SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := cptgpt.LoadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Infer()
+	}
+}
+
 // BenchmarkCPTGPTDecodeTokenF32 measures raw BatchDecoder throughput — ns
 // per decoded token — at the paper-scale architecture, pinned to one worker
 // so the number isolates kernel and memory-traffic effects from pool

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cptgpt/internal/events"
@@ -309,6 +310,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !sameParams(m, m2) {
+		t.Fatal("loaded parameters differ from the saved ones")
+	}
 	g1, err := m.Generate(GenOpts{NumStreams: 5, Device: events.Phone, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +334,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestLoadRejectsMalformedFile: a model file must fail Load, not a later
-// Generate, when a parameter blob does not fill its tensor or the
-// initial-event distribution is not one usable weight per event type.
+// Generate, when a parameter blob does not fill its tensor, stores its
+// values in the wrong field for the file's magic, or the initial-event
+// distribution is not one usable weight per event type. Each error names
+// what is wrong.
 func TestLoadRejectsMalformedFile(t *testing.T) {
 	d := testTrainingData(t, 30)
 	m, err := NewModel(smallConfig(), FitTokenizer(d))
@@ -346,37 +352,60 @@ func TestLoadRejectsMalformedFile(t *testing.T) {
 		}
 		return w
 	}
-	cases := map[string]func(mf *modelFile){
-		"short blob":     func(mf *modelFile) { mf.Params[0].Data = mf.Params[0].Data[:1] },
-		"V+3 weights":    func(mf *modelFile) { mf.InitialDist = append(uniform(), 1, 1, 1) },
-		"no weights":     func(mf *modelFile) { mf.InitialDist = nil },
-		"negative":       func(mf *modelFile) { mf.InitialDist[0] = -1 },
-		"NaN":            func(mf *modelFile) { mf.InitialDist[1] = math.NaN() },
-		"+Inf":           func(mf *modelFile) { mf.InitialDist[0] = math.Inf(1) },
-		"zero sum":       func(mf *modelFile) { clear(mf.InitialDist) },
-		"overflowed sum": func(mf *modelFile) { mf.InitialDist[0], mf.InitialDist[1] = math.MaxFloat64, math.MaxFloat64 },
+	const blob0, dist = "parameter 0 ", "initial-event"
+	cases := []struct {
+		name  string
+		spoil func(mf *modelFile)
+		want  string
+	}{
+		{"short /1 blob", func(mf *modelFile) { toV1(mf); mf.Params[0].Data = mf.Params[0].Data[:1] }, blob0},
+		{"Bits not 8×Rows×Cols", func(mf *modelFile) { mf.Params[0].Bits = mf.Params[0].Bits[:8*mf.Params[0].Rows*mf.Params[0].Cols-3] }, blob0},
+		{"short Bits", func(mf *modelFile) { mf.Params[0].Bits = mf.Params[0].Bits[:8] }, blob0},
+		{"Bits and Data", func(mf *modelFile) { mf.Params[0].Data = []float64{1} }, blob0},
+		{"/1 with Bits", func(mf *modelFile) { mf.Magic = modelMagicV1 }, blob0},
+		{"/2 with Data", func(mf *modelFile) { toV1(mf); mf.Magic = modelMagic }, blob0},
+		{"V+3 weights", func(mf *modelFile) { mf.InitialDist = append(uniform(), 1, 1, 1) }, dist},
+		{"no weights", func(mf *modelFile) { mf.InitialDist = nil }, dist},
+		{"negative", func(mf *modelFile) { mf.InitialDist[0] = -1 }, dist},
+		{"NaN", func(mf *modelFile) { mf.InitialDist[1] = math.NaN() }, dist},
+		{"/1 NaN", func(mf *modelFile) { toV1(mf); mf.InitialDist[1] = math.NaN() }, dist},
+		{"+Inf", func(mf *modelFile) { mf.InitialDist[0] = math.Inf(1) }, dist},
+		{"zero sum", func(mf *modelFile) { clear(mf.InitialDist) }, dist},
+		{"overflowed sum", func(mf *modelFile) { mf.InitialDist[0], mf.InitialDist[1] = math.MaxFloat64, math.MaxFloat64 }, dist},
 	}
-	for name, spoil := range cases {
+	for _, c := range cases {
 		mf := modelFile{Magic: modelMagic, Cfg: m.Cfg, Tok: m.Tok, InitialDist: uniform(), Params: nn.Blobs(m.Params())}
-		mf.Params[0].Data = append([]float64(nil), mf.Params[0].Data...)
-		spoil(&mf)
+		c.spoil(&mf)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(&mf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(&buf); err == nil {
-			t.Errorf("%s: the file loaded", name)
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
 }
 
-// TestParentModelFile pins the model wire form (cptgpt-model/1):
-// testdata/parent-model.bin was written by Model.SaveFile at the commit
-// before the parameter blob type moved into internal/nn (DModel 8, one
-// block, one epoch). It must load with every parameter bit-equal and, through
-// the float64 reference sampler, generate what Generate decoded in float64
-// there. (A re-saved file differs from it in the gob type descriptor only,
-// which names the blob type's package.)
+// toV1 rewrites mf in the "/1" wire form: magic /1, values in Data.
+func toV1(mf *modelFile) {
+	mf.Magic = modelMagicV1
+	for i, b := range mf.Params {
+		data := make([]float64, len(b.Bits)/8)
+		for j := range data {
+			data[j] = math.Float64frombits(binary.LittleEndian.Uint64(b.Bits[8*j:]))
+		}
+		mf.Params[i] = nn.Blob{Rows: b.Rows, Cols: b.Cols, Data: data}
+	}
+}
+
+// TestParentModelFile pins the "/1" model wire form (cptgpt-model/1,
+// values in nn.Blob.Data), which Load still reads though Save writes
+// "/2" (values as raw bits in nn.Blob.Bits): testdata/parent-model.bin was
+// written by Model.SaveFile at the commit before the parameter blob type
+// moved into internal/nn (DModel 8, one block, one epoch). It must load
+// with every parameter bit-equal and, through the float64 reference
+// sampler, generate what Generate decoded in float64 there; re-saved in
+// the /2 form and loaded again, it must keep every parameter bit.
 func TestParentModelFile(t *testing.T) {
 	m, err := LoadFile("testdata/parent-model.bin")
 	if err != nil {
@@ -388,6 +417,17 @@ func TestParentModelFile(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); len(m.Params()) != 33 || got != "6737447186f8b127686c078bb158bc03290d2cd321a4ec91f483590c6a127d5c" {
 		t.Fatalf("%d parameters, digest %s", len(m.Params()), got)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameParams(m, m2) {
+		t.Fatal("the /2 re-save did not load bit-equal")
 	}
 	g := referenceGenerate(t, m, GenOpts{NumStreams: 16, Device: events.Phone, Seed: 42})
 	if got := traceDigest(t, g); got != "931614663dded2673bdcb1fa67c8d00ff22b818f0460eeeefeec511e6a4207c5" {

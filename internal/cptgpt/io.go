@@ -21,7 +21,10 @@ type modelFile struct {
 	Params      []nn.Blob
 }
 
-const modelMagic = "cptgpt-model/1"
+const (
+	modelMagic   = "cptgpt-model/2" // parameter values in nn.Blob.Bits
+	modelMagicV1 = "cptgpt-model/1" // parameter values in nn.Blob.Data; still read
+)
 
 // Save serializes the model to w.
 func (m *Model) Save(w io.Writer) error {
@@ -38,23 +41,35 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reconstructs a model from r. It rejects a file whose parameters do
-// not fill the model or whose initial-event distribution is not one finite,
-// non-negative weight per event type with a positive sum, so a bad file
-// fails here rather than in Generate.
+// Load reconstructs a model from r, a "/2" file or a "/1" file (see
+// nn.Blob). It rejects a file whose parameters do not fill the model or
+// whose initial-event distribution is not one finite, non-negative weight
+// per event type with a positive sum, so a bad file fails here rather than
+// in Generate. It checks the stored values against the configuration's
+// parameter count before it builds the model, so a file cannot make it
+// allocate more than what the file holds; the model is built with zero
+// weights, which the stored ones overwrite.
 func Load(r io.Reader) (*Model, error) {
 	var mf modelFile
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
 		return nil, fmt.Errorf("cptgpt: decoding model: %w", err)
 	}
-	if mf.Magic != modelMagic {
+	if mf.Magic != modelMagic && mf.Magic != modelMagicV1 {
 		return nil, fmt.Errorf("cptgpt: bad model magic %q", mf.Magic)
 	}
-	m, err := NewModel(mf.Cfg, mf.Tok)
-	if err != nil {
+	bits := mf.Magic == modelMagic
+	if err := checkShape(mf.Cfg, mf.Tok); err != nil {
 		return nil, fmt.Errorf("cptgpt: rebuilding model: %w", err)
 	}
-	if err := nn.LoadBlobs(m.Params(), mf.Params); err != nil {
+	stored, err := nn.CheckBlobs(mf.Params, bits)
+	if err != nil {
+		return nil, fmt.Errorf("cptgpt: model file: %w", err)
+	}
+	if want := paramCount(mf.Cfg, mf.Tok); float64(stored) != want {
+		return nil, fmt.Errorf("cptgpt: model file: %d parameter values stored, its configuration has %.0f", stored, want)
+	}
+	m := newModel(mf.Cfg, mf.Tok, nil)
+	if err := nn.LoadBlobs(m.Params(), mf.Params, bits); err != nil {
 		return nil, fmt.Errorf("cptgpt: model file: %w", err)
 	}
 	if len(mf.InitialDist) != m.Tok.V() {

@@ -126,15 +126,30 @@ type Model struct {
 	draft draftCache
 }
 
-// NewModel builds an initialized model for the tokenizer's vocabulary.
+// NewModel builds an initialized model for the tokenizer's vocabulary: its
+// weights are drawn from an RNG seeded with cfg.Seed.
 func NewModel(cfg Config, tok Tokenizer) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkShape(cfg, tok); err != nil {
 		return nil, err
 	}
-	if tok.Gen != cfg.Generation {
-		return nil, fmt.Errorf("cptgpt: tokenizer generation %s does not match config %s", tok.Gen, cfg.Generation)
+	return newModel(cfg, tok, stats.NewRand(cfg.Seed)), nil
+}
+
+// checkShape reports a config or tokenizer no model can be built from.
+func checkShape(cfg Config, tok Tokenizer) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	rng := stats.NewRand(cfg.Seed)
+	if tok.Gen != cfg.Generation {
+		return fmt.Errorf("cptgpt: tokenizer generation %s does not match config %s", tok.Gen, cfg.Generation)
+	}
+	return nil
+}
+
+// newModel builds the model checkShape accepted, drawing its weights from
+// rng; a nil rng leaves them zero, for a model whose weights are about to
+// be overwritten (Load, Clone).
+func newModel(cfg Config, tok Tokenizer, rng *rand.Rand) *Model {
 	m := &Model{Cfg: cfg, Tok: tok}
 	m.InProj = nn.NewLinear(tok.Dim(), cfg.DModel, rng)
 	m.PosEmb = tensor.Randn(cfg.MaxLen, cfg.DModel, 0.02, rng).Param()
@@ -153,7 +168,27 @@ func NewModel(cfg Config, tok Tokenizer) (*Model, error) {
 	for i := range m.InitialDist {
 		m.InitialDist[i] = 1 / float64(tok.V())
 	}
-	return m, nil
+	return m
+}
+
+// paramCount is NumParams of the model newModel builds from cfg and tok,
+// in closed form, so Load can check a file's stored values against it
+// before it builds anything. It counts in float64: every term is a
+// non-negative integer, so a count below 2^53 is exact, and one that
+// would overflow an int reads as at least 2^53, which no stored file
+// matches.
+func paramCount(cfg Config, tok Tokenizer) float64 {
+	d, h, hh := float64(cfg.DModel), float64(cfg.MLPHidden), float64(cfg.HeadHidden)
+	linear := func(in, out float64) float64 { return in*out + out }
+	head := func(out float64) float64 { return linear(d, hh) + linear(hh, out) }
+	iaOut := 2.0
+	if !cfg.DistHead {
+		iaOut = 1
+	}
+	block := 2*d + 4*linear(d, d) + 2*d + linear(d, h) + linear(h, d)
+	return linear(float64(tok.Dim()), d) + float64(cfg.MaxLen)*d +
+		float64(cfg.Blocks)*block + 2*d +
+		head(float64(tok.V())) + head(iaOut) + head(2)
 }
 
 // Params returns all trainable parameters in a stable order.

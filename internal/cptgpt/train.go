@@ -183,10 +183,7 @@ func FineTune(m *Model, d *trace.Dataset, opts TrainOpts) (*TrainResult, error) 
 // Clone deep-copies the model (weights and config), the warm-start
 // primitive for building an hourly ensemble out of one base model.
 func (m *Model) Clone() (*Model, error) {
-	c, err := NewModel(m.Cfg, m.Tok)
-	if err != nil {
-		return nil, err
-	}
+	c := newModel(m.Cfg, m.Tok, nil)
 	if err := nn.CopyParams(c.Params(), m.Params()); err != nil {
 		return nil, err
 	}

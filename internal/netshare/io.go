@@ -14,12 +14,13 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load reads weights from r into a model rebuilt from cfg; cfg must match
-// the architecture the checkpoint was written with.
+// the architecture the checkpoint was written with. The model is built
+// with zero weights, which the stored ones overwrite.
 func Load(r io.Reader, cfg Config) (*Model, error) {
-	m, err := New(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	m := newModel(cfg, nil)
 	params := append(m.GenParams(), m.DiscParams()...)
 	if err := nn.LoadParams(r, params); err != nil {
 		return nil, fmt.Errorf("netshare: %w", err)

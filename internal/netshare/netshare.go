@@ -23,6 +23,7 @@ package netshare
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/nn"
@@ -135,12 +136,19 @@ type Model struct {
 	Disc *nn.MLP
 }
 
-// New builds an initialized NetShare model.
+// New builds an initialized NetShare model: its weights are drawn from an
+// RNG seeded with cfg.Seed.
 func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := stats.NewRand(cfg.Seed)
+	return newModel(cfg, stats.NewRand(cfg.Seed)), nil
+}
+
+// newModel builds the model of a valid cfg, drawing its weights from rng;
+// a nil rng leaves the drawn ones zero, for a model whose weights are about
+// to be overwritten (Load, Clone).
+func newModel(cfg Config, rng *rand.Rand) *Model {
 	fps := cfg.fieldsPerSample()
 	m := &Model{Cfg: cfg}
 	// The LSTM consumes [stream noise z0 | step noise z_t] at every step:
@@ -161,7 +169,7 @@ func New(cfg Config) (*Model, error) {
 	// +1: the minibatch-variance feature (see discInput), the specialized
 	// anti-mode-collapse enhancement GAN baselines need (the paper's L5).
 	m.Disc = nn.NewMLP(rng, cfg.seqDim()+1, cfg.DiscHidden, cfg.DiscHidden/2, 1)
-	return m, nil
+	return m
 }
 
 // discInput augments a batch of flattened sequences with a minibatch

@@ -278,7 +278,8 @@ func TestGenerateParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestParentParameterFile pins the parameter wire form (cptgpt-nn/1):
+// TestParentParameterFile pins the "/1" parameter wire form (cptgpt-nn/1,
+// values in nn.Blob.Data), which Load still reads though Save writes "/2":
 // testdata/parent-params.bin was written by Model.SaveFile at the commit
 // before the blob codec moved into one place in internal/nn. It must load
 // with every parameter bit-equal and generate what it generated there.
@@ -337,6 +338,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	m2, err := Load(&buf, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	p2 := append(m2.GenParams(), m2.DiscParams()...)
+	for i, p := range append(m.GenParams(), m.DiscParams()...) {
+		for j, v := range p.Data {
+			if math.Float64bits(p2[i].Data[j]) != math.Float64bits(v) {
+				t.Fatalf("parameter %d value %d loaded as %v, saved %v", i, j, p2[i].Data[j], v)
+			}
+		}
 	}
 	g1, err := m.Generate(GenOpts{NumStreams: 5, Device: events.Phone, Seed: 6})
 	if err != nil {

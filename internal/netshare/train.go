@@ -262,10 +262,7 @@ func (m *Model) sampleNoise(a *tensor.Arena, b int, rng interface{ NormFloat64()
 // Clone deep-copies the model, the warm-start primitive used by the
 // transfer-learning experiments.
 func (m *Model) Clone() (*Model, error) {
-	c, err := New(m.Cfg)
-	if err != nil {
-		return nil, err
-	}
+	c := newModel(m.Cfg, nil)
 	if err := nn.CopyParams(c.GenParams(), m.GenParams()); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,10 @@
 // baseline: linear and layer-norm layers, causal multi-head self-attention,
 // transformer decoder blocks, an LSTM cell, Adam with gradient clipping,
 // and gob-based parameter (de)serialization.
+//
+// Every constructor that takes an rng draws its initial weights from it; a
+// nil rng leaves them zero (see tensor.Randn), for a model whose values a
+// file or another model is about to overwrite.
 package nn
 
 import (

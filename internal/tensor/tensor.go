@@ -64,8 +64,13 @@ func Scalar(v float64) *Tensor {
 }
 
 // Randn fills a new rows×cols tensor with N(0, std²) values drawn from rng.
+// A nil rng leaves it zero: the build of a model whose values are about to
+// be overwritten (a model file's load) draws nothing.
 func Randn(rows, cols int, std float64, rng *rand.Rand) *Tensor {
 	t := New(rows, cols)
+	if rng == nil {
+		return t
+	}
 	for i := range t.Data {
 		t.Data[i] = std * rng.NormFloat64()
 	}

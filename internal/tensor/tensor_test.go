@@ -46,6 +46,23 @@ func checkGrads(t *testing.T, name string, params []*Tensor, loss func() *Tensor
 	}
 }
 
+// TestRandnNilRNG: a nil rng draws nothing and leaves the tensor zero; a
+// real one fills it.
+func TestRandnNilRNG(t *testing.T) {
+	z := Randn(3, 4, 1, nil)
+	if z.Rows != 3 || z.Cols != 4 || len(z.Data) != 12 {
+		t.Fatalf("shape %d×%d with %d values", z.Rows, z.Cols, len(z.Data))
+	}
+	for _, v := range z.Data {
+		if v != 0 {
+			t.Fatalf("nil rng drew %v", v)
+		}
+	}
+	if r := Randn(3, 4, 1, newRNG()); r.Data[0] == 0 {
+		t.Fatal("a seeded rng drew a zero first value")
+	}
+}
+
 func TestMatMulForward(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
