@@ -13,6 +13,10 @@
 //	          [-max-active-runs N] [-max-total-ues N] [-max-spill-bytes N] \
 //	          [-log-level info] [-pprof]
 //
+// The daemon logs its lifecycle (listening, runs, model loads, shutdown)
+// to stderr as log/slog text lines at -log-level debug|info|warn|error|off
+// (either case; any other value exits 2).
+//
 // SIGINT/SIGTERM stop every run with a clean drain (sinks flush their
 // last released event) before the process exits. With -journal-dir set,
 // runs are durable: a crashed daemon restarted with -recover=resume picks
@@ -25,16 +29,27 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
-	"cptgpt/internal/logz"
 	"cptgpt/internal/mcn"
 	"cptgpt/internal/served"
 )
+
+// logLevels maps the -log-level values to slog levels; off is above every
+// level the daemon logs at.
+var logLevels = map[string]slog.Level{
+	"debug": slog.LevelDebug,
+	"info":  slog.LevelInfo,
+	"warn":  slog.LevelWarn,
+	"error": slog.LevelError,
+	"off":   slog.LevelError + 1,
+}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
@@ -61,12 +76,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cptserved: unexpected arguments %v\n", flag.Args())
 		os.Exit(2)
 	}
-	lvl, err := logz.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cptserved: %v\n", err)
+	lvl, ok := logLevels[strings.ToLower(*logLevel)]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "cptserved: unknown -log-level %q (want debug|info|warn|error|off)\n", *logLevel)
 		os.Exit(2)
 	}
-	logger := logz.New(os.Stderr, lvl)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl}))
 
 	s := served.New(served.Options{
 		TempDir:            *tmp,
@@ -85,7 +100,7 @@ func main() {
 	})
 	for _, p := range preload {
 		if err := s.PreloadModel(p); err != nil {
-			logger.Errorw("preload failed", "path", p, "err", err)
+			logger.Error("preload failed", "path", p, "err", err)
 			os.Exit(1)
 		}
 	}
@@ -93,32 +108,32 @@ func main() {
 	// and before the listener opens, so clients never observe a half-
 	// recovered registry.
 	if err := s.Recover(); err != nil {
-		logger.Errorw("journal recovery failed", "err", err)
+		logger.Error("journal recovery failed", "err", err)
 		os.Exit(1)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Infow("cptserved listening", "addr", *addr, "pprof", *enablePprof)
+	logger.Info("cptserved listening", "addr", *addr, "pprof", *enablePprof)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
-		logger.Errorw("serve failed", "err", err)
+		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	case got := <-sig:
-		logger.Infow("signal received, draining runs", "signal", got.String())
+		logger.Info("signal received, draining runs", "signal", got.String())
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := s.Close(ctx); err != nil {
-		logger.Warnw("drain incomplete", "err", err)
+		logger.Warn("drain incomplete", "err", err)
 	}
 	if err := srv.Shutdown(ctx); err != nil {
-		logger.Warnw("http shutdown", "err", err)
+		logger.Warn("http shutdown", "err", err)
 	}
-	logger.Infow("cptserved stopped")
+	logger.Info("cptserved stopped")
 }

@@ -254,3 +254,53 @@ func TestDaemonFlagValidation(t *testing.T) {
 		t.Fatalf("daemon accepted -recover maybe:\n%s", out)
 	}
 }
+
+// TestLogLevels pins -log-level: the five levels are accepted in either
+// case and filter the slog text lines the daemon writes to stderr; any
+// other value exits 2 before the listener opens.
+func TestLogLevels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns daemon processes")
+	}
+	bin := buildDaemon(t)
+	const listening = `level=INFO msg="cptserved listening"`
+	for _, tc := range []struct {
+		level string
+		check func(stderr string) bool
+	}{
+		{"debug", func(s string) bool { return strings.Contains(s, listening) }},
+		{"info", func(s string) bool { return strings.Contains(s, listening) }},
+		{"warn", func(s string) bool { return !strings.Contains(s, "level=INFO") }},
+		{"error", func(s string) bool { return !strings.Contains(s, "level=INFO") && !strings.Contains(s, "level=WARN") }},
+		{"off", func(s string) bool { return s == "" }},
+	} {
+		for _, level := range []string{tc.level, strings.ToUpper(tc.level)} {
+			addr := freeAddr(t)
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, "-addr", addr, "-log-level", level)
+			cmd.Stderr = &stderr
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			waitHealthy(t, addr)
+			cmd.Process.Signal(os.Interrupt)
+			if err := cmd.Wait(); err != nil {
+				t.Fatalf("-log-level %s: daemon exit %v:\n%s", level, err, stderr.String())
+			}
+			if !tc.check(stderr.String()) {
+				t.Fatalf("-log-level %s: unexpected stderr:\n%s", level, stderr.String())
+			}
+		}
+	}
+
+	addr := freeAddr(t)
+	out, err := exec.Command(bin, "-addr", addr, "-log-level", "bogus").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 ||
+		!strings.Contains(string(out), "debug|info|warn|error|off") {
+		t.Fatalf("-log-level bogus: %v, want exit 2 naming the accepted levels:\n%s", err, out)
+	}
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Fatalf("-log-level bogus: something listens on %s", addr)
+	}
+}

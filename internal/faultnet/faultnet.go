@@ -196,9 +196,6 @@ type Listener struct {
 	net.Listener
 	cfg Config
 	n   atomic.Uint64
-
-	mu    sync.Mutex
-	conns []*Conn
 }
 
 // WrapListener returns ln with every accepted conn wrapped in cfg's fault
@@ -215,19 +212,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 	}
 	cfg := l.cfg
 	cfg.Seed = mix64(l.cfg.Seed + l.n.Add(1))
-	fc := Wrap(c, cfg)
-	l.mu.Lock()
-	l.conns = append(l.conns, fc)
-	l.mu.Unlock()
-	return fc, nil
-}
-
-// Conns snapshots the accepted connections (for test assertions on fault
-// counters).
-func (l *Listener) Conns() []*Conn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]*Conn(nil), l.conns...)
+	return Wrap(c, cfg), nil
 }
 
 // Dialer returns a dial function that wraps each dialed TCP connection in

@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"cptgpt/internal/stats"
 	"cptgpt/internal/trace"
 )
-
-// maxY is the two-sample KS statistic; an alias keeping call sites short.
-func maxY(a, b []float64) float64 {
-	return stats.MaxYDistance(a, b)
-}
 
 // MemorizationResult reports the n-gram repetition audit of §5.6.
 type MemorizationResult struct {

@@ -8,6 +8,7 @@ package metrics
 import (
 	"cptgpt/internal/events"
 	"cptgpt/internal/statemachine"
+	"cptgpt/internal/stats"
 	"cptgpt/internal/trace"
 )
 
@@ -84,14 +85,14 @@ func EvaluateWithReplay(real, synth *trace.Dataset, realAgg, synthAgg *statemach
 		f.TopViolations = append(f.TopViolations, ViolationShare{State: k.State, Event: k.Event, Share: shares[i]})
 	}
 
-	f.SojournConnMaxY = maxY(realAgg.MeanConnectedPerUE, synthAgg.MeanConnectedPerUE)
-	f.SojournIdleMaxY = maxY(realAgg.MeanIdlePerUE, synthAgg.MeanIdlePerUE)
+	f.SojournConnMaxY = stats.MaxYDistance(realAgg.MeanConnectedPerUE, synthAgg.MeanConnectedPerUE)
+	f.SojournIdleMaxY = stats.MaxYDistance(realAgg.MeanIdlePerUE, synthAgg.MeanIdlePerUE)
 
-	f.FlowLenMaxY = maxY(real.FlowLengths(nil), synth.FlowLengths(nil))
+	f.FlowLenMaxY = stats.MaxYDistance(real.FlowLengths(nil), synth.FlowLengths(nil))
 	srv := events.ServiceRequest
 	rel := releaseEvent(real.Generation)
-	f.FlowLenSrvReqMaxY = maxY(real.FlowLengths(&srv), synth.FlowLengths(&srv))
-	f.FlowLenRelMaxY = maxY(real.FlowLengths(&rel), synth.FlowLengths(&rel))
+	f.FlowLenSrvReqMaxY = stats.MaxYDistance(real.FlowLengths(&srv), synth.FlowLengths(&srv))
+	f.FlowLenRelMaxY = stats.MaxYDistance(real.FlowLengths(&rel), synth.FlowLengths(&rel))
 
 	f.BreakdownReal, f.Vocab = real.EventBreakdown()
 	f.BreakdownSynth, _ = synth.EventBreakdown()

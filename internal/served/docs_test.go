@@ -18,12 +18,13 @@ import (
 // TestOperationsDocMatchesCode holds docs/OPERATIONS.md to the daemon it
 // documents, both ways: the POST /runs field table names exactly
 // StartRequest's JSON fields, the GET /healthz reason list names exactly
-// the string literals in healthReasons (the reasons it appends), and the
-// metric tables name exactly the cptserved_* series the non-test code
-// under internal/ and cmd/ spells (found as string literals with go/ast,
-// as TestSinkNamedOnce finds sink names). A field, reason or series
-// added, renamed or removed on one side fails here until the other
-// follows.
+// the string literals in healthReasons (the reasons it appends), the
+// GET /debug/trace stage table names exactly tracez's Stage* constants,
+// and the metric tables name exactly the cptserved_* series the non-test
+// code under internal/ and cmd/ spells (found as string literals with
+// go/ast, as TestSinkNamedOnce finds sink names). A field, reason, stage
+// or series added, renamed or removed on one side fails here until the
+// other follows.
 func TestOperationsDocMatchesCode(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
 	if err != nil {
@@ -77,6 +78,30 @@ func TestOperationsDocMatchesCode(t *testing.T) {
 		}
 	}
 	sameNames(t, "GET /healthz reasons", docReasons, codeReasons)
+
+	docStages := map[string]bool{}
+	_, sec, _ = strings.Cut(doc, "### `GET /debug/trace`")
+	sec, _, _ = strings.Cut(sec, "\n### ")
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z]+\\.[a-z]+)`").FindAllStringSubmatch(sec, -1) {
+		docStages[m[1]] = true
+	}
+	codeStages := map[string]bool{}
+	tz, err := parser.ParseFile(token.NewFileSet(), "../tracez/tracez.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, decl := range tz.Decls {
+		if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+			for _, spec := range gd.Specs {
+				if vs := spec.(*ast.ValueSpec); strings.HasPrefix(vs.Names[0].Name, "Stage") {
+					for _, s := range stringLits(vs) {
+						codeStages[s] = true
+					}
+				}
+			}
+		}
+	}
+	sameNames(t, "GET /debug/trace stages", docStages, codeStages)
 
 	docMetrics := map[string]bool{}
 	row := regexp.MustCompile("(?m)^\\| `(cptserved_[a-z0-9_]+)`")

@@ -27,18 +27,18 @@ const (
 func (s *Server) openJournal(r *run) {
 	id := r.begin.RunID
 	if err := os.MkdirAll(s.opts.JournalDir, 0o755); err != nil {
-		s.log.Warnw("run journal unavailable", "run", id, "err", err)
+		s.log.Warn("run journal unavailable", "run", id, "err", err)
 		return
 	}
 	spec, err := json.Marshal(r.spec)
 	if err != nil {
-		s.log.Warnw("run journal unavailable", "run", id, "err", err)
+		s.log.Warn("run journal unavailable", "run", id, "err", err)
 		return
 	}
 	path := filepath.Join(s.opts.JournalDir, id+runlog.Ext)
 	j, err := runlog.Create(path, s.journalOpts(id))
 	if err != nil {
-		s.log.Warnw("run journal unavailable", "run", id, "err", err)
+		s.log.Warn("run journal unavailable", "run", id, "err", err)
 		return
 	}
 	// The write-ahead contract: the run's identity record — the very value
@@ -61,7 +61,7 @@ func (s *Server) journalOpts(runID string) runlog.Options {
 	return runlog.Options{
 		Metrics: &s.journalM,
 		OnError: func(err error) {
-			s.log.Warnw("run journal degraded to memory-only", "run", runID, "err", err)
+			s.log.Warn("run journal degraded to memory-only", "run", runID, "err", err)
 		},
 	}
 }

@@ -39,7 +39,7 @@ func (s *Server) Recover() error {
 	}
 	for _, st := range states {
 		if st.Begin == nil {
-			s.log.Warnw("discarding unrecoverable run journal", "path", st.Path)
+			s.log.Warn("discarding unrecoverable run journal", "path", st.Path)
 			os.Remove(st.Path)
 			continue
 		}
@@ -51,7 +51,7 @@ func (s *Server) Recover() error {
 		s.bumpSeq(st.Begin.RunID)
 		switch mode {
 		case "ignore":
-			s.log.Infow("discarding interrupted run journal", "run", st.Begin.RunID, "path", st.Path)
+			s.log.Info("discarding interrupted run journal", "run", st.Begin.RunID, "path", st.Path)
 			os.Remove(st.Path)
 		case "fail":
 			s.registerInterrupted(st, errors.New("served: run interrupted by daemon restart (recovery disabled)"))
@@ -60,7 +60,7 @@ func (s *Server) Recover() error {
 				// The id is already live (a duplicate journal, or a resume
 				// racing re-registration). Registering a failed casualty
 				// would overwrite the live run, so just drop the orphan.
-				s.log.Warnw("discarding duplicate run journal", "run", st.Begin.RunID, "path", st.Path)
+				s.log.Warn("discarding duplicate run journal", "run", st.Begin.RunID, "path", st.Path)
 				os.Remove(st.Path)
 			} else if err != nil {
 				s.registerInterrupted(st, fmt.Errorf("served: run interrupted and resume failed: %w", err))
@@ -103,14 +103,14 @@ func (s *Server) registerInterrupted(st *runlog.RunState, cause error) {
 		// would orphan the live run's registry entry and duplicate its id
 		// in the listing order. Keep the live run.
 		s.mu.Unlock()
-		s.log.Warnw("interrupted run already registered; keeping the live entry", "run", id)
+		s.log.Warn("interrupted run already registered; keeping the live entry", "run", id)
 		return
 	}
 	s.runs[id] = r
 	s.order = append(s.order, id)
 	s.mu.Unlock()
 	s.registerRunMetrics(r)
-	s.log.Warnw("interrupted run registered as failed", "run", id, "err", cause)
+	s.log.Warn("interrupted run registered as failed", "run", id, "err", cause)
 }
 
 // errDupRun reports a resume colliding with an already-registered run id.
@@ -176,7 +176,7 @@ func (s *Server) resumeRun(st *runlog.RunState) error {
 	if r.resume != nil {
 		from = fmt.Sprintf("checkpoint at %d events", r.baseEvents())
 	}
-	s.log.Infow("resuming interrupted run", "run", id,
+	s.log.Info("resuming interrupted run", "run", id,
 		"scenario", r.begin.Scenario, "sink", r.begin.Sink, "from", from)
 	s.launch(r)
 	return nil

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cptgpt/internal/cptgpt"
-	"cptgpt/internal/logz"
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
 	"cptgpt/internal/telemetry"
@@ -149,8 +149,8 @@ type run struct {
 	begin runlog.Begin
 	spec  *scenario.Spec
 	opts  scenario.RunOpts
-	// log receives lifecycle events (nil = silent).
-	log *logz.Logger
+	// log receives lifecycle events.
+	log *slog.Logger
 
 	// Lifecycle. runCtx is the run's root context, made with cancel at
 	// construction so a DELETE or daemon Close that lands between
@@ -281,7 +281,7 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 		}
 		if err := cp.Resume(cur); err != nil {
 			if r.resume != nil {
-				s.log.Warnw("checkpoint unusable; restarting run from scratch", "run", b.RunID, "why", err)
+				s.log.Warn("checkpoint unusable; restarting run from scratch", "run", b.RunID, "why", err)
 			}
 			r.resume = nil
 		}
@@ -312,7 +312,7 @@ func (r *run) setState(state string) {
 	if r.journal != nil {
 		r.journal.AppendState(state, "")
 	}
-	r.log.Infow("run state", "run", r.begin.RunID, "state", state)
+	r.log.Info("run state", "run", r.begin.RunID, "state", state)
 }
 
 // finish records the terminal state, error and sink result — the one place
@@ -349,10 +349,10 @@ func (r *run) finish(state string, err error, res scenario.Result) {
 		if be, ok := scenario.AsBudgetExceeded(err); ok && r.overBudget != nil {
 			r.overBudget(be.Kind)
 		}
-		r.log.Errorw("run finished", "run", r.begin.RunID, "state", state,
+		r.log.Error("run finished", "run", r.begin.RunID, "state", state,
 			"events", events, "wall", wall, "err", err)
 	} else {
-		r.log.Infow("run finished", "run", r.begin.RunID, "state", state,
+		r.log.Info("run finished", "run", r.begin.RunID, "state", state,
 			"events", events, "wall", wall)
 	}
 	if r.release != nil {

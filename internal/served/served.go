@@ -37,6 +37,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"path/filepath"
@@ -46,7 +48,6 @@ import (
 	"time"
 
 	"cptgpt/internal/cptgpt"
-	"cptgpt/internal/logz"
 	"cptgpt/internal/mcn"
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
@@ -69,8 +70,9 @@ type Options struct {
 	MaxFinishedRuns int
 	// MCN configures the mcn sink; zero value means mcn.DefaultConfig().
 	MCN mcn.Config
-	// Log receives the daemon's structured lifecycle events (nil = silent).
-	Log *logz.Logger
+	// Log receives the daemon's structured lifecycle events as key/value
+	// records (nil = silent).
+	Log *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// management mux. Off by default: the profiler exposes goroutine dumps
 	// and should only face operators.
@@ -107,7 +109,7 @@ type Options struct {
 type Server struct {
 	opts  Options
 	reg   *telemetry.Registry
-	log   *logz.Logger
+	log   *slog.Logger
 	start time.Time
 
 	runsStarted *telemetry.Counter
@@ -145,6 +147,9 @@ func New(opts Options) *Server {
 	}
 	if opts.CheckpointInterval <= 0 {
 		opts.CheckpointInterval = DefaultCheckpointInterval
+	}
+	if opts.Log == nil {
+		opts.Log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 	}
 	s := &Server{
 		opts:   opts,
@@ -247,10 +252,10 @@ func (s *Server) loadModel(path string) (*cptgpt.Model, error) {
 	t0 := time.Now()
 	m, err := cptgpt.LoadFile(path)
 	if err != nil {
-		s.log.Warnw("model load failed", "path", path, "err", err)
+		s.log.Warn("model load failed", "path", path, "err", err)
 		return nil, err
 	}
-	s.log.Infow("model loaded", "path", path, "dur", time.Since(t0))
+	s.log.Info("model loaded", "path", path, "dur", time.Since(t0))
 	s.mu.Lock()
 	s.models[abs] = m
 	s.mu.Unlock()
@@ -349,16 +354,16 @@ func (s *Server) Close(ctx context.Context) error {
 		r.cancel()
 	}
 	s.mu.Unlock()
-	s.log.Infow("daemon closing", "active_runs", active)
+	s.log.Info("daemon closing", "active_runs", active)
 
 	done := make(chan struct{})
 	go func() { s.wg.Wait(); close(done) }()
 	select {
 	case <-done:
-		s.log.Infow("daemon closed", "drain", time.Since(t0))
+		s.log.Info("daemon closed", "drain", time.Since(t0))
 		return nil
 	case <-ctx.Done():
-		s.log.Warnw("daemon close timed out with runs still draining", "after", time.Since(t0))
+		s.log.Warn("daemon close timed out with runs still draining", "after", time.Since(t0))
 		return ctx.Err()
 	}
 }
@@ -480,7 +485,7 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 		s.mu.Unlock()
 		r.cancel()
 		s.rejected.Inc()
-		s.log.Infow("run rejected by admission control", "scenario", r.begin.Scenario,
+		s.log.Info("run rejected by admission control", "scenario", r.begin.Scenario,
 			"reason", admitErr.Reason, "used", admitErr.Used, "limit", admitErr.Limit)
 		w.Header().Set("Retry-After",
 			fmt.Sprintf("%d", int(admitErr.RetryAfter.Seconds())))
@@ -511,7 +516,7 @@ func (s *Server) handleStart(w http.ResponseWriter, req *http.Request) {
 	if s.opts.JournalDir != "" {
 		s.openJournal(r)
 	}
-	s.log.Infow("run started", "run", r.begin.RunID, "scenario", r.begin.Scenario,
+	s.log.Info("run started", "run", r.begin.RunID, "scenario", r.begin.Scenario,
 		"sink", r.begin.Sink, "ues", r.begin.UEs, "compression", r.begin.Compression)
 
 	s.launch(r)
@@ -684,7 +689,7 @@ func (s *Server) handleStop(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, http.StatusNotFound, errors.New("no such run"))
 		return
 	}
-	s.log.Infow("run stop requested", "run", r.begin.RunID)
+	s.log.Info("run stop requested", "run", r.begin.RunID)
 	r.cancel()
 	select {
 	case <-r.done:

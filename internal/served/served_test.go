@@ -592,6 +592,21 @@ func TestDaemonShutdownRejects(t *testing.T) {
 	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd"}, nil, http.StatusServiceUnavailable)
 }
 
+// TestNilLogRunsToDone: a Server built from zero Options has no logger,
+// and every lifecycle log call of a run is silent rather than a panic.
+func TestNilLogRunsToDone(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close(context.Background())
+
+	var info RunInfo
+	do(t, "POST", ts.URL+"/runs", StartRequest{Scenario: "flash-crowd", UEs: 50, Sink: "count"}, &info, http.StatusCreated)
+	if got := waitState(t, ts.URL, info.ID); got.State != StateDone {
+		t.Fatalf("run state %s (%s), want done", got.State, got.Error)
+	}
+}
+
 // TestDaemonEviction bounds the finished-run history and drops evicted
 // runs' metric series.
 func TestDaemonEviction(t *testing.T) {

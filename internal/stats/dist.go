@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate shared by the workload
 // generator, the baselines and the fidelity metrics: seedable samplers for
 // the heavy-tailed distributions that describe control-plane interarrival
-// and sojourn times, empirical CDFs with the max-y-distance (two-sample
+// and sojourn times, the max-y-distance between empirical CDFs (two-sample
 // Kolmogorov–Smirnov statistic) used throughout the paper's evaluation,
 // histograms, and a small k-means used by the clustered SMM baseline.
 package stats
@@ -46,40 +46,6 @@ func (l LogNormal) Sample(rng *rand.Rand) float64 {
 
 // Mean returns exp(Mu + Sigma²/2).
 func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// FitLogNormal estimates a log-normal by moment matching on log-values.
-// It requires all samples to be positive; non-positive samples are clamped
-// to the smallest positive sample (or 1e-9 when none exists).
-func FitLogNormal(xs []float64) LogNormal {
-	if len(xs) == 0 {
-		return LogNormal{Mu: 0, Sigma: 1}
-	}
-	minPos := math.Inf(1)
-	for _, x := range xs {
-		if x > 0 && x < minPos {
-			minPos = x
-		}
-	}
-	if math.IsInf(minPos, 1) {
-		minPos = 1e-9
-	}
-	var sum, sum2 float64
-	for _, x := range xs {
-		if x <= 0 {
-			x = minPos
-		}
-		l := math.Log(x)
-		sum += l
-		sum2 += l * l
-	}
-	n := float64(len(xs))
-	mu := sum / n
-	variance := sum2/n - mu*mu
-	if variance < 1e-12 {
-		variance = 1e-12
-	}
-	return LogNormal{Mu: mu, Sigma: math.Sqrt(variance)}
-}
 
 // Weibull is the Weibull distribution with shape K and scale Lambda.
 type Weibull struct {

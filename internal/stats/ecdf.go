@@ -5,57 +5,6 @@ import (
 	"sort"
 )
 
-// ECDF is an empirical cumulative distribution function over a sample. The
-// zero value is unusable; construct with NewECDF.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs. The input slice is copied and sorted; an
-// empty input yields an ECDF whose Eval is identically 0.
-func NewECDF(xs []float64) *ECDF {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Eval returns the fraction of samples ≤ x.
-func (e *ECDF) Eval(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th sample quantile for q in [0, 1], using the
-// nearest-rank definition. It returns NaN for an empty sample.
-func (e *ECDF) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[n-1]
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
-// Values returns the sorted sample. The returned slice is owned by the ECDF
-// and must not be modified.
-func (e *ECDF) Values() []float64 { return e.sorted }
-
 // MaxYDistance computes the maximum vertical distance between the ECDFs of
 // two samples — the two-sample Kolmogorov–Smirnov statistic — which the
 // paper reports (as a percentage) for every distribution-fidelity metric.

@@ -40,30 +40,6 @@ func TestParetoInfiniteMean(t *testing.T) {
 	}
 }
 
-func TestFitLogNormal(t *testing.T) {
-	rng := NewRand(2)
-	src := LogNormal{Mu: 1.2, Sigma: 0.4}
-	xs := make([]float64, 50000)
-	for i := range xs {
-		xs[i] = src.Sample(rng)
-	}
-	fit := FitLogNormal(xs)
-	if math.Abs(fit.Mu-src.Mu) > 0.02 || math.Abs(fit.Sigma-src.Sigma) > 0.02 {
-		t.Fatalf("fit (%v, %v) vs source (%v, %v)", fit.Mu, fit.Sigma, src.Mu, src.Sigma)
-	}
-}
-
-func TestFitLogNormalDegenerate(t *testing.T) {
-	fit := FitLogNormal(nil)
-	if fit.Sigma <= 0 {
-		t.Fatal("empty fit must stay usable")
-	}
-	fit = FitLogNormal([]float64{0, -1, 2})
-	if math.IsNaN(fit.Mu) || math.IsNaN(fit.Sigma) {
-		t.Fatal("non-positive samples must not produce NaN")
-	}
-}
-
 func TestMixtureValidation(t *testing.T) {
 	if _, err := NewMixture(nil, nil); err == nil {
 		t.Fatal("empty mixture must error")
@@ -117,23 +93,6 @@ func TestCategoricalValidation(t *testing.T) {
 		if _, err := NewCategorical(w); err == nil {
 			t.Fatalf("weights %v must error", w)
 		}
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
-	for _, tc := range []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {9, 1},
-	} {
-		if got := e.Eval(tc.x); math.Abs(got-tc.want) > 1e-12 {
-			t.Fatalf("Eval(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-	if q := e.Quantile(0.5); q != 2 {
-		t.Fatalf("Quantile(0.5) = %v, want 2", q)
-	}
-	if !math.IsNaN(NewECDF(nil).Quantile(0.5)) {
-		t.Fatal("empty quantile must be NaN")
 	}
 }
 

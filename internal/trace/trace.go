@@ -169,19 +169,6 @@ func (d *Dataset) SliceHour(hour int) *Dataset {
 	return out
 }
 
-// CapLength returns a dataset in which streams longer than maxLen are
-// dropped, matching the paper's setup ("disregarding those exceeding this
-// threshold"; only 0.07% of 1-hour flows exceed 500 in the real trace).
-func (d *Dataset) CapLength(maxLen int) *Dataset {
-	out := &Dataset{Generation: d.Generation}
-	for i := range d.Streams {
-		if len(d.Streams[i].Events) <= maxLen {
-			out.Streams = append(out.Streams, d.Streams[i])
-		}
-	}
-	return out
-}
-
 // Sample returns a dataset of up to n streams chosen by a deterministic
 // stride over the stream order (stable across runs for a fixed input).
 func (d *Dataset) Sample(n int) *Dataset {

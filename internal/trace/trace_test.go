@@ -106,14 +106,6 @@ func TestSliceHour(t *testing.T) {
 	}
 }
 
-func TestCapLength(t *testing.T) {
-	d := sampleDataset()
-	capped := d.CapLength(3)
-	if capped.NumStreams() != 1 || capped.Streams[0].UEID != "ue-2" {
-		t.Fatalf("capped: %+v", capped.Summarize())
-	}
-}
-
 func TestFilterDeviceAndSample(t *testing.T) {
 	d := sampleDataset()
 	phones := d.FilterDevice(events.Phone)
