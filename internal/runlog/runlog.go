@@ -26,8 +26,10 @@
 // once and counts into Metrics.Errors. The run carries on; only its
 // crash-recoverability is lost.
 //
-// Concurrency: a Journal is safe for concurrent appends, though runs
-// append from a single goroutine in practice. Metrics fields are atomics,
+// Concurrency: a Journal is safe for concurrent appends. A run appends
+// its states from its own goroutine and, with a jsonl/csv sink, its
+// checkpoints from the sink's syncer goroutine, which the sink joins
+// before the terminal state is appended. Metrics fields are atomics,
 // shared across journals and readable at any time.
 package runlog
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -137,12 +138,15 @@ func BenchmarkScenarioUEID(b *testing.B) {
 
 // BenchmarkFileSink measures the file sink layer: one op drains the same
 // 65 536 events from memory into a temp-file jsonl sink under a counting
-// layer, taking a cursor (drain, flush, fsync) every 4096 events as a
-// journaled daemon run does. Against BenchmarkScenarioLineWriter it shows
-// what the sink's encoder goroutine and its checkpoints add or hide.
+// layer, queueing a checkpoint every 4096 events from inside Next as a
+// journaled daemon run does; the flush happens on the encoder and the
+// fsync on the syncer, and Consume returns once the last is committed.
+// Against BenchmarkScenarioLineWriter it shows what the sink's goroutines
+// and its checkpoints add or hide.
 func BenchmarkFileSink(b *testing.B) {
 	st, evs := benchEvents(1 << 16)
 	out := filepath.Join(b.TempDir(), "f.jsonl")
+	var skipped atomic.Int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink, err := NewSink(SinkConfig{Name: "jsonl", Out: out, Below: countBelow})
@@ -150,14 +154,17 @@ func BenchmarkFileSink(b *testing.B) {
 			b.Fatal(err)
 		}
 		src := &ckptSource{EventSource: &memSource{Stream: st, evs: evs}, sink: sink.(Checkpointer), every: 4096,
-			check: func(n int, _ Cursor, ok bool) {
+			check: func(_ int, _ Cursor, ok bool) {
 				if !ok {
-					b.Fatalf("no cursor after %d events", n)
+					skipped.Add(1)
 				}
 			}}
 		if _, err := sink.Consume(context.Background(), src); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if n := skipped.Load(); n > 0 {
+		b.Fatalf("%d checkpoints could not be vouched for", n)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
 }

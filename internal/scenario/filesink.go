@@ -32,11 +32,7 @@ type fileSink struct {
 	cfg  SinkConfig
 	from Cursor // where a resumed Consume picks up; zero = a fresh file
 
-	// Set while Consume runs, for Cursor.
-	f       *os.File
-	lw      *trace.LineWriter
-	enc     *sinkEncoder
-	written func() int64
+	enc *sinkEncoder // set while Consume runs, for Checkpoint
 }
 
 func (s *fileSink) gz() bool { return strings.HasSuffix(s.cfg.Out, ".gz") }
@@ -76,41 +72,56 @@ func (s *fileSink) open() (*os.File, error) {
 	return f, nil
 }
 
-// Cursor drains the encoder, then flushes it and fsyncs the file before
-// it reports the file's length, so a recorded cursor always implies a
-// durable prefix holding exactly the events consumed so far; the caller,
-// which fed them, counts them. Where there is no byte position to vouch
-// for (".gz", stdout, no counting layer) the cursor is zero and a resume
-// starts the file over.
+// Checkpoint puts a mark behind the events handed to the encoder so far
+// and returns at once. The encoder flushes at the mark and reads the
+// file's length; the syncer fsyncs the file and only then commits that
+// length, so a committed cursor always implies a durable prefix holding
+// exactly the events consumed before the call (the caller, which fed
+// them, counts them). Where there is no byte position to vouch for
+// (".gz", stdout, no counting layer) it commits the zero cursor before it
+// returns, and a resume starts the file over.
+func (s *fileSink) Checkpoint(commit func(c Cursor, ok bool)) {
+	switch enc := s.enc; {
+	case enc == nil:
+		commit(Cursor{}, false)
+	case enc.syncer == nil:
+		commit(Cursor{}, true)
+	default:
+		enc.mark(commit)
+	}
+}
+
+// Cursor is Checkpoint, waited for.
 func (s *fileSink) Cursor() (Cursor, bool) {
-	if s.enc == nil {
-		return Cursor{}, false
+	type committed struct {
+		c  Cursor
+		ok bool
 	}
-	if s.f == nil || s.written == nil || s.gz() {
-		return Cursor{}, true
-	}
-	if s.enc.sync() != nil || s.lw.Flush() != nil || s.f.Sync() != nil {
-		return Cursor{}, false
-	}
-	return Cursor{Bytes: s.written()}, true
+	done := make(chan committed, 1)
+	s.Checkpoint(func(c Cursor, ok bool) { done <- committed{c, ok} })
+	r := <-done
+	return r.c, r.ok
 }
 
 // Consume pulls the source on the caller's goroutine and encodes on one
 // other (sinkEncoder), which owns the eventWriter and every writer below
-// it except while Cursor or the close below holds it idle.
+// it until the close below; a file with a byte cursor is fsynced on a
+// third (fileSyncer).
 func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
+	var f *os.File
 	w := s.cfg.Stdout
 	if s.cfg.Out != "" {
-		f, err := s.open()
-		if err != nil {
+		var err error
+		if f, err = s.open(); err != nil {
 			return nil, err
 		}
 		// The success path checks Close below; closing twice is harmless.
 		defer f.Close()
-		s.f, w = f, f
+		w = f
 	}
+	var written func() int64
 	if s.cfg.Below != nil {
-		w, s.written = s.cfg.Below(w, s.from.Bytes)
+		w, written = s.cfg.Below(w, s.from.Bytes)
 	}
 	var gzw *gzip.Writer
 	if s.gz() {
@@ -123,13 +134,16 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 		return nil, err
 	}
 	lw := ew.lw
-	s.lw = lw
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
 	defer func() { sp.End(int64(lw.Count()), s.cfg.Name) }()
-	enc := startEncoder(ew)
+	var syncer *fileSyncer
+	if f != nil && written != nil && gzw == nil {
+		syncer = startSyncer(f, s.cfg.Name)
+	}
+	enc := startEncoder(ew, syncer, written)
 	s.enc = enc
 	defer func() {
-		enc.close() // joins the encoder on every path, a panicking src.Next's too
+		enc.close() // joins the encoder and the syncer on every path, a panicking src.Next's too
 		s.enc = nil
 	}()
 	for {
@@ -151,8 +165,8 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 			err = cerr
 		}
 	}
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
+	if f != nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -199,33 +213,45 @@ func (ew *eventWriter) write(e Event) error {
 	return ew.lw.Write(e.Time, ew.id, e.Device, e.Type)
 }
 
+// encJob is what the consumer queues for the encoder: a batch of events,
+// or a checkpoint mark (commit set) behind the batches queued before it.
+type encJob struct {
+	evs    []Event
+	commit func(Cursor, bool)
+}
+
 // sinkEncoder runs an eventWriter on its own goroutine, fed in order with
 // batches of events by the consumer, so a file run's source and its
 // encoding use two cores. Encoding stops at the first Write error — a
 // failed block write or an unencodable event — which close reports.
 type sinkEncoder struct {
 	cur  []Event      // the batch being filled (consumer side)
-	full chan []Event // batches to encode in order; nil asks for an ack on idle
+	full chan encJob  // batches and marks to handle in order
 	free chan []Event // encoded batches, back for refilling
-	idle chan struct{}
 	done chan struct{}
 
+	syncer  *fileSyncer  // nil: no byte cursor
+	written func() int64 // the file's length, for a mark
+
 	failed atomic.Bool // set with err, for the consumer to stop early
-	// Written by the encoder goroutine; read by the consumer after an ack
-	// on idle or the join.
+	// Written by the encoder goroutine; read by the consumer after the join.
 	err      error
 	panicked string // the recovered panic, with the encoder's stack
 }
 
-// startEncoder starts the encoder goroutine; close stops and joins it.
-// Both batch channels hold every buffer there is, so neither side blocks
-// on a send; the encoder leaves its loop only when close closes full.
-func startEncoder(ew *eventWriter) *sinkEncoder {
+// startEncoder starts the encoder goroutine; close stops and joins it and
+// syncer. Both batch channels hold every buffer there is, so the encoder
+// never blocks handing one back; the consumer waits for a free buffer, or
+// behind queued marks, and the encoder for the syncer: that is the
+// stream's backpressure. The encoder leaves its loop only when close
+// closes full.
+func startEncoder(ew *eventWriter, syncer *fileSyncer, written func() int64) *sinkEncoder {
 	enc := &sinkEncoder{
-		full: make(chan []Event, sinkBuffers),
-		free: make(chan []Event, sinkBuffers),
-		idle: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		full:    make(chan encJob, sinkBuffers),
+		free:    make(chan []Event, sinkBuffers),
+		done:    make(chan struct{}),
+		syncer:  syncer,
+		written: written,
 	}
 	for range sinkBuffers - 1 {
 		enc.free <- make([]Event, 0, sinkBatch)
@@ -237,15 +263,23 @@ func startEncoder(ew *eventWriter) *sinkEncoder {
 
 func (enc *sinkEncoder) run(ew *eventWriter) {
 	defer close(enc.done)
-	for b := range enc.full {
-		if b == nil {
-			enc.idle <- struct{}{}
+	for j := range enc.full {
+		if j.commit == nil {
+			if !enc.failed.Load() {
+				enc.encode(ew, j.evs)
+			}
+			enc.free <- j.evs[:0]
 			continue
 		}
-		if !enc.failed.Load() {
-			enc.encode(ew, b)
+		// A mark: every event before it has been written. One that cannot
+		// be flushed still goes through the syncer, which commits marks in
+		// order.
+		m := syncMark{commit: j.commit}
+		if !enc.failed.Load() && enc.flush(ew.lw) {
+			m.ok, m.bytes = true, enc.written()
 		}
-		enc.free <- b[:0]
+		enc.syncer.marks <- m
+		killPoint("queued")
 	}
 }
 
@@ -253,18 +287,28 @@ func (enc *sinkEncoder) run(ew *eventWriter) {
 // encoding and is raised again on the consumer's goroutine by close, where
 // a serial sink would have raised it.
 func (enc *sinkEncoder) encode(ew *eventWriter, b []Event) {
-	defer func() {
-		if p := recover(); p != nil {
-			enc.panicked = fmt.Sprintf("scenario: panic in file sink encoder: %v\n%s", p, debug.Stack())
-			enc.failed.Store(true)
-		}
-	}()
+	defer enc.recoverPanic()
 	for _, e := range b {
 		if err := ew.write(e); err != nil {
 			enc.err = err
 			enc.failed.Store(true)
 			return
 		}
+	}
+}
+
+// flush pushes the lines written so far to the writers below, at a mark.
+// A failed block write sticks in the LineWriter, so the next write or the
+// final flush reports it.
+func (enc *sinkEncoder) flush(lw *trace.LineWriter) bool {
+	defer enc.recoverPanic()
+	return lw.Flush() == nil
+}
+
+func (enc *sinkEncoder) recoverPanic() {
+	if p := recover(); p != nil {
+		enc.panicked = fmt.Sprintf("scenario: panic in file sink encoder: %v\n%s", p, debug.Stack())
+		enc.failed.Store(true)
 	}
 }
 
@@ -275,7 +319,7 @@ func (enc *sinkEncoder) add(e Event) bool {
 	if len(enc.cur) < sinkBatch {
 		return true
 	}
-	enc.full <- enc.cur
+	enc.full <- encJob{evs: enc.cur}
 	enc.cur = <-enc.free
 	return !enc.failed.Load()
 }
@@ -283,35 +327,103 @@ func (enc *sinkEncoder) add(e Event) bool {
 // send hands over the partial batch.
 func (enc *sinkEncoder) send() {
 	if len(enc.cur) > 0 {
-		enc.full <- enc.cur
+		enc.full <- encJob{evs: enc.cur}
 		enc.cur = <-enc.free
 	}
 }
 
-// sync returns once every event added so far has gone through
-// eventWriter.write, with the encoder's first error; the encoder then stays
-// idle until the next add, so the caller may use the LineWriter and the
-// writers below it.
-func (enc *sinkEncoder) sync() error {
+// mark queues a checkpoint behind every event added so far.
+func (enc *sinkEncoder) mark(commit func(Cursor, bool)) {
 	enc.send()
-	enc.full <- nil
-	<-enc.idle
-	return enc.err
+	enc.full <- encJob{commit: commit}
 }
 
-// close hands over what is left, joins the encoder and returns its first
-// error. Only the first call does the work.
+// close hands over what is left, joins the encoder, then the syncer, and
+// returns the encoder's first error. Only the first call does the work.
 func (enc *sinkEncoder) close() error {
 	if enc.full != nil {
 		enc.send()
 		close(enc.full)
 		<-enc.done
 		enc.full = nil
+		if enc.syncer != nil {
+			enc.syncer.close()
+		}
 		if enc.panicked != "" {
 			panic(enc.panicked)
 		}
 	}
 	return enc.err
+}
+
+// syncMark is a checkpoint on its way to the disk: the file length the
+// encoder flushed at the mark, and whether it could.
+type syncMark struct {
+	commit func(Cursor, bool)
+	bytes  int64
+	ok     bool
+}
+
+// fileSyncer fsyncs a file sink's output off the stream's path: for each
+// mark, in order, it fsyncs the file and only then commits the mark's
+// cursor. Its queue holds one mark, so at most one waits behind an fsync
+// in flight; past that the encoder blocks, and every checkpoint still
+// costs one fsync.
+type fileSyncer struct {
+	marks chan syncMark
+	done  chan struct{}
+}
+
+func startSyncer(f *os.File, name string) *fileSyncer {
+	sy := &fileSyncer{marks: make(chan syncMark, 1), done: make(chan struct{})}
+	go sy.run(f, name)
+	return sy
+}
+
+func (sy *fileSyncer) run(f *os.File, name string) {
+	defer close(sy.done)
+	for m := range sy.marks {
+		if m.ok {
+			killPoint("fsync")
+			sp := tracez.Begin(tracez.StageSinkSync, "")
+			m.ok = f.Sync() == nil
+			sp.End(m.bytes, name)
+		}
+		if !m.ok {
+			m.commit(Cursor{}, false)
+			continue
+		}
+		killPoint("synced")
+		m.commit(Cursor{Bytes: m.bytes}, true)
+	}
+}
+
+// close commits what is queued and joins the syncer.
+func (sy *fileSyncer) close() {
+	close(sy.marks)
+	<-sy.done
+}
+
+// syncTestHook, when set, runs at the checkpoint path's kill points:
+// "queued" on the encoder, with a mark just handed to the syncer; "fsync"
+// on the syncer, before a mark's fsync; "synced" after it, before the
+// commit. A crash test stops a run there (setSyncTestHook).
+var syncTestHook atomic.Pointer[func(point string)]
+
+// setSyncTestHook installs h, or removes the hook when h is nil. It is a
+// test seam, reached by linkname from the daemon's crash tests.
+func setSyncTestHook(h func(point string)) {
+	if h == nil {
+		syncTestHook.Store(nil)
+		return
+	}
+	syncTestHook.Store(&h)
+}
+
+func killPoint(point string) {
+	if h := syncTestHook.Load(); h != nil {
+		(*h)(point)
+	}
 }
 
 type fileResult struct {

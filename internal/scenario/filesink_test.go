@@ -12,6 +12,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -35,30 +37,41 @@ func (s *memSource) Next() (Event, bool) {
 
 func (s *memSource) Err() error { return s.err }
 
-// ckptSource takes the sink's cursor after every `every` events, from
-// inside Next, as the daemon's checkpoint tap does, and once more at the
-// end of the stream.
+// ckptSource checkpoints the sink after every `every` events, from inside
+// Next, and once more at the end of the stream, handing check the number of
+// events consumed before each. Waited, it takes the sink's Cursor there;
+// otherwise it queues a Checkpoint and carries on, as the daemon's
+// checkpoint tap does, and check runs where the sink commits.
 type ckptSource struct {
 	EventSource
-	sink  Checkpointer
-	every int
-	n     int
-	check func(n int, c Cursor, ok bool)
+	sink   Checkpointer
+	every  int
+	waited bool
+	n      int
+	check  func(n int, c Cursor, ok bool)
 }
 
 func (c *ckptSource) Next() (Event, bool) {
 	if c.n > 0 && c.n%c.every == 0 {
-		cur, ok := c.sink.Cursor()
-		c.check(c.n, cur, ok)
+		c.take()
 	}
 	e, ok := c.EventSource.Next()
 	if ok {
 		c.n++
 	} else if c.n%c.every != 0 {
-		cur, ok := c.sink.Cursor()
-		c.check(c.n, cur, ok)
+		c.take()
 	}
 	return e, ok
+}
+
+func (c *ckptSource) take() {
+	n := c.n
+	if c.waited {
+		cur, ok := c.sink.Cursor()
+		c.check(n, cur, ok)
+		return
+	}
+	c.sink.Checkpoint(func(cur Cursor, ok bool) { c.check(n, cur, ok) })
 }
 
 // serialLines is the reference encoding of evs, one eventWriter.write at a
@@ -110,19 +123,19 @@ func serialConsume(w io.Writer, format string, src EventSource) error {
 	return err
 }
 
-// noEncoderLeft fails if a file sink's encoder goroutine outlives its
-// Consume. A joined encoder has closed its done channel as its last act
-// but may still be on its way out of the scheduler, so it gets a second.
+// noEncoderLeft fails if a file sink's encoder or syncer goroutine outlives
+// its Consume. A joined goroutine has closed its done channel as its last
+// act but may still be on its way out of the scheduler, so it gets a second.
 func noEncoderLeft(t *testing.T, what string) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
 		s := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(s, "(*sinkEncoder).run") {
+		if !strings.Contains(s, "(*sinkEncoder).run") && !strings.Contains(s, "(*fileSyncer).run") {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: the encoder goroutine outlived Consume:\n%s", what, s)
+			t.Fatalf("%s: the encoder or syncer goroutine outlived Consume:\n%s", what, s)
 		}
 	}
 }
@@ -149,7 +162,8 @@ func readSinkFile(t *testing.T, path string) []byte {
 // TestFileSinkMatchesSerialEncoder: whatever the checkpoint cadence against
 // the encoder's batches, the file equals the serial eventWriter's bytes, and
 // each cursor names exactly the encoding of the events consumed before it,
-// already on disk — the encoder is drained before the fsync.
+// already on disk when it is committed. Queued checkpoints commit in order,
+// all before Consume returns; a waited one (Cursor) returns its commit.
 func TestFileSinkMatchesSerialEncoder(t *testing.T) {
 	st, all := benchEvents(2*4096 + 1100)
 	type encoding struct {
@@ -164,66 +178,95 @@ func TestFileSinkMatchesSerialEncoder(t *testing.T) {
 	for _, every := range []int{1, 7, 511, 512, 513, 4096, sinkBatch - 1, sinkBatch, sinkBatch + 1} {
 		evs := all[:2*every+1100]
 		for _, out := range []string{"f.jsonl", "f.csv", "f.jsonl.gz", "f.csv.gz"} {
-			format := strings.TrimPrefix(filepath.Ext(strings.TrimSuffix(out, ".gz")), ".")
 			gz := strings.HasSuffix(out, ".gz")
-			// A prefix of the events encodes as a prefix of the bytes.
-			ends := serial[format].ends[:len(evs)+1]
-			ref := serial[format].ref[:ends[len(evs)]]
-			cfg := SinkConfig{Name: format, Out: filepath.Join(t.TempDir(), out), Below: countBelow}
-			sink, err := NewSink(cfg)
-			if err != nil {
-				t.Fatal(err)
+			waits := []bool{false, true}
+			if gz {
+				waits = waits[:1] // a compressed file commits before Checkpoint returns either way
 			}
-			cursors := 0
-			src := &ckptSource{EventSource: &memSource{Stream: st, evs: evs}, sink: sink.(Checkpointer), every: every}
-			src.check = func(n int, c Cursor, ok bool) {
-				cursors++
-				if !ok {
-					t.Fatalf("%s every %d: no cursor after %d events", out, every, n)
-				}
-				if gz {
-					if c != (Cursor{}) {
-						t.Fatalf("%s every %d: cursor %+v on a compressed file", out, every, c)
-					}
-					return
-				}
-				if c.Bytes != ends[n] {
-					t.Fatalf("%s every %d: cursor after %d events at byte %d, want %d", out, every, n, c.Bytes, ends[n])
-				}
-				// The file is the reference prefix: its length, and its
-				// tail, where the last lines handed over end.
-				f, err := os.Open(cfg.Out)
+			for _, waited := range waits {
+				what := fmt.Sprintf("%s every %d waited=%v", out, every, waited)
+				format := strings.TrimPrefix(filepath.Ext(strings.TrimSuffix(out, ".gz")), ".")
+				// A prefix of the events encodes as a prefix of the bytes.
+				ends := serial[format].ends[:len(evs)+1]
+				ref := serial[format].ref[:ends[len(evs)]]
+				cfg := SinkConfig{Name: format, Out: filepath.Join(t.TempDir(), out), Below: countBelow}
+				sink, err := NewSink(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer f.Close()
-				tail := ref[max(c.Bytes-256, 0):c.Bytes]
-				got := make([]byte, len(tail)+1)
-				m, _ := f.ReadAt(got, c.Bytes-int64(len(tail)))
-				if !bytes.Equal(got[:m], tail) {
-					t.Fatalf("%s every %d: after %d events the file does not end at byte %d in the reference's bytes", out, every, n, c.Bytes)
+				var (
+					mu       sync.Mutex
+					cursors  int
+					lastN    = -1
+					consumed bool
+				)
+				src := &ckptSource{EventSource: &memSource{Stream: st, evs: evs}, sink: sink.(Checkpointer), every: every, waited: waited}
+				src.check = func(n int, c Cursor, ok bool) {
+					mu.Lock()
+					defer mu.Unlock()
+					cursors++
+					if consumed || n <= lastN {
+						t.Errorf("%s: the cursor after %d events committed after the one after %d events, or after Consume returned", what, n, lastN)
+					}
+					lastN = n
+					if !ok {
+						t.Errorf("%s: no cursor after %d events", what, n)
+						return
+					}
+					if gz {
+						if c != (Cursor{}) {
+							t.Errorf("%s: cursor %+v on a compressed file", what, c)
+						}
+						return
+					}
+					if c.Bytes != ends[n] {
+						t.Errorf("%s: cursor after %d events at byte %d, want %d", what, n, c.Bytes, ends[n])
+						return
+					}
+					// The file holds the reference prefix: its tail, where the
+					// last lines handed over end, and (waited, with the
+					// encoder idle since) nothing past it.
+					f, err := os.Open(cfg.Out)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer f.Close()
+					tail := ref[max(c.Bytes-256, 0):c.Bytes]
+					got := make([]byte, len(tail)+1)
+					m, _ := f.ReadAt(got, c.Bytes-int64(len(tail)))
+					if m < len(tail) || !bytes.Equal(got[:len(tail)], tail) || waited && m > len(tail) {
+						t.Errorf("%s: after %d events the file does not hold the reference's bytes up to byte %d", what, n, c.Bytes)
+					}
+				}
+				res, err := sink.Consume(context.Background(), src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mu.Lock()
+				consumed = true
+				took := cursors
+				mu.Unlock()
+				if got := res.(fileResult).Events; got != int64(len(evs)) {
+					t.Fatalf("%s: %d events reported, want %d", what, got, len(evs))
+				}
+				if want := (len(evs) + every - 1) / every; took != want {
+					t.Fatalf("%s: %d cursors committed by the time Consume returned, want %d", what, took, want)
+				}
+				if got := readSinkFile(t, cfg.Out); !bytes.Equal(got, ref) {
+					t.Fatalf("%s: file (%d bytes) differs from the serial encoding (%d bytes)", what, len(got), len(ref))
+				}
+				noEncoderLeft(t, what)
+				if t.Failed() {
+					return
 				}
 			}
-			res, err := sink.Consume(context.Background(), src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.(fileResult).Events; got != int64(len(evs)) {
-				t.Fatalf("%s every %d: %d events reported, want %d", out, every, got, len(evs))
-			}
-			if want := (len(evs) + every - 1) / every; cursors != want {
-				t.Fatalf("%s every %d: %d cursors taken, want %d", out, every, cursors, want)
-			}
-			if got := readSinkFile(t, cfg.Out); !bytes.Equal(got, ref) {
-				t.Fatalf("%s every %d: file (%d bytes) differs from the serial encoding (%d bytes)", out, every, len(got), len(ref))
-			}
-			noEncoderLeft(t, out)
 		}
 	}
 }
 
 // failOn passes writes to w until the n-th, which takes accept bytes and
-// fails with err.
+// fails with err, or panics if accept is negative.
 type failOn struct {
 	w      io.Writer
 	calls  int
@@ -234,6 +277,9 @@ type failOn struct {
 
 func (f *failOn) Write(p []byte) (int, error) {
 	f.calls++
+	if f.calls == f.n && f.accept < 0 {
+		panic("write panics")
+	}
 	if f.calls == f.n {
 		m, _ := f.w.Write(p[:min(f.accept, len(p))])
 		return m, f.err
@@ -330,4 +376,171 @@ func TestFileSinkFaults(t *testing.T) {
 		sink.Consume(context.Background(), &panicID{memSource: &memSource{Stream: st, evs: all}, ue: all[3000].UE})
 	}()
 	noEncoderLeft(t, "panicking UE id")
+}
+
+// pullCount counts the events a source has released, for another goroutine
+// to watch.
+type pullCount struct {
+	EventSource
+	n atomic.Int64
+}
+
+func (p *pullCount) Next() (Event, bool) {
+	e, ok := p.EventSource.Next()
+	if ok {
+		p.n.Add(1)
+	}
+	return e, ok
+}
+
+// TestFileSinkSyncerBackpressure: the syncer's queue holds one mark. While
+// an fsync is held in flight, one more mark queues behind it, the next one
+// blocks the encoder, and the stream stalls behind it. Released, every mark
+// gets its own fsync and commits, in order, before Consume returns.
+func TestFileSinkSyncerBackpressure(t *testing.T) {
+	st, evs := benchEvents(50000)
+	const every = 100
+	var (
+		mu      sync.Mutex
+		points  = map[string]int{}
+		commits []int
+	)
+	hold := make(chan struct{})
+	setSyncTestHook(func(point string) {
+		mu.Lock()
+		points[point]++
+		first := point == "fsync" && points[point] == 1
+		mu.Unlock()
+		if first {
+			<-hold
+		}
+	})
+	t.Cleanup(func() { setSyncTestHook(nil) })
+	counts := func() (queued, fsyncs, committed int) {
+		mu.Lock()
+		defer mu.Unlock()
+		return points["queued"], points["fsync"], len(commits)
+	}
+
+	sink, err := NewSink(SinkConfig{Name: "jsonl", Out: filepath.Join(t.TempDir(), "f.jsonl"), Below: countBelow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pulled := &pullCount{EventSource: &memSource{Stream: st, evs: evs}}
+	src := &ckptSource{EventSource: pulled, sink: sink.(Checkpointer), every: every,
+		check: func(n int, _ Cursor, ok bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			if !ok {
+				t.Errorf("no cursor after %d events", n)
+			}
+			commits = append(commits, n)
+		}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := sink.Consume(context.Background(), src)
+		done <- err
+	}()
+
+	// Wait for the stream to stall: two marks handed to the syncer and the
+	// source left alone for 100 ms.
+	last, still := int64(-1), time.Now()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if n := pulled.n.Load(); n != last {
+			last, still = n, time.Now()
+		}
+		if q, _, _ := counts(); q >= 2 && time.Since(still) >= 100*time.Millisecond {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(hold)
+			<-done
+			t.Fatalf("the stream never stalled behind the held fsync (%d events pulled)", last)
+		}
+	}
+	q, f, c := counts()
+	if q != 2 || f != 1 || c != 0 || last >= int64(len(evs)) {
+		close(hold)
+		<-done
+		t.Fatalf("with one fsync held: %d marks queued, %d fsyncs begun, %d committed, %d of %d events pulled; want 2, 1, 0 and a stalled stream",
+			q, f, c, last, len(evs))
+	}
+
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	q, f, c = counts()
+	if want := len(evs) / every; q != want || f != want || c != want {
+		t.Fatalf("%d marks queued, %d fsynced, %d committed; want %d of each", q, f, c, want)
+	}
+	for i, n := range commits {
+		if n != (i+1)*every {
+			t.Fatalf("commit %d covers %d events, want %d: out of order", i, n, (i+1)*every)
+		}
+	}
+	noEncoderLeft(t, "held fsync")
+}
+
+// TestFileSinkSyncerJoined: on a source error and on an encoder panic,
+// Consume commits every mark it was given (those past the failure without a
+// cursor) and joins the syncer before it returns.
+func TestFileSinkSyncerJoined(t *testing.T) {
+	st, all := benchEvents(6000)
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name      string
+		src       EventSource
+		wantPanic bool
+	}{
+		{"source error", &memSource{Stream: st, evs: all[:3000], err: boom}, false},
+		{"encoder panic", &memSource{Stream: st, evs: all}, true},
+	} {
+		below := countBelow
+		if tc.wantPanic {
+			// The third block write panics.
+			below = func(w io.Writer, offset int64) (io.Writer, func() int64) {
+				return countBelow(&failOn{w: w, n: 3, accept: -1}, offset)
+			}
+		}
+		sink, err := NewSink(SinkConfig{Name: "jsonl", Out: filepath.Join(t.TempDir(), "f.jsonl"), Below: below})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			mu              sync.Mutex
+			marks, vouched  int
+			consumed, after bool
+		)
+		src := &ckptSource{EventSource: tc.src, sink: sink.(Checkpointer), every: 100,
+			check: func(n int, _ Cursor, ok bool) {
+				mu.Lock()
+				defer mu.Unlock()
+				marks++
+				if ok {
+					vouched++
+				}
+				after = after || consumed
+			}}
+		func() {
+			defer func() {
+				if p := recover(); (p != nil) != tc.wantPanic {
+					t.Errorf("%s: Consume recovered %v", tc.name, p)
+				}
+			}()
+			if _, err := sink.Consume(context.Background(), src); !tc.wantPanic && err != boom {
+				t.Errorf("%s: error %v, want %v", tc.name, err, boom)
+			}
+		}()
+		mu.Lock()
+		consumed = true
+		m, v, late := marks, vouched, after
+		mu.Unlock()
+		// Only the panic leaves marks without a cursor.
+		if m != src.n/100 || m == 0 || late || (v == m) == tc.wantPanic {
+			t.Errorf("%s: %d of %d marks committed before Consume returned, %d with a cursor, late commits %v",
+				tc.name, m, src.n/100, v, late)
+		}
+		noEncoderLeft(t, tc.name)
+	}
 }

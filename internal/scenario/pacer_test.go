@@ -444,7 +444,9 @@ func TestPacedReplayKeepsScheduleOnTheWire(t *testing.T) {
 // writes behind a Pacer at compression 1, on a dense (5 ms) and a sparse
 // (50 ms) schedule. The median inter-arrival must be within ±50 % of the
 // gap, and at most 10 % of frames may arrive more than 10 ms from their due
-// instant — the first frame's arrival plus the trace offset.
+// instant — the first frame's arrival plus the trace offset. The four
+// sessions run one after another: run in parallel they compete for the
+// cores, and on two of them frames came late for that alone.
 func TestPacedReplayWireTiming(t *testing.T) {
 	for _, closed := range []bool{false, true} {
 		for _, sched := range []struct {
@@ -453,7 +455,6 @@ func TestPacedReplayWireTiming(t *testing.T) {
 			n    int
 		}{{"dense", 0.005, 100}, {"sparse", 0.05, 20}} {
 			t.Run(fmt.Sprintf("closed=%v/%s", closed, sched.name), func(t *testing.T) {
-				t.Parallel()
 				src := &sliceSource{}
 				for i := 0; i < sched.n; i++ {
 					src.evs = append(src.evs, Event{Time: float64(i) * sched.gap, UE: uint64(i % 8), Type: events.Attach, Seq: uint32(i)})

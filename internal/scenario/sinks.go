@@ -187,10 +187,17 @@ type Cursor struct {
 // of the process feeding it: it can vouch for a durable prefix and carry on
 // from one. The file sinks and closed-loop replay have it.
 type Checkpointer interface {
-	// Cursor makes what the sink has consumed durable as far as it can and
-	// returns the position reached; ok=false means nothing can be vouched
-	// for now (a checkpoint must be skipped). During Consume it is called
-	// from inside src.Next, on Consume's own goroutine.
+	// Checkpoint makes what the sink has consumed so far durable as far as
+	// it can, then calls commit once with the position reached; ok=false
+	// means nothing can be vouched for (the checkpoint must be skipped).
+	// A jsonl/csv file syncs off the caller's path: Checkpoint returns at
+	// once and commit runs later on the sink's syncer goroutine, in call
+	// order and before Consume returns. Every other sink commits before
+	// Checkpoint returns. During Consume it is called from inside
+	// src.Next, on Consume's own goroutine.
+	Checkpoint(commit func(c Cursor, ok bool))
+	// Cursor is Checkpoint, waited for: the position a commit would carry.
+	// Before Consume, a sink that tracks a session already reports it.
 	Cursor() (c Cursor, ok bool)
 	// Resume makes the next Consume continue from c, the source then
 	// delivering only the events past it. An error means c is unusable
@@ -415,6 +422,10 @@ func (s *closedSink) Consume(_ context.Context, src EventSource) (Result, error)
 	}
 	return closedResult(stats), nil
 }
+
+// Checkpoint commits the acknowledged position at once: the server's
+// acknowledgement is what makes it durable.
+func (s *closedSink) Checkpoint(commit func(Cursor, bool)) { commit(s.Cursor()) }
 
 func (s *closedSink) Cursor() (Cursor, bool) {
 	return Cursor{Session: s.opts.SessionID, Events: int64(s.opts.Live.AckedSeq.Load())}, true

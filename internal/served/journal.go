@@ -90,9 +90,10 @@ type ckptTap struct {
 
 	// cursor, when the sink has one (file sinks, closed-loop replay),
 	// makes the sink's durable position part of each checkpoint: a file
-	// sink flushes to stable storage first, and a cursor that cannot be
-	// vouched for skips the checkpoint (the invariant "a checkpoint
-	// implies a durable sink prefix" beats checkpoint freshness).
+	// sink's is appended only once its syncer has fsynced the prefix, and
+	// a cursor that cannot be vouched for skips the checkpoint (the
+	// invariant "a checkpoint implies a durable sink prefix" beats
+	// checkpoint freshness).
 	cursor scenario.Checkpointer
 
 	// trails marks a cursor that names a session (closed-loop replay):
@@ -134,8 +135,8 @@ func newCkptTap(src *scenario.Pacer, r *run) *ckptTap {
 
 // Next releases the source's next event, checkpointing first when the
 // cadence is due — so a checkpoint only ever covers events the sink has
-// fully consumed (the sink finished writing event k before the single
-// consumer pulls event k+1).
+// been handed (the single consumer queued event k before it pulls event
+// k+1, and a file sink's checkpoint mark queues behind it).
 func (t *ckptTap) Next() (scenario.Event, bool) {
 	e, ok := t.Pacer.Next()
 	if !ok {
@@ -165,30 +166,46 @@ func (t *ckptTap) due() bool {
 	return t.n&15 == 0 && time.Since(t.lastT) >= t.interval
 }
 
+// checkpoint records the newest released event as covered, through the
+// sink's Checkpoint where it has one. A file sink commits later, from its
+// syncer, once the covered prefix is fsynced; the commit appends the
+// checkpoint and touches nothing else of the tap.
 func (t *ckptTap) checkpoint() {
 	key, n := t.prev, t.base+t.n
-	var sinkBytes int64
-	if t.cursor != nil {
-		cur, ok := t.cursor.Cursor()
-		if !ok {
-			return
-		}
-		sinkBytes = cur.Bytes
-		if t.trails {
-			a := uint64(cur.Events)
-			if len(t.pending) == 0 || a < t.pendSeq {
-				return // nothing newly acknowledged since the last cover
-			}
-			drop := min(a-t.pendSeq+1, uint64(len(t.pending)))
-			key = t.pending[drop-1]
-			t.pending = t.pending[drop:]
-			t.pendSeq += drop
-			n = int64(t.pendSeq - 1)
+	if t.trails {
+		var ok bool
+		if key, n, ok = t.cover(); !ok {
+			return // nothing newly acknowledged since the last cover
 		}
 	}
-	t.j.AppendCheckpoint(runlog.Checkpoint{Time: key.Time, UE: key.UE, Seq: key.Seq, Events: n, SinkBytes: sinkBytes})
+	commit := func(cur scenario.Cursor, ok bool) {
+		if ok {
+			t.j.AppendCheckpoint(runlog.Checkpoint{Time: key.Time, UE: key.UE, Seq: key.Seq, Events: n, SinkBytes: cur.Bytes})
+		}
+	}
+	if t.cursor != nil {
+		t.cursor.Checkpoint(commit)
+	} else {
+		commit(scenario.Cursor{}, true)
+	}
 	t.lastN = t.n
 	t.lastT = time.Now()
+}
+
+// cover returns the key and absolute sequence of the newest pending event
+// the server has contiguously applied, and drops the pending events up to
+// it; ok=false when there is none.
+func (t *ckptTap) cover() (key scenario.Event, n int64, ok bool) {
+	cur, ok := t.cursor.Cursor()
+	a := uint64(cur.Events)
+	if !ok || len(t.pending) == 0 || a < t.pendSeq {
+		return key, 0, false
+	}
+	drop := min(a-t.pendSeq+1, uint64(len(t.pending)))
+	key = t.pending[drop-1]
+	t.pending = t.pending[drop:]
+	t.pendSeq += drop
+	return key, int64(t.pendSeq - 1), true
 }
 
 // countingWriter tracks the absolute sink byte offset — seeded with the
