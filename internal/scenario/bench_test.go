@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"cptgpt/internal/trace"
 )
 
 // benchChunk is a chunk shaped like the flash-crowd preset's: n events in
@@ -60,7 +62,7 @@ func BenchmarkScenarioRunCodec(b *testing.B) {
 				start := time.Now()
 				for j := range chunks {
 					var err error
-					if runs[j], err = writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.bin", j)), chunks[j], orders[j], nil); err != nil {
+					if runs[j], err = writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.bin", j)), chunks[j], orders[j], nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -89,10 +91,11 @@ func BenchmarkScenarioRunCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioLineWriter measures the file sinks' encoder alone
-// (eventWriter over trace.LineWriter), into io.Discard: one op is 65 536
-// events (2 sources × 5000 UEs), one line each, UE id rendering and block
-// writes included. TestLineWriterZeroAllocs asserts the 0 allocs/event.
+// BenchmarkScenarioLineWriter measures the serial line encoder alone
+// (eventWriter over trace.LineWriter.Write, the reference the file sinks
+// are held to), into io.Discard: one op is 65 536 events (2 sources × 5000
+// UEs), one line each, UE id rendering and block writes included.
+// TestLineWriterZeroAllocs asserts the 0 allocs/event.
 func BenchmarkScenarioLineWriter(b *testing.B) {
 	st, evs := benchEvents(1 << 16)
 	for _, format := range []string{"jsonl", "csv"} {
@@ -111,6 +114,43 @@ func BenchmarkScenarioLineWriter(b *testing.B) {
 				}
 			}
 			if err := ew.lw.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+		})
+	}
+}
+
+// BenchmarkScenarioLineRender measures, on one goroutine, the work the
+// file sink splits between its encoders and its writer: the same events
+// rendered into trace.Lines sinkBatch at a time, as an encoder does, and
+// handed to a LineWriter over io.Discard, as the writer does. Against
+// BenchmarkScenarioLineWriter it shows what the split costs in CPU.
+func BenchmarkScenarioLineRender(b *testing.B) {
+	st, evs := benchEvents(1 << 16)
+	for _, format := range []string{"jsonl", "csv"} {
+		b.Run(format, func(b *testing.B) {
+			lw, err := trace.NewLineWriter(io.Discard, format, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var ls trace.Lines
+			var id []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < len(evs); lo += sinkBatch {
+					ls.Reset()
+					for _, e := range evs[lo:min(lo+sinkBatch, len(evs))] {
+						id = st.AppendUEID(id[:0], e)
+						ls.Append(lw.Appender(), e.Time, id, e.Device, e.Type)
+					}
+					if err := lw.WriteLines(&ls); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if err := lw.Flush(); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
@@ -139,8 +179,9 @@ func BenchmarkScenarioUEID(b *testing.B) {
 // BenchmarkFileSink measures the file sink layer: one op drains the same
 // 65 536 events from memory into a temp-file jsonl sink under a counting
 // layer, queueing a checkpoint every 4096 events from inside Next as a
-// journaled daemon run does; the flush happens on the encoder and the
-// fsync on the syncer, and Consume returns once the last is committed.
+// journaled daemon run does; the lines are rendered on the encoders, the
+// flush happens on the writer and the fsync on the syncer, and Consume
+// returns once the last is committed.
 // Against BenchmarkScenarioLineWriter it shows what the sink's goroutines
 // and its checkpoints add or hide.
 func BenchmarkFileSink(b *testing.B) {

@@ -97,7 +97,7 @@ func FuzzChunkSort(f *testing.F) {
 			horizon = math.MaxFloat64
 		}
 		var evs []Event
-		var scratch []trace.Event
+		var scratch opScratch
 		var sorter chunkSorter
 		for ue := uint64(0); len(evs) < int(n); ue++ {
 			s := trace.Stream{Device: events.DeviceType(ue % 3)}
@@ -112,7 +112,7 @@ func FuzzChunkSort(f *testing.F) {
 			}
 			sort.SliceStable(want, func(i, j int) bool { return want[i].Time < want[j].Time })
 
-			scratch = applyOps(nil, &s, ue, horizon, scratch)
+			applyOps(nil, &s, ue, horizon, &scratch)
 			if len(s.Events) != len(want) {
 				t.Fatalf("ue %d: applyOps kept %d events, reference %d", ue, len(s.Events), len(want))
 			}

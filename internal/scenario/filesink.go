@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -72,8 +73,8 @@ func (s *fileSink) open() (*os.File, error) {
 	return f, nil
 }
 
-// Checkpoint puts a mark behind the events handed to the encoder so far
-// and returns at once. The encoder flushes at the mark and reads the
+// Checkpoint puts a mark behind the events handed to the encoders so far
+// and returns at once. The writer flushes at the mark and reads the
 // file's length; the syncer fsyncs the file and only then commits that
 // length, so a committed cursor always implies a durable prefix holding
 // exactly the events consumed before the call (the caller, which fed
@@ -103,10 +104,10 @@ func (s *fileSink) Cursor() (Cursor, bool) {
 	return r.c, r.ok
 }
 
-// Consume pulls the source on the caller's goroutine and encodes on one
-// other (sinkEncoder), which owns the eventWriter and every writer below
-// it until the close below; a file with a byte cursor is fsynced on a
-// third (fileSyncer).
+// Consume pulls the source on the caller's goroutine, renders lines on
+// sinkEncoders others and writes them on one more (sinkEncoder), which owns
+// the LineWriter and every writer below it until the close below; a file
+// with a byte cursor is fsynced on a last one (fileSyncer).
 func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	var f *os.File
 	w := s.cfg.Stdout
@@ -129,21 +130,20 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 		w = gzw
 	}
 	// A resumed csv file already has its header on disk.
-	ew, err := newEventWriter(w, s.cfg.Name, src, s.from.Bytes == 0)
+	lw, err := trace.NewLineWriter(w, s.cfg.Name, s.from.Bytes == 0)
 	if err != nil {
 		return nil, err
 	}
-	lw := ew.lw
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
 	defer func() { sp.End(int64(lw.Count()), s.cfg.Name) }()
 	var syncer *fileSyncer
 	if f != nil && written != nil && gzw == nil {
 		syncer = startSyncer(f, s.cfg.Name)
 	}
-	enc := startEncoder(ew, syncer, written)
+	enc := startEncoder(lw, UEIDAppender(src), s.cfg.Name, syncer, written)
 	s.enc = enc
 	defer func() {
-		enc.close() // joins the encoder and the syncer on every path, a panicking src.Next's too
+		enc.close() // joins the encoders, the writer and the syncer on every path, a panicking src.Next's too
 		s.enc = nil
 	}()
 	for {
@@ -152,7 +152,7 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 			break
 		}
 	}
-	// The encoder's first error is the one a serial loop would have
+	// The writer's first error is the one a serial loop would have
 	// stopped at, before the source could report its own.
 	if err = enc.close(); err == nil {
 		err = src.Err()
@@ -176,106 +176,175 @@ func (s *fileSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	return fileResult{Events: s.from.Events + int64(lw.Count()), Out: s.cfg.Out}, nil
 }
 
-// sinkBatch is how many events Consume hands the encoder at a time, and
-// sinkBuffers how many batches exist: one filling on the consumer's side,
-// the rest queued or encoding. On 2 cores, a 5000-UE flash-crowd stream
-// into jsonl with a cursor every 4096 events ran within noise of itself
-// from 256 to 2048 events per batch and 2 to 8 buffers, each 4–19 %
-// faster than one goroutine in paired runs (medians); 512 × 4 is the
-// middle of that range.
+// sinkBatch is how many events Consume hands the encoders at a time,
+// sinkEncoders how many encoder goroutines render batches into lines at
+// once, and sinkBuffers how many batches exist: one filling on the
+// consumer's side, the rest queued, rendering or being written. With one
+// encoder, a 5000-UE flash-crowd stream into jsonl with a cursor every
+// 4096 events ran within noise of itself from 256 to 2048 events per
+// batch and 2 to 8 buffers on 2 cores. A second encoder renders while the
+// first does and while the consumer waits on the source: on the same
+// stream, in process on 2 cores, it cut the stream phase from 29–33 to
+// 24–28 ms into a tmpfs file, and a third would only oversubscribe 2
+// cores further. With two encoders, 8 buffers ran 36–38 ms into an ext4
+// file where 4 ran 39–43 and 12 38–41.
 const (
-	sinkBatch   = 512
-	sinkBuffers = 4
+	sinkBatch    = 512
+	sinkEncoders = 2
+	sinkBuffers  = 8
 )
 
-// eventWriter writes scenario events as trace event lines: it renders each
-// event's UE id through the source (UEIDAppender) into a buffer it reuses
-// and hands the line's fields to a trace.LineWriter, which does all the
-// encoding.
-type eventWriter struct {
-	lw       *trace.LineWriter
-	appendID func(dst []byte, e Event) []byte
-	id       []byte
+// encBatch is a batch of events on its way to the file: the events, the
+// lines an encoder rendered from them, and a panic raised while rendering,
+// which ends the lines there.
+type encBatch struct {
+	evs      []Event
+	lines    trace.Lines
+	panicked string
+	ready    chan struct{} // one token once rendered, for the writer
 }
 
-// newEventWriter writes format "jsonl" or "csv" to w, with the csv column
-// header first when header is set (a resumed file already has it).
-func newEventWriter(w io.Writer, format string, src EventSource, header bool) (*eventWriter, error) {
-	lw, err := trace.NewLineWriter(w, format, header)
-	if err != nil {
-		return nil, err
-	}
-	return &eventWriter{lw: lw, appendID: UEIDAppender(src)}, nil
-}
+// sinkBatches keeps file sinks' batches, their rendered lines' memory
+// included, from one Consume to the next, as workerMemory keeps the chunk
+// workers'. Grown afresh in every run, the batches cost a daemon the GC
+// cycles that emptied workerMemory between its runs: a served-jsonl round
+// allocated 73–96 bytes per event with workerMemory alone and 34–39 with
+// both pools (10 s traced cptbench runs, 2 vCPUs).
+var sinkBatches = sync.Pool{New: func() any {
+	return &encBatch{evs: make([]Event, 0, sinkBatch), ready: make(chan struct{}, 1)}
+}}
 
-func (ew *eventWriter) write(e Event) error {
-	ew.id = ew.appendID(ew.id[:0], e)
-	return ew.lw.Write(e.Time, ew.id, e.Device, e.Type)
-}
-
-// encJob is what the consumer queues for the encoder: a batch of events,
-// or a checkpoint mark (commit set) behind the batches queued before it.
-type encJob struct {
-	evs    []Event
+// writeJob is what the writer takes in stream order: a batch to write once
+// it is rendered, or a checkpoint mark (commit set) behind the batches
+// queued before it.
+type writeJob struct {
+	b      *encBatch
 	commit func(Cursor, bool)
 }
 
-// sinkEncoder runs an eventWriter on its own goroutine, fed in order with
-// batches of events by the consumer, so a file run's source and its
-// encoding use two cores. Encoding stops at the first Write error — a
-// failed block write or an unencodable event — which close reports.
+// sinkEncoder renders a file sink's lines on sinkEncoders goroutines and
+// writes them on one more, so a file run's source, its rendering and its
+// writing share the cores. The consumer hands each batch to the encoders
+// (todo: whichever is free renders it) and to the writer (order), which
+// waits for each batch in turn and hands its lines to the LineWriter, so
+// the file gets the bytes a serial loop would write, block for block. A
+// checkpoint mark takes its place in that order: the writer flushes at it,
+// reads the file's length and passes both to the syncer. Writing stops at
+// the first failure in stream order — a failed block write, an event that
+// cannot be rendered, a panic — which close reports.
 type sinkEncoder struct {
-	cur  []Event      // the batch being filled (consumer side)
-	full chan encJob  // batches and marks to handle in order
-	free chan []Event // encoded batches, back for refilling
-	done chan struct{}
+	cur   *encBatch      // the batch being filled (consumer side)
+	todo  chan *encBatch // batches to render, by any encoder
+	order chan writeJob  // batches and marks to write, in order
+	free  chan *encBatch // written batches, back for refilling
 
-	syncer  *fileSyncer  // nil: no byte cursor
-	written func() int64 // the file's length, for a mark
+	rendering sync.WaitGroup // the encoders
+	done      chan struct{}  // closed when the writer has exited
 
-	failed atomic.Bool // set with err, for the consumer to stop early
-	// Written by the encoder goroutine; read by the consumer after the join.
+	la       *trace.LineAppender
+	appendID func(dst []byte, e Event) []byte
+	name     string // the format, for the encoders' spans
+
+	lw      *trace.LineWriter // the writer's until close
+	syncer  *fileSyncer       // nil: no byte cursor
+	written func() int64      // the file's length, for a mark
+
+	failed atomic.Bool // set by the writer with err or panicked
+	// Written by the writer goroutine; read by the consumer after the join.
 	err      error
-	panicked string // the recovered panic, with the encoder's stack
+	panicked string // the recovered panic, with its goroutine's stack
 }
 
-// startEncoder starts the encoder goroutine; close stops and joins it and
-// syncer. Both batch channels hold every buffer there is, so the encoder
-// never blocks handing one back; the consumer waits for a free buffer, or
-// behind queued marks, and the encoder for the syncer: that is the
-// stream's backpressure. The encoder leaves its loop only when close
-// closes full.
-func startEncoder(ew *eventWriter, syncer *fileSyncer, written func() int64) *sinkEncoder {
+// startEncoder starts the encoders and the writer; close stops and joins
+// them and syncer. Each of todo, order and free holds every buffer there
+// is, so no encoder blocks and the writer never blocks handing a batch
+// back; the consumer waits for a free buffer, or behind queued marks, and
+// the writer for the slowest encoder and the syncer: that is the stream's
+// backpressure. The goroutines leave their loops only when close closes
+// todo and order.
+func startEncoder(lw *trace.LineWriter, appendID func([]byte, Event) []byte, name string, syncer *fileSyncer, written func() int64) *sinkEncoder {
 	enc := &sinkEncoder{
-		full:    make(chan encJob, sinkBuffers),
-		free:    make(chan []Event, sinkBuffers),
-		done:    make(chan struct{}),
-		syncer:  syncer,
-		written: written,
+		todo:     make(chan *encBatch, sinkBuffers),
+		order:    make(chan writeJob, sinkBuffers),
+		free:     make(chan *encBatch, sinkBuffers),
+		done:     make(chan struct{}),
+		la:       lw.Appender(),
+		appendID: appendID,
+		name:     name,
+		lw:       lw,
+		syncer:   syncer,
+		written:  written,
 	}
-	for range sinkBuffers - 1 {
-		enc.free <- make([]Event, 0, sinkBatch)
+	for i := range sinkBuffers {
+		b := sinkBatches.Get().(*encBatch)
+		b.evs = b.evs[:0]
+		if i == 0 {
+			enc.cur = b
+		} else {
+			enc.free <- b
+		}
 	}
-	enc.cur = make([]Event, 0, sinkBatch)
-	go enc.run(ew)
+	enc.rendering.Add(sinkEncoders)
+	for range sinkEncoders {
+		go enc.runEncoder()
+	}
+	go enc.runWriter()
 	return enc
 }
 
-func (enc *sinkEncoder) run(ew *eventWriter) {
+func (enc *sinkEncoder) runEncoder() {
+	defer enc.rendering.Done()
+	var id []byte
+	for b := range enc.todo {
+		// Past a failure nothing more is written, so nothing more need be
+		// rendered.
+		if !enc.failed.Load() {
+			id = enc.render(b, id)
+		}
+		b.ready <- struct{}{}
+	}
+}
+
+// render renders b's lines, with id as the buffer UE ids go through. A
+// panic (in a source's UEID, say) ends the lines there, and the writer
+// raises it on the consumer's goroutine when it reaches b, as a serial
+// sink would have.
+func (enc *sinkEncoder) render(b *encBatch, id []byte) []byte {
+	sp := tracez.Begin(tracez.StageSinkEncode, "")
+	b.lines.Reset()
+	b.panicked = ""
+	defer func() {
+		if p := recover(); p != nil {
+			b.panicked = panicMessage(p)
+		}
+		sp.End(int64(b.lines.Len()), enc.name)
+	}()
+	for _, e := range b.evs {
+		id = enc.appendID(id[:0], e)
+		if !b.lines.Append(enc.la, e.Time, id, e.Device, e.Type) {
+			break
+		}
+	}
+	return id
+}
+
+func (enc *sinkEncoder) runWriter() {
 	defer close(enc.done)
-	for j := range enc.full {
-		if j.commit == nil {
+	for j := range enc.order {
+		if b := j.b; b != nil {
+			<-b.ready
 			if !enc.failed.Load() {
-				enc.encode(ew, j.evs)
+				enc.write(b)
 			}
-			enc.free <- j.evs[:0]
+			b.evs = b.evs[:0]
+			enc.free <- b
 			continue
 		}
 		// A mark: every event before it has been written. One that cannot
 		// be flushed still goes through the syncer, which commits marks in
 		// order.
 		m := syncMark{commit: j.commit}
-		if !enc.failed.Load() && enc.flush(ew.lw) {
+		if !enc.failed.Load() && enc.flush() {
 			m.ok, m.bytes = true, enc.written()
 		}
 		enc.syncer.marks <- m
@@ -283,51 +352,56 @@ func (enc *sinkEncoder) run(ew *eventWriter) {
 	}
 }
 
-// encode writes one batch. A panic (in a source's UEID, say) stops the
-// encoding and is raised again on the consumer's goroutine by close, where
-// a serial sink would have raised it.
-func (enc *sinkEncoder) encode(ew *eventWriter, b []Event) {
+// write hands one rendered batch to the LineWriter: the lines rendered
+// before any failure, then the failure.
+func (enc *sinkEncoder) write(b *encBatch) {
 	defer enc.recoverPanic()
-	for _, e := range b {
-		if err := ew.write(e); err != nil {
-			enc.err = err
-			enc.failed.Store(true)
-			return
-		}
+	if err := enc.lw.WriteLines(&b.lines); err != nil {
+		enc.err = err
+		enc.failed.Store(true)
+	} else if b.panicked != "" {
+		enc.panicked = b.panicked
+		enc.failed.Store(true)
 	}
 }
 
 // flush pushes the lines written so far to the writers below, at a mark.
 // A failed block write sticks in the LineWriter, so the next write or the
 // final flush reports it.
-func (enc *sinkEncoder) flush(lw *trace.LineWriter) bool {
+func (enc *sinkEncoder) flush() bool {
 	defer enc.recoverPanic()
-	return lw.Flush() == nil
+	return enc.lw.Flush() == nil
 }
 
 func (enc *sinkEncoder) recoverPanic() {
 	if p := recover(); p != nil {
-		enc.panicked = fmt.Sprintf("scenario: panic in file sink encoder: %v\n%s", p, debug.Stack())
+		enc.panicked = panicMessage(p)
 		enc.failed.Store(true)
 	}
 }
 
+// panicMessage describes a panic recovered in the sink's goroutines, with
+// the stack it was raised on, for close to raise again.
+func panicMessage(p any) string {
+	return fmt.Sprintf("scenario: panic in file sink encoder: %v\n%s", p, debug.Stack())
+}
+
 // add queues e and reports whether the consumer should carry on: false
-// once the encoder has failed, which it learns a batch at a time.
+// once writing has failed, which it learns a batch at a time.
 func (enc *sinkEncoder) add(e Event) bool {
-	enc.cur = append(enc.cur, e)
-	if len(enc.cur) < sinkBatch {
+	enc.cur.evs = append(enc.cur.evs, e)
+	if len(enc.cur.evs) < sinkBatch {
 		return true
 	}
-	enc.full <- encJob{evs: enc.cur}
-	enc.cur = <-enc.free
+	enc.send()
 	return !enc.failed.Load()
 }
 
 // send hands over the partial batch.
 func (enc *sinkEncoder) send() {
-	if len(enc.cur) > 0 {
-		enc.full <- encJob{evs: enc.cur}
+	if len(enc.cur.evs) > 0 {
+		enc.todo <- enc.cur
+		enc.order <- writeJob{b: enc.cur}
 		enc.cur = <-enc.free
 	}
 }
@@ -335,17 +409,24 @@ func (enc *sinkEncoder) send() {
 // mark queues a checkpoint behind every event added so far.
 func (enc *sinkEncoder) mark(commit func(Cursor, bool)) {
 	enc.send()
-	enc.full <- encJob{commit: commit}
+	enc.order <- writeJob{commit: commit}
 }
 
-// close hands over what is left, joins the encoder, then the syncer, and
-// returns the encoder's first error. Only the first call does the work.
+// close hands over what is left, joins the encoders, the writer and then
+// the syncer, puts the batches back in sinkBatches, and returns the
+// writer's first error. Only the first call does the work.
 func (enc *sinkEncoder) close() error {
-	if enc.full != nil {
+	if enc.order != nil {
 		enc.send()
-		close(enc.full)
+		close(enc.todo)
+		close(enc.order)
+		enc.rendering.Wait()
 		<-enc.done
-		enc.full = nil
+		enc.order = nil
+		sinkBatches.Put(enc.cur)
+		for range sinkBuffers - 1 {
+			sinkBatches.Put(<-enc.free)
+		}
 		if enc.syncer != nil {
 			enc.syncer.close()
 		}
@@ -357,7 +438,7 @@ func (enc *sinkEncoder) close() error {
 }
 
 // syncMark is a checkpoint on its way to the disk: the file length the
-// encoder flushed at the mark, and whether it could.
+// writer flushed at the mark, and whether it could.
 type syncMark struct {
 	commit func(Cursor, bool)
 	bytes  int64
@@ -367,7 +448,7 @@ type syncMark struct {
 // fileSyncer fsyncs a file sink's output off the stream's path: for each
 // mark, in order, it fsyncs the file and only then commits the mark's
 // cursor. Its queue holds one mark, so at most one waits behind an fsync
-// in flight; past that the encoder blocks, and every checkpoint still
+// in flight; past that the writer blocks, and every checkpoint still
 // costs one fsync.
 type fileSyncer struct {
 	marks chan syncMark
@@ -405,7 +486,7 @@ func (sy *fileSyncer) close() {
 }
 
 // syncTestHook, when set, runs at the checkpoint path's kill points:
-// "queued" on the encoder, with a mark just handed to the syncer; "fsync"
+// "queued" on the writer, with a mark just handed to the syncer; "fsync"
 // on the syncer, before a mark's fsync; "synced" after it, before the
 // commit. A crash test stops a run there (setSyncTestHook).
 var syncTestHook atomic.Pointer[func(point string)]

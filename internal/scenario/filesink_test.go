@@ -123,19 +123,21 @@ func serialConsume(w io.Writer, format string, src EventSource) error {
 	return err
 }
 
-// noEncoderLeft fails if a file sink's encoder or syncer goroutine outlives
-// its Consume. A joined goroutine has closed its done channel as its last
-// act but may still be on its way out of the scheduler, so it gets a second.
+// noEncoderLeft fails if a file sink's encoder, writer or syncer goroutine
+// outlives its Consume. A joined goroutine has signalled its exit as its
+// last act but may still be on its way out of the scheduler, so it gets a
+// second.
 func noEncoderLeft(t *testing.T, what string) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
 		s := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(s, "(*sinkEncoder).run") && !strings.Contains(s, "(*fileSyncer).run") {
+		if !strings.Contains(s, "(*sinkEncoder).runEncoder") && !strings.Contains(s, "(*sinkEncoder).runWriter") &&
+			!strings.Contains(s, "(*fileSyncer).run") {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: the encoder or syncer goroutine outlived Consume:\n%s", what, s)
+			t.Fatalf("%s: an encoder, writer or syncer goroutine outlived Consume:\n%s", what, s)
 		}
 	}
 }
@@ -542,5 +544,181 @@ func TestFileSinkSyncerJoined(t *testing.T) {
 				tc.name, m, src.n/100, v, late)
 		}
 		noEncoderLeft(t, tc.name)
+	}
+}
+
+// markSource checkpoints the sink from inside Next, as the daemon's tap
+// does, once it has released exactly each count in at (ascending; a count
+// may repeat), and records each commit against the count it was asked at.
+type markSource struct {
+	EventSource
+	sink Checkpointer
+	at   []int
+	n    int
+
+	mu      sync.Mutex
+	commits []markCommit
+}
+
+type markCommit struct {
+	n  int
+	c  Cursor
+	ok bool
+}
+
+func (s *markSource) Next() (Event, bool) {
+	s.take()
+	e, ok := s.EventSource.Next()
+	if ok {
+		s.n++
+	} else {
+		s.take()
+	}
+	return e, ok
+}
+
+func (s *markSource) take() {
+	for len(s.at) > 0 && s.at[0] == s.n {
+		n := s.n
+		s.at = s.at[1:]
+		s.sink.Checkpoint(func(c Cursor, ok bool) {
+			s.mu.Lock()
+			s.commits = append(s.commits, markCommit{n, c, ok})
+			s.mu.Unlock()
+		})
+	}
+}
+
+// TestFileSinkParallelMatchesSerial: with the encoders rendering batches in
+// parallel, the file holds exactly what the serial reference (encodeAll)
+// writes, and a checkpoint at every batch boundary and one event either
+// side of it commits the byte length of the reference encoding of the
+// events before it — for both formats, short and long streams, on a fresh
+// file and on one resumed from a cursor, whose torn tail is cut and whose
+// csv header is not written again.
+func TestFileSinkParallelMatchesSerial(t *testing.T) {
+	st, all := benchEvents(100 + 4103)
+	pre, rest := all[:100], all[100:]
+	for _, format := range []string{"jsonl", "csv"} {
+		for _, resumed := range []bool{false, true} {
+			for _, n := range []int{0, 1, sinkBatch - 1, sinkBatch, sinkBatch + 1, 4103} {
+				what := fmt.Sprintf("%s resumed=%v %d events", format, resumed, n)
+				evs := rest[:n]
+				at := []int{0}
+				for b := sinkBatch; b-1 <= n; b += sinkBatch {
+					for _, m := range []int{b - 1, b, b + 1} {
+						if m <= n {
+							at = append(at, m)
+						}
+					}
+				}
+				at = append(at, n, n) // two at the end, the second with nothing new
+
+				out := filepath.Join(t.TempDir(), "f."+format)
+				var head []byte // what a resumed file keeps of its earlier run
+				if resumed {
+					var err error
+					if head, err = encodeAll(t, format, true, st, pre); err != nil {
+						t.Fatal(err)
+					}
+					torn := append(append([]byte(nil), head...), `{"t":12.5,"ue_id":"torn`...)
+					if err := os.WriteFile(out, torn, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sink, err := NewSink(SinkConfig{Name: format, Out: out, Below: countBelow})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resumed {
+					if err := sink.(Checkpointer).Resume(Cursor{Bytes: int64(len(head)), Events: int64(len(pre))}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				src := &markSource{EventSource: &memSource{Stream: st, evs: evs}, sink: sink.(Checkpointer), at: at}
+				res, err := sink.Consume(context.Background(), src)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				noEncoderLeft(t, what)
+				// encoded is the reference encoding of the first m events, as
+				// this run writes them behind head.
+				encoded := func(m int) []byte {
+					b, err := encodeAll(t, format, !resumed, st, evs[:m])
+					if err != nil {
+						t.Fatal(err)
+					}
+					return append(append([]byte(nil), head...), b...)
+				}
+				want := encoded(n)
+				got := readSinkFile(t, out)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: file (%d bytes) differs from the serial encoding (%d bytes)", what, len(got), len(want))
+				}
+				if format == "csv" && bytes.Count(got, []byte("ue_id,device_type,timestamp,event_type\n")) != 1 {
+					t.Fatalf("%s: the csv header is not in the file exactly once", what)
+				}
+				wantEvents := int64(n)
+				if resumed {
+					wantEvents += int64(len(pre))
+				}
+				if got := res.(fileResult).Events; got != wantEvents {
+					t.Fatalf("%s: %d events reported, want %d", what, got, wantEvents)
+				}
+				src.mu.Lock()
+				commits := src.commits
+				src.mu.Unlock()
+				if len(commits) != len(at) {
+					t.Fatalf("%s: %d commits for %d marks", what, len(commits), len(at))
+				}
+				for i, c := range commits {
+					if c.n != at[i] || !c.ok {
+						t.Fatalf("%s: commit %d is for %d events (ok %v), want %d, in order", what, i, c.n, c.ok, at[i])
+					}
+					if w := int64(len(encoded(c.n))); c.c.Bytes != w {
+						t.Fatalf("%s: the cursor after %d events is at byte %d, the serial encoding's at %d", what, c.n, c.c.Bytes, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFileSinkConcurrentUEIDRenderers: the sink's encoders render UE ids on
+// several goroutines at once, through the UEID string fallback (idSource
+// reads its table) and through a Pacer forwarding a Stream's AppendUEID.
+// Both are read-only, so under the race detector nothing is reported and
+// the file is the serial reference's.
+func TestFileSinkConcurrentUEIDRenderers(t *testing.T) {
+	st, evs := benchEvents(16 * sinkBatch)
+	table := map[uint64]string{}
+	for _, e := range evs {
+		table[e.UE] = "tbl-" + st.UEID(e)
+	}
+	for _, tc := range []struct {
+		name string
+		src  func() EventSource
+	}{
+		{"string fallback", func() EventSource { return &idSource{sliceSource: sliceSource{evs: evs}, ids: table} }},
+		{"pacer", func() EventSource { return NewPacer(context.Background(), &memSource{Stream: st, evs: evs}, 0) }},
+	} {
+		for _, format := range []string{"jsonl", "csv"} {
+			src := tc.src()
+			want, err := encodeAll(t, format, true, src, evs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(t.TempDir(), "f."+format)
+			sink, err := NewSink(SinkConfig{Name: format, Out: out})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sink.Consume(context.Background(), src); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, format, err)
+			}
+			if got := readSinkFile(t, out); !bytes.Equal(got, want) {
+				t.Fatalf("%s %s: file (%d bytes) differs from the serial encoding (%d bytes)", tc.name, format, len(got), len(want))
+			}
+		}
 	}
 }

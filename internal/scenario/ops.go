@@ -56,19 +56,24 @@ func compileOps(spec *Spec, srcID string) ([]compiledOp, error) {
 	return out, nil
 }
 
+// opScratch is applyOps' memory, kept across calls: the rewritten stream,
+// and a spare buffer amplify writes into while it reads the other (the two
+// trade places at each amplify).
+type opScratch struct{ evs, spare []trace.Event }
+
 // applyOps rewrites one UE stream through the source's operator chain, then
 // clamps it to [0, horizon) and restores time order. ue is the UE's global
-// key; scratch (reused across calls) receives the rewritten events and the
-// stream's Events slice is repointed at it, so callers must copy events out
-// before the next applyOps call on the same scratch.
+// key; the rewritten events live in sc's memory and the stream's Events
+// slice is repointed at them, so callers must copy events out before the
+// next applyOps call on the same scratch.
 //
 // Contract (the chunk sort rests on it, see chunkSorter.order): on return
 // every event time t satisfies 0 <= t < horizon — so no NaN, no negative
 // number, at most a -0 — and times never decrease along the stream.
-func applyOps(ops []compiledOp, s *trace.Stream, ue uint64, horizon float64, scratch []trace.Event) []trace.Event {
-	evs := append(scratch[:0], s.Events...)
+func applyOps(ops []compiledOp, s *trace.Stream, ue uint64, horizon float64, sc *opScratch) {
+	evs := append(sc.evs[:0], s.Events...)
 	for i := range ops {
-		evs = ops[i].apply(evs, ue)
+		evs = ops[i].apply(evs, ue, &sc.spare)
 	}
 	// Clamp to the scenario horizon and drop pre-origin events.
 	kept := evs[:0]
@@ -84,7 +89,7 @@ func applyOps(ops []compiledOp, s *trace.Stream, ue uint64, horizon float64, scr
 		slices.SortStableFunc(evs, byTime)
 	}
 	s.Events = evs
-	return evs
+	sc.evs = evs
 }
 
 // byTime compares two events' times (never NaN after the clamp).
@@ -98,9 +103,10 @@ func byTime(a, b trace.Event) int {
 	return 0
 }
 
-// apply rewrites evs in place (growing it only for amplify) and returns the
-// result.
-func (c *compiledOp) apply(evs []trace.Event, ue uint64) []trace.Event {
+// apply rewrites evs in place and returns the result; amplify, which both
+// reads and appends, writes into *spare instead and leaves evs there as the
+// next spare.
+func (c *compiledOp) apply(evs []trace.Event, ue uint64, spare *[]trace.Event) []trace.Event {
 	w0, w1 := c.spec.Window[0], c.spec.Window[1]
 	switch c.spec.Op {
 	case "ramp":
@@ -122,7 +128,7 @@ func (c *compiledOp) apply(evs []trace.Event, ue uint64) []trace.Event {
 	case "amplify":
 		whole := int(c.spec.Factor)
 		frac := c.spec.Factor - float64(whole)
-		out := evs[:0:0] // fresh backing: we both read and append
+		out := (*spare)[:0]
 		for i, e := range evs {
 			out = append(out, e)
 			if e.Type != c.ev || e.Time < w0 || e.Time >= w1 {
@@ -141,6 +147,7 @@ func (c *compiledOp) apply(evs []trace.Event, ue uint64) []trace.Event {
 				out = append(out, trace.Event{Time: t, Type: e.Type})
 			}
 		}
+		*spare = evs
 		return out
 
 	case "thin":

@@ -18,8 +18,10 @@ import (
 // pacing and other stages compose between the merge and any sink.
 //
 // Next is single-consumer: one goroutine pulls at a time. UEID must be a
-// function of the event alone, safe to call from another goroutine while
-// Next runs: a file sink renders ids on its encoder goroutine.
+// function of the event alone, safe to call while Next runs and from
+// several goroutines at once: a file sink renders ids on its encoder
+// goroutines, in parallel. It is read-only for *Stream, *Pacer and the
+// daemon's checkpoint tap.
 type EventSource interface {
 	Next() (e Event, ok bool)
 	Err() error
@@ -31,8 +33,10 @@ type EventSource interface {
 // AppendUEID method where it has one (*Stream does; *Pacer and the
 // daemon's checkpoint tap forward theirs), else UEID's string appended.
 // The line sinks render one identifier per event through it, on the file
-// sink's encoder goroutine, so like UEID the renderer must depend on the
-// event alone (Stream.AppendUEID reads only the stream's fixed source ids).
+// sink's encoder goroutines — several at once, while the consumer pulls —
+// so like UEID the renderer must depend on the event alone and write no
+// shared state (Stream.AppendUEID reads only the stream's fixed source
+// ids; *Pacer and the checkpoint tap forward it).
 // EventSource itself stays four methods wide for implementers outside
 // this module's packages.
 func UEIDAppender(src EventSource) func(dst []byte, e Event) []byte {

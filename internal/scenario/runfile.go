@@ -59,12 +59,17 @@ type runWriter struct {
 	err   error
 }
 
-func createRun(path string) (*runWriter, error) {
+// createRun creates the run file at path, to be written through block, a
+// buffer of blockSize bytes; nil makes one.
+func createRun(path string, block []byte) (*runWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: creating run %s: %w", path, err)
 	}
-	return &runWriter{f: f, buf: make([]byte, blockSize)}, nil
+	if block == nil {
+		block = make([]byte, blockSize)
+	}
+	return &runWriter{f: f, buf: block}, nil
 }
 
 func (w *runWriter) put(e Event) {
@@ -94,13 +99,14 @@ func (w *runWriter) finish() (run, error) {
 	return run{path: w.f.Name(), bytes: w.bytes}, w.err
 }
 
-// writeRun spills a chunk's events to path in the given order, charging the
-// spill account first so a quota breach aborts before the disk fills further.
-func writeRun(path string, evs []Event, order []sortKey, acct *spillAccount) (run, error) {
+// writeRun spills a chunk's events to path in the given order through the
+// block buffer (see createRun), charging the spill account first so a quota
+// breach aborts before the disk fills further.
+func writeRun(path string, evs []Event, order []sortKey, acct *spillAccount, block []byte) (run, error) {
 	if err := acct.add(int64(len(order)) * recordSize); err != nil {
 		return run{}, err
 	}
-	w, err := createRun(path)
+	w, err := createRun(path, block)
 	if err != nil {
 		return run{}, err
 	}
@@ -510,7 +516,7 @@ func mergePass(ctx context.Context, runs []run, path string, degree int, acct *s
 		return run{}, err
 	}
 	defer m.close()
-	w, err := createRun(path)
+	w, err := createRun(path, nil)
 	if err != nil {
 		return run{}, err
 	}

@@ -30,7 +30,7 @@ func TestRunFileBlockBoundaries(t *testing.T) {
 		evs := randomChunk(rng, n, 40, func() float64 { return rng.Float64() * 100 })
 		order := sorter.order(evs)
 		want := sortedByOrder(evs, order)
-		r, err := writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.bin", n)), evs, order, nil)
+		r, err := writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.bin", n)), evs, order, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -728,7 +728,8 @@ func TestOperatorSemantics(t *testing.T) {
 			}
 			c.ev = ev
 		}
-		return applyOps([]compiledOp{c}, s, 7, 1000, nil)
+		applyOps([]compiledOp{c}, s, 7, 1000, &opScratch{})
+		return s.Events
 	}
 
 	// clip keeps only the window.

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cptgpt/internal/events"
+	"cptgpt/internal/trace"
 )
 
 // The encoders trace.LineWriter replaced, kept as the reference the file
@@ -80,6 +81,31 @@ func (s *idSource) UEID(e Event) string {
 
 // stringOnly hides a stream's AppendUEID.
 type stringOnly struct{ EventSource }
+
+// eventWriter is the serial reference for the file sink's encoders: it
+// renders each event's UE id through the source (UEIDAppender) and writes
+// its line with trace.LineWriter.Write, one event at a time on the
+// caller's goroutine.
+type eventWriter struct {
+	lw       *trace.LineWriter
+	appendID func(dst []byte, e Event) []byte
+	id       []byte
+}
+
+// newEventWriter writes format "jsonl" or "csv" to w, with the csv column
+// header first when header is set.
+func newEventWriter(w io.Writer, format string, src EventSource, header bool) (*eventWriter, error) {
+	lw, err := trace.NewLineWriter(w, format, header)
+	if err != nil {
+		return nil, err
+	}
+	return &eventWriter{lw: lw, appendID: UEIDAppender(src)}, nil
+}
+
+func (ew *eventWriter) write(e Event) error {
+	ew.id = ew.appendID(ew.id[:0], e)
+	return ew.lw.Write(e.Time, ew.id, e.Device, e.Type)
+}
 
 // encodeAll writes evs through an eventWriter and returns what reached w,
 // with the first Write error (encoding continues past it, as a caller
@@ -415,7 +441,9 @@ func benchEvents(n int) (*Stream, []Event) {
 }
 
 // TestLineWriterZeroAllocs: encoding an event allocates nothing, in either
-// format, block writes included.
+// format, block writes included — one at a time through Write, and a batch
+// at a time as the file sink does it, rendered into reused Lines and
+// handed over by WriteLines.
 func TestLineWriterZeroAllocs(t *testing.T) {
 	st, evs := benchEvents(4096)
 	for _, format := range []string{"jsonl", "csv"} {
@@ -432,6 +460,25 @@ func TestLineWriterZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: %v allocations per event, want 0", format, allocs)
+		}
+
+		lw := ew.lw
+		var ls trace.Lines
+		var id []byte
+		lo := 0
+		allocs = testing.AllocsPerRun(200, func() {
+			ls.Reset()
+			for _, e := range evs[lo : lo+sinkBatch] {
+				id = st.AppendUEID(id[:0], e)
+				ls.Append(lw.Appender(), e.Time, id, e.Device, e.Type)
+			}
+			if err := lw.WriteLines(&ls); err != nil {
+				t.Fatal(err)
+			}
+			lo = (lo + sinkBatch) % (len(evs) - sinkBatch)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocations per batch of rendered lines, want 0", format, allocs)
 		}
 	}
 }

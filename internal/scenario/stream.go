@@ -407,9 +407,8 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var evs []Event
-			var scratch []trace.Event
-			var sorter chunkSorter
+			mem := workerMemory.Get().(*chunkMemory)
+			defer workerMemory.Put(mem)
 			// One job, isolated: a panicking source or operator must not
 			// take down the process (a daemon runs many scenarios) — it
 			// fails this run, and the worker keeps draining the job channel
@@ -442,12 +441,13 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 					n += len(streams[i].Events)
 				}
 				// Operators may add events; the pre-operator count
-				// is the usual size and one allocation.
-				evs = slices.Grow(evs[:0], n)
+				// is the usual size, and no allocation once the
+				// worker's memory has held a chunk this large.
+				evs := slices.Grow(mem.evs[:0], n)
 				for i := range streams {
 					s := &streams[i]
 					ue := ueKey(job.src, job.lo+i)
-					scratch = applyOps(src.ops, s, ue, horizon, scratch)
+					applyOps(src.ops, s, ue, horizon, &mem.ops)
 					for seq, e := range s.Events {
 						evs = append(evs, Event{
 							Time: e.Time, UE: ue, Seq: uint32(seq),
@@ -455,12 +455,13 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 						})
 					}
 				}
+				mem.evs = evs
 				opsSp.End(int64(len(evs)), src.id)
 				if len(evs) == 0 {
 					return
 				}
 				spillSp := tracez.Begin(tracez.StageScenarioSpill, "")
-				order := sorter.order(evs)
+				order := mem.sorter.order(evs)
 				if resume := opts.ResumeAfter; resume != nil {
 					// Fast-forward: prune the regenerated prefix ≤ the
 					// checkpointed key. The chunk is sorted in the merge's
@@ -475,7 +476,7 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 						return
 					}
 				}
-				if spilled[ji], err = writeRun(job.out, evs, order, acct); err != nil {
+				if spilled[ji], err = writeRun(job.out, evs, order, acct, mem.block); err != nil {
 					errs[w] = err
 					return
 				}
@@ -522,6 +523,22 @@ func spillChunks(ctx context.Context, spec *Spec, sources []boundSource, jobs []
 	}
 	return runs, skipped.Load(), nil
 }
+
+// chunkMemory is one chunk worker's scratch: the chunk's events, the
+// operators' stream buffers, the sort keys and the run writer's block. A
+// worker takes one from workerMemory when it starts and puts it back when
+// it exits, so a process's later runs generate into memory its earlier
+// runs grew instead of growing it again; what an idle process keeps there
+// goes at its next GC cycle or two. A worker still holds one chunk's worth
+// at a time, so memory stays O(Parallelism × BatchSize × stream length).
+type chunkMemory struct {
+	evs    []Event
+	ops    opScratch
+	sorter chunkSorter
+	block  []byte
+}
+
+var workerMemory = sync.Pool{New: func() any { return &chunkMemory{block: make([]byte, blockSize)} }}
 
 // mergePrefix merges the non-empty runs of the first reduction pass's
 // chunks into one run, on the calling worker alone: the other workers are

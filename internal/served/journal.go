@@ -80,7 +80,9 @@ func (r *run) removeJournal() {
 // the newest event the sink durably holds, so recovery can fast-forward
 // the regenerated stream past it and replay only the lost tail. Everything
 // but Next is the pacer's own — the sinks find its optional methods
-// (AppendUEID, OnIdle) on the tap as they would on the pacer.
+// (AppendUEID, OnIdle) on the tap as they would on the pacer; AppendUEID,
+// which a file sink's encoders call from several goroutines at once,
+// touches none of the tap's state.
 type ckptTap struct {
 	*scenario.Pacer
 	j        *runlog.Journal

@@ -44,6 +44,7 @@ const (
 	StageScenarioSpill   = "scenario.spill"   // sort + spill one sorted run
 	StageScenarioMerge   = "scenario.merge"   // one k-way merge pass
 	StageScenarioSink    = "scenario.sink"    // one sink drain, end to end
+	StageSinkEncode      = "sink.encode"      // one batch of a sink file's lines rendered by one encoder
 	StageSinkSync        = "sink.sync"        // one off-path checkpoint fsync of a sink file
 	StagePacerWait       = "pacer.wait"       // one pacer release wait
 	StagePacerWindow     = "pacer.window"     // one achieved-rate window
