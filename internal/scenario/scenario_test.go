@@ -859,6 +859,51 @@ func TestMCNSinkConsumesScenario(t *testing.T) {
 	}
 }
 
+// TestBuiltinMCNReportsPinned pins the MCN report of every built-in at 300
+// UEs: the event and rejection counts, the distinct and peak-connected UEs
+// of its per-UE state, the autoscaler's high-water mark and the latency
+// summary. A change to how the MCN tracks UE state must leave all of them
+// as they are.
+func TestBuiltinMCNReportsPinned(t *testing.T) {
+	type pin struct {
+		Events, Rejected, UEs, PeakConnectedUEs, MaxInstancesUsed int
+		MeanLatencySec, P95LatencySec, P99LatencySec              float64
+	}
+	want := map[string]pin{
+		"baseline-diurnal":      {Events: 9046, Rejected: 0, UEs: 300, PeakConnectedUEs: 68, MaxInstancesUsed: 2, MeanLatencySec: 0.0043767019990616825, P95LatencySec: 0.005623413251903492, P99LatencySec: 0.020535250264571467},
+		"failure-recovery-wave": {Events: 4457, Rejected: 108, UEs: 300, PeakConnectedUEs: 65, MaxInstancesUsed: 2, MeanLatencySec: 0.005516706470354841, P95LatencySec: 0.020535250264571467, P99LatencySec: 0.020535250264571467},
+		"flash-crowd":           {Events: 10020, Rejected: 1231, UEs: 300, PeakConnectedUEs: 54, MaxInstancesUsed: 2, MeanLatencySec: 0.004748121342430069, P95LatencySec: 0.005623413251903492, P99LatencySec: 0.020535250264571467},
+		"handover-storm":        {Events: 8282, Rejected: 17, UEs: 300, PeakConnectedUEs: 85, MaxInstancesUsed: 2, MeanLatencySec: 0.004485618864447367, P95LatencySec: 0.005623413251903492, P99LatencySec: 0.020535250264571467},
+		"iot-burst":             {Events: 3793, Rejected: 0, UEs: 300, PeakConnectedUEs: 85, MaxInstancesUsed: 2, MeanLatencySec: 0.010475951886417582, P95LatencySec: 0.020535250264571467, P99LatencySec: 0.316227766016838},
+		"mix-shift":             {Events: 2764, Rejected: 0, UEs: 300, PeakConnectedUEs: 38, MaxInstancesUsed: 2, MeanLatencySec: 0.005539797395100767, P95LatencySec: 0.020535250264571467, P99LatencySec: 0.020535250264571467},
+		"paging-storm":          {Events: 6239, Rejected: 1550, UEs: 300, PeakConnectedUEs: 75, MaxInstancesUsed: 2, MeanLatencySec: 0.004882240594294054, P95LatencySec: 0.020535250264571467, P99LatencySec: 0.020535250264571467},
+	}
+	names := Builtins()
+	if len(names) != len(want) {
+		t.Fatalf("built-ins %v, pinned %d", names, len(want))
+	}
+	for _, name := range names {
+		spec, err := Builtin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := spec.Open(RunOpts{UEs: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := RunMCN(st, mcnConfigForTest())
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pin{rep.Events, rep.Rejected, rep.UEs, rep.PeakConnectedUEs, rep.MaxInstancesUsed,
+			rep.MeanLatencySec, rep.P95LatencySec, rep.P99LatencySec}
+		if w, ok := want[name]; !ok || got != w {
+			t.Errorf("%s: MCN report %+v, pinned %+v", name, got, w)
+		}
+	}
+}
+
 func TestDrainSummary(t *testing.T) {
 	spec, err := Builtin("flash-crowd")
 	if err != nil {
