@@ -238,8 +238,9 @@ type (
 	Fidelity = metrics.Fidelity
 	// MemorizationResult reports the n-gram repetition audit.
 	MemorizationResult = metrics.MemorizationResult
-	// ReplayAggregate carries violation and sojourn accounting.
-	ReplayAggregate = statemachine.AggregateReplay
+	// ReplayAggregate is the state-machine tally of a replayed dataset:
+	// violation counts, connected UEs and per-UE sojourn means.
+	ReplayAggregate = statemachine.Tally
 )
 
 // Evaluate computes the full fidelity suite of synth against real.

@@ -6,6 +6,7 @@ import (
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/metrics"
+	"cptgpt/internal/statemachine"
 	"cptgpt/internal/stats"
 	"cptgpt/internal/synthetic"
 	"cptgpt/internal/tensor"
@@ -54,9 +55,10 @@ func TestDecodeFidelityGate(t *testing.T) {
 	ref := referenceGenerate(t, m, base)
 	refAgg := metrics.Replay(ref)
 	_, refIA, _ := specMarginals(ref)
-	if len(refAgg.MeanConnectedPerUE) < 500 || len(refIA) < 5000 {
+	refConn := refAgg.MeanSojourns(statemachine.TopConnected)
+	if len(refConn) < 500 || len(refIA) < 5000 {
 		t.Fatalf("reference population too thin to gate on: %d sojourn samples, %d interarrivals",
-			len(refAgg.MeanConnectedPerUE), len(refIA))
+			len(refConn), len(refIA))
 	}
 	t.Logf("float64 reference: violation %.4f over %d streams", refAgg.EventViolationRate(), len(ref.Streams))
 

@@ -11,9 +11,9 @@ import (
 	"cptgpt/internal/trace"
 )
 
-// statemachineAgg aliases the replay aggregate for readability in the
-// figure definitions.
-type statemachineAgg = statemachine.AggregateReplay
+// statemachineAgg aliases the replay tally for readability in the figure
+// definitions.
+type statemachineAgg = statemachine.Tally
 
 // Table3 reproduces "Semantic violations in control-plane traffic
 // synthesized by NetShare": event/stream violation percentages and the top
@@ -53,13 +53,13 @@ func Figure2(l *Lab) (*Report, error) {
 		Title:  "Mean CONNECTED sojourn per UE, seconds (phones)",
 		Header: qsHeader("curve"),
 	}
-	t.AddRow(qsRow("Real", metrics.Replay(real).MeanConnectedPerUE, secs)...)
+	t.AddRow(qsRow("Real", metrics.Replay(real).MeanSojourns(statemachine.TopConnected), secs)...)
 	for _, id := range []GeneratorID{GenNetShare, GenCPTGPT} {
 		gen, err := l.Generated(id, events.Phone)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(qsRow(string(id), metrics.Replay(gen).MeanConnectedPerUE, secs)...)
+		t.AddRow(qsRow(string(id), metrics.Replay(gen).MeanSojourns(statemachine.TopConnected), secs)...)
 	}
 	nsF, cgF, err := l.twoFidelities(events.Phone)
 	if err != nil {
@@ -191,8 +191,8 @@ func Figure5(l *Lab) (*Report, error) {
 	srv := events.ServiceRequest
 	rel := events.S1ConnRel
 	defs := []metricDef{
-		{"Sojourn CONNECTED (s)", secs, func(d *trace.Dataset, a *statemachineAgg) []float64 { return a.MeanConnectedPerUE }},
-		{"Sojourn IDLE (s)", secs, func(d *trace.Dataset, a *statemachineAgg) []float64 { return a.MeanIdlePerUE }},
+		{"Sojourn CONNECTED (s)", secs, func(d *trace.Dataset, a *statemachineAgg) []float64 { return a.MeanSojourns(statemachine.TopConnected) }},
+		{"Sojourn IDLE (s)", secs, func(d *trace.Dataset, a *statemachineAgg) []float64 { return a.MeanSojourns(statemachine.TopIdle) }},
 		{"Flow length (all)", count, func(d *trace.Dataset, a *statemachineAgg) []float64 { return d.FlowLengths(nil) }},
 		{"Flow length (SRV_REQ)", count, func(d *trace.Dataset, a *statemachineAgg) []float64 { return d.FlowLengths(&srv) }},
 		{"Flow length (S1_CONN_REL)", count, func(d *trace.Dataset, a *statemachineAgg) []float64 { return d.FlowLengths(&rel) }},

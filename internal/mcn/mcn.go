@@ -148,8 +148,11 @@ type WindowStat struct {
 
 // Report is the simulation output.
 type Report struct {
-	// Events is the number of arrivals processed; Rejected counts events
-	// dropped for violating the UE state machine.
+	// Events is the number of arrivals processed, each UE's events before
+	// its bootstrap included. Rejected counts events dropped for violating
+	// the UE state machine; its denominator is Events. Table 5's violation
+	// rate divides by the counted events only, those after the bootstrap
+	// (statemachine.Tally.CountedEvents).
 	Events   int
 	Rejected int
 	// MeanLatencySec / P95LatencySec / P99LatencySec summarize the
@@ -196,18 +199,17 @@ func Run(d *trace.Dataset, cfg Config) (*Report, error) {
 }
 
 // RunStream simulates the MCN over a time-ordered arrival sequence pulled
-// incrementally from src. Memory is bounded by the per-UE state map and the
-// instance pool — independent of the number of events — which is what lets
-// the scenario engine drive million-UE workloads through it. Arrivals must
-// be non-decreasing in time; a time regression is reported as an error
+// incrementally from src. Memory is bounded by the per-UE state tally and
+// the instance pool — independent of the number of events — which is what
+// lets the scenario engine drive million-UE workloads through it. Arrivals
+// must be non-decreasing in time; a time regression is reported as an error
 // (merged scenario streams guarantee order by construction).
 func RunStream(gen events.Generation, src trace.ArrivalSource, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 
-	machine := statemachine.New(gen)
-	ues := make(map[uint64]statemachine.UE)
+	tally := statemachine.NewTally(statemachine.New(gen))
 
 	servers := make(serverHeap, cfg.BaseInstances)
 	heap.Init(&servers)
@@ -219,7 +221,6 @@ func RunStream(gen events.Generation, src trace.ArrivalSource, cfg Config) (*Rep
 	if hist == nil {
 		hist = telemetry.NewHistogram(telemetry.LatencyBuckets)
 	}
-	connected := 0
 	var winStart float64
 	winArrivals := 0
 	var winBusy float64
@@ -305,36 +306,16 @@ func RunStream(gen events.Generation, src trace.ArrivalSource, cfg Config) (*Rep
 		}
 
 		// Stateful admission under the replay rule (statemachine.Apply):
-		// pre-bootstrap events are admitted without a state check.
-		rec, seen := ues[a.UE]
-		if !seen {
-			rep.UEs++
-			if cfg.Live != nil {
-				cfg.Live.UEs.Add(1)
-			}
+		// pre-bootstrap events are admitted without a state check, and an
+		// event the machine refuses is dropped unserved.
+		admitted := tally.Observe(a.UE, a.Type, a.Time)
+		if cfg.Live != nil {
+			cfg.Live.Rejected.Store(int64(tally.ViolatingEvents))
+			cfg.Live.UEs.Store(int64(tally.UEs))
+			cfg.Live.ConnectedUEs.Store(int64(tally.Connected))
 		}
-		prevTop := statemachine.Top(rec.State)
-		if !machine.Apply(&rec, a.Type) {
-			rep.Rejected++
-			if cfg.Live != nil {
-				cfg.Live.Rejected.Add(1)
-			}
+		if !admitted {
 			continue
-		}
-		ues[a.UE] = rec
-		if top := statemachine.Top(rec.State); top != prevTop {
-			switch {
-			case top == statemachine.TopConnected:
-				connected++
-				if connected > rep.PeakConnectedUEs {
-					rep.PeakConnectedUEs = connected
-				}
-			case prevTop == statemachine.TopConnected:
-				connected--
-			}
-			if cfg.Live != nil {
-				cfg.Live.ConnectedUEs.Store(int64(connected))
-			}
 		}
 
 		// Queueing: earliest-free server takes the job.
@@ -354,6 +335,9 @@ func RunStream(gen events.Generation, src trace.ArrivalSource, cfg Config) (*Rep
 	}
 	closeWindow(winStart + cfg.Window)
 
+	rep.Rejected = tally.ViolatingEvents
+	rep.UEs = tally.UEs
+	rep.PeakConnectedUEs = tally.PeakConnected
 	rep.MeanLatencySec = hist.Mean()
 	rep.P95LatencySec = hist.Quantile(0.95)
 	rep.P99LatencySec = hist.Quantile(0.99)

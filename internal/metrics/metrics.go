@@ -13,16 +13,18 @@ import (
 )
 
 // Replay feeds every stream of the dataset through the generation's UE
-// state machine and returns the aggregate violation and sojourn accounting.
-func Replay(d *trace.Dataset) *statemachine.AggregateReplay {
-	m := statemachine.New(d.Generation)
-	agg := statemachine.NewAggregateReplay()
+// state machine, stream i as UE i, and returns the tally of violations and
+// sojourns. Every stream counts as a UE, one with no events included: that
+// is the denominator of Table 5's stream violation rate.
+func Replay(d *trace.Dataset) *statemachine.Tally {
+	t := statemachine.NewTally(statemachine.New(d.Generation))
 	for i := range d.Streams {
-		s := &d.Streams[i]
-		r := statemachine.Replay(m, s.Types(), s.Times())
-		agg.Add(&r)
+		for _, e := range d.Streams[i].Events {
+			t.Observe(uint64(i), e.Type, e.Time)
+		}
 	}
-	return agg
+	t.UEs = len(d.Streams)
+	return t
 }
 
 // ViolationShare is one Table 3 row: a (state, event) pair and its share of
@@ -76,7 +78,7 @@ func Evaluate(real, synth *trace.Dataset) Fidelity {
 
 // EvaluateWithReplay is Evaluate with pre-computed replays, letting callers
 // that already replayed (e.g. the experiment harness) avoid doing it twice.
-func EvaluateWithReplay(real, synth *trace.Dataset, realAgg, synthAgg *statemachine.AggregateReplay) Fidelity {
+func EvaluateWithReplay(real, synth *trace.Dataset, realAgg, synthAgg *statemachine.Tally) Fidelity {
 	var f Fidelity
 	f.EventViolation = synthAgg.EventViolationRate()
 	f.StreamViolation = synthAgg.StreamViolationRate()
@@ -85,8 +87,9 @@ func EvaluateWithReplay(real, synth *trace.Dataset, realAgg, synthAgg *statemach
 		f.TopViolations = append(f.TopViolations, ViolationShare{State: k.State, Event: k.Event, Share: shares[i]})
 	}
 
-	f.SojournConnMaxY = stats.MaxYDistance(realAgg.MeanConnectedPerUE, synthAgg.MeanConnectedPerUE)
-	f.SojournIdleMaxY = stats.MaxYDistance(realAgg.MeanIdlePerUE, synthAgg.MeanIdlePerUE)
+	conn, idle := statemachine.TopConnected, statemachine.TopIdle
+	f.SojournConnMaxY = stats.MaxYDistance(realAgg.MeanSojourns(conn), synthAgg.MeanSojourns(conn))
+	f.SojournIdleMaxY = stats.MaxYDistance(realAgg.MeanSojourns(idle), synthAgg.MeanSojourns(idle))
 
 	f.FlowLenMaxY = stats.MaxYDistance(real.FlowLengths(nil), synth.FlowLengths(nil))
 	srv := events.ServiceRequest

@@ -2,9 +2,13 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cptgpt/internal/events"
+	"cptgpt/internal/statemachine"
 	"cptgpt/internal/synthetic"
 	"cptgpt/internal/trace"
 )
@@ -31,8 +35,90 @@ func TestReplayCleanDataset(t *testing.T) {
 		t.Fatalf("ground truth must replay clean: %v / %v",
 			agg.EventViolationRate(), agg.StreamViolationRate())
 	}
-	if len(agg.SojournConnected) == 0 || len(agg.SojournIdle) == 0 {
+	if len(agg.MeanSojourns(statemachine.TopConnected)) == 0 || len(agg.MeanSojourns(statemachine.TopIdle)) == 0 {
 		t.Fatal("expected sojourn samples")
+	}
+	if agg.UEs != len(d.Streams) {
+		t.Fatalf("%d UEs replayed, dataset has %d streams", agg.UEs, len(d.Streams))
+	}
+}
+
+// A stream with no events is still a UE of Table 5's denominator.
+func TestReplayCountsEmptyStreams(t *testing.T) {
+	d := &trace.Dataset{Generation: events.Gen4G, Streams: []trace.Stream{
+		{Events: []trace.Event{{Time: 0, Type: events.ServiceRequest}, {Time: 1, Type: events.ServiceRequest}}},
+		{},
+		{Events: []trace.Event{{Time: 0, Type: events.Attach}}},
+		{},
+	}}
+	agg := Replay(d)
+	if agg.UEs != 4 || agg.ViolatedUEs != 1 || agg.StreamViolationRate() != 0.25 {
+		t.Fatalf("%d UEs, %d violated, stream violation rate %v; want 4, 1, 0.25",
+			agg.UEs, agg.ViolatedUEs, agg.StreamViolationRate())
+	}
+}
+
+// Property: a tally does not depend on how UEs interleave. A dataset fed
+// stream by stream (Replay) and fed as its time-merged arrival sequence
+// (what the MCN simulator and the replay drivers consume) gives the same
+// counts, the same violations by (state, event) and the same violated UEs,
+// and the same per-UE sojourn means up to order — for both generations, on
+// datasets damaged so that there are violations to count.
+func TestReplayIndependentOfInterleaving(t *testing.T) {
+	for _, gen := range []events.Generation{events.Gen4G, events.Gen5G} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			d, err := synthetic.Generate(synthetic.Config{
+				Generation: gen, Seed: seed,
+				UEs:   map[events.DeviceType]int{events.Phone: 40, events.Tablet: 10},
+				Hours: 1, StartHour: 10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drop about one event in six, which strands later ones.
+			rng := rand.New(rand.NewPCG(seed, uint64(gen)))
+			for i := range d.Streams {
+				s := &d.Streams[i]
+				s.Events = slices.DeleteFunc(s.Events, func(trace.Event) bool { return rng.IntN(6) == 0 })
+				if len(s.Events) == 0 {
+					s.Events = []trace.Event{{Time: 1, Type: events.ServiceRequest}}
+				}
+			}
+			byStream := Replay(d)
+			merged := statemachine.NewTally(statemachine.New(gen))
+			src := d.Arrivals()
+			for {
+				a, ok, err := src.NextArrival()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				merged.Observe(a.UE, a.Type, a.Time)
+			}
+			if byStream.ViolatingEvents == 0 {
+				t.Fatalf("%v seed %d: damaged dataset has no violations; the test would prove nothing", gen, seed)
+			}
+			type counts struct{ events, counted, violating, ues, violated int }
+			count := func(tl *statemachine.Tally) counts {
+				return counts{tl.Events, tl.CountedEvents, tl.ViolatingEvents, tl.UEs, tl.ViolatedUEs}
+			}
+			if a, b := count(byStream), count(merged); a != b {
+				t.Fatalf("%v seed %d: by stream %+v, merged %+v", gen, seed, a, b)
+			}
+			if !reflect.DeepEqual(byStream.ByStateEvent, merged.ByStateEvent) {
+				t.Fatalf("%v seed %d: violations by stream %v, merged %v", gen, seed, byStream.ByStateEvent, merged.ByStateEvent)
+			}
+			for _, top := range []statemachine.TopState{statemachine.TopConnected, statemachine.TopIdle} {
+				a, b := byStream.MeanSojourns(top), merged.MeanSojourns(top)
+				slices.Sort(a)
+				slices.Sort(b)
+				if len(a) == 0 || !slices.Equal(a, b) {
+					t.Fatalf("%v seed %d: %v sojourn means by stream %v, merged %v", gen, seed, top, a, b)
+				}
+			}
+		}
 	}
 }
 

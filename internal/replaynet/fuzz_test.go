@@ -63,7 +63,7 @@ func FuzzServeConn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := &Server{
 			gen:      events.Gen4G,
-			ues:      make(map[uint64]statemachine.UE),
+			tally:    statemachine.NewTally(statemachine.New(events.Gen4G)),
 			sessions: make(map[uint64]*session),
 		}
 		s.stats.ByType = make(map[string]int)

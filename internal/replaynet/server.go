@@ -15,8 +15,11 @@ import (
 
 // Stats is the server-side accounting returned to drivers on request.
 type Stats struct {
-	// Events is the number of EVENT/SEVENT frames accepted; Rejected counts
-	// events that violated the UE state machine.
+	// Events is the number of EVENT/SEVENT frames accepted, each UE's
+	// events before its bootstrap included. Rejected counts events that
+	// violated the UE state machine; its denominator is Events. Table 5's
+	// violation rate divides by the counted events only, those after the
+	// bootstrap (statemachine.Tally.CountedEvents).
 	Events   int `json:"events"`
 	Rejected int `json:"rejected"`
 	// Duplicates counts closed-loop events suppressed by session sequence
@@ -76,8 +79,8 @@ type Server struct {
 	opts ServerOpts
 
 	mu       sync.Mutex
-	stats    Stats
-	ues      map[uint64]statemachine.UE
+	stats    Stats               // Duplicates and ByType; the rest is in tally
+	tally    *statemachine.Tally // every connection's events, applied in order
 	sessions map[uint64]*session
 	closed   bool
 	wg       sync.WaitGroup
@@ -108,7 +111,7 @@ func ListenAndServeOpts(addr string, gen events.Generation, opts ServerOpts) (*S
 		ln:       ln,
 		gen:      gen,
 		opts:     opts,
-		ues:      make(map[uint64]statemachine.UE),
+		tally:    statemachine.NewTally(statemachine.New(gen)),
 		sessions: make(map[uint64]*session),
 	}
 	s.stats.ByType = make(map[string]int)
@@ -135,6 +138,8 @@ func (s *Server) Snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp := s.stats
+	cp.Events, cp.Rejected = s.tally.Events, s.tally.ViolatingEvents
+	cp.ConnectedUEs, cp.PeakConnectedUEs = s.tally.Connected, s.tally.PeakConnected
 	cp.ByType = make(map[string]int, len(s.stats.ByType))
 	for k, v := range s.stats.ByType {
 		cp.ByType[k] = v
@@ -173,7 +178,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	machine := statemachine.New(s.gen)
 
 	var sess *session    // non-nil once a CHELLO arrives
 	var served time.Time // when the connection's previous event was due
@@ -220,7 +224,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 		case frameEvent:
-			ue, _, evb, err := decodeEvent(payload)
+			ue, at, evb, err := decodeEvent(payload)
 			if err != nil {
 				return
 			}
@@ -228,12 +232,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			if !ev.Valid() {
 				return
 			}
-			s.consume(machine, &served, ue, ev)
+			s.consume(&served, ue, at, ev)
 		case frameSeqEvent:
 			if sess == nil {
 				return // sequenced events require a closed-loop hello
 			}
-			seq, ue, _, evb, err := decodeSeqEvent(payload)
+			seq, ue, at, evb, err := decodeSeqEvent(payload)
 			if err != nil {
 				return
 			}
@@ -252,7 +256,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			case seq == applied+1:
 				sess.applied = seq
 				s.mu.Unlock()
-				s.consume(machine, &served, ue, ev)
+				s.consume(&served, ue, at, ev)
 				sinceAck++
 			default:
 				// A gap: the driver always sends contiguously within one
@@ -289,10 +293,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// consume applies one event to the stateful UE table once the connection's
-// service schedule reaches it: ServiceTime after the previous event was
-// due, *served, which it advances.
-func (s *Server) consume(machine statemachine.Machine, served *time.Time, ue uint64, ev events.Type) {
+// consume applies UE ue's event ev, stamped at microseconds, to the
+// stateful UE table once the connection's service schedule reaches it:
+// ServiceTime after the previous event was due, *served, which it advances.
+func (s *Server) consume(served *time.Time, ue uint64, at int64, ev events.Type) {
 	if s.opts.ServiceTime > 0 {
 		now := time.Now()
 		if floor := now.Add(-serviceCredit); served.Before(floor) {
@@ -303,26 +307,6 @@ func (s *Server) consume(machine statemachine.Machine, served *time.Time, ue uin
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stats.Events++
 	s.stats.ByType[ev.String()]++
-
-	u := s.ues[ue]
-	prevTop := statemachine.Top(u.State)
-	if !machine.Apply(&u, ev) {
-		s.stats.Rejected++
-		return
-	}
-	s.ues[ue] = u
-	top := statemachine.Top(u.State)
-	if top != prevTop {
-		switch {
-		case top == statemachine.TopConnected:
-			s.stats.ConnectedUEs++
-			if s.stats.ConnectedUEs > s.stats.PeakConnectedUEs {
-				s.stats.PeakConnectedUEs = s.stats.ConnectedUEs
-			}
-		case prevTop == statemachine.TopConnected:
-			s.stats.ConnectedUEs--
-		}
-	}
+	s.tally.Observe(ue, ev, float64(at)/1e6)
 }

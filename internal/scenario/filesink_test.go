@@ -64,6 +64,12 @@ func (c *ckptSource) Next() (Event, bool) {
 	return e, ok
 }
 
+// AppendUEID forwards the wrapped source's id renderer, as the daemon's
+// checkpoint tap does, so the sink renders ids the way it does there.
+func (c *ckptSource) AppendUEID(dst []byte, e Event) []byte {
+	return UEIDAppender(c.EventSource)(dst, e)
+}
+
 func (c *ckptSource) take() {
 	n := c.n
 	if c.waited {

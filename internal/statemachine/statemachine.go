@@ -1,8 +1,11 @@
 // Package statemachine implements the two-level hierarchical UE state
 // machines for 4G and 5G (Figure 1 of the paper, derived by the prior-art
-// SMM work from the 3GPP EMM/ECM and RM/CM state machines), together with a
-// replay engine that validates streams, counts semantic violations and
-// extracts per-state sojourn times.
+// SMM work from the 3GPP EMM/ECM and RM/CM state machines), the replay rule
+// every per-UE consumer follows (Machine.Apply), and Tally, the one
+// streaming account of that rule: fed events one at a time in any
+// interleaving of UEs, it counts semantic violations the way Tables 3 and 5
+// do, tracks connected UEs and keeps per-UE sojourn means. Table 5's
+// metrics, the MCN simulator and the replay server all read one.
 //
 // The top level merges the mobility-management and connection-management
 // machines into three UE states: DEREGISTERED, CONNECTED and IDLE. The

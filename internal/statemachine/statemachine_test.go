@@ -1,6 +1,7 @@
 package statemachine
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -164,44 +165,59 @@ func TestBootstrapDeterministicDestinations(t *testing.T) {
 	}
 }
 
-// checkApply feeds evs to Machine.Apply one at a time — the way the MCN
-// simulator and the replay server consume a UE's events — and holds it to
-// Replay's account r of the same stream: the same events admitted unchecked
-// before the bootstrap, the same ones refused after it, a refusal leaving
-// the UE as it was, and the same final state.
-func checkApply(t *testing.T, m Machine, evs []events.Type, r ReplayResult) {
+// tallyStream feeds evs, stamped ts, to a fresh Tally as one UE and to
+// Machine.Apply by hand — the way the MCN simulator and the replay server
+// consume a UE's events — and holds the two to one account: the same events
+// admitted unchecked (a prefix, before the bootstrap, not counted), the same
+// ones refused (counted, leaving the UE as it was), and the same final
+// state. It returns the tally and the indices of the refused events.
+func tallyStream(t *testing.T, m Machine, evs []events.Type, ts []float64) (*Tally, []int) {
 	t.Helper()
+	const ue = 7
+	tl := NewTally(m)
 	var u UE
-	var unchecked, refused []int
+	var refused []int
+	unchecked := 0
 	for i, e := range evs {
-		before := u
+		before, counted := u, tl.CountedEvents
 		ok := m.Apply(&u, e)
+		if got := tl.Observe(ue, e, ts[i]); got != ok {
+			t.Fatalf("event %d (%v): Observe %v, Apply %v", i, e, got, ok)
+		}
 		switch {
 		case !ok && u != before:
 			t.Fatalf("event %d (%v) refused but moved the UE %+v → %+v", i, e, before, u)
 		case !ok:
 			refused = append(refused, i)
 		case !u.Boot:
-			unchecked = append(unchecked, i)
 			if u != (UE{}) {
 				t.Fatalf("event %d (%v) precedes the bootstrap but left %+v", i, e, u)
 			}
+			if i != unchecked {
+				t.Fatalf("event %d (%v) admitted unchecked after the bootstrap", i, e)
+			}
+			unchecked++
+			if tl.CountedEvents != counted {
+				t.Fatalf("event %d (%v) precedes the bootstrap but was counted", i, e)
+			}
+			continue
+		}
+		if tl.CountedEvents != counted+1 {
+			t.Fatalf("event %d (%v) follows the bootstrap but was not counted", i, e)
 		}
 	}
-	if len(unchecked) != r.Skipped || (r.Skipped > 0 && unchecked[r.Skipped-1] != r.Skipped-1) {
-		t.Fatalf("Apply admitted %v unchecked, Replay skipped the first %d", unchecked, r.Skipped)
+	r := tl.lookup(ue)
+	if got := (UE{State: State(r.state), Boot: r.boot}); got != u {
+		t.Fatalf("Apply ended at %+v, the tally at %+v", u, got)
 	}
-	if len(refused) != len(r.Violations) {
-		t.Fatalf("Apply refused %v, Replay found %+v", refused, r.Violations)
+	if tl.UEs != 1 || tl.Events != len(evs) || tl.CountedEvents != len(evs)-unchecked ||
+		tl.ViolatingEvents != len(refused) {
+		t.Fatalf("tally %+v of %d events, %d unchecked, %d refused", tl, len(evs), unchecked, len(refused))
 	}
-	for k, v := range r.Violations {
-		if refused[k] != v.Index {
-			t.Fatalf("Apply refused %v, Replay found %+v", refused, r.Violations)
-		}
+	if want := min(len(refused), 1); tl.ViolatedUEs != want {
+		t.Fatalf("%d violated UEs, want %d", tl.ViolatedUEs, want)
 	}
-	if u.Boot != r.Bootstrapped || u.State != r.Final {
-		t.Fatalf("Apply ended at %+v, Replay at state %v bootstrapped=%v", u, r.Final, r.Bootstrapped)
-	}
+	return tl, refused
 }
 
 func TestReplayCleanStream(t *testing.T) {
@@ -216,22 +232,24 @@ func TestReplayCleanStream(t *testing.T) {
 		events.S1ConnRel,      // t=230, IDLE (CONNECTED sojourn = 30)
 	}
 	ts := []float64{0, 5, 6, 10, 100, 200, 230}
-	r := Replay(m, evs, ts)
-	checkApply(t, m, evs, r)
-	if r.Violated() {
-		t.Fatalf("clean stream reported violations: %+v", r.Violations)
+	tl, refused := tallyStream(t, m, evs, ts)
+	if len(refused) != 0 || len(tl.ByStateEvent) != 0 {
+		t.Fatalf("clean stream reported violations: %v %v", refused, tl.ByStateEvent)
 	}
-	if r.Counted != len(evs) || r.Skipped != 0 {
-		t.Fatalf("counted %d skipped %d", r.Counted, r.Skipped)
+	if tl.CountedEvents != len(evs) {
+		t.Fatalf("counted %d", tl.CountedEvents)
 	}
-	if len(r.SojournConnected) != 2 || r.SojournConnected[0] != 10 || r.SojournConnected[1] != 30 {
-		t.Fatalf("connected sojourns %v, want [10 30]", r.SojournConnected)
+	if got := tl.MeanSojourns(TopConnected); len(got) != 1 || got[0] != 20 {
+		t.Fatalf("connected sojourn means %v, want [20] (visits of 10 and 30)", got)
 	}
-	if len(r.SojournIdle) != 1 || r.SojournIdle[0] != 190 {
-		t.Fatalf("idle sojourns %v, want [190]", r.SojournIdle)
+	if got := tl.MeanSojourns(TopIdle); len(got) != 1 || got[0] != 190 {
+		t.Fatalf("idle sojourn means %v, want [190]", got)
 	}
-	if Top(r.Final) != TopIdle {
-		t.Fatalf("final state %v, want IDLE", r.Final)
+	if tl.MeanSojourns(TopDeregistered) != nil {
+		t.Fatal("DEREGISTERED has no sojourns")
+	}
+	if tl.Connected != 0 || tl.PeakConnected != 1 {
+		t.Fatalf("connected %d peak %d, want 0 and 1 (the UE ends IDLE)", tl.Connected, tl.PeakConnected)
 	}
 }
 
@@ -242,74 +260,98 @@ func TestReplayViolationHoldsState(t *testing.T) {
 		events.ServiceRequest, // violation (already connected)
 		events.S1ConnRel,      // still valid from SrvReqS
 	}
-	ts := []float64{0, 1, 2}
-	r := Replay(m, evs, ts)
-	checkApply(t, m, evs, r)
-	if len(r.Violations) != 1 {
-		t.Fatalf("violations %v, want exactly 1", r.Violations)
+	tl, refused := tallyStream(t, m, evs, []float64{0, 1, 2})
+	if len(refused) != 1 || refused[0] != 1 {
+		t.Fatalf("refused %v, want [1]", refused)
 	}
-	v := r.Violations[0]
-	if v.Index != 1 || v.State != SrvReqS || v.Event != events.ServiceRequest {
-		t.Fatalf("violation %+v", v)
+	if want := map[StateEvent]int{{SrvReqS, events.ServiceRequest}: 1}; !reflect.DeepEqual(tl.ByStateEvent, want) {
+		t.Fatalf("violations %v, want %v", tl.ByStateEvent, want)
 	}
-	if Top(r.Final) != TopIdle {
-		t.Fatalf("final %v: the machine must hold state through violations", r.Final)
+	if tl.Connected != 0 {
+		t.Fatal("the machine must hold state through violations and end IDLE")
 	}
 }
 
 func TestReplaySkipsPreBootstrapEvents(t *testing.T) {
 	m := New(events.Gen4G)
 	evs := []events.Type{events.TAU, events.TAU, events.ServiceRequest, events.S1ConnRel}
-	ts := []float64{0, 10, 20, 30}
-	r := Replay(m, evs, ts)
-	checkApply(t, m, evs, r)
-	if r.Skipped != 2 {
-		t.Fatalf("skipped %d, want 2 (TAU is not deterministic)", r.Skipped)
+	tl, refused := tallyStream(t, m, evs, []float64{0, 10, 20, 30})
+	if tl.CountedEvents != 2 {
+		t.Fatalf("counted %d, want 2 (TAU is not deterministic)", tl.CountedEvents)
 	}
-	if r.Counted != 2 {
-		t.Fatalf("counted %d, want 2", r.Counted)
-	}
-	if r.Violated() {
+	if len(refused) != 0 {
 		t.Fatal("no violations expected after bootstrap")
+	}
+	if got := tl.MeanSojourns(TopConnected); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("connected sojourn means %v, want [10]: the visit starts at the bootstrap", got)
 	}
 }
 
 func TestReplayUnbootstrappableStream(t *testing.T) {
 	m := New(events.Gen4G)
-	evs := []events.Type{events.TAU, events.TAU}
-	r := Replay(m, evs, []float64{0, 1})
-	checkApply(t, m, evs, r)
-	if r.Bootstrapped || r.Counted != 0 || r.Skipped != 2 {
-		t.Fatalf("unexpected result %+v", r)
+	tl, _ := tallyStream(t, m, []events.Type{events.TAU, events.TAU}, []float64{0, 1})
+	if tl.CountedEvents != 0 || tl.Events != 2 {
+		t.Fatalf("unexpected tally %+v", tl)
 	}
 }
 
 func TestAggregateReplay(t *testing.T) {
 	m := New(events.Gen4G)
-	agg := NewAggregateReplay()
-	clean := Replay(m,
-		[]events.Type{events.Attach, events.S1ConnRel, events.ServiceRequest},
-		[]float64{0, 5, 50})
-	dirty := Replay(m,
-		[]events.Type{events.ServiceRequest, events.ServiceRequest},
-		[]float64{0, 1})
-	agg.Add(&clean)
-	agg.Add(&dirty)
-	if agg.Streams != 2 || agg.ViolatedStreams != 1 {
-		t.Fatalf("streams %d violated %d", agg.Streams, agg.ViolatedStreams)
+	tl := NewTally(m)
+	// UE 1 is clean; UE 2 violates twice; their events interleave.
+	tl.Observe(1, events.Attach, 0)
+	tl.Observe(2, events.ServiceRequest, 0)
+	tl.Observe(2, events.ServiceRequest, 1)
+	tl.Observe(1, events.S1ConnRel, 5)
+	tl.Observe(2, events.ServiceRequest, 6)
+	tl.Observe(1, events.ServiceRequest, 50)
+	if tl.UEs != 2 || tl.ViolatedUEs != 1 {
+		t.Fatalf("UEs %d violated %d", tl.UEs, tl.ViolatedUEs)
 	}
-	if agg.StreamViolationRate() != 0.5 {
-		t.Fatalf("stream violation rate %v", agg.StreamViolationRate())
+	if tl.StreamViolationRate() != 0.5 || tl.EventViolationRate() != 2.0/6 {
+		t.Fatalf("stream violation rate %v, event violation rate %v", tl.StreamViolationRate(), tl.EventViolationRate())
 	}
-	if agg.EventViolationRate() <= 0 {
-		t.Fatal("event violation rate should be positive")
-	}
-	keys, shares := agg.TopViolations(5)
-	if len(keys) != 1 || keys[0].Event != events.ServiceRequest {
+	keys, shares := tl.TopViolations(5)
+	if len(keys) != 1 || keys[0] != (StateEvent{SrvReqS, events.ServiceRequest}) || shares[0] != 2.0/6 {
 		t.Fatalf("top violations %v %v", keys, shares)
 	}
-	if len(agg.MeanConnectedPerUE) != 1 {
-		t.Fatalf("per-UE connected means %v", agg.MeanConnectedPerUE)
+	if got := tl.MeanSojourns(TopConnected); len(got) != 1 || got[0] != 5 {
+		t.Fatalf("per-UE connected means %v, want [5]", got)
+	}
+	if tl.Connected != 2 || tl.PeakConnected != 2 {
+		t.Fatalf("connected %d peak %d, want 2 and 2", tl.Connected, tl.PeakConnected)
+	}
+}
+
+// TopViolations orders by count, most first, and breaks ties by state and
+// then by event, whatever order the map yields its pairs in.
+func TestTopViolationsOrder(t *testing.T) {
+	tl := NewTally(New(events.Gen4G))
+	tl.CountedEvents = 100
+	tl.ByStateEvent = map[StateEvent]int{
+		{S1RelS2, events.Handover}:       3,
+		{S1RelS1, events.S1ConnRel}:      3,
+		{S1RelS1, events.Handover}:       3,
+		{SrvReqS, events.ServiceRequest}: 9,
+		{HoS, events.ServiceRequest}:     1,
+	}
+	want := []StateEvent{
+		{SrvReqS, events.ServiceRequest},
+		{S1RelS1, events.S1ConnRel},
+		{S1RelS1, events.Handover},
+		{S1RelS2, events.Handover},
+	}
+	for range 20 {
+		keys, shares := tl.TopViolations(4)
+		if !reflect.DeepEqual(keys, want) {
+			t.Fatalf("top violations %v, want %v", keys, want)
+		}
+		if !reflect.DeepEqual(shares, []float64{0.09, 0.03, 0.03, 0.03}) {
+			t.Fatalf("shares %v", shares)
+		}
+	}
+	if keys, _ := tl.TopViolations(10); len(keys) != 5 {
+		t.Fatalf("TopViolations(10) of 5 pairs gave %d", len(keys))
 	}
 }
 
@@ -352,7 +394,7 @@ func TestStepTotalityProperty(t *testing.T) {
 }
 
 // Property: a sequence built by always choosing a valid event never
-// produces a violation under Replay.
+// produces a violation in a Tally.
 func TestValidWalksReplayCleanProperty(t *testing.T) {
 	m := New(events.Gen4G)
 	f := func(seed uint64, n uint8) bool {
@@ -368,9 +410,8 @@ func TestValidWalksReplayCleanProperty(t *testing.T) {
 			ts = append(ts, float64(len(ts)))
 			s, _ = m.Step(s, e)
 		}
-		r := Replay(m, evs, ts)
-		checkApply(t, m, evs, r)
-		return !r.Violated()
+		tl, _ := tallyStream(t, m, evs, ts)
+		return tl.ViolatingEvents == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

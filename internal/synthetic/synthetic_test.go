@@ -58,12 +58,13 @@ func TestSemanticallyValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := statemachine.New(gen)
+		tl := statemachine.NewTally(statemachine.New(gen))
 		for i := range d.Streams {
 			s := &d.Streams[i]
-			r := statemachine.Replay(m, s.Types(), s.Times())
-			if r.Violated() {
-				t.Fatalf("%s stream %s has violations: %+v", gen, s.UEID, r.Violations[0])
+			for j, e := range s.Events {
+				if !tl.Observe(uint64(i), e.Type, e.Time) {
+					t.Fatalf("%s stream %s violates at event %d (%v)", gen, s.UEID, j, e.Type)
+				}
 			}
 		}
 	}
