@@ -127,12 +127,11 @@ func BenchmarkTensorMatMul128Serial(b *testing.B) {
 	}
 }
 
-// BenchmarkTensorMatMulBlocked256 times the cache-blocked, transpose-packed
-// MatMul kernel at 256³ (the shape rule picks it at this size), pinned to one
-// worker so the kernel effect is isolated from pool sharding. The naive
-// row-loop body it is bit-identical to
-// (internal/tensor TestMatMulBlockedMatchesNaive) last measured 8.4–10.5 ms
-// here against 5.8–6.8 ms blocked (bench/baseline.txt).
+// BenchmarkTensorMatMulBlocked256 times the float64 MatMul at 256³, where
+// the shape rule packs b into column panels first, pinned to one worker so
+// the kernel effect is isolated from pool sharding. The result equals the
+// plain zero-skipping triple loop bit for bit (internal/tensor
+// TestMatMulBlockedMatchesNaive, FuzzMatMulF64).
 func BenchmarkTensorMatMulBlocked256(b *testing.B) {
 	prevP := tensor.SetParallelism(1)
 	defer tensor.SetParallelism(prevP)

@@ -318,15 +318,16 @@ func RunStream(gen events.Generation, src trace.ArrivalSource, cfg Config) (*Rep
 			continue
 		}
 
-		// Queueing: earliest-free server takes the job.
+		// Queueing: earliest-free server takes the job. Its next-free time
+		// only grows, so it is rewritten in place and sifted down — a
+		// Pop+Push pair would box a float64 on every event.
 		cost := cfg.ServiceCost[a.Type]
 		if cost == 0 {
 			cost = cfg.DefaultServiceCost
 		}
-		free := heap.Pop(&servers).(float64)
-		start := math.Max(free, a.Time)
-		finish := start + cost
-		heap.Push(&servers, finish)
+		finish := math.Max(servers[0], a.Time) + cost
+		servers[0] = finish
+		heap.Fix(&servers, 0)
 		hist.Observe(finish - a.Time)
 		winBusy += cost
 	}

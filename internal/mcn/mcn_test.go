@@ -460,3 +460,33 @@ func (p *probeSource) NextArrival() (trace.Arrival, bool, error) {
 	}
 	return p.src.NextArrival()
 }
+
+// TestRunStreamAllocsPerArrival bounds the simulator's per-event heap
+// traffic: the instance pool is updated in place, so what a run allocates
+// is its fixed setup and the per-UE tally's growth, far under one
+// allocation per arrival.
+func TestRunStreamAllocsPerArrival(t *testing.T) {
+	d := workload(t, 300)
+	var arr []trace.Arrival
+	for src := d.Arrivals(); ; {
+		a, ok, err := src.NextArrival()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		arr = append(arr, a)
+	}
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := RunStream(d.Generation, src(arr), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perArrival := allocs / float64(len(arr))
+	t.Logf("%.0f allocations over %d arrivals = %.3f per arrival", allocs, len(arr), perArrival)
+	if perArrival > 0.1 {
+		t.Fatal("want ≤ 0.1 allocations per arrival")
+	}
+}

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"math/rand/v2"
 	"runtime"
 	"testing"
@@ -205,62 +204,6 @@ func bytesPerRun(runs int, fn func()) uint64 {
 	}
 	runtime.ReadMemStats(&m1)
 	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
-}
-
-// TestMatMulBlockedMatchesNaive: the cache-blocked, transpose-packed kernels
-// accumulate in the same order as the naive ones for the forward product and
-// the weight gradient, so those must be bit-identical, including at sizes
-// that do not divide the tile dimensions. The input gradient's blocked path
-// re-associates its reduction (terms fold directly into the destination
-// instead of a local dot accumulator), so it is checked to a 1-ulp-scale
-// relative tolerance instead. Both bodies of each kernel are called directly,
-// so every shape exercises both whichever one MatMul's shape rule would pick.
-func TestMatMulBlockedMatchesNaive(t *testing.T) {
-	shapes := [][3]int{
-		{16, 16, 16},
-		{33, 47, 65},   // straddles mmBlockJ
-		{7, 130, 200},  // straddles mmBlockK
-		{129, 64, 129}, // multiple j-tiles, parallel-eligible
-		{1, 300, 5},
-		{200, 17, 4},
-	}
-	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		rng := rand.New(rand.NewPCG(11, uint64(m*k*n)))
-		a := Randn(m, k, 1, rng).Data
-		b := Randn(k, n, 1, rng).Data
-		gOut := Randn(m, n, 1, rng).Data // upstream gradient of the product
-		// The gradient kernels accumulate, so both bodies start from the same
-		// non-zero destinations.
-		gaInit := Randn(m, k, 1, rng).Data
-		gbInit := Randn(k, n, 1, rng).Data
-		run := func(into func(dst, a, b []float64, rA, cA, cB int),
-			accBT func(dst, a, b []float64, rA, cA, rB int),
-			accT func(dst, a, b []float64, rA, cA, cB int)) (y, ga, gb []float64) {
-			y = make([]float64, m*n)
-			into(y, a, b, m, k, n)
-			ga = append([]float64(nil), gaInit...)
-			accBT(ga, gOut, b, m, n, k)
-			gb = append([]float64(nil), gbInit...)
-			accT(gb, a, gOut, m, k, n)
-			return y, ga, gb
-		}
-		ny, nga, ngb := run(matmulIntoNaive, matmulAccBTNaive, matmulAccTNaive)
-		by, bga, bgb := run(matmulIntoBlocked, matmulAccBTBlocked, matmulAccTBlocked)
-		cmp := func(name string, naive, blocked []float64, tol float64) {
-			t.Helper()
-			for i := range naive {
-				d := math.Abs(naive[i] - blocked[i])
-				if d > tol*(1+math.Abs(naive[i])) {
-					t.Fatalf("%d×%d·%d×%d %s[%d]: naive %v != blocked %v",
-						m, k, k, n, name, i, naive[i], blocked[i])
-				}
-			}
-		}
-		cmp("out", ny, by, 0)
-		cmp("dA", nga, bga, 1e-12)
-		cmp("dB", ngb, bgb, 0)
-	}
 }
 
 // TestAddRows covers the packed-minibatch positional lookup: forward

@@ -1,37 +1,41 @@
 package tensor
 
-// Matrix-multiply kernels. Three variants back the MatMul op: the forward
-// product and the two gradient accumulations. Each has a naive row-loop path
-// (cheapest for small or very sparse operands, e.g. one-hot token rows) and
-// a cache-blocked path that packs the strided operand once per call and
-// tiles the j/k loops so a panel block stays in cache across many output
-// rows; which one runs is a function of the operand shape alone. All inner
-// loops are kept in axpy form (independent adds across j)
-// rather than dot form: a dot product's single accumulator is a loop-carried
-// dependency chain that stalls the FPU pipeline, which measurably dominates
-// these kernels on scalar Go.
+// Matrix-multiply kernels. Three products back the MatMul op: the forward
+// product and the two gradient accumulations. All three run one loop body,
+// axpyRows: destination rows go in pairs (axpy4x2 shares each operand-row
+// load between the two; axpy4 finishes an odd row), the shared dimension k
+// is tiled by mmBlockK so a block of operand rows stays in cache while a
+// shard's rows stream past it, and a zero multiplier adds nothing, which is
+// what makes one-hot token rows cheap. The inner loops are in axpy form
+// (independent adds across j) rather than dot form: a dot product's single
+// accumulator is a loop-carried dependency chain that stalls the FPU
+// pipeline, which measurably dominates these kernels on scalar Go.
 //
-// matmulInto and matmulAccT accumulate every output element over k in
-// ascending order on both paths, so their blocked results are bit-identical
-// to the naive ones; the kernel choice is a pure performance decision and
-// the parallel row sharding on top preserves bit-exactness at any degree
-// exactly as before (parallel_test.go). matmulAccBT's blocked path folds
-// terms directly into the destination instead of via the naive path's local
-// dot accumulator — a re-association that can differ in the last ulp — so
-// its path choice depends only on the weight-matrix shape, never on the row
-// count, keeping every training configuration (serial, packed, any
-// parallelism) on the same kernel for a given layer.
+// Each product's shape rule decides only whether an operand is packed
+// first: matmulInto repacks b into column panels, matmulAccT packs aᵀ so a
+// gradient row reads its activation column sequentially, and matmulAccBT
+// packs bᵀ back into k-major order. In matmulInto and matmulAccT every
+// output element sums its terms in ascending k whichever way the rule goes,
+// so packing is a pure performance decision, bit for bit, and the parallel
+// row sharding on top preserves bit-exactness at any degree
+// (parallel_test.go). matmulAccBT's unpacked path, matmulAccBTNaive, is a
+// dot product with one local accumulator per element instead — a
+// re-association that can differ in the last ulp — so its rule depends only
+// on the weight-matrix shape, never on the row count, keeping every training
+// configuration (serial, packed, any parallelism) on the same kernel for a
+// given layer.
 
 const (
-	// mmBlockJ and mmBlockK tile the packed panels: a tile is at most
-	// mmBlockJ×mmBlockK floats (32 KiB), sized to sit in L1 while a shard's
-	// rows stream past it.
+	// mmBlockK tiles the shared dimension of every product, and mmBlockJ is
+	// the width of the column panels matmulInto packs b into: a tile is at
+	// most mmBlockJ×mmBlockK floats (32 KiB), sized to sit in L1 while a
+	// shard's rows stream past it.
 	mmBlockJ = 64
 	mmBlockK = 64
 
 	// mmPackMinK is the smallest shared dimension worth packing: below it
-	// the transpose costs more than the strided reads it avoids, and the
-	// naive kernel's zero-skip wins on one-hot inputs (k = d_token).
+	// the copy costs more than the strided reads it avoids (one-hot inputs
+	// have k = d_token).
 	mmPackMinK = 16
 
 	// mmPackMinWork is the smallest multiply-add count worth packing.
@@ -88,8 +92,8 @@ func axpy4x2(di0, di1, bk []float64, a0, a1 float64) {
 	}
 }
 
-// axpyPair dispatches one k-step for a row pair, preserving the naive
-// kernel's exact zero-skip semantics per row.
+// axpyPair dispatches one k-step for a row pair, skipping each row whose
+// multiplier is zero.
 func axpyPair(di0, di1, bk []float64, a0, a1 float64) {
 	switch {
 	case a0 != 0 && a1 != 0:
@@ -101,188 +105,111 @@ func axpyPair(di0, di1, bk []float64, a0, a1 float64) {
 	}
 }
 
-// matmulInto computes dst = a(rA×cA) · b(cA×cB) with dst pre-sized.
+// axpyRows folds d(i, j) += Σ_k a(i, k)·b(k, j) into the rows i in
+// [lo, hi), where row i of d is d[i*dRow : i*dRow+n], a(i, k) is
+// a[i*aRow+k*aK], and row k of b is b[k*bRow : k*bRow+n]. k runs over
+// [0, kn) in tiles of mmBlockK, ascending within and across tiles, so every
+// element sums its terms in ascending k; a zero a(i, k) is skipped.
+func axpyRows(d, a, b []float64, lo, hi, dRow, aRow, aK, bRow, kn, n int) {
+	for kb := 0; kb < kn; kb += mmBlockK {
+		ke := min(kb+mmBlockK, kn)
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			d0 := d[i*dRow : i*dRow+n]
+			d1 := d[(i+1)*dRow : (i+1)*dRow+n]
+			for k, o := kb, i*aRow+kb*aK; k < ke; k, o = k+1, o+aK {
+				axpyPair(d0, d1, b[k*bRow:k*bRow+n], a[o], a[o+aRow])
+			}
+		}
+		if i < hi {
+			di := d[i*dRow : i*dRow+n]
+			for k, o := kb, i*aRow+kb*aK; k < ke; k, o = k+1, o+aK {
+				if av := a[o]; av != 0 {
+					axpy4(di, b[k*bRow:k*bRow+n], av)
+				}
+			}
+		}
+	}
+}
+
+// transposeInto writes the r×c matrix src into dst as its c×r transpose.
+func transposeInto(dst, src []float64, r, c int) {
+	for i := 0; i < r; i++ {
+		for j, v := range src[i*c : (i+1)*c] {
+			dst[j*r+i] = v
+		}
+	}
+}
+
+// matmulInto computes dst = a(rA×cA) · b(cA×cB) with dst pre-sized. A
+// product large enough to pack first copies b into column panels of width
+// mmBlockJ, each row-major over k, so one ≤32 KiB tile of a panel is reused
+// across all of a shard's rows.
 func matmulInto(dst, a, b []float64, rA, cA, cB int) {
-	if cA >= mmPackMinK && cB >= 4 && rA*cA*cB >= mmPackMinWork {
-		matmulIntoBlocked(dst, a, b, rA, cA, cB)
+	if cA < mmPackMinK || cB < 4 || rA*cA*cB < mmPackMinWork {
+		parallelRows(rA, cA*cB, func(lo, hi int) {
+			clear(dst[lo*cB : hi*cB])
+			axpyRows(dst, a, b, lo, hi, cB, cA, 1, cB, cA, cB)
+		})
 		return
 	}
-	matmulIntoNaive(dst, a, b, rA, cA, cB)
-}
-
-// matmulIntoNaive is the row-loop path of matmulInto: it skips zero entries
-// of a, which is what makes one-hot token rows cheap.
-func matmulIntoNaive(dst, a, b []float64, rA, cA, cB int) {
-	parallelRows(rA, cA*cB, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a[i*cA : (i+1)*cA]
-			di := dst[i*cB : (i+1)*cB]
-			for j := range di {
-				di[j] = 0
-			}
-			for k, av := range ai {
-				if av == 0 {
-					continue
-				}
-				bk := b[k*cB : (k+1)*cB]
-				for j, bv := range bk {
-					di[j] += av * bv
-				}
-			}
-		}
-	})
-}
-
-// matmulIntoBlocked is the packed path of matmulInto: b is repacked once
-// into column panels of width mmBlockJ (each panel row-major over k), then
-// each shard walks j/k tiles so one ≤32 KiB tile is reused across all of the
-// shard's rows. Accumulation folds terms directly into dst in ascending k
-// order — tiles ascend and rows within a tile ascend — which is the naive
-// kernel's association exactly, so results match bit for bit.
-func matmulIntoBlocked(dst, a, b []float64, rA, cA, cB int) {
 	bp, handle := getRawBuf(cA * cB)
-	off := 0
 	for jb := 0; jb < cB; jb += mmBlockJ {
-		je := min(jb+mmBlockJ, cB)
-		w := je - jb
+		w := min(mmBlockJ, cB-jb)
 		for k := 0; k < cA; k++ {
-			copy(bp[off+k*w:off+(k+1)*w], b[k*cB+jb:k*cB+je])
+			copy(bp[jb*cA+k*w:jb*cA+(k+1)*w], b[k*cB+jb:])
 		}
-		off += cA * w
 	}
 	parallelRows(rA, 2*cA*cB, func(lo, hi int) {
-		off := 0
+		clear(dst[lo*cB : hi*cB])
 		for jb := 0; jb < cB; jb += mmBlockJ {
-			je := min(jb+mmBlockJ, cB)
-			w := je - jb
-			for kb := 0; kb < cA; kb += mmBlockK {
-				ke := min(kb+mmBlockK, cA)
-				i := lo
-				for ; i+2 <= hi; i += 2 {
-					ai0 := a[i*cA : (i+1)*cA]
-					ai1 := a[(i+1)*cA : (i+2)*cA]
-					di0 := dst[i*cB+jb : i*cB+je]
-					di1 := dst[(i+1)*cB+jb : (i+1)*cB+je]
-					if kb == 0 {
-						for j := range di0 {
-							di0[j] = 0
-						}
-						for j := range di1 {
-							di1[j] = 0
-						}
-					}
-					for k := kb; k < ke; k++ {
-						axpyPair(di0, di1, bp[off+k*w:off+(k+1)*w], ai0[k], ai1[k])
-					}
-				}
-				for ; i < hi; i++ {
-					ai := a[i*cA : (i+1)*cA]
-					di := dst[i*cB+jb : i*cB+je]
-					if kb == 0 {
-						for j := range di {
-							di[j] = 0
-						}
-					}
-					for k := kb; k < ke; k++ {
-						av := ai[k]
-						if av == 0 {
-							continue
-						}
-						axpy4(di, bp[off+k*w:off+(k+1)*w], av)
-					}
-				}
-			}
-			off += cA * w
+			w := min(mmBlockJ, cB-jb)
+			axpyRows(dst[jb:], a, bp[jb*cA:], lo, hi, cB, cA, 1, w, cA, w)
 		}
 	})
 	putBuf(handle)
 }
 
 // matmulAccT computes dst += aᵀ(cA×rA)·b(rA×cB) where a is rA×cA — used for
-// weight gradients (dW = Xᵀ·dY).
+// weight gradients (dW = Xᵀ·dY). Row i of aᵀ is column i of a, read with
+// stride cA unless the product is large enough to pack aᵀ first. Either
+// way each element sums in ascending k (= ascending activation row), which
+// is also what makes packed-minibatch training reproduce the serial
+// per-stream gradients exactly: streams are stacked in order, so one
+// accumulation over the batch adds the same terms in the same order as the
+// per-stream accumulations did.
 func matmulAccT(dst, a, b []float64, rA, cA, cB int) {
-	if rA >= mmPackMinK && rA*cA*cB >= mmPackMinWork {
-		matmulAccTBlocked(dst, a, b, rA, cA, cB)
+	if rA < mmPackMinK || rA*cA*cB < mmPackMinWork {
+		parallelRows(cA, rA*cB, func(lo, hi int) {
+			axpyRows(dst, a, b, lo, hi, cB, 1, cA, cB, rA, cB)
+		})
 		return
 	}
-	matmulAccTNaive(dst, a, b, rA, cA, cB)
-}
-
-// matmulAccTNaive is the row-loop path of matmulAccT, reading a by column.
-func matmulAccTNaive(dst, a, b []float64, rA, cA, cB int) {
-	parallelRows(cA, rA*cB, func(lo, hi int) {
-		for i := lo; i < hi; i++ { // row of aᵀ = column i of a
-			di := dst[i*cB : (i+1)*cB]
-			for k := 0; k < rA; k++ {
-				av := a[k*cA+i]
-				if av == 0 {
-					continue
-				}
-				bk := b[k*cB : (k+1)*cB]
-				for j, bv := range bk {
-					di[j] += av * bv
-				}
-			}
-		}
-	})
-}
-
-// matmulAccTBlocked packs aᵀ once so each gradient row reads its activation
-// column sequentially instead of with stride cA, then tiles the k loop so a
-// block of b's rows is reused across the shard. Accumulation per element
-// stays in ascending k (= ascending activation row) order: tiles ascend and
-// rows inside a tile ascend, so the sum matches the naive kernel bit for bit
-// — which is also what makes packed-minibatch training reproduce the serial
-// per-stream gradients exactly (streams are stacked in order, so one blocked
-// accumulation over the batch adds the same terms in the same order as the
-// per-stream accumulations did).
-func matmulAccTBlocked(dst, a, b []float64, rA, cA, cB int) {
 	at, handle := getRawBuf(cA * rA)
-	for k := 0; k < rA; k++ {
-		row := a[k*cA : (k+1)*cA]
-		for i, v := range row {
-			at[i*rA+k] = v
-		}
-	}
+	transposeInto(at, a, rA, cA)
 	parallelRows(cA, 2*rA*cB, func(lo, hi int) {
-		for kb := 0; kb < rA; kb += mmBlockK {
-			ke := min(kb+mmBlockK, rA)
-			i := lo
-			for ; i+2 <= hi; i += 2 {
-				ai0 := at[i*rA : (i+1)*rA]
-				ai1 := at[(i+1)*rA : (i+2)*rA]
-				di0 := dst[i*cB : (i+1)*cB]
-				di1 := dst[(i+1)*cB : (i+2)*cB]
-				for k := kb; k < ke; k++ {
-					axpyPair(di0, di1, b[k*cB:(k+1)*cB], ai0[k], ai1[k])
-				}
-			}
-			for ; i < hi; i++ {
-				ai := at[i*rA : (i+1)*rA]
-				di := dst[i*cB : (i+1)*cB]
-				for k := kb; k < ke; k++ {
-					av := ai[k]
-					if av == 0 {
-						continue
-					}
-					axpy4(di, b[k*cB:(k+1)*cB], av)
-				}
-			}
-		}
+		axpyRows(dst, at, b, lo, hi, cB, rA, 1, cB, rA, cB)
 	})
 	putBuf(handle)
 }
 
-// matmulAccBT computes dst += a(rA×cA)·bᵀ(cB×cA→cA×cB)… precisely:
-// dst(rA×rB) += a(rA×cA) · bᵀ where b is rB×cA — used for input gradients
-// (dX = dY·Wᵀ). The packing condition depends only on b's (weight) shape so
-// that every sequence length of a given layer takes the same path.
+// matmulAccBT computes dst(rA×rB) += a(rA×cA) · bᵀ where b is rB×cA — used
+// for input gradients (dX = dY·Wᵀ). A large enough weight b is packed back
+// into k-major order, turning per-element dot products into axpy row
+// updates that fold each term directly into dst; a small one runs
+// matmulAccBTNaive. The rule depends only on b's (weight) shape so that
+// every sequence length of a given layer takes the same path.
 func matmulAccBT(dst, a, b []float64, rA, cA, rB int) {
-	if cA >= 4 && cA*rB >= mmPackMinPanel {
-		matmulAccBTBlocked(dst, a, b, rA, cA, rB)
+	if cA < 4 || cA*rB < mmPackMinPanel {
+		matmulAccBTNaive(dst, a, b, rA, cA, rB)
 		return
 	}
-	matmulAccBTNaive(dst, a, b, rA, cA, rB)
+	bt, handle := getRawBuf(cA * rB)
+	transposeInto(bt, b, rB, cA)
+	parallelRows(rA, 2*cA*rB, func(lo, hi int) {
+		axpyRows(dst, a, bt, lo, hi, rB, cA, 1, rB, cA, rB)
+	})
+	putBuf(handle)
 }
 
 // matmulAccBTNaive is the dot-product path of matmulAccBT: one local
@@ -302,48 +229,4 @@ func matmulAccBTNaive(dst, a, b []float64, rA, cA, rB int) {
 			}
 		}
 	})
-}
-
-// matmulAccBTBlocked packs b (already transposed relative to the product)
-// back into k-major order once, turning the per-element dot products of the
-// naive path into axpy row updates: for each k, one multiple of a packed
-// row folds into the destination row. This trades the naive path's
-// dot-accumulator dependency chain for independent adds, at the cost of
-// re-associating the k-reduction (terms fold directly into dst), which can
-// differ from the naive path in the last ulp.
-func matmulAccBTBlocked(dst, a, b []float64, rA, cA, rB int) {
-	bt, handle := getRawBuf(cA * rB) // bt[k*rB+j] = b[j*cA+k]
-	for j := 0; j < rB; j++ {
-		row := b[j*cA : (j+1)*cA]
-		for k, v := range row {
-			bt[k*rB+j] = v
-		}
-	}
-	parallelRows(rA, 2*cA*rB, func(lo, hi int) {
-		for kb := 0; kb < cA; kb += mmBlockK {
-			ke := min(kb+mmBlockK, cA)
-			i := lo
-			for ; i+2 <= hi; i += 2 {
-				ai0 := a[i*cA : (i+1)*cA]
-				ai1 := a[(i+1)*cA : (i+2)*cA]
-				di0 := dst[i*rB : (i+1)*rB]
-				di1 := dst[(i+1)*rB : (i+2)*rB]
-				for k := kb; k < ke; k++ {
-					axpyPair(di0, di1, bt[k*rB:(k+1)*rB], ai0[k], ai1[k])
-				}
-			}
-			for ; i < hi; i++ {
-				ai := a[i*cA : (i+1)*cA]
-				di := dst[i*rB : (i+1)*rB]
-				for k := kb; k < ke; k++ {
-					av := ai[k]
-					if av == 0 {
-						continue
-					}
-					axpy4(di, bt[k*rB:(k+1)*rB], av)
-				}
-			}
-		}
-	})
-	putBuf(handle)
 }
