@@ -206,8 +206,9 @@ type closedSession struct {
 	lastAck   atomic.Uint64
 	lastAckAt atomic.Int64 // wall nanos of the newest ACK arrival
 
-	pending   []pendingEv
-	ackedSeq  uint64 // highest sequence processed out of lastAck
+	pending   []pendingEv // in send order, compacted as ACKs retire them
+	frame     [30]byte    // send's scratch: one SEVENT frame
+	ackedSeq  uint64      // highest sequence processed out of lastAck
 	nextSeq   uint64
 	flushedAt time.Time
 	srcDone   bool // the source is exhausted, or the controller said stop
@@ -259,8 +260,10 @@ func (s *closedSession) startReader(br *bufio.Reader, notify chan struct{}, errC
 		}
 	}
 	go func() {
+		var buf []byte
 		for {
-			t, payload, err := readFrame(br)
+			t, payload, err := readFrameInto(br, buf)
+			buf = payload
 			if err != nil {
 				fail(err)
 				return
@@ -377,12 +380,11 @@ func (s *closedSession) reconnect() error {
 		// acked without contributing latency samples.
 		s.popAcked(applied, now, false)
 		// Everything else in flight is retransmitted in order.
-		var buf [25]byte
 		for i := range s.pending {
 			p := &s.pending[i]
 			p.retx = true
 			p.sentAt = now
-			if err := writeFrame(s.bw, frameSeqEvent, seqEventPayload(buf[:], p.seq, p.ue, p.tMicros, p.ev)); err != nil {
+			if err := s.writeSeqEvent(p); err != nil {
 				break
 			}
 		}
@@ -475,9 +477,8 @@ func (s *closedSession) updateRTT(r time.Duration) {
 func (s *closedSession) popAcked(upTo uint64, at time.Time, sample bool) int {
 	n := 0
 	rttSample := time.Duration(-1)
-	for len(s.pending) > 0 && s.pending[0].seq <= upTo {
-		p := s.pending[0]
-		s.pending = s.pending[1:]
+	for n < len(s.pending) && s.pending[n].seq <= upTo {
+		p := &s.pending[n]
 		n++
 		s.acked++
 		if sample {
@@ -494,6 +495,9 @@ func (s *closedSession) popAcked(upTo uint64, at time.Time, sample bool) int {
 			}
 		}
 	}
+	// One compaction per fold, not a reslice per entry: the window keeps its
+	// backing array, so send's appends stop reallocating.
+	s.pending = s.pending[:copy(s.pending, s.pending[n:])]
 	if upTo > s.ackedSeq {
 		s.ackedSeq = upTo
 	}
@@ -566,12 +570,19 @@ func (s *closedSession) send(ev trace.Arrival, now time.Time) error {
 	p := pendingEv{seq: s.nextSeq, ue: ev.UE, tMicros: int64(ev.Time * 1e6), ev: byte(ev.Type), sentAt: now}
 	s.pending = append(s.pending, p)
 	s.sent++
-	var buf [25]byte
-	if err := writeFrame(s.bw, frameSeqEvent, seqEventPayload(buf[:], p.seq, p.ue, p.tMicros, p.ev)); err != nil {
+	if err := s.writeSeqEvent(&p); err != nil {
 		return err
 	}
 	if time.Since(s.flushedAt) >= flushInterval {
 		return s.flush()
+	}
+	return nil
+}
+
+// writeSeqEvent buffers p's SEVENT frame, encoded in the session's scratch.
+func (s *closedSession) writeSeqEvent(p *pendingEv) error {
+	if _, err := s.bw.Write(seqEventFrame(s.frame[:], p.seq, p.ue, p.tMicros, p.ev)); err != nil {
+		return fmt.Errorf("replaynet: writing frame: %w", err)
 	}
 	return nil
 }

@@ -73,21 +73,33 @@ func writeFrame(w io.Writer, t frameType, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame.
-func readFrame(r io.Reader) (frameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame into a payload of its own.
+func readFrame(r io.Reader) (frameType, []byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto reads one frame into buf's storage — the header, then the
+// payload when it fits (else into a new slice) — so the payload it returns
+// lasts until the next read into buf. A read loop passes back the payload
+// it was last handed, and its buffer grows to the largest frame once.
+func readFrameInto(r io.Reader, buf []byte) (frameType, []byte, error) {
+	if cap(buf) < 5 {
+		buf = make([]byte, 32)
+	}
+	hdr := buf[:5]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err // propagate io.EOF unchanged for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	t, n := frameType(hdr[0]), binary.BigEndian.Uint32(hdr[1:])
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("replaynet: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("replaynet: reading frame payload: %w", err)
 	}
-	return frameType(hdr[0]), payload, nil
+	return t, payload, nil
 }
 
 // eventPayload encodes an EVENT frame payload.
@@ -116,6 +128,15 @@ func seqEventPayload(buf []byte, seq, ue uint64, timeMicros int64, ev byte) []by
 	binary.BigEndian.PutUint64(buf[16:24], uint64(timeMicros))
 	buf[24] = ev
 	return buf[:25]
+}
+
+// seqEventFrame encodes a whole SEVENT frame into buf (≥ 30 bytes): the
+// bytes writeFrame writes for seqEventPayload's payload, in one piece.
+func seqEventFrame(buf []byte, seq, ue uint64, timeMicros int64, ev byte) []byte {
+	buf[0] = byte(frameSeqEvent)
+	binary.BigEndian.PutUint32(buf[1:5], 25)
+	seqEventPayload(buf[5:], seq, ue, timeMicros, ev)
+	return buf[:30]
 }
 
 // decodeSeqEvent decodes a SEVENT frame payload.

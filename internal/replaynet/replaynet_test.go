@@ -33,6 +33,46 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSeqEventFrameBytes holds the driver's one-piece SEVENT frame to the
+// bytes writeFrame writes for the same payload, and reads a run of frames
+// back through one reused buffer: each payload is the one written, and the
+// buffer, once grown to the largest frame, is not replaced.
+func TestSeqEventFrameBytes(t *testing.T) {
+	var want, got bytes.Buffer
+	var payload [25]byte
+	var frame [30]byte
+	for seq := uint64(1); seq <= 3; seq++ {
+		if err := writeFrame(&want, frameSeqEvent, seqEventPayload(payload[:], seq, 1<<40+seq, -int64(seq), byte(events.TAU))); err != nil {
+			t.Fatal(err)
+		}
+		got.Write(seqEventFrame(frame[:], seq, 1<<40+seq, -int64(seq), byte(events.TAU)))
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("seqEventFrame wrote %x, writeFrame %x", got.Bytes(), want.Bytes())
+	}
+	_ = writeFrame(&got, frameReport, bytes.Repeat([]byte{'x'}, 100))
+	_ = writeFrame(&got, frameStats, nil)
+	var buf []byte
+	for i, wantLen := range []int{25, 25, 25, 100, 0} {
+		ft, p, err := readFrameInto(&got, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p) != wantLen {
+			t.Fatalf("frame %d (%q): payload %d bytes, want %d", i, byte(ft), len(p), wantLen)
+		}
+		if i < 3 {
+			if seq, _, _, _, err := decodeSeqEvent(p); err != nil || seq != uint64(i+1) {
+				t.Fatalf("frame %d: seq %d, err %v", i, seq, err)
+			}
+		}
+		if i == 4 && &p[:1][0] != &buf[:1][0] {
+			t.Fatal("an empty frame replaced the grown buffer")
+		}
+		buf = p
+	}
+}
+
 func TestReadFrameRejectsOversize(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteByte(byte(frameEvent))

@@ -201,8 +201,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		return true
 	}
 
+	var buf []byte // the frames' storage, reused
 	for {
-		t, payload, err := readFrame(br)
+		t, payload, err := readFrameInto(br, buf)
+		buf = payload
 		if err != nil {
 			return // end of stream, or a malformed frame: nothing useful to answer
 		}

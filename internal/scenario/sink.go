@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"time"
 
 	"cptgpt/internal/events"
@@ -19,7 +20,9 @@ type Summary struct {
 	FirstTime float64
 	LastTime  float64
 	// PeakRate is the highest event rate (events/s) over any aligned
-	// 60-second window; PeakWindowStart is that window's start.
+	// 60-second window; PeakWindowStart is that window's start. Only windows
+	// that hold events are metered: an empty one has rate 0 and can never be
+	// the peak.
 	PeakRate        float64
 	PeakWindowStart float64
 }
@@ -52,9 +55,20 @@ func Drain(st EventSource) (Summary, error) {
 			winStart = float64(int(e.Time/summaryWindow)) * summaryWindow
 			first = false
 		}
-		for e.Time >= winStart+summaryWindow {
+		if e.Time >= winStart+summaryWindow {
+			// Past the current window: meter it and jump straight to the
+			// event's window. The windows jumped over hold no events, so
+			// they could not raise the peak. The fix-ups undo a rounding of
+			// the division: winStart is the multiple of 60 that stepping one
+			// window at a time would have reached.
 			flush()
-			winStart += summaryWindow
+			winStart = math.Floor(e.Time/summaryWindow) * summaryWindow
+			for winStart > e.Time {
+				winStart -= summaryWindow
+			}
+			for e.Time >= winStart+summaryWindow {
+				winStart += summaryWindow
+			}
 			winCount = 0
 		}
 		winCount++

@@ -482,3 +482,98 @@ func TestLineWriterZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// drainWalk is Drain's window metering as it was before Drain skipped empty
+// windows: it steps through every 60 s window from the first event's to the
+// last, metering each. Kept as the reference Drain's Summary is held to.
+func drainWalk(evs []Event) Summary {
+	var sum Summary
+	var winStart float64
+	winCount := 0
+	flush := func() {
+		if rate := float64(winCount) / summaryWindow; rate > sum.PeakRate {
+			sum.PeakRate = rate
+			sum.PeakWindowStart = winStart
+		}
+	}
+	for i, e := range evs {
+		if i == 0 {
+			sum.FirstTime = e.Time
+			winStart = float64(int(e.Time/summaryWindow)) * summaryWindow
+		}
+		for e.Time >= winStart+summaryWindow {
+			flush()
+			winStart += summaryWindow
+			winCount = 0
+		}
+		winCount++
+		sum.Events++
+		if e.Type.Valid() {
+			sum.ByType[e.Type]++
+		}
+		sum.LastTime = e.Time
+	}
+	if len(evs) > 0 {
+		flush()
+	}
+	return sum
+}
+
+// TestDrainMatchesWindowWalk holds Drain's Summary, field for field, to the
+// window walk on random ordered streams: gaps from none up to 1e6 s (16,667
+// empty windows), times on a window edge k·60 and one ulp below it, invalid
+// event types, and single-event and empty streams.
+func TestDrainMatchesWindowWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for seq := 0; seq < 3000; seq++ {
+		n := rng.Intn(40)
+		switch seq {
+		case 0:
+			n = 0
+		case 1, 2:
+			n = 1
+		}
+		evs := make([]Event, 0, n)
+		at := rng.Float64() * 1e4
+		for i := 0; i < n; i++ {
+			switch rng.Intn(8) {
+			case 0:
+				at += rng.Float64() * 1e6
+			case 1:
+				// unchanged: a burst at one instant
+			case 2: // the next window edge
+				at = (math.Floor(at/summaryWindow) + 1) * summaryWindow
+			case 3: // one ulp below a later window edge
+				if edge := (math.Floor(at/summaryWindow) + 1 + float64(rng.Intn(3))) * summaryWindow; math.Nextafter(edge, 0) > at {
+					at = math.Nextafter(edge, 0)
+				}
+			default:
+				at += rng.Float64() * 120
+			}
+			evs = append(evs, Event{Time: at, UE: uint64(i), Type: events.Type(rng.Intn(events.NumTypes + 1))})
+		}
+		got, err := Drain(&sliceSource{evs: evs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := drainWalk(evs); got != want {
+			t.Fatalf("sequence %d (%d events): Drain %+v, window walk %+v", seq, n, got, want)
+		}
+	}
+}
+
+// TestDrainFarApart drains two events 1e15 s apart — 1.7e13 empty windows
+// between them, which a window walk would step through — and a third in the
+// second one's window, whose start must be the exact multiple of 60 below.
+func TestDrainFarApart(t *testing.T) {
+	evs := []Event{{Time: 0}, {Time: 1e15}, {Time: 1e15 + 10}}
+	got, err := Drain(&sliceSource{evs: evs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Summary{Events: 3, FirstTime: 0, LastTime: 1e15 + 10, PeakRate: 2 / summaryWindow, PeakWindowStart: 999999999999960}
+	want.ByType[0] = 3
+	if got != want {
+		t.Fatalf("Drain %+v, want %+v", got, want)
+	}
+}

@@ -26,10 +26,13 @@ import "sync/atomic"
 //     8-wide and narrower panels.
 //   - AVX-512F assembly tiles (amd64 with AVX-512F and an OS that saves ZMM
 //     state), in place of the two AVX2 tiles the decoder spends its time in:
-//     a 4-row × 32-output tile over pairs of 16-wide panels and a 1-row ×
-//     128-output tile (eight panels, then one at a time) for leftover rows.
-//     A 16-wide panel row is one ZMM. An odd last 16-wide panel and the
-//     masked tiles stay AVX2.
+//     an 8-row × 32-output tile over pairs of 16-wide panels (4-row × 32 for
+//     a group of four rows left over), a 3-row × 64-output tile that runs two
+//     or three leftover rows in one pass over the weights when the 16-wide
+//     panels come in fours, and a 1-row × 128-output tile (eight panels,
+//     then one at a time) for a single leftover row and the rest. A 16-wide
+//     panel row is one ZMM. An odd last 16-wide panel and the masked tiles
+//     stay AVX2.
 //   - a portable scalar kernel (4/2/1-output register blocks over dot4F32 /
 //     dot2F32 / dot1F32, which read a block's weights at the panel stride),
 //     used on machines without AVX2 or with the switch off. Its per-output
@@ -157,9 +160,9 @@ func GemmF32(dst, w, bias, x []float32, rows, in, out int) {
 	if gemmAsmEnabled.Load() {
 		// The kernel sweeps a tile's rows once per panel, so hand it row
 		// tiles whose x data stays L1-resident across the sweep (it matters
-		// for the wide reduction of FF-out: in = 1024 → 8-row tiles). Whole
-		// 4-row tiles, so the tiling adds no leftover rows of its own; row
-		// results do not depend on it.
+		// for the wide reduction of FF-out: in = 1024 → one 8-row group a
+		// tile). Whole 4-row groups, so the tiling adds no single leftover
+		// rows of its own; row results do not depend on it.
 		tile := max(4, gemmTileFloats/in&^3)
 		zmm := gemmZmm.Load()
 		for r := 0; r < rows; r += tile {
@@ -170,36 +173,56 @@ func GemmF32(dst, w, bias, x []float32, rows, in, out int) {
 	gemmF32Scalar(dst, w, bias, x, rows, in, out)
 }
 
-// gemmF32Tiles runs one row tile through the assembly tiles. The 4-row tiles
-// cover the 16-wide panels — 4×32 over pairs of them and 4×16 over an odd
-// last one with zmm, 4×16 over each without — and the rows they leave run
-// 1×128 (then 1×16 in ZMM) with zmm, 1×64 (then 1×16 in YMM) without. The
-// masked tile covers the 8-wide and narrower panels.
+// gemmF32Tiles runs one row tile through the assembly tiles. The 16-wide
+// panels go to gemmZmmTiles with zmm; without, the 4-row tiles run 4×16 over
+// each and the rows they leave 1×64 (then 1×16). The masked tile covers the
+// 8-wide and narrower panels.
 func gemmF32Tiles(dst, w, bias, x []float32, rows, in, out int, zmm bool) {
-	full := out &^ 15
-	quads := rows / 4
-	if full > 0 {
+	switch full := out &^ 15; {
+	case full == 0: // only an 8-wide or narrower panel
+	case zmm:
+		gemmZmmTiles(dst, w, bias, x, rows, in, out)
+	default:
+		quads := rows / 4
 		if quads > 0 {
-			j0 := 0 // first output the 4×16 tile covers
-			if zmm {
-				if j0 = out &^ 31; j0 > 0 {
-					gemm4x32F32(&dst[0], &w[0], &bias[0], &x[0], quads, in, out, j0/32)
-				}
-			}
-			if j0 < full {
-				gemm4x16F32(&dst[j0], &w[j0*in], &bias[j0], &x[0], quads, in, out, (full-j0)/16)
-			}
+			gemm4x16F32(&dst[0], &w[0], &bias[0], &x[0], quads, in, out, full/16)
 		}
 		for r := 4 * quads; r < rows; r++ {
-			if zmm {
-				gemm1x128F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
-			} else {
-				gemm1x64F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
-			}
+			gemm1x64F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
 		}
 	}
-	for j0 := full; j0 < out; j0 += 8 {
+	for j0 := out &^ 15; j0 < out; j0 += 8 {
 		gemmMaskedF32(&dst[j0], &w[j0*in], &bias[j0], &x[0], rows, in, out, panelWidth(j0, out))
+	}
+}
+
+// gemmZmmTiles covers the 16-wide panels of one row tile with the AVX-512
+// tiles. Over pairs of panels the 8-row groups run 8×32 and a 4-row group
+// left over 4×32; an odd last panel runs 4×16 for all of those rows. Two or
+// three rows left run 3×64 — one weight pass for them all — when the panels
+// come in fours, and otherwise, like a single row left, 1×128 (then 1×16).
+func gemmZmmTiles(dst, w, bias, x []float32, rows, in, out int) {
+	full, paired := out&^15, out&^31
+	octs := rows / 8
+	r := 8 * octs // rows covered so far
+	if paired > 0 && octs > 0 {
+		gemm8x32F32(&dst[0], &w[0], &bias[0], &x[0], octs, in, out, paired/32)
+	}
+	if rows-r >= 4 {
+		if paired > 0 {
+			gemm4x32F32(&dst[r*out], &w[0], &bias[0], &x[r*in], 1, in, out, paired/32)
+		}
+		r += 4
+	}
+	if paired < full && r > 0 {
+		gemm4x16F32(&dst[paired], &w[paired*in], &bias[paired], &x[0], r/4, in, out, 1)
+	}
+	if left := rows - r; left >= 2 && full%64 == 0 {
+		gemm3x64F32(&dst[r*out], &w[0], &bias[0], &x[r*in], left, in, out, full/64)
+		return
+	}
+	for ; r < rows; r++ {
+		gemm1x128F32(&dst[r*out], &w[0], &bias[0], &x[r*in], in, full/16)
 	}
 }
 

@@ -34,6 +34,18 @@ func gemm4x16F32(dst, w, bias, x *float32, quads, in, out, panels int)
 //go:noescape
 func gemm4x32F32(dst, w, bias, x *float32, quads, in, out, pairs int)
 
+// gemm8x32F32 (AVX-512F): rows 0 … 8*octs-1 × the first 2*pairs 16-wide
+// panels.
+//
+//go:noescape
+func gemm8x32F32(dst, w, bias, x *float32, octs, in, out, pairs int)
+
+// gemm3x64F32 (AVX-512F): rows 0 … rows-1, rows 2 or 3, × the first 4*quads
+// 16-wide panels.
+//
+//go:noescape
+func gemm3x64F32(dst, w, bias, x *float32, rows, in, out, quads int)
+
 // gemm1x64F32: one row × the first panels 16-wide panels.
 //
 //go:noescape

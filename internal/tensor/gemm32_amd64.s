@@ -6,6 +6,11 @@
 // are no horizontal reductions, so the chain — and the result — is the same
 // whichever tile computes an output, at either vector width: the ZMM tiles
 // keep the YMM tiles' operand order, lane for lane.
+//
+// The tiles, rows × outputs: AVX2 4×16, 1×64 (then 1×16) and the masked
+// 8-lane tile for panels 8 wide or narrower; AVX-512F 8×32 and 4×32 over
+// pairs of 16-wide panels, 3×64 for two or three leftover rows over panels
+// in fours, and 1×128 (then 1×16) for one.
 
 #include "textflag.h"
 
@@ -379,6 +384,262 @@ k4x32:
 	LEAQ (SI)(R12*2), SI
 	DECQ R15
 	JNZ  pair
+
+	VZEROUPPER
+	RET
+
+// func gemm8x32F32(dst, w, bias, x *float32, octs, in, out, pairs int)
+//
+// AVX-512F. Rows 0 … 8*octs-1 against the first 2*pairs 16-wide panels, two
+// panels at a time: gemm4x32F32's loops with twice the rows. The tile's
+// accumulators are Z0–Z15 (row r, panels 0 / 1 in Z2r / Z2r+1); per input
+// the two panel rows are two loads (Z16, Z17) and the eight x values eight
+// broadcasts — 10 loads per 16 FMAs. The x rows are reached from three
+// pointers, rows 0–2 from AX, 3–5 from BX and 6–7 from CX (each plus 0, 1
+// or 2 row strides), which step one input at a time.
+TEXT ·gemm8x32F32(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ bias+16(FP), R8
+	MOVQ in+40(FP), R13
+	SHLQ $2, R13            // R13 = in*4: x row stride, bytes
+	MOVQ R13, R12
+	SHLQ $4, R12            // R12 = in*64: panel size, bytes
+	MOVQ out+48(FP), DX
+	SHLQ $2, DX             // DX = out*4: dst row stride, bytes
+	MOVQ pairs+56(FP), R15
+
+pair8:
+	MOVQ x+24(FP), AX       // x row 0 of the tile
+	MOVQ DI, R9             // dst row 0 of the tile, at this pair's column
+	MOVQ octs+32(FP), R14
+
+tile8:
+	LEAQ (AX)(R13*2), BX
+	ADDQ R13, BX            // x row 3
+	LEAQ (BX)(R13*2), CX
+	ADDQ R13, CX            // x row 6
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	MOVQ SI, R10            // panel row cursor (the second panel at +R12)
+	MOVQ in+40(FP), R11     // inputs left
+
+k8x32:
+	VMOVUPS (R10), Z16
+	VMOVUPS (R10)(R12*1), Z17
+	VBROADCASTSS (AX), Z18
+	VFMADD231PS Z16, Z18, Z0
+	VFMADD231PS Z17, Z18, Z1
+	VBROADCASTSS (AX)(R13*1), Z19
+	VFMADD231PS Z16, Z19, Z2
+	VFMADD231PS Z17, Z19, Z3
+	VBROADCASTSS (AX)(R13*2), Z20
+	VFMADD231PS Z16, Z20, Z4
+	VFMADD231PS Z17, Z20, Z5
+	VBROADCASTSS (BX), Z21
+	VFMADD231PS Z16, Z21, Z6
+	VFMADD231PS Z17, Z21, Z7
+	VBROADCASTSS (BX)(R13*1), Z22
+	VFMADD231PS Z16, Z22, Z8
+	VFMADD231PS Z17, Z22, Z9
+	VBROADCASTSS (BX)(R13*2), Z23
+	VFMADD231PS Z16, Z23, Z10
+	VFMADD231PS Z17, Z23, Z11
+	VBROADCASTSS (CX), Z24
+	VFMADD231PS Z16, Z24, Z12
+	VFMADD231PS Z17, Z24, Z13
+	VBROADCASTSS (CX)(R13*1), Z25
+	VFMADD231PS Z16, Z25, Z14
+	VFMADD231PS Z17, Z25, Z15
+	ADDQ $64, R10
+	ADDQ $4, AX
+	ADDQ $4, BX
+	ADDQ $4, CX
+	DECQ R11
+	JNZ  k8x32
+
+	VMOVUPS (R8), Z16
+	VMOVUPS 64(R8), Z17
+	VADDPS Z16, Z0, Z0
+	VADDPS Z17, Z1, Z1
+	VADDPS Z16, Z2, Z2
+	VADDPS Z17, Z3, Z3
+	VADDPS Z16, Z4, Z4
+	VADDPS Z17, Z5, Z5
+	VADDPS Z16, Z6, Z6
+	VADDPS Z17, Z7, Z7
+	VADDPS Z16, Z8, Z8
+	VADDPS Z17, Z9, Z9
+	VADDPS Z16, Z10, Z10
+	VADDPS Z17, Z11, Z11
+	VADDPS Z16, Z12, Z12
+	VADDPS Z17, Z13, Z13
+	VADDPS Z16, Z14, Z14
+	VADDPS Z17, Z15, Z15
+	MOVQ R9, R10
+	VMOVUPS Z0, (R10)
+	VMOVUPS Z1, 64(R10)
+	ADDQ DX, R10
+	VMOVUPS Z2, (R10)
+	VMOVUPS Z3, 64(R10)
+	ADDQ DX, R10
+	VMOVUPS Z4, (R10)
+	VMOVUPS Z5, 64(R10)
+	ADDQ DX, R10
+	VMOVUPS Z6, (R10)
+	VMOVUPS Z7, 64(R10)
+	ADDQ DX, R10
+	VMOVUPS Z8, (R10)
+	VMOVUPS Z9, 64(R10)
+	ADDQ DX, R10
+	VMOVUPS Z10, (R10)
+	VMOVUPS Z11, 64(R10)
+	ADDQ DX, R10
+	VMOVUPS Z12, (R10)
+	VMOVUPS Z13, 64(R10)
+	ADDQ DX, R10
+	VMOVUPS Z14, (R10)
+	VMOVUPS Z15, 64(R10)
+
+	LEAQ (AX)(R13*8), AX    // next tile: AX is x row 0 plus one input, so
+	SUBQ R13, AX            // seven rows on from it
+	LEAQ (R9)(DX*8), R9     // and eight dst rows down
+	DECQ R14
+	JNZ  tile8
+
+	ADDQ $128, DI           // next pair: 32 outputs right
+	ADDQ $128, R8
+	LEAQ (SI)(R12*2), SI
+	DECQ R15
+	JNZ  pair8
+
+	VZEROUPPER
+	RET
+
+// func gemm3x64F32(dst, w, bias, x *float32, rows, in, out, quads int)
+//
+// AVX-512F. rows (2 or 3) rows against the first 4*quads 16-wide panels, four
+// panels at a time: one pass over the weights for all the rows, where
+// gemm1x128F32 makes one per row. The tile's accumulators are Z0–Z11 (row r,
+// panel p in Z4r+p); per input the four panel rows are four loads (Z12–Z15)
+// and the three x values three broadcasts — 7 loads per 12 FMAs. With two
+// rows the third re-reads row 1 and is not stored.
+TEXT ·gemm3x64F32(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ bias+16(FP), R8
+	MOVQ x+24(FP), AX       // x row 0
+	MOVQ rows+32(FP), R14
+	MOVQ in+40(FP), R13
+	SHLQ $2, R13            // R13 = in*4: x row stride, bytes
+	LEAQ (AX)(R13*1), BX    // x row 1
+	MOVQ BX, CX             // x row 2, or row 1 again for two rows
+	CMPQ R14, $3
+	JLT  strides3
+	ADDQ R13, CX
+
+strides3:
+	MOVQ R13, R12
+	SHLQ $4, R12            // R12 = in*64: panel size, bytes
+	MOVQ out+48(FP), DX
+	SHLQ $2, DX             // DX = out*4: dst row stride, bytes
+	MOVQ quads+56(FP), R15
+
+group3:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	MOVQ SI, R10            // panels 0, 1, 2 at +0, +R12, +2*R12
+	LEAQ (SI)(R12*2), R9
+	ADDQ R12, R9            // panel 3
+	XORQ R11, R11           // x byte offset, i*4
+
+k3x64:
+	VMOVUPS (R10), Z12
+	VMOVUPS (R10)(R12*1), Z13
+	VMOVUPS (R10)(R12*2), Z14
+	VMOVUPS (R9), Z15
+	VBROADCASTSS (AX)(R11*1), Z16
+	VFMADD231PS Z12, Z16, Z0
+	VFMADD231PS Z13, Z16, Z1
+	VFMADD231PS Z14, Z16, Z2
+	VFMADD231PS Z15, Z16, Z3
+	VBROADCASTSS (BX)(R11*1), Z17
+	VFMADD231PS Z12, Z17, Z4
+	VFMADD231PS Z13, Z17, Z5
+	VFMADD231PS Z14, Z17, Z6
+	VFMADD231PS Z15, Z17, Z7
+	VBROADCASTSS (CX)(R11*1), Z18
+	VFMADD231PS Z12, Z18, Z8
+	VFMADD231PS Z13, Z18, Z9
+	VFMADD231PS Z14, Z18, Z10
+	VFMADD231PS Z15, Z18, Z11
+	ADDQ $64, R10
+	ADDQ $64, R9
+	ADDQ $4, R11
+	CMPQ R11, R13
+	JLT  k3x64
+
+	VMOVUPS (R8), Z12
+	VMOVUPS 64(R8), Z13
+	VMOVUPS 128(R8), Z14
+	VMOVUPS 192(R8), Z15
+	VADDPS Z12, Z0, Z0
+	VADDPS Z13, Z1, Z1
+	VADDPS Z14, Z2, Z2
+	VADDPS Z15, Z3, Z3
+	VADDPS Z12, Z4, Z4
+	VADDPS Z13, Z5, Z5
+	VADDPS Z14, Z6, Z6
+	VADDPS Z15, Z7, Z7
+	VADDPS Z12, Z8, Z8
+	VADDPS Z13, Z9, Z9
+	VADDPS Z14, Z10, Z10
+	VADDPS Z15, Z11, Z11
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, 128(DI)
+	VMOVUPS Z3, 192(DI)
+	VMOVUPS Z4, (DI)(DX*1)
+	VMOVUPS Z5, 64(DI)(DX*1)
+	VMOVUPS Z6, 128(DI)(DX*1)
+	VMOVUPS Z7, 192(DI)(DX*1)
+	CMPQ R14, $3
+	JLT  next3
+	VMOVUPS Z8, (DI)(DX*2)
+	VMOVUPS Z9, 64(DI)(DX*2)
+	VMOVUPS Z10, 128(DI)(DX*2)
+	VMOVUPS Z11, 192(DI)(DX*2)
+
+next3:
+	ADDQ $256, DI           // next four panels: 64 outputs right
+	ADDQ $256, R8
+	LEAQ (SI)(R12*4), SI
+	DECQ R15
+	JNZ  group3
 
 	VZEROUPPER
 	RET

@@ -19,6 +19,14 @@ func gemm4x32F32(dst, w, bias, x *float32, quads, in, out, pairs int) {
 	panic("tensor: assembly kernel called without assembly support")
 }
 
+func gemm8x32F32(dst, w, bias, x *float32, octs, in, out, pairs int) {
+	panic("tensor: assembly kernel called without assembly support")
+}
+
+func gemm3x64F32(dst, w, bias, x *float32, rows, in, out, quads int) {
+	panic("tensor: assembly kernel called without assembly support")
+}
+
 func gemm1x64F32(dst, w, bias, x *float32, in, panels int) {
 	panic("tensor: assembly kernel called without assembly support")
 }

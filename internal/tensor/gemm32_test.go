@@ -222,16 +222,44 @@ func TestPackF32Layout(t *testing.T) {
 	}
 }
 
+// gemmGuarded runs GemmF32 into a dst one row longer than the product and
+// returns the product's rows*out outputs, failing t if the kernel wrote into
+// the extra row: a tile that stores a row it was not given would clobber
+// whatever the caller keeps behind the product.
+func gemmGuarded(t *testing.T, w, bias, x []float32, rows, in, out int) []float32 {
+	t.Helper()
+	const guard = 0x7fc0dead // a NaN no kernel computes
+	dst := make([]float32, (rows+1)*out)
+	for i := range dst {
+		dst[i] = math.Float32frombits(guard)
+	}
+	GemmF32(dst, w, bias, x, rows, in, out)
+	for i, v := range dst[rows*out:] {
+		if math.Float32bits(v) != guard {
+			t.Fatalf("%s %d×%d→%d: wrote %v past the product, at output %d of the row after it",
+				kernelSet(), rows, in, out, v, i)
+		}
+	}
+	return dst[:rows*out]
+}
+
 // TestGemmF32Shapes exercises every kernel set over awkward shapes (reduction
 // lengths of 1, panel remainders of every width, 1-row and odd-row counts,
-// row counts that span several of the assembly path's row tiles), comparing
+// row counts that span several of the assembly path's row tiles, and every
+// row count of tileRows against the widths of 16-wide panels), comparing
 // against the float64 reference within a float32 reduction-error tolerance.
 func TestGemmF32Shapes(t *testing.T) {
-	shapes := []struct{ rows, in, out int }{
+	type shape struct{ rows, in, out int }
+	shapes := []shape{
 		{1, 1, 1}, {1, 7, 3}, {2, 8, 2}, {3, 10, 5}, {4, 128, 128},
 		{5, 128, 1024}, {4, 1024, 128}, {2, 33, 7}, {3, 40, 6}, {6, 64, 2},
 		{1, 130, 1}, {7, 9, 9}, {19, 1024, 5}, {3, 9000, 2}, {9, 24, 29},
 		{5, 17, 40}, {13, 100, 200},
+	}
+	for _, rows := range tileRows {
+		for _, out := range []int{16, 48, 64, 80, 128, 144, 1024} {
+			shapes = append(shapes, shape{rows, 40, out})
+		}
 	}
 	defer useKernelSet(kernelSet())()
 	for _, set := range kernelSets() {
@@ -240,9 +268,8 @@ func TestGemmF32Shapes(t *testing.T) {
 			w := randF32(s.out*s.in, 1)
 			bias := randF32(s.out, 2)
 			x := randF32(s.rows*s.in, 3)
-			got := make([]float32, s.rows*s.out)
 			want := make([]float32, s.rows*s.out)
-			GemmF32(got, packed(w, s.in, s.out), bias, x, s.rows, s.in, s.out)
+			got := gemmGuarded(t, packed(w, s.in, s.out), bias, x, s.rows, s.in, s.out)
 			gemmF32Ref(want, w, bias, x, s.rows, s.in, s.out)
 			for i := range want {
 				diff := math.Abs(float64(got[i] - want[i]))
@@ -258,23 +285,28 @@ func TestGemmF32Shapes(t *testing.T) {
 }
 
 // Shapes that reach every path of the assembly tiles: rows through the
-// 4-row tiles, one to three leftover rows (1×64 / 1×128 tile) and both at
-// once; reductions of one element up to a whole FF-out row; outputs that are
-// only a masked remainder (1, 2), only an 8-wide panel, a 16-wide panel plus
-// a one-lane remainder (17), plus an 8-wide one (24), an even number of
-// 16-wide panels (32, 64, 128, 1024), an odd one (48, 80, 144: the 4×32
-// pairs plus the AVX2 4×16 on the last), and leftover single panels after
-// the 1×64 groups (48, 80, 144) and the 1×128 ones (144).
+// 8-row and 4-row tiles alone and together (8, 4, 12, 24, 32), one to three
+// rows left over after each (the 1×64 / 1×128 tiles, or 3×64 for two or
+// three), and several row tiles at once (33 at in = 1024); reductions of one
+// element up to a whole FF-out row; outputs that are only a masked remainder
+// (1, 2), only an 8-wide panel, one 16-wide panel (16: 4×16 alone, 1×16), a
+// 16-wide panel plus a one-lane remainder (17), plus an 8-wide one (24), an
+// even number of 16-wide panels (32, 64, 128, 1024), an odd one (48, 80,
+// 144: the 8×32 / 4×32 pairs plus the AVX2 4×16 on the last), panels in
+// fours (64, 128, 1024: 3×64 for two or three leftover rows) or not (32, 48,
+// 80, 144: those rows go 1×128 / 1×16), and leftover single panels after the
+// 1×64 groups (48, 80, 144) and the 1×128 ones (144).
 var (
-	tileRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33}
+	tileRows = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 31, 32, 33}
 	tileIns  = []int{1, 7, 24, 128, 1024}
-	tileOuts = []int{1, 2, 8, 17, 24, 32, 48, 64, 80, 128, 144, 1024}
+	tileOuts = []int{1, 2, 8, 16, 17, 24, 32, 48, 64, 80, 128, 144, 1024}
 )
 
 // TestGemmF32Bitwise holds every kernel set to its documented arithmetic bit
 // for bit, for every shape of tileRows × tileIns × tileOuts. Under both
-// assembly sets every output is fmaChainRef's — whichever tile (4×32,
-// 4×16, 1×128, 1×64, 1×16, masked 8-lane) computed it. That reference is
+// assembly sets every output is fmaChainRef's — whichever tile (8×32, 4×32,
+// 4×16, 3×64, 1×128, 1×64, 1×16, masked 8-lane) computed it — and no tile
+// writes past the rows it was given. That reference is
 // exact big-float arithmetic, so the test also pins that the tiles do fuse
 // (one rounding per step) and add the bias last. The portable set is held to
 // portableRef, its dot blocks over the unpacked matrix.
@@ -285,11 +317,11 @@ func TestGemmF32Bitwise(t *testing.T) {
 			if in*out > 128*1024 {
 				continue // the reference costs ~0.3 µs per multiply-add
 			}
-			// The reference covers 9 rows — 33 only while it is cheap — and
+			// The reference covers 15 rows — 33 only while it is cheap — and
 			// each GEMM below reads its first rows of them.
 			refRows := 33
 			if in*out > 24*1024 {
-				refRows = 9
+				refRows = 15
 			}
 			w := randF32(in*out, uint64(in*out))
 			bias := randF32(out, uint64(out))
@@ -306,8 +338,7 @@ func TestGemmF32Bitwise(t *testing.T) {
 					if rows > refRows {
 						continue
 					}
-					got := make([]float32, rows*out)
-					GemmF32(got, pw, bias, x, rows, in, out)
+					got := gemmGuarded(t, pw, bias, x, rows, in, out)
 					for i := range got {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 							t.Fatalf("%s %d×%d→%d: dst[%d] (row %d, out %d) = %v, reference %v",
@@ -324,13 +355,20 @@ func TestGemmF32Bitwise(t *testing.T) {
 // in and out 1–300) and drawn values — normals of every size the chain
 // cannot overflow at, ±0 and subnormals — under every kernel set: the
 // assembly sets against the same math/big reference, the portable one
-// against the float64 reference. The seed corpus runs under plain go test.
+// against the float64 reference, and none may write past the product. The
+// seed corpus runs under plain go test; its last seeds put 8, 11 and 19 rows
+// (one 8×32 group, then one or two with three rows left for 3×64) on 64 and
+// 128 outputs.
 func FuzzGemmF32(f *testing.F) {
 	f.Add(uint8(5), uint16(7), uint16(17), uint64(1))
 	f.Add(uint8(1), uint16(300), uint16(24), uint64(2))
 	f.Add(uint8(40), uint16(3), uint16(300), uint64(3))
 	f.Add(uint8(3), uint16(64), uint16(48), uint64(4))
 	f.Add(uint8(9), uint16(20), uint16(80), uint64(5))
+	for i, rows := range []uint8{8, 11, 19} {
+		f.Add(rows-1, uint16(40), uint16(63), uint64(6+2*i))
+		f.Add(rows-1, uint16(40), uint16(127), uint64(7+2*i))
+	}
 	f.Fuzz(func(t *testing.T, rows8 uint8, in16, out16 uint16, seed uint64) {
 		rows, in, out := 1+int(rows8)%40, 1+int(in16)%300, 1+int(out16)%300
 		rng := stats.NewRand(seed)
@@ -360,8 +398,7 @@ func FuzzGemmF32(f *testing.F) {
 		defer useKernelSet(kernelSet())()
 		for _, set := range kernelSets() {
 			useKernelSet(set)
-			got := make([]float32, rows*out)
-			GemmF32(got, pw, bias, x, rows, in, out)
+			got := gemmGuarded(t, pw, bias, x, rows, in, out)
 			if set != setPortable {
 				if chain == nil {
 					chain = fmaChainRef(w, bias, x, rows, in, out)
@@ -448,8 +485,8 @@ func TestGemmF32RowIndependent(t *testing.T) {
 		// Generated shapes: every row count of tileRows against reductions
 		// that make the assembly path's row tiles 4 to 64 rows (and 1024-row
 		// ones for in = 1 and 7) and outputs that run every tile — a row may
-		// land in any position of a 4-row tile, in a 1×64 leftover or in a
-		// masked pass, and its bits may not care. Rows [33-grows, 33) are
+		// land in any position of an 8-row or 4-row tile, in a 3×64, 1×128
+		// or 1×64 leftover or in a masked pass, and its bits may not care. Rows [33-grows, 33) are
 		// taken, so every row is tried at every position.
 		const maxRows = 33
 		for _, gin := range append([]int{9, 31, 33, 1170, 2730, 9000}, tileIns...) {
@@ -521,7 +558,8 @@ func TestGemmF32KillSwitch(t *testing.T) {
 
 // BenchmarkGemmF32 times every kernel set the machine runs against the
 // paper-scale panels at the row counts the decoder packs: a full plain batch
-// (32 rows), one verify chain (5) and a drained batch (1).
+// (32 rows), one 8-row tile (8), a tile plus three leftover rows (11), one
+// verify chain (5), the few rows of a draining batch (3) and its last (1).
 func BenchmarkGemmF32(b *testing.B) {
 	for _, c := range []struct {
 		name          string
@@ -532,9 +570,15 @@ func BenchmarkGemmF32(b *testing.B) {
 		{"32x128x128", 32, 128, 128},
 		{"16x128x1024", 16, 128, 1024},
 		{"16x1024x128", 16, 1024, 128},
+		{"11x128x1024", 11, 128, 1024},
+		{"11x1024x128", 11, 1024, 128},
+		{"8x128x1024", 8, 128, 1024},
+		{"8x1024x128", 8, 1024, 128},
 		{"5x128x1024", 5, 128, 1024},
 		{"5x1024x128", 5, 1024, 128},
 		{"5x128x128", 5, 128, 128},
+		{"3x128x1024", 3, 128, 1024},
+		{"3x1024x128", 3, 1024, 128},
 		{"1x128x128", 1, 128, 128},
 	} {
 		w := packed(randF32(c.out*c.in, 1), c.in, c.out)
