@@ -68,6 +68,7 @@ func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource) (
 	}
 	// A failed flush sticks in bw: the loop's next one reports it.
 	onIdle(src, func(time.Time) { _ = flush() })
+	var frame [22]byte // each EVENT frame is encoded here
 	for {
 		ev, ok, err := src.NextArrival()
 		if err != nil {
@@ -81,8 +82,8 @@ func ReplayStream(addr string, gen events.Generation, src trace.ArrivalSource) (
 				return Stats{}, err
 			}
 		}
-		if err := writeFrame(bw, frameEvent, eventPayload(ev.UE, int64(ev.Time*1e6), byte(ev.Type))); err != nil {
-			return Stats{}, err
+		if _, err := bw.Write(eventFrame(frame[:], ev.UE, int64(ev.Time*1e6), byte(ev.Type))); err != nil {
+			return Stats{}, fmt.Errorf("replaynet: writing frame: %w", err)
 		}
 	}
 

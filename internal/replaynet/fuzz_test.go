@@ -23,12 +23,13 @@ func FuzzServeConn(f *testing.F) {
 		return b.Bytes()
 	}
 	var seq [25]byte
+	var ev [22]byte // payloads are ev[5:]
 	// The golden open-loop stream (TestOpenLoopWireBytesUnchanged).
 	f.Add(frames(func(add func(frameType, []byte)) {
 		add(frameHello, []byte{byte(events.Gen4G)})
 		src := seqSource(40)
-		for ev, ok, _ := src.NextArrival(); ok; ev, ok, _ = src.NextArrival() {
-			add(frameEvent, eventPayload(ev.UE, int64(ev.Time*1e6), byte(ev.Type)))
+		for a, ok, _ := src.NextArrival(); ok; a, ok, _ = src.NextArrival() {
+			add(frameEvent, eventFrame(ev[:], a.UE, int64(a.Time*1e6), byte(a.Type))[5:])
 		}
 		add(frameStats, nil)
 		add(frameBye, nil)
@@ -55,8 +56,8 @@ func FuzzServeConn(f *testing.F) {
 	// Two UE keys that differ only above bit 32: two UEs, both connected.
 	twoUEs := frames(func(add func(frameType, []byte)) {
 		add(frameHello, []byte{byte(events.Gen4G)})
-		add(frameEvent, eventPayload(1, 0, byte(events.Attach)))
-		add(frameEvent, eventPayload(1|1<<32, 10, byte(events.Attach)))
+		add(frameEvent, eventFrame(ev[:], 1, 0, byte(events.Attach))[5:])
+		add(frameEvent, eventFrame(ev[:], 1|1<<32, 10, byte(events.Attach))[5:])
 	})
 	f.Add(twoUEs)
 

@@ -102,13 +102,15 @@ func readFrameInto(r io.Reader, buf []byte) (frameType, []byte, error) {
 	return t, payload, nil
 }
 
-// eventPayload encodes an EVENT frame payload.
-func eventPayload(ue uint64, timeMicros int64, ev byte) []byte {
-	buf := make([]byte, 17)
-	binary.BigEndian.PutUint64(buf[0:8], ue)
-	binary.BigEndian.PutUint64(buf[8:16], uint64(timeMicros))
-	buf[16] = ev
-	return buf
+// eventFrame encodes a whole EVENT frame into buf (≥ 22 bytes): the
+// header writeFrame writes, then the 17-byte payload (buf[5:22]).
+func eventFrame(buf []byte, ue uint64, timeMicros int64, ev byte) []byte {
+	buf[0] = byte(frameEvent)
+	binary.BigEndian.PutUint32(buf[1:5], 17)
+	binary.BigEndian.PutUint64(buf[5:13], ue)
+	binary.BigEndian.PutUint64(buf[13:21], uint64(timeMicros))
+	buf[21] = ev
+	return buf[:22]
 }
 
 // decodeEvent decodes an EVENT frame payload.

@@ -11,11 +11,17 @@ import (
 	"cptgpt/internal/trace"
 )
 
+// TestFrameRoundTrip holds the open-loop driver's one-piece EVENT frame to
+// the bytes writeFrame writes for its payload, and decodes it back.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payload := eventPayload(7, 1234567, byte(events.ServiceRequest))
-	if err := writeFrame(&buf, frameEvent, payload); err != nil {
+	var scratch [22]byte
+	frame := eventFrame(scratch[:], 7, 1234567, byte(events.ServiceRequest))
+	if err := writeFrame(&buf, frameEvent, frame[5:]); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), frame) {
+		t.Fatalf("eventFrame wrote %x, writeFrame %x", frame, buf.Bytes())
 	}
 	ft, got, err := readFrame(&buf)
 	if err != nil {

@@ -80,7 +80,8 @@ func (s *fileSink) open() (*os.File, error) {
 // exactly the events consumed before the call (the caller, which fed
 // them, counts them). Where there is no byte position to vouch for
 // (".gz", stdout, no counting layer) it commits the zero cursor before it
-// returns, and a resume starts the file over.
+// returns, and a resume starts the file over; before Consume, with nothing
+// written, it commits ok=false.
 func (s *fileSink) Checkpoint(commit func(c Cursor, ok bool)) {
 	switch enc := s.enc; {
 	case enc == nil:
@@ -90,18 +91,6 @@ func (s *fileSink) Checkpoint(commit func(c Cursor, ok bool)) {
 	default:
 		enc.mark(commit)
 	}
-}
-
-// Cursor is Checkpoint, waited for.
-func (s *fileSink) Cursor() (Cursor, bool) {
-	type committed struct {
-		c  Cursor
-		ok bool
-	}
-	done := make(chan committed, 1)
-	s.Checkpoint(func(c Cursor, ok bool) { done <- committed{c, ok} })
-	r := <-done
-	return r.c, r.ok
 }
 
 // Consume pulls the source on the caller's goroutine, renders lines on

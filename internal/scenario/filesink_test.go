@@ -39,8 +39,8 @@ func (s *memSource) Err() error { return s.err }
 
 // ckptSource checkpoints the sink after every `every` events, from inside
 // Next, and once more at the end of the stream, handing check the number of
-// events consumed before each. Waited, it takes the sink's Cursor there;
-// otherwise it queues a Checkpoint and carries on, as the daemon's
+// events consumed before each. Waited, it waits there for the commit
+// (waitCursor); otherwise it queues a Checkpoint and carries on, as the daemon's
 // checkpoint tap does, and check runs where the sink commits.
 type ckptSource struct {
 	EventSource
@@ -70,10 +70,22 @@ func (c *ckptSource) AppendUEID(dst []byte, e Event) []byte {
 	return UEIDAppender(c.EventSource)(dst, e)
 }
 
+// waitCursor is Checkpoint, waited for: the position its commit carries.
+func waitCursor(cp Checkpointer) (Cursor, bool) {
+	type committed struct {
+		c  Cursor
+		ok bool
+	}
+	done := make(chan committed, 1)
+	cp.Checkpoint(func(c Cursor, ok bool) { done <- committed{c, ok} })
+	r := <-done
+	return r.c, r.ok
+}
+
 func (c *ckptSource) take() {
 	n := c.n
 	if c.waited {
-		cur, ok := c.sink.Cursor()
+		cur, ok := waitCursor(c.sink)
 		c.check(n, cur, ok)
 		return
 	}
@@ -171,7 +183,7 @@ func readSinkFile(t *testing.T, path string) []byte {
 // the encoder's batches, the file equals the serial eventWriter's bytes, and
 // each cursor names exactly the encoding of the events consumed before it,
 // already on disk when it is committed. Queued checkpoints commit in order,
-// all before Consume returns; a waited one (Cursor) returns its commit.
+// all before Consume returns; a waited one (waitCursor) returns its commit.
 func TestFileSinkMatchesSerialEncoder(t *testing.T) {
 	st, all := benchEvents(2*4096 + 1100)
 	type encoding struct {

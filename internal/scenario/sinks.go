@@ -14,6 +14,7 @@ import (
 	"cptgpt/internal/mcn"
 	"cptgpt/internal/replaynet"
 	"cptgpt/internal/telemetry"
+	"cptgpt/internal/trace"
 	"cptgpt/internal/tracez"
 )
 
@@ -170,16 +171,13 @@ func NewSink(c SinkConfig) (Sink, error) {
 // Cursor is a sink's durable position: what a journal checkpoint records
 // of the sink and a resumed run hands back to it.
 type Cursor struct {
-	// Events is how many events the sink durably holds. A file sink only
-	// takes it back on Resume (its cursor covers every event pulled, which
-	// the caller counts); closed-loop replay reports the absolute sequence
-	// its server has contiguously applied.
+	// Events is how many events the position covers, across resumed
+	// incarnations: closed-loop replay's session sequence. A file sink
+	// only takes it back on Resume (the caller counts what it fed).
 	Events int64
 	// Bytes (file sinks) is the output file's durable length.
 	Bytes int64
-	// Session (closed-loop replay) is the server-side session. A cursor
-	// that names a session trails the events pulled — the server confirms
-	// them later — where a file's covers every one.
+	// Session (closed-loop replay) is the server-side session.
 	Session uint64
 }
 
@@ -187,18 +185,15 @@ type Cursor struct {
 // of the process feeding it: it can vouch for a durable prefix and carry on
 // from one. The file sinks and closed-loop replay have it.
 type Checkpointer interface {
-	// Checkpoint makes what the sink has consumed so far durable as far as
-	// it can, then calls commit once with the position reached; ok=false
-	// means nothing can be vouched for (the checkpoint must be skipped).
-	// A jsonl/csv file syncs off the caller's path: Checkpoint returns at
-	// once and commit runs later on the sink's syncer goroutine, in call
-	// order and before Consume returns. Every other sink commits before
-	// Checkpoint returns. During Consume it is called from inside
-	// src.Next, on Consume's own goroutine.
+	// Checkpoint returns at once and calls commit once the events consumed
+	// before the call are durable — fsynced by a jsonl/csv file's syncer
+	// goroutine, acknowledged by closed-loop replay's server (committed on
+	// Consume's goroutine) — with the position they reach; ok=false means
+	// they cannot be vouched for (the checkpoint must be skipped). Commits
+	// come in call order, the last before Consume returns. During Consume
+	// it is called from inside src.Next, on Consume's own goroutine;
+	// before Consume it commits at once (closed-loop replay: its session).
 	Checkpoint(commit func(c Cursor, ok bool))
-	// Cursor is Checkpoint, waited for: the position a commit would carry.
-	// Before Consume, a sink that tracks a session already reports it.
-	Cursor() (c Cursor, ok bool)
 	// Resume makes the next Consume continue from c, the source then
 	// delivering only the events past it. An error means c is unusable
 	// here and the run must start over.
@@ -371,7 +366,7 @@ func newReplaySink(c SinkConfig) Sink {
 		return &replaySink{addr: c.Addr}
 	}
 	// The session is fixed here, not inside the driver, so that a journal
-	// can record it (Cursor) and a resumed run rejoin it (Resume).
+	// can record it (Checkpoint) and a resumed run rejoin it (Resume).
 	return &closedSink{addr: c.Addr, opts: replaynet.ClosedOpts{
 		Dial: c.Dial, SessionID: replaynet.NewSessionID(), Live: &replaynet.LiveStats{},
 	}}
@@ -407,28 +402,64 @@ func (r replayResult) Report(out, _ io.Writer, scenario string, wall time.Durati
 
 // closedSink replays in closed loop: every event is an acknowledged
 // signaling transaction, the in-flight count is governed by a CUBIC-style
-// window and delivery is exactly-once across connection failures.
+// window and delivery is exactly-once across connection failures. pulled
+// and marks belong to Consume's goroutine.
 type closedSink struct {
-	addr string
-	opts replaynet.ClosedOpts
+	addr   string
+	opts   replaynet.ClosedOpts
+	pulled uint64       // events the driver pulled this incarnation
+	marks  []closedMark // checkpoints waiting for the server's ACK
+}
+
+// closedMark is a checkpoint waiting for the acknowledgement of seq.
+type closedMark struct {
+	seq    uint64
+	commit func(Cursor, bool)
 }
 
 func (s *closedSink) Consume(_ context.Context, src EventSource) (Result, error) {
 	sp := tracez.Begin(tracez.StageScenarioSink, "")
-	stats, err := replaynet.ReplayClosed(s.addr, src.Generation(), arrivals{src}, s.opts)
+	stats, err := replaynet.ReplayClosed(s.addr, src.Generation(), closedArrivals{arrivals{src}, s}, s.opts)
 	sp.End(stats.Acked, "replay-closed")
+	s.commitAcked(true)
 	if err != nil {
 		return nil, err
 	}
 	return closedResult(stats), nil
 }
 
-// Checkpoint commits the acknowledged position at once: the server's
-// acknowledgement is what makes it durable.
-func (s *closedSink) Checkpoint(commit func(Cursor, bool)) { commit(s.Cursor()) }
+// closedArrivals counts the events the driver pulls and, before each pull,
+// commits the checkpoints LiveStats.AckedSeq has reached since the last.
+type closedArrivals struct {
+	arrivals
+	s *closedSink
+}
 
-func (s *closedSink) Cursor() (Cursor, bool) {
-	return Cursor{Session: s.opts.SessionID, Events: int64(s.opts.Live.AckedSeq.Load())}, true
+func (a closedArrivals) NextArrival() (trace.Arrival, bool, error) {
+	a.s.commitAcked(false)
+	ev, ok, err := a.arrivals.NextArrival()
+	if ok {
+		a.s.pulled++
+	}
+	return ev, ok, err
+}
+
+// Checkpoint queues a mark behind the events pulled so far; one the
+// server has already acknowledged (any before Consume) commits at once.
+func (s *closedSink) Checkpoint(commit func(Cursor, bool)) {
+	s.marks = append(s.marks, closedMark{s.opts.ResumeFrom + s.pulled, commit})
+	s.commitAcked(false)
+}
+
+// commitAcked commits, in order, the marks the server has acknowledged;
+// final (Consume returning) commits the rest as well, with ok=false.
+func (s *closedSink) commitAcked(final bool) {
+	acked := s.opts.Live.AckedSeq.Load()
+	for len(s.marks) > 0 && (final || s.marks[0].seq <= acked) {
+		m := s.marks[0]
+		s.marks = s.marks[1:]
+		m.commit(Cursor{Session: s.opts.SessionID, Events: int64(m.seq)}, m.seq <= acked)
+	}
 }
 
 // Resume rejoins the journaled session: the driver skips whatever the

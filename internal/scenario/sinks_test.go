@@ -15,6 +15,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cptgpt/internal/events"
+	"cptgpt/internal/replaynet"
 )
 
 // startRequest and referenceValidate are the pre-registry
@@ -163,7 +166,7 @@ func (c *crashingSource) Next() (Event, bool) {
 		return Event{}, false
 	}
 	if c.n == c.at {
-		c.cur, c.ok = c.sink.Cursor()
+		c.cur, c.ok = waitCursor(c.sink)
 	}
 	e, ok := c.EventSource.Next()
 	if ok {
@@ -253,5 +256,135 @@ func TestFileSinkCursorResume(t *testing.T) {
 				t.Fatalf("%s at %d: resumed file (%d bytes) differs from an uninterrupted write (%d bytes)", format, at, len(got), len(want))
 			}
 		}
+	}
+}
+
+// heldConn holds back what the server sends after the resume handshake
+// (allow bytes: one ACK frame) until open is closed.
+type heldConn struct {
+	net.Conn
+	allow int
+	open  chan struct{}
+}
+
+func (c *heldConn) Read(p []byte) (int, error) {
+	if c.allow > 0 {
+		n, err := c.Conn.Read(p[:min(len(p), c.allow)])
+		c.allow -= n
+		return n, err
+	}
+	<-c.open
+	return c.Conn.Read(p)
+}
+
+// ackSource checkpoints a closed-loop sink from inside Next once it has
+// released each count in at, and records each commit with the events the
+// server had applied when it ran. Before releasing event release+1 it
+// checks that nothing has committed yet and lets the ACKs through.
+type ackSource struct {
+	*memSource
+	t       *testing.T
+	sink    Checkpointer
+	srv     *replaynet.Server
+	open    chan struct{}
+	at      []int
+	release int
+	n       int
+	commits []ackCommit
+}
+
+type ackCommit struct {
+	n       int
+	c       Cursor
+	ok      bool
+	applied int
+}
+
+func (s *ackSource) Next() (Event, bool) {
+	for len(s.at) > 0 && s.at[0] == s.n {
+		n := s.n
+		s.at = s.at[1:]
+		s.sink.Checkpoint(func(c Cursor, ok bool) {
+			s.commits = append(s.commits, ackCommit{n, c, ok, s.srv.Snapshot().Events})
+		})
+	}
+	if s.n == s.release {
+		if len(s.commits) > 0 {
+			s.t.Errorf("%d checkpoints committed before any ACK reached the driver: %+v", len(s.commits), s.commits)
+		}
+		close(s.open)
+	}
+	e, ok := s.memSource.Next()
+	if ok {
+		s.n++
+	}
+	return e, ok
+}
+
+// TestClosedSinkCommitsOnAck: closed-loop replay commits a checkpoint once
+// the server has acknowledged the events released before it — none while
+// the ACKs are held back, then each in call order, carrying the session
+// and the count of events before it — and, when Consume returns with
+// marks still unacknowledged (here: the source fails while the ACKs are
+// held), commits them ok=false. Before Consume it commits at once.
+func TestClosedSinkCommitsOnAck(t *testing.T) {
+	st, evs := benchEvents(300)
+	for _, tc := range []struct {
+		name    string
+		evs     []Event
+		err     error
+		at      []int
+		release int // -1: the ACKs stay held
+	}{
+		{"acked", evs, nil, []int{1, 2, 3, 50, 51, 200, 300}, 3},
+		{"unacked", evs[:3], errors.New("source failed"), []int{1, 2, 3}, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := replaynet.ListenAndServe("127.0.0.1:0", events.Gen4G)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			open := make(chan struct{})
+			if tc.release < 0 {
+				defer close(open)
+			}
+			sink, err := NewSink(SinkConfig{Name: "replay", Addr: srv.Addr().String(), ClosedLoop: true,
+				Dial: func(addr string) (net.Conn, error) {
+					c, err := net.Dial("tcp", addr)
+					return &heldConn{Conn: c, allow: 13, open: open}, err
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp := sink.(Checkpointer)
+			var before Cursor
+			cp.Checkpoint(func(c Cursor, ok bool) {
+				if before = c; !ok {
+					t.Error("the checkpoint before Consume did not vouch for the session")
+				}
+			})
+			if before.Session == 0 || before.Events != 0 {
+				t.Fatalf("before Consume: committed %+v, want the session at 0 events", before)
+			}
+			src := &ackSource{memSource: &memSource{Stream: st, evs: tc.evs, err: tc.err},
+				t: t, sink: cp, srv: srv, open: open, at: tc.at, release: tc.release}
+			_, err = sink.Consume(context.Background(), src)
+			if (err != nil) != (tc.err != nil) {
+				t.Fatalf("Consume returned %v, want the source's error %v", err, tc.err)
+			}
+			if len(src.commits) != len(tc.at) {
+				t.Fatalf("%d of %d checkpoints committed before Consume returned: %+v", len(src.commits), len(tc.at), src.commits)
+			}
+			for i, m := range src.commits {
+				want := Cursor{Events: int64(m.n), Session: before.Session}
+				if m.n != tc.at[i] || m.c != want || m.ok != (tc.err == nil) {
+					t.Fatalf("commit %d: %+v, want %+v ok=%v for the mark at %d", i, m, want, tc.err == nil, tc.at[i])
+				}
+				if m.ok && m.applied < m.n {
+					t.Fatalf("commit %d: vouched for %d events with %d applied", i, m.n, m.applied)
+				}
+			}
+		})
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 	_ "unsafe" // go:linkname
 
+	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
 )
 
@@ -220,6 +221,62 @@ func TestJournalCheckpointsCoverFilePrefix(t *testing.T) {
 				if tm := lineTime(t, tc.format, lines[len(lines)-1]); tm != c.Time {
 					t.Fatalf("checkpoint %+v: its last line %q carries t=%v", c, lines[len(lines)-1], tm)
 				}
+			}
+		})
+	}
+}
+
+// TestJournalCheckpointsCoverAckedPrefix: a journaled closed-loop run
+// checkpoints like a file run — each checkpoint covers every event
+// released before it and lands once the server has acknowledged them. So
+// the records' Events strictly increase, each keys the Events-th event of
+// the uninterrupted stream, and the last covers the whole stream — by
+// event cadence, and on a paced run whose checkpoints come by the clock.
+func TestJournalCheckpointsCoverAckedPrefix(t *testing.T) {
+	const ues = 120
+	_, evs := renderReference(t, "flash-crowd", ues, "jsonl")
+	for _, tc := range []struct {
+		every       int
+		interval    time.Duration
+		compression float64
+	}{
+		{7, time.Hour, 0},
+		{1 << 30, 20 * time.Millisecond, 7200},
+	} {
+		t.Run(fmt.Sprintf("every=%d/interval=%v", tc.every, tc.interval), func(t *testing.T) {
+			backend := replayBackend(t, replaynet.ServerOpts{})
+			jdir := t.TempDir()
+			_, ts := newDurableServer(t, Options{JournalDir: jdir, CheckpointEvents: tc.every, CheckpointInterval: tc.interval})
+			var info RunInfo
+			do(t, "POST", ts.URL+"/runs", StartRequest{
+				Scenario: "flash-crowd", UEs: ues, Sink: "replay", Addr: backend.Addr().String(),
+				ClosedLoop: true, Compression: tc.compression,
+			}, &info, http.StatusCreated)
+			final := waitState(t, ts.URL, info.ID)
+			if final.State != StateDone {
+				t.Fatalf("run ended %s (err %q)", final.State, final.Error)
+			}
+			if got, _ := final.Result["events"].(float64); got != float64(len(evs)) {
+				t.Fatalf("server applied %v events, want %d", got, len(evs))
+			}
+			ckpts := journalCheckpoints(t, readFile(t, filepath.Join(jdir, info.ID+runlog.Ext)))
+			if len(ckpts) < 3 {
+				t.Fatalf("%d checkpoints recorded, want several", len(ckpts))
+			}
+			for i, c := range ckpts {
+				if i > 0 && c.Events <= ckpts[i-1].Events {
+					t.Fatalf("checkpoint %d %+v does not advance past %+v", i, c, ckpts[i-1])
+				}
+				if c.Events < 1 || c.Events > int64(len(evs)) {
+					t.Fatalf("checkpoint %+v outside the %d-event stream", c, len(evs))
+				}
+				e := evs[c.Events-1]
+				if e.Time != c.Time || e.UE != c.UE || e.Seq != c.Seq {
+					t.Fatalf("checkpoint %+v: the %d-th event has key (%v, %d, %d)", c, c.Events, e.Time, e.UE, e.Seq)
+				}
+			}
+			if last := ckpts[len(ckpts)-1]; last.Events != int64(len(evs)) {
+				t.Fatalf("last checkpoint %+v covers %d of %d events", last, last.Events, len(evs))
 			}
 		})
 	}

@@ -77,12 +77,12 @@ func (r *run) removeJournal() {
 
 // ckptTap interposes between the pacer and the sink, appending a journal
 // checkpoint at the run's cadence. A checkpoint names the merge key of
-// the newest event the sink durably holds, so recovery can fast-forward
-// the regenerated stream past it and replay only the lost tail. Everything
-// but Next is the pacer's own — the sinks find its optional methods
-// (AppendUEID, OnIdle) on the tap as they would on the pacer; AppendUEID,
-// which a file sink's encoders call from several goroutines at once,
-// touches none of the tap's state.
+// the newest event released before it and the count of events released up
+// to it, so recovery can fast-forward the regenerated stream past it and
+// replay only the lost tail. Everything but Next is the pacer's own — the
+// sinks find its optional methods (AppendUEID, OnIdle) on the tap as they
+// would on the pacer; AppendUEID, which a file sink's encoders call from
+// several goroutines at once, touches none of the tap's state.
 type ckptTap struct {
 	*scenario.Pacer
 	j        *runlog.Journal
@@ -90,23 +90,12 @@ type ckptTap struct {
 	every    int64
 	interval time.Duration
 
-	// cursor, when the sink has one (file sinks, closed-loop replay),
-	// makes the sink's durable position part of each checkpoint: a file
-	// sink's is appended only once its syncer has fsynced the prefix, and
-	// a cursor that cannot be vouched for skips the checkpoint (the
-	// invariant "a checkpoint implies a durable sink prefix" beats
-	// checkpoint freshness).
-	cursor scenario.Checkpointer
-
-	// trails marks a cursor that names a session (closed-loop replay):
-	// its Events is the driver's contiguously applied absolute sequence,
-	// checkpoints cover the newest server-acknowledged event rather than
-	// the newest released one, and pending queues
-	// released-but-unacknowledged events until a checkpoint can cover them.
-	trails  bool
-	seqBase uint64 // absolute sequence already applied before this incarnation
-	pending []scenario.Event
-	pendSeq uint64 // absolute sequence of pending[0]
+	// sink, when it has a cursor (file sinks, closed-loop replay), is
+	// handed each checkpoint and appends it only once the events released
+	// before it are durable — fsynced, or acknowledged by the server — and
+	// not at all when it cannot vouch for them (the invariant "a checkpoint
+	// implies a durable sink prefix" beats checkpoint freshness).
+	sink scenario.Checkpointer
 
 	n     int64 // events released this incarnation
 	lastN int64
@@ -116,29 +105,22 @@ type ckptTap struct {
 
 // newCkptTap wires a tap for the run.
 func newCkptTap(src *scenario.Pacer, r *run) *ckptTap {
-	t := &ckptTap{
+	sink, _ := r.sink.(scenario.Checkpointer)
+	return &ckptTap{
 		Pacer:    src,
 		j:        r.journal,
 		base:     r.baseEvents(),
 		every:    r.ckptEvery,
 		interval: r.ckptInterval,
+		sink:     sink,
 		lastT:    time.Now(),
 	}
-	if cp, ok := r.sink.(scenario.Checkpointer); ok {
-		t.cursor = cp
-		// Asked before the first event, a sink that tracks a session
-		// already has a position: the sequence a resumed run starts past.
-		if cur, ok := cp.Cursor(); ok && cur.Session != 0 {
-			t.trails, t.seqBase = true, uint64(cur.Events)
-		}
-	}
-	return t
 }
 
 // Next releases the source's next event, checkpointing first when the
 // cadence is due — so a checkpoint only ever covers events the sink has
 // been handed (the single consumer queued event k before it pulls event
-// k+1, and a file sink's checkpoint mark queues behind it).
+// k+1, and a sink's checkpoint mark queues behind it).
 func (t *ckptTap) Next() (scenario.Event, bool) {
 	e, ok := t.Pacer.Next()
 	if !ok {
@@ -152,12 +134,6 @@ func (t *ckptTap) Next() (scenario.Event, bool) {
 	}
 	t.n++
 	t.prev = e
-	if t.trails {
-		if len(t.pending) == 0 {
-			t.pendSeq = t.seqBase + uint64(t.n)
-		}
-		t.pending = append(t.pending, e)
-	}
 	return e, true
 }
 
@@ -169,45 +145,24 @@ func (t *ckptTap) due() bool {
 }
 
 // checkpoint records the newest released event as covered, through the
-// sink's Checkpoint where it has one. A file sink commits later, from its
-// syncer, once the covered prefix is fsynced; the commit appends the
-// checkpoint and touches nothing else of the tap.
+// sink's Checkpoint where it has one. The sink commits once the covered
+// prefix is durable — a file sink from its syncer, closed-loop replay from
+// Consume's goroutine; the commit appends the checkpoint and touches
+// nothing else of the tap.
 func (t *ckptTap) checkpoint() {
 	key, n := t.prev, t.base+t.n
-	if t.trails {
-		var ok bool
-		if key, n, ok = t.cover(); !ok {
-			return // nothing newly acknowledged since the last cover
-		}
-	}
 	commit := func(cur scenario.Cursor, ok bool) {
 		if ok {
 			t.j.AppendCheckpoint(runlog.Checkpoint{Time: key.Time, UE: key.UE, Seq: key.Seq, Events: n, SinkBytes: cur.Bytes})
 		}
 	}
-	if t.cursor != nil {
-		t.cursor.Checkpoint(commit)
+	if t.sink != nil {
+		t.sink.Checkpoint(commit)
 	} else {
 		commit(scenario.Cursor{}, true)
 	}
 	t.lastN = t.n
 	t.lastT = time.Now()
-}
-
-// cover returns the key and absolute sequence of the newest pending event
-// the server has contiguously applied, and drops the pending events up to
-// it; ok=false when there is none.
-func (t *ckptTap) cover() (key scenario.Event, n int64, ok bool) {
-	cur, ok := t.cursor.Cursor()
-	a := uint64(cur.Events)
-	if !ok || len(t.pending) == 0 || a < t.pendSeq {
-		return key, 0, false
-	}
-	drop := min(a-t.pendSeq+1, uint64(len(t.pending)))
-	key = t.pending[drop-1]
-	t.pending = t.pending[drop:]
-	t.pendSeq += drop
-	return key, int64(t.pendSeq - 1), true
 }
 
 // countingWriter tracks the absolute sink byte offset — seeded with the

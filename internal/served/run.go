@@ -288,8 +288,8 @@ func (s *Server) newRun(b runlog.Begin, spec *scenario.Spec, st *runlog.RunState
 	} else if ok && s.opts.JournalDir != "" {
 		// A journaled run records the position it starts from — for
 		// closed-loop replay, the session a resumed incarnation rejoins.
-		cur, _ := cp.Cursor()
-		r.begin.SessionID = cur.Session
+		// Before Consume, a sink commits at once.
+		cp.Checkpoint(func(c scenario.Cursor, _ bool) { r.begin.SessionID = c.Session })
 	}
 	return r, nil
 }

@@ -295,7 +295,10 @@ func TestReplayUnbootstrappableStream(t *testing.T) {
 	}
 }
 
-func TestAggregateReplay(t *testing.T) {
+// TestTallyInterleavedUEs: one Tally fed two UEs' interleaved events
+// steps each UE from its own state, so the clean UE stays clean while the
+// other's two violations show in the rates, the top pairs and the UE count.
+func TestTallyInterleavedUEs(t *testing.T) {
 	m := New(events.Gen4G)
 	tl := NewTally(m)
 	// UE 1 is clean; UE 2 violates twice; their events interleave.
