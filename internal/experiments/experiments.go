@@ -132,8 +132,7 @@ func (s Scale) sizes() sizes {
 
 // Lab caches the shared experiment artifacts: ground-truth train/test
 // traces per device type and the four trained generators per device type.
-// All fields build lazily; a Lab is safe for sequential use (experiments
-// run one at a time, as in the paper's pipeline).
+// All fields build lazily, each once however many goroutines ask for it.
 type Lab struct {
 	Scale Scale
 	Seed  uint64
@@ -143,14 +142,14 @@ type Lab struct {
 	sz sizes
 
 	mu     sync.Mutex
-	train  map[events.DeviceType]*trace.Dataset
-	test   map[events.DeviceType]*trace.Dataset
-	cpt    map[events.DeviceType]*cptgpt.Model
-	ns     map[events.DeviceType]*netshare.Model
-	smm1   map[events.DeviceType]*smm.Model
-	smmK   map[events.DeviceType]*smm.Model
-	gen    map[string]*trace.Dataset   // cached synthesized datasets
-	hourly map[uint64][]*trace.Dataset // multi-hour traces sliced per hour, by seed
+	train  map[events.DeviceType]build[*trace.Dataset]
+	test   map[events.DeviceType]build[*trace.Dataset]
+	cpt    map[events.DeviceType]build[*cptgpt.Model]
+	ns     map[events.DeviceType]build[*netshare.Model]
+	smm1   map[events.DeviceType]build[*smm.Model]
+	smmK   map[events.DeviceType]build[*smm.Model]
+	gen    map[string]build[*trace.Dataset]   // cached synthesized datasets
+	hourly map[uint64]build[[]*trace.Dataset] // multi-hour traces sliced per hour, by seed
 	timing *timingResults
 }
 
@@ -163,37 +162,38 @@ func NewLab(scale Scale, seed uint64) *Lab {
 		Scale:  scale,
 		Seed:   seed,
 		sz:     scale.sizes(),
-		train:  make(map[events.DeviceType]*trace.Dataset),
-		test:   make(map[events.DeviceType]*trace.Dataset),
-		cpt:    make(map[events.DeviceType]*cptgpt.Model),
-		ns:     make(map[events.DeviceType]*netshare.Model),
-		smm1:   make(map[events.DeviceType]*smm.Model),
-		smmK:   make(map[events.DeviceType]*smm.Model),
-		gen:    make(map[string]*trace.Dataset),
-		hourly: make(map[uint64][]*trace.Dataset),
+		train:  make(map[events.DeviceType]build[*trace.Dataset]),
+		test:   make(map[events.DeviceType]build[*trace.Dataset]),
+		cpt:    make(map[events.DeviceType]build[*cptgpt.Model]),
+		ns:     make(map[events.DeviceType]build[*netshare.Model]),
+		smm1:   make(map[events.DeviceType]build[*smm.Model]),
+		smmK:   make(map[events.DeviceType]build[*smm.Model]),
+		gen:    make(map[string]build[*trace.Dataset]),
+		hourly: make(map[uint64]build[[]*trace.Dataset]),
 	}
 }
 
-// cached returns cache[key], building and storing it on a miss. The build
-// runs outside the lock — builders reach back into the Lab (CPT(dev) needs
-// CPT(Phone), every model needs Train) — so two concurrent first callers
-// may both build; builds are deterministic and the Lab is used
-// sequentially, so that costs time at worst. A failed build caches nothing.
-func cached[K comparable, V any](l *Lab, cache map[K]V, key K, build func() (V, error)) (V, error) {
+// build is one cached artifact's build, run once (sync.OnceValues).
+type build[V any] func() (V, error)
+
+// cached returns cache[key], built once: a concurrent caller waits for the
+// build, which runs outside the lock (builders reach back into the Lab:
+// CPT(dev) needs CPT(Phone)). A failed build caches nothing.
+func cached[K comparable, V any](l *Lab, cache map[K]build[V], key K, f func() (V, error)) (V, error) {
 	l.mu.Lock()
-	v, ok := cache[key]
-	l.mu.Unlock()
-	if ok {
-		return v, nil
+	get, hit := cache[key]
+	if !hit {
+		get = sync.OnceValues(f)
+		cache[key] = get
 	}
-	v, err := build()
-	if err != nil {
-		return v, err
-	}
-	l.mu.Lock()
-	cache[key] = v
 	l.mu.Unlock()
-	return v, nil
+	v, err := get()
+	if err != nil && !hit {
+		l.mu.Lock()
+		delete(cache, key)
+		l.mu.Unlock()
+	}
+	return v, err
 }
 
 func (l *Lab) logf(format string, args ...any) {

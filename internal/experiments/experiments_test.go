@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cptgpt/internal/events"
+	"cptgpt/internal/smm"
 )
 
 func TestParseScale(t *testing.T) {
@@ -104,6 +108,68 @@ func TestLabDatasetsCachedAndDisjoint(t *testing.T) {
 	if te.Streams[0].Events[0] == a.Streams[0].Events[0] &&
 		te.Streams[0].Events[1] == a.Streams[0].Events[1] {
 		t.Fatal("test trace must differ from train trace (different seed)")
+	}
+}
+
+// TestLabBuildsOnce pins the Lab cache's single flight under -race: two
+// goroutines that ask for one model at once get the same model, built
+// once — a second first caller waits for the first one's build — and a
+// failed build is not cached.
+func TestLabBuildsOnce(t *testing.T) {
+	l := NewLab(Unit, 1)
+	var wg sync.WaitGroup
+	var got [2]*smm.Model
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := l.SMM(events.Phone, false)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = m
+		}(i)
+	}
+	wg.Wait()
+	if got[0] == nil || got[0] != got[1] {
+		t.Fatalf("two concurrent callers got SMMs %p and %p, want one", got[0], got[1])
+	}
+
+	// A second first caller arriving mid-build waits for that build.
+	var builds atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	slow := func() (*smm.Model, error) {
+		if builds.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return &smm.Model{}, nil
+	}
+	out := make(chan *smm.Model, 2)
+	get := func() {
+		m, _ := cached(l, l.smmK, events.ConnectedCar, slow)
+		out <- m
+	}
+	go get()
+	<-started
+	go get()
+	close(release)
+	if a, b := <-out, <-out; a == nil || a != b || builds.Load() != 1 {
+		t.Fatalf("callers got %p and %p after %d builds, want one model built once", a, b, builds.Load())
+	}
+
+	// A failed build caches nothing: the next caller builds afresh.
+	fail := func() (*smm.Model, error) {
+		builds.Add(1)
+		return nil, errors.New("build failed")
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := cached(l, l.smmK, events.Tablet, fail); err == nil {
+			t.Fatal("a failed build returned no error")
+		}
+	}
+	if builds.Load() != 3 {
+		t.Fatalf("%d builds, want a fresh one after each failure", builds.Load())
 	}
 }
 

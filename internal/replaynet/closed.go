@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cptgpt/internal/clock"
 	"cptgpt/internal/events"
 	"cptgpt/internal/telemetry"
 	"cptgpt/internal/trace"
@@ -96,10 +97,11 @@ type ClosedOpts struct {
 	// (100ms / 10s) and its seed before the first RTT sample (1s); the first
 	// reconnect delay (20ms), doubled per consecutive failure up to its cap
 	// (2s); the consecutive failed reconnect attempts that end the replay
-	// (10).
+	// (10); the clock every stamp, timeout and backoff reads (clock.Wall).
 	minRTO, maxRTO, initialRTO            time.Duration
 	reconnectBackoff, maxReconnectBackoff time.Duration
 	maxReconnects                         int
+	clock                                 clock.Clock
 }
 
 // The slow-start entry window and the window cap, in events.
@@ -107,6 +109,9 @@ const (
 	initialCwnd = 4.0
 	maxCwnd     = 4096.0
 )
+
+// replyTimeout bounds the wait for the server's resume ACK and final report.
+const replyTimeout = 3 * time.Second
 
 // NewSessionID derives a fresh session key from the wall clock — what a
 // zero ClosedOpts.SessionID resolves to, for a caller that must know the
@@ -138,6 +143,9 @@ func (o ClosedOpts) withDefaults() ClosedOpts {
 	}
 	if o.Dial == nil {
 		o.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
+	if o.clock == nil {
+		o.clock = clock.Wall
 	}
 	return o
 }
@@ -201,10 +209,10 @@ type closedSession struct {
 	notify   chan struct{}
 	readErr  chan error
 	reportCh chan Stats
-	timer    *time.Timer // stopped and drained between waits
+	timer    *clock.Timer // stopped between waits
 
 	lastAck   atomic.Uint64
-	lastAckAt atomic.Int64 // wall nanos of the newest ACK arrival
+	lastAckAt atomic.Int64 // clock nanos of the newest ACK arrival
 
 	pending   []pendingEv // in send order, compacted as ACKs retire them
 	frame     [30]byte    // send's scratch: one SEVENT frame
@@ -281,7 +289,7 @@ func (s *closedSession) startReader(br *bufio.Reader, notify chan struct{}, errC
 						break
 					}
 					if s.lastAck.CompareAndSwap(cur, seq) {
-						s.lastAckAt.Store(time.Now().UnixNano())
+						s.lastAckAt.Store(s.o.clock.Now().UnixNano())
 						break
 					}
 				}
@@ -323,7 +331,7 @@ func (s *closedSession) connect() (uint64, error) {
 	}
 	// The resume ACK is read inline (bounded by a deadline) so the caller
 	// knows exactly where the session stands before sending anything.
-	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(replyTimeout))
 	br := bufio.NewReader(conn)
 	t, payload, err := readFrame(br)
 	if err != nil {
@@ -366,15 +374,13 @@ func (s *closedSession) reconnect() error {
 		if attempt >= s.o.maxReconnects {
 			return fmt.Errorf("replaynet: gave up after %d reconnect attempts", attempt)
 		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > s.o.maxReconnectBackoff {
-			backoff = s.o.maxReconnectBackoff
-		}
+		clock.Sleep(s.o.clock, backoff)
+		backoff = min(2*backoff, s.o.maxReconnectBackoff)
 		applied, err := s.connect()
 		if err != nil {
 			continue
 		}
-		now := time.Now()
+		now := s.o.clock.Now()
 		// Events the server applied before the disconnect are acked by the
 		// resume handshake; their ack time is unknown, so they count as
 		// acked without contributing latency samples.
@@ -461,13 +467,7 @@ func (s *closedSession) updateRTT(r time.Duration) {
 		s.rttvar = (3*s.rttvar + d) / 4
 		s.srtt = (7*s.srtt + r) / 8
 	}
-	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.o.minRTO {
-		s.rto = s.o.minRTO
-	}
-	if s.rto > s.o.maxRTO {
-		s.rto = s.o.maxRTO
-	}
+	s.rto = min(max(s.srtt+4*s.rttvar, s.o.minRTO), s.o.maxRTO)
 }
 
 // popAcked retires every pending transaction with seq ≤ upTo. With sample
@@ -516,7 +516,7 @@ func (s *closedSession) popAcked(upTo uint64, at time.Time, sample bool) int {
 
 // flush drains the write buffer.
 func (s *closedSession) flush() error {
-	s.flushedAt = time.Now()
+	s.flushedAt = s.o.clock.Now()
 	return s.bw.Flush()
 }
 
@@ -550,7 +550,7 @@ func (s *closedSession) idle(until time.Time) {
 	if rto := s.pending[0].sentAt.Add(s.rto); rto.Before(until) {
 		until = rto
 	}
-	s.timer.Reset(time.Until(until))
+	s.timer.Reset(until.Sub(s.o.clock.Now()))
 	for len(s.pending) > 0 {
 		select {
 		case <-s.notify:
@@ -559,9 +559,7 @@ func (s *closedSession) idle(until time.Time) {
 			return
 		}
 	}
-	if !s.timer.Stop() {
-		<-s.timer.C
-	}
+	s.timer.Stop()
 }
 
 // send transmits one event as the next sequenced transaction.
@@ -573,7 +571,7 @@ func (s *closedSession) send(ev trace.Arrival, now time.Time) error {
 	if err := s.writeSeqEvent(&p); err != nil {
 		return err
 	}
-	if time.Since(s.flushedAt) >= flushInterval {
+	if now.Sub(s.flushedAt) >= flushInterval {
 		return s.flush()
 	}
 	return nil
@@ -599,7 +597,7 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 		rto:       o.initialRTO,
 		hist:      o.RTTSink,
 		winHist:   winHist,
-		start:     time.Now(),
+		start:     o.clock.Now(),
 		// A resumed incarnation continues the session's absolute sequence
 		// space: the next send is ResumeFrom+1 (0 for a fresh session).
 		nextSeq:  o.ResumeFrom,
@@ -608,7 +606,7 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 	if s.hist == nil {
 		s.hist = telemetry.NewHistogram(telemetry.LatencyBuckets)
 	}
-	s.timer = time.NewTimer(time.Hour)
+	s.timer = o.clock.NewTimer(time.Hour)
 	s.timer.Stop()
 	s.lastAck.Store(o.ResumeFrom)
 	applied, err := s.connect()
@@ -671,13 +669,13 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 			}
 			if hooks.due != nil {
 				if d := hooks.due(peek); !d.IsZero() {
-					if w := time.Until(d); w > 0 {
+					if w := d.Sub(o.clock.Now()); w > 0 {
 						paceWait = w
 						break
 					}
 				}
 			}
-			if err := s.send(peek, time.Now()); err != nil {
+			if err := s.send(peek, o.clock.Now()); err != nil {
 				s.onLoss()
 				if rerr := s.reconnect(); rerr != nil {
 					return ClosedStats{}, rerr
@@ -707,7 +705,7 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 		wait := time.Hour
 		rtoWait := false
 		if len(s.pending) > 0 {
-			if w := time.Until(s.pending[0].sentAt.Add(s.rto)); w < wait {
+			if w := s.pending[0].sentAt.Add(s.rto).Sub(o.clock.Now()); w < wait {
 				wait, rtoWait = w, true
 			}
 		}
@@ -720,26 +718,19 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 		s.timer.Reset(wait)
 		select {
 		case <-s.notify:
-			if !s.timer.Stop() {
-				<-s.timer.C
-			}
+			s.timer.Stop()
 		case <-s.readErr:
-			if !s.timer.Stop() {
-				<-s.timer.C
-			}
+			s.timer.Stop()
 			s.onLoss()
 			if rerr := s.reconnect(); rerr != nil {
 				return ClosedStats{}, rerr
 			}
 		case <-s.timer.C:
-			if rtoWait && len(s.pending) > 0 && time.Since(s.pending[0].sentAt) >= s.rto {
+			if rtoWait && len(s.pending) > 0 && o.clock.Now().Sub(s.pending[0].sentAt) >= s.rto {
 				// Per-event timeout: the oldest in-flight transaction blew
 				// its RTO — a loss event. Back off the timeout (Karn) and
 				// resume through a fresh connection.
-				s.rto *= 2
-				if s.rto > o.maxRTO {
-					s.rto = o.maxRTO
-				}
+				s.rto = min(2*s.rto, o.maxRTO)
 				s.onLoss()
 				if rerr := s.reconnect(); rerr != nil {
 					return ClosedStats{}, rerr
@@ -754,7 +745,7 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 	if err != nil {
 		return ClosedStats{}, err
 	}
-	wall := time.Since(s.start)
+	wall := o.clock.Now().Sub(s.start)
 	st := ClosedStats{
 		Server:      server,
 		Sent:        s.sent,
@@ -788,14 +779,17 @@ func (s *closedSession) finalStats() (Stats, error) {
 			err = s.flush()
 		}
 		if err == nil {
+			s.timer.Reset(replyTimeout)
 			select {
 			case st := <-s.reportCh:
+				s.timer.Stop()
 				if werr := writeFrame(s.bw, frameBye, nil); werr == nil {
 					_ = s.flush()
 				}
 				return st, nil
 			case err = <-s.readErr:
-			case <-time.After(3 * time.Second):
+				s.timer.Stop()
+			case <-s.timer.C:
 				err = errors.New("replaynet: timed out waiting for final report")
 			}
 		}

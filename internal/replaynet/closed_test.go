@@ -1,11 +1,9 @@
 package replaynet
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"testing"
 	"time"
@@ -365,33 +363,5 @@ func TestSLOSearchEndToEnd(t *testing.T) {
 	}
 	if math.IsNaN(res.MaxRate) {
 		t.Fatal("NaN rate")
-	}
-}
-
-// TestIdleBoundedByRTO pins the bound on the paced source's idle hook: with
-// a transaction in flight and no ACK coming (a dead connection, a stalled
-// server), idle gives the wait back to the source when the oldest
-// transaction's RTO expires, not at the far-off release instant — so a
-// cancelled run's pacer is not held through a long quiet stretch.
-func TestIdleBoundedByRTO(t *testing.T) {
-	s := &closedSession{
-		bw:     bufio.NewWriter(io.Discard),
-		notify: make(chan struct{}, 1),
-		timer:  time.NewTimer(time.Hour),
-		rto:    50 * time.Millisecond,
-	}
-	s.timer.Stop()
-	start := time.Now()
-	s.pending = []pendingEv{{seq: 1, sentAt: start}}
-	s.idle(start.Add(10 * time.Second))
-	if el := time.Since(start); el < 50*time.Millisecond || el > 2*time.Second {
-		t.Fatalf("idle returned after %v, want at the 50ms RTO", el)
-	}
-	// And the timer is left stopped and drained for the driver's own wait.
-	s.timer.Reset(time.Millisecond)
-	select {
-	case <-s.timer.C:
-	case <-time.After(time.Second):
-		t.Fatal("session timer unusable after idle")
 	}
 }

@@ -151,21 +151,21 @@ func SLOSearch(addr string, gen events.Generation, src trace.ArrivalSource, opts
 	if search.SLOP99 <= 0 {
 		return SearchResult{}, errors.New("replaynet: SLOSearch requires a positive SLOP99")
 	}
-	search = search.withDefaults()
+	search, opts = search.withDefaults(), opts.withDefaults()
 
 	st := newSLOSearchState(search)
 	result := SearchResult{}
 	slo := search.SLOP99.Seconds()
 
 	winHist := telemetry.NewHistogram(telemetry.LatencyBuckets)
-	var winStart time.Time  // wall start of the current window's ack count
+	var winStart time.Time  // clock start of the current window's ack count
 	var winSendBase float64 // send index at window start
 	var sendIdx float64
 
 	// due paces sends uniformly at the current probe rate.
 	due := func(trace.Arrival) time.Time {
 		if winStart.IsZero() {
-			winStart = time.Now()
+			winStart = opts.clock.Now()
 		}
 		return winStart.Add(time.Duration((sendIdx - winSendBase) / st.rate * float64(time.Second)))
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"net"
 	"testing"
-	"time"
 
 	"cptgpt/internal/events"
 	"cptgpt/internal/synthetic"
@@ -216,27 +215,5 @@ func TestConcurrentDrivers(t *testing.T) {
 	snap := srv.Snapshot()
 	if snap.Events != d1.NumEvents()+d2.NumEvents() {
 		t.Fatalf("server saw %d events, want %d", snap.Events, d1.NumEvents()+d2.NumEvents())
-	}
-}
-
-// TestServiceTimeIsARate pins ServiceTime as a rate: 2,000 events on one
-// connection take 2,000 service times, within ±20 %, both at a service time
-// shorter than a typical timer oversleep and at a longer one.
-func TestServiceTimeIsARate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	const n = 2000
-	for _, per := range []time.Duration{300 * time.Microsecond, time.Millisecond} {
-		srv := mustServe(t, ServerOpts{ServiceTime: per})
-		start := time.Now()
-		st, err := ReplayStream(srv.Addr().String(), events.Gen4G, seqSource(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rate, want := n/time.Since(start).Seconds(), 1/per.Seconds()
-		if st.Events != n || rate < 0.8*want || rate > 1.2*want {
-			t.Errorf("ServiceTime %v: %d events at %.0f/s, want %d at %.0f/s ± 20%%", per, st.Events, rate, n, want)
-		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"cptgpt/internal/clock"
 	"cptgpt/internal/events"
 	"cptgpt/internal/faultnet"
 	"cptgpt/internal/statemachine"
@@ -74,9 +75,10 @@ type session struct {
 // drivers (CHELLO/SEVENT) additionally get per-session cumulative ACKs with
 // exactly-once application across reconnects.
 type Server struct {
-	ln   net.Listener
-	gen  events.Generation
-	opts ServerOpts
+	ln    net.Listener
+	gen   events.Generation
+	opts  ServerOpts
+	clock clock.Clock // the service schedule's
 
 	mu       sync.Mutex
 	stats    Stats               // Duplicates and ByType; the rest is in tally
@@ -111,6 +113,7 @@ func ListenAndServeOpts(addr string, gen events.Generation, opts ServerOpts) (*S
 		ln:       ln,
 		gen:      gen,
 		opts:     opts,
+		clock:    clock.Wall,
 		tally:    statemachine.NewTally(statemachine.New(gen)),
 		sessions: make(map[uint64]*session),
 	}
@@ -300,12 +303,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // ServiceTime after the previous event was due, *served, which it advances.
 func (s *Server) consume(served *time.Time, ue uint64, at int64, ev events.Type) {
 	if s.opts.ServiceTime > 0 {
-		now := time.Now()
+		now := s.clock.Now()
 		if floor := now.Add(-serviceCredit); served.Before(floor) {
 			*served = floor
 		}
 		*served = served.Add(s.opts.ServiceTime)
-		time.Sleep(served.Sub(now))
+		clock.Sleep(s.clock, served.Sub(now))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

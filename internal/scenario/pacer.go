@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cptgpt/internal/clock"
 	"cptgpt/internal/events"
 	"cptgpt/internal/telemetry"
 	"cptgpt/internal/tracez"
@@ -73,13 +74,14 @@ type Pacer struct {
 	appendID    func([]byte, Event) []byte
 	ctxDone     <-chan struct{} // ctx.Done(), nil when ctx cannot end
 	compression float64
+	clk         clock.Clock
 
 	started  bool
 	start    time.Time
 	t0       float64
 	resumeT0 float64
 	resumed  bool
-	timer    *time.Timer
+	timer    *clock.Timer
 	done     bool
 	onIdle   func(until time.Time)
 
@@ -110,7 +112,7 @@ func NewPacer(ctx context.Context, src EventSource, compression float64) *Pacer 
 	if compression < 0 {
 		compression = 0
 	}
-	return &Pacer{src: src, appendID: UEIDAppender(src), ctxDone: ctx.Done(), compression: compression}
+	return &Pacer{src: src, appendID: UEIDAppender(src), ctxDone: ctx.Done(), compression: compression, clk: clock.Wall}
 }
 
 // ResumeAt anchors the pacer's trace-time origin at t0 instead of the
@@ -173,7 +175,7 @@ func (p *Pacer) flushWindow() {
 	if p.winStart.IsZero() || p.winN == 0 {
 		return
 	}
-	el := time.Since(p.winStart)
+	el := p.clk.Now().Sub(p.winStart)
 	if el > 0 {
 		if p.rateHist != nil {
 			p.rateHist.Observe(float64(p.winN) / el.Seconds())
@@ -217,7 +219,7 @@ func (p *Pacer) Next() (Event, bool) {
 	// something is listening (one atomic load when tracing is off).
 	trackWin := p.rateHist != nil || tracez.Enabled()
 	if p.compression > 0 {
-		now := time.Now()
+		now := p.clk.Now()
 		if !p.started {
 			p.started = true
 			p.start = now
@@ -237,25 +239,23 @@ func (p *Pacer) Next() (Event, bool) {
 			waitSp := tracez.Begin(tracez.StagePacerWait, "")
 			if p.onIdle != nil {
 				p.onIdle(target)
-				wait = time.Until(target) // less what the hook took
+				wait = target.Sub(p.clk.Now()) // less what the hook took
 			}
 			if p.timer == nil {
-				p.timer = time.NewTimer(wait)
+				p.timer = p.clk.NewTimer(wait)
 			} else {
 				p.timer.Reset(wait)
 			}
 			select {
 			case <-p.timer.C:
 			case <-p.ctxDone:
-				if !p.timer.Stop() {
-					<-p.timer.C
-				}
+				p.timer.Stop()
 				// Release the in-flight event immediately; the next call
 				// observes the cancellation and ends the stream.
 			}
 			waitSp.End(1, "")
 			if trackWin {
-				p.windowTick(time.Now())
+				p.windowTick(p.clk.Now())
 			}
 		} else {
 			// Behind schedule: release immediately and record the deficit —
@@ -278,7 +278,7 @@ func (p *Pacer) Next() (Event, bool) {
 		if p.winStart.IsZero() || p.winSkip == 64 {
 			p.winN += p.winSkip - 1
 			p.winSkip = 0
-			p.windowTick(time.Now())
+			p.windowTick(p.clk.Now())
 		}
 	}
 	p.events.Add(1)

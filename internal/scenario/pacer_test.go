@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cptgpt/internal/clock"
 	"cptgpt/internal/events"
 	"cptgpt/internal/replaynet"
 	"cptgpt/internal/telemetry"
@@ -46,23 +47,75 @@ func evenlySpaced(n int, dt float64) *sliceSource {
 	return src
 }
 
-// TestPacerTiming checks that a paced drain of T trace-seconds at
-// compression c takes about T/c wall seconds — within a generous tolerance
-// for loaded CI machines — and that an unpaced drain does not sleep.
-func TestPacerTiming(t *testing.T) {
-	// 20 events spanning 38 trace-seconds at compression 100 → ~380ms.
-	p := NewPacer(context.Background(), evenlySpaced(20, 2), 100)
-	start := time.Now()
-	n := 0
-	for {
-		if _, ok := p.Next(); !ok {
-			break
+// epoch is where a clock.Manual starts.
+var epoch = time.Unix(0, 0)
+
+// manualPacer wraps src in a Pacer on a fresh manual clock.
+func manualPacer(src EventSource, compression float64) (*Pacer, *clock.Manual) {
+	p := NewPacer(context.Background(), src, compression)
+	m := clock.NewManual()
+	p.clk = m
+	return p, m
+}
+
+// dueAt is the pacer's release instant for an event at trace time t:
+// start + (t-t0)/c, in the pacer's own arithmetic.
+func dueAt(start time.Time, t, t0, c float64) time.Time {
+	return start.Add(time.Duration((t - t0) / c * float64(time.Second)))
+}
+
+// drainManual drains p on a goroutine of its own while this one plays the
+// clock: when the pacer announces a wait (OnIdle), hook runs first on the
+// consumer's goroutine (it may move the clock, as a flush takes time), then
+// the clock moves to the wait's end once the pacer's timer is armed. after
+// runs on the consumer's goroutine after each release. Either may be nil.
+// It returns the released events, the clock at each release and the end of
+// every announced wait.
+func drainManual(p *Pacer, m *clock.Manual, hook func(until time.Time), after func(i int)) (evs []Event, at, untils []time.Time) {
+	idle := make(chan time.Time)
+	p.OnIdle(func(until time.Time) {
+		if hook != nil {
+			hook(until)
 		}
-		n++
+		idle <- until
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			e, ok := p.Next()
+			if !ok {
+				return
+			}
+			evs, at = append(evs, e), append(at, m.Now())
+			if after != nil {
+				after(len(evs) - 1)
+			}
+		}
+	}()
+	for {
+		select {
+		case until := <-idle:
+			untils = append(untils, until)
+			if now := m.Now(); now.Before(until) {
+				m.BlockUntil(1)
+				m.Advance(until.Sub(now))
+			}
+		case <-done:
+			return evs, at, untils
+		}
 	}
-	elapsed := time.Since(start)
-	if n != 20 || p.Events() != 20 {
-		t.Fatalf("released %d events (counter %d), want 20", n, p.Events())
+}
+
+// TestPacerTiming pins the schedule on a manual clock: 20 events 2
+// trace-seconds apart at compression 100 are released exactly 20 ms apart,
+// each after a wait announced to OnIdle with its release instant; an
+// unpaced drain releases everything without a wait.
+func TestPacerTiming(t *testing.T) {
+	p, m := manualPacer(evenlySpaced(20, 2), 100)
+	evs, at, untils := drainManual(p, m, nil, nil)
+	if len(evs) != 20 || p.Events() != 20 {
+		t.Fatalf("released %d events (counter %d), want 20", len(evs), p.Events())
 	}
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
@@ -70,39 +123,33 @@ func TestPacerTiming(t *testing.T) {
 	if p.Stopped() {
 		t.Fatal("exhaustion must not report Stopped")
 	}
-	// Lower bound is hard (sleeps cannot complete early); upper bound is
-	// loose — the schedule is 380ms and we allow 3x for scheduler noise.
-	if elapsed < 350*time.Millisecond {
-		t.Fatalf("paced drain took %v, want ≥ 350ms", elapsed)
+	for i := range at {
+		if want := epoch.Add(time.Duration(i) * 20 * time.Millisecond); !at[i].Equal(want) {
+			t.Fatalf("event %d released at %v, want %v", i, at[i].Sub(epoch), want.Sub(epoch))
+		}
 	}
-	if elapsed > 1140*time.Millisecond {
-		t.Fatalf("paced drain took %v, want ≤ ~1.14s", elapsed)
+	if !reflect.DeepEqual(untils, at[1:]) {
+		t.Fatalf("OnIdle announced waits ending at %v, want the 19 release instants", untils)
 	}
 
 	// Unpaced (compression 0): released as fast as the source yields.
-	p0 := NewPacer(nil, evenlySpaced(1000, 10), 0)
-	start = time.Now()
-	for {
-		if _, ok := p0.Next(); !ok {
-			break
-		}
-	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("unpaced drain slept: %v", elapsed)
-	}
-	if p0.Events() != 1000 {
-		t.Fatalf("unpaced counter = %d, want 1000", p0.Events())
+	p0, m0 := manualPacer(evenlySpaced(1000, 10), 0)
+	evs, at, untils = drainManual(p0, m0, nil, nil)
+	if len(evs) != 1000 || p0.Events() != 1000 || len(untils) != 0 || !at[999].Equal(epoch) {
+		t.Fatalf("unpaced drain: %d events (counter %d), %d waits, last at %v", len(evs), p0.Events(), len(untils), at[999].Sub(epoch))
 	}
 }
 
 // TestPacerNeverEarly pins the pacer's one timing promise over randomized
 // schedules — bursts of simultaneous events, millisecond gaps, long gaps
 // (1–3 trace-seconds at compression 100) — with a consumer that stalls at
-// random: every event is released exactly once, in order, and never before
-// start + (t-t0)/compression, start being the first release's wall instant.
-// A stall only makes the events behind it late. The fixed case is the
-// schedule load shedding used to break: a 100 ms stall behind the first of
-// eight events at trace 0, then 24 due at +0.5 s.
+// random, on a manual clock: every event is released exactly once, in
+// order, at max(due, ready), where due is start + (t-t0)/compression, start
+// the first release's instant, and ready the instant the consumer asked for
+// it. A stall only makes the events behind it late, and the pacer announces
+// every wait to OnIdle with the due instant it ends at. The fixed case is
+// the schedule load shedding used to break: a 100 ms stall behind the
+// first of eight events at trace 0, then 24 due at +0.5 s.
 func TestPacerNeverEarly(t *testing.T) {
 	type trial struct {
 		c      float64
@@ -136,28 +183,59 @@ func TestPacerNeverEarly(t *testing.T) {
 	for name, tr := range trials {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			p := NewPacer(context.Background(), &sliceSource{evs: tr.evs}, tr.c)
-			var got []Event
-			for {
-				e, ok := p.Next()
-				if !ok {
-					break
-				}
-				now := time.Now()
-				target := p.start.Add(time.Duration((e.Time - tr.evs[0].Time) / tr.c * float64(time.Second)))
-				if now.Before(target) {
-					t.Fatalf("event %d released %v before its scheduled instant", len(got), target.Sub(now))
-				}
-				got = append(got, e)
-				time.Sleep(tr.stalls[len(got)-1])
-			}
+			p, m := manualPacer(&sliceSource{evs: tr.evs}, tr.c)
+			got, at, untils := drainManual(p, m, nil, func(i int) { m.Advance(tr.stalls[i]) })
 			if err := p.Err(); err != nil || p.Stopped() {
 				t.Fatalf("Err() = %v, Stopped() = %v after exhaustion", err, p.Stopped())
 			}
 			if !reflect.DeepEqual(got, tr.evs) || p.Events() != int64(len(tr.evs)) {
 				t.Fatalf("released %d events (counter %d), want the %d scheduled, once each and in order", len(got), p.Events(), len(tr.evs))
 			}
+			var waits []time.Time
+			for i, e := range tr.evs {
+				due := dueAt(epoch, e.Time, tr.evs[0].Time, tr.c)
+				want := due
+				if i > 0 {
+					if ready := at[i-1].Add(tr.stalls[i-1]); ready.Before(due) {
+						waits = append(waits, due)
+					} else {
+						want = ready
+					}
+				}
+				if !at[i].Equal(want) {
+					t.Fatalf("event %d released at %v, want %v (due %v)", i, at[i].Sub(epoch), want.Sub(epoch), due.Sub(epoch))
+				}
+			}
+			if !reflect.DeepEqual(untils, waits) {
+				t.Fatalf("OnIdle announced %d waits, want one ending at each of the %d due instants waited for", len(untils), len(waits))
+			}
 		})
+	}
+}
+
+// TestPacerOnIdleTime pins what the pacer does with the time its OnIdle
+// hook takes: it waits out only what the hook left, so a release lands on
+// its due instant whether the hook used part of the wait, all of it or
+// more (a hook that overruns makes only its own event late).
+func TestPacerOnIdleTime(t *testing.T) {
+	for _, share := range []float64{0, 0.5, 1, 1.5} {
+		p, m := manualPacer(evenlySpaced(5, 0.01), 1)
+		_, at, untils := drainManual(p, m, func(until time.Time) {
+			m.Advance(time.Duration(share * float64(until.Sub(m.Now()))))
+		}, nil)
+		for i := 1; i < len(at); i++ {
+			due := untils[i-1]
+			want := due
+			if share > 1 {
+				want = at[i-1].Add(time.Duration(share * float64(due.Sub(at[i-1]))))
+			}
+			if !at[i].Equal(want) {
+				t.Fatalf("hook using %.0f%% of the wait: event %d released at %v, want %v", 100*share, i, at[i].Sub(epoch), want.Sub(epoch))
+			}
+		}
+		if len(untils) != 4 {
+			t.Fatalf("hook using %.0f%% of the wait: %d waits announced, want 4", 100*share, len(untils))
+		}
 	}
 }
 
@@ -231,24 +309,22 @@ func TestPacerUnpacedWindows(t *testing.T) {
 	}
 }
 
-// TestPacerLag checks that a source whose timestamps are already in the
-// past (relative to the pace) reports a positive lag.
+// TestPacerLag checks that a consumer slower than the pace shows as lag:
+// the whole trace is due at once (compression 1e12), so after the consumer
+// takes 20 ms over the first event the second is released 20 ms less its
+// 1 ns of schedule behind.
 func TestPacerLag(t *testing.T) {
-	// First event anchors the clock; the rest land "behind schedule" only
-	// if the consumer is slower than the pace. Force it: compression so
-	// high the whole trace is due immediately, then check lag after a
-	// consumer-side delay.
 	src := evenlySpaced(3, 1000) // 0s, 1000s, 2000s trace time
-	p := NewPacer(context.Background(), src, 1e12)
+	p, m := manualPacer(src, 1e12)
 	if _, ok := p.Next(); !ok {
 		t.Fatal("first event missing")
 	}
-	time.Sleep(20 * time.Millisecond) // slow consumer
+	m.Advance(20 * time.Millisecond) // slow consumer
 	if _, ok := p.Next(); !ok {
 		t.Fatal("second event missing")
 	}
-	if lag := p.Lag(); lag < 10*time.Millisecond {
-		t.Fatalf("lag = %v, want ≥ 10ms (slow consumer must show up)", lag)
+	if lag, want := p.Lag(), epoch.Add(20*time.Millisecond).Sub(dueAt(epoch, 1000, 0, 1e12)); lag != want {
+		t.Fatalf("lag = %v, want %v (a slow consumer must show up)", lag, want)
 	}
 }
 
@@ -257,9 +333,11 @@ func TestPacerLag(t *testing.T) {
 // Err()==nil and Stopped()==true.
 func TestPacerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	// 1000 trace-seconds between events at compression 10 → 100s sleeps:
-	// without cancellation this test would hang.
+	// 1000 trace-seconds between events at compression 10: the manual
+	// clock never reaches the second event's release.
 	p := NewPacer(ctx, evenlySpaced(5, 1000), 10)
+	m := clock.NewManual()
+	p.clk = m
 	if _, ok := p.Next(); !ok {
 		t.Fatal("first event missing")
 	}
@@ -272,13 +350,9 @@ func TestPacerCancel(t *testing.T) {
 			got = append(got, ok)
 		}
 	}()
-	time.Sleep(20 * time.Millisecond) // let the pacer park in its sleep
+	m.BlockUntil(1) // the pacer is parked in its wait
 	cancel()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled pacer did not return")
-	}
+	<-done
 	// The event the pacer was holding is released, then the stream ends.
 	if len(got) != 2 || !got[0] || got[1] {
 		t.Fatalf("post-cancel Next results = %v, want [true false]", got)
@@ -291,6 +365,9 @@ func TestPacerCancel(t *testing.T) {
 	}
 	if p.Events() != 2 {
 		t.Fatalf("events = %d, want 2", p.Events())
+	}
+	if !m.Now().Equal(epoch) {
+		t.Fatalf("the clock moved to %v", m.Now().Sub(epoch))
 	}
 }
 
@@ -439,14 +516,64 @@ func TestPacedReplayKeepsScheduleOnTheWire(t *testing.T) {
 	})
 }
 
-// TestPacedReplayWireTiming checks the schedule where a load test's target
-// sees it: a bare listener timestamps the event frames each replay driver
-// writes behind a Pacer at compression 1, on a dense (5 ms) and a sparse
-// (50 ms) schedule. The median inter-arrival must be within ±50 % of the
-// gap, and at most 10 % of frames may arrive more than 10 ms from their due
-// instant — the first frame's arrival plus the trace offset. The four
-// sessions run one after another: run in parallel they compete for the
-// cores, and on two of them frames came late for that alone.
+// oversleeps samples how late this process's timers fire, beside a
+// wall-clock check: a goroutine sleeps 1 ms at a time until stop and
+// records when each sleep woke and by how much it overshot.
+type oversleeps struct {
+	woke []time.Time
+	over []time.Duration
+	quit chan struct{}
+	done chan struct{}
+}
+
+func sampleOversleeps() *oversleeps {
+	o := &oversleeps{quit: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(o.done)
+		for {
+			select {
+			case <-o.quit:
+				return
+			default:
+			}
+			start := time.Now()
+			time.Sleep(time.Millisecond)
+			now := time.Now()
+			o.woke, o.over = append(o.woke, now), append(o.over, now.Sub(start)-time.Millisecond)
+		}
+	}()
+	return o
+}
+
+func (o *oversleeps) stop() {
+	close(o.quit)
+	<-o.done
+}
+
+// worst is the largest overshoot among the sleeps that woke in [from, to].
+func (o *oversleeps) worst(from, to time.Time) time.Duration {
+	var w time.Duration
+	for i, at := range o.woke {
+		if !at.Before(from) && !at.After(to) {
+			w = max(w, o.over[i])
+		}
+	}
+	return w
+}
+
+// TestPacedReplayWireTiming is a wall-clock smoke test of the schedule
+// where a load test's target sees it: a bare listener timestamps the event
+// frames each replay driver writes behind a Pacer at compression 1, on a
+// dense (5 ms) and a sparse (50 ms) schedule. A frame's due instant is the
+// first frame's arrival plus its trace offset. What the machine's load
+// adds is measured beside the session, as the overshoot of 1 ms timer
+// sleeps, and allowed for: the median inter-arrival must be within ±50 %
+// of the gap, and at most 10 % of frames may arrive further from their due
+// instant than 10 ms plus the worst overshoot sampled between the first
+// frame and them. The exact schedule is pinned on a manual clock by
+// TestPacerNeverEarly (release instants and OnIdle) and replaynet's
+// TestIdleFlushesOnEntry. The four sessions run one after another: run in
+// parallel they compete for the cores.
 func TestPacedReplayWireTiming(t *testing.T) {
 	for _, closed := range []bool{false, true} {
 		for _, sched := range []struct {
@@ -464,13 +591,17 @@ func TestPacedReplayWireTiming(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := sink.Consume(context.Background(), NewPacer(context.Background(), src, 1)); err != nil {
+				load := sampleOversleeps()
+				_, err = sink.Consume(context.Background(), NewPacer(context.Background(), src, 1))
+				load.stop()
+				if err != nil {
 					t.Fatal(err)
 				}
 				at := <-arrived
 				if len(at) != sched.n {
 					t.Fatalf("%d event frames arrived, want %d", len(at), sched.n)
 				}
+				const margin = 20 * time.Millisecond
 				gaps := make([]float64, 0, len(at)-1)
 				late := 0
 				for i, a := range at {
@@ -478,16 +609,18 @@ func TestPacedReplayWireTiming(t *testing.T) {
 						gaps = append(gaps, a.Sub(at[i-1]).Seconds())
 					}
 					due := at[0].Add(time.Duration(src.evs[i].Time * float64(time.Second)))
-					if d := a.Sub(due); d > 10*time.Millisecond || d < -10*time.Millisecond {
+					bound := 10*time.Millisecond + load.worst(at[0].Add(-margin), a.Add(margin))
+					if d := a.Sub(due); d > bound || d < -bound {
 						late++
 					}
 				}
 				sort.Float64s(gaps)
-				if med := gaps[len(gaps)/2]; med < 0.5*sched.gap || med > 1.5*sched.gap {
-					t.Errorf("median inter-arrival %.2f ms, want %.0f ms ± 50 %%", 1e3*med, 1e3*sched.gap)
+				slack := load.worst(at[0].Add(-margin), at[len(at)-1].Add(margin)).Seconds()
+				if med := gaps[len(gaps)/2]; med < 0.5*sched.gap-slack || med > 1.5*sched.gap+slack {
+					t.Errorf("median inter-arrival %.2f ms, want %.0f ms ± 50 %% (± %.2f ms of measured oversleep)", 1e3*med, 1e3*sched.gap, 1e3*slack)
 				}
 				if late > len(at)/10 {
-					t.Errorf("%d of %d frames arrived more than 10 ms from their due instant, want ≤ 10 %%", late, len(at))
+					t.Errorf("%d of %d frames arrived more than 10 ms plus the sampled oversleep from their due instant, want ≤ 10 %%", late, len(at))
 				}
 			})
 		}

@@ -77,28 +77,30 @@ func TestResumeAfterKeyBeforeEverything(t *testing.T) {
 	}
 }
 
-// TestPacerResumeAt pins the resumed pacer schedule: with ResumeAt(t0) the
-// first event is released immediately and the schedule is anchored at the
-// checkpointed trace offset, not the first event's own timestamp.
+// TestPacerResumeAt pins the resumed pacer schedule on a manual clock: with
+// ResumeAt(t0) the schedule is anchored at the checkpointed trace offset,
+// not the first event's own timestamp, and its wall origin is the first
+// release. An event at the offset is released at once; one after it waits
+// out the difference.
 func TestPacerResumeAt(t *testing.T) {
-	src := &sliceSource{evs: []Event{
-		{Time: 100.0}, {Time: 100.05}, {Time: 100.1},
-	}}
-	p := NewPacer(nil, src, 1)
-	p.ResumeAt(100.0)
-	var rel []Event
-	for {
-		e, ok := p.Next()
-		if !ok {
-			break
+	for _, tc := range []struct {
+		resume float64
+		evs    []Event
+	}{
+		{100.0, []Event{{Time: 100.0}, {Time: 100.05}, {Time: 100.1}}},
+		{99.9, []Event{{Time: 100.0}, {Time: 100.05}}},
+	} {
+		p, m := manualPacer(&sliceSource{evs: tc.evs}, 1)
+		p.ResumeAt(tc.resume)
+		got, at, _ := drainManual(p, m, nil, nil)
+		if len(got) != len(tc.evs) || p.t0 != tc.resume {
+			t.Fatalf("ResumeAt(%v): released %d of %d events, t0 = %v", tc.resume, len(got), len(tc.evs), p.t0)
 		}
-		rel = append(rel, e)
-	}
-	if len(rel) != 3 {
-		t.Fatalf("released %d events, want 3", len(rel))
-	}
-	if p.t0 != 100.0 {
-		t.Errorf("t0 = %v, want the resume anchor 100.0", p.t0)
+		for i, e := range tc.evs {
+			if want := dueAt(epoch, e.Time, tc.resume, 1); !at[i].Equal(want) {
+				t.Errorf("ResumeAt(%v): event at trace %v released at %v, want %v", tc.resume, e.Time, at[i].Sub(epoch), want.Sub(epoch))
+			}
+		}
 	}
 
 	// Without ResumeAt the anchor is the first event's timestamp.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,8 +16,11 @@ import (
 	"time"
 	_ "unsafe" // go:linkname
 
+	"cptgpt/internal/clock"
+	"cptgpt/internal/events"
 	"cptgpt/internal/replaynet"
 	"cptgpt/internal/runlog"
+	"cptgpt/internal/scenario"
 )
 
 // setSyncTestHook is the file sink's unexported test seam: h runs at each
@@ -160,6 +164,66 @@ func TestCheckpointKillPoints(t *testing.T) {
 				t.Fatalf("metrics lack %q", skips)
 			}
 		})
+	}
+}
+
+// eventList is a fixed in-memory scenario.EventSource.
+type eventList struct{ evs []scenario.Event }
+
+func (l *eventList) Next() (scenario.Event, bool) {
+	if len(l.evs) == 0 {
+		return scenario.Event{}, false
+	}
+	e := l.evs[0]
+	l.evs = l.evs[1:]
+	return e, true
+}
+func (l *eventList) Err() error                    { return nil }
+func (l *eventList) Generation() events.Generation { return events.Gen4G }
+func (l *eventList) UEID(scenario.Event) string    { return "ue" }
+
+// ckptCalls is a scenario.Checkpointer that records the tap's released
+// count at each checkpoint and commits nothing.
+type ckptCalls struct {
+	tap *ckptTap
+	at  []int64
+}
+
+func (c *ckptCalls) Checkpoint(func(scenario.Cursor, bool)) { c.at = append(c.at, c.tap.n) }
+func (c *ckptCalls) Resume(scenario.Cursor) error           { return nil }
+
+// TestCkptTapIntervalCadence pins the journal tap's clock cadence on a
+// manual clock: the clock is read every 16 releases, so an interval
+// checkpoint lands on the first 16-event boundary at or past the interval
+// since the last one, and the end of the stream always checkpoints. The
+// consumer takes one fixed step of clock per event: a step of exactly
+// 1/16 of the interval reaches it on every boundary, a nanosecond less on
+// every second one.
+func TestCkptTapIntervalCadence(t *testing.T) {
+	for _, tc := range []struct {
+		step time.Duration
+		want []int64
+	}{
+		{62500 * time.Microsecond, []int64{16, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 200}},
+		{62500*time.Microsecond - 1, []int64{32, 64, 96, 128, 160, 192, 200}},
+	} {
+		src := &eventList{}
+		for i := 0; i < 200; i++ {
+			src.evs = append(src.evs, scenario.Event{Time: float64(i), UE: 1, Seq: uint32(i)})
+		}
+		m := clock.NewManual()
+		sink := &ckptCalls{}
+		tap := &ckptTap{Pacer: scenario.NewPacer(nil, src, 0), every: 1 << 30, interval: time.Second, sink: sink, clk: m, lastT: m.Now()}
+		sink.tap = tap
+		for {
+			if _, ok := tap.Next(); !ok {
+				break
+			}
+			m.Advance(tc.step)
+		}
+		if !reflect.DeepEqual(sink.at, tc.want) {
+			t.Errorf("step %v: checkpoints after %v releases, want %v", tc.step, sink.at, tc.want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"cptgpt/internal/clock"
 	"cptgpt/internal/runlog"
 	"cptgpt/internal/scenario"
 )
@@ -89,6 +90,7 @@ type ckptTap struct {
 	base     int64 // events released by previous incarnations
 	every    int64
 	interval time.Duration
+	clk      clock.Clock
 
 	// sink, when it has a cursor (file sinks, closed-loop replay), is
 	// handed each checkpoint and appends it only once the events released
@@ -113,7 +115,8 @@ func newCkptTap(src *scenario.Pacer, r *run) *ckptTap {
 		every:    r.ckptEvery,
 		interval: r.ckptInterval,
 		sink:     sink,
-		lastT:    time.Now(),
+		clk:      clock.Wall,
+		lastT:    clock.Wall.Now(),
 	}
 }
 
@@ -138,10 +141,7 @@ func (t *ckptTap) Next() (scenario.Event, bool) {
 }
 
 func (t *ckptTap) due() bool {
-	if t.n-t.lastN >= t.every {
-		return true
-	}
-	return t.n&15 == 0 && time.Since(t.lastT) >= t.interval
+	return t.n-t.lastN >= t.every || t.n&15 == 0 && t.clk.Now().Sub(t.lastT) >= t.interval
 }
 
 // checkpoint records the newest released event as covered, through the
@@ -162,7 +162,7 @@ func (t *ckptTap) checkpoint() {
 		commit(scenario.Cursor{}, true)
 	}
 	t.lastN = t.n
-	t.lastT = time.Now()
+	t.lastT = t.clk.Now()
 }
 
 // countingWriter tracks the absolute sink byte offset — seeded with the
