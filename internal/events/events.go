@@ -139,26 +139,6 @@ func VocabIndex(g Generation, t Type) int {
 	return -1
 }
 
-// Describe returns the human description from Table 1 of the paper.
-func Describe(t Type) string {
-	switch t {
-	case Attach, Register:
-		return "Register the UE with the MCN"
-	case Detach, Deregister:
-		return "De-register the UE from the MCN"
-	case ServiceRequest:
-		return "Create a signaling connection to allow UE to send/receive data and control-plane messages"
-	case S1ConnRel, ANRel:
-		return "Release the signaling connection and other resources in both control and data planes"
-	case Handover:
-		return "Switch the UE from the current cell coverage serving it to another cell"
-	case TAU:
-		return "Update the UE's tracking area"
-	default:
-		return "unknown event type"
-	}
-}
-
 // DeviceType classifies a UE as one of the three device populations of the
 // paper's dataset: phones, connected cars and tablets.
 type DeviceType int

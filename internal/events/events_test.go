@@ -97,14 +97,6 @@ func TestVocabIndexConsistent(t *testing.T) {
 	}
 }
 
-func TestDescribeCoversAllTypes(t *testing.T) {
-	for i := 0; i < NumTypes; i++ {
-		if d := Describe(Type(i)); d == "" || d == "unknown event type" {
-			t.Fatalf("Describe(%v) missing", Type(i))
-		}
-	}
-}
-
 // Property: VocabIndex is the inverse of Vocabulary indexing for any valid
 // index, for both generations.
 func TestVocabIndexProperty(t *testing.T) {

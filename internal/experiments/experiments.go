@@ -150,7 +150,7 @@ type Lab struct {
 	smmK   map[events.DeviceType]build[*smm.Model]
 	gen    map[string]build[*trace.Dataset]   // cached synthesized datasets
 	hourly map[uint64]build[[]*trace.Dataset] // multi-hour traces sliced per hour, by seed
-	timing *timingResults
+	timing map[struct{}]build[*timingResults] // the one drift measurement
 }
 
 // NewLab creates a lab at the given scale. Seed 0 selects the default seed.
@@ -170,6 +170,7 @@ func NewLab(scale Scale, seed uint64) *Lab {
 		smmK:   make(map[events.DeviceType]build[*smm.Model]),
 		gen:    make(map[string]build[*trace.Dataset]),
 		hourly: make(map[uint64]build[[]*trace.Dataset]),
+		timing: make(map[struct{}]build[*timingResults]),
 	}
 }
 

@@ -50,16 +50,14 @@ type framework[M interface{ Clone() (M, error) }] struct {
 	seeds [3]uint64
 }
 
-// driftTiming runs (once) the full drift-adaptation measurement of §5.5 for
-// CPT-GPT, then NetShare.
+// driftTiming returns the drift-adaptation measurement of §5.5, built once.
 func (l *Lab) driftTiming() (*timingResults, error) {
-	l.mu.Lock()
-	if l.timing != nil {
-		defer l.mu.Unlock()
-		return l.timing, nil
-	}
-	l.mu.Unlock()
+	return cached(l, l.timing, struct{}{}, l.measureDrift)
+}
 
+// measureDrift runs the full drift-adaptation measurement for CPT-GPT, then
+// NetShare.
+func (l *Lab) measureDrift() (*timingResults, error) {
 	hourly, _, err := l.Hourly()
 	if err != nil {
 		return nil, err
@@ -110,10 +108,6 @@ func (l *Lab) driftTiming() (*timingResults, error) {
 	}); err != nil {
 		return nil, err
 	}
-
-	l.mu.Lock()
-	l.timing = tr
-	l.mu.Unlock()
 	return tr, nil
 }
 

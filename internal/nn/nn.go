@@ -17,11 +17,6 @@ import (
 	"cptgpt/internal/tensor"
 )
 
-// Module is anything exposing trainable parameters in a stable order.
-type Module interface {
-	Params() []*tensor.Tensor
-}
-
 // Linear is a fully connected layer y = x·W + b.
 type Linear struct {
 	W *tensor.Tensor // in×out

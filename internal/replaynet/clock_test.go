@@ -13,11 +13,12 @@ import (
 	"cptgpt/internal/events"
 	"cptgpt/internal/statemachine"
 	"cptgpt/internal/telemetry"
+	"cptgpt/internal/trace"
 )
 
-// The timing contracts of the closed-loop driver and the server, on a
-// manual clock: every wait ends exactly where the contract puts it, with
-// no sleep and no tolerance.
+// The timing contracts of the closed-loop driver, the SLO search's probe
+// source and the server, on a manual clock: every wait ends exactly where
+// the contract puts it, with no sleep and no tolerance.
 
 var epoch = time.Unix(0, 0)
 
@@ -109,6 +110,119 @@ func TestIdleBoundedByRTO(t *testing.T) {
 	m.Advance(time.Millisecond)
 	if at := <-s.timer.C; !at.Equal(epoch.Add(41 * time.Millisecond)) {
 		t.Fatalf("session timer fired at %v after idle, want 41ms", at.Sub(epoch))
+	}
+}
+
+// countingSource counts the pulls of the source it wraps.
+type countingSource struct {
+	trace.ArrivalSource
+	pulls int
+}
+
+func (c *countingSource) NextArrival() (trace.Arrival, bool, error) {
+	c.pulls++
+	return c.ArrivalSource.NextArrival()
+}
+
+// TestProbeSourceSchedule pins the SLO search's probe source, with its
+// idle hook played by the test: release i of a window lands at the
+// window's start + (i−base)/rate; each wait is announced to the hook, with
+// its due instant, before the source sleeps, and the source sleeps only
+// what the hook left of it; once WindowEvents samples sit in the histogram
+// at a pull, the window's round is recorded and the release of that pull
+// opens the next window at the new rate; once the search is decided the
+// stream ends without pulling the inner source, and the final window's
+// samples stay in the histogram for the run's report.
+func TestProbeSourceSchedule(t *testing.T) {
+	m := clock.NewManual()
+	inner := &countingSource{ArrivalSource: seqSource(100)}
+	p := newProbeSource(inner, SearchOpts{
+		SLOP99: 10 * time.Millisecond, InitialRate: 100, WindowEvents: 4, maxRounds: 2,
+	}.withDefaults(), m)
+	type idleCall struct{ at, until time.Time }
+	var calls []idleCall
+	var spend time.Duration // how much of each wait the hook spends
+	p.OnIdle(func(until time.Time) {
+		calls = append(calls, idleCall{m.Now(), until})
+		m.Advance(spend)
+	})
+	pull := func(due time.Duration, spent time.Duration) {
+		t.Helper()
+		spend = spent
+		at, before := m.Now(), len(calls)
+		out := make(chan bool, 1)
+		go func() {
+			_, ok, err := p.NextArrival()
+			out <- ok && err == nil
+		}()
+		if left := epoch.Add(due).Sub(at) - spent; left > 0 {
+			m.BlockUntil(1)
+			m.Advance(left)
+		}
+		select {
+		case ok := <-out:
+			if !ok {
+				t.Fatalf("release due at %v: the stream ended", due)
+			}
+		case <-time.After(10 * time.Second): // a deadlock guard, not a tolerance
+			t.Fatalf("release due at %v: not released when the clock reached it", due)
+		}
+		if got := m.Now(); !got.Equal(epoch.Add(due)) {
+			t.Fatalf("released at %v, want %v", got.Sub(epoch), due)
+		}
+		switch {
+		case !epoch.Add(due).After(at) && len(calls) != before:
+			t.Fatalf("release due at %v, pulled at %v: announced a wait", due, at.Sub(epoch))
+		case epoch.Add(due).After(at) && (len(calls) != before+1 || !calls[before].at.Equal(at) || !calls[before].until.Equal(epoch.Add(due))):
+			t.Fatalf("release due at %v, pulled at %v: hook calls %v, want one at the pull until the due instant", due, at.Sub(epoch), calls[before:])
+		}
+	}
+	observe := func(n int, lat time.Duration) {
+		for ; n > 0; n-- {
+			p.hist.Observe(lat.Seconds())
+		}
+	}
+
+	// Window 1 at 100/s: releases every 10 ms from the first pull; the
+	// hook spends none, part or all of a wait.
+	pull(0, 0)
+	pull(10*time.Millisecond, 0)
+	pull(20*time.Millisecond, 4*time.Millisecond)
+	observe(3, time.Millisecond) // short of the window: it stays open
+	pull(30*time.Millisecond, 10*time.Millisecond)
+	if len(p.rounds) != 0 {
+		t.Fatalf("%d rounds after 3 of 4 samples, want none", len(p.rounds))
+	}
+	observe(1, time.Millisecond)
+	m.Advance(5 * time.Millisecond)
+
+	// The pull at 35 ms closes window 1 (met) and releases at once; window
+	// 2 paces at the doubled rate from that pull.
+	pull(35*time.Millisecond, 0)
+	ref := telemetry.NewHistogram(telemetry.LatencyBuckets)
+	for range 4 {
+		ref.Observe(time.Millisecond.Seconds())
+	}
+	want := ProbeRound{Rate: 100, Achieved: 4 / (35 * time.Millisecond).Seconds(), P99: time.Duration(ref.Quantile(0.99) * 1e9), Mean: time.Millisecond, Events: 4, Met: true}
+	if len(p.rounds) != 1 || p.rounds[0] != want || p.st.rate != 200 || p.hist.Count() != 0 {
+		t.Fatalf("after window 1: rounds %+v, rate %v, %d samples; want [%+v], 200, 0", p.rounds, p.st.rate, p.hist.Count(), want)
+	}
+	pull(40*time.Millisecond, 0)
+	pull(45*time.Millisecond, 0)
+
+	// Window 2 violates the SLO, and the round budget decides the search:
+	// the pull ends the stream without pulling the inner source.
+	observe(4, 50*time.Millisecond)
+	for range 2 {
+		if _, ok, err := p.NextArrival(); ok || err != nil {
+			t.Fatalf("pull after the decision: ok %v, err %v; want the end of the stream", ok, err)
+		}
+	}
+	if inner.pulls != 7 || len(p.rounds) != 2 || p.rounds[1].Rate != 200 || p.rounds[1].Met || !p.st.done {
+		t.Fatalf("inner pulls %d, rounds %+v, done %v; want 7 pulls, window 2 at 200/s violated, done", inner.pulls, p.rounds, p.st.done)
+	}
+	if p.hist.Count() != 4 || !m.Now().Equal(epoch.Add(45*time.Millisecond)) {
+		t.Fatalf("after the decision: %d samples kept, clock at %v; want 4 at 45ms", p.hist.Count(), m.Now().Sub(epoch))
 	}
 }
 

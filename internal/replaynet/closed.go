@@ -90,7 +90,9 @@ type ClosedOpts struct {
 	// send→ACK latency (seconds) into and reads its ClosedStats latencies
 	// from, in place of a private one — the native Prometheus distribution
 	// behind a daemon's cptserved_replay_rtt_seconds series. It must be
-	// empty and the run its only writer. Never changes the replay.
+	// empty and the run its only writer; a source that paces itself may
+	// Reset it between pulls, on the driver's goroutine (the SLO search's
+	// probe windows). Never changes the replay.
 	RTTSink *telemetry.Histogram
 
 	// Test seams, zero = the default: the retransmission-timeout clamp
@@ -187,22 +189,11 @@ type pendingEv struct {
 	retx    bool
 }
 
-// closedHooks are the SLO controller's seams in the core loop: due paces
-// sends at the probe rate (zero time = immediately), onSend observes each
-// first transmission, and onAck observes acked batches — returning false
-// stops pulling the source (in-flight events still drain).
-type closedHooks struct {
-	due    func(ev trace.Arrival) time.Time
-	onSend func()
-	onAck  func(n int, now time.Time) bool
-}
-
 // closedSession is the driver state machine.
 type closedSession struct {
-	addr  string
-	gen   events.Generation
-	o     ClosedOpts
-	hooks closedHooks
+	addr string
+	gen  events.Generation
+	o    ClosedOpts
 
 	conn     net.Conn
 	bw       *bufio.Writer
@@ -219,7 +210,7 @@ type closedSession struct {
 	ackedSeq  uint64      // highest sequence processed out of lastAck
 	nextSeq   uint64
 	flushedAt time.Time
-	srcDone   bool // the source is exhausted, or the controller said stop
+	srcDone   bool // the source is exhausted
 
 	// Congestion state.
 	cwnd, wMax, cubicK float64
@@ -229,11 +220,8 @@ type closedSession struct {
 	// RFC-6298 estimator state.
 	srtt, rttvar, rto time.Duration
 
-	// Latency accounting: hist is the whole-run histogram (o.RTTSink when
-	// given); winHist, when non-nil, additionally receives samples for the
-	// controller's current probe window.
-	hist    *telemetry.Histogram
-	winHist *telemetry.Histogram
+	// Latency accounting: o.RTTSink when given, else a private histogram.
+	hist *telemetry.Histogram
 
 	sent, retx, acked, reconnects int64
 	start                         time.Time
@@ -487,9 +475,6 @@ func (s *closedSession) popAcked(upTo uint64, at time.Time, sample bool) int {
 				lat = 0
 			}
 			s.hist.Observe(lat.Seconds())
-			if s.winHist != nil {
-				s.winHist.Observe(lat.Seconds())
-			}
 			if !p.retx {
 				rttSample = lat
 			}
@@ -526,10 +511,7 @@ func (s *closedSession) retire() {
 	if upTo <= s.ackedSeq {
 		return
 	}
-	at := time.Unix(0, s.lastAckAt.Load())
-	if n := s.popAcked(upTo, at, true); n > 0 && s.hooks.onAck != nil && !s.hooks.onAck(n, at) {
-		s.srcDone = true // controller says stop: drain and finish
-	}
+	s.popAcked(upTo, time.Unix(0, s.lastAckAt.Load()), true)
 }
 
 // idle is what a source that paces itself runs before every wait (onIdle):
@@ -585,18 +567,19 @@ func (s *closedSession) writeSeqEvent(p *pendingEv) error {
 	return nil
 }
 
-// runClosed is the core closed-loop driver loop shared by ReplayClosed and
-// SLOSearch. winHist, when non-nil, additionally receives every acked
-// transaction's latency (the controller's probe-window accounting).
-func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o ClosedOpts, hooks closedHooks, winHist *telemetry.Histogram) (ClosedStats, error) {
-	o = o.withDefaults()
+// ReplayClosed connects to a replaynet server and replays a time-ordered
+// event sequence as acknowledged, congestion-controlled signaling
+// transactions — the closed-loop counterpart of ReplayStream. The window is
+// the driver's only throttle (a source that paces itself sets the
+// schedule); delivery is exactly-once across connection failures.
+func ReplayClosed(addr string, gen events.Generation, src trace.ArrivalSource, opts ClosedOpts) (ClosedStats, error) {
+	o := opts.withDefaults()
 	s := &closedSession{
-		addr: addr, gen: gen, o: o, hooks: hooks,
+		addr: addr, gen: gen, o: o,
 		cwnd:      initialCwnd,
 		slowStart: true,
 		rto:       o.initialRTO,
 		hist:      o.RTTSink,
-		winHist:   winHist,
 		start:     o.clock.Now(),
 		// A resumed incarnation continues the session's absolute sequence
 		// space: the next send is ResumeFrom+1 (0 for a fresh session).
@@ -644,46 +627,26 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 	}
 	s.publishLive()
 
-	var (
-		peek     trace.Arrival
-		havePeek bool
-	)
-
 	for {
 		// Retire whatever the reader has acknowledged.
 		s.retire()
 
 		// Fill the window.
-		paceWait := time.Duration(-1)
 		for !s.srcDone && len(s.pending) < int(s.cwnd) {
-			if !havePeek {
-				ev, ok, err := src.NextArrival()
-				if err != nil {
-					return ClosedStats{}, fmt.Errorf("replaynet: event source: %w", err)
-				}
-				if !ok {
-					s.srcDone = true
-					break
-				}
-				peek, havePeek = ev, true
+			ev, ok, err := src.NextArrival()
+			if err != nil {
+				return ClosedStats{}, fmt.Errorf("replaynet: event source: %w", err)
 			}
-			if hooks.due != nil {
-				if d := hooks.due(peek); !d.IsZero() {
-					if w := d.Sub(o.clock.Now()); w > 0 {
-						paceWait = w
-						break
-					}
-				}
+			if !ok {
+				s.srcDone = true
+				break
 			}
-			if err := s.send(peek, o.clock.Now()); err != nil {
+			if err := s.send(ev, o.clock.Now()); err != nil {
 				s.onLoss()
 				if rerr := s.reconnect(); rerr != nil {
 					return ClosedStats{}, rerr
 				}
-			} else if hooks.onSend != nil {
-				hooks.onSend()
 			}
-			havePeek = false
 		}
 		s.publishLive()
 
@@ -701,21 +664,10 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 			continue
 		}
 
-		// Wait for an ack, a connection failure, the RTO or the pacer.
-		wait := time.Hour
-		rtoWait := false
-		if len(s.pending) > 0 {
-			if w := s.pending[0].sentAt.Add(s.rto).Sub(o.clock.Now()); w < wait {
-				wait, rtoWait = w, true
-			}
-		}
-		if paceWait >= 0 && paceWait < wait {
-			wait, rtoWait = paceWait, false
-		}
-		if wait < 0 {
-			wait = 0
-		}
-		s.timer.Reset(wait)
+		// Wait for an ack, a connection failure or the RTO. Something is in
+		// flight: the fill stops only at a full window or an exhausted
+		// source, and the loop ended if that left nothing in flight.
+		s.timer.Reset(max(s.pending[0].sentAt.Add(s.rto).Sub(o.clock.Now()), 0))
 		select {
 		case <-s.notify:
 			s.timer.Stop()
@@ -726,15 +678,13 @@ func runClosed(addr string, gen events.Generation, src trace.ArrivalSource, o Cl
 				return ClosedStats{}, rerr
 			}
 		case <-s.timer.C:
-			if rtoWait && len(s.pending) > 0 && o.clock.Now().Sub(s.pending[0].sentAt) >= s.rto {
-				// Per-event timeout: the oldest in-flight transaction blew
-				// its RTO — a loss event. Back off the timeout (Karn) and
-				// resume through a fresh connection.
-				s.rto = min(2*s.rto, o.maxRTO)
-				s.onLoss()
-				if rerr := s.reconnect(); rerr != nil {
-					return ClosedStats{}, rerr
-				}
+			// Per-event timeout: the oldest in-flight transaction blew its
+			// RTO — a loss event. Back off the timeout (Karn) and resume
+			// through a fresh connection.
+			s.rto = min(2*s.rto, o.maxRTO)
+			s.onLoss()
+			if rerr := s.reconnect(); rerr != nil {
+				return ClosedStats{}, rerr
 			}
 		}
 	}
@@ -798,13 +748,4 @@ func (s *closedSession) finalStats() (Stats, error) {
 		s.conn = nil
 	}
 	return Stats{}, fmt.Errorf("replaynet: final stats: %w", lastErr)
-}
-
-// ReplayClosed connects to a replaynet server and replays a time-ordered
-// event sequence as acknowledged, congestion-controlled signaling
-// transactions — the closed-loop counterpart of ReplayStream. The window is
-// the driver's only throttle (a source that paces itself sets the
-// schedule); delivery is exactly-once across connection failures.
-func ReplayClosed(addr string, gen events.Generation, src trace.ArrivalSource, opts ClosedOpts) (ClosedStats, error) {
-	return runClosed(addr, gen, src, opts, closedHooks{}, nil)
 }

@@ -283,7 +283,7 @@ func TestSLOSearchStateDeterministic(t *testing.T) {
 		const capacity = 1000.0
 		st = newSLOSearchState(SearchOpts{
 			SLOP99: 50 * time.Millisecond, InitialRate: 100,
-			rampFactor: 2, tolerance: 0.25, maxRounds: 20, WindowEvents: 100, minAchievedFrac: 0.85,
+			tolerance: 0.25, maxRounds: 20, WindowEvents: 100,
 		}.withDefaults())
 		for !st.done {
 			rates = append(rates, st.rate)

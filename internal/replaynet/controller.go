@@ -2,19 +2,23 @@ package replaynet
 
 // SLO-search controller: finds the maximum sustained offered load (events/s)
 // a replaynet server can absorb while the p99 send→acknowledge transaction
-// latency stays within an SLO. The controller rides on the closed-loop
-// driver: it paces transmissions at a candidate rate, measures each probe
-// window's p99 out of the O(1)-memory log-bucket histogram, and steers the
-// rate with a multiplicative ramp followed by geometric bisection. The
-// decision logic is a pure state machine (sloSearchState) so convergence is
-// deterministic given the sequence of window verdicts — the only
-// nondeterminism left is the measured latency itself.
+// latency stays within an SLO. The controller is a source, not a second
+// driver: a probe source wraps the event source, paces it at a candidate
+// rate through the OnIdle contract every source that paces itself keeps,
+// and is replayed by ReplayClosed like any other. It reads each probe
+// window's p99 out of the run's RTTSink (the O(1)-memory log-bucket
+// histogram) and steers the rate with a multiplicative ramp followed by
+// geometric bisection. The decision logic is a pure state machine
+// (sloSearchState) so convergence is deterministic given the sequence of
+// window verdicts — the only nondeterminism left is the measured latency
+// itself.
 
 import (
 	"errors"
 	"math"
 	"time"
 
+	"cptgpt/internal/clock"
 	"cptgpt/internal/events"
 	"cptgpt/internal/telemetry"
 	"cptgpt/internal/trace"
@@ -30,19 +34,21 @@ type SearchOpts struct {
 	// window; default 400.
 	WindowEvents int
 
-	// Test seams, zero = the default. rampFactor multiplies the rate while
-	// no upper bound is known (and divides it while no lower bound is
-	// known); default 2.
-	rampFactor float64
-	// tolerance stops the bisection once hi/lo ≤ 1+tolerance; default 0.25.
+	// Test seams, zero = the default. tolerance stops the bisection once
+	// hi/lo ≤ 1+tolerance; default 0.25.
 	tolerance float64
 	// maxRounds bounds the number of probe windows; default 16.
 	maxRounds int
-	// minAchievedFrac: a window only passes if the achieved ack rate is at
-	// least this fraction of the offered rate (otherwise the server is
-	// saturated even if queues hide it from p99); default 0.85.
-	minAchievedFrac float64
 }
+
+// rampFactor multiplies the rate while no upper bound is known (and divides
+// it while no lower bound is known). A window passes only if its achieved
+// ack rate is at least minAchievedFrac of the offered rate: below it the
+// server is saturated even if queues hide it from p99.
+const (
+	rampFactor      = 2.0
+	minAchievedFrac = 0.85
+)
 
 func (o SearchOpts) withDefaults() SearchOpts {
 	if o.InitialRate <= 0 {
@@ -51,17 +57,11 @@ func (o SearchOpts) withDefaults() SearchOpts {
 	if o.WindowEvents <= 0 {
 		o.WindowEvents = 400
 	}
-	if o.rampFactor <= 1 {
-		o.rampFactor = 2
-	}
 	if o.tolerance <= 0 {
 		o.tolerance = 0.25
 	}
 	if o.maxRounds <= 0 {
 		o.maxRounds = 16
-	}
-	if o.minAchievedFrac <= 0 || o.minAchievedFrac > 1 {
-		o.minAchievedFrac = 0.85
 	}
 	return o
 }
@@ -88,6 +88,9 @@ type SearchResult struct {
 	// Rounds are the probe windows in order.
 	Rounds []ProbeRound `json:"rounds"`
 	// Transport is the underlying closed-loop replay's transport summary.
+	// Its latencies cover the final probe window and the drain behind it
+	// (each round carries its own p99 and mean); the counts, rate and
+	// congestion state cover the whole run.
 	Transport ClosedStats `json:"transport"`
 }
 
@@ -134,11 +137,88 @@ func (st *sloSearchState) observe(met bool) {
 	}
 	switch {
 	case st.hi == 0:
-		st.rate = st.lo * st.o.rampFactor
+		st.rate = st.lo * rampFactor
 	case st.lo == 0:
-		st.rate = st.hi / st.o.rampFactor
+		st.rate = st.hi / rampFactor
 	default:
 		st.rate = math.Sqrt(st.lo * st.hi)
+	}
+}
+
+// probeSource is the search's source: it releases src's events at the
+// current probe rate, event i of a window at the window's start +
+// (i−base)/rate, announcing each wait to the driver's idle hook first. Its
+// window histogram is the run's ClosedOpts.RTTSink, into which the driver
+// records every sampled latency; a window closes at the first pull after
+// its WindowEvents-th sample, and the stream ends once the search is
+// decided. It runs on the driver's goroutine, like any source.
+type probeSource struct {
+	src    trace.ArrivalSource
+	st     *sloSearchState
+	clk    clock.Clock
+	hist   *telemetry.Histogram // the current window's samples
+	idle   func(until time.Time)
+	rounds []ProbeRound
+
+	start   time.Time // the current window's first pull
+	i, base float64   // releases so far; releases before the window
+}
+
+func newProbeSource(src trace.ArrivalSource, search SearchOpts, clk clock.Clock) *probeSource {
+	return &probeSource{src: src, st: newSLOSearchState(search), clk: clk, hist: telemetry.NewHistogram(telemetry.LatencyBuckets)}
+}
+
+// OnIdle registers the driver's idle hook (ReplayClosed does, before the
+// first pull).
+func (p *probeSource) OnIdle(fn func(until time.Time)) { p.idle = fn }
+
+func (p *probeSource) NextArrival() (trace.Arrival, bool, error) {
+	now := p.clk.Now()
+	if p.start.IsZero() {
+		p.start = now
+	}
+	if n := int(p.hist.Count()); !p.st.done && n >= p.st.o.WindowEvents {
+		p.closeWindow(n, now)
+	}
+	if p.st.done {
+		return trace.Arrival{}, false, nil
+	}
+	ev, ok, err := p.src.NextArrival()
+	if !ok || err != nil {
+		return ev, ok, err
+	}
+	due := p.start.Add(time.Duration((p.i - p.base) / p.st.rate * float64(time.Second)))
+	p.i++
+	if due.After(p.clk.Now()) {
+		p.idle(due)
+		clock.Sleep(p.clk, due.Sub(p.clk.Now())) // what the hook left
+	}
+	return ev, true, nil
+}
+
+// closeWindow records the verdict on the window's n samples at now and
+// steers the rate. Unless that decides the search, the next window starts
+// at now with a fresh histogram; the final window's samples stay, for the
+// run's report.
+func (p *probeSource) closeWindow(n int, now time.Time) {
+	achieved := 0.0
+	if el := now.Sub(p.start).Seconds(); el > 0 {
+		achieved = float64(n) / el
+	}
+	p99 := p.hist.Quantile(0.99)
+	met := p99 <= p.st.o.SLOP99.Seconds() && achieved >= minAchievedFrac*p.st.rate
+	p.rounds = append(p.rounds, ProbeRound{
+		Rate:     p.st.rate,
+		Achieved: achieved,
+		P99:      time.Duration(p99 * 1e9),
+		Mean:     time.Duration(p.hist.Mean() * 1e9),
+		Events:   n,
+		Met:      met,
+	})
+	p.st.observe(met)
+	if !p.st.done {
+		p.hist.Reset()
+		p.start, p.base = now, p.i
 	}
 }
 
@@ -146,72 +226,18 @@ func (st *sloSearchState) observe(met bool) {
 // the offered event rate to find the maximum sustained load whose p99
 // transaction latency stays within search.SLOP99. The source must be long
 // enough to feed the round budget (16 probe windows); if it runs dry first
-// the result carries Converged=false and the best bracket found so far.
+// the result carries Converged=false and the best bracket found so far. The
+// search owns opts.RTTSink (its window histogram): one given is replaced.
 func SLOSearch(addr string, gen events.Generation, src trace.ArrivalSource, opts ClosedOpts, search SearchOpts) (SearchResult, error) {
 	if search.SLOP99 <= 0 {
 		return SearchResult{}, errors.New("replaynet: SLOSearch requires a positive SLOP99")
 	}
-	search, opts = search.withDefaults(), opts.withDefaults()
-
-	st := newSLOSearchState(search)
-	result := SearchResult{}
-	slo := search.SLOP99.Seconds()
-
-	winHist := telemetry.NewHistogram(telemetry.LatencyBuckets)
-	var winStart time.Time  // clock start of the current window's ack count
-	var winSendBase float64 // send index at window start
-	var sendIdx float64
-
-	// due paces sends uniformly at the current probe rate.
-	due := func(trace.Arrival) time.Time {
-		if winStart.IsZero() {
-			winStart = opts.clock.Now()
-		}
-		return winStart.Add(time.Duration((sendIdx - winSendBase) / st.rate * float64(time.Second)))
-	}
-	onSend := func() { sendIdx++ }
-	onAck := func(_ int, now time.Time) bool {
-		if st.done {
-			return false // already decided; in-flight acks are just drained
-		}
-		n := int(winHist.Count())
-		if n < search.WindowEvents {
-			return true
-		}
-		p99 := winHist.Quantile(0.99)
-		mean := winHist.Mean()
-		elapsed := now.Sub(winStart).Seconds()
-		achieved := 0.0
-		if elapsed > 0 {
-			achieved = float64(n) / elapsed
-		}
-		met := p99 <= slo && achieved >= search.minAchievedFrac*st.rate
-		result.Rounds = append(result.Rounds, ProbeRound{
-			Rate:     st.rate,
-			Achieved: achieved,
-			P99:      time.Duration(p99 * 1e9),
-			Mean:     time.Duration(mean * 1e9),
-			Events:   n,
-			Met:      met,
-		})
-		st.observe(met)
-		if st.done {
-			return false // stop pulling the source; in-flight events drain
-		}
-		// Next window: fresh histogram, fresh wall base, pace from the
-		// current send index so the new rate applies immediately.
-		winHist.Reset()
-		winStart = now
-		winSendBase = sendIdx
-		return true
-	}
-	hooks := closedHooks{due: due, onSend: onSend, onAck: onAck}
-	transport, err := runClosed(addr, gen, src, opts, hooks, winHist)
+	opts = opts.withDefaults()
+	p := newProbeSource(src, search.withDefaults(), opts.clock)
+	opts.RTTSink = p.hist
+	transport, err := ReplayClosed(addr, gen, p, opts)
 	if err != nil {
 		return SearchResult{}, err
 	}
-	result.Transport = transport
-	result.MaxRate = st.lo
-	result.Converged = st.converged
-	return result, nil
+	return SearchResult{MaxRate: p.st.lo, Converged: p.st.converged, Rounds: p.rounds, Transport: transport}, nil
 }

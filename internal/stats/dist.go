@@ -3,7 +3,7 @@
 // the heavy-tailed distributions that describe control-plane interarrival
 // and sojourn times, the max-y-distance between empirical CDFs (two-sample
 // Kolmogorov–Smirnov statistic) used throughout the paper's evaluation,
-// histograms, and a small k-means used by the clustered SMM baseline.
+// and a small k-means used by the clustered SMM baseline.
 package stats
 
 import (

@@ -42,35 +42,6 @@ func MaxYDistance(a, b []float64) float64 {
 	return d
 }
 
-// Histogram buckets a sample into equal-width bins over [lo, hi]. Samples
-// outside the range are clamped into the first or last bin. It returns the
-// bin counts and the bin edges (len(edges) == bins+1).
-func Histogram(xs []float64, lo, hi float64, bins int) (counts []int, edges []float64) {
-	if bins <= 0 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	counts = make([]int, bins)
-	edges = make([]float64, bins+1)
-	w := (hi - lo) / float64(bins)
-	for i := range edges {
-		edges[i] = lo + w*float64(i)
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts, edges
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -148,16 +148,6 @@ func TestMaxYDistanceProperties(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts, edges := Histogram([]float64{0.5, 1.5, 2.5, -10, 99}, 0, 3, 3)
-	if len(counts) != 3 || len(edges) != 4 {
-		t.Fatalf("shape %d/%d", len(counts), len(edges))
-	}
-	if counts[0] != 2 || counts[1] != 1 || counts[2] != 2 {
-		t.Fatalf("counts %v (out-of-range values clamp)", counts)
-	}
-}
-
 func TestEmpiricalSampler(t *testing.T) {
 	src := []float64{1, 2, 3, 4, 5}
 	es := NewEmpiricalSampler(src)
